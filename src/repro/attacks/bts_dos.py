@@ -17,6 +17,7 @@ from repro.ran.nas import AuthenticationRequest
 from repro.ran.network import FiveGNetwork
 from repro.ran.ue import UeProfile
 from repro.ran.rrc import RrcState
+from repro.sim.engine import Event
 
 ATTACKER_PROFILE = UeProfile(
     name="bts_dos_attacker",
@@ -32,9 +33,19 @@ class DosUe(RogueUe):
     def start_flood(self, connections: int, interval_s: float) -> None:
         self._remaining = connections
         self._interval_s = interval_s
+        # At most one pending next-connection event: a second one would
+        # fire into the session the first opened and raise "session already
+        # in progress" out of Simulator.run.
+        self._pending_next: Optional[Event] = None
         self._next_connection()
 
+    def _arm_next_connection(self, delay: float) -> None:
+        if self._pending_next is not None:
+            self._pending_next.cancel()
+        self._pending_next = self.schedule(delay, self._next_connection)
+
     def _next_connection(self) -> None:
+        self._pending_next = None
         if self._remaining <= 0:
             return
         self._remaining -= 1
@@ -43,17 +54,21 @@ class DosUe(RogueUe):
         self.start_session()
 
     def _on_nas_AuthenticationRequest(self, nas: AuthenticationRequest) -> None:
+        if not self._session_active:
+            # A channel duplicate of the request that already ended the
+            # connection: nothing is open, the next one is already armed.
+            return
         # Resources are now committed network-side; drop the connection and
         # immediately start the next one.
         self.abandon_connection()
         jitter = self.rng.uniform(0.8, 1.2)
-        self.schedule(self._interval_s * jitter, self._next_connection)
+        self._arm_next_connection(self._interval_s * jitter)
 
     def _on_t300(self) -> None:
         # Flooding attacker does not retry a lost request; it just moves on.
         if self.rrc_state is RrcState.IDLE:
             self.abandon_connection()
-            self.schedule(self._interval_s, self._next_connection)
+            self._arm_next_connection(self._interval_s)
 
 
 class BtsDosAttack(Attack):

@@ -64,14 +64,14 @@ class XsecConfig:
     scale: ScaleSettings = field(default_factory=ScaleSettings)
 
     # Inference hot path (repro.hotpath): incremental per-session LSTM
-    # scoring, fused compiled kernels, arena window assembly. Defaults
-    # preserve the seed scoring path bit-for-bit (see docs/PERFORMANCE.md).
+    # scoring and the float32 kernel tier. Defaults keep scoring exact
+    # (see docs/PERFORMANCE.md).
     hotpath: HotpathSettings = field(default_factory=HotpathSettings)
 
-    # Training fast path (repro.trainfast): compiled training kernels,
+    # Training fast path (repro.trainfast): training-kernel precision,
     # multi-core experiment sweeps, content-addressed dataset cache.
-    # Defaults preserve the seed training path bit-for-bit (see
-    # docs/PERFORMANCE.md, "Training fast path").
+    # Defaults keep training exact and serial (see docs/PERFORMANCE.md,
+    # "Training fast path").
     trainfast: TrainfastSettings = field(default_factory=TrainfastSettings)
 
     # Cross-session megabatch scoring (repro.megabatch): one fused
@@ -95,15 +95,12 @@ class XsecConfig:
     runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
 
     # Telemetry generation/ingest fast lane (repro.genfast): columnar
-    # MobiFlow batch indications with interned vocab ids, one acked SDL
-    # write per batch, and one-pass vectorized featurization. Defaults
-    # keep the seed per-record path bit-identical (see
-    # docs/PERFORMANCE.md, "Generation & ingest").
+    # MobiFlow batch indications with interned vocab ids. Default keeps
+    # per-record TLV on E2 (see docs/PERFORMANCE.md, "Generation & ingest").
     genfast: GenfastSettings = field(default_factory=GenfastSettings)
 
     # Verdict-plane fast path (repro.llmfast): content-addressed verdict
-    # cache + in-flight coalescing, vectorized RAG retrieval, compiled
-    # prompt assembly, and the storm-safe dispatch queue with batched
-    # verdict persistence. Defaults keep the seed analyzer path
-    # bit-identical (see docs/PERFORMANCE.md, "Verdict plane").
+    # cache + in-flight coalescing and the storm-safe dispatch queue with
+    # batched verdict persistence. Defaults send one provider request per
+    # query (see docs/PERFORMANCE.md, "Verdict plane").
     llmfast: LlmfastSettings = field(default_factory=LlmfastSettings)

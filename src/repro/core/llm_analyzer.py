@@ -88,7 +88,7 @@ class LlmAnalyzerXApp(XApp):
         self.analyst = ExpertAnalyst(
             client=LlmClient(server=self.server, model=self.config.llm_model),
             use_rag=self.config.llm_use_rag,
-            llmfast=llmfast if llmfast.any_enabled else None,
+            llmfast=llmfast if llmfast.fast_submit_enabled else None,
         )
         self.verdicts: list[VerdictEvent] = []
         self.human_review_queue: list[VerdictEvent] = []

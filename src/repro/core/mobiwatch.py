@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import XsecConfig
-from repro.hotpath.arena import SessionWindowArena
 from repro.hotpath.incremental import IncrementalLstmScorer
 from repro.megabatch.quantized import QuantizedLstmEngine
+from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector, LstmDetector
 from repro.obs.metrics import WallTimer
 from repro.oran.e2ap import ActionType, RicIndication
@@ -79,8 +79,6 @@ class MobiWatchXApp(XApp):
         self.detector: Optional[AnomalyDetector] = None
         self.series = TelemetrySeries()
         self._encoder = self.config.spec.streaming_encoder()
-        # Entries are None'd out when a session is evicted (no-arena mode).
-        self._rows: list[Optional[np.ndarray]] = []
         # Arrival (ingest) sim-time per record index — feeds the loop traces.
         self._arrival_ts: list[float] = []
         self._session_records: dict[int, list[int]] = {}
@@ -122,15 +120,12 @@ class MobiWatchXApp(XApp):
             "mobiwatch.detection_latency_s",
             help="newest telemetry entry of a flagged window -> alarm",
         )
-        # repro.hotpath: per-session row arenas replace the _rows list (the
-        # last window becomes one contiguous view), and incremental LSTM
-        # scoring carries per-session hidden state. Defaults off, keeping
-        # the seed's assembly + full-window re-run path bit-identical.
-        # repro.megabatch's per-tick gather rides the same arena (its
-        # window views are the gather sources), so batching forces it on.
-        self._arena: Optional[SessionWindowArena] = None
-        if self.config.hotpath.arena_enabled or self.config.megabatch.batching_enabled:
-            self._arena = SessionWindowArena(self.config.spec.dim, self.config.window)
+        # Featurized rows per session: the last window of any session is
+        # one contiguous view (also the megabatch gather's sources and the
+        # incremental scorer's replay history).
+        self._arena = SessionWindowArena(self.config.spec.dim, self.config.window)
+        # repro.hotpath: incremental LSTM scoring carries per-session
+        # hidden state. Default off: full-window re-runs.
         self._incremental: Optional[IncrementalLstmScorer] = None
         # repro.megabatch: one fused detector call per tick across every
         # touched session; optional int8/float16 quantized LSTM tier with
@@ -196,8 +191,7 @@ class MobiWatchXApp(XApp):
         self.detector = detector
         detector.attach_metrics(self.sim.obs.metrics)
         hotpath = self.config.hotpath
-        if hotpath.compiled:
-            detector.compile(hotpath.dtype)
+        detector.scoring_dtype = hotpath.dtype
         self._incremental = None
         if hotpath.incremental:
             if isinstance(detector, LstmDetector):
@@ -277,11 +271,9 @@ class MobiWatchXApp(XApp):
         if self._quantized is not None:
             parts.append(f"quantized-int8-{megabatch.state_dtype}")
         elif self._incremental is not None:
-            parts.append(
-                f"incremental-{hotpath.incremental_mode}-{hotpath.incremental_dtype}"
-            )
-        elif hotpath.compiled:
-            parts.append(f"compiled-{hotpath.dtype}")
+            parts.append(f"incremental-{hotpath.incremental_mode}-{hotpath.dtype}")
+        elif hotpath.dtype == "float32":
+            parts.append("compiled-float32")
         if self._mb_gather:
             parts.append("megabatch")
         if (
@@ -334,11 +326,8 @@ class MobiWatchXApp(XApp):
         tick_rows: list = []
         released: list[int] = []
         evict_release = self.config.megabatch.evict_on_release
-        # repro.genfast: defer per-record SDL writes and flush them as one
-        # acked batched write per shard after the ingest loop. Stored
-        # values and watcher notifications are identical; only the write
-        # batching changes.
-        batch_writes = self.config.genfast.batched_sdl_writes
+        # Telemetry is persisted after the ingest loop as one acked SDL
+        # write per indication (per shard key under ShardedSdl).
         pending_writes: list[tuple[int, MobiFlowRecord]] = []
         for record in records:
             index = len(self.series)
@@ -350,27 +339,12 @@ class MobiWatchXApp(XApp):
                 )
             self.series.append(record)
             row = self._encoder.push(record)
-            if self._arena is not None:
-                if record.session_id:
-                    self._arena.append(record.session_id, row)
-                    if self._incremental is not None:
-                        self._incremental.push(record.session_id, row)
-            else:
-                self._rows.append(row)
+            if record.session_id:
+                self._arena.append(record.session_id, row)
+                if self._incremental is not None:
+                    self._incremental.push(record.session_id, row)
             self._arrival_ts.append(self.now)
-            if batch_writes:
-                pending_writes.append((index, record))
-            elif self._sharded_sdl:
-                # Place telemetry by UE session so one session's records
-                # stay on one shard (and its replicas).
-                self.sdl.set(
-                    SDL_TELEMETRY_NS,
-                    f"{index:09d}",
-                    _record_value(record),
-                    shard_key=str(record.session_id or index),
-                )
-            else:
-                self.sdl.set(SDL_TELEMETRY_NS, f"{index:09d}", _record_value(record))
+            pending_writes.append((index, record))
             self.records_seen += 1
             self._records_counter.inc()
             self._capture_to_ingest.observe(self.now - record.timestamp)
@@ -386,8 +360,8 @@ class MobiWatchXApp(XApp):
                     released.append(session_id)
         if pending_writes:
             if self._sharded_sdl:
-                # Same placement as the per-record path: group by shard key
-                # so each session's batch lands on its session's shard.
+                # Place telemetry by UE session so one session's records
+                # stay on one shard (and its replicas).
                 groups: dict[str, list[tuple[str, dict]]] = {}
                 for index, record in pending_writes:
                     groups.setdefault(str(record.session_id or index), []).append(
@@ -492,7 +466,7 @@ class MobiWatchXApp(XApp):
         """Gather the ready sessions' pending windows; score the tick batch.
 
         Each arena window view is copied into one reusable
-        ``[n_sessions, window * dim]`` matrix. Under the compiled float32
+        ``[n_sessions, window * dim]`` matrix. Under the float32
         kernels the whole matrix goes through **one fused GEMM per tick**
         (the performance tier, hotpath-tolerance contract). In float64 the
         rows are scored through the same ``[1, window*dim]``-shaped calls
@@ -514,9 +488,7 @@ class MobiWatchXApp(XApp):
         matrix = buf[: len(ready)]
         for row, session_id in enumerate(ready):
             matrix[row] = self._arena.window_rows(session_id).reshape(-1)
-        fused = (
-            self.config.hotpath.compiled and self.config.hotpath.dtype == "float32"
-        )
+        fused = self.config.hotpath.dtype == "float32"
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
             if fused or len(ready) == 1:
                 scores = np.asarray(self.detector.scores(matrix), dtype=np.float64)
@@ -600,8 +572,8 @@ class MobiWatchXApp(XApp):
     def _evict_session(self, session_id: int) -> bool:
         """Drop every piece of the session's per-xApp state.
 
-        Without eviction, _session_records / _rows / _alerted_counts and
-        the scorers' carried state grow forever — a leak at fleet scale.
+        Without eviction, _session_records / the arena / _alerted_counts
+        and the scorers' carried state grow forever — a leak at fleet scale.
         A re-appearing session starts from an empty window history.
         """
         pending = self._pending_maturity.pop(session_id, None)
@@ -610,15 +582,9 @@ class MobiWatchXApp(XApp):
         indices = self._session_records.pop(session_id, None)
         if indices is None:
             return False
-        if self._arena is None:
-            # Row arrays are only reachable through _session_records;
-            # None them out (the list keeps index alignment).
-            for index in indices:
-                self._rows[index] = None
         self._alerted_counts.pop(session_id, None)
         self._last_touch.pop(session_id, None)
-        if self._arena is not None:
-            self._arena.release(session_id)
+        self._arena.release(session_id)
         if self._incremental is not None:
             self._incremental.release(session_id)
         if self._quantized is not None:
@@ -642,9 +608,7 @@ class MobiWatchXApp(XApp):
     def _score_window(self, session_id: int, indices: list) -> None:
         if self.detector is None:
             return
-        window = self.config.window
-        spec = self.config.spec
-        chosen = indices[-window:]
+        chosen = indices[-self.config.window :]
         if self._quantized is not None:
             # Carried-state tier: the fused batched steps already ran at
             # ingest; the score is the session's error-ring max.
@@ -674,16 +638,9 @@ class MobiWatchXApp(XApp):
                 )
             self._handle_score(session_id, len(indices), chosen, score, self.now)
             return
-        if self._arena is not None:
-            # The arena's zero pad prefix makes the padded-or-full last
-            # window a single contiguous view: no stack, no pad allocation.
-            rows = self._arena.window_rows(session_id)
-        else:
-            rows = np.stack([self._rows[i] for i in chosen])
-            if len(chosen) < window:
-                padded = np.zeros((window, spec.dim), dtype=rows.dtype)
-                padded[window - len(chosen) :] = rows
-                rows = padded
+        # The arena's zero pad prefix makes the padded-or-full last window
+        # a single contiguous view: no stack, no pad allocation.
+        rows = self._arena.window_rows(session_id)
         if self.pool is not None:
             record_count = len(indices)
             self.pool.submit(

@@ -214,14 +214,9 @@ class ClosedLoopPipeline:
         genfast = self.config.genfast
         if genfast.any_enabled:
             # repro.genfast: which generation/ingest fast lanes are active.
-            report["genfast"] = {
-                "columnar_batches": genfast.columnar_batches,
-                "batched_sdl_writes": genfast.batched_sdl_writes,
-                "vectorized_features": genfast.vectorized_features,
-                "sim_fastlane": genfast.sim_fastlane,
-            }
+            report["genfast"] = {"columnar_batches": genfast.columnar_batches}
         llmfast = self.config.llmfast
-        if llmfast.any_enabled:
+        if llmfast.fast_submit_enabled:
             # repro.llmfast: the verdict-plane ledger (the invariant
             # offered == analyzed + coalesced + cache_hits + shed + pending
             # holds at every instant) plus cache/dispatcher internals.

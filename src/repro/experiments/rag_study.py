@@ -24,9 +24,7 @@ from repro.experiments.reporting import render_table
 from repro.experiments.table3 import MODEL_ORDER, Table3Config, build_traces, _is_correct
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.knowledge import CellularKnowledgeBase
-from repro.llmfast.retrieval import VectorizedRetriever
-from repro.llmfast.settings import LlmfastSettings
+from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 
 
 @dataclass
@@ -82,9 +80,9 @@ def run_rag_study(
     capture = capture or generate_attack_dataset(config.attack)
     cases = build_traces(capture)
     server = SimulatedLlmServer()
-    # repro.llmfast: the study's RAG grid runs on the vectorized
-    # retriever.  The seed-ranking contract is re-asserted on this run's
-    # own traces before any model sees a prompt.
+    # The analysts retrieve through the vectorized retriever; its
+    # ranking contract against the reference loop is re-asserted on this
+    # run's own traces before any model sees a prompt.
     knowledge = CellularKnowledgeBase()
     retriever = VectorizedRetriever(knowledge)
     for case in cases:
@@ -95,14 +93,12 @@ def run_rag_study(
                 f"vectorized retrieval diverged from the seed ranking on "
                 f"trace {case.name!r}: {vectorized} != {seed_ranking}"
             )
-    study_settings = LlmfastSettings(vectorized_rag=True, compiled_prompts=True)
     grid: dict = {}
     for model in config.models:
         for mode, use_rag in (("zero-shot", False), ("rag", True)):
             analyst = ExpertAnalyst(
                 client=LlmClient(server=server, model=model),
                 use_rag=use_rag,
-                llmfast=study_settings,
             )
             for case in cases:
                 verdict = analyst.analyze(case.records, detector_flagged=case.is_attack)

@@ -1,16 +1,10 @@
-"""repro.genfast — vectorized telemetry generation & ingest.
+"""repro.genfast — columnar telemetry generation & ingest.
 
-The generation/ingest fast lane behind ``XsecConfig.genfast``:
+The fast lane behind ``XsecConfig.genfast``: columnar
+:class:`~repro.telemetry.batch.MobiFlowBatch` indications with interned
+vocab ids on E2, decoded back to the identical per-record stream.
 
-- columnar :class:`~repro.telemetry.batch.MobiFlowBatch` indications with
-  interned vocab ids, one acked SDL write per batch;
-- one-pass vectorized featurization (`repro.telemetry.vectorized`) with a
-  float64 equality contract against the seed ``StreamingEncoder``;
-- sim fast-lane: ``__slots__`` events, template-cached RAN message
-  construction (`repro.ran.templates`) and batched timer scheduling
-  (`repro.sim.fastlane`).
-
-Defaults keep the seed per-record path bit-identical.
+Default keeps per-record TLV on E2.
 """
 
 from repro.genfast.settings import GenfastSettings

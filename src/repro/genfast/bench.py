@@ -1,17 +1,14 @@
 """Genfast benchmark: capture -> featurized-window ingest throughput.
 
-Three measurements, mirroring the three genfast fast lanes:
+Two measurements:
 
-- **end-to-end ingest** — the seed per-record path (record objects,
+- **end-to-end ingest** — the per-record reference path (record objects,
   per-record TLV wire, one SDL write per record, streaming featurization)
   vs the columnar path (field appends, packed columnar TLV, one acked SDL
   write per batch, one-pass vectorized featurization), in records/second
   over the same synthetic capture stream;
-- **featurization alone** — seed ``StreamingEncoder.push`` vs the
-  vectorized ``encode_batch`` on the identical record stream;
-- **sim event churn** — per-member ``Simulator.schedule`` fleet ticking vs
-  the ``schedule_batch``-backed :class:`FleetTicker` (informational, no
-  floor: it gates nothing but shows the fast lane's third leg).
+- **featurization alone** — the reference ``StreamingEncoder.push`` vs the
+  vectorized ``encode_batch`` on the identical record stream.
 
 Every run re-verifies the equality contracts (bit-identical feature
 windows, byte-identical columnar wire roundtrip). :func:`violations`
@@ -36,10 +33,9 @@ from repro.genfast.workload import (
     lanes_equal,
     run_fast_lane,
     run_seed_lane,
+    streaming_rows,
 )
 from repro.runtime.settings import usable_cpus
-from repro.sim.engine import Simulator
-from repro.sim.fastlane import FleetTicker
 from repro.telemetry.batch import MobiFlowBatch
 from repro.telemetry.features import FeatureSpec
 from repro.telemetry.mobiflow import MobiFlowRecord
@@ -61,14 +57,11 @@ class GenfastBenchConfig:
     sessions: int = 48
     batch_records: int = 64
     window: int = 6
-    # Fleet-tick micro-measurement (informational).
-    fleet_ues: int = 200
-    fleet_ticks: int = 50
     repeats: int = 3  # best-of repeats for every timing loop
 
     @classmethod
     def quick(cls) -> "GenfastBenchConfig":
-        return cls(records=2000, sessions=24, fleet_ues=64, fleet_ticks=20, repeats=2)
+        return cls(records=2000, sessions=24, repeats=2)
 
     def workload(self) -> GenfastWorkloadConfig:
         return GenfastWorkloadConfig(
@@ -83,7 +76,6 @@ class GenfastBenchConfig:
 class GenfastBenchResult:
     end_to_end: dict = field(default_factory=dict)
     featurization: dict = field(default_factory=dict)
-    sim: dict = field(default_factory=dict)
     equality: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     cpus: int = field(default_factory=usable_cpus)
@@ -107,7 +99,6 @@ class GenfastBenchResult:
             "floor_applied": "multi-core" if self.multi_core_floor_applies else "single-core",
             "end_to_end": self.end_to_end,
             "featurization": self.featurization,
-            "sim": self.sim,
             "equality": self.equality,
             "meta": self.meta,
         }
@@ -134,12 +125,6 @@ class GenfastBenchResult:
             f"  featurization: streaming {f_['seed_rps']:.0f} rec/s -> vectorized "
             f"{f_['fast_rps']:.0f} rec/s ({f_['speedup']:.2f}x, floor "
             f"{FEATURIZATION_SPEEDUP_MIN:g}x)"
-        )
-        s = self.sim
-        lines.append(
-            f"  sim fleet ticks: per-member {s['per_member_tps']:.0f} ticks/s -> "
-            f"batched {s['batched_tps']:.0f} ticks/s ({s['speedup']:.2f}x, "
-            "informational)"
         )
         eq = ", ".join(f"{k}={v}" for k, v in self.equality.items())
         lines.append(f"  equality: {eq}")
@@ -214,74 +199,15 @@ def _bench_featurization(cfg: GenfastBenchConfig, result: GenfastBenchResult) ->
         "speedup": seed_s / fast_s,
     }
     # Bit-identity of the vectorized rows against the streaming encoder.
-    encoder = spec.streaming_encoder()
-    seed_rows = np.stack([encoder.push(record) for record in records])
     result.equality["vectorized_rows_identical"] = bool(
-        np.array_equal(seed_rows, encode_batch(spec, batch))
+        np.array_equal(streaming_rows(spec, records), encode_batch(spec, batch))
     )
-
-
-def _bench_sim(cfg: GenfastBenchConfig, result: GenfastBenchResult) -> None:
-    fires = [0]
-
-    def tick() -> None:
-        fires[0] += 1
-
-    total_ticks = cfg.fleet_ues * cfg.fleet_ticks
-
-    def per_member_run() -> float:
-        sim = Simulator(seed=1)
-
-        def arm(round_index: int) -> None:
-            if round_index >= cfg.fleet_ticks:
-                return
-            for _ in range(cfg.fleet_ues):
-                sim.schedule(0.1, tick)
-            sim.schedule(0.1, lambda: arm(round_index + 1))
-
-        t0 = time.perf_counter()
-        arm(0)
-        sim.run()
-        return time.perf_counter() - t0
-
-    def batched_run() -> float:
-        sim = Simulator(seed=1)
-        ticker = FleetTicker(sim, period_s=0.1)
-        for _ in range(cfg.fleet_ues):
-            ticker.add(tick)
-
-        def stop_check() -> None:
-            # ticks_fired increments after the member sweep; stopping during
-            # the sweep of the final tick keeps the member-fire total equal
-            # to the per-member run (fleet_ues * fleet_ticks).
-            if ticker.ticks_fired >= cfg.fleet_ticks - 1:
-                ticker.stop()
-
-        ticker.add(stop_check)
-        t0 = time.perf_counter()
-        ticker.start()
-        sim.run()
-        return time.perf_counter() - t0
-
-    per_member_run()
-    per_member_s = _best_of(cfg.repeats, per_member_run)
-    batched_run()
-    batched_s = _best_of(cfg.repeats, batched_run)
-    result.sim = {
-        "fleet_ues": cfg.fleet_ues,
-        "fleet_ticks": cfg.fleet_ticks,
-        "per_member_s": per_member_s,
-        "batched_s": batched_s,
-        "per_member_tps": total_ticks / per_member_s,
-        "batched_tps": total_ticks / batched_s,
-        "speedup": per_member_s / batched_s,
-    }
 
 
 def run_bench(
     config: Optional[GenfastBenchConfig] = None, quick: bool = False
 ) -> GenfastBenchResult:
-    """Run all three measurements plus the equality re-verification."""
+    """Run both measurements plus the equality re-verification."""
     cfg = config or (GenfastBenchConfig.quick() if quick else GenfastBenchConfig())
     result = GenfastBenchResult()
     result.meta = {
@@ -293,7 +219,6 @@ def run_bench(
     }
     _bench_end_to_end(cfg, result)
     _bench_featurization(cfg, result)
-    _bench_sim(cfg, result)
     return result
 
 

@@ -1,11 +1,9 @@
 """Configuration for the repro.genfast generation & ingest fast lane.
 
-All flags default to the seed behavior (off).  As with the other
-fast-path subsystems, the enabled paths are *contracted* against the
-seed: columnar indications decode to byte-identical per-record streams,
-the vectorized featurizer is float64 bit-identical to the seed
-``StreamingEncoder``, so enabling the lane never changes ``AnomalyEvent``
-streams — it only changes how fast they are produced.
+The one flag defaults to off.  The enabled path is *contracted* against
+the per-record one: columnar indications decode to byte-identical
+per-record streams, so enabling it never changes ``AnomalyEvent`` streams
+— it changes the bytes on E2 and how fast they are produced.
 """
 
 from __future__ import annotations
@@ -23,47 +21,15 @@ class GenfastSettings:
         message/direction/cause vocab ids) instead of a list of
         per-record dicts.  MobiWatch decodes it back to the identical
         per-record stream, so everything downstream is unchanged.
-
-    batched_sdl_writes
-        MobiWatch persists each indication's telemetry with one acked
-        SDL write per shard (``set_many``) instead of one write per
-        record.  Stored values are identical; only the write batching
-        changes.
-
-    vectorized_features
-        Offline dataset builds (``WindowedDataset.from_series`` /
-        ``LabeledDataset.build``) encode the whole series in a single
-        numpy pass instead of the per-entry ``StreamingEncoder`` loop.
-        Float64 bit-identical to the seed encoder.  The *live* xApp keeps
-        the streaming encoder either way (scoring is causal, one row per
-        arriving record).
-
-    sim_fastlane
-        Synthetic workload generators (benches, soak) build their record
-        streams through the columnar builder and template-cached message
-        construction instead of per-record dataclass churn.
     """
 
     columnar_batches: bool = False
-    batched_sdl_writes: bool = False
-    vectorized_features: bool = False
-    sim_fastlane: bool = False
 
     @property
     def any_enabled(self) -> bool:
-        return (
-            self.columnar_batches
-            or self.batched_sdl_writes
-            or self.vectorized_features
-            or self.sim_fastlane
-        )
+        return self.columnar_batches
 
     @classmethod
     def all_on(cls) -> "GenfastSettings":
         """Every fast-lane flag enabled (benches, tests)."""
-        return cls(
-            columnar_batches=True,
-            batched_sdl_writes=True,
-            vectorized_features=True,
-            sim_fastlane=True,
-        )
+        return cls(columnar_batches=True)

@@ -5,8 +5,8 @@ Models the full generation & ingest path the bench gates, twice:
 - **seed lane** — per-record objects end to end: construct a
   :class:`MobiFlowRecord` per capture, wire per-record TLV batches
   (the E2 indication payload), decode, one SDL write per record, then
-  the seed :class:`StreamingEncoder` featurization with per-session
-  sliding windows (``WindowedDataset.from_series``);
+  the reference :class:`StreamingEncoder` featurization with per-session
+  sliding windows;
 - **fast lane** — columnar end to end: ``MobiFlowBatchBuilder`` field
   appends (no record objects), one columnar TLV blob per batch, one
   acked ``set_many`` SDL write per batch, then the one-pass vectorized
@@ -88,6 +88,12 @@ def field_stream(config: GenfastWorkloadConfig) -> Iterator[dict]:
         }
 
 
+def streaming_rows(spec: FeatureSpec, records) -> np.ndarray:
+    """Reference featurization: the live encoder pushed record by record."""
+    encoder = spec.streaming_encoder()
+    return np.stack([encoder.push(record) for record in records])
+
+
 def _record_value(record: MobiFlowRecord) -> dict:
     """The SDL value MobiWatch stores per record (non-null fields only)."""
     return {k: v for k, v in record.to_dict().items() if v is not None}
@@ -129,7 +135,9 @@ def run_seed_lane(config: GenfastWorkloadConfig, spec: FeatureSpec) -> LaneResul
             flush()
     if buffer:
         flush()
-    dataset = WindowedDataset.from_series(series, spec, config.window, mode="session")
+    dataset = WindowedDataset._assemble(
+        series, spec, config.window, "session", streaming_rows(spec, series)
+    )
     return LaneResult(
         windows=dataset.windows,
         window_records=dataset.window_records,

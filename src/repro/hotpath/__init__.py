@@ -1,29 +1,18 @@
-"""repro.hotpath: the inference hot path, optimized behind default-off flags.
-
-Three independent optimizations for the live scoring path (see
-docs/PERFORMANCE.md):
+"""repro.hotpath: the behaviour-changing tiers of the live scoring path.
 
 - :mod:`repro.hotpath.incremental` — O(1)-amortized per-session LSTM
-  scoring with carried hidden/cell state;
-- :mod:`repro.hotpath.compiled` — fused preallocated-buffer inference
-  kernels over contiguous float32/float64 weight snapshots;
-- :mod:`repro.hotpath.arena` — zero-copy per-session window assembly.
+  scoring with carried hidden/cell state (session-context semantics);
+- ``HotpathSettings.dtype`` — the float32 tier of the fused scoring
+  kernels (:mod:`repro.ml.compiled`, which every deployment runs; float64
+  is the exact default).
 
-All defaults in :class:`~repro.hotpath.settings.HotpathSettings` keep the
-seed scoring path bit-identical; :mod:`repro.hotpath.bench` measures the
-speedups and gates them against the committed ``BENCH_hotpath.json``.
+All defaults in :class:`~repro.hotpath.settings.HotpathSettings` keep
+scoring exact; :mod:`repro.hotpath.bench` measures the speedups and gates
+them against the committed ``BENCH_hotpath.json`` (see
+docs/PERFORMANCE.md).
 """
 
-from repro.hotpath.arena import SessionWindowArena
-from repro.hotpath.compiled import CompiledModel, compile_detector
 from repro.hotpath.incremental import IncrementalLstmScorer, ScoreMismatch
 from repro.hotpath.settings import HotpathSettings
 
-__all__ = [
-    "CompiledModel",
-    "HotpathSettings",
-    "IncrementalLstmScorer",
-    "ScoreMismatch",
-    "SessionWindowArena",
-    "compile_detector",
-]
+__all__ = ["HotpathSettings", "IncrementalLstmScorer", "ScoreMismatch"]

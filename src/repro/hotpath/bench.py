@@ -1,19 +1,18 @@
-"""Hot-path benchmark: per-record latency, kernel throughput, codec MB/s.
+"""Hot-path benchmark: per-record latency and kernel throughput.
 
-Three measurements, mirroring the three hotpath optimizations:
+Two measurements:
 
-- **per-record LSTM scoring latency** — the seed live path (assemble the
-  window, re-run the full window through the detector) vs incremental
-  carried-state scoring, per telemetry record;
-- **kernel throughput** — uncompiled detector ``scores`` vs the compiled
-  float32 kernels, in windows/second, for both detectors;
-- **codec throughput** — the reference TLV encoder vs the fast single-pass
-  interned-key path, in MB/s, on realistic MobiFlow batches.
+- **per-record LSTM scoring latency** — full-window re-runs through the
+  layer-walking reference scorer (assemble the window, re-run it) vs
+  incremental carried-state scoring, per telemetry record;
+- **kernel throughput** — the layer-walking reference
+  (``AnomalyDetector.reference_scores``) vs the fused float32 kernels, in
+  windows/second, for both detectors (float64 kernels alongside).
 
-Every run re-verifies the equality contracts (float64 bit-identity,
-byte-identical codec). :func:`violations` gates a result against the hard
-speedup floors and against a committed baseline (``BENCH_hotpath.json``),
-so CI fails when a change regresses the hot path.
+Every run re-verifies the equality contracts (float64 bit-identity).
+:func:`violations` gates a result against the hard speedup floors and
+against a committed baseline (``BENCH_hotpath.json``), so CI fails when a
+change regresses the hot path.
 """
 
 from __future__ import annotations
@@ -25,18 +24,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro import wire
-from repro.hotpath.arena import SessionWindowArena
-from repro.hotpath.compiled import compile_detector
 from repro.hotpath.incremental import IncrementalLstmScorer
 from repro.hotpath.settings import HotpathSettings
-from repro.telemetry import encoder as telemetry_encoder
-from repro.telemetry.mobiflow import MobiFlowRecord
+from repro.ml.arena import SessionWindowArena
+from repro.ml.compiled import compile_detector
+from repro.ml.detector import AutoencoderDetector, LstmDetector
 
 # Hard floors from the perf-trajectory acceptance gates.
 PER_RECORD_SPEEDUP_MIN = 5.0
 KERNEL_SPEEDUP_MIN = 2.0
-CODEC_SPEEDUP_MIN = 1.0
 # A fresh run may regress this far below the committed baseline's measured
 # ratio before we call it a regression (shared-runner noise allowance).
 BASELINE_SLACK = 0.5
@@ -55,9 +51,6 @@ class HotpathBenchConfig:
     # Batch size / repetitions for kernel throughput.
     kernel_batch: int = 256
     kernel_reps: int = 30
-    # Records per codec batch / repetitions.
-    codec_records: int = 400
-    codec_reps: int = 40
     repeats: int = 3  # best-of repeats for every timing loop
 
     @classmethod
@@ -66,8 +59,6 @@ class HotpathBenchConfig:
             stream_records=140,
             kernel_batch=64,
             kernel_reps=8,
-            codec_records=120,
-            codec_reps=10,
             repeats=2,
         )
 
@@ -76,7 +67,6 @@ class HotpathBenchConfig:
 class HotpathBenchResult:
     per_record: dict = field(default_factory=dict)
     kernels: dict = field(default_factory=dict)
-    codec: dict = field(default_factory=dict)
     equality: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -85,7 +75,6 @@ class HotpathBenchResult:
             "schema": 1,
             "per_record": self.per_record,
             "kernels": self.kernels,
-            "codec": self.codec,
             "equality": self.equality,
             "meta": self.meta,
         }
@@ -104,12 +93,6 @@ class HotpathBenchResult:
                 f"{k['compiled_f32_wps']:.0f} w/s ({k['speedup']:.2f}x, floor "
                 f"{KERNEL_SPEEDUP_MIN:.1f}x); f64 {k['compiled_f64_wps']:.0f} w/s"
             )
-        c = self.codec
-        lines.append(
-            f"  codec encode: reference {c['reference_mbps']:.1f} MB/s -> fast "
-            f"{c['fast_mbps']:.1f} MB/s ({c['speedup']:.2f}x); decode "
-            f"{c['decode_mbps']:.1f} MB/s"
-        )
         eq = ", ".join(f"{k}={v}" for k, v in self.equality.items())
         lines.append(f"  equality: {eq}")
         return "\n".join(lines)
@@ -121,8 +104,6 @@ def _best_of(repeats: int, run: Callable[[], float]) -> float:
 
 
 def _make_detectors(cfg: HotpathBenchConfig):
-    from repro.ml.detector import AutoencoderDetector, LstmDetector
-
     lstm = LstmDetector(
         window=cfg.window,
         feature_dim=cfg.feature_dim,
@@ -155,7 +136,7 @@ def _bench_per_record(cfg: HotpathBenchConfig, lstm_detector, result: HotpathBen
                 padded = np.zeros((window, dim), dtype=mat.dtype)
                 padded[window - len(chosen) :] = mat
                 mat = padded
-            lstm_detector.scores(mat.reshape(1, -1))
+            lstm_detector.reference_scores(mat.reshape(1, -1))
         return (time.perf_counter() - t0) / cfg.stream_records
 
     def incremental_stream() -> float:
@@ -191,14 +172,13 @@ def _bench_per_record(cfg: HotpathBenchConfig, lstm_detector, result: HotpathBen
 def _bench_kernels(cfg: HotpathBenchConfig, detectors: dict, result: HotpathBenchResult) -> None:
     rng = np.random.default_rng(cfg.seed + 1)
     # float32 windows: what the live path (arena rows, pool batches)
-    # actually feeds the detector. The seed path pays its float64
-    # up-conversion here exactly as it does in production.
+    # actually feeds the detector.
     windows = rng.normal(size=(cfg.kernel_batch, cfg.window * cfg.feature_dim)).astype(
         np.float32
     )
 
     for name, detector in detectors.items():
-        seed_scores = detector.scores(windows)
+        seed_scores = detector.reference_scores(windows)
         compiled32 = compile_detector(detector, "float32")
         compiled64 = compile_detector(detector, "float64")
         result.equality[f"compiled_f64_exact_{name}"] = bool(
@@ -218,7 +198,7 @@ def _bench_kernels(cfg: HotpathBenchConfig, detectors: dict, result: HotpathBenc
             run()  # warm-up
             return cfg.kernel_batch / _best_of(cfg.repeats, run)
 
-        seed_wps = throughput(detector.scores)
+        seed_wps = throughput(detector.reference_scores)
         f32_wps = throughput(compiled32.scores)
         f64_wps = throughput(compiled64.scores)
         result.kernels[name] = {
@@ -229,63 +209,8 @@ def _bench_kernels(cfg: HotpathBenchConfig, detectors: dict, result: HotpathBenc
         }
 
 
-def _codec_batch(cfg: HotpathBenchConfig) -> list:
-    return [
-        MobiFlowRecord(
-            timestamp=0.1 * i,
-            msg="rrcSetupRequest" if i % 3 else "registrationRequest",
-            protocol="RRC" if i % 3 else "NAS",
-            direction="UL" if i % 2 else "DL",
-            session_id=1 + i % 13,
-            rnti=17000 + i % 97,
-            s_tmsi=(2**33 + i) if i % 4 else None,
-            suci=f"suci-0-999-70-0000-{i % 11}" if i % 5 == 0 else None,
-            cipher_alg=2 if i % 2 else None,
-            integrity_alg=2 if i % 2 else None,
-            establishment_cause="mo-Signalling" if i % 3 == 0 else None,
-        )
-        for i in range(cfg.codec_records)
-    ]
-
-
-def _reference_encode_batch(records: list) -> bytes:
-    """The seed encoder: per-value bytes objects joined recursively."""
-    return wire.encode(
-        [{k: v for k, v in r.to_dict().items() if v is not None} for r in records]
-    )
-
-
-def _bench_codec(cfg: HotpathBenchConfig, result: HotpathBenchResult) -> None:
-    records = _codec_batch(cfg)
-    reference_bytes = _reference_encode_batch(records)
-    fast_bytes = telemetry_encoder.encode_batch(records)
-    result.equality["codec_byte_identical"] = reference_bytes == fast_bytes
-    size = len(fast_bytes)
-
-    def mbps(run_once: Callable[[], object]) -> float:
-        def run() -> float:
-            t0 = time.perf_counter()
-            for _ in range(cfg.codec_reps):
-                run_once()
-            return (time.perf_counter() - t0) / cfg.codec_reps
-
-        run()  # warm-up
-        return size / _best_of(cfg.repeats, run) / 1e6
-
-    reference_mbps = mbps(lambda: _reference_encode_batch(records))
-    fast_mbps = mbps(lambda: telemetry_encoder.encode_batch(records))
-    decode_mbps = mbps(lambda: telemetry_encoder.decode_batch(fast_bytes))
-    result.codec = {
-        "batch_bytes": size,
-        "reference_mbps": reference_mbps,
-        "fast_mbps": fast_mbps,
-        "decode_mbps": decode_mbps,
-        "speedup": fast_mbps / reference_mbps,
-    }
-
-
 def run_bench(config: Optional[HotpathBenchConfig] = None, quick: bool = False) -> HotpathBenchResult:
-    """Run all three measurements plus the equality re-verification."""
+    """Run both measurements plus the equality re-verification."""
     cfg = config or (HotpathBenchConfig.quick() if quick else HotpathBenchConfig())
     result = HotpathBenchResult()
     result.meta = {
@@ -298,7 +223,6 @@ def run_bench(config: Optional[HotpathBenchConfig] = None, quick: bool = False) 
     lstm, ae = _make_detectors(cfg)
     _bench_per_record(cfg, lstm, result)
     _bench_kernels(cfg, {"lstm": lstm, "autoencoder": ae}, result)
-    _bench_codec(cfg, result)
     return result
 
 
@@ -319,11 +243,6 @@ def violations(result: HotpathBenchResult, baseline: Optional[dict] = None) -> l
                 f"{name} kernel speedup {k['speedup']:.2f}x below floor "
                 f"{KERNEL_SPEEDUP_MIN:.1f}x"
             )
-    if result.codec.get("speedup", 0.0) < CODEC_SPEEDUP_MIN:
-        out.append(
-            f"codec speedup {result.codec['speedup']:.2f}x below floor "
-            f"{CODEC_SPEEDUP_MIN:.1f}x"
-        )
     if baseline:
         for path, current in (
             (("per_record", "speedup"), speedup),
@@ -331,7 +250,6 @@ def violations(result: HotpathBenchResult, baseline: Optional[dict] = None) -> l
                 (("kernels", name, "speedup"), k["speedup"])
                 for name, k in result.kernels.items()
             ),
-            (("codec", "speedup"), result.codec.get("speedup", 0.0)),
         ):
             node = baseline
             for part in path:

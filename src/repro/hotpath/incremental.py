@@ -23,7 +23,7 @@ Equality contract (enforced by tests and the ``self_check`` mode):
 - ``cached`` (the fast path) in **float64** produces scores *bitwise equal*
   to :meth:`replay_errors`, which recomputes every error from the session
   prefix using the seed's own plain-numpy expressions;
-- in **float32** (only when riding compiled float32 kernels) scores match
+- in **float32** (``hotpath.dtype``) scores match
   the float64 replay within the documented
   :class:`~repro.hotpath.settings.HotpathSettings` tolerances;
 - ``replay`` mode runs the reference computation live, so a full pipeline
@@ -37,8 +37,9 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.hotpath.compiled import CompiledLstm
 from repro.hotpath.settings import HotpathSettings
+from repro.ml.compiled import CompiledLstm
+from repro.ml.detector import LstmDetector
 from repro.slo import profiler as _profiler
 
 # Active-profiler sampling stride on the per-record scoring path: one call
@@ -69,8 +70,6 @@ class IncrementalLstmScorer:
     def __init__(
         self, detector, settings: Optional[HotpathSettings] = None, metrics=None
     ) -> None:
-        from repro.ml.detector import LstmDetector
-
         if not isinstance(detector, LstmDetector):
             raise TypeError(
                 f"incremental scoring needs an LstmDetector, got {type(detector).__name__}"
@@ -78,7 +77,7 @@ class IncrementalLstmScorer:
         self.settings = settings if settings is not None else HotpathSettings(incremental=True)
         self.window = detector.window
         self.model = detector.model
-        self.dtype = np.dtype(self.settings.incremental_dtype)
+        self.dtype = np.dtype(self.settings.dtype)
         self.mode = self.settings.incremental_mode
         self.self_check = self.settings.self_check
         # The fused single-step kernel; in float64 its ops mirror the seed

@@ -1,11 +1,11 @@
 """Configuration knobs for the inference hot path (``repro.hotpath``).
 
 Kept dependency-free (like :mod:`repro.scale.settings`) so every layer can
-import it without cycles. **Every default preserves the seed's scoring
-behaviour bit-for-bit**: full-window batch re-runs, uncompiled float64
-kernels, list-of-rows window assembly.
+import it without cycles. **Every default keeps scoring exact**: full-window
+batch re-runs through the float64 fused kernels, bit-identical to the
+layer-walking reference (``AnomalyDetector.reference_scores``).
 
-The three independent switches:
+The two behaviour-changing switches:
 
 - ``incremental`` — per-session carried LSTM hidden/cell state; each new
   record costs one fused LSTM step instead of re-running the whole window
@@ -14,15 +14,11 @@ The three independent switches:
   :meth:`repro.ml.detector.LstmDetector.session_window_scores` (the
   offline evaluation path), and are *exactly* reproducible by the batch
   replay in float64 mode — see docs/PERFORMANCE.md for the equality
-  contract. Implies ``arena`` (the replay needs the session row history).
-- ``compiled`` — snapshot detector weights into contiguous arrays and run
-  inference through fused preallocated-buffer kernels
-  (:mod:`repro.hotpath.compiled`). ``dtype`` selects the kernel precision:
-  float64 keeps scores equal to the seed path; float32 trades a documented
-  tolerance for ~2x+ kernel throughput.
-- ``arena`` — per-session contiguous row arenas with a zero left-pad
-  prefix, so the "last window" of any session (padded or not) is a single
-  contiguous view: no per-score ``np.stack``, no padding allocation.
+  contract.
+- ``dtype`` — precision of the fused scoring kernels
+  (:mod:`repro.ml.compiled`) and of the incremental step: float64 (the
+  default) is exact; float32 trades a documented tolerance for ~2x+
+  kernel throughput.
 """
 
 from __future__ import annotations
@@ -50,14 +46,9 @@ class HotpathSettings:
     # Costly — a debugging/validation mode, not a production default.
     self_check: bool = False
 
-    # Fused contiguous-weight inference kernels for detector.scores().
-    compiled: bool = False
-    # Kernel precision when compiled: "float64" keeps scores equal to the
-    # seed path; "float32" is the throughput mode.
-    dtype: str = "float32"
-
-    # Per-session ring/arena window assembly in MobiWatch.
-    arena: bool = False
+    # Precision of the fused scoring kernels and the incremental step:
+    # "float64" is exact; "float32" is the throughput tier.
+    dtype: str = "float64"
 
     # Documented float32 score tolerance (relative/absolute), used by the
     # runtime self-check and the equality test suite.
@@ -72,20 +63,3 @@ class HotpathSettings:
                 f"incremental_mode must be one of {_INCREMENTAL_MODES}, "
                 f"got {self.incremental_mode!r}"
             )
-
-    @property
-    def arena_enabled(self) -> bool:
-        """Incremental scoring needs the session row history for replay."""
-        return self.arena or self.incremental
-
-    @property
-    def incremental_dtype(self) -> str:
-        """Incremental step precision: float32 only when compiled kernels
-        are on in float32 mode; exact float64 otherwise."""
-        if self.compiled and self.dtype == "float32":
-            return "float32"
-        return "float64"
-
-    @property
-    def any_enabled(self) -> bool:
-        return self.incremental or self.compiled or self.arena

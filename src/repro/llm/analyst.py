@@ -6,10 +6,10 @@ retrieval-augmented), query the model through the REST-style client, parse
 the text into the structured classification / explanation / attribution /
 remediation outputs, and cross-compare with MobiWatch's verdict.
 
-With ``repro.llmfast`` settings attached the same workflow runs on the
-fast path: vectorized RAG retrieval (seed-ranking identical), compiled
-prompt assembly (byte-identical), and a content-addressed verdict cache
-keyed on canonical trace signatures, so near-duplicate queries skip the
+Retrieval runs through the term-indexed :class:`VectorizedRetriever` and
+prompt assembly through :class:`CompiledPromptBuilder`. With
+``repro.llmfast`` settings attached a content-addressed verdict cache
+keyed on canonical trace signatures lets near-duplicate queries skip the
 provider round trip while keeping every verdict *decision* identical.
 """
 
@@ -19,8 +19,12 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.llm.client import LlmClient
-from repro.llm.knowledge import AnalysisEngine, CellularKnowledgeBase
-from repro.llm.prompt import PromptTemplate
+from repro.llm.knowledge import (
+    AnalysisEngine,
+    CellularKnowledgeBase,
+    VectorizedRetriever,
+)
+from repro.llm.prompt import CompiledPromptBuilder
 from repro.llm.response import AnalysisResponse, parse_response
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -58,32 +62,20 @@ class ExpertAnalyst:
     client: LlmClient
     use_rag: bool = False
     knowledge: CellularKnowledgeBase = field(default_factory=CellularKnowledgeBase)
-    # repro.llmfast flags; None keeps the seed path exactly.
+    # repro.llmfast flags; None = no verdict cache, no signatures.
     llmfast: Optional["LlmfastSettings"] = None
     analyses_run: int = 0
     escalations: int = 0
     cache_hits: int = 0
 
     def __post_init__(self) -> None:
-        self._retriever = None
-        self._prompt_builder = None
+        self._retriever = VectorizedRetriever(self.knowledge)
+        self._prompt_builder = CompiledPromptBuilder()
         self._cache = None
         self._interner = None
         self._engine = None
         settings = self.llmfast
-        if settings is None:
-            return
-        if settings.vectorized_rag:
-            from repro.llmfast.retrieval import VectorizedRetriever
-
-            self._retriever = VectorizedRetriever(self.knowledge)
-        if settings.compiled_prompts:
-            from repro.llmfast.promptfast import CompiledPromptBuilder
-
-            self._prompt_builder = CompiledPromptBuilder(
-                line_cache_capacity=settings.prompt_cache_capacity
-            )
-        if settings.verdict_cache or settings.coalesce:
+        if settings is not None and (settings.verdict_cache or settings.coalesce):
             from repro.llmfast.cache import SignatureInterner, VerdictCache
 
             self._cache = (
@@ -96,24 +88,17 @@ class ExpertAnalyst:
             # locally only to canonicalize the decision content.
             self._engine = AnalysisEngine(self.knowledge)
 
-    # -- fast-path primitives (repro.llmfast) --------------------------------
+    # -- round primitives ----------------------------------------------------
 
     def retrieve_snippets(self, records: list[MobiFlowRecord]) -> list[str]:
-        """RAG retrieval through the configured retriever."""
-        if self._retriever is not None:
-            return self._retriever.retrieve(records)
-        return self.knowledge.retrieve(records)
+        """RAG retrieval (ranking of ``CellularKnowledgeBase.retrieve``)."""
+        return self._retriever.retrieve(records)
 
     def build_prompt(
         self, records: list[MobiFlowRecord], snippets: Optional[list] = None
     ) -> str:
-        """Render the Figure 5 prompt through the configured builder."""
-        if self._prompt_builder is not None:
-            return self._prompt_builder.render(records, snippets or None)
-        template = PromptTemplate()
-        if snippets:
-            template.retrieved_snippets = list(snippets)
-        return template.render(records)
+        """Render the Figure 5 prompt (bytes of ``PromptTemplate.render``)."""
+        return self._prompt_builder.render(records, snippets or None)
 
     def signature_for(self, records: list[MobiFlowRecord]):
         """Canonical trace signature, or None when caching is off."""

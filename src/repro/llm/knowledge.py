@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -258,24 +260,119 @@ class CellularKnowledgeBase:
         """Return the 3GPP snippets most relevant to the trace.
 
         Relevance is keyword overlap between an article's vocabulary and
-        the message names/attributes present in the trace.
+        the message names/attributes present in the trace. This substring
+        loop is the reference :class:`VectorizedRetriever` (what
+        ``ExpertAnalyst`` runs) must rank identically to.
         """
-        trace_terms = set()
-        for record in records:
-            trace_terms.add(record.msg.lower())
-            if record.cipher_alg == 0 or record.integrity_alg == 0:
-                trace_terms.update(("nea0", "nia0", "null"))
-            if record.exposes_permanent_identity():
-                trace_terms.update(("suci", "supi", "plaintext"))
-            if record.s_tmsi is not None:
-                trace_terms.add("s-tmsi")
+        terms = trace_terms(records)
         scored = []
         for article in self.articles.values():
             text = (article.procedure_snippet + " " + article.explanation).lower()
-            score = sum(1 for term in trace_terms if term in text)
+            score = sum(1 for term in terms if term in text)
             scored.append((score, article.signature, article.procedure_snippet))
         scored.sort(key=lambda item: (-item[0], item[1]))
         return [snippet for score, _, snippet in scored[:top_k] if score > 0]
+
+
+# Marker terms derived from record state (not message names).
+_STATE_TERMS = ("nea0", "nia0", "null", "suci", "supi", "plaintext", "s-tmsi")
+
+
+def trace_terms(records: Iterable[MobiFlowRecord]) -> frozenset:
+    """The retrieval terms of a trace: message names plus state markers."""
+    terms = set()
+    for record in records:
+        terms.add(record.msg.lower())
+        if record.cipher_alg == 0 or record.integrity_alg == 0:
+            terms.update(("nea0", "nia0", "null"))
+        if record.exposes_permanent_identity():
+            terms.update(("suci", "supi", "plaintext"))
+        if record.s_tmsi is not None:
+            terms.add("s-tmsi")
+    return frozenset(terms)
+
+
+class VectorizedRetriever:
+    """Term-indexed article scoring, ranking-identical to
+    :meth:`CellularKnowledgeBase.retrieve`.
+
+    The reference scores a trace against every article with a Python
+    double loop: O(terms x articles) substring searches per query, paid
+    again for every anomaly in a burst. This class precomputes a term
+    index at construction: for every term in the known vocabulary (all
+    registered RRC/NAS message names plus the state marker terms), a
+    per-article membership row. Scoring a trace is then one indexed
+    accumulation over the rows of the terms actually present. Terms
+    outside the precomputed vocabulary are resolved with the substring
+    test once and memoized, and traces with the same derived term set (the
+    common case for duplicate bursts) reuse the finished ranking.
+
+    The contract — enforced in ``tests/test_llmfast.py`` and re-verified
+    by the bench — is *exact ranking equality* with the reference loop,
+    including the ``(-score, signature)`` tie-break and the ``score > 0``
+    cutoff.
+    """
+
+    def __init__(
+        self,
+        knowledge: Optional[CellularKnowledgeBase] = None,
+        result_memo_capacity: int = 4096,
+    ) -> None:
+        self.knowledge = knowledge or CellularKnowledgeBase()
+        articles = list(self.knowledge.articles.values())
+        # Reference iteration order (dict order) feeds the same sort key,
+        # so ranking ties resolve identically.
+        self._signatures = [article.signature for article in articles]
+        self._snippets = [article.procedure_snippet for article in articles]
+        self._texts = [
+            (article.procedure_snippet + " " + article.explanation).lower()
+            for article in articles
+        ]
+        self._n = len(articles)
+        self._term_rows: dict[str, np.ndarray] = {}
+        self._result_memo: dict[tuple, list[str]] = {}
+        self._result_memo_capacity = result_memo_capacity
+        self.queries = 0
+        self.memo_hits = 0
+        # Precompute the vocabulary: every registered message name (what
+        # record.msg.lower() can produce for real traffic) + state terms.
+        from repro.ran.messages import Message
+
+        for name in Message.registered_names():
+            self._row(name.lower())
+        for term in _STATE_TERMS:
+            self._row(term)
+
+    def _row(self, term: str) -> np.ndarray:
+        row = self._term_rows.get(term)
+        if row is None:
+            row = np.fromiter(
+                (term in text for text in self._texts), dtype=np.int32, count=self._n
+            )
+            self._term_rows[term] = row
+        return row
+
+    def retrieve(self, records: list[MobiFlowRecord], top_k: int = 2) -> list[str]:
+        """Reference-identical ranking through the precomputed term index."""
+        self.queries += 1
+        terms = trace_terms(records)
+        memo_key = (terms, top_k)
+        cached = self._result_memo.get(memo_key)
+        if cached is not None:
+            self.memo_hits += 1
+            return list(cached)
+        scores = np.zeros(self._n, dtype=np.int32)
+        for term in terms:
+            scores += self._row(term)
+        ranked = sorted(
+            zip(scores.tolist(), self._signatures, self._snippets),
+            key=lambda item: (-item[0], item[1]),
+        )
+        result = [snippet for score, _, snippet in ranked[:top_k] if score > 0]
+        if len(self._result_memo) >= self._result_memo_capacity:
+            self._result_memo.clear()
+        self._result_memo[memo_key] = result
+        return list(result)
 
 
 class AnalysisEngine:

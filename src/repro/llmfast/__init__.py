@@ -1,24 +1,14 @@
 """repro.llmfast — the verdict-plane fast path (PR 10).
 
-After the ingest (repro.genfast), scoring (repro.hotpath /
-repro.megabatch), and training (repro.trainfast) fast paths, the LLM
-analyzer xApp — the paper's headline *explainable* half of the loop
-(§3.3, Figure 3) — was the last stage paying full price per anomaly:
-one prompt build, one O(articles) RAG retrieval loop, one serial provider
-round trip, and one SDL write each.  This package adds, behind
-``XsecConfig.llmfast`` flags whose defaults keep the seed path
-bit-identical:
+The LLM analyzer xApp — the paper's headline *explainable* half of the
+loop (§3.3, Figure 3) — pays one serial provider round trip and one SDL
+write per anomaly.  This package adds, behind ``XsecConfig.llmfast`` flags
+that default to off:
 
 - a **content-addressed verdict cache** + **in-flight coalescing**
   (:mod:`.cache`): near-duplicate anomaly bursts resolve without a
   provider round trip, and concurrent identical queries join one pending
   request;
-- **vectorized RAG retrieval** (:mod:`.retrieval`): a precomputed term
-  index over ``KNOWLEDGE_ARTICLES`` replaces the per-query substring
-  loop, seed-ranking identical;
-- **compiled prompt assembly** (:mod:`.promptfast`): cached static
-  segments, interned record lines, single-join construction,
-  byte-identical to ``PromptTemplate.render``;
 - a **storm-safe dispatch queue** (:mod:`.dispatch`): bounded provider
   concurrency, severity-priority backlog, counted never-silent shedding,
   and batched verdict persistence via ``SharedDataLayer.set_many`` —
@@ -37,19 +27,14 @@ from repro.llmfast.cache import (
     trace_signature,
 )
 from repro.llmfast.dispatch import StormDispatcher
-from repro.llmfast.promptfast import CompiledPromptBuilder
-from repro.llmfast.retrieval import VectorizedRetriever, trace_terms
 from repro.llmfast.settings import LlmfastSettings
 
 __all__ = [
     "CachedVerdict",
-    "CompiledPromptBuilder",
     "LlmfastSettings",
     "SignatureInterner",
     "StormDispatcher",
     "TraceSignature",
-    "VectorizedRetriever",
     "VerdictCache",
     "trace_signature",
-    "trace_terms",
 ]

@@ -1,17 +1,16 @@
 """Llmfast benchmark: verdict-plane throughput under duplicate-heavy load.
 
-Three measurements, mirroring the three analyst-side fast lanes:
+Three measurements:
 
-- **analyzer storm throughput** — the seed expert-referencing round
-  (retrieval loop, template render, provider round trip, response parse,
-  every time) vs the fast analyst (content-addressed verdict cache +
-  vectorized retrieval + compiled prompts) over the same duplicate-heavy
-  trace workload, in analyses/second;
-- **RAG retrieval alone** — seed ``CellularKnowledgeBase.retrieve`` vs
-  the precomputed-term-index :class:`VectorizedRetriever` on the
-  identical workload;
-- **prompt assembly alone** — seed ``PromptTemplate.render`` vs the
-  :class:`CompiledPromptBuilder` single-join path.
+- **analyzer storm throughput** — the default expert-referencing round
+  (retrieval, prompt build, provider round trip, response parse, every
+  time) vs the analyst with the content-addressed verdict cache over the
+  same duplicate-heavy trace workload, in analyses/second;
+- **RAG retrieval alone** — the reference ``CellularKnowledgeBase.retrieve``
+  loop vs the precomputed-term-index :class:`VectorizedRetriever` the
+  analyst runs, on the identical workload;
+- **prompt assembly alone** — the reference ``PromptTemplate.render`` vs
+  the :class:`CompiledPromptBuilder` single-join path the analyst runs.
 
 Every run re-verifies the equality contracts: verdict *decisions*
 (classification, ranked attacks, attribution, remediations) identical
@@ -31,10 +30,8 @@ from typing import Callable, Optional
 
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.knowledge import CellularKnowledgeBase
-from repro.llm.prompt import PromptTemplate
-from repro.llmfast.promptfast import CompiledPromptBuilder
-from repro.llmfast.retrieval import VectorizedRetriever
+from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
+from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate
 from repro.llmfast.settings import LlmfastSettings
 from repro.llmfast.workload import decision_tuple, distinct_traces, duplicate_heavy
 
@@ -113,9 +110,7 @@ def _best_of(repeats: int, run: Callable[[], float]) -> float:
 
 def _fast_settings() -> LlmfastSettings:
     # The analyst-side lanes; dispatch is xApp-level and not timed here.
-    return LlmfastSettings(
-        verdict_cache=True, coalesce=True, vectorized_rag=True, compiled_prompts=True
-    )
+    return LlmfastSettings(verdict_cache=True, coalesce=True)
 
 
 def _bench_storm(cfg: LlmfastBenchConfig, result: LlmfastBenchResult) -> None:

@@ -1,13 +1,10 @@
 """Configuration for the repro.llmfast verdict-plane fast path.
 
-All flags default to the seed behavior (off).  As with the other
-fast-path subsystems, the enabled paths are *contracted* against the
-seed: the vectorized RAG retriever returns the exact seed ranking, the
-compiled prompt builder produces byte-identical prompt text, and the
-verdict cache / coalescer / dispatcher never change a verdict *decision*
-(classification, top attacks, attribution, remediation, human-review
-escalation) — only how fast, and at what provider cost, verdicts are
-produced.
+All flags default to off.  The enabled paths are *contracted* against the
+default: the verdict cache / coalescer / dispatcher never change a verdict
+*decision* (classification, top attacks, attribution, remediation,
+human-review escalation) — only how fast, and at what provider cost,
+verdicts are produced.
 """
 
 from __future__ import annotations
@@ -32,17 +29,6 @@ class LlmfastSettings:
         anomalies with the same signature join the pending request and
         the verdict fans out to every waiter on completion.
 
-    vectorized_rag
-        Precomputed term-index retrieval over ``KNOWLEDGE_ARTICLES``:
-        one indexed pass per trace instead of the O(terms x articles)
-        substring loop in ``CellularKnowledgeBase.retrieve``.  Returns
-        the exact seed ranking.
-
-    compiled_prompts
-        Cached static prefix segments, interned per-record line
-        rendering, and single-join construction in the prompt builder.
-        Byte-identical to ``PromptTemplate.render``.
-
     dispatch
         Storm-safe dispatch queue in the analyzer xApp: at most
         ``max_inflight`` concurrent provider requests, severity-priority
@@ -55,14 +41,10 @@ class LlmfastSettings:
 
     verdict_cache: bool = False
     coalesce: bool = False
-    vectorized_rag: bool = False
-    compiled_prompts: bool = False
     dispatch: bool = False
 
     # Verdict-cache capacity (completed trace signatures kept, LRU).
     cache_capacity: int = 4096
-    # Interned prompt lines kept by the compiled builder before it resets.
-    prompt_cache_capacity: int = 65536
     # Dispatch: concurrent in-flight provider requests.
     max_inflight: int = 4
     # Dispatch: queued (not yet in-flight) requests kept before shedding.
@@ -71,8 +53,6 @@ class LlmfastSettings:
     def __post_init__(self) -> None:
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
-        if self.prompt_cache_capacity < 1:
-            raise ValueError("prompt_cache_capacity must be >= 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.queue_capacity < 1:
@@ -83,23 +63,7 @@ class LlmfastSettings:
         """The analyzer xApp routes anomalies through the fast submit path."""
         return self.verdict_cache or self.coalesce or self.dispatch
 
-    @property
-    def any_enabled(self) -> bool:
-        return (
-            self.verdict_cache
-            or self.coalesce
-            or self.vectorized_rag
-            or self.compiled_prompts
-            or self.dispatch
-        )
-
     @classmethod
     def all_on(cls) -> "LlmfastSettings":
         """Every fast-path flag enabled (benches, tests)."""
-        return cls(
-            verdict_cache=True,
-            coalesce=True,
-            vectorized_rag=True,
-            compiled_prompts=True,
-            dispatch=True,
-        )
+        return cls(verdict_cache=True, coalesce=True, dispatch=True)

@@ -38,8 +38,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.hotpath.arena import SessionWindowArena
-from repro.hotpath.compiled import compile_detector
+from repro.ml.arena import SessionWindowArena
+from repro.ml.compiled import compile_detector
 from repro.megabatch.quantized import QuantizedLstmEngine, calibrate_windows
 from repro.megabatch.settings import MegabatchSettings
 from repro.scale.pool import InferencePool

@@ -43,8 +43,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.hotpath.compiled import _sigmoid_inplace
 from repro.megabatch.settings import MegabatchSettings
+from repro.ml.compiled import _sigmoid_inplace
 
 # Symmetric int8 range used for every quantized tensor.
 _QMAX = 127.0

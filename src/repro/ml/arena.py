@@ -1,16 +1,14 @@
 """Per-session row arenas: zero-copy window assembly for MobiWatch.
 
-The seed keeps every featurized record in a Python list and builds each
-scoring window with ``np.stack([rows[i] for i in chosen])`` plus a padding
-allocation for short sessions — two allocations and a Python loop per
-score. The arena instead appends each session's rows into one growing 2D
+The arena appends each session's featurized rows into one growing 2D
 buffer whose first ``window - 1`` rows are zeros, so *the last window of
-any session is always a single contiguous slice*:
+any session is always a single contiguous slice* — no per-score
+``np.stack``, no padding allocation:
 
 - a session with ``L >= window`` records: the slice is its last ``window``
   rows;
-- a shorter session: the slice naturally left-pads with the zero prefix —
-  exactly the seed's padded window, with no branch and no copy.
+- a shorter session: the slice naturally left-pads with the zero prefix,
+  with no branch and no copy.
 
 Appends never mutate previously returned slices (they write one row past
 the last view), and capacity growth reallocates, leaving old views valid
@@ -80,7 +78,7 @@ class SessionWindowArena:
         """The session's last-window slice ``[window, dim]`` (a view).
 
         Left-padded with zeros while the session is shorter than the
-        window — bit-identical to the seed's padded ``np.stack`` assembly.
+        window.
         """
         entry = self._sessions.get(session_id)
         if entry is None or entry[1] == 0:

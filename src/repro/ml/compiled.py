@@ -7,18 +7,18 @@ snapshots the detector's weights into contiguous arrays of the chosen
 precision and runs scoring through preallocated-buffer kernels
 (``np.dot(..., out=...)`` and in-place ufuncs).
 
-Equality contract (enforced by tests/test_hotpath.py):
+This is what ``AnomalyDetector.scores`` runs. Equality contract (enforced
+by tests/test_hotpath.py):
 
-- **float64** kernels mirror the seed op sequence exactly — same GEMM
-  shapes, same association, same clip/exp/tanh calls — so scores compare
-  equal to the uncompiled path;
+- **float64** kernels mirror the reference op sequence exactly — same GEMM
+  shapes, same association, same clip/exp/tanh calls — so scores are
+  bit-identical to the layer-walking ``AnomalyDetector.reference_scores``;
 - **float32** kernels trade precision for throughput; scores match the
   float64 path within the documented
   :class:`~repro.hotpath.settings.HotpathSettings` tolerances.
 
-Weight snapshots are taken at construction: recompile after any further
-training (``AnomalyDetector.fit`` drops its compiled scorer for exactly
-this reason).
+Weight snapshots are taken at construction; ``AnomalyDetector.fit`` drops
+its snapshot and the next ``scores`` call rebuilds it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.ml.layers import Dense, ReLU
 from repro.slo import profiler as _profiler
 
 
@@ -60,8 +61,6 @@ class CompiledAutoencoder:
     """Fused Dense+ReLU chain scoring windows like ``AutoencoderDetector``."""
 
     def __init__(self, detector, dtype: str = "float32") -> None:
-        from repro.ml.layers import Dense, ReLU  # local: avoid cycle at import
-
         self.dtype = _as_dtype(dtype)
         self.window = detector.window
         self.feature_dim = detector.feature_dim
@@ -311,16 +310,15 @@ class CompiledModel:
     """Detector-agnostic fused scorer: ``scores(windows)`` like the seed."""
 
     def __init__(self, detector, dtype: str = "float32") -> None:
-        from repro.ml.detector import AutoencoderDetector, LstmDetector
-
         self.dtype = dtype
         self.window = detector.window
-        if isinstance(detector, AutoencoderDetector):
+        # Dispatch on the detector's registered name (detector.py imports
+        # this module, so its classes cannot be imported here).
+        self._kind = getattr(detector, "name", None)
+        if self._kind == "autoencoder":
             self._impl = CompiledAutoencoder(detector, dtype)
-            self._kind = "autoencoder"
-        elif isinstance(detector, LstmDetector):
+        elif self._kind == "lstm":
             self._impl = CompiledLstm(detector.model, dtype)
-            self._kind = "lstm"
         else:
             raise TypeError(f"cannot compile {type(detector).__name__}")
         self._calls_counter = None
@@ -330,12 +328,12 @@ class CompiledModel:
         """Wire repro.obs counters (one series per model kind + dtype)."""
         labels = {"model": self._kind, "dtype": self.dtype}
         self._calls_counter = metrics.counter(
-            "hotpath.compiled_calls_total",
+            "ml.compiled_calls_total",
             labels=labels,
             help="fused-kernel scoring calls",
         )
         self._windows_counter = metrics.counter(
-            "hotpath.compiled_windows_total",
+            "ml.compiled_windows_total",
             labels=labels,
             help="windows scored through fused kernels",
         )
@@ -359,7 +357,7 @@ class CompiledModel:
         if prof is not None:
             start = time.perf_counter()
             result = self._scores(windows)
-            prof.record("hotpath.compiled.scores", time.perf_counter() - start)
+            prof.record("ml.compiled.scores", time.perf_counter() - start)
             return result
         return self._scores(windows)
 

@@ -18,8 +18,10 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.autoencoder import Autoencoder, TrainReport
+from repro.ml.compiled import CompiledModel
 from repro.ml.lstm import LstmPredictor
 from repro.ml.threshold import PercentileThreshold
+from repro.ml.trainer import compile_trainer
 from repro.obs.metrics import MetricsRegistry
 
 # Reconstruction/prediction errors live well below 1.0 on benign traffic.
@@ -61,12 +63,15 @@ class AnomalyDetector(abc.ABC):
         self.threshold = PercentileThreshold(percentile=percentile)
         self.training_scores: Optional[np.ndarray] = None
         self.metrics: Optional[MetricsRegistry] = None
-        # Fused inference kernels over a weight snapshot; scores() routes
-        # through them once compile() has run (repro.hotpath.compiled).
-        self._compiled = None
-        # Training fast path (repro.trainfast): when attached and enabled,
-        # fit() routes through the compiled training kernels.
-        self._trainfast = None
+        # Kernel precisions. float64 is exact: scores are bit-identical to
+        # reference_scores() and training to the seed fit loops; float32 is
+        # the documented throughput tier (hotpath.dtype at deployment,
+        # trainfast.trainer_dtype at training).
+        self.scoring_dtype = "float64"
+        self.trainer_dtype = "float64"
+        # Fused inference kernels over a weight snapshot (repro.ml.compiled):
+        # built by the first scores() after a fit/load, dropped by fit().
+        self._compiled: Optional[CompiledModel] = None
         # Megabatch tier (repro.megabatch): with the quantized tier on,
         # fit() also runs the int8 calibration pass over the training
         # windows and fits a separate operating threshold in quantized
@@ -79,17 +84,13 @@ class AnomalyDetector(abc.ABC):
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Route training/inference error distributions into a registry."""
         self.metrics = metrics
+        if self._compiled is not None:
+            self._compiled.attach_metrics(metrics)
 
     def attach_trainfast(self, settings) -> None:
-        """Adopt :class:`~repro.trainfast.settings.TrainfastSettings`.
-
-        With ``compiled_trainer`` on, :meth:`fit` trains through the
-        preallocated-buffer kernels of :mod:`repro.trainfast.trainer` in
-        ``settings.trainer_dtype`` — float64 (the default) reproduces the
-        seed loss trajectory and weights bit-for-bit; float32 is the
-        documented fast mode.
-        """
-        self._trainfast = settings
+        """Adopt :class:`~repro.trainfast.settings.TrainfastSettings`:
+        :meth:`fit` trains in ``settings.trainer_dtype``."""
+        self.trainer_dtype = settings.trainer_dtype
 
     def attach_megabatch(self, settings) -> None:
         """Adopt :class:`~repro.megabatch.settings.MegabatchSettings`.
@@ -115,29 +116,18 @@ class AnomalyDetector(abc.ABC):
     def _fit_quantized_threshold(self, windows: np.ndarray) -> None:
         """Detector-specific quantized threshold fit (no-op by default)."""
 
-    def compile(self, dtype: str = "float32"):
-        """Snapshot the current weights into fused inference kernels.
-
-        Afterwards :meth:`scores` runs through preallocated-buffer kernels
-        in ``dtype`` — float64 kernels score bit-identically to the plain
-        path; float32 trades the documented hotpath tolerance for
-        throughput. Any further :meth:`fit` drops the snapshot (stale
-        weights); call ``compile`` again after retraining.
-        """
-        from repro.hotpath.compiled import compile_detector
-
-        self._compiled = compile_detector(self, dtype)
-        if self.metrics is not None:
-            self._compiled.attach_metrics(self.metrics)
-        return self._compiled
-
     @property
-    def compiled(self):
-        """The active compiled kernels, or ``None``."""
-        return self._compiled
+    def compiled(self) -> CompiledModel:
+        """The fused kernels over the current weights in ``scoring_dtype``."""
+        compiled = self._compiled
+        if compiled is None or compiled.dtype != self.scoring_dtype:
+            compiled = self._compiled = CompiledModel(self, self.scoring_dtype)
+            if self.metrics is not None:
+                compiled.attach_metrics(self.metrics)
+        return compiled
 
-    def _check(self, windows: np.ndarray) -> np.ndarray:
-        windows = np.asarray(windows, dtype=np.float64)
+    def _check(self, windows: np.ndarray, dtype=np.float64) -> np.ndarray:
+        windows = np.asarray(windows, dtype=dtype)
         expected = self.window * self.feature_dim
         if windows.ndim != 2 or windows.shape[1] != expected:
             raise ValueError(
@@ -149,14 +139,12 @@ class AnomalyDetector(abc.ABC):
     def fit(self, benign_windows: np.ndarray, **train_kwargs) -> TrainReport:
         """Train on benign windows and fit the percentile threshold."""
         windows = self._check(benign_windows)
-        report = self._train(windows, **train_kwargs)
-        self._compiled = None  # weights changed: any kernel snapshot is stale
-        if self._trainfast is not None and self._trainfast.compiled_scoring:
-            # Snapshot the fresh weights into fused inference kernels so the
-            # threshold fit and all subsequent scoring run compiled (float64
-            # stays bit-identical; float32 is the documented fast mode).
-            self.compile(self._trainfast.trainer_dtype)
+        report = self._fit_model(windows, **train_kwargs)
+        self._compiled = None  # weights changed: the kernel snapshot is stale
         self.training_scores = self.scores(windows)
+        # That snapshot's buffers are sized for the whole training set;
+        # live scoring rebuilds one sized for its own batches.
+        self._compiled = None
         self.threshold.fit(self.training_scores)
         self._fit_quantized_tier(windows)
         if self.metrics is not None:
@@ -181,31 +169,18 @@ class AnomalyDetector(abc.ABC):
 
     def scores(self, windows: np.ndarray) -> np.ndarray:
         """Anomaly score per window (higher = more anomalous)."""
-        if self._compiled is not None:
-            # The kernels convert into their own dtype buffers; skip the
-            # reference path's float64 up-conversion (pure allocation here).
-            windows = np.asarray(windows)
-            expected = self.window * self.feature_dim
-            if windows.ndim != 2 or windows.shape[1] != expected:
-                raise ValueError(
-                    f"expected [n, {expected}] windows "
-                    f"(window={self.window} x dim={self.feature_dim}), got {windows.shape}"
-                )
-            return self._compiled.scores(windows)
+        # The kernels convert into their own dtype buffers, so only the
+        # shape is checked here (no float64 up-conversion).
+        return self.compiled.scores(self._check(windows, dtype=None))
+
+    def reference_scores(self, windows: np.ndarray) -> np.ndarray:
+        """:meth:`scores` by walking the model's layer objects in float64 —
+        the reference the float64 kernels must equal bit for bit."""
         return self._scores(self._check(windows))
 
-    def _train(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        """Dispatch training to the seed loop or the compiled kernels."""
-        if self._trainfast is not None and self._trainfast.compiled_trainer:
-            return self._fit_model_compiled(windows, **train_kwargs)
-        return self._fit_model(windows, **train_kwargs)
-
     @abc.abstractmethod
-    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport: ...
-
-    def _fit_model_compiled(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        """Same training, through repro.trainfast's compiled kernels."""
-        raise NotImplementedError
+    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
+        """Train the model through its compiled trainer (repro.ml.trainer)."""
 
     @abc.abstractmethod
     def _scores(self, windows: np.ndarray) -> np.ndarray:
@@ -245,13 +220,7 @@ class AutoencoderDetector(AnomalyDetector):
         )
 
     def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        return self.model.fit(windows, **train_kwargs)
-
-    def _fit_model_compiled(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        from repro.trainfast.trainer import compile_trainer
-
-        trainer = compile_trainer(self.model, self._trainfast.trainer_dtype)
-        return trainer.fit(windows, **train_kwargs)
+        return compile_trainer(self.model, self.trainer_dtype).fit(windows, **train_kwargs)
 
     def _scores(self, windows: np.ndarray) -> np.ndarray:
         if self.aggregate == "mean":
@@ -301,13 +270,7 @@ class LstmDetector(AnomalyDetector):
 
     def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
         sequences, targets = self._split(windows)
-        return self.model.fit(sequences, targets, **train_kwargs)
-
-    def _fit_model_compiled(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        from repro.trainfast.trainer import compile_trainer
-
-        sequences, targets = self._split(windows)
-        trainer = compile_trainer(self.model, self._trainfast.trainer_dtype)
+        trainer = compile_trainer(self.model, self.trainer_dtype)
         return trainer.fit(sequences, targets, **train_kwargs)
 
     def _scores(self, windows: np.ndarray) -> np.ndarray:
@@ -357,8 +320,8 @@ class LstmDetector(AnomalyDetector):
         """Train on the dataset's windows, then fit the threshold on
         session-context scores (keeps train/serve scoring identical)."""
         windows = self._check(windowed.windows)
-        report = self._train(windows, **train_kwargs)
-        self._compiled = None  # weights changed: any kernel snapshot is stale
+        report = self._fit_model(windows, **train_kwargs)
+        self._compiled = None  # weights changed: the kernel snapshot is stale
         self.training_scores = self.session_window_scores(windowed)
         self.threshold.fit(self.training_scores)
         # Quantized tier: calibrate, then fit its threshold on quantized

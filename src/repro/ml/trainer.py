@@ -1,4 +1,4 @@
-"""Compiled training kernels: the training-side twin of ``repro.hotpath``.
+"""Compiled training kernels: what ``AnomalyDetector.fit`` trains through.
 
 The seed training loops pay costs the math never needs: a fresh allocation
 for every intermediate of every batch, ``_StepCache`` objects and a
@@ -20,7 +20,7 @@ arithmetic through preallocated buffers:
   vector updated with in-place ufuncs (persistent moment slots, zero
   allocation per step).
 
-Like :mod:`repro.hotpath.compiled`, trainers take a ``dtype``:
+Like :mod:`repro.ml.compiled`, trainers take a ``dtype``:
 
 - ``float64`` (default) carries a **bit-identity contract**, enforced by
   tests/test_trainfast.py: the per-epoch loss trajectory *and* the
@@ -36,8 +36,8 @@ Like :mod:`repro.hotpath.compiled`, trainers take a ``dtype``:
 - ``float32`` runs the same kernels over single-precision weight
   snapshots (synced back to the model after ``fit``) for roughly another
   2x of memory bandwidth and SIMD width. Loss trajectories track the seed
-  closely but are not bit-identical; ``AnomalyDetector`` routing always
-  uses ``float64``.
+  closely but are not bit-identical; ``AnomalyDetector.fit`` uses
+  ``float64`` unless ``trainfast.trainer_dtype`` says otherwise.
 """
 
 from __future__ import annotations
@@ -52,10 +52,19 @@ from repro.ml.lstm import LstmPredictor
 from repro.ml.training import TrainConfig, TrainHistory
 from repro.slo import profiler as _profiler
 
-try:  # BLAS axpy (y += a*x in one pass, no temporary) for the f32 Adam
-    from scipy.linalg.blas import saxpy as _saxpy
-except ImportError:  # pragma: no cover - scipy always ships in the image
-    _saxpy = None
+
+def _load_saxpy():
+    """BLAS axpy (y += a*x in one pass, no temporary) for the f32 Adam.
+
+    Imported on first float32 use, not with the module: scipy adds ~30 MiB
+    of RSS that the float64 kernels every ``fit`` runs never need.
+    """
+    try:
+        from scipy.linalg.blas import saxpy
+    except ImportError:  # pragma: no cover - scipy always ships in the image
+        return None
+    return saxpy
+
 
 _LOSS_BUCKETS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
@@ -120,6 +129,7 @@ class FlatAdam:
         # float64 mirrors the seed op-for-op; float32 may fold scalar
         # factors together (same math, fewer memory passes).
         self.exact = store.dtype == np.float64
+        self._saxpy = None if self.exact else _load_saxpy()
         dtype = store.dtype
         sizes = [w.size for w in store.views]
         total = sum(sizes)
@@ -143,7 +153,8 @@ class FlatAdam:
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         m, v, g, s1, s2 = self._m, self._v, self._grad, self._s1, self._s2
-        if not self.exact and _saxpy is not None:
+        _saxpy = self._saxpy
+        if _saxpy is not None:
             # f32 fast mode: the moment accumulations as single-pass BLAS
             # axpy (y += a*x) instead of scale-into-scratch-then-add.
             np.multiply(m, self.beta1, out=m)

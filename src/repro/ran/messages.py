@@ -101,10 +101,7 @@ class Message:
 
     def to_wire(self) -> bytes:
         """Serialize to TLV bytes: ``{"msg": NAME, "ie": {...}}``."""
-        # encode_fast produces byte-identical output to encode() for every
-        # value a message can hold (str/int/float/bool/None/dict), so the
-        # fast path is unconditional.
-        return wire.encode_fast({"msg": type(self).NAME, "ie": self.fields()})
+        return wire.encode({"msg": type(self).NAME, "ie": self.fields()})
 
     @staticmethod
     def from_wire(data: bytes) -> "Message":

@@ -1,7 +1,7 @@
 """Message schema of the process runtime's control/data plane.
 
 Every message crossing a process boundary is a TLV-encoded dict
-(:func:`repro.wire.encode_fast`) wrapped in a length-prefixed frame
+(:func:`repro.wire.encode`) wrapped in a length-prefixed frame
 (:func:`repro.wire.frame`) — the same byte-identical codec the simulated
 E2 interfaces speak, so a captured socket stream decodes with the stock
 tooling. Messages are plain dicts with a ``"t"`` type tag; the helpers

@@ -58,9 +58,6 @@ class SoakConfig:
     hidden_dim: int = 192
     latent_dim: int = 24
     train_epochs: int = 2
-    # One-pass vectorized featurization for the bank build (repro.genfast);
-    # bit-identical rows, much faster for large banks.
-    vectorized_features: bool = True
     seed: int = 9
     # Fault trial: kill -9 one scoring worker mid-run at a fraction of the
     # sustained rate (headroom makes "recovers inside the SLO" a statement
@@ -174,7 +171,6 @@ def build_soak_workload(config: SoakConfig):
             hidden_dim=config.hidden_dim,
             latent_dim=config.latent_dim,
             train_epochs=config.train_epochs,
-            vectorized_features=config.vectorized_features,
             seed=config.seed,
         )
     )

@@ -59,7 +59,7 @@ class MsgConnection:
         return self._sock.fileno()
 
     def send_msg(self, msg: Any) -> None:
-        payload = wire.frame(wire.encode_fast(msg))
+        payload = wire.frame(wire.encode(msg))
         try:
             self._sock.sendall(payload)
         except OSError as exc:

@@ -35,8 +35,9 @@ from repro.scale.batcher import DROP_OLDEST, BoundedBatcher
 from repro.scale.pool import InferencePool
 from repro.scale.sharded_sdl import ShardedSdl
 from repro.sim.engine import Simulator
+from repro.telemetry.batch import MobiFlowBatchBuilder
 from repro.telemetry.features import FeatureSpec
-from repro.telemetry.mobiflow import MobiFlowRecord
+from repro.telemetry.vectorized import encode_batch
 
 TELEMETRY_NS = "xsec.mobiflow"
 
@@ -68,11 +69,6 @@ class ScaleBenchConfig:
     max_rate: float = 64000.0
     bank_records: int = 1024
     train_epochs: int = 2
-    # Build the feature bank with the repro.genfast one-pass vectorized
-    # encoder instead of per-record StreamingEncoder.push. Value-identical
-    # (the vectorized encoder is bit-for-bit equal to the streaming one);
-    # the runtime soak flips this on for large banks.
-    vectorized_features: bool = False
     seed: int = 9
     # Fault-injection run (kill one shard mid-run, replication >= 2).
     fault_shards: int = 4
@@ -263,7 +259,7 @@ def build_workload(
     """Featurized window bank + a small trained detector.
 
     Synthesizes benign-shaped MobiFlow session streams, featurizes them
-    with the real :class:`StreamingEncoder`, flattens per-session sliding
+    with the offline one-pass encoder, flattens per-session sliding
     windows exactly like MobiWatch's live path, and trains a compact
     autoencoder so pool scoring exercises the production inference code.
     """
@@ -282,62 +278,30 @@ def build_workload(
         ("RegistrationAccept", "NAS", "DL"),
         ("RRCRelease", "RRC", "DL"),
     )
-    def field_stream():
-        for index in range(config.bank_records):
-            session_id = 1 + index % config.sessions
-            step = index // config.sessions
-            msg, protocol, direction = flow[step % len(flow)]
-            yield index, session_id, msg, protocol, direction
-
-    if config.vectorized_features:
-        # One-pass fast lane: columnar append (no MobiFlowRecord objects)
-        # plus the vectorized encoder — same rows, bit for bit.
-        from repro.telemetry.batch import MobiFlowBatchBuilder
-        from repro.telemetry.vectorized import encode_batch
-
-        builder = MobiFlowBatchBuilder()
-        for index, session_id, msg, protocol, direction in field_stream():
-            builder.append_fields(
-                timestamp=index * 0.01,
-                msg=msg,
-                protocol=protocol,
-                direction=direction,
-                session_id=session_id,
-                rnti=0x4000 + session_id,
-                s_tmsi=0x00C0_0000 + session_id,
-                cipher_alg=2,
-                integrity_alg=2,
-                establishment_cause="mo-Signalling" if msg == "RRCSetupRequest" else None,
-            )
-        per_record = encode_batch(spec, builder.build())
-
-        def row_for(index: int, session_id: int) -> np.ndarray:
-            return per_record[index]
-    else:
-        encoder = spec.streaming_encoder()
-
-        def row_for(index: int, session_id: int) -> np.ndarray:
-            step = index // config.sessions
-            msg, protocol, direction = flow[step % len(flow)]
-            record = MobiFlowRecord(
-                timestamp=index * 0.01,
-                msg=msg,
-                protocol=protocol,
-                direction=direction,
-                session_id=session_id,
-                rnti=0x4000 + session_id,
-                s_tmsi=0x00C0_0000 + session_id,
-                cipher_alg=2,
-                integrity_alg=2,
-                establishment_cause="mo-Signalling" if msg == "RRCSetupRequest" else None,
-            )
-            return encoder.push(record)
+    # Columnar append (no MobiFlowRecord objects) plus the one-pass encoder.
+    builder = MobiFlowBatchBuilder()
+    for index in range(config.bank_records):
+        session_id = 1 + index % config.sessions
+        msg, protocol, direction = flow[(index // config.sessions) % len(flow)]
+        builder.append_fields(
+            timestamp=index * 0.01,
+            msg=msg,
+            protocol=protocol,
+            direction=direction,
+            session_id=session_id,
+            rnti=0x4000 + session_id,
+            s_tmsi=0x00C0_0000 + session_id,
+            cipher_alg=2,
+            integrity_alg=2,
+            establishment_cause="mo-Signalling" if msg == "RRCSetupRequest" else None,
+        )
+    per_record = encode_batch(spec, builder.build())
 
     session_rows: dict[int, list[np.ndarray]] = {}
     bank: list[tuple[int, np.ndarray]] = []
     for index in range(config.bank_records):
         session_id = 1 + index % config.sessions
-        row = row_for(index, session_id)
+        row = per_record[index]
         rows = session_rows.setdefault(session_id, [])
         rows.append(row)
         chosen = rows[-window:]

@@ -8,7 +8,6 @@ that experiments are reproducible bit-for-bit from a single seed.
 
 from repro.sim.engine import Event, EventQueue, Simulator
 from repro.sim.entity import Entity
-from repro.sim.fastlane import FleetTicker
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Event", "EventQueue", "Simulator", "Entity", "FleetTicker", "RngRegistry"]
+__all__ = ["Event", "EventQueue", "Simulator", "Entity", "RngRegistry"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs import ObsContext
 from repro.sim.rng import RngRegistry
@@ -231,28 +231,6 @@ class Simulator:
                 f"cannot schedule at t={time} < now={self._now}"
             )
         return self._queue.push(time, callback, name=name)
-
-    def schedule_batch(
-        self, delay: float, callbacks: List[Callable[[], Any]], name: str = ""
-    ) -> Event:
-        """Schedule many callbacks to fire at the same instant as ONE event.
-
-        A UE fleet that ticks every member on the same cadence costs one
-        heap entry per member per tick through :meth:`schedule`; this packs
-        the whole tick into a single entry — O(1) heap churn per tick
-        instead of O(fleet). The callbacks fire in list order, exactly as
-        the per-callback path would have (same time, consecutive seqs).
-        Cancelling the returned event cancels the entire batch.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        batch = list(callbacks)
-
-        def fire() -> None:
-            for callback in batch:
-                callback()
-
-        return self._queue.push(self._now + delay, fire, name=name)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue is empty, ``until`` is reached, or

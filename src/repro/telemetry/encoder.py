@@ -14,7 +14,7 @@ from repro.telemetry.mobiflow import MobiFlowRecord
 
 def encode_record(record: MobiFlowRecord) -> bytes:
     """Encode one MobiFlow record as compact (key, value) TLV bytes."""
-    return wire.encode_fast(record.to_wire_dict())
+    return wire.encode(record.to_wire_dict())
 
 
 def decode_record(data: bytes) -> MobiFlowRecord:
@@ -26,12 +26,8 @@ def decode_record(data: bytes) -> MobiFlowRecord:
 
 
 def encode_batch(records: list[MobiFlowRecord]) -> bytes:
-    """Encode a telemetry batch (one E2 indication per report interval).
-
-    Runs through :func:`repro.wire.encode_fast` — byte-identical to the
-    reference encoder, single-pass with interned field-name encodings.
-    """
-    return wire.encode_fast([record.to_wire_dict() for record in records])
+    """Encode a telemetry batch (one E2 indication per report interval)."""
+    return wire.encode([record.to_wire_dict() for record in records])
 
 
 def decode_batch(data: bytes) -> list[MobiFlowRecord]:

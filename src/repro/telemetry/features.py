@@ -153,29 +153,18 @@ class FeatureSpec:
         """A stateful per-record encoder for live pipelines."""
         return StreamingEncoder(self)
 
-    def encode_series(
-        self, series: TelemetrySeries, *, vectorized: bool = False
-    ) -> np.ndarray:
-        """Encode a telemetry series to an ``[M, dim]`` float32 matrix.
+    def encode_series(self, series: TelemetrySeries) -> np.ndarray:
+        """Encode a time-ordered telemetry series to an ``[M, dim]`` float32
+        matrix in one numpy pass (:mod:`repro.telemetry.vectorized`).
 
         The identifier-relation flags are computed causally: each entry only
         looks at entries before it, so live inference (via
-        :meth:`streaming_encoder`) sees exactly the same features.
-
-        ``vectorized=True`` (repro.genfast) computes the same matrix in one
-        numpy pass instead of the per-entry loop — bit-identical by the
-        equality contract in :mod:`repro.telemetry.vectorized`.
+        :meth:`streaming_encoder`, the reference this must equal bit for
+        bit) sees exactly the same features.
         """
-        if vectorized:
-            from repro.telemetry.vectorized import encode_series as _encode_vectorized
+        from repro.telemetry.vectorized import encode_series  # imports this module
 
-            return _encode_vectorized(self, series)
-        encoder = self.streaming_encoder()
-        records = series.records
-        out = np.zeros((len(records), self.dim), dtype=np.float32)
-        for row, record in enumerate(records):
-            out[row] = encoder.push(record)
-        return out
+        return encode_series(self, series)
 
 
 class StreamingEncoder:
@@ -385,7 +374,6 @@ class WindowedDataset:
         mode: str = "session",
         *,
         cache=None,
-        vectorized: bool = False,
     ) -> "WindowedDataset":
         """Encode and window a series.
 
@@ -394,19 +382,12 @@ class WindowedDataset:
         memoized on the series' *content* digest, so repeated encodes of the
         same capture — e.g. across ablation-sweep configurations — are free.
         Cached arrays are read-only; copy before mutating.
-
-        ``vectorized`` (repro.genfast) routes the encode through the
-        one-pass vectorized featurizer — bit-identical output, one numpy
-        pass instead of the per-entry loop. Ignored on the cache path (a
-        cache hit never re-encodes; a miss uses the cache's own builder).
         """
         if mode not in ("session", "global"):
             raise ValueError(f"mode must be 'session' or 'global', got {mode!r}")
         if cache is not None:
             return cache.windowed(series, spec, window, mode, builder=cls._assemble)
-        return cls._assemble(
-            series, spec, window, mode, spec.encode_series(series, vectorized=vectorized)
-        )
+        return cls._assemble(series, spec, window, mode, spec.encode_series(series))
 
     @classmethod
     def _assemble(

@@ -1,7 +1,7 @@
-"""One-pass vectorized featurization (repro.genfast).
+"""One-pass vectorized featurization: every offline dataset build.
 
-The seed :class:`~repro.telemetry.features.StreamingEncoder` walks the
-series record by record, allocating one ``[dim]`` row per entry and
+The live :class:`~repro.telemetry.features.StreamingEncoder` walks the
+stream record by record, allocating one ``[dim]`` row per entry and
 maintaining python-set/list causal state.  :func:`encode_batch` computes
 the identical ``[M, dim]`` float32 matrix from a columnar
 :class:`~repro.telemetry.batch.MobiFlowBatch` in a handful of numpy
@@ -192,7 +192,7 @@ def encode_batch(spec: FeatureSpec, batch: MobiFlowBatch) -> np.ndarray:
 
 
 def encode_series(spec: FeatureSpec, series) -> np.ndarray:
-    """Vectorized twin of :meth:`FeatureSpec.encode_series` (bit-identical)."""
+    """What :meth:`FeatureSpec.encode_series` runs."""
     return encode_batch(spec, MobiFlowBatch.from_records(series))
 
 

@@ -1,11 +1,11 @@
-"""Training fast path: compiled trainers, sweep fan-out, dataset cache.
+"""Training fast path: sweep fan-out, dataset cache, float32 training tier.
 
-The training-side twin of :mod:`repro.hotpath`. Three independent layers,
-all behind :class:`TrainfastSettings` whose defaults keep the seed
-training path bit-identical:
+All behind :class:`TrainfastSettings`, whose defaults keep training exact
+and serial:
 
-- :mod:`repro.trainfast.trainer` — compiled forward/backward/Adam kernels
-  for the autoencoder and the LSTM (float64 = exact, float32 = fast);
+- ``trainer_dtype`` — precision of the compiled forward/backward/Adam
+  kernels (:mod:`repro.ml.trainer`) that every ``AnomalyDetector.fit``
+  runs (float64 = exact, float32 = fast);
 - :mod:`repro.trainfast.sweep` — multiprocessing fan-out for
   ablation/experiment sweeps with submission-order, deterministic results;
 - :mod:`repro.trainfast.cache` — content-addressed memoization of encoded
@@ -18,23 +18,11 @@ training path bit-identical:
 from repro.trainfast.cache import DatasetCache, series_digest, spec_key
 from repro.trainfast.settings import TrainfastSettings
 from repro.trainfast.sweep import SweepRunner, derive_seed
-from repro.trainfast.trainer import (
-    CompiledAutoencoderTrainer,
-    CompiledLstmTrainer,
-    FlatAdam,
-    compile_trainer,
-    compiled_train_minibatch,
-)
 
 __all__ = [
-    "CompiledAutoencoderTrainer",
-    "CompiledLstmTrainer",
     "DatasetCache",
-    "FlatAdam",
     "SweepRunner",
     "TrainfastSettings",
-    "compile_trainer",
-    "compiled_train_minibatch",
     "derive_seed",
     "series_digest",
     "spec_key",

@@ -8,9 +8,9 @@ one per trainfast layer plus the end-to-end story:
   epochs/second on §4-sized models (float64 kernel throughput reported
   alongside);
 - **sweep wall-clock** — an 8-configuration window-ablation sweep over
-  pre-generated captures: strictly serial seed evaluation vs the full fast
-  stack (4 sweep workers + compiled float32 training and scoring +
-  content-addressed dataset cache);
+  pre-generated captures: the default configuration (serial, exact
+  float64 kernels, no cache) vs the full fast stack (4 sweep workers +
+  float32 training + content-addressed dataset cache);
 - **worker scaling** — the same fast sweep at 1 worker vs 4 workers. Only
   machines with >= 4 CPUs can show (or gate) near-linear scaling; on
   smaller boxes the measurement is recorded as unavailable;
@@ -37,10 +37,10 @@ import numpy as np
 
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.lstm import LstmPredictor
+from repro.ml.trainer import compile_trainer
 from repro.telemetry.features import FeatureSpec
 from repro.trainfast.cache import DatasetCache
 from repro.trainfast.settings import TrainfastSettings
-from repro.trainfast.trainer import compile_trainer
 
 # Hard floors from the perf-trajectory acceptance gates.
 TRAINER_SPEEDUP_MIN = 2.0
@@ -312,9 +312,7 @@ def _sweep_once(config, captures, windows, trainfast: Optional[TrainfastSettings
 
 def _fast_settings(cfg: TrainfastBenchConfig, workers: int) -> TrainfastSettings:
     return TrainfastSettings(
-        compiled_trainer=True,
         trainer_dtype="float32",
-        compiled_scoring=True,
         sweep_workers=workers,
         cache=True,
     )
@@ -375,9 +373,7 @@ def _bench_sweep(cfg: TrainfastBenchConfig, result: TrainfastBenchResult) -> Non
 
     # Equality: a parallel float64 fast sweep returns the serial seed rows.
     exact = TrainfastSettings(
-        compiled_trainer=True,
         trainer_dtype="float64",
-        compiled_scoring=True,
         sweep_workers=2,
         cache=True,
     )

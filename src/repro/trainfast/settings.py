@@ -1,23 +1,20 @@
 """Configuration knobs for the training fast path (``repro.trainfast``).
 
 Kept dependency-free (like :mod:`repro.hotpath.settings`) so every layer
-can import it without cycles. **Every default preserves the seed's training
-behaviour bit-for-bit**: the layer-object ``fit`` loops, serial sweeps, no
-dataset memoization.
+can import it without cycles. **Every default keeps training exact**:
+float64 compiled kernels (bit-identical to the seed ``fit`` loops), serial
+sweeps, no dataset memoization.
 
-The three independent switches:
+The three independent choices:
 
-- ``compiled_trainer`` — route ``AnomalyDetector.fit`` through
-  :mod:`repro.trainfast.trainer`: weights snapshotted into contiguous
-  arrays, forward+backward through preallocated-buffer kernels
-  (gate-permuted single-GEMM LSTM BPTT, fused Dense+ReLU autoencoder
-  backprop), and an in-place Adam over one flat moment vector. The loss
-  trajectory and the resulting weights are **bit-identical in float64** to
+- ``trainer_dtype`` — precision of the compiled training kernels
+  (:mod:`repro.ml.trainer`) that ``AnomalyDetector.fit`` runs. In float64
+  the loss trajectory and the resulting weights are **bit-identical** to
   the seed ``train_minibatch`` / ``Autoencoder.fit`` / ``LstmPredictor.fit``
   loops — enforced by tests/test_trainfast.py.
 - ``sweep_workers`` — fan ablation/experiment configurations out across
   this many ``multiprocessing`` workers (:mod:`repro.trainfast.sweep`).
-  ``0`` keeps the seed's strictly serial sweeps. Results are merged in
+  ``0`` keeps the strictly serial sweeps. Results are merged in
   submission order and each task re-seeds deterministically, so a parallel
   sweep returns exactly what the serial sweep returns.
 - ``cache`` — content-addressed memoization of encoded telemetry
@@ -37,20 +34,11 @@ from typing import Optional
 class TrainfastSettings:
     """Knobs of the ``repro.trainfast`` subsystem (see module docstring)."""
 
-    # Compiled forward/backward/Adam training kernels for detector.fit().
-    compiled_trainer: bool = False
-    # Kernel dtype for the compiled trainers. "float64" (default) is the
+    # Kernel dtype for detector.fit(). "float64" (default) is the
     # bit-identity contract mode; "float32" trades exactness (final-loss
     # relative error ~1e-8 on the paper workloads) for the documented
     # >=2x epoch throughput.
     trainer_dtype: str = "float64"
-    # After a fit(), immediately snapshot the trained weights into the
-    # fused inference kernels (repro.hotpath.compiled) in trainer_dtype, so
-    # threshold fitting and subsequent scoring run compiled too. float64
-    # keeps scoring bit-identical (the hotpath contract); float32 is the
-    # fast mode. Off = the seed behaviour (score through the plain path
-    # until the caller compiles explicitly).
-    compiled_scoring: bool = False
 
     # Multiprocessing fan-out for ablation/experiment sweeps. 0 = serial
     # (the seed behaviour); N>0 runs sweep tasks across N workers.
@@ -74,9 +62,4 @@ class TrainfastSettings:
 
     @property
     def any_enabled(self) -> bool:
-        return (
-            self.compiled_trainer
-            or self.compiled_scoring
-            or self.sweep_workers > 0
-            or self.cache
-        )
+        return self.trainer_dtype != "float64" or self.sweep_workers > 0 or self.cache

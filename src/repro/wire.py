@@ -63,46 +63,10 @@ def _decode_length(data: bytes, offset: int) -> tuple[int, int]:
             raise WireError("length field too long")
 
 
-def encode(value: Any) -> bytes:
-    """Encode ``value`` into TLV bytes."""
-    if value is None:
-        return bytes([_TAG_NONE])
-    if value is False:
-        return bytes([_TAG_FALSE])
-    if value is True:
-        return bytes([_TAG_TRUE])
-    if isinstance(value, int):
-        payload = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        return bytes([_TAG_INT]) + _encode_length(len(payload)) + payload
-    if isinstance(value, float):
-        return bytes([_TAG_FLOAT]) + struct.pack(">d", value)
-    if isinstance(value, str):
-        payload = value.encode("utf-8")
-        return bytes([_TAG_STR]) + _encode_length(len(payload)) + payload
-    if isinstance(value, (bytes, bytearray)):
-        return bytes([_TAG_BYTES]) + _encode_length(len(value)) + bytes(value)
-    if isinstance(value, (list, tuple)):
-        body = b"".join(encode(item) for item in value)
-        return bytes([_TAG_LIST]) + _encode_length(len(body)) + body
-    if isinstance(value, dict):
-        parts = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(f"dict keys must be str, got {type(key).__name__}")
-            parts.append(encode(key))
-            parts.append(encode(item))
-        body = b"".join(parts)
-        return bytes([_TAG_DICT]) + _encode_length(len(body)) + body
-    raise WireError(f"unsupported wire type: {type(value).__name__}")
-
-
-# -- fast path ---------------------------------------------------------------
-#
-# encode_fast() produces bytes identical to encode() (a property test holds
-# them equal) but builds the message in growing bytearrays instead of one
-# bytes object per value, and interns the encodings of small strings — the
-# telemetry schema repeats the same dozen field names in every record of
-# every E2 indication.
+# The encoder builds each message in growing bytearrays (one per container,
+# not one bytes object per value) and interns the encodings of small strings
+# and ints: the telemetry schema repeats the same dozen field names in every
+# record of every E2 indication.
 
 _FLOAT_STRUCT = struct.Struct(">d")
 _TAG_FLOAT_BYTE = bytes([_TAG_FLOAT])
@@ -116,24 +80,39 @@ _INT_CACHE: dict[int, bytes] = {}
 _INT_CACHE_RANGE = (-1, 1024)
 
 
-def _encode_str_fast(value: str) -> bytes:
+def _str_tlv(value: str) -> bytes:
+    payload = value.encode("utf-8")
+    return bytes([_TAG_STR]) + _encode_length(len(payload)) + payload
+
+
+def _int_tlv(value: int) -> bytes:
+    payload = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
+    return bytes([_TAG_INT]) + _encode_length(len(payload)) + payload
+
+
+def _encode_str(value: str) -> bytes:
     encoded = _STR_CACHE.get(value)
     if encoded is None:
-        payload = value.encode("utf-8")
-        encoded = bytes([_TAG_STR]) + _encode_length(len(payload)) + payload
+        encoded = _str_tlv(value)
         if len(value) <= _STR_CACHE_MAX_LEN and len(_STR_CACHE) < _STR_CACHE_MAX_ENTRIES:
             _STR_CACHE[value] = encoded
     return encoded
 
 
-def _encode_int_fast(value: int) -> bytes:
+def _encode_int(value: int) -> bytes:
     encoded = _INT_CACHE.get(value)
     if encoded is None:
-        payload = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-        encoded = bytes([_TAG_INT]) + _encode_length(len(payload)) + payload
+        encoded = _int_tlv(value)
         if _INT_CACHE_RANGE[0] <= value <= _INT_CACHE_RANGE[1]:
             _INT_CACHE[value] = encoded
     return encoded
+
+
+def _append_body(out: bytearray, tag: int, body) -> None:
+    out.append(tag)
+    n = len(body)
+    out += _LEN1[n] if n < 0x80 else _encode_length(n)
+    out += body
 
 
 def _encode_into(out: bytearray, value: Any) -> None:
@@ -148,47 +127,55 @@ def _encode_into(out: bytearray, value: Any) -> None:
         return
     kind = type(value)
     if kind is int:
-        out += _encode_int_fast(value)
-        return
-    if kind is float:
+        out += _encode_int(value)
+    elif kind is float:
         out += _TAG_FLOAT_BYTE
         out += _FLOAT_STRUCT.pack(value)
-        return
-    if kind is str:
-        out += _encode_str_fast(value)
-        return
-    if kind is dict:
+    elif kind is str:
+        out += _encode_str(value)
+    elif isinstance(value, dict):
         body = bytearray()
         for key, item in value.items():
-            if type(key) is not str:
+            if type(key) is str:
+                body += _encode_str(key)
+            elif isinstance(key, str):
+                body += _str_tlv(key)
+            else:
                 raise WireError(f"dict keys must be str, got {type(key).__name__}")
-            body += _encode_str_fast(key)
             _encode_into(body, item)
-        out.append(_TAG_DICT)
-        n = len(body)
-        out += _LEN1[n] if n < 0x80 else _encode_length(n)
-        out += body
-        return
-    if kind in (list, tuple):
+        _append_body(out, _TAG_DICT, body)
+    elif isinstance(value, (list, tuple)):
         body = bytearray()
         for item in value:
             _encode_into(body, item)
-        out.append(_TAG_LIST)
-        n = len(body)
-        out += _LEN1[n] if n < 0x80 else _encode_length(n)
-        out += body
-        return
-    # Subclasses (IntEnum, str subclasses, bytes...) fall back to the
-    # reference encoder so the accepted-type surface stays identical.
-    out += encode(value)
+        _append_body(out, _TAG_LIST, body)
+    elif isinstance(value, (bytes, bytearray)):
+        _append_body(out, _TAG_BYTES, value)
+    # Scalar subclasses (IntEnum, numpy.float64, str enums) encode as their
+    # base type, uninterned: their hash/eq need not match the base's.
+    elif isinstance(value, int):
+        out += _int_tlv(value)
+    elif isinstance(value, float):
+        out += _TAG_FLOAT_BYTE
+        out += _FLOAT_STRUCT.pack(value)
+    elif isinstance(value, str):
+        out += _str_tlv(value)
+    else:
+        raise WireError(f"unsupported wire type: {kind.__name__}")
 
 
-def encode_fast(value: Any) -> bytes:
-    """Encode ``value`` into TLV bytes — byte-identical to :func:`encode`,
-    built single-pass with interned small-string/int encodings."""
+def encode(value: Any) -> bytes:
+    """Encode ``value`` into TLV bytes."""
     out = bytearray()
     _encode_into(out, value)
     return bytes(out)
+
+
+def _decode_str(payload: bytes) -> str:
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"string payload is not UTF-8: {exc}") from None
 
 
 _DECODE_KEY_CACHE: dict[bytes, str] = {}
@@ -204,7 +191,7 @@ def _decode_key_at(data: bytes, offset: int) -> tuple[Any, int]:
             raw = data[payload_start:end]
             key = _DECODE_KEY_CACHE.get(raw)
             if key is None:
-                key = raw.decode("utf-8")
+                key = _decode_str(raw)
                 if len(_DECODE_KEY_CACHE) < _DECODE_KEY_CACHE_MAX:
                     _DECODE_KEY_CACHE[raw] = key
             return key, end
@@ -235,7 +222,7 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         if tag == _TAG_INT:
             return int.from_bytes(payload, "big", signed=True), end
         if tag == _TAG_STR:
-            return payload.decode("utf-8"), end
+            return _decode_str(payload), end
         if tag == _TAG_BYTES:
             return bytes(payload), end
         if tag == _TAG_LIST:
@@ -308,7 +295,7 @@ def encode_columnar(
         n = inferred
     elif n is None:
         n = 0
-    return encode_fast(
+    return encode(
         {"schema": COLUMNAR_SCHEMA, "n": n, "meta": dict(meta or {}), "cols": columns}
     )
 

@@ -1,5 +1,7 @@
 """Tests for the five attack implementations and their telemetry signatures."""
 
+import hashlib
+
 import pytest
 
 from repro.attacks import (
@@ -10,6 +12,7 @@ from repro.attacks import (
     UplinkIdExtractionAttack,
 )
 from repro.ran import FiveGNetwork, NetworkConfig
+from repro.ran.channel import ChannelConfig
 from repro.ran.core_network import AmfConfig
 from repro.telemetry import MobiFlowCollector
 
@@ -73,6 +76,41 @@ class TestBtsDos:
         attack.arm()
         with pytest.raises(RuntimeError):
             attack.arm()
+
+    @staticmethod
+    def _flood(seed, duplicate_prob):
+        channel = ChannelConfig(duplicate_prob=duplicate_prob)
+        net = FiveGNetwork(NetworkConfig(seed=seed, channel=channel))
+        attack = BtsDosAttack(net, start_time=0.5, connections=20, interval_s=0.05)
+        attack.arm()
+        net.run(until=10.0)
+        return net, attack
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_flood_survives_channel_duplication(self, seed):
+        """A duplicated AuthenticationRequest used to arm a second
+        next-connection event, which fired into the session the first had
+        opened and raised "session already in progress" out of the run
+        (4 of these 8 seeds)."""
+        net, attack = self._flood(seed, duplicate_prob=0.05)
+        assert net.channel.frames_duplicated > 0
+        assert attack.rogue.sessions_started == 20
+        assert attack.rogue._pending_next is None
+
+    def test_flood_unchanged_without_duplication(self):
+        """Capture digest, event count and RNG positions recorded before the
+        fix: with ``duplicate_prob=0`` nothing moves."""
+        net, attack = self._flood(seed=1, duplicate_prob=0.0)
+        digest = hashlib.sha256()
+        for record in net.pcap:
+            digest.update(repr((record.timestamp, record.interface)).encode())
+            digest.update(record.decode().to_wire())
+        assert digest.hexdigest() == (
+            "f6ad3c21ad1838e55074c9cda1649464eb70355029f331f2552baafb8c7ccad6"
+        )
+        assert net.sim.events_processed == 411
+        assert net.sim.rng.stream("channel").random() == 0.7995638674119381
+        assert attack.rogue.rng.random() == 0.057608794667628915
 
 
 class TestBlindDos:

@@ -1,0 +1,105 @@
+"""The configuration surface: every knob is read by the program, and the
+ten flags whose fast lanes became the only path stay deleted.
+
+A settings field nothing reads is a configuration the tests must cover
+for no behaviour at all (``genfast.sim_fastlane`` was read by nothing;
+``genfast.vectorized_features`` only by an external benchmark).
+"""
+
+import dataclasses
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.config import XsecConfig
+from repro.core.pipeline import ClosedLoopPipeline
+from repro.genfast.settings import GenfastSettings
+from repro.hotpath.settings import HotpathSettings
+from repro.llmfast.settings import LlmfastSettings
+from repro.trainfast.settings import TrainfastSettings
+
+SRC = Path(repro.__file__).parent
+
+# family name on XsecConfig -> its *Settings dataclass
+FAMILIES = {
+    f.name: type(getattr(XsecConfig(), f.name))
+    for f in dataclasses.fields(XsecConfig)
+    if type(getattr(XsecConfig(), f.name)).__name__.endswith("Settings")
+}
+
+DELETED = [
+    (HotpathSettings, "compiled"),
+    (HotpathSettings, "arena"),
+    (TrainfastSettings, "compiled_trainer"),
+    (TrainfastSettings, "compiled_scoring"),
+    (GenfastSettings, "batched_sdl_writes"),
+    (GenfastSettings, "vectorized_features"),
+    (GenfastSettings, "sim_fastlane"),
+    (LlmfastSettings, "vectorized_rag"),
+    (LlmfastSettings, "compiled_prompts"),
+    (LlmfastSettings, "prompt_cache_capacity"),
+]
+
+
+def _program_sources(family: str) -> str:
+    """Everything under src/repro that can *use* a knob of ``family``: not
+    its own settings module, not the benches, not scale_report()'s echo."""
+    echo = inspect.getsource(ClosedLoopPipeline.scale_report)
+    chunks = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "bench.py" or path == SRC / family / "settings.py":
+            continue
+        chunks.append(path.read_text(encoding="utf-8").replace(echo, ""))
+    return "\n".join(chunks)
+
+
+def test_eight_settings_families():
+    assert sorted(FAMILIES) == [
+        "genfast", "hotpath", "llmfast", "megabatch", "runtime", "scale", "slo", "trainfast",
+    ]  # fmt: skip
+
+
+def _names_carrying(cls, field: str) -> list:
+    """The field itself plus the derived members of its settings class that
+    read it (``resolved_start_method()`` for ``start_method``).  Validation
+    and ``any_enabled`` are no readers: they name every flag of a family."""
+    names = [field]
+    for name, member in vars(cls).items():
+        function = member.fget if isinstance(member, property) else member
+        if name.startswith("__") or name == "any_enabled" or not inspect.isfunction(function):
+            continue
+        if re.search(rf"self\.{field}\b", inspect.getsource(function)):
+            names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_field_is_read_by_the_program(family):
+    sources = _program_sources(family)
+    cls = FAMILIES[family]
+    unread = [
+        field.name
+        for field in dataclasses.fields(cls)
+        if not any(
+            re.search(rf"\.{name}\b", sources)
+            for name in _names_carrying(cls, field.name)
+        )
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize(
+    "settings,name", DELETED, ids=[f"{cls.__name__}.{name}" for cls, name in DELETED]
+)
+def test_promoted_flags_stay_deleted(settings, name):
+    with pytest.raises(TypeError):
+        settings(**{name: True})
+
+
+def test_settings_field_total():
+    """79 before the ten promoted flags were deleted."""
+    total = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
+    assert total <= 69

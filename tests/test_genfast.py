@@ -1,15 +1,16 @@
-"""repro.genfast: equality contracts, columnar wire, sim fast lane, gates.
+"""repro.genfast: equality contracts, columnar wire, gates.
 
-The generation/ingest fast lane trades representation for speed only where
+The generation/ingest path trades representation for speed only where
 the result is provably the same, so most tests here are equality tests:
 
-- defaults keep the seed path (all genfast flags off, seed components);
-- the one-pass vectorized featurizer is bit-identical (float64 arithmetic,
-  float32 storage) to the seed ``StreamingEncoder`` on captures from each
-  of the five attacks' scenarios plus a benign mix;
+- the default config keeps per-record TLV on E2 (genfast flag off);
+- the one-pass vectorized featurizer (what every offline build runs) is
+  bit-identical (float64 arithmetic, float32 storage) to the reference
+  ``StreamingEncoder`` on captures from each of the five attacks'
+  scenarios plus a benign mix;
 - the columnar TLV wire decodes to the exact per-record stream whose
-  per-record encoding is byte-identical to the seed batch payload;
-- a live pipeline with every genfast flag on produces the bit-identical
+  per-record encoding is byte-identical to the per-record batch payload;
+- a live pipeline with columnar indications on produces the bit-identical
   ``AnomalyEvent`` stream and SDL telemetry contents;
 - the golden-vector fixture freezes the feature column layout itself.
 
@@ -32,7 +33,7 @@ from repro.attacks import (
 )
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
-from repro.core.mobiwatch import SDL_TELEMETRY_NS
+from repro.core.mobiwatch import SDL_TELEMETRY_NS, _record_value
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.genfast.bench import (
     BASELINE_SLACK,
@@ -49,20 +50,17 @@ from repro.genfast.workload import (
     lanes_equal,
     run_fast_lane,
     run_seed_lane,
+    streaming_rows,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.oran.sdl import SharedDataLayer
 from repro.ran import nas as nas_messages
 from repro.ran import ngap
 from repro.ran.core_network import AmfConfig
-from repro.ran.messages import MessageError
 from repro.ran.network import FiveGNetwork, NetworkConfig
-from repro.ran.rrc import RrcSetupRequest
-from repro.ran.templates import MessageTemplate
 from repro.scale.batcher import BoundedBatcher
 from repro.scale.sharded_sdl import ShardedSdl
-from repro.sim.engine import EventQueue, SimulationError, Simulator
-from repro.sim.fastlane import FleetTicker
+from repro.sim.engine import EventQueue
 from repro.telemetry import encoder as telemetry_encoder
 from repro.telemetry.batch import MobiFlowBatch, MobiFlowBatchBuilder
 from repro.telemetry.collector import MobiFlowCollector
@@ -82,23 +80,13 @@ class TestGenfastSettings:
     def test_defaults_all_off(self):
         settings = GenfastSettings()
         assert not settings.columnar_batches
-        assert not settings.batched_sdl_writes
-        assert not settings.vectorized_features
-        assert not settings.sim_fastlane
         assert not settings.any_enabled
 
     def test_any_enabled_tracks_each_flag(self):
         assert GenfastSettings(columnar_batches=True).any_enabled
-        assert GenfastSettings(batched_sdl_writes=True).any_enabled
-        assert GenfastSettings(vectorized_features=True).any_enabled
-        assert GenfastSettings(sim_fastlane=True).any_enabled
 
     def test_all_on(self):
-        settings = GenfastSettings.all_on()
-        assert settings.columnar_batches
-        assert settings.batched_sdl_writes
-        assert settings.vectorized_features
-        assert settings.sim_fastlane
+        assert GenfastSettings.all_on().columnar_batches
 
     def test_default_config_keeps_seed_flags(self):
         assert not XsecConfig().genfast.any_enabled
@@ -175,8 +163,8 @@ class TestVectorizedFeaturizationBitIdentity:
     def test_attack_captures_bit_identical(self, scenario_series, scenario):
         series = scenario_series[scenario]
         spec = FeatureSpec()
-        seed_rows = spec.encode_series(series)
-        fast_rows = spec.encode_series(series, vectorized=True)
+        seed_rows = streaming_rows(spec, series)
+        fast_rows = spec.encode_series(series)
         # np.array_equal, not allclose: float64 arithmetic, float32 storage,
         # bit for bit.
         assert np.array_equal(seed_rows, fast_rows)
@@ -184,8 +172,8 @@ class TestVectorizedFeaturizationBitIdentity:
     def test_benign_capture_bit_identical(self, benign_series):
         spec = FeatureSpec()
         assert np.array_equal(
+            streaming_rows(spec, benign_series),
             spec.encode_series(benign_series),
-            spec.encode_series(benign_series, vectorized=True),
         )
 
     def test_windowed_from_batch_matches_from_series(self, scenario_series):
@@ -201,8 +189,10 @@ class TestVectorizedFeaturizationBitIdentity:
     def test_from_series_vectorized_flag_identical(self, scenario_series):
         series = scenario_series["null_cipher"]
         spec = FeatureSpec()
-        seed = WindowedDataset.from_series(series, spec, window=6)
-        fast = WindowedDataset.from_series(series, spec, window=6, vectorized=True)
+        seed = WindowedDataset._assemble(
+            series, spec, 6, "session", streaming_rows(spec, series)
+        )
+        fast = WindowedDataset.from_series(series, spec, window=6)
         assert np.array_equal(seed.windows, fast.windows)
         assert seed.window_records == fast.window_records
 
@@ -441,7 +431,7 @@ def _run_live(detector, genfast, seed=77, until=20.0):
 
 
 class TestLiveSeedEquivalence:
-    """Every genfast flag on: bit-identical events, identical SDL contents."""
+    """Columnar indications on: bit-identical events, identical SDL contents."""
 
     @pytest.fixture(scope="class")
     def seed_run(self, trained_autoencoder):
@@ -465,6 +455,11 @@ class TestLiveSeedEquivalence:
         fast_ns = fast_run.ric.sdl._data.get(SDL_TELEMETRY_NS)
         assert seed_ns == fast_ns
         assert seed_ns, "no telemetry stored"
+        # One set_many per indication stores what one set per record would.
+        per_record = SharedDataLayer()
+        for index, record in enumerate(seed_run.mobiwatch.series):
+            per_record.set(SDL_TELEMETRY_NS, f"{index:09d}", _record_value(record))
+        assert per_record._data[SDL_TELEMETRY_NS] == seed_ns
 
 
 # ---------------------------------------------------------------------------
@@ -522,94 +517,6 @@ class TestEventQueueCompaction:
         assert queue.heap_size == 1
         assert queue.pop() is kept
         assert queue.compact() == 0
-
-
-class TestScheduleBatch:
-    def test_single_heap_entry_fires_in_order(self):
-        sim = Simulator(seed=1)
-        fired = []
-        sim.schedule_batch(1.0, [lambda: fired.append("a"), lambda: fired.append("b")])
-        assert sim.pending == 1
-        sim.run()
-        assert fired == ["a", "b"]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(seed=1).schedule_batch(-0.1, [lambda: None])
-
-    def test_cancel_suppresses_all_callbacks(self):
-        sim = Simulator(seed=1)
-        fired = []
-        event = sim.schedule_batch(1.0, [lambda: fired.append(1), lambda: fired.append(2)])
-        event.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_snapshot_of_callbacks(self):
-        sim = Simulator(seed=1)
-        fired = []
-        callbacks = [lambda: fired.append(1)]
-        sim.schedule_batch(1.0, callbacks)
-        callbacks.append(lambda: fired.append(2))  # after scheduling: ignored
-        sim.run()
-        assert fired == [1]
-
-
-class TestFleetTicker:
-    def test_members_tick_every_period(self):
-        sim = Simulator(seed=1)
-        ticker = FleetTicker(sim, period_s=1.0)
-        counts = [0, 0]
-        ticker.add(lambda: counts.__setitem__(0, counts[0] + 1))
-        ticker.add(lambda: counts.__setitem__(1, counts[1] + 1))
-        assert len(ticker) == 2
-        ticker.start()
-        sim.run(until=5.5)
-        assert counts == [5, 5]
-        assert ticker.ticks_fired == 5
-
-    def test_member_added_mid_run_joins_next_tick(self):
-        sim = Simulator(seed=1)
-        ticker = FleetTicker(sim, period_s=1.0)
-        late_count = [0]
-        ticker.add(lambda: None)
-
-        def join_late():
-            ticker.add(lambda: late_count.__setitem__(0, late_count[0] + 1))
-
-        sim.schedule(2.5, join_late)
-        ticker.start()
-        sim.run(until=5.5)
-        # Joined at t=2.5: ticks at 3, 4, 5.
-        assert late_count[0] == 3
-
-    def test_remove_and_stop(self):
-        sim = Simulator(seed=1)
-        ticker = FleetTicker(sim, period_s=1.0)
-        count = [0]
-        member = lambda: count.__setitem__(0, count[0] + 1)
-        ticker.add(member)
-        ticker.start()
-        sim.schedule(2.5, lambda: ticker.remove(member))
-        sim.schedule(4.5, ticker.stop)
-        sim.run(until=10.0)
-        assert count[0] == 2  # ticks at 1, 2 only
-        assert ticker.ticks_fired == 4  # stopped after the t=4 tick
-        assert not ticker.remove(member)  # already gone
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            FleetTicker(Simulator(seed=1), period_s=0.0)
-
-    def test_start_idempotent(self):
-        sim = Simulator(seed=1)
-        ticker = FleetTicker(sim, period_s=1.0)
-        count = [0]
-        ticker.add(lambda: count.__setitem__(0, count[0] + 1))
-        ticker.start()
-        ticker.start()
-        sim.run(until=2.5)
-        assert count[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -731,46 +638,6 @@ class TestBatcherOfferMany:
 
 
 # ---------------------------------------------------------------------------
-# message templates
-
-
-class TestMessageTemplate:
-    def test_build_equals_constructor(self):
-        template = MessageTemplate(RrcSetupRequest, ue_identity=7)
-        assert template.build() == RrcSetupRequest(ue_identity=7)
-        assert isinstance(template.build(), RrcSetupRequest)
-
-    def test_overrides_applied(self):
-        template = MessageTemplate(RrcSetupRequest)
-        message = template.build(ue_identity=99, identity_is_tmsi=True)
-        assert message == RrcSetupRequest(ue_identity=99, identity_is_tmsi=True)
-
-    def test_wire_bytes_byte_identical(self):
-        template = MessageTemplate(RrcSetupRequest, ue_identity=7)
-        assert template.wire_bytes() == RrcSetupRequest(ue_identity=7).to_wire()
-        assert template.build().to_wire() == template.wire_bytes()
-        assert (
-            template.build(ue_identity=8).to_wire()
-            == RrcSetupRequest(ue_identity=8).to_wire()
-        )
-
-    def test_unknown_override_rejected(self):
-        template = MessageTemplate(RrcSetupRequest)
-        with pytest.raises(MessageError):
-            template.build(bogus_field=1)
-
-    def test_non_message_rejected(self):
-        with pytest.raises(MessageError):
-            MessageTemplate(dict)
-
-    def test_instances_independent(self):
-        template = MessageTemplate(RrcSetupRequest, ue_identity=7)
-        first, second = template.build(), template.build(ue_identity=8)
-        assert first.ue_identity == 7
-        assert second.ue_identity == 8
-
-
-# ---------------------------------------------------------------------------
 # bench gates
 
 
@@ -778,7 +645,6 @@ def _passing_result():
     result = GenfastBenchResult(cpus=4)
     result.end_to_end = {"speedup": 4.0, "seed_rps": 1e4, "fast_rps": 4e4}
     result.featurization = {"speedup": 10.0, "seed_rps": 1e5, "fast_rps": 1e6}
-    result.sim = {"speedup": 5.0, "per_member_tps": 1e5, "batched_tps": 5e5}
     result.equality = {
         "windows_identical": True,
         "window_records_identical": True,

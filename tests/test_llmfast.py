@@ -1,10 +1,11 @@
 """Tests for the repro.llmfast verdict-plane fast path (PR 10).
 
-Unit coverage for the settings, the vectorized retriever (seed-ranking
-identical), the compiled prompt builder (byte-identical), the verdict
-cache and trace signatures, the storm dispatcher, and the analyzer
-xApp's cache/coalesce/shed ledger — plus the five-scenario live
-decision-identity contract against the seed analyzer path.
+Unit coverage for the settings, the vectorized retriever and the compiled
+prompt builder every analyst runs (ranking- / byte-identical to their
+references in ``repro.llm``), the verdict cache and trace signatures, the
+storm dispatcher, and the analyzer xApp's cache/coalesce/shed ledger —
+plus the five-scenario live decision-identity contract against the
+default analyzer path.
 """
 
 import copy
@@ -19,15 +20,9 @@ from repro.core.mobiwatch import AnomalyEvent, MobiWatchXApp
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.knowledge import CellularKnowledgeBase
-from repro.llm.prompt import PromptTemplate
-from repro.llmfast import (
-    CompiledPromptBuilder,
-    LlmfastSettings,
-    StormDispatcher,
-    VectorizedRetriever,
-    VerdictCache,
-)
+from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
+from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate
+from repro.llmfast import LlmfastSettings, StormDispatcher, VerdictCache
 from repro.llmfast.cache import CachedVerdict, trace_signature
 from repro.llmfast.workload import (
     benign_trace,
@@ -54,26 +49,25 @@ from tests.test_megabatch import ATTACK_SCENARIOS
 class TestSettings:
     def test_defaults_are_seed_path(self):
         settings = LlmfastSettings()
-        assert not settings.any_enabled
         assert not settings.fast_submit_enabled
 
     def test_fast_submit_needs_an_xapp_flag(self):
-        assert not LlmfastSettings(vectorized_rag=True).fast_submit_enabled
-        assert not LlmfastSettings(compiled_prompts=True).fast_submit_enabled
+        assert not LlmfastSettings(cache_capacity=8).fast_submit_enabled
         assert LlmfastSettings(verdict_cache=True).fast_submit_enabled
         assert LlmfastSettings(coalesce=True).fast_submit_enabled
         assert LlmfastSettings(dispatch=True).fast_submit_enabled
 
     def test_all_on(self):
         settings = LlmfastSettings.all_on()
-        assert settings.any_enabled and settings.fast_submit_enabled
+        assert settings.verdict_cache and settings.coalesce and settings.dispatch
+        assert settings.fast_submit_enabled
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"cache_capacity": 0},
-            {"prompt_cache_capacity": 0},
             {"max_inflight": 0},
+            {"queue_capacity": 0},
             {"queue_capacity": -1},
         ],
     )
@@ -83,7 +77,7 @@ class TestSettings:
 
     def test_default_config_keeps_seed_analyzer(self):
         config = XsecConfig()
-        assert not config.llmfast.any_enabled
+        assert not config.llmfast.fast_submit_enabled
         sim = Simulator(seed=0)
         e2 = InterfaceLink(sim, "E2")
         e2.connect(a_handler=lambda m: None, b_handler=lambda m: None)
@@ -244,11 +238,22 @@ class TestAnalystFastPath:
         fast = ExpertAnalyst(
             client=LlmClient(server=server, model=model),
             use_rag=use_rag,
-            llmfast=LlmfastSettings(
-                verdict_cache=True, vectorized_rag=True, compiled_prompts=True
-            ),
+            llmfast=LlmfastSettings(verdict_cache=True),
         )
         return seed, fast
+
+    def test_default_analyst_equals_reference_retrieval_and_prompt(self):
+        """What every analyst runs vs the references it replaced as defaults:
+        ``CellularKnowledgeBase.retrieve`` and ``PromptTemplate.render``."""
+        analyst, _ = self._analysts()
+        knowledge = CellularKnowledgeBase()
+        for records in distinct_traces(16):
+            snippets = analyst.retrieve_snippets(records)
+            assert snippets == knowledge.retrieve(records)
+            assert analyst.build_prompt(records) == PromptTemplate().render(records)
+            assert analyst.build_prompt(records, snippets) == PromptTemplate(
+                retrieved_snippets=list(snippets)
+            ).render(records)
 
     def test_decisions_identical_on_duplicate_heavy_workload(self):
         seed, fast = self._analysts()
@@ -556,6 +561,7 @@ def run_live(detector, llmfast, attack=None, net_kwargs=None, until=20.0):
         detector=detector.name,
         train_epochs=6,
         llmfast=llmfast,
+        llm_use_rag=True,
         llm_session_cooldown_s=1.0,
     )
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=77, **(net_kwargs or {})))
@@ -603,6 +609,14 @@ class TestLiveScenarioDecisionIdentity:
         )
         assert len(seed_run.analyzer.verdicts) > 0
         assert verdict_decisions(fast_run) == verdict_decisions(seed_run)
+        # The default run's prompts, byte for byte, from the references.
+        knowledge = CellularKnowledgeBase()
+        for event in seed_run.analyzer.verdicts:
+            records = seed_run.mobiwatch.context_for(
+                event.anomaly, seed_run.config.llm_context_records
+            )
+            reference = PromptTemplate(retrieved_snippets=knowledge.retrieve(records))
+            assert event.verdict.prompt == reference.render(records)
         assert (
             fast_run.analyzer.queries_suppressed == seed_run.analyzer.queries_suppressed
         )

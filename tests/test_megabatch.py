@@ -3,9 +3,10 @@ int8 tier, session eviction, and the hot-path scoring bugfixes.
 
 The contracts enforced here:
 
-- defaults are the seed path (no arena, no batching, no eviction);
+- defaults are the per-session path (no batching, no eviction);
 - float64 megabatch scoring produces bit-identical AnomalyEvents to the
-  seed per-session path on every attack scenario;
+  per-session path scored by the layer-walking reference, on every
+  attack scenario;
 - the quantized tier's Table-2-style detection metrics stay within
   ``MegabatchSettings.quantized_metric_tol`` of the float64 path per
   attack scenario;
@@ -49,7 +50,7 @@ from repro.megabatch.bench import (
     MegabatchBenchResult,
     violations,
 )
-from repro.ml.detector import AutoencoderDetector, LstmDetector
+from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
 from repro.ml.metrics import DetectionMetrics
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.oran.e2ap import RicIndication
@@ -472,8 +473,25 @@ ATTACK_SCENARIOS = {
 }
 
 
-def run_live(detector, megabatch=None, hotpath=None, attack=None, seed=77, until=20.0, net_kwargs=None):
-    """One live pipeline run with a pre-trained detector copy deployed."""
+def run_live(
+    detector,
+    megabatch=None,
+    hotpath=None,
+    attack=None,
+    seed=77,
+    until=20.0,
+    net_kwargs=None,
+    reference_scorer=False,
+):
+    """One live pipeline run with a pre-trained detector copy deployed.
+
+    ``reference_scorer`` swaps every ``scores()`` call for the layer-walking
+    ``reference_scores()`` — the reference the fused kernels must equal.
+    """
+    if reference_scorer:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
+            return run_live(detector, megabatch, hotpath, attack, seed, until, net_kwargs)
     config = XsecConfig(
         detector=detector.name,
         train_epochs=6,
@@ -510,7 +528,6 @@ def event_tuples(xsec):
 class TestDefaultsAreSeedPath:
     def test_default_config_keeps_seed_components(self, trained_autoencoder):
         xsec = SixGXSec(XsecConfig())
-        assert xsec.mobiwatch._arena is None
         xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
         assert xsec.mobiwatch._quantized is None
         assert xsec.mobiwatch._mb_gather is False
@@ -519,7 +536,6 @@ class TestDefaultsAreSeedPath:
 
     def test_megabatch_enables_arena_and_gather(self, trained_autoencoder):
         xsec = SixGXSec(XsecConfig(megabatch=MegabatchSettings(enabled=True)))
-        assert xsec.mobiwatch._arena is not None
         xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
         assert xsec.mobiwatch._mb_gather is True
         assert "megabatch" in xsec.mobiwatch._scoring_path
@@ -543,8 +559,11 @@ class TestMegabatchScenarioEquality:
     def test_megabatch_f64_bit_identical_to_seed(self, trained_lstm, scenario):
         factory, net_kwargs = ATTACK_SCENARIOS[scenario]
         seed_run = run_live(
-            trained_lstm, attack=factory, net_kwargs=net_kwargs
+            trained_lstm, attack=factory, net_kwargs=net_kwargs, reference_scorer=True
         )
+        default = run_live(trained_lstm, attack=factory, net_kwargs=net_kwargs)
+        assert event_tuples(default) == event_tuples(seed_run)
+        assert default.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
         mega = run_live(
             trained_lstm,
             megabatch=MegabatchSettings(enabled=True),
@@ -559,11 +578,13 @@ class TestMegabatchScenarioEquality:
 
     def test_megabatch_f32_no_threshold_flips(self, trained_lstm):
         factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
-        seed_run = run_live(trained_lstm, attack=factory, net_kwargs=net_kwargs)
+        seed_run = run_live(
+            trained_lstm, attack=factory, net_kwargs=net_kwargs, reference_scorer=True
+        )
         f32 = run_live(
             trained_lstm,
             megabatch=MegabatchSettings(enabled=True),
-            hotpath=HotpathSettings(compiled=True, dtype="float32"),
+            hotpath=HotpathSettings(dtype="float32"),
             attack=factory,
             net_kwargs=net_kwargs,
         )

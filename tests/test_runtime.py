@@ -112,7 +112,7 @@ class TestMessages:
         rng = np.random.default_rng(5)
         matrix = rng.standard_normal((7, 12))
         msg = messages.score_batch(3, ["a", "b", "c", "d", "e", "f", "g"], matrix)
-        decoded = wire.decode(wire.encode_fast(msg))
+        decoded = wire.decode(wire.encode(msg))
         batch_id, sessions, out = messages.unpack_score_batch(decoded)
         assert batch_id == 3
         assert sessions == ["a", "b", "c", "d", "e", "f", "g"]

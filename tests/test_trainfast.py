@@ -3,11 +3,11 @@
 The training fast path trades work for speed only where the result is
 provably the same, so almost every test here is an equality test:
 
-- defaults keep the seed training path (no compiled trainers, serial
+- defaults keep training exact and serial (float64 kernels, serial
   sweeps, no dataset cache);
-- the float64 compiled trainers reproduce the seed loops bit-for-bit —
-  per-epoch loss trajectories *and* final weights — for both models, on
-  captures from each of the five attacks' scenarios;
+- the float64 compiled trainers ``fit`` runs reproduce the seed loops
+  bit-for-bit — per-epoch loss trajectories *and* final weights — for
+  both models, on captures from each of the five attacks' scenarios;
 - the in-place FlatAdam matches the seed Adam parameter-for-parameter
   (property test over random shapes and gradient streams);
 - a parallel float64 sweep returns exactly the serial seed sweep's rows;
@@ -36,9 +36,16 @@ from repro.experiments.datasets import (
     generate_benign_dataset,
 )
 from repro.ml.autoencoder import Autoencoder
+from repro.ml.detector import LstmDetector
 from repro.ml.layers import Parameter
 from repro.ml.lstm import LstmPredictor
 from repro.ml.optim import Adam
+from repro.ml.trainer import (
+    FlatAdam,
+    _ParamStore,
+    compile_trainer,
+    compiled_train_minibatch,
+)
 from repro.ml.training import TrainConfig, train_autoencoder
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import FiveGNetwork, NetworkConfig
@@ -47,17 +54,13 @@ from repro.telemetry.features import FeatureSpec, WindowedDataset
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
 from repro.trainfast import (
     DatasetCache,
-    FlatAdam,
     SweepRunner,
     TrainfastSettings,
-    compile_trainer,
-    compiled_train_minibatch,
     derive_seed,
     series_digest,
     spec_key,
 )
 from repro.trainfast.bench import TrainfastBenchResult, violations
-from repro.trainfast.trainer import _ParamStore
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +70,13 @@ from repro.trainfast.trainer import _ParamStore
 class TestTrainfastSettings:
     def test_defaults_all_off(self):
         settings_ = TrainfastSettings()
-        assert not settings_.compiled_trainer
-        assert not settings_.compiled_scoring
+        assert settings_.trainer_dtype == "float64"
         assert settings_.sweep_workers == 0
         assert not settings_.cache
         assert not settings_.any_enabled
 
     def test_any_enabled_tracks_each_flag(self):
-        assert TrainfastSettings(compiled_trainer=True).any_enabled
-        assert TrainfastSettings(compiled_scoring=True).any_enabled
+        assert TrainfastSettings(trainer_dtype="float32").any_enabled
         assert TrainfastSettings(sweep_workers=2).any_enabled
         assert TrainfastSettings(cache=True).any_enabled
 
@@ -266,34 +267,34 @@ def _detector_params(detector):
     return model.params() if hasattr(model, "params") else model.model.params()
 
 
+def _reference_fit(detector, windows, **train_kwargs) -> None:
+    """``detector.fit`` through the references: the seed layer-object training
+    loops, then layer-walking scores for the threshold."""
+    windows = detector._check(windows)
+    if isinstance(detector, LstmDetector):
+        detector.model.fit(*detector._split(windows), **train_kwargs)
+    else:
+        detector.model.fit(windows, **train_kwargs)
+    detector.training_scores = detector.reference_scores(windows)
+    detector.threshold.fit(detector.training_scores)
+
+
 class TestDetectorRouting:
     def test_default_config_attaches_nothing(self):
         config = XsecConfig()
         assert not config.trainfast.any_enabled
-        detector = build_detector(config)
-        assert detector._trainfast is None
+        assert build_detector(config).trainer_dtype == "float64"
 
     def test_enabled_config_attaches_settings(self):
-        config = XsecConfig(
-            trainfast=TrainfastSettings(compiled_trainer=True)
-        )
-        detector = build_detector(config)
-        assert detector._trainfast is config.trainfast
+        config = XsecConfig(trainfast=TrainfastSettings(trainer_dtype="float32"))
+        assert build_detector(config).trainer_dtype == "float32"
 
     @pytest.mark.parametrize("detector_name", ["autoencoder", "lstm"])
     def test_compiled_f64_fit_equals_seed_fit(self, benign_windows, detector_name):
-        seed_det = build_detector(XsecConfig(detector=detector_name, train_epochs=4))
-        fast_det = build_detector(
-            XsecConfig(
-                detector=detector_name,
-                train_epochs=4,
-                trainfast=TrainfastSettings(
-                    compiled_trainer=True, compiled_scoring=True
-                ),
-            )
-        )
-        assert fast_det._trainfast is not None
-        seed_det.fit(benign_windows, epochs=4)
+        config = XsecConfig(detector=detector_name, train_epochs=4)
+        seed_det = build_detector(config)
+        fast_det = build_detector(config)
+        _reference_fit(seed_det, benign_windows, epochs=4)
         fast_det.fit(benign_windows, epochs=4)
         # float64 end to end: weights, training scores, and the threshold
         # all land on exactly the seed's bits.
@@ -301,12 +302,17 @@ class TestDetectorRouting:
             assert np.array_equal(a.value, b.value)
         assert np.array_equal(seed_det.training_scores, fast_det.training_scores)
         assert seed_det.threshold.threshold == fast_det.threshold.threshold
-        assert fast_det.compiled is not None  # compiled_scoring snapshot
 
     def test_fit_without_trainfast_leaves_no_snapshot(self, benign_windows):
+        """The snapshot fit() leaves is of the *trained* weights, in float64."""
         detector = build_detector(XsecConfig(train_epochs=2))
+        stale = detector.compiled
         detector.fit(benign_windows, epochs=2)
-        assert detector.compiled is None
+        assert detector.compiled is not stale
+        assert detector.compiled.dtype == "float64"
+        assert np.array_equal(
+            detector.training_scores, detector.reference_scores(benign_windows)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +364,7 @@ class TestParallelSweepEqualsSerial:
         fast = run_window_ablation(
             config,
             windows,
-            trainfast=TrainfastSettings(
-                compiled_trainer=True,
-                compiled_scoring=True,
-                sweep_workers=2,
-                cache=True,
-            ),
+            trainfast=TrainfastSettings(sweep_workers=2, cache=True),
         )
         assert serial.rows == fast.rows
 

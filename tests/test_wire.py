@@ -1,7 +1,10 @@
 """Tests for the TLV wire codec, including property-based roundtrips."""
 
+import collections
+import enum
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +67,119 @@ class TestRoundtrip:
         value = {"a": [1, 2.5, "s"], "b": {"c": b"\x01"}}
         assert wire.encode(value) == wire.encode(value)
 
+# -- golden byte vectors ----------------------------------------------------------
+#
+# (name, value, hex of the encoding).  The hex was produced by the recursive
+# per-value encoder that ``wire.encode`` replaced (commit 7004f58), so this
+# table — not a second implementation — is what pins the wire format: every
+# tag, nesting, lengths on both sides of the one-byte varint and of the
+# intern caches, and the subclasses the encoder must treat as their base.
+
+
+class _Color(enum.IntEnum):
+    RED = 3
+    BIG = 70000
+
+
+class _Label(str):
+    pass
+
+
+class _Kind(str, enum.Enum):
+    RRC = "rrc"
+
+
+_Point = collections.namedtuple("_Point", "x y")
+
+GOLDEN_VECTORS = [
+    ("none", None, "00"),
+    ("false", False, "01"),
+    ("true", True, "02"),
+    ("int_zero", 0, "030100"),
+    ("int_minus_one", -1, "0301ff"),
+    ("int_127", 127, "03017f"),
+    ("int_128", 128, "03020080"),
+    ("int_intern_edge", 1024, "03020400"),
+    ("int_past_intern", 1025, "03020401"),
+    ("int_negative_wide", -(2**70), "0309c00000000000000000"),
+    ("int_wide", 2**70, "0309400000000000000000"),
+    ("float", -1.5, "04bff8000000000000"),
+    ("float_neg_zero", -0.0, "048000000000000000"),
+    ("float_inf", float("inf"), "047ff0000000000000"),
+    ("float_nan", float("nan"), "047ff8000000000000"),
+    ("str_empty", "", "0500"),
+    ("str_unicode", "ünïcode ✓", "050dc3bc6ec3af636f646520e29c93"),
+    ("str_past_intern_len", "k" * 65, "0541" + "6b" * 65),
+    ("str_len_128", "s" * 128, "058001" + "73" * 128),
+    ("bytes_empty", b"", "0600"),
+    ("bytes", b"\x00\xff\x7f", "060300ff7f"),
+    (
+        "bytes_len_200",
+        bytes(range(200)),
+        "06c801000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c"
+        "1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c"
+        "3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c"
+        "5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c"
+        "7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c"
+        "9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbc"
+        "bdbebfc0c1c2c3c4c5c6c7",
+    ),
+    ("bytearray", bytearray(b"\x01\x02\x03"), "0603010203"),
+    ("list_empty", [], "0700"),
+    ("list_mixed", [1, "two", None, 3.0, b"4"], "0715030101050374776f00044008000000000000060134"),
+    ("tuple_nested", (1, (2, (3,))), "070d03010107080301020703030103"),
+    ("list_body_ge_128", ["ab"] * 40, "07a001" + "05026162" * 40),
+    ("dict_empty", {}, "0800"),
+    ("dict_insertion_order", {"b": 1, "a": 2}, "080c050162030101050161030102"),
+    (
+        "dict_nested",
+        {"k": "v", "n": 3, "nested": {"list": [1, [2, [3]]], "flag": True}},
+        "083205016b05017605016e03010305066e6573746564081c05046c697374070d"
+        "030101070803010207030301030504666c616702",
+    ),
+    (
+        "dict_body_ge_128",
+        {f"key-{i:02d}": i * 1000 for i in range(16)},
+        "08bf0105066b65792d303003010005066b65792d3031030203e805066b65792d"
+        "3032030207d005066b65792d303303020bb805066b65792d303403020fa00506"
+        "6b65792d30350302138805066b65792d30360302177005066b65792d30370302"
+        "1b5805066b65792d303803021f4005066b65792d30390302232805066b65792d"
+        "31300302271005066b65792d313103022af805066b65792d313203022ee00506"
+        "6b65792d3133030232c805066b65792d3134030236b005066b65792d31350302"
+        "3a98",
+    ),
+    (
+        "record",
+        {"timestamp": 1.25, "msg": "RRCSetupRequest", "session_id": 7, "s_tmsi": None},
+        "0842050974696d657374616d70043ff400000000000005036d7367050f525243"
+        "536574757052657175657374050a73657373696f6e5f69640301070506735f74"
+        "6d736900",
+    ),
+    ("int_enum", _Color.RED, "030103"),
+    ("int_enum_wide", _Color.BIG, "0303011170"),
+    ("str_subclass", _Label("tagged"), "0506746167676564"),
+    ("str_enum", _Kind.RRC, "0503727263"),
+    ("str_subclass_key", {_Label("key"): 1}, "080805036b6579030101"),
+    ("namedtuple", _Point(1, 2.0), "070c030101044000000000000000"),
+    ("ordered_dict", collections.OrderedDict([("z", 1), ("a", [])]), "080b05017a0301010501610700"),
+    ("numpy_float64", np.float64(2.5), "044004000000000000"),
+]
+
+
+class TestGoldenVectors:
+    @pytest.mark.parametrize(
+        "value,golden",
+        [vector[1:] for vector in GOLDEN_VECTORS],
+        ids=[vector[0] for vector in GOLDEN_VECTORS],
+    )
+    def test_encode_matches_golden_bytes(self, value, golden):
+        assert wire.encode(value).hex() == golden
+
+    def test_decode_restores_base_types(self):
+        assert wire.decode(wire.encode(_Color.BIG)) == 70000
+        assert wire.decode(wire.encode(_Kind.RRC)) == "rrc"
+        assert wire.decode(wire.encode(_Point(1, 2.0))) == [1, 2.0]
+
 
 class TestErrors:
     def test_unsupported_type(self):
@@ -95,6 +211,13 @@ class TestErrors:
     def test_truncated_float(self):
         with pytest.raises(wire.WireError):
             wire.decode(b"\x04\x00\x00")
+
+    def test_invalid_utf8_is_a_wire_error(self):
+        """Used to escape as UnicodeDecodeError (found by the garbage property)."""
+        with pytest.raises(wire.WireError):
+            wire.decode(b"\x05\x06\x00\x00\x00\x00\x00\x80")
+        with pytest.raises(wire.WireError):
+            wire.decode(b"\x08\x04\x05\x01\x80\x00")  # as a dict key
 
     def test_decode_prefix_returns_remainder(self):
         data = wire.encode(1) + wire.encode("two")
