@@ -104,6 +104,10 @@ class MobiWatchXApp(XApp):
         self._anomaly_counter = metrics.counter(
             "mobiwatch.anomalies_total", help="alarms emitted"
         )
+        self._rejected_counter = metrics.counter(
+            "mobiwatch.indications_rejected_total",
+            help="indications dropped because header or message failed to decode",
+        )
         self._capture_to_ingest = metrics.histogram(
             "mobiwatch.capture_to_ingest_s",
             help="record capture -> xApp ingest (report batching + E2 + RMR)",
@@ -315,9 +319,22 @@ class MobiWatchXApp(XApp):
             self._on_indication(indication)
 
     def _on_indication(self, indication: RicIndication) -> None:
-        records = MobiFlowKpmModel.decode_indication(
-            indication.indication_header, indication.indication_message
-        )
+        try:
+            records = MobiFlowKpmModel.decode_indication(
+                indication.indication_header, indication.indication_message
+            )
+        except (ValueError, TypeError) as exc:
+            # E2smError and WireError are ValueErrors; MobiFlowRecord.from_dict
+            # and MobiFlowBatch.from_columns (which range-checks vocab ids)
+            # raise either on a well-formed TLV of the wrong shape. Bytes
+            # from the E2 edge must not stop the run: count, drop, carry on.
+            self._rejected_counter.inc()
+            self.log(
+                "indication rejected",
+                sequence=indication.sequence_number,
+                error=str(exc),
+            )
+            return
         if self._heartbeat_gauge is not None:
             self._heartbeat_gauge.set(self.now)
         touched: list[int] = []
@@ -365,7 +382,7 @@ class MobiWatchXApp(XApp):
                 groups: dict[str, list[tuple[str, dict]]] = {}
                 for index, record in pending_writes:
                     groups.setdefault(str(record.session_id or index), []).append(
-                        (f"{index:09d}", _record_value(record))
+                        (f"{index:09d}", record.to_wire_dict())
                     )
                 for shard_key, pairs in groups.items():
                     self.sdl.set_many(SDL_TELEMETRY_NS, pairs, shard_key=shard_key)
@@ -373,7 +390,7 @@ class MobiWatchXApp(XApp):
                 self.sdl.set_many(
                     SDL_TELEMETRY_NS,
                     [
-                        (f"{index:09d}", _record_value(record))
+                        (f"{index:09d}", record.to_wire_dict())
                         for index, record in pending_writes
                     ],
                 )
@@ -794,7 +811,3 @@ class MobiWatchXApp(XApp):
             ACTION_RATE_LIMIT_ACCESS, max_setups=max_setups, window_s=window_s
         )
         self.send_control(MOBIFLOW_RAN_FUNCTION_ID, header, message)
-
-
-def _record_value(record: MobiFlowRecord) -> dict:
-    return {k: v for k, v in record.to_dict().items() if v is not None}

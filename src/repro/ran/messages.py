@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Type, TypeVar
+from typing import Any, Callable, ClassVar, Dict, Optional, Type, TypeVar
 
 from repro import wire
 
@@ -37,23 +37,38 @@ class MessageError(ValueError):
 
 _REGISTRY: Dict[str, Type["Message"]] = {}
 
-# Per-class tuple of dataclass field names. ``dataclasses.fields`` walks
-# the class hierarchy and allocates Field views on every call, which shows
-# up hot in telemetry generation (fields() runs per captured message).
-# Populated lazily on first use — it cannot be built in __init_subclass__
-# because @dataclass wraps the class *after* that hook runs.
-_FIELD_NAMES: Dict[type, tuple] = {}
+# Per-class plan, one ``(field name, enum converter or None)`` per dataclass
+# field, built once per class: ``dataclasses.fields`` walks the hierarchy
+# and allocates Field views on every call, and ``from_wire`` would otherwise
+# sniff each annotation per captured message. Populated lazily on first use
+# — it cannot be built in __init_subclass__ because @dataclass wraps the
+# class *after* that hook runs — and keyed by the exact class, so a subclass
+# defined later gets its own entry.
+_PLANS: Dict[type, tuple] = {}
 
 M = TypeVar("M", bound="Message")
 
 
-def _field_names(cls: type) -> tuple:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(
-            field.name for field in dataclasses.fields(cls)
+def _plan(cls: type) -> tuple:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = tuple(
+            (field.name, _enum_converter(field.type))
+            for field in dataclasses.fields(cls)
         )
-    return names
+    return plan
+
+
+def _enum_converter(annotation: Any) -> Optional[Callable[[Any], Any]]:
+    """What rehydrates a field's raw wire value, or None for plain fields."""
+    if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
+        return annotation
+    # Annotations are strings under ``from __future__ import annotations``;
+    # the registered names cover ``Optional[...]``, so None passes through.
+    enum_cls = _ENUM_FIELD_TYPES.get(annotation) if isinstance(annotation, str) else None
+    if enum_cls is None:
+        return None
+    return lambda value: None if value is None else enum_cls(value)
 
 
 @dataclass
@@ -92,7 +107,7 @@ class Message:
     def fields(self) -> Dict[str, Any]:
         """Return the message's information elements as a plain dict."""
         out: Dict[str, Any] = {}
-        for name in _field_names(type(self)):
+        for name, _ in _plan(type(self)):
             value = getattr(self, name)
             if isinstance(value, enum.Enum):
                 value = value.value
@@ -120,18 +135,13 @@ class Message:
         if not isinstance(ie, dict):
             raise MessageError("message IEs are not a dict")
         kwargs: Dict[str, Any] = {}
-        for field in dataclasses.fields(cls):  # needs field.type for enums
-            if field.name not in ie:
-                raise MessageError(f"{name}: missing IE {field.name!r}")
-            value = ie[field.name]
-            # Rehydrate enum-typed fields from their raw wire values.
-            if isinstance(field.type, type) and issubclass(field.type, enum.Enum):
-                value = field.type(value)
-            elif isinstance(field.type, str):
-                enum_cls = _ENUM_FIELD_TYPES.get(field.type)
-                if enum_cls is not None and value is not None:
-                    value = enum_cls(value)
-            kwargs[field.name] = value
+        for field_name, to_enum in _plan(cls):
+            if field_name not in ie:
+                raise MessageError(f"{name}: missing IE {field_name!r}")
+            value = ie[field_name]
+            if to_enum is not None:
+                value = to_enum(value)
+            kwargs[field_name] = value
         return cls(**kwargs)
 
     @staticmethod
@@ -156,3 +166,4 @@ def register_enum_field_type(enum_cls: Type[enum.Enum]) -> None:
     """Register an enum so string-annotated fields decode back to it."""
     _ENUM_FIELD_TYPES[enum_cls.__name__] = enum_cls
     _ENUM_FIELD_TYPES[f"Optional[{enum_cls.__name__}]"] = enum_cls
+    _PLANS.clear()  # plans built before this registration missed the enum

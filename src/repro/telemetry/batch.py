@@ -295,13 +295,25 @@ class MobiFlowBatch:
                 raise ValueError(f"columnar MobiFlow column {name!r} is not a list of {n}")
             return tuple(data)
 
+        def ids(name: str, dtype: str, vocab_key: str, lowest: int = 0) -> np.ndarray:
+            # Ids index the batch's own vocab in to_records(): one out of
+            # range would be an IndexError there (or, negative, silently
+            # the wrong name), so bytes off the wire are checked here.
+            values = unpack(name, dtype)
+            size = len(meta[vocab_key])
+            if n and not (lowest <= values.min() and values.max() < size):
+                raise ValueError(
+                    f"columnar MobiFlow column {name!r} has an id outside {vocab_key!r}"
+                )
+            return values
+
         return cls(
             timestamps=unpack("timestamp", "<f8"),
-            msg_ids=unpack("msg", "<i4"),
+            msg_ids=ids("msg", "<i4", "msg_vocab"),
             msg_vocab=tuple(meta["msg_vocab"]),
-            protocol_ids=unpack("protocol", "<i4"),
+            protocol_ids=ids("protocol", "<i4", "protocol_vocab"),
             protocol_vocab=tuple(meta["protocol_vocab"]),
-            direction_ids=unpack("direction", "<i4"),
+            direction_ids=ids("direction", "<i4", "direction_vocab"),
             direction_vocab=tuple(meta["direction_vocab"]),
             session_ids=unpack("session_id", "<i8"),
             rnti=unpack("rnti", "<i8"),
@@ -314,7 +326,7 @@ class MobiFlowBatch:
             cipher_present=unpack("cipher_present", np.bool_),
             integrity_alg=unpack("integrity_alg", "<i8"),
             integrity_present=unpack("integrity_present", np.bool_),
-            cause_ids=unpack("establishment_cause", "<i8"),
+            cause_ids=ids("establishment_cause", "<i8", "cause_vocab", lowest=-1),
             cause_vocab=tuple(meta["cause_vocab"]),
         )
 

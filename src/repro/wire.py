@@ -47,11 +47,11 @@ def _encode_length(length: int) -> bytes:
             return bytes(out)
 
 
-def _decode_length(data: bytes, offset: int) -> tuple[int, int]:
+def _decode_length(data: bytes, offset: int, end: int) -> tuple[int, int]:
     length = 0
     shift = 0
     while True:
-        if offset >= len(data):
+        if offset >= end:
             raise WireError("truncated length field")
         byte = data[offset]
         offset += 1
@@ -63,21 +63,26 @@ def _decode_length(data: bytes, offset: int) -> tuple[int, int]:
             raise WireError("length field too long")
 
 
-# The encoder builds each message in growing bytearrays (one per container,
-# not one bytes object per value) and interns the encodings of small strings
-# and ints: the telemetry schema repeats the same dozen field names in every
-# record of every E2 indication.
+# Containers nested deeper than this are refused in both directions: the
+# codec recurses once per nesting level, and a few KB of hostile bytes
+# (2 000 nested lists) would otherwise surface as RecursionError, which no
+# ``except WireError`` at an interface edge catches.
+MAX_DEPTH = 64
+
+# The encoder appends every value of a message to one growing bytearray
+# (a container reserves its length byte and patches it once its children
+# are in) and interns the encodings of small strings and ints: the
+# telemetry schema repeats the same dozen field names in every record of
+# every E2 indication. Scalars are appended by the loop of the container
+# that holds them; only nested containers recurse.
 
 _FLOAT_STRUCT = struct.Struct(">d")
-_TAG_FLOAT_BYTE = bytes([_TAG_FLOAT])
-_LEN1 = tuple(bytes([i]) for i in range(0x80))  # varint of any length < 128
+_pack_float = _FLOAT_STRUCT.pack
+_unpack_float_from = _FLOAT_STRUCT.unpack_from
 
 _STR_CACHE: dict[str, bytes] = {}
 _STR_CACHE_MAX_ENTRIES = 4096
 _STR_CACHE_MAX_LEN = 64
-
-_INT_CACHE: dict[int, bytes] = {}
-_INT_CACHE_RANGE = (-1, 1024)
 
 
 def _str_tlv(value: str) -> bytes:
@@ -85,37 +90,37 @@ def _str_tlv(value: str) -> bytes:
     return bytes([_TAG_STR]) + _encode_length(len(payload)) + payload
 
 
+def _intern_str(value: str) -> bytes:
+    """Encode a str the cache does not hold yet, caching it when short."""
+    encoded = _str_tlv(value)
+    if len(value) <= _STR_CACHE_MAX_LEN and len(_STR_CACHE) < _STR_CACHE_MAX_ENTRIES:
+        _STR_CACHE[value] = encoded
+    return encoded
+
+
+def _append_int(out: bytearray, value: int) -> None:
+    """Append an int with no intermediate TLV (an RNTI, a TMSI, an IntEnum)."""
+    size = (value.bit_length() + 8) // 8
+    out.append(_TAG_INT)
+    if size < 0x80:
+        out.append(size)
+    else:
+        out += _encode_length(size)
+    out += value.to_bytes(size, "big", signed=True)
+
+
 def _int_tlv(value: int) -> bytes:
-    payload = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
-    return bytes([_TAG_INT]) + _encode_length(len(payload)) + payload
+    out = bytearray()
+    _append_int(out, value)
+    return bytes(out)
 
 
-def _encode_str(value: str) -> bytes:
-    encoded = _STR_CACHE.get(value)
-    if encoded is None:
-        encoded = _str_tlv(value)
-        if len(value) <= _STR_CACHE_MAX_LEN and len(_STR_CACHE) < _STR_CACHE_MAX_ENTRIES:
-            _STR_CACHE[value] = encoded
-    return encoded
+# Small ints (counts, vocab ids, algorithm numbers) are one table lookup.
+_INT_CACHE: dict[int, bytes] = {value: _int_tlv(value) for value in range(-1, 1025)}
 
 
-def _encode_int(value: int) -> bytes:
-    encoded = _INT_CACHE.get(value)
-    if encoded is None:
-        encoded = _int_tlv(value)
-        if _INT_CACHE_RANGE[0] <= value <= _INT_CACHE_RANGE[1]:
-            _INT_CACHE[value] = encoded
-    return encoded
-
-
-def _append_body(out: bytearray, tag: int, body) -> None:
-    out.append(tag)
-    n = len(body)
-    out += _LEN1[n] if n < 0x80 else _encode_length(n)
-    out += body
-
-
-def _encode_into(out: bytearray, value: Any) -> None:
+def _encode_into(out: bytearray, value: Any, depth: int) -> None:
+    """Append one value; ``depth`` counts the containers around it."""
     if value is None:
         out.append(_TAG_NONE)
         return
@@ -127,37 +132,71 @@ def _encode_into(out: bytearray, value: Any) -> None:
         return
     kind = type(value)
     if kind is int:
-        out += _encode_int(value)
+        encoded = _INT_CACHE.get(value)
+        if encoded is None:
+            _append_int(out, value)
+        else:
+            out += encoded
     elif kind is float:
-        out += _TAG_FLOAT_BYTE
-        out += _FLOAT_STRUCT.pack(value)
+        out.append(_TAG_FLOAT)
+        out += _pack_float(value)
     elif kind is str:
-        out += _encode_str(value)
-    elif isinstance(value, dict):
-        body = bytearray()
-        for key, item in value.items():
-            if type(key) is str:
-                body += _encode_str(key)
-            elif isinstance(key, str):
-                body += _str_tlv(key)
+        out += _STR_CACHE.get(value) or _intern_str(value)
+    elif isinstance(value, (dict, list, tuple)):
+        if depth >= MAX_DEPTH:
+            raise WireError("nesting too deep")
+        depth += 1
+        keyed = isinstance(value, dict)
+        out.append(_TAG_DICT if keyed else _TAG_LIST)
+        mark = len(out)
+        out.append(0)
+        str_cache = _STR_CACHE.get
+        int_cache = _INT_CACHE.get
+        for item in value.items() if keyed else value:
+            if keyed:
+                key, item = item
+                if type(key) is str:
+                    out += str_cache(key) or _intern_str(key)
+                elif isinstance(key, str):
+                    out += _str_tlv(key)
+                else:
+                    raise WireError(f"dict keys must be str, got {type(key).__name__}")
+            kind = type(item)
+            if kind is str:
+                out += str_cache(item) or _intern_str(item)
+            elif kind is int:
+                encoded = int_cache(item)
+                if encoded is None:
+                    _append_int(out, item)
+                else:
+                    out += encoded
+            elif kind is float:
+                out.append(_TAG_FLOAT)
+                out += _pack_float(item)
+            elif item is None:
+                out.append(_TAG_NONE)
             else:
-                raise WireError(f"dict keys must be str, got {type(key).__name__}")
-            _encode_into(body, item)
-        _append_body(out, _TAG_DICT, body)
-    elif isinstance(value, (list, tuple)):
-        body = bytearray()
-        for item in value:
-            _encode_into(body, item)
-        _append_body(out, _TAG_LIST, body)
+                _encode_into(out, item, depth)
+        length = len(out) - mark - 1
+        if length < 0x80:
+            out[mark] = length
+        else:
+            out[mark : mark + 1] = _encode_length(length)
     elif isinstance(value, (bytes, bytearray)):
-        _append_body(out, _TAG_BYTES, value)
+        out.append(_TAG_BYTES)
+        length = len(value)
+        if length < 0x80:
+            out.append(length)
+        else:
+            out += _encode_length(length)
+        out += value
     # Scalar subclasses (IntEnum, numpy.float64, str enums) encode as their
     # base type, uninterned: their hash/eq need not match the base's.
     elif isinstance(value, int):
-        out += _int_tlv(value)
+        _append_int(out, value)
     elif isinstance(value, float):
-        out += _TAG_FLOAT_BYTE
-        out += _FLOAT_STRUCT.pack(value)
+        out.append(_TAG_FLOAT)
+        out += _pack_float(value)
     elif isinstance(value, str):
         out += _str_tlv(value)
     else:
@@ -167,89 +206,120 @@ def _encode_into(out: bytearray, value: Any) -> None:
 def encode(value: Any) -> bytes:
     """Encode ``value`` into TLV bytes."""
     out = bytearray()
-    _encode_into(out, value)
+    _encode_into(out, value, 0)
     return bytes(out)
 
 
-def _decode_str(payload: bytes) -> str:
-    try:
-        return payload.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"string payload is not UTF-8: {exc}") from None
+# The decoder reads one buffer by offset. A container's children are
+# bounded by the container's own ``end``, never by the buffer's, so a child
+# whose length runs past its parent is rejected even when the bytes exist.
+# One-byte lengths are read inline (longer varints go through
+# _decode_length) and the short scalars of a container are decoded by its
+# own loop; only nested containers recurse, through _decode_at.
 
+_SINGLETONS = (None, False, True)  # indexed by _TAG_NONE/_TAG_FALSE/_TAG_TRUE
 
 _DECODE_KEY_CACHE: dict[bytes, str] = {}
 _DECODE_KEY_CACHE_MAX = 4096
 
 
-def _decode_key_at(data: bytes, offset: int) -> tuple[Any, int]:
-    """Decode a dict-key value, interning repeated short string keys."""
-    if data[offset] == _TAG_STR:
-        length, payload_start = _decode_length(data, offset + 1)
-        end = payload_start + length
-        if length <= _STR_CACHE_MAX_LEN and end <= len(data):
-            raw = data[payload_start:end]
-            key = _DECODE_KEY_CACHE.get(raw)
-            if key is None:
-                key = _decode_str(raw)
-                if len(_DECODE_KEY_CACHE) < _DECODE_KEY_CACHE_MAX:
-                    _DECODE_KEY_CACHE[raw] = key
-            return key, end
-    return _decode_at(data, offset)
+def _decode_key(raw: bytes) -> str:
+    key = str(raw, "utf-8")
+    if len(_DECODE_KEY_CACHE) < _DECODE_KEY_CACHE_MAX:
+        _DECODE_KEY_CACHE[raw] = key
+    return key
 
 
-def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
+def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int]:
+    """Decode the value at ``offset``, which must finish by ``end``."""
+    if offset >= end:
         raise WireError("truncated value (no tag)")
     tag = data[offset]
     offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_TRUE:
-        return True, offset
+    if tag < _TAG_INT:
+        return _SINGLETONS[tag], offset
     if tag == _TAG_FLOAT:
-        if offset + 8 > len(data):
+        if offset + 8 > end:
             raise WireError("truncated float")
-        return struct.unpack(">d", data[offset : offset + 8])[0], offset + 8
-    if tag in (_TAG_INT, _TAG_STR, _TAG_BYTES, _TAG_LIST, _TAG_DICT):
-        length, offset = _decode_length(data, offset)
-        end = offset + length
-        if end > len(data):
-            raise WireError("truncated payload")
-        payload = data[offset:end]
-        if tag == _TAG_INT:
-            return int.from_bytes(payload, "big", signed=True), end
-        if tag == _TAG_STR:
-            return _decode_str(payload), end
-        if tag == _TAG_BYTES:
-            return bytes(payload), end
-        if tag == _TAG_LIST:
-            items = []
-            inner = 0
-            while inner < len(payload):
-                item, inner = _decode_at(payload, inner)
-                items.append(item)
-            return items, end
-        # dict
-        result: dict[str, Any] = {}
-        inner = 0
-        while inner < len(payload):
-            key, inner = _decode_key_at(payload, inner)
-            if not isinstance(key, str):
-                raise WireError("dict key is not a string")
-            if inner >= len(payload):
-                raise WireError("dict key without value")
-            item, inner = _decode_at(payload, inner)
-            result[key] = item
-        return result, end
-    raise WireError(f"unknown tag 0x{tag:02x}")
+        return _unpack_float_from(data, offset)[0], offset + 8
+    if tag > _TAG_DICT:
+        raise WireError(f"unknown tag 0x{tag:02x}")
+    if offset < end and (length := data[offset]) < 0x80:
+        offset += 1
+    else:
+        length, offset = _decode_length(data, offset, end)
+    stop = offset + length
+    if stop > end:
+        raise WireError("truncated payload")
+    try:
+        if tag < _TAG_LIST:
+            if tag == _TAG_INT:
+                return int.from_bytes(data[offset:stop], "big", signed=True), stop
+            if tag == _TAG_STR:
+                return str(data[offset:stop], "utf-8"), stop
+            return data[offset:stop], stop
+        if depth >= MAX_DEPTH:
+            raise WireError("nesting too deep")
+        depth += 1
+        keyed = tag == _TAG_DICT
+        result: Any = {} if keyed else []
+        append = None if keyed else result.append
+        key_cache = _DECODE_KEY_CACHE.get
+        while offset < stop:
+            if keyed:
+                # Short string keys are interned: a batch repeats a dozen names.
+                body = offset + 2
+                if (
+                    data[offset] == _TAG_STR
+                    and body <= stop
+                    and (length := data[offset + 1]) <= _STR_CACHE_MAX_LEN
+                    and body + length <= stop
+                ):
+                    offset = body + length
+                    raw = data[body:offset]
+                    key = key_cache(raw) or _decode_key(raw)
+                else:
+                    key, offset = _decode_at(data, offset, stop, depth)
+                    if type(key) is not str:
+                        raise WireError("dict key is not a string")
+                if offset >= stop:
+                    raise WireError("dict key without value")
+            tag = data[offset]
+            body = offset + 2
+            if (
+                (tag == _TAG_STR or tag == _TAG_INT or tag == _TAG_BYTES)
+                and body <= stop
+                and (length := data[offset + 1]) < 0x80
+                and body + length <= stop
+            ):
+                offset = body + length
+                if tag == _TAG_STR:
+                    item = str(data[body:offset], "utf-8")
+                elif tag == _TAG_INT:
+                    item = int.from_bytes(data[body:offset], "big", signed=True)
+                else:
+                    item = data[body:offset]
+            elif tag == _TAG_FLOAT and offset + 9 <= stop:
+                item = _unpack_float_from(data, offset + 1)[0]
+                offset += 9
+            elif tag < _TAG_INT:
+                item = _SINGLETONS[tag]
+                offset += 1
+            else:
+                item, offset = _decode_at(data, offset, stop, depth)
+            if keyed:
+                result[key] = item
+            else:
+                append(item)
+    except UnicodeDecodeError as exc:
+        raise WireError(f"string payload is not UTF-8: {exc}") from None
+    return result, stop
 
 
 def decode(data: bytes) -> Any:
     """Decode one TLV value; raises :class:`WireError` on trailing bytes."""
-    value, offset = _decode_at(bytes(data), 0)
+    data = bytes(data)
+    value, offset = _decode_at(data, 0, len(data), 0)
     if offset != len(data):
         raise WireError(f"{len(data) - offset} trailing bytes after value")
     return value
@@ -257,8 +327,9 @@ def decode(data: bytes) -> Any:
 
 def decode_prefix(data: bytes) -> tuple[Any, bytes]:
     """Decode one TLV value and return ``(value, remaining_bytes)``."""
-    value, offset = _decode_at(bytes(data), 0)
-    return value, bytes(data[offset:])
+    data = bytes(data)
+    value, offset = _decode_at(data, 0, len(data), 0)
+    return value, data[offset:]
 
 
 # -- columnar batch container --------------------------------------------------
@@ -349,6 +420,26 @@ def frame(payload: bytes) -> bytes:
     return _FRAME_HEADER.pack(FRAME_MAGIC, len(payload)) + payload
 
 
+def _frame_end(data, offset: int) -> int:
+    """Offset just past the complete frame that starts at ``offset``."""
+    available = len(data) - offset
+    if available < FRAME_HEADER_SIZE:
+        if available and data[offset] != FRAME_MAGIC:
+            raise WireError(
+                f"framing desync: expected magic 0x{FRAME_MAGIC:02x}, got 0x{data[offset]:02x}"
+            )
+        raise IncompleteFrameError(f"need {FRAME_HEADER_SIZE - available} more header bytes")
+    magic, length = _FRAME_HEADER.unpack_from(data, offset)
+    if magic != FRAME_MAGIC:
+        raise WireError(f"framing desync: expected magic 0x{FRAME_MAGIC:02x}, got 0x{magic:02x}")
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES} (desync?)")
+    end = offset + FRAME_HEADER_SIZE + length
+    if len(data) < end:
+        raise IncompleteFrameError(f"need {end - len(data)} more payload bytes")
+    return end
+
+
 def deframe(data: bytes) -> tuple[bytes, bytes]:
     """Split one frame off ``data``; returns ``(payload, remaining)``.
 
@@ -358,18 +449,7 @@ def deframe(data: bytes) -> tuple[bytes, bytes]:
     (garbage or a desynced stream — the connection cannot be recovered).
     """
     data = bytes(data)
-    if len(data) < FRAME_HEADER_SIZE:
-        if data and data[0] != FRAME_MAGIC:
-            raise WireError(f"framing desync: expected magic 0x{FRAME_MAGIC:02x}, got 0x{data[0]:02x}")
-        raise IncompleteFrameError(f"need {FRAME_HEADER_SIZE - len(data)} more header bytes")
-    magic, length = _FRAME_HEADER.unpack_from(data)
-    if magic != FRAME_MAGIC:
-        raise WireError(f"framing desync: expected magic 0x{FRAME_MAGIC:02x}, got 0x{magic:02x}")
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES} (desync?)")
-    end = FRAME_HEADER_SIZE + length
-    if len(data) < end:
-        raise IncompleteFrameError(f"need {end - len(data)} more payload bytes")
+    end = _frame_end(data, 0)
     return data[FRAME_HEADER_SIZE:end], data[end:]
 
 
@@ -392,13 +472,17 @@ class FrameDecoder:
 
     def feed(self, chunk: bytes) -> list[bytes]:
         self._buffer += chunk
+        buffer = self._buffer
         frames: list[bytes] = []
-        view = bytes(self._buffer)
+        # Walk the one buffer by offset and drop the consumed head once, so
+        # a chunk holding many frames costs time linear in its size.
+        offset = 0
         while True:
             try:
-                payload, view = deframe(view)
+                end = _frame_end(buffer, offset)
             except IncompleteFrameError:
                 break
-            frames.append(payload)
-        self._buffer = bytearray(view)
+            frames.append(bytes(buffer[offset + FRAME_HEADER_SIZE : end]))
+            offset = end
+        del buffer[:offset]
         return frames

@@ -5,13 +5,21 @@ import pytest
 
 from repro.core.config import XsecConfig
 from repro.core.llm_analyzer import LlmAnalyzerXApp
-from repro.core.mobiwatch import XSEC_ANOMALY_MTYPE, AnomalyEvent, MobiWatchXApp
+from repro import wire
+from tests.test_wire import nested_lists
+from repro.core.mobiwatch import (
+    SDL_TELEMETRY_NS,
+    XSEC_ANOMALY_MTYPE,
+    AnomalyEvent,
+    MobiWatchXApp,
+)
 from repro.ml import AutoencoderDetector
 from repro.oran.e2ap import RicIndication
 from repro.oran.e2sm_kpm import MOBIFLOW_RAN_FUNCTION_ID, MobiFlowKpmModel
 from repro.oran.ric import NearRtRic
 from repro.ran.links import InterfaceLink
 from repro.sim import Simulator
+from repro.telemetry.batch import MobiFlowBatch
 from repro.telemetry.mobiflow import MobiFlowRecord
 
 
@@ -41,6 +49,16 @@ def indication(records, request_id=1, seq=1):
     )
 
 
+def columnar_indication_bytes(**packed_ids):
+    """Header + message of a one-record columnar indication whose named id
+    columns are overwritten with the given value (well-formed TLV, bad ids)."""
+    columns, meta = MobiFlowBatch.from_records([record(0.1, "RRCSetup")]).to_columns()
+    for name, value in packed_ids.items():
+        columns[name] = np.array([value], dtype=f"<i{len(columns[name])}").tobytes()
+    header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 1, "columnar": True})
+    return header, wire.encode_columnar(columns, meta)
+
+
 def trained_detector(config, seed=0):
     rng = np.random.default_rng(seed)
     windows = rng.random((80, config.window * config.spec.dim)) * 0.1
@@ -58,6 +76,64 @@ class TestMobiWatchUnit:
         watch.on_indication(indication([record(0.0, "RRCSetupRequest")]))
         assert watch.records_seen == 1
         assert watch.windows_scored == 0
+        assert watch.anomalies == []
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda h, m: (h, m[:-3]), id="truncated_message"),
+            pytest.param(lambda h, m: (h[:4], m), id="truncated_header"),
+            pytest.param(lambda h, m: (h, nested_lists(2000)), id="nested_too_deep"),
+            pytest.param(lambda h, m: (wire.encode({"sm": "other"}), m), id="foreign_header"),
+            pytest.param(
+                lambda h, m: (h, wire.encode([{"no_such_field": 1}])), id="unknown_field"
+            ),
+            pytest.param(lambda h, m: (h, wire.encode([7])), id="record_not_a_dict"),
+            pytest.param(lambda h, m: (h, wire.encode([{"msg": "x"}])), id="missing_field"),
+            pytest.param(lambda h, m: (h, wire.encode([])), id="count_mismatch"),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(msg=7), id="columnar_msg_id_past_vocab"
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(direction=-1),
+                id="columnar_negative_vocab_id",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(establishment_cause=3),
+                id="columnar_cause_id_past_vocab",
+            ),
+            pytest.param(
+                lambda h, m: (columnar_indication_bytes()[0], m), id="columnar_header_on_rows"
+            ),
+        ],
+    )
+    def test_corrupt_indication_is_counted_and_dropped(self, corrupt):
+        """Hostile bytes at the E2 edge used to raise out of Simulator.run."""
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, XsecConfig())
+        bad = indication([record(0.1, "RRCSetup")], seq=2)
+        bad.indication_header, bad.indication_message = corrupt(
+            bad.indication_header, bad.indication_message
+        )
+        batches = [
+            indication([record(0.0, "RRCSetupRequest")]),
+            bad,
+            indication([record(0.2, "RRCSetupComplete")], seq=3),
+        ]
+        for delay, batch in enumerate(batches, start=1):
+            sim.schedule(0.1 * delay, lambda batch=batch: watch.on_indication(batch))
+        sim.run(until=1.0)
+        counters = {
+            name: sim.obs.metrics.counter(f"mobiwatch.{name}_total").value
+            for name in ("indications_rejected", "records")
+        }
+        assert counters == {"indications_rejected": 1, "records": 2}
+        # The record ledger still balances: every ingested record is in the
+        # series, the arrival log and the SDL, and nothing of the bad batch is.
+        assert watch.records_seen == len(watch.series) == 2
+        assert [r.msg for r in watch.series] == ["RRCSetupRequest", "RRCSetupComplete"]
+        assert len(ric.sdl.keys(SDL_TELEMETRY_NS)) == 2
+        assert any("indication rejected" in line for _, line in watch.logs)
         assert watch.anomalies == []
 
     def test_out_of_order_batches_clamped(self):

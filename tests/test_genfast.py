@@ -33,7 +33,7 @@ from repro.attacks import (
 )
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
-from repro.core.mobiwatch import SDL_TELEMETRY_NS, _record_value
+from repro.core.mobiwatch import SDL_TELEMETRY_NS
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.genfast.bench import (
     BASELINE_SLACK,
@@ -458,7 +458,8 @@ class TestLiveSeedEquivalence:
         # One set_many per indication stores what one set per record would.
         per_record = SharedDataLayer()
         for index, record in enumerate(seed_run.mobiwatch.series):
-            per_record.set(SDL_TELEMETRY_NS, f"{index:09d}", _record_value(record))
+            value = {k: v for k, v in record.to_dict().items() if v is not None}
+            per_record.set(SDL_TELEMETRY_NS, f"{index:09d}", value)
         assert per_record._data[SDL_TELEMETRY_NS] == seed_ns
 
 

@@ -371,6 +371,15 @@ class TestWireFastPath:
     def test_byte_identical_to_reference(self, value, golden):
         assert wire.encode(value).hex() == golden
 
+    def test_decode_oracle_covers_these_vectors(self):
+        """tests/test_wire.py checks the decoder against what the parent's
+        decoder printed for every vector in the fixture, these included."""
+        from tests.test_wire import DECODE_GOLDEN
+
+        assert {golden for _, golden in _TRICKY_VALUES} <= {
+            row["hex"] for row in DECODE_GOLDEN
+        }
+
     def test_roundtrip(self):
         values = [value for value, _ in _TRICKY_VALUES[:-1]]  # tuples decode as lists
         assert wire.decode(wire.encode({"batch": values})) == {"batch": values}

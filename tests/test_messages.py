@@ -1,7 +1,12 @@
 """Tests for the control-message base machinery and RRC/NAS definitions."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
+from repro import wire
+from tests.test_wire import nested_lists
 from repro.ran import nas, rrc
 from repro.ran.messages import Direction, Message, MessageError, Protocol
 from repro.ran.security import CipherAlg, IntegrityAlg
@@ -91,6 +96,88 @@ class TestWireRoundtrip:
 
         with pytest.raises(MessageError):
             Message.from_wire(wire.encode({"msg": "RRCSetup", "ie": {}}))
+
+
+@dataclass
+class _PlanProbe(Message):
+    """One field per annotation shape the per-class plan must tell apart."""
+
+    NAME = "TestPlanProbe"
+
+    cause: rrc.EstablishmentCause = rrc.EstablishmentCause.MO_DATA  # a real type
+    cipher: "CipherAlg" = CipherAlg.NEA2  # a string, as under __future__ annotations
+    integrity: "Optional[IntegrityAlg]" = None
+    plain: Optional[int] = None
+
+
+class TestWirePlans:
+    """from_wire/fields run off one cached plan per class (field name + enum
+    converter) instead of dataclasses.fields() per message."""
+
+    def test_every_registered_message_roundtrips_to_an_equal_instance(self):
+        for message in _instantiate_all_registered():
+            assert Message.from_wire(message.to_wire()) == message
+
+    @pytest.mark.parametrize("integrity", [None, IntegrityAlg.NIA0])
+    def test_enum_and_optional_enum_fields(self, integrity):
+        original = _PlanProbe(
+            cause=rrc.EstablishmentCause.MO_SMS,
+            cipher=CipherAlg.NEA0,
+            integrity=integrity,
+            plain=7,
+        )
+        decoded = Message.from_wire(original.to_wire())
+        assert decoded == original
+        assert decoded.cause is rrc.EstablishmentCause.MO_SMS
+        assert decoded.cipher is CipherAlg.NEA0
+        assert decoded.integrity is integrity
+        assert original.fields() == {
+            "cause": "mo-SMS",
+            "cipher": 0,
+            "integrity": None if integrity is None else 0,
+            "plain": 7,
+        }
+
+    def test_string_annotated_enum_passes_none_but_a_real_type_does_not(self):
+        blob = {"cause": "mo-Data", "cipher": None, "integrity": None, "plain": None}
+        assert Message.from_wire(wire.encode({"msg": "TestPlanProbe", "ie": blob})).cipher is None
+        blob["cause"] = None
+        with pytest.raises(ValueError):
+            Message.from_wire(wire.encode({"msg": "TestPlanProbe", "ie": blob}))
+
+    def test_error_messages_unchanged(self):
+        with pytest.raises(MessageError, match="RRCSetup: missing IE 'rrc_transaction_id'"):
+            Message.from_wire(wire.encode({"msg": "RRCSetup", "ie": {}}))
+        with pytest.raises(MessageError, match="unknown message name 'Bogus'"):
+            Message.from_wire(wire.encode({"msg": "Bogus", "ie": {}}))
+        with pytest.raises(MessageError, match="message IEs are not a dict"):
+            Message.from_wire(wire.encode({"msg": "RRCSetup", "ie": [1]}))
+        with pytest.raises(MessageError, match="not a message envelope"):
+            Message.from_wire(wire.encode(["msg"]))
+
+    def test_deep_nesting_is_a_message_error(self):
+        with pytest.raises(MessageError, match="nesting too deep"):
+            Message.from_wire(nested_lists(2000))
+
+    def test_subclass_defined_after_first_use_gets_its_own_plan(self):
+        @dataclass
+        class PlanBase(Message):
+            NAME = "TestPlanBase"
+            first: int = 1
+
+        assert Message.from_wire(PlanBase(first=5).to_wire()) == PlanBase(first=5)
+
+        @dataclass
+        class PlanChild(PlanBase):
+            NAME = "TestPlanChild"
+            second: "CipherAlg" = CipherAlg.NEA1
+
+        child = PlanChild(first=2, second=CipherAlg.NEA3)
+        assert child.fields() == {"first": 2, "second": 3}
+        decoded = Message.from_wire(child.to_wire())
+        assert type(decoded) is PlanChild and decoded == child
+        assert decoded.second is CipherAlg.NEA3
+        assert PlanBase(first=9).fields() == {"first": 9}
 
 
 class TestMetadata:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import wire
+from tests.test_wire import nested_lists
 from repro.oran.a1 import A1Error, A1Interface, A1PolicyType
 from repro.oran.e2ap import (
     ActionType,
@@ -118,6 +119,46 @@ class TestE2apPdus:
         pdu = RicSubscriptionRequest(action_type=ActionType.POLICY)
         decoded = E2apPdu.from_wire(pdu.to_wire())
         assert decoded.action_type is ActionType.POLICY
+
+    def test_every_registered_pdu_roundtrips(self):
+        """Enum and optional-enum IEs included, at their defaults."""
+        from repro.oran.e2ap import _PDU_REGISTRY
+
+        assert len(_PDU_REGISTRY) >= 9
+        for cls in list(_PDU_REGISTRY.values()):
+            pdu = cls()
+            decoded = E2apPdu.from_wire(pdu.to_wire())
+            assert type(decoded) is cls
+            assert decoded == pdu
+
+    def test_action_type_none_passes_through(self):
+        pdu = RicSubscriptionRequest(action_type=None)
+        assert E2apPdu.from_wire(pdu.to_wire()) == pdu
+
+    def test_pdu_subclass_defined_after_first_use_roundtrips(self):
+        from dataclasses import dataclass
+
+        assert E2apPdu.from_wire(RicIndication().to_wire()) == RicIndication()
+
+        @dataclass
+        class LabelledIndication(RicIndication):
+            PDU = "TestLabelledIndication"
+            label: str = ""
+            action_type: "ActionType" = ActionType.INSERT
+
+        pdu = LabelledIndication(sequence_number=4, label="x")
+        decoded = E2apPdu.from_wire(pdu.to_wire())
+        assert type(decoded) is LabelledIndication and decoded == pdu
+        assert decoded.action_type is ActionType.INSERT
+        assert "label" not in wire.decode(RicIndication().to_wire())["ie"]
+
+    def test_missing_ie_rejected(self):
+        with pytest.raises(E2apError, match="RICIndication: missing IE 'ric_request_id'"):
+            E2apPdu.from_wire(wire.encode({"pdu": "RICIndication", "ie": {}}))
+
+    def test_deep_nesting_is_an_e2ap_error(self):
+        with pytest.raises(E2apError, match="nesting too deep"):
+            E2apPdu.from_wire(nested_lists(2000))
 
     def test_unknown_pdu_rejected(self):
         with pytest.raises(E2apError):

@@ -2,7 +2,10 @@
 
 import collections
 import enum
+import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import wire
+
+
+def examples(count: int) -> settings:
+    """``count`` examples, or the active profile's budget when it is larger
+    (tests/conftest.py registers ``wire-fuzz`` for CI)."""
+    return settings(max_examples=max(count, settings.default.max_examples))
 
 
 SIMPLE_VALUES = [
@@ -181,6 +190,144 @@ class TestGoldenVectors:
         assert wire.decode(wire.encode(_Point(1, 2.0))) == [1, 2.0]
 
 
+# -- golden decode expectations ----------------------------------------------------
+#
+# tests/fixtures/wire_decode_golden.json holds ``repr(wire.decode(golden))`` as
+# the recursive, slice-per-container decoder printed it (commit 3f216d3) for
+# every golden encode vector here and in tests/test_hotpath.py.  ``repr`` keeps
+# what ``==`` would blur: NaN, -0.0, bool vs int, list vs tuple, key order.
+
+DECODE_GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "wire_decode_golden.json").read_text()
+)
+DECODE_GOLDEN_BYTES = [bytes.fromhex(row["hex"]) for row in DECODE_GOLDEN]
+
+
+def _tlv(tag: int, body: bytes) -> bytes:
+    assert len(body) < 0x80
+    return bytes([tag, len(body)]) + body
+
+
+class TestDecodeOracle:
+    def test_fixture_covers_every_golden_vector(self):
+        assert {golden for _, _, golden in GOLDEN_VECTORS} <= {
+            row["hex"] for row in DECODE_GOLDEN
+        }
+
+    @pytest.mark.parametrize(
+        "golden,decoded",
+        [(row["hex"], row["decoded"]) for row in DECODE_GOLDEN],
+        ids=[row["id"] for row in DECODE_GOLDEN],
+    )
+    def test_decode_matches_parent_decoder(self, golden, decoded):
+        value = wire.decode(bytes.fromhex(golden))
+        assert repr(value) == decoded
+        assert wire.encode(value).hex() == golden
+
+    @pytest.mark.parametrize(
+        "value,golden",
+        [v[1:] for v in GOLDEN_VECTORS if v[0] in ("float", "dict_nested", "record", "bytes")],
+    )
+    def test_decode_equals_encoded_value(self, value, golden):
+        assert wire.decode(bytes.fromhex(golden)) == value
+
+    @pytest.mark.parametrize(
+        "data", DECODE_GOLDEN_BYTES, ids=[row["id"] for row in DECODE_GOLDEN]
+    )
+    def test_every_strict_prefix_is_rejected(self, data):
+        for cut in range(len(data)):
+            with pytest.raises(wire.WireError):
+                wire.decode(data[:cut])
+
+    # A child whose length runs past its parent's end while the bytes exist
+    # further on in the buffer: a decoder that bounded children by the buffer
+    # would read the sibling's bytes as the child's.
+    @pytest.mark.parametrize("outer", [0x07, 0x08], ids=["in_list", "in_dict"])
+    @pytest.mark.parametrize(
+        "overrun",
+        [
+            pytest.param(lambda sibling: bytes([0x07, 2, 0x05, 4]) + sibling, id="list_item"),
+            pytest.param(lambda sibling: bytes([0x07, 3, 0x03, 2, 0x01]) + sibling, id="list_int"),
+            pytest.param(lambda sibling: bytes([0x07, 1, 0x04]) + sibling, id="list_float"),
+            pytest.param(lambda sibling: bytes([0x07, 2, 0x06, 0x81]) + sibling, id="list_varint"),
+            pytest.param(lambda sibling: bytes([0x08, 2, 0x05, 3]) + sibling, id="dict_key"),
+            pytest.param(
+                lambda sibling: bytes([0x08, 5, 0x05, 1, 0x6B, 0x05, 4]) + sibling,
+                id="dict_value",
+            ),
+            pytest.param(
+                lambda sibling: bytes([0x08, 3, 0x05, 1, 0x6B]) + sibling,
+                id="dict_value_missing",
+            ),
+            pytest.param(
+                lambda sibling: bytes([0x08, 4, 0x05, 1, 0x6B, 0x07, 3]) + sibling,
+                id="dict_value_container",
+            ),
+        ],
+    )
+    def test_child_overrunning_its_parent_is_rejected(self, outer, overrun):
+        sibling = wire.encode("sibling-bytes")  # what the overrun would swallow
+        body = overrun(sibling)
+        if outer == 0x08:
+            body = wire.encode("outer") + body
+        data = _tlv(outer, body)
+        with pytest.raises(wire.WireError):
+            wire.decode(data)
+        # Same bytes with honest lengths decode: only the overrun is at fault.
+        assert wire.decode(_tlv(0x07, sibling)) == ["sibling-bytes"]
+
+    def test_non_canonical_varint_still_decodes(self):
+        assert wire.decode(bytes.fromhex("05850068656c6c6f")) == "hello"
+        assert wire.decode(bytes.fromhex("078300" + "030107")) == [7]
+        assert wire.decode(bytes.fromhex("088800" + "05810061" + "0381002a")) == {"a": 42}
+
+    def test_length_shift_past_63_bits_rejected(self):
+        with pytest.raises(wire.WireError, match="length field too long"):
+            wire.decode(b"\x06" + b"\x80" * 10 + b"\x00")
+        # nine continuation bytes (shift 63) is the longest field accepted
+        with pytest.raises(wire.WireError, match="truncated payload"):
+            wire.decode(b"\x06" + b"\x80" * 9 + b"\x01")
+
+
+def nested_lists(depth: int) -> bytes:
+    """TLV bytes of ``depth`` lists nested in each other around a None."""
+    payload = b"\x00"
+    for _ in range(depth):
+        payload = b"\x07" + wire._encode_length(len(payload)) + payload
+    return payload
+
+
+class TestDepthBound:
+    def test_deeply_nested_payload_is_a_wire_error(self):
+        payload = nested_lists(2000)
+        assert len(payload) < 7000
+        with pytest.raises(wire.WireError, match="nesting too deep"):
+            wire.decode(payload)
+
+    def test_deeply_nested_value_is_a_wire_error(self):
+        value: list = []
+        for _ in range(2000):
+            value = [value]
+        with pytest.raises(wire.WireError, match="nesting too deep"):
+            wire.encode(value)
+        cyclic: dict = {}
+        cyclic["self"] = cyclic
+        with pytest.raises(wire.WireError, match="nesting too deep"):
+            wire.encode(cyclic)
+
+    def test_max_depth_itself_roundtrips(self):
+        value: object = "leaf"
+        for level in range(wire.MAX_DEPTH):
+            value = {"k": value} if level % 2 else [value]
+        encoded = wire.encode(value)
+        assert wire.decode(encoded) == value
+        one_deeper = b"\x07" + wire._encode_length(len(encoded)) + encoded
+        with pytest.raises(wire.WireError, match="nesting too deep"):
+            wire.decode(one_deeper)
+        with pytest.raises(wire.WireError, match="nesting too deep"):
+            wire.encode([value])
+
+
 class TestErrors:
     def test_unsupported_type(self):
         with pytest.raises(wire.WireError):
@@ -241,23 +388,44 @@ wire_values = st.recursive(
 
 
 class TestPropertyBased:
-    @settings(max_examples=200)
+    @examples(200)
     @given(wire_values)
     def test_roundtrip_any_supported_value(self, value):
         assert wire.decode(wire.encode(value)) == value
 
-    @settings(max_examples=100)
+    @examples(100)
     @given(st.integers())
     def test_int_roundtrip_any_size(self, value):
         assert wire.decode(wire.encode(value)) == value
 
-    @settings(max_examples=100)
+    @examples(100)
     @given(st.binary(max_size=200))
     def test_garbage_never_crashes_decoder(self, data):
         try:
             wire.decode(data)
         except wire.WireError:
             pass  # rejecting is fine; crashing is not
+
+    @examples(300)
+    @given(wire_values, st.data())
+    def test_mutated_encoding_decodes_or_raises_wire_error(self, value, data):
+        """One byte flipped, inserted or deleted in a *valid* encoding reaches
+        the bounds checks deep inside containers that random garbage rarely
+        gets to: the outcome is a value or WireError, never IndexError,
+        struct.error or RecursionError."""
+        encoded = bytearray(wire.encode(value))
+        position = data.draw(st.integers(0, len(encoded) - 1))
+        mutation = data.draw(st.sampled_from(["flip", "insert", "delete"]))
+        if mutation == "flip":
+            encoded[position] ^= 1 << data.draw(st.integers(0, 7))
+        elif mutation == "insert":
+            encoded.insert(position, data.draw(st.integers(0, 255)))
+        else:
+            del encoded[position]
+        try:
+            wire.decode(bytes(encoded))
+        except wire.WireError:
+            pass
 
 
 class TestFraming:
@@ -345,12 +513,54 @@ class TestFraming:
         assert decoder.feed(framed[4:]) == [b"abcdef"]
         assert decoder.pending_bytes == 0
 
+    def test_decoder_many_small_frames_is_linear(self):
+        """Re-slicing the tail per frame is quadratic (8 000 -> 32 000 frames
+        took 36x as long, 3.6 s); walking the buffer by offset is linear
+        (4x, tens of milliseconds). Compared as a ratio, best of three, so a
+        loaded box cannot fail it."""
+        payloads = [wire.encode(i) for i in range(32000)]
+        tail = wire.frame(b"tail")[:3]
+
+        def feed_seconds(count):
+            stream = b"".join(wire.frame(p) for p in payloads[:count]) + tail
+            best = float("inf")
+            for _ in range(3):
+                decoder = wire.FrameDecoder()
+                start = time.perf_counter()
+                got = decoder.feed(stream)
+                best = min(best, time.perf_counter() - start)
+                assert got == payloads[:count]
+                assert decoder.pending_bytes == 3
+            return best
+
+        quarter = feed_seconds(8000)
+        assert feed_seconds(32000) < 10 * quarter
+
+    def test_decoder_bytewise_feed_matches_one_chunk(self):
+        payloads = [wire.encode(i) for i in range(300)]
+        stream = b"".join(wire.frame(p) for p in payloads)
+        assert wire.FrameDecoder().feed(stream) == payloads
+        bytewise = wire.FrameDecoder()
+        trickled = []
+        for i in range(len(stream)):
+            trickled.extend(bytewise.feed(stream[i : i + 1]))
+        assert trickled == payloads
+        assert bytewise.pending_bytes == 0
+
+    def test_decoder_garbage_after_good_frames_raises(self):
+        decoder = wire.FrameDecoder()
+        with pytest.raises(wire.WireError) as excinfo:
+            decoder.feed(wire.frame(b"ok") + b"\x00junk")
+        assert not isinstance(excinfo.value, wire.IncompleteFrameError)
+        with pytest.raises(wire.WireError):  # a short tail with a wrong first byte
+            wire.FrameDecoder().feed(wire.frame(b"ok") + b"\x7f")
+
     def test_decoder_garbage_raises(self):
         decoder = wire.FrameDecoder()
         with pytest.raises(wire.WireError):
             decoder.feed(b"\xffnot a frame")
 
-    @settings(max_examples=100)
+    @examples(100)
     @given(st.lists(st.binary(max_size=64), max_size=8), st.integers(1, 16))
     def test_decoder_chunking_never_changes_payloads(self, payloads, chunk):
         stream = b"".join(wire.frame(p) for p in payloads)
