@@ -74,11 +74,9 @@ class XsecConfig:
     # "Training fast path").
     trainfast: TrainfastSettings = field(default_factory=TrainfastSettings)
 
-    # Cross-session megabatch scoring (repro.megabatch): one fused
-    # detector call per RIC tick across every touched UE, the int8/float16
-    # quantized LSTM tier, and bounded per-session state via eviction.
-    # Defaults preserve the seed's per-session scoring bit-for-bit (see
-    # docs/PERFORMANCE.md, "Megabatch per-tick scoring").
+    # repro.megabatch: the int8/float16 quantized LSTM tier and bounded
+    # per-session state via eviction. Defaults keep scoring exact and
+    # never evict (see docs/PERFORMANCE.md).
     megabatch: MegabatchSettings = field(default_factory=MegabatchSettings)
 
     # SLO/observability plane (repro.slo): burn-rate alerting over

@@ -125,19 +125,26 @@ class MobiWatchXApp(XApp):
             help="newest telemetry entry of a flagged window -> alarm",
         )
         # Featurized rows per session: the last window of any session is
-        # one contiguous view (also the megabatch gather's sources and the
+        # one contiguous view (the tick gather's sources and the
         # incremental scorer's replay history).
         self._arena = SessionWindowArena(self.config.spec.dim, self.config.window)
-        # repro.hotpath: incremental LSTM scoring carries per-session
-        # hidden state. Default off: full-window re-runs.
+        self._window = self.config.window
+        # Scoring strategy, bound once by deploy_detector (see there):
+        # what a featurized row feeds, how a tick's touched sessions are
+        # scored, how one session is scored out of tick (matured / released
+        # short sessions). Until a model is deployed rows only accumulate.
+        self._ingest_row = self._arena.append
+        self._tick = None
+        self._score_one = None
         self._incremental: Optional[IncrementalLstmScorer] = None
-        # repro.megabatch: one fused detector call per tick across every
-        # touched session; optional int8/float16 quantized LSTM tier with
-        # carried state; session eviction bounds per-session state. All
-        # default off (see docs/PERFORMANCE.md, "Megabatch").
         self._quantized: Optional[QuantizedLstmEngine] = None
-        self._mb_gather = False
-        self._mb_buf: Optional[np.ndarray] = None
+        # The tick batch: reusable [n_sessions, window * dim] gather matrix.
+        self._gather_buf: Optional[np.ndarray] = None
+        # (session, row) per record of the current tick: the quantized
+        # tier's fused batched steps consume it.
+        self._tick_rows: list = []
+        # repro.megabatch session eviction bounds per-session state
+        # (default off, see docs/PERFORMANCE.md).
         self._last_touch: dict[int, float] = {}
         self._track_touch = self.config.megabatch.evict_idle_s > 0
         self._evicted_counter = None
@@ -147,7 +154,7 @@ class MobiWatchXApp(XApp):
                 help="sessions whose per-session state was dropped",
             )
         # repro.scale: UE-sharded SDL placement + batched inference pool.
-        # Both default off, keeping the seed's inline per-window path.
+        # Both default off, keeping the inline tick gather.
         self._sharded_sdl = isinstance(self.sdl, ShardedSdl)
         self.pool: Optional[InferencePool] = None
         if self.config.scale.pooling_enabled:
@@ -196,26 +203,10 @@ class MobiWatchXApp(XApp):
         detector.attach_metrics(self.sim.obs.metrics)
         hotpath = self.config.hotpath
         detector.scoring_dtype = hotpath.dtype
-        self._incremental = None
-        if hotpath.incremental:
-            if isinstance(detector, LstmDetector):
-                self._incremental = IncrementalLstmScorer(
-                    detector, hotpath, metrics=self.sim.obs.metrics
-                )
-                # Sessions may already hold telemetry: replay their rows so
-                # the carried state matches record-by-record ingest.
-                for session_id in self._arena.session_ids():
-                    self._incremental.warm_up(
-                        session_id, self._arena.session_rows(session_id)
-                    )
-            else:
-                self.log(
-                    "hotpath.incremental ignored: carried-state scoring "
-                    f"needs the LSTM detector, got {detector.name}"
-                )
+        metrics = self.sim.obs.metrics
         # repro.megabatch: the quantized tier needs an LSTM fitted with
         # megabatch attached (the fit runs the calibration pass); anything
-        # else falls back to the float gather path.
+        # else scores through the float paths below.
         megabatch = self.config.megabatch
         self._quantized = None
         if megabatch.quantized:
@@ -231,22 +222,34 @@ class MobiWatchXApp(XApp):
                 )
             else:
                 self._quantized = QuantizedLstmEngine(
-                    detector,
-                    detector.calibration,
-                    megabatch,
-                    metrics=self.sim.obs.metrics,
+                    detector, detector.calibration, megabatch, metrics=metrics
                 )
-                for session_id in self._arena.session_ids():
-                    self._quantized.warm_up(
-                        session_id, self._arena.session_rows(session_id)
-                    )
+        # repro.hotpath: incremental LSTM scoring carries per-session
+        # hidden state instead of re-running the window.
+        self._incremental = None
+        if hotpath.incremental:
+            if self._quantized is not None:
+                self.log("hotpath.incremental ignored: megabatch.quantized takes precedence")
+            elif isinstance(detector, LstmDetector):
+                self._incremental = IncrementalLstmScorer(detector, hotpath, metrics=metrics)
+            else:
+                self.log(
+                    "hotpath.incremental ignored: carried-state scoring "
+                    f"needs the LSTM detector, got {detector.name}"
+                )
+        # Sessions may already hold telemetry: replay their rows so the
+        # carried state matches record-by-record ingest.
+        carried = self._quantized if self._quantized is not None else self._incremental
+        if carried is not None:
+            for session_id in self._arena.session_ids():
+                carried.warm_up(session_id, self._arena.session_rows(session_id))
         # repro.runtime: window scoring in supervised OS worker processes.
         # Spawned at deploy time (the workers need the trained weights) and
-        # plugged into the same self.pool slot: _score_window's pool branch,
-        # _flush_pool's call sites, and the health scoreboard all apply
-        # unchanged. Bit-identity with the seed path is preserved — the
-        # workers score one [1, window*dim] call per window and the blocking
-        # flush is invisible to sim time (see docs/RUNTIME.md).
+        # plugged into the same self.pool slot: _submit_pooled, _flush_pool's
+        # call sites, and the health scoreboard all apply unchanged. The
+        # workers make one row-exact call per batch and the blocking flush
+        # is invisible to sim time (see docs/RUNTIME.md), so scores stay
+        # bit-identical to the inline path.
         if self.config.runtime.score_in_processes:
             from repro.runtime.bridge import ProcessScoringPool
 
@@ -255,42 +258,32 @@ class MobiWatchXApp(XApp):
             self.pool = ProcessScoringPool(
                 detector,
                 self.config.runtime,
-                metrics=self.sim.obs.metrics,
+                metrics=metrics,
                 clock=lambda: self.sim.now,
                 name=self.name,
             )
-        # Per-tick gather batching: one fused detector call per tick. The
-        # incremental scorer already pays O(1) per score, so it wins when
-        # both are configured.
-        self._mb_gather = (
-            megabatch.batching_enabled
-            and self._quantized is None
-            and self._incremental is None
-        )
-        if megabatch.batching_enabled and self._incremental is not None:
-            self.log("megabatch batching idle: hotpath.incremental takes precedence")
-        # Provenance names the runtime that produced each score, since the
-        # fast paths carry documented tolerances (docs/PERFORMANCE.md).
-        parts = []
+        # Bind the scoring strategy once; nothing below deploy re-tests a
+        # flag per record or per window. Provenance names the runtime that
+        # produced each score, since the behaviour tiers carry documented
+        # tolerances (docs/PERFORMANCE.md).
+        append = self._arena.append
+        parts = ["compiled-float32"] if hotpath.dtype == "float32" else []
         if self._quantized is not None:
-            parts.append(f"quantized-int8-{megabatch.state_dtype}")
+            strategy = (self._ingest_quantized, self._tick_quantized, self._score_one_quantized)
+            parts = [f"quantized-int8-{megabatch.state_dtype}"]
         elif self._incremental is not None:
-            parts.append(f"incremental-{hotpath.incremental_mode}-{hotpath.dtype}")
-        elif hotpath.dtype == "float32":
-            parts.append("compiled-float32")
-        if self._mb_gather:
-            parts.append("megabatch")
-        if (
-            self.pool is not None
-            and self._incremental is None
-            and self._quantized is None
-            and not self._mb_gather
-        ):
+            strategy = (self._ingest_incremental, self._tick_each, self._score_one_incremental)
+            parts = [f"incremental-{hotpath.incremental_mode}-{hotpath.dtype}"]
+        elif self.pool is not None:
+            strategy = (append, self._tick_each, self._submit_pooled)
             if self.config.runtime.score_in_processes:
                 parts.append(f"process-{self.config.runtime.workers}w")
             else:
                 parts.append(f"pool-{self.config.scale.pool_workers}w")
-        self._scoring_path = "+".join(parts) if parts else "seed"
+        else:
+            strategy = (append, self._tick_gathered, self._score_one_gathered)
+        self._ingest_row, self._tick, self._score_one = strategy
+        self._scoring_path = "+".join(parts) or "seed"
         self.log(
             "detector deployed",
             detector=detector.name,
@@ -337,12 +330,11 @@ class MobiWatchXApp(XApp):
             return
         if self._heartbeat_gauge is not None:
             self._heartbeat_gauge.set(self.now)
-        touched: list[int] = []
-        # (session, row) per record this tick — feeds the quantized tier's
-        # fused batched steps. Session-release signals drive eviction.
-        tick_rows: list = []
+        touched: dict[int, None] = {}  # insertion-ordered set
+        # Session-release signals drive eviction.
         released: list[int] = []
         evict_release = self.config.megabatch.evict_on_release
+        ingest_row = self._ingest_row
         # Telemetry is persisted after the ingest loop as one acked SDL
         # write per indication (per shard key under ShardedSdl).
         pending_writes: list[tuple[int, MobiFlowRecord]] = []
@@ -356,23 +348,18 @@ class MobiWatchXApp(XApp):
                 )
             self.series.append(record)
             row = self._encoder.push(record)
-            if record.session_id:
-                self._arena.append(record.session_id, row)
-                if self._incremental is not None:
-                    self._incremental.push(record.session_id, row)
             self._arrival_ts.append(self.now)
             pending_writes.append((index, record))
             self.records_seen += 1
             self._records_counter.inc()
             self._capture_to_ingest.observe(self.now - record.timestamp)
-            if record.session_id:
-                session_id = record.session_id
+            session_id = record.session_id
+            if session_id:
+                ingest_row(session_id, row)
                 self._session_records.setdefault(session_id, []).append(index)
-                touched.append(session_id)
+                touched[session_id] = None
                 if self._track_touch:
                     self._last_touch[session_id] = self.now
-                if self._quantized is not None:
-                    tick_rows.append((session_id, row))
                 if evict_release and record.msg == RRC_RELEASE_MSG:
                     released.append(session_id)
         if pending_writes:
@@ -394,16 +381,8 @@ class MobiWatchXApp(XApp):
                         for index, record in pending_writes
                     ],
                 )
-        if self.detector is not None:
-            unique = list(dict.fromkeys(touched))
-            if self._quantized is not None:
-                self._quantized_ingest(tick_rows)
-                self._quantized_tick(unique)
-            elif self._mb_gather:
-                self._megabatch_tick(unique)
-            else:
-                for session_id in unique:
-                    self._score_session(session_id)
+        if self._tick is not None:
+            self._tick(list(touched))
         self._flush_pool()
         if released:
             self._evict_released(released)
@@ -416,15 +395,6 @@ class MobiWatchXApp(XApp):
     # "uncompleted connection" until it stalls. Keeps live semantics equal
     # to the offline windowing without alarming on every session prefix.
     SHORT_SESSION_MATURITY_S = 0.75
-
-    def _score_session(self, session_id: int) -> None:
-        indices = self._session_records.get(session_id, [])
-        if not indices:
-            return
-        if len(indices) < self.config.window:
-            self._schedule_maturity(session_id, len(indices))
-            return
-        self._score_window(session_id, indices)
 
     def _schedule_maturity(self, session_id: int, count: int) -> None:
         """(Re)arm the session's single pending maturity check.
@@ -448,85 +418,150 @@ class MobiWatchXApp(XApp):
         indices = self._session_records.get(session_id, [])
         if len(indices) != count:
             return  # progressed since the check was armed
-        self._score_window(session_id, indices)
+        self._score_one(session_id)
         self._flush_pool()
 
-    # -- megabatch per-tick scoring (repro.megabatch) ------------------------------
+    # -- the inline path: one row-exact detector call per tick -------------------------
 
-    def _split_ready(self, session_ids) -> tuple:
-        """Partition a tick's touched sessions into score-now vs short.
+    def _tick_gathered(self, session_ids: list) -> None:
+        self._tick_batched(session_ids, self._gathered_scores, self._threshold())
 
-        Short sessions get their (single) maturity check armed, exactly as
-        the per-session path would.
+    def _score_one_gathered(self, session_id: int) -> None:
+        self._score_batch_of_one(session_id, self._gathered_scores, self._threshold())
+
+    def _tick_batched(self, session_ids: list, batch_scores, threshold: float) -> None:
+        """Score every touched session that holds a full window in one call.
+
+        Side effects land in session order — a short session (re)arms its
+        maturity check, a scored one is thresholded and may alert — exactly
+        as if each session had been scored by its own call.
         """
-        window = self.config.window
-        ready: list[int] = []
-        counts: list[int] = []
-        chosens: list[list] = []
+        window = self._window
+        session_records = self._session_records
+        ready = [s for s in session_ids if len(session_records[s]) >= window]
+        scored = iter(batch_scores(ready) if ready else ready)
+        now = self.now
         for session_id in session_ids:
-            indices = self._session_records.get(session_id, [])
-            if not indices:
-                continue
+            indices = session_records[session_id]
             if len(indices) < window:
                 self._schedule_maturity(session_id, len(indices))
                 continue
-            ready.append(session_id)
-            counts.append(len(indices))
-            chosens.append(indices[-window:])
-        return ready, counts, chosens
+            score = next(scored)
+            if score > threshold:
+                self._maybe_alert(
+                    session_id, len(indices), indices[-window:], score, now, threshold
+                )
 
-    def _megabatch_tick(self, session_ids) -> None:
-        ready, counts, chosens = self._split_ready(session_ids)
-        self._megabatch_score(ready, counts, chosens)
+    def _score_batch_of_one(self, session_id: int, batch_scores, threshold: float) -> None:
+        """A matured (or released) short session is the batch of one."""
+        (score,) = batch_scores([session_id])
+        if score > threshold:
+            indices = self._session_records[session_id]
+            self._maybe_alert(
+                session_id, len(indices), indices[-self._window :], score, self.now, threshold
+            )
 
-    def _megabatch_score(self, ready, counts, chosens) -> None:
-        """Gather the ready sessions' pending windows; score the tick batch.
+    def _threshold(self) -> float:
+        return self.detector.threshold.threshold or 0.0
+
+    def _gathered_scores(self, ready: list) -> list:
+        """Gather the sessions' last windows; score them in one kernel call.
 
         Each arena window view is copied into one reusable
-        ``[n_sessions, window * dim]`` matrix. Under the float32
-        kernels the whole matrix goes through **one fused GEMM per tick**
-        (the performance tier, hotpath-tolerance contract). In float64 the
-        rows are scored through the same ``[1, window*dim]``-shaped calls
-        the seed path makes — BLAS dispatches different (differently
-        accumulated) kernels per batch height, so a fused float64 call
-        would drift from the seed in the last ulps; the row-shaped calls
-        keep float64 scores (and the anomaly events they produce)
-        bit-identical to the seed path, enforced per attack scenario by
-        tests/test_megabatch.py. Bookkeeping (counter bumps, histogram
-        fill, threshold sweep) is batched per tick in both modes.
+        ``[n_sessions, window * dim]`` matrix and handed to
+        ``detector.scores(matrix, per_row=True)``: in float64 every row's
+        score is bit-identical to its own ``[1, window * dim]`` call at any
+        batch height (the row-exact kernel mode of :mod:`repro.ml.compiled`,
+        enforced per attack scenario by tests/test_megabatch.py); the
+        float32 tier runs the matrix through one fused GEMM per tick under
+        the hotpath tolerance.
         """
-        if not ready:
-            return
-        width = self.config.window * self.config.spec.dim
-        buf = self._mb_buf
-        if buf is None or buf.shape[0] < len(ready) or buf.shape[1] != width:
-            capacity = len(ready) if buf is None else max(len(ready), buf.shape[0] * 2)
-            buf = self._mb_buf = np.empty((capacity, width), dtype=self._arena.dtype)
-        matrix = buf[: len(ready)]
+        n = len(ready)
+        buf = self._gather_buf
+        if buf is None or buf.shape[0] < n:
+            capacity = max(n, 16 if buf is None else buf.shape[0] * 2)
+            width = self._window * self.config.spec.dim
+            buf = self._gather_buf = np.empty((capacity, width), dtype=self._arena.dtype)
+        matrix = buf[:n]
+        window_rows = self._arena.window_rows
         for row, session_id in enumerate(ready):
-            matrix[row] = self._arena.window_rows(session_id).reshape(-1)
-        fused = self.config.hotpath.dtype == "float32"
+            matrix[row] = window_rows(session_id).reshape(-1)
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
-            if fused or len(ready) == 1:
-                scores = np.asarray(self.detector.scores(matrix), dtype=np.float64)
+            scores = self.detector.scores(matrix, per_row=True).tolist()
+        self._count_scores(scores)
+        return scores
+
+    def _count_scores(self, scores: list) -> None:
+        self.windows_scored += len(scores)
+        self._windows_counter.inc(len(scores))
+        self._score_hist.observe_many(scores)
+
+    # -- per-window strategies: incremental state, inference pool ----------------------
+
+    def _tick_each(self, session_ids: list) -> None:
+        window = self._window
+        for session_id in session_ids:
+            count = len(self._session_records[session_id])
+            if count < window:
+                self._schedule_maturity(session_id, count)
             else:
-                scores = np.array(
-                    [
-                        float(self.detector.scores(matrix[i : i + 1])[0])
-                        for i in range(len(ready))
-                    ]
-                )
-        threshold = self.detector.threshold.threshold or 0.0
-        self._handle_scores_batch(ready, counts, chosens, scores, self.now, threshold)
+                self._score_one(session_id)
 
-    def _quantized_ingest(self, tick_rows) -> None:
-        """Advance carried quantized state: one fused batched step per wave.
+    def _ingest_incremental(self, session_id: int, row: np.ndarray) -> None:
+        self._arena.append(session_id, row)
+        self._incremental.push(session_id, row)
 
-        Wave k holds each session's k-th record of the tick, so session
-        ids are unique within a wave (one state slot, one update) and a
-        tick with r records per session costs r fused steps total —
-        instead of r steps *per session*.
+    def _score_one_incremental(self, session_id: int) -> None:
+        # O(1) carried-state scoring: one fused LSTM step was already paid
+        # at ingest; the score is a max over stored per-record errors.
+        with WallTimer(self._inference_wall):
+            score = self._incremental.window_score(
+                session_id, rows=self._arena.session_rows(session_id)
+            )
+        indices = self._session_records[session_id]
+        self._handle_score(session_id, len(indices), indices[-self._window :], score, self.now)
+
+    def _submit_pooled(self, session_id: int) -> None:
+        # The arena's zero pad prefix makes the padded-or-full last window
+        # a single contiguous view: no stack, no pad allocation.
+        indices = self._session_records[session_id]
+        record_count = len(indices)
+        chosen = indices[-self._window :]
+        self.pool.submit(
+            session_id,
+            self._arena.window_rows(session_id).reshape(-1),
+            lambda score, done_at: self._handle_score(
+                session_id, record_count, chosen, score, done_at
+            ),
+        )
+
+    def _handle_score(
+        self, session_id: int, record_count: int, chosen: list, score: float, detected_at: float
+    ) -> None:
+        """Count, threshold and alert on one score (possibly delivered later
+        than the window was cut: the pool's callbacks carry their evidence)."""
+        self.windows_scored += 1
+        self._windows_counter.inc()
+        self._score_hist.observe(score)
+        threshold = self._threshold()
+        if score > threshold:
+            self._maybe_alert(session_id, record_count, chosen, score, detected_at, threshold)
+
+    # -- quantized tier (repro.megabatch): carried int8 state ---------------------------
+
+    def _ingest_quantized(self, session_id: int, row: np.ndarray) -> None:
+        self._arena.append(session_id, row)
+        self._tick_rows.append((session_id, row))
+
+    def _tick_quantized(self, session_ids: list) -> None:
+        """Advance carried quantized state, then score the tick's batch.
+
+        One fused batched step per wave: wave k holds each session's k-th
+        record of the tick, so session ids are unique within a wave (one
+        state slot, one update) and a tick with r records per session costs
+        r fused steps total — instead of r steps *per session*.
         """
+        tick_rows, self._tick_rows = self._tick_rows, []
         wave_index: dict[int, int] = {}
         waves: list[tuple[list, list]] = []
         for session_id, row in tick_rows:
@@ -536,18 +571,24 @@ class MobiWatchXApp(XApp):
             waves[wave][0].append(session_id)
             waves[wave][1].append(row)
             wave_index[session_id] = wave + 1
-        for session_ids, rows in waves:
-            self._quantized.megastep(session_ids, np.asarray(rows, dtype=np.float32))
-
-    def _quantized_tick(self, session_ids) -> None:
-        ready, counts, chosens = self._split_ready(session_ids)
-        if not ready:
-            return
-        with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
-            scores = self._quantized.window_scores_for(ready)
-        self._handle_scores_batch(
-            ready, counts, chosens, scores, self.now, self._quantized_operating_threshold()
+        for wave_sessions, rows in waves:
+            self._quantized.megastep(wave_sessions, np.asarray(rows, dtype=np.float32))
+        self._tick_batched(
+            session_ids, self._quantized_scores, self._quantized_operating_threshold()
         )
+
+    def _score_one_quantized(self, session_id: int) -> None:
+        self._score_batch_of_one(
+            session_id, self._quantized_scores, self._quantized_operating_threshold()
+        )
+
+    def _quantized_scores(self, ready: list) -> list:
+        # The fused batched steps already ran at ingest; a score is the
+        # session's error-ring max.
+        with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
+            scores = self._quantized.window_scores_for(ready).tolist()
+        self._count_scores(scores)
+        return scores
 
     def _quantized_operating_threshold(self) -> float:
         """The quantized tier's own percentile operating point.
@@ -559,7 +600,7 @@ class MobiWatchXApp(XApp):
         quantized = self.detector.quantized_threshold
         if quantized is not None and quantized.threshold is not None:
             return quantized.threshold
-        return self.detector.threshold.threshold or 0.0
+        return self._threshold()
 
     # -- session eviction (repro.megabatch: bounded per-session state) -------------
 
@@ -570,9 +611,8 @@ class MobiWatchXApp(XApp):
                 pending.cancel()
                 # The release completes the session: score its final short
                 # window now instead of waiting out the maturity timer.
-                indices = self._session_records.get(session_id, [])
-                if indices:
-                    self._score_window(session_id, indices)
+                if self._session_records.get(session_id) and self._score_one is not None:
+                    self._score_one(session_id)
             self._evict_session(session_id)
 
     def _evict_sweep(self) -> None:
@@ -621,104 +661,6 @@ class MobiWatchXApp(XApp):
     def _flush_pool(self) -> None:
         if self.pool is not None and self.pool.pending:
             self.pool.flush()
-
-    def _score_window(self, session_id: int, indices: list) -> None:
-        if self.detector is None:
-            return
-        chosen = indices[-self.config.window :]
-        if self._quantized is not None:
-            # Carried-state tier: the fused batched steps already ran at
-            # ingest; the score is the session's error-ring max.
-            with WallTimer(self._inference_wall):
-                score = self._quantized.window_score(session_id)
-            self._handle_score(
-                session_id,
-                len(indices),
-                chosen,
-                score,
-                self.now,
-                threshold=self._quantized_operating_threshold(),
-            )
-            return
-        if self._mb_gather:
-            # Matured short sessions route through the same gather call as
-            # the per-tick batch (a batch of one).
-            self._megabatch_score([session_id], [len(indices)], [list(chosen)])
-            return
-        if self._incremental is not None:
-            # O(1) carried-state scoring: one fused LSTM step was already
-            # paid at ingest; the score is a max over stored per-record
-            # errors. Bypasses the pool (there is no batch to amortize).
-            with WallTimer(self._inference_wall):
-                score = self._incremental.window_score(
-                    session_id, rows=self._arena.session_rows(session_id)
-                )
-            self._handle_score(session_id, len(indices), chosen, score, self.now)
-            return
-        # The arena's zero pad prefix makes the padded-or-full last window
-        # a single contiguous view: no stack, no pad allocation.
-        rows = self._arena.window_rows(session_id)
-        if self.pool is not None:
-            record_count = len(indices)
-            self.pool.submit(
-                session_id,
-                rows.reshape(-1),
-                lambda score, done_at: self._handle_score(
-                    session_id, record_count, list(chosen), score, done_at
-                ),
-            )
-            return
-        vector = rows.reshape(1, -1)
-        with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
-            score = float(self.detector.scores(vector)[0])
-        self._handle_score(session_id, len(indices), chosen, score, self.now)
-
-    def _handle_score(
-        self,
-        session_id: int,
-        record_count: int,
-        chosen: list,
-        score: float,
-        detected_at: float,
-        threshold: Optional[float] = None,
-    ) -> None:
-        """Threshold + alert logic, shared by the inline and pooled paths.
-
-        ``threshold`` overrides the detector's float64 operating point
-        (the quantized tier passes its own).
-        """
-        self.windows_scored += 1
-        self._windows_counter.inc()
-        self._score_hist.observe(score)
-        if threshold is None:
-            threshold = self.detector.threshold.threshold or 0.0
-        if score <= threshold:
-            return
-        self._maybe_alert(session_id, record_count, chosen, score, detected_at, threshold)
-
-    def _handle_scores_batch(
-        self,
-        session_ids: list,
-        record_counts: list,
-        chosens: list,
-        scores: np.ndarray,
-        detected_at: float,
-        threshold: float,
-    ) -> None:
-        """Batched counterpart of :meth:`_handle_score` (one tick's scores)."""
-        n = len(session_ids)
-        self.windows_scored += n
-        self._windows_counter.inc(n)
-        self._score_hist.observe_many(scores)
-        for i in np.flatnonzero(scores > threshold):
-            self._maybe_alert(
-                session_ids[i],
-                record_counts[i],
-                list(chosens[i]),
-                float(scores[i]),
-                detected_at,
-                threshold,
-            )
 
     def _maybe_alert(
         self,

@@ -1,12 +1,11 @@
-"""Cross-session megabatch scoring: one fused detector call per RIC tick.
+"""The quantized scoring tier and bounded per-session state.
 
-The seed loop scores each touched session with its own detector call (or
-pool submission). ``repro.megabatch`` gathers every touched session's
-pending window into one ``[n_sessions, window * dim]`` matrix per tick and
-runs a single fused GEMM across all UEs, plus an int8/float16 quantized
-LSTM tier with carried per-session state and a per-capture calibration
-pass. See :mod:`repro.megabatch.settings` for the knobs and the
-bit-identity / accuracy contracts, and docs/PERFORMANCE.md for numbers.
+An int8/float16 quantized LSTM tier with carried per-session state and a
+per-capture calibration pass, plus session eviction. (The per-tick gather
+this package introduced is MobiWatch's only inline path now — one
+row-exact detector call per indication, :mod:`repro.ml.compiled`.) See
+:mod:`repro.megabatch.settings` for the knobs and the accuracy contract,
+and docs/PERFORMANCE.md for numbers.
 """
 
 from repro.megabatch.quantized import (

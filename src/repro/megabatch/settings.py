@@ -1,20 +1,15 @@
-"""Configuration knobs for cross-session megabatch scoring (``repro.megabatch``).
+"""Configuration knobs of the quantized tier and session eviction
+(``repro.megabatch``).
 
 Kept dependency-free (like :mod:`repro.hotpath.settings`) so every layer can
-import it without cycles. **Every default preserves the seed's scoring
-behaviour bit-for-bit**: per-session scoring calls, float64 arithmetic, no
-session eviction.
+import it without cycles. **Every default preserves the exact float64
+scoring behaviour**: no quantization, no session eviction. (Per-tick
+batching is not a knob: MobiWatch's inline path always gathers a tick's
+ready windows into one row-exact detector call, see
+:mod:`repro.ml.compiled`.)
 
 The independent switches:
 
-- ``enabled`` — per-tick megabatch gathering: every touched session's
-  pending window is gathered into one ``[n_sessions, window * dim]``
-  matrix and the detector runs **one** fused call per RIC tick across all
-  UEs, instead of one call (or one pool submission) per session. In
-  float64 the batched rows score bit-identically to the per-session calls
-  (each output element is an independent dot product), so anomaly events
-  are bit-identical to the seed path — enforced per attack scenario by
-  tests/test_megabatch.py.
 - ``quantized`` — the int8/float16 quantized kernel tier (LSTM detector
   only; ignored with a log line under the autoencoder). Weights and
   inputs are quantized to int8 (per-column / per-tensor scales from a
@@ -44,12 +39,9 @@ _CALIBRATIONS = ("minmax", "percentile")
 class MegabatchSettings:
     """Knobs of the ``repro.megabatch`` subsystem (see module docstring)."""
 
-    # One fused detector call per tick across every touched session.
-    enabled: bool = False
-
     # Int8-weight/int8-input quantized batched LSTM tier with carried
-    # per-session state (implies megabatch-style per-tick scoring for the
-    # LSTM detector; the autoencoder falls back to the gather path).
+    # per-session state (LSTM detector only; the autoencoder keeps the
+    # float paths).
     quantized: bool = False
     # Storage precision of the carried hidden/cell state arenas. float16
     # halves state memory at fleet scale; float32 is the exactness-leaning
@@ -100,14 +92,9 @@ class MegabatchSettings:
             )
 
     @property
-    def batching_enabled(self) -> bool:
-        """Per-tick batched scoring is on (gathered or quantized)."""
-        return self.enabled or self.quantized
-
-    @property
     def eviction_enabled(self) -> bool:
         return self.evict_on_release or self.evict_idle_s > 0
 
     @property
     def any_enabled(self) -> bool:
-        return self.batching_enabled or self.eviction_enabled
+        return self.quantized or self.eviction_enabled

@@ -17,6 +17,17 @@ by tests/test_hotpath.py):
   float64 path within the documented
   :class:`~repro.hotpath.settings.HotpathSettings` tolerances.
 
+Two batch modes. By default a batch goes through full-height GEMMs —
+offline scoring: training thresholds, the paper's tables. With
+``per_row=True`` (the live path: MobiWatch's tick gather, the scoring
+workers) the float64 kernels are **row-exact**: every GEMM is issued as a
+stack of the products the single-window call makes (:func:`_gemv_stack`;
+the LSTM's input projections for all steps hoisted into one such stack,
+its head as one ``[steps, H] @ [H, D]`` per window) while the gate, ReLU
+and error element-wise ops run once over the whole batch, so
+``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]`` bit for bit
+at any batch height. float32 has no such contract and ignores the flag.
+
 Weight snapshots are taken at construction; ``AnomalyDetector.fit`` drops
 its snapshot and the next ``scores`` call rebuilds it.
 """
@@ -45,6 +56,18 @@ def _sigmoid_inplace(buf: np.ndarray) -> None:
     np.exp(buf, out=buf)
     buf += 1.0
     np.divide(1.0, buf, out=buf)
+
+
+def _gemv_stack(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = a[i] @ w`` as a stack of ``[1, K] @ [K, N]`` products.
+
+    ``np.matmul`` hands every item of an ``[n, 1, K]`` stack to BLAS on its
+    own — the very GEMV ``np.dot`` issues for a single ``[1, K]`` window —
+    so a row's result does not depend on how many rows ride along. One
+    ``[n, K] @ [K, N]`` GEMM does: BLAS picks differently blocked (and so
+    differently accumulated) kernels per batch height.
+    """
+    np.matmul(a[:, None, :], w, out=out[:, None, :])
 
 
 class _DenseWeights:
@@ -99,8 +122,11 @@ class CompiledAutoencoder:
         self._slot = np.empty((cap, self.window), dtype=self.dtype)
         self._capacity = cap
 
-    def scores(self, windows: np.ndarray) -> np.ndarray:
-        """Anomaly score per window — ``AutoencoderDetector.scores`` fused."""
+    def scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
+        """Anomaly score per window — ``AutoencoderDetector.scores`` fused.
+
+        ``per_row`` (float64): row-exact batch mode, see the module docstring.
+        """
         windows = np.asarray(windows)
         n = windows.shape[0]
         if n == 0:
@@ -109,10 +135,14 @@ class CompiledAutoencoder:
         x = self._input[:n]
         np.copyto(x, windows, casting="unsafe")
         mirror = self.dtype == np.float64
+        stacked = per_row and mirror and n > 1
         out = x
         for (weights, relu), buf, mask in zip(self._chain, self._buffers, self._masks):
             layer_out = buf[:n]
-            np.dot(out, weights.w, out=layer_out)
+            if stacked:
+                _gemv_stack(out, weights.w, layer_out)
+            else:
+                np.dot(out, weights.w, out=layer_out)
             layer_out += weights.b
             if relu:
                 if mirror:
@@ -164,6 +194,9 @@ class CompiledLstm:
         self._capacity = 0
         self._steps = 0
         self._bufs: dict[str, np.ndarray] = {}
+        # Hoisted input projections of the row-exact mode, sized on first
+        # use (offline GEMM scoring of a training set never allocates it).
+        self._zx: Optional[np.ndarray] = None
         # Single-step buffers (incremental scoring), batch == 1.
         h4 = 4 * hd
         self._z1 = np.empty((1, h4), dtype=self.dtype)
@@ -233,6 +266,7 @@ class CompiledLstm:
     def _ensure_capacity(self, n: int, steps: int) -> None:
         if n <= self._capacity and steps == self._steps:
             return
+        self._zx = None
         cap = max(n, self._capacity * 2 if steps == self._steps else n, 16)
         hd, h4 = self.hidden_dim, 4 * self.hidden_dim
         self._bufs = {
@@ -249,8 +283,13 @@ class CompiledLstm:
         self._capacity = cap
         self._steps = steps
 
-    def window_scores(self, windows: np.ndarray, window: int) -> np.ndarray:
-        """``LstmDetector.scores`` fused: worst next-step error per window."""
+    def window_scores(
+        self, windows: np.ndarray, window: int, per_row: bool = False
+    ) -> np.ndarray:
+        """``LstmDetector.scores`` fused: worst next-step error per window.
+
+        ``per_row`` (float64): row-exact batch mode, see the module docstring.
+        """
         windows = np.asarray(windows)
         n = windows.shape[0]
         if n == 0:
@@ -259,6 +298,7 @@ class CompiledLstm:
         self._ensure_capacity(n, steps)
         b = self._bufs
         hd = self.hidden_dim
+        stacked = per_row and self.dtype == np.float64 and n > 1
         # Unflatten into the kernel dtype once; inputs are entries 0..N-2,
         # targets entries 1..N-1 (the seed's _split).
         shaped = windows.reshape(n, window, self.input_dim)
@@ -272,10 +312,27 @@ class CompiledLstm:
         zh = b["zh"][:n]
         tmp = b["tmp"][:n]
         hs = b["hs"][:n]
+        if stacked:
+            # Every step's input projection in one call (they do not depend
+            # on the recurrence): n * steps GEMVs, one per (window, step).
+            if self._zx is None:
+                self._zx = np.empty(
+                    (self._capacity, steps, 4 * hd), dtype=self.dtype
+                )
+            zx = self._zx[:n]
+            _gemv_stack(
+                xbuf.reshape(n * steps, self.input_dim),
+                self.wx,
+                zx.reshape(n * steps, 4 * hd),
+            )
         for t in range(steps):
-            np.dot(xbuf[:, t, :], self.wx, out=z)
-            np.dot(h, self.wh, out=zh)
-            z += zh
+            if stacked:
+                _gemv_stack(h, self.wh, zh)
+                np.add(zx[:, t, :], zh, out=z)
+            else:
+                np.dot(xbuf[:, t, :], self.wx, out=z)
+                np.dot(h, self.wh, out=zh)
+                z += zh
             z += self.b
             # Permuted layout: [i | f | o] sigmoid block, then g.
             i, f, o, g = (
@@ -293,7 +350,11 @@ class CompiledLstm:
             np.multiply(o, tmp, out=h)
             hs[:, t, :] = h
         pred = b["pred"][: n * steps]
-        np.dot(hs.reshape(n * steps, hd), self.head.w, out=pred)
+        if stacked:
+            # One [steps, H] @ [H, D] GEMM per window: the single-window shape.
+            np.matmul(hs, self.head.w, out=pred.reshape(n, steps, self.output_dim))
+        else:
+            np.dot(hs.reshape(n * steps, hd), self.head.w, out=pred)
         pred += self.head.b
         # Per-step errors against the targets, then the window max.
         shaped_pred = pred.reshape(n, steps, self.output_dim)
@@ -348,7 +409,7 @@ class CompiledModel:
             raise TypeError("not an LSTM compiled model")
         return self._impl
 
-    def scores(self, windows: np.ndarray) -> np.ndarray:
+    def scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
         counter = self._calls_counter
         if counter is not None:
             counter.value += 1
@@ -356,15 +417,15 @@ class CompiledModel:
         prof = _profiler.CURRENT
         if prof is not None:
             start = time.perf_counter()
-            result = self._scores(windows)
+            result = self._scores(windows, per_row)
             prof.record("ml.compiled.scores", time.perf_counter() - start)
             return result
-        return self._scores(windows)
+        return self._scores(windows, per_row)
 
-    def _scores(self, windows: np.ndarray) -> np.ndarray:
+    def _scores(self, windows: np.ndarray, per_row: bool) -> np.ndarray:
         if self._kind == "autoencoder":
-            return self._impl.scores(windows)
-        return self._impl.window_scores(windows, self.window)
+            return self._impl.scores(windows, per_row)
+        return self._impl.window_scores(windows, self.window, per_row)
 
 
 def compile_detector(detector, dtype: str = "float32") -> CompiledModel:

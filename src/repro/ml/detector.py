@@ -156,8 +156,7 @@ class AnomalyDetector(abc.ABC):
             score_hist = self.metrics.histogram(
                 f"ml.{self.name}.training_score", buckets=_ERROR_BUCKETS
             )
-            for score in self.training_scores:
-                score_hist.observe(float(score))
+            score_hist.observe_many(self.training_scores)
             self.metrics.gauge(f"ml.{self.name}.threshold").set(
                 self.threshold.threshold or 0.0
             )
@@ -167,16 +166,27 @@ class AnomalyDetector(abc.ABC):
         """Boolean anomaly decision per window."""
         return self.threshold.classify(self.scores(windows))
 
-    def scores(self, windows: np.ndarray) -> np.ndarray:
-        """Anomaly score per window (higher = more anomalous)."""
+    def scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
+        """Anomaly score per window (higher = more anomalous).
+
+        ``per_row=True`` is the live path's row-exact batch mode: in
+        float64, ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]``
+        bit for bit at any batch height (see :mod:`repro.ml.compiled`). The
+        default scores the batch through full-height GEMMs — what training
+        thresholds and the offline tables are computed with.
+        """
         # The kernels convert into their own dtype buffers, so only the
         # shape is checked here (no float64 up-conversion).
-        return self.compiled.scores(self._check(windows, dtype=None))
+        return self.compiled.scores(self._check(windows, dtype=None), per_row)
 
-    def reference_scores(self, windows: np.ndarray) -> np.ndarray:
+    def reference_scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
         """:meth:`scores` by walking the model's layer objects in float64 —
-        the reference the float64 kernels must equal bit for bit."""
-        return self._scores(self._check(windows))
+        the reference the float64 kernels must equal bit for bit
+        (``per_row``: one walk per ``[1, window*dim]`` row)."""
+        windows = self._check(windows)
+        if per_row:
+            return np.array([self._scores(windows[i : i + 1])[0] for i in range(len(windows))])
+        return self._scores(windows)
 
     @abc.abstractmethod
     def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:

@@ -10,10 +10,11 @@ and redispatching transparently if a worker dies mid-flush.
 Two properties make this safe to put behind ``XsecConfig.runtime``
 without perturbing the reproduction:
 
-- **Bit-identity**: the worker scores each window as its own ``[1, dim]``
-  detector call (the seed's exact shape — batched BLAS is *not* bitwise
-  equal to row-wise, so we never batch the math), and the same NumPy
-  computes it, so every float64 score is identical to in-process scoring.
+- **Bit-identity**: the worker scores its batch with one row-exact kernel
+  call (``scores(matrix, per_row=True)`` — a full-height GEMM is *not*
+  bitwise equal to row-wise calls, the GEMV stack of
+  :mod:`repro.ml.compiled` is), and the same NumPy computes it, so every
+  float64 score is identical to in-process scoring.
 - **Sim-time transparency**: the blocking flush happens *between* two
   simulator events; ``completed_at`` is taken from the injected sim
   clock, which does not advance during the flush. AnomalyEvent

@@ -7,11 +7,11 @@ deliberately thin — all policy (dispatch, restart, redispatch, invariants)
 lives in the supervisor, so a ``kill -9`` can land at any instruction
 without corrupting shared state.
 
-Bit-identity contract: the scoring worker scores each window as its own
-``[1, window*dim]`` detector call — exactly the seed's inline shape —
-because batched BLAS reductions are *not* bit-identical to row-wise calls
-(verified empirically; see docs/RUNTIME.md). Process parallelism, not
-intra-worker batching, is where the runtime's throughput comes from.
+Bit-identity contract: the scoring worker scores its batch with one
+row-exact kernel call (``detector.scores(matrix, per_row=True)``): every
+score equals the window's own ``[1, window*dim]`` call — the inline
+path's shape — where a full-height GEMM would not (see
+:mod:`repro.ml.compiled` and docs/RUNTIME.md).
 
 Test hooks: ``crash_after_batches`` makes a scoring worker ``os._exit(1)``
 mid-stream after acking N batches (deterministic crash-mid-batch
@@ -79,8 +79,8 @@ def scoring_worker_main(
         if msg.get("t") != messages.SCORE_BATCH:
             return
         batch_id, _, matrix = messages.unpack_score_batch(msg)
-        # Seed-identical shape: one [1, dim] call per window (see module doc).
-        scores = [float(detector.scores(matrix[i : i + 1])[0]) for i in range(len(matrix))]
+        # Row-exact batch call: every score equals its own [1, dim] call.
+        scores = detector.scores(matrix, per_row=True)
         conn.send_msg(messages.score_result(name, batch_id, scores))
         acked += 1
         if crash_after_batches is not None and acked >= crash_after_batches:

@@ -1,5 +1,5 @@
 """The configuration surface: every knob is read by the program, and the
-ten flags whose fast lanes became the only path stay deleted.
+eleven flags whose fast lanes became the only path stay deleted.
 
 A settings field nothing reads is a configuration the tests must cover
 for no behaviour at all (``genfast.sim_fastlane`` was read by nothing;
@@ -19,6 +19,7 @@ from repro.core.pipeline import ClosedLoopPipeline
 from repro.genfast.settings import GenfastSettings
 from repro.hotpath.settings import HotpathSettings
 from repro.llmfast.settings import LlmfastSettings
+from repro.megabatch.settings import MegabatchSettings
 from repro.trainfast.settings import TrainfastSettings
 
 SRC = Path(repro.__file__).parent
@@ -41,6 +42,7 @@ DELETED = [
     (LlmfastSettings, "vectorized_rag"),
     (LlmfastSettings, "compiled_prompts"),
     (LlmfastSettings, "prompt_cache_capacity"),
+    (MegabatchSettings, "enabled"),
 ]
 
 
@@ -100,6 +102,6 @@ def test_promoted_flags_stay_deleted(settings, name):
 
 
 def test_settings_field_total():
-    """79 before the ten promoted flags were deleted."""
+    """79 before the eleven promoted flags were deleted."""
     total = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
-    assert total <= 69
+    assert total <= 68

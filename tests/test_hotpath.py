@@ -17,6 +17,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from repro import wire
 from repro.attacks import (
@@ -210,6 +213,132 @@ class TestCompiledKernels:
         detector = LstmDetector(window=3, feature_dim=4, hidden_dim=6, seed=7)
         with pytest.raises(ValueError):
             detector.scores(np.zeros((2, 5)))
+
+
+# ---------------------------------------------------------------------------
+# the row-exact batch mode (what the live path and the scoring workers call)
+
+# The deployment's geometry (XsecConfig defaults): BLAS picks kernels by
+# shape, so the contract is checked at the shapes the live path issues.
+_ROW_WINDOW, _ROW_DIM = 6, 71
+
+_ROW_DETECTORS = {
+    "lstm": lambda: LstmDetector(_ROW_WINDOW, _ROW_DIM, hidden_dim=64, seed=21),
+    "autoencoder-max": lambda: AutoencoderDetector(_ROW_WINDOW, _ROW_DIM, seed=22),
+    "autoencoder-mean": lambda: AutoencoderDetector(
+        _ROW_WINDOW, _ROW_DIM, seed=23, aggregate="mean"
+    ),
+}
+_ROW_FITTED: dict = {}
+
+
+def _row_detector(kind):
+    """A briefly trained detector (non-zero biases), fitted once per kind."""
+    if kind not in _ROW_FITTED:
+        detector = _ROW_DETECTORS[kind]()
+        rng = np.random.default_rng(5)
+        train = (rng.random((96, _ROW_WINDOW * _ROW_DIM)) < 0.08).astype(np.float64)
+        detector.fit(train, epochs=2)
+        _ROW_FITTED[kind] = detector
+    return _ROW_FITTED[kind]
+
+
+def _row_batch(n, shape, seed):
+    """``n`` windows of one of the shapes live telemetry and fuzzing produce."""
+    rng = np.random.default_rng(seed)
+    width = _ROW_WINDOW * _ROW_DIM
+    if shape == "one-hot":
+        # Sparse weighted one-hots, float32 like the arena rows.
+        matrix = ((rng.random((n, width)) < 0.08) * rng.integers(1, 4, (n, width))).astype(
+            np.float32
+        )
+    elif shape == "dense":
+        matrix = rng.normal(size=(n, width))
+    else:
+        # Short sessions: a zero prefix of 0..window-1 entries per window.
+        shaped = (rng.random((n, _ROW_WINDOW, _ROW_DIM)) < 0.1).astype(np.float32)
+        for i in range(n):
+            shaped[i, : rng.integers(0, _ROW_WINDOW)] = 0.0
+        matrix = shaped.reshape(n, width)
+    negative_zero = (rng.random(matrix.shape) < 0.03) & (matrix == 0)
+    return np.where(negative_zero, matrix.dtype.type(-0.0), matrix)
+
+
+def _single_row_calls(score_fn, matrix):
+    return np.array([score_fn(matrix[i : i + 1])[0] for i in range(len(matrix))])
+
+
+class TestRowExactKernels:
+    """``scores(m, per_row=True)[i]`` is ``scores(m[i:i+1])[0]``, bit for bit,
+    at any batch height — never relaxed to a tolerance in float64."""
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
+    @given(
+        n=st.integers(1, 64),
+        shape=st.sampled_from(["one-hot", "dense", "zero-padded"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @hypothesis_settings(max_examples=60, deadline=None)
+    def test_bytes_equal_single_row_calls_and_reference(self, kind, n, shape, seed):
+        detector = _row_detector(kind)
+        matrix = _row_batch(n, shape, seed)
+        got = detector.scores(matrix, per_row=True)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        singles = _single_row_calls(detector.scores, matrix)
+        reference = _single_row_calls(detector.reference_scores, matrix)
+        assert got.tobytes() == singles.tobytes()
+        assert singles.tobytes() == reference.tobytes()
+        assert detector.reference_scores(matrix, per_row=True).tobytes() == got.tobytes()
+        # A row's score does not depend on its neighbours or its position.
+        order = np.random.default_rng(seed).permutation(n)
+        permuted = detector.scores(matrix[order], per_row=True)
+        assert permuted.tobytes() == got[order].tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
+    def test_batch_of_one_is_the_plain_call(self, kind):
+        detector = _row_detector(kind)
+        for seed, shape in enumerate(["one-hot", "dense", "zero-padded"]):
+            row = _row_batch(1, shape, seed)
+            assert (
+                detector.scores(row, per_row=True).tobytes()
+                == detector.scores(row, per_row=False).tobytes()
+            )
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
+    def test_plain_gemm_is_not_row_exact(self, kind):
+        """Why the mode exists: full-height GEMMs drift from the row calls in
+        the last bits on some batch (else per_row would be dead weight)."""
+        detector = _row_detector(kind)
+        drifted = 0
+        for seed in range(40):
+            matrix = _row_batch(12, "dense", seed)
+            gemm = detector.scores(matrix)
+            rows = detector.scores(matrix, per_row=True)
+            assert np.allclose(gemm, rows, rtol=1e-9, atol=0.0)
+            drifted += gemm.tobytes() != rows.tobytes()
+        if not drifted:
+            pytest.skip("this BLAS issues height-independent GEMMs")
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
+    def test_float32_per_row_is_the_fused_gemm(self, kind):
+        detector = copy.deepcopy(_row_detector(kind))
+        matrix = _row_batch(24, "one-hot", 3)
+        reference = detector.reference_scores(matrix)
+        detector.scoring_dtype = "float32"
+        fused = detector.scores(matrix)
+        per_row = detector.scores(matrix, per_row=True)
+        assert per_row.tobytes() == fused.tobytes()
+        tolerance = HotpathSettings()
+        assert np.allclose(reference, per_row, rtol=tolerance.float32_rtol, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
+    def test_growing_buffers_never_leak_stale_rows(self, kind):
+        detector = copy.deepcopy(_row_detector(kind))
+        oracle = copy.deepcopy(detector)  # its buffers only ever see one row
+        for seed, n in enumerate([3, 40, 2, 17, 1]):
+            matrix = _row_batch(n, "zero-padded" if seed % 2 else "one-hot", seed)
+            got = detector.scores(matrix, per_row=True)
+            assert got.tobytes() == _single_row_calls(oracle.scores, matrix).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Tests for repro.megabatch: per-tick batched scoring, the quantized
-int8 tier, session eviction, and the hot-path scoring bugfixes.
+"""Tests for per-tick batched scoring, the quantized int8 tier
+(repro.megabatch), session eviction, and the hot-path scoring bugfixes.
 
 The contracts enforced here:
 
-- defaults are the per-session path (no batching, no eviction);
-- float64 megabatch scoring produces bit-identical AnomalyEvents to the
-  per-session path scored by the layer-walking reference, on every
-  attack scenario;
+- defaults are the exact inline path (no quantization, no eviction);
+- the inline path's one row-exact call per tick produces bit-identical
+  AnomalyEvents to the layer-walking reference scoring every window on
+  its own, on every attack scenario;
 - the quantized tier's Table-2-style detection metrics stay within
   ``MegabatchSettings.quantized_metric_tol`` of the float64 path per
   attack scenario;
@@ -18,6 +18,8 @@ The contracts enforced here:
 """
 
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from repro.attacks import (
 )
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
-from repro.core.mobiwatch import RRC_RELEASE_MSG, MobiWatchXApp
+from repro.core.mobiwatch import RRC_RELEASE_MSG, XSEC_ANOMALY_MTYPE, MobiWatchXApp
+from repro.experiments.colosseum import ColosseumScenario, run_scenario
 from repro.experiments.datasets import (
     AttackDatasetConfig,
     BenignDatasetConfig,
@@ -71,15 +74,13 @@ from repro.telemetry.mobiflow import MobiFlowRecord
 class TestMegabatchSettings:
     def test_defaults_are_seed_path(self):
         settings = MegabatchSettings()
-        assert not settings.enabled
         assert not settings.quantized
-        assert not settings.batching_enabled
         assert not settings.eviction_enabled
         assert not settings.any_enabled
         assert XsecConfig().megabatch == settings
 
     def test_quantized_implies_batching(self):
-        assert MegabatchSettings(quantized=True).batching_enabled
+        # Batching itself is no knob any more; the tier still counts as on.
         assert MegabatchSettings(quantized=True).any_enabled
 
     def test_eviction_switches(self):
@@ -126,9 +127,28 @@ class TestObserveMany:
         assert many.bucket_counts == one.bucket_counts
         assert many.min == one.min
         assert many.max == one.max
-        # total is documented as equal up to summation order.
-        assert many.total == pytest.approx(one.total, rel=1e-12)
+        assert many.total == one.total
         assert many.percentile(50) == one.percentile(50)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 31, 32, 5000])
+    def test_every_statistic_equals_the_observe_loop(self, n):
+        """Either side of the scalar/vectorised switch (32), and past the
+        reservoir cap: ``total`` bit-equal included."""
+        values = np.random.default_rng(n).random(n) * 6.0
+        one = Histogram(buckets=self.BUCKETS)
+        many = Histogram(buckets=self.BUCKETS)
+        for hist in (one, many):
+            hist.observe(0.3)  # a non-zero running total to add on to
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        assert many.export() == one.export()
+        assert many.total == one.total
+        assert many._reservoir == one._reservoir and many._ring == one._ring
+        many.observe_many(values.tolist())
+        for value in values:
+            one.observe(value)
+        assert many.export() == one.export()
 
     def test_incremental_calls_accumulate(self):
         hist = Histogram(buckets=self.BUCKETS)
@@ -525,33 +545,36 @@ def event_tuples(xsec):
     ]
 
 
+def counter_total(xsec, name):
+    """A counter family's value summed over its labelled series."""
+    family = xsec.obs.snapshot()["metrics"][name]
+    return int(sum(series["value"] for series in family["series"]))
+
+
 class TestDefaultsAreSeedPath:
     def test_default_config_keeps_seed_components(self, trained_autoencoder):
         xsec = SixGXSec(XsecConfig())
         xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
-        assert xsec.mobiwatch._quantized is None
-        assert xsec.mobiwatch._mb_gather is False
-        assert xsec.mobiwatch._track_touch is False
-        assert xsec.mobiwatch._scoring_path == "seed"
-
-    def test_megabatch_enables_arena_and_gather(self, trained_autoencoder):
-        xsec = SixGXSec(XsecConfig(megabatch=MegabatchSettings(enabled=True)))
-        xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
-        assert xsec.mobiwatch._mb_gather is True
-        assert "megabatch" in xsec.mobiwatch._scoring_path
+        watch = xsec.mobiwatch
+        assert watch._quantized is None
+        assert watch._incremental is None
+        assert watch._tick == watch._tick_gathered
+        assert watch._track_touch is False
+        assert watch._scoring_path == "seed"
 
     def test_quantized_needs_calibrated_lstm(self, trained_lstm):
         # The fixture LSTM was fitted without megabatch attached: no
         # calibration pass ran, so the quantized tier degrades to the
-        # float gather path (with a log line), never a crash.
+        # inline gather path (with a log line), never a crash.
         xsec = SixGXSec(XsecConfig(detector="lstm", megabatch=MegabatchSettings(quantized=True)))
         xsec.deploy_detector(copy.deepcopy(trained_lstm))
         assert xsec.mobiwatch._quantized is None
-        assert xsec.mobiwatch._mb_gather is True
+        assert xsec.mobiwatch._tick == xsec.mobiwatch._tick_gathered
 
 
 class TestMegabatchScenarioEquality:
-    """The float64 contract: megabatch AnomalyEvents == seed, per attack."""
+    """The float64 contract: one row-exact call per tick == every window
+    scored on its own by the reference, per attack."""
 
     @pytest.mark.parametrize(
         "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
@@ -561,20 +584,34 @@ class TestMegabatchScenarioEquality:
         seed_run = run_live(
             trained_lstm, attack=factory, net_kwargs=net_kwargs, reference_scorer=True
         )
-        default = run_live(trained_lstm, attack=factory, net_kwargs=net_kwargs)
-        assert event_tuples(default) == event_tuples(seed_run)
+        matured = []
+        mature = MobiWatchXApp._mature_short_session
+
+        def counted(watch, session_id, count):
+            matured.append(session_id)
+            mature(watch, session_id, count)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MobiWatchXApp, "_mature_short_session", counted)
+            default = run_live(trained_lstm, attack=factory, net_kwargs=net_kwargs)
+        assert default.mobiwatch.records_seen == seed_run.mobiwatch.records_seen
         assert default.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
-        mega = run_live(
-            trained_lstm,
-            megabatch=MegabatchSettings(enabled=True),
-            attack=factory,
-            net_kwargs=net_kwargs,
+        assert default.mobiwatch.windows_scored > 0
+        assert event_tuples(default) == event_tuples(seed_run)
+        assert default.net.sim.events_processed == seed_run.net.sim.events_processed
+        # Batched for real: at most one kernel call per indication and per
+        # matured short session, every window through the kernels.
+        calls, windows, indications = (
+            counter_total(default, name)
+            for name in (
+                "ml.compiled_calls_total",
+                "ml.compiled_windows_total",
+                "e2agent.indications_total",
+            )
         )
-        assert mega.mobiwatch._mb_gather is True
-        assert mega.mobiwatch.records_seen == seed_run.mobiwatch.records_seen
-        assert mega.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
-        assert mega.mobiwatch.windows_scored > 0
-        assert event_tuples(mega) == event_tuples(seed_run)
+        assert windows == default.mobiwatch.windows_scored
+        assert calls <= indications + len(matured)
+        assert calls < windows
 
     def test_megabatch_f32_no_threshold_flips(self, trained_lstm):
         factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
@@ -583,7 +620,6 @@ class TestMegabatchScenarioEquality:
         )
         f32 = run_live(
             trained_lstm,
-            megabatch=MegabatchSettings(enabled=True),
             hotpath=HotpathSettings(dtype="float32"),
             attack=factory,
             net_kwargs=net_kwargs,
@@ -598,6 +634,79 @@ class TestMegabatchScenarioEquality:
         settings = HotpathSettings()
         for ref, fast in zip(ref_events, f32_events):
             assert np.isclose(ref[4], fast[4], rtol=settings.float32_rtol, atol=1e-6)
+
+
+class NonzeroCountDetector(AutoencoderDetector):
+    """Scores without a BLAS in them: ``count_nonzero(window) % 7``.
+
+    Exact on every box, so a log of which windows alarm can be committed
+    (trained weights, and with them near-threshold decisions, move with the
+    numpy build). Flags about two windows in seven, full and padded alike.
+    """
+
+    def scores(self, windows, per_row=False):
+        windows = self._check(windows)
+        return (np.count_nonzero(windows, axis=1) % 7).astype(np.float64)
+
+
+EVENT_LOG_FIXTURE = Path(__file__).parent / "fixtures" / "mobiwatch_event_log.json"
+EVENT_LOG_NAMES = ("mobiwatch.mature", f"rmr.{XSEC_ANOMALY_MTYPE}")
+
+
+def event_log_run():
+    """Multi-UE benign traffic + a BTS-DoS flood; returns the ordered
+    ``(sim time, event name)`` log of maturity timers armed and anomalies
+    published, with the run's totals."""
+    config = XsecConfig()
+    detector = NonzeroCountDetector(window=config.window, feature_dim=config.spec.dim)
+    detector.threshold.threshold = 4.5
+    xsec = SixGXSec(config, network_config=NetworkConfig(seed=91))
+    xsec.deploy_detector(detector)
+    scenario = ColosseumScenario(
+        duration_s=20.0,
+        ue_mix=(("pixel5", 3), ("oai_ue", 3), ("galaxy_a53", 2)),
+        mean_think_time_s=1.5,
+    )
+    run_scenario(xsec.net, scenario, run=False)
+    BtsDosAttack(xsec.net, start_time=3.0, connections=24, interval_s=0.05).arm()
+    log = []
+    schedule = Simulator.schedule
+
+    def logged(sim, delay, callback, name=""):
+        if name in EVENT_LOG_NAMES:
+            log.append([sim.now, name])
+        return schedule(sim, delay, callback, name=name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulator, "schedule", logged)
+        xsec.run(until=20.0)
+    return {
+        "log": log,
+        "sim_events_total": xsec.net.sim.events_processed,
+        "records_seen": xsec.mobiwatch.records_seen,
+        "windows_scored": xsec.mobiwatch.windows_scored,
+        "alarms": [[e.session_id, list(e.record_indices)] for e in xsec.mobiwatch.anomalies],
+    }
+
+
+class TestParentEventLog:
+    """tests/fixtures/mobiwatch_event_log.json is ``event_log_run()`` as the
+    per-session scoring loop of commit e176483 (before the tick gather)
+    produced it: side effects still land in that loop's session order."""
+
+    def test_tick_gather_reproduces_per_session_loop_log(self):
+        recorded = json.loads(EVENT_LOG_FIXTURE.read_text())
+        got = event_log_run()
+        armed, published = (
+            {time for time, name in got["log"] if name == wanted} for wanted in EVENT_LOG_NAMES
+        )
+        # The run arms timers and publishes alarms inside the same ticks, so
+        # the log pins how the two interleave there.
+        assert len(armed) > 20 and len(published) > 20 and len(armed & published) > 5
+        assert got["log"] == recorded["log"]
+        assert got["alarms"] == recorded["alarms"]
+        for total in ("sim_events_total", "records_seen", "windows_scored"):
+            assert got[total] == recorded[total]
 
 
 class TestQuantizedLive:
@@ -719,11 +828,13 @@ def _passing_result():
         tiers={
             "lstm": {
                 "pooled_sessions_per_s": 10_000.0,
+                "megabatch_f64_speedup": 0.8,
                 "megabatch_speedup": MEGABATCH_SPEEDUP_MIN + 1.0,
                 "quantized_speedup": QUANTIZED_SPEEDUP_MIN + 1.0,
             },
             "autoencoder": {
                 "pooled_sessions_per_s": 20_000.0,
+                "megabatch_f64_speedup": 0.8,
                 "megabatch_speedup": MEGABATCH_SPEEDUP_MIN + 1.0,
             },
         },
@@ -766,6 +877,15 @@ class TestBenchGates:
         baseline = _passing_result().to_dict()
         baseline["tiers"]["lstm"]["megabatch_speedup"] = 100.0
         assert any("regressed" in v for v in violations(result, baseline))
+
+    def test_f64_tier_gated_against_baseline(self):
+        """The exact tier has no floor, but falling back toward the old
+        row-by-row 0.25x is a regression against the committed ratio."""
+        result = _passing_result()
+        result.tiers["lstm"]["megabatch_f64_speedup"] = 0.25
+        found = violations(result, _passing_result().to_dict())
+        assert any("megabatch_f64_speedup" in v and "regressed" in v for v in found)
+        assert violations(result) == []
 
     def test_baseline_within_slack_passes(self):
         result = _passing_result()
