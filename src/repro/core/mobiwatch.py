@@ -14,11 +14,13 @@ accumulates telemetry.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace as dataclasses_replace
 from typing import Optional
 
 import numpy as np
 
+from repro import wire
 from repro.core.config import XsecConfig
 from repro.hotpath.incremental import IncrementalLstmScorer
 from repro.megabatch.quantized import QuantizedLstmEngine
@@ -317,8 +319,9 @@ class MobiWatchXApp(XApp):
                 indication.indication_header, indication.indication_message
             )
         except (ValueError, TypeError) as exc:
-            # E2smError and WireError are ValueErrors; MobiFlowRecord.from_dict
-            # and MobiFlowBatch.from_columns (which range-checks vocab ids)
+            # E2smError and WireError are ValueErrors; the record codec
+            # (which checks every field's type and range) and
+            # MobiFlowBatch.from_columns (which range-checks vocab ids)
             # raise either on a well-formed TLV of the wrong shape. Bytes
             # from the E2 edge must not stop the run: count, drop, carry on.
             self._rejected_counter.inc()
@@ -336,9 +339,14 @@ class MobiWatchXApp(XApp):
         evict_release = self.config.megabatch.evict_on_release
         ingest_row = self._ingest_row
         # Telemetry is persisted after the ingest loop as one acked SDL
-        # write per indication (per shard key under ShardedSdl).
-        pending_writes: list[tuple[int, MobiFlowRecord]] = []
-        for record in records:
+        # write per indication (per shard key under ShardedSdl). A record
+        # is stored as the bytes it arrived in — its span of the indication
+        # payload, which the decoder has checked to be exactly its own
+        # encoding — unless there is none (columnar lane) or it no longer
+        # describes the record (clamped timestamp).
+        pending_writes: list[tuple[int, MobiFlowRecord, object]] = []
+        payload = records.payload
+        for record, span in zip(records, records.spans or itertools.repeat(None)):
             index = len(self.series)
             if index and record.timestamp < self.series[index - 1].timestamp:
                 # Batches from different report intervals can interleave
@@ -346,10 +354,12 @@ class MobiWatchXApp(XApp):
                 record = dataclasses_replace(
                     record, timestamp=self.series[index - 1].timestamp
                 )
+                span = None
             self.series.append(record)
             row = self._encoder.push(record)
             self._arrival_ts.append(self.now)
-            pending_writes.append((index, record))
+            value = record.to_wire_dict() if span is None else wire.Encoded(payload, *span)
+            pending_writes.append((index, record, value))
             self.records_seen += 1
             self._records_counter.inc()
             self._capture_to_ingest.observe(self.now - record.timestamp)
@@ -366,20 +376,17 @@ class MobiWatchXApp(XApp):
             if self._sharded_sdl:
                 # Place telemetry by UE session so one session's records
                 # stay on one shard (and its replicas).
-                groups: dict[str, list[tuple[str, dict]]] = {}
-                for index, record in pending_writes:
+                groups: dict[str, list[tuple[str, object]]] = {}
+                for index, record, value in pending_writes:
                     groups.setdefault(str(record.session_id or index), []).append(
-                        (f"{index:09d}", record.to_wire_dict())
+                        (f"{index:09d}", value)
                     )
                 for shard_key, pairs in groups.items():
                     self.sdl.set_many(SDL_TELEMETRY_NS, pairs, shard_key=shard_key)
             else:
                 self.sdl.set_many(
                     SDL_TELEMETRY_NS,
-                    [
-                        (f"{index:09d}", record.to_wire_dict())
-                        for index, record in pending_writes
-                    ],
+                    [(f"{index:09d}", value) for index, _, value in pending_writes],
                 )
         if self._tick is not None:
             self._tick(list(touched))

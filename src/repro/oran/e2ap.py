@@ -10,7 +10,7 @@ serialize through :mod:`repro.wire` and travel over an
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Type
 
 from repro import wire
@@ -30,6 +30,17 @@ class ActionType(enum.Enum):
 
 _PDU_REGISTRY: Dict[str, Type["E2apPdu"]] = {}
 
+def _to_action_type(value: Any) -> Any:
+    return None if value is None else ActionType(value)
+
+
+_PLANS = wire.EnvelopePlans(
+    "pdu",
+    lambda cls: cls.PDU,
+    _PDU_REGISTRY,
+    lambda annotation: _to_action_type if annotation == "ActionType" else None,
+)
+
 
 @dataclass
 class E2apPdu:
@@ -45,16 +56,15 @@ class E2apPdu:
             _PDU_REGISTRY[cls.PDU] = cls
 
     def to_wire(self) -> bytes:
-        ies: Dict[str, Any] = {}
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            ies[f.name] = value
-        return wire.encode({"pdu": type(self).PDU, "ie": ies})
+        """Serialize to TLV bytes: ``{"pdu": PDU, "ie": {...}}``."""
+        return _PLANS.plan(type(self)).encode(self)
 
     @staticmethod
     def from_wire(data: bytes) -> "E2apPdu":
+        data = bytes(data)
+        pdu = _PLANS.decode(data)
+        if pdu is not None:
+            return pdu
         try:
             blob = wire.decode(data)
         except wire.WireError as exc:
@@ -65,14 +75,15 @@ class E2apPdu:
         if cls is None:
             raise E2apError(f"unknown E2AP PDU {blob['pdu']!r}")
         ies = blob.get("ie", {})
+        if not isinstance(ies, dict):
+            raise E2apError("E2AP IEs are not a dict")
         kwargs: Dict[str, Any] = {}
-        for f in dataclass_fields(cls):
-            if f.name not in ies:
-                raise E2apError(f"{blob['pdu']}: missing IE {f.name!r}")
-            value = ies[f.name]
-            if f.type in ("ActionType",) and value is not None:
-                value = ActionType(value)
-            kwargs[f.name] = value
+        plan = _PLANS.plan(cls)
+        for name, convert in zip(plan.names, plan.converters):
+            if name not in ies:
+                raise E2apError(f"{blob['pdu']}: missing IE {name!r}")
+            value = ies[name]
+            kwargs[name] = value if convert is None else convert(value)
         return cls(**kwargs)
 
     @property

@@ -20,6 +20,7 @@ from repro import wire
 from repro.oran.e2sm import E2smError, ServiceModel
 from repro.telemetry.batch import MobiFlowBatch
 from repro.telemetry.encoder import (
+    RecordBatch,
     decode_batch,
     decode_batch_columnar,
     encode_batch,
@@ -124,12 +125,14 @@ class MobiFlowKpmModel(ServiceModel):
         return header, message
 
     @classmethod
-    def decode_indication(cls, header: bytes, message: bytes) -> list[MobiFlowRecord]:
+    def decode_indication(cls, header: bytes, message: bytes) -> RecordBatch:
+        """The indication's records; a per-record payload also yields each
+        record's span of ``message`` (see :class:`RecordBatch`)."""
         meta = wire.decode(header)
         if not isinstance(meta, dict) or meta.get("sm") != cls.NAME:
             raise E2smError("indication header is not MobiFlow-KPM")
         if meta.get("columnar"):
-            records = decode_batch_columnar(message).to_records()
+            records = RecordBatch(decode_batch_columnar(message).to_records(), message, None)
         else:
             records = decode_batch(message)
         if meta.get("count") != len(records):

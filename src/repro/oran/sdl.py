@@ -57,7 +57,10 @@ class SharedDataLayer:
         self.writes += 1
         self._writes_counter.inc()
         self._value_bytes.observe(len(encoded))
-        for callback in self._watchers.get(namespace, []):
+        watchers = self._watchers.get(namespace)
+        if watchers:
+            value = wire.plain(value)  # watchers get values, never spans
+        for callback in watchers or ():
             # A raising watcher must not abort the write, skip the
             # remaining watchers, or lose the write_wall observation.
             try:
@@ -84,8 +87,11 @@ class SharedDataLayer:
         self.writes += 1
         self._writes_counter.inc()
         self._value_bytes.observe(total_bytes)
-        watchers = self._watchers.get(namespace, [])
-        for callback in watchers:
+        watchers = self._watchers.get(namespace)
+        if watchers:
+            # Watchers get values, never spans.
+            pairs = [(key, wire.plain(value)) for key, value in pairs]
+        for callback in watchers or ():
             for key, value in pairs:
                 try:
                     callback(namespace, key, value)

@@ -30,6 +30,7 @@ class InterfaceLink:
         self.sim = sim
         self.name = name
         self.latency_s = latency_s
+        self._deliver_name = f"{name}.deliver"
         self._a_handler: Optional[Handler] = None
         self._b_handler: Optional[Handler] = None
         self._taps: list[Tap] = []
@@ -52,7 +53,7 @@ class InterfaceLink:
         for tap in self._taps:
             tap(self.sim.now, self.name, message)
         self.messages_carried += 1
-        self.sim.schedule(self.latency_s, lambda: handler(message), name=f"{self.name}.deliver")
+        self.sim.schedule(self.latency_s, lambda: handler(message), name=self._deliver_name)
 
     def send_to_b(self, message: Message) -> None:
         """Endpoint A transmits toward endpoint B."""

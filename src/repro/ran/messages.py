@@ -9,7 +9,6 @@ records.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, Optional, Type, TypeVar
@@ -37,26 +36,7 @@ class MessageError(ValueError):
 
 _REGISTRY: Dict[str, Type["Message"]] = {}
 
-# Per-class plan, one ``(field name, enum converter or None)`` per dataclass
-# field, built once per class: ``dataclasses.fields`` walks the hierarchy
-# and allocates Field views on every call, and ``from_wire`` would otherwise
-# sniff each annotation per captured message. Populated lazily on first use
-# — it cannot be built in __init_subclass__ because @dataclass wraps the
-# class *after* that hook runs — and keyed by the exact class, so a subclass
-# defined later gets its own entry.
-_PLANS: Dict[type, tuple] = {}
-
 M = TypeVar("M", bound="Message")
-
-
-def _plan(cls: type) -> tuple:
-    plan = _PLANS.get(cls)
-    if plan is None:
-        plan = _PLANS[cls] = tuple(
-            (field.name, _enum_converter(field.type))
-            for field in dataclasses.fields(cls)
-        )
-    return plan
 
 
 def _enum_converter(annotation: Any) -> Optional[Callable[[Any], Any]]:
@@ -69,6 +49,12 @@ def _enum_converter(annotation: Any) -> Optional[Callable[[Any], Any]]:
     if enum_cls is None:
         return None
     return lambda value: None if value is None else enum_cls(value)
+
+
+# Per-class codec plans (key TLVs, envelope prefix, enum converters):
+# ``to_wire`` writes straight from attributes, ``from_wire`` reads canonical
+# bytes straight into constructor arguments.
+_PLANS = wire.EnvelopePlans("msg", lambda cls: cls.NAME, _REGISTRY, _enum_converter)
 
 
 @dataclass
@@ -107,7 +93,7 @@ class Message:
     def fields(self) -> Dict[str, Any]:
         """Return the message's information elements as a plain dict."""
         out: Dict[str, Any] = {}
-        for name, _ in _plan(type(self)):
+        for name in _PLANS.plan(type(self)).names:
             value = getattr(self, name)
             if isinstance(value, enum.Enum):
                 value = value.value
@@ -116,11 +102,17 @@ class Message:
 
     def to_wire(self) -> bytes:
         """Serialize to TLV bytes: ``{"msg": NAME, "ie": {...}}``."""
-        return wire.encode({"msg": type(self).NAME, "ie": self.fields()})
+        return _PLANS.plan(type(self)).encode(self)
 
     @staticmethod
     def from_wire(data: bytes) -> "Message":
         """Decode bytes back into the registered message class."""
+        data = bytes(data)
+        message = _PLANS.decode(data)
+        if message is not None:
+            return message
+        # Not a known class's canonical layout (or its plan is not built
+        # yet): the generic decode accepts or rejects it.
         try:
             blob = wire.decode(data)
         except wire.WireError as exc:
@@ -135,7 +127,8 @@ class Message:
         if not isinstance(ie, dict):
             raise MessageError("message IEs are not a dict")
         kwargs: Dict[str, Any] = {}
-        for field_name, to_enum in _plan(cls):
+        plan = _PLANS.plan(cls)
+        for field_name, to_enum in zip(plan.names, plan.converters):
             if field_name not in ie:
                 raise MessageError(f"{name}: missing IE {field_name!r}")
             value = ie[field_name]

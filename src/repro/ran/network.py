@@ -59,8 +59,8 @@ class FiveGNetwork:
         self.f1.connect(a_handler=self.du.on_f1, b_handler=self.cu.on_f1)
         self.ng.connect(a_handler=self.cu.on_ng, b_handler=self.amf.on_ng)
         self.pcap = PcapStream()
-        self.f1.add_tap(lambda ts, iface, msg: self.pcap.capture(ts, iface, msg))
-        self.ng.add_tap(lambda ts, iface, msg: self.pcap.capture(ts, iface, msg))
+        self.f1.add_tap(self.pcap.capture)
+        self.ng.add_tap(self.pcap.capture)
         self.cu.start()
         self.ues: list[UserEquipment] = []
         self._msin_counter = itertools.count(100000000)

@@ -3,17 +3,20 @@
 The paper: *"we instrument the F1AP and NGAP interface to obtain pcap
 streams, which are further parsed into MobiFlow security telemetry formats."*
 This module is that capture substrate: every envelope crossing F1 or NG is
-recorded as raw TLV bytes with a timestamp and interface tag; the telemetry
-collector (:mod:`repro.telemetry.collector`) parses records back into
-structured events, exercising a real decode path.
+recorded with a timestamp and interface tag and read back as raw TLV bytes;
+the telemetry collector (:mod:`repro.telemetry.collector`) parses records
+back into structured events, exercising a real decode path.
+
+A live deployment taps the collector on the message objects, so most
+captured bytes are never read: a record serialises its envelope the first
+time ``payload`` is asked for.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Union
 
 from repro.ran.messages import Message
 
@@ -26,17 +29,50 @@ class PcapError(ValueError):
     """Raised on malformed capture data."""
 
 
-@dataclass(frozen=True)
 class CaptureRecord:
-    """One captured packet: when, where, and the raw bytes."""
+    """One captured packet: when, where, and the raw bytes.
 
-    timestamp: float
-    interface: str
-    payload: bytes
+    ``payload`` may be given as the captured envelope itself; it is
+    serialised on first read. Envelopes are not modified once sent, so the
+    bytes are those an eager capture would have held.
+    """
+
+    __slots__ = ("timestamp", "interface", "_payload")
+
+    def __init__(
+        self, timestamp: float, interface: str, payload: Union[bytes, Message]
+    ) -> None:
+        self.timestamp = timestamp
+        self.interface = interface
+        self._payload = payload
+
+    @property
+    def payload(self) -> bytes:
+        payload = self._payload
+        if not isinstance(payload, bytes):
+            payload = self._payload = payload.to_wire()
+        return payload
 
     def decode(self) -> Message:
         """Parse the raw payload back into its message object."""
         return Message.from_wire(self.payload)
+
+    def _key(self) -> tuple:
+        return (self.timestamp, self.interface, self.payload)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CaptureRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CaptureRecord(timestamp={self.timestamp!r}, "
+            f"interface={self.interface!r}, payload={self.payload!r})"
+        )
 
 
 class PcapStream:
@@ -64,9 +100,7 @@ class PcapStream:
         """Record ``message`` crossing ``interface`` at ``timestamp``."""
         if interface not in _IFACE_CODES:
             raise PcapError(f"unknown interface {interface!r}")
-        record = CaptureRecord(
-            timestamp=timestamp, interface=interface, payload=message.to_wire()
-        )
+        record = CaptureRecord(timestamp, interface, message)
         self._records.append(record)
         return record
 
@@ -111,7 +145,7 @@ class PcapStream:
             if end > len(data):
                 raise PcapError("truncated record payload")
             stream._records.append(
-                CaptureRecord(timestamp=timestamp, interface=iface, payload=data[offset:end])
+                CaptureRecord(timestamp, iface, bytes(data[offset:end]))
             )
             offset = end
         return stream

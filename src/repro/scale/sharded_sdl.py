@@ -212,7 +212,10 @@ class ShardedSdl:
         self.writes += 1
         self._writes_counter.inc()
         self._value_bytes.observe(len(encoded))
-        for callback in self._watchers.get(namespace, []):
+        watchers = self._watchers.get(namespace)
+        if watchers:
+            value = wire.plain(value)  # watchers get values, never spans
+        for callback in watchers or ():
             try:
                 callback(namespace, key, value)
             except Exception:
@@ -261,8 +264,11 @@ class ShardedSdl:
         self.writes += 1
         self._writes_counter.inc()
         self._value_bytes.observe(sum(len(encoded) for _, encoded in encoded_pairs))
-        watchers = self._watchers.get(namespace, [])
-        for callback in watchers:
+        watchers = self._watchers.get(namespace)
+        if watchers:
+            # Watchers get values, never spans.
+            pairs = [(key, wire.plain(value)) for key, value in pairs]
+        for callback in watchers or ():
             for key, value in pairs:
                 try:
                     callback(namespace, key, value)

@@ -23,8 +23,10 @@ class SimulationError(RuntimeError):
 class Event:
     """A single scheduled event.
 
-    Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
-    tie-breaker so two events at the same instant fire in scheduling order.
+    Events fire in ``(time, seq)`` order; ``seq`` is a monotonically
+    increasing tie-breaker so two events at the same instant fire in
+    scheduling order. The queue keeps that pair beside the event in its
+    heap entries, so ordering never calls back into Python.
 
     A ``__slots__`` class rather than a dataclass: the engine's innermost
     loop allocates one of these per scheduled callback, and skipping the
@@ -55,26 +57,6 @@ class Event:
             f"Event(time={self.time!r}, seq={self.seq!r}, name={self.name!r}, "
             f"cancelled={self.cancelled!r})"
         )
-
-    # Same ordering contract the (order=True) dataclass generated: compare
-    # by (time, seq) only — the tie-breaking seq is unique per queue, so
-    # equality on (time, seq) identifies the event.
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __le__(self, other: "Event") -> bool:
-        return (self.time, self.seq) <= (other.time, other.seq)
-
-    def __gt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) > (other.time, other.seq)
-
-    def __ge__(self, other: "Event") -> bool:
-        return (self.time, self.seq) >= (other.time, other.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -109,7 +91,9 @@ class EventQueue:
     COMPACT_MIN_HEAP = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        # (time, seq, event): seq is unique, so tuple comparison is decided
+        # by the two numbers and the Event itself is never compared.
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._cancelled = 0  # cancelled events still sitting in the heap
@@ -123,16 +107,17 @@ class EventQueue:
         return len(self._heap)
 
     def push(self, time: float, callback: Callable[[], Any], name: str = "") -> Event:
-        event = Event(time, next(self._counter), callback, name)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, name)
         event._queue = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 # Detach so a later cancel() on the fired event cannot
                 # decrement the count of events still in the queue.
@@ -143,10 +128,10 @@ class EventQueue:
         return None
 
     def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
             self._cancelled -= 1
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def _maybe_compact(self) -> None:
         if (
@@ -159,7 +144,7 @@ class EventQueue:
         """Drop cancelled tombstones and re-heapify; returns how many."""
         dropped = self._cancelled
         if dropped:
-            self._heap = [event for event in self._heap if not event.cancelled]
+            self._heap = [entry for entry in self._heap if not entry[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled = 0
         return dropped

@@ -72,6 +72,17 @@ class MobiFlowCollector:
             "collector.guti_parse_errors_total",
             help="GUTIs whose TMSI could not be parsed (identity feature dropped)",
         )
+        # A capture or an inner RRC/NAS container that does not decode is
+        # skipped, not fatal: one bad packet must not lose the rest of the
+        # capture, nor raise out of the link tap into the sender.
+        self._undecodable = {
+            interface: metrics.counter(
+                "collector.undecodable_total",
+                labels={"interface": interface},
+                help="captures or inner containers skipped because they did not decode",
+            )
+            for interface in ("F1AP", "NGAP")
+        }
         # Columnar fast lane (repro.genfast): when enabled, records also
         # accumulate into a struct-of-arrays builder that flush_batch()
         # drains one MobiFlowBatch per capture flush.
@@ -124,8 +135,21 @@ class MobiFlowCollector:
     def parse_stream(self, stream: PcapStream) -> TelemetrySeries:
         """Offline mode: parse a whole capture, return the telemetry series."""
         for record in stream:
-            self.on_capture(record.timestamp, record.interface, record.decode())
+            message = self._decode(record.interface, record.payload)
+            if message is not None:
+                self.on_capture(record.timestamp, record.interface, message)
         return self.series
+
+    def _decode(self, interface: str, data: bytes) -> Optional[Message]:
+        """A captured payload or inner container as a message, or None
+        (counted) when it does not decode."""
+        try:
+            return Message.from_wire(data)
+        except (ValueError, TypeError):
+            # MessageError, an enum field out of range, a container that is
+            # not bytes at all.
+            self._undecodable[interface].inc()
+            return None
 
     def on_capture(self, timestamp: float, interface: str, message: Message) -> None:
         """Live mode: handle one captured interface envelope."""
@@ -145,14 +169,12 @@ class MobiFlowCollector:
             session = next(self._session_ids)
             self._sessions_counter.inc()
             self._rnti_session[rnti] = session
-            rrc = Message.from_wire(message.rrc_container)
-            self._emit_rrc(timestamp, rnti, rrc)
+            self._emit_rrc(timestamp, rnti, self._decode("F1AP", message.rrc_container))
         elif isinstance(message, f1ap.F1UlRrcMessageTransfer):
             rnti = self._du_id_to_rnti.get(message.gnb_du_ue_id)
             if rnti is None:
                 return
-            rrc = Message.from_wire(message.rrc_container)
-            self._emit_rrc(timestamp, rnti, rrc)
+            self._emit_rrc(timestamp, rnti, self._decode("F1AP", message.rrc_container))
         elif isinstance(message, f1ap.F1Paging):
             # Broadcast paging: not tied to any connection (session 0).
             self._append(
@@ -171,12 +193,11 @@ class MobiFlowCollector:
                 return
             self._du_id_to_cu_id[message.gnb_du_ue_id] = message.gnb_cu_ue_id
             self._cu_id_to_rnti[message.gnb_cu_ue_id] = rnti
-            rrc = Message.from_wire(message.rrc_container)
-            self._emit_rrc(timestamp, rnti, rrc)
+            self._emit_rrc(timestamp, rnti, self._decode("F1AP", message.rrc_container))
         # F1 context management envelopes carry no UE control-plane telemetry.
 
-    def _emit_rrc(self, timestamp: float, rnti: int, rrc: Message) -> None:
-        if type(rrc) in _RRC_WRAPPERS:
+    def _emit_rrc(self, timestamp: float, rnti: int, rrc: Optional[Message]) -> None:
+        if rrc is None or type(rrc) in _RRC_WRAPPERS:
             return
         session = self._rnti_session.get(rnti, 0)
         kwargs: dict = {}
@@ -206,13 +227,17 @@ class MobiFlowCollector:
     def _on_ng(self, timestamp: float, message: Message) -> None:
         if isinstance(message, ngap.NgInitialUeMessage):
             rnti = self._cu_id_to_rnti.get(message.ran_ue_id)
-            self._emit_nas(timestamp, rnti, Message.from_wire(message.nas_pdu))
+            self._emit_nas(timestamp, rnti, self._decode("NGAP", message.nas_pdu))
         elif isinstance(message, (ngap.NgUplinkNasTransport, ngap.NgDownlinkNasTransport)):
             rnti = self._cu_id_to_rnti.get(message.ran_ue_id)
-            self._emit_nas(timestamp, rnti, Message.from_wire(message.nas_pdu))
+            self._emit_nas(timestamp, rnti, self._decode("NGAP", message.nas_pdu))
         # Context setup/release and paging envelopes carry no NAS PDU.
 
-    def _emit_nas(self, timestamp: float, rnti: Optional[int], nas: Message) -> None:
+    def _emit_nas(
+        self, timestamp: float, rnti: Optional[int], nas: Optional[Message]
+    ) -> None:
+        if nas is None:
+            return
         session = self._rnti_session.get(rnti, 0) if rnti is not None else 0
         kwargs: dict = {}
         if isinstance(nas, nas_messages.RegistrationRequest):

@@ -33,12 +33,12 @@ class MobiFlowRecord:
     establishment_cause: Optional[str] = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in _FIELD_NAMES}
+        return {name: getattr(self, name) for name in FIELD_NAMES}
 
     def to_wire_dict(self) -> dict[str, Any]:
         """Non-null fields only — the compact E2 (key, value) payload."""
         out = {}
-        for name in _FIELD_NAMES:
+        for name in FIELD_NAMES:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -61,8 +61,8 @@ class MobiFlowRecord:
 
 # Schema snapshot, computed once: the per-record encode path runs for every
 # telemetry entry and must not pay dataclass reflection each call.
-_FIELD_NAMES: tuple[str, ...] = tuple(f.name for f in dataclass_fields(MobiFlowRecord))
-_FIELD_NAME_SET: frozenset[str] = frozenset(_FIELD_NAMES)
+FIELD_NAMES: tuple[str, ...] = tuple(f.name for f in dataclass_fields(MobiFlowRecord))
+_FIELD_NAME_SET: frozenset[str] = frozenset(FIELD_NAMES)
 
 
 class TelemetrySeries:

@@ -10,12 +10,22 @@ across runs with the same seed.
 Supported values: ``None``, ``bool``, ``int`` (signed, arbitrary size),
 ``float``, ``str``, ``bytes``, ``list`` and ``dict`` (string keys), nested
 arbitrarily.
+
+Three kinds of object cross the interfaces by the thousand per simulated
+second — F1/NG/RRC/NAS messages, E2AP PDUs and MobiFlow records — and each
+is a fixed set of named fields. :class:`ClassPlan` encodes and decodes
+those straight from and to attributes, with the same bytes and the same
+errors as ``encode``/``decode`` of the equivalent dict, which stay the
+codec for every other value.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import struct
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 _TAG_NONE = 0x00
 _TAG_FALSE = 0x01
@@ -119,6 +129,36 @@ def _int_tlv(value: int) -> bytes:
 _INT_CACHE: dict[int, bytes] = {value: _int_tlv(value) for value in range(-1, 1025)}
 
 
+class Encoded:
+    """One complete, already-validated TLV value: ``data[start:stop]``.
+
+    ``encode`` embeds the span verbatim wherever a value may stand, so bytes
+    that were just decoded and checked (a record of an E2 indication on its
+    way into the SDL) are stored as received instead of being rebuilt from
+    the decoded object. Whoever creates the marker vouches that the span is
+    exactly what ``encode`` of the decoded value would produce.
+    """
+
+    __slots__ = ("data", "start", "stop")
+
+    def __init__(self, data: bytes, start: int = 0, stop: Optional[int] = None) -> None:
+        self.data = data
+        self.start = start
+        self.stop = len(data) if stop is None else stop
+
+    def value(self) -> Any:
+        """The value the span encodes."""
+        value, offset = _decode_at(self.data, self.start, self.stop, 0)
+        if offset != self.stop:
+            raise WireError(f"{self.stop - offset} trailing bytes after value")
+        return value
+
+
+def plain(value: Any) -> Any:
+    """``value`` itself, or what it encodes when it is an :class:`Encoded`."""
+    return value.value() if type(value) is Encoded else value
+
+
 def _encode_into(out: bytearray, value: Any, depth: int) -> None:
     """Append one value; ``depth`` counts the containers around it."""
     if value is None:
@@ -190,6 +230,10 @@ def _encode_into(out: bytearray, value: Any, depth: int) -> None:
         else:
             out += _encode_length(length)
         out += value
+    elif kind is Encoded:
+        if depth >= MAX_DEPTH and value.data[value.start] >= _TAG_LIST:
+            raise WireError("nesting too deep")
+        out += value.data[value.start : value.stop]
     # Scalar subclasses (IntEnum, numpy.float64, str enums) encode as their
     # base type, uninterned: their hash/eq need not match the base's.
     elif isinstance(value, int):
@@ -205,6 +249,8 @@ def _encode_into(out: bytearray, value: Any, depth: int) -> None:
 
 def encode(value: Any) -> bytes:
     """Encode ``value`` into TLV bytes."""
+    if type(value) is Encoded:
+        return value.data[value.start : value.stop]
     out = bytearray()
     _encode_into(out, value, 0)
     return bytes(out)
@@ -330,6 +376,356 @@ def decode_prefix(data: bytes) -> tuple[Any, bytes]:
     data = bytes(data)
     value, offset = _decode_at(data, 0, len(data), 0)
     return value, data[offset:]
+
+
+# -- per-class codec plans ---------------------------------------------------------
+#
+# A message, an E2AP PDU or a MobiFlow record always crosses the wire as a
+# dict of the same field names in the same order. A ClassPlan builds each
+# key's TLV (and, for an enveloped class, everything up to the IE dict) once
+# per class, appends str/int/float/None/short-bytes field values inline and
+# hands anything else to _encode_into; on the way in it matches the keys it
+# expects at the offsets it expects them and decodes short scalars inline,
+# leaving the rest to _decode_at. Bytes that are not laid out exactly as the
+# plan's own encoder would lay them out are not an error here: the planned
+# decoders return None and the caller runs the generic decode, which accepts
+# or rejects them with its own messages.
+
+_ANY_TAG = (1 << (_TAG_DICT + 1)) - 1
+_TAGS_OF_TYPE = {
+    type(None): 1 << _TAG_NONE,
+    bool: 1 << _TAG_FALSE | 1 << _TAG_TRUE,
+    int: 1 << _TAG_INT,
+    float: 1 << _TAG_FLOAT,
+    str: 1 << _TAG_STR,
+    bytes: 1 << _TAG_BYTES,
+    list: 1 << _TAG_LIST,
+    dict: 1 << _TAG_DICT,
+}
+_IE_KEY = _str_tlv("ie")
+_IE_KEY_LENGTH = len(_IE_KEY)
+
+
+def _patch_length(out: bytearray, mark: int) -> None:
+    """Fill in the length byte reserved at ``mark`` for the container that
+    runs from there to the end of ``out``, widening it when one byte is
+    not enough."""
+    length = len(out) - mark - 1
+    if length < 0x80:
+        out[mark] = length
+    else:
+        out[mark : mark + 1] = _encode_length(length)
+
+
+class ClassPlan:
+    """How instances of ``cls`` cross the wire as a dict of their fields.
+
+    ``envelope=(kind, name)`` wraps the field dict as ``{kind: name, "ie":
+    {...}}`` (messages, E2AP PDUs); without it the value is the bare dict.
+    ``converters`` maps a field name to what turns its decoded value (None
+    for an absent field) into the attribute: an enum class, a range check
+    that raises ValueError. They run in field order once the whole value
+    has been decoded, as they would over a generically decoded dict.
+
+    ``types`` (field name -> allowed Python types) makes the plan *compact*,
+    the MobiFlow (key, value) form: None-valued fields are left out, and
+    the decoder accepts only the bytes the encoder would produce for the
+    decoded object — keys in order, fields of the stated types (a field
+    whose types include ``type(None)`` may be absent), minimal lengths and
+    ints — so every decoded object's span can be stored as it was received.
+    An uncompact plan writes None like any value and enum members as their
+    ``.value``, and decodes any valid encoding of a field value.
+
+    Instances are built as ``cls(*values)`` in field order.
+    """
+
+    def __init__(
+        self,
+        cls: type,
+        names: Sequence[str],
+        *,
+        envelope: Optional[tuple[str, str]] = None,
+        converters: Optional[Mapping[str, Callable[[Any], Any]]] = None,
+        types: Optional[Mapping[str, tuple]] = None,
+    ) -> None:
+        self.cls = cls
+        self.names = tuple(names)
+        self.compact = types is not None
+        converters = converters or {}
+        self.converters = tuple(converters.get(name) for name in self.names)
+        self._converting = tuple(
+            (index, convert)
+            for index, convert in enumerate(self.converters)
+            if convert is not None
+        )
+        self._keys = tuple(_str_tlv(name) for name in self.names)
+        if len(self.names) > 1:
+            self._values = attrgetter(*self.names)
+        elif self.names:
+            only = attrgetter(self.names[0])
+            self._values = lambda obj: (only(obj),)
+        else:
+            self._values = lambda obj: ()
+        # (key TLV, its length, allowed tags, may be absent)
+        fields = []
+        for name, key in zip(self.names, self._keys):
+            if types is None:
+                fields.append((key, len(key), _ANY_TAG, False))
+                continue
+            mask = 0
+            for kind in types[name]:
+                mask |= _TAGS_OF_TYPE[kind]
+            optional = bool(mask & 1 << _TAG_NONE)
+            fields.append((key, len(key), mask & ~(1 << _TAG_NONE), optional))
+        self._fields = tuple(fields)
+        # Everything before the first field: dict tag and a length byte to
+        # patch, preceded for an enveloped class by the outer dict's tag,
+        # length byte, kind key, name and "ie" key.
+        if envelope is None:
+            self.head = b""
+            self._prefix = bytes([_TAG_DICT, 0])
+        else:
+            kind, name = envelope
+            self.head = _str_tlv(kind) + _str_tlv(name) + _IE_KEY
+            self._prefix = bytes([_TAG_DICT, 0]) + self.head + bytes([_TAG_DICT, 0])
+        # Containers around a field value that belong to the plan itself.
+        self._levels = 1 if envelope is None else 2
+
+    # -- encoding ----------------------------------------------------------------
+
+    def _encode_into(self, out: bytearray, obj: Any, depth: int) -> None:
+        """Append ``obj``; ``depth`` counts the containers around it."""
+        start = len(out)
+        out += self._prefix
+        depth += self._levels
+        compact = self.compact
+        int_cache = _INT_CACHE.get
+        str_cache = _STR_CACHE.get
+        for key, value in zip(self._keys, self._values(obj)):
+            kind = type(value)
+            if kind is int:
+                out += key
+                encoded = int_cache(value)
+                if encoded is None:
+                    _append_int(out, value)
+                else:
+                    out += encoded
+            elif kind is str:
+                out += key
+                out += str_cache(value) or _intern_str(value)
+            elif value is None:
+                if not compact:
+                    out += key
+                    out.append(_TAG_NONE)
+            elif kind is float:
+                out += key
+                out.append(_TAG_FLOAT)
+                out += _pack_float(value)
+            elif kind is bytes and len(value) < 0x80:
+                out += key
+                out.append(_TAG_BYTES)
+                out.append(len(value))
+                out += value
+            else:
+                out += key
+                if not compact and isinstance(value, enum.Enum):
+                    value = value.value
+                _encode_into(out, value, depth)
+        # Close the field dict, then the envelope around it.
+        _patch_length(out, start + len(self._prefix) - 1)
+        if self._levels == 2:
+            _patch_length(out, start + 1)
+
+    def encode(self, obj: Any) -> bytes:
+        """``obj`` as one TLV value."""
+        out = bytearray()
+        self._encode_into(out, obj, 0)
+        return bytes(out)
+
+    def encode_list(self, objs: Sequence[Any]) -> bytes:
+        """``objs`` as one TLV list."""
+        out = bytearray((_TAG_LIST, 0))
+        for obj in objs:
+            self._encode_into(out, obj, 1)
+        _patch_length(out, 1)
+        return bytes(out)
+
+    # -- decoding ----------------------------------------------------------------
+
+    def _decode_fields(self, data: bytes, offset: int, stop: int, depth: int) -> Optional[list]:
+        """Field values from the dict body ``data[offset:stop]``, or None
+        when it is not laid out as this plan's encoder lays it out."""
+        values: list = []
+        append = values.append
+        compact = self.compact
+        try:
+            for key, key_length, mask, optional in self._fields:
+                if not data.startswith(key, offset):
+                    if optional:
+                        append(None)
+                        continue
+                    return None
+                offset += key_length
+                if offset >= stop:
+                    return None
+                tag = data[offset]
+                if not mask >> tag & 1:
+                    return None
+                body = offset + 2
+                if (
+                    (tag == _TAG_STR or tag == _TAG_INT or tag == _TAG_BYTES)
+                    and body <= stop
+                    and (length := data[offset + 1]) < 0x80
+                    and body + length <= stop
+                ):
+                    offset = body + length
+                    if tag == _TAG_STR:
+                        value = str(data[body:offset], "utf-8")
+                    elif tag == _TAG_INT:
+                        value = int.from_bytes(data[body:offset], "big", signed=True)
+                        if compact and length != (value.bit_length() + 8) // 8:
+                            return None
+                    else:
+                        value = data[body:offset]
+                elif tag == _TAG_FLOAT and offset + 9 <= stop:
+                    value = _unpack_float_from(data, offset + 1)[0]
+                    offset += 9
+                elif tag < _TAG_INT:
+                    value = _SINGLETONS[tag]
+                    offset += 1
+                elif compact:
+                    return None
+                else:
+                    value, offset = _decode_at(data, offset, stop, depth)
+                append(value)
+        except UnicodeDecodeError:
+            return None
+        return values if offset == stop else None
+
+    def _build(self, values: list) -> Any:
+        for index, convert in self._converting:
+            values[index] = convert(values[index])
+        return self.cls(*values)
+
+    def decode_list(self, data: bytes) -> Optional[tuple[list, list]]:
+        """Instances and the ``(start, stop)`` span of each in ``data``, when
+        ``data`` is what :meth:`encode_list` of a plan without envelope
+        writes; None when it is anything else."""
+        try:
+            if data[0] != _TAG_LIST:
+                return None
+            end = len(data)
+            length, offset = _decode_length(data, 1, end)
+            if offset + length != end:
+                return None
+            decoded: list = []
+            spans: list = []
+            while offset < end:
+                start = offset
+                if data[offset] != _TAG_DICT:
+                    return None
+                # The one- and two-byte minimal length forms (< 16 KiB).
+                if (length := data[offset + 1]) < 0x80:
+                    offset += 2
+                else:
+                    high = data[offset + 2]
+                    if not 0 < high < 0x80:
+                        return None
+                    length = length & 0x7F | high << 7
+                    offset += 3
+                stop = offset + length
+                if stop > end:
+                    return None
+                values = self._decode_fields(data, offset, stop, 2)
+                if values is None:
+                    return None
+                decoded.append(values)
+                spans.append((start, stop))
+                offset = stop
+        except (IndexError, WireError):
+            return None
+        build = self._build
+        return [build(values) for values in decoded], spans
+
+
+class EnvelopePlans:
+    """The plans of one family of enveloped dataclasses (every ``Message``,
+    every ``E2apPdu``), built on first use and found again by envelope head.
+
+    A plan cannot be built in ``__init_subclass__`` — ``@dataclass`` wraps
+    the class *after* that hook runs — so it is built the first time the
+    class is encoded, or decoded through the generic path. Plans are keyed
+    by the exact class: a subclass defined later gets its own.
+
+    ``name_of(cls)`` is the class's wire name, ``registry`` the family's
+    name -> class table (only a class it holds can be decoded by name) and
+    ``converter_of(annotation)`` what rehydrates a field so annotated, or
+    None.
+    """
+
+    def __init__(
+        self,
+        kind: str,
+        name_of: Callable[[type], str],
+        registry: Mapping[str, type],
+        converter_of: Callable[[Any], Optional[Callable[[Any], Any]]],
+    ) -> None:
+        self._kind = kind
+        self._name_of = name_of
+        self._registry = registry
+        self._converter_of = converter_of
+        self._by_class: dict[type, ClassPlan] = {}
+        self._by_head: dict[bytes, ClassPlan] = {}
+
+    def plan(self, cls: type) -> ClassPlan:
+        plan = self._by_class.get(cls)
+        if plan is None:
+            fields = dataclasses.fields(cls)
+            name = self._name_of(cls)
+            plan = self._by_class[cls] = ClassPlan(
+                cls,
+                [field.name for field in fields],
+                envelope=(self._kind, name),
+                converters={field.name: self._converter_of(field.type) for field in fields},
+            )
+            if self._registry.get(name) is cls:
+                self._by_head[plan.head] = plan
+        return plan
+
+    def clear(self) -> None:
+        """Forget every plan (what ``converter_of`` answers has changed)."""
+        self._by_class.clear()
+        self._by_head.clear()
+
+    def decode(self, data: bytes) -> Any:
+        """The instance ``data`` encodes, when it is laid out as the encoder
+        of a plan built so far lays it out; else None."""
+        try:
+            if data[0] != _TAG_DICT:
+                return None
+            end = len(data)
+            if (length := data[1]) < 0x80:
+                offset = 2
+            else:
+                length, offset = _decode_length(data, 1, end)
+            if offset + length != end:
+                return None
+            # kind key, name and "ie" key, each with a one-byte length.
+            name_at = offset + 2 + data[offset + 1]
+            dict_at = name_at + 2 + data[name_at + 1] + _IE_KEY_LENGTH
+            plan = self._by_head.get(data[offset:dict_at])
+            if plan is None or data[dict_at] != _TAG_DICT:
+                return None
+            if (length := data[dict_at + 1]) < 0x80:
+                offset = dict_at + 2
+            else:
+                length, offset = _decode_length(data, dict_at + 1, end)
+            if offset + length != end:
+                return None
+            values = plan._decode_fields(data, offset, end, 2)
+        except (IndexError, WireError):
+            return None
+        return None if values is None else plan._build(values)
 
 
 # -- columnar batch container --------------------------------------------------

@@ -1,6 +1,10 @@
 """Tests for MobiFlow collection: parsing, sessions, state tracking."""
 
-from repro.ran import FiveGNetwork, NetworkConfig
+from repro.obs.metrics import MetricsRegistry
+from repro.ran import FiveGNetwork, NetworkConfig, f1ap, ngap, rrc
+from repro.ran.links import InterfaceLink
+from repro.ran.pcap import CaptureRecord, PcapStream
+from repro.sim import Simulator
 from repro.telemetry import MobiFlowCollector, decode_record, encode_record
 from repro.telemetry.encoder import decode_batch, encode_batch
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
@@ -15,6 +19,98 @@ def run_benign(seed=1, ues=1, until=30.0):
         net.sim.schedule(0.2 * i, ue.start_session)
     net.run(until=until)
     return net
+
+
+def undecodable_total(metrics):
+    return {
+        interface: metrics.counter(
+            "collector.undecodable_total", labels={"interface": interface}
+        ).value
+        for interface in ("F1AP", "NGAP")
+    }
+
+
+class TestUndecodableCaptures:
+    """One packet that does not decode is counted and skipped; it used to
+    raise MessageError out of parse_stream (losing the rest of the capture)
+    and, live, out of the link tap into InterfaceLink._send."""
+
+    GARBAGE = b"\x08\x05garbage"
+
+    def _setup(self, du_id, container):
+        return f1ap.F1InitialUlRrcMessageTransfer(
+            gnb_du_ue_id=du_id, c_rnti=0x4600 + du_id, rrc_container=container
+        )
+
+    def test_undecodable_container_skips_one_record(self):
+        good = rrc.RrcSetupRequest(ue_identity=7).to_wire()
+        stream = PcapStream()
+        stream.capture(0.1, "F1AP", self._setup(1, good))
+        stream.capture(0.2, "F1AP", self._setup(2, self.GARBAGE))
+        stream.capture(0.3, "F1AP", self._setup(3, good))
+        metrics = MetricsRegistry()
+        series = MobiFlowCollector(metrics).parse_stream(stream)
+        assert [(r.timestamp, r.msg, r.rnti) for r in series] == [
+            (0.1, "RRCSetupRequest", 0x4601),
+            (0.3, "RRCSetupRequest", 0x4603),
+        ]
+        assert undecodable_total(metrics) == {"F1AP": 1, "NGAP": 0}
+
+    @pytest.mark.parametrize(
+        "container",
+        [
+            GARBAGE,
+            b"",
+            rrc.RrcSetupRequest().to_wire()[:-1],
+            # Decodes as TLV, names a real class, carries a value no enum has.
+            rrc.RrcSetupRequest().to_wire().replace(b"mo-Signalling", b"mo-Xignalling"),
+            None,
+            "not bytes",
+        ],
+        ids=["garbage", "empty", "truncated", "enum_out_of_range", "none", "str"],
+    )
+    def test_every_kind_of_bad_container_and_pdu(self, container):
+        metrics = MetricsRegistry()
+        collector = MobiFlowCollector(metrics)
+        collector.on_capture(0.1, "F1AP", self._setup(1, container))
+        collector.on_capture(
+            0.2, "F1AP", f1ap.F1UlRrcMessageTransfer(gnb_du_ue_id=1, rrc_container=container)
+        )
+        collector.on_capture(0.3, "NGAP", ngap.NgInitialUeMessage(ran_ue_id=1, nas_pdu=container))
+        collector.on_capture(
+            0.4, "NGAP", ngap.NgUplinkNasTransport(ran_ue_id=1, nas_pdu=container)
+        )
+        assert len(collector.series) == 0
+        assert undecodable_total(metrics) == {"F1AP": 2, "NGAP": 2}
+
+    def test_undecodable_capture_payload_is_skipped(self):
+        good = self._setup(1, rrc.RrcSetupRequest().to_wire())
+        stream = PcapStream()
+        stream.capture(0.1, "F1AP", good)
+        stream._records.append(CaptureRecord(0.2, "NGAP", self.GARBAGE))
+        stream.capture(0.3, "F1AP", self._setup(2, rrc.RrcSetupRequest().to_wire()))
+        restored = PcapStream.from_bytes(stream.to_bytes())
+        metrics = MetricsRegistry()
+        assert len(MobiFlowCollector(metrics).parse_stream(restored)) == 2
+        assert undecodable_total(metrics) == {"F1AP": 0, "NGAP": 1}
+
+    def test_live_tap_does_not_raise_into_the_sender(self):
+        sim = Simulator()
+        link = InterfaceLink(sim, "F1AP")
+        delivered = []
+        link.connect(a_handler=delivered.append, b_handler=delivered.append)
+        collector = MobiFlowCollector(sim.obs.metrics)
+        link.add_tap(collector.on_capture)
+        link.send_to_b(self._setup(1, self.GARBAGE))
+        link.send_to_b(self._setup(2, rrc.RrcSetupRequest().to_wire()))
+        sim.run()
+        assert len(delivered) == 2 and link.messages_carried == 2
+        assert len(collector.series) == 1
+        assert undecodable_total(sim.obs.metrics) == {"F1AP": 1, "NGAP": 0}
+
+    def test_unknown_interface_is_still_an_error(self):
+        with pytest.raises(ValueError, match="unknown interface"):
+            MobiFlowCollector().on_capture(0.0, "X2AP", rrc.RrcSetup())
 
 
 class TestCollector:

@@ -1,12 +1,16 @@
 """Unit tests for the MobiWatch and LLM-analyzer xApps in isolation."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import XsecConfig
 from repro.core.llm_analyzer import LlmAnalyzerXApp
 from repro import wire
-from tests.test_wire import nested_lists
+from tests.test_wire import examples, nested_lists
 from repro.core.mobiwatch import (
     SDL_TELEMETRY_NS,
     XSEC_ANOMALY_MTYPE,
@@ -59,6 +63,20 @@ def columnar_indication_bytes(**packed_ids):
     return header, wire.encode_columnar(columns, meta)
 
 
+def hostile_batch(**fields):
+    """A well-formed one-record batch whose record carries the given field
+    values, whatever their type."""
+    return wire.encode([{**record(0.1, "RRCSetup").to_wire_dict(), **fields}])
+
+
+# One value of every wire type, and the edges of the ones with a range.
+WIRE_SAMPLES = [
+    None, True, False, 5, -5, 2**70, -(10**9), 10**400, 0.5, -1e300, float("nan"),
+    float("inf"), "x", "", "s" * 200, b"x", [1], [1, 2], [], {"k": 1}, {},
+]  # fmt: skip
+RECORD_FIELDS = list(record(0.0, "RRCSetup").to_dict())
+
+
 def trained_detector(config, seed=0):
     rng = np.random.default_rng(seed)
     windows = rng.random((80, config.window * config.spec.dim)) * 0.1
@@ -67,6 +85,9 @@ def trained_detector(config, seed=0):
     )
     detector.fit(windows, epochs=2)
     return detector
+
+
+DETECTOR = trained_detector(XsecConfig())
 
 
 class TestMobiWatchUnit:
@@ -105,6 +126,32 @@ class TestMobiWatchUnit:
             pytest.param(
                 lambda h, m: (columnar_indication_bytes()[0], m), id="columnar_header_on_rows"
             ),
+            # Well-formed TLV, wrong-typed field: these raised TypeError out of
+            # Simulator.run *after* series.append ("zzz" < 0.1, hash([1, 2])),
+            # or were ingested (msg=7, timestamp=nan).
+            pytest.param(lambda h, m: (h, hostile_batch(timestamp="zzz")), id="timestamp_str"),
+            pytest.param(lambda h, m: (h, hostile_batch(cipher_alg="x")), id="cipher_alg_str"),
+            pytest.param(lambda h, m: (h, hostile_batch(session_id=[1, 2])), id="session_id_list"),
+            pytest.param(lambda h, m: (h, hostile_batch(s_tmsi=[1])), id="s_tmsi_list"),
+            pytest.param(lambda h, m: (h, hostile_batch(msg=7)), id="msg_int"),
+            pytest.param(
+                lambda h, m: (h, hostile_batch(timestamp=float("nan"))), id="timestamp_nan"
+            ),
+            pytest.param(
+                lambda h, m: (h, hostile_batch(timestamp=float("inf"))), id="timestamp_inf"
+            ),
+            pytest.param(lambda h, m: (h, hostile_batch(timestamp=True)), id="timestamp_bool"),
+            pytest.param(
+                lambda h, m: (h, hostile_batch(timestamp=10**400)), id="timestamp_int_past_float"
+            ),
+            pytest.param(lambda h, m: (h, hostile_batch(session_id=-1)), id="session_id_negative"),
+            pytest.param(lambda h, m: (h, hostile_batch(session_id=None)), id="session_id_none"),
+            pytest.param(
+                lambda h, m: (h, hostile_batch(integrity_alg=-(10**9))), id="alg_negative"
+            ),
+            pytest.param(lambda h, m: (h, hostile_batch(rnti=1.5)), id="rnti_float"),
+            pytest.param(lambda h, m: (h, hostile_batch(suci=b"bytes")), id="suci_bytes"),
+            pytest.param(lambda h, m: (h, hostile_batch(direction=None)), id="direction_none"),
         ],
     )
     def test_corrupt_indication_is_counted_and_dropped(self, corrupt):
@@ -133,8 +180,63 @@ class TestMobiWatchUnit:
         assert watch.records_seen == len(watch.series) == 2
         assert [r.msg for r in watch.series] == ["RRCSetupRequest", "RRCSetupComplete"]
         assert len(ric.sdl.keys(SDL_TELEMETRY_NS)) == 2
+        assert len(watch._arrival_ts) == 2
         assert any("indication rejected" in line for _, line in watch.logs)
         assert watch.anomalies == []
+
+    @examples(150)
+    @given(
+        st.lists(
+            st.none()
+            | st.tuples(
+                st.booleans(), st.sampled_from(RECORD_FIELDS), st.sampled_from(WIRE_SAMPLES)
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_hostile_field_values_never_raise(self, steps):
+        """Any wire value in any field of either record of an indication:
+        the indication is ingested whole or rejected whole, ``on_indication``
+        never raises, the ledger balances after each, and what was accepted
+        is scored without raising."""
+        config = XsecConfig()
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, config)
+        watch.deploy_detector(copy.deepcopy(DETECTOR))
+        rejected = sim.obs.metrics.counter("mobiwatch.indications_rejected_total")
+        accepted = 0
+        for seq, step in enumerate(steps, start=1):
+            rows = [
+                record(0.2 * seq + 0.1 * i, "RRCSetup", session=1 + seq % 2).to_wire_dict()
+                for i in range(2)
+            ]
+            if step is not None:
+                second, name, value = step
+                rows[second][name] = value
+            header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 2})
+            before = watch.records_seen
+            watch.on_indication(
+                RicIndication(
+                    ric_request_id=1,
+                    ran_function_id=MOBIFLOW_RAN_FUNCTION_ID,
+                    sequence_number=seq,
+                    indication_header=header,
+                    indication_message=wire.encode(rows),
+                )
+            )
+            assert watch.records_seen - before in (0, 2)
+            accepted += watch.records_seen > before
+            assert (
+                watch.records_seen
+                == len(watch.series)
+                == len(watch._arrival_ts)
+                == len(ric.sdl.keys(SDL_TELEMETRY_NS))
+            )
+            sim.run(until=sim.now + 1.0)  # maturity timers: score what got in
+        assert accepted + rejected.value == len(steps)
+        if all(step is None for step in steps):
+            assert rejected.value == 0
 
     def test_out_of_order_batches_clamped(self):
         sim, ric = make_ric()

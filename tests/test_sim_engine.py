@@ -202,6 +202,33 @@ class TestEventQueueLiveCount:
         event.cancel()  # fired events can still be cancelled by callers
         assert len(queue) == 1
 
+    def test_ordering_never_compares_events(self, monkeypatch):
+        """Heap entries are (time, seq, event): the two numbers decide, in C.
+        An Event that cannot be compared at all still pops in (time, push)
+        order, through ties, cancellation and compaction."""
+        from repro.sim.engine import Event, EventQueue
+
+        def refuse(self, other):
+            raise AssertionError("Event objects must not be compared")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            monkeypatch.setattr(Event, name, refuse, raising=False)
+        queue = EventQueue()
+        times = [3.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0] * 40
+        events = [queue.push(time, lambda: None, name=str(i)) for i, time in enumerate(times)]
+        kept = events[1::3]
+        for index, event in enumerate(events):
+            if index % 3 != 1:
+                event.cancel()  # enough tombstones to compact on the way
+        assert queue.heap_size < len(events)
+        assert queue.peek_time() == 1.0
+        popped = []
+        while (event := queue.pop()) is not None:
+            popped.append(event)
+        expected = sorted(kept, key=lambda e: (e.time, e.seq))
+        assert [e.name for e in popped] == [e.name for e in expected]
+        assert [e.seq for e in events] == list(range(len(events)))
+
     def test_simulator_pending_matches_queue(self):
         sim = Simulator()
         kept = sim.schedule(1.0, lambda: None)

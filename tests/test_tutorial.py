@@ -4,6 +4,7 @@ Keeps the tutorial honest: this test builds the exact KPI-monitor xApp the
 document walks through and checks every documented behaviour.
 """
 
+from repro import wire
 from repro.oran import NearRtRic, RicAgent
 from repro.oran.e2ap import ActionType
 from repro.oran.e2sm_kpm import (
@@ -25,6 +26,7 @@ class KpiMonitorXApp(XApp):
         super().start()
         self._setups_per_tmsi = {}
         self.acks = []
+        self.seen = []
         trigger = MobiFlowKpmModel.encode_event_trigger(
             MobiFlowReportStyle(report_period_s=0.1).to_trigger()
         )
@@ -41,6 +43,15 @@ class KpiMonitorXApp(XApp):
                 self._setups_per_tmsi[record.s_tmsi] = count
                 if count == self.SETUPS_BEFORE_BARRING:
                     self._bar(record.s_tmsi)
+        if records.spans is not None:
+            self.sdl.set_many(
+                "kpi.raw",
+                [
+                    (f"{indication.sequence_number}.{i}", wire.Encoded(records.payload, *span))
+                    for i, span in enumerate(records.spans)
+                ],
+            )
+        self.seen.extend(records)
 
     def _bar(self, tmsi):
         header, message = MobiFlowKpmModel.encode_control(
@@ -76,6 +87,19 @@ class TestTutorialXApp:
         net.run(until=30.0)
         messages = ric.sdl.get("kpi", "messages")
         assert messages and "RegistrationRequest" in messages
+
+    def test_records_stored_as_received_spans_read_back_as_dicts(self):
+        net, ric, xapp = deploy()
+        watched = []
+        ric.sdl.watch("kpi.raw", lambda namespace, key, value: watched.append(value))
+        ue = net.add_ue("pixel5")
+        net.sim.schedule(0.5, ue.start_session)
+        net.run(until=30.0)
+        stored = [value for _, value in ric.sdl.items("kpi.raw")]
+        expected = [record.to_wire_dict() for record in xapp.seen]
+        assert len(expected) > 10
+        assert sorted(stored, key=repr) == sorted(expected, key=repr)
+        assert watched == expected  # watchers get decoded values, not spans
 
     def test_noisy_identity_gets_barred(self):
         from repro.attacks import BlindDosAttack

@@ -172,6 +172,177 @@ GOLDEN_VECTORS = [
     ("namedtuple", _Point(1, 2.0), "070c030101044000000000000000"),
     ("ordered_dict", collections.OrderedDict([("z", 1), ("a", [])]), "080b05017a0301010501610700"),
     ("numpy_float64", np.float64(2.5), "044004000000000000"),
+    # Objects the per-class plans (wire.ClassPlan) serialise, as the generic
+    # dicts they replaced: tests/test_wire_plans.py holds the planned
+    # encoders and decoders to these same bytes.
+    (
+        "message_enum_wide_int_bool",
+        {
+            "msg": "RRCSetupRequest",
+            "ie": {
+                "establishment_cause": "mo-Data",
+                "ue_identity": 0x9ABCDEF012,
+                "identity_is_tmsi": True,
+            },
+        },
+        "086205036d7367050f5252435365747570526571756573740502696508460513"
+        "65737461626c6973686d656e745f636175736505076d6f2d44617461050b7565"
+        "5f6964656e746974790306009abcdef01205106964656e746974795f69735f74"
+        "6d736902",
+    ),
+    (
+        "message_long_container",
+        {
+            "msg": "F1ULRRCMessageTransfer",
+            "ie": {"gnb_du_ue_id": 3, "gnb_cu_ue_id": 1025, "rrc_container": bytes(range(200))},
+        },
+        "08a10205036d736705164631554c5252434d6573736167655472616e73666572"
+        "0502696508fd01050c676e625f64755f75655f6964030103050c676e625f6375"
+        "5f75655f696403020401050d7272635f636f6e7461696e657206c80100010203"
+        "0405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223"
+        "2425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243"
+        "4445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f60616263"
+        "6465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f80818283"
+        "8485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3"
+        "a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3"
+        "c4c5c6c7",
+    ),
+    (
+        "message_int_enums_nested_list",
+        {
+            "msg": "NASSecurityModeCommand",
+            "ie": {
+                "cipher_alg": 0,
+                "integrity_alg": 2,
+                "replayed_capabilities": ["NEA0", ["NIA1", 2]],
+            },
+        },
+        "086e05036d736705164e415353656375726974794d6f6465436f6d6d616e6405"
+        "026965084b050a6369706865725f616c67030100050d696e746567726974795f"
+        "616c6703010205157265706c617965645f6361706162696c6974696573071105"
+        "044e454130070905044e494131030102",
+    ),
+    (
+        "message_no_fields",
+        {"msg": "RRCSecurityModeComplete", "ie": {}},
+        "082405036d7367051752524353656375726974794d6f6465436f6d706c657465"
+        "050269650800",
+    ),
+    (
+        "message_floats",
+        {"msg": "MeasurementReport", "ie": {"rsrp_dbm": -101.5, "rsrq_db": -0.0}},
+        "084305036d736705114d6561737572656d656e745265706f7274050269650825"
+        "0508727372705f64626d04c0596000000000000507727372715f646204800000"
+        "0000000000",
+    ),
+    (
+        "e2ap_indication",
+        {
+            "pdu": "RICIndication",
+            "ie": {
+                "ric_request_id": 7,
+                "ran_function_id": 142,
+                "sequence_number": 300000,
+                "indication_header": b"hdr",
+                "indication_message": bytes(130),
+            },
+        },
+        "088a020503706475050d524943496e6469636174696f6e0502696508ef01050e"
+        "7269635f726571756573745f6964030107050f72616e5f66756e6374696f6e5f"
+        "69640302008e050f73657175656e63655f6e756d62657203030493e00511696e"
+        "6469636174696f6e5f68656164657206036864720512696e6469636174696f6e"
+        "5f6d657373616765068201000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000",
+    ),
+    (
+        "e2ap_subscription_policy",
+        {
+            "pdu": "RICSubscriptionRequest",
+            "ie": {
+                "ric_request_id": 2,
+                "ran_function_id": 142,
+                "event_trigger": b"\x08\x00",
+                "action_type": "policy",
+            },
+        },
+        "087305037064750516524943537562736372697074696f6e5265717565737405"
+        "0269650850050e7269635f726571756573745f6964030102050f72616e5f6675"
+        "6e6374696f6e5f69640302008e050d6576656e745f7472696767657206020800"
+        "050b616374696f6e5f747970650506706f6c696379",
+    ),
+    (
+        "e2ap_setup_dict_field",
+        {
+            "pdu": "E2SetupRequest",
+            "ie": {"e2_node_id": "gnb-cu-0", "ran_functions": {"142": "ORAN-E2SM-KPM-MobiFlow"}},
+        },
+        "085f0503706475050e4532536574757052657175657374050269650844050a65"
+        "325f6e6f64655f69640508676e622d63752d30050d72616e5f66756e6374696f"
+        "6e73081d050331343205164f52414e2d4532534d2d4b504d2d4d6f6269466c6f"
+        "77",
+    ),
+    (
+        "e2ap_control_ack_bools",
+        {
+            "pdu": "RICControlAck",
+            "ie": {
+                "ric_request_id": 9,
+                "ran_function_id": 142,
+                "success": False,
+                "outcome": "no active context",
+            },
+        },
+        "08680503706475050d524943436f6e74726f6c41636b05026965084e050e7269"
+        "635f726571756573745f6964030109050f72616e5f66756e6374696f6e5f6964"
+        "0302008e0507737563636573730105076f7574636f6d6505116e6f2061637469"
+        "766520636f6e74657874",
+    ),
+    (
+        "mobiflow_batch",
+        [
+            {
+                "timestamp": 12.625,
+                "msg": "RRCSetupRequest",
+                "protocol": "RRC",
+                "direction": "UL",
+                "session_id": 7,
+                "rnti": 0x4601,
+                "s_tmsi": 0xDEADBEEF,
+                "establishment_cause": "mo-Data",
+            },
+            {
+                "timestamp": 12.75,
+                "msg": "NASSecurityModeCommand",
+                "protocol": "NAS",
+                "direction": "DL",
+                "session_id": 7,
+                "rnti": 0x4601,
+                "s_tmsi": 0xDEADBEEF,
+                "suci": "suci-001-01-0000-0-0-1234567890",
+                "supi": "imsi-001011234567890",
+                "cipher_alg": 0,
+                "integrity_alg": 2,
+            },
+            {"timestamp": 13, "msg": "Paging", "protocol": "RRC", "direction": "DL", "session_id": 0},
+        ],
+        "07b903088e01050974696d657374616d7004402940000000000005036d736705"
+        "0f525243536574757052657175657374050870726f746f636f6c050352524305"
+        "09646972656374696f6e0502554c050a73657373696f6e5f6964030107050472"
+        "6e7469030246010506735f746d7369030500deadbeef051365737461626c6973"
+        "686d656e745f636175736505076d6f2d4461746108db01050974696d65737461"
+        "6d7004402980000000000005036d736705164e415353656375726974794d6f64"
+        "65436f6d6d616e64050870726f746f636f6c05034e4153050964697265637469"
+        "6f6e0502444c050a73657373696f6e5f69640301070504726e74690302460105"
+        "06735f746d7369030500deadbeef050473756369051f737563692d3030312d30"
+        "312d303030302d302d302d313233343536373839300504737570690514696d73"
+        "692d303031303131323334353637383930050a6369706865725f616c67030100"
+        "050d696e746567726974795f616c670301020848050974696d657374616d7003"
+        "010d05036d73670506506167696e67050870726f746f636f6c05035252430509"
+        "646972656374696f6e0502444c050a73657373696f6e5f6964030100",
+    ),
 ]
 
 
