@@ -213,8 +213,20 @@ class ClosedLoopPipeline:
             report["runtime"] = supervisor.health()
         genfast = self.config.genfast
         if genfast.any_enabled:
-            # repro.genfast: which generation/ingest fast lanes are active.
-            report["genfast"] = {"columnar_batches": genfast.columnar_batches}
+            # repro.genfast: which generation/ingest fast lanes are active,
+            # and what the lane costs on the wire (e2.pdu_bytes_total, both
+            # directions, over the records ingested).
+            e2_bytes = sum(
+                counter.value
+                for _, counter in self.mobiwatch.sim.obs.metrics.family_series(
+                    "e2.pdu_bytes_total"
+                )
+            )
+            records = self.mobiwatch.records_seen
+            report["genfast"] = {
+                "columnar_batches": genfast.columnar_batches,
+                "e2_bytes_per_record": e2_bytes / records if records else None,
+            }
         llmfast = self.config.llmfast
         if llmfast.fast_submit_enabled:
             # repro.llmfast: the verdict-plane ledger (the invariant

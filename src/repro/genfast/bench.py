@@ -120,6 +120,11 @@ class GenfastBenchResult:
             f"  end-to-end ingest: seed {e['seed_rps']:.0f} rec/s -> columnar "
             f"{e['fast_rps']:.0f} rec/s ({e['speedup']:.2f}x, {floor_kind})"
         )
+        if "seed_payload_bytes_per_record" in e:
+            lines.append(
+                f"  E2 payload: per-record {e['seed_payload_bytes_per_record']:.1f} B/rec, "
+                f"columnar {e['fast_payload_bytes_per_record']:.1f} B/rec"
+            )
         f_ = self.featurization
         lines.append(
             f"  featurization: streaming {f_['seed_rps']:.0f} rec/s -> vectorized "
@@ -162,9 +167,16 @@ def _bench_end_to_end(cfg: GenfastBenchConfig, result: GenfastBenchResult) -> No
         "fast_rps": workload.records / fast_s,
         "speedup": seed_s / fast_s,
     }
-    result.equality.update(
-        lanes_equal(run_seed_lane(workload, spec), run_fast_lane(workload, spec))
+    seed_lane, fast_lane = run_seed_lane(workload, spec), run_fast_lane(workload, spec)
+    # What each lane puts on E2 per record (names are two-byte symbols on
+    # both; the columnar lane pays fixed-width columns and vocabularies).
+    result.end_to_end["seed_payload_bytes_per_record"] = (
+        sum(map(len, seed_lane.payloads)) / workload.records
     )
+    result.end_to_end["fast_payload_bytes_per_record"] = (
+        sum(map(len, fast_lane.payloads)) / workload.records
+    )
+    result.equality.update(lanes_equal(seed_lane, fast_lane))
 
 
 def _bench_featurization(cfg: GenfastBenchConfig, result: GenfastBenchResult) -> None:

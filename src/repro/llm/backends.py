@@ -41,7 +41,7 @@ class SimulatedLlmBackend:
 
     def complete(self, prompt: str) -> str:
         """Answer the Figure 5 prompt with a sectioned text analysis."""
-        records = parse_data_section(prompt)
+        records = parse_data_section(prompt, self.engine.parsed_lines)
         if not records:
             return (
                 "Verdict: benign\n"

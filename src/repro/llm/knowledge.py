@@ -388,6 +388,10 @@ class AnalysisEngine:
 
     def __init__(self, knowledge: Optional[CellularKnowledgeBase] = None) -> None:
         self.knowledge = knowledge or CellularKnowledgeBase()
+        # Prompt lines already read, for llm.prompt.parse_data_section: the
+        # backends of one simulated provider share this engine, so each
+        # deployment starts cold and every model behind it reads a line once.
+        self.parsed_lines: dict[str, MobiFlowRecord] = {}
 
     def analyze(self, records: list[MobiFlowRecord]) -> list[SignatureMatch]:
         """Return all signature matches, strongest first."""

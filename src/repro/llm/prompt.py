@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.ran.messages import Message, MessageError
 from repro.ran.security import CipherAlg, IntegrityAlg
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -89,36 +90,62 @@ _LINE_RE = re.compile(
 )
 
 
-def parse_data_section(text: str) -> list[MobiFlowRecord]:
-    """Read telemetry entries back out of prompt text (backend side)."""
-    from repro.ran.messages import Message, MessageError
+# Lines a simulated provider remembers before it forgets them all (the
+# prompt builder's line cache on the xApp side is bounded the same way).
+_PARSED_LINES_CAPACITY = 65536
 
-    def _protocol(msg_name: str) -> str:
-        try:
-            return Message.lookup(msg_name).PROTOCOL.value
-        except MessageError:
-            return "RRC"
 
+def _record_from_match(match: re.Match) -> MobiFlowRecord:
+    try:
+        protocol = Message.lookup(match["msg"]).PROTOCOL.value
+    except MessageError:
+        protocol = "RRC"
+    cipher = match["cipher"]
+    integrity = match["integrity"]
+    return MobiFlowRecord(
+        timestamp=float(match["t"]),
+        msg=match["msg"],
+        protocol=protocol,
+        direction=match["dir"],
+        session_id=int(match["session"]),
+        rnti=None if match["rnti"] == "-" else int(match["rnti"], 16),
+        s_tmsi=None if match["tmsi"] == "-" else int(match["tmsi"], 16),
+        suci=None if match["suci"] == "-" else match["suci"],
+        supi=None if match["supi"] == "-" else match["supi"],
+        cipher_alg=None if cipher == "-" else int(CipherAlg[cipher]),
+        integrity_alg=None if integrity == "-" else int(IntegrityAlg[integrity]),
+        establishment_cause=None if match["cause"] == "-" else match["cause"],
+    )
+
+
+def parse_data_section(
+    text: str, parsed_lines: Optional[dict[str, MobiFlowRecord]] = None
+) -> list[MobiFlowRecord]:
+    """Read telemetry entries back out of prompt text (backend side).
+
+    An alarm's context overlaps the last one's, so a provider reads most
+    entries many times over. ``parsed_lines`` (line text -> record, the
+    caller's to keep between prompts; records are frozen) turns a line seen
+    before into a dict hit. Only a line that is exactly one entry is
+    remembered — no entry spans a newline, so reading line by line finds
+    what reading the whole text would.
+    """
+    if parsed_lines is None:
+        parsed_lines = {}
     records: list[MobiFlowRecord] = []
-    for match in _LINE_RE.finditer(text):
-        cipher = match["cipher"]
-        integrity = match["integrity"]
-        records.append(
-            MobiFlowRecord(
-                timestamp=float(match["t"]),
-                msg=match["msg"],
-                protocol=_protocol(match["msg"]),
-                direction=match["dir"],
-                session_id=int(match["session"]),
-                rnti=None if match["rnti"] == "-" else int(match["rnti"], 16),
-                s_tmsi=None if match["tmsi"] == "-" else int(match["tmsi"], 16),
-                suci=None if match["suci"] == "-" else match["suci"],
-                supi=None if match["supi"] == "-" else match["supi"],
-                cipher_alg=None if cipher == "-" else int(CipherAlg[cipher]),
-                integrity_alg=None if integrity == "-" else int(IntegrityAlg[integrity]),
-                establishment_cause=None if match["cause"] == "-" else match["cause"],
-            )
-        )
+    for line in text.split("\n"):
+        record = parsed_lines.get(line)
+        if record is not None:
+            records.append(record)
+            continue
+        matches = list(_LINE_RE.finditer(line))
+        if len(matches) == 1 and matches[0].span() == (0, len(line)):
+            if len(parsed_lines) >= _PARSED_LINES_CAPACITY:
+                parsed_lines.clear()
+            record = parsed_lines[line] = _record_from_match(matches[0])
+            records.append(record)
+        else:
+            records.extend(_record_from_match(match) for match in matches)
     return records
 
 

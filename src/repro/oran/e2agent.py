@@ -84,6 +84,11 @@ class RicAgent(Entity):
             help="capture -> indication send, per record (report batching)",
         )
         self._controls_counters: dict[str, object] = {}
+        self._pdu_bytes = metrics.counter(
+            "e2.pdu_bytes_total",
+            labels={"direction": "node_to_ric"},
+            help="encoded E2AP PDU bytes sent over E2 (whole PDUs)",
+        )
         # Tap the data-plane interfaces exactly where the paper instruments.
         net.f1.add_tap(self.collector.on_capture)
         net.ng.add_tap(self.collector.on_capture)
@@ -91,17 +96,18 @@ class RicAgent(Entity):
 
     # -- E2 connection ----------------------------------------------------------
 
+    def _send(self, pdu: E2apPdu) -> None:
+        envelope = _pdu_envelope(pdu)
+        self._pdu_bytes.inc(len(envelope.payload))
+        self.e2.send_to_b(envelope)
+
     def start(self) -> None:
         """Announce the extended KPM function to the RIC (E2 Setup)."""
         definition = MobiFlowKpmModel.definition()
-        self.e2.send_to_b(
-            _pdu_envelope(
-                E2SetupRequest(
-                    e2_node_id=self.node_id,
-                    ran_functions={
-                        str(definition.ran_function_id): definition.to_value()
-                    },
-                )
+        self._send(
+            E2SetupRequest(
+                e2_node_id=self.node_id,
+                ran_functions={str(definition.ran_function_id): definition.to_value()},
             )
         )
 
@@ -131,13 +137,11 @@ class RicAgent(Entity):
                 admitted = True
             elif request.action_type is ActionType.POLICY:
                 admitted = self._install_policy(request)
-        self.e2.send_to_b(
-            _pdu_envelope(
-                RicSubscriptionResponse(
-                    ric_request_id=request.ric_request_id,
-                    ran_function_id=request.ran_function_id,
-                    admitted=admitted,
-                )
+        self._send(
+            RicSubscriptionResponse(
+                ric_request_id=request.ric_request_id,
+                ran_function_id=request.ran_function_id,
+                admitted=admitted,
             )
         )
 
@@ -186,15 +190,13 @@ class RicAgent(Entity):
             self._sequence += 1
             self.indications_sent += 1
             self._indications_counter.inc()
-            self.e2.send_to_b(
-                _pdu_envelope(
-                    RicIndication(
-                        ric_request_id=request_id,
-                        ran_function_id=MobiFlowKpmModel.RAN_FUNCTION_ID,
-                        sequence_number=self._sequence,
-                        indication_header=header,
-                        indication_message=message,
-                    )
+            self._send(
+                RicIndication(
+                    ric_request_id=request_id,
+                    ran_function_id=MobiFlowKpmModel.RAN_FUNCTION_ID,
+                    sequence_number=self._sequence,
+                    indication_header=header,
+                    indication_message=message,
                 )
             )
         self.schedule(style.report_period_s, self._report_tick)
@@ -216,14 +218,12 @@ class RicAgent(Entity):
             counter.inc()
             self.log(f"control executed: {outcome}", action=action)
         if request.ack_requested:
-            self.e2.send_to_b(
-                _pdu_envelope(
-                    RicControlAck(
-                        ric_request_id=request.ric_request_id,
-                        ran_function_id=request.ran_function_id,
-                        success=success,
-                        outcome=outcome,
-                    )
+            self._send(
+                RicControlAck(
+                    ric_request_id=request.ric_request_id,
+                    ran_function_id=request.ran_function_id,
+                    success=success,
+                    outcome=outcome,
                 )
             )
 

@@ -72,6 +72,11 @@ class E2Termination(Entity):
             buckets=(64, 256, 1024, 4096, 16384, 65536, 262144),
             help="encoded indication message sizes",
         )
+        self._pdu_bytes = metrics.counter(
+            "e2.pdu_bytes_total",
+            labels={"direction": "ric_to_node"},
+            help="encoded E2AP PDU bytes sent over E2 (whole PDUs)",
+        )
         # Optional bounded ingest batching between this termination and the
         # xApps (repro.scale). Disabled (inline fan-out, the seed path)
         # unless the scale settings ask for it.
@@ -93,6 +98,11 @@ class E2Termination(Entity):
 
     # -- toward the E2 node -----------------------------------------------------
 
+    def _send(self, pdu: E2apPdu) -> None:
+        envelope = _pdu_envelope(pdu)
+        self._pdu_bytes.inc(len(envelope.payload))
+        self.e2.send_to_a(envelope)
+
     def subscribe(
         self,
         xapp_name: str,
@@ -111,14 +121,12 @@ class E2Termination(Entity):
         # Route this subscription's traffic to the requesting xApp.
         self.rmr.add_route(RIC_INDICATION, xapp_name, sub_id=request_id)
         self.rmr.add_route(RIC_SUB_RESP, xapp_name, sub_id=request_id)
-        self.e2.send_to_a(
-            _pdu_envelope(
-                RicSubscriptionRequest(
-                    ric_request_id=request_id,
-                    ran_function_id=ran_function_id,
-                    event_trigger=event_trigger,
-                    action_type=action_type,
-                )
+        self._send(
+            RicSubscriptionRequest(
+                ric_request_id=request_id,
+                ran_function_id=ran_function_id,
+                event_trigger=event_trigger,
+                action_type=action_type,
             )
         )
         return request_id
@@ -129,12 +137,10 @@ class E2Termination(Entity):
         if subscription is None:
             return False
         self.rmr.remove_route(RIC_INDICATION, subscription.xapp_name, sub_id=ric_request_id)
-        self.e2.send_to_a(
-            _pdu_envelope(
-                RicSubscriptionDeleteRequest(
-                    ric_request_id=ric_request_id,
-                    ran_function_id=subscription.ran_function_id,
-                )
+        self._send(
+            RicSubscriptionDeleteRequest(
+                ric_request_id=ric_request_id,
+                ran_function_id=subscription.ran_function_id,
             )
         )
         return True
@@ -149,14 +155,12 @@ class E2Termination(Entity):
         """Issue a control request on behalf of an xApp."""
         request_id = next(self._request_ids)
         self.rmr.add_route(RIC_CONTROL_ACK, xapp_name, sub_id=request_id)
-        self.e2.send_to_a(
-            _pdu_envelope(
-                RicControlRequest(
-                    ric_request_id=request_id,
-                    ran_function_id=ran_function_id,
-                    control_header=control_header,
-                    control_message=control_message,
-                )
+        self._send(
+            RicControlRequest(
+                ric_request_id=request_id,
+                ran_function_id=ran_function_id,
+                control_header=control_header,
+                control_message=control_message,
             )
         )
         return request_id
@@ -168,12 +172,10 @@ class E2Termination(Entity):
         if isinstance(pdu, E2SetupRequest):
             self._pdu_counters["setup"].inc()
             self.connected_nodes[pdu.e2_node_id] = pdu.ran_functions
-            self.e2.send_to_a(
-                _pdu_envelope(
-                    E2SetupResponse(
-                        ric_id=self.ric_id,
-                        accepted_functions=sorted(pdu.ran_functions),
-                    )
+            self._send(
+                E2SetupResponse(
+                    ric_id=self.ric_id,
+                    accepted_functions=sorted(pdu.ran_functions),
                 )
             )
         elif isinstance(pdu, RicSubscriptionResponse):

@@ -10,6 +10,11 @@ back into structured events, exercising a real decode path.
 A live deployment taps the collector on the message objects, so most
 captured bytes are never read: a record serialises its envelope the first
 time ``payload`` is asked for.
+
+Payloads are :mod:`repro.wire` TLV. Since wire format revision 2 message
+and IE names are written as two-byte symbols (a third of the bytes of a
+capture written before); a stream written before it still loads and
+parses to the same events, because the spelled-out form keeps decoding.
 """
 
 from __future__ import annotations

@@ -289,11 +289,28 @@ class MobiFlowBatch:
                 )
             return values
 
+        # Field values are held to the rules the per-record lane applies
+        # one record at a time (telemetry.encoder._FIELD_RULES): a batch
+        # that breaks one is a ValueError, which rejects its indication.
         def strings(name: str) -> tuple:
             data = columns.get(name)
             if not isinstance(data, list) or len(data) != n:
                 raise ValueError(f"columnar MobiFlow column {name!r} is not a list of {n}")
+            if not set(map(type, data)) <= {str, type(None)}:
+                raise ValueError(f"columnar MobiFlow column {name!r} holds a non-string")
             return tuple(data)
+
+        def vocab(key: str) -> tuple:
+            names = meta[key]
+            if not set(map(type, names)) <= {str}:
+                raise ValueError(f"columnar MobiFlow vocab {key!r} holds a non-string")
+            return tuple(names)
+
+        def non_negative(name: str, present: Optional[np.ndarray] = None) -> np.ndarray:
+            values = unpack(name, "<i8")
+            if ((values if present is None else values[present]) < 0).any():
+                raise ValueError(f"columnar MobiFlow column {name!r} holds a negative value")
+            return values
 
         def ids(name: str, dtype: str, vocab_key: str, lowest: int = 0) -> np.ndarray:
             # Ids index the batch's own vocab in to_records(): one out of
@@ -307,27 +324,32 @@ class MobiFlowBatch:
                 )
             return values
 
+        timestamps = unpack("timestamp", "<f8")
+        if not np.isfinite(timestamps).all():
+            raise ValueError("columnar MobiFlow batch holds a timestamp that is not finite")
+        cipher_present = unpack("cipher_present", np.bool_)
+        integrity_present = unpack("integrity_present", np.bool_)
         return cls(
-            timestamps=unpack("timestamp", "<f8"),
+            timestamps=timestamps,
             msg_ids=ids("msg", "<i4", "msg_vocab"),
-            msg_vocab=tuple(meta["msg_vocab"]),
+            msg_vocab=vocab("msg_vocab"),
             protocol_ids=ids("protocol", "<i4", "protocol_vocab"),
-            protocol_vocab=tuple(meta["protocol_vocab"]),
+            protocol_vocab=vocab("protocol_vocab"),
             direction_ids=ids("direction", "<i4", "direction_vocab"),
-            direction_vocab=tuple(meta["direction_vocab"]),
-            session_ids=unpack("session_id", "<i8"),
+            direction_vocab=vocab("direction_vocab"),
+            session_ids=non_negative("session_id"),
             rnti=unpack("rnti", "<i8"),
             rnti_present=unpack("rnti_present", np.bool_),
             s_tmsi=unpack("s_tmsi", "<i8"),
             s_tmsi_present=unpack("s_tmsi_present", np.bool_),
             suci=strings("suci"),
             supi=strings("supi"),
-            cipher_alg=unpack("cipher_alg", "<i8"),
-            cipher_present=unpack("cipher_present", np.bool_),
-            integrity_alg=unpack("integrity_alg", "<i8"),
-            integrity_present=unpack("integrity_present", np.bool_),
+            cipher_alg=non_negative("cipher_alg", cipher_present),
+            cipher_present=cipher_present,
+            integrity_alg=non_negative("integrity_alg", integrity_present),
+            integrity_present=integrity_present,
             cause_ids=ids("establishment_cause", "<i8", "cause_vocab", lowest=-1),
-            cause_vocab=tuple(meta["cause_vocab"]),
+            cause_vocab=vocab("cause_vocab"),
         )
 
 

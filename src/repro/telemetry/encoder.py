@@ -19,7 +19,8 @@ from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
 # ValueError, which rejects the indication that carries it — MobiWatch
 # orders timestamps, hashes session ids and TMSIs and indexes feature rows
 # by algorithm number, so a wrong-typed field would otherwise raise out of
-# the simulator after the record had been half ingested.
+# the simulator after the record had been half ingested. The columnar lane
+# holds its columns to the same rules in MobiFlowBatch.from_columns.
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -122,9 +123,10 @@ def decode_batch(data: bytes) -> RecordBatch:
 
 # -- columnar batches (repro.genfast) -----------------------------------------
 #
-# The per-record batch encoding re-states every field name in every record.
-# The columnar encoding pays for each name once per batch and ships the
-# string categories as per-batch vocabularies plus small-int id columns.
+# The per-record batch encoding re-states every field name (two bytes each,
+# as a symbol) in every record. The columnar encoding pays for each name once
+# per batch and ships the string categories as per-batch vocabularies plus
+# id columns.
 # Contract: decode_batch_columnar(encode_batch_columnar(b)).to_records()
 # equals b.to_records() field for field — so re-encoding the decoded batch
 # through the seed per-record codec reproduces the seed bytes exactly.

@@ -11,6 +11,14 @@ Supported values: ``None``, ``bool``, ``int`` (signed, arbitrary size),
 ``float``, ``str``, ``bytes``, ``list`` and ``dict`` (string keys), nested
 arbitrarily.
 
+ASN.1 PER never spells a field name; neither does this codec for the names
+it knows. A string whose content is an entry of :data:`SYMBOLS` — the field,
+message and PDU names of the tree and its few fixed words — is written as
+the tag ``0x09`` and one index byte, as a dict key or as a value, on every
+interface; any other string is written out. The spelled-out form of a table
+string still decodes, to the same value, so bytes written before the table
+existed stay readable; no encoder produces it any more.
+
 Three kinds of object cross the interfaces by the thousand per simulated
 second — F1/NG/RRC/NAS messages, E2AP PDUs and MobiFlow records — and each
 is a fixed set of named fields. :class:`ClassPlan` encodes and decodes
@@ -36,6 +44,69 @@ _TAG_STR = 0x05
 _TAG_BYTES = 0x06
 _TAG_LIST = 0x07
 _TAG_DICT = 0x08
+_TAG_SYMBOL = 0x09
+
+# The strings that cross the wire as ``_TAG_SYMBOL`` + their index here.
+# Append-only and at most 256 long: an index is part of the format, so an
+# entry is never moved, changed or removed (tests/fixtures/wire_symbols.json
+# pins the order), and a message, PDU or record field added to the tree
+# appends its names at the end. Decoding needs nothing but this tuple — no
+# per-connection state to negotiate or resynchronise.
+SYMBOLS: tuple[str, ...] = (
+    # 0: MobiFlow record fields
+    "timestamp", "msg", "protocol", "direction", "session_id", "rnti", "s_tmsi",
+    "suci", "supi", "cipher_alg", "integrity_alg", "establishment_cause",
+    # 12: envelope keys, protocol and direction values
+    "ie", "pdu", "RRC", "NAS", "UL", "DL",
+    # 18: E2SM-KPM indication header
+    "sm", "count", "columnar", "ORAN-E2SM-KPM-MobiFlow",
+    # 22: RRC establishment causes
+    "emergency", "highPriorityAccess", "mt-Access", "mo-Signalling", "mo-Data",
+    "mo-VoiceCall", "mo-SMS", "mps-PriorityAccess",
+    # 30: message names (RRC, NAS, F1AP, NGAP)
+    "AuthenticationFailure", "AuthenticationReject", "AuthenticationRequest",
+    "AuthenticationResponse", "ConfigurationUpdateCommand", "DLInformationTransfer",
+    "DeregistrationAccept", "DeregistrationRequest", "F1DLRRCMessageTransfer",
+    "F1InitialULRRCMessageTransfer", "F1Paging", "F1UEContextReleaseCommand",
+    "F1UEContextReleaseComplete", "F1UEContextSetupRequest",
+    "F1UEContextSetupResponse", "F1ULRRCMessageTransfer", "IdentityRequest",
+    "IdentityResponse", "MeasurementReport", "NASSecurityModeCommand",
+    "NASSecurityModeComplete", "NASSecurityModeReject", "NGDownlinkNASTransport",
+    "NGInitialContextSetupRequest", "NGInitialContextSetupResponse",
+    "NGInitialUEMessage", "NGPaging", "NGUEContextReleaseCommand",
+    "NGUEContextReleaseComplete", "NGUEContextReleaseRequest",
+    "NGUplinkNASTransport", "Paging", "RRCReconfiguration",
+    "RRCReconfigurationComplete", "RRCReestablishmentRequest", "RRCReject",
+    "RRCRelease", "RRCSecurityModeCommand", "RRCSecurityModeComplete",
+    "RRCSecurityModeFailure", "RRCSetup", "RRCSetupComplete", "RRCSetupRequest",
+    "RegistrationAccept", "RegistrationComplete", "RegistrationReject",
+    "RegistrationRequest", "ServiceAccept", "ServiceReject", "ServiceRequest",
+    "ULInformationTransfer",
+    # 81: message IE names
+    "cause", "rand", "autn", "sqn", "res_star", "guti", "nas_pdu", "switch_off",
+    "gnb_du_ue_id", "gnb_cu_ue_id", "rrc_container", "c_rnti", "identity_type",
+    "identity_value", "rsrp_dbm", "rsrq_db", "replayed_capabilities", "ran_ue_id",
+    "amf_ue_id", "kgnb", "rrc_transaction_id", "wait_time_s", "selected_plmn",
+    "ue_identity", "identity_is_tmsi", "registration_type",
+    "ue_security_capabilities",
+    # 108: E2AP PDU names
+    "E2SetupRequest", "E2SetupResponse", "RICSubscriptionRequest",
+    "RICSubscriptionResponse", "RICSubscriptionDeleteRequest", "RICIndication",
+    "RICControlRequest", "RICControlAck", "RICServiceUpdate",
+    # 117: E2AP PDU field names
+    "e2_node_id", "ran_functions", "ric_id", "accepted_functions", "ric_request_id",
+    "ran_function_id", "event_trigger", "action_type", "admitted",
+    "sequence_number", "indication_header", "indication_message", "control_header",
+    "control_message", "ack_requested", "success", "outcome",
+)
+# Indexed by the byte after the tag; None past the end of the table.
+_SYMBOL_AT: tuple = SYMBOLS + (None,) * (256 - len(SYMBOLS))
+# Keyed by UTF-8 content, so a str subclass finds its entry whatever its
+# own __hash__/__eq__ say.
+_SYMBOL_TLV: dict[bytes, bytes] = {
+    symbol.encode("utf-8"): bytes((_TAG_SYMBOL, index))
+    for index, symbol in enumerate(SYMBOLS)
+}
 
 
 class WireError(ValueError):
@@ -96,8 +167,11 @@ _STR_CACHE_MAX_LEN = 64
 
 
 def _str_tlv(value: str) -> bytes:
+    """The one producer of string TLVs: a table string is its symbol."""
     payload = value.encode("utf-8")
-    return bytes([_TAG_STR]) + _encode_length(len(payload)) + payload
+    return _SYMBOL_TLV.get(payload) or (
+        bytes([_TAG_STR]) + _encode_length(len(payload)) + payload
+    )
 
 
 def _intern_str(value: str) -> bytes:
@@ -231,7 +305,7 @@ def _encode_into(out: bytearray, value: Any, depth: int) -> None:
             out += _encode_length(length)
         out += value
     elif kind is Encoded:
-        if depth >= MAX_DEPTH and value.data[value.start] >= _TAG_LIST:
+        if depth >= MAX_DEPTH and _TAG_LIST <= value.data[value.start] <= _TAG_DICT:
             raise WireError("nesting too deep")
         out += value.data[value.start : value.stop]
     # Scalar subclasses (IntEnum, numpy.float64, str enums) encode as their
@@ -289,7 +363,14 @@ def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int
             raise WireError("truncated float")
         return _unpack_float_from(data, offset)[0], offset + 8
     if tag > _TAG_DICT:
-        raise WireError(f"unknown tag 0x{tag:02x}")
+        if tag != _TAG_SYMBOL:
+            raise WireError(f"unknown tag 0x{tag:02x}")
+        if offset >= end:
+            raise WireError("truncated symbol")
+        symbol = _SYMBOL_AT[data[offset]]
+        if symbol is None:
+            raise WireError(f"unknown symbol {data[offset]}")
+        return symbol, offset + 1
     if offset < end and (length := data[offset]) < 0x80:
         offset += 1
     else:
@@ -313,10 +394,16 @@ def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int
         key_cache = _DECODE_KEY_CACHE.get
         while offset < stop:
             if keyed:
-                # Short string keys are interned: a batch repeats a dozen names.
+                tag = data[offset]
                 body = offset + 2
-                if (
-                    data[offset] == _TAG_STR
+                if tag == _TAG_SYMBOL and body <= stop:
+                    key = _SYMBOL_AT[data[offset + 1]]
+                    if key is None:
+                        raise WireError(f"unknown symbol {data[offset + 1]}")
+                    offset = body
+                # Short string keys are interned: a batch repeats a dozen names.
+                elif (
+                    tag == _TAG_STR
                     and body <= stop
                     and (length := data[offset + 1]) <= _STR_CACHE_MAX_LEN
                     and body + length <= stop
@@ -345,6 +432,11 @@ def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int
                     item = int.from_bytes(data[body:offset], "big", signed=True)
                 else:
                     item = data[body:offset]
+            elif tag == _TAG_SYMBOL and body <= stop:
+                item = _SYMBOL_AT[data[offset + 1]]
+                if item is None:
+                    raise WireError(f"unknown symbol {data[offset + 1]}")
+                offset = body
             elif tag == _TAG_FLOAT and offset + 9 <= stop:
                 item = _unpack_float_from(data, offset + 1)[0]
                 offset += 9
@@ -391,13 +483,13 @@ def decode_prefix(data: bytes) -> tuple[Any, bytes]:
 # decoders return None and the caller runs the generic decode, which accepts
 # or rejects them with its own messages.
 
-_ANY_TAG = (1 << (_TAG_DICT + 1)) - 1
+_ANY_TAG = (1 << (_TAG_SYMBOL + 1)) - 1
 _TAGS_OF_TYPE = {
     type(None): 1 << _TAG_NONE,
     bool: 1 << _TAG_FALSE | 1 << _TAG_TRUE,
     int: 1 << _TAG_INT,
     float: 1 << _TAG_FLOAT,
-    str: 1 << _TAG_STR,
+    str: 1 << _TAG_STR | 1 << _TAG_SYMBOL,
     bytes: 1 << _TAG_BYTES,
     list: 1 << _TAG_LIST,
     dict: 1 << _TAG_DICT,
@@ -580,13 +672,23 @@ class ClassPlan:
                 ):
                     offset = body + length
                     if tag == _TAG_STR:
-                        value = str(data[body:offset], "utf-8")
+                        raw = data[body:offset]
+                        # A table string spelled out is not what the encoder
+                        # writes: the span could not be stored as received.
+                        if compact and raw in _SYMBOL_TLV:
+                            return None
+                        value = str(raw, "utf-8")
                     elif tag == _TAG_INT:
                         value = int.from_bytes(data[body:offset], "big", signed=True)
                         if compact and length != (value.bit_length() + 8) // 8:
                             return None
                     else:
                         value = data[body:offset]
+                elif tag == _TAG_SYMBOL and body <= stop:
+                    value = _SYMBOL_AT[data[offset + 1]]
+                    if value is None:
+                        return None
+                    offset = body
                 elif tag == _TAG_FLOAT and offset + 9 <= stop:
                     value = _unpack_float_from(data, offset + 1)[0]
                     offset += 9
@@ -674,6 +776,7 @@ class EnvelopePlans:
         self._name_of = name_of
         self._registry = registry
         self._converter_of = converter_of
+        self._kind_length = len(_str_tlv(kind))
         self._by_class: dict[type, ClassPlan] = {}
         self._by_head: dict[bytes, ClassPlan] = {}
 
@@ -710,9 +813,12 @@ class EnvelopePlans:
                 length, offset = _decode_length(data, 1, end)
             if offset + length != end:
                 return None
-            # kind key, name and "ie" key, each with a one-byte length.
-            name_at = offset + 2 + data[offset + 1]
-            dict_at = name_at + 2 + data[name_at + 1] + _IE_KEY_LENGTH
+            # kind key, then the name — a symbol, or a string with a
+            # one-byte length — then the "ie" key.
+            name_at = offset + self._kind_length
+            dict_at = name_at + 2 + _IE_KEY_LENGTH
+            if data[name_at] != _TAG_SYMBOL:
+                dict_at += data[name_at + 1]
             plan = self._by_head.get(data[offset:dict_at])
             if plan is None or data[dict_at] != _TAG_DICT:
                 return None
@@ -732,12 +838,13 @@ class EnvelopePlans:
 #
 # repro.genfast ships telemetry batches struct-of-arrays: one TLV dict with
 # named columns (equal-length lists) plus small scalar metadata, instead of
-# one dict per record. The per-record schema repeats every field name in
-# every record; the columnar form pays for each name once per batch, and
-# vocab-interned columns (message names, causes) become small-int lists that
-# hit the encoder's int cache. decode_columnar() restores the columns
-# exactly — reconstructing per-record values from them is the caller's
-# contract (see repro.telemetry.batch).
+# one dict per record. It was designed against a per-record form that spelled
+# every field name in every record; with names as two-byte symbols the
+# per-record form is the smaller one at every batch size (40-46 B a record
+# against 75-113 B here: fixed-width packed columns, presence masks, the
+# vocabularies), so what this form still buys is the decode into arrays.
+# decode_columnar() restores the columns exactly — reconstructing per-record
+# values from them is the caller's contract (see repro.telemetry.batch).
 
 COLUMNAR_SCHEMA = 1
 

@@ -11,10 +11,14 @@ from repro.attacks import (
     NullCipherAttack,
     UplinkIdExtractionAttack,
 )
+from repro import wire
 from repro.ran import FiveGNetwork, NetworkConfig
 from repro.ran.channel import ChannelConfig
 from repro.ran.core_network import AmfConfig
+from repro.ran.messages import Message
+from repro.ran.pcap import CaptureRecord, PcapStream
 from repro.telemetry import MobiFlowCollector
+from tests.test_wire_symbols import spell_out
 
 
 def make_net(seed=3, with_benign=2, **config_kwargs):
@@ -27,6 +31,29 @@ def make_net(seed=3, with_benign=2, **config_kwargs):
 
 def collect(net):
     return MobiFlowCollector().parse_stream(net.pcap)
+
+
+CONTAINERS = ("rrc_container", "nas_pdu")
+
+
+def contents(message):
+    """A message as ``(name, fields)`` with the messages it carries decoded
+    the same way: what was sent, whatever bytes the codec spends on it."""
+    fields = message.fields()
+    for container in CONTAINERS:
+        if fields.get(container):
+            fields[container] = contents(Message.from_wire(fields[container]))
+    return message.name, fields
+
+
+def revision_1_bytes(message):
+    """The envelope as every encoder wrote it before wire format revision 2:
+    every name spelled out, in the messages it carries too."""
+    fields = message.fields()
+    for container in CONTAINERS:
+        if fields.get(container):
+            fields[container] = revision_1_bytes(Message.from_wire(fields[container]))
+    return spell_out(wire.encode({"msg": message.name, "ie": fields}))
 
 
 class TestBtsDos:
@@ -101,13 +128,37 @@ class TestBtsDos:
         """Capture digest, event count and RNG positions recorded before the
         fix: with ``duplicate_prob=0`` nothing moves."""
         net, attack = self._flood(seed=1, duplicate_prob=0.0)
-        digest = hashlib.sha256()
+        digest, sent, before = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+        old_capture = PcapStream()
         for record in net.pcap:
-            digest.update(repr((record.timestamp, record.interface)).encode())
+            where = repr((record.timestamp, record.interface)).encode()
+            digest.update(where)
             digest.update(record.decode().to_wire())
+            sent.update(
+                repr((record.timestamp, record.interface, contents(record.decode()))).encode()
+            )
+            old_capture._records.append(
+                CaptureRecord(record.timestamp, record.interface, revision_1_bytes(record.decode()))
+            )
+            before.update(where)
+            before.update(old_capture._records[-1].payload)
+        # What was sent, independent of the codec: computed at the commit
+        # before wire format revision 2 and unchanged by it ...
+        assert sent.hexdigest() == (
+            "0ed4b031d1b0440a885d0b00347c859a94d64bdf9881b38d3f65137271d47237"
+        )
+        # ... and the bytes it was sent in (re-pinned for revision 2).
         assert digest.hexdigest() == (
+            "a4b244ef6847412374ce56aed6144037dc74c8e11a4f708cf170be8a25dc5eeb"
+        )
+        # The same capture with every name spelled out is, byte for byte,
+        # what this test pinned before revision 2 — and a capture stored
+        # then still parses to the same telemetry.
+        assert before.hexdigest() == (
             "f6ad3c21ad1838e55074c9cda1649464eb70355029f331f2552baafb8c7ccad6"
         )
+        assert old_capture.byte_size() > 2.5 * net.pcap.byte_size()
+        assert MobiFlowCollector().parse_stream(old_capture).records == collect(net).records
         assert net.sim.events_processed == 411
         assert net.sim.rng.stream("channel").random() == 0.7995638674119381
         assert attack.rogue.rng.random() == 0.057608794667628915

@@ -1,5 +1,6 @@
 """Tests for MobiFlow collection: parsing, sessions, state tracking."""
 
+from repro import wire
 from repro.obs.metrics import MetricsRegistry
 from repro.ran import FiveGNetwork, NetworkConfig, f1ap, ngap, rrc
 from repro.ran.links import InterfaceLink
@@ -36,6 +37,7 @@ class TestUndecodableCaptures:
     and, live, out of the link tap into InterfaceLink._send."""
 
     GARBAGE = b"\x08\x05garbage"
+    MO_SIGNALLING = wire.encode("mo-Signalling")  # a table name: tag 0x09 + index
 
     def _setup(self, du_id, container):
         return f1ap.F1InitialUlRrcMessageTransfer(
@@ -63,12 +65,22 @@ class TestUndecodableCaptures:
             b"",
             rrc.RrcSetupRequest().to_wire()[:-1],
             # Decodes as TLV, names a real class, carries a value no enum has.
-            rrc.RrcSetupRequest().to_wire().replace(b"mo-Signalling", b"mo-Xignalling"),
+            wire.encode(
+                {
+                    "msg": "RRCSetupRequest",
+                    "ie": {**rrc.RrcSetupRequest().fields(), "establishment_cause": "mo-Xignalling"},
+                }
+            ),
+            # The cause as a symbol past the end of wire.SYMBOLS.
+            rrc.RrcSetupRequest().to_wire().replace(MO_SIGNALLING, b"\x09\xff"),
             None,
             "not bytes",
         ],
-        ids=["garbage", "empty", "truncated", "enum_out_of_range", "none", "str"],
-    )
+        ids=[
+            "garbage", "empty", "truncated", "enum_out_of_range", "symbol_out_of_range",
+            "none", "str",
+        ],
+    )  # fmt: skip
     def test_every_kind_of_bad_container_and_pdu(self, container):
         metrics = MetricsRegistry()
         collector = MobiFlowCollector(metrics)
@@ -93,6 +105,18 @@ class TestUndecodableCaptures:
         metrics = MetricsRegistry()
         assert len(MobiFlowCollector(metrics).parse_stream(restored)) == 2
         assert undecodable_total(metrics) == {"F1AP": 0, "NGAP": 1}
+
+    def test_capture_payload_with_an_unknown_symbol_is_skipped(self):
+        good = self._setup(1, b"").to_wire()
+        index = good.index(wire.encode("F1InitialULRRCMessageTransfer"))
+        hostile = good[: index + 1] + bytes([len(wire.SYMBOLS)]) + good[index + 2 :]
+        stream = PcapStream()
+        stream._records.append(CaptureRecord(0.1, "F1AP", hostile))
+        stream.capture(0.2, "F1AP", self._setup(2, rrc.RrcSetupRequest().to_wire()))
+        metrics = MetricsRegistry()
+        series = MobiFlowCollector(metrics).parse_stream(PcapStream.from_bytes(stream.to_bytes()))
+        assert [r.rnti for r in series] == [0x4602]
+        assert undecodable_total(metrics) == {"F1AP": 1, "NGAP": 0}
 
     def test_live_tap_does_not_raise_into_the_sender(self):
         sim = Simulator()

@@ -53,12 +53,18 @@ def indication(records, request_id=1, seq=1):
     )
 
 
-def columnar_indication_bytes(**packed_ids):
-    """Header + message of a one-record columnar indication whose named id
-    columns are overwritten with the given value (well-formed TLV, bad ids)."""
+def columnar_indication_bytes(vocab=None, **overwritten):
+    """Header + message of a one-record columnar indication whose named
+    columns (a list as it is, a number packed) and vocabularies are
+    overwritten (well-formed TLV, bad ids or field values)."""
     columns, meta = MobiFlowBatch.from_records([record(0.1, "RRCSetup")]).to_columns()
-    for name, value in packed_ids.items():
-        columns[name] = np.array([value], dtype=f"<i{len(columns[name])}").tobytes()
+    meta.update(vocab or {})
+    for name, value in overwritten.items():
+        if isinstance(value, list):
+            columns[name] = value
+            continue
+        kind = "f" if isinstance(value, float) else "i"
+        columns[name] = np.array([value], dtype=f"<{kind}{len(columns[name])}").tobytes()
     header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 1, "columnar": True})
     return header, wire.encode_columnar(columns, meta)
 
@@ -110,6 +116,19 @@ class TestMobiWatchUnit:
                 lambda h, m: (h, wire.encode([{"no_such_field": 1}])), id="unknown_field"
             ),
             pytest.param(lambda h, m: (h, wire.encode([7])), id="record_not_a_dict"),
+            # A name as a symbol past the end of wire.SYMBOLS, in the batch
+            # and in the header; and a batch cut right after a symbol tag.
+            pytest.param(
+                lambda h, m: (h, m.replace(wire.encode("RRCSetup"), b"\x09\xff")),
+                id="symbol_out_of_range",
+            ),
+            pytest.param(
+                lambda h, m: (h.replace(wire.encode("count"), b"\x09\xf0"), m),
+                id="header_symbol_out_of_range",
+            ),
+            pytest.param(
+                lambda h, m: (h, b"\x07\x03\x08\x01\x09"), id="symbol_truncated"
+            ),
             pytest.param(lambda h, m: (h, wire.encode([{"msg": "x"}])), id="missing_field"),
             pytest.param(lambda h, m: (h, wire.encode([])), id="count_mismatch"),
             pytest.param(
@@ -125,6 +144,36 @@ class TestMobiWatchUnit:
             ),
             pytest.param(
                 lambda h, m: (columnar_indication_bytes()[0], m), id="columnar_header_on_rows"
+            ),
+            # Ids in range, field values the per-record lane refuses: these
+            # were ingested (a negative algorithm number indexes another
+            # feature's slot of the row).
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(cipher_alg=-80, cipher_present=1),
+                id="columnar_cipher_alg_negative",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(integrity_alg=-1, integrity_present=1),
+                id="columnar_integrity_alg_negative",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(session_id=-1),
+                id="columnar_session_id_negative",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(timestamp=float("nan")),
+                id="columnar_timestamp_nan",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(timestamp=float("inf")),
+                id="columnar_timestamp_inf",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(vocab={"msg_vocab": [7]}),
+                id="columnar_msg_int",
+            ),
+            pytest.param(
+                lambda h, m: columnar_indication_bytes(suci=[b"bytes"]), id="columnar_suci_bytes"
             ),
             # Well-formed TLV, wrong-typed field: these raised TypeError out of
             # Simulator.run *after* series.append ("zzz" < 0.1, hash([1, 2])),

@@ -329,12 +329,31 @@ class TestColumnarWire:
         )
         assert len(telemetry_encoder.decode_batch_columnar(blob)) == 0
 
-    def test_columnar_payload_smaller_than_seed(self):
+    # (records in the batch, per-record payload bytes, columnar payload bytes)
+    # over prefixes of the _stream_records() stream. With names as symbols
+    # (wire format revision 2) the per-record lane costs 40-46 B a record at
+    # any batch size; the columnar lane pays its column names, vocabularies
+    # and packed 8-byte columns and never gets under 75 B. Before revision 2
+    # the per-record lane cost 117-137 B and columnar was the smaller one at
+    # every size (807 < 819 B at six records).
+    PAYLOAD_BYTES = [(6, 243, 675), (12, 483, 1119), (64, 2735, 5045), (300, 13671, 22634)]
+
+    def test_payload_bytes_of_both_lanes(self):
         records = _stream_records()
-        blob = telemetry_encoder.encode_batch_columnar(
-            MobiFlowBatch.from_records(records)
-        )
-        assert len(blob) < len(telemetry_encoder.encode_batch(records))
+        measured = [
+            (
+                count,
+                len(telemetry_encoder.encode_batch(records[:count])),
+                len(
+                    telemetry_encoder.encode_batch_columnar(
+                        MobiFlowBatch.from_records(records[:count])
+                    )
+                ),
+            )
+            for count, _, _ in self.PAYLOAD_BYTES
+        ]
+        assert measured == self.PAYLOAD_BYTES
+        assert all(per_record < columnar for _, per_record, columnar in measured)
 
     def test_decode_rejects_non_columnar(self):
         with pytest.raises(wire.WireError):

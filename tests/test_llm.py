@@ -129,6 +129,106 @@ def uplink_extraction_trace():
     ]
 
 
+def reference_parse_data_section(text):
+    """``parse_data_section`` as it was before it read line by line and
+    remembered lines: one regex pass over the whole text, a record built
+    per match. Kept as the oracle."""
+    from repro.llm.prompt import _LINE_RE
+    from repro.ran.messages import Message, MessageError
+    from repro.ran.security import CipherAlg, IntegrityAlg
+
+    def protocol(name):
+        try:
+            return Message.lookup(name).PROTOCOL.value
+        except MessageError:
+            return "RRC"
+
+    return [
+        MobiFlowRecord(
+            timestamp=float(m["t"]),
+            msg=m["msg"],
+            protocol=protocol(m["msg"]),
+            direction=m["dir"],
+            session_id=int(m["session"]),
+            rnti=None if m["rnti"] == "-" else int(m["rnti"], 16),
+            s_tmsi=None if m["tmsi"] == "-" else int(m["tmsi"], 16),
+            suci=None if m["suci"] == "-" else m["suci"],
+            supi=None if m["supi"] == "-" else m["supi"],
+            cipher_alg=None if m["cipher"] == "-" else int(CipherAlg[m["cipher"]]),
+            integrity_alg=None if m["integrity"] == "-" else int(IntegrityAlg[m["integrity"]]),
+            establishment_cause=None if m["cause"] == "-" else m["cause"],
+        )
+        for m in _LINE_RE.finditer(text)
+    ]
+
+
+class TestParsedLinesMemo:
+    """The provider remembers lines it has read (line text -> record); what
+    it returns is what one regex pass over the prompt returns."""
+
+    RECORDS = benign_session() + benign_session(session=2, t0=3.0)
+
+    def _texts(self):
+        lines = format_records(self.RECORDS).split("\n")
+        prompt = PromptTemplate(retrieved_snippets=["TS 33.501: t=1.0 is not an entry"]).render(
+            self.RECORDS
+        )
+        return {
+            "prompt": prompt,
+            "same_prompt_again": prompt,
+            "overlapping_context": PromptTemplate().render(self.RECORDS[4:] + self.RECORDS[:2]),
+            "entry_mid_line": f"note: {lines[0]} (first entry)\n{lines[1]}",
+            "two_entries_on_a_line": f"{lines[0]} {lines[1]}\n{lines[2]}",
+            "trailing_text": f"{lines[3]} trailing\n{lines[3]}",
+            "crlf": "\r\n".join(lines[:4]),
+            "other_line_separators": "\x0b".join(lines[:3]) + "\u2028" + lines[3],
+            "garbage": "t=zz session=1 msg=\nt=1.0 session=\n\n   \nmsg=RRCSetup dir=UL",
+            "unknown_names": "t=1.000 session=1 msg=NoSuchMessage dir=UL rnti=- s_tmsi=- "
+            "suci=- supi=- cipher=- integrity=- cause=-",
+            "empty": "",
+        }
+
+    def test_equals_one_regex_pass_with_and_without_a_memo(self):
+        memo = {}
+        for name, text in self._texts().items():
+            expected = reference_parse_data_section(text)
+            assert parse_data_section(text) == expected, name
+            assert parse_data_section(text, memo) == expected, name
+        assert len(reference_parse_data_section(self._texts()["prompt"])) == len(self.RECORDS)
+
+    def test_only_a_line_that_is_exactly_one_entry_is_remembered(self):
+        memo = {}
+        texts = self._texts()
+        for name in ("entry_mid_line", "two_entries_on_a_line", "garbage", "crlf"):
+            parse_data_section(texts[name], memo)
+        lines = format_records(self.RECORDS).split("\n")
+        assert set(memo) == {lines[1], lines[2], lines[3]}
+        first = parse_data_section(texts["prompt"], memo)
+        assert set(lines) <= set(memo)
+        again = parse_data_section(texts["prompt"], memo)
+        assert all(a is b for a, b in zip(first, again))  # dict hits, not rebuilt
+
+    def test_memo_is_bounded_then_cleared(self, monkeypatch):
+        from repro.llm import prompt as prompt_module
+
+        monkeypatch.setattr(prompt_module, "_PARSED_LINES_CAPACITY", 5)
+        memo = {}
+        text = format_records(self.RECORDS)
+        assert parse_data_section(text, memo) == reference_parse_data_section(text)
+        assert 0 < len(memo) <= 5
+
+    def test_backends_of_one_server_share_the_engine_s_memo(self):
+        server = SimulatedLlmServer()
+        backends = list(server.backends.values())
+        memo = backends[0].engine.parsed_lines
+        assert all(backend.engine.parsed_lines is memo for backend in backends) and not memo
+        prompt = PromptTemplate().render(self.RECORDS)
+        backends[0].complete(prompt)
+        assert len(memo) == len(set(format_records(self.RECORDS).split("\n")))
+        # Another deployment's provider starts cold.
+        assert not SimulatedLlmServer().backends[backends[0].name].engine.parsed_lines
+
+
 class TestPromptRoundtrip:
     def test_render_contains_template_text(self):
         prompt = PromptTemplate().render(benign_session())

@@ -21,7 +21,7 @@ from repro.experiments.datasets import BenignDatasetConfig, generate_benign_data
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
 from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
-from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate
+from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate, parse_data_section
 from repro.llmfast import LlmfastSettings, StormDispatcher, VerdictCache
 from repro.llmfast.cache import CachedVerdict, trace_signature
 from repro.llmfast.workload import (
@@ -39,6 +39,7 @@ from repro.ran.network import NetworkConfig
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
 
+from tests.test_llm import reference_parse_data_section
 from tests.test_megabatch import ATTACK_SCENARIOS
 
 
@@ -609,14 +610,21 @@ class TestLiveScenarioDecisionIdentity:
         )
         assert len(seed_run.analyzer.verdicts) > 0
         assert verdict_decisions(fast_run) == verdict_decisions(seed_run)
-        # The default run's prompts, byte for byte, from the references.
+        # The default run's prompts, byte for byte, from the references ...
         knowledge = CellularKnowledgeBase()
+        parsed_lines: dict = {}
         for event in seed_run.analyzer.verdicts:
             records = seed_run.mobiwatch.context_for(
                 event.anomaly, seed_run.config.llm_context_records
             )
             reference = PromptTemplate(retrieved_snippets=knowledge.retrieve(records))
             assert event.verdict.prompt == reference.render(records)
+            # ... and read back by a provider that remembers lines as by one
+            # that parses every prompt from scratch.
+            assert parse_data_section(
+                event.verdict.prompt, parsed_lines
+            ) == reference_parse_data_section(event.verdict.prompt)
+        assert parsed_lines
         assert (
             fast_run.analyzer.queries_suppressed == seed_run.analyzer.queries_suppressed
         )

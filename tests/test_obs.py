@@ -491,3 +491,68 @@ class TestLoopTracing:
         assert breakdown["detection"]["max"] < 1.0
         text = pipeline.render_stage_breakdown()
         assert "detection" in text and "verdict" in text
+
+
+# ---------------------------------------------------------------------------
+# E2 byte accounting
+# ---------------------------------------------------------------------------
+
+
+class TestE2PduBytes:
+    """``e2.pdu_bytes_total{direction}`` is what crossed the E2 link: the
+    registry alone yields E2 bytes per record, the bounded end-to-end metric
+    the composed benchmark otherwise measures with a probe of its own."""
+
+    NODE_TO_RIC = ("E2SetupRequest", "RICSubscriptionResponse", "RICIndication", "RICControlAck")
+
+    @staticmethod
+    def _live_run(config=None):
+        from tests.test_wire_path import LiveRun
+
+        seen = []
+
+        def five_ues_and_a_probe(xsec):
+            for index, profile in enumerate(("galaxy_a22", "galaxy_a53", "pixel5")):
+                ue = xsec.net.add_ue(profile)
+                xsec.net.sim.schedule(1.0 + 0.7 * index, ue.start_session)
+            xsec.e2.add_tap(lambda ts, iface, message: seen.append(message.to_wire()))
+
+        run = LiveRun("bts_dos", config=config, before_run=five_ues_and_a_probe)
+        return run.xsec, seen
+
+    def _sent(self, xsec):
+        metrics = xsec.obs.metrics
+        return {
+            direction: metrics.counter(
+                "e2.pdu_bytes_total", labels={"direction": direction}
+            ).value
+            for direction in ("node_to_ric", "ric_to_node")
+        }
+
+    def test_counters_equal_what_a_tap_on_the_link_saw(self):
+        from repro.oran.e2ap import E2apPdu
+
+        xsec, seen = self._live_run()
+        assert len(xsec.net.ues) >= 5 and xsec.mobiwatch.records_seen > 100
+        by_direction = {"node_to_ric": 0, "ric_to_node": 0}
+        for payload in seen:
+            name = E2apPdu.from_wire(payload).pdu_name
+            direction = "node_to_ric" if name in self.NODE_TO_RIC else "ric_to_node"
+            by_direction[direction] += len(payload)
+        assert self._sent(xsec) == by_direction
+        assert by_direction["ric_to_node"] > 0  # subscriptions, control requests
+        # The same number through the snapshot, with nothing but the registry.
+        families = xsec.obs.snapshot()["metrics"]
+        e2_bytes = sum(row["value"] for row in families["e2.pdu_bytes_total"]["series"])
+        records = families["mobiwatch.records_total"]["series"][0]["value"]
+        assert e2_bytes == sum(map(len, seen)) and records == xsec.mobiwatch.records_seen
+        # Names as symbols: the whole E2 link costs well under 80 B a record.
+        assert 30 < e2_bytes / records < 80
+
+    def test_scale_report_echoes_bytes_per_record_beside_the_columnar_flag(self):
+        from repro.genfast import GenfastSettings
+
+        xsec, seen = self._live_run(XsecConfig(genfast=GenfastSettings(columnar_batches=True)))
+        section = xsec.pipeline.scale_report()["genfast"]
+        assert section["columnar_batches"] is True
+        assert section["e2_bytes_per_record"] == sum(map(len, seen)) / xsec.mobiwatch.records_seen

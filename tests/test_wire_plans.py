@@ -34,9 +34,12 @@ from repro.telemetry.encoder import (
     encode_record,
 )
 from repro.telemetry.mobiflow import MobiFlowRecord
-from tests.test_wire import GOLDEN_VECTORS, examples, nested_lists
+from tests.test_wire import FIRST_PINNED, GOLDEN_VECTORS, examples, nested_lists
 
 GOLDEN = {name: bytes.fromhex(golden) for name, _, golden in GOLDEN_VECTORS}
+# The same vectors as every encoder wrote them before revision 2 (names
+# spelled out): no longer produced, still decoded.
+REVISION_1 = {name: bytes.fromhex(FIRST_PINNED[f"wire:{name}"]) for name in GOLDEN}
 
 # The program's own classes (other test modules register throwaway ones).
 MESSAGE_CLASSES = [
@@ -213,6 +216,7 @@ scalars = (
     | st.integers(-(2**70), 2**70)
     | st.floats(allow_nan=False)
     | st.text(max_size=20)
+    | st.sampled_from(wire.SYMBOLS)
     | st.binary(max_size=40)
 )
 field_values = st.sampled_from(EDGE_VALUES) | st.recursive(
@@ -364,7 +368,8 @@ class TestAnyFieldValues:
 
 
 class TestGoldenBytes:
-    """The planned codecs against the bytes the parent's generic codec wrote."""
+    """The planned codecs against the bytes the generic codec of PR 16 wrote,
+    re-pinned for revision 2 from those bytes and the symbol table."""
 
     OBJECTS = {
         "message_enum_wide_int_bool": rrc.RrcSetupRequest(
@@ -447,6 +452,19 @@ class TestGoldenBytes:
             wire.encode(record.to_wire_dict()) for record in self.BATCH
         ]
 
+    @pytest.mark.parametrize("name", sorted(OBJECTS))
+    def test_revision_1_object_still_decodes(self, name):
+        obj, old = self.OBJECTS[name], REVISION_1[name]
+        assert old != GOLDEN[name]
+        decoded = type(obj).from_wire(old)
+        assert type(decoded) is type(obj) and repr(decoded) == repr(obj)
+        assert decoded.to_wire() == GOLDEN[name]
+
+    def test_revision_1_batch_still_decodes_without_spans(self):
+        decoded = decode_batch(REVISION_1["mobiflow_batch"])
+        assert list(decoded) == self.BATCH and decoded.spans is None
+        assert encode_batch(decoded) == GOLDEN["mobiflow_batch"]
+
     @pytest.mark.parametrize("name", sorted(OBJECTS) + ["mobiflow_batch"])
     def test_every_strict_prefix_is_rejected(self, name):
         golden = GOLDEN[name]
@@ -473,8 +491,16 @@ def tlv(tag: int, body: bytes, long_form: bool = False) -> bytes:
     return bytes([tag]) + wire._encode_length(len(body)) + body
 
 
-def text(value: str, long_form: bool = False) -> bytes:
+def spelled(value: str, long_form: bool = False) -> bytes:
+    """A string written out, table name or not (the revision-1 form)."""
     return tlv(0x05, value.encode(), long_form)
+
+
+def text(value: str) -> bytes:
+    """A string as the encoder writes it: a table name as its symbol."""
+    if value in wire.SYMBOLS:
+        return bytes([0x09, wire.SYMBOLS.index(value)])
+    return spelled(value)
 
 
 def pairs(*items, long_form: bool = False) -> bytes:
@@ -493,6 +519,11 @@ CANONICAL_IE = pairs(
     "establishment_cause", CAUSE, "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI
 )
 NAME = text("RRCSetupRequest")
+# The same IEs with the cause written out: valid, read by the plan, and
+# the only string in them with a length byte to tamper with.
+SPELLED_CAUSE_IE = pairs(
+    "establishment_cause", spelled("mo-Data"), "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI
+)
 
 NON_CANONICAL_MESSAGES = {
     "reordered_ies": pairs(
@@ -511,18 +542,18 @@ NON_CANONICAL_MESSAGES = {
     "long_form_key": pairs(
         "msg", NAME, "ie",
         pairs(
-            text("establishment_cause", long_form=True), CAUSE,
+            spelled("establishment_cause", long_form=True), CAUSE,
             "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI,
         ),
     ),
     "long_form_value": pairs(
         "msg", NAME, "ie",
         pairs(
-            "establishment_cause", text("mo-Data", long_form=True),
+            "establishment_cause", spelled("mo-Data", long_form=True),
             "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI,
         ),
     ),
-    "long_form_name": pairs("msg", text("RRCSetupRequest", long_form=True), "ie", CANONICAL_IE),
+    "long_form_name": pairs("msg", spelled("RRCSetupRequest", long_form=True), "ie", CANONICAL_IE),
     "non_minimal_int": pairs(
         "msg", NAME, "ie",
         pairs(
@@ -546,7 +577,28 @@ NON_CANONICAL_MESSAGES = {
         ),
     ),
     "unknown_top_level_key": pairs("msg", NAME, "ie", CANONICAL_IE, "trailer", wire.encode(None)),
+    # Table names written out, as every encoder did before revision 2.
+    "spelled_out_key": pairs(
+        "msg", NAME, "ie",
+        pairs(
+            spelled("establishment_cause"), CAUSE,
+            "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI,
+        ),
+    ),
+    "spelled_out_value": pairs("msg", NAME, "ie", SPELLED_CAUSE_IE),
+    "spelled_out_name": pairs("msg", spelled("RRCSetupRequest"), "ie", CANONICAL_IE),
+    "spelled_out_envelope_keys": pairs(spelled("msg"), NAME, spelled("ie"), CANONICAL_IE),
+    "revision_1_bytes": pairs(
+        spelled("msg"), spelled("RRCSetupRequest"), spelled("ie"),
+        pairs(
+            spelled("establishment_cause"), spelled("mo-Data"),
+            spelled("ue_identity"), IDENTITY, spelled("identity_is_tmsi"), IS_TMSI,
+        ),
+    ),
 }  # fmt: skip
+# Odd lengths, ints or value spellings under the right keys: the planned
+# message decoder reads any valid encoding of a value (it keeps no spans).
+READ_BY_THE_PLAN = ("long_form", "non_minimal_int", "spelled_out_value")
 
 RECORD = base_record(rnti=0x4601)
 RECORD_ITEMS = (
@@ -565,9 +617,9 @@ NON_CANONICAL_BATCHES = {
     "long_form_record_length": batch_of(pairs(*RECORD_ITEMS, long_form=True)),
     "long_form_list_length": batch_of(pairs(*RECORD_ITEMS), long_form=True),
     "long_form_value": batch_of(
-        pairs(*RECORD_ITEMS[:3], text("RRCSetup", long_form=True), *RECORD_ITEMS[4:])
+        pairs(*RECORD_ITEMS[:3], spelled("RRCSetup", long_form=True), *RECORD_ITEMS[4:])
     ),
-    "long_form_key": batch_of(pairs(text("timestamp", long_form=True), *RECORD_ITEMS[1:])),
+    "long_form_key": batch_of(pairs(spelled("timestamp", long_form=True), *RECORD_ITEMS[1:])),
     "non_minimal_int": batch_of(pairs(*RECORD_ITEMS[:-1], tlv(0x03, b"\x00\x00\x46\x01"))),
     "empty_int_is_zero": batch_of(pairs(*RECORD_ITEMS[:-1], tlv(0x03, b""))),
     "duplicate_key_last_wins": batch_of(
@@ -576,6 +628,19 @@ NON_CANONICAL_BATCHES = {
     "session_id_left_to_default": batch_of(pairs(*RECORD_ITEMS[:8], *RECORD_ITEMS[10:])),
     "canonical_then_reordered": batch_of(
         pairs(*RECORD_ITEMS), pairs(*RECORD_ITEMS[2:], *RECORD_ITEMS[:2])
+    ),
+    # One table name written out is enough to lose the span: the stored
+    # bytes must be what encoding the record gives.
+    "spelled_out_key": batch_of(pairs(spelled("timestamp"), *RECORD_ITEMS[1:])),
+    "spelled_out_value": batch_of(
+        pairs(*RECORD_ITEMS[:3], spelled("RRCSetup"), *RECORD_ITEMS[4:])
+    ),
+    "revision_1_bytes": batch_of(
+        pairs(
+            spelled("timestamp"), wire.encode(1.5), spelled("msg"), spelled("RRCSetup"),
+            spelled("protocol"), spelled("RRC"), spelled("direction"), spelled("DL"),
+            spelled("session_id"), wire.encode(3), spelled("rnti"), wire.encode(0x4601),
+        )
     ),
 }
 
@@ -591,10 +656,9 @@ class TestNonCanonicalInput:
     def test_message(self, name):
         data = NON_CANONICAL_MESSAGES[name]
         assert data != SETUP_REQUEST.to_wire()
-        if "long_form" not in name and name != "non_minimal_int":
-            # Keys out of place: only the generic decode can answer. (The
-            # planned decoder does read any valid encoding of a length or
-            # a value; spans are not kept for messages.)
+        if not any(part in name for part in READ_BY_THE_PLAN):
+            # Keys out of place or not as written: only the generic decode
+            # can answer.
             assert messages._PLANS.decode(data) is None
         decoded = Message.from_wire(data)
         assert decoded == generic_message(data)
@@ -653,8 +717,8 @@ class TestNonCanonicalInput:
         """The last IE claims one byte more than its dict holds; the byte
         exists further on (a sibling key), so only the parent's bound can
         catch it — on the planned path as on the generic one."""
-        ie = bytearray(CANONICAL_IE)
-        cause_length = CANONICAL_IE.index(b"\x05\x07mo-Data") + 1
+        ie = bytearray(SPELLED_CAUSE_IE)
+        cause_length = SPELLED_CAUSE_IE.index(b"\x05\x07mo-Data") + 1
         ie[cause_length] += 1
         data = pairs("msg", NAME, "ie", bytes(ie), "pad", wire.encode(None))
         with pytest.raises(MessageError):
