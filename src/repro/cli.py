@@ -25,10 +25,6 @@ Gives operators the paper's workflow without writing code:
   kernels, parallel sweeps, dataset cache), verify the equality contracts,
   and gate against the committed ``BENCH_trainfast.json`` baseline
   (see docs/PERFORMANCE.md);
-- ``genfast-bench`` — measure telemetry generation & ingest (columnar
-  MobiFlow batches, one-pass vectorized featurization, batched sim
-  ticking), verify the equality contracts, and gate against the committed
-  ``BENCH_genfast.json`` baseline (see docs/PERFORMANCE.md);
 - ``llmfast-bench`` — measure the verdict-plane fast path (content-
   addressed verdict cache, vectorized RAG retrieval, compiled prompt
   assembly), verify the decision/ranking/byte equality contracts, and
@@ -282,39 +278,6 @@ def _cmd_hotpath_bench(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         print(f"hotpath-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on floors only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
-def _cmd_genfast_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.genfast.bench import (
-        load_baseline,
-        run_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_genfast.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"genfast-bench snapshot -> {args.json}")
     if args.update_baseline:
         save_result(result, baseline_path)
         print(f"baseline updated -> {baseline_path}")
@@ -776,26 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite the baseline from this run instead of gating against it",
     )
     hotpath_bench.set_defaults(func=_cmd_hotpath_bench)
-
-    genfast_bench = commands.add_parser(
-        "genfast-bench",
-        help="measure capture -> featurized-window ingest throughput "
-        "(columnar batches, vectorized featurization, batched sim ticks); "
-        "verify equality contracts; gate vs BENCH_genfast.json",
-    )
-    genfast_bench.add_argument(
-        "--quick", action="store_true", help="small CI run (fewer records/reps)"
-    )
-    genfast_bench.add_argument("--json", help="write the machine-readable result here")
-    genfast_bench.add_argument(
-        "--baseline", help="baseline file (default: BENCH_genfast.json at repo root)"
-    )
-    genfast_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
-    genfast_bench.set_defaults(func=_cmd_genfast_bench)
 
     llmfast_bench = commands.add_parser(
         "llmfast-bench",

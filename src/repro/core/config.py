@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.genfast.settings import GenfastSettings
 from repro.hotpath.settings import HotpathSettings
 from repro.llmfast.settings import LlmfastSettings
 from repro.megabatch.settings import MegabatchSettings
@@ -92,13 +91,7 @@ class XsecConfig:
     # (see docs/RUNTIME.md).
     runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
 
-    # Telemetry generation/ingest fast lane (repro.genfast): columnar
-    # MobiFlow batch indications with interned vocab ids. Default keeps
-    # per-record TLV on E2 (see docs/PERFORMANCE.md, "Generation & ingest").
-    genfast: GenfastSettings = field(default_factory=GenfastSettings)
-
     # Verdict-plane fast path (repro.llmfast): content-addressed verdict
-    # cache + in-flight coalescing and the storm-safe dispatch queue with
-    # batched verdict persistence. Defaults send one provider request per
+    # cache + in-flight coalescing. Defaults send one provider request per
     # query (see docs/PERFORMANCE.md, "Verdict plane").
     llmfast: LlmfastSettings = field(default_factory=LlmfastSettings)

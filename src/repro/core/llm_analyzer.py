@@ -8,16 +8,12 @@ latency), parses the text into classification / explanation / attribution
 escalate to human supervision), and publishes verdict events for the
 closed-loop responder.
 
-With ``XsecConfig.llmfast`` flags on (defaults off: the seed path is
-bit-identical) the xApp runs the verdict-plane fast path: anomalies whose
-canonical trace signature already has a cached analysis resolve without a
-provider round trip; concurrent identical queries coalesce onto one
-pending request and the verdict fans out to every waiter; and the
-storm-safe dispatcher bounds provider concurrency, orders the backlog by
-severity, sheds (counted, never silently) once the backlog overflows, and
-persists each completion's verdict fan-out as one batched SDL write.  The
-ledger invariant ``offered == analyzed + coalesced + cache_hits + shed +
-pending`` holds at every instant.
+Every query takes one submit path.  With ``XsecConfig.llmfast`` flags on
+(defaults off) anomalies whose canonical trace signature already has a
+cached analysis resolve without a provider round trip, and concurrent
+identical queries coalesce onto one pending request whose verdict fans out
+to every waiter.  The ledger invariant ``offered == analyzed + coalesced +
+cache_hits + pending`` holds at every instant.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from repro.llm.analyst import ExpertAnalyst, ExpertVerdict
 from repro.llm.client import LlmClient, SimulatedLlmServer
 from repro.obs.metrics import WallTimer
 from repro.oran.xapp import XApp
-from repro.scale.sharded_sdl import ShardedSdl
 from repro.slo import profiler as _profiler
 
 SDL_VERDICT_NS = "xsec.verdicts"
@@ -59,12 +54,11 @@ class VerdictEvent:
 
 @dataclass
 class _PendingQuery:
-    """One in-flight or queued provider request (repro.llmfast)."""
+    """One in-flight provider request."""
 
     event: AnomalyEvent
     records: list
     signature: object = None
-    priority: float = 0.0
     # Coalesced anomalies waiting on this request's verdict.
     waiters: list = field(default_factory=list)
 
@@ -88,7 +82,7 @@ class LlmAnalyzerXApp(XApp):
         self.analyst = ExpertAnalyst(
             client=LlmClient(server=self.server, model=self.config.llm_model),
             use_rag=self.config.llm_use_rag,
-            llmfast=llmfast if llmfast.fast_submit_enabled else None,
+            llmfast=llmfast,
         )
         self.verdicts: list[VerdictEvent] = []
         self.human_review_queue: list[VerdictEvent] = []
@@ -100,20 +94,16 @@ class LlmAnalyzerXApp(XApp):
         # coupled to len(self.verdicts) (list length wraps key identity
         # past the pad width and breaks if the list is ever pruned).
         self._verdict_seq = 0
-        # repro.llmfast ledger.  Terminal outcomes for every offered
-        # anomaly (one that survived the cooldown): a full provider
-        # round trip (analyzed), joining an in-flight request
-        # (coalesced), a verdict-cache hit (cache_hits), or a counted
-        # drop under storm load (shed); pending covers the rest.
+        # The ledger.  Terminal outcomes for every offered anomaly (one
+        # that survived the cooldown): a full provider round trip
+        # (analyzed), joining an in-flight request (coalesced), or a
+        # verdict-cache hit (cache_hits); pending covers the rest.
         self.offered = 0
         self.analyzed = 0
         self.coalesced = 0
         self.cache_hits = 0
-        self.shed = 0
         self.pending = 0
         self.sessions_evicted = 0
-        self._fast = llmfast if llmfast.fast_submit_enabled else None
-        self._dispatcher = None
         self._inflight: dict = {}
         metrics = self.sim.obs.metrics
         self._queries_counter = metrics.counter(
@@ -137,28 +127,18 @@ class LlmAnalyzerXApp(XApp):
         self._review_counter = metrics.counter(
             "llm.human_review_total", help="contradictions escalated to humans"
         )
-        # repro.llmfast counters (gated: the disabled path creates no new
+        # repro.llmfast counters (gated: a flag that is off creates no
         # metric series).
         self._cache_hits_counter = None
         self._coalesced_counter = None
-        self._shed_counter = None
-        if self._fast is not None:
+        if llmfast.verdict_cache:
             self._cache_hits_counter = metrics.counter(
                 "llm.cache_hits_total", help="verdicts served from the cache"
             )
+        if llmfast.coalesce:
             self._coalesced_counter = metrics.counter(
                 "llm.coalesced_total", help="queries joined to an in-flight request"
             )
-            self._shed_counter = metrics.counter(
-                "llm.shed_total", help="queries shed by the storm dispatcher"
-            )
-            if llmfast.dispatch:
-                from repro.llmfast.dispatch import StormDispatcher
-
-                self._dispatcher = StormDispatcher(
-                    max_inflight=llmfast.max_inflight,
-                    queue_capacity=llmfast.queue_capacity,
-                )
         # Bugfix: _session_last_query grew without bound — megabatch
         # session eviction never reached analyzer state.  Prune the
         # cooldown ledger whenever MobiWatch evicts the session
@@ -205,13 +185,15 @@ class LlmAnalyzerXApp(XApp):
                 self._sessions_evicted_counter.inc()
 
     def ledger(self) -> dict:
-        """The fast-path accounting; the invariant must always hold."""
+        """The query accounting; the invariant must always hold."""
         return {
             "offered": self.offered,
             "analyzed": self.analyzed,
             "coalesced": self.coalesced,
             "cache_hits": self.cache_hits,
-            "shed": self.shed,
+            # Nothing sheds a query; the frozen benchmarks/e2e harness sums
+            # this term.
+            "shed": 0,
             "pending": self.pending,
         }
 
@@ -231,26 +213,9 @@ class LlmAnalyzerXApp(XApp):
         records = self.mobiwatch.context_for(
             event, max_records=self.config.llm_context_records
         )
-        if self._fast is not None:
-            self._fast_submit(event, records)
-            return
-        self.queries_sent += 1
-        self._queries_counter.inc()
-        # Simulate the web-API round trip: the verdict lands after the
-        # provider's response latency.
-        prompt_probe = "".join(r.msg for r in records)
-        latency = self.server.latency_for(self.config.llm_model, prompt_probe)
-        self._latency_hist.observe(latency)
-        self.schedule(
-            latency, lambda: self._complete(event, records), name=f"{self.name}.llm"
-        )
+        self._submit(event, records)
 
-    def _complete(self, event: AnomalyEvent, records) -> None:
-        with _profiler.profile_block("llm.analyze"), WallTimer(self._analyze_wall):
-            verdict = self.analyst.analyze(records, detector_flagged=True)
-        self._deliver(event, verdict)
-
-    # -- verdict delivery (shared by the seed and fast paths) ----------------
+    # -- verdict delivery ----------------------------------------------------
 
     def _verdict_row(self, event: AnomalyEvent, result: VerdictEvent) -> tuple:
         verdict = result.verdict
@@ -271,13 +236,8 @@ class LlmAnalyzerXApp(XApp):
             },
         )
 
-    def _deliver(self, event: AnomalyEvent, verdict: ExpertVerdict, rows=None) -> None:
-        """Record, persist, and publish one verdict.
-
-        ``rows`` batches the SDL write: when a list is passed the row is
-        appended for the caller to persist via ``set_many``; otherwise it
-        is written immediately (the seed's one-write-per-verdict path).
-        """
+    def _deliver(self, event: AnomalyEvent, verdict: ExpertVerdict) -> None:
+        """Record, persist, and publish one verdict."""
         result = VerdictEvent(anomaly=event, verdict=verdict, completed_at=self.now)
         self.verdicts.append(result)
         self._verdict_counters[result.confirmed].inc()
@@ -287,11 +247,7 @@ class LlmAnalyzerXApp(XApp):
             confirmed=result.confirmed,
             needs_human_review=result.needs_human_review,
         )
-        row = self._verdict_row(event, result)
-        if rows is None:
-            self.sdl.set(SDL_VERDICT_NS, row[0], row[1])
-        else:
-            rows.append(row)
+        self.sdl.set(SDL_VERDICT_NS, *self._verdict_row(event, result))
         store = getattr(self.mobiwatch, "provenance", None)
         if store is not None:
             store.attach_verdict(
@@ -313,76 +269,50 @@ class LlmAnalyzerXApp(XApp):
         for callback in self._callbacks:
             callback(result)
 
-    # -- fast path (repro.llmfast) -------------------------------------------
+    # -- the submit path -----------------------------------------------------
 
-    def _fast_submit(self, event: AnomalyEvent, records) -> None:
-        fast = self._fast
+    def _submit(self, event: AnomalyEvent, records) -> None:
+        llmfast = self.config.llmfast
         self.offered += 1
+        # Both None by default: a signature needs the verdict cache or
+        # coalescing on, a cached verdict the cache on and holding it.
         signature = self.analyst.signature_for(records)
-        if fast.verdict_cache and signature is not None:
-            verdict = self.analyst.cached_verdict(signature, detector_flagged=True)
-            if verdict is not None:
-                self.cache_hits += 1
-                self._cache_hits_counter.inc()
-                # The verdict is already resolved; deliver it on the next
-                # sim step (no provider round trip, no WAN latency).
-                self.schedule(
-                    0.0,
-                    lambda: self._deliver(event, verdict),
-                    name=f"{self.name}.llm-cached",
-                )
-                return
-        if fast.coalesce and signature is not None:
+        verdict = self.analyst.cached_verdict(signature, detector_flagged=True)
+        if verdict is not None:
+            self.cache_hits += 1
+            self._cache_hits_counter.inc()
+            # The verdict is already resolved; deliver it on the next sim
+            # step (no provider round trip, no WAN latency).
+            self.schedule(
+                0.0,
+                lambda: self._deliver(event, verdict),
+                name=f"{self.name}.llm-cached",
+            )
+            return
+        if llmfast.coalesce and signature is not None:
             inflight = self._inflight.get(signature)
             if inflight is not None:
                 inflight.waiters.append(event)
                 self.coalesced += 1
                 self._coalesced_counter.inc()
                 return
-        threshold = event.threshold if event.threshold else 1.0
-        request = _PendingQuery(
-            event=event,
-            records=records,
-            signature=signature,
-            priority=event.score / threshold,
-        )
+        request = _PendingQuery(event=event, records=records, signature=signature)
         self.pending += 1
-        if self._dispatcher is None:
-            self._fire(request)
-            return
-        outcome, item = self._dispatcher.submit(request.priority, request)
-        if outcome == "dispatch":
-            self._fire(item)
-        elif outcome == "shed":
-            # Counted, never silent: the dropped request (the newcomer or
-            # a displaced lower-priority queued entry) is logged.
-            self.pending -= 1
-            self.shed += 1
-            self._shed_counter.inc()
-            self.log(
-                "query shed under storm load",
-                session=item.event.session_id,
-                priority=round(item.priority, 3),
-                backlog=self._dispatcher.backlog,
-            )
-        # "queued": the dispatcher holds it until a slot frees up.
-
-    def _fire(self, request: _PendingQuery) -> None:
         self.queries_sent += 1
         self._queries_counter.inc()
-        records = request.records
+        # Simulate the web-API round trip: the verdict lands after the
+        # provider's response latency.
         prompt_probe = "".join(r.msg for r in records)
         latency = self.server.latency_for(self.config.llm_model, prompt_probe)
         self._latency_hist.observe(latency)
-        if self._fast.coalesce and request.signature is not None:
-            self._inflight[request.signature] = request
+        if llmfast.coalesce and signature is not None:
+            self._inflight[signature] = request
         self.schedule(
-            latency, lambda: self._fast_complete(request), name=f"{self.name}.llm"
+            latency, lambda: self._on_response(request), name=f"{self.name}.llm"
         )
 
-    def _fast_complete(self, request: _PendingQuery) -> None:
-        if request.signature is not None:
-            self._inflight.pop(request.signature, None)
+    def _on_response(self, request: _PendingQuery) -> None:
+        self._inflight.pop(request.signature, None)
         with _profiler.profile_block("llm.analyze"), WallTimer(self._analyze_wall):
             verdict = self.analyst.analyze(
                 request.records, detector_flagged=True, signature=request.signature
@@ -390,27 +320,7 @@ class LlmAnalyzerXApp(XApp):
         self.pending -= 1
         self.analyzed += 1
         # The verdict fans out to the primary anomaly and every coalesced
-        # waiter; with dispatch on, the whole fan-out persists as one
-        # batched SDL write.
-        rows: Optional[list] = [] if self._dispatcher is not None else None
-        self._deliver(request.event, verdict, rows=rows)
+        # waiter.
+        self._deliver(request.event, verdict)
         for waiter in request.waiters:
-            self._deliver(waiter, verdict, rows=rows)
-        if rows:
-            self._persist_rows(rows)
-        if self._dispatcher is not None:
-            next_request = self._dispatcher.complete()
-            if next_request is not None:
-                self._fire(next_request)
-
-    def _persist_rows(self, rows: list) -> None:
-        """Batch-persist one completion's verdict fan-out."""
-        if isinstance(self.sdl, ShardedSdl):
-            # Group by session so placement matches per-session reads.
-            groups: dict[str, list] = {}
-            for row in rows:
-                groups.setdefault(str(row[1]["session"]), []).append(row)
-            for shard_key, pairs in groups.items():
-                self.sdl.set_many(SDL_VERDICT_NS, pairs, shard_key=shard_key)
-        else:
-            self.sdl.set_many(SDL_VERDICT_NS, rows)
+            self._deliver(waiter, verdict)

@@ -23,7 +23,7 @@ import numpy as np
 from repro import wire
 from repro.core.config import XsecConfig
 from repro.hotpath.incremental import IncrementalLstmScorer
-from repro.megabatch.quantized import QuantizedLstmEngine
+from repro.megabatch.quantized import STATE_DTYPE, QuantizedLstmEngine
 from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector, LstmDetector
 from repro.obs.metrics import WallTimer
@@ -224,7 +224,7 @@ class MobiWatchXApp(XApp):
                 )
             else:
                 self._quantized = QuantizedLstmEngine(
-                    detector, detector.calibration, megabatch, metrics=metrics
+                    detector, detector.calibration, metrics=metrics
                 )
         # repro.hotpath: incremental LSTM scoring carries per-session
         # hidden state instead of re-running the window.
@@ -272,10 +272,10 @@ class MobiWatchXApp(XApp):
         parts = ["compiled-float32"] if hotpath.dtype == "float32" else []
         if self._quantized is not None:
             strategy = (self._ingest_quantized, self._tick_quantized, self._score_one_quantized)
-            parts = [f"quantized-int8-{megabatch.state_dtype}"]
+            parts = [f"quantized-int8-{STATE_DTYPE}"]
         elif self._incremental is not None:
             strategy = (self._ingest_incremental, self._tick_each, self._score_one_incremental)
-            parts = [f"incremental-{hotpath.incremental_mode}-{hotpath.dtype}"]
+            parts = [f"incremental-{hotpath.dtype}"]
         elif self.pool is not None:
             strategy = (append, self._tick_each, self._submit_pooled)
             if self.config.runtime.score_in_processes:
@@ -320,10 +320,9 @@ class MobiWatchXApp(XApp):
             )
         except (ValueError, TypeError) as exc:
             # E2smError and WireError are ValueErrors; the record codec
-            # (which checks every field's type and range) and
-            # MobiFlowBatch.from_columns (which range-checks vocab ids)
-            # raise either on a well-formed TLV of the wrong shape. Bytes
-            # from the E2 edge must not stop the run: count, drop, carry on.
+            # (which checks every field's type and range) raises either on
+            # a well-formed TLV of the wrong shape. Bytes from the E2 edge
+            # must not stop the run: count, drop, carry on.
             self._rejected_counter.inc()
             self.log(
                 "indication rejected",
@@ -342,8 +341,8 @@ class MobiWatchXApp(XApp):
         # write per indication (per shard key under ShardedSdl). A record
         # is stored as the bytes it arrived in — its span of the indication
         # payload, which the decoder has checked to be exactly its own
-        # encoding — unless there is none (columnar lane) or it no longer
-        # describes the record (clamped timestamp).
+        # encoding — unless there is none (non-canonical batch) or it no
+        # longer describes the record (clamped timestamp).
         pending_writes: list[tuple[int, MobiFlowRecord, object]] = []
         payload = records.payload
         for record, span in zip(records, records.spans or itertools.repeat(None)):

@@ -211,33 +211,16 @@ class ClosedLoopPipeline:
             # repro.runtime: per-process liveness and restart counts for
             # the supervised scoring workers.
             report["runtime"] = supervisor.health()
-        genfast = self.config.genfast
-        if genfast.any_enabled:
-            # repro.genfast: which generation/ingest fast lanes are active,
-            # and what the lane costs on the wire (e2.pdu_bytes_total, both
-            # directions, over the records ingested).
-            e2_bytes = sum(
-                counter.value
-                for _, counter in self.mobiwatch.sim.obs.metrics.family_series(
-                    "e2.pdu_bytes_total"
-                )
-            )
-            records = self.mobiwatch.records_seen
-            report["genfast"] = {
-                "columnar_batches": genfast.columnar_batches,
-                "e2_bytes_per_record": e2_bytes / records if records else None,
-            }
         llmfast = self.config.llmfast
         if llmfast.fast_submit_enabled:
             # repro.llmfast: the verdict-plane ledger (the invariant
-            # offered == analyzed + coalesced + cache_hits + shed + pending
-            # holds at every instant) plus cache/dispatcher internals.
+            # offered == analyzed + coalesced + cache_hits + pending holds
+            # at every instant) plus cache internals.
             analyzer = self.analyzer
-            section: dict = {"ledger": analyzer.ledger()}
-            section["cache"] = analyzer.analyst.cache_stats
-            if analyzer._dispatcher is not None:
-                section["dispatch"] = analyzer._dispatcher.stats()
-            report["llmfast"] = section
+            report["llmfast"] = {
+                "ledger": analyzer.ledger(),
+                "cache": analyzer.analyst.cache_stats,
+            }
         return report
 
     # -- loop tracing (repro.obs) ---------------------------------------------------

@@ -12,7 +12,7 @@ them against the committed ``BENCH_hotpath.json`` (see
 docs/PERFORMANCE.md).
 """
 
-from repro.hotpath.incremental import IncrementalLstmScorer, ScoreMismatch
+from repro.hotpath.incremental import IncrementalLstmScorer
 from repro.hotpath.settings import HotpathSettings
 
-__all__ = ["HotpathSettings", "IncrementalLstmScorer", "ScoreMismatch"]
+__all__ = ["HotpathSettings", "IncrementalLstmScorer"]

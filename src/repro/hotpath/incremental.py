@@ -18,16 +18,15 @@ where ``error[j]`` is the next-entry prediction error of record ``j`` given
 state carried over records ``0..j-1``, and ``error[0] = 0`` (a session's
 first record is unpredictable — exactly ``record_errors``' convention).
 
-Equality contract (enforced by tests and the ``self_check`` mode):
+Equality contract (enforced by tests/test_hotpath.py):
 
-- ``cached`` (the fast path) in **float64** produces scores *bitwise equal*
-  to :meth:`replay_errors`, which recomputes every error from the session
+- in **float64** the carried state produces scores *bitwise equal* to
+  :meth:`replay_errors`, which recomputes every error from the session
   prefix using the seed's own plain-numpy expressions;
-- in **float32** (``hotpath.dtype``) scores match
-  the float64 replay within the documented
-  :class:`~repro.hotpath.settings.HotpathSettings` tolerances;
-- ``replay`` mode runs the reference computation live, so a full pipeline
-  run in either mode must emit identical anomaly events.
+- in **float32** (``hotpath.dtype``) scores match the float64 replay within
+  the tolerance the tests document;
+- a live pipeline whose scorer is swapped for :meth:`replay_window_score`
+  emits identical anomaly events.
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ class _SessionState:
         self.errors: list[float] = []
 
 
-class ScoreMismatch(RuntimeError):
-    """Raised by ``self_check`` when cached and replayed scores disagree."""
-
-
 class IncrementalLstmScorer:
     """Carried-state scorer for a fitted :class:`LstmDetector`."""
 
@@ -78,13 +73,10 @@ class IncrementalLstmScorer:
         self.window = detector.window
         self.model = detector.model
         self.dtype = np.dtype(self.settings.dtype)
-        self.mode = self.settings.incremental_mode
-        self.self_check = self.settings.self_check
         # The fused single-step kernel; in float64 its ops mirror the seed
         # expressions exactly (same association, same sigmoid op sequence).
         self._core = CompiledLstm(self.model, str(self.dtype))
         self._sessions: Dict[int, _SessionState] = {}
-        self.self_checks_passed = 0
         # Optional repro.obs counters. push() is the hottest per-record
         # call in the deployment, so the increment is inlined on the raw
         # counter value (no method dispatch) and skipped when unwired.
@@ -106,17 +98,13 @@ class IncrementalLstmScorer:
                 help="sessions with carried LSTM state",
             )
 
-    # -- cached fast path --------------------------------------------------------
+    # -- carried state -----------------------------------------------------------
 
     def push(self, session_id: int, row: np.ndarray) -> float:
         """Ingest one record; returns its session-context prediction error.
 
-        One fused LSTM step + one head matmul per call. A no-op returning
-        0.0 in ``replay`` mode (the reference mode recomputes from the
-        session rows at scoring time instead).
+        One fused LSTM step + one head matmul per call.
         """
-        if self.mode == "replay":
-            return 0.0
         counter = self._steps_counter
         if counter is not None:
             counter.value += 1
@@ -150,7 +138,7 @@ class IncrementalLstmScorer:
         return self._sessions.pop(session_id, None) is not None
 
     def record_errors(self, session_id: int) -> np.ndarray:
-        """The session's per-record errors so far (cached mode)."""
+        """The session's per-record errors so far."""
         state = self._sessions.get(session_id)
         if state is None:
             return np.zeros(0)
@@ -161,9 +149,9 @@ class IncrementalLstmScorer:
     def window_score(self, session_id: int, rows: Optional[np.ndarray] = None) -> float:
         """Score of the session's current last window.
 
-        ``rows`` is the session's full row history ``[L, dim]`` (e.g. an
-        arena view); required in ``replay`` mode and under ``self_check``,
-        ignored otherwise.
+        ``rows`` is the session's full row history ``[L, dim]`` (an arena
+        view): what :meth:`replay_window_score` needs when a test swaps it
+        in as the oracle; the carried state does not read it.
         """
         # Sampled profiling: this runs once per record at fleet rate, so an
         # active profiler times one call in _PROFILE_SAMPLE and reports the
@@ -185,13 +173,6 @@ class IncrementalLstmScorer:
         return self._window_score(session_id, rows)
 
     def _window_score(self, session_id: int, rows: Optional[np.ndarray]) -> float:
-        if self.mode == "replay":
-            if rows is None:
-                raise ValueError("replay mode needs the session rows")
-            errors = self.replay_errors(rows)
-            if len(errors) == 0:
-                raise ValueError("cannot score an empty session")
-            return float(errors[-self.window :].max())
         state = self._sessions.get(session_id)
         if state is None or not state.errors:
             raise KeyError(f"no records pushed for session {session_id}")
@@ -199,8 +180,6 @@ class IncrementalLstmScorer:
         counter = self._scores_counter
         if counter is not None:
             counter.value += 1
-        if self.self_check:
-            self._verify(session_id, state, score, rows)
         return score
 
     # -- batch-replay reference --------------------------------------------------
@@ -246,29 +225,3 @@ class IncrementalLstmScorer:
         if len(errors) == 0:
             raise ValueError("cannot score an empty session")
         return float(errors[-self.window :].max())
-
-    # -- runtime self-check ------------------------------------------------------
-
-    def _verify(
-        self, session_id: int, state: _SessionState, score: float, rows: Optional[np.ndarray]
-    ) -> None:
-        if rows is None:
-            raise ValueError("self_check needs the session rows")
-        reference = self.replay_window_score(rows)
-        if self.dtype == np.float64:
-            ok = score == reference
-        else:
-            ok = bool(
-                np.isclose(
-                    score,
-                    reference,
-                    rtol=self.settings.float32_rtol,
-                    atol=self.settings.float32_atol,
-                )
-            )
-        if not ok:
-            raise ScoreMismatch(
-                f"session {session_id} record {len(state.errors)}: cached score "
-                f"{score!r} != replayed {reference!r} ({self.dtype})"
-            )
-        self.self_checks_passed += 1

@@ -13,12 +13,12 @@ The two behaviour-changing switches:
   session-context semantics of
   :meth:`repro.ml.detector.LstmDetector.session_window_scores` (the
   offline evaluation path), and are *exactly* reproducible by the batch
-  replay in float64 mode — see docs/PERFORMANCE.md for the equality
-  contract.
+  replay (``IncrementalLstmScorer.replay_errors``) in float64 — see
+  docs/PERFORMANCE.md for the equality contract.
 - ``dtype`` — precision of the fused scoring kernels
   (:mod:`repro.ml.compiled`) and of the incremental step: float64 (the
-  default) is exact; float32 trades a documented tolerance for ~2x+
-  kernel throughput.
+  default) is exact; float32 trades a tolerance (1e-4 relative, held by
+  tests/test_hotpath.py) for ~2x+ kernel throughput.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _DTYPES = ("float64", "float32")
-_INCREMENTAL_MODES = ("cached", "replay")
 
 
 @dataclass
@@ -36,30 +35,11 @@ class HotpathSettings:
     # Per-session carried-state LSTM scoring (LSTM detector only; the flag
     # is ignored with a log line under the autoencoder).
     incremental: bool = False
-    # "cached": O(1) carried-state scoring (the fast path).
-    # "replay": recompute every window score from the session prefix with
-    # the seed batch forward — the reference the cached path must equal
-    # exactly in float64 mode. Exists for verification and tests.
-    incremental_mode: str = "cached"
-    # Re-verify every cached incremental score against the batch replay at
-    # runtime (exact in float64, within the float32 tolerances below).
-    # Costly — a debugging/validation mode, not a production default.
-    self_check: bool = False
 
     # Precision of the fused scoring kernels and the incremental step:
     # "float64" is exact; "float32" is the throughput tier.
     dtype: str = "float64"
 
-    # Documented float32 score tolerance (relative/absolute), used by the
-    # runtime self-check and the equality test suite.
-    float32_rtol: float = 1e-4
-    float32_atol: float = 1e-7
-
     def __post_init__(self) -> None:
         if self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {_DTYPES}, got {self.dtype!r}")
-        if self.incremental_mode not in _INCREMENTAL_MODES:
-            raise ValueError(
-                f"incremental_mode must be one of {_INCREMENTAL_MODES}, "
-                f"got {self.incremental_mode!r}"
-            )

@@ -8,12 +8,8 @@ that default to off:
 - a **content-addressed verdict cache** + **in-flight coalescing**
   (:mod:`.cache`): near-duplicate anomaly bursts resolve without a
   provider round trip, and concurrent identical queries join one pending
-  request;
-- a **storm-safe dispatch queue** (:mod:`.dispatch`): bounded provider
-  concurrency, severity-priority backlog, counted never-silent shedding,
-  and batched verdict persistence via ``SharedDataLayer.set_many`` —
-  with the ledger invariant ``offered == analyzed + coalesced +
-  cache_hits + shed + pending``.
+  request — with the ledger invariant ``offered == analyzed + coalesced +
+  cache_hits + pending``.
 
 ``python -m repro llmfast-bench`` gates the measured speedups against
 hard floors and the committed ``BENCH_llmfast.json`` baseline.
@@ -26,14 +22,12 @@ from repro.llmfast.cache import (
     VerdictCache,
     trace_signature,
 )
-from repro.llmfast.dispatch import StormDispatcher
 from repro.llmfast.settings import LlmfastSettings
 
 __all__ = [
     "CachedVerdict",
     "LlmfastSettings",
     "SignatureInterner",
-    "StormDispatcher",
     "TraceSignature",
     "VerdictCache",
     "trace_signature",

@@ -108,11 +108,6 @@ def _best_of(repeats: int, run: Callable[[], float]) -> float:
     return min(run() for _ in range(repeats))
 
 
-def _fast_settings() -> LlmfastSettings:
-    # The analyst-side lanes; dispatch is xApp-level and not timed here.
-    return LlmfastSettings(verdict_cache=True, coalesce=True)
-
-
 def _bench_storm(cfg: LlmfastBenchConfig, result: LlmfastBenchResult) -> None:
     traces = distinct_traces(cfg.distinct)
     workload = duplicate_heavy(traces, cfg.analyses)
@@ -127,7 +122,7 @@ def _bench_storm(cfg: LlmfastBenchConfig, result: LlmfastBenchResult) -> None:
         return ExpertAnalyst(
             client=LlmClient(server=SimulatedLlmServer(), model=cfg.model),
             use_rag=True,
-            llmfast=_fast_settings(),
+            llmfast=LlmfastSettings.all_on(),
         )
 
     def seed_run() -> float:

@@ -42,7 +42,6 @@ import numpy as np
 from repro.ml.arena import SessionWindowArena
 from repro.ml.compiled import compile_detector
 from repro.megabatch.quantized import QuantizedLstmEngine, calibrate_windows
-from repro.megabatch.settings import MegabatchSettings
 from repro.scale.pool import InferencePool
 
 # Hard floors from the acceptance gates.
@@ -252,11 +251,8 @@ def _bench_detector(
 
     # Tier 4 (LSTM only): carried-state quantized step + ring-max read.
     if name == "lstm":
-        settings = MegabatchSettings(quantized=True)
-        calibration = calibrate_windows(rows.reshape(cfg.sessions, -1), settings)
-        engine = QuantizedLstmEngine(
-            detector, calibration, settings, initial_sessions=cfg.sessions
-        )
+        calibration = calibrate_windows(rows.reshape(cfg.sessions, -1))
+        engine = QuantizedLstmEngine(detector, calibration, initial_sessions=cfg.sessions)
         step_rows = rows[:, 0, :]  # one fresh record per session per tick
         for t in range(cfg.window):  # pre-tick state, like the live path
             engine.megastep(session_ids, rows[:, t, :])

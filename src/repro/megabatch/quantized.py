@@ -15,11 +15,11 @@ Quantization scheme:
   dot product of one weight column alone, so a per-column scale factors
   out of the sum exactly;
 - **inputs**: per-tensor symmetric int8, scale from a per-capture
-  calibration pass over the training windows (min/max or percentile of
-  the absolute-value distribution — :func:`calibrate_windows`);
+  calibration pass over the training windows (the observed absolute
+  maximum — :func:`calibrate_windows`);
 - **carried state**: the per-session hidden/cell arenas are stored in
-  ``state_dtype`` (float16 by default, halving state memory at fleet
-  scale) and dequantized to float32 for the batched step. The recurrent
+  float16 (:data:`STATE_DTYPE`, halving state memory at fleet scale) and
+  dequantized to float32 for the batched step. The recurrent
   and head GEMMs multiply float state against int8 weights in sgemm.
 
 The speed of the tier comes from two compounding changes versus the
@@ -33,21 +33,30 @@ prediction context is its entire session prefix, ``error[0] = 0``, and the
 window score is the max over the last ``window`` per-record errors (kept
 in a per-session ring). Scores are **not** bit-identical to float64 — the
 documented accuracy contract is at the detection-metric level
-(:class:`~repro.megabatch.settings.MegabatchSettings.quantized_metric_tol`).
+(:data:`QUANTIZED_METRIC_TOL`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.megabatch.settings import MegabatchSettings
 from repro.ml.compiled import _sigmoid_inplace
 
 # Symmetric int8 range used for every quantized tensor.
 _QMAX = 127.0
+# Storage precision of the carried hidden/cell state arenas: float16 halves
+# state memory at fleet scale (the batched step itself computes in float32).
+STATE_DTYPE = np.dtype("float16")
+# How calibrate_windows picks the input scale (QuantCalibration.method).
+CALIBRATION = "minmax"
+# The accuracy contract of the tier: Table-2-style detection metrics
+# (accuracy/precision/recall/F1 at the percentile operating point) stay
+# within this absolute tolerance of the float64 path, verified per attack
+# scenario by tests/test_megabatch.py.
+QUANTIZED_METRIC_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -67,26 +76,14 @@ class QuantCalibration:
         }
 
 
-def calibrate_windows(
-    windows: np.ndarray, settings: Optional[MegabatchSettings] = None
-) -> QuantCalibration:
-    """Calibration pass: pick the int8 input scale from training windows.
-
-    ``minmax`` maps the observed absolute maximum to 127; ``percentile``
-    clips the top ``(100 - calibration_percentile)%`` of absolute values
-    (robust to rare feature spikes that would otherwise waste int8 range).
-    """
-    settings = settings or MegabatchSettings()
+def calibrate_windows(windows: np.ndarray) -> QuantCalibration:
+    """Calibration pass: pick the int8 input scale from training windows
+    (the observed absolute maximum maps to 127)."""
     flat = np.abs(np.asarray(windows, dtype=np.float64)).ravel()
     observed = float(flat.max()) if flat.size else 0.0
-    if settings.calibration == "minmax" or not flat.size:
-        bound = observed
-    else:
-        bound = float(np.percentile(flat, settings.calibration_percentile))
-    bound = max(bound, 1e-12)
     return QuantCalibration(
-        input_scale=bound / _QMAX,
-        method=settings.calibration,
+        input_scale=max(observed, 1e-12) / _QMAX,
+        method=CALIBRATION,
         observed_abs_max=observed,
     )
 
@@ -112,7 +109,6 @@ class QuantizedLstmEngine:
         self,
         detector,
         calibration: QuantCalibration,
-        settings: Optional[MegabatchSettings] = None,
         metrics=None,
         initial_sessions: int = 64,
     ) -> None:
@@ -122,7 +118,6 @@ class QuantizedLstmEngine:
             raise TypeError(
                 f"quantized tier needs an LstmDetector, got {type(detector).__name__}"
             )
-        self.settings = settings or MegabatchSettings(quantized=True)
         self.calibration = calibration
         self.window = detector.window
         model = detector.model
@@ -150,10 +145,9 @@ class QuantizedLstmEngine:
         self._head_colscale = head_scales[None, :]
         # Per-session state arenas: slot-indexed dense arrays so one tick's
         # sessions gather/scatter with two fancy-index copies.
-        self._state_dtype = np.dtype(self.settings.state_dtype)
         cap = max(initial_sessions, 1)
-        self._h = np.zeros((cap, hd), dtype=self._state_dtype)
-        self._c = np.zeros((cap, hd), dtype=self._state_dtype)
+        self._h = np.zeros((cap, hd), dtype=STATE_DTYPE)
+        self._c = np.zeros((cap, hd), dtype=STATE_DTYPE)
         self._err_ring = np.zeros((cap, self.window), dtype=np.float32)
         self._counts = np.zeros(cap, dtype=np.int64)
         self._slots: Dict[int, int] = {}
@@ -331,8 +325,8 @@ class QuantizedLstmEngine:
         if length < 2:
             return errors
         hd = self.hidden_dim
-        h = np.zeros((1, hd), dtype=self._state_dtype)
-        c = np.zeros((1, hd), dtype=self._state_dtype)
+        h = np.zeros((1, hd), dtype=STATE_DTYPE)
+        c = np.zeros((1, hd), dtype=STATE_DTYPE)
         for t in range(length - 1):
             h32 = h.astype(np.float32, copy=False)
             c32 = c.astype(np.float32, copy=False)
@@ -349,8 +343,8 @@ class QuantizedLstmEngine:
             np.tanh(g, out=g)
             c32 = f * c32 + i * g
             h32 = o * np.tanh(c32)
-            h = h32.astype(self._state_dtype)
-            c = c32.astype(self._state_dtype)
+            h = h32.astype(STATE_DTYPE)
+            c = c32.astype(STATE_DTYPE)
             pred = np.dot(h.astype(np.float32, copy=False), self._headq)
             pred *= self._head_colscale
             pred += self._head_b
@@ -391,11 +385,10 @@ class QuantizedLstmEngine:
             np.multiply(f, c, out=c)
             c += i * g
             h = o * np.tanh(c)
-            if self._state_dtype != np.float32:
-                # Round-trip through the storage dtype so window-mode
-                # scores see the same state precision as the live path.
-                h = h.astype(self._state_dtype).astype(np.float32)
-                c = c.astype(self._state_dtype).astype(np.float32)
+            # Round-trip through the storage dtype so window-mode scores
+            # see the same state precision as the live path.
+            h = h.astype(STATE_DTYPE).astype(np.float32)
+            c = c.astype(STATE_DTYPE).astype(np.float32)
             pred = np.dot(h, self._headq)
             pred *= self._head_colscale
             pred += self._head_b
@@ -431,7 +424,7 @@ class QuantizedLstmEngine:
         return {
             "sessions": self.sessions,
             "steps": self.steps,
-            "state_dtype": str(self._state_dtype),
+            "state_dtype": str(STATE_DTYPE),
             "input_scale": float(self._input_scale),
             "calibration": self.calibration.method,
         }

@@ -14,12 +14,13 @@ The independent switches:
   only; ignored with a log line under the autoencoder). Weights and
   inputs are quantized to int8 (per-column / per-tensor scales from a
   per-capture calibration pass) and carried exactly inside float32 BLAS
-  GEMMs; per-session hidden/cell state is stored in ``state_dtype`` and
+  GEMMs; per-session hidden/cell state is stored in float16 and
   advanced by **one** fused batched LSTM step per tick across all touched
   sessions (session-context semantics, like
   :mod:`repro.hotpath.incremental`). Scores differ from the float64 path;
   the accuracy contract is at the detection-metric level (see
-  ``quantized_metric_tol`` and docs/PERFORMANCE.md).
+  ``repro.megabatch.quantized.QUANTIZED_METRIC_TOL`` and
+  docs/PERFORMANCE.md).
 - eviction (``evict_on_release`` / ``evict_idle_s``) — bounded per-session
   state: drop a session's record indices, arena rows, carried scorer
   state and alert bookkeeping when the RAN releases the session or after
@@ -31,9 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_STATE_DTYPES = ("float16", "float32")
-_CALIBRATIONS = ("minmax", "percentile")
-
 
 @dataclass
 class MegabatchSettings:
@@ -43,15 +41,6 @@ class MegabatchSettings:
     # per-session state (LSTM detector only; the autoencoder keeps the
     # float paths).
     quantized: bool = False
-    # Storage precision of the carried hidden/cell state arenas. float16
-    # halves state memory at fleet scale; float32 is the exactness-leaning
-    # option (the batched step itself always computes in float32).
-    state_dtype: str = "float16"
-    # Per-capture input calibration over the training windows: "minmax"
-    # uses the observed absolute maximum; "percentile" clips outliers at
-    # ``calibration_percentile`` of the absolute-value distribution.
-    calibration: str = "minmax"
-    calibration_percentile: float = 99.9
 
     # Session-state eviction. ``evict_on_release``: an RRCRelease record
     # finishes the session — score its final window immediately (instead
@@ -62,34 +51,11 @@ class MegabatchSettings:
     evict_idle_s: float = 0.0
     evict_sweep_s: float = 5.0
 
-    # Documented accuracy contract of the quantized tier: Table-2-style
-    # detection metrics (accuracy/precision/recall/F1 at the percentile
-    # operating point) stay within this absolute tolerance of the float64
-    # path, verified per attack scenario by tests/test_megabatch.py.
-    quantized_metric_tol: float = 0.05
-
     def __post_init__(self) -> None:
-        if self.state_dtype not in _STATE_DTYPES:
-            raise ValueError(
-                f"state_dtype must be one of {_STATE_DTYPES}, got {self.state_dtype!r}"
-            )
-        if self.calibration not in _CALIBRATIONS:
-            raise ValueError(
-                f"calibration must be one of {_CALIBRATIONS}, got {self.calibration!r}"
-            )
-        if not 0.0 < self.calibration_percentile <= 100.0:
-            raise ValueError(
-                f"calibration_percentile must be in (0, 100], "
-                f"got {self.calibration_percentile}"
-            )
         if self.evict_idle_s < 0:
             raise ValueError(f"evict_idle_s must be >= 0, got {self.evict_idle_s}")
         if self.evict_sweep_s <= 0:
             raise ValueError(f"evict_sweep_s must be > 0, got {self.evict_sweep_s}")
-        if self.quantized_metric_tol <= 0:
-            raise ValueError(
-                f"quantized_metric_tol must be > 0, got {self.quantized_metric_tol}"
-            )
 
     @property
     def eviction_enabled(self) -> bool:

@@ -110,7 +110,7 @@ class AnomalyDetector(abc.ABC):
             return
         from repro.megabatch.quantized import calibrate_windows
 
-        self.calibration = calibrate_windows(windows, self._megabatch)
+        self.calibration = calibrate_windows(windows)
         self._fit_quantized_threshold(windows)
 
     def _fit_quantized_threshold(self, windows: np.ndarray) -> None:
@@ -345,8 +345,8 @@ class LstmDetector(AnomalyDetector):
                 calibrate_windows,
             )
 
-            self.calibration = calibrate_windows(windows, self._megabatch)
-            engine = QuantizedLstmEngine(self, self.calibration, self._megabatch)
+            self.calibration = calibrate_windows(windows)
+            engine = QuantizedLstmEngine(self, self.calibration)
             self.quantized_threshold = PercentileThreshold(
                 percentile=self.threshold.percentile
             )
@@ -363,7 +363,7 @@ class LstmDetector(AnomalyDetector):
         """
         from repro.megabatch.quantized import QuantizedLstmEngine
 
-        engine = QuantizedLstmEngine(self, self.calibration, self._megabatch)
+        engine = QuantizedLstmEngine(self, self.calibration)
         quantized_scores = engine.window_scores(windows, self.window)
         self.quantized_threshold = PercentileThreshold(
             percentile=self.threshold.percentile

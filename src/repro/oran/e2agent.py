@@ -38,11 +38,9 @@ from repro.oran.e2sm_kpm import (
     MobiFlowKpmModel,
     MobiFlowReportStyle,
 )
-from repro.genfast.settings import GenfastSettings
 from repro.ran.links import InterfaceLink
 from repro.ran.network import FiveGNetwork
 from repro.sim.entity import Entity
-from repro.telemetry.batch import MobiFlowBatch
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -55,13 +53,11 @@ class RicAgent(Entity):
         net: FiveGNetwork,
         e2: InterfaceLink,
         node_id: str = "gnb-cu-0",
-        genfast: Optional[GenfastSettings] = None,
     ) -> None:
         super().__init__(net.sim, f"e2agent.{node_id}")
         self.net = net
         self.e2 = e2
         self.node_id = node_id
-        self.genfast = genfast or GenfastSettings()
         self.collector = MobiFlowCollector(metrics=net.sim.obs.metrics)
         self._buffer: list[MobiFlowRecord] = []
         self._subscription: Optional[tuple[int, MobiFlowReportStyle]] = None
@@ -180,13 +176,7 @@ class RicAgent(Entity):
             for record in batch:
                 self._report_queue_latency.observe(now - record.timestamp)
             self._batch_records.observe(len(batch))
-            if self.genfast.columnar_batches:
-                # Columnar fast lane: one struct-of-arrays indication; the
-                # xApp decodes it back to the identical record stream.
-                payload: object = MobiFlowBatch.from_records(batch)
-            else:
-                payload = batch
-            header, message = MobiFlowKpmModel.encode_indication(payload)
+            header, message = MobiFlowKpmModel.encode_indication(batch)
             self._sequence += 1
             self.indications_sent += 1
             self._indications_counter.inc()

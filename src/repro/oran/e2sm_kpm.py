@@ -18,14 +18,7 @@ from typing import Any, Optional
 
 from repro import wire
 from repro.oran.e2sm import E2smError, ServiceModel
-from repro.telemetry.batch import MobiFlowBatch
-from repro.telemetry.encoder import (
-    RecordBatch,
-    decode_batch,
-    decode_batch_columnar,
-    encode_batch,
-    encode_batch_columnar,
-)
+from repro.telemetry.encoder import RecordBatch, decode_batch, encode_batch
 from repro.telemetry.mobiflow import MobiFlowRecord
 
 MOBIFLOW_RAN_FUNCTION_ID = 142  # KPM is 2; we register the extension as 142.
@@ -106,35 +99,26 @@ class MobiFlowKpmModel(ServiceModel):
     NAME = "ORAN-E2SM-KPM-MobiFlow"
 
     @classmethod
-    def encode_indication(cls, payload: Any) -> tuple[bytes, bytes]:
-        """Encode a telemetry batch into header + message bytes.
-
-        A :class:`MobiFlowBatch` payload (repro.genfast) ships columnar —
-        struct-of-arrays with per-batch vocab ids; a record list ships as
-        the seed's per-record KV dicts. Both decode to the identical record
-        stream.
-        """
-        if isinstance(payload, MobiFlowBatch):
-            header = wire.encode(
-                {"sm": cls.NAME, "count": len(payload), "columnar": True}
-            )
-            return header, encode_batch_columnar(payload)
-        records: list[MobiFlowRecord] = list(payload)
+    def encode_indication(cls, payload: list[MobiFlowRecord]) -> tuple[bytes, bytes]:
+        """Encode a telemetry batch (a record list) into header + message
+        bytes: one (key, value) dict per record."""
+        records = list(payload)
         header = wire.encode({"sm": cls.NAME, "count": len(records)})
         message = encode_batch(records)
         return header, message
 
     @classmethod
     def decode_indication(cls, header: bytes, message: bytes) -> RecordBatch:
-        """The indication's records; a per-record payload also yields each
-        record's span of ``message`` (see :class:`RecordBatch`)."""
+        """The indication's records, each with its span of ``message``
+        (see :class:`RecordBatch`)."""
         meta = wire.decode(header)
         if not isinstance(meta, dict) or meta.get("sm") != cls.NAME:
             raise E2smError("indication header is not MobiFlow-KPM")
         if meta.get("columnar"):
-            records = RecordBatch(decode_batch_columnar(message).to_records(), message, None)
-        else:
-            records = decode_batch(message)
+            # The struct-of-arrays form an older agent could send: its
+            # message must not be read as if it were rows.
+            raise E2smError("indication is columnar: encoding not spoken")
+        records = decode_batch(message)
         if meta.get("count") != len(records):
             raise E2smError(
                 f"indication count mismatch: header says {meta.get('count')}, "

@@ -70,11 +70,11 @@ class SharedDataLayer:
         self._write_wall.observe(time.perf_counter() - start)
 
     def set_many(self, namespace: str, pairs: list[tuple[str, Any]]) -> None:
-        """Store a batch of ``(key, value)`` pairs as one acked write
-        (repro.genfast). Values are encoded and watchers notified exactly as
-        ``set`` does per pair, but the write/wall bookkeeping is paid once
-        per batch: one ``writes`` increment, one summed ``value_bytes``
-        observation, one ``write_wall`` span."""
+        """Store a batch of ``(key, value)`` pairs as one acked write.
+        Values are encoded and watchers notified exactly as ``set`` does
+        per pair, but the write/wall bookkeeping is paid once per batch: one
+        ``writes`` increment, one summed ``value_bytes`` observation, one
+        ``write_wall`` span."""
         if not pairs:
             return
         start = time.perf_counter()

@@ -124,8 +124,7 @@ class BoundedBatcher:
         return True
 
     def offer_many(self, items: List[Any]) -> int:
-        """Enqueue a whole batch (repro.genfast); returns how many were
-        admitted.
+        """Enqueue a whole batch; returns how many were admitted.
 
         Per-item drop-policy semantics are identical to calling ``offer``
         in a loop, but the counter updates, timestamp read, and flush

@@ -233,7 +233,7 @@ class ShardedSdl:
         self, namespace: str, pairs: list[tuple[str, Any]], shard_key: str
     ) -> float:
         """Store a batch of ``(key, value)`` pairs that share one placement
-        key as **one acked write** (repro.genfast).
+        key as **one acked write**.
 
         One ring lookup, one liveness check, and one service-model round
         per replica cover the whole batch; values are encoded and watchers

@@ -31,7 +31,7 @@ class Event:
     A ``__slots__`` class rather than a dataclass: the engine's innermost
     loop allocates one of these per scheduled callback, and skipping the
     dataclass ``__init__``/``__dict__`` machinery measurably cuts the
-    event-churn cost of timer-heavy workloads (repro.genfast).
+    event-churn cost of timer-heavy workloads.
     """
 
     __slots__ = ("time", "seq", "callback", "name", "cancelled", "_queue")

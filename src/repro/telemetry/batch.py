@@ -1,31 +1,28 @@
-"""Columnar MobiFlow batches — struct-of-arrays telemetry (repro.genfast).
+"""MobiFlow batches — struct-of-arrays telemetry for the offline featurizer.
 
-The seed pipeline moves telemetry as one :class:`MobiFlowRecord` object per
+The pipeline moves telemetry as one :class:`MobiFlowRecord` object per
 entry.  A :class:`MobiFlowBatch` holds the same entries struct-of-arrays:
 numpy columns for timestamps/ids/algorithms, small per-batch vocabularies
 for the string categories (message name, protocol, direction, establishment
 cause) with int id columns gathered against them, and plain tuples for the
 rare free-form identifier strings (SUCI/SUPI).
 
-The representation is *exact*: ``MobiFlowBatch.from_records(rs).to_records()
-== rs`` field for field, which is what lets the columnar wire path
-(:mod:`repro.telemetry.encoder`) decode byte-identically to the seed
-per-record stream, and the vectorized featurizer
-(:mod:`repro.telemetry.vectorized`) match the seed encoder bit for bit.
+It is an *in-memory* representation, not a wire format: the input of the
+vectorized featurizer (:mod:`repro.telemetry.vectorized`, behind
+``FeatureSpec.encode_series``).  On E2 a batch crosses as per-record TLV
+(:mod:`repro.telemetry.encoder`).  The representation is *exact*:
+``MobiFlowBatch.from_records(rs).to_records() == rs`` field for field, which
+is what lets the vectorized featurizer match the streaming encoder bit for
+bit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.telemetry.mobiflow import MobiFlowRecord
-
-# Wire column names, in schema order. Nullable int columns travel as lists
-# with None holes; vocab-id columns as small-int lists against the batch's
-# own vocab lists (interned once per batch instead of once per record).
-_WIRE_META_KEYS = ("msg_vocab", "protocol_vocab", "direction_vocab", "cause_vocab")
 
 
 class _Interner:
@@ -131,62 +128,6 @@ class MobiFlowBatch:
             builder.append(record)
         return builder.build()
 
-    @classmethod
-    def concat(cls, batches: Sequence["MobiFlowBatch"]) -> "MobiFlowBatch":
-        """Concatenate batches into one, re-interning the vocabularies.
-
-        ``concat(bs).to_records() == sum((b.to_records() for b in bs), [])``
-        exactly; per-batch vocab ids are remapped through a LUT gather, so
-        the cost is O(total records) with no per-record Python work.
-        """
-        batches = list(batches)
-        if not batches:
-            return MobiFlowBatchBuilder().build()
-        if len(batches) == 1:
-            return batches[0]
-
-        def remap(interner: _Interner, vocab: tuple, ids: np.ndarray) -> np.ndarray:
-            lut = np.fromiter(
-                (interner.intern(name) for name in vocab),
-                dtype=ids.dtype,
-                count=len(vocab),
-            )
-            return lut[ids] if len(vocab) else ids
-
-        msg, protocol, direction, cause = (
-            _Interner(), _Interner(), _Interner(), _Interner(),
-        )
-        msg_ids, protocol_ids, direction_ids, cause_ids = [], [], [], []
-        for batch in batches:
-            msg_ids.append(remap(msg, batch.msg_vocab, batch.msg_ids))
-            protocol_ids.append(remap(protocol, batch.protocol_vocab, batch.protocol_ids))
-            direction_ids.append(remap(direction, batch.direction_vocab, batch.direction_ids))
-            # Cause ids use -1 for "no cause": remap the valid ids, keep holes.
-            remapped = remap(cause, batch.cause_vocab, np.maximum(batch.cause_ids, 0))
-            cause_ids.append(np.where(batch.cause_ids >= 0, remapped, -1))
-        return cls(
-            timestamps=np.concatenate([b.timestamps for b in batches]),
-            msg_ids=np.concatenate(msg_ids),
-            msg_vocab=tuple(msg.names),
-            protocol_ids=np.concatenate(protocol_ids),
-            protocol_vocab=tuple(protocol.names),
-            direction_ids=np.concatenate(direction_ids),
-            direction_vocab=tuple(direction.names),
-            session_ids=np.concatenate([b.session_ids for b in batches]),
-            rnti=np.concatenate([b.rnti for b in batches]),
-            rnti_present=np.concatenate([b.rnti_present for b in batches]),
-            s_tmsi=np.concatenate([b.s_tmsi for b in batches]),
-            s_tmsi_present=np.concatenate([b.s_tmsi_present for b in batches]),
-            suci=tuple(s for b in batches for s in b.suci),
-            supi=tuple(s for b in batches for s in b.supi),
-            cipher_alg=np.concatenate([b.cipher_alg for b in batches]),
-            cipher_present=np.concatenate([b.cipher_present for b in batches]),
-            integrity_alg=np.concatenate([b.integrity_alg for b in batches]),
-            integrity_present=np.concatenate([b.integrity_present for b in batches]),
-            cause_ids=np.concatenate(cause_ids),
-            cause_vocab=tuple(cause.names),
-        )
-
     # -- conversion -----------------------------------------------------------
 
     def to_records(self) -> list[MobiFlowRecord]:
@@ -230,127 +171,6 @@ class MobiFlowBatch:
                 count=len(self),
             )
         return self._exposed
-
-    # -- wire columns ---------------------------------------------------------
-
-    def to_columns(self) -> tuple[dict[str, Any], dict[str, Any]]:
-        """``(columns, meta)`` for :func:`repro.wire.encode_columnar`.
-
-        Numeric columns travel as packed little-endian buffers (one TLV
-        bytes value per column, not one TLV value per record); only the
-        rare free-form identifier strings stay per-element lists.
-        """
-
-        def packed(values: np.ndarray, dtype: str) -> bytes:
-            return np.ascontiguousarray(values, dtype=dtype).tobytes()
-
-        columns = {
-            "timestamp": packed(self.timestamps, "<f8"),
-            "msg": packed(self.msg_ids, "<i4"),
-            "protocol": packed(self.protocol_ids, "<i4"),
-            "direction": packed(self.direction_ids, "<i4"),
-            "session_id": packed(self.session_ids, "<i8"),
-            "rnti": packed(self.rnti, "<i8"),
-            "rnti_present": packed(self.rnti_present, "<u1"),
-            "s_tmsi": packed(self.s_tmsi, "<i8"),
-            "s_tmsi_present": packed(self.s_tmsi_present, "<u1"),
-            "suci": list(self.suci),
-            "supi": list(self.supi),
-            "cipher_alg": packed(self.cipher_alg, "<i8"),
-            "cipher_present": packed(self.cipher_present, "<u1"),
-            "integrity_alg": packed(self.integrity_alg, "<i8"),
-            "integrity_present": packed(self.integrity_present, "<u1"),
-            "establishment_cause": packed(self.cause_ids, "<i8"),
-        }
-        meta = {
-            "msg_vocab": list(self.msg_vocab),
-            "protocol_vocab": list(self.protocol_vocab),
-            "direction_vocab": list(self.direction_vocab),
-            "cause_vocab": list(self.cause_vocab),
-        }
-        return columns, meta
-
-    @classmethod
-    def from_columns(
-        cls, columns: dict[str, Any], meta: dict[str, Any], n: int
-    ) -> "MobiFlowBatch":
-        for key in _WIRE_META_KEYS:
-            if not isinstance(meta.get(key), list):
-                raise ValueError(f"columnar MobiFlow batch missing vocab {key!r}")
-
-        def unpack(name: str, dtype: str) -> np.ndarray:
-            data = columns.get(name)
-            if not isinstance(data, (bytes, bytearray)):
-                raise ValueError(f"columnar MobiFlow column {name!r} is not packed bytes")
-            values = np.frombuffer(data, dtype=dtype)
-            if len(values) != n:
-                raise ValueError(
-                    f"columnar MobiFlow column {name!r} holds {len(values)} of {n} values"
-                )
-            return values
-
-        # Field values are held to the rules the per-record lane applies
-        # one record at a time (telemetry.encoder._FIELD_RULES): a batch
-        # that breaks one is a ValueError, which rejects its indication.
-        def strings(name: str) -> tuple:
-            data = columns.get(name)
-            if not isinstance(data, list) or len(data) != n:
-                raise ValueError(f"columnar MobiFlow column {name!r} is not a list of {n}")
-            if not set(map(type, data)) <= {str, type(None)}:
-                raise ValueError(f"columnar MobiFlow column {name!r} holds a non-string")
-            return tuple(data)
-
-        def vocab(key: str) -> tuple:
-            names = meta[key]
-            if not set(map(type, names)) <= {str}:
-                raise ValueError(f"columnar MobiFlow vocab {key!r} holds a non-string")
-            return tuple(names)
-
-        def non_negative(name: str, present: Optional[np.ndarray] = None) -> np.ndarray:
-            values = unpack(name, "<i8")
-            if ((values if present is None else values[present]) < 0).any():
-                raise ValueError(f"columnar MobiFlow column {name!r} holds a negative value")
-            return values
-
-        def ids(name: str, dtype: str, vocab_key: str, lowest: int = 0) -> np.ndarray:
-            # Ids index the batch's own vocab in to_records(): one out of
-            # range would be an IndexError there (or, negative, silently
-            # the wrong name), so bytes off the wire are checked here.
-            values = unpack(name, dtype)
-            size = len(meta[vocab_key])
-            if n and not (lowest <= values.min() and values.max() < size):
-                raise ValueError(
-                    f"columnar MobiFlow column {name!r} has an id outside {vocab_key!r}"
-                )
-            return values
-
-        timestamps = unpack("timestamp", "<f8")
-        if not np.isfinite(timestamps).all():
-            raise ValueError("columnar MobiFlow batch holds a timestamp that is not finite")
-        cipher_present = unpack("cipher_present", np.bool_)
-        integrity_present = unpack("integrity_present", np.bool_)
-        return cls(
-            timestamps=timestamps,
-            msg_ids=ids("msg", "<i4", "msg_vocab"),
-            msg_vocab=vocab("msg_vocab"),
-            protocol_ids=ids("protocol", "<i4", "protocol_vocab"),
-            protocol_vocab=vocab("protocol_vocab"),
-            direction_ids=ids("direction", "<i4", "direction_vocab"),
-            direction_vocab=vocab("direction_vocab"),
-            session_ids=non_negative("session_id"),
-            rnti=unpack("rnti", "<i8"),
-            rnti_present=unpack("rnti_present", np.bool_),
-            s_tmsi=unpack("s_tmsi", "<i8"),
-            s_tmsi_present=unpack("s_tmsi_present", np.bool_),
-            suci=strings("suci"),
-            supi=strings("supi"),
-            cipher_alg=non_negative("cipher_alg", cipher_present),
-            cipher_present=cipher_present,
-            integrity_alg=non_negative("integrity_alg", integrity_present),
-            integrity_present=integrity_present,
-            cause_ids=ids("establishment_cause", "<i8", "cause_vocab", lowest=-1),
-            cause_vocab=vocab("cause_vocab"),
-        )
 
 
 class MobiFlowBatchBuilder:
@@ -483,9 +303,3 @@ class MobiFlowBatchBuilder:
             cause_ids=np.asarray(self._cause_ids, dtype=np.int64),
             cause_vocab=tuple(self._cause.names),
         )
-
-    def flush(self) -> MobiFlowBatch:
-        """Freeze the accumulated entries and reset the builder."""
-        batch = self.build()
-        self.__init__()
-        return batch

@@ -27,11 +27,9 @@ from repro.ran.messages import Message
 from repro.ran import nas as nas_messages
 from repro.ran import rrc as rrc_messages
 from repro.ran.pcap import PcapStream
-from repro.telemetry.batch import MobiFlowBatch, MobiFlowBatchBuilder
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
 
 Subscriber = Callable[[MobiFlowRecord], None]
-BatchSubscriber = Callable[[MobiFlowBatch], None]
 
 # RRC messages that are transport wrappers only (their NAS payload is
 # collected from NGAP instead).
@@ -83,11 +81,6 @@ class MobiFlowCollector:
             )
             for interface in ("F1AP", "NGAP")
         }
-        # Columnar fast lane (repro.genfast): when enabled, records also
-        # accumulate into a struct-of-arrays builder that flush_batch()
-        # drains one MobiFlowBatch per capture flush.
-        self._batch_builder: Optional[MobiFlowBatchBuilder] = None
-        self._batch_subscribers: list[BatchSubscriber] = []
         # Wiring state learned from the envelopes.
         self._du_id_to_rnti: dict[int, int] = {}
         self._du_id_to_cu_id: dict[int, int] = {}
@@ -99,36 +92,6 @@ class MobiFlowCollector:
     def subscribe(self, fn: Subscriber) -> None:
         """Receive each MobiFlow record as it is produced (live mode)."""
         self._subscribers.append(fn)
-
-    # -- columnar batch mode (repro.genfast) --------------------------------
-
-    def enable_batch_mode(self) -> None:
-        """Accumulate entries columnar for :meth:`flush_batch` draining."""
-        if self._batch_builder is None:
-            self._batch_builder = MobiFlowBatchBuilder()
-
-    def subscribe_batches(self, fn: BatchSubscriber) -> None:
-        """Receive each :meth:`flush_batch` batch (implies batch mode)."""
-        self.enable_batch_mode()
-        self._batch_subscribers.append(fn)
-
-    @property
-    def pending_batch_records(self) -> int:
-        """Entries accumulated since the last flush (0 when mode is off)."""
-        return len(self._batch_builder) if self._batch_builder is not None else 0
-
-    def flush_batch(self) -> Optional[MobiFlowBatch]:
-        """Drain the accumulated entries as one columnar batch.
-
-        Returns ``None`` when batch mode is off or nothing accumulated;
-        otherwise notifies the batch subscribers and returns the batch.
-        """
-        if self._batch_builder is None or not len(self._batch_builder):
-            return None
-        batch = self._batch_builder.flush()
-        for subscriber in self._batch_subscribers:
-            subscriber(batch)
-        return batch
 
     # -- entry points -------------------------------------------------------
 
@@ -286,7 +249,5 @@ class MobiFlowCollector:
         counter = self._record_counters.get(record.protocol)
         if counter is not None:
             counter.inc()
-        if self._batch_builder is not None:
-            self._batch_builder.append(record)
         for subscriber in self._subscribers:
             subscriber(record)

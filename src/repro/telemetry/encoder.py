@@ -11,7 +11,6 @@ import sys
 from typing import Any, Optional
 
 from repro import wire
-from repro.telemetry.batch import MobiFlowBatch
 from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
 
 # What a field may hold when it arrives from the E2 edge: the Python types
@@ -19,8 +18,7 @@ from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
 # ValueError, which rejects the indication that carries it — MobiWatch
 # orders timestamps, hashes session ids and TMSIs and indexes feature rows
 # by algorithm number, so a wrong-typed field would otherwise raise out of
-# the simulator after the record had been half ingested. The columnar lane
-# holds its columns to the same rules in MobiFlowBatch.from_columns.
+# the simulator after the record had been half ingested.
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -82,7 +80,7 @@ class RecordBatch(list):
     ``payload``, byte for byte what :func:`encode_record` would produce for
     it, so a consumer that stores the record can store the bytes it arrived
     in. ``spans`` is None when there are none to keep: the payload was valid
-    but not laid out the way :func:`encode_batch` lays it out, or columnar.
+    but not laid out the way :func:`encode_batch` lays it out.
     """
 
     def __init__(self, records: list, payload: bytes, spans: Optional[list]) -> None:
@@ -119,26 +117,3 @@ def decode_batch(data: bytes) -> RecordBatch:
     if not isinstance(payload, list):
         raise wire.WireError("MobiFlow batch payload is not a list")
     return RecordBatch([_record_from_value(item) for item in payload], data, None)
-
-
-# -- columnar batches (repro.genfast) -----------------------------------------
-#
-# The per-record batch encoding re-states every field name (two bytes each,
-# as a symbol) in every record. The columnar encoding pays for each name once
-# per batch and ships the string categories as per-batch vocabularies plus
-# id columns.
-# Contract: decode_batch_columnar(encode_batch_columnar(b)).to_records()
-# equals b.to_records() field for field — so re-encoding the decoded batch
-# through the seed per-record codec reproduces the seed bytes exactly.
-
-
-def encode_batch_columnar(batch: MobiFlowBatch) -> bytes:
-    """Encode a columnar MobiFlow batch as one struct-of-arrays TLV value."""
-    columns, meta = batch.to_columns()
-    return wire.encode_columnar(columns, meta)
-
-
-def decode_batch_columnar(data: bytes) -> MobiFlowBatch:
-    """Inverse of :func:`encode_batch_columnar`."""
-    columns, meta, n = wire.decode_columnar(data)
-    return MobiFlowBatch.from_columns(columns, meta, n)

@@ -305,10 +305,10 @@ def sliding_windows(matrix: np.ndarray, window: int) -> np.ndarray:
 def session_windows(
     session_ids: Sequence[int], per_record: np.ndarray, window: int, dim: int
 ) -> tuple[np.ndarray, list]:
-    """Session-mode window assembly shared by the per-record and columnar
-    paths: slide within each nonzero session's record sequence (stream
-    order), one left-padded window per short session, sessions in sorted-id
-    order. Returns ``(windows, window_records)``."""
+    """Session-mode window assembly: slide within each nonzero session's
+    record sequence (stream order), one left-padded window per short
+    session, sessions in sorted-id order. Returns ``(windows,
+    window_records)``."""
     groups: dict[int, list[int]] = {}
     for index, session_id in enumerate(session_ids):
         if session_id == 0:

@@ -3,9 +3,9 @@
 The live :class:`~repro.telemetry.features.StreamingEncoder` walks the
 stream record by record, allocating one ``[dim]`` row per entry and
 maintaining python-set/list causal state.  :func:`encode_batch` computes
-the identical ``[M, dim]`` float32 matrix from a columnar
-:class:`~repro.telemetry.batch.MobiFlowBatch` in a handful of numpy
-passes:
+the identical ``[M, dim]`` float32 matrix from an in-memory
+struct-of-arrays :class:`~repro.telemetry.batch.MobiFlowBatch` in a handful
+of numpy passes:
 
 - message / direction / cause one-hots: per-batch-vocab lookup tables
   gathered by the interned id columns, scattered into a preallocated
@@ -25,7 +25,7 @@ passes:
 
 **Equality contract**: for any time-ordered stream this module's output is
 bit-identical (float64 arithmetic, float32 storage) to the seed encoder's.
-``tests/test_genfast.py`` verifies it on all five attack-scenario captures
+``tests/test_telemetry_batch.py`` verifies it on all five attack-scenario captures
 plus the benign mix; the golden-vector fixture freezes the column layout
 itself.
 """
@@ -43,8 +43,6 @@ from repro.telemetry.features import (
     _RATE_WINDOW_S,
     _TMSI_EPISODE_HORIZON_S,
     FeatureSpec,
-    WindowedDataset,
-    session_windows,
 )
 
 
@@ -57,7 +55,7 @@ def _first_index(vocab: Sequence[str]) -> dict[str, int]:
 
 
 def encode_batch(spec: FeatureSpec, batch: MobiFlowBatch) -> np.ndarray:
-    """Encode a columnar batch to the seed-identical ``[M, dim]`` matrix."""
+    """Encode a struct-of-arrays batch to the seed-identical ``[M, dim]`` matrix."""
     m = len(batch)
     out = np.zeros((m, spec.dim), dtype=np.float32)
     if m == 0:
@@ -194,22 +192,3 @@ def encode_batch(spec: FeatureSpec, batch: MobiFlowBatch) -> np.ndarray:
 def encode_series(spec: FeatureSpec, series) -> np.ndarray:
     """What :meth:`FeatureSpec.encode_series` runs."""
     return encode_batch(spec, MobiFlowBatch.from_records(series))
-
-
-def windowed_from_batch(
-    batch: MobiFlowBatch, spec: FeatureSpec, window: int
-) -> WindowedDataset:
-    """Session-mode :class:`WindowedDataset` straight from a columnar batch —
-    identical rows to ``WindowedDataset.from_series`` on the same records."""
-    per_record = encode_batch(spec, batch)
-    windows, window_records = session_windows(
-        batch.session_ids.tolist(), per_record, window, spec.dim
-    )
-    return WindowedDataset(
-        spec=spec,
-        window=window,
-        windows=windows,
-        per_record=per_record,
-        window_records=window_records,
-        mode="session",
-    )

@@ -58,7 +58,7 @@ SYMBOLS: tuple[str, ...] = (
     "suci", "supi", "cipher_alg", "integrity_alg", "establishment_cause",
     # 12: envelope keys, protocol and direction values
     "ie", "pdu", "RRC", "NAS", "UL", "DL",
-    # 18: E2SM-KPM indication header
+    # 18: E2SM-KPM indication header ("columnar" is retired: read, never written)
     "sm", "count", "columnar", "ORAN-E2SM-KPM-MobiFlow",
     # 22: RRC establishment causes
     "emergency", "highPriorityAccess", "mt-Access", "mo-Signalling", "mo-Data",
@@ -832,67 +832,6 @@ class EnvelopePlans:
         except (IndexError, WireError):
             return None
         return None if values is None else plan._build(values)
-
-
-# -- columnar batch container --------------------------------------------------
-#
-# repro.genfast ships telemetry batches struct-of-arrays: one TLV dict with
-# named columns (equal-length lists) plus small scalar metadata, instead of
-# one dict per record. It was designed against a per-record form that spelled
-# every field name in every record; with names as two-byte symbols the
-# per-record form is the smaller one at every batch size (40-46 B a record
-# against 75-113 B here: fixed-width packed columns, presence masks, the
-# vocabularies), so what this form still buys is the decode into arrays.
-# decode_columnar() restores the columns exactly — reconstructing per-record
-# values from them is the caller's contract (see repro.telemetry.batch).
-
-COLUMNAR_SCHEMA = 1
-
-
-def encode_columnar(
-    columns: dict[str, Any], meta: dict[str, Any] | None = None, n: int | None = None
-) -> bytes:
-    """Encode ``columns`` (plus scalar ``meta``) as one TLV dict.
-
-    A column is either a list of ``n`` per-record values, or a ``bytes``
-    buffer packing the column at a fixed stride (the caller owns the dtype
-    contract). ``n`` is inferred from the list columns when not given;
-    all-packed batches must pass it explicitly.
-    """
-    lengths = {len(values) for values in columns.values() if isinstance(values, list)}
-    if len(lengths) > 1:
-        raise WireError(f"columnar batch with ragged columns: {sorted(lengths)}")
-    if lengths:
-        inferred = lengths.pop()
-        if n is not None and n != inferred:
-            raise WireError(f"columnar batch n={n} but columns hold {inferred} values")
-        n = inferred
-    elif n is None:
-        n = 0
-    return encode(
-        {"schema": COLUMNAR_SCHEMA, "n": n, "meta": dict(meta or {}), "cols": columns}
-    )
-
-
-def decode_columnar(data: bytes) -> tuple[dict[str, Any], dict[str, Any], int]:
-    """Decode a columnar batch; returns ``(columns, meta, n)``."""
-    value = decode(data)
-    if not isinstance(value, dict) or value.get("schema") != COLUMNAR_SCHEMA:
-        raise WireError("not a columnar batch")
-    n = value.get("n")
-    columns = value.get("cols")
-    meta = value.get("meta", {})
-    if not isinstance(n, int) or not isinstance(columns, dict) or not isinstance(meta, dict):
-        raise WireError("malformed columnar batch")
-    for name, values in columns.items():
-        if isinstance(values, list):
-            if len(values) != n:
-                raise WireError(
-                    f"columnar batch column {name!r} holds {len(values)} of {n} values"
-                )
-        elif not isinstance(values, bytes):
-            raise WireError(f"columnar batch column {name!r} is not a list or bytes")
-    return columns, meta, n
 
 
 # -- length-prefixed framing ---------------------------------------------------

@@ -1,5 +1,6 @@
 """The configuration surface: every knob is read by the program, and the
-eleven flags whose fast lanes became the only path stay deleted.
+flags whose lanes became the only path — or lost their measurement and
+were deleted with their lane — stay deleted.
 
 A settings field nothing reads is a configuration the tests must cover
 for no behaviour at all (``genfast.sim_fastlane`` was read by nothing;
@@ -16,7 +17,6 @@ import pytest
 import repro
 from repro.core.config import XsecConfig
 from repro.core.pipeline import ClosedLoopPipeline
-from repro.genfast.settings import GenfastSettings
 from repro.hotpath.settings import HotpathSettings
 from repro.llmfast.settings import LlmfastSettings
 from repro.megabatch.settings import MegabatchSettings
@@ -36,13 +36,28 @@ DELETED = [
     (HotpathSettings, "arena"),
     (TrainfastSettings, "compiled_trainer"),
     (TrainfastSettings, "compiled_scoring"),
-    (GenfastSettings, "batched_sdl_writes"),
-    (GenfastSettings, "vectorized_features"),
-    (GenfastSettings, "sim_fastlane"),
     (LlmfastSettings, "vectorized_rag"),
     (LlmfastSettings, "compiled_prompts"),
     (LlmfastSettings, "prompt_cache_capacity"),
     (MegabatchSettings, "enabled"),
+    # The columnar E2 lane and its whole family (docs/PERFORMANCE.md,
+    # "Flag verdicts").
+    (XsecConfig, "genfast"),
+    # The storm dispatcher.
+    (LlmfastSettings, "dispatch"),
+    (LlmfastSettings, "max_inflight"),
+    (LlmfastSettings, "queue_capacity"),
+    # Verification modes: the replay is the tests' oracle, the tolerances
+    # their constants.
+    (HotpathSettings, "incremental_mode"),
+    (HotpathSettings, "self_check"),
+    (HotpathSettings, "float32_rtol"),
+    (HotpathSettings, "float32_atol"),
+    # One value ever in use: constants of repro.megabatch.quantized.
+    (MegabatchSettings, "state_dtype"),
+    (MegabatchSettings, "calibration"),
+    (MegabatchSettings, "calibration_percentile"),
+    (MegabatchSettings, "quantized_metric_tol"),
 ]
 
 
@@ -58,10 +73,21 @@ def _program_sources(family: str) -> str:
     return "\n".join(chunks)
 
 
-def test_eight_settings_families():
+def test_settings_families():
     assert sorted(FAMILIES) == [
-        "genfast", "hotpath", "llmfast", "megabatch", "runtime", "scale", "slo", "trainfast",
+        "hotpath", "llmfast", "megabatch", "runtime", "scale", "slo", "trainfast",
     ]  # fmt: skip
+
+
+def test_frozen_benchmark_flag_names():
+    """benchmarks/e2e/workloads.py::FAST_LANES sets these *by name* and skips
+    what it does not find: a rename would silently turn ``replay_storm_fast``
+    into ``replay_storm``. They move only in a benchmark-only PR."""
+    config = XsecConfig()
+    assert {"verdict_cache", "coalesce"} <= {
+        f.name for f in dataclasses.fields(config.llmfast)
+    }
+    assert "dtype" in {f.name for f in dataclasses.fields(config.hotpath)}
 
 
 def _names_carrying(cls, field: str) -> list:
@@ -102,6 +128,7 @@ def test_promoted_flags_stay_deleted(settings, name):
 
 
 def test_settings_field_total():
-    """79 before the eleven promoted flags were deleted."""
+    """79 before the eleven promoted flags were deleted, 68 before the
+    columnar lane, the storm dispatcher and the verification-only knobs."""
     total = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
-    assert total <= 68
+    assert total <= 56

@@ -1,10 +1,33 @@
-"""Tests for featurization: one-hot encoding, flags, sliding windows."""
+"""Tests for featurization: one-hot encoding, flags, sliding windows, and
+the one-pass vectorized featurizer with its struct-of-arrays input.
+
+The vectorized featurizer (what every offline build runs) is held
+bit-identical (float64 arithmetic, float32 storage) to the reference
+``StreamingEncoder`` on captures from each of the five attacks' scenarios
+plus a benign mix; the golden-vector fixture freezes the feature column
+layout itself; ``MobiFlowBatch`` is held to exact record round trips.
+"""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.attacks import (
+    BlindDosAttack,
+    BtsDosAttack,
+    DownlinkIdExtractionAttack,
+    NullCipherAttack,
+    UplinkIdExtractionAttack,
+)
+from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
+from repro.ran.core_network import AmfConfig
+from repro.ran.network import FiveGNetwork, NetworkConfig
+from repro.telemetry.batch import MobiFlowBatch, MobiFlowBatchBuilder
+from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.features import (
     DEFAULT_MESSAGE_VOCAB,
     FeatureSpec,
@@ -12,6 +35,9 @@ from repro.telemetry.features import (
     sliding_windows,
 )
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
+from repro.telemetry.vectorized import encode_batch
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def record(t, msg, session=1, **kwargs):
@@ -202,3 +228,218 @@ class TestWindowedDataset:
         assert dataset.record_range(2) == (2, 5)
         with pytest.raises(IndexError):
             dataset.record_range(3)
+
+
+# ---------------------------------------------------------------------------
+# attack-scenario captures (shared by the vectorized-featurizer and batch tests)
+
+
+def _uplink_extraction(net):
+    victim = net.add_ue("pixel6", name="victim")
+    net.sim.schedule(2.5, victim.start_session)
+    return UplinkIdExtractionAttack(net, victim=victim, start_time=2.0, duration_s=8.0)
+
+
+def _downlink_extraction(net):
+    victim = net.add_ue("pixel6", name="victim")
+    net.sim.schedule(2.5, victim.start_session)
+    return DownlinkIdExtractionAttack(net, victim=victim, start_time=2.0, duration_s=8.0)
+
+
+# name -> (attack factory taking the live network, extra NetworkConfig kwargs)
+ATTACK_SCENARIOS = {
+    "bts_dos": (
+        lambda net: BtsDosAttack(net, start_time=3.0, connections=8, interval_s=0.08),
+        {},
+    ),
+    "blind_dos": (
+        lambda net: BlindDosAttack(net, victim=net.ues[0], start_time=3.0, replays=5),
+        {},
+    ),
+    "uplink_id_extraction": (_uplink_extraction, {}),
+    "downlink_id_extraction": (_downlink_extraction, {}),
+    "null_cipher": (
+        lambda net: NullCipherAttack(net, start_time=3.0),
+        {"amf": AmfConfig(allow_null_algorithms=True)},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def scenario_series():
+    """Telemetry series from a live capture of each attack's scenario."""
+    out = {}
+    for name, (factory, net_kwargs) in ATTACK_SCENARIOS.items():
+        net = FiveGNetwork(NetworkConfig(seed=77, **net_kwargs))
+        for profile in ("pixel5", "oai_ue"):
+            ue = net.add_ue(profile)
+            net.sim.schedule(0.5, ue.start_session)
+        factory(net).arm()
+        net.run(until=16.0)
+        series = MobiFlowCollector().parse_stream(net.pcap)
+        assert len(series.records) > 0, name
+        out[name] = series
+    return out
+
+
+@pytest.fixture(scope="module")
+def benign_series():
+    capture = generate_benign_dataset(
+        BenignDatasetConfig(duration_s=90.0, ue_mix=(("pixel5", 1), ("oai_ue", 1)))
+    )
+    return capture.series
+
+
+def streaming_rows(spec, records):
+    """Reference featurization: the live encoder pushed record by record."""
+    encoder = spec.streaming_encoder()
+    return np.stack([encoder.push(r) for r in records])
+
+
+# ---------------------------------------------------------------------------
+# vectorized featurization bit-identity (the acceptance contract)
+
+
+class TestVectorizedFeaturizationBitIdentity:
+    @pytest.mark.parametrize(
+        "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
+    )
+    def test_attack_captures_bit_identical(self, scenario_series, scenario):
+        series = scenario_series[scenario]
+        spec = FeatureSpec()
+        seed_rows = streaming_rows(spec, series)
+        fast_rows = spec.encode_series(series)
+        # np.array_equal, not allclose: float64 arithmetic, float32 storage,
+        # bit for bit.
+        assert np.array_equal(seed_rows, fast_rows)
+
+    def test_benign_capture_bit_identical(self, benign_series):
+        spec = FeatureSpec()
+        assert np.array_equal(
+            streaming_rows(spec, benign_series),
+            spec.encode_series(benign_series),
+        )
+
+    def test_from_series_vectorized_flag_identical(self, scenario_series):
+        series = scenario_series["null_cipher"]
+        spec = FeatureSpec()
+        seed = WindowedDataset._assemble(
+            series, spec, 6, "session", streaming_rows(spec, series)
+        )
+        fast = WindowedDataset.from_series(series, spec, window=6)
+        assert np.array_equal(seed.windows, fast.windows)
+        assert seed.window_records == fast.window_records
+
+    def test_unordered_batch_rejected(self):
+        records = [
+            MobiFlowRecord(
+                timestamp=t, msg="RRCSetupRequest", protocol="RRC", direction="UL",
+                session_id=1,
+            )
+            for t in (1.0, 0.5)
+        ]
+        batch = MobiFlowBatch.from_records(records)
+        with pytest.raises(ValueError):
+            encode_batch(FeatureSpec(), batch)
+
+
+# ---------------------------------------------------------------------------
+# golden-vector fixture: freezes the one-hot column layout
+
+
+class TestGoldenFeatureLayout:
+    """Any change to the feature columns (order, vocab, bucket bounds,
+    weights) breaks this test — update the fixture deliberately."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(FIXTURES / "features_golden.json", "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def _records(self, golden):
+        return [MobiFlowRecord(**fields) for fields in golden["records"]]
+
+    def test_feature_names_frozen(self, golden):
+        assert FeatureSpec().feature_names() == golden["feature_names"]
+
+    def test_dim_frozen(self, golden):
+        assert FeatureSpec().dim == len(golden["feature_names"])
+
+    def test_streaming_rows_frozen(self, golden):
+        spec = FeatureSpec()
+        encoder = spec.streaming_encoder()
+        rows = np.stack([encoder.push(r) for r in self._records(golden)])
+        # float32 values are exactly representable in JSON's float64.
+        assert np.array_equal(rows, np.asarray(golden["rows"], dtype=np.float32))
+
+    def test_vectorized_rows_frozen(self, golden):
+        spec = FeatureSpec()
+        batch = MobiFlowBatch.from_records(self._records(golden))
+        assert np.array_equal(
+            encode_batch(spec, batch), np.asarray(golden["rows"], dtype=np.float32)
+        )
+
+
+# ---------------------------------------------------------------------------
+# MobiFlowBatch: the featurizer's in-memory struct-of-arrays input
+
+# A benign registration flow, cycled per session.
+_FLOW = (
+    ("RRCSetupRequest", "RRC", "UL"),
+    ("RRCSetup", "RRC", "DL"),
+    ("RRCSetupComplete", "RRC", "UL"),
+    ("RegistrationRequest", "NAS", "UL"),
+    ("AuthenticationRequest", "NAS", "DL"),
+    ("AuthenticationResponse", "NAS", "UL"),
+    ("NASSecurityModeCommand", "NAS", "DL"),
+    ("NASSecurityModeComplete", "NAS", "UL"),
+    ("RegistrationAccept", "NAS", "DL"),
+    ("RRCRelease", "RRC", "DL"),
+)
+
+
+def field_stream(records, sessions):
+    """Raw field values of a synthetic capture, in time order, with TMSI/SUCI
+    identity variety so every nullable column holds both values and holes."""
+    for index in range(records):
+        session_id = 1 + index % sessions
+        step = (index // sessions) % len(_FLOW)
+        msg, protocol, direction = _FLOW[step]
+        yield {
+            "timestamp": index * 0.002,
+            "msg": msg,
+            "protocol": protocol,
+            "direction": direction,
+            "session_id": session_id,
+            "rnti": 0x4000 + session_id,
+            "s_tmsi": 0x00C0_0000 + session_id if step >= 2 else None,
+            "suci": (
+                f"suci-0-999-70-0000-{session_id:07d}"
+                if step == 3 and session_id % 5 == 0
+                else None
+            ),
+            "supi": None,
+            "cipher_alg": 2 if step >= 7 else None,
+            "integrity_alg": 2 if step >= 7 else None,
+            "establishment_cause": "mo-Signalling" if step == 0 else None,
+        }
+
+
+class TestMobiFlowBatch:
+    def test_roundtrip_exact(self, scenario_series):
+        records = scenario_series["uplink_id_extraction"].records
+        assert MobiFlowBatch.from_records(records).to_records() == records
+
+    def test_builder_matches_from_records(self):
+        records = [MobiFlowRecord(**fields) for fields in field_stream(300, 12)]
+        builder = MobiFlowBatchBuilder()
+        for r in records:
+            builder.append(r)
+        assert builder.build().to_records() == records
+
+    def test_append_fields_matches_records(self):
+        builder = MobiFlowBatchBuilder()
+        for fields in field_stream(200, 8):
+            builder.append_fields(**fields)
+        records = [MobiFlowRecord(**fields) for fields in field_stream(200, 8)]
+        assert builder.build().to_records() == records

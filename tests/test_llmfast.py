@@ -2,13 +2,14 @@
 
 Unit coverage for the settings, the vectorized retriever and the compiled
 prompt builder every analyst runs (ranking- / byte-identical to their
-references in ``repro.llm``), the verdict cache and trace signatures, the
-storm dispatcher, and the analyzer xApp's cache/coalesce/shed ledger —
-plus the five-scenario live decision-identity contract against the
-default analyzer path.
+references in ``repro.llm``), the verdict cache and trace signatures, and
+the analyzer xApp's cache/coalesce ledger — plus the five-scenario live
+decision-identity contract against the default analyzer path.
 """
 
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
 from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate, parse_data_section
-from repro.llmfast import LlmfastSettings, StormDispatcher, VerdictCache
+from repro.llmfast import LlmfastSettings, VerdictCache
 from repro.llmfast.cache import CachedVerdict, trace_signature
 from repro.llmfast.workload import (
     benign_trace,
@@ -40,7 +41,7 @@ from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
 
 from tests.test_llm import reference_parse_data_section
-from tests.test_megabatch import ATTACK_SCENARIOS
+from tests.test_megabatch import ATTACK_SCENARIOS, NonzeroCountDetector
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +57,10 @@ class TestSettings:
         assert not LlmfastSettings(cache_capacity=8).fast_submit_enabled
         assert LlmfastSettings(verdict_cache=True).fast_submit_enabled
         assert LlmfastSettings(coalesce=True).fast_submit_enabled
-        assert LlmfastSettings(dispatch=True).fast_submit_enabled
 
     def test_all_on(self):
         settings = LlmfastSettings.all_on()
-        assert settings.verdict_cache and settings.coalesce and settings.dispatch
+        assert settings.verdict_cache and settings.coalesce
         assert settings.fast_submit_enabled
 
     @pytest.mark.parametrize(
@@ -73,7 +73,9 @@ class TestSettings:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # The storm dispatcher's knobs are deleted, not merely validated.
+        error = ValueError if "cache_capacity" in kwargs else TypeError
+        with pytest.raises(error):
             LlmfastSettings(**kwargs)
 
     def test_default_config_keeps_seed_analyzer(self):
@@ -85,9 +87,23 @@ class TestSettings:
         ric = NearRtRic(sim, e2)
         watch = MobiWatchXApp(ric, config)
         analyzer = LlmAnalyzerXApp(ric, watch, config=config)
-        assert analyzer._fast is None
-        assert analyzer._dispatcher is None
-        assert analyzer.analyst.llmfast is None
+        # What distinguishes the default on the one submit path: no verdict
+        # cache, no signatures, and every offered query reaches the provider.
+        assert analyzer.analyst._cache is None
+        assert analyzer.analyst._interner is None
+        assert analyzer.analyst.signature_for(storm_trace()) is None
+        watch.start_called = True
+        analyzer.start()
+        feed(watch, storm_trace())
+        for session in (1, 2, 3):
+            analyzer._on_anomaly(anomaly(session=session, indices=(0,)))
+        assert analyzer.queries_sent == analyzer.offered == analyzer.pending == 3
+        sim.run(until=15.0)
+        assert analyzer.ledger() == {
+            "offered": 3, "analyzed": 3, "coalesced": 0, "cache_hits": 0,
+            "shed": 0, "pending": 0,
+        }
+        assert analyzer.analyst.analyses_run == len(analyzer.verdicts) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -278,52 +294,6 @@ class TestAnalystFastPath:
 
 
 # ---------------------------------------------------------------------------
-# the storm dispatcher
-
-
-class TestStormDispatcher:
-    def test_dispatches_until_inflight_full_then_queues(self):
-        d = StormDispatcher(max_inflight=2, queue_capacity=4)
-        assert d.submit(1.0, "a") == ("dispatch", "a")
-        assert d.submit(5.0, "b") == ("dispatch", "b")
-        assert d.submit(9.0, "c") == ("queued", None)
-        assert d.inflight == 2 and d.backlog == 1
-
-    def test_complete_fires_highest_priority_first(self):
-        d = StormDispatcher(max_inflight=1, queue_capacity=8)
-        d.submit(1.0, "first")
-        d.submit(2.0, "low")
-        d.submit(7.0, "high")
-        d.submit(7.0, "high-later")
-        assert d.complete() == "high"  # severity order
-        assert d.complete() == "high-later"  # FIFO within ties
-        assert d.complete() == "low"
-        assert d.complete() is None  # backlog drained, slot released
-        assert d.inflight == 0
-
-    def test_sheds_lowest_priority_newcomer(self):
-        d = StormDispatcher(max_inflight=1, queue_capacity=1)
-        d.submit(5.0, "inflight")
-        d.submit(4.0, "queued")
-        outcome, victim = d.submit(1.0, "weak")  # weakest: shed itself
-        assert (outcome, victim) == ("shed", "weak")
-        assert d.backlog == 1
-
-    def test_sheds_displaced_queued_victim(self):
-        d = StormDispatcher(max_inflight=1, queue_capacity=1)
-        d.submit(5.0, "inflight")
-        d.submit(1.0, "weak-queued")
-        outcome, victim = d.submit(9.0, "strong")
-        assert (outcome, victim) == ("shed", "weak-queued")
-        assert d.complete() == "strong"
-        assert d.shed == 1 and d.dispatched == 2
-
-    def test_unmatched_complete_raises(self):
-        with pytest.raises(RuntimeError):
-            StormDispatcher().complete()
-
-
-# ---------------------------------------------------------------------------
 # the analyzer xApp fast path (unit level)
 
 
@@ -417,39 +387,6 @@ class TestAnalyzerFastPath:
         assert len(decisions) == 1
         assert_ledger_invariant(analyzer)
         assert analyzer.pending == 0
-
-    def test_dispatch_bounds_inflight_and_sheds_counted(self):
-        sim, ric, watch, analyzer = make_stack(
-            llmfast=LlmfastSettings(dispatch=True, max_inflight=1, queue_capacity=1)
-        )
-        records = storm_trace() + benign_trace(session=30) + null_cipher_trace(session=31)
-        feed(watch, records)
-        # Three distinct-context anomalies in one burst: one fires, one
-        # queues, the weakest is shed — counted, never silent.
-        analyzer._on_anomaly(anomaly(session=1, indices=(0,), score=5.0))
-        analyzer._on_anomaly(anomaly(session=2, indices=(1,), score=4.0))
-        analyzer._on_anomaly(anomaly(session=3, indices=(2,), score=0.6))
-        assert analyzer.queries_sent == 1
-        assert analyzer.shed == 1
-        assert analyzer.pending == 2
-        assert_ledger_invariant(analyzer)
-        sim.run(until=60.0)
-        assert len(analyzer.verdicts) == 2
-        assert analyzer.queries_sent == 2  # the queued one fired on completion
-        assert analyzer.pending == 0
-        assert_ledger_invariant(analyzer)
-
-    def test_dispatch_persists_fanout_in_one_batched_write(self):
-        sim, ric, watch, analyzer = make_stack(llmfast=LlmfastSettings.all_on())
-        feed(watch, storm_trace())
-        writes_before = ric.sdl.writes
-        for session in (1, 2):
-            analyzer._on_anomaly(anomaly(session=session, indices=(0,)))
-        sim.run(until=15.0)
-        assert len(analyzer.verdicts) == 2
-        assert len(ric.sdl.keys(SDL_VERDICT_NS)) == 2
-        # Primary + coalesced waiter persisted as ONE acked write.
-        assert ric.sdl.writes == writes_before + 1
 
     def test_cooldown_suppression_precedes_the_ledger(self):
         sim, ric, watch, analyzer = make_stack(llmfast=LlmfastSettings.all_on())
@@ -632,3 +569,73 @@ class TestLiveScenarioDecisionIdentity:
         assert fast_run.analyzer.pending == 0
         # The fast run never issues more provider queries than the seed.
         assert fast_run.analyzer.queries_sent <= seed_run.analyzer.queries_sent
+
+
+# ---------------------------------------------------------------------------
+# the one submit path against the parent's seed path (default config)
+
+DEFAULT_RUNS_FIXTURE = Path(__file__).parent / "fixtures" / "analyzer_default_runs.json"
+
+
+def default_analyzer_runs():
+    """A default-config live run per attack scenario (BLAS-free detector, so
+    the numbers travel between machines): every verdict with its timing, the
+    provider query count, the SDL verdict namespace, and the ordered
+    ``(sim time, event name)`` log of what the analyzer scheduled."""
+    config = XsecConfig()
+    detector = NonzeroCountDetector(window=config.window, feature_dim=config.spec.dim)
+    detector.threshold.threshold = 4.5
+    schedule = Simulator.schedule
+    runs = {}
+    for scenario, (factory, net_kwargs) in sorted(ATTACK_SCENARIOS.items()):
+        log = []
+
+        def logged(sim, delay, callback, name=""):
+            if name.startswith("llm-analyzer"):
+                log.append([sim.now, delay, name])
+            return schedule(sim, delay, callback, name=name)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Simulator, "schedule", logged)
+            xsec = run_live(detector, LlmfastSettings(), attack=factory, net_kwargs=net_kwargs)
+        analyzer = xsec.analyzer
+        runs[scenario] = {
+            "verdicts": [
+                [
+                    v.anomaly.detected_at,
+                    v.anomaly.session_id,
+                    v.confirmed,
+                    v.verdict.response.top_attacks[0][0]
+                    if v.verdict.response.top_attacks
+                    else "",
+                    v.needs_human_review,
+                    v.completed_at,
+                ]
+                for v in analyzer.verdicts
+            ],
+            "queries_sent": analyzer.queries_sent,
+            "queries_suppressed": analyzer.queries_suppressed,
+            "sdl_verdicts": [
+                [key, xsec.ric.sdl.get(SDL_VERDICT_NS, key)]
+                for key in sorted(xsec.ric.sdl.keys(SDL_VERDICT_NS))
+            ],
+            "log": log,
+            "sim_events_total": xsec.net.sim.events_processed,
+        }
+    return runs
+
+
+class TestParentDefaultRuns:
+    """tests/fixtures/analyzer_default_runs.json is ``default_analyzer_runs()``
+    as commit 323bba3 produced it, where the default config still took the
+    seed's own ``_on_anomaly`` -> ``_complete`` path beside the fast one."""
+
+    def test_one_submit_path_reproduces_seed_path(self):
+        recorded = json.loads(DEFAULT_RUNS_FIXTURE.read_text())
+        got = json.loads(json.dumps(default_analyzer_runs()))
+        assert sorted(got) == sorted(ATTACK_SCENARIOS)
+        for scenario, run in got.items():
+            assert run["verdicts"], scenario
+            assert run["queries_sent"] == len(run["log"]), scenario
+            assert run == recorded[scenario], scenario
+        assert any(run["queries_suppressed"] for run in got.values())

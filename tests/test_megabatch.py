@@ -8,8 +8,7 @@ The contracts enforced here:
   AnomalyEvents to the layer-walking reference scoring every window on
   its own, on every attack scenario;
 - the quantized tier's Table-2-style detection metrics stay within
-  ``MegabatchSettings.quantized_metric_tol`` of the float64 path per
-  attack scenario;
+  ``QUANTIZED_METRIC_TOL`` of the float64 path per attack scenario;
 - a quiet short session is scored exactly once no matter how many times
   it was touched (single pending maturity check);
 - per-session state is bounded: release- and idle-driven eviction drop
@@ -53,6 +52,7 @@ from repro.megabatch.bench import (
     MegabatchBenchResult,
     violations,
 )
+from repro.megabatch.quantized import QUANTIZED_METRIC_TOL
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
 from repro.ml.metrics import DetectionMetrics
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -65,6 +65,8 @@ from repro.ran.network import NetworkConfig
 from repro.scale.pool import InferencePool
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
+
+from tests.test_hotpath import FLOAT32_ATOL, FLOAT32_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,10 @@ class TestMegabatchSettings:
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # The knobs that only ever held one value are constants of
+        # repro.megabatch.quantized now: not accepted at all.
+        error = ValueError if set(kwargs) <= {"evict_idle_s", "evict_sweep_s"} else TypeError
+        with pytest.raises(error):
             MegabatchSettings(**kwargs)
 
 
@@ -184,17 +189,13 @@ class TestQuantizedEngine:
         with pytest.raises(TypeError):
             QuantizedLstmEngine(detector, calibration)
 
-    def test_calibration_minmax_and_percentile(self):
+    def test_calibration_minmax(self):
         windows = np.zeros((3, 8))
         windows[0, 0] = 2.54
         minmax = calibrate_windows(windows)
         assert minmax.method == "minmax"
         assert minmax.input_scale == pytest.approx(2.54 / 127.0)
-        pct = calibrate_windows(
-            windows, MegabatchSettings(calibration="percentile", calibration_percentile=50.0)
-        )
-        # The median of |x| excludes the outlier: a smaller scale.
-        assert pct.input_scale < minmax.input_scale
+        assert minmax.observed_abs_max == 2.54
 
     def test_live_steps_match_offline_replay(self):
         detector, windows = _tiny_lstm()
@@ -631,9 +632,8 @@ class TestMegabatchScenarioEquality:
         assert [e[:4] + (e[6], e[7]) for e in f32_events] == [
             e[:4] + (e[6], e[7]) for e in ref_events
         ]
-        settings = HotpathSettings()
         for ref, fast in zip(ref_events, f32_events):
-            assert np.isclose(ref[4], fast[4], rtol=settings.float32_rtol, atol=1e-6)
+            assert np.isclose(ref[4], fast[4], rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
 
 
 class NonzeroCountDetector(AutoencoderDetector):
@@ -778,7 +778,6 @@ class TestQuantizedAccuracyContract:
         "scenario", sorted(SCENARIO_CAPTURES), ids=sorted(SCENARIO_CAPTURES)
     )
     def test_table2_metrics_within_tolerance(self, quantized_lstm, scenario):
-        settings = MegabatchSettings(quantized=True)
         config = XsecConfig()
         instances = dict(
             bts_dos_instances=0,
@@ -802,7 +801,7 @@ class TestQuantizedAccuracyContract:
         detector = quantized_lstm
         f64_scores = detector.session_window_scores(attack.windowed)
         f64_preds = detector.threshold.classify(f64_scores)
-        engine = QuantizedLstmEngine(detector, detector.calibration, settings)
+        engine = QuantizedLstmEngine(detector, detector.calibration)
         q_scores = engine.session_window_scores(attack.windowed)
         q_preds = detector.quantized_threshold.classify(q_scores)
 
@@ -813,9 +812,9 @@ class TestQuantizedAccuracyContract:
             if ref is None or quant is None:
                 assert ref == quant, f"{scenario}/{name}: one side undefined"
                 continue
-            assert abs(ref - quant) <= settings.quantized_metric_tol, (
+            assert abs(ref - quant) <= QUANTIZED_METRIC_TOL, (
                 f"{scenario}/{name}: float64 {ref:.4f} vs quantized {quant:.4f} "
-                f"exceeds tol {settings.quantized_metric_tol}"
+                f"exceeds tol {QUANTIZED_METRIC_TOL}"
             )
 
 

@@ -548,11 +548,3 @@ class TestE2PduBytes:
         assert e2_bytes == sum(map(len, seen)) and records == xsec.mobiwatch.records_seen
         # Names as symbols: the whole E2 link costs well under 80 B a record.
         assert 30 < e2_bytes / records < 80
-
-    def test_scale_report_echoes_bytes_per_record_beside_the_columnar_flag(self):
-        from repro.genfast import GenfastSettings
-
-        xsec, seen = self._live_run(XsecConfig(genfast=GenfastSettings(columnar_batches=True)))
-        section = xsec.pipeline.scale_report()["genfast"]
-        assert section["columnar_batches"] is True
-        assert section["e2_bytes_per_record"] == sum(map(len, seen)) / xsec.mobiwatch.records_seen

@@ -193,6 +193,14 @@ class TestMobiFlowKpm:
         with pytest.raises(E2smError):
             MobiFlowKpmModel.decode_indication(header, wrong_message)
 
+    def test_columnar_header_is_not_spoken(self):
+        """One MobiFlow format on E2: a header that announces the retired
+        struct-of-arrays encoding is refused before its message is read."""
+        _, message = MobiFlowKpmModel.encode_indication(self._records())
+        header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 2, "columnar": True})
+        with pytest.raises(E2smError, match="not spoken"):
+            MobiFlowKpmModel.decode_indication(header, message)
+
     def test_event_trigger_roundtrip(self):
         style = MobiFlowReportStyle(report_period_s=0.25, max_records_per_indication=10)
         trigger = MobiFlowKpmModel.encode_event_trigger(style.to_trigger())

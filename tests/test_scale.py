@@ -431,3 +431,65 @@ class TestScaleSettings:
         assert settings.sharding_enabled
         assert settings.batching_enabled
         assert settings.pooling_enabled
+
+
+class TestSdlSetMany:
+    def test_matches_sequential_sets(self):
+        a, b = SharedDataLayer(), SharedDataLayer()
+        pairs = [(f"k{i}", {"v": i}) for i in range(5)]
+        for key, value in pairs:
+            a.set("ns", key, value)
+        b.set_many("ns", pairs)
+        assert a._data == b._data
+        assert b.get("ns", "k3") == {"v": 3}
+
+    def test_one_acked_write_per_batch(self):
+        sdl = SharedDataLayer()
+        sdl.set_many("ns", [(f"k{i}", i) for i in range(10)])
+        assert sdl.writes == 1
+
+    def test_watchers_notified_per_pair(self):
+        sdl = SharedDataLayer()
+        seen = []
+        sdl.watch("ns", lambda ns, key, value: seen.append((key, value)))
+        sdl.set_many("ns", [("a", 1), ("b", 2)])
+        assert seen == [("a", 1), ("b", 2)]
+
+    def test_empty_batch_noop(self):
+        sdl = SharedDataLayer()
+        sdl.set_many("ns", [])
+        assert sdl.writes == 0
+
+    def test_sharded_set_many_matches_sets(self):
+        a = ShardedSdl(shards=3, replication=2)
+        b = ShardedSdl(shards=3, replication=2)
+        pairs = [(f"k{i}", i) for i in range(8)]
+        for key, value in pairs:
+            a.set("ns", key, value, shard_key="session-7")
+        b.set_many("ns", pairs, shard_key="session-7")
+        for key, value in pairs:
+            assert b.get("ns", key, shard_key="session-7") == value
+        assert b.writes == 1
+        assert a.keys("ns") == b.keys("ns")
+
+
+class TestBatcherOfferMany:
+    def test_matches_repeated_offer(self):
+        flushed_a, flushed_b = [], []
+        a = BoundedBatcher(flushed_a.append, flush_records=16)
+        b = BoundedBatcher(flushed_b.append, flush_records=16)
+        items = list(range(40))
+        for item in items:
+            a.offer(item)
+        assert b.offer_many(items) == 40
+        assert flushed_a == flushed_b
+        assert a.pending == b.pending
+
+    def test_drop_policy_applied_per_item(self):
+        flushed = []
+        batcher = BoundedBatcher(
+            flushed.append, capacity=4, flush_records=100, drop_policy="newest"
+        )
+        assert batcher.offer_many(list(range(10))) == 4
+        assert batcher.dropped == 6
+        assert batcher.pending == 4

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Entity, RngRegistry, Simulator
-from repro.sim.engine import SimulationError
+from repro.sim.engine import EventQueue, SimulationError
 
 
 class TestSimulator:
@@ -238,3 +238,56 @@ class TestEventQueueLiveCount:
         sim.run()
         assert sim.pending == 0
         assert kept.cancelled is False
+
+
+class TestEventQueueCompaction:
+    def test_cancel_churn_keeps_heap_bounded(self):
+        """The seed leaked every cancelled event until its deadline; a
+        cancel-and-reschedule workload (timers pushed out on every
+        activity, like the UE inactivity timers) grew the heap without
+        bound. Compaction keeps tombstones under half the heap."""
+        queue = EventQueue()
+        live = 50
+        events = [queue.push(1000.0 + i, lambda: None) for i in range(live)]
+        for round_index in range(200):
+            for i in range(live):
+                events[i].cancel()
+                events[i] = queue.push(2000.0 + round_index, lambda: None)
+        assert len(queue) == live
+        # Bounded: never more than ~2x the live events (+ the pre-compact
+        # threshold), not the 10k cancelled this churn produced.
+        assert queue.heap_size <= max(2 * live, EventQueue.COMPACT_MIN_HEAP + live)
+
+    def test_compact_drops_only_cancelled(self):
+        queue = EventQueue()
+        keep = [queue.push(float(i), lambda: None, name=f"k{i}") for i in range(10)]
+        drop = [queue.push(float(i) + 0.5, lambda: None) for i in range(10)]
+        for event in drop:
+            event.cancel()
+        assert queue.compact() == 10
+        assert queue.heap_size == 10
+        assert len(queue) == 10
+        popped = [queue.pop() for _ in range(10)]
+        assert popped == keep
+        assert queue.pop() is None
+
+    def test_no_compaction_below_min_heap(self):
+        queue = EventQueue()
+        events = [queue.push(float(i), lambda: None) for i in range(10)]
+        for event in events:
+            event.cancel()
+        # Tiny heaps keep their tombstones (pop discards them lazily).
+        assert queue.heap_size == 10
+        assert len(queue) == 0
+        assert queue.pop() is None
+        assert queue.heap_size == 0
+
+    def test_pop_and_peek_account_for_discarded_tombstones(self):
+        queue = EventQueue()
+        cancelled = queue.push(1.0, lambda: None)
+        kept = queue.push(2.0, lambda: None)
+        cancelled.cancel()
+        assert queue.peek_time() == 2.0  # discards the tombstone
+        assert queue.heap_size == 1
+        assert queue.pop() is kept
+        assert queue.compact() == 0

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro import wire
 from repro.core import XsecConfig
 from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
-from repro.genfast import GenfastSettings
 from repro.oran import e2ap
 from repro.oran.e2sm_kpm import MobiFlowKpmModel
 from repro.ran import f1ap, nas, ngap, rrc  # noqa: F401  (register every class)
@@ -83,7 +82,7 @@ class TestTheTable:
         assert all(type(name) is str and name for name in wire.SYMBOLS)
 
     def test_covers_every_name_the_tree_puts_on_the_wire(self):
-        needed = {"msg", "ie", "pdu", "sm", "count", "columnar", MobiFlowKpmModel.NAME}
+        needed = {"msg", "ie", "pdu", "sm", "count", MobiFlowKpmModel.NAME}
         needed.update(FIELD_NAMES)
         needed.update(DEFAULT_CAUSE_VOCAB)
         needed.update(member.value for member in (*Protocol, *Direction))
@@ -101,6 +100,10 @@ class TestTheTable:
             f"{missing} cross the wire spelled out: append them to wire.SYMBOLS "
             "(at the end — never reorder) and to tests/fixtures/wire_symbols.json"
         )
+        # Retired, not missing: nothing writes the columnar header key any
+        # more, but an index is part of the format, so the entry keeps its
+        # place and both of its forms still decode (TestBothFormsOneValue).
+        assert "columnar" not in needed and wire.SYMBOLS[20] == "columnar"
 
 
 class TestBothFormsOneValue:
@@ -270,17 +273,15 @@ class TestSpelledOutRecordIsStoredCanonically:
 
 class TestNoEncoderSpellsATableStringOut:
     """One format on every interface: everything a live deployment puts on
-    F1/NG, on E2 (per-record and columnar lanes) and into the SDL is already
-    what the independent walker would rewrite it to."""
+    F1/NG, on E2 and into the SDL is already what the independent walker
+    would rewrite it to."""
 
-    @pytest.mark.parametrize("columnar", [False, True], ids=["per_record", "columnar"])
-    def test_live_deployment(self, columnar):
+    def test_live_deployment(self):
         from tests.test_wire_path import LiveRun
 
         e2 = []
         run = LiveRun(
             "bts_dos",
-            config=XsecConfig(genfast=GenfastSettings(columnar_batches=columnar)),
             before_run=lambda xsec: xsec.e2.add_tap(
                 lambda ts, iface, message: e2.append(message.to_wire())
             ),
