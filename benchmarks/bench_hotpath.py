@@ -21,8 +21,15 @@ Runs two ways:
 """
 
 import json
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, as benchmarks/e2e/run.py pins it: a pool oversubscribing
+# two shared vCPUs is the first suspect for float32 floors that read red on
+# every commit (ROADMAP). Set before anything imports numpy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE = REPO_ROOT / "BENCH_hotpath.json"

@@ -36,9 +36,6 @@ class XsecConfig:
     # E2 reporting.
     report_period_s: float = 0.1
 
-    # MobiWatch live-history cap (records kept for featurization state).
-    history_cap: int = 20000
-
     # LLM expert referencing.
     llm_model: str = "chatgpt-4o"
     llm_use_rag: bool = False

@@ -330,13 +330,20 @@ class MobiWatchXApp(XApp):
                 error=str(exc),
             )
             return
+        # Sim time stands still inside a callback: one clock read, and the
+        # counters and the delay histogram once per indication.
+        now = self.now
         if self._heartbeat_gauge is not None:
-            self._heartbeat_gauge.set(self.now)
+            self._heartbeat_gauge.set(now)
         touched: dict[int, None] = {}  # insertion-ordered set
         # Session-release signals drive eviction.
         released: list[int] = []
         evict_release = self.config.megabatch.evict_on_release
+        track_touch = self._track_touch
         ingest_row = self._ingest_row
+        push = self._encoder.push
+        series = self.series
+        session_records = self._session_records
         # Telemetry is persisted after the ingest loop as one acked SDL
         # write per indication (per shard key under ShardedSdl). A record
         # is stored as the bytes it arrived in — its span of the indication
@@ -344,33 +351,40 @@ class MobiWatchXApp(XApp):
         # encoding — unless there is none (non-canonical batch) or it no
         # longer describes the record (clamped timestamp).
         pending_writes: list[tuple[int, MobiFlowRecord, object]] = []
+        delays: list[float] = []
         payload = records.payload
+        index = len(series)
+        newest_ts = series[index - 1].timestamp if index else float("-inf")
         for record, span in zip(records, records.spans or itertools.repeat(None)):
-            index = len(self.series)
-            if index and record.timestamp < self.series[index - 1].timestamp:
+            if record.timestamp < newest_ts:
                 # Batches from different report intervals can interleave
                 # slightly; process in arrival order, clamping the clock.
-                record = dataclasses_replace(
-                    record, timestamp=self.series[index - 1].timestamp
-                )
+                record = dataclasses_replace(record, timestamp=newest_ts)
                 span = None
-            self.series.append(record)
-            row = self._encoder.push(record)
-            self._arrival_ts.append(self.now)
+            else:
+                newest_ts = record.timestamp
+            series.append(record)
+            row = push(record)
             value = record.to_wire_dict() if span is None else wire.Encoded(payload, *span)
             pending_writes.append((index, record, value))
-            self.records_seen += 1
-            self._records_counter.inc()
-            self._capture_to_ingest.observe(self.now - record.timestamp)
+            delays.append(now - newest_ts)
             session_id = record.session_id
             if session_id:
                 ingest_row(session_id, row)
-                self._session_records.setdefault(session_id, []).append(index)
+                indices = session_records.get(session_id)
+                if indices is None:
+                    indices = session_records[session_id] = []
+                indices.append(index)
                 touched[session_id] = None
-                if self._track_touch:
-                    self._last_touch[session_id] = self.now
+                if track_touch:
+                    self._last_touch[session_id] = now
                 if evict_release and record.msg == RRC_RELEASE_MSG:
                     released.append(session_id)
+            index += 1
+        self._arrival_ts += [now] * len(delays)
+        self.records_seen += len(delays)
+        self._records_counter.inc(len(delays))
+        self._capture_to_ingest.observe_many(delays)
         if pending_writes:
             if self._sharded_sdl:
                 # Place telemetry by UE session so one session's records

@@ -173,8 +173,9 @@ class RicAgent(Entity):
             batch = self._buffer[:take]
             del self._buffer[:take]
             now = self.now
-            for record in batch:
-                self._report_queue_latency.observe(now - record.timestamp)
+            self._report_queue_latency.observe_many(
+                [now - record.timestamp for record in batch]
+            )
             self._batch_records.observe(len(batch))
             header, message = MobiFlowKpmModel.encode_indication(batch)
             self._sequence += 1

@@ -141,14 +141,7 @@ class MobiFlowCollector:
         elif isinstance(message, f1ap.F1Paging):
             # Broadcast paging: not tied to any connection (session 0).
             self._append(
-                MobiFlowRecord(
-                    timestamp=timestamp,
-                    msg="Paging",
-                    protocol="RRC",
-                    direction="DL",
-                    session_id=0,
-                    s_tmsi=message.s_tmsi,
-                )
+                MobiFlowRecord(timestamp, "Paging", "RRC", "DL", 0, None, message.s_tmsi)
             )
         elif isinstance(message, f1ap.F1DlRrcMessageTransfer):
             rnti = self._du_id_to_rnti.get(message.gnb_du_ue_id)
@@ -162,28 +155,7 @@ class MobiFlowCollector:
     def _emit_rrc(self, timestamp: float, rnti: int, rrc: Optional[Message]) -> None:
         if rrc is None or type(rrc) in _RRC_WRAPPERS:
             return
-        session = self._rnti_session.get(rnti, 0)
-        kwargs: dict = {}
-        if isinstance(rrc, rrc_messages.RrcSetupRequest):
-            kwargs["establishment_cause"] = rrc.establishment_cause.value
-            if rrc.identity_is_tmsi:
-                kwargs["s_tmsi"] = rrc.ue_identity
-                self._session_tmsi[session] = rrc.ue_identity
-        elif isinstance(rrc, rrc_messages.RrcSecurityModeCommand):
-            kwargs["cipher_alg"] = int(rrc.cipher_alg)
-            kwargs["integrity_alg"] = int(rrc.integrity_alg)
-        self._append(
-            MobiFlowRecord(
-                timestamp=timestamp,
-                msg=rrc.name,
-                protocol="RRC",
-                direction=rrc.direction.value,
-                session_id=session,
-                rnti=rnti,
-                s_tmsi=kwargs.pop("s_tmsi", self._session_tmsi.get(session)),
-                **kwargs,
-            )
-        )
+        self._emit(timestamp, "RRC", self._rnti_session.get(rnti, 0), rnti, rrc, _RRC_FIELDS)
 
     # -- NGAP ---------------------------------------------------------------------
 
@@ -202,47 +174,82 @@ class MobiFlowCollector:
         if nas is None:
             return
         session = self._rnti_session.get(rnti, 0) if rnti is not None else 0
-        kwargs: dict = {}
-        if isinstance(nas, nas_messages.RegistrationRequest):
-            if nas.suci:
-                kwargs["suci"] = nas.suci
-            if nas.guti:
-                tmsi = _tmsi_from_guti(nas.guti)
-                if tmsi is not None:
-                    kwargs["s_tmsi"] = tmsi
-                    self._session_tmsi[session] = tmsi
-                else:
-                    self._guti_errors.inc()
-        elif isinstance(nas, nas_messages.IdentityResponse):
-            if nas.identity_type is nas_messages.IdentityType.SUPI:
-                kwargs["supi"] = nas.identity_value
-            elif nas.identity_type is nas_messages.IdentityType.SUCI:
-                kwargs["suci"] = nas.identity_value
-        elif isinstance(nas, nas_messages.NasSecurityModeCommand):
-            kwargs["cipher_alg"] = int(nas.cipher_alg)
-            kwargs["integrity_alg"] = int(nas.integrity_alg)
-        elif isinstance(nas, nas_messages.RegistrationAccept):
-            tmsi = _tmsi_from_guti(nas.guti)
-            if tmsi is not None:
-                kwargs["s_tmsi"] = tmsi
-                self._session_tmsi[session] = tmsi
-            else:
-                self._guti_errors.inc()
-        elif isinstance(nas, nas_messages.ServiceRequest):
-            kwargs["s_tmsi"] = nas.s_tmsi
-            self._session_tmsi[session] = nas.s_tmsi
+        self._emit(timestamp, "NAS", session, rnti, nas, _NAS_FIELDS)
+
+    # -- records -----------------------------------------------------------------
+
+    def _emit(
+        self,
+        timestamp: float,
+        protocol: str,
+        session: int,
+        rnti: Optional[int],
+        message: Message,
+        table: dict,
+    ) -> None:
+        # A class defined after the tables were built inherits its base's.
+        fields_of = table.get(type(message)) or _inherited(table, type(message))
         self._append(
             MobiFlowRecord(
-                timestamp=timestamp,
-                msg=nas.name,
-                protocol="NAS",
-                direction=nas.direction.value,
-                session_id=session,
-                rnti=rnti,
-                s_tmsi=kwargs.pop("s_tmsi", self._session_tmsi.get(session)),
-                **kwargs,
+                timestamp,
+                message.name,
+                protocol,
+                message.direction.value,
+                session,
+                rnti,
+                *fields_of(self, session, message),
             )
         )
+
+    # What a record carries after ``rnti`` — s_tmsi, suci, supi, cipher_alg,
+    # integrity_alg, establishment_cause, trailing Nones left off — by
+    # message class (_RRC_FIELDS / _NAS_FIELDS). A TMSI a message presents
+    # is remembered for the session's later records, except under session
+    # 0: that is every connection the capture never saw set up, not one UE.
+
+    def _remember_tmsi(self, session: int, tmsi: int) -> int:
+        if session:
+            self._session_tmsi[session] = tmsi
+        return tmsi
+
+    def _known_tmsi(self, session: int, message: Message) -> tuple:
+        return (self._session_tmsi.get(session),)
+
+    def _setup_request_fields(self, session: int, rrc) -> tuple:
+        if rrc.identity_is_tmsi:
+            tmsi = self._remember_tmsi(session, rrc.ue_identity)
+        else:
+            tmsi = self._session_tmsi.get(session)
+        return tmsi, None, None, None, None, rrc.establishment_cause.value
+
+    def _security_mode_fields(self, session: int, message) -> tuple:
+        tmsi = self._session_tmsi.get(session)
+        return tmsi, None, None, int(message.cipher_alg), int(message.integrity_alg)
+
+    def _guti_tmsi(self, session: int, guti: str) -> Optional[int]:
+        tmsi = _tmsi_from_guti(guti)
+        if tmsi is None:
+            self._guti_errors.inc()
+            return self._session_tmsi.get(session)
+        return self._remember_tmsi(session, tmsi)
+
+    def _registration_request_fields(self, session: int, nas) -> tuple:
+        known = self._guti_tmsi(session, nas.guti) if nas.guti else self._session_tmsi.get(session)
+        return known, nas.suci or None
+
+    def _registration_accept_fields(self, session: int, nas) -> tuple:
+        return (self._guti_tmsi(session, nas.guti),)
+
+    def _identity_response_fields(self, session: int, nas) -> tuple:
+        suci = supi = None
+        if nas.identity_type is nas_messages.IdentityType.SUPI:
+            supi = nas.identity_value
+        elif nas.identity_type is nas_messages.IdentityType.SUCI:
+            suci = nas.identity_value
+        return self._session_tmsi.get(session), suci, supi
+
+    def _service_request_fields(self, session: int, nas) -> tuple:
+        return (self._remember_tmsi(session, nas.s_tmsi),)
 
     def _append(self, record: MobiFlowRecord) -> None:
         self.series.append(record)
@@ -251,3 +258,34 @@ class MobiFlowCollector:
             counter.inc()
         for subscriber in self._subscribers:
             subscriber(record)
+
+
+def _inherited(table: dict, cls: type):
+    """The extractor of the nearest class along the MRO that has one."""
+    for base in cls.__mro__:
+        if base in table:
+            return table[base]
+    return MobiFlowCollector._known_tmsi
+
+
+def _fields_by_class(carrying: dict) -> dict:
+    """Exact-type lookup over every registered message class."""
+    classes = map(Message.lookup, Message.registered_names())
+    return {cls: _inherited(carrying, cls) for cls in classes}
+
+
+_RRC_FIELDS = _fields_by_class(
+    {
+        rrc_messages.RrcSetupRequest: MobiFlowCollector._setup_request_fields,
+        rrc_messages.RrcSecurityModeCommand: MobiFlowCollector._security_mode_fields,
+    }
+)
+_NAS_FIELDS = _fields_by_class(
+    {
+        nas_messages.RegistrationRequest: MobiFlowCollector._registration_request_fields,
+        nas_messages.IdentityResponse: MobiFlowCollector._identity_response_fields,
+        nas_messages.NasSecurityModeCommand: MobiFlowCollector._security_mode_fields,
+        nas_messages.RegistrationAccept: MobiFlowCollector._registration_accept_fields,
+        nas_messages.ServiceRequest: MobiFlowCollector._service_request_fields,
+    }
+)

@@ -20,6 +20,8 @@ messages and device identifiers such as UE's RNTI and TMSI"):
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -174,101 +176,130 @@ class StreamingEncoder:
     (uses separated by more than the horizon start a new episode, so
     retransmissions and T300 retries merge; benign GUTI reuse spans two
     episodes, replay attacks three or more), recent setup-request and
-    session-churn rate windows, and the previous record.
+    session-churn rate windows, and the previous record's message and
+    timestamp. Everything the frozen spec fixes — the column of each
+    group, of each vocabulary entry, the row width — is laid out once here.
     """
 
     def __init__(self, spec: FeatureSpec) -> None:
         self.spec = spec
         self._seen_sessions: set[int] = set()
         self._tmsi_episodes: dict[int, tuple] = {}
-        self._recent_setups: list[float] = []
-        self._recent_sessions: list[tuple[float, int]] = []
+        # Rate windows: the event timestamps still inside the trailing
+        # window. Only their count is a feature, so they are kept ascending
+        # (insort: MobiWatch clamps time, a bare caller may let it decrease)
+        # and expiry pops from the left.
+        self._recent_setups: deque[float] = deque()
+        self._recent_sessions: deque[float] = deque()
         self._churn_seen: set[int] = set()
-        self._prev: Optional[MobiFlowRecord] = None
+        self._prev: Optional[tuple[str, float]] = None  # (msg, timestamp)
+        # What a row holds before any record is looked at: zeros, and the
+        # identifier weight's "off" product (-0.0 under a negative weight).
+        self._blank = np.zeros(spec.dim, dtype=np.float32)
+        col = 0
+        if spec.include_messages:
+            self._msg_other = col + len(spec.message_vocab)
+            self._msg_cols = {
+                msg: col + i for msg, i in first_index(spec.message_vocab).items()
+            }
+            self._dir_col = self._msg_other + 1
+            col = self._dir_col + 2
+        if spec.include_state:
+            self._cause_absent = col + len(spec.cause_vocab)
+            self._cause_cols = {
+                cause: col + i for cause, i in first_index(spec.cause_vocab).items()
+            }
+            self._alg_col = self._cause_absent + 1
+            col = self._alg_col + 2 * _ALG_SLOTS
+        if spec.include_identifiers:
+            self._ident_col = col
+            self._blank[col + 1 : col + 3] = spec.identifier_weight * 0.0
+            col += 4
+        if spec.include_timing:
+            self._iat_col = col
+            col += len(spec.iat_buckets) + 1
+        if spec.include_rates:
+            self._rate_col = col
 
     def push(self, record: MobiFlowRecord) -> np.ndarray:
         """Encode one record, updating the causal state."""
         spec = self.spec
-        row = np.zeros(spec.dim, dtype=np.float32)
-        col = 0
+        row = self._blank.copy()
+        msg = record.msg
+        timestamp = record.timestamp
+        prev = self._prev
         if spec.include_messages:
-            try:
-                idx = spec.message_vocab.index(record.msg)
-            except ValueError:
-                idx = len(spec.message_vocab)
-            row[col + idx] = 1.0
-            col += len(spec.message_vocab) + 1
-            row[col + (0 if record.direction == "UL" else 1)] = 1.0
-            col += 2
+            row[self._msg_cols.get(msg, self._msg_other)] = 1.0
+            row[self._dir_col + (0 if record.direction == "UL" else 1)] = 1.0
         if spec.include_state:
-            if record.establishment_cause is None:
-                row[col + len(spec.cause_vocab)] = 1.0
-            else:
-                try:
-                    cause_idx = spec.cause_vocab.index(record.establishment_cause)
-                except ValueError:
-                    cause_idx = len(spec.cause_vocab)
-                row[col + cause_idx] = 1.0
-            col += len(spec.cause_vocab) + 1
-            cipher = record.cipher_alg if record.cipher_alg is not None else 4
-            weight = 1.0 if cipher == 4 else spec.state_weight
-            row[col + min(cipher, 4)] = weight
-            col += _ALG_SLOTS
-            integ = record.integrity_alg if record.integrity_alg is not None else 4
-            weight = 1.0 if integ == 4 else spec.state_weight
-            row[col + min(integ, 4)] = weight
-            col += _ALG_SLOTS
+            # An unknown cause shares the absent column.
+            row[self._cause_cols.get(record.establishment_cause, self._cause_absent)] = 1.0
+            col = self._alg_col
+            for alg in (record.cipher_alg, record.integrity_alg):
+                if alg is None or alg == 4:
+                    row[col + 4] = 1.0
+                else:
+                    row[col + min(alg, 4)] = spec.state_weight
+                col += _ALG_SLOTS
         if spec.include_identifiers:
-            new_session = record.session_id not in self._seen_sessions
-            self._seen_sessions.add(record.session_id)
-            tmsi_reused = False
-            if record.s_tmsi is not None:
-                episode = self._tmsi_episodes.get(record.s_tmsi)
+            col = self._ident_col
+            session_id = record.session_id
+            if session_id not in self._seen_sessions:
+                self._seen_sessions.add(session_id)
+                row[col] = 1.0
+            s_tmsi = record.s_tmsi
+            if s_tmsi is not None:
+                episode = self._tmsi_episodes.get(s_tmsi)
                 if episode is None:
                     count = 1
                 else:
                     count, last_seen = episode
-                    if record.timestamp - last_seen > _TMSI_EPISODE_HORIZON_S:
+                    if timestamp - last_seen > _TMSI_EPISODE_HORIZON_S:
                         count += 1
-                self._tmsi_episodes[record.s_tmsi] = (count, record.timestamp)
-                tmsi_reused = count >= 3
-            row[col + 0] = float(new_session)
-            row[col + 1] = spec.identifier_weight * float(tmsi_reused)
-            row[col + 2] = spec.identifier_weight * float(
-                record.exposes_permanent_identity()
-            )
-            row[col + 3] = float(self._prev is not None and self._prev.msg == record.msg)
-            col += 4
+                self._tmsi_episodes[s_tmsi] = (count, timestamp)
+                if count >= 3:
+                    row[col + 1] = spec.identifier_weight
+            # MobiFlowRecord.exposes_permanent_identity, inlined.
+            suci = record.suci
+            if record.supi or (suci and suci.startswith("suci-null-")):
+                row[col + 2] = spec.identifier_weight
+            if prev is not None and prev[0] == msg:
+                row[col + 3] = 1.0
         if spec.include_timing:
-            iat = (
-                record.timestamp - self._prev.timestamp
-                if self._prev is not None
-                else 0.0
-            )
-            bucket = len(spec.iat_buckets)
-            for i, bound in enumerate(spec.iat_buckets):
+            iat = timestamp - prev[1] if prev is not None else 0.0
+            col = self._iat_col
+            for bound in spec.iat_buckets:
                 if iat < bound:
-                    bucket = i
                     break
-            row[col + bucket] = 1.0
-            col += len(spec.iat_buckets) + 1
+                col += 1
+            row[col] = 1.0
         if spec.include_rates:
-            horizon = record.timestamp - _RATE_WINDOW_S
-            self._recent_setups[:] = [t for t in self._recent_setups if t > horizon]
-            self._recent_sessions[:] = [
-                (t, s) for t, s in self._recent_sessions if t > horizon
-            ]
-            if record.msg == "RRCSetupRequest":
-                self._recent_setups.append(record.timestamp)
-            if record.session_id and record.session_id not in self._churn_seen:
-                self._churn_seen.add(record.session_id)
-                self._recent_sessions.append((record.timestamp, record.session_id))
-            row[col + min(len(self._recent_setups), _RATE_SLOTS - 1)] = 1.0
-            col += _RATE_SLOTS
-            row[col + min(len(self._recent_sessions), _RATE_SLOTS - 1)] = 1.0
-            col += _RATE_SLOTS
-        self._prev = record
+            horizon = timestamp - _RATE_WINDOW_S
+            setups = self._recent_setups
+            sessions = self._recent_sessions
+            while setups and setups[0] <= horizon:
+                setups.popleft()
+            while sessions and sessions[0] <= horizon:
+                sessions.popleft()
+            if msg == "RRCSetupRequest":
+                insort(setups, timestamp)
+            session_id = record.session_id
+            if session_id and session_id not in self._churn_seen:
+                self._churn_seen.add(session_id)
+                insort(sessions, timestamp)
+            col = self._rate_col
+            row[col + min(len(setups), _RATE_SLOTS - 1)] = 1.0
+            row[col + _RATE_SLOTS + min(len(sessions), _RATE_SLOTS - 1)] = 1.0
+        self._prev = (msg, timestamp)
         return row
+
+
+def first_index(vocab: Sequence[str]) -> dict[str, int]:
+    """name -> first index, matching ``tuple.index`` on duplicate entries."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(vocab):
+        index.setdefault(name, i)
+    return index
 
 
 def sliding_windows(matrix: np.ndarray, window: int) -> np.ndarray:

@@ -32,8 +32,6 @@ itself.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.telemetry.batch import MobiFlowBatch
@@ -43,15 +41,8 @@ from repro.telemetry.features import (
     _RATE_WINDOW_S,
     _TMSI_EPISODE_HORIZON_S,
     FeatureSpec,
+    first_index,
 )
-
-
-def _first_index(vocab: Sequence[str]) -> dict[str, int]:
-    """name -> first index, matching ``tuple.index`` on duplicate entries."""
-    index: dict[str, int] = {}
-    for i, name in enumerate(vocab):
-        index.setdefault(name, i)
-    return index
 
 
 def encode_batch(spec: FeatureSpec, batch: MobiFlowBatch) -> np.ndarray:
@@ -68,7 +59,7 @@ def encode_batch(spec: FeatureSpec, batch: MobiFlowBatch) -> np.ndarray:
 
     if spec.include_messages:
         nv = len(spec.message_vocab)
-        spec_index = _first_index(spec.message_vocab)
+        spec_index = first_index(spec.message_vocab)
         lut = np.array(
             [spec_index.get(name, nv) for name in batch.msg_vocab], dtype=np.intp
         )
@@ -82,7 +73,7 @@ def encode_batch(spec: FeatureSpec, batch: MobiFlowBatch) -> np.ndarray:
 
     if spec.include_state:
         nc = len(spec.cause_vocab)
-        cause_index = _first_index(spec.cause_vocab)
+        cause_index = first_index(spec.cause_vocab)
         cause_lut = np.array(
             [cause_index.get(name, nc) for name in batch.cause_vocab] or [nc],
             dtype=np.intp,

@@ -196,6 +196,51 @@ class TestCollector:
         ]
         assert all(r.s_tmsi == tmsi for r in after)
 
+    def test_unknown_context_tmsi_does_not_leak_to_other_ues(self):
+        """Session 0 is every connection the capture never saw set up: a
+        TMSI one of them presents was remembered under it and stamped on
+        every later unknown-context record of any other UE."""
+        metrics = MetricsRegistry()
+        collector = MobiFlowCollector(metrics)
+
+        def uplink(t, ran_ue_id, nas):
+            collector.on_capture(
+                t, "NGAP", ngap.NgUplinkNasTransport(ran_ue_id=ran_ue_id, nas_pdu=nas.to_wire())
+            )
+
+        uplink(0.1, 77, nas_messages.ServiceRequest(s_tmsi=0xABCD))
+        uplink(0.2, 99, nas_messages.AuthenticationResponse())
+        uplink(0.3, 55, nas_messages.RegistrationRequest(guti="5g-guti-00101-cafe-0000beef"))
+        uplink(0.4, 99, nas_messages.RegistrationComplete())
+        collector.on_capture(
+            0.5,
+            "NGAP",
+            ngap.NgDownlinkNasTransport(
+                ran_ue_id=55,
+                nas_pdu=nas_messages.RegistrationAccept(guti="5g-guti-00101-cafe-00001234").to_wire(),
+            ),
+        )
+        uplink(0.6, 99, nas_messages.NasSecurityModeComplete())
+        # A message's own identity is still its record's; nobody else's.
+        assert [(r.session_id, r.rnti, r.s_tmsi) for r in collector.series] == [
+            (0, None, 0xABCD),
+            (0, None, None),
+            (0, None, 0xBEEF),
+            (0, None, None),
+            (0, None, 0x1234),
+            (0, None, None),
+        ]
+        assert collector._session_tmsi == {}
+
+    def test_a_message_subclass_inherits_its_base_extractor(self):
+        class LaterServiceRequest(nas_messages.ServiceRequest):
+            NAME = ""  # unregistered: defined after the collector's tables
+
+        collector = MobiFlowCollector()
+        collector._emit_nas(0.1, None, LaterServiceRequest(s_tmsi=7))
+        collector._emit_nas(0.2, None, nas_messages.ServiceRequest(s_tmsi=8))
+        assert [r.s_tmsi for r in collector.series] == [7, 8]
+
     def test_live_subscription_sees_all_records(self):
         net = run_benign()
         collector = MobiFlowCollector()

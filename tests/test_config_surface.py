@@ -4,7 +4,9 @@ were deleted with their lane — stay deleted.
 
 A settings field nothing reads is a configuration the tests must cover
 for no behaviour at all (``genfast.sim_fastlane`` was read by nothing;
-``genfast.vectorized_features`` only by an external benchmark).
+``genfast.vectorized_features`` only by an external benchmark;
+``XsecConfig.history_cap`` by nothing, for as long as only the
+``*Settings`` families were held to this).
 """
 
 import dataclasses
@@ -58,16 +60,19 @@ DELETED = [
     (MegabatchSettings, "calibration"),
     (MegabatchSettings, "calibration_percentile"),
     (MegabatchSettings, "quantized_metric_tol"),
+    # Declared with the first MobiWatch, read by nothing since.
+    (XsecConfig, "history_cap"),
 ]
 
 
-def _program_sources(family: str) -> str:
-    """Everything under src/repro that can *use* a knob of ``family``: not
-    its own settings module, not the benches, not scale_report()'s echo."""
+def _program_sources(declared_in: Path) -> str:
+    """Everything under src/repro that can *use* a knob declared in
+    ``declared_in``: not that module, not the benches, not scale_report()'s
+    echo."""
     echo = inspect.getsource(ClosedLoopPipeline.scale_report)
     chunks = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "bench.py" or path == SRC / family / "settings.py":
+        if path.name == "bench.py" or path == declared_in:
             continue
         chunks.append(path.read_text(encoding="utf-8").replace(echo, ""))
     return "\n".join(chunks)
@@ -106,7 +111,7 @@ def _names_carrying(cls, field: str) -> list:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_field_is_read_by_the_program(family):
-    sources = _program_sources(family)
+    sources = _program_sources(SRC / family / "settings.py")
     cls = FAMILIES[family]
     unread = [
         field.name
@@ -115,6 +120,16 @@ def test_every_field_is_read_by_the_program(family):
             re.search(rf"\.{name}\b", sources)
             for name in _names_carrying(cls, field.name)
         )
+    ]
+    assert unread == []
+
+
+def test_every_top_level_field_is_read_by_the_program():
+    sources = _program_sources(SRC / "core" / "config.py")
+    unread = [
+        field.name
+        for field in dataclasses.fields(XsecConfig)
+        if field.name not in FAMILIES and not re.search(rf"\.{field.name}\b", sources)
     ]
     assert unread == []
 

@@ -1,6 +1,7 @@
 """Unit tests for the MobiWatch and LLM-analyzer xApps in isolation."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,9 +19,16 @@ from repro.core.mobiwatch import (
     MobiWatchXApp,
 )
 from repro.ml import AutoencoderDetector
+from repro.obs.metrics import BULK_OBSERVE_MIN, Histogram
+from repro.oran.e2agent import RicAgent
 from repro.oran.e2ap import RicIndication
-from repro.oran.e2sm_kpm import MOBIFLOW_RAN_FUNCTION_ID, MobiFlowKpmModel
+from repro.oran.e2sm_kpm import (
+    MOBIFLOW_RAN_FUNCTION_ID,
+    MobiFlowKpmModel,
+    MobiFlowReportStyle,
+)
 from repro.oran.ric import NearRtRic
+from repro.ran import FiveGNetwork, NetworkConfig
 from repro.ran.links import InterfaceLink
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
@@ -352,6 +360,87 @@ class TestMobiWatchUnit:
         context = watch.context_for(event, max_records=5)
         assert len(context) == 5
         assert context[-1] is watch.series[9]
+
+
+def looped(values):
+    """The histogram a per-value ``observe`` loop leaves."""
+    hist = Histogram()
+    for value in values:
+        hist.observe(value)
+    return hist
+
+
+def summary(hist):
+    return (hist.count, hist.total, hist.min, hist.max, list(hist.bucket_counts))
+
+
+class TestBookKeepingPerIndication:
+    """Counters and delay histograms move once per indication; what they
+    hold equals the per-record loop's, on both sides of BULK_OBSERVE_MIN."""
+
+    SMALL, BIG = 3, 40
+
+    def _batches(self):
+        assert self.SMALL < BULK_OBSERVE_MIN <= self.BIG
+        small = [record(1.0 + 0.01 * i, "RRCSetup", session=1 + i % 2) for i in range(self.SMALL)]
+        big = [record(2.0 + 0.013 * i, "RRCSetup", session=(i % 5)) for i in range(self.BIG)]
+        # An interleaved older record: clamped to its predecessor's time.
+        big[7] = dataclasses.replace(big[7], timestamp=1.5)
+        return small, big
+
+    def test_mobiwatch_equals_the_per_record_loop(self):
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, XsecConfig())
+        small, big = self._batches()
+        sim.schedule(1.2, lambda: watch.on_indication(indication(small, seq=1)))
+        sim.schedule(2.9, lambda: watch.on_indication(indication(big, seq=2)))
+        sim.run(until=3.0)
+        total = self.SMALL + self.BIG
+        clamped = list(small) + list(big)
+        clamped[self.SMALL + 7] = dataclasses.replace(big[7], timestamp=big[6].timestamp)
+        assert list(watch.series) == clamped
+        arrivals = [1.2] * self.SMALL + [2.9] * self.BIG
+        assert watch._arrival_ts == arrivals
+        metrics = sim.obs.metrics
+        assert watch.records_seen == total
+        assert metrics.counter("mobiwatch.records_total").value == total
+        assert len(ric.sdl.keys(SDL_TELEMETRY_NS)) == total
+        # The clamped record is stored as what it became, not as it arrived.
+        stored = ric.sdl.get(SDL_TELEMETRY_NS, f"{self.SMALL + 7:09d}")
+        assert stored["timestamp"] == big[6].timestamp
+        expected = looped(now - r.timestamp for now, r in zip(arrivals, clamped))
+        hist = metrics.histogram("mobiwatch.capture_to_ingest_s")
+        assert summary(hist) == summary(expected)
+        assert hist.percentile(50) == expected.percentile(50)
+
+        # A rejected indication moves none of it.
+        before = (watch.records_seen, summary(hist), len(watch.series), len(watch._arrival_ts))
+        bad = indication(big, seq=3)
+        watch.on_indication(dataclasses.replace(bad, indication_message=bad.indication_message[:-3]))
+        assert metrics.counter("mobiwatch.indications_rejected_total").value == 1
+        assert before == (
+            watch.records_seen, summary(hist), len(watch.series), len(watch._arrival_ts)
+        )
+        assert metrics.counter("mobiwatch.records_total").value == total
+        assert len(ric.sdl.keys(SDL_TELEMETRY_NS)) == total
+
+    def test_agent_report_queue_latency_equals_the_per_record_loop(self):
+        net = FiveGNetwork(NetworkConfig(seed=1))
+        e2 = InterfaceLink(net.sim, "E2")
+        agent = RicAgent(net, e2)
+        sent = []
+        e2.connect(a_handler=agent.on_e2, b_handler=sent.append)
+        agent._subscription = (1, MobiFlowReportStyle(report_period_s=10.0))
+        small, big = self._batches()
+        net.sim.schedule(1.2, lambda: (agent._buffer.extend(small), agent._report_tick()))
+        net.sim.schedule(2.9, lambda: (agent._buffer.extend(big), agent._report_tick()))
+        net.run(until=3.0)
+        assert agent.indications_sent == len(sent) == 2
+        expected = looped(
+            [1.2 - r.timestamp for r in small] + [2.9 - r.timestamp for r in big]
+        )
+        hist = net.sim.obs.metrics.histogram("e2agent.report_queue_latency_s")
+        assert summary(hist) == summary(expected)
 
 
 class TestAnalyzerUnit:

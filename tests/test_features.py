@@ -36,6 +36,7 @@ from repro.telemetry.features import (
 )
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
 from repro.telemetry.vectorized import encode_batch
+from tests.reference_features import SeedStreamingEncoder
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -341,6 +342,102 @@ class TestVectorizedFeaturizationBitIdentity:
         batch = MobiFlowBatch.from_records(records)
         with pytest.raises(ValueError):
             encode_batch(FeatureSpec(), batch)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven StreamingEncoder against the seed push, kept as an oracle
+
+# A small pool makes repeats (back-to-back messages, reused TMSIs, returning
+# sessions) as likely as misses (names outside both vocabularies).
+_MSG_POOL = ("RRCSetupRequest",) * 3 + ("RRCSetup", "ServiceRequest", "NotInTheVocab", "")
+_CAUSE_POOL = (None, "mo-Data", "emergency", "notACause")
+_SUCI_POOL = (None, "", "suci-001-01-x", "suci-null-001-01-imsi")
+_INCLUDES = (
+    "include_messages", "include_state", "include_identifiers", "include_timing",
+    "include_rates",
+)
+_ALGS = st.none() | st.integers(0, 7)
+
+
+@st.composite
+def stream_records(draw):
+    """Arbitrary record sequences: timestamps move by a signed step, so
+    they repeat, jump past the 1 s windows, and *decrease*."""
+    steps = draw(
+        st.lists(
+            st.sampled_from((0.0, 0.004, 0.03, 0.3, 0.6, 1.0, 1.7, -0.02, -0.4, -1.2)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    out, t = [], 10.0
+    for step in steps:
+        t += step
+        out.append(
+            MobiFlowRecord(
+                timestamp=t,
+                msg=draw(st.sampled_from(_MSG_POOL)),
+                protocol="RRC",
+                direction=draw(st.sampled_from(("UL", "DL"))),
+                session_id=draw(st.integers(0, 3) | st.integers(0, 40)),
+                s_tmsi=draw(st.none() | st.integers(1, 3)),
+                suci=draw(st.sampled_from(_SUCI_POOL)),
+                supi=draw(st.sampled_from((None, "", "imsi-001010000000001"))),
+                cipher_alg=draw(_ALGS),
+                integrity_alg=draw(_ALGS),
+                establishment_cause=draw(st.sampled_from(_CAUSE_POOL)),
+            )
+        )
+    return out
+
+
+def assert_equals_seed_push(spec, records):
+    seed, encoder = SeedStreamingEncoder(spec), spec.streaming_encoder()
+    rows = []
+    for index, item in enumerate(records):
+        expected, row = seed.push(item), encoder.push(item)
+        assert row.dtype == expected.dtype and row.shape == expected.shape
+        assert row.tobytes() == expected.tobytes(), (index, item)
+        rows.append(row)
+    return rows
+
+
+class TestStreamingEncoderEqualsSeedPush:
+    @given(
+        records=stream_records(),
+        includes=st.tuples(*[st.booleans()] * len(_INCLUDES)),
+        weights=st.sampled_from(((3.0, 2.0), (1.0, 1.0), (-2.0, 0.5), (0.0, 0.0))),
+        shuffled_buckets=st.booleans(),
+    )
+    def test_rows_bit_equal(self, records, includes, weights, shuffled_buckets):
+        spec = FeatureSpec(
+            # A duplicate vocabulary entry resolves to its first index.
+            message_vocab=DEFAULT_MESSAGE_VOCAB[:4] + ("RRCSetup", "ServiceRequest"),
+            iat_buckets=(0.2, 0.01, 1.0, 0.05) if shuffled_buckets else (0.01, 0.05, 0.2, 1.0),
+            identifier_weight=weights[0],
+            state_weight=weights[1],
+            **dict(zip(_INCLUDES, includes)),
+        )
+        assert_equals_seed_push(spec, records)
+
+    @pytest.mark.parametrize("off", _INCLUDES)
+    def test_every_group_off_on_a_capture(self, scenario_series, off):
+        """Every ``include_*`` off in turn, on a real (monotone) capture."""
+        assert_equals_seed_push(FeatureSpec(**{off: False}), scenario_series["bts_dos"])
+
+    def test_rate_windows_expire_like_the_filter_when_time_decreases(self):
+        """An event older than the one before it must leave its window
+        first: a window only popped from the left would keep it."""
+        records = [
+            record(5.0, "RRCSetupRequest", session=1),
+            record(4.6, "RRCSetupRequest", session=2),
+            record(5.6, "RRCSetup", session=1),  # horizon 4.6: drops the 4.6s
+            record(6.2, "RRCSetup", session=1),
+        ]
+        rows = assert_equals_seed_push(FeatureSpec(), records)
+        names = FeatureSpec().feature_names()
+        assert rows[2][names.index("setup_rate=1")] == 1.0
+        assert rows[2][names.index("session_churn=1")] == 1.0
 
 
 # ---------------------------------------------------------------------------
