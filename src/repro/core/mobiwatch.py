@@ -202,6 +202,7 @@ class MobiWatchXApp(XApp):
         if detector.threshold.threshold is None:
             raise ValueError("detector must be fitted before deployment")
         self.detector = detector
+        detector.recompile()  # a deployment never inherits another's score memo
         detector.attach_metrics(self.sim.obs.metrics)
         hotpath = self.config.hotpath
         detector.scoring_dtype = hotpath.dtype
@@ -297,12 +298,19 @@ class MobiWatchXApp(XApp):
     def on_policy(self, policy_type_id: int, policy: dict) -> None:
         """Detection-policy updates: re-fit the operating threshold."""
         percentile = policy.get("threshold_percentile")
-        if percentile is not None and self.detector is not None:
-            if self.detector.training_scores is None:
+        detector = self.detector
+        if percentile is not None and detector is not None:
+            if detector.training_scores is None:
                 self.log("policy ignored: no training scores retained")
                 return
-            self.detector.threshold.percentile = float(percentile)
-            self.detector.threshold.fit(self.detector.training_scores)
+            # Both operating points: the quantized tier alarms on its own.
+            for threshold, scores in (
+                (detector.threshold, detector.training_scores),
+                (detector.quantized_threshold, detector.quantized_training_scores),
+            ):
+                if threshold is not None:
+                    threshold.percentile = float(percentile)
+                    threshold.fit(scores)
             self.log(f"threshold re-fit at percentile {percentile}")
 
     # -- telemetry ingestion -------------------------------------------------------
@@ -492,7 +500,9 @@ class MobiWatchXApp(XApp):
         ``detector.scores(matrix, per_row=True)``: in float64 every row's
         score is bit-identical to its own ``[1, window * dim]`` call at any
         batch height (the row-exact kernel mode of :mod:`repro.ml.compiled`,
-        enforced per attack scenario by tests/test_megabatch.py); the
+        enforced per attack scenario by tests/test_megabatch.py), so rows
+        this deployment has scored before, byte for byte, come from the
+        snapshot's score memo and only the rest reach the kernels; the
         float32 tier runs the matrix through one fused GEMM per tick under
         the hotpath tolerance.
         """

@@ -28,12 +28,16 @@ and error element-wise ops run once over the whole batch, so
 ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]`` bit for bit
 at any batch height. float32 has no such contract and ignores the flag.
 
+A row-exact score is a function of the row's bytes alone, so the snapshot
+remembers it under them (:meth:`CompiledModel.memo_scores`).
+
 Weight snapshots are taken at construction; ``AnomalyDetector.fit`` drops
-its snapshot and the next ``scores`` call rebuilds it.
+its snapshot (and the memo with it) and the next ``scores`` call rebuilds it.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Optional
 
@@ -41,6 +45,9 @@ import numpy as np
 
 from repro.ml.layers import Dense, ReLU
 from repro.slo import profiler as _profiler
+
+# Score-memo entries per snapshot: <= 7 MiB of keys at window 6 x dim 71 float32.
+SCORE_MEMO_CAPACITY = 4096
 
 
 def _as_dtype(dtype: str) -> np.dtype:
@@ -384,9 +391,25 @@ class CompiledModel:
             raise TypeError(f"cannot compile {type(detector).__name__}")
         self._calls_counter = None
         self._windows_counter = None
+        # Row bytes -> row-exact float64 score: see memo_scores.
+        self._memo: dict[bytes, float] = {}
+        self._memo_hits = self._memo_misses = self._memo_size = None
 
     def attach_metrics(self, metrics) -> None:
         """Wire repro.obs counters (one series per model kind + dtype)."""
+        labels = {"model": self._kind}
+        self._memo_hits = metrics.counter(
+            "ml.score_memo_hits_total", labels=labels, help="windows answered from the score memo"
+        )
+        self._memo_misses = metrics.counter(
+            "ml.score_memo_misses_total", labels=labels, help="windows sent on to the kernels"
+        )
+        # Set per call, not computed by a closure: the registry must not keep
+        # a superseded snapshot (training-set-sized buffers) alive.
+        self._memo_size = metrics.gauge(
+            "ml.score_memo_size", labels=labels, help="entries in the snapshot's score memo"
+        )
+        self._memo_size.set(len(self._memo))
         labels = {"model": self._kind, "dtype": self.dtype}
         self._calls_counter = metrics.counter(
             "ml.compiled_calls_total",
@@ -421,6 +444,38 @@ class CompiledModel:
             prof.record("ml.compiled.scores", time.perf_counter() - start)
             return result
         return self._scores(windows, per_row)
+
+    def memo_scores(self, windows: np.ndarray) -> np.ndarray:
+        """``scores(windows, per_row=True)`` in float64, each distinct row
+        through the kernels once per snapshot.
+
+        Row-exactness makes a score a function of its row's bytes alone, so
+        the one remembered under a row's full bytes — never a digest — *is*
+        the one the kernels would return. Cleared when full: all-unique
+        traffic pays one hash and one insert per window, never a scan.
+        """
+        if windows.dtype != np.float32 and windows.dtype != np.float64:
+            windows = windows.astype(np.float64)  # the kernels' own conversion
+        memo = self._memo
+        data = windows.tobytes()
+        width = len(data) // len(windows)
+        keys = [data[at : at + width] for at in range(0, len(data), width)]
+        found = list(map(memo.get, keys))
+        new = {key: row for row, key in enumerate(keys) if found[row] is None}
+        if new:
+            rows = windows if len(new) == len(keys) else windows[list(new.values())]
+            fresh = dict(zip(new, self.scores(rows, per_row=True).tolist()))
+            found = [fresh[key] if score is None else score for key, score in zip(keys, found)]
+            room = SCORE_MEMO_CAPACITY - len(memo)
+            if len(fresh) > room:
+                memo.clear()
+                room = SCORE_MEMO_CAPACITY
+            memo.update(itertools.islice(fresh.items(), room))
+        if self._memo_hits is not None:
+            self._memo_hits.value += len(keys) - len(new)
+            self._memo_misses.value += len(new)
+            self._memo_size.set(len(memo))
+        return np.array(found)
 
     def _scores(self, windows: np.ndarray, per_row: bool) -> np.ndarray:
         if self._kind == "autoencoder":

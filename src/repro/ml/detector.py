@@ -80,6 +80,7 @@ class AnomalyDetector(abc.ABC):
         self._megabatch = None
         self.calibration = None
         self.quantized_threshold: Optional[PercentileThreshold] = None
+        self.quantized_training_scores: Optional[np.ndarray] = None
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Route training/inference error distributions into a registry."""
@@ -105,7 +106,7 @@ class AnomalyDetector(abc.ABC):
     def _fit_quantized_tier(self, windows: np.ndarray) -> None:
         """Calibration + quantized-threshold pass after a fit (if attached)."""
         self.calibration = None
-        self.quantized_threshold = None
+        self.quantized_threshold = self.quantized_training_scores = None
         if self._megabatch is None or not self._megabatch.quantized:
             return
         from repro.megabatch.quantized import calibrate_windows
@@ -115,6 +116,16 @@ class AnomalyDetector(abc.ABC):
 
     def _fit_quantized_threshold(self, windows: np.ndarray) -> None:
         """Detector-specific quantized threshold fit (no-op by default)."""
+
+    def _set_quantized_operating_point(self, quantized_scores: np.ndarray) -> None:
+        """Fit the quantized threshold; keep its scores for an A1 re-fit."""
+        self.quantized_training_scores = quantized_scores
+        self.quantized_threshold = PercentileThreshold(percentile=self.threshold.percentile)
+        self.quantized_threshold.fit(quantized_scores)
+
+    def recompile(self) -> None:
+        """Drop the kernel snapshot and its score memo; :meth:`scores` rebuilds."""
+        self._compiled = None
 
     @property
     def compiled(self) -> CompiledModel:
@@ -140,11 +151,11 @@ class AnomalyDetector(abc.ABC):
         """Train on benign windows and fit the percentile threshold."""
         windows = self._check(benign_windows)
         report = self._fit_model(windows, **train_kwargs)
-        self._compiled = None  # weights changed: the kernel snapshot is stale
+        self.recompile()  # weights changed: the kernel snapshot is stale
         self.training_scores = self.scores(windows)
         # That snapshot's buffers are sized for the whole training set;
         # live scoring rebuilds one sized for its own batches.
-        self._compiled = None
+        self.recompile()
         self.threshold.fit(self.training_scores)
         self._fit_quantized_tier(windows)
         if self.metrics is not None:
@@ -171,13 +182,20 @@ class AnomalyDetector(abc.ABC):
 
         ``per_row=True`` is the live path's row-exact batch mode: in
         float64, ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]``
-        bit for bit at any batch height (see :mod:`repro.ml.compiled`). The
-        default scores the batch through full-height GEMMs — what training
-        thresholds and the offline tables are computed with.
+        bit for bit at any batch height (see :mod:`repro.ml.compiled`) — a
+        function of row ``i``'s bytes alone, so the snapshot's bounded memo
+        answers rows it has scored before and only the rest reach the
+        kernels. The default scores the batch through full-height GEMMs (no
+        memo, like float32) — what training thresholds and the offline
+        tables are computed with.
         """
         # The kernels convert into their own dtype buffers, so only the
         # shape is checked here (no float64 up-conversion).
-        return self.compiled.scores(self._check(windows, dtype=None), per_row)
+        compiled = self.compiled
+        windows = self._check(windows, dtype=None)
+        if per_row and compiled.dtype == "float64" and len(windows):
+            return compiled.memo_scores(windows)
+        return compiled.scores(windows, per_row)
 
     def reference_scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
         """:meth:`scores` by walking the model's layer objects in float64 —
@@ -331,14 +349,14 @@ class LstmDetector(AnomalyDetector):
         session-context scores (keeps train/serve scoring identical)."""
         windows = self._check(windowed.windows)
         report = self._fit_model(windows, **train_kwargs)
-        self._compiled = None  # weights changed: the kernel snapshot is stale
+        self.recompile()  # weights changed: the kernel snapshot is stale
         self.training_scores = self.session_window_scores(windowed)
         self.threshold.fit(self.training_scores)
         # Quantized tier: calibrate, then fit its threshold on quantized
         # *session-context* scores — same scoring semantics the threshold
         # above uses in float64.
         self.calibration = None
-        self.quantized_threshold = None
+        self.quantized_threshold = self.quantized_training_scores = None
         if self._megabatch is not None and self._megabatch.quantized:
             from repro.megabatch.quantized import (
                 QuantizedLstmEngine,
@@ -347,10 +365,7 @@ class LstmDetector(AnomalyDetector):
 
             self.calibration = calibrate_windows(windows)
             engine = QuantizedLstmEngine(self, self.calibration)
-            self.quantized_threshold = PercentileThreshold(
-                percentile=self.threshold.percentile
-            )
-            self.quantized_threshold.fit(engine.session_window_scores(windowed))
+            self._set_quantized_operating_point(engine.session_window_scores(windowed))
         return report
 
     def _fit_quantized_threshold(self, windows: np.ndarray) -> None:
@@ -364,8 +379,4 @@ class LstmDetector(AnomalyDetector):
         from repro.megabatch.quantized import QuantizedLstmEngine
 
         engine = QuantizedLstmEngine(self, self.calibration)
-        quantized_scores = engine.window_scores(windows, self.window)
-        self.quantized_threshold = PercentileThreshold(
-            percentile=self.threshold.percentile
-        )
-        self.quantized_threshold.fit(quantized_scores)
+        self._set_quantized_operating_point(engine.window_scores(windows, self.window))

@@ -276,7 +276,11 @@ def _single_row_calls(score_fn, matrix):
 
 class TestRowExactKernels:
     """``scores(m, per_row=True)[i]`` is ``scores(m[i:i+1])[0]``, bit for bit,
-    at any batch height — never relaxed to a tolerance in float64."""
+    at any batch height — never relaxed to a tolerance in float64.
+
+    The row-exact calls go to ``detector.compiled.scores``: the kernels, below
+    the score memo ``detector.scores(m, per_row=True)`` answers repeated rows
+    from (tests/test_score_memo.py holds the memo to these same bytes)."""
 
     @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
     @given(
@@ -288,7 +292,8 @@ class TestRowExactKernels:
     def test_bytes_equal_single_row_calls_and_reference(self, kind, n, shape, seed):
         detector = _row_detector(kind)
         matrix = _row_batch(n, shape, seed)
-        got = detector.scores(matrix, per_row=True)
+        kernel = detector.compiled.scores
+        got = kernel(matrix, per_row=True)
         assert got.dtype == np.float64 and got.shape == (n,)
         singles = _single_row_calls(detector.scores, matrix)
         reference = _single_row_calls(detector.reference_scores, matrix)
@@ -297,7 +302,7 @@ class TestRowExactKernels:
         assert detector.reference_scores(matrix, per_row=True).tobytes() == got.tobytes()
         # A row's score does not depend on its neighbours or its position.
         order = np.random.default_rng(seed).permutation(n)
-        permuted = detector.scores(matrix[order], per_row=True)
+        permuted = kernel(matrix[order], per_row=True)
         assert permuted.tobytes() == got[order].tobytes()
 
     @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
@@ -306,7 +311,7 @@ class TestRowExactKernels:
         for seed, shape in enumerate(["one-hot", "dense", "zero-padded"]):
             row = _row_batch(1, shape, seed)
             assert (
-                detector.scores(row, per_row=True).tobytes()
+                detector.compiled.scores(row, per_row=True).tobytes()
                 == detector.scores(row, per_row=False).tobytes()
             )
 
@@ -319,7 +324,7 @@ class TestRowExactKernels:
         for seed in range(40):
             matrix = _row_batch(12, "dense", seed)
             gemm = detector.scores(matrix)
-            rows = detector.scores(matrix, per_row=True)
+            rows = detector.compiled.scores(matrix, per_row=True)
             assert np.allclose(gemm, rows, rtol=1e-9, atol=0.0)
             drifted += gemm.tobytes() != rows.tobytes()
         if not drifted:
@@ -342,7 +347,7 @@ class TestRowExactKernels:
         oracle = copy.deepcopy(detector)  # its buffers only ever see one row
         for seed, n in enumerate([3, 40, 2, 17, 1]):
             matrix = _row_batch(n, "zero-padded" if seed % 2 else "one-hot", seed)
-            got = detector.scores(matrix, per_row=True)
+            got = detector.compiled.scores(matrix, per_row=True)
             assert got.tobytes() == _single_row_calls(oracle.scores, matrix).tobytes()
 
 

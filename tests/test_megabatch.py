@@ -503,8 +503,12 @@ def run_live(
     until=20.0,
     net_kwargs=None,
     reference_scorer=False,
+    deploy_copy=True,
+    fleet=None,
 ):
-    """One live pipeline run with a pre-trained detector copy deployed.
+    """One live pipeline run with a pre-trained detector copy deployed
+    (``deploy_copy=False``: the object itself, as the e2e harness redeploys
+    one detector pass after pass).
 
     ``reference_scorer`` swaps every ``scores()`` call for the layer-walking
     ``reference_scores()`` — the reference the fused kernels must equal.
@@ -512,7 +516,10 @@ def run_live(
     if reference_scorer:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
-            return run_live(detector, megabatch, hotpath, attack, seed, until, net_kwargs)
+            return run_live(
+                detector, megabatch, hotpath, attack, seed, until, net_kwargs,
+                deploy_copy=deploy_copy, fleet=fleet,
+            )  # fmt: skip
     config = XsecConfig(
         detector=detector.name,
         train_epochs=6,
@@ -520,10 +527,12 @@ def run_live(
         megabatch=megabatch or MegabatchSettings(),
     )
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
-    xsec.deploy_detector(copy.deepcopy(detector))
+    xsec.deploy_detector(copy.deepcopy(detector) if deploy_copy else detector)
     for profile in ("pixel5", "oai_ue"):
         ue = xsec.net.add_ue(profile)
         xsec.net.sim.schedule(0.5, ue.start_session)
+    if fleet is not None:  # a ColosseumScenario: UEs that come back, session after session
+        run_scenario(xsec.net, fleet, run=False)
     if attack is not None:
         attack(xsec.net).arm()
     xsec.run(until=until)
@@ -601,18 +610,63 @@ class TestMegabatchScenarioEquality:
         assert event_tuples(default) == event_tuples(seed_run)
         assert default.net.sim.events_processed == seed_run.net.sim.events_processed
         # Batched for real: at most one kernel call per indication and per
-        # matured short session, every window through the kernels.
-        calls, windows, indications = (
+        # matured short session; every window either goes through the
+        # kernels or repeats, byte for byte, one this deployment has scored.
+        calls, windows, memo_hits, indications = (
             counter_total(default, name)
             for name in (
                 "ml.compiled_calls_total",
                 "ml.compiled_windows_total",
+                "ml.score_memo_hits_total",
                 "e2agent.indications_total",
             )
         )
-        assert windows == default.mobiwatch.windows_scored
+        assert windows + memo_hits == default.mobiwatch.windows_scored
+        assert windows == counter_total(default, "ml.score_memo_misses_total")
         assert calls <= indications + len(matured)
-        assert calls < windows
+        assert calls < default.mobiwatch.windows_scored
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
+    )
+    def test_score_memo_answers_repeats_without_moving_an_alarm(self, trained_lstm, scenario):
+        """UEs that come back session after session repeat windows byte for
+        byte; those scores come from the memo and the stream stays the
+        reference's."""
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        run = dict(
+            attack=factory,
+            net_kwargs=net_kwargs,
+            fleet=ColosseumScenario(ue_mix=(("pixel5", 2), ("oai_ue", 2)), mean_think_time_s=2.0),
+        )
+        seed_run = run_live(trained_lstm, reference_scorer=True, **run)
+        default = run_live(trained_lstm, **run)
+        assert event_tuples(default) == event_tuples(seed_run) != []
+        assert default.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
+        hits = counter_total(default, "ml.score_memo_hits_total")
+        kernel_windows = counter_total(default, "ml.compiled_windows_total")
+        assert hits > 0 and hits + kernel_windows == default.mobiwatch.windows_scored
+
+    def test_each_deployment_starts_cold_and_counts_identically(self, trained_lstm):
+        """One detector object deployed twice over the same traffic: the
+        second deployment inherits nothing of the first's score memo."""
+        factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
+        detector = copy.deepcopy(trained_lstm)
+        names = (
+            "ml.score_memo_hits_total",
+            "ml.score_memo_misses_total",
+            "ml.score_memo_size",
+            "ml.compiled_calls_total",
+            "ml.compiled_windows_total",
+        )
+        passes = []
+        for _ in range(2):
+            xsec = run_live(detector, attack=factory, net_kwargs=net_kwargs, deploy_copy=False)
+            passes.append(([counter_total(xsec, name) for name in names], event_tuples(xsec)))
+            assert xsec.mobiwatch.detector is detector
+        assert passes[0] == passes[1]
+        hits, misses, size, _, kernel_windows = passes[0][0]
+        assert hits > 0 and misses == size == kernel_windows
 
     def test_megabatch_f32_no_threshold_flips(self, trained_lstm):
         factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
@@ -732,6 +786,24 @@ class TestQuantizedLive:
         # Eviction bounded the carried state to the still-live sessions.
         engine = xsec.mobiwatch._quantized
         assert engine.sessions == len(xsec.mobiwatch._session_records)
+
+    def test_a1_threshold_policy_moves_the_quantized_operating_point(self, quantized_lstm):
+        """The quantized tier alarms on ``quantized_threshold``: a percentile
+        policy that re-fits only the float64 threshold changes no alarm."""
+        detector = copy.deepcopy(quantized_lstm)
+        config = XsecConfig(detector="lstm", megabatch=MegabatchSettings(quantized=True))
+        xsec = SixGXSec(config, network_config=NetworkConfig(seed=77))
+        xsec.deploy_detector(detector)
+        watch = xsec.mobiwatch
+        assert watch._quantized is not None
+        before = watch._quantized_operating_threshold()
+        float64_before = detector.threshold.threshold
+        watch.on_policy(20008, {"threshold_percentile": 50.0, "window_size": 6})
+        after = watch._quantized_operating_threshold()
+        assert after < before
+        assert after == float(np.percentile(detector.quantized_training_scores, 50.0))
+        assert detector.threshold.threshold < float64_before
+        assert detector.quantized_threshold.percentile == detector.threshold.percentile == 50.0
 
 
 # ---------------------------------------------------------------------------
