@@ -2,9 +2,9 @@
 
 Measures one simulated RIC tick over >= 1k concurrent sessions:
 
-- pooled per-session scoring (the repo's fleet configuration: 4 workers,
-  64-window flush batches) vs one gathered matrix per tick through the
-  compiled float32 kernels (floor: >= 2.5x windows/s on one BLAS thread);
+- the exact float64 tick the deployment ships (one gathered matrix, one
+  row-exact call) vs the same matrix through the compiled float32 kernels
+  (floor: >= 2.5x windows/s on one BLAS thread);
 - the int8/float16 quantized LSTM tier vs the float32 compiled tier
   (floor: >= 1.5x).
 

@@ -14,9 +14,6 @@ Gives operators the paper's workflow without writing code:
 - ``obs``      — run the live testbed and dump the observability artifacts:
   the per-stage closed-loop latency breakdown (capture -> indication -> SDL
   -> detection -> verdict -> action) and the metrics registry;
-- ``scale-bench`` — sweep SDL shard / inference-worker counts and report
-  the max sustained telemetry rate inside the near-RT budget
-  (see docs/SCALING.md);
 - ``hotpath-bench`` — measure the inference hot path (incremental LSTM
   scoring, compiled kernels, wire codec), verify the equality contracts,
   and gate against the committed ``BENCH_hotpath.json`` baseline
@@ -230,32 +227,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"metrics JSONL -> {args.jsonl}")
     detection_max = latency["detection_s"].get("max")
     return 0 if detection_max is not None and detection_max < 1.0 else 3
-
-
-def _cmd_scale_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.scale.bench import ScaleBenchConfig, run_scale_bench, smoke_config
-
-    config = smoke_config() if args.smoke else ScaleBenchConfig()
-    if args.shards:
-        config.shards = tuple(args.shards)
-    if args.duration is not None:
-        config.duration_s = args.duration
-    result = run_scale_bench(config)
-    print(result.render())
-    print(
-        f"\nspeedup {config.shards[0]} -> {config.shards[-1]} shards: "
-        f"{result.speedup():.2f}x (bench wall {result.workload_wall_s:.1f}s)"
-    )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"scale-bench snapshot -> {args.json}")
-    violations = result.check()
-    for violation in violations:
-        print(f"FAIL: {violation}", file=sys.stderr)
-    return 0 if not violations else 3
 
 
 def _cmd_hotpath_bench(args: argparse.Namespace) -> int:
@@ -704,23 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.set_defaults(func=_cmd_obs)
 
-    scale_bench = commands.add_parser(
-        "scale-bench",
-        help="sweep SDL shard / inference worker counts, report the max "
-        "sustained telemetry rate inside the 1s near-RT budget",
-    )
-    scale_bench.add_argument(
-        "--shards", type=int, nargs="+", help="shard counts to sweep (default 1 2 4 8)"
-    )
-    scale_bench.add_argument(
-        "--duration", type=float, help="simulated seconds of traffic per trial"
-    )
-    scale_bench.add_argument(
-        "--smoke", action="store_true", help="small CI sweep (1/2/4 shards, 1s trials)"
-    )
-    scale_bench.add_argument("--json", help="write the machine-readable result here")
-    scale_bench.set_defaults(func=_cmd_scale_bench)
-
     hotpath_bench = commands.add_parser(
         "hotpath-bench",
         help="measure per-record scoring latency, compiled kernel throughput "
@@ -763,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     megabatch_bench = commands.add_parser(
         "megabatch-bench",
-        help="measure one-GEMM-per-tick scoring vs the pooled per-session "
-        "path at >= 1k sessions, plus the int8 quantized LSTM tier; verify "
+        help="measure the float32 one-GEMM tick and the int8 quantized LSTM "
+        "tier against the exact float64 tick at >= 1k sessions; verify "
         "equality contracts; gate vs BENCH_megabatch.json",
     )
     megabatch_bench.add_argument(
@@ -844,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime.add_argument(
         "--backend",
-        choices=("process", "inproc", "sim"),
+        choices=("process", "inproc"),
         default="process",
         help="scheduler backend for `soak` (default: process)",
     )

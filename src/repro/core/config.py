@@ -54,9 +54,9 @@ class XsecConfig:
     rate_limit_max_setups: int = 3
     rate_limit_window_s: float = 1.0
 
-    # Horizontal scaling (repro.scale): sharded SDL, ingest batching,
-    # batched inference pool. Defaults preserve the seed's single-node
-    # behaviour bit-for-bit (see docs/SCALING.md).
+    # Horizontal scaling (repro.scale): sharded SDL, ingest batching.
+    # Defaults preserve the seed's single-node behaviour bit-for-bit
+    # (see docs/SCALING.md).
     scale: ScaleSettings = field(default_factory=ScaleSettings)
 
     # Inference hot path (repro.hotpath): incremental per-session LSTM

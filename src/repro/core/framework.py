@@ -104,10 +104,6 @@ class SixGXSec:
                 sdl = self.ric.sdl
                 if hasattr(sdl, "shard_names"):
                     self.slo.scoreboard.watch_sharded_sdl(sdl)
-                if self.mobiwatch.pool is not None:
-                    self.slo.scoreboard.watch_pool(
-                        self.mobiwatch.pool, name=self.mobiwatch.name
-                    )
         self._started = False
 
     @property
@@ -154,7 +150,7 @@ class SixGXSec:
     def deploy_detector(self, detector: AnomalyDetector) -> None:
         """Deploy an externally trained detector directly."""
         self.mobiwatch.deploy_detector(detector)
-        # The process scoring pool only exists after deployment (workers
+        # The scoring worker processes only exist after deployment (they
         # load the trained weights), so the scoreboard attaches here. The
         # probes are keyed by worker name; re-deploys overwrite in place.
         if (
@@ -162,7 +158,9 @@ class SixGXSec:
             and self.slo.scoreboard is not None
             and self.mobiwatch.pool is not None
         ):
-            self.slo.scoreboard.watch_pool(self.mobiwatch.pool, name=self.mobiwatch.name)
+            self.slo.scoreboard.watch_supervisor(
+                self.mobiwatch.pool.supervisor, name=self.mobiwatch.name
+            )
 
     # -- execution ---------------------------------------------------------------------
 
@@ -185,9 +183,8 @@ class SixGXSec:
         is a no-op there; with ``runtime.score_in_processes`` it drains
         and stops the scoring worker processes.
         """
-        pool = self.mobiwatch.pool
-        if pool is not None and not pool.closed:
-            pool.close()
+        if self.mobiwatch.pool is not None:
+            self.mobiwatch.pool.close()
 
     def __enter__(self) -> "SixGXSec":
         return self

@@ -37,7 +37,6 @@ from repro.oran.e2sm_kpm import (
     MobiFlowReportStyle,
 )
 from repro.oran.xapp import XApp
-from repro.scale.pool import InferencePool
 from repro.scale.sharded_sdl import ShardedSdl
 from repro.sim.engine import Event
 from repro.slo import profiler as _profiler
@@ -115,7 +114,8 @@ class MobiWatchXApp(XApp):
             help="record capture -> xApp ingest (report batching + E2 + RMR)",
         )
         self._inference_wall = metrics.histogram(
-            "mobiwatch.inference_wall_s", help="detector scoring wall-clock cost"
+            "mobiwatch.inference_wall_s",
+            help="scoring wall-clock cost, one observation per tick on every strategy",
         )
         self._score_hist = metrics.histogram(
             "mobiwatch.window_score",
@@ -131,13 +131,13 @@ class MobiWatchXApp(XApp):
         # incremental scorer's replay history).
         self._arena = SessionWindowArena(self.config.spec.dim, self.config.window)
         self._window = self.config.window
-        # Scoring strategy, bound once by deploy_detector (see there):
-        # what a featurized row feeds, how a tick's touched sessions are
-        # scored, how one session is scored out of tick (matured / released
-        # short sessions). Until a model is deployed rows only accumulate.
+        # Scoring strategy, bound once by deploy_detector (see there): what
+        # a featurized row feeds, where a batch of sessions' scores comes
+        # from, and the operating threshold those scores are held to. Until
+        # a model is deployed rows only accumulate.
         self._ingest_row = self._arena.append
-        self._tick = None
-        self._score_one = None
+        self._batch_scores = None
+        self._operating_threshold = self._threshold
         self._incremental: Optional[IncrementalLstmScorer] = None
         self._quantized: Optional[QuantizedLstmEngine] = None
         # The tick batch: reusable [n_sessions, window * dim] gather matrix.
@@ -155,20 +155,11 @@ class MobiWatchXApp(XApp):
                 "mobiwatch.sessions_evicted_total",
                 help="sessions whose per-session state was dropped",
             )
-        # repro.scale: UE-sharded SDL placement + batched inference pool.
-        # Both default off, keeping the inline tick gather.
+        # repro.scale: UE-sharded SDL placement (default off).
         self._sharded_sdl = isinstance(self.sdl, ShardedSdl)
-        self.pool: Optional[InferencePool] = None
-        if self.config.scale.pooling_enabled:
-            self.pool = InferencePool(
-                lambda matrix: self.detector.scores(matrix),
-                workers=self.config.scale.pool_workers,
-                batch_windows=self.config.scale.pool_batch_windows,
-                service_time_per_window_s=self.config.scale.pool_service_time_s,
-                metrics=metrics,
-                clock=lambda: self.sim.now,
-                name=self.name,
-            )
+        # repro.runtime: the scoring worker processes, spawned by
+        # deploy_detector when they are the bound score provider.
+        self.pool = None
         # repro.slo: provenance minting + liveness heartbeat. Both gated on
         # slo.enabled so the disabled path creates no new metric series.
         self.provenance: Optional[ProvenanceStore] = None
@@ -246,25 +237,28 @@ class MobiWatchXApp(XApp):
         if carried is not None:
             for session_id in self._arena.session_ids():
                 carried.warm_up(session_id, self._arena.session_rows(session_id))
-        # repro.runtime: window scoring in supervised OS worker processes.
-        # Spawned at deploy time (the workers need the trained weights) and
-        # plugged into the same self.pool slot: _submit_pooled, _flush_pool's
-        # call sites, and the health scoreboard all apply unchanged. The
-        # workers make one row-exact call per batch and the blocking flush
-        # is invisible to sim time (see docs/RUNTIME.md), so scores stay
+        # repro.runtime: the tick's gather scored in supervised OS worker
+        # processes. Spawned at deploy time (the workers need the trained
+        # weights) and only when nothing above took precedence. The workers
+        # make one row-exact call per batch and the blocking call is
+        # invisible to sim time (see docs/RUNTIME.md), so scores stay
         # bit-identical to the inline path.
-        if self.config.runtime.score_in_processes:
-            from repro.runtime.bridge import ProcessScoringPool
+        runtime = self.config.runtime
+        if self.pool is not None:
+            self.pool.close()  # re-deploy: workers need the new weights
+            self.pool = None
+        if runtime.score_in_processes:
+            if carried is not None:
+                winner = (
+                    "megabatch.quantized" if carried is self._quantized else "hotpath.incremental"
+                )
+                self.log(f"runtime.score_in_processes ignored: {winner} takes precedence")
+            else:
+                from repro.runtime.bridge import ProcessScoringPool
 
-            if isinstance(self.pool, ProcessScoringPool):
-                self.pool.close()  # re-deploy: workers need the new weights
-            self.pool = ProcessScoringPool(
-                detector,
-                self.config.runtime,
-                metrics=metrics,
-                clock=lambda: self.sim.now,
-                name=self.name,
-            )
+                self.pool = ProcessScoringPool(
+                    detector, runtime, metrics=metrics, name=self.name
+                )
         # Bind the scoring strategy once; nothing below deploy re-tests a
         # flag per record or per window. Provenance names the runtime that
         # produced each score, since the behaviour tiers carry documented
@@ -272,20 +266,21 @@ class MobiWatchXApp(XApp):
         append = self._arena.append
         parts = ["compiled-float32"] if hotpath.dtype == "float32" else []
         if self._quantized is not None:
-            strategy = (self._ingest_quantized, self._tick_quantized, self._score_one_quantized)
+            strategy = (
+                self._ingest_quantized,
+                self._quantized_scores,
+                self._quantized_operating_threshold,
+            )
             parts = [f"quantized-int8-{STATE_DTYPE}"]
         elif self._incremental is not None:
-            strategy = (self._ingest_incremental, self._tick_each, self._score_one_incremental)
+            strategy = (self._ingest_incremental, self._incremental_scores, self._threshold)
             parts = [f"incremental-{hotpath.dtype}"]
         elif self.pool is not None:
-            strategy = (append, self._tick_each, self._submit_pooled)
-            if self.config.runtime.score_in_processes:
-                parts.append(f"process-{self.config.runtime.workers}w")
-            else:
-                parts.append(f"pool-{self.config.scale.pool_workers}w")
+            strategy = (append, self._process_scores, self._threshold)
+            parts.append(f"process-{runtime.workers}w")
         else:
-            strategy = (append, self._tick_gathered, self._score_one_gathered)
-        self._ingest_row, self._tick, self._score_one = strategy
+            strategy = (append, self._gathered_scores, self._threshold)
+        self._ingest_row, self._batch_scores, self._operating_threshold = strategy
         self._scoring_path = "+".join(parts) or "seed"
         self.log(
             "detector deployed",
@@ -409,12 +404,10 @@ class MobiWatchXApp(XApp):
                     SDL_TELEMETRY_NS,
                     [(f"{index:09d}", value) for index, _, value in pending_writes],
                 )
-        if self._tick is not None:
+        if self._batch_scores is not None:
             self._tick(list(touched))
-        self._flush_pool()
         if released:
             self._evict_released(released)
-            self._flush_pool()
 
     # -- scoring ------------------------------------------------------------------------
 
@@ -447,15 +440,13 @@ class MobiWatchXApp(XApp):
         if len(indices) != count:
             return  # progressed since the check was armed
         self._score_one(session_id)
-        self._flush_pool()
 
-    # -- the inline path: one row-exact detector call per tick -------------------------
+    # -- one tick walker; a strategy is only where its scores come from ----------------
 
-    def _tick_gathered(self, session_ids: list) -> None:
-        self._tick_batched(session_ids, self._gathered_scores, self._threshold())
-
-    def _score_one_gathered(self, session_id: int) -> None:
-        self._score_batch_of_one(session_id, self._gathered_scores, self._threshold())
+    def _tick(self, session_ids: list) -> None:
+        if self._tick_rows:  # only the quantized tier's ingest fills it
+            self._advance_quantized()
+        self._tick_batched(session_ids, self._batch_scores, self._operating_threshold())
 
     def _tick_batched(self, session_ids: list, batch_scores, threshold: float) -> None:
         """Score every touched session that holds a full window in one call.
@@ -480,9 +471,10 @@ class MobiWatchXApp(XApp):
                     session_id, len(indices), indices[-window:], score, now, threshold
                 )
 
-    def _score_batch_of_one(self, session_id: int, batch_scores, threshold: float) -> None:
+    def _score_one(self, session_id: int) -> None:
         """A matured (or released) short session is the batch of one."""
-        (score,) = batch_scores([session_id])
+        threshold = self._operating_threshold()
+        (score,) = self._batch_scores([session_id])
         if score > threshold:
             indices = self._session_records[session_id]
             self._maybe_alert(
@@ -492,19 +484,19 @@ class MobiWatchXApp(XApp):
     def _threshold(self) -> float:
         return self.detector.threshold.threshold or 0.0
 
-    def _gathered_scores(self, ready: list) -> list:
-        """Gather the sessions' last windows; score them in one kernel call.
+    def _count_scores(self, scores: list) -> None:
+        self.windows_scored += len(scores)
+        self._windows_counter.inc(len(scores))
+        self._score_hist.observe_many(scores)
 
-        Each arena window view is copied into one reusable
-        ``[n_sessions, window * dim]`` matrix and handed to
-        ``detector.scores(matrix, per_row=True)``: in float64 every row's
-        score is bit-identical to its own ``[1, window * dim]`` call at any
-        batch height (the row-exact kernel mode of :mod:`repro.ml.compiled`,
-        enforced per attack scenario by tests/test_megabatch.py), so rows
-        this deployment has scored before, byte for byte, come from the
-        snapshot's score memo and only the rest reach the kernels; the
-        float32 tier runs the matrix through one fused GEMM per tick under
-        the hotpath tolerance.
+    # -- score providers: inline gather (the default), worker processes ----------------
+
+    def _gather(self, ready: list) -> np.ndarray:
+        """The sessions' last windows, one flattened row each.
+
+        Each arena window view (zero-padded on the left for a short
+        session) is copied into one reusable ``[n_sessions, window * dim]``
+        matrix.
         """
         n = len(ready)
         buf = self._gather_buf
@@ -516,66 +508,50 @@ class MobiWatchXApp(XApp):
         window_rows = self._arena.window_rows
         for row, session_id in enumerate(ready):
             matrix[row] = window_rows(session_id).reshape(-1)
+        return matrix
+
+    def _gathered_scores(self, ready: list) -> list:
+        """Gather the sessions' last windows; score them in one kernel call.
+
+        The gather matrix is handed to
+        ``detector.scores(matrix, per_row=True)``: in float64 every row's
+        score is bit-identical to its own ``[1, window * dim]`` call at any
+        batch height (the row-exact kernel mode of :mod:`repro.ml.compiled`,
+        enforced per attack scenario by tests/test_megabatch.py), so rows
+        this deployment has scored before, byte for byte, come from the
+        snapshot's score memo and only the rest reach the kernels; the
+        float32 tier runs the matrix through one fused GEMM per tick under
+        the hotpath tolerance.
+        """
+        matrix = self._gather(ready)
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
             scores = self.detector.scores(matrix, per_row=True).tolist()
         self._count_scores(scores)
         return scores
 
-    def _count_scores(self, scores: list) -> None:
-        self.windows_scored += len(scores)
-        self._windows_counter.inc(len(scores))
-        self._score_hist.observe_many(scores)
+    def _process_scores(self, ready: list) -> list:
+        # The same gather, scored by the workers' own row-exact call.
+        matrix = self._gather(ready)
+        with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
+            scores = self.pool.scores(ready, matrix)
+        self._count_scores(scores)
+        return scores
 
-    # -- per-window strategies: incremental state, inference pool ----------------------
-
-    def _tick_each(self, session_ids: list) -> None:
-        window = self._window
-        for session_id in session_ids:
-            count = len(self._session_records[session_id])
-            if count < window:
-                self._schedule_maturity(session_id, count)
-            else:
-                self._score_one(session_id)
+    # -- incremental tier (repro.hotpath): carried LSTM state --------------------------
 
     def _ingest_incremental(self, session_id: int, row: np.ndarray) -> None:
         self._arena.append(session_id, row)
         self._incremental.push(session_id, row)
 
-    def _score_one_incremental(self, session_id: int) -> None:
+    def _incremental_scores(self, ready: list) -> list:
         # O(1) carried-state scoring: one fused LSTM step was already paid
-        # at ingest; the score is a max over stored per-record errors.
+        # at ingest; a score is a max over stored per-record errors.
+        window_score = self._incremental.window_score
+        session_rows = self._arena.session_rows
         with WallTimer(self._inference_wall):
-            score = self._incremental.window_score(
-                session_id, rows=self._arena.session_rows(session_id)
-            )
-        indices = self._session_records[session_id]
-        self._handle_score(session_id, len(indices), indices[-self._window :], score, self.now)
-
-    def _submit_pooled(self, session_id: int) -> None:
-        # The arena's zero pad prefix makes the padded-or-full last window
-        # a single contiguous view: no stack, no pad allocation.
-        indices = self._session_records[session_id]
-        record_count = len(indices)
-        chosen = indices[-self._window :]
-        self.pool.submit(
-            session_id,
-            self._arena.window_rows(session_id).reshape(-1),
-            lambda score, done_at: self._handle_score(
-                session_id, record_count, chosen, score, done_at
-            ),
-        )
-
-    def _handle_score(
-        self, session_id: int, record_count: int, chosen: list, score: float, detected_at: float
-    ) -> None:
-        """Count, threshold and alert on one score (possibly delivered later
-        than the window was cut: the pool's callbacks carry their evidence)."""
-        self.windows_scored += 1
-        self._windows_counter.inc()
-        self._score_hist.observe(score)
-        threshold = self._threshold()
-        if score > threshold:
-            self._maybe_alert(session_id, record_count, chosen, score, detected_at, threshold)
+            scores = [window_score(s, rows=session_rows(s)) for s in ready]
+        self._count_scores(scores)
+        return scores
 
     # -- quantized tier (repro.megabatch): carried int8 state ---------------------------
 
@@ -583,8 +559,8 @@ class MobiWatchXApp(XApp):
         self._arena.append(session_id, row)
         self._tick_rows.append((session_id, row))
 
-    def _tick_quantized(self, session_ids: list) -> None:
-        """Advance carried quantized state, then score the tick's batch.
+    def _advance_quantized(self) -> None:
+        """Advance carried quantized state by the tick's records.
 
         One fused batched step per wave: wave k holds each session's k-th
         record of the tick, so session ids are unique within a wave (one
@@ -603,18 +579,10 @@ class MobiWatchXApp(XApp):
             wave_index[session_id] = wave + 1
         for wave_sessions, rows in waves:
             self._quantized.megastep(wave_sessions, np.asarray(rows, dtype=np.float32))
-        self._tick_batched(
-            session_ids, self._quantized_scores, self._quantized_operating_threshold()
-        )
-
-    def _score_one_quantized(self, session_id: int) -> None:
-        self._score_batch_of_one(
-            session_id, self._quantized_scores, self._quantized_operating_threshold()
-        )
 
     def _quantized_scores(self, ready: list) -> list:
-        # The fused batched steps already ran at ingest; a score is the
-        # session's error-ring max.
+        # The fused batched steps already ran (_advance_quantized); a score
+        # is the session's error-ring max.
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
             scores = self._quantized.window_scores_for(ready).tolist()
         self._count_scores(scores)
@@ -641,7 +609,7 @@ class MobiWatchXApp(XApp):
                 pending.cancel()
                 # The release completes the session: score its final short
                 # window now instead of waiting out the maturity timer.
-                if self._session_records.get(session_id) and self._score_one is not None:
+                if self._session_records.get(session_id) and self._batch_scores is not None:
                     self._score_one(session_id)
             self._evict_session(session_id)
 
@@ -687,10 +655,6 @@ class MobiWatchXApp(XApp):
         """Register an observer for session evictions (called with the
         session id after every successful :meth:`_evict_session`)."""
         self._evict_callbacks.append(callback)
-
-    def _flush_pool(self) -> None:
-        if self.pool is not None and self.pool.pending:
-            self.pool.flush()
 
     def _maybe_alert(
         self,

@@ -192,7 +192,7 @@ class ClosedLoopPipeline:
         }
 
     def scale_report(self) -> dict:
-        """Horizontal-scaling health: shards, ingest batcher, inference pool.
+        """Horizontal-scaling health: shards, ingest batcher, scoring workers.
 
         Empty sections mean the corresponding repro.scale feature is off
         (the seed's single-node path).
@@ -204,13 +204,12 @@ class ClosedLoopPipeline:
         batcher = getattr(self.mobiwatch.ric.e2term, "ingest_batcher", None)
         if batcher is not None:
             report["ingest"] = batcher.stats()
-        if self.mobiwatch.pool is not None:
-            report["pool"] = self.mobiwatch.pool.stats()
-        supervisor = getattr(self.mobiwatch.pool, "supervisor", None)
-        if supervisor is not None:
-            # repro.runtime: per-process liveness and restart counts for
-            # the supervised scoring workers.
-            report["runtime"] = supervisor.health()
+        pool = self.mobiwatch.pool
+        if pool is not None:
+            # repro.runtime: the scoring worker processes' batch counts,
+            # per-process liveness and restart counts.
+            report["pool"] = pool.stats()
+            report["runtime"] = pool.supervisor.health()
         llmfast = self.config.llmfast
         if llmfast.fast_submit_enabled:
             # repro.llmfast: the verdict-plane ledger (the invariant

@@ -4,30 +4,24 @@ One simulated RIC tick touches every one of ``sessions`` concurrent UEs;
 the measured quantity is the **scoring phase** of that tick (the part the
 megabatch restructuring changes), in sessions scored per second:
 
-- **pooled** — the baseline ``repro.scale`` path at its fleet
-  configuration (the scale bench's 4 session-sharded workers, 64-window
-  flush batches): one ``pool.submit`` per session and per-window
-  callbacks running the seed's score handling (histogram observe,
-  counter bump, threshold compare) on the float64 reference scorer;
-- **megabatch float64** — gather every session's arena window view into
-  one ``[n, window*dim]`` matrix and score it with one row-exact kernel
-  call, ``scores(matrix, per_row=True)`` — MobiWatch's inline path (a
-  stack of the single-window GEMVs, so this is the bit-identical tier —
+- **exact** — the baseline, and the path the deployment ships: gather
+  every session's arena window view into one ``[n, window*dim]`` matrix
+  and score it with one row-exact float64 kernel call,
+  ``scores(matrix, per_row=True)`` — MobiWatch's inline tick (a stack of
+  the single-window GEMVs, so this is the bit-identical tier —
   re-verified against per-session ``[1, window*dim]`` calls every run);
 - **megabatch float32** — the gathered matrix through one fused
   ``repro.hotpath`` compiled float32 GEMM per tick (the headline tier);
 - **quantized** (LSTM only) — carried int8/float16 state advanced by one
   fused batched step per tick plus the ring-max score read.
 
-Every tier's tick includes its score handling — per-window callbacks on
-the pooled path, one ``observe_many`` + vectorized threshold sweep on the
-megabatch paths — because that Python-per-window bookkeeping is exactly
-what the per-tick restructuring removes.
+Every tier's tick includes its score handling: one ``observe_many`` plus a
+vectorized threshold sweep, as the live tick pays it.
 
 :func:`violations` gates a result against the hard floors (megabatch
-float32 ≥ 2.5x pooled; quantized ≥ 1.5x megabatch float32) and every tier's
-ratio — the float64 one included — against a committed baseline
-(``BENCH_megabatch.json``), so CI fails on regressions.
+float32 ≥ 2.5x exact; quantized ≥ 1.5x megabatch float32) and both
+ratios against a committed baseline (``BENCH_megabatch.json``), so CI
+fails on regressions.
 """
 
 from __future__ import annotations
@@ -42,11 +36,10 @@ import numpy as np
 from repro.ml.arena import SessionWindowArena
 from repro.ml.compiled import compile_detector
 from repro.megabatch.quantized import QuantizedLstmEngine, calibrate_windows
-from repro.scale.pool import InferencePool
 
-# Hard floors from the acceptance gates. On the ONE BLAS thread the bench
-# script pins, the LSTM reads 2.7-3.1x (3.0x needed the GEMM's second core).
-MEGABATCH_SPEEDUP_MIN = 2.5  # megabatch f32 vs pooled per-session, >= 1k sessions
+# Hard floors from the acceptance gates, on the ONE BLAS thread the bench
+# script pins.
+MEGABATCH_SPEEDUP_MIN = 2.5  # megabatch f32 vs the exact f64 tick, >= 1k sessions
 QUANTIZED_SPEEDUP_MIN = 1.5  # quantized tier vs megabatch f32 (LSTM)
 # A fresh run may regress this far below the committed baseline's measured
 # ratio before we call it a regression (shared-runner noise allowance).
@@ -62,10 +55,6 @@ class MegabatchBenchConfig:
     ae_hidden_dim: int = 128
     ae_latent_dim: int = 24
     seed: int = 7
-    # Pool shape of the baseline tier (the scale bench's fleet point:
-    # session-sharded workers, 64-window flush batches).
-    pool_batch_windows: int = 64
-    pool_workers: int = 4
     ticks: int = 6  # timed ticks per measurement
     repeats: int = 3  # best-of repeats for every timing loop
     # Sessions double-checked for f64 batch-vs-single bit-identity.
@@ -100,9 +89,8 @@ class MegabatchBenchResult:
         ]
         for name, t in self.tiers.items():
             lines.append(
-                f"  {name}: pooled {t['pooled_sps']:.0f} s/s -> megabatch f64 "
-                f"{t['megabatch_f64_sps']:.0f} s/s ({t['megabatch_f64_speedup']:.2f}x), "
-                f"f32 {t['megabatch_f32_sps']:.0f} s/s ({t['megabatch_speedup']:.2f}x, "
+                f"  {name}: exact f64 {t['exact_sps']:.0f} s/s -> megabatch f32 "
+                f"{t['megabatch_f32_sps']:.0f} s/s ({t['megabatch_speedup']:.2f}x, "
                 f"floor {MEGABATCH_SPEEDUP_MIN:.1f}x)"
             )
             if "quantized_sps" in t:
@@ -193,43 +181,23 @@ def _bench_detector(
         run()  # warm-up (BLAS thread spin-up, allocator)
         return _best_of(cfg.repeats, run)
 
-    # Both sides run their real per-tick score handling: the pooled path
-    # pays it per window in the callback, the megabatch paths batch it.
+    # Every tier runs the live tick's score handling.
     from repro.obs.metrics import Counter, Histogram
 
     hist = Histogram(buckets=(1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0))
     windows_counter = Counter()
     alert_threshold = 1e9  # handling cost without the (rare) alert path
 
-    def handle(score: float, done_at: float) -> None:
-        windows_counter.inc()
-        hist.observe(score)
-        if score > alert_threshold:
-            raise AssertionError  # pragma: no cover
-
     def handle_batch(scores: np.ndarray) -> None:
         windows_counter.inc(len(scores))
         hist.observe_many(scores)
         np.flatnonzero(scores > alert_threshold)
 
-    # Tier 1: the pooled per-session path (baseline).
-    pool = InferencePool(
-        lambda m: detector.scores(m),
-        workers=cfg.pool_workers,
-        batch_windows=cfg.pool_batch_windows,
-        name=f"bench-{name}",
-    )
-
-    def pooled_tick() -> None:
-        for sid in session_ids:
-            pool.submit(sid, arena.window_rows(sid).reshape(-1), handle)
-        pool.flush()
-
-    # Tier 2: gathered matrix, one row-exact f64 call (the exact mode).
-    def megabatch_f64_tick() -> None:
+    # Baseline: gathered matrix, one row-exact f64 call (the shipped tick).
+    def exact_tick() -> None:
         handle_batch(detector.compiled.scores(gather(), per_row=True))
 
-    # Tier 3: gathered matrix, ONE fused compiled-f32 call per tick.
+    # Tier 1: gathered matrix, ONE fused compiled-f32 call per tick.
     compiled32 = compile_detector(detector, "float32")
     result.equality[f"megabatch_f32_close_{name}"] = bool(
         np.allclose(
@@ -240,18 +208,15 @@ def _bench_detector(
     def megabatch_f32_tick() -> None:
         handle_batch(compiled32.scores(gather()))
 
-    pooled_s = tick_time(pooled_tick)
-    f64_s = tick_time(megabatch_f64_tick)
+    exact_s = tick_time(exact_tick)
     f32_s = tick_time(megabatch_f32_tick)
     tier = {
-        "pooled_sps": cfg.sessions / pooled_s,
-        "megabatch_f64_sps": cfg.sessions / f64_s,
+        "exact_sps": cfg.sessions / exact_s,
         "megabatch_f32_sps": cfg.sessions / f32_s,
-        "megabatch_f64_speedup": pooled_s / f64_s,
-        "megabatch_speedup": pooled_s / f32_s,
+        "megabatch_speedup": exact_s / f32_s,
     }
 
-    # Tier 4 (LSTM only): carried-state quantized step + ring-max read.
+    # Tier 2 (LSTM only): carried-state quantized step + ring-max read.
     if name == "lstm":
         calibration = calibrate_windows(rows.reshape(cfg.sessions, -1))
         engine = QuantizedLstmEngine(detector, calibration, initial_sessions=cfg.sessions)
@@ -294,7 +259,6 @@ def run_bench(
         "window": cfg.window,
         "feature_dim": cfg.feature_dim,
         "ticks": cfg.ticks,
-        "pool_batch_windows": cfg.pool_batch_windows,
     }
     lstm, ae = _make_detectors(cfg)
     _bench_detector(cfg, "lstm", lstm, result)
@@ -323,7 +287,7 @@ def violations(result: MegabatchBenchResult, baseline: Optional[dict] = None) ->
     if baseline:
         paths = []
         for name, tier in result.tiers.items():
-            for ratio in ("megabatch_f64_speedup", "megabatch_speedup", "quantized_speedup"):
+            for ratio in ("megabatch_speedup", "quantized_speedup"):
                 if ratio in tier:
                     paths.append((("tiers", name, ratio), tier[ratio]))
         for path, current in paths:

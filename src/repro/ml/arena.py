@@ -12,8 +12,8 @@ any session is always a single contiguous slice* — no per-score
 
 Appends never mutate previously returned slices (they write one row past
 the last view), and capacity growth reallocates, leaving old views valid
-on the retired buffer — so views handed to a deferred scorer (e.g. the
-inference pool) stay correct.
+on the retired buffer — so a view held across later appends stays
+correct.
 """
 
 from __future__ import annotations

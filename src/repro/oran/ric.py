@@ -43,9 +43,7 @@ class NearRtRic:
                 shards=self.scale.sdl_shards,
                 replication=self.scale.sdl_replication,
                 vnodes=self.scale.sdl_vnodes,
-                service_time_s=self.scale.sdl_service_time_s,
                 metrics=sim.obs.metrics,
-                clock=lambda: sim.now,
             )
         else:
             self.sdl = SharedDataLayer(metrics=sim.obs.metrics)

@@ -2,8 +2,7 @@
 
 Runs the reproduction's components as real OS processes (supervised
 scoring workers, SDL shards, the LLM analyzer) speaking the byte-identical
-TLV wire codec over Unix sockets, with the discrete-event sim engine kept
-available as one scheduler backend among several. See docs/RUNTIME.md.
+TLV wire codec over Unix sockets. See docs/RUNTIME.md.
 """
 
 from repro.runtime.backend import (
@@ -11,7 +10,6 @@ from repro.runtime.backend import (
     InProcessBackend,
     ProcessBackend,
     RuntimeTrial,
-    SimBackend,
     make_backend,
 )
 from repro.runtime.bridge import ProcessScoringPool
@@ -26,7 +24,6 @@ __all__ = [
     "ProcessScoringPool",
     "RuntimeSettings",
     "RuntimeTrial",
-    "SimBackend",
     "SoakConfig",
     "SoakResult",
     "Supervisor",

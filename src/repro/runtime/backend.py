@@ -1,4 +1,4 @@
-"""Scheduler backends: one trial contract, three execution substrates.
+"""Scheduler backends: one trial contract, two execution substrates.
 
 The soak harness and the runtime bench drive offered-load trials through a
 common :class:`Backend` interface; where the work actually executes is a
@@ -11,12 +11,8 @@ backend choice:
   SDL shards, and the LLM analyzer as supervised OS processes behind
   :class:`~repro.runtime.supervisor.Supervisor`, TLV frames over Unix
   sockets, redispatch-on-crash.
-- :class:`SimBackend` — the discrete-event engine (the reproduction's
-  original substrate) as *one scheduler among several*: it delegates to
-  ``repro.scale.bench``'s trial driver, so sim-time capacity answers stay
-  available next to wall-clock ones.
 
-All three run an **open-loop** offered load: record ``j`` is due at
+Both run an **open-loop** offered load: record ``j`` is due at
 ``j/rate`` and its latency is measured against that nominal arrival (not
 the actual offer instant), so a backend that falls behind pays the backlog
 as latency instead of silently slowing the generator (no coordinated
@@ -542,73 +538,9 @@ class ProcessBackend(Backend):
         )
 
 
-class SimBackend(Backend):
-    """The discrete-event engine as one scheduler among several.
-
-    Delegates to :func:`repro.scale.bench._run_trial`: shards and workers
-    are modeled servers in simulated time, so the trial answers the
-    capacity question independent of the host's core count.
-    """
-
-    name = "sim"
-
-    def __init__(self, config=None) -> None:
-        from repro.scale.bench import ScaleBenchConfig
-
-        self.config = config or ScaleBenchConfig()
-        self.detector: Optional[AnomalyDetector] = None
-
-    def start(self, detector: AnomalyDetector) -> None:
-        self.detector = detector
-
-    def run_trial(
-        self,
-        bank: list,
-        rate: float,
-        duration_s: float,
-        *,
-        kill_at_s: Optional[float] = None,
-    ) -> RuntimeTrial:
-        if self.detector is None:
-            raise RuntimeError("start() the backend before running trials")
-        from repro.scale.bench import _run_trial
-
-        config = self.config
-        config.duration_s = duration_s
-        shards = config.fault_shards if kill_at_s is not None else (config.shards[-1])
-        replication = config.fault_replication if kill_at_s is not None else config.replication
-        trial, _, _ = _run_trial(
-            config,
-            shards,
-            config.workers or shards,
-            min(replication, shards),
-            rate,
-            bank,
-            self.detector,
-            kill_at_s=kill_at_s,
-        )
-        return RuntimeTrial(
-            backend=self.name,
-            offered_rate=trial.offered_rate,
-            offered=trial.offered,
-            completed=trial.completed,
-            dropped=trial.dropped,
-            makespan_s=trial.makespan_s,
-            max_latency_s=trial.max_latency_s,
-            p99_latency_s=trial.p99_latency_s,
-            wall_s=trial.wall_s,
-            invariant={"ok": True},
-        )
-
-    def close(self) -> None:
-        self.detector = None
-
-
 def make_backend(name: str, settings: Optional[RuntimeSettings] = None, **kwargs) -> Backend:
     if name == "inproc":
         return InProcessBackend(settings)
     if name == "process":
         return ProcessBackend(settings, **kwargs)
-    if name == "sim":
-        return SimBackend(kwargs.get("config"))
-    raise ValueError(f"unknown backend {name!r} (have: inproc, process, sim)")
+    raise ValueError(f"unknown backend {name!r} (have: inproc, process)")

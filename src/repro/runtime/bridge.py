@@ -1,31 +1,29 @@
 """``ProcessScoringPool``: MobiWatch's window scoring in real worker processes.
 
-A drop-in for the surface of :class:`repro.scale.pool.InferencePool` that
-MobiWatch and the health scoreboard use (``submit``/``flush``/``pending``/
-``stats``/``close``/``worker_names``/``worker_backlog``), but whose
-``flush`` ships the pending windows to supervised OS processes over the
-TLV socket transport and blocks until every score is acked — restarting
-and redispatching transparently if a worker dies mid-flush.
+A score provider for MobiWatch's tick: :meth:`ProcessScoringPool.scores`
+takes the tick's gather matrix (one flattened window per row, plus the
+session id of each row), ships the rows to supervised OS processes over
+the TLV socket transport and blocks until every score is acked —
+restarting and redispatching transparently if a worker dies mid-call.
 
 Two properties make this safe to put behind ``XsecConfig.runtime``
 without perturbing the reproduction:
 
-- **Bit-identity**: the worker scores its batch with one row-exact kernel
+- **Bit-identity**: a worker scores its batch with one row-exact kernel
   call (``scores(matrix, per_row=True)`` — a full-height GEMM is *not*
   bitwise equal to row-wise calls, the GEMV stack of
   :mod:`repro.ml.compiled` is), and the same NumPy computes it, so every
   float64 score is identical to in-process scoring.
-- **Sim-time transparency**: the blocking flush happens *between* two
-  simulator events; ``completed_at`` is taken from the injected sim
-  clock, which does not advance during the flush. AnomalyEvent
-  timestamps therefore match the seed stream exactly (enforced on all
-  five attack captures by ``tests/test_runtime.py``).
+- **Sim-time transparency**: the blocking call happens *inside* one
+  simulator event, so the sim clock does not advance across it and
+  MobiWatch stamps ``AnomalyEvent.detected_at`` exactly as on the inline
+  path (enforced on all five attack captures by ``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +36,10 @@ from repro.runtime.settings import RuntimeSettings
 from repro.runtime.supervisor import Supervisor, WorkerSpec
 from repro.runtime.transport import TransportError
 from repro.scale.hashring import ConsistentHashRing
-from repro.scale.pool import ScoreCallback
 
 
 class ProcessScoringPool:
-    """Window-scoring pool backed by supervised worker processes."""
+    """Row-exact window scoring in supervised worker processes."""
 
     def __init__(
         self,
@@ -50,26 +47,22 @@ class ProcessScoringPool:
         settings: Optional[RuntimeSettings] = None,
         *,
         metrics: Optional[MetricsRegistry] = None,
-        clock: Optional[Callable[[], float]] = None,
         name: str = "mobiwatch",
-        flush_timeout_s: float = 60.0,
+        timeout_s: float = 60.0,
     ) -> None:
         self.settings = settings or RuntimeSettings()
-        self._clock = clock or (lambda: 0.0)
         self.name = name
-        self.flush_timeout_s = flush_timeout_s
+        self.timeout_s = timeout_s
         self._worker_names = [f"{name}-score-{i}" for i in range(self.settings.workers)]
         self._ring = (
             ConsistentHashRing(self._worker_names)
             if len(self._worker_names) > 1
             else None
         )
-        self._pending: List[tuple] = []  # (worker, session_id, vector, callback)
         self._batch_seq = 0
         self.windows_scored = 0
         self.batches = 0
         self.redispatched_batches = 0
-        self.callback_errors = 0
         self.closed = False
         metrics = metrics or MetricsRegistry()
         pool_label = {"pool": name}
@@ -87,12 +80,6 @@ class ProcessScoringPool:
             labels=pool_label,
             help="score batches re-sent after a worker death",
         )
-        metrics.gauge(
-            "pool.queue_depth",
-            labels=pool_label,
-            fn=lambda: len(self._pending),
-            help="queued window-scoring requests",
-        )
         self.supervisor = Supervisor(self.settings, metrics=metrics)
         blob = dumps_detector(detector)
         for worker in self._worker_names:
@@ -106,13 +93,6 @@ class ProcessScoringPool:
             )
         self.supervisor.start()
         self._await_up()
-        for worker in self._worker_names:
-            metrics.gauge(
-                "pool.worker_backlog",
-                labels={"pool": name, "worker": worker},
-                fn=lambda w=worker: float(self.worker_backlog(w)),
-                help="queued requests assigned to the worker",
-            )
 
     def _await_up(self, timeout_s: float = 30.0) -> None:
         deadline = time.monotonic() + timeout_s
@@ -123,132 +103,105 @@ class ProcessScoringPool:
         missing = [w for w in self._worker_names if not self.supervisor.is_up(w)]
         raise TransportError(f"scoring workers never connected: {missing}")
 
-    # -- InferencePool surface ---------------------------------------------------
-
     @property
     def workers(self) -> int:
         return len(self._worker_names)
 
-    @property
-    def worker_names(self) -> List[str]:
-        return list(self._worker_names)
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def worker_backlog(self, worker: str) -> int:
-        return sum(1 for entry in self._pending if entry[0] == worker)
-
     def worker_for(self, session_id: Any) -> str:
+        """Deterministic worker assignment (UE/session sharding)."""
         if self._ring is None:
             return self._worker_names[0]
         return self._ring.lookup(str(session_id))
 
-    def submit(self, session_id: Any, vector: np.ndarray, callback: ScoreCallback) -> None:
+    # -- scoring -----------------------------------------------------------------
+
+    def scores(self, session_ids: Sequence, matrix: np.ndarray) -> List[float]:
+        """Score ``matrix`` row by row in the workers; block until all acked.
+
+        Row ``i`` is the flattened window of ``session_ids[i]``; rows are
+        sharded to workers by session id and travel as one batch-atomic
+        ``SCORE_BATCH`` frame per worker. A batch whose worker dies before
+        acking it is re-sent whole (to a surviving worker, or to the
+        restarted one), an ack drained from a dead worker's socket is
+        honoured, and a late duplicate ack is ignored: every row is scored
+        exactly once. Returns the scores in row order.
+        """
         if self.closed:
             raise RuntimeError(f"pool {self.name!r} is closed")
-        self._pending.append((self.worker_for(session_id), session_id, vector, callback))
-        # No size-triggered auto-flush: MobiWatch flushes at its existing
-        # event boundaries, which keeps the event-delivery order (and so
-        # the AnomalyEvent stream) identical to the seed path.
+        out: List[float] = [0.0] * len(session_ids)
+        # batch_id -> (worker, row indices): sent (or parked) and not yet acked.
+        inflight: Dict[int, tuple] = {}
+        supervisor = self.supervisor
 
-    def flush(self) -> int:
-        """Ship pending windows to the workers; block until all are scored."""
-        if not self._pending:
-            return 0
-        pending, self._pending = self._pending, []
-        inflight: Dict[int, dict] = {}
-        scores: Dict[int, List[float]] = {}
-
-        def dispatch(rows: List[tuple]) -> None:
-            groups: Dict[str, List[tuple]] = {}
+        def dispatch(rows: List[int]) -> None:
+            up = [w for w in self._worker_names if supervisor.is_up(w)]
+            groups: Dict[str, List[int]] = {}
             for row in rows:
-                worker = row[0]
-                if not self.supervisor.is_up(worker):
-                    up = [w for w in self._worker_names if self.supervisor.is_up(w)]
-                    worker = up[0] if up else row[0]
+                worker = self.worker_for(session_ids[row])
+                if up and worker not in up:
+                    worker = up[0]
                 groups.setdefault(worker, []).append(row)
             for worker, grouped in groups.items():
                 self._batch_seq += 1
-                batch_id = self._batch_seq
-                matrix = np.stack([np.asarray(row[2], dtype=np.float64) for row in grouped])
+                inflight[self._batch_seq] = (worker, grouped)
                 try:
-                    self.supervisor.send(
+                    supervisor.send(
                         worker,
-                        messages.score_batch(batch_id, [row[1] for row in grouped], matrix),
+                        messages.score_batch(
+                            self._batch_seq,
+                            [session_ids[row] for row in grouped],
+                            np.asarray(matrix[grouped], dtype=np.float64),
+                        ),
                     )
                 except TransportError:
-                    # Worker vanished between is_up and send: park under its
-                    # name; the death event redispatches.
-                    inflight[self._batch_seq] = {"worker": worker, "rows": grouped}
+                    # The worker is gone (or not back yet): the batch stays
+                    # parked under its name until its death / return event.
                     continue
-                inflight[batch_id] = {"worker": worker, "rows": grouped}
                 self.batches += 1
                 self._batches_counter.inc()
                 self._windows_hist.observe(len(grouped))
 
-        dispatch(pending)
-        deadline = time.monotonic() + self.flush_timeout_s
+        def redispatch(worker: str) -> int:
+            stale = [bid for bid, entry in inflight.items() if entry[0] == worker]
+            dispatch([row for bid in stale for row in inflight.pop(bid)[1]])
+            return len(stale)
+
+        dispatch(list(range(len(session_ids))))
+        deadline = time.monotonic() + self.timeout_s
         while inflight:
             if time.monotonic() > deadline:
                 raise TransportError(
-                    f"pool {self.name!r} flush timed out with "
-                    f"{sum(len(e['rows']) for e in inflight.values())} windows unacked"
+                    f"pool {self.name!r} timed out with "
+                    f"{sum(len(rows) for _, rows in inflight.values())} windows unacked"
                 )
-            for event in self.supervisor.poll(timeout_s=0.1):
+            for event in supervisor.poll(timeout_s=0.1):
                 if event.kind == "msg" and event.msg.get("t") == messages.SCORE_RESULT:
                     entry = inflight.pop(event.msg["batch_id"], None)
                     if entry is not None:
-                        scores[event.msg["batch_id"]] = (entry, event.msg["scores"])
+                        for row, score in zip(entry[1], event.msg["scores"]):
+                            out[row] = float(score)
                 elif event.kind == "died":
-                    stale = [
-                        bid
-                        for bid, entry in inflight.items()
-                        if entry["worker"] == event.worker
-                    ]
-                    rows: List[tuple] = []
-                    for bid in stale:
-                        rows.extend(inflight.pop(bid)["rows"])
-                    if rows:
-                        self.redispatched_batches += len(stale)
-                        self._redispatch_counter.inc(len(stale))
-                        dispatch(rows)
+                    resent = redispatch(event.worker)
+                    self.redispatched_batches += resent
+                    self._redispatch_counter.inc(resent)
+                elif event.kind == "up":
+                    redispatch(event.worker)  # batches parked while it was down
                 elif event.kind == "failed":
                     raise TransportError(
                         f"scoring worker {event.worker!r} crash-looped; "
                         "cannot guarantee delivery"
                     )
-        # Deliver every verdict in the original submission order: the
-        # callbacks run alert logic whose event order must match the seed.
-        completed_at = self._clock()
-        by_row: Dict[int, float] = {}
-        for entry, batch_scores in scores.values():
-            for row, score in zip(entry["rows"], batch_scores):
-                by_row[id(row)] = float(score)
-        failures: List[BaseException] = []
-        for row in pending:
-            score = by_row[id(row)]
-            self.windows_scored += 1
-            try:
-                row[3](score, completed_at)
-            except Exception as exc:  # noqa: BLE001 - deliver the rest first
-                self.callback_errors += 1
-                failures.append(exc)
-        if failures:
-            raise failures[0]
-        return len(pending)
+        self.windows_scored += len(out)
+        return out
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def close(self) -> int:
-        """Deliver pending scores, stop the workers. Idempotent."""
+    def close(self) -> None:
+        """Stop the workers. Idempotent."""
         if self.closed:
-            return 0
-        delivered = self.flush()
+            return
         self.closed = True
         self.supervisor.shutdown()
-        return delivered
 
     def __enter__(self) -> "ProcessScoringPool":
         return self
@@ -261,9 +214,7 @@ class ProcessScoringPool:
             "workers": self.workers,
             "windows_scored": self.windows_scored,
             "batches": self.batches,
-            "pending": self.pending,
             "redispatched_batches": self.redispatched_batches,
-            "callback_errors": self.callback_errors,
             "closed": self.closed,
             "health": self.supervisor.health(),
         }

@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 
 _DROP_POLICIES = ("oldest", "newest")
-_BACKENDS = ("inproc", "process", "sim")
 
 
 def default_start_method() -> str:

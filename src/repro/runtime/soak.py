@@ -1,11 +1,10 @@
 """Soak harness: sustained offered load + a mid-run ``kill -9`` fault trial.
 
-Builds on the scale bench's methodology (:mod:`repro.scale.bench`):
-geometric rate ramp, keep the highest offered UE-window rate whose trial
-finishes with zero drops, every window scored, and max capture->verdict
-latency inside the 1 s near-RT budget — but executed on a *real* backend
-(wall clock, OS processes) through the :class:`repro.runtime.backend`
-interface rather than in simulated time.
+Max-throughput-under-SLO methodology: a geometric rate ramp keeps the
+highest offered UE-window rate whose trial finishes with zero drops, every
+window scored, and max capture->verdict latency inside the 1 s near-RT
+budget, executed on a *real* backend (wall clock, OS processes) through
+the :class:`repro.runtime.backend` interface.
 
 The fault trial then re-runs at a fraction of the sustained rate and
 ``kill -9``'s one scoring worker mid-run. It must demonstrate, on a real
@@ -30,15 +29,24 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
+from repro.ml.detector import AnomalyDetector, AutoencoderDetector
 from repro.runtime.backend import Backend, RuntimeTrial, make_backend
 from repro.runtime.settings import RuntimeSettings, usable_cpus
+from repro.telemetry.batch import MobiFlowBatchBuilder
+from repro.telemetry.features import FeatureSpec
+from repro.telemetry.vectorized import encode_batch
+
+# Records per scored window of the soak's session bank.
+WINDOW = 6
 
 
 @dataclass
 class SoakConfig:
     """Soak shape: workload, ramp, topology, fault injection."""
 
-    backend: str = "process"  # "inproc" | "process" | "sim"
+    backend: str = "process"  # "inproc" | "process"
     workers: int = 2
     sdl_shards: int = 2
     analyzer: bool = True
@@ -49,8 +57,8 @@ class SoakConfig:
     max_rate: float = 20000.0
     dispatch_records: int = 32
     dispatch_interval_s: float = 0.01
-    # Workload: the scale bench's featurized session bank, with a detector
-    # sized so inference compute dominates socket transport (a window is
+    # Workload: a featurized session bank, with a detector sized so
+    # inference compute dominates socket transport (a window is
     # ~3.4 KB; a hidden_dim=192 autoencoder forward costs far more than
     # framing + copying it).
     sessions: int = 128
@@ -160,20 +168,74 @@ class SoakResult:
         }
 
 
-def build_soak_workload(config: SoakConfig):
-    """The scale bench's featurized bank with the soak's detector size."""
-    from repro.scale.bench import ScaleBenchConfig, build_workload
+def build_soak_workload(config: SoakConfig) -> tuple[list, AnomalyDetector]:
+    """Featurized window bank + a trained detector of the soak's size.
 
-    return build_workload(
-        ScaleBenchConfig(
-            sessions=config.sessions,
-            bank_records=config.bank_records,
-            hidden_dim=config.hidden_dim,
-            latent_dim=config.latent_dim,
-            train_epochs=config.train_epochs,
-            seed=config.seed,
-        )
+    Synthesizes benign-shaped MobiFlow session streams, featurizes them
+    with the offline one-pass encoder, flattens per-session sliding
+    windows exactly like MobiWatch's live path, and trains a compact
+    autoencoder so the workers exercise the production inference code.
+    """
+    spec = FeatureSpec()
+    # A benign-looking registration flow, cycled per session.
+    flow = (
+        ("RRCSetupRequest", "RRC", "UL"),
+        ("RRCSetup", "RRC", "DL"),
+        ("RRCSetupComplete", "RRC", "UL"),
+        ("RegistrationRequest", "NAS", "UL"),
+        ("AuthenticationRequest", "NAS", "DL"),
+        ("AuthenticationResponse", "NAS", "UL"),
+        ("NASSecurityModeCommand", "NAS", "DL"),
+        ("NASSecurityModeComplete", "NAS", "UL"),
+        ("RegistrationAccept", "NAS", "DL"),
+        ("RRCRelease", "RRC", "DL"),
     )
+    # Columnar append (no MobiFlowRecord objects) plus the one-pass encoder.
+    builder = MobiFlowBatchBuilder()
+    for index in range(config.bank_records):
+        session_id = 1 + index % config.sessions
+        msg, protocol, direction = flow[(index // config.sessions) % len(flow)]
+        builder.append_fields(
+            timestamp=index * 0.01,
+            msg=msg,
+            protocol=protocol,
+            direction=direction,
+            session_id=session_id,
+            rnti=0x4000 + session_id,
+            s_tmsi=0x00C0_0000 + session_id,
+            cipher_alg=2,
+            integrity_alg=2,
+            establishment_cause="mo-Signalling" if msg == "RRCSetupRequest" else None,
+        )
+    per_record = encode_batch(spec, builder.build())
+
+    session_rows: dict[int, list[np.ndarray]] = {}
+    bank: list[tuple[int, np.ndarray]] = []
+    for index in range(config.bank_records):
+        session_id = 1 + index % config.sessions
+        row = per_record[index]
+        rows = session_rows.setdefault(session_id, [])
+        rows.append(row)
+        chosen = rows[-WINDOW:]
+        stacked = np.stack(chosen)
+        if len(chosen) < WINDOW:
+            padded = np.zeros((WINDOW, spec.dim), dtype=stacked.dtype)
+            padded[WINDOW - len(chosen) :] = stacked
+            stacked = padded
+        bank.append((session_id, stacked.reshape(-1)))
+    detector = AutoencoderDetector(
+        window=WINDOW,
+        feature_dim=spec.dim,
+        hidden_dim=config.hidden_dim,
+        latent_dim=config.latent_dim,
+        seed=config.seed,
+    )
+    detector.fit(
+        np.stack([vector for _, vector in bank]),
+        epochs=config.train_epochs,
+        lr=2e-3,
+    )
+    return bank, detector
 
 
 def ramp(

@@ -1,10 +1,9 @@
 """repro.scale — horizontal-scaling substrate for the detection pipeline.
 
 The near-RT RIC of the seed stores all MobiFlow telemetry in a single
-Shared Data Layer and scores one session window per detector call, which
-caps the reproduction far below fleet scale. This package supplies the
-four pieces that remove those ceilings, mirroring how the OSC RIC scales
-its own platform services:
+Shared Data Layer and fans every indication out inline. This package
+supplies the pieces that remove those ceilings, mirroring how the OSC RIC
+scales its own platform services:
 
 - :mod:`.hashring` — consistent-hash ring (virtual nodes, deterministic)
   keyed on RNTI/UE/session ids;
@@ -13,11 +12,6 @@ its own platform services:
   fault-injection hook (the Redis-cluster SDL topology);
 - :mod:`.batcher` — bounded-queue telemetry ingest batching with counted,
   never-silent drops;
-- :mod:`.pool` — batched inference: many session windows per vectorized
-  detector call, optionally sharded across workers by UE;
-- :mod:`.bench` — the ``scale-bench`` harness: sweeps shard/worker counts
-  and measures sustained throughput under the 1 s near-RT budget, plus a
-  kill-a-shard fault-injection run;
 - :mod:`.settings` — config knobs; all defaults preserve the seed's
   single-node behaviour bit-for-bit.
 
@@ -27,7 +21,6 @@ flags on :class:`~repro.core.config.XsecConfig` — see ``docs/SCALING.md``.
 
 from repro.scale.batcher import DROP_NEWEST, DROP_OLDEST, BoundedBatcher
 from repro.scale.hashring import ConsistentHashRing, HashRingError, stable_hash
-from repro.scale.pool import InferencePool
 from repro.scale.settings import ScaleSettings
 from repro.scale.sharded_sdl import ShardedSdl, ShardUnavailableError
 
@@ -37,7 +30,6 @@ __all__ = [
     "DROP_NEWEST",
     "DROP_OLDEST",
     "HashRingError",
-    "InferencePool",
     "ScaleSettings",
     "ShardedSdl",
     "ShardUnavailableError",

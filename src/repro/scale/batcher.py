@@ -1,8 +1,8 @@
 """Bounded-queue ingest batcher with an explicit, counted drop policy.
 
 Sits between a producer (the E2 termination fanning out indications, or
-the scale bench's synthetic record source) and a consumer (the RMR fan-out
-toward MobiWatch, or the sharded SDL + inference pool). Provides the three
+the runtime soak's synthetic record source) and a consumer (the RMR fan-out
+toward MobiWatch, or the soak's worker dispatch). Provides the three
 things a fleet-scale ingest path needs and a single in-process loop lacks:
 
 - **bounded memory** — the queue never exceeds ``capacity``;

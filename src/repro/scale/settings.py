@@ -2,8 +2,7 @@
 
 Kept dependency-free so every layer (``repro.core.config``, ``repro.oran``)
 can import it without cycles. **Every default preserves the seed's
-single-node behaviour bit-for-bit**: one SDL shard, no ingest batching,
-inline per-window scoring.
+single-node behaviour bit-for-bit**: one SDL shard, no ingest batching.
 """
 
 from __future__ import annotations
@@ -13,16 +12,13 @@ from dataclasses import dataclass
 
 @dataclass
 class ScaleSettings:
-    """Knobs of the ``repro.scale`` subsystem (SDL shards, batcher, pool)."""
+    """Knobs of the ``repro.scale`` subsystem (SDL shards, ingest batcher)."""
 
     # Sharded SDL. ``sdl_shards=1`` keeps the plain single-node
     # SharedDataLayer — the exact seed data path.
     sdl_shards: int = 1
     sdl_replication: int = 1
     sdl_vnodes: int = 128
-    # Per-write service time of one shard (simulated seconds). 0 disables
-    # the queueing model; the scale bench uses ~Redis-SET cost.
-    sdl_service_time_s: float = 0.0
 
     # Telemetry ingest batcher between the E2 termination and the xApps.
     # 0 = no batcher: indications fan out inline, as in the seed.
@@ -31,13 +27,6 @@ class ScaleSettings:
     ingest_capacity: int = 8192
     ingest_drop_policy: str = "oldest"
 
-    # Batched inference pool inside MobiWatch. 1 = score each window
-    # inline as it arrives (seed behaviour).
-    pool_batch_windows: int = 1
-    pool_workers: int = 1
-    # Per-window service time of one inference worker (simulated seconds).
-    pool_service_time_s: float = 0.0
-
     @property
     def sharding_enabled(self) -> bool:
         return self.sdl_shards > 1
@@ -45,7 +34,3 @@ class ScaleSettings:
     @property
     def batching_enabled(self) -> bool:
         return self.ingest_flush_records > 0
-
-    @property
-    def pooling_enabled(self) -> bool:
-        return self.pool_batch_windows > 1

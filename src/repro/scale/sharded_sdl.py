@@ -17,11 +17,7 @@ Semantics:
   was dead at write time) is *read-repaired* from a fresher replica
   (counted) — the lazy anti-entropy a Redis cluster performs on failover;
 - **fault injection** — :meth:`kill_shard` / :meth:`revive_shard` flip a
-  shard's availability so failover and repair paths can be exercised;
-- **time model** (optional) — each shard is a server with a configurable
-  per-write service time; ``set`` returns the simulated completion time so
-  the scale bench can measure queueing delay and per-shard saturation.
-  With ``service_time_s=0`` (the default) the model is inert.
+  shard's availability so failover and repair paths can be exercised.
 
 Watch callbacks fire once per logical write, are isolated from each other
 (a raising watcher is counted in ``sdl.watch_errors_total``, never aborts
@@ -46,15 +42,14 @@ class ShardUnavailableError(RuntimeError):
 
 
 class _Shard:
-    """One shard instance: a namespaced byte store plus a service model."""
+    """One shard instance: a namespaced byte store."""
 
-    __slots__ = ("name", "data", "alive", "busy_until", "writes", "reads")
+    __slots__ = ("name", "data", "alive", "writes", "reads")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.data: dict[str, dict[str, bytes]] = {}
         self.alive = True
-        self.busy_until = 0.0
         self.writes = 0
         self.reads = 0
 
@@ -68,9 +63,7 @@ class ShardedSdl:
         replication: int = 1,
         *,
         vnodes: int = 128,
-        service_time_s: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -79,8 +72,6 @@ class ShardedSdl:
                 f"replication must be in [1, shards={shards}], got {replication}"
             )
         self.replication = replication
-        self.service_time_s = service_time_s
-        self._clock = clock or (lambda: 0.0)
         self._shards = {f"shard-{i}": _Shard(f"shard-{i}") for i in range(shards)}
         self._ring = ConsistentHashRing(self._shards, vnodes=vnodes)
         self._watchers: dict[str, list[WatchCallback]] = {}
@@ -124,10 +115,6 @@ class ShardedSdl:
             fn=lambda: sum(1 for s in self._shards.values() if s.alive),
             help="shards currently serving",
         )
-        self._queue_delay = metrics.histogram(
-            "sdl.shard_queue_delay_s",
-            help="modeled wait for a busy shard (service-time model only)",
-        )
 
     # -- topology -----------------------------------------------------------
 
@@ -169,29 +156,15 @@ class ShardedSdl:
         target.alive = True
         return target.name
 
-    # -- service-time model ------------------------------------------------------
-
-    def _serve(self, shard: _Shard) -> float:
-        """Advance the shard's busy horizon by one service; return completion."""
-        if not self.service_time_s:
-            return self._clock()
-        now = self._clock()
-        start = shard.busy_until if shard.busy_until > now else now
-        self._queue_delay.observe(start - now)
-        shard.busy_until = start + self.service_time_s
-        return shard.busy_until
-
     # -- core KV -------------------------------------------------------------
 
-    def set(self, namespace: str, key: str, value: Any, shard_key: Optional[str] = None) -> float:
+    def set(self, namespace: str, key: str, value: Any, shard_key: Optional[str] = None) -> None:
         """Store ``value`` on every alive replica of the key.
 
         ``shard_key`` overrides the placement key (e.g. a UE/session id so
         one UE's telemetry stays on one shard); it defaults to
-        ``namespace/key``. Returns the modeled completion time (== now when
-        the service-time model is off). Raises
-        :class:`ShardUnavailableError` — the write is *not* acknowledged —
-        when every replica is dead.
+        ``namespace/key``. Raises :class:`ShardUnavailableError` — the
+        write is *not* acknowledged — when every replica is dead.
         """
         start_wall = time.perf_counter()
         encoded = wire.encode(value)
@@ -201,14 +174,10 @@ class ShardedSdl:
             raise ShardUnavailableError(
                 f"no alive replica for {namespace}/{key} (replicas: {names})"
             )
-        completed = self._clock()
         for shard in alive:
             shard.data.setdefault(namespace, {})[key] = encoded
             shard.writes += 1
             self._shard_writes[shard.name].inc()
-            done = self._serve(shard)
-            if done > completed:
-                completed = done
         self.writes += 1
         self._writes_counter.inc()
         self._value_bytes.observe(len(encoded))
@@ -227,22 +196,20 @@ class ShardedSdl:
             # Leaf timing via record(): the per-write cost is already
             # measured, so the profiler pays no extra perf_counter calls.
             prof.record("sdl.set", elapsed)
-        return completed
 
     def set_many(
         self, namespace: str, pairs: list[tuple[str, Any]], shard_key: str
-    ) -> float:
+    ) -> None:
         """Store a batch of ``(key, value)`` pairs that share one placement
         key as **one acked write**.
 
-        One ring lookup, one liveness check, and one service-model round
-        per replica cover the whole batch; values are encoded and watchers
-        notified per pair exactly as ``set`` does. Raises
-        :class:`ShardUnavailableError` (nothing stored) when every replica
-        is dead. Returns the modeled completion time.
+        One ring lookup and one liveness check cover the whole batch;
+        values are encoded and watchers notified per pair exactly as
+        ``set`` does. Raises :class:`ShardUnavailableError` (nothing
+        stored) when every replica is dead.
         """
         if not pairs:
-            return self._clock()
+            return
         start_wall = time.perf_counter()
         encoded_pairs = [(key, wire.encode(value)) for key, value in pairs]
         names = self.replicas_for(shard_key)
@@ -251,16 +218,12 @@ class ShardedSdl:
             raise ShardUnavailableError(
                 f"no alive replica for {namespace} batch (replicas: {names})"
             )
-        completed = self._clock()
         for shard in alive:
             ns = shard.data.setdefault(namespace, {})
             for key, encoded in encoded_pairs:
                 ns[key] = encoded
             shard.writes += 1
             self._shard_writes[shard.name].inc()
-            done = self._serve(shard)
-            if done > completed:
-                completed = done
         self.writes += 1
         self._writes_counter.inc()
         self._value_bytes.observe(sum(len(encoded) for _, encoded in encoded_pairs))
@@ -279,7 +242,6 @@ class ShardedSdl:
         prof = _profiler.CURRENT
         if prof is not None:
             prof.record("sdl.set_many", elapsed)
-        return completed
 
     def get(
         self,

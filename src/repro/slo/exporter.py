@@ -174,29 +174,7 @@ class HealthScoreboard:
 
             self.register_probe(f"sdl.{shard_name}", probe)
 
-    def watch_pool(self, pool, name: str = "pool") -> None:
-        """One probe per inference worker, backlog from the queue gauge.
-
-        A process-backed pool (``repro.runtime.ProcessScoringPool``)
-        additionally reports real per-process liveness via its
-        supervisor; the in-process pool's workers are always up.
-        """
-        supervisor = getattr(pool, "supervisor", None)
-        if supervisor is not None:
-            self.watch_supervisor(supervisor, name=name, backlog=pool.worker_backlog)
-            return
-        for worker in pool.worker_names:
-            def probe(w=worker):
-                return {"up": True, "backlog": float(pool.worker_backlog(w))}
-
-            self.register_probe(f"{name}.{worker}", probe)
-
-    def watch_supervisor(
-        self,
-        supervisor,
-        name: str = "runtime",
-        backlog: Optional[Callable[[str], float]] = None,
-    ) -> None:
+    def watch_supervisor(self, supervisor, name: str = "runtime") -> None:
         """One probe per supervised OS process (repro.runtime).
 
         ``up`` is real process liveness (a worker in restart backoff or a
@@ -205,11 +183,9 @@ class HealthScoreboard:
         """
         for worker in supervisor.worker_names():
             def probe(w=worker):
-                health = supervisor.health()[w]
-                lag = float(backlog(w)) if backlog is not None else 0.0
-                if health["state"] == "degraded":
-                    lag = max(lag, float(self.backlog_degraded))
-                return {"up": health["state"] in ("up", "degraded"), "backlog": lag}
+                state = supervisor.health()[w]["state"]
+                lag = float(self.backlog_degraded) if state == "degraded" else 0.0
+                return {"up": state in ("up", "degraded"), "backlog": lag}
 
             self.register_probe(f"{name}.{worker}", probe)
 

@@ -93,7 +93,7 @@ def default_objectives(config=None) -> List[SloObjective]:
     """The deployment's stock objectives over metrics the stack emits.
 
     ``config`` (an ``XsecConfig``) only tunes thresholds; the families are
-    the ones MobiWatch, the batcher, the pool and the analyzer register.
+    the ones MobiWatch, the batcher and the analyzer register.
     """
     return [
         SloObjective(

@@ -3,8 +3,8 @@
 Two complementary mechanisms, both stdlib-only:
 
 - **explicit hooks** — instrumented call sites (the hotpath scorer,
-  compiled kernels, trainfast trainers, sharded-SDL ops, the inference
-  pool) report wall-clock durations under stable stage names. Coarse call
+  compiled kernels, trainfast trainers, sharded-SDL ops) report
+  wall-clock durations under stable stage names. Coarse call
   sites use the :func:`profile_block` context manager; per-call-microsecond
   sites use the inline pattern below so an *inactive* profiler costs one
   module-attribute load and an ``is None`` branch (~tens of ns)::

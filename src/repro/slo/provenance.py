@@ -13,9 +13,9 @@ the :class:`ProvenanceStore`, to the full evidence chain:
   detector's parameter arrays and over its fitted operating point, so a
   verdict is attributable to one exact set of weights even across
   re-deployments;
-- **scoring path** — which runtime scored it (seed / incremental /
-  compiled-float32 / pool), since the fast paths carry documented
-  tolerances;
+- **scoring path** — which runtime scored it (seed / compiled-float32 /
+  incremental / quantized-int8 / process-Nw), since the behaviour tiers
+  carry documented tolerances;
 - **trace id + per-stage timings** — filled progressively as the incident
   moves through the loop (detection at alarm time, verdict/explanation
   when the LLM responds, action when the responder fires).

@@ -22,6 +22,7 @@ from repro.core.pipeline import ClosedLoopPipeline
 from repro.hotpath.settings import HotpathSettings
 from repro.llmfast.settings import LlmfastSettings
 from repro.megabatch.settings import MegabatchSettings
+from repro.scale.settings import ScaleSettings
 from repro.trainfast.settings import TrainfastSettings
 
 SRC = Path(repro.__file__).parent
@@ -62,6 +63,11 @@ DELETED = [
     (MegabatchSettings, "quantized_metric_tol"),
     # Declared with the first MobiWatch, read by nothing since.
     (XsecConfig, "history_cap"),
+    # The in-process inference pool and the two typed-in service times.
+    (ScaleSettings, "pool_batch_windows"),
+    (ScaleSettings, "pool_workers"),
+    (ScaleSettings, "pool_service_time_s"),
+    (ScaleSettings, "sdl_service_time_s"),
 ]
 
 
@@ -144,6 +150,7 @@ def test_promoted_flags_stay_deleted(settings, name):
 
 def test_settings_field_total():
     """79 before the eleven promoted flags were deleted, 68 before the
-    columnar lane, the storm dispatcher and the verification-only knobs."""
+    columnar lane, the storm dispatcher and the verification-only knobs, 56
+    before the inference pool and the service-time models."""
     total = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
-    assert total <= 56
+    assert total <= 52

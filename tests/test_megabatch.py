@@ -12,8 +12,7 @@ The contracts enforced here:
 - a quiet short session is scored exactly once no matter how many times
   it was touched (single pending maturity check);
 - per-session state is bounded: release- and idle-driven eviction drop
-  every per-session structure;
-- a raising score callback cannot drop other verdicts in a pool flush.
+  every per-session structure.
 """
 
 import copy
@@ -55,14 +54,13 @@ from repro.megabatch.bench import (
 from repro.megabatch.quantized import QUANTIZED_METRIC_TOL
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
 from repro.ml.metrics import DetectionMetrics
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.oran.e2ap import RicIndication
 from repro.oran.e2sm_kpm import MOBIFLOW_RAN_FUNCTION_ID, MobiFlowKpmModel
 from repro.oran.ric import NearRtRic
 from repro.ran.core_network import AmfConfig
 from repro.ran.links import InterfaceLink
 from repro.ran.network import NetworkConfig
-from repro.scale.pool import InferencePool
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -384,52 +382,6 @@ class TestEviction:
         assert 1 in watch._session_records
 
 
-class TestPoolCallbackErrors:
-    """Satellite bugfix: a raising callback cannot drop other verdicts."""
-
-    @staticmethod
-    def row_sums(matrix):
-        return matrix.sum(axis=1)
-
-    def test_all_callbacks_delivered_and_error_reraised(self):
-        metrics = MetricsRegistry()
-        pool = InferencePool(self.row_sums, batch_windows=100, metrics=metrics)
-        seen = []
-
-        def bad(score, done):
-            raise RuntimeError("observer broke")
-
-        pool.submit(1, np.full(2, 1.0), lambda s, t: seen.append(s))
-        pool.submit(2, np.full(2, 2.0), bad)
-        pool.submit(3, np.full(2, 3.0), lambda s, t: seen.append(s))
-        with pytest.raises(RuntimeError, match="observer broke"):
-            pool.flush()
-        # The two healthy callbacks both ran despite the middle one raising.
-        assert seen == [2.0, 6.0]
-        assert pool.pending == 0
-        assert pool.windows_scored == 3
-        assert pool.callback_errors == 1
-        assert pool.stats()["callback_errors"] == 1
-        counter = metrics.counter("pool.callback_errors_total", labels={"pool": "pool"})
-        assert int(counter.value) == 1
-
-    def test_failure_in_one_worker_does_not_skip_others(self):
-        pool = InferencePool(self.row_sums, workers=3, batch_windows=100)
-        delivered = []
-        for i in range(12):
-            callback = (
-                (lambda s, t: (_ for _ in ()).throw(RuntimeError("boom")))
-                if i == 0
-                else (lambda s, t: delivered.append(s))
-            )
-            pool.submit(i, np.full(2, float(i)), callback)
-        with pytest.raises(RuntimeError):
-            pool.flush()
-        assert pool.windows_scored == 12
-        assert len(delivered) == 11
-        assert pool.callback_errors == 1
-
-
 # ---------------------------------------------------------------------------
 # live pipeline equality (the tentpole's float64 contract)
 
@@ -568,7 +520,7 @@ class TestDefaultsAreSeedPath:
         watch = xsec.mobiwatch
         assert watch._quantized is None
         assert watch._incremental is None
-        assert watch._tick == watch._tick_gathered
+        assert watch._batch_scores == watch._gathered_scores
         assert watch._track_touch is False
         assert watch._scoring_path == "seed"
 
@@ -579,7 +531,7 @@ class TestDefaultsAreSeedPath:
         xsec = SixGXSec(XsecConfig(detector="lstm", megabatch=MegabatchSettings(quantized=True)))
         xsec.deploy_detector(copy.deepcopy(trained_lstm))
         assert xsec.mobiwatch._quantized is None
-        assert xsec.mobiwatch._tick == xsec.mobiwatch._tick_gathered
+        assert xsec.mobiwatch._batch_scores == xsec.mobiwatch._gathered_scores
 
 
 class TestMegabatchScenarioEquality:
@@ -898,14 +850,12 @@ def _passing_result():
     return MegabatchBenchResult(
         tiers={
             "lstm": {
-                "pooled_sessions_per_s": 10_000.0,
-                "megabatch_f64_speedup": 0.8,
+                "exact_sps": 10_000.0,
                 "megabatch_speedup": MEGABATCH_SPEEDUP_MIN + 1.0,
                 "quantized_speedup": QUANTIZED_SPEEDUP_MIN + 1.0,
             },
             "autoencoder": {
-                "pooled_sessions_per_s": 20_000.0,
-                "megabatch_f64_speedup": 0.8,
+                "exact_sps": 20_000.0,
                 "megabatch_speedup": MEGABATCH_SPEEDUP_MIN + 1.0,
             },
         },
@@ -948,15 +898,6 @@ class TestBenchGates:
         baseline = _passing_result().to_dict()
         baseline["tiers"]["lstm"]["megabatch_speedup"] = 100.0
         assert any("regressed" in v for v in violations(result, baseline))
-
-    def test_f64_tier_gated_against_baseline(self):
-        """The exact tier has no floor, but falling back toward the old
-        row-by-row 0.25x is a regression against the committed ratio."""
-        result = _passing_result()
-        result.tiers["lstm"]["megabatch_f64_speedup"] = 0.25
-        found = violations(result, _passing_result().to_dict())
-        assert any("megabatch_f64_speedup" in v and "regressed" in v for v in found)
-        assert violations(result) == []
 
     def test_baseline_within_slack_passes(self):
         result = _passing_result()

@@ -11,16 +11,22 @@ The contracts enforced here:
   hits the bounded-backoff ceiling and is marked failed instead of
   restarting forever; graceful drain delivers every pending score before
   the workers exit;
-- ``ProcessScoringPool`` scores are bit-identical to calling the
-  detector in-process, and the pool's close is idempotent;
+- ``ProcessScoringPool.scores`` returns, in row order, scores
+  bit-identical to calling the detector in-process — also when a worker
+  is killed under the call — and the pool's close is idempotent;
 - the process backend survives a mid-trial ``kill -9`` with zero acked
   loss and an intact offered == scored + dropped + pending invariant;
 - with ``runtime.score_in_processes`` on, the live pipeline's
   AnomalyEvent stream is bit-identical to the seed on every attack
-  scenario.
+  scenario — also combined with eviction, the verdict cache, a sharded
+  SDL and the ingest batcher;
+- the workers are spawned only when they are the bound score provider;
+- on every scoring strategy an alarm is stamped with the sim clock at
+  emission and scoring wall time is observed once per provider call.
 """
 
 import copy
+import multiprocessing
 import os
 import time
 
@@ -37,6 +43,10 @@ from repro.attacks import (
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
+from repro.hotpath.settings import HotpathSettings
+from repro.llmfast.settings import LlmfastSettings
+from repro.llmfast.workload import decision_tuple
+from repro.megabatch import MegabatchSettings
 from repro.ml.detector import AutoencoderDetector
 from repro.runtime import (
     ProcessBackend,
@@ -53,6 +63,7 @@ from repro.runtime.transport import Listener, MsgConnection, TransportError
 from repro.runtime.workers import synthetic_worker_main
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
+from repro.scale import ScaleSettings
 
 
 # ---------------------------------------------------------------------------
@@ -367,46 +378,44 @@ def tiny_detector():
 
 
 class TestProcessScoringPool:
+    @staticmethod
+    def batch(n, seed=11):
+        matrix = np.random.default_rng(seed).random((n, 24))
+        return list(range(n)), matrix
+
+    @staticmethod
+    def in_process(detector, matrix):
+        return [float(detector.scores(row.reshape(1, -1))[0]) for row in matrix]
+
     def test_scores_bit_identical_to_in_process(self, tiny_detector):
-        rng = np.random.default_rng(11)
-        vectors = [rng.random(24) for _ in range(10)]
-        expected = [
-            float(tiny_detector.scores(v.reshape(1, -1))[0]) for v in vectors
-        ]
-        got = {}
-        with ProcessScoringPool(
-            tiny_detector, RuntimeSettings(workers=2), clock=lambda: 7.25
-        ) as pool:
-            for i, vector in enumerate(vectors):
-                pool.submit(i, vector, lambda s, done, i=i: got.__setitem__(i, (s, done)))
-            assert pool.pending == 10
-            delivered = pool.flush()
-        assert delivered == 10
-        for i, want in enumerate(expected):
-            score, done = got[i]
-            assert score == want  # bitwise: same NumPy, same [1, dim] shape
-            assert done == 7.25  # sim clock, frozen across the flush
-        assert pool.windows_scored == 10
-
-    def test_callbacks_in_submission_order(self, tiny_detector):
-        order = []
+        session_ids, matrix = self.batch(10)
         with ProcessScoringPool(tiny_detector, RuntimeSettings(workers=2)) as pool:
-            for i in range(8):
-                pool.submit(i, np.full(24, 0.1 * i), lambda s, t, i=i: order.append(i))
-            pool.flush()
-        assert order == list(range(8))
+            got = pool.scores(session_ids, matrix)
+            assert pool.scores([], matrix[:0]) == []
+        # Bitwise: same NumPy, each row scored as its own [1, dim] call.
+        assert got == self.in_process(tiny_detector, matrix)
+        assert all(type(score) is float for score in got)
+        assert pool.windows_scored == 10
+        assert 1 <= pool.batches <= 2  # one frame per worker that got rows
 
-    def test_close_delivers_pending_and_is_idempotent(self, tiny_detector):
+    def test_scores_in_row_order(self, tiny_detector):
+        # Rows interleave across the two workers; the result does not.
+        matrix = np.stack([np.full(24, 0.1 * i) for i in range(8)])
+        with ProcessScoringPool(tiny_detector, RuntimeSettings(workers=2)) as pool:
+            workers = {pool.worker_for(i) for i in range(8)}
+            got = pool.scores(list(range(8)), matrix)
+        assert len(workers) == 2
+        assert got == self.in_process(tiny_detector, matrix)
+
+    def test_close_is_idempotent(self, tiny_detector):
         pool = ProcessScoringPool(tiny_detector, RuntimeSettings(workers=1))
-        scores = []
-        for i in range(3):
-            pool.submit(i, np.full(24, 0.2), lambda s, t: scores.append(s))
-        assert pool.close() == 3
-        assert len(scores) == 3
+        session_ids, matrix = self.batch(3)
+        assert len(pool.scores(session_ids, matrix)) == 3
+        pool.close()
         assert pool.closed
-        assert pool.close() == 0
+        pool.close()
         with pytest.raises(RuntimeError):
-            pool.submit(9, np.full(24, 0.2), lambda s, t: None)
+            pool.scores(session_ids, matrix)
         # All workers were shut down, not crash-looped.
         assert all(
             w["state"] in (STOPPED, FAILED) and w["restarts"] == 0
@@ -419,6 +428,27 @@ class TestProcessScoringPool:
             assert {pool.worker_for(s) for s in range(32)} == set(first.values())
             for s, worker in first.items():
                 assert pool.worker_for(s) == worker
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kill_nine_under_the_call_loses_and_duplicates_nothing(
+        self, tiny_detector, workers
+    ):
+        """A worker SIGKILLed with its batch unacked: the batch is re-sent
+        whole — to the survivor, or (one worker) to the restarted process —
+        and every row still gets exactly its own score."""
+        session_ids, matrix = self.batch(12)
+        expected = self.in_process(tiny_detector, matrix)
+        with ProcessScoringPool(tiny_detector, _settings(workers=workers)) as pool:
+            assert pool.scores(session_ids, matrix) == expected
+            victim = pool.worker_for(session_ids[0])
+            pool.supervisor.kill_worker(victim)
+            assert pool.scores(session_ids, matrix) == expected
+            assert pool.redispatched_batches >= 1
+            # The restarted worker serves again; nothing was scored twice.
+            _wait_up(pool.supervisor, [victim])
+            assert pool.scores(session_ids, matrix) == expected
+            assert pool.windows_scored == 36
+            assert pool.stats()["health"][victim]["restarts"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +522,19 @@ def trained_lstm(benign_windows):
     return detector
 
 
+@pytest.fixture(scope="module")
+def calibrated_lstm(benign_windows):
+    """Fitted with megabatch attached (the int8 calibration pass ran), so
+    one detector deploys on every scoring strategy."""
+    config = XsecConfig(
+        detector="lstm", train_epochs=6, megabatch=MegabatchSettings(quantized=True)
+    )
+    detector = build_detector(config)
+    detector.fit(np.asarray(benign_windows), epochs=6, lr=config.train_lr)
+    assert detector.calibration is not None
+    return detector
+
+
 def _uplink_extraction(net):
     victim = net.add_ue("pixel6", name="victim")
     net.sim.schedule(2.5, victim.start_session)
@@ -523,16 +566,38 @@ ATTACK_SCENARIOS = {
 }
 
 
-def run_live(detector, runtime=None, attack=None, seed=77, until=20.0, net_kwargs=None):
-    """One live pipeline run with a pre-trained detector copy deployed."""
+def run_live(
+    detector,
+    runtime=None,
+    attack=None,
+    seed=77,
+    until=20.0,
+    net_kwargs=None,
+    percentile=None,
+    observe=None,
+    **settings,
+):
+    """One live pipeline run with a pre-trained detector copy deployed.
+
+    ``settings`` are further ``XsecConfig`` families (``hotpath=``,
+    ``megabatch=``, ``llmfast=``, ``scale=``); ``observe(xsec)`` runs after
+    the deploy and before the first event.
+    """
     config = XsecConfig(
         detector=detector.name,
         train_epochs=6,
         runtime=runtime or RuntimeSettings(),
+        **settings,
     )
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
     try:
         xsec.deploy_detector(copy.deepcopy(detector))
+        if percentile is not None:
+            # Lower the operating threshold so the scenario provably emits
+            # events: empty-vs-empty would not prove anything.
+            xsec.mobiwatch.on_policy(1, {"threshold_percentile": percentile})
+        if observe is not None:
+            observe(xsec)
         for profile in ("pixel5", "oai_ue"):
             ue = xsec.net.add_ue(profile)
             xsec.net.sim.schedule(0.5, ue.start_session)
@@ -564,7 +629,7 @@ class TestSeedDefaults:
     def test_default_config_keeps_in_process_scoring(self, trained_lstm):
         xsec = SixGXSec(XsecConfig(detector="lstm"))
         xsec.deploy_detector(copy.deepcopy(trained_lstm))
-        assert not isinstance(xsec.mobiwatch.pool, ProcessScoringPool)
+        assert xsec.mobiwatch.pool is None
         assert xsec.mobiwatch._scoring_path == "seed"
         xsec.close()  # no-op on the seed path
 
@@ -580,6 +645,34 @@ class TestSeedDefaults:
         finally:
             xsec.close()
         assert xsec.mobiwatch.pool.closed
+
+    @pytest.mark.parametrize(
+        "winner, settings",
+        [
+            ("hotpath.incremental", {"hotpath": HotpathSettings(incremental=True)}),
+            ("megabatch.quantized", {"megabatch": MegabatchSettings(quantized=True)}),
+        ],
+    )
+    def test_losing_flag_spawns_no_idle_workers(self, calibrated_lstm, winner, settings):
+        """Carried-state tiers take precedence over process scoring: the
+        workers would heartbeat for the whole run and score nothing."""
+        config = XsecConfig(
+            detector="lstm", runtime=RuntimeSettings(score_in_processes=True), **settings
+        )
+        xsec = SixGXSec(config)
+        children = set(multiprocessing.active_children())
+        try:
+            xsec.deploy_detector(copy.deepcopy(calibrated_lstm))
+            assert xsec.mobiwatch.pool is None
+            assert set(multiprocessing.active_children()) == children
+            assert "process" not in xsec.mobiwatch._scoring_path
+            assert (
+                f"runtime.score_in_processes ignored: {winner} takes precedence"
+                in [message for _, message in xsec.mobiwatch.logs]
+            )
+            assert "runtime" not in xsec.pipeline.scale_report()
+        finally:
+            xsec.close()
 
 
 class TestRuntimeScenarioEquality:
@@ -603,3 +696,122 @@ class TestRuntimeScenarioEquality:
         assert proc.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
         assert proc.mobiwatch.windows_scored > 0
         assert event_tuples(proc) == event_tuples(seed_run)
+
+
+
+def stopped(pool):
+    return pool.closed and all(
+        worker["state"] == STOPPED for worker in pool.supervisor.health().values()
+    )
+
+
+class TestFlagCombination:
+    """Release eviction x verdict cache + coalescing x a sharded SDL behind
+    the ingest batcher x process scoring: each has its own suite, the four
+    had never run together."""
+
+    SETTINGS = dict(
+        megabatch=MegabatchSettings(evict_on_release=True),
+        llmfast=LlmfastSettings(verdict_cache=True, coalesce=True),
+        scale=ScaleSettings(sdl_shards=2, ingest_flush_records=8),
+    )
+
+    @pytest.mark.parametrize("scenario", ["bts_dos", "null_cipher"])
+    def test_process_scoring_equals_in_process(self, trained_lstm, scenario):
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        common = dict(attack=factory, net_kwargs=net_kwargs, percentile=80.0, **self.SETTINGS)
+        inproc = run_live(trained_lstm, **common)
+        proc = run_live(
+            trained_lstm, runtime=RuntimeSettings(score_in_processes=True), **common
+        )
+        assert proc.mobiwatch._scoring_path == "process-2w"
+        assert len(inproc.mobiwatch.anomalies) > 0
+        assert event_tuples(proc) == event_tuples(inproc)
+        assert len(inproc.analyzer.verdicts) > 0
+        assert [
+            (v.anomaly.session_id, v.completed_at, decision_tuple(v.verdict.response))
+            for v in proc.analyzer.verdicts
+        ] == [
+            (v.anomaly.session_id, v.completed_at, decision_tuple(v.verdict.response))
+            for v in inproc.analyzer.verdicts
+        ]
+        for run in (inproc, proc):
+            ingest = run.ric.e2term.ingest_batcher.stats()
+            assert ingest["offered"] == ingest["ingested"] + ingest["dropped"] + ingest["pending"]
+            ledger = run.analyzer.ledger()
+            assert ledger["offered"] == (
+                ledger["analyzed"]
+                + ledger["coalesced"]
+                + ledger["cache_hits"]
+                + ledger["shed"]
+                + ledger["pending"]
+            ), ledger
+            assert run.mobiwatch.sessions_evicted > 0
+        assert proc.analyzer.ledger() == inproc.analyzer.ledger()
+        assert proc.mobiwatch.pool.windows_scored == proc.mobiwatch.windows_scored
+        assert stopped(proc.mobiwatch.pool)
+
+
+STRATEGIES = {
+    "inline": ({}, "seed"),
+    "incremental": ({"hotpath": HotpathSettings(incremental=True)}, "incremental-float64"),
+    "quantized": ({"megabatch": MegabatchSettings(quantized=True)}, "quantized-int8-"),
+    "process": ({"runtime": RuntimeSettings(score_in_processes=True)}, "process-2w"),
+}
+
+
+class TestOneOperatingClock:
+    """No strategy models a completion time: an alarm carries the sim clock
+    of the event that emitted it, and the scoring wall-time histogram gets
+    one observation per provider call — at most one per tick."""
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize(
+        "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
+    )
+    def test_alarms_stamped_at_emission(self, calibrated_lstm, scenario, strategy):
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        settings, scoring_path = STRATEGIES[strategy]
+        stamps, provider_calls, walks = [], [], []
+
+        def observe(xsec):
+            watch = xsec.mobiwatch
+            assert watch._scoring_path.startswith(scoring_path)
+            alert, provider = watch._maybe_alert, watch._batch_scores
+            tick, score_one = watch._tick, watch._score_one
+
+            def stamped_alert(*args):
+                emitted = len(watch.anomalies)
+                alert(*args)
+                stamps.extend(
+                    (event.detected_at, watch.sim.now) for event in watch.anomalies[emitted:]
+                )
+
+            def counted_provider(ready):
+                provider_calls.append(len(ready))
+                return provider(ready)
+
+            def counted(walk):
+                def wrapper(arg):
+                    walks.append(walk.__name__)
+                    walk(arg)
+
+                return wrapper
+
+            watch._maybe_alert, watch._batch_scores = stamped_alert, counted_provider
+            watch._tick, watch._score_one = counted(tick), counted(score_one)
+
+        xsec = run_live(
+            calibrated_lstm,
+            attack=factory,
+            net_kwargs=net_kwargs,
+            percentile=80.0,
+            observe=observe,
+            **settings,
+        )
+        watch = xsec.mobiwatch
+        assert len(stamps) == len(watch.anomalies) > 0
+        assert all(detected_at == now for detected_at, now in stamps)
+        wall = xsec.obs.metrics.histogram("mobiwatch.inference_wall_s")
+        assert wall.count == len(provider_calls) <= len(walks)
+        assert sum(provider_calls) == watch.windows_scored > 0

@@ -1,12 +1,10 @@
-"""Tests for repro.scale: hash ring, batcher, sharded SDL, inference pool.
+"""Tests for repro.scale: hash ring, batcher, sharded SDL.
 
 Covers the invariants the scaling substrate is built on: consistent-hash
 relocation bounds, bounded-queue accounting (``offered == ingested +
-dropped + pending``), acknowledged-write durability across shard kills,
-and batched-vs-inline score equivalence.
+dropped + pending``) and acknowledged-write durability across shard kills.
 """
 
-import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -17,7 +15,6 @@ from repro.scale import (
     DROP_NEWEST,
     DROP_OLDEST,
     HashRingError,
-    InferencePool,
     ScaleSettings,
     ShardedSdl,
     ShardUnavailableError,
@@ -293,16 +290,6 @@ class TestShardedSdl:
         with pytest.raises(KeyError):
             ShardedSdl(shards=2).kill_shard("shard-9")
 
-    def test_service_time_model_advances_completion(self):
-        sim = Simulator()
-        sdl = ShardedSdl(
-            shards=1, service_time_s=0.01, clock=lambda: sim.now
-        )
-        first = sdl.set("ns", "a", 1)
-        second = sdl.set("ns", "b", 2)
-        assert first == pytest.approx(0.01)
-        assert second == pytest.approx(0.02)  # queued behind the first
-
 
 class TestSdlWatchIsolation:
     """Satellite fix: a raising watcher must not abort the write loop."""
@@ -326,111 +313,16 @@ class TestSdlWatchIsolation:
         assert metrics.histogram("sdl.write_wall_s").count == before + 1
 
 
-class TestInferencePool:
-    @staticmethod
-    def row_sums(matrix):
-        return matrix.sum(axis=1)
-
-    def test_batched_scores_match_individual(self):
-        pool = InferencePool(self.row_sums, batch_windows=100)
-        vectors = [np.full(4, float(i)) for i in range(7)]
-        scores = {}
-        for i, vector in enumerate(vectors):
-            pool.submit(i, vector, lambda s, done, i=i: scores.__setitem__(i, s))
-        assert pool.pending == 7
-        pool.flush()
-        assert scores == {i: pytest.approx(4.0 * i) for i in range(7)}
-        assert pool.batches == 1
-
-    def test_auto_flush_at_batch_windows(self):
-        pool = InferencePool(self.row_sums, batch_windows=3)
-        done = []
-        for i in range(3):
-            pool.submit(i, np.ones(2), lambda s, t: done.append(s))
-        assert pool.pending == 0 and len(done) == 3
-
-    def test_worker_assignment_deterministic_and_sticky(self):
-        pool = InferencePool(self.row_sums, workers=4)
-        twin = InferencePool(self.row_sums, workers=4)
-        for session in range(50):
-            assert pool.worker_for(session) == twin.worker_for(session)
-
-    def test_multi_worker_covers_all_submissions(self):
-        pool = InferencePool(self.row_sums, workers=3, batch_windows=1000)
-        results = []
-        for i in range(60):
-            pool.submit(i % 12, np.full(3, float(i)), lambda s, t: results.append(s))
-        pool.flush()
-        assert sorted(results) == sorted(3.0 * i for i in range(60))
-        assert pool.batches <= 3  # one vectorized call per worker
-        assert pool.windows_scored == 60
-
-    def test_service_time_model_per_worker(self):
-        pool = InferencePool(
-            self.row_sums, workers=1, batch_windows=100, service_time_per_window_s=0.01
-        )
-        completions = []
-        for i in range(4):
-            pool.submit(0, np.ones(2), lambda s, done: completions.append(done))
-        pool.flush()
-        # One worker scored 4 windows serially from t=0.
-        assert completions == [pytest.approx(0.04)] * 4
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            InferencePool(self.row_sums, workers=0)
-        with pytest.raises(ValueError):
-            InferencePool(self.row_sums, batch_windows=0)
-
-    def test_close_delivers_pending_then_refuses_submits(self):
-        pool = InferencePool(self.row_sums, batch_windows=100)
-        scores = []
-        for i in range(5):
-            pool.submit(i, np.full(2, float(i)), lambda s, t: scores.append(s))
-        assert pool.close() == 5
-        assert sorted(scores) == [pytest.approx(2.0 * i) for i in range(5)]
-        assert pool.closed
-        assert pool.stats()["closed"] is True
-        with pytest.raises(RuntimeError):
-            pool.submit(9, np.ones(2), lambda s, t: None)
-
-    def test_close_is_idempotent(self):
-        pool = InferencePool(self.row_sums, batch_windows=100)
-        pool.submit(0, np.ones(2), lambda s, t: None)
-        assert pool.close() == 1
-        assert pool.close() == 0
-        assert pool.close() == 0
-
-    def test_context_manager_closes_on_exit(self):
-        scores = []
-        with InferencePool(self.row_sums, batch_windows=100) as pool:
-            pool.submit(0, np.full(3, 2.0), lambda s, t: scores.append(s))
-        assert pool.closed
-        assert scores == [pytest.approx(6.0)]
-
-    def test_context_manager_closes_on_error(self):
-        pool = InferencePool(self.row_sums, batch_windows=100)
-        with pytest.raises(RuntimeError, match="boom"):
-            with pool:
-                pool.submit(0, np.ones(2), lambda s, t: None)
-                raise RuntimeError("boom")
-        assert pool.closed
-
-
 class TestScaleSettings:
     def test_defaults_keep_seed_paths_off(self):
         settings = ScaleSettings()
         assert not settings.sharding_enabled
         assert not settings.batching_enabled
-        assert not settings.pooling_enabled
 
     def test_flags_flip_with_knobs(self):
-        settings = ScaleSettings(
-            sdl_shards=4, ingest_flush_records=64, pool_batch_windows=32
-        )
+        settings = ScaleSettings(sdl_shards=4, ingest_flush_records=64)
         assert settings.sharding_enabled
         assert settings.batching_enabled
-        assert settings.pooling_enabled
 
 
 class TestSdlSetMany:

@@ -3,19 +3,22 @@
 Checks both directions of the config flag:
 
 - defaults keep the seed's single-node components (no sharded SDL, no
-  ingest batcher, no inference pool) so behaviour is bit-identical;
-- a scaled-up config routes live traffic through all three and still
-  produces the same telemetry and detections.
+  ingest batcher) so behaviour is bit-identical;
+- a scaled-up config routes live traffic through both and still produces
+  the same telemetry and detections;
+- a shard killed (and later revived) in the middle of a live run loses no
+  acked telemetry and does not move a single detection.
 """
 
 import pytest
 
+from repro.attacks import BtsDosAttack
 from repro.core import SixGXSec, XsecConfig
+from repro.core.mobiwatch import SDL_TELEMETRY_NS
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.oran.sdl import SharedDataLayer
 from repro.ran.network import NetworkConfig
 from repro.scale import ScaleSettings, ShardedSdl
-from repro.scale.bench import ScaleBenchConfig, run_scale_bench
 
 
 def scaled_settings():
@@ -24,8 +27,6 @@ def scaled_settings():
         sdl_replication=2,
         ingest_flush_records=8,
         ingest_flush_interval_s=0.01,
-        pool_batch_windows=4,
-        pool_workers=2,
     )
 
 
@@ -38,12 +39,14 @@ def benign_windows():
     return capture.labeled(config.spec, config.window, "benign").windowed.windows
 
 
-def run_live(config, benign_windows, seed=77):
+def run_live(config, benign_windows, seed=77, prepare=None):
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed))
     xsec.train_from_benign(benign_windows)
     for profile in ("pixel5", "oai_ue"):
         ue = xsec.net.add_ue(profile)
         xsec.net.sim.schedule(0.5, ue.start_session)
+    if prepare is not None:
+        prepare(xsec)
     xsec.run(until=25.0)
     return xsec
 
@@ -72,7 +75,6 @@ class TestScaledLivePipeline:
         assert isinstance(scaled.ric.sdl, ShardedSdl)
         assert scaled.ric.sdl.num_shards == 4
         assert scaled.ric.e2term.ingest_batcher is not None
-        assert scaled.mobiwatch.pool is not None and scaled.mobiwatch.pool.workers == 2
 
     def test_same_telemetry_reaches_mobiwatch(self, pair):
         baseline, scaled = pair
@@ -88,11 +90,6 @@ class TestScaledLivePipeline:
         stats = scaled.ric.e2term.ingest_batcher.stats()
         assert stats["offered"] == stats["ingested"] + stats["dropped"] + stats["pending"]
 
-    def test_pool_scored_every_window(self, pair):
-        _, scaled = pair
-        assert scaled.mobiwatch.windows_scored > 0
-        assert scaled.mobiwatch.pool.windows_scored == scaled.mobiwatch.windows_scored
-
     def test_telemetry_lands_in_sharded_sdl(self, pair):
         _, scaled = pair
         keys = scaled.ric.sdl.keys("xsec.mobiflow")
@@ -103,7 +100,7 @@ class TestScaledLivePipeline:
     def test_scale_report_sections(self, pair):
         _, scaled = pair
         report = scaled.pipeline.scale_report()
-        assert set(report) == {"sdl", "ingest", "pool"}
+        assert set(report) == {"sdl", "ingest"}
         assert report["sdl"]["alive"] == 4
 
     def test_scored_window_counts_match_baseline(self, pair):
@@ -114,20 +111,106 @@ class TestScaledLivePipeline:
         assert scaled.mobiwatch.windows_scored == baseline.mobiwatch.windows_scored
 
 
-class TestScaleBenchSmoke:
-    def test_tiny_sweep_passes_checks(self):
-        config = ScaleBenchConfig(
-            shards=(1, 2),
-            duration_s=0.5,
-            sessions=64,
-            bank_records=256,
-            train_epochs=1,
-            start_rate=500.0,
-            max_rate=8000.0,
-            fault_shards=2,
-            fault_kill_at_s=0.2,
+def telemetry_reads(xsec):
+    """Every telemetry record MobiWatch has acked, read back from the SDL
+    by the placement key it was written under (the UE session)."""
+    watch, sdl = xsec.mobiwatch, xsec.ric.sdl
+    return [
+        sdl.get(
+            SDL_TELEMETRY_NS,
+            f"{index:09d}",
+            shard_key=str(watch.series[index].session_id or index),
         )
-        result = run_scale_bench(config)
-        assert result.check() == []
-        assert result.fault is not None and result.fault.lost_acknowledged == 0
-        assert result.points[-1].sustained.throughput > result.points[0].sustained.throughput
+        for index in range(watch.records_seen)
+    ]
+
+
+def event_tuples(xsec):
+    return [
+        (e.detected_at, e.session_id, e.score, e.threshold, e.record_indices)
+        for e in xsec.mobiwatch.anomalies
+    ]
+
+
+class TestShardKillInTheLiveLoop:
+    """One of four shards (replication 2) dies at 6 s of a live run and
+    comes back at 15 s; a BTS-DoS flood lands before the kill, one during
+    the outage and one after the revival."""
+
+    FLOODS_AT_S = (3.0, 11.0, 17.0)
+    KILL_AT_S, PROBE_AT_S, REVIVE_AT_S = 6.0, 14.0, 15.0
+
+    @pytest.fixture(scope="class")
+    def runs(self, benign_windows):
+        probes = {}
+
+        def floods(xsec):
+            # Lower the operating threshold so the run provably alarms:
+            # empty-vs-empty would not prove the streams equal.
+            xsec.mobiwatch.on_policy(1, {"threshold_percentile": 80.0})
+            for start in self.FLOODS_AT_S:
+                BtsDosAttack(xsec.net, start_time=start, connections=8, interval_s=0.08).arm()
+
+        def floods_and_faults(xsec):
+            floods(xsec)
+            sim, sdl = xsec.net.sim, xsec.ric.sdl
+
+            def kill():
+                probes["acked_before_kill"] = xsec.mobiwatch.records_seen
+                sdl.kill_shard(0)
+
+            def probe():
+                probes["alive_during"] = sdl.shards_alive()
+                probes["reads_during"] = telemetry_reads(xsec)
+
+            sim.schedule_at(self.KILL_AT_S, kill)
+            sim.schedule_at(self.PROBE_AT_S, probe)
+            sim.schedule_at(self.REVIVE_AT_S, lambda: sdl.revive_shard(0))
+
+        unsharded = run_live(XsecConfig(train_epochs=6), benign_windows, prepare=floods)
+        sharded = run_live(
+            XsecConfig(train_epochs=6, scale=ScaleSettings(sdl_shards=4, sdl_replication=2)),
+            benign_windows,
+            prepare=floods_and_faults,
+        )
+        return unsharded, sharded, probes
+
+    def test_acked_telemetry_readable_through_the_outage(self, runs):
+        _, sharded, probes = runs
+        assert probes["alive_during"] == 3
+        during = probes["reads_during"]
+        # Records acked before the kill and records acked while the shard
+        # was down: all served by a surviving replica.
+        assert 0 < probes["acked_before_kill"] < len(during)
+        assert None not in during
+        assert sharded.ric.sdl.health()["failovers"] > 0
+
+    def test_every_acked_record_readable_after_revival(self, runs):
+        _, sharded, probes = runs
+        reads = telemetry_reads(sharded)
+        assert len(reads) == sharded.mobiwatch.records_seen > len(probes["reads_during"])
+        assert reads == [record.to_wire_dict() for record in sharded.mobiwatch.series]
+        assert len(sharded.ric.sdl.keys(SDL_TELEMETRY_NS)) == len(reads)
+
+    def test_read_repair_heals_the_revived_shard(self, runs):
+        _, sharded, _ = runs
+        sdl, watch = sharded.ric.sdl, sharded.mobiwatch
+        telemetry_reads(sharded)
+        assert sdl.shards_alive() == 4
+        assert sdl.health()["read_repairs"] > 0
+        # A read walks the replicas primary first, so what it heals is the
+        # revived shard's own primaries: every one of them is back.
+        revived = sdl._shards["shard-0"].data[SDL_TELEMETRY_NS]
+        primaries = [
+            f"{index:09d}"
+            for index, record in enumerate(watch.series)
+            if sdl.replicas_for(str(record.session_id or index))[0] == "shard-0"
+        ]
+        assert primaries and all(key in revived for key in primaries)
+
+    def test_detections_equal_the_unsharded_run(self, runs):
+        unsharded, sharded, _ = runs
+        assert sharded.mobiwatch.records_seen == unsharded.mobiwatch.records_seen
+        assert sharded.mobiwatch.windows_scored == unsharded.mobiwatch.windows_scored
+        assert len(unsharded.mobiwatch.anomalies) > 0
+        assert event_tuples(sharded) == event_tuples(unsharded)
