@@ -1,34 +1,33 @@
-"""Hot-path benchmark: per-record latency and kernel throughput.
+"""Scoring-tier bench: per-record latency and kernel throughput.
 
 Two measurements:
 
 - **per-record LSTM scoring latency** — full-window re-runs through the
   layer-walking reference scorer (assemble the window, re-run it) vs
-  incremental carried-state scoring, per telemetry record;
+  incremental carried-state scoring (``scoring="incremental"``), per
+  telemetry record (floor: >= 5x);
 - **kernel throughput** — the layer-walking reference
-  (``AnomalyDetector.reference_scores``) vs the fused float32 kernels, in
-  windows/second, for both detectors (float64 kernels alongside).
+  (``AnomalyDetector.reference_scores``) vs the fused float32 kernels
+  (``scoring="float32"``), in windows/second, for both detectors (float64
+  kernels alongside; floor: >= 2x).
 
-Every run re-verifies the equality contracts (float64 bit-identity).
-:func:`violations` gates a result against the hard speedup floors and
-against a committed baseline (``BENCH_hotpath.json``), so CI fails when a
-change regresses the hot path.
+Every run re-verifies the equality contracts (float64 bit-identity of the
+fused kernels and of the incremental scorer against its replay).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.hotpath.incremental import IncrementalLstmScorer
-from repro.hotpath.settings import HotpathSettings
+from repro.bench.driver import BenchResult, best_of
 from repro.ml.arena import SessionWindowArena
 from repro.ml.compiled import compile_detector
 from repro.ml.detector import AutoencoderDetector, LstmDetector
+from repro.ml.incremental import IncrementalLstmScorer
 
 # Hard floors from the perf-trajectory acceptance gates.
 PER_RECORD_SPEEDUP_MIN = 5.0
@@ -64,20 +63,9 @@ class HotpathBenchConfig:
 
 
 @dataclass
-class HotpathBenchResult:
+class HotpathBenchResult(BenchResult):
     per_record: dict = field(default_factory=dict)
     kernels: dict = field(default_factory=dict)
-    equality: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "per_record": self.per_record,
-            "kernels": self.kernels,
-            "equality": self.equality,
-            "meta": self.meta,
-        }
 
     def report(self) -> str:
         lines = ["hotpath bench" + (" (quick)" if self.meta.get("quick") else "")]
@@ -93,14 +81,8 @@ class HotpathBenchResult:
                 f"{k['compiled_f32_wps']:.0f} w/s ({k['speedup']:.2f}x, floor "
                 f"{KERNEL_SPEEDUP_MIN:.1f}x); f64 {k['compiled_f64_wps']:.0f} w/s"
             )
-        eq = ", ".join(f"{k}={v}" for k, v in self.equality.items())
-        lines.append(f"  equality: {eq}")
+        lines.append(self.equality_line())
         return "\n".join(lines)
-
-
-def _best_of(repeats: int, run: Callable[[], float]) -> float:
-    """Best (minimum) measurement across repeats — noise-robust timing."""
-    return min(run() for _ in range(repeats))
 
 
 def _make_detectors(cfg: HotpathBenchConfig):
@@ -141,7 +123,7 @@ def _bench_per_record(cfg: HotpathBenchConfig, lstm_detector, result: HotpathBen
 
     def incremental_stream() -> float:
         arena = SessionWindowArena(dim, window)
-        scorer = IncrementalLstmScorer(lstm_detector, HotpathSettings(incremental=True))
+        scorer = IncrementalLstmScorer(lstm_detector)
         t0 = time.perf_counter()
         for t in range(cfg.stream_records):
             arena.append(1, rows[t])
@@ -150,9 +132,9 @@ def _bench_per_record(cfg: HotpathBenchConfig, lstm_detector, result: HotpathBen
         return (time.perf_counter() - t0) / cfg.stream_records
 
     seed_stream()  # warm-up (BLAS thread spin-up, allocator)
-    seed_s = _best_of(cfg.repeats, seed_stream)
+    seed_s = best_of(cfg.repeats, seed_stream)
     incremental_stream()
-    incremental_s = _best_of(cfg.repeats, incremental_stream)
+    incremental_s = best_of(cfg.repeats, incremental_stream)
     result.per_record = {
         "seed_us": seed_s * 1e6,
         "incremental_us": incremental_s * 1e6,
@@ -160,7 +142,7 @@ def _bench_per_record(cfg: HotpathBenchConfig, lstm_detector, result: HotpathBen
     }
 
     # Equality: the cached stream's errors must equal the batch replay.
-    scorer = IncrementalLstmScorer(lstm_detector, HotpathSettings(incremental=True))
+    scorer = IncrementalLstmScorer(lstm_detector)
     check = rows[: min(cfg.stream_records, 64)]
     for row in check:
         scorer.push(1, row)
@@ -196,7 +178,7 @@ def _bench_kernels(cfg: HotpathBenchConfig, detectors: dict, result: HotpathBenc
                 return (time.perf_counter() - t0) / cfg.kernel_reps
 
             run()  # warm-up
-            return cfg.kernel_batch / _best_of(cfg.repeats, run)
+            return cfg.kernel_batch / best_of(cfg.repeats, run)
 
         seed_wps = throughput(detector.reference_scores)
         f32_wps = throughput(compiled32.scores)
@@ -226,12 +208,8 @@ def run_bench(config: Optional[HotpathBenchConfig] = None, quick: bool = False) 
     return result
 
 
-def violations(result: HotpathBenchResult, baseline: Optional[dict] = None) -> list:
-    """Gate a result against the hard floors and the committed baseline."""
-    out: list[str] = []
-    for key, ok in result.equality.items():
-        if not ok:
-            out.append(f"equality contract broken: {key}")
+def floor_violations(result: HotpathBenchResult) -> list:
+    out = [f"equality contract broken: {k}" for k, ok in result.equality.items() if not ok]
     speedup = result.per_record.get("speedup", 0.0)
     if speedup < PER_RECORD_SPEEDUP_MIN:
         out.append(
@@ -243,34 +221,10 @@ def violations(result: HotpathBenchResult, baseline: Optional[dict] = None) -> l
                 f"{name} kernel speedup {k['speedup']:.2f}x below floor "
                 f"{KERNEL_SPEEDUP_MIN:.1f}x"
             )
-    if baseline:
-        for path, current in (
-            (("per_record", "speedup"), speedup),
-            *(
-                (("kernels", name, "speedup"), k["speedup"])
-                for name, k in result.kernels.items()
-            ),
-        ):
-            node = baseline
-            for part in path:
-                node = node.get(part, {}) if isinstance(node, dict) else {}
-            if isinstance(node, (int, float)) and current < node * BASELINE_SLACK:
-                out.append(
-                    f"{'.'.join(path)} {current:.2f}x regressed below "
-                    f"{BASELINE_SLACK:.0%} of committed baseline {node:.2f}x"
-                )
     return out
 
 
-def load_baseline(path) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def save_result(result: HotpathBenchResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def baseline_checks(result: HotpathBenchResult, baseline: dict) -> list:
+    return [(("per_record", "speedup"), result.per_record.get("speedup", 0.0))] + [
+        (("kernels", name, "speedup"), k["speedup"]) for name, k in result.kernels.items()
+    ]

@@ -1,44 +1,43 @@
-"""Megabatch benchmark: per-tick scoring throughput at fleet scale.
+"""Tick bench: per-tick scoring throughput of the tiers at fleet scale.
 
 One simulated RIC tick touches every one of ``sessions`` concurrent UEs;
 the measured quantity is the **scoring phase** of that tick (the part the
-megabatch restructuring changes), in sessions scored per second:
+scoring tier changes), in sessions scored per second:
 
 - **exact** — the baseline, and the path the deployment ships: gather
   every session's arena window view into one ``[n, window*dim]`` matrix
   and score it with one row-exact float64 kernel call,
   ``scores(matrix, per_row=True)`` — MobiWatch's inline tick (a stack of
-  the single-window GEMVs, so this is the bit-identical tier —
+  the single-window GEMVs, so this is ``scoring="exact"`` —
   re-verified against per-session ``[1, window*dim]`` calls every run);
 - **megabatch float32** — the gathered matrix through one fused
-  ``repro.hotpath`` compiled float32 GEMM per tick (the headline tier);
+  compiled float32 GEMM per tick (``scoring="float32"``);
 - **quantized** (LSTM only) — carried int8/float16 state advanced by one
-  fused batched step per tick plus the ring-max score read.
+  fused batched step per tick plus the ring-max score read
+  (``scoring="int8"``).
 
 Every tier's tick includes its score handling: one ``observe_many`` plus a
 vectorized threshold sweep, as the live tick pays it.
 
-:func:`violations` gates a result against the hard floors (megabatch
-float32 ≥ 2.5x exact; quantized ≥ 1.5x megabatch float32) and both
-ratios against a committed baseline (``BENCH_megabatch.json``), so CI
-fails on regressions.
+Floors: megabatch float32 ≥ 2.5x exact; quantized ≥ 1.5x megabatch
+float32. Both ratios are also held to the committed baseline.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from repro.bench.driver import BenchResult, best_of
 from repro.ml.arena import SessionWindowArena
 from repro.ml.compiled import compile_detector
-from repro.megabatch.quantized import QuantizedLstmEngine, calibrate_windows
+from repro.ml.quantized import QuantizedLstmEngine, calibrate_windows
 
-# Hard floors from the acceptance gates, on the ONE BLAS thread the bench
-# script pins.
+# Hard floors from the acceptance gates, on the ONE BLAS thread the
+# driver pins.
 MEGABATCH_SPEEDUP_MIN = 2.5  # megabatch f32 vs the exact f64 tick, >= 1k sessions
 QUANTIZED_SPEEDUP_MIN = 1.5  # quantized tier vs megabatch f32 (LSTM)
 # A fresh run may regress this far below the committed baseline's measured
@@ -68,18 +67,8 @@ class MegabatchBenchConfig:
 
 
 @dataclass
-class MegabatchBenchResult:
+class MegabatchBenchResult(BenchResult):
     tiers: dict = field(default_factory=dict)
-    equality: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "tiers": self.tiers,
-            "equality": self.equality,
-            "meta": self.meta,
-        }
 
     def report(self) -> str:
         lines = [
@@ -99,14 +88,8 @@ class MegabatchBenchResult:
                     f"({t['quantized_speedup']:.2f}x over f32, floor "
                     f"{QUANTIZED_SPEEDUP_MIN:.1f}x)"
                 )
-        eq = ", ".join(f"{k}={v}" for k, v in self.equality.items())
-        lines.append(f"  equality: {eq}")
+        lines.append(self.equality_line())
         return "\n".join(lines)
-
-
-def _best_of(repeats: int, run: Callable[[], float]) -> float:
-    """Best (minimum) measurement across repeats — noise-robust timing."""
-    return min(run() for _ in range(repeats))
 
 
 def _make_detectors(cfg: MegabatchBenchConfig):
@@ -179,7 +162,7 @@ def _bench_detector(
             return (time.perf_counter() - t0) / cfg.ticks
 
         run()  # warm-up (BLAS thread spin-up, allocator)
-        return _best_of(cfg.repeats, run)
+        return best_of(cfg.repeats, run)
 
     # Every tier runs the live tick's score handling.
     from repro.obs.metrics import Counter, Histogram
@@ -266,12 +249,13 @@ def run_bench(
     return result
 
 
-def violations(result: MegabatchBenchResult, baseline: Optional[dict] = None) -> list:
-    """Gate a result against the hard floors and the committed baseline."""
-    out: list[str] = []
-    for key, ok in result.equality.items():
-        if isinstance(ok, bool) and not ok:
-            out.append(f"equality contract broken: {key}")
+def floor_violations(result: MegabatchBenchResult) -> list:
+    # The decision agreement is a ratio, informational only.
+    out = [
+        f"equality contract broken: {key}"
+        for key, ok in result.equality.items()
+        if isinstance(ok, bool) and not ok
+    ]
     for name, tier in result.tiers.items():
         speedup = tier.get("megabatch_speedup", 0.0)
         if speedup < MEGABATCH_SPEEDUP_MIN:
@@ -284,33 +268,13 @@ def violations(result: MegabatchBenchResult, baseline: Optional[dict] = None) ->
                 f"{name} quantized speedup {tier['quantized_speedup']:.2f}x below "
                 f"floor {QUANTIZED_SPEEDUP_MIN:.1f}x"
             )
-    if baseline:
-        paths = []
-        for name, tier in result.tiers.items():
-            for ratio in ("megabatch_speedup", "quantized_speedup"):
-                if ratio in tier:
-                    paths.append((("tiers", name, ratio), tier[ratio]))
-        for path, current in paths:
-            node = baseline
-            for part in path:
-                node = node.get(part, {}) if isinstance(node, dict) else {}
-            if isinstance(node, (int, float)) and current < node * BASELINE_SLACK:
-                out.append(
-                    f"{'.'.join(path)} {current:.2f}x regressed below "
-                    f"{BASELINE_SLACK:.0%} of committed baseline {node:.2f}x"
-                )
     return out
 
 
-def load_baseline(path) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def save_result(result: MegabatchBenchResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def baseline_checks(result: MegabatchBenchResult, baseline: dict) -> list:
+    return [
+        (("tiers", name, ratio), tier[ratio])
+        for name, tier in result.tiers.items()
+        for ratio in ("megabatch_speedup", "quantized_speedup")
+        if ratio in tier
+    ]

@@ -8,7 +8,7 @@ their sum at :data:`OVERHEAD_MAX_PCT` (the PR's <= 3% contract):
 
 - **per-record hook overhead** — the inline counters and the sampled
   profiler hook inside
-  :class:`~repro.hotpath.incremental.IncrementalLstmScorer`. A ~100ns
+  :class:`~repro.ml.incremental.IncrementalLstmScorer`. A ~100ns
   delta on a ~25us record is far below shared-runner wall-clock noise at
   stream scale (identical back-to-back streams here differ by several
   percent), so the delta is measured where this machine *is* stable:
@@ -34,22 +34,21 @@ The run also re-verifies the zero-interference contract: the observed
 scorer's per-record errors must be **bit-identical** to the plain
 scorer's.
 
-Gating mirrors the other benches: hard ceiling first, then drift against
-the committed ``BENCH_obs.json`` baseline with an additive slack (overhead
-is a noisy small number; a ratio gate would flap).
+Gating: hard ceiling first, then drift against the committed baseline
+with an additive slack (overhead is a noisy small number; a ratio gate
+would flap).
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.hotpath.incremental import IncrementalLstmScorer
-from repro.hotpath.settings import HotpathSettings
+from repro.bench.driver import BenchResult, best_of
+from repro.ml.incremental import IncrementalLstmScorer
 from repro.obs.metrics import MetricsRegistry
 from repro.slo import profiler as _profiler
 from repro.slo.exporter import render_openmetrics
@@ -62,7 +61,7 @@ OVERHEAD_MAX_PCT = 3.0
 # A fresh run may sit this many percentage points above the committed
 # baseline's measured overhead before we call it creep (absolute slack:
 # overhead is a small noisy number, a ratio gate would flap near zero).
-BASELINE_SLACK_PCT = 2.0
+BASELINE_CREEP = 2.0
 
 _LATENCY_BUCKETS = (1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0)
 
@@ -100,20 +99,9 @@ class ObsBenchConfig:
 
 
 @dataclass
-class ObsBenchResult:
+class ObsBenchResult(BenchResult):
     per_record: dict = field(default_factory=dict)
     primitives: dict = field(default_factory=dict)
-    equality: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "per_record": self.per_record,
-            "primitives": self.primitives,
-            "equality": self.equality,
-            "meta": self.meta,
-        }
 
     def report(self) -> str:
         lines = ["obs bench" + (" (quick)" if self.meta.get("quick") else "")]
@@ -137,14 +125,8 @@ class ObsBenchResult:
             f"({m['objectives']} objectives), openmetrics render "
             f"{m['render_us']:.1f}us ({m['render_bytes']} bytes)"
         )
-        eq = ", ".join(f"{k}={v}" for k, v in self.equality.items())
-        lines.append(f"  equality: {eq}")
+        lines.append(self.equality_line())
         return "\n".join(lines)
-
-
-def _best_of(repeats: int, run: Callable[[], float]) -> float:
-    """Best (minimum) measurement across repeats — noise-robust timing."""
-    return min(run() for _ in range(repeats))
 
 
 def _make_detector(cfg: ObsBenchConfig):
@@ -181,12 +163,11 @@ def _bench_objectives() -> list:
 def _bench_per_record(cfg: ObsBenchConfig, detector, result: ObsBenchResult) -> None:
     rng = np.random.default_rng(cfg.seed)
     rows = rng.normal(size=(cfg.stream_records, cfg.feature_dim)).astype(np.float32)
-    settings = HotpathSettings(incremental=True)
     chunk = cfg.chunk_records
 
     # -- denominator: plain per-record cost (seed code path, no metrics) --
     def floor_pass() -> float:
-        scorer = IncrementalLstmScorer(detector, settings)
+        scorer = IncrementalLstmScorer(detector)
         best = float("inf")
         for start in range(0, cfg.stream_records, chunk):
             block = rows[start : start + chunk]
@@ -204,7 +185,7 @@ def _bench_per_record(cfg: ObsBenchConfig, detector, result: ObsBenchResult) -> 
 
     # -- hook delta: paired tight loops on one scorer, static session ----
     metrics = MetricsRegistry()
-    scorer = IncrementalLstmScorer(detector, settings, metrics=metrics)
+    scorer = IncrementalLstmScorer(detector, metrics=metrics)
     wired = (scorer._steps_counter, scorer._scores_counter)
     prof = Profiler()
     for row in rows[:40]:
@@ -235,7 +216,7 @@ def _bench_per_record(cfg: ObsBenchConfig, detector, result: ObsBenchResult) -> 
                 return (time.perf_counter() - t0) / cfg.hook_loop_calls
 
             run()  # warm-up
-            return _best_of(cfg.repeats, run)
+            return best_of(cfg.repeats, run)
         finally:
             _profiler.deactivate()
 
@@ -268,9 +249,9 @@ def _bench_per_record(cfg: ObsBenchConfig, detector, result: ObsBenchResult) -> 
 
     # Zero-interference contract: full observability must not change one
     # bit of the scores the detector produces.
-    plain_scorer = IncrementalLstmScorer(detector, settings)
+    plain_scorer = IncrementalLstmScorer(detector)
     metrics = MetricsRegistry()
-    observed_scorer = IncrementalLstmScorer(detector, settings, metrics=metrics)
+    observed_scorer = IncrementalLstmScorer(detector, metrics=metrics)
     prof = Profiler()
     _profiler.activate(prof)
     try:
@@ -297,7 +278,7 @@ def _bench_primitives(cfg: ObsBenchConfig, result: ObsBenchResult) -> None:
             return (time.perf_counter() - t0) / reps
 
         run()  # warm-up
-        return _best_of(cfg.repeats, run)
+        return best_of(cfg.repeats, run)
 
     # profile_block: inactive = one global load + is-None check + a shared
     # no-op context manager.
@@ -372,41 +353,17 @@ def run_bench(config: Optional[ObsBenchConfig] = None, quick: bool = False) -> O
     return result
 
 
-def violations(result: ObsBenchResult, baseline: Optional[dict] = None) -> list:
-    """Gate a result against the ceiling and the committed baseline."""
-    out: list = []
-    for key, ok in result.equality.items():
-        if not ok:
-            out.append(f"equality contract broken: {key}")
+def floor_violations(result: ObsBenchResult) -> list:
+    out = [f"equality contract broken: {k}" for k, ok in result.equality.items() if not ok]
     overhead = result.per_record.get("overhead_pct", float("inf"))
     if overhead > OVERHEAD_MAX_PCT:
         out.append(
             f"observability overhead {overhead:+.2f}% above the "
             f"{OVERHEAD_MAX_PCT:.1f}% ceiling"
         )
-    if baseline:
-        committed = baseline.get("per_record", {}).get("overhead_pct")
-        if (
-            isinstance(committed, (int, float))
-            and overhead > committed + BASELINE_SLACK_PCT
-        ):
-            out.append(
-                f"overhead {overhead:+.2f}% crept more than "
-                f"{BASELINE_SLACK_PCT:.1f} points above the committed "
-                f"baseline {committed:+.2f}%"
-            )
     return out
 
 
-def load_baseline(path) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def save_result(result: ObsBenchResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def baseline_checks(result: ObsBenchResult, baseline: dict) -> list:
+    overhead = result.per_record.get("overhead_pct", float("inf"))
+    return [(("per_record", "overhead_pct"), overhead)]

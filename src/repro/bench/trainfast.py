@@ -1,7 +1,7 @@
-"""Training-path benchmark: trainer throughput, sweep wall-clock, cache.
+"""Training-path bench: trainer throughput, sweep wall-clock, cache.
 
-The training-side mirror of :mod:`repro.hotpath.bench`. Four measurements,
-one per trainfast layer plus the end-to-end story:
+The training-side mirror of :mod:`repro.bench.hotpath`. Four measurements,
+one per training fast-path layer plus the end-to-end story:
 
 - **trainer epoch throughput** — the seed ``Autoencoder.fit`` /
   ``LstmPredictor.fit`` loops vs the compiled float32 kernels, in
@@ -20,27 +20,23 @@ one per trainfast layer plus the end-to-end story:
 Every run re-verifies the equality contracts: float64 compiled training
 is bit-identical to the seed loops (losses and weights), and a parallel
 float64 sweep returns exactly the serial seed sweep's rows.
-:func:`violations` gates a result against the hard speedup floors and the
-committed ``BENCH_trainfast.json`` baseline, so CI fails when a change
-regresses the training path.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.bench.driver import BenchResult
+from repro.experiments.cache import DatasetCache
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.lstm import LstmPredictor
 from repro.ml.trainer import compile_trainer
 from repro.telemetry.features import FeatureSpec
-from repro.trainfast.cache import DatasetCache
-from repro.trainfast.settings import TrainfastSettings
 
 # Hard floors from the perf-trajectory acceptance gates.
 TRAINER_SPEEDUP_MIN = 2.0
@@ -103,24 +99,11 @@ class TrainfastBenchConfig:
 
 
 @dataclass
-class TrainfastBenchResult:
+class TrainfastBenchResult(BenchResult):
     trainers: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     scaling: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
-    equality: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "trainers": self.trainers,
-            "sweep": self.sweep,
-            "scaling": self.scaling,
-            "cache": self.cache,
-            "equality": self.equality,
-            "meta": self.meta,
-        }
 
     def report(self) -> str:
         lines = ["trainfast bench" + (" (quick)" if self.meta.get("quick") else "")]
@@ -157,8 +140,7 @@ class TrainfastBenchResult:
                 f"  dataset cache: first build {c['first_ms']:.1f}ms -> repeat "
                 f"{c['repeat_ms']:.3f}ms ({c['speedup']:.0f}x)"
             )
-        eq = ", ".join(f"{k}={v}" for k, v in self.equality.items())
-        lines.append(f"  equality: {eq}")
+        lines.append(self.equality_line())
         return "\n".join(lines)
 
 
@@ -285,12 +267,15 @@ def _sweep_captures(cfg: TrainfastBenchConfig):
     return config, _captures(config)
 
 
-def _sweep_once(config, captures, windows, trainfast: Optional[TrainfastSettings]) -> list:
-    """One window-ablation sweep over pre-generated captures."""
+def _sweep_once(
+    config, captures, windows, sweep_workers=0, cache=False, trainer_dtype="float64"
+) -> list:
+    """One window-ablation sweep over pre-generated captures (the defaults:
+    serial, exact, no cache)."""
     from repro.experiments.ablations import _evaluate
-    from repro.trainfast.sweep import sweep_tools
+    from repro.experiments.sweep import sweep_tools
 
-    runner, cache = sweep_tools(trainfast)
+    runner, cache = sweep_tools(sweep_workers, cache)
     spec = FeatureSpec()
     if cache is not None:
         for capture in captures:
@@ -304,32 +289,28 @@ def _sweep_once(config, captures, windows, trainfast: Optional[TrainfastSettings
             label=f"N={w}",
             captures=captures,
             cache=cache,
-            trainfast=trainfast,
+            trainer_dtype=trainer_dtype,
         ),
         windows,
     )
 
 
-def _fast_settings(cfg: TrainfastBenchConfig, workers: int) -> TrainfastSettings:
-    return TrainfastSettings(
-        trainer_dtype="float32",
-        sweep_workers=workers,
-        cache=True,
-    )
+def _fast_settings(workers: int) -> dict:
+    return dict(sweep_workers=workers, cache=True, trainer_dtype="float32")
 
 
 def _bench_sweep(cfg: TrainfastBenchConfig, result: TrainfastBenchResult) -> None:
     config, captures = _sweep_captures(cfg)
     windows = cfg.sweep_windows
-    fast = _fast_settings(cfg, cfg.sweep_workers)
+    fast = _fast_settings(cfg.sweep_workers)
     # Warm-up: one config each way (BLAS spin-up, import costs, digests).
-    _sweep_once(config, captures, windows[:1], None)
-    _sweep_once(config, captures, windows[:1], fast)
+    _sweep_once(config, captures, windows[:1])
+    _sweep_once(config, captures, windows[:1], **fast)
     best = _interleaved_best(
         cfg.sweep_repeats,
         {
-            "seed": lambda: _sweep_once(config, captures, windows, None),
-            "fast": lambda: _sweep_once(config, captures, windows, fast),
+            "seed": lambda: _sweep_once(config, captures, windows),
+            "fast": lambda: _sweep_once(config, captures, windows, **fast),
         },
     )
     cpus = os.cpu_count() or 1
@@ -347,12 +328,12 @@ def _bench_sweep(cfg: TrainfastBenchConfig, result: TrainfastBenchResult) -> Non
 
     # Worker scaling: only meaningful with enough cores to run them.
     if parallel_capable:
-        one = _fast_settings(cfg, 1)
+        one = _fast_settings(1)
         best = _interleaved_best(
             max(1, cfg.sweep_repeats),
             {
-                "one": lambda: _sweep_once(config, captures, windows, one),
-                "many": lambda: _sweep_once(config, captures, windows, fast),
+                "one": lambda: _sweep_once(config, captures, windows, **one),
+                "many": lambda: _sweep_once(config, captures, windows, **fast),
             },
         )
         scaling = best["one"] / best["many"]
@@ -372,15 +353,11 @@ def _bench_sweep(cfg: TrainfastBenchConfig, result: TrainfastBenchResult) -> Non
         }
 
     # Equality: a parallel float64 fast sweep returns the serial seed rows.
-    exact = TrainfastSettings(
-        trainer_dtype="float64",
-        sweep_workers=2,
-        cache=True,
-    )
+    exact = dict(sweep_workers=2, cache=True)
     eq_config, eq_captures = _sweep_captures(cfg)
     eq_config.epochs = cfg.equality_epochs
-    serial_rows = _sweep_once(eq_config, eq_captures, cfg.equality_windows, None)
-    parallel_rows = _sweep_once(eq_config, eq_captures, cfg.equality_windows, exact)
+    serial_rows = _sweep_once(eq_config, eq_captures, cfg.equality_windows)
+    parallel_rows = _sweep_once(eq_config, eq_captures, cfg.equality_windows, **exact)
     result.equality["sweep_parallel_f64_matches_serial"] = serial_rows == parallel_rows
 
 
@@ -438,12 +415,8 @@ def run_bench(
     return result
 
 
-def violations(result: TrainfastBenchResult, baseline: Optional[dict] = None) -> list:
-    """Gate a result against the hard floors and the committed baseline."""
-    out: list[str] = []
-    for key, ok in result.equality.items():
-        if not ok:
-            out.append(f"equality contract broken: {key}")
+def floor_violations(result: TrainfastBenchResult) -> list:
+    out = [f"equality contract broken: {k}" for k, ok in result.equality.items() if not ok]
     for name, t in result.trainers.items():
         floor = t.get("floor", TRAINER_SPEEDUP_MIN)
         if t["speedup"] < floor:
@@ -469,34 +442,10 @@ def violations(result: TrainfastBenchResult, baseline: Optional[dict] = None) ->
             f"cache hit speedup {result.cache.get('speedup', 0.0):.1f}x below "
             f"floor {CACHE_HIT_SPEEDUP_MIN:.1f}x"
         )
-    if baseline:
-        for path, current in (
-            *(
-                (("trainers", name, "speedup"), t["speedup"])
-                for name, t in result.trainers.items()
-            ),
-            (("sweep", "speedup"), sweep_speedup),
-        ):
-            node = baseline
-            for part in path:
-                node = node.get(part, {}) if isinstance(node, dict) else {}
-            if isinstance(node, (int, float)) and current < node * BASELINE_SLACK:
-                out.append(
-                    f"{'.'.join(path)} {current:.2f}x regressed below "
-                    f"{BASELINE_SLACK:.0%} of committed baseline {node:.2f}x"
-                )
     return out
 
 
-def load_baseline(path) -> Optional[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def save_result(result: TrainfastBenchResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def baseline_checks(result: TrainfastBenchResult, baseline: dict) -> list:
+    return [
+        (("trainers", name, "speedup"), t["speedup"]) for name, t in result.trainers.items()
+    ] + [(("sweep", "speedup"), result.sweep.get("speedup", 0.0))]

@@ -14,32 +14,19 @@ Gives operators the paper's workflow without writing code:
 - ``obs``      — run the live testbed and dump the observability artifacts:
   the per-stage closed-loop latency breakdown (capture -> indication -> SDL
   -> detection -> verdict -> action) and the metrics registry;
-- ``hotpath-bench`` — measure the inference hot path (incremental LSTM
-  scoring, compiled kernels, wire codec), verify the equality contracts,
-  and gate against the committed ``BENCH_hotpath.json`` baseline
-  (see docs/PERFORMANCE.md);
-- ``trainfast-bench`` — measure the training fast path (compiled training
-  kernels, parallel sweeps, dataset cache), verify the equality contracts,
-  and gate against the committed ``BENCH_trainfast.json`` baseline
-  (see docs/PERFORMANCE.md);
-- ``llmfast-bench`` — measure the verdict-plane fast path (content-
-  addressed verdict cache, vectorized RAG retrieval, compiled prompt
-  assembly), verify the decision/ranking/byte equality contracts, and
-  gate against the committed ``BENCH_llmfast.json`` baseline
-  (see docs/PERFORMANCE.md);
 - ``slo``      — run the live testbed with the full observability plane on
   (SLO engine, profiler, exporter, provenance) and render per-objective
   attainment/burn (``report``), the alert transition log (``alerts``),
   the per-stage self-time profile (``profile``), or one verdict's full
   evidence chain (``explain``) — see docs/OBSERVABILITY.md;
-- ``obs-bench`` — measure what full observability costs the inference hot
-  path and gate it at the <= 3% ceiling against the committed
-  ``BENCH_obs.json`` baseline (see docs/OBSERVABILITY.md);
 - ``runtime`` — the process-parallel deployment mode: ``run`` the live
-  testbed with scoring on supervised worker processes, ``soak`` a backend
-  to the SLO edge with a mid-run ``kill -9`` fault trial, or ``bench``
-  the multi-vs-single-process speedup against ``BENCH_runtime.json``
-  (see docs/RUNTIME.md).
+  testbed with scoring on supervised worker processes, or ``soak`` a
+  backend to the SLO edge with a mid-run ``kill -9`` fault trial (see
+  docs/RUNTIME.md);
+- ``bench <name>`` — run one component bench (``hotpath``, ``llmfast``,
+  ``megabatch``, ``trainfast``, ``obs``, ``runtime``), verify its equality
+  contracts, and gate it against its floors and the committed
+  ``BENCH_<name>.json`` baseline (see docs/PERFORMANCE.md, "Benchmarks").
 """
 
 from __future__ import annotations
@@ -229,138 +216,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0 if detection_max is not None and detection_max < 1.0 else 3
 
 
-def _cmd_hotpath_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.hotpath.bench import (
-        load_baseline,
-        run_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_hotpath.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"hotpath-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on floors only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
-def _cmd_llmfast_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.llmfast.bench import (
-        load_baseline,
-        run_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_llmfast.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"llmfast-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on floors only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
-def _cmd_megabatch_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.megabatch.bench import (
-        load_baseline,
-        run_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_megabatch.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"megabatch-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on floors only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
-def _cmd_trainfast_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.trainfast.bench import (
-        load_baseline,
-        run_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_trainfast.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"trainfast-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on floors only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
 def _cmd_slo(args: argparse.Namespace) -> int:
     import json
 
@@ -472,45 +327,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.slo.bench import (
-        load_baseline,
-        run_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_obs.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"obs-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on the ceiling only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
 def _cmd_runtime(args: argparse.Namespace) -> int:
     if args.action == "run":
         return _runtime_run(args)
-    if args.action == "soak":
-        return _runtime_soak(args)
-    return _runtime_bench(args)
+    return _runtime_soak(args)
 
 
 def _runtime_run(args: argparse.Namespace) -> int:
@@ -586,40 +406,9 @@ def _runtime_soak(args: argparse.Namespace) -> int:
     return 0 if not failures else 3
 
 
-def _runtime_bench(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.runtime.bench import (
-        load_baseline,
-        run_runtime_bench,
-        save_result,
-        violations,
-    )
-
-    # The committed baseline lives at the repo root next to src/.
-    default_baseline = Path(__file__).resolve().parents[2] / "BENCH_runtime.json"
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline
-    result = run_runtime_bench(quick=args.quick)
-    print(result.report())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"runtime-bench snapshot -> {args.json}")
-    if args.update_baseline:
-        save_result(result, baseline_path)
-        print(f"baseline updated -> {baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path)
-    if baseline is None:
-        print(f"(no committed baseline at {baseline_path}; gating on floors only)")
-    failures = violations(result, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench import driver  # numpy-free: benches pin BLAS before it loads
+
     parser = argparse.ArgumentParser(
         prog="repro", description="6G-XSec reproduction command line"
     )
@@ -675,85 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.set_defaults(func=_cmd_obs)
 
-    hotpath_bench = commands.add_parser(
-        "hotpath-bench",
-        help="measure per-record scoring latency, compiled kernel throughput "
-        "and codec MB/s; verify equality contracts; gate vs BENCH_hotpath.json",
-    )
-    hotpath_bench.add_argument(
-        "--quick", action="store_true", help="small CI run (fewer records/reps)"
-    )
-    hotpath_bench.add_argument("--json", help="write the machine-readable result here")
-    hotpath_bench.add_argument(
-        "--baseline", help="baseline file (default: BENCH_hotpath.json at repo root)"
-    )
-    hotpath_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
-    hotpath_bench.set_defaults(func=_cmd_hotpath_bench)
-
-    llmfast_bench = commands.add_parser(
-        "llmfast-bench",
-        help="measure the verdict-plane fast path (verdict cache, "
-        "vectorized RAG retrieval, compiled prompt assembly) on a "
-        "duplicate-heavy storm workload; verify the decision/ranking/byte "
-        "equality contracts; gate vs BENCH_llmfast.json",
-    )
-    llmfast_bench.add_argument(
-        "--quick", action="store_true", help="small CI run (fewer analyses/reps)"
-    )
-    llmfast_bench.add_argument("--json", help="write the machine-readable result here")
-    llmfast_bench.add_argument(
-        "--baseline", help="baseline file (default: BENCH_llmfast.json at repo root)"
-    )
-    llmfast_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
-    llmfast_bench.set_defaults(func=_cmd_llmfast_bench)
-
-    megabatch_bench = commands.add_parser(
-        "megabatch-bench",
-        help="measure the float32 one-GEMM tick and the int8 quantized LSTM "
-        "tier against the exact float64 tick at >= 1k sessions; verify "
-        "equality contracts; gate vs BENCH_megabatch.json",
-    )
-    megabatch_bench.add_argument(
-        "--quick", action="store_true", help="small CI run (fewer ticks/repeats)"
-    )
-    megabatch_bench.add_argument("--json", help="write the machine-readable result here")
-    megabatch_bench.add_argument(
-        "--baseline", help="baseline file (default: BENCH_megabatch.json at repo root)"
-    )
-    megabatch_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
-    megabatch_bench.set_defaults(func=_cmd_megabatch_bench)
-
-    trainfast_bench = commands.add_parser(
-        "trainfast-bench",
-        help="measure compiled trainer throughput, sweep wall-clock and cache "
-        "hit rate; verify equality contracts; gate vs BENCH_trainfast.json",
-    )
-    trainfast_bench.add_argument(
-        "--quick", action="store_true", help="small CI run (fewer repeats/configs)"
-    )
-    trainfast_bench.add_argument("--json", help="write the machine-readable result here")
-    trainfast_bench.add_argument(
-        "--baseline", help="baseline file (default: BENCH_trainfast.json at repo root)"
-    )
-    trainfast_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
-    trainfast_bench.set_defaults(func=_cmd_trainfast_bench)
-
     slo = commands.add_parser(
         "slo",
         help="run the live testbed fully observed; report SLO attainment, "
@@ -786,15 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     runtime = commands.add_parser(
         "runtime",
         help="process-parallel deployment mode: run the live testbed on "
-        "supervised worker processes, soak it to the SLO edge with a "
-        "mid-run kill -9, or gate the multi-vs-single-process speedup "
-        "vs BENCH_runtime.json (see docs/RUNTIME.md)",
+        "supervised worker processes, or soak it to the SLO edge with a "
+        "mid-run kill -9 (see docs/RUNTIME.md)",
     )
     runtime.add_argument(
         "action",
-        choices=("run", "soak", "bench"),
+        choices=("run", "soak"),
         help="run the live testbed on worker processes / soak a backend "
-        "with fault injection / gate the speedup floor",
+        "with fault injection",
     )
     runtime.add_argument(
         "--backend",
@@ -817,34 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fault", action="store_true", help="skip the kill -9 fault trial"
     )
     runtime.add_argument("--json", help="write the machine-readable result here")
-    runtime.add_argument(
-        "--baseline", help="baseline file (default: BENCH_runtime.json at repo root)"
-    )
-    runtime.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
     runtime.set_defaults(func=_cmd_runtime)
 
-    obs_bench = commands.add_parser(
-        "obs-bench",
-        help="measure full-observability overhead on the inference hot path; "
-        "gate at the <= 3%% ceiling vs BENCH_obs.json",
+    bench = commands.add_parser(
+        "bench",
+        help="run one component bench; verify its equality contracts; gate it "
+        "vs its floors and BENCH_<name>.json (exit 1 when red)",
     )
-    obs_bench.add_argument(
-        "--quick", action="store_true", help="small CI run (fewer records/passes)"
-    )
-    obs_bench.add_argument("--json", help="write the machine-readable result here")
-    obs_bench.add_argument(
-        "--baseline", help="baseline file (default: BENCH_obs.json at repo root)"
-    )
-    obs_bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from this run instead of gating against it",
-    )
-    obs_bench.set_defaults(func=_cmd_obs_bench)
+    driver.add_arguments(bench)
+    bench.set_defaults(func=driver.run_args)
     return parser
 
 

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.hotpath.settings import HotpathSettings
-from repro.llmfast.settings import LlmfastSettings
-from repro.megabatch.settings import MegabatchSettings
+from repro.llm.cache import LlmfastSettings
 from repro.runtime.settings import RuntimeSettings
 from repro.scale.settings import ScaleSettings
 from repro.slo.settings import SloSettings
 from repro.telemetry.features import FeatureSpec
-from repro.trainfast.settings import TrainfastSettings
+
+# How MobiWatch scores a window (docs/PERFORMANCE.md, "Scoring tiers"):
+# "exact" re-runs the window through the float64 kernels (bit-identical to
+# the layer-walking reference); "float32" runs them in float32;
+# "incremental" / "incremental-float32" carry each session's LSTM state
+# across records; "int8" is the quantized LSTM tier. The last three are
+# carried-state tiers: LSTM only, and they score in-process.
+SCORING_TIERS = ("exact", "float32", "incremental", "incremental-float32", "int8")
+CARRIED_STATE_TIERS = ("incremental", "incremental-float32", "int8")
 
 
 @dataclass
@@ -32,6 +38,19 @@ class XsecConfig:
     train_epochs: int = 50
     train_lr: float = 2e-3
     seed: int = 7
+    # One of SCORING_TIERS; every tier but "exact" trades exactness for
+    # speed. "int8" makes build_detector's fit run the calibration pass.
+    scoring: str = "exact"
+    # Precision of the training kernels fit() runs: "float64" is
+    # bit-identical to the seed loops, "float32" the throughput tier.
+    trainer_dtype: str = "float64"
+    # Bounded per-session state. evict_on_release: an RRCRelease record
+    # finishes the session (its final window is scored at once, its state
+    # dropped). evict_idle_s > 0: a sweep every evict_idle_s / 2 drops
+    # sessions untouched for that long. Off by default: a re-appearing
+    # session restarts its window history.
+    evict_on_release: bool = False
+    evict_idle_s: float = 0.0
 
     # E2 reporting.
     report_period_s: float = 0.1
@@ -59,22 +78,6 @@ class XsecConfig:
     # (see docs/SCALING.md).
     scale: ScaleSettings = field(default_factory=ScaleSettings)
 
-    # Inference hot path (repro.hotpath): incremental per-session LSTM
-    # scoring and the float32 kernel tier. Defaults keep scoring exact
-    # (see docs/PERFORMANCE.md).
-    hotpath: HotpathSettings = field(default_factory=HotpathSettings)
-
-    # Training fast path (repro.trainfast): training-kernel precision,
-    # multi-core experiment sweeps, content-addressed dataset cache.
-    # Defaults keep training exact and serial (see docs/PERFORMANCE.md,
-    # "Training fast path").
-    trainfast: TrainfastSettings = field(default_factory=TrainfastSettings)
-
-    # repro.megabatch: the int8/float16 quantized LSTM tier and bounded
-    # per-session state via eviction. Defaults keep scoring exact and
-    # never evict (see docs/PERFORMANCE.md).
-    megabatch: MegabatchSettings = field(default_factory=MegabatchSettings)
-
     # SLO/observability plane (repro.slo): burn-rate alerting over
     # declarative objectives, continuous profiling, OpenMetrics/JSONL
     # export, verdict provenance. Defaults keep every output bit-identical
@@ -88,7 +91,28 @@ class XsecConfig:
     # (see docs/RUNTIME.md).
     runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
 
-    # Verdict-plane fast path (repro.llmfast): content-addressed verdict
+    # Verdict-plane fast path (repro.llm.cache): content-addressed verdict
     # cache + in-flight coalescing. Defaults send one provider request per
     # query (see docs/PERFORMANCE.md, "Verdict plane").
     llmfast: LlmfastSettings = field(default_factory=LlmfastSettings)
+
+    def __post_init__(self) -> None:
+        if self.scoring not in SCORING_TIERS:
+            raise ValueError(f"scoring must be one of {SCORING_TIERS}, got {self.scoring!r}")
+        if self.trainer_dtype not in ("float64", "float32"):
+            raise ValueError(
+                f"trainer_dtype must be 'float64' or 'float32', got {self.trainer_dtype!r}"
+            )
+        if self.evict_idle_s < 0:
+            raise ValueError(f"evict_idle_s must be >= 0, got {self.evict_idle_s}")
+        if self.scoring in CARRIED_STATE_TIERS:
+            if self.detector != "lstm":
+                raise ValueError(
+                    f"scoring={self.scoring!r} carries LSTM state: it needs "
+                    f"detector='lstm', got detector={self.detector!r}"
+                )
+            if self.runtime.score_in_processes:
+                raise ValueError(
+                    f"scoring={self.scoring!r} carries per-session state in this "
+                    "process: it cannot run with runtime.score_in_processes"
+                )

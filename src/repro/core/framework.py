@@ -56,12 +56,9 @@ def build_detector(config: XsecConfig) -> AnomalyDetector:
         )
     else:
         raise ValueError(f"unknown detector {config.detector!r}")
-    if config.trainfast.any_enabled:
-        detector.attach_trainfast(config.trainfast)
-    if config.megabatch.any_enabled:
-        # fit() runs the int8 calibration pass + quantized threshold fit
-        # when the quantized tier is on.
-        detector.attach_megabatch(config.megabatch)
+    detector.trainer_dtype = config.trainer_dtype
+    # fit() runs the int8 calibration pass + quantized threshold fit.
+    detector.calibrate_int8 = config.scoring == "int8"
     return detector
 
 

@@ -127,7 +127,7 @@ class LlmAnalyzerXApp(XApp):
         self._review_counter = metrics.counter(
             "llm.human_review_total", help="contradictions escalated to humans"
         )
-        # repro.llmfast counters (gated: a flag that is off creates no
+        # Verdict-plane counters (gated: a flag that is off creates no
         # metric series).
         self._cache_hits_counter = None
         self._coalesced_counter = None
@@ -139,12 +139,12 @@ class LlmAnalyzerXApp(XApp):
             self._coalesced_counter = metrics.counter(
                 "llm.coalesced_total", help="queries joined to an in-flight request"
             )
-        # Bugfix: _session_last_query grew without bound — megabatch
+        # Bugfix: _session_last_query grew without bound — MobiWatch's
         # session eviction never reached analyzer state.  Prune the
         # cooldown ledger whenever MobiWatch evicts the session
         # (release- or idle-driven).
         self._sessions_evicted_counter = None
-        if self.config.megabatch.eviction_enabled:
+        if self.config.evict_on_release or self.config.evict_idle_s > 0:
             self._sessions_evicted_counter = metrics.counter(
                 "llm.sessions_evicted_total",
                 help="analyzer session state pruned by eviction",

@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from repro import wire
-from repro.core.config import XsecConfig
-from repro.hotpath.incremental import IncrementalLstmScorer
-from repro.megabatch.quantized import STATE_DTYPE, QuantizedLstmEngine
+from repro.core.config import CARRIED_STATE_TIERS, XsecConfig
 from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector, LstmDetector
+from repro.ml.incremental import IncrementalLstmScorer
+from repro.ml.quantized import STATE_DTYPE, QuantizedLstmEngine
 from repro.obs.metrics import WallTimer
 from repro.oran.e2ap import ActionType, RicIndication
 from repro.oran.e2sm_kpm import (
@@ -145,12 +145,12 @@ class MobiWatchXApp(XApp):
         # (session, row) per record of the current tick: the quantized
         # tier's fused batched steps consume it.
         self._tick_rows: list = []
-        # repro.megabatch session eviction bounds per-session state
-        # (default off, see docs/PERFORMANCE.md).
+        # Session eviction bounds per-session state (default off, see
+        # docs/PERFORMANCE.md).
         self._last_touch: dict[int, float] = {}
-        self._track_touch = self.config.megabatch.evict_idle_s > 0
+        self._track_touch = self.config.evict_idle_s > 0
         self._evicted_counter = None
-        if self.config.megabatch.eviction_enabled:
+        if self.config.evict_on_release or self._track_touch:
             self._evicted_counter = metrics.counter(
                 "mobiwatch.sessions_evicted_total",
                 help="sessions whose per-session state was dropped",
@@ -183,103 +183,77 @@ class MobiWatchXApp(XApp):
         self.subscribe(MOBIFLOW_RAN_FUNCTION_ID, trigger, ActionType.REPORT)
         if self._track_touch:
             self.schedule(
-                self.config.megabatch.evict_sweep_s,
-                self._evict_sweep,
-                name=f"{self.name}.evict",
+                self.config.evict_idle_s / 2, self._evict_sweep, name=f"{self.name}.evict"
             )
 
     def deploy_detector(self, detector: AnomalyDetector) -> None:
-        """Install a trained model (called by the SMO deploy step)."""
+        """Install a trained model (called by the SMO deploy step).
+
+        Binds the scoring strategy of ``config.scoring`` once; nothing
+        below deploy re-tests a setting per record or per window. Raises
+        ``ValueError`` for a detector that cannot run the configured tier.
+        """
         if detector.threshold.threshold is None:
             raise ValueError("detector must be fitted before deployment")
+        scoring = self.config.scoring
+        if scoring in CARRIED_STATE_TIERS and not isinstance(detector, LstmDetector):
+            raise ValueError(f"scoring={scoring!r} needs the LSTM detector, got {detector.name}")
+        if scoring == "int8" and detector.calibration is None:
+            raise ValueError(
+                "scoring='int8' needs a detector fitted with the int8 calibration "
+                "pass (build_detector under scoring='int8')"
+            )
         self.detector = detector
         detector.recompile()  # a deployment never inherits another's score memo
         detector.attach_metrics(self.sim.obs.metrics)
-        hotpath = self.config.hotpath
-        detector.scoring_dtype = hotpath.dtype
+        dtype = "float32" if scoring.endswith("float32") else "float64"
+        detector.scoring_dtype = dtype
         metrics = self.sim.obs.metrics
-        # repro.megabatch: the quantized tier needs an LSTM fitted with
-        # megabatch attached (the fit runs the calibration pass); anything
-        # else scores through the float paths below.
-        megabatch = self.config.megabatch
-        self._quantized = None
-        if megabatch.quantized:
-            if not isinstance(detector, LstmDetector):
-                self.log(
-                    "megabatch.quantized ignored: the int8 tier needs the "
-                    f"LSTM detector, got {detector.name}"
-                )
-            elif detector.calibration is None:
-                self.log(
-                    "megabatch.quantized ignored: detector was fitted without "
-                    "megabatch attached (no calibration pass)"
-                )
-            else:
-                self._quantized = QuantizedLstmEngine(
-                    detector, detector.calibration, metrics=metrics
-                )
-        # repro.hotpath: incremental LSTM scoring carries per-session
-        # hidden state instead of re-running the window.
-        self._incremental = None
-        if hotpath.incremental:
-            if self._quantized is not None:
-                self.log("hotpath.incremental ignored: megabatch.quantized takes precedence")
-            elif isinstance(detector, LstmDetector):
-                self._incremental = IncrementalLstmScorer(detector, hotpath, metrics=metrics)
-            else:
-                self.log(
-                    "hotpath.incremental ignored: carried-state scoring "
-                    f"needs the LSTM detector, got {detector.name}"
-                )
-        # Sessions may already hold telemetry: replay their rows so the
-        # carried state matches record-by-record ingest.
-        carried = self._quantized if self._quantized is not None else self._incremental
-        if carried is not None:
-            for session_id in self._arena.session_ids():
-                carried.warm_up(session_id, self._arena.session_rows(session_id))
-        # repro.runtime: the tick's gather scored in supervised OS worker
-        # processes. Spawned at deploy time (the workers need the trained
-        # weights) and only when nothing above took precedence. The workers
-        # make one row-exact call per batch and the blocking call is
-        # invisible to sim time (see docs/RUNTIME.md), so scores stay
-        # bit-identical to the inline path.
-        runtime = self.config.runtime
         if self.pool is not None:
             self.pool.close()  # re-deploy: workers need the new weights
             self.pool = None
-        if runtime.score_in_processes:
-            if carried is not None:
-                winner = (
-                    "megabatch.quantized" if carried is self._quantized else "hotpath.incremental"
-                )
-                self.log(f"runtime.score_in_processes ignored: {winner} takes precedence")
-            else:
-                from repro.runtime.bridge import ProcessScoringPool
-
-                self.pool = ProcessScoringPool(
-                    detector, runtime, metrics=metrics, name=self.name
-                )
-        # Bind the scoring strategy once; nothing below deploy re-tests a
-        # flag per record or per window. Provenance names the runtime that
-        # produced each score, since the behaviour tiers carry documented
-        # tolerances (docs/PERFORMANCE.md).
-        append = self._arena.append
-        parts = ["compiled-float32"] if hotpath.dtype == "float32" else []
-        if self._quantized is not None:
+        self._quantized = self._incremental = None
+        # Provenance names the runtime that produced each score, since the
+        # tiers carry documented tolerances (docs/PERFORMANCE.md).
+        parts = ["compiled-float32"] if scoring == "float32" else []
+        if scoring == "int8":
+            carried = self._quantized = QuantizedLstmEngine(
+                detector, detector.calibration, metrics=metrics
+            )
             strategy = (
                 self._ingest_quantized,
                 self._quantized_scores,
                 self._quantized_operating_threshold,
             )
             parts = [f"quantized-int8-{STATE_DTYPE}"]
-        elif self._incremental is not None:
+        elif scoring in CARRIED_STATE_TIERS:
+            # Carried per-session LSTM state instead of re-running the window.
+            carried = self._incremental = IncrementalLstmScorer(
+                detector, dtype=dtype, metrics=metrics
+            )
             strategy = (self._ingest_incremental, self._incremental_scores, self._threshold)
-            parts = [f"incremental-{hotpath.dtype}"]
-        elif self.pool is not None:
-            strategy = (append, self._process_scores, self._threshold)
+            parts = [f"incremental-{dtype}"]
+        elif self.config.runtime.score_in_processes:
+            # The tick's gather scored in supervised OS worker processes,
+            # spawned here because they need the trained weights. They make
+            # one row-exact call per batch and the blocking call is
+            # invisible to sim time (see docs/RUNTIME.md), so scores stay
+            # bit-identical to the inline path.
+            from repro.runtime.bridge import ProcessScoringPool
+
+            carried = None
+            runtime = self.config.runtime
+            self.pool = ProcessScoringPool(detector, runtime, metrics=metrics, name=self.name)
+            strategy = (self._arena.append, self._process_scores, self._threshold)
             parts.append(f"process-{runtime.workers}w")
         else:
-            strategy = (append, self._gathered_scores, self._threshold)
+            carried = None
+            strategy = (self._arena.append, self._gathered_scores, self._threshold)
+        # Sessions may already hold telemetry: replay their rows so the
+        # carried state matches record-by-record ingest.
+        if carried is not None:
+            for session_id in self._arena.session_ids():
+                carried.warm_up(session_id, self._arena.session_rows(session_id))
         self._ingest_row, self._batch_scores, self._operating_threshold = strategy
         self._scoring_path = "+".join(parts) or "seed"
         self.log(
@@ -341,7 +315,7 @@ class MobiWatchXApp(XApp):
         touched: dict[int, None] = {}  # insertion-ordered set
         # Session-release signals drive eviction.
         released: list[int] = []
-        evict_release = self.config.megabatch.evict_on_release
+        evict_release = self.config.evict_on_release
         track_touch = self._track_touch
         ingest_row = self._ingest_row
         push = self._encoder.push
@@ -519,9 +493,9 @@ class MobiWatchXApp(XApp):
         batch height (the row-exact kernel mode of :mod:`repro.ml.compiled`,
         enforced per attack scenario by tests/test_megabatch.py), so rows
         this deployment has scored before, byte for byte, come from the
-        snapshot's score memo and only the rest reach the kernels; the
-        float32 tier runs the matrix through one fused GEMM per tick under
-        the hotpath tolerance.
+        snapshot's score memo and only the rest reach the kernels; under
+        ``scoring="float32"`` the matrix runs through one fused GEMM per
+        tick, within that tier's tolerance.
         """
         matrix = self._gather(ready)
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
@@ -537,7 +511,7 @@ class MobiWatchXApp(XApp):
         self._count_scores(scores)
         return scores
 
-    # -- incremental tier (repro.hotpath): carried LSTM state --------------------------
+    # -- incremental tiers: carried LSTM state ------------------------------------------
 
     def _ingest_incremental(self, session_id: int, row: np.ndarray) -> None:
         self._arena.append(session_id, row)
@@ -553,7 +527,7 @@ class MobiWatchXApp(XApp):
         self._count_scores(scores)
         return scores
 
-    # -- quantized tier (repro.megabatch): carried int8 state ---------------------------
+    # -- int8 tier: carried quantized state ---------------------------------------------
 
     def _ingest_quantized(self, session_id: int, row: np.ndarray) -> None:
         self._arena.append(session_id, row)
@@ -600,7 +574,7 @@ class MobiWatchXApp(XApp):
             return quantized.threshold
         return self._threshold()
 
-    # -- session eviction (repro.megabatch: bounded per-session state) -------------
+    # -- session eviction: bounded per-session state ---------------------------------
 
     def _evict_released(self, released) -> None:
         for session_id in dict.fromkeys(released):
@@ -614,15 +588,12 @@ class MobiWatchXApp(XApp):
             self._evict_session(session_id)
 
     def _evict_sweep(self) -> None:
-        horizon = self.now - self.config.megabatch.evict_idle_s
+        idle_s = self.config.evict_idle_s
+        horizon = self.now - idle_s
         stale = [s for s, t in self._last_touch.items() if t <= horizon]
         for session_id in stale:
             self._evict_session(session_id)
-        self.schedule(
-            self.config.megabatch.evict_sweep_s,
-            self._evict_sweep,
-            name=f"{self.name}.evict",
-        )
+        self.schedule(idle_s / 2, self._evict_sweep, name=f"{self.name}.evict")
 
     def _evict_session(self, session_id: int) -> bool:
         """Drop every piece of the session's per-xApp state.

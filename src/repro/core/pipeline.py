@@ -212,7 +212,7 @@ class ClosedLoopPipeline:
             report["runtime"] = pool.supervisor.health()
         llmfast = self.config.llmfast
         if llmfast.fast_submit_enabled:
-            # repro.llmfast: the verdict-plane ledger (the invariant
+            # The verdict-plane ledger (the invariant
             # offered == analyzed + coalesced + cache_hits + pending holds
             # at every instant) plus cache internals.
             analyzer = self.analyzer

@@ -22,6 +22,7 @@ from repro.experiments.datasets import (
     generate_benign_dataset,
 )
 from repro.experiments.reporting import render_table
+from repro.experiments.sweep import sweep_tools
 from repro.ml.detector import AutoencoderDetector
 from repro.ml.metrics import DetectionMetrics
 from repro.telemetry.features import FeatureSpec
@@ -81,7 +82,7 @@ def _evaluate(
     mode: str = "session",
     captures=None,
     cache=None,
-    trainfast=None,
+    trainer_dtype: str = "float64",
 ) -> AblationRow:
     benign_capture, attack_capture = captures
     benign = benign_capture.labeled(spec, window, "benign", mode=mode, cache=cache)
@@ -91,8 +92,7 @@ def _evaluate(
     detector = AutoencoderDetector(
         window=window, feature_dim=spec.dim, percentile=percentile, seed=config.seed
     )
-    if trainfast is not None:
-        detector.attach_trainfast(trainfast)
+    detector.trainer_dtype = trainer_dtype
     detector.fit(windows[:split], epochs=config.epochs, lr=config.lr)
     held = windows[split:]
     benign_fp = float(detector.detect(held).mean()) if len(held) else 0.0
@@ -114,18 +114,6 @@ def _captures(config: AblationConfig):
     )
 
 
-def _sweep_tools(trainfast):
-    """(SweepRunner, DatasetCache or None) for optional TrainfastSettings.
-
-    ``trainfast=None`` gives the seed behaviour: a serial runner, no cache,
-    seed training loops. Lazily imported so the experiments layer has no
-    hard dependency on repro.trainfast.
-    """
-    from repro.trainfast.sweep import sweep_tools
-
-    return sweep_tools(trainfast)
-
-
 def _prewarm(cache, captures, specs) -> None:
     """Encode per-record matrices in the parent before the sweep forks.
 
@@ -143,13 +131,24 @@ def _prewarm(cache, captures, specs) -> None:
 def run_window_ablation(
     config: Optional[AblationConfig] = None,
     windows: tuple = (4, 6, 8, 10),
-    trainfast=None,
+    *,
+    sweep_workers: int = 0,
+    cache: bool = False,
+    cache_dir: Optional[str] = None,
+    trainer_dtype: str = "float64",
 ) -> AblationResult:
-    """A1: sliding-window size sweep."""
+    """A1: sliding-window size sweep.
+
+    Every sweep entry point takes the same keywords: ``sweep_workers``
+    fans configurations across forked workers (rows merged in submission
+    order, identical to the serial sweep), ``cache`` / ``cache_dir``
+    memoize encoded telemetry (:mod:`repro.experiments.cache`), and
+    ``trainer_dtype`` is the training-kernel precision.
+    """
     config = config or AblationConfig()
     captures = _captures(config)
     spec = FeatureSpec()
-    runner, cache = _sweep_tools(trainfast)
+    runner, cache = sweep_tools(sweep_workers, cache, cache_dir)
     _prewarm(cache, captures, [spec])
     rows = runner.map(
         lambda w: _evaluate(
@@ -160,7 +159,7 @@ def run_window_ablation(
             label=f"N={w}",
             captures=captures,
             cache=cache,
-            trainfast=trainfast,
+            trainer_dtype=trainer_dtype,
         ),
         windows,
     )
@@ -170,13 +169,18 @@ def run_window_ablation(
 def run_threshold_ablation(
     config: Optional[AblationConfig] = None,
     percentiles: tuple = (90.0, 95.0, 97.5, 99.0, 99.9),
-    trainfast=None,
+    *,
+    sweep_workers: int = 0,
+    cache: bool = False,
+    cache_dir: Optional[str] = None,
+    trainer_dtype: str = "float64",
 ) -> AblationResult:
-    """A2: threshold percentile sweep (one training, many thresholds)."""
+    """A2: threshold percentile sweep (one training, many thresholds;
+    ``sweep_workers`` has nothing to fan out)."""
     config = config or AblationConfig()
     captures = _captures(config)
     spec = FeatureSpec()
-    _, cache = _sweep_tools(trainfast)
+    _, cache = sweep_tools(sweep_workers, cache, cache_dir)
     benign = captures[0].labeled(spec, config.window, "benign", cache=cache)
     attack = captures[1].labeled(spec, config.window, "attack", cache=cache)
     windows = benign.windowed.windows
@@ -184,8 +188,7 @@ def run_threshold_ablation(
     detector = AutoencoderDetector(
         window=config.window, feature_dim=spec.dim, seed=config.seed
     )
-    if trainfast is not None:
-        detector.attach_trainfast(trainfast)
+    detector.trainer_dtype = trainer_dtype
     detector.fit(windows[:split], epochs=config.epochs, lr=config.lr)
     held_scores = detector.scores(windows[split:])
     attack_scores = detector.scores(attack.windowed.windows)
@@ -211,12 +214,16 @@ def run_threshold_ablation(
 
 def run_feature_ablation(
     config: Optional[AblationConfig] = None,
-    trainfast=None,
+    *,
+    sweep_workers: int = 0,
+    cache: bool = False,
+    cache_dir: Optional[str] = None,
+    trainer_dtype: str = "float64",
 ) -> AblationResult:
     """A3: feature-group and encoding-choice sweep."""
     config = config or AblationConfig()
     captures = _captures(config)
-    runner, cache = _sweep_tools(trainfast)
+    runner, cache = sweep_tools(sweep_workers, cache, cache_dir)
     variants: list[tuple[str, FeatureSpec, str]] = [
         ("full", FeatureSpec(), "session"),
         ("no-identifiers", FeatureSpec(include_identifiers=False), "session"),
@@ -241,7 +248,7 @@ def run_feature_ablation(
             mode=variant[2],
             captures=captures,
             cache=cache,
-            trainfast=trainfast,
+            trainer_dtype=trainer_dtype,
         ),
         variants,
     )

@@ -8,7 +8,7 @@ results *indistinguishable* from the serial sweep:
 
 - **fork inheritance, no capture pickling** — the pool uses the ``fork``
   start method, and the task function plus its closed-over context (the
-  generated captures, a warm :class:`~repro.trainfast.cache.DatasetCache`)
+  generated captures, a warm :class:`~repro.experiments.cache.DatasetCache`)
   are stashed in a module global *before* the fork, so workers inherit
   them through copy-on-write memory instead of serializing megabytes of
   telemetry per task. Only the task index crosses the pipe going in, and
@@ -32,7 +32,6 @@ import time
 from typing import Callable, Optional, Sequence
 
 from repro.slo import profiler as _profiler
-from repro.trainfast.settings import TrainfastSettings
 
 # Closure slot inherited by forked workers (see SweepRunner.map). Holding
 # it in a module global instead of Pool initargs keeps arbitrary
@@ -40,20 +39,18 @@ from repro.trainfast.settings import TrainfastSettings
 _FORK_TASK: Optional[tuple] = None
 
 
-def sweep_tools(settings: Optional[TrainfastSettings]):
-    """(SweepRunner, DatasetCache or None) for optional settings.
+def sweep_tools(sweep_workers: int = 0, cache: bool = False, cache_dir: Optional[str] = None):
+    """(SweepRunner, DatasetCache or None) for the sweep entry points'
+    keyword arguments (ablations, Table 2).
 
-    The one-liner experiment entry points (ablations, Table 2) call this to
-    turn ``trainfast=None`` into the seed behaviour — a serial runner and
-    no cache — and a populated :class:`TrainfastSettings` into its
-    configured runner/cache pair.
+    The defaults are the seed behaviour: a serial runner and no cache.
+    ``sweep_workers`` fans configurations out across that many forked
+    workers; ``cache`` memoizes encoded telemetry (``cache_dir`` adds a
+    persistent on-disk layer).
     """
-    from repro.trainfast.cache import DatasetCache
+    from repro.experiments.cache import DatasetCache
 
-    if settings is None:
-        return SweepRunner(0), None
-    cache = DatasetCache(settings.cache_dir) if settings.cache else None
-    return SweepRunner(settings.sweep_workers), cache
+    return SweepRunner(sweep_workers), (DatasetCache(cache_dir) if cache else None)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -92,10 +89,6 @@ class SweepRunner:
             buckets=(0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0),
             help="whole-sweep wall clock per map() call",
         )
-
-    @classmethod
-    def from_settings(cls, settings: Optional[TrainfastSettings]) -> "SweepRunner":
-        return cls(workers=settings.sweep_workers if settings else 0)
 
     @property
     def parallel_available(self) -> bool:

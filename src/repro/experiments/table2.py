@@ -29,6 +29,7 @@ from repro.experiments.datasets import (
     generate_benign_dataset,
 )
 from repro.experiments.reporting import render_table
+from repro.experiments.sweep import sweep_tools
 from repro.ml.detector import AutoencoderDetector, LstmDetector
 from repro.ml.metrics import DetectionMetrics
 from repro.telemetry.dataset import LabeledDataset
@@ -116,7 +117,7 @@ class Table2Result:
         raise KeyError((dataset, model))
 
 
-def _make_detector(model: str, config: Table2Config, trainfast=None):
+def _make_detector(model: str, config: Table2Config, trainer_dtype: str = "float64"):
     if model == "autoencoder":
         detector = AutoencoderDetector(
             window=config.window,
@@ -131,8 +132,7 @@ def _make_detector(model: str, config: Table2Config, trainfast=None):
             percentile=config.lstm_percentile,
             seed=config.seed,
         )
-    if trainfast is not None:
-        detector.attach_trainfast(trainfast)
+    detector.trainer_dtype = trainer_dtype
     return detector
 
 
@@ -141,7 +141,7 @@ def _use_session_context(model: str, config: Table2Config) -> bool:
 
 
 def _benign_cv(
-    model: str, benign: LabeledDataset, config: Table2Config, trainfast=None
+    model: str, benign: LabeledDataset, config: Table2Config, trainer_dtype: str = "float64"
 ) -> DetectionMetrics:
     """k-fold cross-validation false-alarm measurement on benign windows."""
     windows = benign.windowed.windows
@@ -151,7 +151,7 @@ def _benign_cv(
     tp = fp = tn = fn = 0
     for fold in range(folds):
         held_mask = indices % folds == fold
-        detector = _make_detector(model, config, trainfast)
+        detector = _make_detector(model, config, trainer_dtype)
         detector.fit(windows[~held_mask], epochs=config.epochs, lr=config.lr)
         if _use_session_context(model, config):
             scores = detector.session_window_scores(benign.windowed)
@@ -170,9 +170,9 @@ def _attack_eval(
     attack: LabeledDataset,
     attack_capture: CollectedDataset,
     config: Table2Config,
-    trainfast=None,
+    trainer_dtype: str = "float64",
 ) -> ModelResult:
-    detector = _make_detector(model, config, trainfast)
+    detector = _make_detector(model, config, trainer_dtype)
     if _use_session_context(model, config):
         detector.fit_with_session_context(
             benign.windowed, epochs=config.epochs, lr=config.lr
@@ -204,21 +204,24 @@ def _attack_eval(
 
 
 def run_table2(
-    config: Optional[Table2Config] = None, trainfast=None
+    config: Optional[Table2Config] = None,
+    *,
+    sweep_workers: int = 0,
+    cache: bool = False,
+    cache_dir: Optional[str] = None,
+    trainer_dtype: str = "float64",
 ) -> Table2Result:
     """Run the full Table 2 experiment.
 
-    ``trainfast`` (optional :class:`~repro.trainfast.settings.TrainfastSettings`)
-    fans the four independent (model, dataset) evaluations across sweep
-    workers, memoizes the capture encodes, and routes training through the
-    compiled kernels. Results are merged in the seed's row order.
+    ``sweep_workers`` fans the four independent (model, dataset)
+    evaluations across forked workers, ``cache`` / ``cache_dir`` memoize
+    the capture encodes, ``trainer_dtype`` is the training-kernel
+    precision. Results are merged in the seed's row order.
     """
-    from repro.trainfast.sweep import sweep_tools
-
     config = config or Table2Config()
     benign_capture = generate_benign_dataset(config.benign)
     attack_capture = generate_attack_dataset(config.attack)
-    runner, cache = sweep_tools(trainfast)
+    runner, cache = sweep_tools(sweep_workers, cache, cache_dir)
     benign = benign_capture.labeled(config.spec, config.window, "benign", cache=cache)
     attack = attack_capture.labeled(config.spec, config.window, "attack", cache=cache)
 
@@ -228,9 +231,9 @@ def run_table2(
             return ModelResult(
                 dataset="benign",
                 model=model,
-                metrics=_benign_cv(model, benign, config, trainfast),
+                metrics=_benign_cv(model, benign, config, trainer_dtype),
             )
-        return _attack_eval(model, benign, attack, attack_capture, config, trainfast)
+        return _attack_eval(model, benign, attack, attack_capture, config, trainer_dtype)
 
     tasks = [
         (model, dataset)

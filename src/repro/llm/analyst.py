@@ -8,16 +8,24 @@ remediation outputs, and cross-compare with MobiWatch's verdict.
 
 Retrieval runs through the term-indexed :class:`VectorizedRetriever` and
 prompt assembly through :class:`CompiledPromptBuilder`. With
-``repro.llmfast`` settings attached a content-addressed verdict cache
-keyed on canonical trace signatures lets near-duplicate queries skip the
-provider round trip while keeping every verdict *decision* identical.
+``XsecConfig.llmfast`` settings attached, a content-addressed verdict
+cache (:mod:`repro.llm.cache`) keyed on canonical trace signatures lets
+near-duplicate queries skip the provider round trip while keeping every
+verdict *decision* identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
+from repro.llm.cache import (
+    CachedVerdict,
+    LlmfastSettings,
+    SignatureInterner,
+    VerdictCache,
+    trace_signature,
+)
 from repro.llm.client import LlmClient
 from repro.llm.knowledge import (
     AnalysisEngine,
@@ -27,9 +35,6 @@ from repro.llm.knowledge import (
 from repro.llm.prompt import CompiledPromptBuilder
 from repro.llm.response import AnalysisResponse, parse_response
 from repro.telemetry.mobiflow import MobiFlowRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.llmfast.settings import LlmfastSettings
 
 
 @dataclass
@@ -42,7 +47,7 @@ class ExpertVerdict:
     # Cross-comparison with the anomaly detector (§3.3): contradictory
     # results require human supervision.
     detector_flagged: bool = True
-    # repro.llmfast: True when the response was served from the verdict
+    # True when the response was served from the verdict
     # cache instead of a provider round trip.
     from_cache: bool = False
 
@@ -62,8 +67,8 @@ class ExpertAnalyst:
     client: LlmClient
     use_rag: bool = False
     knowledge: CellularKnowledgeBase = field(default_factory=CellularKnowledgeBase)
-    # repro.llmfast flags; None = no verdict cache, no signatures.
-    llmfast: Optional["LlmfastSettings"] = None
+    # Verdict-plane flags; None = no verdict cache, no signatures.
+    llmfast: Optional[LlmfastSettings] = None
     analyses_run: int = 0
     escalations: int = 0
     cache_hits: int = 0
@@ -76,8 +81,6 @@ class ExpertAnalyst:
         self._engine = None
         settings = self.llmfast
         if settings is not None and (settings.verdict_cache or settings.coalesce):
-            from repro.llmfast.cache import SignatureInterner, VerdictCache
-
             self._cache = (
                 VerdictCache(settings.cache_capacity)
                 if settings.verdict_cache
@@ -104,8 +107,6 @@ class ExpertAnalyst:
         """Canonical trace signature, or None when caching is off."""
         if self._interner is None:
             return None
-        from repro.llmfast.cache import trace_signature
-
         records_key = tuple(records)
         signature = self._interner.get(records_key)
         if signature is None:
@@ -185,8 +186,6 @@ class ExpertAnalyst:
         if verdict.needs_human_review:
             self.escalations += 1
         if self._cache is not None and signature is not None:
-            from repro.llmfast.cache import CachedVerdict
-
             self._cache.put(
                 signature,
                 CachedVerdict(

@@ -14,8 +14,8 @@ by tests/test_hotpath.py):
   shapes, same association, same clip/exp/tanh calls — so scores are
   bit-identical to the layer-walking ``AnomalyDetector.reference_scores``;
 - **float32** kernels trade precision for throughput; scores match the
-  float64 path within the documented
-  :class:`~repro.hotpath.settings.HotpathSettings` tolerances.
+  float64 path within the documented tolerance (``XsecConfig.scoring=
+  "float32"``, held by tests/test_hotpath.py).
 
 Two batch modes. By default a batch goes through full-height GEMMs —
 offline scoring: training thresholds, the paper's tables. With

@@ -34,8 +34,8 @@ def merge_session_groups(window_records) -> list:
     Sessionized windowing emits each session's windows contiguously and
     adjacent windows of one session overlap, so a linear connectivity pass
     reconstructs the per-session record lists exactly. Shared by the
-    float64 session-context scorer and the quantized tier's offline
-    evaluation (:mod:`repro.megabatch.quantized`).
+    float64 session-context scorer and the int8 tier's offline
+    evaluation (:mod:`repro.ml.quantized`).
     """
     merged: list = []
     current: Optional[set] = None
@@ -65,19 +65,20 @@ class AnomalyDetector(abc.ABC):
         self.metrics: Optional[MetricsRegistry] = None
         # Kernel precisions. float64 is exact: scores are bit-identical to
         # reference_scores() and training to the seed fit loops; float32 is
-        # the documented throughput tier (hotpath.dtype at deployment,
-        # trainfast.trainer_dtype at training).
+        # the documented throughput tier (XsecConfig.scoring at deployment,
+        # XsecConfig.trainer_dtype at training).
         self.scoring_dtype = "float64"
         self.trainer_dtype = "float64"
         # Fused inference kernels over a weight snapshot (repro.ml.compiled):
         # built by the first scores() after a fit/load, dropped by fit().
         self._compiled: Optional[CompiledModel] = None
-        # Megabatch tier (repro.megabatch): with the quantized tier on,
-        # fit() also runs the int8 calibration pass over the training
-        # windows and fits a separate operating threshold in quantized
-        # score space (quantized scores are not float64 scores, so reusing
-        # the float64 threshold would shift the operating point).
-        self._megabatch = None
+        # The int8 tier (repro.ml.quantized): with calibrate_int8 set (by
+        # build_detector under scoring="int8"), fit() also runs the int8
+        # calibration pass over the training windows and fits a separate
+        # operating threshold in quantized score space (quantized scores
+        # are not float64 scores, so reusing the float64 threshold would
+        # shift the operating point).
+        self.calibrate_int8 = False
         self.calibration = None
         self.quantized_threshold: Optional[PercentileThreshold] = None
         self.quantized_training_scores: Optional[np.ndarray] = None
@@ -88,28 +89,16 @@ class AnomalyDetector(abc.ABC):
         if self._compiled is not None:
             self._compiled.attach_metrics(metrics)
 
-    def attach_trainfast(self, settings) -> None:
-        """Adopt :class:`~repro.trainfast.settings.TrainfastSettings`:
-        :meth:`fit` trains in ``settings.trainer_dtype``."""
-        self.trainer_dtype = settings.trainer_dtype
-
-    def attach_megabatch(self, settings) -> None:
-        """Adopt :class:`~repro.megabatch.settings.MegabatchSettings`.
-
-        With the quantized tier on, subsequent fits calibrate the int8
-        input scale over the training windows (:func:`calibrate_windows`)
-        and fit :attr:`quantized_threshold` at the same percentile on the
-        quantized tier's own training scores.
-        """
-        self._megabatch = settings
-
     def _fit_quantized_tier(self, windows: np.ndarray) -> None:
-        """Calibration + quantized-threshold pass after a fit (if attached)."""
+        """Calibration + quantized-threshold pass after a fit (if
+        :attr:`calibrate_int8`): the int8 input scale over the training
+        windows, then :attr:`quantized_threshold` at the same percentile on
+        the int8 tier's own training scores."""
         self.calibration = None
         self.quantized_threshold = self.quantized_training_scores = None
-        if self._megabatch is None or not self._megabatch.quantized:
+        if not self.calibrate_int8:
             return
-        from repro.megabatch.quantized import calibrate_windows
+        from repro.ml.quantized import calibrate_windows
 
         self.calibration = calibrate_windows(windows)
         self._fit_quantized_threshold(windows)
@@ -357,11 +346,8 @@ class LstmDetector(AnomalyDetector):
         # above uses in float64.
         self.calibration = None
         self.quantized_threshold = self.quantized_training_scores = None
-        if self._megabatch is not None and self._megabatch.quantized:
-            from repro.megabatch.quantized import (
-                QuantizedLstmEngine,
-                calibrate_windows,
-            )
+        if self.calibrate_int8:
+            from repro.ml.quantized import QuantizedLstmEngine, calibrate_windows
 
             self.calibration = calibrate_windows(windows)
             engine = QuantizedLstmEngine(self, self.calibration)
@@ -376,7 +362,7 @@ class LstmDetector(AnomalyDetector):
         score space (mirroring how the float64 threshold is fit on float64
         training scores).
         """
-        from repro.megabatch.quantized import QuantizedLstmEngine
+        from repro.ml.quantized import QuantizedLstmEngine
 
         engine = QuantizedLstmEngine(self, self.calibration)
         self._set_quantized_operating_point(engine.window_scores(windows, self.window))

@@ -23,7 +23,7 @@ Equality contract (enforced by tests/test_hotpath.py):
 - in **float64** the carried state produces scores *bitwise equal* to
   :meth:`replay_errors`, which recomputes every error from the session
   prefix using the seed's own plain-numpy expressions;
-- in **float32** (``hotpath.dtype``) scores match the float64 replay within
+- in **float32** (``scoring="incremental-float32"``) scores match the float64 replay within
   the tolerance the tests document;
 - a live pipeline whose scorer is swapped for :meth:`replay_window_score`
   emits identical anomaly events.
@@ -36,7 +36,6 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.hotpath.settings import HotpathSettings
 from repro.ml.compiled import CompiledLstm
 from repro.ml.detector import LstmDetector
 from repro.slo import profiler as _profiler
@@ -62,17 +61,14 @@ class _SessionState:
 class IncrementalLstmScorer:
     """Carried-state scorer for a fitted :class:`LstmDetector`."""
 
-    def __init__(
-        self, detector, settings: Optional[HotpathSettings] = None, metrics=None
-    ) -> None:
+    def __init__(self, detector, dtype: str = "float64", metrics=None) -> None:
         if not isinstance(detector, LstmDetector):
             raise TypeError(
                 f"incremental scoring needs an LstmDetector, got {type(detector).__name__}"
             )
-        self.settings = settings if settings is not None else HotpathSettings(incremental=True)
         self.window = detector.window
         self.model = detector.model
-        self.dtype = np.dtype(self.settings.dtype)
+        self.dtype = np.dtype(dtype)
         # The fused single-step kernel; in float64 its ops mirror the seed
         # expressions exactly (same association, same sigmoid op sequence).
         self._core = CompiledLstm(self.model, str(self.dtype))

@@ -28,7 +28,7 @@ gate steps per score into **one** step, and the whole fleet's step runs as
 a single ``[n_sessions, *]`` GEMM pair per tick (:meth:`megastep`).
 
 Scores follow the *session-context* semantics of
-:class:`repro.hotpath.incremental.IncrementalLstmScorer`: a record's
+:class:`repro.ml.incremental.IncrementalLstmScorer`: a record's
 prediction context is its entire session prefix, ``error[0] = 0``, and the
 window score is the max over the last ``window`` per-record errors (kept
 in a per-session ring). Scores are **not** bit-identical to float64 — the
@@ -316,7 +316,7 @@ class QuantizedLstmEngine:
         """Per-record quantized session-context errors, fresh state.
 
         The quantized analogue of
-        :meth:`repro.hotpath.incremental.IncrementalLstmScorer.replay_errors`;
+        :meth:`repro.ml.incremental.IncrementalLstmScorer.replay_errors`;
         does not touch the live session arenas.
         """
         seq = np.asarray(rows, dtype=np.float32)

@@ -37,7 +37,7 @@ Like :mod:`repro.ml.compiled`, trainers take a ``dtype``:
   snapshots (synced back to the model after ``fit``) for roughly another
   2x of memory bandwidth and SIMD width. Loss trajectories track the seed
   closely but are not bit-identical; ``AnomalyDetector.fit`` uses
-  ``float64`` unless ``trainfast.trainer_dtype`` says otherwise.
+  ``float64`` unless ``XsecConfig.trainer_dtype`` says otherwise.
 """
 
 from __future__ import annotations

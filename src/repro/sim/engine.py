@@ -79,7 +79,7 @@ class EventQueue:
     O(pending events) per scrape.
 
     Cancelled events are normally dropped lazily when popped, but a
-    cancel-then-reschedule pattern (e.g. the megabatch maturity timers,
+    cancel-then-reschedule pattern (e.g. the MobiWatch maturity timers,
     re-armed on every session touch) can cancel far more events than it
     pops, growing the heap without bound. When more than half the heap is
     cancelled tombstones (and the heap is big enough to matter), the queue

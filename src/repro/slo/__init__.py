@@ -18,9 +18,8 @@ docstrings for details):
 
 Import discipline: this package imports only the stdlib and
 :mod:`repro.obs` (plus :mod:`repro.telemetry`'s codec inside a function),
-so ``core``/``hotpath``/``trainfast``/``scale`` can all depend on it
-without cycles. The benchmark (:mod:`repro.slo.bench`) imports hotpath and
-is intentionally *not* re-exported here.
+so ``core``/``ml``/``experiments``/``scale`` can all depend on it
+without cycles.
 """
 
 from repro.slo.exporter import (

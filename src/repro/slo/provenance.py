@@ -6,7 +6,7 @@ the :class:`ProvenanceStore`, to the full evidence chain:
 
 - **capture digest** — SHA-256 of the fast TLV encoding of exactly the
   telemetry records in the flagged window (the same content addressing as
-  :func:`repro.trainfast.cache.series_digest`): the bytes that produced the
+  :func:`repro.experiments.cache.series_digest`): the bytes that produced the
   alarm, re-hashable by anyone holding the capture;
 - **window span** — record indices plus first/newest capture timestamps;
 - **model / threshold snapshot ids** — SHA-256 over the deployed

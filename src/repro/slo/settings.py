@@ -1,6 +1,6 @@
 """Configuration knobs for the SLO/observability plane (``repro.slo``).
 
-Kept dependency-free (like :mod:`repro.hotpath.settings`) so every layer
+Kept dependency-free (like :mod:`repro.scale.settings`) so every layer
 can import it without cycles. **Every default preserves the seed's
 behaviour bit-for-bit**: no SLO evaluation, no provenance records, no
 profiler hooks, no export cadence — the pipeline's outputs are identical
@@ -11,8 +11,8 @@ The independent switches:
 - ``enabled`` — the SLO engine (declarative objectives evaluated over
   sliding windows with multi-window burn-rate alerting), the per-incident
   provenance store, and the component health scoreboard.
-- ``profiler`` — explicit ``profile_block()`` hooks in the hotpath scorer,
-  compiled kernels, trainfast trainers and sharded-SDL ops start recording
+- ``profiler`` — explicit ``profile_block()`` hooks in the incremental scorer,
+  compiled kernels, compiled trainers and sharded-SDL ops start recording
   per-stage self time (off = the hooks are a single ``is None`` check).
 - ``sampling_profiler`` — a background thread additionally samples every
   thread's Python stack at ``sampling_interval_s``, aggregated into

@@ -408,7 +408,7 @@ class WindowedDataset:
     ) -> "WindowedDataset":
         """Encode and window a series.
 
-        ``cache`` (optional) is a :class:`repro.trainfast.cache.DatasetCache`
+        ``cache`` (optional) is a :class:`repro.experiments.cache.DatasetCache`
         (or any object with the same ``windowed`` method): datasets are then
         memoized on the series' *content* digest, so repeated encodes of the
         same capture — e.g. across ablation-sweep configurations — are free.

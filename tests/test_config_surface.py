@@ -7,6 +7,9 @@ for no behaviour at all (``genfast.sim_fastlane`` was read by nothing;
 ``genfast.vectorized_features`` only by an external benchmark;
 ``XsecConfig.history_cap`` by nothing, for as long as only the
 ``*Settings`` families were held to this).
+
+The surface is held whole: settings families and top-level fields count
+alike, and both must be read by the program.
 """
 
 import dataclasses
@@ -19,11 +22,8 @@ import pytest
 import repro
 from repro.core.config import XsecConfig
 from repro.core.pipeline import ClosedLoopPipeline
-from repro.hotpath.settings import HotpathSettings
-from repro.llmfast.settings import LlmfastSettings
-from repro.megabatch.settings import MegabatchSettings
+from repro.llm.cache import LlmfastSettings
 from repro.scale.settings import ScaleSettings
-from repro.trainfast.settings import TrainfastSettings
 
 SRC = Path(repro.__file__).parent
 
@@ -34,15 +34,21 @@ FAMILIES = {
     if type(getattr(XsecConfig(), f.name)).__name__.endswith("Settings")
 }
 
+# The families dissolved into XsecConfig.scoring / evict_on_release /
+# evict_idle_s / trainer_dtype: their flags stay deleted because the family
+# does (a deleted family is named by its class name, a string).
+HOTPATH, MEGABATCH, TRAINFAST = "HotpathSettings", "MegabatchSettings", "TrainfastSettings"
+DISSOLVED = {HOTPATH: "hotpath", MEGABATCH: "megabatch", TRAINFAST: "trainfast"}
+
 DELETED = [
-    (HotpathSettings, "compiled"),
-    (HotpathSettings, "arena"),
-    (TrainfastSettings, "compiled_trainer"),
-    (TrainfastSettings, "compiled_scoring"),
+    (HOTPATH, "compiled"),
+    (HOTPATH, "arena"),
+    (TRAINFAST, "compiled_trainer"),
+    (TRAINFAST, "compiled_scoring"),
     (LlmfastSettings, "vectorized_rag"),
     (LlmfastSettings, "compiled_prompts"),
     (LlmfastSettings, "prompt_cache_capacity"),
-    (MegabatchSettings, "enabled"),
+    (MEGABATCH, "enabled"),
     # The columnar E2 lane and its whole family (docs/PERFORMANCE.md,
     # "Flag verdicts").
     (XsecConfig, "genfast"),
@@ -52,15 +58,15 @@ DELETED = [
     (LlmfastSettings, "queue_capacity"),
     # Verification modes: the replay is the tests' oracle, the tolerances
     # their constants.
-    (HotpathSettings, "incremental_mode"),
-    (HotpathSettings, "self_check"),
-    (HotpathSettings, "float32_rtol"),
-    (HotpathSettings, "float32_atol"),
-    # One value ever in use: constants of repro.megabatch.quantized.
-    (MegabatchSettings, "state_dtype"),
-    (MegabatchSettings, "calibration"),
-    (MegabatchSettings, "calibration_percentile"),
-    (MegabatchSettings, "quantized_metric_tol"),
+    (HOTPATH, "incremental_mode"),
+    (HOTPATH, "self_check"),
+    (HOTPATH, "float32_rtol"),
+    (HOTPATH, "float32_atol"),
+    # One value ever in use: constants of repro.ml.quantized.
+    (MEGABATCH, "state_dtype"),
+    (MEGABATCH, "calibration"),
+    (MEGABATCH, "calibration_percentile"),
+    (MEGABATCH, "quantized_metric_tol"),
     # Declared with the first MobiWatch, read by nothing since.
     (XsecConfig, "history_cap"),
     # The in-process inference pool and the two typed-in service times.
@@ -68,37 +74,48 @@ DELETED = [
     (ScaleSettings, "pool_workers"),
     (ScaleSettings, "pool_service_time_s"),
     (ScaleSettings, "sdl_service_time_s"),
+    # Shell families: one scoring choice, the eviction and training knobs
+    # top level, the sweep knobs keyword arguments of the sweep entry
+    # points (run_table2, the ablations), the sweep period evict_idle_s / 2.
+    (XsecConfig, "hotpath"),
+    (XsecConfig, "megabatch"),
+    (XsecConfig, "trainfast"),
+    (XsecConfig, "evict_sweep_s"),
+    (XsecConfig, "sweep_workers"),
+    (XsecConfig, "cache"),
+    (XsecConfig, "cache_dir"),
 ]
 
 
 def _program_sources(declared_in: Path) -> str:
     """Everything under src/repro that can *use* a knob declared in
-    ``declared_in``: not that module, not the benches, not scale_report()'s
-    echo."""
+    ``declared_in``: not that module, not the benches (repro/bench/), not
+    scale_report()'s echo."""
     echo = inspect.getsource(ClosedLoopPipeline.scale_report)
     chunks = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "bench.py" or path == declared_in:
+        if SRC / "bench" in path.parents or path == declared_in:
             continue
         chunks.append(path.read_text(encoding="utf-8").replace(echo, ""))
     return "\n".join(chunks)
 
 
 def test_settings_families():
-    assert sorted(FAMILIES) == [
-        "hotpath", "llmfast", "megabatch", "runtime", "scale", "slo", "trainfast",
-    ]  # fmt: skip
+    assert sorted(FAMILIES) == ["llmfast", "runtime", "scale", "slo"]
 
 
 def test_frozen_benchmark_flag_names():
     """benchmarks/e2e/workloads.py::FAST_LANES sets these *by name* and skips
     what it does not find: a rename would silently turn ``replay_storm_fast``
-    into ``replay_storm``. They move only in a benchmark-only PR."""
+    into ``replay_storm``. They move only in a benchmark-only PR.
+
+    FAST_LANES also names ``hotpath.dtype``, set to its default
+    ``"float64"``: with the family gone it is skipped, which changes
+    nothing (``XsecConfig.scoring`` defaults to ``"exact"``)."""
     config = XsecConfig()
     assert {"verdict_cache", "coalesce"} <= {
         f.name for f in dataclasses.fields(config.llmfast)
     }
-    assert "dtype" in {f.name for f in dataclasses.fields(config.hotpath)}
 
 
 def _names_carrying(cls, field: str) -> list:
@@ -140,17 +157,29 @@ def test_every_top_level_field_is_read_by_the_program():
     assert unread == []
 
 
+def _owner_name(owner) -> str:
+    return owner if isinstance(owner, str) else owner.__name__
+
+
 @pytest.mark.parametrize(
-    "settings,name", DELETED, ids=[f"{cls.__name__}.{name}" for cls, name in DELETED]
+    "settings,name", DELETED, ids=[f"{_owner_name(cls)}.{name}" for cls, name in DELETED]
 )
 def test_promoted_flags_stay_deleted(settings, name):
+    if isinstance(settings, str):
+        # A dissolved family: neither it nor its flag is an XsecConfig field.
+        fields = {f.name for f in dataclasses.fields(XsecConfig)}
+        assert DISSOLVED[settings] not in fields and name not in fields
+        return
     with pytest.raises(TypeError):
         settings(**{name: True})
 
 
 def test_settings_field_total():
-    """79 before the eleven promoted flags were deleted, 68 before the
-    columnar lane, the storm dispatcher and the verification-only knobs, 56
-    before the inference pool and the service-time models."""
-    total = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
-    assert total <= 52
+    """The whole surface, families and top level: 79 family fields before
+    the eleven promoted flags were deleted, 68 before the columnar lane, the
+    storm dispatcher and the verification-only knobs, 56 before the
+    inference pool and the service-time models; 52 + 20 = 72 before the
+    shell families dissolved into one scoring choice."""
+    family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
+    top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
+    assert family_fields + top_level <= 66

@@ -1,9 +1,10 @@
-"""repro.hotpath: equality contracts, wiring, and the perf gates' logic.
+"""The scoring tiers: equality contracts, wiring, and the perf gates' logic.
 
 The hot path trades work for speed only where the result is provably the
 same, so almost every test here is an equality test:
 
-- defaults keep scoring exact (float64 kernels, no incremental scorer);
+- defaults keep scoring exact (``scoring="exact"``: float64 kernels, no
+  incremental scorer);
 - the float64 kernels ``scores()`` runs are bit-identical to the
   layer-walking ``reference_scores()``;
 - the cached incremental scorer equals its batch replay bitwise in
@@ -32,17 +33,20 @@ from repro.attacks import (
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
-from repro.hotpath import HotpathSettings, IncrementalLstmScorer
-from repro.hotpath.bench import HotpathBenchResult, violations
+from repro.bench import driver
+from repro.bench import hotpath as hotpath_bench
+from repro.bench.hotpath import HotpathBenchResult
 from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
+from repro.ml.incremental import IncrementalLstmScorer
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
 from repro.telemetry import encoder
 from repro.telemetry.mobiflow import MobiFlowRecord
 
-# The float32 tier's documented score tolerance against the float64 path
-# (hotpath.dtype="float32": fused kernels and the incremental step).
+# The float32 tiers' documented score tolerance against the float64 path
+# (scoring="float32" / "incremental-float32": fused kernels and the
+# incremental step).
 FLOAT32_RTOL = 1e-4
 FLOAT32_ATOL = 1e-6
 
@@ -52,33 +56,32 @@ FLOAT32_ATOL = 1e-6
 
 
 class TestHotpathSettings:
+    """``XsecConfig.scoring``: one named, validated choice of tier."""
+
     def test_defaults_all_off(self):
-        settings = HotpathSettings()
-        assert not settings.incremental
-        assert settings.dtype == "float64"
+        assert XsecConfig().scoring == "exact"
 
     def test_incremental_implies_arena(self):
         """The arena (the incremental replay's row history) is always there."""
-        for hotpath in (HotpathSettings(), HotpathSettings(incremental=True)):
-            with SixGXSec(XsecConfig(hotpath=hotpath)) as xsec:
+        for scoring in ("exact", "incremental"):
+            with SixGXSec(XsecConfig(detector="lstm", scoring=scoring)) as xsec:
                 assert isinstance(xsec.mobiwatch._arena, SessionWindowArena)
 
     def test_incremental_dtype_follows_compiled_float32(self):
-        """The incremental step runs in the kernels' ``dtype``."""
+        """The incremental step runs in the tier's ``dtype``."""
         detector = LstmDetector(window=4, feature_dim=5, hidden_dim=6)
         for dtype in ("float64", "float32"):
-            settings = HotpathSettings(incremental=True, dtype=dtype)
-            assert IncrementalLstmScorer(detector, settings).dtype == np.dtype(dtype)
+            assert IncrementalLstmScorer(detector, dtype=dtype).dtype == np.dtype(dtype)
 
     def test_bad_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            HotpathSettings(dtype="float16")
+        with pytest.raises(ValueError, match="scoring"):
+            XsecConfig(scoring="float16")
 
     def test_bad_mode_rejected(self):
-        """There is no scoring mode to select: the replay is the tests'
-        oracle (``run_live_replay``), not a setting."""
-        with pytest.raises(TypeError):
-            HotpathSettings(incremental_mode="speculative")
+        """There is no replay tier to select: the replay is the tests'
+        oracle (``run_live_replay``), not a scoring value."""
+        with pytest.raises(ValueError, match="scoring"):
+            XsecConfig(detector="lstm", scoring="replay")
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +425,7 @@ class TestIncrementalLstmScorer:
             scorer.replay_window_score(rows[:0])
 
     def test_float32_mode_within_documented_tolerance(self):
-        settings = HotpathSettings(incremental=True, dtype="float32")
-        scorer = IncrementalLstmScorer(_lstm_detector(), settings)
+        scorer = IncrementalLstmScorer(_lstm_detector(), dtype="float32")
         reference = IncrementalLstmScorer(_lstm_detector())
         rows = _session_rows(n=14, seed=27)
         scorer.warm_up(1, rows)
@@ -580,6 +582,10 @@ class TestTelemetryEncoderFastPath:
 # bench gate logic
 
 
+def violations(result, baseline=None):
+    return driver.violations(hotpath_bench, result, baseline)
+
+
 def _passing_result():
     return HotpathBenchResult(
         per_record={"speedup": 6.0},
@@ -680,10 +686,10 @@ ATTACK_SCENARIOS = {
 
 
 def run_live(
-    detector, hotpath, attack=None, seed=77, until=20.0, net_kwargs=None, percentile=None
+    detector, scoring, attack=None, seed=77, until=20.0, net_kwargs=None, percentile=None
 ):
     """One live pipeline run with a pre-trained detector copy deployed."""
-    config = XsecConfig(detector=detector.name, train_epochs=6, hotpath=hotpath)
+    config = XsecConfig(detector=detector.name, train_epochs=6, scoring=scoring)
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
     xsec.deploy_detector(copy.deepcopy(detector))
     if percentile is not None:
@@ -699,15 +705,15 @@ def run_live(
     return xsec
 
 
-def run_live_reference(detector, hotpath, **kwargs):
+def run_live_reference(detector, scoring, **kwargs):
     """``run_live`` with every ``scores()`` call swapped for the layer-walking
     ``reference_scores()`` — the reference the default path must equal."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
-        return run_live(detector, hotpath, **kwargs)
+        return run_live(detector, scoring, **kwargs)
 
 
-def run_live_replay(detector, hotpath, **kwargs):
+def run_live_replay(detector, scoring, **kwargs):
     """``run_live`` with the incremental scorer's window score swapped for
     the batch replay (``replay_window_score`` over the session rows MobiWatch
     passes) — the reference the carried state must equal. In float64 every
@@ -725,7 +731,7 @@ def run_live_replay(detector, hotpath, **kwargs):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(IncrementalLstmScorer, "_window_score", replayed)
-        return run_live(detector, hotpath, **kwargs), len(replays)
+        return run_live(detector, scoring, **kwargs), len(replays)
 
 
 def event_tuples(xsec):
@@ -754,11 +760,15 @@ class TestDefaultsAreSeedPath:
         assert xsec.mobiwatch._incremental is None
 
     def test_incremental_needs_lstm(self, trained_autoencoder):
-        xsec = SixGXSec(XsecConfig(hotpath=HotpathSettings(incremental=True)))
-        assert xsec.mobiwatch._arena is not None
-        xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
-        # Flag ignored (with a log line), never a crash.
-        assert xsec.mobiwatch._incremental is None
+        # The contradiction is refused where it is written, naming both
+        # fields, not logged and ignored at deploy time.
+        with pytest.raises(ValueError, match="scoring.*detector"):
+            XsecConfig(scoring="incremental")
+        # A deployment configured for the LSTM refuses any other detector.
+        xsec = SixGXSec(XsecConfig(detector="lstm", scoring="incremental"))
+        with pytest.raises(ValueError, match="LSTM"):
+            xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
+        assert xsec.mobiwatch.detector is None
 
 
 class TestLiveSeedEquivalence:
@@ -769,10 +779,10 @@ class TestLiveSeedEquivalence:
 
     @pytest.fixture(scope="class")
     def seed_run(self, trained_autoencoder):
-        return run_live_reference(trained_autoencoder, HotpathSettings(), **self.SCENARIO)
+        return run_live_reference(trained_autoencoder, "exact", **self.SCENARIO)
 
     def test_arena_and_compiled_f64_bit_identical(self, trained_autoencoder, seed_run):
-        fast = run_live(trained_autoencoder, HotpathSettings(), **self.SCENARIO)
+        fast = run_live(trained_autoencoder, "exact", **self.SCENARIO)
         assert fast.mobiwatch.detector.compiled.dtype == "float64"
         assert fast.mobiwatch.records_seen == seed_run.mobiwatch.records_seen
         assert fast.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
@@ -789,9 +799,8 @@ class TestLiveSeedEquivalence:
             assert detector.reference_scores(padded.reshape(1, -1))[0] == event.score
 
     def test_compiled_f32_no_threshold_flips(self, trained_autoencoder, seed_run):
-        fast = run_live(
-            trained_autoencoder, HotpathSettings(dtype="float32"), **self.SCENARIO
-        )
+        fast = run_live(trained_autoencoder, "float32", **self.SCENARIO)
+        assert fast.mobiwatch._scoring_path == "compiled-float32"
         ref_events = event_tuples(seed_run)
         f32_events = event_tuples(fast)
         # Same flagged windows in the same order (no threshold decision
@@ -814,12 +823,12 @@ class TestAttackScenarioEquality:
     @pytest.mark.parametrize("scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS))
     def test_cached_equals_replay(self, trained_lstm, scenario):
         factory, net_kwargs = ATTACK_SCENARIOS[scenario]
-        hotpath = HotpathSettings(incremental=True)
-        cached = run_live(trained_lstm, hotpath, attack=factory, net_kwargs=net_kwargs)
+        cached = run_live(trained_lstm, "incremental", attack=factory, net_kwargs=net_kwargs)
         replay, replays = run_live_replay(
-            trained_lstm, hotpath, attack=factory, net_kwargs=net_kwargs
+            trained_lstm, "incremental", attack=factory, net_kwargs=net_kwargs
         )
         assert cached.mobiwatch._incremental is not None
+        assert cached.mobiwatch._scoring_path == "incremental-float64"
         assert cached.mobiwatch.records_seen == replay.mobiwatch.records_seen
         assert cached.mobiwatch.windows_scored == replay.mobiwatch.windows_scored
         assert cached.mobiwatch.windows_scored > 0
@@ -830,16 +839,11 @@ class TestAttackScenarioEquality:
         """Float32 incremental mode: tolerance only, no decision changes."""
         factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
         f32 = run_live(
-            trained_lstm,
-            HotpathSettings(incremental=True, dtype="float32"),
-            attack=factory,
-            net_kwargs=net_kwargs,
+            trained_lstm, "incremental-float32", attack=factory, net_kwargs=net_kwargs
         )
+        assert f32.mobiwatch._scoring_path == "incremental-float32"
         replay, _ = run_live_replay(
-            trained_lstm,
-            HotpathSettings(incremental=True),
-            attack=factory,
-            net_kwargs=net_kwargs,
+            trained_lstm, "incremental", attack=factory, net_kwargs=net_kwargs
         )
         f32_events = event_tuples(f32)
         ref_events = event_tuples(replay)

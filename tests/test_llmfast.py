@@ -1,4 +1,5 @@
-"""Tests for the repro.llmfast verdict-plane fast path (PR 10).
+"""Tests for the verdict-plane fast path (``XsecConfig.llmfast``,
+:mod:`repro.llm.cache`).
 
 Unit coverage for the settings, the vectorized retriever and the compiled
 prompt builder every analyst runs (ranking- / byte-identical to their
@@ -23,9 +24,7 @@ from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
 from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate, parse_data_section
-from repro.llmfast import LlmfastSettings, VerdictCache
-from repro.llmfast.cache import CachedVerdict, trace_signature
-from repro.llmfast.workload import (
+from repro.bench.llmfast import (
     benign_trace,
     decision_tuple,
     distinct_traces,
@@ -33,7 +32,7 @@ from repro.llmfast.workload import (
     null_cipher_trace,
     storm_trace,
 )
-from repro.megabatch import MegabatchSettings
+from repro.llm.cache import CachedVerdict, LlmfastSettings, VerdictCache, trace_signature
 from repro.oran.ric import NearRtRic
 from repro.ran.links import InterfaceLink
 from repro.ran.network import NetworkConfig
@@ -297,12 +296,12 @@ class TestAnalystFastPath:
 # the analyzer xApp fast path (unit level)
 
 
-def make_stack(llmfast=None, megabatch=None, model="chatgpt-4o", cooldown=10.0):
+def make_stack(llmfast=None, evict_on_release=False, model="chatgpt-4o", cooldown=10.0):
     config = XsecConfig(
         llm_session_cooldown_s=cooldown,
         llm_model=model,
         llmfast=llmfast or LlmfastSettings(),
-        megabatch=megabatch or MegabatchSettings(),
+        evict_on_release=evict_on_release,
     )
     sim = Simulator(seed=0)
     e2 = InterfaceLink(sim, "E2")
@@ -443,8 +442,7 @@ class TestVerdictKeys:
 class TestSessionEvictionPruning:
     def test_eviction_prunes_cooldown_state(self):
         sim, ric, watch, analyzer = make_stack(
-            llmfast=LlmfastSettings.all_on(),
-            megabatch=MegabatchSettings(evict_on_release=True),
+            llmfast=LlmfastSettings.all_on(), evict_on_release=True
         )
         trace = benign_trace(session=1)
         feed(watch, trace[:-1])  # hold back the RRCRelease for now
@@ -463,9 +461,7 @@ class TestSessionEvictionPruning:
     def test_seed_path_prunes_too(self):
         # The unbounded _session_last_query growth was a seed bug; the
         # pruning hook is active regardless of llmfast flags.
-        sim, ric, watch, analyzer = make_stack(
-            megabatch=MegabatchSettings(evict_on_release=True)
-        )
+        sim, ric, watch, analyzer = make_stack(evict_on_release=True)
         trace = benign_trace(session=1)
         feed(watch, trace[:-1])
         analyzer._on_anomaly(anomaly(session=1, indices=(0,)))

@@ -1,5 +1,6 @@
 """Tests for per-tick batched scoring, the quantized int8 tier
-(repro.megabatch), session eviction, and the hot-path scoring bugfixes.
+(``scoring="int8"``, repro.ml.quantized), session eviction, and the
+hot-path scoring bugfixes.
 
 The contracts enforced here:
 
@@ -39,20 +40,19 @@ from repro.experiments.datasets import (
     generate_attack_dataset,
     generate_benign_dataset,
 )
-from repro.hotpath.settings import HotpathSettings
-from repro.megabatch import (
-    MegabatchSettings,
-    QuantizedLstmEngine,
-    calibrate_windows,
-)
-from repro.megabatch.bench import (
+from repro.bench import driver
+from repro.bench import megabatch as megabatch_bench
+from repro.bench.megabatch import (
     MEGABATCH_SPEEDUP_MIN,
     QUANTIZED_SPEEDUP_MIN,
     MegabatchBenchResult,
-    violations,
 )
-from repro.megabatch.quantized import QUANTIZED_METRIC_TOL
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
+from repro.ml.quantized import (
+    QUANTIZED_METRIC_TOL,
+    QuantizedLstmEngine,
+    calibrate_windows,
+)
 from repro.ml.metrics import DetectionMetrics
 from repro.obs.metrics import Histogram
 from repro.oran.e2ap import RicIndication
@@ -61,6 +61,7 @@ from repro.oran.ric import NearRtRic
 from repro.ran.core_network import AmfConfig
 from repro.ran.links import InterfaceLink
 from repro.ran.network import NetworkConfig
+from repro.runtime.settings import RuntimeSettings
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -72,40 +73,54 @@ from tests.test_hotpath import FLOAT32_ATOL, FLOAT32_RTOL
 
 
 class TestMegabatchSettings:
+    """The int8 tier is ``scoring="int8"``; eviction is two top-level knobs."""
+
     def test_defaults_are_seed_path(self):
-        settings = MegabatchSettings()
-        assert not settings.quantized
-        assert not settings.eviction_enabled
-        assert not settings.any_enabled
-        assert XsecConfig().megabatch == settings
+        config = XsecConfig()
+        assert config.scoring == "exact"
+        assert not config.evict_on_release
+        assert config.evict_idle_s == 0.0
 
     def test_quantized_implies_batching(self):
-        # Batching itself is no knob any more; the tier still counts as on.
-        assert MegabatchSettings(quantized=True).any_enabled
+        """The int8 tier scores a tick as one batch through the one walker,
+        and build_detector makes its fit run the calibration pass."""
+        config = XsecConfig(detector="lstm", scoring="int8")
+        assert build_detector(config).calibrate_int8
+        assert not build_detector(XsecConfig(detector="lstm")).calibrate_int8
 
     def test_eviction_switches(self):
-        assert MegabatchSettings(evict_on_release=True).eviction_enabled
-        assert MegabatchSettings(evict_idle_s=3.0).eviction_enabled
-        assert MegabatchSettings(evict_idle_s=3.0).any_enabled
+        """Either knob turns eviction on: the counter exists, the idle
+        sweep runs only with an idle horizon."""
+        for kwargs, sweeps in (({"evict_on_release": True}, False), ({"evict_idle_s": 3.0}, True)):
+            sim, ric = make_ric()
+            watch = MobiWatchXApp(ric, XsecConfig(**kwargs))
+            assert watch._evicted_counter is not None
+            assert watch._track_touch is sweeps
+        sim, ric = make_ric()
+        assert MobiWatchXApp(ric, XsecConfig())._evicted_counter is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"state_dtype": "float64"},
-            {"calibration": "kl"},
-            {"calibration_percentile": 0.0},
-            {"calibration_percentile": 101.0},
+            {"scoring": "float16"},
+            {"scoring": "incremental"},
+            {"scoring": "int8", "detector": "autoencoder"},
             {"evict_idle_s": -1.0},
+            {
+                "detector": "lstm",
+                "scoring": "incremental-float32",
+                "runtime": RuntimeSettings(score_in_processes=True),
+            },
+            # The knobs that only ever held one value are constants of
+            # repro.ml.quantized; the sweep period is evict_idle_s / 2.
+            {"state_dtype": "float64"},
             {"evict_sweep_s": 0.0},
-            {"quantized_metric_tol": 0.0},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
-        # The knobs that only ever held one value are constants of
-        # repro.megabatch.quantized now: not accepted at all.
-        error = ValueError if set(kwargs) <= {"evict_idle_s", "evict_sweep_s"} else TypeError
+        error = TypeError if set(kwargs) & {"state_dtype", "evict_sweep_s"} else ValueError
         with pytest.raises(error):
-            MegabatchSettings(**kwargs)
+            XsecConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +236,7 @@ class TestQuantizedEngine:
 
     def test_fit_populates_calibration_and_threshold(self):
         detector, windows = _tiny_lstm(seed=11)
-        detector.attach_megabatch(MegabatchSettings(quantized=True))
+        detector.calibrate_int8 = True
         detector.fit(windows, epochs=2)
         assert detector.calibration is not None
         assert detector.quantized_threshold is not None
@@ -316,15 +331,15 @@ class TestEviction:
     """Satellite bugfix: per-session state is bounded, not grow-forever."""
 
     @staticmethod
-    def _watch(megabatch, seed=0):
-        config = XsecConfig(megabatch=megabatch)
+    def _watch(seed=0, **eviction):
+        config = XsecConfig(**eviction)
         sim, ric = make_ric(seed)
         watch = MobiWatchXApp(ric, config)
         watch.deploy_detector(trained_detector(config))
         return sim, watch
 
     def test_release_scores_final_window_and_drops_state(self):
-        sim, watch = self._watch(MegabatchSettings(evict_on_release=True))
+        sim, watch = self._watch(evict_on_release=True)
         batch = [record(0.1 * i, "RRCSetup") for i in range(5)]
         batch.append(record(0.6, RRC_RELEASE_MSG))
         watch.on_indication(indication(batch))
@@ -336,7 +351,7 @@ class TestEviction:
         assert watch._pending_maturity == {}
 
     def test_released_short_session_scored_immediately(self):
-        sim, watch = self._watch(MegabatchSettings(evict_on_release=True))
+        sim, watch = self._watch(evict_on_release=True)
         batch = [record(0.0, "RRCSetupRequest"), record(0.1, RRC_RELEASE_MSG)]
         watch.on_indication(indication(batch))
         # No maturity wait: the release closed the session, so its padded
@@ -347,9 +362,7 @@ class TestEviction:
         assert watch._session_records == {}
 
     def test_idle_sweep_evicts_stale_sessions(self):
-        sim, watch = self._watch(
-            MegabatchSettings(evict_idle_s=1.0, evict_sweep_s=0.5)
-        )
+        sim, watch = self._watch(evict_idle_s=1.0)  # swept every 0.5 s
         batch = [record(0.1 * i, "RRCSetup", session=7) for i in range(6)]
         watch.on_indication(indication(batch))
         assert 7 in watch._session_records
@@ -362,7 +375,7 @@ class TestEviction:
         assert watch.sessions_evicted == 1
 
     def test_evicted_counter_exported(self):
-        sim, watch = self._watch(MegabatchSettings(evict_on_release=True))
+        sim, watch = self._watch(evict_on_release=True)
         watch.on_indication(
             indication([record(0.0, "RRCSetup"), record(0.1, RRC_RELEASE_MSG)])
         )
@@ -448,8 +461,7 @@ ATTACK_SCENARIOS = {
 
 def run_live(
     detector,
-    megabatch=None,
-    hotpath=None,
+    scoring="exact",
     attack=None,
     seed=77,
     until=20.0,
@@ -469,15 +481,10 @@ def run_live(
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
             return run_live(
-                detector, megabatch, hotpath, attack, seed, until, net_kwargs,
+                detector, scoring, attack, seed, until, net_kwargs,
                 deploy_copy=deploy_copy, fleet=fleet,
             )  # fmt: skip
-    config = XsecConfig(
-        detector=detector.name,
-        train_epochs=6,
-        hotpath=hotpath or HotpathSettings(),
-        megabatch=megabatch or MegabatchSettings(),
-    )
+    config = XsecConfig(detector=detector.name, train_epochs=6, scoring=scoring)
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
     xsec.deploy_detector(copy.deepcopy(detector) if deploy_copy else detector)
     for profile in ("pixel5", "oai_ue"):
@@ -525,13 +532,14 @@ class TestDefaultsAreSeedPath:
         assert watch._scoring_path == "seed"
 
     def test_quantized_needs_calibrated_lstm(self, trained_lstm):
-        # The fixture LSTM was fitted without megabatch attached: no
-        # calibration pass ran, so the quantized tier degrades to the
-        # inline gather path (with a log line), never a crash.
-        xsec = SixGXSec(XsecConfig(detector="lstm", megabatch=MegabatchSettings(quantized=True)))
-        xsec.deploy_detector(copy.deepcopy(trained_lstm))
+        # The fixture LSTM was fitted without the calibration pass (built
+        # under scoring="exact"): the int8 tier refuses it at deploy time
+        # instead of scoring on some other tier.
+        xsec = SixGXSec(XsecConfig(detector="lstm", scoring="int8"))
+        with pytest.raises(ValueError, match="calibration"):
+            xsec.deploy_detector(copy.deepcopy(trained_lstm))
         assert xsec.mobiwatch._quantized is None
-        assert xsec.mobiwatch._batch_scores == xsec.mobiwatch._gathered_scores
+        assert xsec.mobiwatch._batch_scores is None
 
 
 class TestMegabatchScenarioEquality:
@@ -625,12 +633,7 @@ class TestMegabatchScenarioEquality:
         seed_run = run_live(
             trained_lstm, attack=factory, net_kwargs=net_kwargs, reference_scorer=True
         )
-        f32 = run_live(
-            trained_lstm,
-            hotpath=HotpathSettings(dtype="float32"),
-            attack=factory,
-            net_kwargs=net_kwargs,
-        )
+        f32 = run_live(trained_lstm, "float32", attack=factory, net_kwargs=net_kwargs)
         ref_events = event_tuples(seed_run)
         f32_events = event_tuples(f32)
         # Same flagged windows in the same order, scores within the
@@ -718,9 +721,7 @@ class TestParentEventLog:
 class TestQuantizedLive:
     def test_quantized_tier_scores_live_traffic(self, benign_windows):
         config = XsecConfig(
-            detector="lstm",
-            train_epochs=6,
-            megabatch=MegabatchSettings(quantized=True, evict_on_release=True),
+            detector="lstm", train_epochs=6, scoring="int8", evict_on_release=True
         )
         detector = build_detector(config)
         detector.fit(np.asarray(benign_windows), epochs=6, lr=config.train_lr)
@@ -743,7 +744,7 @@ class TestQuantizedLive:
         """The quantized tier alarms on ``quantized_threshold``: a percentile
         policy that re-fits only the float64 threshold changes no alarm."""
         detector = copy.deepcopy(quantized_lstm)
-        config = XsecConfig(detector="lstm", megabatch=MegabatchSettings(quantized=True))
+        config = XsecConfig(detector="lstm", scoring="int8")
         xsec = SixGXSec(config, network_config=NetworkConfig(seed=77))
         xsec.deploy_detector(detector)
         watch = xsec.mobiwatch
@@ -775,12 +776,12 @@ SCENARIO_CAPTURES = {
 
 @pytest.fixture(scope="module")
 def quantized_lstm(benign_capture):
-    """An LSTM fitted with the megabatch calibration pass attached."""
+    """An LSTM fitted with the int8 calibration pass."""
     config = XsecConfig()
     detector = LstmDetector(
         window=config.window, feature_dim=config.spec.dim, percentile=97.5, seed=7
     )
-    detector.attach_megabatch(MegabatchSettings(quantized=True))
+    detector.calibrate_int8 = True
     benign = benign_capture.labeled(config.spec, config.window, "benign")
     detector.fit_with_session_context(benign.windowed, epochs=6, lr=2e-3)
     assert detector.calibration is not None
@@ -844,6 +845,10 @@ class TestQuantizedAccuracyContract:
 
 # ---------------------------------------------------------------------------
 # bench gating logic
+
+
+def violations(result, baseline=None):
+    return driver.violations(megabatch_bench, result, baseline)
 
 
 def _passing_result():

@@ -20,9 +20,11 @@ The contracts enforced here:
   AnomalyEvent stream is bit-identical to the seed on every attack
   scenario — also combined with eviction, the verdict cache, a sharded
   SDL and the ingest batcher;
-- the workers are spawned only when they are the bound score provider;
-- on every scoring strategy an alarm is stamped with the sim clock at
-  emission and scoring wall time is observed once per provider call.
+- process scoring beside a carried-state tier is refused when the config
+  is written, before any worker is spawned;
+- on every scoring tier and on process placement an alarm is stamped with
+  the sim clock at emission and scoring wall time is observed once per
+  provider call.
 """
 
 import copy
@@ -43,10 +45,8 @@ from repro.attacks import (
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
-from repro.hotpath.settings import HotpathSettings
-from repro.llmfast.settings import LlmfastSettings
-from repro.llmfast.workload import decision_tuple
-from repro.megabatch import MegabatchSettings
+from repro.bench.llmfast import decision_tuple
+from repro.llm.cache import LlmfastSettings
 from repro.ml.detector import AutoencoderDetector
 from repro.runtime import (
     ProcessBackend,
@@ -524,11 +524,9 @@ def trained_lstm(benign_windows):
 
 @pytest.fixture(scope="module")
 def calibrated_lstm(benign_windows):
-    """Fitted with megabatch attached (the int8 calibration pass ran), so
-    one detector deploys on every scoring strategy."""
-    config = XsecConfig(
-        detector="lstm", train_epochs=6, megabatch=MegabatchSettings(quantized=True)
-    )
+    """Built under scoring="int8" (the calibration pass ran), so one
+    detector deploys on every scoring tier."""
+    config = XsecConfig(detector="lstm", train_epochs=6, scoring="int8")
     detector = build_detector(config)
     detector.fit(np.asarray(benign_windows), epochs=6, lr=config.train_lr)
     assert detector.calibration is not None
@@ -579,9 +577,9 @@ def run_live(
 ):
     """One live pipeline run with a pre-trained detector copy deployed.
 
-    ``settings`` are further ``XsecConfig`` families (``hotpath=``,
-    ``megabatch=``, ``llmfast=``, ``scale=``); ``observe(xsec)`` runs after
-    the deploy and before the first event.
+    ``settings`` are further ``XsecConfig`` fields (``scoring=``,
+    ``evict_on_release=``, ``llmfast=``, ``scale=``); ``observe(xsec)`` runs
+    after the deploy and before the first event.
     """
     config = XsecConfig(
         detector=detector.name,
@@ -646,33 +644,20 @@ class TestSeedDefaults:
             xsec.close()
         assert xsec.mobiwatch.pool.closed
 
-    @pytest.mark.parametrize(
-        "winner, settings",
-        [
-            ("hotpath.incremental", {"hotpath": HotpathSettings(incremental=True)}),
-            ("megabatch.quantized", {"megabatch": MegabatchSettings(quantized=True)}),
-        ],
-    )
-    def test_losing_flag_spawns_no_idle_workers(self, calibrated_lstm, winner, settings):
-        """Carried-state tiers take precedence over process scoring: the
-        workers would heartbeat for the whole run and score nothing."""
-        config = XsecConfig(
-            detector="lstm", runtime=RuntimeSettings(score_in_processes=True), **settings
-        )
-        xsec = SixGXSec(config)
+    @pytest.mark.parametrize("scoring", ["incremental", "incremental-float32", "int8"])
+    def test_losing_flag_spawns_no_idle_workers(self, scoring):
+        """A carried-state tier keeps per-session state in this process, so
+        worker processes beside it would heartbeat for the whole run and
+        score nothing: the config is refused, naming both fields, before
+        anything is spawned."""
         children = set(multiprocessing.active_children())
-        try:
-            xsec.deploy_detector(copy.deepcopy(calibrated_lstm))
-            assert xsec.mobiwatch.pool is None
-            assert set(multiprocessing.active_children()) == children
-            assert "process" not in xsec.mobiwatch._scoring_path
-            assert (
-                f"runtime.score_in_processes ignored: {winner} takes precedence"
-                in [message for _, message in xsec.mobiwatch.logs]
+        with pytest.raises(ValueError, match="scoring.*runtime.score_in_processes"):
+            XsecConfig(
+                detector="lstm",
+                scoring=scoring,
+                runtime=RuntimeSettings(score_in_processes=True),
             )
-            assert "runtime" not in xsec.pipeline.scale_report()
-        finally:
-            xsec.close()
+        assert set(multiprocessing.active_children()) == children
 
 
 class TestRuntimeScenarioEquality:
@@ -711,7 +696,7 @@ class TestFlagCombination:
     had never run together."""
 
     SETTINGS = dict(
-        megabatch=MegabatchSettings(evict_on_release=True),
+        evict_on_release=True,
         llmfast=LlmfastSettings(verdict_cache=True, coalesce=True),
         scale=ScaleSettings(sdl_shards=2, ingest_flush_records=8),
     )
@@ -752,10 +737,14 @@ class TestFlagCombination:
         assert stopped(proc.mobiwatch.pool)
 
 
+# Every scoring tier, plus process placement: (XsecConfig fields, the
+# provenance label the deployment stamps on each score).
 STRATEGIES = {
-    "inline": ({}, "seed"),
-    "incremental": ({"hotpath": HotpathSettings(incremental=True)}, "incremental-float64"),
-    "quantized": ({"megabatch": MegabatchSettings(quantized=True)}, "quantized-int8-"),
+    "inline": ({"scoring": "exact"}, "seed"),
+    "float32": ({"scoring": "float32"}, "compiled-float32"),
+    "incremental": ({"scoring": "incremental"}, "incremental-float64"),
+    "incremental-float32": ({"scoring": "incremental-float32"}, "incremental-float32"),
+    "quantized": ({"scoring": "int8"}, "quantized-int8-float16"),
     "process": ({"runtime": RuntimeSettings(score_in_processes=True)}, "process-2w"),
 }
 
@@ -776,7 +765,7 @@ class TestOneOperatingClock:
 
         def observe(xsec):
             watch = xsec.mobiwatch
-            assert watch._scoring_path.startswith(scoring_path)
+            assert watch._scoring_path == scoring_path
             alert, provider = watch._maybe_alert, watch._batch_scores
             tick, score_one = watch._tick, watch._score_one
 

@@ -12,13 +12,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.hotpath.incremental import _PROFILE_SAMPLE, IncrementalLstmScorer
-from repro.hotpath.settings import HotpathSettings
+from repro.bench import driver
+from repro.bench import obs as obs_bench
+from repro.bench.obs import ObsBenchResult
 from repro.ml.detector import LstmDetector
+from repro.ml.incremental import _PROFILE_SAMPLE, IncrementalLstmScorer
 from repro.obs.metrics import MetricsRegistry
 from repro.oran.sdl import SharedDataLayer
 from repro.slo import profiler as profiler_mod
-from repro.slo.bench import ObsBenchResult, violations
 from repro.slo.exporter import (
     ContinuousExporter,
     HealthScoreboard,
@@ -509,9 +510,7 @@ class TestSloRuntime:
 class TestHotpathInstrumentation:
     def _scorer(self, metrics=None):
         detector = LstmDetector(window=3, feature_dim=5, hidden_dim=4, seed=1)
-        return IncrementalLstmScorer(
-            detector, HotpathSettings(incremental=True), metrics=metrics
-        )
+        return IncrementalLstmScorer(detector, metrics=metrics)
 
     def test_counters_follow_the_stream(self):
         metrics = MetricsRegistry()
@@ -552,6 +551,10 @@ class TestHotpathInstrumentation:
         row = prof.stage_table()[0]
         assert row["stage"] == "hotpath.window_score"
         assert row["calls"] == _PROFILE_SAMPLE
+
+
+def violations(result, baseline=None):
+    return driver.violations(obs_bench, result, baseline)
 
 
 class TestObsBenchGating:

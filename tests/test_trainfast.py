@@ -1,4 +1,4 @@
-"""repro.trainfast: equality contracts, sweep determinism, cache, gates.
+"""The training fast path: equality contracts, sweep determinism, cache, gates.
 
 The training fast path trades work for speed only where the result is
 provably the same, so almost every test here is an equality test:
@@ -52,15 +52,11 @@ from repro.ran.network import FiveGNetwork, NetworkConfig
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.features import FeatureSpec, WindowedDataset
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
-from repro.trainfast import (
-    DatasetCache,
-    SweepRunner,
-    TrainfastSettings,
-    derive_seed,
-    series_digest,
-    spec_key,
-)
-from repro.trainfast.bench import TrainfastBenchResult, violations
+from repro.bench import driver
+from repro.bench import trainfast as trainfast_bench
+from repro.bench.trainfast import TrainfastBenchResult
+from repro.experiments.cache import DatasetCache, series_digest, spec_key
+from repro.experiments.sweep import SweepRunner, derive_seed, sweep_tools
 
 
 # ---------------------------------------------------------------------------
@@ -68,25 +64,22 @@ from repro.trainfast.bench import TrainfastBenchResult, violations
 
 
 class TestTrainfastSettings:
-    def test_defaults_all_off(self):
-        settings_ = TrainfastSettings()
-        assert settings_.trainer_dtype == "float64"
-        assert settings_.sweep_workers == 0
-        assert not settings_.cache
-        assert not settings_.any_enabled
+    """``XsecConfig.trainer_dtype``; the sweep knobs are keyword arguments
+    of the sweep entry points (``sweep_tools`` turns them into a runner and
+    a cache)."""
 
-    def test_any_enabled_tracks_each_flag(self):
-        assert TrainfastSettings(trainer_dtype="float32").any_enabled
-        assert TrainfastSettings(sweep_workers=2).any_enabled
-        assert TrainfastSettings(cache=True).any_enabled
+    def test_defaults_all_off(self):
+        assert XsecConfig().trainer_dtype == "float64"
+        runner, cache = sweep_tools()
+        assert runner.workers == 0 and cache is None
 
     def test_bad_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            TrainfastSettings(trainer_dtype="float16")
+        with pytest.raises(ValueError, match="trainer_dtype"):
+            XsecConfig(trainer_dtype="float16")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            TrainfastSettings(sweep_workers=-1)
+            sweep_tools(sweep_workers=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +274,10 @@ def _reference_fit(detector, windows, **train_kwargs) -> None:
 
 class TestDetectorRouting:
     def test_default_config_attaches_nothing(self):
-        config = XsecConfig()
-        assert not config.trainfast.any_enabled
-        assert build_detector(config).trainer_dtype == "float64"
+        assert build_detector(XsecConfig()).trainer_dtype == "float64"
 
     def test_enabled_config_attaches_settings(self):
-        config = XsecConfig(trainfast=TrainfastSettings(trainer_dtype="float32"))
+        config = XsecConfig(trainer_dtype="float32")
         assert build_detector(config).trainer_dtype == "float32"
 
     @pytest.mark.parametrize("detector_name", ["autoencoder", "lstm"])
@@ -338,9 +329,10 @@ class TestSweepRunner:
         items = list(range(8))
         assert parallel.map(lambda x: x * 3 + 1, items) == [x * 3 + 1 for x in items]
 
-    def test_from_settings(self):
-        assert SweepRunner.from_settings(None).workers == 0
-        assert SweepRunner.from_settings(TrainfastSettings(sweep_workers=3)).workers == 3
+    def test_from_settings(self, tmp_path):
+        runner, cache = sweep_tools(sweep_workers=3, cache=True, cache_dir=str(tmp_path))
+        assert runner.workers == 3
+        assert cache.cache_dir == tmp_path
 
 
 class TestParallelSweepEqualsSerial:
@@ -361,11 +353,7 @@ class TestParallelSweepEqualsSerial:
         )
         windows = (4, 6)
         serial = run_window_ablation(config, windows)
-        fast = run_window_ablation(
-            config,
-            windows,
-            trainfast=TrainfastSettings(sweep_workers=2, cache=True),
-        )
+        fast = run_window_ablation(config, windows, sweep_workers=2, cache=True)
         assert serial.rows == fast.rows
 
 
@@ -471,6 +459,10 @@ class TestDatasetCache:
 
 # ---------------------------------------------------------------------------
 # bench gate logic
+
+
+def violations(result, baseline=None):
+    return driver.violations(trainfast_bench, result, baseline)
 
 
 def _passing_result():
