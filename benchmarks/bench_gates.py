@@ -1,9 +1,9 @@
-"""Bench gates — the six component benches of ``repro.bench``.
+"""Bench gates — the three component benches of ``repro.bench``.
 
-Each of ``hotpath``, ``llmfast``, ``megabatch``, ``trainfast``, ``obs``
-and ``runtime`` re-verifies its equality contracts and is gated against
-its hard floors and the committed ``BENCH_<name>.json`` at the repo root
-(docs/PERFORMANCE.md, "Benchmarks"). Runs two ways:
+Each of ``megabatch``, ``obs`` and ``runtime`` re-verifies its equality
+contracts and is gated against its hard floors and the committed
+``BENCH_<name>.json`` at the repo root (docs/PERFORMANCE.md,
+"Benchmarks"). Runs two ways:
 
 - under pytest-benchmark, one full run per bench, artifacts under
   ``benchmarks/out/``;

@@ -23,10 +23,10 @@ Gives operators the paper's workflow without writing code:
   testbed with scoring on supervised worker processes, or ``soak`` a
   backend to the SLO edge with a mid-run ``kill -9`` fault trial (see
   docs/RUNTIME.md);
-- ``bench <name>`` — run one component bench (``hotpath``, ``llmfast``,
-  ``megabatch``, ``trainfast``, ``obs``, ``runtime``), verify its equality
-  contracts, and gate it against its floors and the committed
-  ``BENCH_<name>.json`` baseline (see docs/PERFORMANCE.md, "Benchmarks").
+- ``bench <name>`` — run one component bench (``megabatch``, ``obs``,
+  ``runtime``), verify its equality contracts, and gate it against its
+  floors and the committed ``BENCH_<name>.json`` baseline (see
+  docs/PERFORMANCE.md, "Benchmarks").
 """
 
 from __future__ import annotations
@@ -530,8 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="run one component bench; verify its equality contracts; gate it "
-        "vs its floors and BENCH_<name>.json (exit 1 when red)",
+        help=f"run one component bench ({', '.join(driver.BENCHES)}); verify its "
+        "equality contracts; gate it vs its floors and BENCH_<name>.json "
+        "(exit 1 when red)",
     )
     driver.add_arguments(bench)
     bench.set_defaults(func=driver.run_args)

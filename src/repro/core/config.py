@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.llm.cache import LlmfastSettings
@@ -41,9 +42,6 @@ class XsecConfig:
     # One of SCORING_TIERS; every tier but "exact" trades exactness for
     # speed. "int8" makes build_detector's fit run the calibration pass.
     scoring: str = "exact"
-    # Precision of the training kernels fit() runs: "float64" is
-    # bit-identical to the seed loops, "float32" the throughput tier.
-    trainer_dtype: str = "float64"
     # Bounded per-session state. evict_on_release: an RRCRelease record
     # finishes the session (its final window is scored at once, its state
     # dropped). evict_idle_s > 0: a sweep every evict_idle_s / 2 drops
@@ -99,10 +97,10 @@ class XsecConfig:
     def __post_init__(self) -> None:
         if self.scoring not in SCORING_TIERS:
             raise ValueError(f"scoring must be one of {SCORING_TIERS}, got {self.scoring!r}")
-        if self.trainer_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"trainer_dtype must be 'float64' or 'float32', got {self.trainer_dtype!r}"
-            )
+        if self.train_epochs < 1:
+            raise ValueError(f"train_epochs must be >= 1, got {self.train_epochs}")
+        if not (math.isfinite(self.train_lr) and self.train_lr > 0):
+            raise ValueError(f"train_lr must be finite and > 0, got {self.train_lr}")
         if self.evict_idle_s < 0:
             raise ValueError(f"evict_idle_s must be >= 0, got {self.evict_idle_s}")
         if self.scoring in CARRIED_STATE_TIERS:

@@ -56,7 +56,6 @@ def build_detector(config: XsecConfig) -> AnomalyDetector:
         )
     else:
         raise ValueError(f"unknown detector {config.detector!r}")
-    detector.trainer_dtype = config.trainer_dtype
     # fit() runs the int8 calibration pass + quantized threshold fit.
     detector.calibrate_int8 = config.scoring == "int8"
     return detector

@@ -82,7 +82,6 @@ def _evaluate(
     mode: str = "session",
     captures=None,
     cache=None,
-    trainer_dtype: str = "float64",
 ) -> AblationRow:
     benign_capture, attack_capture = captures
     benign = benign_capture.labeled(spec, window, "benign", mode=mode, cache=cache)
@@ -92,7 +91,6 @@ def _evaluate(
     detector = AutoencoderDetector(
         window=window, feature_dim=spec.dim, percentile=percentile, seed=config.seed
     )
-    detector.trainer_dtype = trainer_dtype
     detector.fit(windows[:split], epochs=config.epochs, lr=config.lr)
     held = windows[split:]
     benign_fp = float(detector.detect(held).mean()) if len(held) else 0.0
@@ -135,15 +133,13 @@ def run_window_ablation(
     sweep_workers: int = 0,
     cache: bool = False,
     cache_dir: Optional[str] = None,
-    trainer_dtype: str = "float64",
 ) -> AblationResult:
     """A1: sliding-window size sweep.
 
     Every sweep entry point takes the same keywords: ``sweep_workers``
     fans configurations across forked workers (rows merged in submission
     order, identical to the serial sweep), ``cache`` / ``cache_dir``
-    memoize encoded telemetry (:mod:`repro.experiments.cache`), and
-    ``trainer_dtype`` is the training-kernel precision.
+    memoize encoded telemetry (:mod:`repro.experiments.cache`).
     """
     config = config or AblationConfig()
     captures = _captures(config)
@@ -159,7 +155,6 @@ def run_window_ablation(
             label=f"N={w}",
             captures=captures,
             cache=cache,
-            trainer_dtype=trainer_dtype,
         ),
         windows,
     )
@@ -173,7 +168,6 @@ def run_threshold_ablation(
     sweep_workers: int = 0,
     cache: bool = False,
     cache_dir: Optional[str] = None,
-    trainer_dtype: str = "float64",
 ) -> AblationResult:
     """A2: threshold percentile sweep (one training, many thresholds;
     ``sweep_workers`` has nothing to fan out)."""
@@ -188,7 +182,6 @@ def run_threshold_ablation(
     detector = AutoencoderDetector(
         window=config.window, feature_dim=spec.dim, seed=config.seed
     )
-    detector.trainer_dtype = trainer_dtype
     detector.fit(windows[:split], epochs=config.epochs, lr=config.lr)
     held_scores = detector.scores(windows[split:])
     attack_scores = detector.scores(attack.windowed.windows)
@@ -218,7 +211,6 @@ def run_feature_ablation(
     sweep_workers: int = 0,
     cache: bool = False,
     cache_dir: Optional[str] = None,
-    trainer_dtype: str = "float64",
 ) -> AblationResult:
     """A3: feature-group and encoding-choice sweep."""
     config = config or AblationConfig()
@@ -248,7 +240,6 @@ def run_feature_ablation(
             mode=variant[2],
             captures=captures,
             cache=cache,
-            trainer_dtype=trainer_dtype,
         ),
         variants,
     )

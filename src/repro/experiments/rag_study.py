@@ -24,7 +24,6 @@ from repro.experiments.reporting import render_table
 from repro.experiments.table3 import MODEL_ORDER, Table3Config, build_traces, _is_correct
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 
 
 @dataclass
@@ -80,19 +79,6 @@ def run_rag_study(
     capture = capture or generate_attack_dataset(config.attack)
     cases = build_traces(capture)
     server = SimulatedLlmServer()
-    # The analysts retrieve through the vectorized retriever; its
-    # ranking contract against the reference loop is re-asserted on this
-    # run's own traces before any model sees a prompt.
-    knowledge = CellularKnowledgeBase()
-    retriever = VectorizedRetriever(knowledge)
-    for case in cases:
-        vectorized = retriever.retrieve(case.records)
-        seed_ranking = knowledge.retrieve(case.records)
-        if vectorized != seed_ranking:
-            raise AssertionError(
-                f"vectorized retrieval diverged from the seed ranking on "
-                f"trace {case.name!r}: {vectorized} != {seed_ranking}"
-            )
     grid: dict = {}
     for model in config.models:
         for mode, use_rag in (("zero-shot", False), ("rag", True)):

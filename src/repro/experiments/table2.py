@@ -117,32 +117,27 @@ class Table2Result:
         raise KeyError((dataset, model))
 
 
-def _make_detector(model: str, config: Table2Config, trainer_dtype: str = "float64"):
+def _make_detector(model: str, config: Table2Config):
     if model == "autoencoder":
-        detector = AutoencoderDetector(
+        return AutoencoderDetector(
             window=config.window,
             feature_dim=config.spec.dim,
             percentile=config.ae_percentile,
             seed=config.seed,
         )
-    else:
-        detector = LstmDetector(
-            window=config.window,
-            feature_dim=config.spec.dim,
-            percentile=config.lstm_percentile,
-            seed=config.seed,
-        )
-    detector.trainer_dtype = trainer_dtype
-    return detector
+    return LstmDetector(
+        window=config.window,
+        feature_dim=config.spec.dim,
+        percentile=config.lstm_percentile,
+        seed=config.seed,
+    )
 
 
 def _use_session_context(model: str, config: Table2Config) -> bool:
     return model == "lstm" and config.lstm_session_context
 
 
-def _benign_cv(
-    model: str, benign: LabeledDataset, config: Table2Config, trainer_dtype: str = "float64"
-) -> DetectionMetrics:
+def _benign_cv(model: str, benign: LabeledDataset, config: Table2Config) -> DetectionMetrics:
     """k-fold cross-validation false-alarm measurement on benign windows."""
     windows = benign.windowed.windows
     n = len(windows)
@@ -151,7 +146,7 @@ def _benign_cv(
     tp = fp = tn = fn = 0
     for fold in range(folds):
         held_mask = indices % folds == fold
-        detector = _make_detector(model, config, trainer_dtype)
+        detector = _make_detector(model, config)
         detector.fit(windows[~held_mask], epochs=config.epochs, lr=config.lr)
         if _use_session_context(model, config):
             scores = detector.session_window_scores(benign.windowed)
@@ -170,9 +165,8 @@ def _attack_eval(
     attack: LabeledDataset,
     attack_capture: CollectedDataset,
     config: Table2Config,
-    trainer_dtype: str = "float64",
 ) -> ModelResult:
-    detector = _make_detector(model, config, trainer_dtype)
+    detector = _make_detector(model, config)
     if _use_session_context(model, config):
         detector.fit_with_session_context(
             benign.windowed, epochs=config.epochs, lr=config.lr
@@ -209,14 +203,12 @@ def run_table2(
     sweep_workers: int = 0,
     cache: bool = False,
     cache_dir: Optional[str] = None,
-    trainer_dtype: str = "float64",
 ) -> Table2Result:
     """Run the full Table 2 experiment.
 
     ``sweep_workers`` fans the four independent (model, dataset)
     evaluations across forked workers, ``cache`` / ``cache_dir`` memoize
-    the capture encodes, ``trainer_dtype`` is the training-kernel
-    precision. Results are merged in the seed's row order.
+    the capture encodes. Results are merged in the seed's row order.
     """
     config = config or Table2Config()
     benign_capture = generate_benign_dataset(config.benign)
@@ -231,9 +223,9 @@ def run_table2(
             return ModelResult(
                 dataset="benign",
                 model=model,
-                metrics=_benign_cv(model, benign, config, trainer_dtype),
+                metrics=_benign_cv(model, benign, config),
             )
-        return _attack_eval(model, benign, attack, attack_capture, config, trainer_dtype)
+        return _attack_eval(model, benign, attack, attack_capture, config)
 
     tasks = [
         (model, dataset)

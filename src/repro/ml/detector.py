@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.autoencoder import Autoencoder, TrainReport
+from repro.ml.autoencoder import Autoencoder
 from repro.ml.compiled import CompiledModel
 from repro.ml.lstm import LstmPredictor
 from repro.ml.threshold import PercentileThreshold
-from repro.ml.trainer import compile_trainer
+from repro.ml.training import TrainHistory
 from repro.obs.metrics import MetricsRegistry
 
 # Reconstruction/prediction errors live well below 1.0 on benign traffic.
@@ -63,12 +63,10 @@ class AnomalyDetector(abc.ABC):
         self.threshold = PercentileThreshold(percentile=percentile)
         self.training_scores: Optional[np.ndarray] = None
         self.metrics: Optional[MetricsRegistry] = None
-        # Kernel precisions. float64 is exact: scores are bit-identical to
-        # reference_scores() and training to the seed fit loops; float32 is
-        # the documented throughput tier (XsecConfig.scoring at deployment,
-        # XsecConfig.trainer_dtype at training).
+        # Scoring kernel precision. float64 is exact: scores are
+        # bit-identical to reference_scores(); float32 is the documented
+        # throughput tier (XsecConfig.scoring at deployment).
         self.scoring_dtype = "float64"
-        self.trainer_dtype = "float64"
         # Fused inference kernels over a weight snapshot (repro.ml.compiled):
         # built by the first scores() after a fit/load, dropped by fit().
         self._compiled: Optional[CompiledModel] = None
@@ -136,7 +134,7 @@ class AnomalyDetector(abc.ABC):
             )
         return windows
 
-    def fit(self, benign_windows: np.ndarray, **train_kwargs) -> TrainReport:
+    def fit(self, benign_windows: np.ndarray, **train_kwargs) -> TrainHistory:
         """Train on benign windows and fit the percentile threshold."""
         windows = self._check(benign_windows)
         report = self._fit_model(windows, **train_kwargs)
@@ -196,8 +194,8 @@ class AnomalyDetector(abc.ABC):
         return self._scores(windows)
 
     @abc.abstractmethod
-    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        """Train the model through its compiled trainer (repro.ml.trainer)."""
+    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainHistory:
+        """Train the model (its ``fit``: repro.ml.training's one loop)."""
 
     @abc.abstractmethod
     def _scores(self, windows: np.ndarray) -> np.ndarray:
@@ -236,8 +234,8 @@ class AutoencoderDetector(AnomalyDetector):
             seed=seed,
         )
 
-    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        return compile_trainer(self.model, self.trainer_dtype).fit(windows, **train_kwargs)
+    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainHistory:
+        return self.model.fit(windows, **train_kwargs)
 
     def _scores(self, windows: np.ndarray) -> np.ndarray:
         if self.aggregate == "mean":
@@ -285,10 +283,8 @@ class LstmDetector(AnomalyDetector):
         unflattened = windows.reshape(n, self.window, self.feature_dim)
         return unflattened[:, :-1, :], unflattened[:, 1:, :]
 
-    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainReport:
-        sequences, targets = self._split(windows)
-        trainer = compile_trainer(self.model, self.trainer_dtype)
-        return trainer.fit(sequences, targets, **train_kwargs)
+    def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainHistory:
+        return self.model.fit(*self._split(windows), **train_kwargs)
 
     def _scores(self, windows: np.ndarray) -> np.ndarray:
         """Window score: worst next-step prediction error within the window."""

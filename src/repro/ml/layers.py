@@ -62,11 +62,16 @@ class Dense(Layer):
         return x @ self.W.value + self.b.value
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.accumulate(grad_out)
+        return grad_out @ self.W.value.T
+
+    def accumulate(self, grad_out: np.ndarray) -> None:
+        """:meth:`backward` without dL/d(input): for a first layer, whose
+        input gradient nothing consumes."""
         if self._x is None:
             raise RuntimeError("backward called before forward")
         self.W.grad += self._x.T @ grad_out
         self.b.grad += grad_out.sum(axis=0)
-        return grad_out @ self.W.value.T
 
     def params(self) -> list[Parameter]:
         return [self.W, self.b]

@@ -9,15 +9,14 @@ in numpy and verified against finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.ml.autoencoder import TrainReport
 from repro.ml.layers import Dense, Parameter, glorot_init
-from repro.ml.losses import mse_loss, per_sample_mse
-from repro.ml.optim import Adam
+from repro.ml.losses import per_sample_mse
+from repro.ml.training import TrainConfig, TrainHistory, train_minibatch
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -155,36 +154,14 @@ class LstmPredictor:
         epochs: int = 30,
         batch_size: int = 64,
         lr: float = 3e-3,
-    ) -> TrainReport:
-        """Train on benign sequences.
+    ) -> TrainHistory:
+        """Train on benign sequences (shuffled by the model's own stream).
 
         ``targets`` has shape [B, T, output_dim]: the next-entry ground truth
         at every step (i.e. the input sequence shifted left by one).
         """
-        sequences = np.asarray(sequences, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if len(sequences) != len(targets):
-            raise ValueError("sequences and targets must align")
-        if len(sequences) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        optimizer = Adam(self.params(), lr=lr)
-        report = TrainReport()
-        n = len(sequences)
-        for _ in range(epochs):
-            order = self._shuffle_rng.permutation(n)
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                optimizer.zero_grad()
-                pred = self.forward(sequences[idx])
-                loss, grad = mse_loss(pred, targets[idx])
-                self.backward(grad)
-                optimizer.step()
-                epoch_loss += loss
-                batches += 1
-            report.epoch_losses.append(epoch_loss / max(batches, 1))
-        return report
+        config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr)
+        return train_minibatch(self, sequences, targets, config, rng=self._shuffle_rng)
 
     def prediction_errors(self, sequences: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample anomaly scores: MSE averaged over steps and features."""

@@ -39,7 +39,13 @@ class Sgd(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba 2015) with bias correction."""
+    """Adam (Kingma & Ba 2015) with bias correction.
+
+    ``step`` runs the textbook update's operations in their order, written
+    into two scratch buffers per parameter instead of a temporary per
+    operation: it allocates nothing, and the weights come out bit for bit
+    the same.
+    """
 
     def __init__(
         self,
@@ -56,17 +62,28 @@ class Adam(Optimizer):
         self.eps = eps
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
+        self._scratch = [
+            (np.empty_like(p.value), np.empty_like(p.value)) for p in self.params
+        ]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for param, m, v in zip(self.params, self._m, self._v):
+        for param, m, v, (s1, s2) in zip(self.params, self._m, self._v, self._scratch):
+            grad = param.grad
+            # m = beta1 * m + (1 - beta1) * grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * param.grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=s1)
+            # v = beta2 * v + (1 - beta2) * grad**2
             v *= self.beta2
-            v += (1.0 - self.beta2) * param.grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, grad, out=s1)
+            v += np.multiply(s1, 1.0 - self.beta2, out=s1)
+            # value -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=s1)
+            np.sqrt(s1, out=s1)
+            s1 += self.eps
+            np.divide(m, bias1, out=s2)
+            np.multiply(s2, self.lr, out=s2)
+            param.value -= np.divide(s2, s1, out=s2)

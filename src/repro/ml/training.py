@@ -1,16 +1,19 @@
-"""Shared mini-batch training loop with validation and early stopping.
+"""The one mini-batch training loop both MobiWatch models train through.
 
-Both MobiWatch models (the autoencoder and the LSTM predictor) train with
-the same recipe — shuffled mini-batches, Adam, MSE — so the loop lives here
-once. Beyond deduplication it adds what the ad-hoc loops lacked: an
-optional validation split with early stopping (patience on the validation
-loss), which the SMO's training jobs use to avoid hand-tuning epoch counts.
+The SMO trains the autoencoder and the LSTM predictor offline on benign
+telemetry (paper §3.2, §4.1) with one recipe — shuffled mini-batches,
+Adam, MSE — so :func:`train_minibatch` is the only place a weight is
+updated. It also offers a tail validation split with early stopping
+(patience on the validation loss); ``Autoencoder.fit`` and
+``LstmPredictor.fit`` train without one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
+
+import math
 
 import numpy as np
 
@@ -37,7 +40,7 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Loss trajectory of one training run (superset of TrainReport)."""
+    """Loss trajectory of one training run."""
 
     epoch_losses: list = field(default_factory=list)
     validation_losses: list = field(default_factory=list)
@@ -49,7 +52,8 @@ class TrainHistory:
         return self.epoch_losses[-1] if self.epoch_losses else float("nan")
 
 
-# The trainable: forward(batch_x) -> prediction; backward(grad); params();
+# The trainable: forward(batch_x) -> prediction; backward(grad) accumulates
+# parameter gradients (the input gradient is never used); params();
 # optional reset() drops forward state kept only for the backward pass (the
 # loop calls it, when present, after inference-only forwards such as the
 # validation pass).
@@ -66,6 +70,7 @@ def train_minibatch(
     targets: np.ndarray,
     config: Optional[TrainConfig] = None,
     metrics: Optional[MetricsRegistry] = None,
+    rng: Optional[np.random.Generator] = None,
 ) -> TrainHistory:
     """Train ``trainable`` to map ``inputs`` to ``targets`` with MSE/Adam.
 
@@ -74,8 +79,20 @@ def train_minibatch(
     epochs, and the history records where the best epoch was. With a
     ``metrics`` registry, per-epoch losses are observed into
     ``ml.train.epoch_loss`` (and validation into ``ml.train.val_loss``).
+    ``rng`` draws the per-epoch shuffles; the default is a fresh stream
+    seeded from ``config.seed`` (the models pass their own).
+
+    A run that would train nothing is refused: ``epochs < 1``,
+    ``batch_size < 1`` or a non-finite or non-positive ``lr`` raise
+    ``ValueError`` instead of returning untouched weights.
     """
     config = config or TrainConfig()
+    if config.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {config.epochs}")
+    if config.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not (math.isfinite(config.lr) and config.lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {config.lr}")
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if len(inputs) != len(targets):
@@ -94,7 +111,7 @@ def train_minibatch(
     val_x, val_y = inputs[len(inputs) - n_val :], targets[len(targets) - n_val :]
 
     optimizer = Adam(trainable.params(), lr=config.lr)
-    shuffle = np.random.default_rng(config.seed)
+    shuffle = rng if rng is not None else np.random.default_rng(config.seed)
     history = TrainHistory()
     loss_buckets = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
     epoch_loss_hist = (
@@ -123,7 +140,7 @@ def train_minibatch(
             optimizer.step()
             epoch_loss += loss
             batches += 1
-        history.epoch_losses.append(epoch_loss / max(batches, 1))
+        history.epoch_losses.append(epoch_loss / batches)
         if epoch_loss_hist is not None:
             epoch_loss_hist.observe(history.epoch_losses[-1])
 
@@ -145,28 +162,9 @@ def train_minibatch(
                 if stale_epochs >= config.patience:
                     history.stopped_early = True
                     break
-    if history.best_epoch < 0 and history.epoch_losses:
+    if history.best_epoch < 0:
         history.best_epoch = int(np.argmin(history.epoch_losses))
     return history
-
-
-class _AutoencoderAdapter:
-    """Adapts an Autoencoder's Sequential model to the trainable protocol."""
-
-    def __init__(self, model) -> None:
-        self._model = model
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._model.forward(x)
-
-    def backward(self, grad: np.ndarray) -> None:
-        self._model.backward(grad)
-
-    def params(self) -> list:
-        return self._model.params()
-
-    def reset(self) -> None:
-        self._model.reset()
 
 
 def train_autoencoder(autoencoder, windows: np.ndarray, config: TrainConfig) -> TrainHistory:
@@ -175,8 +173,7 @@ def train_autoencoder(autoencoder, windows: np.ndarray, config: TrainConfig) -> 
         raise ValueError(
             f"expected [n, {autoencoder.input_dim}] windows, got {windows.shape}"
         )
-    adapter = _AutoencoderAdapter(autoencoder.model)
-    return train_minibatch(adapter, windows, windows, config)
+    return train_minibatch(autoencoder, windows, windows, config)
 
 
 def train_lstm(predictor, sequences: np.ndarray, targets: np.ndarray, config: TrainConfig) -> TrainHistory:

@@ -3,7 +3,7 @@
 Two complementary mechanisms, both stdlib-only:
 
 - **explicit hooks** — instrumented call sites (the incremental scorer,
-  compiled kernels, compiled trainers, sharded-SDL ops) report
+  compiled kernels, sharded-SDL ops) report
   wall-clock durations under stable stage names. Coarse call
   sites use the :func:`profile_block` context manager; per-call-microsecond
   sites use the inline pattern below so an *inactive* profiler costs one

@@ -12,7 +12,7 @@ The independent switches:
   sliding windows with multi-window burn-rate alerting), the per-incident
   provenance store, and the component health scoreboard.
 - ``profiler`` — explicit ``profile_block()`` hooks in the incremental scorer,
-  compiled kernels, compiled trainers and sharded-SDL ops start recording
+  compiled kernels and sharded-SDL ops start recording
   per-stage self time (off = the hooks are a single ``is None`` check).
 - ``sampling_profiler`` — a background thread additionally samples every
   thread's Python stack at ``sampling_interval_s``, aggregated into

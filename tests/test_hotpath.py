@@ -1,4 +1,4 @@
-"""The scoring tiers: equality contracts, wiring, and the perf gates' logic.
+"""The scoring tiers: equality contracts and wiring.
 
 The hot path trades work for speed only where the result is provably the
 same, so almost every test here is an equality test:
@@ -33,9 +33,6 @@ from repro.attacks import (
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
-from repro.bench import driver
-from repro.bench import hotpath as hotpath_bench
-from repro.bench.hotpath import HotpathBenchResult
 from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
 from repro.ml.incremental import IncrementalLstmScorer
@@ -576,52 +573,6 @@ class TestTelemetryEncoderFastPath:
         payload = encoder.encode_batch(records)
         assert payload == reference
         assert encoder.decode_batch(payload) == records
-
-
-# ---------------------------------------------------------------------------
-# bench gate logic
-
-
-def violations(result, baseline=None):
-    return driver.violations(hotpath_bench, result, baseline)
-
-
-def _passing_result():
-    return HotpathBenchResult(
-        per_record={"speedup": 6.0},
-        kernels={"lstm": {"speedup": 2.6}, "autoencoder": {"speedup": 2.4}},
-        equality={"incremental_f64_exact": True},
-        meta={},
-    )
-
-
-class TestBenchGates:
-    def test_passing_result_has_no_violations(self):
-        assert violations(_passing_result()) == []
-
-    def test_equality_breach_flagged(self):
-        result = _passing_result()
-        result.equality["incremental_f64_exact"] = False
-        assert any("equality" in v for v in violations(result))
-
-    def test_floor_breaches_flagged(self):
-        result = _passing_result()
-        result.per_record["speedup"] = 4.9
-        result.kernels["lstm"]["speedup"] = 1.9
-        found = violations(result)
-        assert len(found) == 2
-
-    def test_baseline_regression_flagged(self):
-        result = _passing_result()
-        baseline = _passing_result().to_dict()
-        baseline["per_record"]["speedup"] = 20.0  # committed run was much faster
-        found = violations(result, baseline)
-        assert any("regressed" in v for v in found)
-
-    def test_baseline_within_slack_passes(self):
-        result = _passing_result()
-        baseline = _passing_result().to_dict()
-        assert violations(result, baseline) == []
 
 
 # ---------------------------------------------------------------------------

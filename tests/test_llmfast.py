@@ -24,14 +24,6 @@ from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
 from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate, parse_data_section
-from repro.bench.llmfast import (
-    benign_trace,
-    decision_tuple,
-    distinct_traces,
-    duplicate_heavy,
-    null_cipher_trace,
-    storm_trace,
-)
 from repro.llm.cache import CachedVerdict, LlmfastSettings, VerdictCache, trace_signature
 from repro.oran.ric import NearRtRic
 from repro.ran.links import InterfaceLink
@@ -39,6 +31,14 @@ from repro.ran.network import NetworkConfig
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
 
+from tests.llm_traces import (
+    benign_trace,
+    decision_tuple,
+    distinct_traces,
+    duplicate_heavy,
+    null_cipher_trace,
+    storm_trace,
+)
 from tests.test_llm import reference_parse_data_section
 from tests.test_megabatch import ATTACK_SCENARIOS, NonzeroCountDetector
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.datasets import AttackDatasetConfig
 from repro.experiments.rag_study import RagStudyConfig, run_rag_study
+from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 from repro.llm.profiles import FINETUNED_PROFILE, MODEL_PROFILES
 
 SMALL_ATTACK = AttackDatasetConfig(
@@ -56,6 +57,16 @@ class TestRagStudy:
         text = result.render()
         assert "Zero-shot" in text
         assert "xsec-ft-7b" in text
+
+    def test_retrieval_ranks_like_the_reference_on_the_study_traces(self, result):
+        # The analysts retrieve through VectorizedRetriever; on every trace
+        # the study shows a model it must rank like the reference loop.
+        knowledge = CellularKnowledgeBase()
+        retriever = VectorizedRetriever(knowledge)
+        for case in result.cases:
+            assert retriever.retrieve(case.records) == knowledge.retrieve(
+                case.records
+            ), case.name
 
 
 class TestProfiles:

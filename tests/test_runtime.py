@@ -45,7 +45,6 @@ from repro.attacks import (
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
-from repro.bench.llmfast import decision_tuple
 from repro.llm.cache import LlmfastSettings
 from repro.ml.detector import AutoencoderDetector
 from repro.runtime import (
@@ -64,6 +63,8 @@ from repro.runtime.workers import synthetic_worker_main
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
 from repro.scale import ScaleSettings
+
+from tests.llm_traces import decision_tuple
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""The training fast path: equality contracts, sweep determinism, cache, gates.
+"""Training: the one loop against its oracle, sweep determinism, cache.
 
-The training fast path trades work for speed only where the result is
-provably the same, so almost every test here is an equality test:
+Almost every test here is an equality test:
 
-- defaults keep training exact and serial (float64 kernels, serial
-  sweeps, no dataset cache);
-- the float64 compiled trainers ``fit`` runs reproduce the seed loops
-  bit-for-bit — per-epoch loss trajectories *and* final weights — for
-  both models, on captures from each of the five attacks' scenarios;
-- the in-place FlatAdam matches the seed Adam parameter-for-parameter
-  (property test over random shapes and gradient streams);
+- defaults keep the sweeps serial with no dataset cache;
+- ``AnomalyDetector.fit`` — the one mini-batch loop of
+  ``repro.ml.training`` — reproduces the seed loops kept in
+  ``tests/reference_training.py`` bit-for-bit (per-epoch loss
+  trajectories *and* final weights) for both models, on captures from
+  each of the five attacks' scenarios, and so does the early-stopping
+  path of ``train_minibatch``;
 - a parallel float64 sweep returns exactly the serial seed sweep's rows;
 - the dataset cache is content-addressed: identical telemetry hits,
   different telemetry/spec/window never alias.
@@ -17,8 +16,6 @@ provably the same, so almost every test here is an equality test:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.attacks import (
     BlindDosAttack,
@@ -36,27 +33,18 @@ from repro.experiments.datasets import (
     generate_benign_dataset,
 )
 from repro.ml.autoencoder import Autoencoder
-from repro.ml.detector import LstmDetector
-from repro.ml.layers import Parameter
+from repro.ml.detector import AutoencoderDetector, LstmDetector
 from repro.ml.lstm import LstmPredictor
-from repro.ml.optim import Adam
-from repro.ml.trainer import (
-    FlatAdam,
-    _ParamStore,
-    compile_trainer,
-    compiled_train_minibatch,
-)
 from repro.ml.training import TrainConfig, train_autoencoder
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import FiveGNetwork, NetworkConfig
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.features import FeatureSpec, WindowedDataset
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
-from repro.bench import driver
-from repro.bench import trainfast as trainfast_bench
-from repro.bench.trainfast import TrainfastBenchResult
 from repro.experiments.cache import DatasetCache, series_digest, spec_key
 from repro.experiments.sweep import SweepRunner, derive_seed, sweep_tools
+
+from tests import reference_training
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +52,12 @@ from repro.experiments.sweep import SweepRunner, derive_seed, sweep_tools
 
 
 class TestTrainfastSettings:
-    """``XsecConfig.trainer_dtype``; the sweep knobs are keyword arguments
-    of the sweep entry points (``sweep_tools`` turns them into a runner and
-    a cache)."""
+    """The sweep knobs are keyword arguments of the sweep entry points
+    (``sweep_tools`` turns them into a runner and a cache)."""
 
     def test_defaults_all_off(self):
-        assert XsecConfig().trainer_dtype == "float64"
         runner, cache = sweep_tools()
         assert runner.workers == 0 and cache is None
-
-    def test_bad_dtype_rejected(self):
-        with pytest.raises(ValueError, match="trainer_dtype"):
-            XsecConfig(trainer_dtype="float16")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +65,7 @@ class TestTrainfastSettings:
 
 
 # ---------------------------------------------------------------------------
-# float64 compiled-trainer bit-identity, per attack scenario
+# the one loop == the seed loops, bitwise, per attack scenario
 
 
 def _uplink_extraction(net):
@@ -137,7 +119,8 @@ def scenario_windows():
 
 
 class TestCompiledTrainerBitIdentity:
-    """The acceptance contract: float64 kernels == seed loops, bitwise."""
+    """The acceptance contract: ``AnomalyDetector.fit`` == the seed loops
+    (tests/reference_training.py), losses and weights, bitwise."""
 
     @pytest.mark.parametrize(
         "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
@@ -146,11 +129,11 @@ class TestCompiledTrainerBitIdentity:
         windows = scenario_windows[scenario]
         dim = windows.shape[1]
         seed_model = Autoencoder(dim, hidden_dim=48, latent_dim=12, seed=3)
-        fast_model = Autoencoder(dim, hidden_dim=48, latent_dim=12, seed=3)
-        seed_report = seed_model.fit(windows, epochs=4)
-        fast_report = compile_trainer(fast_model, "float64").fit(windows, epochs=4)
-        assert seed_report.epoch_losses == fast_report.epoch_losses
-        for a, b in zip(seed_model.model.params(), fast_model.model.params()):
+        detector = AutoencoderDetector(6, dim // 6, hidden_dim=48, latent_dim=12, seed=3)
+        seed_losses = reference_training.autoencoder_fit(seed_model, windows, epochs=4)
+        report = detector.fit(windows, epochs=4)
+        assert seed_losses == report.epoch_losses
+        for a, b in zip(seed_model.params(), detector.model.params()):
             assert np.array_equal(a.value, b.value)
 
     @pytest.mark.parametrize(
@@ -162,25 +145,12 @@ class TestCompiledTrainerBitIdentity:
         unflat = windows.reshape(len(windows), 6, dim)
         sequences, targets = unflat[:, :-1, :], unflat[:, 1:, :]
         seed_model = LstmPredictor(dim, hidden_dim=24, output_dim=dim, seed=3)
-        fast_model = LstmPredictor(dim, hidden_dim=24, output_dim=dim, seed=3)
-        seed_report = seed_model.fit(sequences, targets, epochs=4)
-        fast_report = compile_trainer(fast_model, "float64").fit(
-            sequences, targets, epochs=4
-        )
-        assert seed_report.epoch_losses == fast_report.epoch_losses
-        for a, b in zip(seed_model.params(), fast_model.params()):
+        detector = LstmDetector(6, dim, hidden_dim=24, seed=3)
+        seed_losses = reference_training.lstm_fit(seed_model, sequences, targets, epochs=4)
+        report = detector.fit(windows, epochs=4)
+        assert seed_losses == report.epoch_losses
+        for a, b in zip(seed_model.params(), detector.model.params()):
             assert np.array_equal(a.value, b.value)
-
-    def test_float32_tracks_seed_loss(self, scenario_windows):
-        windows = scenario_windows["bts_dos"]
-        dim = windows.shape[1]
-        seed_model = Autoencoder(dim, hidden_dim=48, latent_dim=12, seed=3)
-        fast_model = Autoencoder(dim, hidden_dim=48, latent_dim=12, seed=3)
-        seed_report = seed_model.fit(windows, epochs=4)
-        fast_report = compile_trainer(fast_model, "float32").fit(windows, epochs=4)
-        assert seed_report.epoch_losses[-1] == pytest.approx(
-            fast_report.epoch_losses[-1], rel=1e-4
-        )
 
     def test_train_minibatch_early_stopping_mirrored(self, scenario_windows):
         windows = scenario_windows["null_cipher"]
@@ -189,59 +159,17 @@ class TestCompiledTrainerBitIdentity:
             epochs=12, lr=2e-3, validation_fraction=0.2, patience=2, seed=5
         )
         seed_model = Autoencoder(dim, hidden_dim=32, latent_dim=8, seed=5)
-        fast_model = Autoencoder(dim, hidden_dim=32, latent_dim=8, seed=5)
-        seed_hist = train_autoencoder(seed_model, windows, config)
-        fast_hist = compiled_train_minibatch(fast_model, windows, windows, config)
-        assert seed_hist.epoch_losses == fast_hist.epoch_losses
-        assert seed_hist.validation_losses == fast_hist.validation_losses
-        assert seed_hist.best_epoch == fast_hist.best_epoch
-        assert seed_hist.stopped_early == fast_hist.stopped_early
-        for a, b in zip(seed_model.model.params(), fast_model.model.params()):
+        model = Autoencoder(dim, hidden_dim=32, latent_dim=8, seed=5)
+        seed_hist = reference_training.train_minibatch(
+            reference_training.AutoencoderAdapter(seed_model), windows, windows, config
+        )
+        hist = train_autoencoder(model, windows, config)
+        assert seed_hist.epoch_losses == hist.epoch_losses
+        assert seed_hist.validation_losses == hist.validation_losses
+        assert seed_hist.best_epoch == hist.best_epoch
+        assert seed_hist.stopped_early == hist.stopped_early
+        for a, b in zip(seed_model.params(), model.params()):
             assert np.array_equal(a.value, b.value)
-
-
-# ---------------------------------------------------------------------------
-# FlatAdam == seed Adam (property test)
-
-
-def _random_params(rng, n_params):
-    shapes = [
-        (int(rng.integers(1, 7)), int(rng.integers(1, 7))) for _ in range(n_params)
-    ]
-    return [
-        [Parameter(rng.normal(size=shape)) for shape in shapes],
-        [Parameter(np.zeros(shape)) for shape in shapes],
-    ]
-
-
-class TestFlatAdamMatchesSeedAdam:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_parameter_trajectories_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        n_params = int(rng.integers(1, 4))
-        steps = int(rng.integers(1, 6))
-        lr = float(rng.uniform(1e-4, 1e-2))
-        params_a, params_b = _random_params(rng, n_params)
-        for a, b in zip(params_a, params_b):
-            b.value[...] = a.value
-        seed_adam = Adam(params_a, lr=lr)
-        store = _ParamStore(params_b, "float64")
-        flat = FlatAdam(store, lr=lr)
-        for _ in range(steps):
-            grads = [rng.normal(size=p.shape) for p in params_a]
-            for p, g, view in zip(params_a, grads, flat.grad_views):
-                p.grad[...] = g
-                view[...] = g
-            seed_adam.step()
-            flat.step()
-            for a, b in zip(params_a, params_b):
-                assert np.array_equal(a.value, b.value)
-
-    def test_float64_views_alias_model_params(self):
-        params = [Parameter(np.ones((3, 2)))]
-        store = _ParamStore(params, "float64")
-        assert store.views[0] is params[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +183,19 @@ def benign_windows():
     return np.asarray(dataset.windowed.windows, dtype=np.float64)
 
 
-def _detector_params(detector):
-    model = detector.model  # Autoencoder wraps its Sequential; LSTM is flat
-    return model.params() if hasattr(model, "params") else model.model.params()
-
-
 def _reference_fit(detector, windows, **train_kwargs) -> None:
-    """``detector.fit`` through the references: the seed layer-object training
-    loops, then layer-walking scores for the threshold."""
+    """``detector.fit`` through the references: the seed training loops,
+    then layer-walking scores for the threshold."""
     windows = detector._check(windows)
     if isinstance(detector, LstmDetector):
-        detector.model.fit(*detector._split(windows), **train_kwargs)
+        reference_training.lstm_fit(detector.model, *detector._split(windows), **train_kwargs)
     else:
-        detector.model.fit(windows, **train_kwargs)
+        reference_training.autoencoder_fit(detector.model, windows, **train_kwargs)
     detector.training_scores = detector.reference_scores(windows)
     detector.threshold.fit(detector.training_scores)
 
 
 class TestDetectorRouting:
-    def test_default_config_attaches_nothing(self):
-        assert build_detector(XsecConfig()).trainer_dtype == "float64"
-
-    def test_enabled_config_attaches_settings(self):
-        config = XsecConfig(trainer_dtype="float32")
-        assert build_detector(config).trainer_dtype == "float32"
-
     @pytest.mark.parametrize("detector_name", ["autoencoder", "lstm"])
     def test_compiled_f64_fit_equals_seed_fit(self, benign_windows, detector_name):
         config = XsecConfig(detector=detector_name, train_epochs=4)
@@ -289,7 +205,7 @@ class TestDetectorRouting:
         fast_det.fit(benign_windows, epochs=4)
         # float64 end to end: weights, training scores, and the threshold
         # all land on exactly the seed's bits.
-        for a, b in zip(_detector_params(seed_det), _detector_params(fast_det)):
+        for a, b in zip(seed_det.model.params(), fast_det.model.params()):
             assert np.array_equal(a.value, b.value)
         assert np.array_equal(seed_det.training_scores, fast_det.training_scores)
         assert seed_det.threshold.threshold == fast_det.threshold.threshold
@@ -455,75 +371,3 @@ class TestDatasetCache:
         cache.clear()
         assert cache.stats["matrices"] == 0
         assert cache.stats["datasets"] == 0
-
-
-# ---------------------------------------------------------------------------
-# bench gate logic
-
-
-def violations(result, baseline=None):
-    return driver.violations(trainfast_bench, result, baseline)
-
-
-def _passing_result():
-    return TrainfastBenchResult(
-        trainers={
-            "autoencoder": {"speedup": 2.6},
-            "lstm": {"speedup": 2.1},
-        },
-        sweep={"speedup": 2.8, "floor": 2.5, "parallel_capable": True},
-        scaling={"measured": True, "efficiency": 0.8},
-        cache={"speedup": 100.0},
-        equality={
-            "trainer_f64_exact": True,
-            "sweep_parallel_f64_matches_serial": True,
-            "cache_hit_on_reencode": True,
-        },
-        meta={},
-    )
-
-
-class TestBenchGates:
-    def test_passing_result_has_no_violations(self):
-        assert violations(_passing_result()) == []
-
-    def test_equality_breach_flagged(self):
-        result = _passing_result()
-        result.equality["trainer_f64_exact"] = False
-        assert any("equality" in v for v in violations(result))
-
-    def test_floor_breaches_flagged(self):
-        result = _passing_result()
-        result.trainers["lstm"]["speedup"] = 1.9
-        result.sweep["speedup"] = 2.4
-        result.cache["speedup"] = 4.0
-        result.scaling["efficiency"] = 0.4
-        assert len(violations(result)) == 4
-
-    def test_quick_run_gates_trainers_at_smoke_floor(self):
-        # run_bench(quick=True) stamps the slacked smoke floor into each
-        # trainer entry; violations() must honor it over the full floor.
-        result = _passing_result()
-        result.trainers["lstm"] = {"speedup": 1.8, "floor": 1.7}
-        assert violations(result) == []
-        result.trainers["lstm"]["speedup"] = 1.6
-        assert any("lstm" in v for v in violations(result))
-
-    def test_serial_host_gates_at_serial_floor(self):
-        result = _passing_result()
-        result.sweep = {"speedup": 1.6, "floor": 1.3, "parallel_capable": False}
-        result.scaling = {"measured": False}
-        assert violations(result) == []
-        result.sweep["speedup"] = 1.2
-        assert any("sweep" in v for v in violations(result))
-
-    def test_baseline_regression_flagged(self):
-        result = _passing_result()
-        baseline = _passing_result().to_dict()
-        baseline["sweep"]["speedup"] = 20.0  # committed run was much faster
-        assert any("regressed" in v for v in violations(result, baseline))
-
-    def test_baseline_within_slack_passes(self):
-        result = _passing_result()
-        baseline = _passing_result().to_dict()
-        assert violations(result, baseline) == []

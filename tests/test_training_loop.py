@@ -1,8 +1,11 @@
-"""Tests for the shared training loop (validation split, early stopping)."""
+"""Tests for the one training loop (validation split, early stopping, and
+refusing a run that would train nothing)."""
 
 import numpy as np
 import pytest
 
+from repro.core import XsecConfig
+from repro.core.framework import build_detector
 from repro.ml import Autoencoder, LstmPredictor
 from repro.ml.training import (
     TrainConfig,
@@ -115,3 +118,53 @@ class TestModelAdapters:
         )
         assert history.final_loss < 0.05
         assert history.validation_losses
+
+
+class TestRefusesTrainingNothing:
+    """A run that updates no weight must fail, not return a detector whose
+    threshold was fit on its random initial weights."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epochs": 0},
+            {"epochs": -3},
+            {"batch_size": 0},
+            {"lr": 0.0},
+            {"lr": -1e-3},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+        ],
+        ids=["epochs0", "epochs-3", "batch0", "lr0", "lr-neg", "lr-nan", "lr-inf"],
+    )
+    def test_loop_rejects(self, kwargs):
+        model = LinearTrainable(3)
+        with pytest.raises(ValueError):
+            train_minibatch(model, np.ones((4, 3)), np.ones((4, 3)), TrainConfig(**kwargs))
+
+    @pytest.mark.parametrize("detector", ["autoencoder", "lstm"])
+    def test_detector_fit_with_zero_epochs_rejected(self, detector):
+        config = XsecConfig(detector=detector, window=3)
+        windows = np.zeros((8, 3 * config.spec.dim))
+        with pytest.raises(ValueError, match="epochs"):
+            build_detector(config).fit(windows, epochs=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"train_epochs": 0},
+            {"train_epochs": -3},
+            {"train_lr": 0.0},
+            {"train_lr": -2e-3},
+            {"train_lr": float("nan")},
+            {"train_lr": float("inf")},
+        ],
+        ids=["epochs0", "epochs-3", "lr0", "lr-neg", "lr-nan", "lr-inf"],
+    )
+    def test_config_rejects(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            XsecConfig(**kwargs)
+
+    def test_trainer_dtype_is_gone(self):
+        with pytest.raises(TypeError):
+            XsecConfig(trainer_dtype="float64")
