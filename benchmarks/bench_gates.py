@@ -1,6 +1,6 @@
-"""Bench gates — the three component benches of ``repro.bench``.
+"""Bench gates — the component benches of ``repro.bench``.
 
-Each of ``megabatch``, ``obs`` and ``runtime`` re-verifies its equality
+Each of ``driver.BENCHES`` (``megabatch``, ``obs``) re-verifies its equality
 contracts and is gated against its hard floors and the committed
 ``BENCH_<name>.json`` at the repo root (docs/PERFORMANCE.md,
 "Benchmarks"). Runs two ways:

@@ -382,7 +382,7 @@ def _runtime_run(args: argparse.Namespace) -> int:
 
 
 def _runtime_soak(args: argparse.Namespace) -> int:
-    """Offered-load ramp + mid-run kill -9 fault trial on a real backend."""
+    """Offered-load ramp + mid-run kill -9 fault trial through the scoring pool."""
     import json
 
     from repro.runtime.soak import SoakConfig, run_soak, smoke_config
@@ -502,14 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument(
         "action",
         choices=("run", "soak"),
-        help="run the live testbed on worker processes / soak a backend "
-        "with fault injection",
+        help="run the live testbed on worker processes / soak the scoring "
+        "pool with fault injection",
     )
     runtime.add_argument(
         "--backend",
         choices=("process", "inproc"),
         default="process",
-        help="scheduler backend for `soak` (default: process)",
+        help="score provider for `soak`: the worker-process pool (default) "
+        "or the detector in this process",
     )
     runtime.add_argument(
         "--workers", type=int, default=2, help="scoring worker processes"

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 from repro.llm.cache import LlmfastSettings
 from repro.runtime.settings import RuntimeSettings
-from repro.scale.settings import ScaleSettings
 from repro.slo.settings import SloSettings
 from repro.telemetry.features import FeatureSpec
 
@@ -71,22 +70,17 @@ class XsecConfig:
     rate_limit_max_setups: int = 3
     rate_limit_window_s: float = 1.0
 
-    # Horizontal scaling (repro.scale): sharded SDL, ingest batching.
-    # Defaults preserve the seed's single-node behaviour bit-for-bit
-    # (see docs/SCALING.md).
-    scale: ScaleSettings = field(default_factory=ScaleSettings)
-
     # SLO/observability plane (repro.slo): burn-rate alerting over
     # declarative objectives, continuous profiling, OpenMetrics/JSONL
     # export, verdict provenance. Defaults keep every output bit-identical
     # to the seed (see docs/OBSERVABILITY.md).
     slo: SloSettings = field(default_factory=SloSettings)
 
-    # Process-parallel service runtime (repro.runtime): MobiWatch scoring
-    # in supervised OS worker processes over the TLV socket transport,
-    # restart-on-crash, and the `python -m repro runtime` deployment mode.
-    # Defaults keep everything in-process and bit-identical to the seed
-    # (see docs/RUNTIME.md).
+    # Deployment topology (repro.runtime, repro.scale): MobiWatch scoring
+    # in supervised OS worker processes, a sharded SDL, an ingest batcher,
+    # and the supervisor's restart policy. Defaults keep everything
+    # in-process, single-node and bit-identical to the seed (see
+    # docs/RUNTIME.md, docs/SCALING.md).
     runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
 
     # Verdict-plane fast path (repro.llm.cache): content-addressed verdict

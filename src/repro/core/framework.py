@@ -74,7 +74,7 @@ class SixGXSec:
         self.net = FiveGNetwork(network_config or NetworkConfig(seed=self.config.seed))
         self.e2 = InterfaceLink(self.net.sim, "E2", latency_s=0.002)
         self.agent = RicAgent(self.net, self.e2)
-        self.ric = NearRtRic(self.net.sim, self.e2, scale=self.config.scale)
+        self.ric = NearRtRic(self.net.sim, self.e2, runtime=self.config.runtime)
         self.e2.connect(a_handler=self.agent.on_e2, b_handler=self.ric.e2term.on_e2)
         self.llm_server = llm_server or SimulatedLlmServer()
         self.mobiwatch = MobiWatchXApp(self.ric, self.config)

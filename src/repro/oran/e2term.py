@@ -26,10 +26,14 @@ from repro.oran.e2ap import (
 from repro.oran.e2agent import _pdu_envelope, _pdu_from_envelope
 from repro.oran.rmr import RIC_CONTROL_ACK, RIC_INDICATION, RIC_SUB_RESP, RmrRouter
 from repro.ran.links import InterfaceLink
-from repro.scale.batcher import BoundedBatcher
-from repro.scale.settings import ScaleSettings
+from repro.scale.batcher import DROP_OLDEST, BoundedBatcher
 from repro.sim.entity import Entity
 from repro.sim.engine import Simulator
+
+# The ingest batcher's fixed shape: a bounded queue that sheds its oldest
+# indication when full, flushed on size and every 10 ms of sim time.
+INGEST_CAPACITY = 8192
+INGEST_FLUSH_INTERVAL_S = 0.01
 
 
 @dataclass
@@ -52,7 +56,7 @@ class E2Termination(Entity):
         ric_id: str,
         e2: InterfaceLink,
         rmr: RmrRouter,
-        ingest: Optional[ScaleSettings] = None,
+        ingest_flush_records: int = 0,
     ) -> None:
         super().__init__(sim, f"e2term.{ric_id}")
         self.ric_id = ric_id
@@ -79,15 +83,15 @@ class E2Termination(Entity):
         )
         # Optional bounded ingest batching between this termination and the
         # xApps (repro.scale). Disabled (inline fan-out, the seed path)
-        # unless the scale settings ask for it.
+        # unless runtime.ingest_flush_records asks for it.
         self.ingest_batcher: Optional[BoundedBatcher] = None
-        if ingest is not None and ingest.batching_enabled:
+        if ingest_flush_records > 0:
             self.ingest_batcher = BoundedBatcher(
                 self._deliver_indications,
-                capacity=ingest.ingest_capacity,
-                flush_records=ingest.ingest_flush_records,
-                flush_interval_s=ingest.ingest_flush_interval_s,
-                drop_policy=ingest.ingest_drop_policy,
+                capacity=INGEST_CAPACITY,
+                flush_records=ingest_flush_records,
+                flush_interval_s=INGEST_FLUSH_INTERVAL_S,
+                drop_policy=DROP_OLDEST,
                 scheduler=lambda delay, cb: sim.schedule(
                     delay, cb, name=f"{self.name}.ingest"
                 ),

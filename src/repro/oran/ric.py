@@ -16,7 +16,7 @@ from repro.oran.e2term import E2Termination
 from repro.oran.rmr import RmrRouter
 from repro.oran.sdl import SharedDataLayer
 from repro.ran.links import InterfaceLink
-from repro.scale.settings import ScaleSettings
+from repro.runtime.settings import RuntimeSettings
 from repro.scale.sharded_sdl import ShardedSdl
 from repro.sim.engine import Simulator
 
@@ -32,23 +32,24 @@ class NearRtRic:
         sim: Simulator,
         e2: InterfaceLink,
         ric_id: str = "nrt-ric-0",
-        scale: Optional[ScaleSettings] = None,
+        runtime: Optional[RuntimeSettings] = None,
     ) -> None:
         self.sim = sim
         self.ric_id = ric_id
-        self.scale = scale or ScaleSettings()
-        if self.scale.sharding_enabled:
+        runtime = runtime or RuntimeSettings()
+        if runtime.sdl_shards > 1:
             # The clustered-Redis SDL topology of the production OSC RIC.
             self.sdl = ShardedSdl(
-                shards=self.scale.sdl_shards,
-                replication=self.scale.sdl_replication,
-                vnodes=self.scale.sdl_vnodes,
+                shards=runtime.sdl_shards,
+                replication=runtime.sdl_replication,
                 metrics=sim.obs.metrics,
             )
         else:
             self.sdl = SharedDataLayer(metrics=sim.obs.metrics)
         self.rmr = RmrRouter(sim)
-        self.e2term = E2Termination(sim, ric_id, e2, self.rmr, ingest=self.scale)
+        self.e2term = E2Termination(
+            sim, ric_id, e2, self.rmr, ingest_flush_records=runtime.ingest_flush_records
+        )
         self.xapps: dict[str, "XApp"] = {}
 
     def register_xapp(self, xapp: "XApp") -> None:

@@ -1,26 +1,25 @@
 """repro.runtime — the process-parallel RIC service runtime.
 
-Runs the reproduction's components as real OS processes (supervised
-scoring workers, SDL shards, the LLM analyzer) speaking the byte-identical
-TLV wire codec over Unix sockets. See docs/RUNTIME.md.
+MobiWatch's window scoring in supervised OS worker processes speaking the
+byte-identical TLV wire codec over Unix sockets
+(:class:`ProcessScoringPool`), the deployment topology the whole stack
+reads (:class:`RuntimeSettings`), and the soak that holds the pool to the
+near-RT budget under a ``kill -9``. See docs/RUNTIME.md.
 """
 
-from repro.runtime.backend import (
-    Backend,
-    InProcessBackend,
-    ProcessBackend,
-    RuntimeTrial,
-    make_backend,
-)
 from repro.runtime.bridge import ProcessScoringPool
 from repro.runtime.settings import RuntimeSettings, usable_cpus
-from repro.runtime.soak import SoakConfig, SoakResult, run_soak, smoke_config
+from repro.runtime.soak import (
+    RuntimeTrial,
+    SoakConfig,
+    SoakResult,
+    run_soak,
+    run_trial,
+    smoke_config,
+)
 from repro.runtime.supervisor import Supervisor, SupervisorEvent, WorkerSpec
 
 __all__ = [
-    "Backend",
-    "InProcessBackend",
-    "ProcessBackend",
     "ProcessScoringPool",
     "RuntimeSettings",
     "RuntimeTrial",
@@ -29,8 +28,8 @@ __all__ = [
     "Supervisor",
     "SupervisorEvent",
     "WorkerSpec",
-    "make_backend",
     "run_soak",
+    "run_trial",
     "smoke_config",
     "usable_cpus",
 ]

@@ -88,7 +88,6 @@ class ProcessScoringPool:
                     worker,
                     worker_mains.scoring_worker_main,
                     {"detector_blob": blob},
-                    kind="scoring",
                 )
             )
         self.supervisor.start()

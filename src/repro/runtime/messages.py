@@ -27,10 +27,6 @@ HELLO = "hello"  # worker -> supervisor: identify after (re)connect
 HEARTBEAT = "hb"  # worker -> supervisor: liveness + counters
 SCORE_BATCH = "score_batch"  # supervisor -> scoring worker
 SCORE_RESULT = "score_result"  # scoring worker -> supervisor (batch-atomic ack)
-SDL_WRITE = "sdl_write"  # supervisor -> sdl shard
-SDL_ACK = "sdl_ack"  # sdl shard -> supervisor (write is durable once seen)
-ANALYZE = "analyze"  # supervisor -> analyzer worker
-ANALYSIS = "analysis"  # analyzer -> supervisor
 DRAIN = "drain"  # supervisor -> worker: finish pending work and exit 0
 CRASH = "crash"  # supervisor -> worker: test hook, die immediately (os._exit)
 
@@ -73,22 +69,6 @@ def score_result(worker: str, batch_id: int, scores: Sequence[float]) -> dict:
         "batch_id": batch_id,
         "scores": [float(s) for s in scores],
     }
-
-
-def sdl_write(write_id: int, namespace: str, key: str, value: Any) -> dict:
-    return {"t": SDL_WRITE, "write_id": write_id, "ns": namespace, "key": key, "value": value}
-
-
-def sdl_ack(worker: str, write_id: int) -> dict:
-    return {"t": SDL_ACK, "worker": worker, "write_id": write_id}
-
-
-def analyze(request_id: int, event: dict) -> dict:
-    return {"t": ANALYZE, "request_id": request_id, "event": event}
-
-
-def analysis(worker: str, request_id: int, verdict: dict) -> dict:
-    return {"t": ANALYSIS, "worker": worker, "request_id": request_id, "verdict": verdict}
 
 
 def drain() -> dict:

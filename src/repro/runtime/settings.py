@@ -1,21 +1,27 @@
-"""Configuration knobs for the process-parallel service runtime (``repro.runtime``).
+"""The deployment topology of ``XsecConfig.runtime``: one settings family.
 
-Kept dependency-free (like :mod:`repro.scale.settings`) so every layer can
-import it without cycles. **Every default preserves the seed's in-process
-behaviour bit-for-bit**: no worker processes are spawned, no sockets are
-opened, and MobiWatch scores exactly as before.
+Kept dependency-free so every layer (``repro.core.config``, ``repro.oran``,
+``repro.runtime``) can import it without cycles. **Every default preserves
+the seed's single-process, single-node behaviour bit-for-bit**: no worker
+processes are spawned, no sockets are opened, the SDL is the plain
+``SharedDataLayer`` and indications fan out inline.
 
 The switches:
 
-- ``score_in_processes`` — route MobiWatch's window scoring through a
-  supervised pool of real OS worker processes speaking the TLV wire codec
-  over Unix sockets. float64 scores computed in a worker are bit-identical
-  to in-process scoring (same NumPy, same kernels), so the anomaly-event
-  stream is unchanged — enforced per attack scenario by
+- ``score_in_processes`` / ``workers`` — route MobiWatch's window scoring
+  through a supervised pool of real OS worker processes speaking the TLV
+  wire codec over Unix sockets. float64 scores computed in a worker are
+  bit-identical to in-process scoring (same NumPy, same kernels), so the
+  anomaly-event stream is unchanged — enforced per attack scenario by
   ``tests/test_runtime.py``.
-- everything else parameterizes the standalone service runtime
-  (``python -m repro runtime``): worker/shard topology, dispatch batching,
-  bounded ingest, and the supervisor's restart policy.
+- ``sdl_shards`` / ``sdl_replication`` — the SDL as a consistent-hash
+  ``ShardedSdl`` (``sdl_shards=1`` keeps the plain SDL).
+- ``ingest_flush_records`` — a ``BoundedBatcher`` between the E2
+  termination and the xApps (0 = no batcher).
+- the supervisor's restart and heartbeat policy.
+
+Values are checked when the settings are written: an out-of-range
+topology raises ``ValueError`` instead of quietly deploying the seed path.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-
-_DROP_POLICIES = ("oldest", "newest")
 
 
 def default_start_method() -> str:
@@ -34,24 +38,21 @@ def default_start_method() -> str:
 
 @dataclass
 class RuntimeSettings:
-    """Knobs of the ``repro.runtime`` subsystem (see module docstring)."""
+    """The deployment topology (see module docstring)."""
 
     # MobiWatch integration: score windows in supervised worker processes.
     # Off = the seed's in-process scoring path, untouched.
     score_in_processes: bool = False
-
-    # Service topology (the standalone runtime and the scoring bridge).
     workers: int = 2
-    sdl_shards: int = 2
-    sdl_replication: int = 1
-    analyzer: bool = True
 
-    # Ingest: BoundedBatcher semantics across the process boundary
-    # (offered == ingested + dropped + pending must keep holding).
-    queue_capacity: int = 32768
-    dispatch_records: int = 64
-    dispatch_interval_s: float = 0.02
-    drop_policy: str = "oldest"
+    # Sharded SDL. sdl_shards=1 keeps the plain single-node SharedDataLayer
+    # — the exact seed data path; replication counts the copies of a key.
+    sdl_shards: int = 1
+    sdl_replication: int = 1
+
+    # Telemetry ingest batcher between the E2 termination and the xApps.
+    # 0 = no batcher: indications fan out inline, as in the seed.
+    ingest_flush_records: int = 0
 
     # Supervisor restart policy: bounded exponential backoff between
     # restarts; more than ``max_restarts`` crashes inside
@@ -69,13 +70,6 @@ class RuntimeSettings:
     heartbeat_interval_s: float = 0.5
     heartbeat_timeout_s: float = 5.0
 
-    # Graceful drain: how long shutdown waits for workers to finish
-    # pending work and exit on their own before terminating them.
-    drain_timeout_s: float = 10.0
-
-    # Process start method; "" = fork where available, spawn otherwise.
-    start_method: str = ""
-
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -86,13 +80,10 @@ class RuntimeSettings:
                 f"sdl_replication must be in [1, sdl_shards={self.sdl_shards}], "
                 f"got {self.sdl_replication}"
             )
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.dispatch_records < 1:
-            raise ValueError(f"dispatch_records must be >= 1, got {self.dispatch_records}")
-        if self.drop_policy not in _DROP_POLICIES:
+        if self.ingest_flush_records < 0:
             raise ValueError(
-                f"drop_policy must be one of {_DROP_POLICIES}, got {self.drop_policy!r}"
+                f"ingest_flush_records must be >= 0 (0 = no batcher), "
+                f"got {self.ingest_flush_records}"
             )
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
@@ -106,18 +97,10 @@ class RuntimeSettings:
                 "heartbeats must satisfy 0 < interval < timeout, got "
                 f"{self.heartbeat_interval_s}/{self.heartbeat_timeout_s}"
             )
-        if self.start_method and self.start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"start_method {self.start_method!r} unavailable on this platform "
-                f"(have: {multiprocessing.get_all_start_methods()})"
-            )
 
     @property
     def any_enabled(self) -> bool:
         return self.score_in_processes
-
-    def resolved_start_method(self) -> str:
-        return self.start_method or default_start_method()
 
 
 def usable_cpus() -> int:

@@ -1,62 +1,66 @@
 """Soak harness: sustained offered load + a mid-run ``kill -9`` fault trial.
 
-Max-throughput-under-SLO methodology: a geometric rate ramp keeps the
-highest offered UE-window rate whose trial finishes with zero drops, every
-window scored, and max capture->verdict latency inside the 1 s near-RT
-budget, executed on a *real* backend (wall clock, OS processes) through
-the :class:`repro.runtime.backend` interface.
+One open-loop trial loop over a *score provider* with MobiWatch's provider
+signature, ``(session_ids, matrix) -> list[float]``: in-process
+``detector.scores(matrix, per_row=True)``, or
+:meth:`~repro.runtime.bridge.ProcessScoringPool.scores`, the client
+MobiWatch scores through under ``runtime.score_in_processes``. Both are
+row-exact, so batch grouping cannot change a score.
 
-The fault trial then re-runs at a fraction of the sustained rate and
-``kill -9``'s one scoring worker mid-run. It must demonstrate, on a real
-SIGKILL (exit code -9):
+Row ``j`` is due at ``j/rate`` and its latency is measured against that
+nominal arrival, so a provider that falls behind pays the backlog as
+latency instead of slowing the generator (no coordinated omission).
+Ingest is a :class:`~repro.scale.batcher.BoundedBatcher`: every trial
+keeps the ledger ``offered == scored + dropped + pending``.
 
-- **zero acked-write loss** — every offered window still gets exactly one
-  verdict: acks drained from the dead worker's socket are honored, its
-  unacked batches are redispatched, and no batch is scored twice;
-- **automatic recovery** — the supervisor restarts the worker within its
-  backoff budget and the trial still completes inside the SLO;
-- **invariant preservation** — ``offered == scored + dropped + pending``
-  holds across the process boundary at the end of the run.
-
-``python -m repro runtime soak`` drives this; the CI ``runtime-smoke``
-job runs :func:`smoke_config` with the kill enabled and uploads the
-``--json`` artifact.
+A geometric rate ramp keeps the highest offered rate whose trial has zero
+drops, every row scored exactly once and max latency inside the 1 s
+near-RT budget. The fault trial re-runs at a fraction of that rate and
+``kill -9``'s one pool worker mid-run (``pool.supervisor.kill_worker``):
+every offered row must still be scored exactly once (the trial records
+the row id of each score), with at least one restart, a balanced ledger
+and every latency inside the budget. ``python -m repro runtime soak``
+drives this.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector
-from repro.runtime.backend import Backend, RuntimeTrial, make_backend
+from repro.runtime.bridge import ProcessScoringPool
 from repro.runtime.settings import RuntimeSettings, usable_cpus
+from repro.scale.batcher import BoundedBatcher
 from repro.telemetry.batch import MobiFlowBatchBuilder
 from repro.telemetry.features import FeatureSpec
 from repro.telemetry.vectorized import encode_batch
 
 # Records per scored window of the soak's session bank.
 WINDOW = 6
+BACKENDS = ("process", "inproc")
 
 
 @dataclass
 class SoakConfig:
-    """Soak shape: workload, ramp, topology, fault injection."""
+    """Soak shape: workload, ramp, ingest queue, fault injection."""
 
-    backend: str = "process"  # "inproc" | "process"
+    backend: str = "process"  # "process" | "inproc"
     workers: int = 2
-    sdl_shards: int = 2
-    analyzer: bool = True
     duration_s: float = 2.0
     budget_s: float = 1.0
     start_rate: float = 50.0  # UE windows offered per second
     rate_step: float = 1.6
     max_rate: float = 20000.0
+    # The ingest queue in front of the provider: bounded, flushed on size
+    # and on an interval, drops counted.
+    queue_capacity: int = 32768
     dispatch_records: int = 32
     dispatch_interval_s: float = 0.01
+    drop_policy: str = "oldest"
     # Workload: a featurized session bank, with a detector sized so
     # inference compute dominates socket transport (a window is
     # ~3.4 KB; a hidden_dim=192 autoencoder forward costs far more than
@@ -76,19 +80,66 @@ class SoakConfig:
     fault_duration_s: float = 3.0
 
     def runtime_settings(self) -> RuntimeSettings:
-        return RuntimeSettings(
-            workers=self.workers,
-            sdl_shards=self.sdl_shards,
-            analyzer=self.analyzer,
-            dispatch_records=self.dispatch_records,
-            dispatch_interval_s=self.dispatch_interval_s,
+        return RuntimeSettings(workers=self.workers)
+
+
+@dataclass
+class RuntimeTrial:
+    """One (provider, rate) offered-load trial."""
+
+    offered_rate: float
+    offered: int
+    # Row id of every score received, in arrival order, and the score.
+    row_ids: List[int]
+    scores: List[float]
+    dropped: int
+    pending: int
+    makespan_s: float
+    max_latency_s: float
+    p99_latency_s: float
+    restarts: int = 0
+    killed_worker: Optional[str] = None
+
+    @property
+    def scored(self) -> int:
+        return len(self.row_ids)
+
+    @property
+    def throughput(self) -> float:
+        return self.scored / self.makespan_s if self.makespan_s else 0.0
+
+    @property
+    def exactly_once(self) -> bool:
+        """Every offered row received one score, none a second."""
+        return sorted(self.row_ids) == list(range(self.offered))
+
+    @property
+    def balanced(self) -> bool:
+        return self.offered == self.scored + self.dropped + self.pending
+
+    def ok(self, budget_s: float) -> bool:
+        return (
+            self.dropped == 0
+            and self.exactly_once
+            and self.balanced
+            and self.max_latency_s <= budget_s
         )
+
+    def to_dict(self) -> dict:
+        """Every field but the per-row lists, plus the derived figures."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("row_ids", "scores")
+        }
+        for name in ("scored", "exactly_once", "balanced", "throughput"):
+            out[name] = getattr(self, name)
+        return out
 
 
 @dataclass
 class SoakResult:
     config: SoakConfig
-    backend: str
     sustained: RuntimeTrial
     trials: int
     fault: Optional[RuntimeTrial] = None
@@ -101,38 +152,32 @@ class SoakResult:
         budget = self.config.budget_s
         if not self.sustained.ok(budget):
             out.append(
-                f"sustained trial not clean: {self.sustained.completed}/"
+                f"sustained trial not clean: {self.sustained.scored}/"
                 f"{self.sustained.offered} scored, {self.sustained.dropped} drops, "
                 f"max latency {self.sustained.max_latency_s:.3f}s vs {budget:g}s budget"
             )
         fault = self.fault
         if fault is not None:
-            if fault.completed != fault.offered:
+            if not (fault.exactly_once and fault.balanced):
                 out.append(
-                    f"fault trial lost verdicts: {fault.completed}/{fault.offered}"
+                    f"fault trial: {fault.scored} scores, {fault.dropped} dropped, "
+                    f"{fault.pending} pending for {fault.offered} rows — not every "
+                    "row scored exactly once"
                 )
-            if fault.acked_score_loss:
-                out.append(f"fault trial: {fault.acked_score_loss} acked scores lost")
-            if fault.killed_worker is None:
-                out.append("fault trial never killed a worker")
-            elif fault.restarts < 1:
-                out.append(
-                    f"killed worker {fault.killed_worker!r} was not restarted"
-                )
+            if fault.killed_worker is None or fault.restarts < 1:
+                out.append(f"killed worker {fault.killed_worker!r} was not restarted")
             if fault.max_latency_s > budget:
                 out.append(
                     f"fault trial broke the SLO: max latency "
                     f"{fault.max_latency_s:.3f}s vs {budget:g}s"
                 )
-            if not fault.invariant.get("ok", True):
-                out.append(f"backpressure invariant broken: {fault.invariant}")
         return out
 
     def render(self) -> str:
         t = self.sustained
         lines = [
-            f"runtime-soak [{self.backend}] — {self.cpus} CPU(s), "
-            f"{self.config.workers} scoring worker(s)",
+            f"runtime-soak [{self.config.backend}] — {self.cpus} CPU(s), "
+            f"{self.workers} scoring worker(s)",
             f"  sustained: {t.offered_rate:.0f} windows/s offered, "
             f"{t.throughput:.0f}/s through, p99 {1000 * t.p99_latency_s:.1f}ms, "
             f"max {1000 * t.max_latency_s:.1f}ms, {t.dropped} drops "
@@ -143,10 +188,9 @@ class SoakResult:
             lines.append(
                 f"  fault: kill -9 {fault.killed_worker} at "
                 f"{self.config.fault_kill_at_s:g}s of {fault.offered_rate:.0f}/s -> "
-                f"{fault.completed}/{fault.offered} verdicts, "
-                f"{fault.acked_score_loss} acked lost, {fault.restarts} restart(s), "
-                f"{fault.redispatched_batches} batch(es) redispatched, "
-                f"max {1000 * fault.max_latency_s:.1f}ms"
+                f"{fault.scored}/{fault.offered} rows scored, exactly once: "
+                f"{'yes' if fault.exactly_once else 'NO'}, "
+                f"{fault.restarts} restart(s), max {1000 * fault.max_latency_s:.1f}ms"
             )
         violations = self.check()
         lines.append(
@@ -154,12 +198,16 @@ class SoakResult:
         )
         return "\n".join(lines)
 
+    @property
+    def workers(self) -> int:
+        return self.config.workers if self.config.backend == "process" else 0
+
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
-            "backend": self.backend,
+            "schema": 2,
+            "backend": self.config.backend,
             "cpus": self.cpus,
-            "workers": self.config.workers,
+            "workers": self.workers,
             "sustained": self.sustained.to_dict(),
             "trials": self.trials,
             "fault": self.fault.to_dict() if self.fault is not None else None,
@@ -238,17 +286,115 @@ def build_soak_workload(config: SoakConfig) -> tuple[list, AnomalyDetector]:
     return bank, detector
 
 
-def ramp(
-    backend: Backend,
+Provider = Callable[[list, np.ndarray], List[float]]
+
+
+def in_process_provider(detector: AnomalyDetector) -> Provider:
+    """The in-process score provider: one row-exact call per batch."""
+    return lambda session_ids, matrix: detector.scores(matrix, per_row=True)
+
+
+def _restarts(pool: Optional[ProcessScoringPool]) -> int:
+    health = pool.supervisor.health().values() if pool is not None else ()
+    return sum(state["restarts"] for state in health)
+
+
+def run_trial(
+    provider: Provider,
     bank: list,
+    rate: float,
+    duration_s: float,
     config: SoakConfig,
+    *,
+    pool: Optional[ProcessScoringPool] = None,
+    kill_at_s: Optional[float] = None,
+) -> RuntimeTrial:
+    """Offer ``rate`` windows/s for ``duration_s``; score all of them.
+
+    ``pool`` is the worker pool behind ``provider``, if any: the fault
+    trial ``kill -9``'s its first worker once ``kill_at_s`` has passed, and
+    the trial counts the pool's restarts.
+    """
+    row_ids: List[int] = []
+    scores: List[float] = []
+    latencies: List[float] = []
+    makespan = 0.0
+    killed: Optional[str] = None
+    restarts_before = _restarts(pool)
+    wall_start = time.perf_counter()
+    clock = lambda: time.perf_counter() - wall_start  # noqa: E731
+
+    def deliver(batch: list) -> None:
+        nonlocal makespan
+        got = provider(
+            [session_id for _, _, session_id, _ in batch],
+            np.stack([vector for _, _, _, vector in batch]),
+        )
+        done = clock()
+        for (arrival, j, _, _), score in zip(batch, got):
+            row_ids.append(j)
+            scores.append(float(score))
+            latencies.append(done - arrival)
+        makespan = max(makespan, done)
+
+    batcher = BoundedBatcher(
+        deliver,
+        capacity=config.queue_capacity,
+        flush_records=config.dispatch_records,
+        drop_policy=config.drop_policy,
+        clock=clock,
+    )
+    n = max(1, int(rate * duration_s))
+    j = 0
+    last_flush = 0.0
+    while j < n:
+        now = clock()
+        if kill_at_s is not None and killed is None and now >= kill_at_s:
+            killed = pool.supervisor.worker_names()[0]
+            pool.supervisor.kill_worker(killed)
+        arrival = j / rate
+        if now >= arrival:
+            session_id, vector = bank[j % len(bank)]
+            batcher.offer((arrival, j, session_id, vector))
+            j += 1
+        else:
+            if batcher.pending and now - last_flush >= config.dispatch_interval_s:
+                batcher.flush_now()
+                last_flush = now
+            time.sleep(min(arrival - now, 0.002))
+    batcher.close()
+    if killed is not None:
+        # The pool only polls inside a call: let the supervisor see the
+        # death and respawn the worker before counting restarts. Nothing
+        # is in flight between calls, so no event here carries a score.
+        deadline = time.monotonic() + config.budget_s + duration_s
+        while not pool.supervisor.is_up(killed) and time.monotonic() < deadline:
+            pool.supervisor.poll(timeout_s=0.05)
+    ordered = sorted(latencies) or [0.0]
+    return RuntimeTrial(
+        offered_rate=rate,
+        offered=batcher.offered,
+        row_ids=row_ids,
+        scores=scores,
+        dropped=batcher.dropped,
+        pending=batcher.pending,
+        makespan_s=makespan,
+        max_latency_s=ordered[-1],
+        p99_latency_s=ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))],
+        restarts=_restarts(pool) - restarts_before,
+        killed_worker=killed,
+    )
+
+
+def ramp(
+    provider: Provider, bank: list, config: SoakConfig, pool: Optional[ProcessScoringPool] = None
 ) -> tuple[RuntimeTrial, int]:
     """Geometric ramp; returns (highest clean trial, trials run)."""
     rate = config.start_rate
     best: Optional[RuntimeTrial] = None
     trials = 0
     while rate <= config.max_rate:
-        trial = backend.run_trial(bank, rate, config.duration_s)
+        trial = run_trial(provider, bank, rate, config.duration_s, config, pool=pool)
         trials += 1
         if not trial.ok(config.budget_s):
             break
@@ -256,43 +402,44 @@ def ramp(
         rate *= config.rate_step
     while best is None and rate > 1.0:
         rate /= config.rate_step
-        trial = backend.run_trial(bank, rate, config.duration_s)
+        trial = run_trial(provider, bank, rate, config.duration_s, config, pool=pool)
         trials += 1
         if trial.ok(config.budget_s):
             best = trial
     if best is None:
         raise RuntimeError(
-            f"backend {backend.name!r} sustained no rate >= 1 window/s "
+            f"backend {config.backend!r} sustained no rate >= 1 window/s "
             f"inside the {config.budget_s:g}s budget"
         )
     return best, trials
 
 
-def run_soak(config: Optional[SoakConfig] = None, backend: Optional[Backend] = None) -> SoakResult:
+def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """Full soak: workload build, ramp to the SLO edge, fault trial."""
     config = config or SoakConfig()
+    if config.backend not in BACKENDS:
+        raise ValueError(f"unknown backend {config.backend!r} (have: {', '.join(BACKENDS)})")
     wall_start = time.perf_counter()
     bank, detector = build_soak_workload(config)
-    owned = backend is None
-    if backend is None:
-        backend = make_backend(config.backend, config.runtime_settings())
+    pool: Optional[ProcessScoringPool] = None
+    provider = in_process_provider(detector)
+    if config.backend == "process":
+        pool = ProcessScoringPool(detector, config.runtime_settings(), name="soak")
+        provider = pool.scores
     try:
-        backend.start(detector)
-        sustained, trials = ramp(backend, bank, config)
+        sustained, trials = ramp(provider, bank, config, pool)
         fault: Optional[RuntimeTrial] = None
-        if config.fault and backend.name == "process":
-            fault = backend.run_trial(
-                bank,
-                max(1.0, config.fault_load_fraction * sustained.offered_rate),
-                config.fault_duration_s,
-                kill_at_s=config.fault_kill_at_s,
+        if config.fault and pool is not None:
+            rate = max(1.0, config.fault_load_fraction * sustained.offered_rate)
+            fault = run_trial(
+                provider, bank, rate, config.fault_duration_s, config,
+                pool=pool, kill_at_s=config.fault_kill_at_s,
             )
     finally:
-        if owned:
-            backend.close()
+        if pool is not None:
+            pool.close()
     return SoakResult(
         config=config,
-        backend=backend.name,
         sustained=sustained,
         trials=trials,
         fault=fault,
@@ -301,7 +448,7 @@ def run_soak(config: Optional[SoakConfig] = None, backend: Optional[Backend] = N
 
 
 def smoke_config() -> SoakConfig:
-    """Small soak for CI: a 2-worker topology, one injected kill."""
+    """Small soak for CI: a 2-worker pool, one injected kill."""
     return SoakConfig(
         duration_s=1.0,
         start_rate=40.0,

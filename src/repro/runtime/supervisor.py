@@ -14,16 +14,16 @@ Failure model (docs/RUNTIME.md):
   ``min(backoff_base_s * 2**n, backoff_max_s)`` for the n-th recent crash.
 - **Crash-loop detection**: more than ``max_restarts`` crashes inside
   ``crash_loop_window_s`` marks the worker *failed* — it stays down and
-  the caller decides (the soak harness treats a failed scoring worker as
-  a hard error; a failed analyzer only degrades explanations).
+  the caller decides (the scoring pool treats a failed worker as a hard
+  error).
 - **Death drains the socket first**: a SIGKILL'd worker may have acked
   work whose bytes still sit in the kernel buffer. Those acks are
   delivered as normal events *before* the death event, which is what lets
   the caller's redispatch logic guarantee zero acked-write loss.
 
 The supervisor yields :class:`SupervisorEvent` tuples; policy above the
-transport (dispatch, redispatch, invariants) lives in the callers
-(:mod:`repro.runtime.backend`, :mod:`repro.runtime.bridge`).
+transport (dispatch, redispatch, invariants) lives in the one caller,
+:class:`repro.runtime.bridge.ProcessScoringPool`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import messages
-from repro.runtime.settings import RuntimeSettings
+from repro.runtime.settings import RuntimeSettings, default_start_method
 from repro.runtime.transport import Listener, MsgConnection, TransportError
 
 # Worker lifecycle states.
@@ -49,6 +49,10 @@ DEGRADED = "degraded"  # up, but heartbeat is stale
 RESTARTING = "restarting"  # dead, waiting out the backoff
 FAILED = "failed"  # crash loop — will not be restarted
 STOPPED = "stopped"  # exited under drain/shutdown
+
+# How long shutdown waits for workers to finish pending work and exit on
+# their own before terminating them.
+DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,6 @@ class WorkerSpec:
     name: str
     target: Callable[..., None]
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    kind: str = "scoring"  # "scoring" | "sdl" | "analyzer"
 
 
 class _WorkerState:
@@ -97,7 +100,7 @@ class Supervisor:
     ) -> None:
         self.settings = settings or RuntimeSettings()
         self.listener = Listener(socket_dir)
-        self._ctx = multiprocessing.get_context(self.settings.resolved_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._workers: Dict[str, _WorkerState] = {}
         self._unbound: List[MsgConnection] = []
         self._draining = False
@@ -152,25 +155,14 @@ class Supervisor:
 
     # -- introspection ---------------------------------------------------------
 
-    def worker_names(self, kind: Optional[str] = None) -> List[str]:
-        return [
-            name
-            for name, state in self._workers.items()
-            if kind is None or state.spec.kind == kind
-        ]
+    def worker_names(self) -> List[str]:
+        return list(self._workers)
 
     def worker_state(self, name: str) -> str:
         return self._workers[name].state
 
-    def worker_kind(self, name: str) -> str:
-        return self._workers[name].spec.kind
-
     def is_up(self, name: str) -> bool:
         return self._workers[name].state in (UP, DEGRADED)
-
-    def worker_pid(self, name: str) -> Optional[int]:
-        process = self._workers[name].process
-        return process.pid if process is not None else None
 
     def health(self) -> dict:
         """Per-worker liveness snapshot (the scoreboard's probe input)."""
@@ -365,7 +357,7 @@ class Supervisor:
 
     def drain(self, timeout_s: Optional[float] = None) -> List[SupervisorEvent]:
         """Ask every worker to finish pending work and exit; wait for them."""
-        timeout_s = self.settings.drain_timeout_s if timeout_s is None else timeout_s
+        timeout_s = DRAIN_TIMEOUT_S if timeout_s is None else timeout_s
         self._draining = True
         for name, state in self._workers.items():
             if state.conn is not None:

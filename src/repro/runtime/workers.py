@@ -13,10 +13,10 @@ score equals the window's own ``[1, window*dim]`` call — the inline
 path's shape — where a full-height GEMM would not (see
 :mod:`repro.ml.compiled` and docs/RUNTIME.md).
 
-Test hooks: ``crash_after_batches`` makes a scoring worker ``os._exit(1)``
-mid-stream after acking N batches (deterministic crash-mid-batch
-coverage), and every worker honors a ``crash`` control message (the
-supervisor's fault injector uses SIGKILL instead when available).
+Test hooks: ``crash_after_batches`` makes the synthetic worker
+``os._exit(1)`` mid-stream after acking N batches (deterministic
+crash-mid-batch coverage), and every worker honors a ``crash`` control
+message (the supervisor's fault injector uses SIGKILL instead).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.ml.serialize import loads_detector
 from repro.runtime import messages
-from repro.runtime.transport import MsgConnection, TransportError
+from repro.runtime.transport import MsgConnection
 
 
 def _serve(conn: MsgConnection, worker: str, handler, heartbeat_interval_s: float) -> None:
@@ -67,83 +67,18 @@ def scoring_worker_main(
     socket_path: str,
     detector_blob: bytes,
     heartbeat_interval_s: float = 0.5,
-    crash_after_batches: Optional[int] = None,
 ) -> None:
     """MobiWatch scoring worker: ``score_batch`` in, batch-atomic result out."""
     detector = loads_detector(detector_blob)
     conn = MsgConnection.connect(socket_path, name=name)
-    acked = 0
 
     def handle(msg: dict) -> None:
-        nonlocal acked
         if msg.get("t") != messages.SCORE_BATCH:
             return
         batch_id, _, matrix = messages.unpack_score_batch(msg)
         # Row-exact batch call: every score equals its own [1, dim] call.
         scores = detector.scores(matrix, per_row=True)
         conn.send_msg(messages.score_result(name, batch_id, scores))
-        acked += 1
-        if crash_after_batches is not None and acked >= crash_after_batches:
-            os._exit(1)
-
-    try:
-        _serve(conn, name, handle, heartbeat_interval_s)
-    finally:
-        conn.close()
-
-
-def sdl_shard_main(
-    name: str,
-    socket_path: str,
-    heartbeat_interval_s: float = 0.5,
-) -> None:
-    """SDL shard worker: durable (in-memory) keyed store; ack == durable."""
-    store: dict[tuple, object] = {}
-    conn = MsgConnection.connect(socket_path, name=name)
-
-    def handle(msg: dict) -> None:
-        if msg.get("t") != messages.SDL_WRITE:
-            return
-        store[(msg["ns"], msg["key"])] = msg["value"]
-        conn.send_msg(messages.sdl_ack(name, msg["write_id"]))
-
-    try:
-        _serve(conn, name, handle, heartbeat_interval_s)
-    finally:
-        conn.close()
-
-
-def analyzer_worker_main(
-    name: str,
-    socket_path: str,
-    heartbeat_interval_s: float = 0.5,
-    model: str = "chatgpt-4o",
-) -> None:
-    """LLM-analyzer worker: anomaly event in, expert verdict out."""
-    # Imported here so scoring/SDL workers never pay for the LLM stack.
-    from repro.llm.analyst import ExpertAnalyst
-    from repro.llm.client import LlmClient, SimulatedLlmServer
-    from repro.telemetry import MobiFlowRecord
-
-    analyst = ExpertAnalyst(LlmClient(SimulatedLlmServer(), model=model))
-    conn = MsgConnection.connect(socket_path, name=name)
-
-    def handle(msg: dict) -> None:
-        if msg.get("t") != messages.ANALYZE:
-            return
-        event = msg["event"]
-        try:
-            records = [MobiFlowRecord.from_dict(r) for r in event.get("records", [])]
-            result = analyst.analyze(records, detector_flagged=True)
-            verdict = {
-                "ok": True,
-                "is_anomalous": bool(result.response.is_anomalous),
-                "needs_human_review": bool(result.needs_human_review),
-                "model": result.model,
-            }
-        except Exception as exc:  # noqa: BLE001 - verdict carries the failure
-            verdict = {"ok": False, "error": str(exc)}
-        conn.send_msg(messages.analysis(name, msg["request_id"], verdict))
 
     try:
         _serve(conn, name, handle, heartbeat_interval_s)

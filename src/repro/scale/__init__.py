@@ -11,17 +11,17 @@ scales its own platform services:
   instances with per-shard replication, failover + read repair, and a
   fault-injection hook (the Redis-cluster SDL topology);
 - :mod:`.batcher` — bounded-queue telemetry ingest batching with counted,
-  never-silent drops;
-- :mod:`.settings` — config knobs; all defaults preserve the seed's
-  single-node behaviour bit-for-bit.
+  never-silent drops.
 
-Everything is wired behind :class:`~repro.scale.settings.ScaleSettings`
-flags on :class:`~repro.core.config.XsecConfig` — see ``docs/SCALING.md``.
+Both are switched on by the topology family
+:class:`~repro.runtime.settings.RuntimeSettings` (``sdl_shards``,
+``sdl_replication``, ``ingest_flush_records``) on
+:class:`~repro.core.config.XsecConfig`; its defaults preserve the seed's
+single-node behaviour bit-for-bit — see ``docs/SCALING.md``.
 """
 
 from repro.scale.batcher import DROP_NEWEST, DROP_OLDEST, BoundedBatcher
 from repro.scale.hashring import ConsistentHashRing, HashRingError, stable_hash
-from repro.scale.settings import ScaleSettings
 from repro.scale.sharded_sdl import ShardedSdl, ShardUnavailableError
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "DROP_NEWEST",
     "DROP_OLDEST",
     "HashRingError",
-    "ScaleSettings",
     "ShardedSdl",
     "ShardUnavailableError",
     "stable_hash",

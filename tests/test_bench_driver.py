@@ -96,7 +96,7 @@ def test_red_gate_exits_one_and_json_snapshot_written(monkeypatch, tmp_path, cap
 @pytest.mark.parametrize(
     "argv",
     [["hotpath-bench"], ["llmfast-bench"], ["megabatch-bench"], ["trainfast-bench"],
-     ["obs-bench"], ["runtime", "bench"]],
+     ["obs-bench"], ["runtime", "bench"], ["bench", "runtime"]],
 )  # fmt: skip
 def test_no_aliases(argv):
     with pytest.raises(SystemExit):

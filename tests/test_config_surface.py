@@ -23,7 +23,7 @@ import repro
 from repro.core.config import XsecConfig
 from repro.core.pipeline import ClosedLoopPipeline
 from repro.llm.cache import LlmfastSettings
-from repro.scale.settings import ScaleSettings
+from repro.runtime.settings import RuntimeSettings
 
 SRC = Path(repro.__file__).parent
 
@@ -35,10 +35,15 @@ FAMILIES = {
 }
 
 # The families dissolved into XsecConfig.scoring / evict_on_release /
-# evict_idle_s: their flags stay deleted because the family does (a
-# deleted family is named by its class name, a string).
-HOTPATH, MEGABATCH, TRAINFAST = "HotpathSettings", "MegabatchSettings", "TrainfastSettings"
-DISSOLVED = {HOTPATH: "hotpath", MEGABATCH: "megabatch", TRAINFAST: "trainfast"}
+# evict_idle_s, and ``scale``, folded into ``runtime``: their flags stay
+# deleted because the family does. A deleted family is named by its class
+# name, a string derived from its XsecConfig field (``scale`` -> "Scale"
+# + "Settings").
+DISSOLVED = {
+    f"{family.capitalize()}Settings": family
+    for family in ("hotpath", "megabatch", "trainfast", "scale")
+}
+HOTPATH, MEGABATCH, TRAINFAST, SCALE = DISSOLVED
 
 DELETED = [
     (HOTPATH, "compiled"),
@@ -70,10 +75,10 @@ DELETED = [
     # Declared with the first MobiWatch, read by nothing since.
     (XsecConfig, "history_cap"),
     # The in-process inference pool and the two typed-in service times.
-    (ScaleSettings, "pool_batch_windows"),
-    (ScaleSettings, "pool_workers"),
-    (ScaleSettings, "pool_service_time_s"),
-    (ScaleSettings, "sdl_service_time_s"),
+    (SCALE, "pool_batch_windows"),
+    (SCALE, "pool_workers"),
+    (SCALE, "pool_service_time_s"),
+    (SCALE, "sdl_service_time_s"),
     # Shell families: one scoring choice, the eviction and training knobs
     # top level, the sweep knobs keyword arguments of the sweep entry
     # points (run_table2, the ablations), the sweep period evict_idle_s / 2.
@@ -86,6 +91,24 @@ DELETED = [
     (XsecConfig, "cache_dir"),
     # One precision ever trained in: the one training loop is float64.
     (XsecConfig, "trainer_dtype"),
+    # One topology family: ``scale`` folded into ``runtime``. Knobs that
+    # only ever took one value are module constants (ShardedSdl's vnodes,
+    # oran.e2term's INGEST_*, runtime.supervisor's DRAIN_TIMEOUT_S, the
+    # start method picked by default_start_method()); the soak's queue
+    # knobs are SoakConfig's; the analyzer and SDL-shard processes are
+    # gone with the second process client that spoke to them.
+    (XsecConfig, "scale"),
+    (SCALE, "sdl_vnodes"),
+    (SCALE, "ingest_flush_interval_s"),
+    (SCALE, "ingest_capacity"),
+    (SCALE, "ingest_drop_policy"),
+    (RuntimeSettings, "analyzer"),
+    (RuntimeSettings, "queue_capacity"),
+    (RuntimeSettings, "dispatch_records"),
+    (RuntimeSettings, "dispatch_interval_s"),
+    (RuntimeSettings, "drop_policy"),
+    (RuntimeSettings, "drain_timeout_s"),
+    (RuntimeSettings, "start_method"),
 ]
 
 
@@ -103,7 +126,7 @@ def _program_sources(declared_in: Path) -> str:
 
 
 def test_settings_families():
-    assert sorted(FAMILIES) == ["llmfast", "runtime", "scale", "slo"]
+    assert sorted(FAMILIES) == ["llmfast", "runtime", "slo"]
 
 
 def test_frozen_benchmark_flag_names():
@@ -122,8 +145,9 @@ def test_frozen_benchmark_flag_names():
 
 def _names_carrying(cls, field: str) -> list:
     """The field itself plus the derived members of its settings class that
-    read it (``resolved_start_method()`` for ``start_method``).  Validation
-    and ``any_enabled`` are no readers: they name every flag of a family."""
+    read it (``fast_submit_enabled`` for ``verdict_cache``).
+    Validation and ``any_enabled`` are no readers: they name every flag of
+    a family."""
     names = [field]
     for name, member in vars(cls).items():
         function = member.fget if isinstance(member, property) else member
@@ -159,6 +183,20 @@ def test_every_top_level_field_is_read_by_the_program():
     assert unread == []
 
 
+def test_field_names_are_unique_across_the_surface():
+    """A name on two settings (a family and the top level, or two families)
+    is one knob described twice, and it blinds the test above: a field
+    counts as read when ``.name`` appears anywhere in the program, so one
+    copy's reader vouches for the other."""
+    names = [
+        field.name
+        for cls in (*FAMILIES.values(), XsecConfig)
+        for field in dataclasses.fields(cls)
+        if cls is not XsecConfig or field.name not in FAMILIES
+    ]
+    assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
 def _owner_name(owner) -> str:
     return owner if isinstance(owner, str) else owner.__name__
 
@@ -182,7 +220,9 @@ def test_settings_field_total():
     storm dispatcher and the verification-only knobs, 56 before the
     inference pool and the service-time models; 52 + 20 = 72 before the
     shell families dissolved into one scoring choice; 66 before the
-    compiled trainer and its ``trainer_dtype`` were deleted."""
+    compiled trainer and its ``trainer_dtype`` were deleted; 65 before
+    ``scale`` (7) folded into ``runtime`` (17 -> 11 fields) and the family
+    went from the top level: 52 = 29 family + 23 top-level."""
     family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
     top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 65
+    assert family_fields + top_level <= 52

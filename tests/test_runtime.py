@@ -14,8 +14,10 @@ The contracts enforced here:
 - ``ProcessScoringPool.scores`` returns, in row order, scores
   bit-identical to calling the detector in-process — also when a worker
   is killed under the call — and the pool's close is idempotent;
-- the process backend survives a mid-trial ``kill -9`` with zero acked
-  loss and an intact offered == scored + dropped + pending invariant;
+- the soak's one trial loop, driven through ``ProcessScoringPool``,
+  survives a mid-trial ``kill -9`` with every offered row scored exactly
+  once and an intact offered == scored + dropped + pending ledger, and
+  its two providers (in-process, worker pool) agree bit for bit;
 - with ``runtime.score_in_processes`` on, the live pipeline's
   AnomalyEvent stream is bit-identical to the seed on every attack
   scenario — also combined with eviction, the verdict cache, a sharded
@@ -48,7 +50,6 @@ from repro.experiments.datasets import BenignDatasetConfig, generate_benign_data
 from repro.llm.cache import LlmfastSettings
 from repro.ml.detector import AutoencoderDetector
 from repro.runtime import (
-    ProcessBackend,
     ProcessScoringPool,
     RuntimeSettings,
     Supervisor,
@@ -56,13 +57,12 @@ from repro.runtime import (
 )
 from repro.runtime import messages
 from repro.runtime.settings import default_start_method
-from repro.runtime.soak import SoakConfig, build_soak_workload
+from repro.runtime.soak import SoakConfig, build_soak_workload, in_process_provider, run_trial
 from repro.runtime.supervisor import FAILED, STOPPED, UP
 from repro.runtime.transport import Listener, MsgConnection, TransportError
 from repro.runtime.workers import synthetic_worker_main
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
-from repro.scale import ScaleSettings
 
 from tests.llm_traces import decision_tuple
 
@@ -82,12 +82,10 @@ class TestRuntimeSettings:
         assert RuntimeSettings(score_in_processes=True).any_enabled
 
     def test_resolved_start_method(self):
-        import multiprocessing
-
-        assert RuntimeSettings().resolved_start_method() == default_start_method()
-        assert (
-            RuntimeSettings().resolved_start_method()
-            in multiprocessing.get_all_start_methods()
+        """No knob: fork where the platform has it, spawn elsewhere."""
+        assert default_start_method() in multiprocessing.get_all_start_methods()
+        assert default_start_method() == (
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
 
     @pytest.mark.parametrize(
@@ -97,15 +95,15 @@ class TestRuntimeSettings:
             {"sdl_shards": 0},
             {"sdl_replication": 0},
             {"sdl_replication": 3, "sdl_shards": 2},
-            {"queue_capacity": 0},
-            {"dispatch_records": 0},
-            {"drop_policy": "random"},
+            {"sdl_shards": -2},
+            {"sdl_shards": 1, "sdl_replication": 3},
+            {"ingest_flush_records": -4},
             {"max_restarts": -1},
             {"backoff_base_s": 0.0},
             {"backoff_base_s": 3.0, "backoff_max_s": 1.0},
             {"heartbeat_interval_s": 0.0},
             {"heartbeat_interval_s": 2.0, "heartbeat_timeout_s": 1.0},
-            {"start_method": "threads"},
+            {"sdl_replication": 2},  # replicas without the shards to hold them
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
@@ -165,11 +163,11 @@ class TestTransport:
             client = MsgConnection.connect(listener.path, name="client")
             server = listener.accept()
             for i in range(3):
-                client.send_msg(messages.sdl_ack("client", i))
+                client.send_msg(messages.heartbeat("client", i, 0.0))
             client.close()
             time.sleep(0.05)
             got = server.drain_eof()
-            assert [m["write_id"] for m in got] == [0, 1, 2]
+            assert [m["processed"] for m in got] == [0, 1, 2]
             assert server.eof
             server.close()
 
@@ -236,7 +234,7 @@ def _collect(sup, *, until, timeout_s=10.0):
 class TestSupervisor:
     def test_scores_roundtrip_and_health(self):
         with Supervisor(_settings()) as sup:
-            sup.add_worker(WorkerSpec("synth-0", synthetic_worker_main, kind="scoring"))
+            sup.add_worker(WorkerSpec("synth-0", synthetic_worker_main))
             sup.start()
             _wait_up(sup, ["synth-0"])
             matrix = np.arange(6.0).reshape(2, 3)
@@ -259,7 +257,6 @@ class TestSupervisor:
                     "synth-0",
                     synthetic_worker_main,
                     {"crash_after_batches": 1},
-                    kind="scoring",
                 )
             )
             sup.start()
@@ -291,7 +288,7 @@ class TestSupervisor:
     def test_crash_loop_hits_backoff_ceiling_then_fails(self):
         settings = _settings(max_restarts=3, crash_loop_window_s=60.0)
         with Supervisor(settings) as sup:
-            sup.add_worker(WorkerSpec("dying-0", _dying_worker, kind="scoring"))
+            sup.add_worker(WorkerSpec("dying-0", _dying_worker))
             sup.start()
             events, _ = _collect(
                 sup,
@@ -318,7 +315,7 @@ class TestSupervisor:
 
     def test_kill_minus_nine_reports_signal_exitcode(self):
         with Supervisor(_settings()) as sup:
-            sup.add_worker(WorkerSpec("synth-0", synthetic_worker_main, kind="scoring"))
+            sup.add_worker(WorkerSpec("synth-0", synthetic_worker_main))
             sup.start()
             _wait_up(sup, ["synth-0"])
             sup.kill_worker("synth-0")
@@ -339,7 +336,6 @@ class TestSupervisor:
                         f"synth-{i}",
                         synthetic_worker_main,
                         {"service_time_s": 0.1},
-                        kind="scoring",
                     )
                 )
             sup.start()
@@ -453,7 +449,7 @@ class TestProcessScoringPool:
 
 
 # ---------------------------------------------------------------------------
-# process backend: fault injection, invariant
+# the soak's trial loop: fault injection, ledger, the two providers
 
 
 @pytest.fixture(scope="module")
@@ -471,35 +467,35 @@ def soak_workload():
     return config, bank, detector
 
 
-class TestProcessBackend:
+class TestSoakTrial:
     def test_kill_nine_mid_trial_loses_no_acked_work(self, soak_workload):
+        """kill -9 of a pool worker mid-trial: every offered row still gets
+        exactly one score, the worker is restarted, the ledger balances."""
         config, bank, detector = soak_workload
-        with ProcessBackend(config.runtime_settings()) as backend:
-            backend.start(detector)
-            trial = backend.run_trial(bank, 150.0, 2.0, kill_at_s=0.5)
+        with ProcessScoringPool(detector, config.runtime_settings(), name="soak") as pool:
+            trial = run_trial(pool.scores, bank, 150.0, 2.0, config, pool=pool, kill_at_s=0.5)
         assert trial.killed_worker is not None
-        assert trial.completed == trial.offered
-        assert trial.dropped == 0
-        assert trial.acked_score_loss == 0
-        assert trial.duplicate_acks == 0
+        assert sorted(trial.row_ids) == list(range(trial.offered))
+        assert trial.exactly_once
+        assert trial.dropped == trial.pending == 0
+        assert trial.offered == trial.scored + trial.dropped + trial.pending
         assert trial.restarts >= 1
-        assert trial.invariant["ok"]
-        assert trial.invariant["offered"] == trial.invariant["scored"]
-        assert trial.sdl_acked == trial.offered
 
-    def test_crash_after_batches_redispatches(self, soak_workload):
-        """A worker that dies mid-stream (not SIGKILL) also loses nothing."""
+    def test_providers_agree_bit_for_bit(self, soak_workload):
+        """In-process and through a 2-worker pool, every row gets the same
+        score: both providers are row-exact, so the batch grouping the
+        clock happens to produce cannot change a score."""
         config, bank, detector = soak_workload
-        with ProcessBackend(
-            config.runtime_settings(), crash_after_batches=3
-        ) as backend:
-            backend.start(detector)
-            trial = backend.run_trial(bank, 120.0, 1.0)
-        assert trial.completed == trial.offered
-        assert trial.acked_score_loss == 0
-        assert trial.duplicate_acks == 0
-        assert trial.restarts >= 1
-        assert trial.invariant["ok"]
+
+        def per_row(trial):
+            assert trial.exactly_once
+            return np.asarray(trial.scores)[np.argsort(trial.row_ids)]
+
+        inproc = run_trial(in_process_provider(detector), bank, 200.0, 0.5, config)
+        with ProcessScoringPool(detector, RuntimeSettings(workers=2), name="soak") as pool:
+            proc = run_trial(pool.scores, bank, 200.0, 0.5, config, pool=pool)
+        assert proc.offered == inproc.offered == 100
+        assert per_row(proc).tobytes() == per_row(inproc).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +575,7 @@ def run_live(
     """One live pipeline run with a pre-trained detector copy deployed.
 
     ``settings`` are further ``XsecConfig`` fields (``scoring=``,
-    ``evict_on_release=``, ``llmfast=``, ``scale=``); ``observe(xsec)`` runs
+    ``evict_on_release=``, ``llmfast=``); ``observe(xsec)`` runs
     after the deploy and before the first event.
     """
     config = XsecConfig(
@@ -699,16 +695,18 @@ class TestFlagCombination:
     SETTINGS = dict(
         evict_on_release=True,
         llmfast=LlmfastSettings(verdict_cache=True, coalesce=True),
-        scale=ScaleSettings(sdl_shards=2, ingest_flush_records=8),
     )
+    TOPOLOGY = dict(sdl_shards=2, ingest_flush_records=8)
 
     @pytest.mark.parametrize("scenario", ["bts_dos", "null_cipher"])
     def test_process_scoring_equals_in_process(self, trained_lstm, scenario):
         factory, net_kwargs = ATTACK_SCENARIOS[scenario]
         common = dict(attack=factory, net_kwargs=net_kwargs, percentile=80.0, **self.SETTINGS)
-        inproc = run_live(trained_lstm, **common)
+        inproc = run_live(trained_lstm, runtime=RuntimeSettings(**self.TOPOLOGY), **common)
         proc = run_live(
-            trained_lstm, runtime=RuntimeSettings(score_in_processes=True), **common
+            trained_lstm,
+            runtime=RuntimeSettings(score_in_processes=True, **self.TOPOLOGY),
+            **common,
         )
         assert proc.mobiwatch._scoring_path == "process-2w"
         assert len(inproc.mobiwatch.anomalies) > 0

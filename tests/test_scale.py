@@ -15,11 +15,13 @@ from repro.scale import (
     DROP_NEWEST,
     DROP_OLDEST,
     HashRingError,
-    ScaleSettings,
     ShardedSdl,
     ShardUnavailableError,
     stable_hash,
 )
+from repro.oran.ric import NearRtRic
+from repro.ran.links import InterfaceLink
+from repro.runtime.settings import RuntimeSettings
 from repro.sim import Simulator
 
 
@@ -313,16 +315,25 @@ class TestSdlWatchIsolation:
         assert metrics.histogram("sdl.write_wall_s").count == before + 1
 
 
-class TestScaleSettings:
+def _ric(runtime=None):
+    sim = Simulator(seed=0)
+    e2 = InterfaceLink(sim, "E2")
+    e2.connect(a_handler=lambda m: None, b_handler=lambda m: None)
+    return NearRtRic(sim, e2, runtime=runtime)
+
+
+class TestTopologySettings:
     def test_defaults_keep_seed_paths_off(self):
-        settings = ScaleSettings()
-        assert not settings.sharding_enabled
-        assert not settings.batching_enabled
+        ric = _ric(RuntimeSettings())
+        assert type(ric.sdl) is SharedDataLayer
+        assert ric.e2term.ingest_batcher is None
 
     def test_flags_flip_with_knobs(self):
-        settings = ScaleSettings(sdl_shards=4, ingest_flush_records=64)
-        assert settings.sharding_enabled
-        assert settings.batching_enabled
+        ric = _ric(RuntimeSettings(sdl_shards=4, sdl_replication=2, ingest_flush_records=64))
+        assert isinstance(ric.sdl, ShardedSdl)
+        assert ric.sdl.num_shards == 4 and ric.sdl.replication == 2
+        batcher = ric.e2term.ingest_batcher
+        assert batcher is not None and batcher.flush_records == 64
 
 
 class TestSdlSetMany:

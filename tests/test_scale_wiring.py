@@ -18,16 +18,12 @@ from repro.core.mobiwatch import SDL_TELEMETRY_NS
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.oran.sdl import SharedDataLayer
 from repro.ran.network import NetworkConfig
-from repro.scale import ScaleSettings, ShardedSdl
+from repro.runtime.settings import RuntimeSettings
+from repro.scale import ShardedSdl
 
 
 def scaled_settings():
-    return ScaleSettings(
-        sdl_shards=4,
-        sdl_replication=2,
-        ingest_flush_records=8,
-        ingest_flush_interval_s=0.01,
-    )
+    return RuntimeSettings(sdl_shards=4, sdl_replication=2, ingest_flush_records=8)
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +55,28 @@ class TestDefaultsAreSeedComponents:
         assert xsec.mobiwatch.pool is None
         assert xsec.pipeline.scale_report() == {}
 
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            {"sdl_shards": 0},
+            {"sdl_shards": -2},
+            {"sdl_shards": 1, "sdl_replication": 3},
+            {"ingest_flush_records": -4},
+        ],
+        ids=["no-shards", "negative-shards", "replicas-without-shards", "negative-flush"],
+    )
+    def test_out_of_range_topology_is_refused(self, topology):
+        """Each of these once built a plain-SDL deployment with no batcher
+        and said nothing: the only reads were ``> 1`` / ``> 0``."""
+        with pytest.raises(ValueError):
+            XsecConfig(runtime=RuntimeSettings(**topology))
+
 
 class TestScaledLivePipeline:
     @pytest.fixture(scope="class")
     def pair(self, benign_windows):
         seed_cfg = XsecConfig(train_epochs=6)
-        scaled_cfg = XsecConfig(train_epochs=6, scale=scaled_settings())
+        scaled_cfg = XsecConfig(train_epochs=6, runtime=scaled_settings())
         return (
             run_live(seed_cfg, benign_windows),
             run_live(scaled_cfg, benign_windows),
@@ -169,7 +181,7 @@ class TestShardKillInTheLiveLoop:
 
         unsharded = run_live(XsecConfig(train_epochs=6), benign_windows, prepare=floods)
         sharded = run_live(
-            XsecConfig(train_epochs=6, scale=ScaleSettings(sdl_shards=4, sdl_replication=2)),
+            XsecConfig(train_epochs=6, runtime=RuntimeSettings(sdl_shards=4, sdl_replication=2)),
             benign_windows,
             prepare=floods_and_faults,
         )

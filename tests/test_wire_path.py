@@ -19,7 +19,8 @@ from repro.experiments.colosseum import ColosseumScenario, run_scenario
 from repro.oran.e2sm_kpm import MobiFlowKpmModel
 from repro.ran.network import NetworkConfig
 from repro.ran.pcap import PcapStream
-from repro.scale import ScaleSettings, ShardedSdl
+from repro.runtime.settings import RuntimeSettings
+from repro.scale import ShardedSdl
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.mobiflow import MobiFlowRecord
 from tests.test_core_units import indication, make_ric, record
@@ -169,7 +170,7 @@ class TestRegressingTimestamps:
 
 class TestShardedSdlWithAKilledReplica:
     def test_spans_replicate_and_survive_a_kill(self):
-        config = XsecConfig(scale=ScaleSettings(sdl_shards=3, sdl_replication=2))
+        config = XsecConfig(runtime=RuntimeSettings(sdl_shards=3, sdl_replication=2))
 
         def kill_later(xsec):
             xsec.net.sim.schedule_at(6.0, lambda: xsec.ric.sdl.kill_shard(0))
