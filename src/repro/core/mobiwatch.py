@@ -493,9 +493,10 @@ class MobiWatchXApp(XApp):
         batch height (the row-exact kernel mode of :mod:`repro.ml.compiled`,
         enforced per attack scenario by tests/test_megabatch.py), so rows
         this deployment has scored before, byte for byte, come from the
-        snapshot's score memo and only the rest reach the kernels; under
-        ``scoring="float32"`` the matrix runs through one fused GEMM per
-        tick, within that tier's tolerance.
+        snapshot's score memo and only the rest reach the kernels — for the
+        LSTM one ``CompiledLstm.row_scores`` call, the same kernel at height
+        1 as at 64; under ``scoring="float32"`` the matrix runs
+        through one fused GEMM per tick, within that tier's tolerance.
         """
         matrix = self._gather(ready)
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):

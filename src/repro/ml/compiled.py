@@ -21,12 +21,16 @@ Two batch modes. By default a batch goes through full-height GEMMs —
 offline scoring: training thresholds, the paper's tables. With
 ``per_row=True`` (the live path: MobiWatch's tick gather, the scoring
 workers) the float64 kernels are **row-exact**: every GEMM is issued as a
-stack of the products the single-window call makes (:func:`_gemv_stack`;
-the LSTM's input projections for all steps hoisted into one such stack,
-its head as one ``[steps, H] @ [H, D]`` per window) while the gate, ReLU
-and error element-wise ops run once over the whole batch, so
-``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]`` bit for bit
-at any batch height. float32 has no such contract and ignores the flag.
+stack of the products the single-window call makes (:func:`_gemv_stack`)
+while the gate, ReLU and error element-wise ops run once over the whole
+batch, so ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]``
+bit for bit at any batch height. The LSTM has its own kernel for it,
+:meth:`CompiledLstm.row_scores`, at every height including 1: its input
+projections for all steps are one such stack into a step-major buffer,
+so each step's gates are one contiguous block, its head is one
+``[steps, H] @ [H, D]`` per window, and its element-wise ops are raw
+ufunc calls (at tick heights their dispatch, not their arithmetic, is the
+bill). float32 has no such contract and ignores the flag.
 
 A row-exact score is a function of the row's bytes alone, so the snapshot
 remembers it under them (:meth:`CompiledModel.memo_scores`).
@@ -48,6 +52,8 @@ from repro.slo import profiler as _profiler
 
 # Score-memo entries per snapshot: <= 7 MiB of keys at window 6 x dim 71 float32.
 SCORE_MEMO_CAPACITY = 4096
+# Batch heights whose row-exact buffer views a snapshot keeps built.
+ROW_VIEW_CACHE = 32
 
 
 def _as_dtype(dtype: str) -> np.dtype:
@@ -57,24 +63,37 @@ def _as_dtype(dtype: str) -> np.dtype:
 
 
 def _sigmoid_inplace(buf: np.ndarray) -> None:
-    """In-place ``1 / (1 + exp(-clip(x, -60, 60)))`` — the seed's sigmoid."""
-    np.clip(buf, -60, 60, out=buf)
+    """In-place ``1 / (1 + exp(-clip(x, -60, 60)))`` — the seed's sigmoid.
+
+    Raw ufuncs: ``np.clip``'s float loop is ``min(max(x, lo), hi)``, so the
+    two calls below give its bits without its Python-level wrapper.
+    """
+    np.maximum(buf, -60.0, out=buf)
+    np.minimum(buf, 60.0, out=buf)
     np.negative(buf, out=buf)
     np.exp(buf, out=buf)
-    buf += 1.0
-    np.divide(1.0, buf, out=buf)
+    np.add(buf, 1.0, out=buf)
+    np.true_divide(1.0, buf, out=buf)
+
+
+def _mean_last_axis(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.mean(values, axis=-1, out=out)`` as the two ufuncs it runs."""
+    total = np.add.reduce(values, axis=-1, out=out)
+    return np.true_divide(total, np.intp(values.shape[-1]), out=total, casting="unsafe")
 
 
 def _gemv_stack(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """``out[i] = a[i] @ w`` as a stack of ``[1, K] @ [K, N]`` products.
+    """``out[..., i, :] = a[..., i, :] @ w`` as a stack of ``[1, K] @ [K, N]``
+    products.
 
-    ``np.matmul`` hands every item of an ``[n, 1, K]`` stack to BLAS on its
-    own — the very GEMV ``np.dot`` issues for a single ``[1, K]`` window —
-    so a row's result does not depend on how many rows ride along. One
-    ``[n, K] @ [K, N]`` GEMM does: BLAS picks differently blocked (and so
-    differently accumulated) kernels per batch height.
+    ``np.matmul`` hands every item of an ``[..., 1, K]`` stack to BLAS on
+    its own — the very GEMV ``np.dot`` issues for a single ``[1, K]``
+    window, whatever the strides between the items — so a row's result does
+    not depend on how many rows ride along. One ``[n, K] @ [K, N]`` GEMM
+    does: BLAS picks differently blocked (and so differently accumulated)
+    kernels per batch height.
     """
-    np.matmul(a[:, None, :], w, out=out[:, None, :])
+    np.matmul(a[..., None, :], w, out=out[..., None, :])
 
 
 class _DenseWeights:
@@ -163,20 +182,21 @@ class CompiledAutoencoder:
         diff = self._diff[:n]
         np.subtract(out, x, out=diff)
         np.multiply(diff, diff, out=diff)
-        shaped = diff.reshape(n, self.window, self.feature_dim)
         if self.aggregate == "mean":
-            return np.asarray(np.mean(diff, axis=1), dtype=np.float64)
-        slot = self._slot[:n]
-        np.mean(shaped, axis=2, out=slot)
-        return np.asarray(slot.max(axis=1), dtype=np.float64)
+            return np.asarray(_mean_last_axis(diff), dtype=np.float64)
+        slot = _mean_last_axis(diff.reshape(n, self.window, self.feature_dim), self._slot[:n])
+        return np.asarray(np.maximum.reduce(slot, axis=1), dtype=np.float64)
 
 
 class CompiledLstm:
     """Fused LSTM gate kernels: batch window scoring + the O(1) step.
 
-    The four gate matmuls run as two GEMMs into one preallocated ``[*, 4H]``
-    buffer; gate activations are in-place ufuncs on its quarter views. No
-    ``_StepCache`` objects, no per-step allocation.
+    The four gate matmuls write one preallocated ``[*, 4H]`` block per step;
+    gate activations are in-place ufuncs on it. No ``_StepCache`` objects,
+    no per-step allocation. Two batch kernels: :meth:`window_scores`
+    (full-height GEMMs: offline scoring, and every float32 call) and
+    :meth:`row_scores` (float64 ``per_row=True``, the live path, at every
+    height including 1).
     """
 
     def __init__(self, model, dtype: str = "float32") -> None:
@@ -197,21 +217,35 @@ class CompiledLstm:
         self.wh = np.ascontiguousarray(model.Wh.value[:, perm], dtype=self.dtype)
         self.b = np.ascontiguousarray(model.b.value[perm], dtype=self.dtype)
         self.head = _DenseWeights(model.head, self.dtype)
-        # Batch buffers (windows scoring), grown on demand.
+        h4 = 4 * hd
+        # The recurrent projection of the zero state, ``zeros[1, H] @ Wh``:
+        # the GEMV every row makes at step 0, made once for this snapshot's
+        # weights (a re-fit builds a new snapshot and a new product).
+        self._zh0 = np.empty((1, h4), dtype=self.dtype)
+        _gemv_stack(np.zeros((1, hd), dtype=self.dtype), self.wh, self._zh0)
+        # GEMM-mode buffers, grown on demand.
         self._capacity = 0
         self._steps = 0
         self._bufs: dict[str, np.ndarray] = {}
-        # Hoisted input projections of the row-exact mode, sized on first
-        # use (offline GEMM scoring of a training set never allocates it).
-        self._zx: Optional[np.ndarray] = None
+        # Row-exact buffers (flat, see _row_views), grown on demand.
+        self._row_capacity = 0
+        self._row_window = 0
+        self._row_flat: dict[str, np.ndarray] = {}
+        self._row_cache: dict[int, tuple] = {}
         # Single-step buffers (incremental scoring), batch == 1.
-        h4 = 4 * hd
         self._z1 = np.empty((1, h4), dtype=self.dtype)
         self._z2 = np.empty((1, h4), dtype=self.dtype)
         self._gtmp = np.empty((1, hd), dtype=self.dtype)
         self._x1 = np.empty((1, self.input_dim), dtype=self.dtype)
         self._pred1 = np.empty((1, self.output_dim), dtype=self.dtype)
         self._diff1 = np.empty((1, self.output_dim), dtype=self.dtype)
+
+    def __getstate__(self) -> dict:
+        # A copy or pickle would copy each cached view apart from the buffer
+        # it views; the copy rebuilds its own.
+        state = self.__dict__.copy()
+        state["_row_cache"] = {}
+        return state
 
     # -- O(1) incremental step --------------------------------------------------
 
@@ -273,7 +307,6 @@ class CompiledLstm:
     def _ensure_capacity(self, n: int, steps: int) -> None:
         if n <= self._capacity and steps == self._steps:
             return
-        self._zx = None
         cap = max(n, self._capacity * 2 if steps == self._steps else n, 16)
         hd, h4 = self.hidden_dim, 4 * self.hidden_dim
         self._bufs = {
@@ -290,13 +323,9 @@ class CompiledLstm:
         self._capacity = cap
         self._steps = steps
 
-    def window_scores(
-        self, windows: np.ndarray, window: int, per_row: bool = False
-    ) -> np.ndarray:
-        """``LstmDetector.scores`` fused: worst next-step error per window.
-
-        ``per_row`` (float64): row-exact batch mode, see the module docstring.
-        """
+    def window_scores(self, windows: np.ndarray, window: int) -> np.ndarray:
+        """``LstmDetector.scores`` fused: worst next-step error per window,
+        through full-height GEMMs (BLAS blocks them by batch height)."""
         windows = np.asarray(windows)
         n = windows.shape[0]
         if n == 0:
@@ -305,7 +334,6 @@ class CompiledLstm:
         self._ensure_capacity(n, steps)
         b = self._bufs
         hd = self.hidden_dim
-        stacked = per_row and self.dtype == np.float64 and n > 1
         # Unflatten into the kernel dtype once; inputs are entries 0..N-2,
         # targets entries 1..N-1 (the seed's _split).
         shaped = windows.reshape(n, window, self.input_dim)
@@ -319,27 +347,10 @@ class CompiledLstm:
         zh = b["zh"][:n]
         tmp = b["tmp"][:n]
         hs = b["hs"][:n]
-        if stacked:
-            # Every step's input projection in one call (they do not depend
-            # on the recurrence): n * steps GEMVs, one per (window, step).
-            if self._zx is None:
-                self._zx = np.empty(
-                    (self._capacity, steps, 4 * hd), dtype=self.dtype
-                )
-            zx = self._zx[:n]
-            _gemv_stack(
-                xbuf.reshape(n * steps, self.input_dim),
-                self.wx,
-                zx.reshape(n * steps, 4 * hd),
-            )
         for t in range(steps):
-            if stacked:
-                _gemv_stack(h, self.wh, zh)
-                np.add(zx[:, t, :], zh, out=z)
-            else:
-                np.dot(xbuf[:, t, :], self.wx, out=z)
-                np.dot(h, self.wh, out=zh)
-                z += zh
+            np.dot(xbuf[:, t, :], self.wx, out=z)
+            np.dot(h, self.wh, out=zh)
+            z += zh
             z += self.b
             # Permuted layout: [i | f | o] sigmoid block, then g.
             i, f, o, g = (
@@ -357,11 +368,7 @@ class CompiledLstm:
             np.multiply(o, tmp, out=h)
             hs[:, t, :] = h
         pred = b["pred"][: n * steps]
-        if stacked:
-            # One [steps, H] @ [H, D] GEMM per window: the single-window shape.
-            np.matmul(hs, self.head.w, out=pred.reshape(n, steps, self.output_dim))
-        else:
-            np.dot(hs.reshape(n * steps, hd), self.head.w, out=pred)
+        np.dot(hs.reshape(n * steps, hd), self.head.w, out=pred)
         pred += self.head.b
         # Per-step errors against the targets, then the window max.
         shaped_pred = pred.reshape(n, steps, self.output_dim)
@@ -369,9 +376,110 @@ class CompiledLstm:
         np.copyto(targets, shaped[:, 1:, :], casting="unsafe")
         np.subtract(shaped_pred, targets, out=shaped_pred)
         np.multiply(shaped_pred, shaped_pred, out=shaped_pred)
-        err = b["err"][:n]
-        np.mean(shaped_pred, axis=2, out=err)
-        return np.asarray(err.max(axis=1), dtype=np.float64)
+        err = _mean_last_axis(shaped_pred, b["err"][:n])
+        return np.asarray(np.maximum.reduce(err, axis=1), dtype=np.float64)
+
+    def _row_views(self, n: int, window: int) -> tuple:
+        """:meth:`row_scores`' buffers seen through their first ``n`` windows.
+
+        Flat arrays carved from the front, so every view is contiguous at
+        any height; the views themselves are kept per height (cleared when
+        full or when the buffers grow), since at the heights the live path
+        issues, building them would cost as much as the ufuncs they feed.
+        """
+        views = self._row_cache.get(n)
+        if views is not None:
+            return views
+        steps, hd, dim = window - 1, self.hidden_dim, self.input_dim
+        h4, out_dim = 4 * hd, self.output_dim
+        per_window = {
+            "x": window * dim, "zx": steps * h4, "zh": h4, "gc": 2 * hd,
+            "hs": steps * hd, "pred": steps * out_dim, "err": steps,
+        }
+        if n > self._row_capacity or window != self._row_window:
+            cap = max(n, 2 * self._row_capacity if window == self._row_window else n, 16)
+            self._row_flat = {
+                name: np.empty(cap * size, dtype=self.dtype) for name, size in per_window.items()
+            }
+            self._row_capacity, self._row_window = cap, window
+            self._row_cache.clear()
+        elif len(self._row_cache) >= ROW_VIEW_CACHE:
+            self._row_cache.clear()
+        flat = {name: self._row_flat[name][: n * size] for name, size in per_window.items()}
+        x = flat["x"].reshape(n, window, dim)
+        zx = flat["zx"].reshape(steps, n, h4)
+        gc = flat["gc"].reshape(n, 2 * hd)
+        hs = flat["hs"].reshape(n, steps, hd)
+        per_step = tuple(
+            (zx[t], zx[t, :, : 2 * hd], zx[t, :, 2 * hd : 3 * hd], zx[t, :, 3 * hd :], hs[:, t])
+            for t in range(steps)
+        )
+        views = (
+            x,
+            x[:, :-1].transpose(1, 0, 2),
+            x[:, 1:],
+            zx,
+            flat["zh"].reshape(n, h4),
+            gc,
+            gc[:, :hd],
+            gc[:, hd:],
+            hs,
+            per_step,
+            flat["pred"].reshape(n, steps, out_dim),
+            flat["err"].reshape(n, steps),
+        )
+        self._row_cache[n] = views
+        return views
+
+    def row_scores(self, windows: np.ndarray, window: int) -> np.ndarray:
+        """:meth:`window_scores` row-exact (float64 ``per_row=True``): every
+        product is the one the single-window call makes, so row ``i``'s score
+        is its ``[1, window * dim]`` call's bit for bit at any height.
+
+        Step-major: step ``t``'s gate pre-activations for all rows are one
+        contiguous ``[n, 4H]`` block ``zx[t]``, every step's input projection
+        issued up front as one stack of GEMVs. Per step, ``tanh(g)`` goes
+        into a ``[g | c]`` buffer, the sigmoid runs over the whole block (the
+        g lanes are dead by then), one multiply by ``[g | c]`` gives
+        ``[i * g | f * c]`` and one add the seed's ``f * c + i * g``, each
+        operand pair in the seed's order (so even a NaN keeps its payload).
+        ``h`` lands in ``hs[:, t]``, where the next step's GEMVs and the
+        head read it.
+        """
+        windows = np.asarray(windows)
+        n = windows.shape[0]
+        if n == 0:
+            return np.zeros(0)
+        x, inputs, targets, zx, zh, gc, g, c, hs, per_step, pred, err = self._row_views(
+            n, window
+        )
+        # The whole window in the kernel dtype: inputs and targets are views.
+        np.copyto(x, windows.reshape(x.shape), casting="unsafe")
+        # Every step's input projection: n * steps GEMVs, step-major out.
+        _gemv_stack(inputs, self.wx, zx)
+        c.fill(0.0)
+        recurrent = self._zh0
+        h_prev = None
+        for z, z_if, z_o, z_g, h in per_step:
+            if h_prev is not None:
+                _gemv_stack(h_prev, self.wh, zh)
+                recurrent = zh
+            np.add(z, recurrent, out=z)
+            np.add(z, self.b, out=z)
+            # Permuted layout: [i | f | o | g].
+            np.tanh(z_g, out=g)
+            _sigmoid_inplace(z)
+            np.multiply(z_if, gc, out=gc)  # [i * g | f * c]
+            np.add(c, g, out=c)
+            np.tanh(c, out=g)
+            np.multiply(z_o, g, out=h)
+            h_prev = h
+        # One [steps, H] @ [H, D] GEMM per window: the single-window shape.
+        np.matmul(hs, self.head.w, out=pred)
+        np.add(pred, self.head.b, out=pred)
+        np.subtract(pred, targets, out=pred)
+        np.multiply(pred, pred, out=pred)
+        return np.maximum.reduce(_mean_last_axis(pred, err), axis=1)
 
 
 class CompiledModel:
@@ -480,7 +588,9 @@ class CompiledModel:
     def _scores(self, windows: np.ndarray, per_row: bool) -> np.ndarray:
         if self._kind == "autoencoder":
             return self._impl.scores(windows, per_row)
-        return self._impl.window_scores(windows, self.window, per_row)
+        if per_row and self._impl.dtype == np.float64:
+            return self._impl.row_scores(windows, self.window)
+        return self._impl.window_scores(windows, self.window)
 
 
 def compile_detector(detector, dtype: str = "float32") -> CompiledModel:

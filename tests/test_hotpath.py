@@ -15,6 +15,7 @@ same, so almost every test here is an equality test:
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -260,6 +261,14 @@ def _row_batch(n, shape, seed):
         )
     elif shape == "dense":
         matrix = rng.normal(size=(n, width))
+    elif shape == "saturated":
+        # Large entries: gate pre-activations past the sigmoid's +-60 clip.
+        matrix = rng.normal(scale=400.0, size=(n, width)) * (rng.random((n, width)) < 0.3)
+    elif shape == "non-finite":
+        # Hostile telemetry: NaN / +-inf entries in most rows (and -0.0 below).
+        matrix = (rng.random((n, width)) < 0.08).astype(np.float64)
+        planted = rng.random((n, width)) < 0.004
+        matrix[planted] = rng.choice([np.nan, np.inf, -np.inf], int(planted.sum()))
     else:
         # Short sessions: a zero prefix of 0..window-1 entries per window.
         shaped = (rng.random((n, _ROW_WINDOW, _ROW_DIM)) < 0.1).astype(np.float32)
@@ -268,6 +277,9 @@ def _row_batch(n, shape, seed):
         matrix = shaped.reshape(n, width)
     negative_zero = (rng.random(matrix.shape) < 0.03) & (matrix == 0)
     return np.where(negative_zero, matrix.dtype.type(-0.0), matrix)
+
+
+_ROW_SHAPES = ["one-hot", "dense", "zero-padded", "saturated", "non-finite"]
 
 
 def _single_row_calls(score_fn, matrix):
@@ -285,10 +297,11 @@ class TestRowExactKernels:
     @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
     @given(
         n=st.integers(1, 64),
-        shape=st.sampled_from(["one-hot", "dense", "zero-padded"]),
+        shape=st.sampled_from(_ROW_SHAPES),
         seed=st.integers(0, 2**32 - 1),
     )
-    @hypothesis_settings(max_examples=60, deadline=None)
+    @hypothesis_settings(deadline=None)  # budget: the profile's (conftest.py)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
     def test_bytes_equal_single_row_calls_and_reference(self, kind, n, shape, seed):
         detector = _row_detector(kind)
         matrix = _row_batch(n, shape, seed)
@@ -305,10 +318,19 @@ class TestRowExactKernels:
         permuted = kernel(matrix[order], per_row=True)
         assert permuted.tobytes() == got[order].tobytes()
 
+    def test_saturated_rows_cross_the_sigmoid_clip(self):
+        """The "saturated" shape is not vacuous: its gate pre-activations
+        reach past +-60, where the kernels' clip bites."""
+        model = _row_detector("lstm").model
+        for seed in range(4):
+            entries = _row_batch(8, "saturated", seed).reshape(-1, _ROW_DIM)
+            assert np.abs(entries @ model.Wx.value + model.b.value).max() > 60
+
     @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_batch_of_one_is_the_plain_call(self, kind):
         detector = _row_detector(kind)
-        for seed, shape in enumerate(["one-hot", "dense", "zero-padded"]):
+        for seed, shape in enumerate(_ROW_SHAPES):
             row = _row_batch(1, shape, seed)
             assert (
                 detector.compiled.scores(row, per_row=True).tobytes()
@@ -349,6 +371,18 @@ class TestRowExactKernels:
             matrix = _row_batch(n, "zero-padded" if seed % 2 else "one-hot", seed)
             got = detector.compiled.scores(matrix, per_row=True)
             assert got.tobytes() == _single_row_calls(oracle.scores, matrix).tobytes()
+
+    def test_copies_of_a_warm_snapshot_score_alike(self):
+        """A snapshot keeps its buffers' views per height; a copy or pickle of
+        a warm one must not carry views apart from the buffers they view."""
+        detector = copy.deepcopy(_row_detector("lstm"))
+        detector.recompile()
+        batches = [_row_batch(n, "dense", 30 + n) for n in (1, 3, 5)]
+        want = [detector.compiled.scores(m, per_row=True).tobytes() for m in batches]
+        warm = detector.compiled
+        for clone in (copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+            for matrix, expect in zip(batches[::-1], want[::-1]):
+                assert clone.scores(matrix, per_row=True).tobytes() == expect
 
 
 # ---------------------------------------------------------------------------

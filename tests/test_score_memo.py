@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 from repro.ml import compiled as compiled_module
 from repro.ml.compiled import SCORE_MEMO_CAPACITY
 from repro.obs.metrics import MetricsRegistry
-from tests.test_hotpath import _ROW_DETECTORS, _ROW_DIM, _ROW_WINDOW, _row_batch, _row_detector
+from tests.test_hotpath import (
+    _ROW_DETECTORS,
+    _ROW_DIM,
+    _ROW_SHAPES,
+    _ROW_WINDOW,
+    _row_batch,
+    _row_detector,
+)
 
 _WIDTH = _ROW_WINDOW * _ROW_DIM
 _KINDS = sorted(_ROW_DETECTORS)
@@ -56,7 +63,7 @@ def _memo_counts(registry, detector):
 def _batches(draw, max_rows=24):
     """A batch that repeats rows, and holds rows that differ only in the sign
     of a zero or are NaN — equal (or unordered) values, different bytes."""
-    shape = draw(st.sampled_from(["one-hot", "dense", "zero-padded"]))
+    shape = draw(st.sampled_from(_ROW_SHAPES))
     pool = _row_batch(draw(st.integers(1, 6)), shape, draw(st.integers(0, 2**32 - 1)))
     pool = pool.astype(draw(st.sampled_from([np.float32, np.float64])))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_rows))
@@ -74,7 +81,8 @@ def _batches(draw, max_rows=24):
 class TestMemoNeverChangesAScore:
     @pytest.mark.parametrize("kind", _KINDS)
     @given(batches=st.lists(_batches(), min_size=1, max_size=3), seed=st.integers(0, 2**16))
-    @hypothesis_settings(max_examples=25, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+    @hypothesis_settings(deadline=None)  # budget: the profile's (conftest.py)
     def test_bytes_equal_reference_for_any_batch_sequence(self, kind, batches, seed):
         detector, registry = _fresh(kind)
         rng = np.random.default_rng(seed)
@@ -137,7 +145,7 @@ class TestMemoIsBounded:
         heights=st.lists(st.integers(1, 20), min_size=1, max_size=6),
         seed=st.integers(0, 2**16),
     )
-    @hypothesis_settings(max_examples=25, deadline=None)
+    @hypothesis_settings(deadline=None)  # budget: the profile's (conftest.py)
     def test_capacity_is_never_exceeded_and_scores_hold(self, kind, heights, seed):
         """Batches below, at and above the capacity; the memo clears and
         refills, the bytes never move."""
@@ -186,6 +194,29 @@ class TestMemoLifetime:
         got = detector.scores(matrix, per_row=True)
         assert got.tobytes() == detector.reference_scores(matrix, per_row=True).tobytes()
         assert _memo_counts(registry, detector)[:2] == (0, 21)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refit_rebuilds_the_zero_state_projection(self):
+        """Step 0's recurrent projection (``zeros @ Wh``) is made once per
+        snapshot; a re-fit's scores must use the new weights' product."""
+        detector, _ = _fresh("lstm")
+        for n in (1, 3):
+            detector.scores(_row_batch(n, "one-hot", n), per_row=True)
+        rng = np.random.default_rng(11)
+        detector.fit(rng.normal(size=(48, _WIDTH)) * (rng.random((48, _WIDTH)) < 0.2), epochs=1)
+        for n in (1, 3):
+            matrix = _row_batch(n, "dense", 40 + n)
+            want = detector.reference_scores(matrix, per_row=True)
+            assert detector.scores(matrix, per_row=True).tobytes() == want.tobytes()
+        # With finite weights that product is all zeros whatever they are; an
+        # infinite recurrent weight makes a stale one visible (NaN vs finite).
+        detector.model.Wh.value[0] = np.inf
+        detector.recompile()
+        for n in (1, 3):
+            matrix = _row_batch(n, "dense", 50 + n)
+            want = detector.reference_scores(matrix, per_row=True)
+            assert np.isnan(want).all()
+            assert detector.scores(matrix, per_row=True).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_float32_tier_and_offline_scoring_never_touch_it(self, kind):
