@@ -15,7 +15,7 @@ accumulates telemetry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace as dataclasses_replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -336,7 +336,7 @@ class MobiWatchXApp(XApp):
             if record.timestamp < newest_ts:
                 # Batches from different report intervals can interleave
                 # slightly; process in arrival order, clamping the clock.
-                record = dataclasses_replace(record, timestamp=newest_ts)
+                record = record._replace(timestamp=newest_ts)
                 span = None
             else:
                 newest_ts = record.timestamp

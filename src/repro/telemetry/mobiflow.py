@@ -7,17 +7,25 @@ transmission. Categories:
 - **Identifier**: RNTI, 5G-S-TMSI, SUCI/SUPI as observed on the wire.
 - **State**: negotiated ciphering/integrity algorithms, RRC establishment
   cause.
+
+A record is built at every hop of the loop — by the collector at the gNB
+and again by the E2 decoder in the RIC — so it is an immutable named tuple:
+construction, hashing and equality are tuple's own C code. A changed copy
+is ``record._replace(field=...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class MobiFlowRecord:
-    """One telemetry entry ``x_i`` (paper §3.1)."""
+class MobiFlowRecord(NamedTuple):
+    """One telemetry entry ``x_i`` (paper §3.1).
+
+    Immutable, and hashed and compared as the tuple of its fields — so,
+    unlike a class of its own, a record also equals a plain tuple holding
+    the same values (nothing in the program compares the two).
+    """
 
     timestamp: float
     msg: str
@@ -33,16 +41,11 @@ class MobiFlowRecord:
     establishment_cause: Optional[str] = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in FIELD_NAMES}
+        return self._asdict()
 
     def to_wire_dict(self) -> dict[str, Any]:
         """Non-null fields only — the compact E2 (key, value) payload."""
-        out = {}
-        for name in FIELD_NAMES:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {name: value for name, value in zip(FIELD_NAMES, self) if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MobiFlowRecord":
@@ -59,9 +62,7 @@ class MobiFlowRecord:
         return bool(self.suci and self.suci.startswith("suci-null-"))
 
 
-# Schema snapshot, computed once: the per-record encode path runs for every
-# telemetry entry and must not pay dataclass reflection each call.
-FIELD_NAMES: tuple[str, ...] = tuple(f.name for f in dataclass_fields(MobiFlowRecord))
+FIELD_NAMES: tuple[str, ...] = MobiFlowRecord._fields
 _FIELD_NAME_SET: frozenset[str] = frozenset(FIELD_NAMES)
 
 

@@ -160,6 +160,8 @@ MAX_DEPTH = 64
 _FLOAT_STRUCT = struct.Struct(">d")
 _pack_float = _FLOAT_STRUCT.pack
 _unpack_float_from = _FLOAT_STRUCT.unpack_from
+# Named tuple classes that a ClassPlan reads and builds (see _encode_into).
+_PLANNED_TUPLES: set = set()
 
 _STR_CACHE: dict[str, bytes] = {}
 _STR_CACHE_MAX_ENTRIES = 4096
@@ -257,6 +259,10 @@ def _encode_into(out: bytearray, value: Any, depth: int) -> None:
     elif kind is str:
         out += _STR_CACHE.get(value) or _intern_str(value)
     elif isinstance(value, (dict, list, tuple)):
+        # A named tuple read by a ClassPlan (a MobiFlow record) crosses the
+        # wire through that plan only, never as a list of its fields.
+        if kind is not dict and kind is not list and kind is not tuple and kind in _PLANNED_TUPLES:
+            raise WireError(f"unsupported wire type: {kind.__name__}")
         if depth >= MAX_DEPTH:
             raise WireError("nesting too deep")
         depth += 1
@@ -551,6 +557,8 @@ class ClassPlan:
             if convert is not None
         )
         self._keys = tuple(_str_tlv(name) for name in self.names)
+        if issubclass(cls, tuple):
+            _PLANNED_TUPLES.add(cls)
         if len(self.names) > 1:
             self._values = attrgetter(*self.names)
         elif self.names:

@@ -385,7 +385,7 @@ class TestBookKeepingPerIndication:
         small = [record(1.0 + 0.01 * i, "RRCSetup", session=1 + i % 2) for i in range(self.SMALL)]
         big = [record(2.0 + 0.013 * i, "RRCSetup", session=(i % 5)) for i in range(self.BIG)]
         # An interleaved older record: clamped to its predecessor's time.
-        big[7] = dataclasses.replace(big[7], timestamp=1.5)
+        big[7] = big[7]._replace(timestamp=1.5)
         return small, big
 
     def test_mobiwatch_equals_the_per_record_loop(self):
@@ -397,7 +397,7 @@ class TestBookKeepingPerIndication:
         sim.run(until=3.0)
         total = self.SMALL + self.BIG
         clamped = list(small) + list(big)
-        clamped[self.SMALL + 7] = dataclasses.replace(big[7], timestamp=big[6].timestamp)
+        clamped[self.SMALL + 7] = big[7]._replace(timestamp=big[6].timestamp)
         assert list(watch.series) == clamped
         arrivals = [1.2] * self.SMALL + [2.9] * self.BIG
         assert watch._arrival_ts == arrivals

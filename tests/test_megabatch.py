@@ -54,7 +54,7 @@ from repro.ml.quantized import (
     calibrate_windows,
 )
 from repro.ml.metrics import DetectionMetrics
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import BULK_OBSERVE_MIN, Histogram
 from repro.oran.e2ap import RicIndication
 from repro.oran.e2sm_kpm import MOBIFLOW_RAN_FUNCTION_ID, MobiFlowKpmModel
 from repro.oran.ric import NearRtRic
@@ -148,10 +148,10 @@ class TestObserveMany:
         assert many.total == one.total
         assert many.percentile(50) == one.percentile(50)
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 31, 32, 5000])
+    @pytest.mark.parametrize("n", [*range(BULK_OBSERVE_MIN), BULK_OBSERVE_MIN, 5000])
     def test_every_statistic_equals_the_observe_loop(self, n):
-        """Either side of the scalar/vectorised switch (32), and past the
-        reservoir cap: ``total`` bit-equal included."""
+        """Every size of the small-batch loop, the vectorised switch (32),
+        and past the reservoir cap: ``total`` bit-equal included."""
         values = np.random.default_rng(n).random(n) * 6.0
         one = Histogram(buckets=self.BUCKETS)
         many = Histogram(buckets=self.BUCKETS)

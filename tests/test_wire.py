@@ -509,6 +509,23 @@ class TestErrors:
         with pytest.raises(wire.WireError):
             wire.encode(object())
 
+    def test_named_tuple_refused_plain_tuple_is_a_list(self):
+        """A MobiFlow record is a named tuple with a plan of its own; the
+        generic codec must not write it as a 12-item list. A named tuple
+        without a plan is still a list (the ``namedtuple`` golden vector)."""
+        from repro.oran.sdl import SharedDataLayer
+        from repro.telemetry.mobiflow import MobiFlowRecord
+
+        record = MobiFlowRecord(1.0, "RRCSetupRequest", "RRC", "UL", 7)
+        for value in (record, [record], {"r": record}):
+            with pytest.raises(wire.WireError, match="unsupported wire type: MobiFlowRecord"):
+                wire.encode(value)
+        with pytest.raises(wire.WireError, match="unsupported wire type: MobiFlowRecord"):
+            SharedDataLayer().set("ns", "key", record)
+        assert wire.encode((1, "two", None)) == wire.encode([1, "two", None])
+        assert wire.decode(wire.encode(tuple(record))) == list(record)
+        assert wire.encode(_Point(*record[:2])) == wire.encode([1.0, "RRCSetupRequest"])
+
     def test_non_string_dict_key(self):
         with pytest.raises(wire.WireError):
             wire.encode({1: "x"})

@@ -13,7 +13,6 @@ import pytest
 
 from repro import wire
 from repro.core import SixGXSec, XsecConfig
-from repro.core import mobiwatch as mobiwatch_module
 from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
 from repro.experiments.colosseum import ColosseumScenario, run_scenario
 from repro.oran.e2sm_kpm import MobiFlowKpmModel
@@ -63,7 +62,7 @@ class LiveRun:
             before_run(xsec)
         self.flattened = self.clamped = 0
         to_wire_dict = MobiFlowRecord.to_wire_dict
-        replace = mobiwatch_module.dataclasses_replace
+        replace = MobiFlowRecord._replace
         encode_indication = MobiFlowKpmModel.encode_indication.__func__
 
         def counted(record):
@@ -79,7 +78,8 @@ class LiveRun:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(MobiFlowRecord, "to_wire_dict", counted)
-            patch.setattr(mobiwatch_module, "dataclasses_replace", counted_replace)
+            # MobiWatch clamps a record with record._replace(timestamp=...).
+            patch.setattr(MobiFlowRecord, "_replace", counted_replace)
             if reverse_batches:
                 patch.setattr(
                     MobiFlowKpmModel, "encode_indication", classmethod(reversed_batches)

@@ -9,8 +9,10 @@ those old code paths, kept here; the golden bytes are the ones in
 tests/test_wire.py (``GOLDEN_VECTORS`` / fixtures/wire_decode_golden.json).
 """
 
+import copy
 import dataclasses
 import enum
+import pickle
 import sys
 from dataclasses import dataclass
 
@@ -33,7 +35,7 @@ from repro.telemetry.encoder import (
     encode_batch,
     encode_record,
 )
-from repro.telemetry.mobiflow import MobiFlowRecord
+from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
 from tests.test_wire import FIRST_PINNED, GOLDEN_VECTORS, examples, nested_lists
 
 GOLDEN = {name: bytes.fromhex(golden) for name, _, golden in GOLDEN_VECTORS}
@@ -124,7 +126,7 @@ _NON_NEGATIVE = ("session_id", "cipher_alg", "integrity_alg")
 
 def check_field_rules(record: MobiFlowRecord) -> None:
     """ISSUE 17's field rules, written out independently of the codec."""
-    for name in dataclasses.asdict(record):
+    for name in FIELD_NAMES:
         value = getattr(record, name)
         if value is None:
             ok = name not in _REQUIRED
@@ -276,6 +278,115 @@ def base_record(**overrides) -> MobiFlowRecord:
     return MobiFlowRecord(**fields)
 
 
+# -- the record itself ------------------------------------------------------------
+
+valid_records = st.builds(
+    MobiFlowRecord,
+    timestamp=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**60), 2**60),
+    msg=st.text(max_size=20) | st.sampled_from(wire.SYMBOLS),
+    protocol=st.sampled_from(["RRC", "NAS"]),
+    direction=st.sampled_from(["UL", "DL"]),
+    session_id=st.integers(0, 2**40),
+    rnti=st.none() | st.integers(0, 0xFFFF),
+    s_tmsi=st.none() | st.integers(-(2**40), 2**40),
+    suci=st.none() | st.text(max_size=30),
+    supi=st.none() | st.text(max_size=20),
+    cipher_alg=st.none() | st.integers(0, 3),
+    integrity_alg=st.none() | st.integers(0, 3),
+    establishment_cause=st.none() | st.sampled_from(["mo-Data", "emergency"]),
+)
+
+
+def dataclass_era_repr(record: MobiFlowRecord) -> str:
+    """How the frozen-dataclass record printed itself."""
+    body = ", ".join(f"{name}={getattr(record, name)!r}" for name in FIELD_NAMES)
+    return f"MobiFlowRecord({body})"
+
+
+class TestRecordSemantics:
+    """What callers rely on now that a record is a named tuple: immutable,
+    hashed as the tuple of its fields, printed as before (the oracles above
+    compare ``repr``), built and copied as before."""
+
+    FULL = MobiFlowRecord(
+        timestamp=1.25,
+        msg="RRCSetupRequest",
+        protocol="RRC",
+        direction="UL",
+        session_id=7,
+        rnti=0x4601,
+        suci="suci-null-001",
+        cipher_alg=0,
+        integrity_alg=2,
+        establishment_cause="mo-Signalling",
+    )
+
+    def test_fields_are_read_only(self):
+        for name in FIELD_NAMES:
+            with pytest.raises(AttributeError):
+                setattr(self.FULL, name, None)
+        with pytest.raises(AttributeError):
+            self.FULL.extra = 1
+
+    def test_repr_is_byte_equal_to_the_dataclass_era(self):
+        assert repr(self.FULL) == (
+            "MobiFlowRecord(timestamp=1.25, msg='RRCSetupRequest', protocol='RRC', "
+            "direction='UL', session_id=7, rnti=17921, s_tmsi=None, "
+            "suci='suci-null-001', supi=None, cipher_alg=0, integrity_alg=2, "
+            "establishment_cause='mo-Signalling')"
+        )
+        assert str(self.FULL) == repr(self.FULL)
+
+    @examples(200)
+    @given(valid_records)
+    def test_hash_repr_copy_and_pickle(self, record):
+        assert hash(record) == hash(tuple(getattr(record, name) for name in FIELD_NAMES))
+        assert repr(record) == dataclass_era_repr(record)
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in copies:
+            assert type(other) is MobiFlowRecord
+            assert other == record and hash(other) == hash(record)
+            assert repr(other) == repr(record)
+        assert MobiFlowRecord.from_dict(record.to_dict()) == record
+        assert decode_batch(encode_batch([record]))[0] == record
+
+    def test_keyword_positional_and_default_construction(self):
+        values = [getattr(self.FULL, name) for name in FIELD_NAMES]
+        assert MobiFlowRecord(*values) == self.FULL
+        assert MobiFlowRecord(**dict(zip(FIELD_NAMES, values))) == self.FULL
+        assert MobiFlowRecord(1.25, "RRCSetupRequest", "RRC", "UL", 7, 0x4601).rnti == 0x4601
+        bare = MobiFlowRecord(0.5, "Paging", protocol="RRC", direction="DL")
+        assert bare.session_id == 0
+        assert [getattr(bare, name) for name in FIELD_NAMES[5:]] == [None] * 7
+        with pytest.raises(TypeError):
+            MobiFlowRecord(0.5, "Paging", "RRC")
+        with pytest.raises(TypeError):
+            MobiFlowRecord(0.5, "Paging", "RRC", "DL", bogus=1)
+
+    def test_from_dict_refuses_unknown_and_missing_fields(self):
+        with pytest.raises(ValueError):
+            MobiFlowRecord.from_dict({**self.FULL.to_dict(), "bogus": 1})
+        with pytest.raises(TypeError):
+            MobiFlowRecord.from_dict({"timestamp": 1.0, "msg": "x", "protocol": "RRC"})
+
+    def test_replace_makes_a_changed_copy(self):
+        moved = self.FULL._replace(timestamp=2.0)
+        assert type(moved) is MobiFlowRecord and moved.timestamp == 2.0
+        assert moved[1:] == self.FULL[1:] and self.FULL.timestamp == 1.25
+
+    def test_field_names_lead_the_symbol_table(self):
+        assert FIELD_NAMES == MobiFlowRecord._fields == wire.SYMBOLS[:12]
+
+    def test_a_record_equals_the_plain_tuple_of_its_values(self):
+        """The one semantic the frozen dataclass did not have."""
+        plain = tuple(getattr(self.FULL, name) for name in FIELD_NAMES)
+        assert self.FULL == plain and hash(self.FULL) == hash(plain)
+
+
 # -- same bytes out, same objects back --------------------------------------------
 
 
@@ -301,7 +412,7 @@ class TestEveryClass:
             for value in EDGE_VALUES:
                 assert_pdu_contract(cls(**{field.name: value}))
 
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(MobiFlowRecord)])
+    @pytest.mark.parametrize("name", FIELD_NAMES)
     def test_record(self, name):
         for value in EDGE_VALUES:
             odd = base_record(**{name: value})
@@ -327,7 +438,7 @@ class TestAnyFieldValues:
     def test_record_batch(self, data):
         records = [base_record()]
         for _ in range(data.draw(st.integers(0, 3))):
-            name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(MobiFlowRecord)]))
+            name = data.draw(st.sampled_from(FIELD_NAMES))
             records.append(base_record(**{name: data.draw(field_values, label=name)}))
         assert_batch_contract(records)
 
