@@ -1,6 +1,6 @@
 """Bench gates — the component benches of ``repro.bench``.
 
-Each of ``driver.BENCHES`` (``megabatch``, ``obs``) re-verifies its equality
+Each of ``driver.BENCHES`` (``obs``) re-verifies its equality
 contracts and is gated against its hard floors and the committed
 ``BENCH_<name>.json`` at the repo root (docs/PERFORMANCE.md,
 "Benchmarks"). Runs two ways:
@@ -9,7 +9,7 @@ contracts and is gated against its hard floors and the committed
   ``benchmarks/out/``;
 - as a script, the same as ``python -m repro bench``::
 
-      python benchmarks/bench_gates.py megabatch --quick
+      python benchmarks/bench_gates.py obs --quick
 
   exit 1 on any violated gate; ``--update`` rewrites the baseline from a
   full run (never from ``--quick``).

@@ -31,7 +31,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import Callable, Optional
 
-BENCHES = ("megabatch", "obs")
+BENCHES = ("obs",)
 
 # The committed baselines live at the repo root, next to src/.
 REPO_ROOT = Path(__file__).resolve().parents[3]

@@ -6,33 +6,33 @@ must cost the hot path almost nothing. This bench proves it by splitting
 the fully-observed cost into its two very different components and gating
 their sum at :data:`OVERHEAD_MAX_PCT` (the PR's <= 3% contract):
 
-- **per-record hook overhead** — the inline counters and the sampled
-  profiler hook inside
-  :class:`~repro.ml.incremental.IncrementalLstmScorer`. A ~100ns
-  delta on a ~25us record is far below shared-runner wall-clock noise at
-  stream scale (identical back-to-back streams here differ by several
-  percent), so the delta is measured where this machine *is* stable:
-  paired best-of tight loops on **one scorer object** calling
-  ``window_score`` against a static session, with the instrumentation
-  toggled between sides (the toggled-off state *is* the seed code path,
-  an ``is None`` branch). One object means no allocation/alignment luck;
-  a static session means the loop body is a pure read path, so the
-  plain/observed difference is exactly the hook work (scores counter inc
-  + profiler branch + the 1-in-N sampled timing, amortized naturally by
-  the loop). The ``push``-side hook is one inlined counter increment,
-  priced from the micro table. The noisy end-to-end stream only supplies
-  the *denominator* (plain us/record, best-of chunk floors), where even
-  +-10% noise moves the gate by ~0.1 points.
-- **amortized plane overhead** — the per-chunk/per-cadence work (latency
-  histogram observe, :class:`~repro.slo.objectives.SloEngine` tick,
+- **per-tick hook overhead** — what observing adds to the one scoring call
+  MobiWatch makes per tick, ``detector.scores(gather, per_row=True)`` on a
+  gather matrix of tick height (1-7 rows, as on ``replay_benign``): the
+  :class:`~repro.ml.compiled.CompiledModel` counters (kernel calls and
+  windows, score-memo hits / misses / size) and its sampled
+  ``ml.compiled.scores`` profiler branch (one call in
+  :data:`~repro.ml.compiled.PROFILE_SAMPLE` timed). A ~1us delta on a
+  ~200us call is below shared-runner wall-clock noise, so it is measured
+  over thousands of **adjacent call pairs** on **one detector object** —
+  two gathers of one height, order alternating — with the
+  instrumentation toggled between the two calls (the toggled-off state
+  *is* the unobserved code path, an ``is None`` branch): a pair shares
+  one machine state, and a trimmed mean of the pair differences drops
+  the pairs a burst of neighbouring load split while keeping the sampled
+  calls' share. One object means no allocation/alignment luck. Every
+  gather holds rows the memo has not seen (the row pool is larger than
+  the memo, which clears when full), so every call reaches the kernels
+  and pays every hook. The plain calls' trimmed mean is the denominator.
+- **amortized plane overhead** — the per-cadence work (latency histogram
+  observe, :class:`~repro.slo.objectives.SloEngine` tick,
   :func:`~repro.slo.exporter.render_openmetrics`). Deterministic counts
-  times micro-benchmarked per-call costs, divided across the records of
-  one cadence interval — exact attribution instead of asking a noisy
+  times micro-benchmarked per-call costs, divided across the ticks of one
+  cadence interval — exact attribution instead of asking a noisy
   end-to-end delta to resolve tens of ns.
 
 The run also re-verifies the zero-interference contract: the observed
-scorer's per-record errors must be **bit-identical** to the plain
-scorer's.
+detector's scores must be **bit-identical** to the plain detector's.
 
 Gating: hard ceiling first, then drift against the committed baseline
 with an additive slack (overhead is a noisy small number; a ratio gate
@@ -41,6 +41,9 @@ would flap).
 
 from __future__ import annotations
 
+import copy
+import itertools
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -48,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.bench.driver import BenchResult, best_of
-from repro.ml.incremental import IncrementalLstmScorer
+from repro.ml.compiled import SCORE_MEMO_CAPACITY
 from repro.obs.metrics import MetricsRegistry
 from repro.slo import profiler as _profiler
 from repro.slo.exporter import render_openmetrics
@@ -65,6 +68,9 @@ BASELINE_CREEP = 2.0
 
 _LATENCY_BUCKETS = (1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0)
 
+# The CompiledModel instruments the hooks toggle (None = unobserved).
+_HOOKS = ("_calls_counter", "_windows_counter", "_memo_hits", "_memo_misses", "_memo_size")
+
 
 @dataclass
 class ObsBenchConfig:
@@ -72,42 +78,40 @@ class ObsBenchConfig:
     feature_dim: int = 71
     lstm_hidden_dim: int = 64
     seed: int = 7
-    # Records per denominator pass, chunked so the plain-us floor is a
-    # min over many short (~3ms) timings rather than one long noisy one.
-    stream_records: int = 4000
-    chunk_records: int = 100
+    # Gather heights, cycled tick after tick: replay_benign's ticks score
+    # 1-7 sessions.
+    max_tick_height: int = 7
+    # Plain/observed call pairs, and the share of pair differences cut
+    # from each tail before averaging.
+    pairs: int = 4000
+    trim: float = 0.1
     repeats: int = 5  # best-of repeats for every micro-timing loop
-    stream_passes: int = 3  # fresh-scorer passes pooled into the floor
-    # Calls per tight loop when measuring the window_score hook delta;
-    # alternating plain/observed loops this short stay within one machine
-    # state, which is what makes the ~100ns delta resolvable here.
-    hook_loop_calls: int = 500
     hook_loop_rounds: int = 3  # alternations per side, min taken
-    # Plane cadences, in records: one histogram observe + one engine tick
-    # per `tick_every`, one OpenMetrics render per `export_every` (mirrors
-    # per-indication instrumentation + the sim-clock cadences of the live
-    # stack). The amortized plane overhead divides the micro-benchmarked
-    # per-call costs across these intervals.
-    tick_every: int = 500
-    export_every: int = 2000
+    # Plane cadences, in ticks: one histogram observe + one engine tick per
+    # `tick_every`, one OpenMetrics render per `export_every` (about 500
+    # and 2,000 records at replay_benign's ~12.6 records per indication).
+    # The amortized plane overhead divides the micro-benchmarked per-call
+    # costs across these intervals.
+    tick_every: int = 40
+    export_every: int = 160
     # Micro-benchmark repetitions for the primitive cost table.
     micro_reps: int = 2000
 
     @classmethod
     def quick(cls) -> "ObsBenchConfig":
-        return cls(stream_records=2000, repeats=3, stream_passes=3, micro_reps=400)
+        return cls(pairs=2000, repeats=3, micro_reps=400)
 
 
 @dataclass
 class ObsBenchResult(BenchResult):
-    per_record: dict = field(default_factory=dict)
+    per_tick: dict = field(default_factory=dict)
     primitives: dict = field(default_factory=dict)
 
     def report(self) -> str:
         lines = ["obs bench" + (" (quick)" if self.meta.get("quick") else "")]
-        p = self.per_record
+        p = self.per_tick
         lines.append(
-            f"  per-record hot path: plain {p['plain_us']:.2f}us; fully "
+            f"  per-tick scoring call: plain {p['plain_us']:.2f}us; fully "
             f"observed overhead {p['overhead_pct']:+.2f}% "
             f"(hooks {p['hook_overhead_pct']:+.2f}% = {p['hook_ns']:.0f}ns, "
             f"plane {p['plane_overhead_pct']:+.2f}%, "
@@ -140,6 +144,30 @@ def _make_detector(cfg: ObsBenchConfig):
     )
 
 
+def _gathers(cfg: ObsBenchConfig) -> list:
+    """Pairs of tick gathers of one height, heights cycling, over a pool of
+    distinct rows larger than the score memo: no row repeats before the
+    memo, full, has cleared it, so every call reaches the kernels."""
+    heights = itertools.cycle(range(1, cfg.max_tick_height + 1))
+    sizes = []
+    while 2 * sum(sizes) <= SCORE_MEMO_CAPACITY or len(sizes) % cfg.max_tick_height:
+        sizes.append(next(heights))
+    rng = np.random.default_rng(cfg.seed)
+    width = cfg.window * cfg.feature_dim
+    # Sparse one-hots in float32, like MobiWatch's arena rows.
+    rows = iter((rng.random((2 * sum(sizes), width)) < 0.08).astype(np.float32))
+    return [
+        tuple(np.stack([next(rows) for _ in range(height)]) for _ in range(2))
+        for height in sizes
+    ]
+
+
+def _trimmed_mean(values: list, trim: float) -> float:
+    values = sorted(values)
+    cut = int(len(values) * trim)
+    return statistics.fmean(values[cut : len(values) - cut])
+
+
 def _bench_objectives() -> list:
     """Objectives over the families the observed stream actually feeds."""
     return [
@@ -155,114 +183,86 @@ def _bench_objectives() -> list:
             kind="ratio",
             target=0.999,
             bad_metric="obsbench.slow_batches_total",
-            total_metric="hotpath.incremental_window_scores_total",
+            total_metric="ml.compiled_windows_total",
         ),
     ]
 
 
-def _bench_per_record(cfg: ObsBenchConfig, detector, result: ObsBenchResult) -> None:
-    rng = np.random.default_rng(cfg.seed)
-    rows = rng.normal(size=(cfg.stream_records, cfg.feature_dim)).astype(np.float32)
-    chunk = cfg.chunk_records
-
-    # -- denominator: plain per-record cost (seed code path, no metrics) --
-    def floor_pass() -> float:
-        scorer = IncrementalLstmScorer(detector)
-        best = float("inf")
-        for start in range(0, cfg.stream_records, chunk):
-            block = rows[start : start + chunk]
-            t0 = time.perf_counter()
-            for row in block:
-                scorer.push(1, row)
-                scorer.window_score(1)
-            per_record = (time.perf_counter() - t0) / len(block)
-            if per_record < best:
-                best = per_record
-        return best
-
-    floor_pass()  # warm-up (BLAS thread spin-up, allocator)
-    plain_s = min(floor_pass() for _ in range(cfg.stream_passes))
-
-    # -- hook delta: paired tight loops on one scorer, static session ----
-    metrics = MetricsRegistry()
-    scorer = IncrementalLstmScorer(detector, metrics=metrics)
-    wired = (scorer._steps_counter, scorer._scores_counter)
+def _bench_per_tick(cfg: ObsBenchConfig, detector, result: ObsBenchResult) -> None:
+    pairs = _gathers(cfg)
+    detector.attach_metrics(MetricsRegistry())
+    compiled = detector.compiled
+    wired = [getattr(compiled, name) for name in _HOOKS]
     prof = Profiler()
-    for row in rows[:40]:
-        scorer.push(1, row)
 
-    def ws_loop(observed: bool) -> float:
-        """Best-of per-call time of window_score with hooks toggled.
+    def timed(observed: bool, gather: np.ndarray) -> float:
+        """One tick's scoring call, hooks toggled.
 
-        Toggling the counters to None reproduces the seed code path bit
-        for bit (`if counter is not None` is the permanent guard) on the
-        very same object, and the session is static, so the loop body is
-        a pure read path: the plain/observed delta is exactly the hook
-        work, including the 1-in-N sampled profiler timing amortized
-        across the loop's calls.
+        Unwiring the instruments reproduces the unobserved code path bit
+        for bit (``is not None`` is their permanent guard) on the very
+        same object, so the plain/observed difference is exactly the hook
+        work: five counter/gauge updates, the profiler's countdown and its
+        sampled timing.
         """
+        for name, instrument in zip(_HOOKS, wired):
+            setattr(compiled, name, instrument if observed else None)
         if observed:
-            scorer._steps_counter, scorer._scores_counter = wired
             _profiler.activate(prof)
-        else:
-            scorer._steps_counter = None
-            scorer._scores_counter = None
         try:
-
-            def run() -> float:
-                t0 = time.perf_counter()
-                for _ in range(cfg.hook_loop_calls):
-                    scorer.window_score(1)
-                return (time.perf_counter() - t0) / cfg.hook_loop_calls
-
-            run()  # warm-up
-            return best_of(cfg.repeats, run)
+            t0 = time.perf_counter()
+            detector.scores(gather, per_row=True)
+            return time.perf_counter() - t0
         finally:
             _profiler.deactivate()
 
-    plain_call = min(ws_loop(False) for _ in range(cfg.hook_loop_rounds))
-    observed_call = min(ws_loop(True) for _ in range(cfg.hook_loop_rounds))
-    plain_call = min(plain_call, ws_loop(False))  # bracket: plain sees the end too
-    ws_delta_s = max(0.0, observed_call - plain_call)
-
-    # Per record the hot path pays one push-side counter increment (priced
-    # from the micro table) plus the measured window_score-side delta.
-    m = result.primitives
-    hook_per_record_s = m["counter_inc_ns"] * 1e-9 + ws_delta_s
-    hook_pct = hook_per_record_s / plain_s * 100.0
+    stream = itertools.cycle(pairs)
+    for _ in range(len(pairs)):  # warm-up (allocator, row-view caches)
+        timed(False, next(stream)[0])
+    plain, deltas = [], []
+    for pair in range(cfg.pairs):
+        first = bool(pair % 2)
+        one, other = next(stream)
+        a = timed(first, one)
+        b = timed(not first, other)
+        plain_s, observed_s = (b, a) if first else (a, b)
+        plain.append(plain_s)
+        deltas.append(observed_s - plain_s)
+    plain_s = _trimmed_mean(plain, cfg.trim)
+    hook_per_tick_s = max(0.0, _trimmed_mean(deltas, cfg.trim))
+    hook_pct = hook_per_tick_s / plain_s * 100.0
 
     # Amortized plane: deterministic per-cadence counts times the
     # micro-benchmarked per-call costs from _bench_primitives.
-    plane_per_record_s = (
+    m = result.primitives
+    plane_per_tick_s = (
         m["histogram_observe_ns"] * 1e-9 + m["engine_tick_us"] * 1e-6
     ) / cfg.tick_every + (m["render_us"] * 1e-6) / cfg.export_every
-    plane_pct = plane_per_record_s / plain_s * 100.0
+    plane_pct = plane_per_tick_s / plain_s * 100.0
 
-    result.per_record = {
+    result.per_tick = {
         "plain_us": plain_s * 1e6,
-        "hook_ns": hook_per_record_s * 1e9,
+        "hook_ns": hook_per_tick_s * 1e9,
         "hook_overhead_pct": hook_pct,
         "plane_overhead_pct": plane_pct,
         "overhead_pct": hook_pct + plane_pct,
-        "floor_chunks": cfg.stream_passes * (cfg.stream_records // chunk),
     }
 
     # Zero-interference contract: full observability must not change one
     # bit of the scores the detector produces.
-    plain_scorer = IncrementalLstmScorer(detector)
-    metrics = MetricsRegistry()
-    observed_scorer = IncrementalLstmScorer(detector, metrics=metrics)
-    prof = Profiler()
-    _profiler.activate(prof)
+    unwired = copy.deepcopy(detector)
+    unwired.metrics = None
+    unwired.recompile()
+    watched = copy.deepcopy(detector)
+    watched.recompile()
+    watched.attach_metrics(MetricsRegistry())
+    _profiler.activate(Profiler())
     try:
-        for row in rows[: min(cfg.stream_records, 96)]:
-            plain_scorer.push(1, row)
-            observed_scorer.push(1, row)
-            observed_scorer.window_score(1)
+        observed_scores = [watched.scores(g, per_row=True) for g, _ in pairs[:96]]
     finally:
         _profiler.deactivate()
-    result.equality["observed_scores_exact"] = bool(
-        np.array_equal(plain_scorer.record_errors(1), observed_scorer.record_errors(1))
+    plain_scores = [unwired.scores(g, per_row=True) for g, _ in pairs[:96]]
+    result.equality["observed_scores_exact"] = all(
+        a.tobytes() == b.tobytes() for a, b in zip(plain_scores, observed_scores)
     )
 
 
@@ -304,7 +304,7 @@ def _bench_primitives(cfg: ObsBenchConfig, result: ObsBenchResult) -> None:
     hist = metrics.histogram("mobiwatch.inference_wall_s", buckets=_LATENCY_BUCKETS)
     hist_s = per_call(lambda: hist.observe(0.002))
     metrics.counter("obsbench.slow_batches_total")
-    metrics.counter("hotpath.incremental_window_scores_total").value = reps
+    metrics.counter("ml.compiled_windows_total", labels={"model": "lstm"}).value = reps
 
     wall = [0.0]
     engine = SloEngine(
@@ -343,19 +343,20 @@ def run_bench(config: Optional[ObsBenchConfig] = None, quick: bool = False) -> O
         "quick": quick,
         "window": cfg.window,
         "feature_dim": cfg.feature_dim,
-        "stream_records": cfg.stream_records,
+        "max_tick_height": cfg.max_tick_height,
+        "pairs": cfg.pairs,
         "tick_every": cfg.tick_every,
         "export_every": cfg.export_every,
     }
     detector = _make_detector(cfg)
-    _bench_primitives(cfg, result)  # first: per_record needs the plane costs
-    _bench_per_record(cfg, detector, result)
+    _bench_primitives(cfg, result)  # first: per_tick needs the plane costs
+    _bench_per_tick(cfg, detector, result)
     return result
 
 
 def floor_violations(result: ObsBenchResult) -> list:
     out = [f"equality contract broken: {k}" for k, ok in result.equality.items() if not ok]
-    overhead = result.per_record.get("overhead_pct", float("inf"))
+    overhead = result.per_tick.get("overhead_pct", float("inf"))
     if overhead > OVERHEAD_MAX_PCT:
         out.append(
             f"observability overhead {overhead:+.2f}% above the "
@@ -365,5 +366,5 @@ def floor_violations(result: ObsBenchResult) -> list:
 
 
 def baseline_checks(result: ObsBenchResult, baseline: dict) -> list:
-    overhead = result.per_record.get("overhead_pct", float("inf"))
-    return [(("per_record", "overhead_pct"), overhead)]
+    overhead = result.per_tick.get("overhead_pct", float("inf"))
+    return [(("per_tick", "overhead_pct"), overhead)]

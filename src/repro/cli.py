@@ -23,10 +23,9 @@ Gives operators the paper's workflow without writing code:
   testbed with scoring on supervised worker processes, or ``soak`` a
   backend to the SLO edge with a mid-run ``kill -9`` fault trial (see
   docs/RUNTIME.md);
-- ``bench <name>`` — run one component bench (``megabatch``, ``obs``,
-  ``runtime``), verify its equality contracts, and gate it against its
-  floors and the committed ``BENCH_<name>.json`` baseline (see
-  docs/PERFORMANCE.md, "Benchmarks").
+- ``bench <name>`` — run one component bench (``obs``), verify its
+  equality contracts, and gate it against its floors and the committed
+  ``BENCH_<name>.json`` baseline (see docs/PERFORMANCE.md, "Benchmarks").
 """
 
 from __future__ import annotations

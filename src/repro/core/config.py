@@ -10,15 +10,6 @@ from repro.runtime.settings import RuntimeSettings
 from repro.slo.settings import SloSettings
 from repro.telemetry.features import FeatureSpec
 
-# How MobiWatch scores a window (docs/PERFORMANCE.md, "Scoring tiers"):
-# "exact" re-runs the window through the float64 kernels (bit-identical to
-# the layer-walking reference); "float32" runs them in float32;
-# "incremental" / "incremental-float32" carry each session's LSTM state
-# across records; "int8" is the quantized LSTM tier. The last three are
-# carried-state tiers: LSTM only, and they score in-process.
-SCORING_TIERS = ("exact", "float32", "incremental", "incremental-float32", "int8")
-CARRIED_STATE_TIERS = ("incremental", "incremental-float32", "int8")
-
 
 @dataclass
 class XsecConfig:
@@ -38,9 +29,6 @@ class XsecConfig:
     train_epochs: int = 50
     train_lr: float = 2e-3
     seed: int = 7
-    # One of SCORING_TIERS; every tier but "exact" trades exactness for
-    # speed. "int8" makes build_detector's fit run the calibration pass.
-    scoring: str = "exact"
     # Bounded per-session state. evict_on_release: an RRCRelease record
     # finishes the session (its final window is scored at once, its state
     # dropped). evict_idle_s > 0: a sweep every evict_idle_s / 2 drops
@@ -89,22 +77,9 @@ class XsecConfig:
     llmfast: LlmfastSettings = field(default_factory=LlmfastSettings)
 
     def __post_init__(self) -> None:
-        if self.scoring not in SCORING_TIERS:
-            raise ValueError(f"scoring must be one of {SCORING_TIERS}, got {self.scoring!r}")
         if self.train_epochs < 1:
             raise ValueError(f"train_epochs must be >= 1, got {self.train_epochs}")
         if not (math.isfinite(self.train_lr) and self.train_lr > 0):
             raise ValueError(f"train_lr must be finite and > 0, got {self.train_lr}")
         if self.evict_idle_s < 0:
             raise ValueError(f"evict_idle_s must be >= 0, got {self.evict_idle_s}")
-        if self.scoring in CARRIED_STATE_TIERS:
-            if self.detector != "lstm":
-                raise ValueError(
-                    f"scoring={self.scoring!r} carries LSTM state: it needs "
-                    f"detector='lstm', got detector={self.detector!r}"
-                )
-            if self.runtime.score_in_processes:
-                raise ValueError(
-                    f"scoring={self.scoring!r} carries per-session state in this "
-                    "process: it cannot run with runtime.score_in_processes"
-                )

@@ -56,8 +56,6 @@ def build_detector(config: XsecConfig) -> AnomalyDetector:
         )
     else:
         raise ValueError(f"unknown detector {config.detector!r}")
-    # fit() runs the int8 calibration pass + quantized threshold fit.
-    detector.calibrate_int8 = config.scoring == "int8"
     return detector
 
 

@@ -21,11 +21,9 @@ from typing import Optional
 import numpy as np
 
 from repro import wire
-from repro.core.config import CARRIED_STATE_TIERS, XsecConfig
+from repro.core.config import XsecConfig
 from repro.ml.arena import SessionWindowArena
-from repro.ml.detector import AnomalyDetector, LstmDetector
-from repro.ml.incremental import IncrementalLstmScorer
-from repro.ml.quantized import STATE_DTYPE, QuantizedLstmEngine
+from repro.ml.detector import AnomalyDetector
 from repro.obs.metrics import WallTimer
 from repro.oran.e2ap import ActionType, RicIndication
 from repro.oran.e2sm_kpm import (
@@ -115,7 +113,7 @@ class MobiWatchXApp(XApp):
         )
         self._inference_wall = metrics.histogram(
             "mobiwatch.inference_wall_s",
-            help="scoring wall-clock cost, one observation per tick on every strategy",
+            help="scoring wall-clock cost, one observation per tick on every provider",
         )
         self._score_hist = metrics.histogram(
             "mobiwatch.window_score",
@@ -127,24 +125,15 @@ class MobiWatchXApp(XApp):
             help="newest telemetry entry of a flagged window -> alarm",
         )
         # Featurized rows per session: the last window of any session is
-        # one contiguous view (the tick gather's sources and the
-        # incremental scorer's replay history).
+        # one contiguous view (the tick gather's sources).
         self._arena = SessionWindowArena(self.config.spec.dim, self.config.window)
         self._window = self.config.window
-        # Scoring strategy, bound once by deploy_detector (see there): what
-        # a featurized row feeds, where a batch of sessions' scores comes
-        # from, and the operating threshold those scores are held to. Until
-        # a model is deployed rows only accumulate.
-        self._ingest_row = self._arena.append
+        # Where a batch of sessions' scores comes from, bound once by
+        # deploy_detector (see there). Until a model is deployed rows only
+        # accumulate.
         self._batch_scores = None
-        self._operating_threshold = self._threshold
-        self._incremental: Optional[IncrementalLstmScorer] = None
-        self._quantized: Optional[QuantizedLstmEngine] = None
         # The tick batch: reusable [n_sessions, window * dim] gather matrix.
         self._gather_buf: Optional[np.ndarray] = None
-        # (session, row) per record of the current tick: the quantized
-        # tier's fused batched steps consume it.
-        self._tick_rows: list = []
         # Session eviction bounds per-session state (default off, see
         # docs/PERFORMANCE.md).
         self._last_touch: dict[int, float] = {}
@@ -189,51 +178,19 @@ class MobiWatchXApp(XApp):
     def deploy_detector(self, detector: AnomalyDetector) -> None:
         """Install a trained model (called by the SMO deploy step).
 
-        Binds the scoring strategy of ``config.scoring`` once; nothing
-        below deploy re-tests a setting per record or per window. Raises
-        ``ValueError`` for a detector that cannot run the configured tier.
+        Binds the score provider once — the inline row-exact call, or the
+        scoring worker processes under ``runtime.score_in_processes`` —
+        so nothing below deploy re-tests a setting per record or window.
         """
         if detector.threshold.threshold is None:
             raise ValueError("detector must be fitted before deployment")
-        scoring = self.config.scoring
-        if scoring in CARRIED_STATE_TIERS and not isinstance(detector, LstmDetector):
-            raise ValueError(f"scoring={scoring!r} needs the LSTM detector, got {detector.name}")
-        if scoring == "int8" and detector.calibration is None:
-            raise ValueError(
-                "scoring='int8' needs a detector fitted with the int8 calibration "
-                "pass (build_detector under scoring='int8')"
-            )
         self.detector = detector
         detector.recompile()  # a deployment never inherits another's score memo
         detector.attach_metrics(self.sim.obs.metrics)
-        dtype = "float32" if scoring.endswith("float32") else "float64"
-        detector.scoring_dtype = dtype
-        metrics = self.sim.obs.metrics
         if self.pool is not None:
             self.pool.close()  # re-deploy: workers need the new weights
             self.pool = None
-        self._quantized = self._incremental = None
-        # Provenance names the runtime that produced each score, since the
-        # tiers carry documented tolerances (docs/PERFORMANCE.md).
-        parts = ["compiled-float32"] if scoring == "float32" else []
-        if scoring == "int8":
-            carried = self._quantized = QuantizedLstmEngine(
-                detector, detector.calibration, metrics=metrics
-            )
-            strategy = (
-                self._ingest_quantized,
-                self._quantized_scores,
-                self._quantized_operating_threshold,
-            )
-            parts = [f"quantized-int8-{STATE_DTYPE}"]
-        elif scoring in CARRIED_STATE_TIERS:
-            # Carried per-session LSTM state instead of re-running the window.
-            carried = self._incremental = IncrementalLstmScorer(
-                detector, dtype=dtype, metrics=metrics
-            )
-            strategy = (self._ingest_incremental, self._incremental_scores, self._threshold)
-            parts = [f"incremental-{dtype}"]
-        elif self.config.runtime.score_in_processes:
+        if self.config.runtime.score_in_processes:
             # The tick's gather scored in supervised OS worker processes,
             # spawned here because they need the trained weights. They make
             # one row-exact call per batch and the blocking call is
@@ -241,21 +198,16 @@ class MobiWatchXApp(XApp):
             # bit-identical to the inline path.
             from repro.runtime.bridge import ProcessScoringPool
 
-            carried = None
             runtime = self.config.runtime
-            self.pool = ProcessScoringPool(detector, runtime, metrics=metrics, name=self.name)
-            strategy = (self._arena.append, self._process_scores, self._threshold)
-            parts.append(f"process-{runtime.workers}w")
+            self.pool = ProcessScoringPool(
+                detector, runtime, metrics=self.sim.obs.metrics, name=self.name
+            )
+            self._batch_scores = self._process_scores
+            # Provenance names the runtime that produced each score.
+            self._scoring_path = f"process-{runtime.workers}w"
         else:
-            carried = None
-            strategy = (self._arena.append, self._gathered_scores, self._threshold)
-        # Sessions may already hold telemetry: replay their rows so the
-        # carried state matches record-by-record ingest.
-        if carried is not None:
-            for session_id in self._arena.session_ids():
-                carried.warm_up(session_id, self._arena.session_rows(session_id))
-        self._ingest_row, self._batch_scores, self._operating_threshold = strategy
-        self._scoring_path = "+".join(parts) or "seed"
+            self._batch_scores = self._gathered_scores
+            self._scoring_path = "seed"
         self.log(
             "detector deployed",
             detector=detector.name,
@@ -272,14 +224,8 @@ class MobiWatchXApp(XApp):
             if detector.training_scores is None:
                 self.log("policy ignored: no training scores retained")
                 return
-            # Both operating points: the quantized tier alarms on its own.
-            for threshold, scores in (
-                (detector.threshold, detector.training_scores),
-                (detector.quantized_threshold, detector.quantized_training_scores),
-            ):
-                if threshold is not None:
-                    threshold.percentile = float(percentile)
-                    threshold.fit(scores)
+            detector.threshold.percentile = float(percentile)
+            detector.threshold.fit(detector.training_scores)
             self.log(f"threshold re-fit at percentile {percentile}")
 
     # -- telemetry ingestion -------------------------------------------------------
@@ -317,7 +263,7 @@ class MobiWatchXApp(XApp):
         released: list[int] = []
         evict_release = self.config.evict_on_release
         track_touch = self._track_touch
-        ingest_row = self._ingest_row
+        ingest_row = self._arena.append
         push = self._encoder.push
         series = self.series
         session_records = self._session_records
@@ -415,14 +361,9 @@ class MobiWatchXApp(XApp):
             return  # progressed since the check was armed
         self._score_one(session_id)
 
-    # -- one tick walker; a strategy is only where its scores come from ----------------
+    # -- one tick walker; a provider is only where its scores come from ----------------
 
     def _tick(self, session_ids: list) -> None:
-        if self._tick_rows:  # only the quantized tier's ingest fills it
-            self._advance_quantized()
-        self._tick_batched(session_ids, self._batch_scores, self._operating_threshold())
-
-    def _tick_batched(self, session_ids: list, batch_scores, threshold: float) -> None:
         """Score every touched session that holds a full window in one call.
 
         Side effects land in session order — a short session (re)arms its
@@ -430,9 +371,10 @@ class MobiWatchXApp(XApp):
         as if each session had been scored by its own call.
         """
         window = self._window
+        threshold = self._threshold()
         session_records = self._session_records
         ready = [s for s in session_ids if len(session_records[s]) >= window]
-        scored = iter(batch_scores(ready) if ready else ready)
+        scored = iter(self._batch_scores(ready) if ready else ready)
         now = self.now
         for session_id in session_ids:
             indices = session_records[session_id]
@@ -447,7 +389,7 @@ class MobiWatchXApp(XApp):
 
     def _score_one(self, session_id: int) -> None:
         """A matured (or released) short session is the batch of one."""
-        threshold = self._operating_threshold()
+        threshold = self._threshold()
         (score,) = self._batch_scores([session_id])
         if score > threshold:
             indices = self._session_records[session_id]
@@ -495,8 +437,7 @@ class MobiWatchXApp(XApp):
         this deployment has scored before, byte for byte, come from the
         snapshot's score memo and only the rest reach the kernels — for the
         LSTM one ``CompiledLstm.row_scores`` call, the same kernel at height
-        1 as at 64; under ``scoring="float32"`` the matrix runs
-        through one fused GEMM per tick, within that tier's tolerance.
+        1 as at 64.
         """
         matrix = self._gather(ready)
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
@@ -511,69 +452,6 @@ class MobiWatchXApp(XApp):
             scores = self.pool.scores(ready, matrix)
         self._count_scores(scores)
         return scores
-
-    # -- incremental tiers: carried LSTM state ------------------------------------------
-
-    def _ingest_incremental(self, session_id: int, row: np.ndarray) -> None:
-        self._arena.append(session_id, row)
-        self._incremental.push(session_id, row)
-
-    def _incremental_scores(self, ready: list) -> list:
-        # O(1) carried-state scoring: one fused LSTM step was already paid
-        # at ingest; a score is a max over stored per-record errors.
-        window_score = self._incremental.window_score
-        session_rows = self._arena.session_rows
-        with WallTimer(self._inference_wall):
-            scores = [window_score(s, rows=session_rows(s)) for s in ready]
-        self._count_scores(scores)
-        return scores
-
-    # -- int8 tier: carried quantized state ---------------------------------------------
-
-    def _ingest_quantized(self, session_id: int, row: np.ndarray) -> None:
-        self._arena.append(session_id, row)
-        self._tick_rows.append((session_id, row))
-
-    def _advance_quantized(self) -> None:
-        """Advance carried quantized state by the tick's records.
-
-        One fused batched step per wave: wave k holds each session's k-th
-        record of the tick, so session ids are unique within a wave (one
-        state slot, one update) and a tick with r records per session costs
-        r fused steps total — instead of r steps *per session*.
-        """
-        tick_rows, self._tick_rows = self._tick_rows, []
-        wave_index: dict[int, int] = {}
-        waves: list[tuple[list, list]] = []
-        for session_id, row in tick_rows:
-            wave = wave_index.get(session_id, 0)
-            if wave == len(waves):
-                waves.append(([], []))
-            waves[wave][0].append(session_id)
-            waves[wave][1].append(row)
-            wave_index[session_id] = wave + 1
-        for wave_sessions, rows in waves:
-            self._quantized.megastep(wave_sessions, np.asarray(rows, dtype=np.float32))
-
-    def _quantized_scores(self, ready: list) -> list:
-        # The fused batched steps already ran (_advance_quantized); a score
-        # is the session's error-ring max.
-        with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
-            scores = self._quantized.window_scores_for(ready).tolist()
-        self._count_scores(scores)
-        return scores
-
-    def _quantized_operating_threshold(self) -> float:
-        """The quantized tier's own percentile operating point.
-
-        Quantized scores live in a (slightly) different score space than
-        float64 scores, so the detector fits a separate threshold on the
-        quantized training scores; the float64 threshold is the fallback.
-        """
-        quantized = self.detector.quantized_threshold
-        if quantized is not None and quantized.threshold is not None:
-            return quantized.threshold
-        return self._threshold()
 
     # -- session eviction: bounded per-session state ---------------------------------
 
@@ -600,7 +478,7 @@ class MobiWatchXApp(XApp):
         """Drop every piece of the session's per-xApp state.
 
         Without eviction, _session_records / the arena / _alerted_counts
-        and the scorers' carried state grow forever — a leak at fleet scale.
+        grow forever — a leak at fleet scale.
         A re-appearing session starts from an empty window history.
         """
         pending = self._pending_maturity.pop(session_id, None)
@@ -612,10 +490,6 @@ class MobiWatchXApp(XApp):
         self._alerted_counts.pop(session_id, None)
         self._last_touch.pop(session_id, None)
         self._arena.release(session_id)
-        if self._incremental is not None:
-            self._incremental.release(session_id)
-        if self._quantized is not None:
-            self._quantized.release(session_id)
         self.sessions_evicted += 1
         if self._evicted_counter is not None:
             self._evicted_counter.inc()

@@ -45,9 +45,6 @@ class SessionWindowArena:
     def __len__(self) -> int:
         return len(self._sessions)
 
-    def session_ids(self) -> list:
-        return list(self._sessions)
-
     def _entry(self, session_id: int) -> list:
         entry = self._sessions.get(session_id)
         if entry is None:
@@ -95,14 +92,6 @@ class SessionWindowArena:
         unaffected; a re-appearing session starts a fresh buffer.
         """
         return self._sessions.pop(session_id, None) is not None
-
-    def session_rows(self, session_id: int) -> np.ndarray:
-        """Every row of one session ``[L, dim]`` (a view, no pad)."""
-        entry = self._sessions.get(session_id)
-        if entry is None:
-            raise KeyError(f"no rows for session {session_id}")
-        buf, count = entry
-        return buf[self.window - 1 : self.window - 1 + count]
 
     def stats(self) -> Tuple[int, int]:
         """(sessions, total allocated rows) — capacity accounting."""

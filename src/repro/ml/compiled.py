@@ -3,24 +3,20 @@
 The training-grade model objects pay costs inference never needs: per-call
 allocation of every intermediate, ``_StepCache`` bookkeeping for BPTT,
 backward-state stashes in every ``Dense``/``ReLU``. A :class:`CompiledModel`
-snapshots the detector's weights into contiguous arrays of the chosen
-precision and runs scoring through preallocated-buffer kernels
-(``np.dot(..., out=...)`` and in-place ufuncs).
+snapshots the detector's weights into contiguous float64 arrays and runs
+scoring through preallocated-buffer kernels (``np.dot(..., out=...)`` and
+in-place ufuncs).
 
 This is what ``AnomalyDetector.scores`` runs. Equality contract (enforced
-by tests/test_hotpath.py):
-
-- **float64** kernels mirror the reference op sequence exactly — same GEMM
-  shapes, same association, same clip/exp/tanh calls — so scores are
-  bit-identical to the layer-walking ``AnomalyDetector.reference_scores``;
-- **float32** kernels trade precision for throughput; scores match the
-  float64 path within the documented tolerance (``XsecConfig.scoring=
-  "float32"``, held by tests/test_hotpath.py).
+by tests/test_hotpath.py): the kernels mirror the reference op sequence
+exactly — same GEMM shapes, same association, same clip/exp/tanh calls —
+so scores are bit-identical to the layer-walking
+``AnomalyDetector.reference_scores``.
 
 Two batch modes. By default a batch goes through full-height GEMMs —
 offline scoring: training thresholds, the paper's tables. With
 ``per_row=True`` (the live path: MobiWatch's tick gather, the scoring
-workers) the float64 kernels are **row-exact**: every GEMM is issued as a
+workers) the kernels are **row-exact**: every GEMM is issued as a
 stack of the products the single-window call makes (:func:`_gemv_stack`)
 while the gate, ReLU and error element-wise ops run once over the whole
 batch, so ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]``
@@ -30,7 +26,7 @@ projections for all steps are one such stack into a step-major buffer,
 so each step's gates are one contiguous block, its head is one
 ``[steps, H] @ [H, D]`` per window, and its element-wise ops are raw
 ufunc calls (at tick heights their dispatch, not their arithmetic, is the
-bill). float32 has no such contract and ignores the flag.
+bill).
 
 A row-exact score is a function of the row's bytes alone, so the snapshot
 remembers it under them (:meth:`CompiledModel.memo_scores`).
@@ -54,12 +50,13 @@ from repro.slo import profiler as _profiler
 SCORE_MEMO_CAPACITY = 4096
 # Batch heights whose row-exact buffer views a snapshot keeps built.
 ROW_VIEW_CACHE = 32
-
-
-def _as_dtype(dtype: str) -> np.dtype:
-    if dtype not in ("float64", "float32"):
-        raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
-    return np.dtype(dtype)
+# The kernels' one precision: the reference's.
+DTYPE = np.dtype(np.float64)
+# Active-profiler sampling stride on the kernel call MobiWatch makes every
+# tick: one call in this many is timed and extrapolated
+# (repro.slo.profiler.record), so watching it costs a countdown, not two
+# clock reads and a stage update per tick.
+PROFILE_SAMPLE = 8
 
 
 def _sigmoid_inplace(buf: np.ndarray) -> None:
@@ -97,20 +94,19 @@ def _gemv_stack(a: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
 
 
 class _DenseWeights:
-    """One Dense layer's weights, contiguous in the kernel dtype."""
+    """One Dense layer's weights, contiguous in float64."""
 
     __slots__ = ("w", "b")
 
-    def __init__(self, layer, dtype: np.dtype) -> None:
-        self.w = np.ascontiguousarray(layer.W.value, dtype=dtype)
-        self.b = np.ascontiguousarray(layer.b.value, dtype=dtype)
+    def __init__(self, layer) -> None:
+        self.w = np.ascontiguousarray(layer.W.value, dtype=DTYPE)
+        self.b = np.ascontiguousarray(layer.b.value, dtype=DTYPE)
 
 
 class CompiledAutoencoder:
     """Fused Dense+ReLU chain scoring windows like ``AutoencoderDetector``."""
 
-    def __init__(self, detector, dtype: str = "float32") -> None:
-        self.dtype = _as_dtype(dtype)
+    def __init__(self, detector) -> None:
         self.window = detector.window
         self.feature_dim = detector.feature_dim
         self.aggregate = detector.aggregate
@@ -121,7 +117,7 @@ class CompiledAutoencoder:
         for i, layer in enumerate(layers):
             if isinstance(layer, Dense):
                 relu = i + 1 < len(layers) and isinstance(layers[i + 1], ReLU)
-                self._chain.append((_DenseWeights(layer, self.dtype), relu))
+                self._chain.append((_DenseWeights(layer), relu))
             elif not isinstance(layer, ReLU):
                 raise TypeError(f"unsupported autoencoder layer {type(layer).__name__}")
         self._capacity = 0
@@ -135,23 +131,22 @@ class CompiledAutoencoder:
         if n <= self._capacity:
             return
         cap = max(n, self._capacity * 2, 16)
-        self._input = np.empty((cap, self.input_dim), dtype=self.dtype)
+        self._input = np.empty((cap, self.input_dim), dtype=DTYPE)
         self._buffers = [
-            np.empty((cap, weights.b.shape[0]), dtype=self.dtype)
-            for weights, _ in self._chain
+            np.empty((cap, weights.b.shape[0]), dtype=DTYPE) for weights, _ in self._chain
         ]
         self._masks = [
             np.empty((cap, weights.b.shape[0]), dtype=bool)
             for weights, _ in self._chain
         ]
-        self._diff = np.empty((cap, self.input_dim), dtype=self.dtype)
-        self._slot = np.empty((cap, self.window), dtype=self.dtype)
+        self._diff = np.empty((cap, self.input_dim), dtype=DTYPE)
+        self._slot = np.empty((cap, self.window), dtype=DTYPE)
         self._capacity = cap
 
     def scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
         """Anomaly score per window — ``AutoencoderDetector.scores`` fused.
 
-        ``per_row`` (float64): row-exact batch mode, see the module docstring.
+        ``per_row``: row-exact batch mode, see the module docstring.
         """
         windows = np.asarray(windows)
         n = windows.shape[0]
@@ -160,8 +155,7 @@ class CompiledAutoencoder:
         self._ensure_capacity(n)
         x = self._input[:n]
         np.copyto(x, windows, casting="unsafe")
-        mirror = self.dtype == np.float64
-        stacked = per_row and mirror and n > 1
+        stacked = per_row and n > 1
         out = x
         for (weights, relu), buf, mask in zip(self._chain, self._buffers, self._masks):
             layer_out = buf[:n]
@@ -171,36 +165,31 @@ class CompiledAutoencoder:
                 np.dot(out, weights.w, out=layer_out)
             layer_out += weights.b
             if relu:
-                if mirror:
-                    # x * (x > 0): the seed ReLU's exact expression (keeps
-                    # the sign of -0.0, so float64 stays bit-identical).
-                    np.greater(layer_out, 0, out=mask[:n])
-                    layer_out *= mask[:n]
-                else:
-                    np.maximum(layer_out, 0, out=layer_out)
+                # x * (x > 0): the seed ReLU's exact expression (keeps the
+                # sign of -0.0, so scores stay bit-identical).
+                np.greater(layer_out, 0, out=mask[:n])
+                layer_out *= mask[:n]
             out = layer_out
         diff = self._diff[:n]
         np.subtract(out, x, out=diff)
         np.multiply(diff, diff, out=diff)
         if self.aggregate == "mean":
-            return np.asarray(_mean_last_axis(diff), dtype=np.float64)
+            return _mean_last_axis(diff)
         slot = _mean_last_axis(diff.reshape(n, self.window, self.feature_dim), self._slot[:n])
-        return np.asarray(np.maximum.reduce(slot, axis=1), dtype=np.float64)
+        return np.maximum.reduce(slot, axis=1)
 
 
 class CompiledLstm:
-    """Fused LSTM gate kernels: batch window scoring + the O(1) step.
+    """Fused LSTM gate kernels for batch window scoring.
 
     The four gate matmuls write one preallocated ``[*, 4H]`` block per step;
     gate activations are in-place ufuncs on it. No ``_StepCache`` objects,
     no per-step allocation. Two batch kernels: :meth:`window_scores`
-    (full-height GEMMs: offline scoring, and every float32 call) and
-    :meth:`row_scores` (float64 ``per_row=True``, the live path, at every
-    height including 1).
+    (full-height GEMMs: offline scoring) and :meth:`row_scores`
+    (``per_row=True``, the live path, at every height including 1).
     """
 
-    def __init__(self, model, dtype: str = "float32") -> None:
-        self.dtype = _as_dtype(dtype)
+    def __init__(self, model) -> None:
         self.input_dim = model.input_dim
         self.hidden_dim = model.hidden_dim
         self.output_dim = model.output_dim
@@ -213,16 +202,16 @@ class CompiledLstm:
         perm = np.concatenate(
             [np.arange(0, 2 * hd), np.arange(3 * hd, 4 * hd), np.arange(2 * hd, 3 * hd)]
         )
-        self.wx = np.ascontiguousarray(model.Wx.value[:, perm], dtype=self.dtype)
-        self.wh = np.ascontiguousarray(model.Wh.value[:, perm], dtype=self.dtype)
-        self.b = np.ascontiguousarray(model.b.value[perm], dtype=self.dtype)
-        self.head = _DenseWeights(model.head, self.dtype)
+        self.wx = np.ascontiguousarray(model.Wx.value[:, perm], dtype=DTYPE)
+        self.wh = np.ascontiguousarray(model.Wh.value[:, perm], dtype=DTYPE)
+        self.b = np.ascontiguousarray(model.b.value[perm], dtype=DTYPE)
+        self.head = _DenseWeights(model.head)
         h4 = 4 * hd
         # The recurrent projection of the zero state, ``zeros[1, H] @ Wh``:
         # the GEMV every row makes at step 0, made once for this snapshot's
         # weights (a re-fit builds a new snapshot and a new product).
-        self._zh0 = np.empty((1, h4), dtype=self.dtype)
-        _gemv_stack(np.zeros((1, hd), dtype=self.dtype), self.wh, self._zh0)
+        self._zh0 = np.empty((1, h4), dtype=DTYPE)
+        _gemv_stack(np.zeros((1, hd), dtype=DTYPE), self.wh, self._zh0)
         # GEMM-mode buffers, grown on demand.
         self._capacity = 0
         self._steps = 0
@@ -232,13 +221,6 @@ class CompiledLstm:
         self._row_window = 0
         self._row_flat: dict[str, np.ndarray] = {}
         self._row_cache: dict[int, tuple] = {}
-        # Single-step buffers (incremental scoring), batch == 1.
-        self._z1 = np.empty((1, h4), dtype=self.dtype)
-        self._z2 = np.empty((1, h4), dtype=self.dtype)
-        self._gtmp = np.empty((1, hd), dtype=self.dtype)
-        self._x1 = np.empty((1, self.input_dim), dtype=self.dtype)
-        self._pred1 = np.empty((1, self.output_dim), dtype=self.dtype)
-        self._diff1 = np.empty((1, self.output_dim), dtype=self.dtype)
 
     def __getstate__(self) -> dict:
         # A copy or pickle would copy each cached view apart from the buffer
@@ -246,61 +228,6 @@ class CompiledLstm:
         state = self.__dict__.copy()
         state["_row_cache"] = {}
         return state
-
-    # -- O(1) incremental step --------------------------------------------------
-
-    def new_state(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh per-session (hidden, cell) state."""
-        h = np.zeros((1, self.hidden_dim), dtype=self.dtype)
-        c = np.zeros((1, self.hidden_dim), dtype=self.dtype)
-        return h, c
-
-    def step(self, row: np.ndarray, h: np.ndarray, c: np.ndarray) -> None:
-        """One fused LSTM step; updates ``h``/``c`` in place.
-
-        Mirrors the seed per-step ops exactly: in float64 the resulting
-        states are bit-identical to ``LstmPredictor.forward``'s recursion.
-        """
-        hd = self.hidden_dim
-        x = self._x1
-        np.copyto(x[0], row, casting="unsafe")
-        z = self._z1
-        np.dot(x, self.wx, out=z)
-        np.dot(h, self.wh, out=self._z2)
-        z += self._z2
-        z += self.b
-        # Permuted layout: [i | f | o] sigmoid block, then g.
-        i = z[:, :hd]
-        f = z[:, hd : 2 * hd]
-        o = z[:, 2 * hd : 3 * hd]
-        g = z[:, 3 * hd :]
-        _sigmoid_inplace(z[:, : 3 * hd])
-        np.tanh(g, out=g)
-        # c = f * c + i * g
-        np.multiply(f, c, out=c)
-        np.multiply(i, g, out=self._gtmp)
-        c += self._gtmp
-        # h = o * tanh(c)
-        np.tanh(c, out=self._gtmp)
-        np.multiply(o, self._gtmp, out=h)
-
-    def predict(self, h: np.ndarray) -> np.ndarray:
-        """Next-entry prediction from a carried state (``[1, output_dim]``).
-
-        Returns an internal buffer — consume before the next call.
-        """
-        np.dot(h, self.head.w, out=self._pred1)
-        self._pred1 += self.head.b
-        return self._pred1
-
-    def step_error(self, h: np.ndarray, target_row: np.ndarray) -> float:
-        """Prediction error of ``target_row`` given carried state ``h``."""
-        pred = self.predict(h)
-        diff = self._diff1
-        np.copyto(diff[0], target_row, casting="unsafe")
-        np.subtract(pred, diff, out=diff)
-        np.multiply(diff, diff, out=diff)
-        return float(np.mean(diff))
 
     # -- batch window scoring ----------------------------------------------------
 
@@ -310,15 +237,15 @@ class CompiledLstm:
         cap = max(n, self._capacity * 2 if steps == self._steps else n, 16)
         hd, h4 = self.hidden_dim, 4 * self.hidden_dim
         self._bufs = {
-            "x": np.empty((cap, steps, self.input_dim), dtype=self.dtype),
-            "z": np.empty((cap, h4), dtype=self.dtype),
-            "zh": np.empty((cap, h4), dtype=self.dtype),
-            "h": np.empty((cap, hd), dtype=self.dtype),
-            "c": np.empty((cap, hd), dtype=self.dtype),
-            "tmp": np.empty((cap, hd), dtype=self.dtype),
-            "hs": np.empty((cap, steps, hd), dtype=self.dtype),
-            "pred": np.empty((cap * steps, self.output_dim), dtype=self.dtype),
-            "err": np.empty((cap, steps), dtype=self.dtype),
+            "x": np.empty((cap, steps, self.input_dim), dtype=DTYPE),
+            "z": np.empty((cap, h4), dtype=DTYPE),
+            "zh": np.empty((cap, h4), dtype=DTYPE),
+            "h": np.empty((cap, hd), dtype=DTYPE),
+            "c": np.empty((cap, hd), dtype=DTYPE),
+            "tmp": np.empty((cap, hd), dtype=DTYPE),
+            "hs": np.empty((cap, steps, hd), dtype=DTYPE),
+            "pred": np.empty((cap * steps, self.output_dim), dtype=DTYPE),
+            "err": np.empty((cap, steps), dtype=DTYPE),
         }
         self._capacity = cap
         self._steps = steps
@@ -334,7 +261,7 @@ class CompiledLstm:
         self._ensure_capacity(n, steps)
         b = self._bufs
         hd = self.hidden_dim
-        # Unflatten into the kernel dtype once; inputs are entries 0..N-2,
+        # Unflatten into float64 once; inputs are entries 0..N-2,
         # targets entries 1..N-1 (the seed's _split).
         shaped = windows.reshape(n, window, self.input_dim)
         xbuf = b["x"][:n]
@@ -377,7 +304,7 @@ class CompiledLstm:
         np.subtract(shaped_pred, targets, out=shaped_pred)
         np.multiply(shaped_pred, shaped_pred, out=shaped_pred)
         err = _mean_last_axis(shaped_pred, b["err"][:n])
-        return np.asarray(np.maximum.reduce(err, axis=1), dtype=np.float64)
+        return np.maximum.reduce(err, axis=1)
 
     def _row_views(self, n: int, window: int) -> tuple:
         """:meth:`row_scores`' buffers seen through their first ``n`` windows.
@@ -399,7 +326,7 @@ class CompiledLstm:
         if n > self._row_capacity or window != self._row_window:
             cap = max(n, 2 * self._row_capacity if window == self._row_window else n, 16)
             self._row_flat = {
-                name: np.empty(cap * size, dtype=self.dtype) for name, size in per_window.items()
+                name: np.empty(cap * size, dtype=DTYPE) for name, size in per_window.items()
             }
             self._row_capacity, self._row_window = cap, window
             self._row_cache.clear()
@@ -432,7 +359,7 @@ class CompiledLstm:
         return views
 
     def row_scores(self, windows: np.ndarray, window: int) -> np.ndarray:
-        """:meth:`window_scores` row-exact (float64 ``per_row=True``): every
+        """:meth:`window_scores` row-exact (``per_row=True``): every
         product is the one the single-window call makes, so row ``i``'s score
         is its ``[1, window * dim]`` call's bit for bit at any height.
 
@@ -453,7 +380,7 @@ class CompiledLstm:
         x, inputs, targets, zx, zh, gc, g, c, hs, per_step, pred, err = self._row_views(
             n, window
         )
-        # The whole window in the kernel dtype: inputs and targets are views.
+        # The whole window in float64: inputs and targets are views.
         np.copyto(x, windows.reshape(x.shape), casting="unsafe")
         # Every step's input projection: n * steps GEMVs, step-major out.
         _gemv_stack(inputs, self.wx, zx)
@@ -485,26 +412,26 @@ class CompiledLstm:
 class CompiledModel:
     """Detector-agnostic fused scorer: ``scores(windows)`` like the seed."""
 
-    def __init__(self, detector, dtype: str = "float32") -> None:
-        self.dtype = dtype
+    def __init__(self, detector) -> None:
         self.window = detector.window
         # Dispatch on the detector's registered name (detector.py imports
         # this module, so its classes cannot be imported here).
         self._kind = getattr(detector, "name", None)
         if self._kind == "autoencoder":
-            self._impl = CompiledAutoencoder(detector, dtype)
+            self._impl = CompiledAutoencoder(detector)
         elif self._kind == "lstm":
-            self._impl = CompiledLstm(detector.model, dtype)
+            self._impl = CompiledLstm(detector.model)
         else:
             raise TypeError(f"cannot compile {type(detector).__name__}")
         self._calls_counter = None
         self._windows_counter = None
-        # Row bytes -> row-exact float64 score: see memo_scores.
+        # Row bytes -> row-exact score: see memo_scores.
         self._memo: dict[bytes, float] = {}
         self._memo_hits = self._memo_misses = self._memo_size = None
+        self._prof_skip = PROFILE_SAMPLE
 
     def attach_metrics(self, metrics) -> None:
-        """Wire repro.obs counters (one series per model kind + dtype)."""
+        """Wire repro.obs counters (one series per model kind)."""
         labels = {"model": self._kind}
         self._memo_hits = metrics.counter(
             "ml.score_memo_hits_total", labels=labels, help="windows answered from the score memo"
@@ -518,7 +445,6 @@ class CompiledModel:
             "ml.score_memo_size", labels=labels, help="entries in the snapshot's score memo"
         )
         self._memo_size.set(len(self._memo))
-        labels = {"model": self._kind, "dtype": self.dtype}
         self._calls_counter = metrics.counter(
             "ml.compiled_calls_total",
             labels=labels,
@@ -547,15 +473,23 @@ class CompiledModel:
             self._windows_counter.value += len(windows)
         prof = _profiler.CURRENT
         if prof is not None:
-            start = time.perf_counter()
-            result = self._scores(windows, per_row)
-            prof.record("ml.compiled.scores", time.perf_counter() - start)
-            return result
+            skip = self._prof_skip - 1
+            if skip == 0:
+                self._prof_skip = PROFILE_SAMPLE
+                start = time.perf_counter()
+                result = self._scores(windows, per_row)
+                prof.record(
+                    "ml.compiled.scores",
+                    (time.perf_counter() - start) * PROFILE_SAMPLE,
+                    calls=PROFILE_SAMPLE,
+                )
+                return result
+            self._prof_skip = skip
         return self._scores(windows, per_row)
 
     def memo_scores(self, windows: np.ndarray) -> np.ndarray:
-        """``scores(windows, per_row=True)`` in float64, each distinct row
-        through the kernels once per snapshot.
+        """``scores(windows, per_row=True)``, each distinct row through the
+        kernels once per snapshot.
 
         Row-exactness makes a score a function of its row's bytes alone, so
         the one remembered under a row's full bytes — never a digest — *is*
@@ -588,11 +522,6 @@ class CompiledModel:
     def _scores(self, windows: np.ndarray, per_row: bool) -> np.ndarray:
         if self._kind == "autoencoder":
             return self._impl.scores(windows, per_row)
-        if per_row and self._impl.dtype == np.float64:
+        if per_row:
             return self._impl.row_scores(windows, self.window)
         return self._impl.window_scores(windows, self.window)
-
-
-def compile_detector(detector, dtype: str = "float32") -> CompiledModel:
-    """Snapshot a fitted detector's weights into fused kernels."""
-    return CompiledModel(detector, dtype)

@@ -33,9 +33,8 @@ def merge_session_groups(window_records) -> list:
 
     Sessionized windowing emits each session's windows contiguously and
     adjacent windows of one session overlap, so a linear connectivity pass
-    reconstructs the per-session record lists exactly. Shared by the
-    float64 session-context scorer and the int8 tier's offline
-    evaluation (:mod:`repro.ml.quantized`).
+    reconstructs the per-session record lists exactly (the LSTM's
+    session-context scorer runs once over each).
     """
     merged: list = []
     current: Optional[set] = None
@@ -63,23 +62,10 @@ class AnomalyDetector(abc.ABC):
         self.threshold = PercentileThreshold(percentile=percentile)
         self.training_scores: Optional[np.ndarray] = None
         self.metrics: Optional[MetricsRegistry] = None
-        # Scoring kernel precision. float64 is exact: scores are
-        # bit-identical to reference_scores(); float32 is the documented
-        # throughput tier (XsecConfig.scoring at deployment).
-        self.scoring_dtype = "float64"
-        # Fused inference kernels over a weight snapshot (repro.ml.compiled):
-        # built by the first scores() after a fit/load, dropped by fit().
+        # Fused float64 inference kernels over a weight snapshot
+        # (repro.ml.compiled), bit-identical to reference_scores(): built by
+        # the first scores() after a fit/load, dropped by fit().
         self._compiled: Optional[CompiledModel] = None
-        # The int8 tier (repro.ml.quantized): with calibrate_int8 set (by
-        # build_detector under scoring="int8"), fit() also runs the int8
-        # calibration pass over the training windows and fits a separate
-        # operating threshold in quantized score space (quantized scores
-        # are not float64 scores, so reusing the float64 threshold would
-        # shift the operating point).
-        self.calibrate_int8 = False
-        self.calibration = None
-        self.quantized_threshold: Optional[PercentileThreshold] = None
-        self.quantized_training_scores: Optional[np.ndarray] = None
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
         """Route training/inference error distributions into a registry."""
@@ -87,39 +73,16 @@ class AnomalyDetector(abc.ABC):
         if self._compiled is not None:
             self._compiled.attach_metrics(metrics)
 
-    def _fit_quantized_tier(self, windows: np.ndarray) -> None:
-        """Calibration + quantized-threshold pass after a fit (if
-        :attr:`calibrate_int8`): the int8 input scale over the training
-        windows, then :attr:`quantized_threshold` at the same percentile on
-        the int8 tier's own training scores."""
-        self.calibration = None
-        self.quantized_threshold = self.quantized_training_scores = None
-        if not self.calibrate_int8:
-            return
-        from repro.ml.quantized import calibrate_windows
-
-        self.calibration = calibrate_windows(windows)
-        self._fit_quantized_threshold(windows)
-
-    def _fit_quantized_threshold(self, windows: np.ndarray) -> None:
-        """Detector-specific quantized threshold fit (no-op by default)."""
-
-    def _set_quantized_operating_point(self, quantized_scores: np.ndarray) -> None:
-        """Fit the quantized threshold; keep its scores for an A1 re-fit."""
-        self.quantized_training_scores = quantized_scores
-        self.quantized_threshold = PercentileThreshold(percentile=self.threshold.percentile)
-        self.quantized_threshold.fit(quantized_scores)
-
     def recompile(self) -> None:
         """Drop the kernel snapshot and its score memo; :meth:`scores` rebuilds."""
         self._compiled = None
 
     @property
     def compiled(self) -> CompiledModel:
-        """The fused kernels over the current weights in ``scoring_dtype``."""
+        """The fused kernels over the current weights."""
         compiled = self._compiled
-        if compiled is None or compiled.dtype != self.scoring_dtype:
-            compiled = self._compiled = CompiledModel(self, self.scoring_dtype)
+        if compiled is None:
+            compiled = self._compiled = CompiledModel(self)
             if self.metrics is not None:
                 compiled.attach_metrics(self.metrics)
         return compiled
@@ -144,7 +107,6 @@ class AnomalyDetector(abc.ABC):
         # live scoring rebuilds one sized for its own batches.
         self.recompile()
         self.threshold.fit(self.training_scores)
-        self._fit_quantized_tier(windows)
         if self.metrics is not None:
             loss_hist = self.metrics.histogram(
                 f"ml.{self.name}.epoch_loss", buckets=_ERROR_BUCKETS
@@ -167,22 +129,22 @@ class AnomalyDetector(abc.ABC):
     def scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
         """Anomaly score per window (higher = more anomalous).
 
-        ``per_row=True`` is the live path's row-exact batch mode: in
-        float64, ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]``
-        bit for bit at any batch height (see :mod:`repro.ml.compiled`) — a
+        ``per_row=True`` is the live path's row-exact batch mode:
+        ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]`` bit
+        for bit at any batch height (see :mod:`repro.ml.compiled`) — a
         function of row ``i``'s bytes alone, so the snapshot's bounded memo
         answers rows it has scored before and only the rest reach the
         kernels. The default scores the batch through full-height GEMMs (no
-        memo, like float32) — what training thresholds and the offline
-        tables are computed with.
+        memo) — what training thresholds and the offline tables are
+        computed with.
         """
-        # The kernels convert into their own dtype buffers, so only the
-        # shape is checked here (no float64 up-conversion).
+        # The kernels convert into their own buffers, so only the shape is
+        # checked here (no float64 up-conversion).
         compiled = self.compiled
         windows = self._check(windows, dtype=None)
-        if per_row and compiled.dtype == "float64" and len(windows):
+        if per_row and len(windows):
             return compiled.memo_scores(windows)
-        return compiled.scores(windows, per_row)
+        return compiled.scores(windows)
 
     def reference_scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
         """:meth:`scores` by walking the model's layer objects in float64 —
@@ -337,28 +299,4 @@ class LstmDetector(AnomalyDetector):
         self.recompile()  # weights changed: the kernel snapshot is stale
         self.training_scores = self.session_window_scores(windowed)
         self.threshold.fit(self.training_scores)
-        # Quantized tier: calibrate, then fit its threshold on quantized
-        # *session-context* scores — same scoring semantics the threshold
-        # above uses in float64.
-        self.calibration = None
-        self.quantized_threshold = self.quantized_training_scores = None
-        if self.calibrate_int8:
-            from repro.ml.quantized import QuantizedLstmEngine, calibrate_windows
-
-            self.calibration = calibrate_windows(windows)
-            engine = QuantizedLstmEngine(self, self.calibration)
-            self._set_quantized_operating_point(engine.session_window_scores(windowed))
         return report
-
-    def _fit_quantized_threshold(self, windows: np.ndarray) -> None:
-        """Fit the quantized tier's operating threshold on its own scores.
-
-        A fresh engine snapshots the just-trained weights; its window-mode
-        training scores define the percentile operating point in quantized
-        score space (mirroring how the float64 threshold is fit on float64
-        training scores).
-        """
-        from repro.ml.quantized import QuantizedLstmEngine
-
-        engine = QuantizedLstmEngine(self, self.calibration)
-        self._set_quantized_operating_point(engine.window_scores(windows, self.window))

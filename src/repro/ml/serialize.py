@@ -70,7 +70,7 @@ def dumps_detector(detector: AnomalyDetector) -> bytes:
     arrays = {f"param_{i}": value for i, value in enumerate(_params_of(detector))}
     if detector.training_scores is not None:
         arrays["training_scores"] = detector.training_scores
-    arrays["meta"] = np.frombuffer(wire.encode(_meta_for(detector)), dtype=np.uint8)
+    arrays["meta"] = np.frombuffer(wire.encode(_meta_for(detector)), dtype=np.ubyte)
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     return buffer.getvalue()

@@ -2,8 +2,8 @@
 
 Two complementary mechanisms, both stdlib-only:
 
-- **explicit hooks** — instrumented call sites (the incremental scorer,
-  compiled kernels, sharded-SDL ops) report
+- **explicit hooks** — instrumented call sites (MobiWatch's ingest and
+  score stages, the compiled kernels, sharded-SDL ops) report
   wall-clock durations under stable stage names. Coarse call
   sites use the :func:`profile_block` context manager; per-call-microsecond
   sites use the inline pattern below so an *inactive* profiler costs one

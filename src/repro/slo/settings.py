@@ -11,9 +11,9 @@ The independent switches:
 - ``enabled`` — the SLO engine (declarative objectives evaluated over
   sliding windows with multi-window burn-rate alerting), the per-incident
   provenance store, and the component health scoreboard.
-- ``profiler`` — explicit ``profile_block()`` hooks in the incremental scorer,
-  compiled kernels and sharded-SDL ops start recording
-  per-stage self time (off = the hooks are a single ``is None`` check).
+- ``profiler`` — explicit ``profile_block()`` hooks in MobiWatch's
+  ingest and score stages, the compiled kernels and sharded-SDL ops start
+  recording per-stage self time (off = the hooks are a single ``is None`` check).
 - ``sampling_profiler`` — a background thread additionally samples every
   thread's Python stack at ``sampling_interval_s``, aggregated into
   collapsed (flamegraph-format) stacks.

@@ -14,7 +14,10 @@ alike, and both must be read by the program.
 
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,8 +37,8 @@ FAMILIES = {
     if type(getattr(XsecConfig(), f.name)).__name__.endswith("Settings")
 }
 
-# The families dissolved into XsecConfig.scoring / evict_on_release /
-# evict_idle_s, and ``scale``, folded into ``runtime``: their flags stay
+# The families dissolved into XsecConfig.scoring (itself deleted since) /
+# evict_on_release / evict_idle_s, and ``scale``, folded into ``runtime``: their flags stay
 # deleted because the family does. A deleted family is named by its class
 # name, a string derived from its XsecConfig field (``scale`` -> "Scale"
 # + "Settings").
@@ -67,7 +70,7 @@ DELETED = [
     (HOTPATH, "self_check"),
     (HOTPATH, "float32_rtol"),
     (HOTPATH, "float32_atol"),
-    # One value ever in use: constants of repro.ml.quantized.
+    # One value ever in use: constants of the int8 tier (deleted since).
     (MEGABATCH, "state_dtype"),
     (MEGABATCH, "calibration"),
     (MEGABATCH, "calibration_percentile"),
@@ -109,6 +112,8 @@ DELETED = [
     (RuntimeSettings, "drop_policy"),
     (RuntimeSettings, "drain_timeout_s"),
     (RuntimeSettings, "start_method"),
+    # One scoring tier: float64 "exact" is the only way a window is scored.
+    (XsecConfig, "scoring"),
 ]
 
 
@@ -134,9 +139,9 @@ def test_frozen_benchmark_flag_names():
     what it does not find: a rename would silently turn ``replay_storm_fast``
     into ``replay_storm``. They move only in a benchmark-only PR.
 
-    FAST_LANES also names ``hotpath.dtype``, set to its default
-    ``"float64"``: with the family gone it is skipped, which changes
-    nothing (``XsecConfig.scoring`` defaults to ``"exact"``)."""
+    FAST_LANES also names ``hotpath.dtype``, set to ``"float64"``: with the
+    family gone it is skipped, which changes nothing (float64 is the one
+    precision MobiWatch scores in)."""
     config = XsecConfig()
     assert {"verdict_cache", "coalesce"} <= {
         f.name for f in dataclasses.fields(config.llmfast)
@@ -214,6 +219,24 @@ def test_promoted_flags_stay_deleted(settings, name):
         settings(**{name: True})
 
 
+def test_scoring_tier_cannot_be_selected():
+    """Not even the tier that survived: there is nothing to choose."""
+    with pytest.raises(TypeError):
+        XsecConfig(scoring="exact")
+
+
+def test_deleted_bench_is_a_usage_error():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", "bench", "megabatch"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert "invalid choice: 'megabatch'" in run.stderr
+
+
 def test_settings_field_total():
     """The whole surface, families and top level: 79 family fields before
     the eleven promoted flags were deleted, 68 before the columnar lane, the
@@ -222,7 +245,8 @@ def test_settings_field_total():
     shell families dissolved into one scoring choice; 66 before the
     compiled trainer and its ``trainer_dtype`` were deleted; 65 before
     ``scale`` (7) folded into ``runtime`` (17 -> 11 fields) and the family
-    went from the top level: 52 = 29 family + 23 top-level."""
+    went from the top level; 52 before ``scoring`` and its four non-exact
+    tiers were deleted: 51 = 29 family + 22 top-level."""
     family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
     top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 52
+    assert family_fields + top_level <= 51

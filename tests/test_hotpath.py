@@ -1,17 +1,14 @@
-"""The scoring tiers: equality contracts and wiring.
+"""The scoring hot path: equality contracts and wiring.
 
 The hot path trades work for speed only where the result is provably the
 same, so almost every test here is an equality test:
 
-- defaults keep scoring exact (``scoring="exact"``: float64 kernels, no
-  incremental scorer);
 - the float64 kernels ``scores()`` runs are bit-identical to the
-  layer-walking ``reference_scores()``;
-- the cached incremental scorer equals its batch replay bitwise in
-  float64 (and within the documented tolerance in float32);
+  layer-walking ``reference_scores()``, also row by row in the row-exact
+  batch mode;
 - the wire codec reproduces the recursive reference encoder's bytes;
-- live pipeline runs produce the same anomaly events as their reference
-  counterpart — checked per attack scenario.
+- a live pipeline run produces the same anomaly events as its reference
+  counterpart.
 """
 
 import copy
@@ -36,51 +33,10 @@ from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
-from repro.ml.incremental import IncrementalLstmScorer
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
 from repro.telemetry import encoder
 from repro.telemetry.mobiflow import MobiFlowRecord
-
-# The float32 tiers' documented score tolerance against the float64 path
-# (scoring="float32" / "incremental-float32": fused kernels and the
-# incremental step).
-FLOAT32_RTOL = 1e-4
-FLOAT32_ATOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# settings
-
-
-class TestHotpathSettings:
-    """``XsecConfig.scoring``: one named, validated choice of tier."""
-
-    def test_defaults_all_off(self):
-        assert XsecConfig().scoring == "exact"
-
-    def test_incremental_implies_arena(self):
-        """The arena (the incremental replay's row history) is always there."""
-        for scoring in ("exact", "incremental"):
-            with SixGXSec(XsecConfig(detector="lstm", scoring=scoring)) as xsec:
-                assert isinstance(xsec.mobiwatch._arena, SessionWindowArena)
-
-    def test_incremental_dtype_follows_compiled_float32(self):
-        """The incremental step runs in the tier's ``dtype``."""
-        detector = LstmDetector(window=4, feature_dim=5, hidden_dim=6)
-        for dtype in ("float64", "float32"):
-            assert IncrementalLstmScorer(detector, dtype=dtype).dtype == np.dtype(dtype)
-
-    def test_bad_dtype_rejected(self):
-        with pytest.raises(ValueError, match="scoring"):
-            XsecConfig(scoring="float16")
-
-    def test_bad_mode_rejected(self):
-        """There is no replay tier to select: the replay is the tests'
-        oracle (``run_live_replay``), not a scoring value."""
-        with pytest.raises(ValueError, match="scoring"):
-            XsecConfig(detector="lstm", scoring="replay")
-
 
 # ---------------------------------------------------------------------------
 # arena
@@ -104,7 +60,6 @@ class TestSessionWindowArena:
         for row in rows:
             arena.append(1, row)
         assert np.array_equal(arena.window_rows(1), rows[-3:])
-        assert np.array_equal(arena.session_rows(1), rows)
         assert arena.session_length(1) == 9
 
     def test_growth_keeps_old_views_valid(self):
@@ -136,7 +91,8 @@ class TestSessionWindowArena:
         arena.append(1, np.ones(2, dtype=np.float32))
         arena.append(2, np.full(2, 3.0, dtype=np.float32))
         assert 1 in arena and 2 in arena and 3 not in arena
-        assert sorted(arena.session_ids()) == [1, 2]
+        assert len(arena) == 2
+        assert np.array_equal(arena.window_rows(2)[-1], np.full(2, 3.0))
         sessions, allocated = arena.stats()
         assert sessions == 2 and allocated > 0
 
@@ -144,8 +100,6 @@ class TestSessionWindowArena:
         arena = SessionWindowArena(dim=2, window=2)
         with pytest.raises(KeyError):
             arena.window_rows(42)
-        with pytest.raises(KeyError):
-            arena.session_rows(42)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +125,6 @@ class TestCompiledKernels:
         windows = _windows(17, 4, 9, seed=11)
         reference = detector.reference_scores(windows)
         fast = detector.scores(windows)
-        assert detector.compiled.dtype == "float64"
         assert fast.dtype == np.float64
         assert np.array_equal(reference, fast)
 
@@ -181,32 +134,6 @@ class TestCompiledKernels:
         reference = detector.reference_scores(windows)
         fast = detector.scores(windows)
         assert np.array_equal(reference, fast)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: AutoencoderDetector(window=4, feature_dim=9, hidden_dim=12, latent_dim=5, seed=3),
-            lambda: LstmDetector(window=5, feature_dim=7, hidden_dim=10, seed=4),
-        ],
-        ids=["autoencoder", "lstm"],
-    )
-    def test_float32_within_documented_tolerance(self, make):
-        detector = make()
-        windows = _windows(16, detector.window, detector.feature_dim, seed=13)
-        reference = detector.reference_scores(windows)
-        detector.scoring_dtype = "float32"
-        fast = detector.scores(windows)
-        assert detector.compiled.dtype == "float32"
-        assert fast.dtype == np.float64  # scores stay float64 outward
-        assert np.allclose(reference, fast, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
-
-    def test_float32_accepts_float32_input_without_copy_semantics_change(self):
-        detector = AutoencoderDetector(window=3, feature_dim=5, hidden_dim=8, latent_dim=4, seed=5)
-        windows64 = _windows(9, 3, 5, seed=14)
-        detector.scoring_dtype = "float32"
-        from_f64 = detector.scores(windows64)
-        from_f32 = detector.scores(windows64.astype(np.float32))
-        assert np.array_equal(from_f64, from_f32)
 
     def test_fit_invalidates_snapshot(self):
         detector = AutoencoderDetector(window=2, feature_dim=3, hidden_dim=4, latent_dim=2, seed=6)
@@ -353,17 +280,6 @@ class TestRowExactKernels:
             pytest.skip("this BLAS issues height-independent GEMMs")
 
     @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
-    def test_float32_per_row_is_the_fused_gemm(self, kind):
-        detector = copy.deepcopy(_row_detector(kind))
-        matrix = _row_batch(24, "one-hot", 3)
-        reference = detector.reference_scores(matrix)
-        detector.scoring_dtype = "float32"
-        fused = detector.scores(matrix)
-        per_row = detector.scores(matrix, per_row=True)
-        assert per_row.tobytes() == fused.tobytes()
-        assert np.allclose(reference, per_row, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
-
-    @pytest.mark.parametrize("kind", sorted(_ROW_DETECTORS))
     def test_growing_buffers_never_leak_stale_rows(self, kind):
         detector = copy.deepcopy(_row_detector(kind))
         oracle = copy.deepcopy(detector)  # its buffers only ever see one row
@@ -383,95 +299,6 @@ class TestRowExactKernels:
         for clone in (copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
             for matrix, expect in zip(batches[::-1], want[::-1]):
                 assert clone.scores(matrix, per_row=True).tobytes() == expect
-
-
-# ---------------------------------------------------------------------------
-# incremental scorer
-
-
-def _lstm_detector(seed=8):
-    return LstmDetector(window=4, feature_dim=5, hidden_dim=6, seed=seed)
-
-
-def _session_rows(n=12, dim=5, seed=21):
-    return np.random.default_rng(seed).random((n, dim)).astype(np.float32)
-
-
-class TestIncrementalLstmScorer:
-    def test_requires_lstm_detector(self):
-        ae = AutoencoderDetector(window=3, feature_dim=5, hidden_dim=6, latent_dim=3)
-        with pytest.raises(TypeError):
-            IncrementalLstmScorer(ae)
-
-    def test_cached_errors_bitwise_equal_replay(self):
-        scorer = IncrementalLstmScorer(_lstm_detector())
-        rows = _session_rows()
-        pushed = [scorer.push(1, row) for row in rows]
-        replayed = scorer.replay_errors(rows)
-        assert np.array_equal(np.asarray(pushed), replayed)
-        assert np.array_equal(scorer.record_errors(1), replayed)
-
-    def test_window_scores_bitwise_equal_replay_at_every_length(self):
-        scorer = IncrementalLstmScorer(_lstm_detector())
-        rows = _session_rows(n=10)
-        for k, row in enumerate(rows, start=1):
-            scorer.push(3, row)
-            assert scorer.window_score(3) == scorer.replay_window_score(rows[:k])
-
-    def test_first_record_error_is_zero(self):
-        scorer = IncrementalLstmScorer(_lstm_detector())
-        assert scorer.push(1, _session_rows(n=1)[0]) == 0.0
-        assert scorer.window_score(1) == 0.0
-
-    def test_warm_up_equals_record_by_record_ingest(self):
-        rows = _session_rows(n=9, seed=22)
-        one = IncrementalLstmScorer(_lstm_detector())
-        for row in rows:
-            one.push(1, row)
-        two = IncrementalLstmScorer(_lstm_detector())
-        two.warm_up(1, rows)
-        assert np.array_equal(one.record_errors(1), two.record_errors(1))
-        assert one.window_score(1) == two.window_score(1)
-
-    def test_sessions_do_not_share_state(self):
-        scorer = IncrementalLstmScorer(_lstm_detector())
-        rows_a = _session_rows(n=8, seed=23)
-        rows_b = _session_rows(n=8, seed=24)
-        for ra, rb in zip(rows_a, rows_b):
-            scorer.push(1, ra)
-            scorer.push(2, rb)
-        assert np.array_equal(scorer.record_errors(1), scorer.replay_errors(rows_a))
-        assert np.array_equal(scorer.record_errors(2), scorer.replay_errors(rows_b))
-
-    def test_replay_mode_is_reference(self):
-        """The replay needs nothing but the rows: no carried state, no
-        pushes; the carried state's score equals it and ignores ``rows``."""
-        scorer = IncrementalLstmScorer(_lstm_detector())
-        rows = _session_rows()
-        cached = IncrementalLstmScorer(_lstm_detector())
-        cached.warm_up(1, rows)
-        assert scorer.replay_window_score(rows) == cached.window_score(1)
-        assert cached.window_score(1, rows=rows[:3]) == cached.window_score(1)
-        with pytest.raises(ValueError):
-            scorer.replay_window_score(rows[:0])
-
-    def test_float32_mode_within_documented_tolerance(self):
-        scorer = IncrementalLstmScorer(_lstm_detector(), dtype="float32")
-        reference = IncrementalLstmScorer(_lstm_detector())
-        rows = _session_rows(n=14, seed=27)
-        scorer.warm_up(1, rows)
-        reference.warm_up(1, rows)
-        assert np.allclose(
-            scorer.record_errors(1),
-            reference.record_errors(1),
-            rtol=FLOAT32_RTOL,
-            atol=FLOAT32_ATOL,
-        )
-
-    def test_empty_session_rejected(self):
-        scorer = IncrementalLstmScorer(_lstm_detector())
-        with pytest.raises(KeyError):
-            scorer.window_score(99)
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +457,6 @@ def _train(detector_name, benign_windows):
 
 
 @pytest.fixture(scope="module")
-def trained_lstm(benign_windows):
-    return _train("lstm", benign_windows)
-
-
-@pytest.fixture(scope="module")
 def trained_autoencoder(benign_windows):
     return _train("autoencoder", benign_windows)
 
@@ -670,11 +492,9 @@ ATTACK_SCENARIOS = {
 }
 
 
-def run_live(
-    detector, scoring, attack=None, seed=77, until=20.0, net_kwargs=None, percentile=None
-):
+def run_live(detector, attack=None, seed=77, until=20.0, net_kwargs=None, percentile=None):
     """One live pipeline run with a pre-trained detector copy deployed."""
-    config = XsecConfig(detector=detector.name, train_epochs=6, scoring=scoring)
+    config = XsecConfig(detector=detector.name, train_epochs=6)
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
     xsec.deploy_detector(copy.deepcopy(detector))
     if percentile is not None:
@@ -690,33 +510,12 @@ def run_live(
     return xsec
 
 
-def run_live_reference(detector, scoring, **kwargs):
+def run_live_reference(detector, **kwargs):
     """``run_live`` with every ``scores()`` call swapped for the layer-walking
     ``reference_scores()`` — the reference the default path must equal."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
-        return run_live(detector, scoring, **kwargs)
-
-
-def run_live_replay(detector, scoring, **kwargs):
-    """``run_live`` with the incremental scorer's window score swapped for
-    the batch replay (``replay_window_score`` over the session rows MobiWatch
-    passes) — the reference the carried state must equal. In float64 every
-    carried-state score is also held to the replay's as it is produced.
-    Returns ``(xsec, window scores replayed)``."""
-    carried = IncrementalLstmScorer._window_score
-    replays = []
-
-    def replayed(self, session_id, rows):
-        reference = self.replay_window_score(rows)
-        if self.dtype == np.float64:
-            assert carried(self, session_id, rows) == reference
-        replays.append(session_id)
-        return reference
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(IncrementalLstmScorer, "_window_score", replayed)
-        return run_live(detector, scoring, **kwargs), len(replays)
+        return run_live(detector, **kwargs)
 
 
 def event_tuples(xsec):
@@ -738,22 +537,10 @@ def event_tuples(xsec):
 class TestDefaultsAreSeedPath:
     def test_default_config_keeps_seed_components(self, trained_autoencoder):
         xsec = SixGXSec(XsecConfig())
-        assert xsec.mobiwatch._incremental is None
+        assert xsec.mobiwatch._batch_scores is None
         xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
-        assert xsec.mobiwatch.detector.scoring_dtype == "float64"
+        assert xsec.mobiwatch._batch_scores == xsec.mobiwatch._gathered_scores
         assert xsec.mobiwatch._scoring_path == "seed"
-        assert xsec.mobiwatch._incremental is None
-
-    def test_incremental_needs_lstm(self, trained_autoencoder):
-        # The contradiction is refused where it is written, naming both
-        # fields, not logged and ignored at deploy time.
-        with pytest.raises(ValueError, match="scoring.*detector"):
-            XsecConfig(scoring="incremental")
-        # A deployment configured for the LSTM refuses any other detector.
-        xsec = SixGXSec(XsecConfig(detector="lstm", scoring="incremental"))
-        with pytest.raises(ValueError, match="LSTM"):
-            xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
-        assert xsec.mobiwatch.detector is None
 
 
 class TestLiveSeedEquivalence:
@@ -764,11 +551,10 @@ class TestLiveSeedEquivalence:
 
     @pytest.fixture(scope="class")
     def seed_run(self, trained_autoencoder):
-        return run_live_reference(trained_autoencoder, "exact", **self.SCENARIO)
+        return run_live_reference(trained_autoencoder, **self.SCENARIO)
 
     def test_arena_and_compiled_f64_bit_identical(self, trained_autoencoder, seed_run):
-        fast = run_live(trained_autoencoder, "exact", **self.SCENARIO)
-        assert fast.mobiwatch.detector.compiled.dtype == "float64"
+        fast = run_live(trained_autoencoder, **self.SCENARIO)
         assert fast.mobiwatch.records_seen == seed_run.mobiwatch.records_seen
         assert fast.mobiwatch.windows_scored == seed_run.mobiwatch.windows_scored
         assert event_tuples(fast) == event_tuples(seed_run)
@@ -782,58 +568,3 @@ class TestLiveSeedEquivalence:
             padded = np.zeros((config.window, config.spec.dim), dtype=stacked.dtype)
             padded[config.window - len(stacked) :] = stacked
             assert detector.reference_scores(padded.reshape(1, -1))[0] == event.score
-
-    def test_compiled_f32_no_threshold_flips(self, trained_autoencoder, seed_run):
-        fast = run_live(trained_autoencoder, "float32", **self.SCENARIO)
-        assert fast.mobiwatch._scoring_path == "compiled-float32"
-        ref_events = event_tuples(seed_run)
-        f32_events = event_tuples(fast)
-        # Same flagged windows in the same order (no threshold decision
-        # flipped), scores within the documented float32 tolerance.
-        assert [e[:4] + (e[6], e[7]) for e in f32_events] == [
-            e[:4] + (e[6], e[7]) for e in ref_events
-        ]
-        for ref, fast_ev in zip(ref_events, f32_events):
-            assert np.isclose(ref[4], fast_ev[4], rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
-
-
-class TestAttackScenarioEquality:
-    """Satellite: identical events across all five attacks, cached vs replay.
-
-    The replay run also holds every single carried-state window score to
-    the batch replay as it is produced — the float64 contract is exact
-    equality.
-    """
-
-    @pytest.mark.parametrize("scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS))
-    def test_cached_equals_replay(self, trained_lstm, scenario):
-        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
-        cached = run_live(trained_lstm, "incremental", attack=factory, net_kwargs=net_kwargs)
-        replay, replays = run_live_replay(
-            trained_lstm, "incremental", attack=factory, net_kwargs=net_kwargs
-        )
-        assert cached.mobiwatch._incremental is not None
-        assert cached.mobiwatch._scoring_path == "incremental-float64"
-        assert cached.mobiwatch.records_seen == replay.mobiwatch.records_seen
-        assert cached.mobiwatch.windows_scored == replay.mobiwatch.windows_scored
-        assert cached.mobiwatch.windows_scored > 0
-        assert event_tuples(cached) == event_tuples(replay)
-        assert replays == cached.mobiwatch.windows_scored
-
-    def test_float32_cached_no_threshold_flips(self, trained_lstm):
-        """Float32 incremental mode: tolerance only, no decision changes."""
-        factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
-        f32 = run_live(
-            trained_lstm, "incremental-float32", attack=factory, net_kwargs=net_kwargs
-        )
-        assert f32.mobiwatch._scoring_path == "incremental-float32"
-        replay, _ = run_live_replay(
-            trained_lstm, "incremental", attack=factory, net_kwargs=net_kwargs
-        )
-        f32_events = event_tuples(f32)
-        ref_events = event_tuples(replay)
-        assert [e[:4] + (e[6], e[7]) for e in f32_events] == [
-            e[:4] + (e[6], e[7]) for e in ref_events
-        ]
-        for ref, fast in zip(ref_events, f32_events):
-            assert np.isclose(ref[4], fast[4], rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)

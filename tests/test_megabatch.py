@@ -1,15 +1,12 @@
-"""Tests for per-tick batched scoring, the quantized int8 tier
-(``scoring="int8"``, repro.ml.quantized), session eviction, and the
-hot-path scoring bugfixes.
+"""Tests for per-tick batched scoring, session eviction, and the hot-path
+scoring bugfixes.
 
 The contracts enforced here:
 
-- defaults are the exact inline path (no quantization, no eviction);
+- defaults are the exact inline path (no eviction);
 - the inline path's one row-exact call per tick produces bit-identical
   AnomalyEvents to the layer-walking reference scoring every window on
   its own, on every attack scenario;
-- the quantized tier's Table-2-style detection metrics stay within
-  ``QUANTIZED_METRIC_TOL`` of the float64 path per attack scenario;
 - a quiet short session is scored exactly once no matter how many times
   it was touched (single pending maturity check);
 - per-session state is bounded: release- and idle-driven eviction drop
@@ -34,26 +31,8 @@ from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.core.mobiwatch import RRC_RELEASE_MSG, XSEC_ANOMALY_MTYPE, MobiWatchXApp
 from repro.experiments.colosseum import ColosseumScenario, run_scenario
-from repro.experiments.datasets import (
-    AttackDatasetConfig,
-    BenignDatasetConfig,
-    generate_attack_dataset,
-    generate_benign_dataset,
-)
-from repro.bench import driver
-from repro.bench import megabatch as megabatch_bench
-from repro.bench.megabatch import (
-    MEGABATCH_SPEEDUP_MIN,
-    QUANTIZED_SPEEDUP_MIN,
-    MegabatchBenchResult,
-)
-from repro.ml.detector import AnomalyDetector, AutoencoderDetector, LstmDetector
-from repro.ml.quantized import (
-    QUANTIZED_METRIC_TOL,
-    QuantizedLstmEngine,
-    calibrate_windows,
-)
-from repro.ml.metrics import DetectionMetrics
+from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
+from repro.ml.detector import AnomalyDetector, AutoencoderDetector
 from repro.obs.metrics import BULK_OBSERVE_MIN, Histogram
 from repro.oran.e2ap import RicIndication
 from repro.oran.e2sm_kpm import MOBIFLOW_RAN_FUNCTION_ID, MobiFlowKpmModel
@@ -61,11 +40,8 @@ from repro.oran.ric import NearRtRic
 from repro.ran.core_network import AmfConfig
 from repro.ran.links import InterfaceLink
 from repro.ran.network import NetworkConfig
-from repro.runtime.settings import RuntimeSettings
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
-
-from tests.test_hotpath import FLOAT32_ATOL, FLOAT32_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -73,20 +49,12 @@ from tests.test_hotpath import FLOAT32_ATOL, FLOAT32_RTOL
 
 
 class TestMegabatchSettings:
-    """The int8 tier is ``scoring="int8"``; eviction is two top-level knobs."""
+    """Eviction is two top-level knobs; there is one way to score."""
 
     def test_defaults_are_seed_path(self):
         config = XsecConfig()
-        assert config.scoring == "exact"
         assert not config.evict_on_release
         assert config.evict_idle_s == 0.0
-
-    def test_quantized_implies_batching(self):
-        """The int8 tier scores a tick as one batch through the one walker,
-        and build_detector makes its fit run the calibration pass."""
-        config = XsecConfig(detector="lstm", scoring="int8")
-        assert build_detector(config).calibrate_int8
-        assert not build_detector(XsecConfig(detector="lstm")).calibrate_int8
 
     def test_eviction_switches(self):
         """Either knob turns eviction on: the counter exists, the idle
@@ -102,23 +70,18 @@ class TestMegabatchSettings:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            # The scoring tiers are deleted: float64 "exact" is the one path.
             {"scoring": "float16"},
             {"scoring": "incremental"},
             {"scoring": "int8", "detector": "autoencoder"},
             {"evict_idle_s": -1.0},
-            {
-                "detector": "lstm",
-                "scoring": "incremental-float32",
-                "runtime": RuntimeSettings(score_in_processes=True),
-            },
-            # The knobs that only ever held one value are constants of
-            # repro.ml.quantized; the sweep period is evict_idle_s / 2.
+            # Knobs deleted earlier; the sweep period is evict_idle_s / 2.
             {"state_dtype": "float64"},
             {"evict_sweep_s": 0.0},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
-        error = TypeError if set(kwargs) & {"state_dtype", "evict_sweep_s"} else ValueError
+        error = ValueError if "evict_idle_s" in kwargs else TypeError
         with pytest.raises(error):
             XsecConfig(**kwargs)
 
@@ -181,66 +144,6 @@ class TestObserveMany:
         hist.observe_many([])
         assert hist.count == 0
         assert hist.min is None
-
-
-# ---------------------------------------------------------------------------
-# quantized engine units
-
-
-def _tiny_lstm(seed=5, window=4, dim=6):
-    rng = np.random.default_rng(seed)
-    windows = rng.random((60, window * dim)) * 0.2
-    detector = LstmDetector(window=window, feature_dim=dim, hidden_dim=8, seed=seed)
-    detector.fit(windows, epochs=2)
-    return detector, windows
-
-
-class TestQuantizedEngine:
-    def test_requires_lstm(self):
-        detector = AutoencoderDetector(window=4, feature_dim=6, seed=0)
-        calibration = calibrate_windows(np.random.default_rng(0).random((4, 24)))
-        with pytest.raises(TypeError):
-            QuantizedLstmEngine(detector, calibration)
-
-    def test_calibration_minmax(self):
-        windows = np.zeros((3, 8))
-        windows[0, 0] = 2.54
-        minmax = calibrate_windows(windows)
-        assert minmax.method == "minmax"
-        assert minmax.input_scale == pytest.approx(2.54 / 127.0)
-        assert minmax.observed_abs_max == 2.54
-
-    def test_live_steps_match_offline_replay(self):
-        detector, windows = _tiny_lstm()
-        calibration = calibrate_windows(windows)
-        engine = QuantizedLstmEngine(detector, calibration)
-        rows = windows[0].reshape(detector.window, detector.feature_dim)
-        for row in rows:
-            engine.megastep([9], row.reshape(1, -1))
-        live = engine.window_score(9)
-        offline = float(engine.record_errors_for_rows(rows).max())
-        assert live == pytest.approx(offline, rel=1e-6)
-        assert np.isfinite(live)
-
-    def test_release_frees_slot(self):
-        detector, windows = _tiny_lstm()
-        engine = QuantizedLstmEngine(detector, calibrate_windows(windows))
-        engine.megastep([1, 2], windows[:2, : detector.feature_dim])
-        assert engine.session_count(1) == 1
-        assert engine.release(1)
-        assert not engine.release(1)
-        assert engine.sessions == 1
-        assert engine.session_count(1) == 0
-        with pytest.raises(KeyError):
-            engine.window_score(1)
-
-    def test_fit_populates_calibration_and_threshold(self):
-        detector, windows = _tiny_lstm(seed=11)
-        detector.calibrate_int8 = True
-        detector.fit(windows, epochs=2)
-        assert detector.calibration is not None
-        assert detector.quantized_threshold is not None
-        assert detector.quantized_threshold.threshold is not None
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +364,6 @@ ATTACK_SCENARIOS = {
 
 def run_live(
     detector,
-    scoring="exact",
     attack=None,
     seed=77,
     until=20.0,
@@ -481,10 +383,9 @@ def run_live(
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
             return run_live(
-                detector, scoring, attack, seed, until, net_kwargs,
-                deploy_copy=deploy_copy, fleet=fleet,
-            )  # fmt: skip
-    config = XsecConfig(detector=detector.name, train_epochs=6, scoring=scoring)
+                detector, attack, seed, until, net_kwargs, deploy_copy=deploy_copy, fleet=fleet
+            )
+    config = XsecConfig(detector=detector.name, train_epochs=6)
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
     xsec.deploy_detector(copy.deepcopy(detector) if deploy_copy else detector)
     for profile in ("pixel5", "oai_ue"):
@@ -525,22 +426,9 @@ class TestDefaultsAreSeedPath:
         xsec = SixGXSec(XsecConfig())
         xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
         watch = xsec.mobiwatch
-        assert watch._quantized is None
-        assert watch._incremental is None
         assert watch._batch_scores == watch._gathered_scores
         assert watch._track_touch is False
         assert watch._scoring_path == "seed"
-
-    def test_quantized_needs_calibrated_lstm(self, trained_lstm):
-        # The fixture LSTM was fitted without the calibration pass (built
-        # under scoring="exact"): the int8 tier refuses it at deploy time
-        # instead of scoring on some other tier.
-        xsec = SixGXSec(XsecConfig(detector="lstm", scoring="int8"))
-        with pytest.raises(ValueError, match="calibration"):
-            xsec.deploy_detector(copy.deepcopy(trained_lstm))
-        assert xsec.mobiwatch._quantized is None
-        assert xsec.mobiwatch._batch_scores is None
-
 
 class TestMegabatchScenarioEquality:
     """The float64 contract: one row-exact call per tick == every window
@@ -628,23 +516,6 @@ class TestMegabatchScenarioEquality:
         hits, misses, size, _, kernel_windows = passes[0][0]
         assert hits > 0 and misses == size == kernel_windows
 
-    def test_megabatch_f32_no_threshold_flips(self, trained_lstm):
-        factory, net_kwargs = ATTACK_SCENARIOS["bts_dos"]
-        seed_run = run_live(
-            trained_lstm, attack=factory, net_kwargs=net_kwargs, reference_scorer=True
-        )
-        f32 = run_live(trained_lstm, "float32", attack=factory, net_kwargs=net_kwargs)
-        ref_events = event_tuples(seed_run)
-        f32_events = event_tuples(f32)
-        # Same flagged windows in the same order, scores within the
-        # documented float32 tolerance.
-        assert [e[:4] + (e[6], e[7]) for e in f32_events] == [
-            e[:4] + (e[6], e[7]) for e in ref_events
-        ]
-        for ref, fast in zip(ref_events, f32_events):
-            assert np.isclose(ref[4], fast[4], rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
-
-
 class NonzeroCountDetector(AutoencoderDetector):
     """Scores without a BLAS in them: ``count_nonzero(window) % 7``.
 
@@ -716,195 +587,3 @@ class TestParentEventLog:
         assert got["alarms"] == recorded["alarms"]
         for total in ("sim_events_total", "records_seen", "windows_scored"):
             assert got[total] == recorded[total]
-
-
-class TestQuantizedLive:
-    def test_quantized_tier_scores_live_traffic(self, benign_windows):
-        config = XsecConfig(
-            detector="lstm", train_epochs=6, scoring="int8", evict_on_release=True
-        )
-        detector = build_detector(config)
-        detector.fit(np.asarray(benign_windows), epochs=6, lr=config.train_lr)
-        assert detector.calibration is not None
-        xsec = SixGXSec(config, network_config=NetworkConfig(seed=77))
-        xsec.deploy_detector(detector)
-        assert xsec.mobiwatch._quantized is not None
-        assert xsec.mobiwatch._scoring_path.startswith("quantized-int8-")
-        for profile in ("pixel5", "oai_ue"):
-            ue = xsec.net.add_ue(profile)
-            xsec.net.sim.schedule(0.5, ue.start_session)
-        xsec.run(until=20.0)
-        assert xsec.mobiwatch.windows_scored > 0
-        assert xsec.mobiwatch.sessions_evicted > 0
-        # Eviction bounded the carried state to the still-live sessions.
-        engine = xsec.mobiwatch._quantized
-        assert engine.sessions == len(xsec.mobiwatch._session_records)
-
-    def test_a1_threshold_policy_moves_the_quantized_operating_point(self, quantized_lstm):
-        """The quantized tier alarms on ``quantized_threshold``: a percentile
-        policy that re-fits only the float64 threshold changes no alarm."""
-        detector = copy.deepcopy(quantized_lstm)
-        config = XsecConfig(detector="lstm", scoring="int8")
-        xsec = SixGXSec(config, network_config=NetworkConfig(seed=77))
-        xsec.deploy_detector(detector)
-        watch = xsec.mobiwatch
-        assert watch._quantized is not None
-        before = watch._quantized_operating_threshold()
-        float64_before = detector.threshold.threshold
-        watch.on_policy(20008, {"threshold_percentile": 50.0, "window_size": 6})
-        after = watch._quantized_operating_threshold()
-        assert after < before
-        assert after == float(np.percentile(detector.quantized_training_scores, 50.0))
-        assert detector.threshold.threshold < float64_before
-        assert detector.quantized_threshold.percentile == detector.threshold.percentile == 50.0
-
-
-# ---------------------------------------------------------------------------
-# quantized accuracy contract (Table-2 metrics per attack scenario)
-
-
-# One small capture per scenario: the benign background plus instances of
-# a single attack type (the Table 2 methodology, narrowed per scenario).
-SCENARIO_CAPTURES = {
-    "bts_dos": dict(bts_dos_instances=2),
-    "blind_dos": dict(blind_dos_instances=2),
-    "uplink_id_extraction": dict(uplink_id_instances=2),
-    "downlink_id_extraction": dict(downlink_id_instances=2),
-    "null_cipher": dict(null_cipher_instances=2),
-}
-
-
-@pytest.fixture(scope="module")
-def quantized_lstm(benign_capture):
-    """An LSTM fitted with the int8 calibration pass."""
-    config = XsecConfig()
-    detector = LstmDetector(
-        window=config.window, feature_dim=config.spec.dim, percentile=97.5, seed=7
-    )
-    detector.calibrate_int8 = True
-    benign = benign_capture.labeled(config.spec, config.window, "benign")
-    detector.fit_with_session_context(benign.windowed, epochs=6, lr=2e-3)
-    assert detector.calibration is not None
-    assert detector.quantized_threshold is not None
-    return detector
-
-
-def _metric_values(metrics: DetectionMetrics) -> dict:
-    return {
-        "accuracy": metrics.accuracy,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "f1": metrics.f1,
-    }
-
-
-class TestQuantizedAccuracyContract:
-    @pytest.mark.parametrize(
-        "scenario", sorted(SCENARIO_CAPTURES), ids=sorted(SCENARIO_CAPTURES)
-    )
-    def test_table2_metrics_within_tolerance(self, quantized_lstm, scenario):
-        config = XsecConfig()
-        instances = dict(
-            bts_dos_instances=0,
-            blind_dos_instances=0,
-            uplink_id_instances=0,
-            downlink_id_instances=0,
-            null_cipher_instances=0,
-        )
-        instances.update(SCENARIO_CAPTURES[scenario])
-        capture = generate_attack_dataset(
-            AttackDatasetConfig(
-                duration_s=60.0,
-                background_ue_mix=(("pixel5", 1), ("oai_ue", 1)),
-                **instances,
-            )
-        )
-        attack = capture.labeled(config.spec, config.window, "attack")
-        labels = attack.window_labels
-        assert labels.any(), "scenario capture produced no positive windows"
-
-        detector = quantized_lstm
-        f64_scores = detector.session_window_scores(attack.windowed)
-        f64_preds = detector.threshold.classify(f64_scores)
-        engine = QuantizedLstmEngine(detector, detector.calibration)
-        q_scores = engine.session_window_scores(attack.windowed)
-        q_preds = detector.quantized_threshold.classify(q_scores)
-
-        f64_metrics = _metric_values(DetectionMetrics.from_labels(labels, f64_preds))
-        q_metrics = _metric_values(DetectionMetrics.from_labels(labels, q_preds))
-        for name in f64_metrics:
-            ref, quant = f64_metrics[name], q_metrics[name]
-            if ref is None or quant is None:
-                assert ref == quant, f"{scenario}/{name}: one side undefined"
-                continue
-            assert abs(ref - quant) <= QUANTIZED_METRIC_TOL, (
-                f"{scenario}/{name}: float64 {ref:.4f} vs quantized {quant:.4f} "
-                f"exceeds tol {QUANTIZED_METRIC_TOL}"
-            )
-
-
-# ---------------------------------------------------------------------------
-# bench gating logic
-
-
-def violations(result, baseline=None):
-    return driver.violations(megabatch_bench, result, baseline)
-
-
-def _passing_result():
-    return MegabatchBenchResult(
-        tiers={
-            "lstm": {
-                "exact_sps": 10_000.0,
-                "megabatch_speedup": MEGABATCH_SPEEDUP_MIN + 1.0,
-                "quantized_speedup": QUANTIZED_SPEEDUP_MIN + 1.0,
-            },
-            "autoencoder": {
-                "exact_sps": 20_000.0,
-                "megabatch_speedup": MEGABATCH_SPEEDUP_MIN + 1.0,
-            },
-        },
-        equality={
-            "megabatch_f64_exact_lstm": True,
-            "megabatch_f32_close_lstm": True,
-            "quantized_finite": True,
-            "quantized_decision_agreement": 0.95,
-        },
-        meta={"sessions": 1024},
-    )
-
-
-class TestBenchGates:
-    def test_passing_result_has_no_violations(self):
-        assert violations(_passing_result()) == []
-
-    def test_speedup_floor_enforced(self):
-        result = _passing_result()
-        result.tiers["lstm"]["megabatch_speedup"] = MEGABATCH_SPEEDUP_MIN - 0.5
-        assert any("below floor" in v for v in violations(result))
-
-    def test_quantized_floor_enforced(self):
-        result = _passing_result()
-        result.tiers["lstm"]["quantized_speedup"] = QUANTIZED_SPEEDUP_MIN - 0.5
-        assert any("quantized" in v for v in violations(result))
-
-    def test_equality_break_is_fatal(self):
-        result = _passing_result()
-        result.equality["megabatch_f64_exact_lstm"] = False
-        assert any("equality contract" in v for v in violations(result))
-
-    def test_agreement_ratio_is_informational_not_gated(self):
-        result = _passing_result()
-        result.equality["quantized_decision_agreement"] = 0.1
-        assert violations(result) == []
-
-    def test_baseline_regression_detected(self):
-        result = _passing_result()
-        baseline = _passing_result().to_dict()
-        baseline["tiers"]["lstm"]["megabatch_speedup"] = 100.0
-        assert any("regressed" in v for v in violations(result, baseline))
-
-    def test_baseline_within_slack_passes(self):
-        result = _passing_result()
-        baseline = _passing_result().to_dict()
-        assert violations(result, baseline) == []

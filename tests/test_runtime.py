@@ -22,11 +22,8 @@ The contracts enforced here:
   AnomalyEvent stream is bit-identical to the seed on every attack
   scenario — also combined with eviction, the verdict cache, a sharded
   SDL and the ingest batcher;
-- process scoring beside a carried-state tier is refused when the config
-  is written, before any worker is spawned;
-- on every scoring tier and on process placement an alarm is stamped with
-  the sim clock at emission and scoring wall time is observed once per
-  provider call.
+- inline and on process placement an alarm is stamped with the sim clock
+  at emission and scoring wall time is observed once per provider call.
 """
 
 import copy
@@ -519,17 +516,6 @@ def trained_lstm(benign_windows):
     return detector
 
 
-@pytest.fixture(scope="module")
-def calibrated_lstm(benign_windows):
-    """Built under scoring="int8" (the calibration pass ran), so one
-    detector deploys on every scoring tier."""
-    config = XsecConfig(detector="lstm", train_epochs=6, scoring="int8")
-    detector = build_detector(config)
-    detector.fit(np.asarray(benign_windows), epochs=6, lr=config.train_lr)
-    assert detector.calibration is not None
-    return detector
-
-
 def _uplink_extraction(net):
     victim = net.add_ue("pixel6", name="victim")
     net.sim.schedule(2.5, victim.start_session)
@@ -574,8 +560,8 @@ def run_live(
 ):
     """One live pipeline run with a pre-trained detector copy deployed.
 
-    ``settings`` are further ``XsecConfig`` fields (``scoring=``,
-    ``evict_on_release=``, ``llmfast=``); ``observe(xsec)`` runs
+    ``settings`` are further ``XsecConfig`` fields (``evict_on_release=``,
+    ``llmfast=``); ``observe(xsec)`` runs
     after the deploy and before the first event.
     """
     config = XsecConfig(
@@ -640,22 +626,6 @@ class TestSeedDefaults:
         finally:
             xsec.close()
         assert xsec.mobiwatch.pool.closed
-
-    @pytest.mark.parametrize("scoring", ["incremental", "incremental-float32", "int8"])
-    def test_losing_flag_spawns_no_idle_workers(self, scoring):
-        """A carried-state tier keeps per-session state in this process, so
-        worker processes beside it would heartbeat for the whole run and
-        score nothing: the config is refused, naming both fields, before
-        anything is spawned."""
-        children = set(multiprocessing.active_children())
-        with pytest.raises(ValueError, match="scoring.*runtime.score_in_processes"):
-            XsecConfig(
-                detector="lstm",
-                scoring=scoring,
-                runtime=RuntimeSettings(score_in_processes=True),
-            )
-        assert set(multiprocessing.active_children()) == children
-
 
 class TestRuntimeScenarioEquality:
     """Process scoring must not perturb the reproduction: AnomalyEvents
@@ -736,14 +706,10 @@ class TestFlagCombination:
         assert stopped(proc.mobiwatch.pool)
 
 
-# Every scoring tier, plus process placement: (XsecConfig fields, the
-# provenance label the deployment stamps on each score).
+# Both score providers: (XsecConfig fields, the provenance label the
+# deployment stamps on each score).
 STRATEGIES = {
-    "inline": ({"scoring": "exact"}, "seed"),
-    "float32": ({"scoring": "float32"}, "compiled-float32"),
-    "incremental": ({"scoring": "incremental"}, "incremental-float64"),
-    "incremental-float32": ({"scoring": "incremental-float32"}, "incremental-float32"),
-    "quantized": ({"scoring": "int8"}, "quantized-int8-float16"),
+    "inline": ({}, "seed"),
     "process": ({"runtime": RuntimeSettings(score_in_processes=True)}, "process-2w"),
 }
 
@@ -757,7 +723,7 @@ class TestOneOperatingClock:
     @pytest.mark.parametrize(
         "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
     )
-    def test_alarms_stamped_at_emission(self, calibrated_lstm, scenario, strategy):
+    def test_alarms_stamped_at_emission(self, trained_lstm, scenario, strategy):
         factory, net_kwargs = ATTACK_SCENARIOS[scenario]
         settings, scoring_path = STRATEGIES[strategy]
         stamps, provider_calls, walks = [], [], []
@@ -790,7 +756,7 @@ class TestOneOperatingClock:
             watch._tick, watch._score_one = counted(tick), counted(score_one)
 
         xsec = run_live(
-            calibrated_lstm,
+            trained_lstm,
             attack=factory,
             net_kwargs=net_kwargs,
             percentile=80.0,

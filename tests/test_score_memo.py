@@ -50,12 +50,7 @@ def _memo_counts(registry, detector):
         int(registry.counter("ml.score_memo_hits_total", labels=labels).value),
         int(registry.counter("ml.score_memo_misses_total", labels=labels).value),
         int(registry.gauge("ml.score_memo_size", labels=labels).value),
-        int(
-            registry.counter(
-                "ml.compiled_windows_total",
-                labels={**labels, "dtype": detector.scoring_dtype},
-            ).value
-        ),
+        int(registry.counter("ml.compiled_windows_total", labels=labels).value),
     )
 
 
@@ -219,17 +214,12 @@ class TestMemoLifetime:
             assert detector.scores(matrix, per_row=True).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", _KINDS)
-    def test_float32_tier_and_offline_scoring_never_touch_it(self, kind):
+    def test_offline_scoring_never_touches_it(self, kind):
         detector, registry = _fresh(kind)
         matrix = _row_batch(9, "one-hot", 4)
         detector.scores(matrix)
         detector.scores(matrix)
         detector.detect(matrix)
-        detector.scoring_dtype = "float32"
-        fused = detector.scores(matrix)
-        assert detector.scores(matrix, per_row=True).tobytes() == fused.tobytes()
-        detector.scoring_dtype = "float64"
-        detector.scores(matrix)
         assert _memo_counts(registry, detector)[:3] == (0, 0, 0)
         assert detector.scores(matrix[:0], per_row=True).shape == (0,)
         assert _memo_counts(registry, detector)[:3] == (0, 0, 0)

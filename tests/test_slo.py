@@ -15,8 +15,8 @@ import pytest
 from repro.bench import driver
 from repro.bench import obs as obs_bench
 from repro.bench.obs import ObsBenchResult
+from repro.ml.compiled import PROFILE_SAMPLE
 from repro.ml.detector import LstmDetector
-from repro.ml.incremental import _PROFILE_SAMPLE, IncrementalLstmScorer
 from repro.obs.metrics import MetricsRegistry
 from repro.oran.sdl import SharedDataLayer
 from repro.slo import profiler as profiler_mod
@@ -508,49 +508,63 @@ class TestSloRuntime:
 
 
 class TestHotpathInstrumentation:
-    def _scorer(self, metrics=None):
+    """The exact scoring path's hooks: the kernel snapshot's counters and
+    its sampled ``ml.compiled.scores`` profiler branch, on the tick-height
+    gathers ``detector.scores(gather, per_row=True)`` is handed live."""
+
+    def _detector(self, metrics=None):
         detector = LstmDetector(window=3, feature_dim=5, hidden_dim=4, seed=1)
-        return IncrementalLstmScorer(detector, metrics=metrics)
+        if metrics is not None:
+            detector.attach_metrics(metrics)
+        return detector
+
+    def _gathers(self, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(n, 15)).astype(np.float32) for n in (1, 3, 2, 4)]
 
     def test_counters_follow_the_stream(self):
         metrics = MetricsRegistry()
-        scorer = self._scorer(metrics)
-        rows = np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32)
-        for row in rows:
-            scorer.push(1, row)
-            scorer.window_score(1)
-        assert metrics.counter("hotpath.incremental_steps_total").value == 4
-        assert metrics.counter("hotpath.incremental_window_scores_total").value == 4
-        assert metrics.gauge("hotpath.incremental_sessions").value == 1.0
+        detector = self._detector(metrics)
+        gathers = self._gathers(0)
+        for gather in gathers + gathers[:2]:  # the last two ticks repeat rows
+            detector.scores(gather, per_row=True)
+        labels = {"model": "lstm"}
+        assert metrics.counter("ml.compiled_calls_total", labels=labels).value == 4
+        assert metrics.counter("ml.compiled_windows_total", labels=labels).value == 10
+        assert metrics.counter("ml.score_memo_misses_total", labels=labels).value == 10
+        assert metrics.counter("ml.score_memo_hits_total", labels=labels).value == 4
+        assert metrics.gauge("ml.score_memo_size", labels=labels).value == 10.0
 
     def test_unwired_scorer_streams_identically(self):
-        plain = self._scorer()
-        observed = self._scorer(MetricsRegistry())
+        plain = self._detector()
+        observed = self._detector(MetricsRegistry())
         prof = profiler_mod.activate(Profiler())
         try:
-            rows = np.random.default_rng(2).normal(size=(8, 5)).astype(np.float32)
-            for row in rows:
-                plain.push(1, row)
-                observed.push(1, row)
-                observed.window_score(1)
+            got = [observed.scores(g, per_row=True) for g in self._gathers(2)]
         finally:
             profiler_mod.deactivate()
-        assert np.array_equal(plain.record_errors(1), observed.record_errors(1))
+        want = [plain.scores(g, per_row=True) for g in self._gathers(2)]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_sampled_profile_extrapolates(self):
-        scorer = self._scorer(MetricsRegistry())
-        rows = np.random.default_rng(3).normal(size=(3, 5)).astype(np.float32)
-        for row in rows:
-            scorer.push(1, row)
+        """One kernel call in ``PROFILE_SAMPLE`` is timed and reported as
+        that many; a tick the memo answers whole never reaches the kernels
+        and counts toward no sample."""
+        detector = self._detector(MetricsRegistry())
+        gathers = self._gathers(3)
         prof = profiler_mod.activate(Profiler())
         try:
-            scorer._prof_skip = 1  # force the next call to be the sample
-            scorer.window_score(1)
+            for gather in gathers * PROFILE_SAMPLE:  # repeats come from the memo
+                detector.scores(gather, per_row=True)
+            assert prof.stage_table() == []  # len(gathers) kernel calls so far
+            detector.compiled._prof_skip = 1  # force the next call to be the sample
+            detector.scores(gathers[0] + 1.0, per_row=True)
         finally:
             profiler_mod.deactivate()
-        row = prof.stage_table()[0]
-        assert row["stage"] == "hotpath.window_score"
-        assert row["calls"] == _PROFILE_SAMPLE
+        (row,) = prof.stage_table()
+        assert row["stage"] == "ml.compiled.scores"
+        assert row["calls"] == PROFILE_SAMPLE
+        assert row["total_s"] > 0
 
 
 def violations(result, baseline=None):
@@ -560,7 +574,7 @@ def violations(result, baseline=None):
 class TestObsBenchGating:
     def _result(self, overhead_pct):
         result = ObsBenchResult()
-        result.per_record = {"overhead_pct": overhead_pct}
+        result.per_tick = {"overhead_pct": overhead_pct}
         result.equality = {"observed_scores_exact": True}
         return result
 
@@ -575,7 +589,7 @@ class TestObsBenchGating:
         assert any("equality" in f for f in violations(result))
 
     def test_baseline_creep_is_additive(self):
-        baseline = {"per_record": {"overhead_pct": 0.5}}
+        baseline = {"per_tick": {"overhead_pct": 0.5}}
         assert violations(self._result(2.4), baseline) == []
         failures = violations(self._result(2.6), baseline)
         assert any("crept" in f for f in failures)

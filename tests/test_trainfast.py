@@ -216,10 +216,9 @@ class TestDetectorRouting:
         stale = detector.compiled
         detector.fit(benign_windows, epochs=2)
         assert detector.compiled is not stale
-        assert detector.compiled.dtype == "float64"
-        assert np.array_equal(
-            detector.training_scores, detector.reference_scores(benign_windows)
-        )
+        reference = detector.reference_scores(benign_windows)
+        assert np.array_equal(detector.training_scores, reference)
+        assert detector.scores(benign_windows).tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
