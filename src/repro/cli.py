@@ -19,10 +19,6 @@ Gives operators the paper's workflow without writing code:
   attainment/burn (``report``), the alert transition log (``alerts``),
   the per-stage self-time profile (``profile``), or one verdict's full
   evidence chain (``explain``) — see docs/OBSERVABILITY.md;
-- ``runtime`` — the process-parallel deployment mode: ``run`` the live
-  testbed with scoring on supervised worker processes, or ``soak`` a
-  backend to the SLO edge with a mid-run ``kill -9`` fault trial (see
-  docs/RUNTIME.md);
 - ``bench <name>`` — run one component bench (``obs``), verify its
   equality contracts, and gate it against its floors and the committed
   ``BENCH_<name>.json`` baseline (see docs/PERFORMANCE.md, "Benchmarks").
@@ -326,85 +322,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_runtime(args: argparse.Namespace) -> int:
-    if args.action == "run":
-        return _runtime_run(args)
-    return _runtime_soak(args)
-
-
-def _runtime_run(args: argparse.Namespace) -> int:
-    """Live testbed with scoring in supervised worker processes."""
-    import json
-
-    from repro.core.config import XsecConfig
-    from repro.experiments.testbed import LiveTestbedConfig, run_live_testbed
-    from repro.runtime.settings import RuntimeSettings
-
-    config = XsecConfig(
-        auto_release=True,
-        auto_blocklist=True,
-        runtime=RuntimeSettings(score_in_processes=True, workers=args.workers),
-    )
-    run = run_live_testbed(
-        LiveTestbedConfig(xsec=config, live_duration_s=args.duration or 60.0)
-    )
-    try:
-        print(run.render_stage_breakdown())
-        print(f"\nsummary: {run.summary}")
-        scale = run.xsec.pipeline.scale_report()
-        health = scale.get("runtime", {})
-        pool_stats = scale.get("pool", {})
-        print(
-            f"scoring path: {run.xsec.mobiwatch._scoring_path} "
-            f"({pool_stats.get('windows_scored', 0)} windows in "
-            f"{pool_stats.get('batches', 0)} batches)"
-        )
-        for name, worker in sorted(health.items()):
-            print(f"  {name}: {worker['state']}, {worker['restarts']} restart(s)")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "summary": run.summary,
-                        "latency": run.latency,
-                        "runtime": health,
-                    },
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-            print(f"runtime snapshot -> {args.json}")
-    finally:
-        run.xsec.close()
-    detection_max = run.latency["detection_s"].get("max")
-    return 0 if detection_max is not None and detection_max < 1.0 else 3
-
-
-def _runtime_soak(args: argparse.Namespace) -> int:
-    """Offered-load ramp + mid-run kill -9 fault trial through the scoring pool."""
-    import json
-
-    from repro.runtime.soak import SoakConfig, run_soak, smoke_config
-
-    config = smoke_config() if args.quick else SoakConfig()
-    config.backend = args.backend
-    config.workers = args.workers
-    if args.duration is not None:
-        config.duration_s = args.duration
-    if args.no_fault:
-        config.fault = False
-    result = run_soak(config)
-    print(result.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"runtime-soak snapshot -> {args.json}")
-    failures = result.check()
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 0 if not failures else 3
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.bench import driver  # numpy-free: benches pin BLAS before it loads
 
@@ -491,42 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--json", help="write the machine-readable snapshot here")
     slo.set_defaults(func=_cmd_slo)
-
-    runtime = commands.add_parser(
-        "runtime",
-        help="process-parallel deployment mode: run the live testbed on "
-        "supervised worker processes, or soak it to the SLO edge with a "
-        "mid-run kill -9 (see docs/RUNTIME.md)",
-    )
-    runtime.add_argument(
-        "action",
-        choices=("run", "soak"),
-        help="run the live testbed on worker processes / soak the scoring "
-        "pool with fault injection",
-    )
-    runtime.add_argument(
-        "--backend",
-        choices=("process", "inproc"),
-        default="process",
-        help="score provider for `soak`: the worker-process pool (default) "
-        "or the detector in this process",
-    )
-    runtime.add_argument(
-        "--workers", type=int, default=2, help="scoring worker processes"
-    )
-    runtime.add_argument(
-        "--duration",
-        type=float,
-        help="per-trial seconds for `soak`, live sim seconds for `run`",
-    )
-    runtime.add_argument(
-        "--quick", action="store_true", help="small CI-sized workload"
-    )
-    runtime.add_argument(
-        "--no-fault", action="store_true", help="skip the kill -9 fault trial"
-    )
-    runtime.add_argument("--json", help="write the machine-readable result here")
-    runtime.set_defaults(func=_cmd_runtime)
 
     bench = commands.add_parser(
         "bench",

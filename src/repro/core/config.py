@@ -64,11 +64,9 @@ class XsecConfig:
     # to the seed (see docs/OBSERVABILITY.md).
     slo: SloSettings = field(default_factory=SloSettings)
 
-    # Deployment topology (repro.runtime, repro.scale): MobiWatch scoring
-    # in supervised OS worker processes, a sharded SDL, an ingest batcher,
-    # and the supervisor's restart policy. Defaults keep everything
-    # in-process, single-node and bit-identical to the seed (see
-    # docs/RUNTIME.md, docs/SCALING.md).
+    # Deployment topology (repro.runtime, repro.scale): a sharded SDL and
+    # an ingest batcher. Defaults keep everything single-node and
+    # bit-identical to the seed (see docs/SCALING.md).
     runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
 
     # Verdict-plane fast path (repro.llm.cache): content-addressed verdict

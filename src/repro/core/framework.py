@@ -144,17 +144,6 @@ class SixGXSec:
     def deploy_detector(self, detector: AnomalyDetector) -> None:
         """Deploy an externally trained detector directly."""
         self.mobiwatch.deploy_detector(detector)
-        # The scoring worker processes only exist after deployment (they
-        # load the trained weights), so the scoreboard attaches here. The
-        # probes are keyed by worker name; re-deploys overwrite in place.
-        if (
-            self.slo is not None
-            and self.slo.scoreboard is not None
-            and self.mobiwatch.pool is not None
-        ):
-            self.slo.scoreboard.watch_supervisor(
-                self.mobiwatch.pool.supervisor, name=self.mobiwatch.name
-            )
 
     # -- execution ---------------------------------------------------------------------
 
@@ -171,14 +160,11 @@ class SixGXSec:
     # -- teardown -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release out-of-process resources (idempotent).
+        """A no-op: the deployment owns nothing outside the interpreter.
 
-        The seed deployment owns nothing outside the interpreter, so this
-        is a no-op there; with ``runtime.score_in_processes`` it drains
-        and stops the scoring worker processes.
+        Kept so ``with SixGXSec(...)`` and callers that close a deployment
+        stay valid.
         """
-        if self.mobiwatch.pool is not None:
-            self.mobiwatch.pool.close()
 
     def __enter__(self) -> "SixGXSec":
         return self

@@ -146,14 +146,10 @@ class MobiWatchXApp(XApp):
             )
         # repro.scale: UE-sharded SDL placement (default off).
         self._sharded_sdl = isinstance(self.sdl, ShardedSdl)
-        # repro.runtime: the scoring worker processes, spawned by
-        # deploy_detector when they are the bound score provider.
-        self.pool = None
         # repro.slo: provenance minting + liveness heartbeat. Both gated on
         # slo.enabled so the disabled path creates no new metric series.
         self.provenance: Optional[ProvenanceStore] = None
         self._heartbeat_gauge = None
-        self._scoring_path = "seed"
         if self.config.slo.enabled:
             self.provenance = ProvenanceStore(metrics=metrics, sdl=self.sdl)
             self._heartbeat_gauge = metrics.gauge(
@@ -178,36 +174,15 @@ class MobiWatchXApp(XApp):
     def deploy_detector(self, detector: AnomalyDetector) -> None:
         """Install a trained model (called by the SMO deploy step).
 
-        Binds the score provider once — the inline row-exact call, or the
-        scoring worker processes under ``runtime.score_in_processes`` —
-        so nothing below deploy re-tests a setting per record or window.
+        Binds the score provider, the inline row-exact call. Before the
+        first deploy it is ``None`` and rows only accumulate.
         """
         if detector.threshold.threshold is None:
             raise ValueError("detector must be fitted before deployment")
         self.detector = detector
         detector.recompile()  # a deployment never inherits another's score memo
         detector.attach_metrics(self.sim.obs.metrics)
-        if self.pool is not None:
-            self.pool.close()  # re-deploy: workers need the new weights
-            self.pool = None
-        if self.config.runtime.score_in_processes:
-            # The tick's gather scored in supervised OS worker processes,
-            # spawned here because they need the trained weights. They make
-            # one row-exact call per batch and the blocking call is
-            # invisible to sim time (see docs/RUNTIME.md), so scores stay
-            # bit-identical to the inline path.
-            from repro.runtime.bridge import ProcessScoringPool
-
-            runtime = self.config.runtime
-            self.pool = ProcessScoringPool(
-                detector, runtime, metrics=self.sim.obs.metrics, name=self.name
-            )
-            self._batch_scores = self._process_scores
-            # Provenance names the runtime that produced each score.
-            self._scoring_path = f"process-{runtime.workers}w"
-        else:
-            self._batch_scores = self._gathered_scores
-            self._scoring_path = "seed"
+        self._batch_scores = self._gathered_scores
         self.log(
             "detector deployed",
             detector=detector.name,
@@ -405,7 +380,7 @@ class MobiWatchXApp(XApp):
         self._windows_counter.inc(len(scores))
         self._score_hist.observe_many(scores)
 
-    # -- score providers: inline gather (the default), worker processes ----------------
+    # -- the score provider: one row-exact call over the tick's gather -----------------
 
     def _gather(self, ready: list) -> np.ndarray:
         """The sessions' last windows, one flattened row each.
@@ -442,14 +417,6 @@ class MobiWatchXApp(XApp):
         matrix = self._gather(ready)
         with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
             scores = self.detector.scores(matrix, per_row=True).tolist()
-        self._count_scores(scores)
-        return scores
-
-    def _process_scores(self, ready: list) -> list:
-        # The same gather, scored by the workers' own row-exact call.
-        matrix = self._gather(ready)
-        with _profiler.profile_block("mobiwatch.score"), WallTimer(self._inference_wall):
-            scores = self.pool.scores(ready, matrix)
         self._count_scores(scores)
         return scores
 
@@ -527,7 +494,6 @@ class MobiWatchXApp(XApp):
                 record_indices=tuple(chosen),
                 records=[self.series[i] for i in chosen],
                 detector=self.detector,
-                scoring_path=self._scoring_path,
                 arrival_ts=self.arrival_time(chosen[-1]),
             )
             provenance_id = prov.provenance_id

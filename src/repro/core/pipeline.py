@@ -192,7 +192,7 @@ class ClosedLoopPipeline:
         }
 
     def scale_report(self) -> dict:
-        """Horizontal-scaling health: shards, ingest batcher, scoring workers.
+        """Horizontal-scaling health: shards, ingest batcher, verdict ledger.
 
         Empty sections mean the corresponding repro.scale feature is off
         (the seed's single-node path).
@@ -204,12 +204,6 @@ class ClosedLoopPipeline:
         batcher = getattr(self.mobiwatch.ric.e2term, "ingest_batcher", None)
         if batcher is not None:
             report["ingest"] = batcher.stats()
-        pool = self.mobiwatch.pool
-        if pool is not None:
-            # repro.runtime: the scoring worker processes' batch counts,
-            # per-process liveness and restart counts.
-            report["pool"] = pool.stats()
-            report["runtime"] = pool.supervisor.health()
         llmfast = self.config.llmfast
         if llmfast.fast_submit_enabled:
             # The verdict-plane ledger (the invariant

@@ -8,7 +8,6 @@ so a deployment can load and serve it without retraining.
 
 from __future__ import annotations
 
-import io
 import pathlib
 from typing import Union
 
@@ -54,34 +53,17 @@ def _params_of(detector: AnomalyDetector) -> list[np.ndarray]:
 
 def save_detector(detector: AnomalyDetector, path: PathLike) -> None:
     """Write a trained detector (weights + config + threshold) to ``path``."""
-    with open(path, "wb") as handle:
-        handle.write(dumps_detector(detector))
-
-
-def dumps_detector(detector: AnomalyDetector) -> bytes:
-    """Serialize a trained detector to bytes (the ``.npz`` format in memory).
-
-    The process runtime (repro.runtime) ships models to scoring-worker
-    processes as bytes over the spawn arguments, so the worker can
-    deserialize without touching the filesystem.
-    """
     if detector.threshold.threshold is None:
         raise SerializeError("refusing to save an unfitted detector")
     arrays = {f"param_{i}": value for i, value in enumerate(_params_of(detector))}
     if detector.training_scores is not None:
         arrays["training_scores"] = detector.training_scores
     arrays["meta"] = np.frombuffer(wire.encode(_meta_for(detector)), dtype=np.ubyte)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+    with open(path, "wb") as handle:  # a handle: savez never appends ".npz"
+        np.savez(handle, **arrays)
 
 
-def loads_detector(data: bytes) -> AnomalyDetector:
-    """Deserialize a detector produced by :func:`dumps_detector`."""
-    return load_detector(io.BytesIO(data))
-
-
-def load_detector(path: "PathLike | io.BytesIO") -> AnomalyDetector:
+def load_detector(path: PathLike) -> AnomalyDetector:
     """Load a detector saved by :func:`save_detector`."""
     with np.load(path) as archive:
         try:

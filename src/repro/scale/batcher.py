@@ -1,8 +1,7 @@
 """Bounded-queue ingest batcher with an explicit, counted drop policy.
 
-Sits between a producer (the E2 termination fanning out indications, or
-the runtime soak's synthetic record source) and a consumer (the RMR fan-out
-toward MobiWatch, or the soak's worker dispatch). Provides the three
+Sits between a producer (the E2 termination fanning out indications) and a
+consumer (the RMR fan-out toward MobiWatch). Provides the three
 things a fleet-scale ingest path needs and a single in-process loop lacks:
 
 - **bounded memory** — the queue never exceeds ``capacity``;

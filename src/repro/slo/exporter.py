@@ -11,7 +11,7 @@ Three consumers of the shared :class:`~repro.obs.metrics.MetricsRegistry`:
   run horizon (a self-rescheduling recurring event would keep the event
   queue non-empty forever and ``run(until=None)`` would never terminate);
 - :class:`HealthScoreboard` — per-component up/degraded/down from
-  registered probes (shard liveness, worker backlog) and heartbeat gauges
+  registered liveness probes (SDL shards: up or down) and heartbeat gauges
   (components report ``health.heartbeat_ts``; stale means down). The board
   reads the same liveness the sharded SDL's failover acts on, so "down"
   here and "failed over" there always agree.
@@ -149,13 +149,11 @@ class HealthScoreboard:
         metrics: MetricsRegistry,
         clock: Optional[Callable[[], float]] = None,
         stale_after_s: float = 5.0,
-        backlog_degraded: int = 64,
     ) -> None:
         self.metrics = metrics
         self.clock = clock or metrics.clock
         self.stale_after_s = stale_after_s
-        self.backlog_degraded = backlog_degraded
-        # component -> probe() returning {"up": bool, "backlog": float}.
+        # component -> probe() returning {"up": bool}.
         self._probes: Dict[str, Callable[[], dict]] = {}
         self._heartbeats: Dict[str, object] = {}
 
@@ -170,24 +168,9 @@ class HealthScoreboard:
             shard_name = name
 
             def probe(n=shard_name):
-                return {"up": sdl._shards[n].alive, "backlog": 0.0}
+                return {"up": sdl._shards[n].alive}
 
             self.register_probe(f"sdl.{shard_name}", probe)
-
-    def watch_supervisor(self, supervisor, name: str = "runtime") -> None:
-        """One probe per supervised OS process (repro.runtime).
-
-        ``up`` is real process liveness (a worker in restart backoff or a
-        crash loop reads as down); a stale heartbeat reads as degraded via
-        the backlog channel so restarts are never triggered from here.
-        """
-        for worker in supervisor.worker_names():
-            def probe(w=worker):
-                state = supervisor.health()[w]["state"]
-                lag = float(self.backlog_degraded) if state == "degraded" else 0.0
-                return {"up": state in ("up", "degraded"), "backlog": lag}
-
-            self.register_probe(f"{name}.{worker}", probe)
 
     def heartbeat(self, component: str) -> None:
         """Record a liveness beat for a component (sim-clock stamped)."""
@@ -206,14 +189,7 @@ class HealthScoreboard:
         now = self.clock()
         out: Dict[str, str] = {}
         for component, probe in self._probes.items():
-            state = probe()
-            if not state.get("up", True):
-                status = HEALTH_DOWN
-            elif state.get("backlog", 0.0) >= self.backlog_degraded:
-                status = HEALTH_DEGRADED
-            else:
-                status = HEALTH_UP
-            out[component] = status
+            out[component] = HEALTH_UP if probe().get("up", True) else HEALTH_DOWN
         # Heartbeats set directly on the shared registry (components never
         # need a scoreboard reference) join the explicitly registered ones.
         heartbeats = dict(self._heartbeats)

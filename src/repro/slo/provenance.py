@@ -13,14 +13,14 @@ the :class:`ProvenanceStore`, to the full evidence chain:
   detector's parameter arrays and over its fitted operating point, so a
   verdict is attributable to one exact set of weights even across
   re-deployments;
-- **scoring path** — which runtime scored it: ``seed`` (in-process) or
-  ``process-Nw`` (N scoring worker processes), bit-identical by contract;
 - **trace id + per-stage timings** — filled progressively as the incident
   moves through the loop (detection at alarm time, verdict/explanation
   when the LLM responds, action when the responder fires).
 
 Records persist into the ``xsec.provenance`` SDL namespace as they grow,
-and ``python -m repro slo explain <verdict>`` renders the chain.
+and ``python -m repro slo explain <verdict>`` renders the chain. A write the
+SDL refuses is counted under ``slo.provenance_persist_failures_total``; the
+record stays readable from memory.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class ProvenanceRecord:
     capture_digest: str
     model_snapshot_id: str
     threshold_snapshot_id: str
-    scoring_path: str
     # Per-stage sim-second timings, keyed by the canonical loop stages.
     stage_timings_s: Dict[str, float] = field(default_factory=dict)
     # Verdict chain (attached when the LLM responds).
@@ -115,7 +114,6 @@ class ProvenanceRecord:
             "capture_digest": self.capture_digest,
             "model_snapshot_id": self.model_snapshot_id,
             "threshold_snapshot_id": self.threshold_snapshot_id,
-            "scoring_path": self.scoring_path,
             "stage_timings_s": dict(self.stage_timings_s),
             "verdict_model": self.verdict_model,
             "verdict_text": self.verdict_text,
@@ -138,7 +136,6 @@ class ProvenanceRecord:
             f"  capture      digest {self.capture_digest}",
             f"  model        snapshot {self.model_snapshot_id}  "
             f"threshold snapshot {self.threshold_snapshot_id}",
-            f"  scoring      {self.scoring_path}",
         ]
         if self.stage_timings_s:
             timing = "  ".join(
@@ -168,11 +165,15 @@ class ProvenanceStore:
         self.sdl = sdl
         self._records: Dict[int, ProvenanceRecord] = {}
         self._next_id = 1
-        self._minted_counter = (
-            metrics.counter("slo.provenance_records_total", help="evidence chains minted")
-            if metrics is not None
-            else None
-        )
+        self._minted_counter = self._persist_failures = None
+        if metrics is not None:
+            self._minted_counter = metrics.counter(
+                "slo.provenance_records_total", help="evidence chains minted"
+            )
+            self._persist_failures = metrics.counter(
+                "slo.provenance_persist_failures_total",
+                help="provenance writes the SDL refused (the record stays in memory)",
+            )
         # Model identity is stable between deployments: memoize per object.
         self._model_ids: Dict[int, tuple] = {}
 
@@ -204,7 +205,6 @@ class ProvenanceStore:
         record_indices: tuple,
         records,
         detector,
-        scoring_path: str,
         arrival_ts: Optional[float] = None,
     ) -> ProvenanceRecord:
         """Create the record at alarm time, with the detection chain filled."""
@@ -227,7 +227,6 @@ class ProvenanceStore:
             capture_digest=capture_digest(records),
             model_snapshot_id=model_id,
             threshold_snapshot_id=threshold_id,
-            scoring_path=scoring_path,
         )
         record.stage_timings_s["capture"] = max(0.0, newest_ts - first_ts)
         if arrival_ts is not None:
@@ -288,5 +287,10 @@ class ProvenanceStore:
         value = {k: v for k, v in record.to_dict().items() if v is not None}
         try:
             self.sdl.set(SDL_PROVENANCE_NS, f"{record.provenance_id:06d}", value)
-        except Exception:
-            pass  # provenance persistence is best-effort; memory holds it
+        except (ValueError, RuntimeError):
+            # What a well-formed set can raise: repro.wire.WireError (a
+            # ValueError) or repro.scale.ShardUnavailableError (a
+            # RuntimeError), caught through their bases so this package
+            # imports nothing past repro.obs. Memory still holds the record.
+            if self._persist_failures is not None:
+                self._persist_failures.inc()

@@ -52,7 +52,6 @@ class SloRuntime:
                 metrics,
                 clock=self.clock,
                 stale_after_s=settings.heartbeat_stale_s,
-                backlog_degraded=settings.backlog_degraded,
             )
             self.provenance = ProvenanceStore(metrics=metrics, sdl=sdl)
         self.profiler: Optional[Profiler] = None

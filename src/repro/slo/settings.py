@@ -1,6 +1,6 @@
 """Configuration knobs for the SLO/observability plane (``repro.slo``).
 
-Kept dependency-free (like :mod:`repro.scale.settings`) so every layer
+Kept dependency-free (like :mod:`repro.runtime.settings`) so every layer
 can import it without cycles. **Every default preserves the seed's
 behaviour bit-for-bit**: no SLO evaluation, no provenance records, no
 profiler hooks, no export cadence — the pipeline's outputs are identical
@@ -52,8 +52,6 @@ class SloSettings:
     resolve_after_s: float = 5.0
     # Heartbeats older than this mark a component down on the scoreboard.
     heartbeat_stale_s: float = 5.0
-    # Worker/queue backlog above this marks a component degraded.
-    backlog_degraded: int = 64
 
     # Explicit profile_block() hooks (per-stage self-time accounting).
     profiler: bool = False

@@ -841,98 +841,3 @@ class EnvelopePlans:
             return None
         return None if values is None else plan._build(values)
 
-
-# -- length-prefixed framing ---------------------------------------------------
-#
-# The process runtime (repro.runtime) moves TLV messages over stream
-# sockets, where message boundaries are not preserved: a recv() may return
-# half a message or three and a half. frame()/deframe() add an explicit
-# boundary — a magic byte (so a desynced or corrupted stream is detected
-# immediately instead of mis-parsed) plus a u32 payload length — and
-# FrameDecoder reassembles frames from arbitrary chunk sequences.
-
-FRAME_MAGIC = 0xA5
-_FRAME_HEADER = struct.Struct(">BI")  # magic, payload length
-FRAME_HEADER_SIZE = _FRAME_HEADER.size
-# Upper bound on a single frame; anything larger is treated as a desync
-# (a garbage length field would otherwise make the decoder wait forever).
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-
-class IncompleteFrameError(WireError):
-    """The buffer ends mid-frame; feed more bytes and retry."""
-
-
-def frame(payload: bytes) -> bytes:
-    """Wrap ``payload`` in a length-prefixed frame for stream transports."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise WireError(f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _FRAME_HEADER.pack(FRAME_MAGIC, len(payload)) + payload
-
-
-def _frame_end(data, offset: int) -> int:
-    """Offset just past the complete frame that starts at ``offset``."""
-    available = len(data) - offset
-    if available < FRAME_HEADER_SIZE:
-        if available and data[offset] != FRAME_MAGIC:
-            raise WireError(
-                f"framing desync: expected magic 0x{FRAME_MAGIC:02x}, got 0x{data[offset]:02x}"
-            )
-        raise IncompleteFrameError(f"need {FRAME_HEADER_SIZE - available} more header bytes")
-    magic, length = _FRAME_HEADER.unpack_from(data, offset)
-    if magic != FRAME_MAGIC:
-        raise WireError(f"framing desync: expected magic 0x{FRAME_MAGIC:02x}, got 0x{magic:02x}")
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES} (desync?)")
-    end = offset + FRAME_HEADER_SIZE + length
-    if len(data) < end:
-        raise IncompleteFrameError(f"need {end - len(data)} more payload bytes")
-    return end
-
-
-def deframe(data: bytes) -> tuple[bytes, bytes]:
-    """Split one frame off ``data``; returns ``(payload, remaining)``.
-
-    Raises :class:`IncompleteFrameError` when ``data`` ends mid-frame
-    (partial read: keep the bytes and retry with more) and plain
-    :class:`WireError` when the head of ``data`` is not a frame at all
-    (garbage or a desynced stream — the connection cannot be recovered).
-    """
-    data = bytes(data)
-    end = _frame_end(data, 0)
-    return data[FRAME_HEADER_SIZE:end], data[end:]
-
-
-class FrameDecoder:
-    """Streaming frame reassembly over arbitrary read chunks.
-
-    ``feed(chunk)`` returns every complete frame payload the buffer now
-    holds (possibly none); partial frames wait for the next feed. Garbage
-    at a frame boundary raises :class:`WireError` — a stream transport
-    cannot resynchronize, so the caller should drop the connection.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buffer)
-
-    def feed(self, chunk: bytes) -> list[bytes]:
-        self._buffer += chunk
-        buffer = self._buffer
-        frames: list[bytes] = []
-        # Walk the one buffer by offset and drop the consumed head once, so
-        # a chunk holding many frames costs time linear in its size.
-        offset = 0
-        while True:
-            try:
-                end = _frame_end(buffer, offset)
-            except IncompleteFrameError:
-                break
-            frames.append(bytes(buffer[offset + FRAME_HEADER_SIZE : end]))
-            offset = end
-        del buffer[:offset]
-        return frames

@@ -27,6 +27,7 @@ from repro.core.config import XsecConfig
 from repro.core.pipeline import ClosedLoopPipeline
 from repro.llm.cache import LlmfastSettings
 from repro.runtime.settings import RuntimeSettings
+from repro.slo.settings import SloSettings
 
 SRC = Path(repro.__file__).parent
 
@@ -114,6 +115,18 @@ DELETED = [
     (RuntimeSettings, "start_method"),
     # One scoring tier: float64 "exact" is the only way a window is scored.
     (XsecConfig, "scoring"),
+    # One process: MobiWatch scores in its own process, so the worker pool's
+    # switch, size, restart policy and heartbeats are gone, and so is the
+    # backlog threshold only the pool's supervisor ever reported against.
+    (RuntimeSettings, "score_in_processes"),
+    (RuntimeSettings, "workers"),
+    (RuntimeSettings, "max_restarts"),
+    (RuntimeSettings, "backoff_base_s"),
+    (RuntimeSettings, "backoff_max_s"),
+    (RuntimeSettings, "crash_loop_window_s"),
+    (RuntimeSettings, "heartbeat_interval_s"),
+    (RuntimeSettings, "heartbeat_timeout_s"),
+    (SloSettings, "backlog_degraded"),
 ]
 
 
@@ -225,16 +238,21 @@ def test_scoring_tier_cannot_be_selected():
         XsecConfig(scoring="exact")
 
 
-def test_deleted_bench_is_a_usage_error():
+@pytest.mark.parametrize(
+    "argv,refused",
+    [(("bench", "megabatch"), "megabatch"), (("runtime", "run"), "runtime")],
+    ids=["bench-megabatch", "runtime-run"],
+)
+def test_deleted_command_is_a_usage_error(argv, refused):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "megabatch"],
+        [sys.executable, "-m", "repro", *argv],
         env=env,
         capture_output=True,
         text=True,
     )
     assert run.returncode == 2
-    assert "invalid choice: 'megabatch'" in run.stderr
+    assert f"invalid choice: '{refused}'" in run.stderr
 
 
 def test_settings_field_total():
@@ -246,7 +264,9 @@ def test_settings_field_total():
     compiled trainer and its ``trainer_dtype`` were deleted; 65 before
     ``scale`` (7) folded into ``runtime`` (17 -> 11 fields) and the family
     went from the top level; 52 before ``scoring`` and its four non-exact
-    tiers were deleted: 51 = 29 family + 22 top-level."""
+    tiers were deleted; 51 before the scoring worker pool's eight
+    ``runtime`` fields (11 -> 3) and ``slo.backlog_degraded`` went with
+    it: 42 = 20 family + 22 top-level."""
     family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
     top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 51
+    assert family_fields + top_level <= 42

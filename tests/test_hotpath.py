@@ -540,7 +540,6 @@ class TestDefaultsAreSeedPath:
         assert xsec.mobiwatch._batch_scores is None
         xsec.deploy_detector(copy.deepcopy(trained_autoencoder))
         assert xsec.mobiwatch._batch_scores == xsec.mobiwatch._gathered_scores
-        assert xsec.mobiwatch._scoring_path == "seed"
 
 
 class TestLiveSeedEquivalence:

@@ -428,7 +428,7 @@ class TestDefaultsAreSeedPath:
         watch = xsec.mobiwatch
         assert watch._batch_scores == watch._gathered_scores
         assert watch._track_touch is False
-        assert watch._scoring_path == "seed"
+
 
 class TestMegabatchScenarioEquality:
     """The float64 contract: one row-exact call per tick == every window

@@ -7,19 +7,30 @@ Checks both directions of the config flag:
 - a scaled-up config routes live traffic through both and still produces
   the same telemetry and detections;
 - a shard killed (and later revived) in the middle of a live run loses no
-  acked telemetry and does not move a single detection.
+  acked telemetry and does not move a single detection;
+- release eviction, the verdict cache with coalescing, a sharded SDL and
+  the ingest batcher run together with every ledger balanced;
+- an alarm is stamped with the sim clock at emission and scoring wall
+  time is observed once per provider call.
 """
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.attacks import BtsDosAttack
 from repro.core import SixGXSec, XsecConfig
+from repro.core.framework import build_detector
 from repro.core.mobiwatch import SDL_TELEMETRY_NS
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
+from repro.llm.cache import LlmfastSettings
 from repro.oran.sdl import SharedDataLayer
 from repro.ran.network import NetworkConfig
 from repro.runtime.settings import RuntimeSettings
 from repro.scale import ShardedSdl
+
+from tests.test_megabatch import ATTACK_SCENARIOS
 
 
 def scaled_settings():
@@ -52,7 +63,6 @@ class TestDefaultsAreSeedComponents:
         xsec = SixGXSec(XsecConfig())
         assert type(xsec.ric.sdl) is SharedDataLayer
         assert xsec.ric.e2term.ingest_batcher is None
-        assert xsec.mobiwatch.pool is None
         assert xsec.pipeline.scale_report() == {}
 
     @pytest.mark.parametrize(
@@ -61,9 +71,18 @@ class TestDefaultsAreSeedComponents:
             {"sdl_shards": 0},
             {"sdl_shards": -2},
             {"sdl_shards": 1, "sdl_replication": 3},
+            {"sdl_replication": 0},
+            {"sdl_shards": 2, "sdl_replication": 3},
             {"ingest_flush_records": -4},
         ],
-        ids=["no-shards", "negative-shards", "replicas-without-shards", "negative-flush"],
+        ids=[
+            "no-shards",
+            "negative-shards",
+            "replicas-without-shards",
+            "no-replicas",
+            "more-replicas-than-shards",
+            "negative-flush",
+        ],
     )
     def test_out_of_range_topology_is_refused(self, topology):
         """Each of these once built a plain-SDL deployment with no batcher
@@ -226,3 +245,145 @@ class TestShardKillInTheLiveLoop:
         assert sharded.mobiwatch.windows_scored == unsharded.mobiwatch.windows_scored
         assert len(unsharded.mobiwatch.anomalies) > 0
         assert event_tuples(sharded) == event_tuples(unsharded)
+
+
+# ---------------------------------------------------------------------------
+# a pre-trained LSTM deployed into live attack scenarios
+
+
+@pytest.fixture(scope="module")
+def trained_lstm(benign_windows):
+    config = XsecConfig(detector="lstm", train_epochs=6)
+    detector = build_detector(config)
+    detector.fit(np.asarray(benign_windows), epochs=6, lr=config.train_lr)
+    return detector
+
+
+def run_deployed(
+    detector,
+    runtime=None,
+    attack=None,
+    seed=77,
+    until=20.0,
+    net_kwargs=None,
+    percentile=None,
+    observe=None,
+    **settings,
+):
+    """One live pipeline run with a pre-trained detector copy deployed.
+
+    ``settings`` are further ``XsecConfig`` fields (``evict_on_release=``,
+    ``llmfast=``); ``observe(xsec)`` runs after the deploy and before the
+    first event.
+    """
+    config = XsecConfig(
+        detector=detector.name,
+        train_epochs=6,
+        runtime=runtime or RuntimeSettings(),
+        **settings,
+    )
+    xsec = SixGXSec(config, network_config=NetworkConfig(seed=seed, **(net_kwargs or {})))
+    xsec.deploy_detector(copy.deepcopy(detector))
+    if percentile is not None:
+        # Lower the operating threshold so the scenario provably emits
+        # events: empty-vs-empty would not prove anything.
+        xsec.mobiwatch.on_policy(1, {"threshold_percentile": percentile})
+    if observe is not None:
+        observe(xsec)
+    for profile in ("pixel5", "oai_ue"):
+        ue = xsec.net.add_ue(profile)
+        xsec.net.sim.schedule(0.5, ue.start_session)
+    if attack is not None:
+        attack(xsec.net).arm()
+    xsec.run(until=until)
+    return xsec
+
+
+class TestFlagCombination:
+    """Release eviction x verdict cache + coalescing x a sharded SDL behind
+    the ingest batcher: each has its own suite, here they run together."""
+
+    SETTINGS = dict(
+        evict_on_release=True,
+        llmfast=LlmfastSettings(verdict_cache=True, coalesce=True),
+    )
+    TOPOLOGY = dict(sdl_shards=2, ingest_flush_records=8)
+
+    @pytest.mark.parametrize("scenario", ["bts_dos", "null_cipher"])
+    def test_eviction_cache_and_shards_compose(self, trained_lstm, scenario):
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        run = run_deployed(
+            trained_lstm,
+            runtime=RuntimeSettings(**self.TOPOLOGY),
+            attack=factory,
+            net_kwargs=net_kwargs,
+            percentile=80.0,
+            **self.SETTINGS,
+        )
+        assert len(run.mobiwatch.anomalies) > 0
+        assert len(run.analyzer.verdicts) > 0
+        ingest = run.ric.e2term.ingest_batcher.stats()
+        assert ingest["offered"] == ingest["ingested"] + ingest["dropped"] + ingest["pending"]
+        ledger = run.analyzer.ledger()
+        assert ledger["offered"] == (
+            ledger["analyzed"]
+            + ledger["coalesced"]
+            + ledger["cache_hits"]
+            + ledger["shed"]
+            + ledger["pending"]
+        ), ledger
+        assert run.mobiwatch.sessions_evicted > 0
+
+
+class TestOneOperatingClock:
+    """The score provider models no completion time: an alarm carries the
+    sim clock of the event that emitted it, and the scoring wall-time
+    histogram gets one observation per provider call — at most one per
+    tick."""
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
+    )
+    def test_alarms_stamped_at_emission(self, trained_lstm, scenario):
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        stamps, provider_calls, walks = [], [], []
+
+        def observe(xsec):
+            watch = xsec.mobiwatch
+            alert, provider = watch._maybe_alert, watch._batch_scores
+            tick, score_one = watch._tick, watch._score_one
+
+            def stamped_alert(*args):
+                emitted = len(watch.anomalies)
+                alert(*args)
+                stamps.extend(
+                    (event.detected_at, watch.sim.now) for event in watch.anomalies[emitted:]
+                )
+
+            def counted_provider(ready):
+                provider_calls.append(len(ready))
+                return provider(ready)
+
+            def counted(walk):
+                def wrapper(arg):
+                    walks.append(walk.__name__)
+                    walk(arg)
+
+                return wrapper
+
+            watch._maybe_alert, watch._batch_scores = stamped_alert, counted_provider
+            watch._tick, watch._score_one = counted(tick), counted(score_one)
+
+        xsec = run_deployed(
+            trained_lstm,
+            attack=factory,
+            net_kwargs=net_kwargs,
+            percentile=80.0,
+            observe=observe,
+        )
+        watch = xsec.mobiwatch
+        assert len(stamps) == len(watch.anomalies) > 0
+        assert all(detected_at == now for detected_at, now in stamps)
+        wall = xsec.obs.metrics.histogram("mobiwatch.inference_wall_s")
+        assert wall.count == len(provider_calls) <= len(walks)
+        assert sum(provider_calls) == watch.windows_scored > 0

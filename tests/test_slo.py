@@ -19,6 +19,7 @@ from repro.ml.compiled import PROFILE_SAMPLE
 from repro.ml.detector import LstmDetector
 from repro.obs.metrics import MetricsRegistry
 from repro.oran.sdl import SharedDataLayer
+from repro.scale import ShardedSdl
 from repro.slo import profiler as profiler_mod
 from repro.slo.exporter import (
     ContinuousExporter,
@@ -346,7 +347,7 @@ class TestHealthScoreboard:
     def _board(self, wall):
         metrics = MetricsRegistry()
         return metrics, HealthScoreboard(
-            metrics, clock=lambda: wall[0], stale_after_s=4.0, backlog_degraded=8
+            metrics, clock=lambda: wall[0], stale_after_s=4.0
         )
 
     def test_heartbeat_fresh_degraded_down(self):
@@ -369,14 +370,11 @@ class TestHealthScoreboard:
         ).set(1.0)
         assert board.statuses()["analyzer"] == "up"
 
-    def test_probe_backlog_marks_degraded(self):
+    def test_probe_reports_up_or_down(self):
         wall = [0.0]
         metrics, board = self._board(wall)
-        backlog = [0.0]
-        board.register_probe("pool.w0", lambda: {"up": True, "backlog": backlog[0]})
+        board.register_probe("pool.w0", lambda: {"up": True})
         assert board.statuses()["pool.w0"] == "up"
-        backlog[0] = 9.0
-        assert board.statuses()["pool.w0"] == "degraded"
         board.register_probe("pool.w1", lambda: {"up": False})
         statuses = board.statuses()
         assert statuses["pool.w1"] == "down"
@@ -404,7 +402,6 @@ class TestProvenance:
             record_indices=(4, 5, 6),
             records=records,
             detector=_detector(),
-            scoring_path="seed",
             arrival_ts=1.5,
         )
         assert record.provenance_id == 1 and len(store) == 1
@@ -426,7 +423,6 @@ class TestProvenance:
             record_indices=(0, 1, 2),
             records=_records(3),
             detector=_detector(),
-            scoring_path="seed",
         )
         persisted = sdl.get(SDL_PROVENANCE_NS, "000001")
         assert persisted["capture_digest"] == record.capture_digest
@@ -473,9 +469,37 @@ class TestProvenance:
             record_indices=(0,),
             records=_records(1),
             detector=_detector(),
-            scoring_path="seed",
         )
         assert metrics.counter("slo.provenance_records_total").value == 1
+
+    def _mint(self, store):
+        return store.mint(
+            session_id=1,
+            detected_at=1.0,
+            score=1.0,
+            threshold=0.5,
+            record_indices=(0,),
+            records=_records(1),
+            detector=_detector(),
+        )
+
+    def test_refused_write_is_counted_and_kept_in_memory(self):
+        metrics = MetricsRegistry()
+        sdl = ShardedSdl(shards=2)
+        for shard in sdl.shard_names:
+            sdl.kill_shard(shard)
+        store = ProvenanceStore(metrics=metrics, sdl=sdl)
+        record = self._mint(store)
+        assert metrics.counter("slo.provenance_persist_failures_total").value == 1
+        assert store.get(record.provenance_id) is record
+
+    def test_other_write_errors_propagate(self):
+        class BrokenSdl:
+            def set(self, namespace, key, value):
+                raise KeyError(key)
+
+        with pytest.raises(KeyError):
+            self._mint(ProvenanceStore(metrics=MetricsRegistry(), sdl=BrokenSdl()))
 
 
 class TestSloRuntime:

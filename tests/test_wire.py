@@ -4,7 +4,6 @@ import collections
 import enum
 import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -623,145 +622,3 @@ class TestPropertyBased:
         except wire.WireError:
             pass
 
-
-class TestFraming:
-    """Length-prefixed framing for stream transports (repro.runtime)."""
-
-    def test_roundtrip_single_frame(self):
-        payload = wire.encode({"type": "hb", "n": 3})
-        framed = wire.frame(payload)
-        assert framed[0] == wire.FRAME_MAGIC
-        out, rest = wire.deframe(framed)
-        assert out == payload
-        assert rest == b""
-
-    def test_deframe_leaves_trailing_bytes(self):
-        first = wire.frame(b"one")
-        out, rest = wire.deframe(first + wire.frame(b"two") + b"\xa5")
-        assert out == b"one"
-        out2, rest2 = wire.deframe(rest)
-        assert out2 == b"two"
-        assert rest2 == b"\xa5"
-
-    def test_partial_header_is_incomplete(self):
-        framed = wire.frame(b"payload")
-        for cut in range(wire.FRAME_HEADER_SIZE):
-            with pytest.raises(wire.IncompleteFrameError):
-                wire.deframe(framed[:cut] or b"\xa5"[:cut])
-
-    def test_partial_payload_is_incomplete(self):
-        framed = wire.frame(b"payload")
-        with pytest.raises(wire.IncompleteFrameError):
-            wire.deframe(framed[:-1])
-
-    def test_incomplete_is_a_wire_error_subclass(self):
-        # Callers that only catch WireError still treat partials safely.
-        assert issubclass(wire.IncompleteFrameError, wire.WireError)
-
-    def test_garbage_magic_raises_plain_wire_error(self):
-        with pytest.raises(wire.WireError) as excinfo:
-            wire.deframe(b"\x00garbage bytes here")
-        assert not isinstance(excinfo.value, wire.IncompleteFrameError)
-        assert "desync" in str(excinfo.value)
-
-    def test_garbage_first_byte_detected_before_full_header(self):
-        # A desynced stream is reported even before 5 header bytes arrive.
-        with pytest.raises(wire.WireError) as excinfo:
-            wire.deframe(b"\x7f")
-        assert not isinstance(excinfo.value, wire.IncompleteFrameError)
-
-    def test_oversize_payload_rejected_on_frame(self):
-        class FakeLen(bytes):
-            def __len__(self):
-                return wire.MAX_FRAME_BYTES + 1
-
-        with pytest.raises(wire.WireError):
-            wire.frame(FakeLen(b"x"))
-
-    def test_oversize_length_rejected_on_deframe(self):
-        import struct
-
-        bogus = struct.pack(">BI", wire.FRAME_MAGIC, wire.MAX_FRAME_BYTES + 1)
-        with pytest.raises(wire.WireError) as excinfo:
-            wire.deframe(bogus + b"x" * 16)
-        assert not isinstance(excinfo.value, wire.IncompleteFrameError)
-
-    def test_decoder_reassembles_byte_by_byte(self):
-        payloads = [wire.encode({"i": i, "blob": b"\x00" * i}) for i in range(5)]
-        stream = b"".join(wire.frame(p) for p in payloads)
-        decoder = wire.FrameDecoder()
-        got = []
-        for i in range(len(stream)):
-            got.extend(decoder.feed(stream[i : i + 1]))
-        assert got == payloads
-        assert decoder.pending_bytes == 0
-
-    def test_decoder_many_frames_one_chunk(self):
-        payloads = [b"a", b"", b"c" * 1000]
-        decoder = wire.FrameDecoder()
-        assert decoder.feed(b"".join(wire.frame(p) for p in payloads)) == payloads
-
-    def test_decoder_buffers_partial_and_reports_pending(self):
-        framed = wire.frame(b"abcdef")
-        decoder = wire.FrameDecoder()
-        assert decoder.feed(framed[:4]) == []
-        assert decoder.pending_bytes == 4
-        assert decoder.feed(framed[4:]) == [b"abcdef"]
-        assert decoder.pending_bytes == 0
-
-    def test_decoder_many_small_frames_is_linear(self):
-        """Re-slicing the tail per frame is quadratic (8 000 -> 32 000 frames
-        took 36x as long, 3.6 s); walking the buffer by offset is linear
-        (4x, tens of milliseconds). Compared as a ratio, best of three, so a
-        loaded box cannot fail it."""
-        payloads = [wire.encode(i) for i in range(32000)]
-        tail = wire.frame(b"tail")[:3]
-
-        def feed_seconds(count):
-            stream = b"".join(wire.frame(p) for p in payloads[:count]) + tail
-            best = float("inf")
-            for _ in range(3):
-                decoder = wire.FrameDecoder()
-                start = time.perf_counter()
-                got = decoder.feed(stream)
-                best = min(best, time.perf_counter() - start)
-                assert got == payloads[:count]
-                assert decoder.pending_bytes == 3
-            return best
-
-        quarter = feed_seconds(8000)
-        assert feed_seconds(32000) < 10 * quarter
-
-    def test_decoder_bytewise_feed_matches_one_chunk(self):
-        payloads = [wire.encode(i) for i in range(300)]
-        stream = b"".join(wire.frame(p) for p in payloads)
-        assert wire.FrameDecoder().feed(stream) == payloads
-        bytewise = wire.FrameDecoder()
-        trickled = []
-        for i in range(len(stream)):
-            trickled.extend(bytewise.feed(stream[i : i + 1]))
-        assert trickled == payloads
-        assert bytewise.pending_bytes == 0
-
-    def test_decoder_garbage_after_good_frames_raises(self):
-        decoder = wire.FrameDecoder()
-        with pytest.raises(wire.WireError) as excinfo:
-            decoder.feed(wire.frame(b"ok") + b"\x00junk")
-        assert not isinstance(excinfo.value, wire.IncompleteFrameError)
-        with pytest.raises(wire.WireError):  # a short tail with a wrong first byte
-            wire.FrameDecoder().feed(wire.frame(b"ok") + b"\x7f")
-
-    def test_decoder_garbage_raises(self):
-        decoder = wire.FrameDecoder()
-        with pytest.raises(wire.WireError):
-            decoder.feed(b"\xffnot a frame")
-
-    @examples(100)
-    @given(st.lists(st.binary(max_size=64), max_size=8), st.integers(1, 16))
-    def test_decoder_chunking_never_changes_payloads(self, payloads, chunk):
-        stream = b"".join(wire.frame(p) for p in payloads)
-        decoder = wire.FrameDecoder()
-        got = []
-        for i in range(0, len(stream), chunk):
-            got.extend(decoder.feed(stream[i : i + chunk]))
-        assert got == payloads
