@@ -100,8 +100,8 @@ class MobiFlowKpmModel(ServiceModel):
 
     @classmethod
     def encode_indication(cls, payload: list[MobiFlowRecord]) -> tuple[bytes, bytes]:
-        """Encode a telemetry batch (a record list) into header + message
-        bytes: one (key, value) dict per record."""
+        """Encode a record list into header + message bytes: one
+        (key, value) dict per record."""
         records = list(payload)
         header = wire.encode({"sm": cls.NAME, "count": len(records)})
         message = encode_batch(records)

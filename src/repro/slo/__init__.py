@@ -7,9 +7,8 @@ docstrings for details):
 - :mod:`repro.slo.objectives` — declarative objectives evaluated over
   sliding windows with SRE-style multi-window burn-rate alerting and a
   pending -> firing -> resolved alert state machine;
-- :mod:`repro.slo.profiler` — explicit ``profile_block()`` hooks plus a
-  background sampling profiler, both emitting collapsed (flamegraph)
-  stacks;
+- :mod:`repro.slo.profiler` — explicit ``profile_block()`` hooks emitting
+  per-stage self time and collapsed (flamegraph) stacks;
 - :mod:`repro.slo.exporter` — OpenMetrics text exposition, JSONL
   continuous snapshots on the sim clock, and the per-shard/per-worker
   health scoreboard;
@@ -34,7 +33,7 @@ from repro.slo.objectives import (
     SloObjective,
     default_objectives,
 )
-from repro.slo.profiler import Profiler, SamplingProfiler, profile_block
+from repro.slo.profiler import Profiler, profile_block
 from repro.slo.provenance import (
     ProvenanceRecord,
     ProvenanceStore,
@@ -53,7 +52,6 @@ __all__ = [
     "AlertEvent",
     "default_objectives",
     "Profiler",
-    "SamplingProfiler",
     "profile_block",
     "ContinuousExporter",
     "HealthScoreboard",

@@ -1,29 +1,22 @@
-"""Continuous profiler: explicit hot-spot hooks plus a sampling thread.
+"""Continuous profiler: explicit hot-spot hooks (stdlib-only).
 
-Two complementary mechanisms, both stdlib-only:
+Instrumented call sites (MobiWatch's ingest and score stages, the
+compiled kernels, sharded-SDL ops) report wall-clock durations under
+stable stage names. Coarse call sites use the :func:`profile_block`
+context manager; per-call-microsecond sites use the inline pattern below
+so an *inactive* profiler costs one module-attribute load and an
+``is None`` branch (~tens of ns)::
 
-- **explicit hooks** — instrumented call sites (MobiWatch's ingest and
-  score stages, the compiled kernels, sharded-SDL ops) report
-  wall-clock durations under stable stage names. Coarse call
-  sites use the :func:`profile_block` context manager; per-call-microsecond
-  sites use the inline pattern below so an *inactive* profiler costs one
-  module-attribute load and an ``is None`` branch (~tens of ns)::
+    prof = profiler.CURRENT
+    if prof is not None:
+        t0 = time.perf_counter()
+        ...work...
+        prof.record("stage.name", time.perf_counter() - t0)
+    else:
+        ...work...
 
-      prof = profiler.CURRENT
-      if prof is not None:
-          t0 = time.perf_counter()
-          ...work...
-          prof.record("stage.name", time.perf_counter() - t0)
-      else:
-          ...work...
-
-  Nested ``block()`` scopes attribute *self time* per stage (a parent's
-  total includes its children; its self time does not).
-
-- **sampling profiler** — a daemon thread walks ``sys._current_frames()``
-  every ``interval_s``, folding each thread's Python stack into collapsed
-  (flamegraph-format) counts. No instrumentation required; overhead is
-  bounded by the sampling interval, not by call volume.
+Nested ``block()`` scopes attribute *self time* per stage (a parent's
+total includes its children; its self time does not).
 
 Activation is process-global (:func:`activate` / :func:`deactivate` set
 :data:`CURRENT`): instrumented modules never need a profiler reference
@@ -33,7 +26,6 @@ threaded through their constructors, and the inactive cost stays a single
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -219,70 +211,3 @@ class Profiler:
     def reset(self) -> None:
         self._stages.clear()
         self._paths.clear()
-
-
-class SamplingProfiler:
-    """Wall-clock stack sampler over ``sys._current_frames()``.
-
-    Start/stop bracket a daemon thread; each tick folds every thread's
-    current Python stack (outermost first) into collapsed counts. The
-    sampler's own thread is excluded.
-    """
-
-    def __init__(self, interval_s: float = 0.005, max_depth: int = 48) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        self.interval_s = interval_s
-        self.max_depth = max_depth
-        self.samples = 0
-        self._counts: Dict[Tuple[str, ...], int] = {}
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="slo-sampling-profiler", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._thread = None
-
-    def _run(self) -> None:
-        me = threading.get_ident()
-        while not self._stop.wait(self.interval_s):
-            self.sample_once(exclude_thread=me)
-
-    def sample_once(self, exclude_thread: Optional[int] = None) -> None:
-        """Take one sample now (also used directly by deterministic tests)."""
-        frames = sys._current_frames()
-        with self._lock:
-            self.samples += 1
-            for ident, frame in frames.items():
-                if ident == exclude_thread:
-                    continue
-                stack: list[str] = []
-                depth = 0
-                while frame is not None and depth < self.max_depth:
-                    code = frame.f_code
-                    stack.append(f"{code.co_name} ({code.co_filename.rsplit('/', 1)[-1]})")
-                    frame = frame.f_back
-                    depth += 1
-                path = tuple(reversed(stack))
-                self._counts[path] = self._counts.get(path, 0) + 1
-
-    def collapsed_stacks(self) -> str:
-        """Flamegraph collapsed format: ``frame;frame;frame <samples>``."""
-        with self._lock:
-            return "\n".join(
-                f"{';'.join(path)} {count}"
-                for path, count in sorted(self._counts.items())
-            )

@@ -1,7 +1,7 @@
 """SloRuntime: one object bundling the deployment's observability plane.
 
 Constructed by :class:`~repro.core.framework.SixGXSec` when any
-``XsecConfig.slo`` switch is on. Owns the SLO engine, the profilers, the
+``XsecConfig.slo`` switch is on. Owns the SLO engine, the profiler, the
 continuous exporter and the health scoreboard, and knows how to schedule
 their sim-clock ticks *bounded to a run horizon* — a recurring
 self-rescheduling event would keep the queue non-empty and break
@@ -22,7 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.slo import profiler as profiler_mod
 from repro.slo.exporter import ContinuousExporter, HealthScoreboard
 from repro.slo.objectives import SloEngine, SloObjective
-from repro.slo.profiler import Profiler, SamplingProfiler
+from repro.slo.profiler import Profiler
 from repro.slo.provenance import ProvenanceStore
 from repro.slo.settings import SloSettings
 
@@ -57,10 +57,6 @@ class SloRuntime:
         self.profiler: Optional[Profiler] = None
         if settings.profiler:
             self.profiler = profiler_mod.activate(Profiler())
-        self.sampler: Optional[SamplingProfiler] = None
-        if settings.sampling_profiler:
-            self.sampler = SamplingProfiler(interval_s=settings.sampling_interval_s)
-            self.sampler.start()
         self.exporter: Optional[ContinuousExporter] = None
         if settings.export_interval_s > 0:
             self.exporter = ContinuousExporter(
@@ -94,23 +90,14 @@ class SloRuntime:
             self.exporter.snapshot_once()
 
     def shutdown(self) -> None:
-        """Stop background sampling and release the global profiler hook."""
-        if self.sampler is not None:
-            self.sampler.stop()
+        """Release the global profiler hook."""
         if self.profiler is not None and profiler_mod.CURRENT is self.profiler:
             profiler_mod.deactivate()
 
     # -- artifacts ---------------------------------------------------------
 
     def collapsed_stacks(self) -> str:
-        """Hook-profiler stacks, plus sampler stacks when enabled."""
-        parts = []
-        if self.profiler is not None:
-            stacks = self.profiler.collapsed_stacks()
-            if stacks:
-                parts.append(stacks)
-        if self.sampler is not None:
-            stacks = self.sampler.collapsed_stacks()
-            if stacks:
-                parts.append(stacks)
-        return "\n".join(parts)
+        """Hook-profiler stacks (empty when the profiler is off)."""
+        if self.profiler is None:
+            return ""
+        return self.profiler.collapsed_stacks()

@@ -14,9 +14,6 @@ The independent switches:
 - ``profiler`` — explicit ``profile_block()`` hooks in MobiWatch's
   ingest and score stages, the compiled kernels and sharded-SDL ops start
   recording per-stage self time (off = the hooks are a single ``is None`` check).
-- ``sampling_profiler`` — a background thread additionally samples every
-  thread's Python stack at ``sampling_interval_s``, aggregated into
-  collapsed (flamegraph-format) stacks.
 - ``export_interval_s`` — > 0 schedules JSONL metric snapshots on the sim
   clock every this many simulated seconds (bounded to the run horizon, so
   ``run(until=None)`` still terminates).
@@ -55,9 +52,6 @@ class SloSettings:
 
     # Explicit profile_block() hooks (per-stage self-time accounting).
     profiler: bool = False
-    # Background thread sampling sys._current_frames() for flamegraphs.
-    sampling_profiler: bool = False
-    sampling_interval_s: float = 0.005
 
     # JSONL continuous-telemetry snapshots every N sim seconds (0 = off).
     export_interval_s: float = 0.0
@@ -73,10 +67,6 @@ class SloSettings:
                 "windows must satisfy 0 < fast_window_s <= slow_window_s, got "
                 f"fast={self.fast_window_s} slow={self.slow_window_s}"
             )
-        if self.sampling_interval_s <= 0:
-            raise ValueError(
-                f"sampling_interval_s must be > 0, got {self.sampling_interval_s}"
-            )
         if self.export_interval_s < 0:
             raise ValueError(
                 f"export_interval_s must be >= 0, got {self.export_interval_s}"
@@ -84,12 +74,7 @@ class SloSettings:
 
     @property
     def any_enabled(self) -> bool:
-        return (
-            self.enabled
-            or self.profiler
-            or self.sampling_profiler
-            or self.export_interval_s > 0
-        )
+        return self.enabled or self.profiler or self.export_interval_s > 0
 
     @classmethod
     def full(cls, export_path: Optional[str] = None) -> "SloSettings":

@@ -103,7 +103,7 @@ def decode_record(data: bytes) -> MobiFlowRecord:
 
 
 def encode_batch(records: list[MobiFlowRecord]) -> bytes:
-    """Encode a telemetry batch (one E2 indication per report interval)."""
+    """Encode the records of one E2 indication (one per report interval)."""
     return _PLAN.encode_list(records)
 
 

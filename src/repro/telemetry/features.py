@@ -157,16 +157,27 @@ class FeatureSpec:
 
     def encode_series(self, series: TelemetrySeries) -> np.ndarray:
         """Encode a time-ordered telemetry series to an ``[M, dim]`` float32
-        matrix in one numpy pass (:mod:`repro.telemetry.vectorized`).
+        matrix: every record is pushed through one fresh
+        :meth:`streaming_encoder`, the live featurizer, so a model trains on
+        exactly the features MobiWatch scores.
 
         The identifier-relation flags are computed causally: each entry only
-        looks at entries before it, so live inference (via
-        :meth:`streaming_encoder`, the reference this must equal bit for
-        bit) sees exactly the same features.
+        looks at entries before it. A series whose timestamps go backwards
+        raises ``ValueError`` (``TelemetrySeries.append`` refuses one; a
+        series built from a list is not checked until here).
         """
-        from repro.telemetry.vectorized import encode_series  # imports this module
-
-        return encode_series(self, series)
+        out = np.empty((len(series), self.dim), dtype=np.float32)
+        push = self.streaming_encoder().push
+        last = float("-inf")
+        for index, record in enumerate(series):
+            if record.timestamp < last:
+                raise ValueError(
+                    "encode_series requires a time-ordered series "
+                    f"({record.timestamp} < {last})"
+                )
+            last = record.timestamp
+            out[index] = push(record)
+        return out
 
 
 class StreamingEncoder:

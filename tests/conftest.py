@@ -10,9 +10,11 @@ without slowing tier-1:
 - ``kernel-fuzz``: the row-exact scoring kernels' bytes against single-row
   calls and the layer-walking reference
   (tests/test_hotpath.py::TestRowExactKernels) and the score memo's
-  properties over them (tests/test_score_memo.py). These name no
-  ``max_examples`` of their own: an explicit one in ``@settings`` would
-  override any profile.
+  properties over them (tests/test_score_memo.py); also the one
+  featurizer, ``StreamingEncoder``, against the seed push
+  (tests/test_features.py::TestStreamingEncoderEqualsSeedPush). These
+  name no ``max_examples`` of their own: an explicit one in ``@settings``
+  would override any profile.
 """
 
 from hypothesis import settings

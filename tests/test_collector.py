@@ -32,6 +32,48 @@ def undecodable_total(metrics):
     }
 
 
+# A benign registration flow, cycled per session.
+_FLOW = (
+    ("RRCSetupRequest", "RRC", "UL"),
+    ("RRCSetup", "RRC", "DL"),
+    ("RRCSetupComplete", "RRC", "UL"),
+    ("RegistrationRequest", "NAS", "UL"),
+    ("AuthenticationRequest", "NAS", "DL"),
+    ("AuthenticationResponse", "NAS", "UL"),
+    ("NASSecurityModeCommand", "NAS", "DL"),
+    ("NASSecurityModeComplete", "NAS", "UL"),
+    ("RegistrationAccept", "NAS", "DL"),
+    ("RRCRelease", "RRC", "DL"),
+)
+
+
+def field_stream(records, sessions):
+    """Raw field values of a synthetic capture, in time order, with TMSI/SUCI
+    identity variety so every nullable field holds both values and holes."""
+    for index in range(records):
+        session_id = 1 + index % sessions
+        step = (index // sessions) % len(_FLOW)
+        msg, protocol, direction = _FLOW[step]
+        yield {
+            "timestamp": index * 0.002,
+            "msg": msg,
+            "protocol": protocol,
+            "direction": direction,
+            "session_id": session_id,
+            "rnti": 0x4000 + session_id,
+            "s_tmsi": 0x00C0_0000 + session_id if step >= 2 else None,
+            "suci": (
+                f"suci-0-999-70-0000-{session_id:07d}"
+                if step == 3 and session_id % 5 == 0
+                else None
+            ),
+            "supi": None,
+            "cipher_alg": 2 if step >= 7 else None,
+            "integrity_alg": 2 if step >= 7 else None,
+            "establishment_cause": "mo-Signalling" if step == 0 else None,
+        }
+
+
 class TestUndecodableCaptures:
     """One packet that does not decode is counted and skipped; it used to
     raise MessageError out of parse_stream (losing the rest of the capture)
@@ -300,8 +342,6 @@ class TestEncoder:
     PAYLOAD_BYTES = [(6, 243), (12, 483), (64, 2735), (300, 13671)]
 
     def test_payload_bytes_per_batch_size(self):
-        from tests.test_features import field_stream
-
         records = [MobiFlowRecord(**fields) for fields in field_stream(300, 12)]
         measured = [
             (count, len(encode_batch(records[:count]))) for count, _ in self.PAYLOAD_BYTES

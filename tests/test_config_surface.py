@@ -127,6 +127,10 @@ DELETED = [
     (RuntimeSettings, "heartbeat_interval_s"),
     (RuntimeSettings, "heartbeat_timeout_s"),
     (SloSettings, "backlog_degraded"),
+    # The background stack sampler: off by default, turned on by no preset
+    # and no caller but its own tests; the profile_block() hooks remain.
+    (SloSettings, "sampling_profiler"),
+    (SloSettings, "sampling_interval_s"),
 ]
 
 
@@ -266,7 +270,8 @@ def test_settings_field_total():
     went from the top level; 52 before ``scoring`` and its four non-exact
     tiers were deleted; 51 before the scoring worker pool's eight
     ``runtime`` fields (11 -> 3) and ``slo.backlog_degraded`` went with
-    it: 42 = 20 family + 22 top-level."""
+    it; 42 before the sampling profiler's two ``slo`` fields were deleted:
+    40 = 18 family + 22 top-level."""
     family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
     top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 42
+    assert family_fields + top_level <= 40

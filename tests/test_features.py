@@ -1,11 +1,13 @@
 """Tests for featurization: one-hot encoding, flags, sliding windows, and
-the one-pass vectorized featurizer with its struct-of-arrays input.
+the one featurizer, ``StreamingEncoder``.
 
-The vectorized featurizer (what every offline build runs) is held
-bit-identical (float64 arithmetic, float32 storage) to the reference
-``StreamingEncoder`` on captures from each of the five attacks' scenarios
-plus a benign mix; the golden-vector fixture freezes the feature column
-layout itself; ``MobiFlowBatch`` is held to exact record round trips.
+``FeatureSpec.encode_series`` (what every offline build runs: the live
+encoder pushed record by record) is held bit-identical (float64
+arithmetic, float32 storage) to the seed ``push`` in
+``tests/reference_features.py`` on captures from each of the five attacks'
+scenarios plus a benign mix; the streaming encoder is held to the same
+oracle on arbitrary record sequences; the golden-vector fixture freezes
+the feature column layout itself.
 """
 
 import json
@@ -26,7 +28,6 @@ from repro.attacks import (
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.ran.core_network import AmfConfig
 from repro.ran.network import FiveGNetwork, NetworkConfig
-from repro.telemetry.batch import MobiFlowBatch, MobiFlowBatchBuilder
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.features import (
     DEFAULT_MESSAGE_VOCAB,
@@ -35,7 +36,6 @@ from repro.telemetry.features import (
     sliding_windows,
 )
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
-from repro.telemetry.vectorized import encode_batch
 from tests.reference_features import SeedStreamingEncoder
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -232,7 +232,7 @@ class TestWindowedDataset:
 
 
 # ---------------------------------------------------------------------------
-# attack-scenario captures (shared by the vectorized-featurizer and batch tests)
+# attack-scenario captures (shared by the encode_series and seed-push tests)
 
 
 def _uplink_extraction(net):
@@ -291,57 +291,63 @@ def benign_series():
     return capture.series
 
 
-def streaming_rows(spec, records):
-    """Reference featurization: the live encoder pushed record by record."""
-    encoder = spec.streaming_encoder()
+def seed_rows(spec, records):
+    """Oracle featurization: the seed encoder pushed record by record."""
+    encoder = SeedStreamingEncoder(spec)
     return np.stack([encoder.push(r) for r in records])
 
 
 # ---------------------------------------------------------------------------
-# vectorized featurization bit-identity (the acceptance contract)
+# encode_series bit-identity to the seed oracle (the acceptance contract)
 
 
 class TestVectorizedFeaturizationBitIdentity:
+    """``FeatureSpec.encode_series``, what every offline dataset build runs,
+    against the seed oracle's rows, byte for byte."""
+
     @pytest.mark.parametrize(
         "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
     )
     def test_attack_captures_bit_identical(self, scenario_series, scenario):
         series = scenario_series[scenario]
         spec = FeatureSpec()
-        seed_rows = streaming_rows(spec, series)
-        fast_rows = spec.encode_series(series)
-        # np.array_equal, not allclose: float64 arithmetic, float32 storage,
-        # bit for bit.
-        assert np.array_equal(seed_rows, fast_rows)
+        # tobytes, not allclose: float64 arithmetic, float32 storage, bit
+        # for bit.
+        assert spec.encode_series(series).tobytes() == seed_rows(spec, series).tobytes()
 
     def test_benign_capture_bit_identical(self, benign_series):
         spec = FeatureSpec()
-        assert np.array_equal(
-            streaming_rows(spec, benign_series),
-            spec.encode_series(benign_series),
+        assert (
+            spec.encode_series(benign_series).tobytes()
+            == seed_rows(spec, benign_series).tobytes()
         )
 
     def test_from_series_vectorized_flag_identical(self, scenario_series):
         series = scenario_series["null_cipher"]
         spec = FeatureSpec()
         seed = WindowedDataset._assemble(
-            series, spec, 6, "session", streaming_rows(spec, series)
+            series, spec, 6, "session", seed_rows(spec, series)
         )
-        fast = WindowedDataset.from_series(series, spec, window=6)
-        assert np.array_equal(seed.windows, fast.windows)
-        assert seed.window_records == fast.window_records
+        built = WindowedDataset.from_series(series, spec, window=6)
+        assert built.windows.tobytes() == seed.windows.tobytes()
+        assert built.window_records == seed.window_records
 
     def test_unordered_batch_rejected(self):
-        records = [
-            MobiFlowRecord(
-                timestamp=t, msg="RRCSetupRequest", protocol="RRC", direction="UL",
-                session_id=1,
-            )
-            for t in (1.0, 0.5)
-        ]
-        batch = MobiFlowBatch.from_records(records)
+        series = TelemetrySeries(
+            [
+                MobiFlowRecord(
+                    timestamp=t, msg="RRCSetupRequest", protocol="RRC", direction="UL",
+                    session_id=1,
+                )
+                for t in (1.0, 0.5)
+            ]
+        )
         with pytest.raises(ValueError):
-            encode_batch(FeatureSpec(), batch)
+            FeatureSpec().encode_series(series)
+
+    def test_empty_series_gives_empty_matrix(self):
+        spec = FeatureSpec()
+        assert spec.encode_series(TelemetrySeries()).shape == (0, spec.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -468,75 +474,3 @@ class TestGoldenFeatureLayout:
         rows = np.stack([encoder.push(r) for r in self._records(golden)])
         # float32 values are exactly representable in JSON's float64.
         assert np.array_equal(rows, np.asarray(golden["rows"], dtype=np.float32))
-
-    def test_vectorized_rows_frozen(self, golden):
-        spec = FeatureSpec()
-        batch = MobiFlowBatch.from_records(self._records(golden))
-        assert np.array_equal(
-            encode_batch(spec, batch), np.asarray(golden["rows"], dtype=np.float32)
-        )
-
-
-# ---------------------------------------------------------------------------
-# MobiFlowBatch: the featurizer's in-memory struct-of-arrays input
-
-# A benign registration flow, cycled per session.
-_FLOW = (
-    ("RRCSetupRequest", "RRC", "UL"),
-    ("RRCSetup", "RRC", "DL"),
-    ("RRCSetupComplete", "RRC", "UL"),
-    ("RegistrationRequest", "NAS", "UL"),
-    ("AuthenticationRequest", "NAS", "DL"),
-    ("AuthenticationResponse", "NAS", "UL"),
-    ("NASSecurityModeCommand", "NAS", "DL"),
-    ("NASSecurityModeComplete", "NAS", "UL"),
-    ("RegistrationAccept", "NAS", "DL"),
-    ("RRCRelease", "RRC", "DL"),
-)
-
-
-def field_stream(records, sessions):
-    """Raw field values of a synthetic capture, in time order, with TMSI/SUCI
-    identity variety so every nullable column holds both values and holes."""
-    for index in range(records):
-        session_id = 1 + index % sessions
-        step = (index // sessions) % len(_FLOW)
-        msg, protocol, direction = _FLOW[step]
-        yield {
-            "timestamp": index * 0.002,
-            "msg": msg,
-            "protocol": protocol,
-            "direction": direction,
-            "session_id": session_id,
-            "rnti": 0x4000 + session_id,
-            "s_tmsi": 0x00C0_0000 + session_id if step >= 2 else None,
-            "suci": (
-                f"suci-0-999-70-0000-{session_id:07d}"
-                if step == 3 and session_id % 5 == 0
-                else None
-            ),
-            "supi": None,
-            "cipher_alg": 2 if step >= 7 else None,
-            "integrity_alg": 2 if step >= 7 else None,
-            "establishment_cause": "mo-Signalling" if step == 0 else None,
-        }
-
-
-class TestMobiFlowBatch:
-    def test_roundtrip_exact(self, scenario_series):
-        records = scenario_series["uplink_id_extraction"].records
-        assert MobiFlowBatch.from_records(records).to_records() == records
-
-    def test_builder_matches_from_records(self):
-        records = [MobiFlowRecord(**fields) for fields in field_stream(300, 12)]
-        builder = MobiFlowBatchBuilder()
-        for r in records:
-            builder.append(r)
-        assert builder.build().to_records() == records
-
-    def test_append_fields_matches_records(self):
-        builder = MobiFlowBatchBuilder()
-        for fields in field_stream(200, 8):
-            builder.append_fields(**fields)
-        records = [MobiFlowRecord(**fields) for fields in field_stream(200, 8)]
-        assert builder.build().to_records() == records

@@ -89,16 +89,6 @@ class TestFeaturizerProperties:
         prefix = spec.encode_series(series[:cut])
         assert np.array_equal(full[:cut], prefix)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(records_strategy, min_size=1, max_size=25))
-    def test_streaming_matches_batch(self, records):
-        spec = FeatureSpec()
-        series = sorted_series(records)
-        batch = spec.encode_series(series)
-        encoder = spec.streaming_encoder()
-        streamed = np.stack([encoder.push(r) for r in series])
-        assert np.array_equal(batch, streamed)
-
 
 class TestWindowingProperties:
     @settings(max_examples=30, deadline=None)

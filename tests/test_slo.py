@@ -35,7 +35,7 @@ from repro.slo.objectives import (
     SloObjective,
     default_objectives,
 )
-from repro.slo.profiler import Profiler, SamplingProfiler
+from repro.slo.profiler import Profiler
 from repro.slo.provenance import (
     ProvenanceStore,
     SDL_PROVENANCE_NS,
@@ -68,7 +68,7 @@ def _detector():
 class TestSloSettings:
     def test_defaults_are_all_off(self):
         s = SloSettings()
-        assert not s.enabled and not s.profiler and not s.sampling_profiler
+        assert not s.enabled and not s.profiler
         assert s.export_interval_s == 0.0
         assert not s.any_enabled
 
@@ -82,8 +82,6 @@ class TestSloSettings:
             SloSettings(eval_interval_s=0.0)
         with pytest.raises(ValueError):
             SloSettings(fast_window_s=10.0, slow_window_s=5.0)
-        with pytest.raises(ValueError):
-            SloSettings(sampling_interval_s=0.0)
         with pytest.raises(ValueError):
             SloSettings(export_interval_s=-1.0)
 
@@ -307,19 +305,6 @@ class TestProfiler:
         with profiler_mod.profile_block("y"):
             pass
         assert [r["stage"] for r in prof.stage_table()] == ["x"]
-
-
-class TestSamplingProfiler:
-    def test_sample_once_collects_this_stack(self):
-        sampler = SamplingProfiler(interval_s=0.005)
-        sampler.sample_once()
-        assert sampler.samples == 1
-        stacks = sampler.collapsed_stacks()
-        assert "test_sample_once_collects_this_stack" in stacks
-
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval_s=0.0)
 
 
 class TestContinuousExporter:
