@@ -1,6 +1,6 @@
 """Observability-overhead benchmark: the price of watching the hot path.
 
-The whole point of ``repro.slo`` is that you can leave it on: the SLO
+The whole point of the SLO plane is that you can leave it on: the SLO
 engine, the counters/heartbeats, the profiler hooks and the export plane
 must cost the hot path almost nothing. This bench proves it by splitting
 the fully-observed cost into its two very different components and gating
@@ -25,8 +25,8 @@ their sum at :data:`OVERHEAD_MAX_PCT` (the PR's <= 3% contract):
   the memo, which clears when full), so every call reaches the kernels
   and pays every hook. The plain calls' trimmed mean is the denominator.
 - **amortized plane overhead** — the per-cadence work (latency histogram
-  observe, :class:`~repro.slo.objectives.SloEngine` tick,
-  :func:`~repro.slo.exporter.render_openmetrics`). Deterministic counts
+  observe, :class:`~repro.obs.objectives.SloEngine` tick,
+  :func:`~repro.obs.exporter.render_openmetrics`). Deterministic counts
   times micro-benchmarked per-call costs, divided across the ticks of one
   cadence interval — exact attribution instead of asking a noisy
   end-to-end delta to resolve tens of ns.
@@ -52,12 +52,11 @@ import numpy as np
 
 from repro.bench.driver import BenchResult, best_of
 from repro.ml.compiled import SCORE_MEMO_CAPACITY
+from repro.obs import profiler as _profiler
+from repro.obs.exporter import render_openmetrics
 from repro.obs.metrics import MetricsRegistry
-from repro.slo import profiler as _profiler
-from repro.slo.exporter import render_openmetrics
-from repro.slo.objectives import SloEngine, SloObjective
-from repro.slo.profiler import Profiler
-from repro.slo.settings import SloSettings
+from repro.obs.objectives import EVAL_INTERVAL_S, SloEngine, SloObjective
+from repro.obs.profiler import Profiler
 
 # Hard ceiling on the fully-observed hot path slowdown (the PR gate).
 OVERHEAD_MAX_PCT = 3.0
@@ -306,16 +305,12 @@ def _bench_primitives(cfg: ObsBenchConfig, result: ObsBenchResult) -> None:
     metrics.counter("obsbench.slow_batches_total")
     metrics.counter("ml.compiled_windows_total", labels={"model": "lstm"}).value = reps
 
+    # The engine as deployed: its clock steps by the engine's own cadence.
     wall = [0.0]
-    engine = SloEngine(
-        metrics,
-        settings=SloSettings(enabled=True, eval_interval_s=0.05),
-        objectives=_bench_objectives(),
-        clock=lambda: wall[0],
-    )
+    engine = SloEngine(metrics, objectives=_bench_objectives(), clock=lambda: wall[0])
 
     def tick() -> None:
-        wall[0] += 0.05
+        wall[0] += EVAL_INTERVAL_S
         engine.tick()
 
     tick_s = per_call(tick)

@@ -204,8 +204,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             )
         print(f"\nobs snapshot -> {args.json}")
     if args.jsonl:
+        # One snapshot() line: the format `slo --jsonl` appends on its cadence.
         with open(args.jsonl, "w", encoding="utf-8") as fh:
-            fh.write(registry.to_jsonl() + "\n")
+            fh.write(json.dumps(registry.snapshot(), sort_keys=True) + "\n")
         print(f"metrics JSONL -> {args.jsonl}")
     detection_max = latency["detection_s"].get("max")
     return 0 if detection_max is not None and detection_max < 1.0 else 3
@@ -216,28 +217,29 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     from repro.core.config import XsecConfig
     from repro.experiments.testbed import LiveTestbedConfig, run_live_testbed
-    from repro.slo.exporter import render_openmetrics
-    from repro.slo.settings import SloSettings
+    from repro.obs.exporter import render_openmetrics
 
-    settings = SloSettings.full(export_path=args.jsonl)
+    config = XsecConfig(
+        auto_release=True,
+        auto_blocklist=True,
+        slo_enabled=True,
+        slo_export_path=args.jsonl,
+    )
     run = run_live_testbed(
-        LiveTestbedConfig(
-            xsec=XsecConfig(auto_release=True, auto_blocklist=True, slo=settings),
-            live_duration_s=args.duration,
-        )
+        LiveTestbedConfig(xsec=config, live_duration_s=args.duration)
     )
     xsec = run.xsec
-    slo = xsec.slo
+    obs = xsec.obs
     store = xsec.mobiwatch.provenance
     incidents = xsec.pipeline.incidents
     status = 0
     try:
         if args.action == "report":
-            print(slo.engine.render())
+            print(obs.engine.render())
             # Evaluated at sim end: the testbed drains ~20s past the last
             # traffic, so idle components legitimately read stale/down.
             print("\ncomponent health (at sim end, after the drain tail):")
-            statuses = slo.scoreboard.statuses()
+            statuses = obs.scoreboard.statuses()
             if statuses:
                 for name, state in sorted(statuses.items()):
                     print(f"  {name:<28} {state}")
@@ -246,13 +248,13 @@ def _cmd_slo(args: argparse.Namespace) -> int:
             print(
                 f"\n{len(store)} provenance records minted, "
                 f"{len(incidents)} incidents closed, "
-                f"{len(slo.engine.events)} alert transitions "
+                f"{len(obs.engine.events)} alert transitions "
                 f"(see `slo alerts`)"
             )
         elif args.action == "alerts":
-            print(slo.engine.render_alerts())
+            print(obs.engine.render_alerts())
         elif args.action == "profile":
-            print(slo.profiler.render())
+            print(obs.profiler.render())
         else:  # explain
             provenance_id = args.verdict
             if provenance_id is None:
@@ -286,18 +288,18 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                 print(record.render())
         if args.openmetrics:
             with open(args.openmetrics, "w", encoding="utf-8") as fh:
-                fh.write(render_openmetrics(xsec.obs.metrics))
+                fh.write(render_openmetrics(obs.metrics))
             print(f"openmetrics dump -> {args.openmetrics}")
         if args.jsonl:
             print(f"metric snapshots (JSONL) -> {args.jsonl}")
         if args.stacks:
             with open(args.stacks, "w", encoding="utf-8") as fh:
-                stacks = slo.collapsed_stacks()
+                stacks = obs.profiler.collapsed_stacks()
                 fh.write(stacks + ("\n" if stacks and not stacks.endswith("\n") else ""))
             print(f"collapsed flamegraph stacks -> {args.stacks}")
         if args.json:
             payload = {
-                "objectives": slo.engine.report(),
+                "objectives": obs.engine.report(),
                 "alerts": [
                     {
                         "time_s": e.time_s,
@@ -306,10 +308,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                         "fast_burn": e.fast_burn,
                         "slow_burn": e.slow_burn,
                     }
-                    for e in slo.engine.events
+                    for e in obs.engine.events
                 ],
-                "health": slo.scoreboard.statuses(),
-                "profile": slo.profiler.stage_table(),
+                "health": obs.scoreboard.statuses(),
+                "profile": obs.profiler.stage_table(),
                 "provenance_records": len(store),
                 "incidents": len(incidents),
                 "summary": run.summary,
@@ -318,7 +320,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                 json.dump(payload, fh, indent=2, sort_keys=True)
             print(f"slo snapshot -> {args.json}")
     finally:
-        slo.shutdown()
+        xsec.close()
     return status
 
 
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=60.0, help="live traffic duration (sim s)"
     )
     obs.add_argument("--json", help="write the full obs snapshot here (.json)")
-    obs.add_argument("--jsonl", help="write the metrics registry here (.jsonl)")
+    obs.add_argument("--jsonl", help="write one metrics snapshot line here (.jsonl)")
     obs.add_argument(
         "--logs", type=int, default=0, help="also print the last N structured logs"
     )

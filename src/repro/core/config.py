@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.llm.cache import LlmfastSettings
 from repro.runtime.settings import RuntimeSettings
-from repro.slo.settings import SloSettings
 from repro.telemetry.features import FeatureSpec
 
 
@@ -58,11 +58,13 @@ class XsecConfig:
     rate_limit_max_setups: int = 3
     rate_limit_window_s: float = 1.0
 
-    # SLO/observability plane (repro.slo): burn-rate alerting over
-    # declarative objectives, continuous profiling, OpenMetrics/JSONL
-    # export, verdict provenance. Defaults keep every output bit-identical
-    # to the seed (see docs/OBSERVABILITY.md).
-    slo: SloSettings = field(default_factory=SloSettings)
+    # SLO plane (repro.obs): burn-rate alerting over declarative
+    # objectives, the health scoreboard, profiler hooks, verdict provenance
+    # and JSONL snapshots (to slo_export_path, else kept in memory), all
+    # on or all off. Off keeps every output bit-identical to the seed (see
+    # docs/OBSERVABILITY.md).
+    slo_enabled: bool = False
+    slo_export_path: Optional[str] = None
 
     # Deployment topology (repro.runtime, repro.scale): a sharded SDL and
     # an ingest batcher. Defaults keep everything single-node and

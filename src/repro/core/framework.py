@@ -32,7 +32,6 @@ from repro.oran.ric import NearRtRic
 from repro.oran.smo import Smo
 from repro.ran.links import InterfaceLink
 from repro.ran.network import FiveGNetwork, NetworkConfig
-from repro.slo.runtime import SloRuntime
 
 
 def build_detector(config: XsecConfig) -> AnomalyDetector:
@@ -81,23 +80,11 @@ class SixGXSec:
         )
         self.pipeline = ClosedLoopPipeline(self.mobiwatch, self.analyzer, self.config)
         self.smo = Smo(self.ric)
-        # repro.slo: the observability plane (SLO engine, profilers,
-        # exporter, health scoreboard). None when every slo switch is off,
-        # so the seed path constructs nothing new.
-        self.slo: Optional[SloRuntime] = None
-        if self.config.slo.any_enabled:
-            self.slo = SloRuntime(
-                self.config.slo,
-                self.obs.metrics,
-                clock=lambda: self.net.sim.now,
-            )
-            # MobiWatch minted the store (it owns the SDL handle); the
-            # runtime exposes it so `slo explain` has one entry point.
-            self.slo.provenance = self.mobiwatch.provenance
-            if self.slo.scoreboard is not None:
-                sdl = self.ric.sdl
-                if hasattr(sdl, "shard_names"):
-                    self.slo.scoreboard.watch_sharded_sdl(sdl)
+        # The SLO plane joins the obs context (engine, scoreboard, profiler,
+        # exporter); off, the seed path constructs nothing new. Its one
+        # provenance store is MobiWatch's, which owns the SDL handle.
+        if self.config.slo_enabled:
+            self.obs.enable_slo(self.config.slo_export_path, sdl=self.ric.sdl)
         self._started = False
 
     @property
@@ -149,22 +136,21 @@ class SixGXSec:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         self.start()
-        if self.slo is not None:
-            self.slo.schedule_ticks(self.net.sim, until)
+        self.obs.schedule_ticks(self.net.sim, until)
         processed = self.net.run(until=until, max_events=max_events)
         self.pipeline.poll_anomalies()
-        if self.slo is not None:
-            self.slo.finalize()
+        self.obs.finalize()
         return processed
 
     # -- teardown -----------------------------------------------------------------
 
     def close(self) -> None:
-        """A no-op: the deployment owns nothing outside the interpreter.
+        """Release the SLO plane's process-global profiler (idempotent).
 
-        Kept so ``with SixGXSec(...)`` and callers that close a deployment
-        stay valid.
+        The deployment owns nothing else outside the interpreter; the
+        observed state stays readable after closing.
         """
+        self.obs.shutdown()
 
     def __enter__(self) -> "SixGXSec":
         return self

@@ -25,9 +25,9 @@ from repro.core.config import XsecConfig
 from repro.core.mobiwatch import XSEC_ANOMALY_MTYPE, AnomalyEvent, MobiWatchXApp
 from repro.llm.analyst import ExpertAnalyst, ExpertVerdict
 from repro.llm.client import LlmClient, SimulatedLlmServer
+from repro.obs import profiler as _profiler
 from repro.obs.metrics import WallTimer
 from repro.oran.xapp import XApp
-from repro.slo import profiler as _profiler
 
 SDL_VERDICT_NS = "xsec.verdicts"
 
@@ -150,10 +150,10 @@ class LlmAnalyzerXApp(XApp):
                 help="analyzer session state pruned by eviction",
             )
         mobiwatch.on_session_evicted(self._on_session_evicted)
-        # repro.slo liveness heartbeat (gated so the disabled path creates
+        # SLO-plane liveness heartbeat (gated so the disabled path creates
         # no new metric series).
         self._heartbeat_gauge = None
-        if self.config.slo.enabled:
+        if self.config.slo_enabled:
             self._heartbeat_gauge = metrics.gauge(
                 "health.heartbeat_ts",
                 labels={"component": self.name},

@@ -24,7 +24,9 @@ from repro import wire
 from repro.core.config import XsecConfig
 from repro.ml.arena import SessionWindowArena
 from repro.ml.detector import AnomalyDetector
+from repro.obs import profiler as _profiler
 from repro.obs.metrics import WallTimer
+from repro.obs.provenance import ProvenanceStore
 from repro.oran.e2ap import ActionType, RicIndication
 from repro.oran.e2sm_kpm import (
     ACTION_BLOCKLIST_TMSI,
@@ -37,8 +39,6 @@ from repro.oran.e2sm_kpm import (
 from repro.oran.xapp import XApp
 from repro.scale.sharded_sdl import ShardedSdl
 from repro.sim.engine import Event
-from repro.slo import profiler as _profiler
-from repro.slo.provenance import ProvenanceStore
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
 
 # The RRC message that ends a session (the release signal eviction keys on).
@@ -65,7 +65,7 @@ class AnomalyEvent:
     record_indices: tuple
     # Timestamp of the newest telemetry entry in the window.
     newest_record_ts: float = 0.0
-    # Evidence chain id (repro.slo provenance); None when slo is disabled.
+    # Evidence chain id (repro.obs provenance); None when slo is disabled.
     provenance_id: Optional[int] = None
 
 
@@ -146,11 +146,11 @@ class MobiWatchXApp(XApp):
             )
         # repro.scale: UE-sharded SDL placement (default off).
         self._sharded_sdl = isinstance(self.sdl, ShardedSdl)
-        # repro.slo: provenance minting + liveness heartbeat. Both gated on
-        # slo.enabled so the disabled path creates no new metric series.
+        # SLO plane: provenance minting + liveness heartbeat. Both gated on
+        # slo_enabled so the disabled path creates no new metric series.
         self.provenance: Optional[ProvenanceStore] = None
         self._heartbeat_gauge = None
-        if self.config.slo.enabled:
+        if self.config.slo_enabled:
             self.provenance = ProvenanceStore(metrics=metrics, sdl=self.sdl)
             self._heartbeat_gauge = metrics.gauge(
                 "health.heartbeat_ts",

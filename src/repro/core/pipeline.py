@@ -235,7 +235,7 @@ class ClosedLoopPipeline:
         """
         self.poll_anomalies()
         mobiwatch = self.mobiwatch
-        tracer = Tracer(clock=lambda: mobiwatch.now)
+        tracer = Tracer()
         for incident in self.incidents:
             anomaly = incident.anomaly
             trace = tracer.trace("mobiflow-incident", session=anomaly.session_id)

@@ -31,7 +31,7 @@ import multiprocessing
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.slo import profiler as _profiler
+from repro.obs import profiler as _profiler
 
 # Closure slot inherited by forked workers (see SweepRunner.map). Holding
 # it in a module global instead of Pool initargs keeps arbitrary

@@ -63,7 +63,11 @@ def build_trained_framework(config: Optional[LiveTestbedConfig] = None) -> SixGX
     benign = generate_benign_dataset(config.benign)
     labeled = benign.labeled(config.xsec.spec, config.xsec.window, "benign")
     xsec = SixGXSec(config.xsec, network_config=NetworkConfig(seed=config.network_seed))
-    xsec.train_from_benign(labeled.windowed.windows)
+    try:
+        xsec.train_from_benign(labeled.windowed.windows)
+    except BaseException:
+        xsec.close()
+        raise
     return xsec
 
 
@@ -71,23 +75,27 @@ def run_live_testbed(config: Optional[LiveTestbedConfig] = None) -> LiveTestbedR
     """Train, then run live traffic + attacks through the whole pipeline."""
     config = config or LiveTestbedConfig()
     xsec = build_trained_framework(config)
-    xsec.start()
-    scenario = ColosseumScenario(
-        duration_s=config.live_duration_s,
-        ue_mix=config.live_ue_mix,
-        mean_think_time_s=8.0,
-    )
-    run_scenario(xsec.net, scenario, run=False)
-    victim = xsec.net.add_ue("pixel6", name="victim")
-    xsec.net.sim.schedule(2.0, victim.start_session)
-    attacks = [
-        BtsDosAttack(xsec.net, start_time=5.0, connections=10, interval_s=0.08),
-        BlindDosAttack(xsec.net, victim=victim, start_time=18.0, replays=5),
-        NullCipherAttack(xsec.net, start_time=35.0),
-    ]
-    for attack in attacks:
-        attack.arm()
-    xsec.run(until=config.live_duration_s + 20.0)
+    try:
+        xsec.start()
+        scenario = ColosseumScenario(
+            duration_s=config.live_duration_s,
+            ue_mix=config.live_ue_mix,
+            mean_think_time_s=8.0,
+        )
+        run_scenario(xsec.net, scenario, run=False)
+        victim = xsec.net.add_ue("pixel6", name="victim")
+        xsec.net.sim.schedule(2.0, victim.start_session)
+        attacks = [
+            BtsDosAttack(xsec.net, start_time=5.0, connections=10, interval_s=0.08),
+            BlindDosAttack(xsec.net, victim=victim, start_time=18.0, replays=5),
+            NullCipherAttack(xsec.net, start_time=35.0),
+        ]
+        for attack in attacks:
+            attack.arm()
+        xsec.run(until=config.live_duration_s + 20.0)
+    except BaseException:
+        xsec.close()
+        raise
     return LiveTestbedRun(
         xsec=xsec,
         attacks=attacks,

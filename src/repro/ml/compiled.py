@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.layers import Dense, ReLU
-from repro.slo import profiler as _profiler
+from repro.obs import profiler as _profiler
 
 # Score-memo entries per snapshot: <= 7 MiB of keys at window 6 x dim 71 float32.
 SCORE_MEMO_CAPACITY = 4096
@@ -54,7 +54,7 @@ ROW_VIEW_CACHE = 32
 DTYPE = np.dtype(np.float64)
 # Active-profiler sampling stride on the kernel call MobiWatch makes every
 # tick: one call in this many is timed and extrapolated
-# (repro.slo.profiler.record), so watching it costs a countdown, not two
+# (repro.obs.profiler.record), so watching it costs a countdown, not two
 # clock reads and a stage update per tick.
 PROFILE_SAMPLE = 8
 

@@ -6,15 +6,15 @@ Three consumers of the shared :class:`~repro.obs.metrics.MetricsRegistry`:
   every family (counters as ``_total``, histograms as cumulative
   ``_bucket{le=...}`` + ``_sum``/``_count``), terminated by ``# EOF`` so a
   real scraper accepts the output verbatim;
-- :class:`ContinuousExporter` — appends one JSON snapshot line per
-  sim-clock interval to a file. Ticks are *pre-scheduled* against a known
-  run horizon (a self-rescheduling recurring event would keep the event
-  queue non-empty forever and ``run(until=None)`` would never terminate);
+- :class:`ContinuousExporter` — appends one JSON snapshot line to a file
+  every :data:`EXPORT_INTERVAL_S` sim seconds (the obs context schedules
+  its ticks against each run's horizon);
 - :class:`HealthScoreboard` — per-component up/degraded/down from
-  registered liveness probes (SDL shards: up or down) and heartbeat gauges
-  (components report ``health.heartbeat_ts``; stale means down). The board
-  reads the same liveness the sharded SDL's failover acts on, so "down"
-  here and "failed over" there always agree.
+  registered liveness probes (SDL shards: up or down) and the
+  ``health.heartbeat_ts`` gauges components set on the registry (older
+  than :data:`HEARTBEAT_STALE_S` means down). The board reads the same
+  liveness the sharded SDL's failover acts on, so "down" here and "failed
+  over" there always agree.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from typing import Callable, Dict, Optional
 from repro.obs.metrics import MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+# Sim seconds between two JSONL snapshots.
+EXPORT_INTERVAL_S = 5.0
+# A heartbeat this old marks its component down (half of it, degraded).
+HEARTBEAT_STALE_S = 5.0
 
 HEALTH_UP = "up"
 HEALTH_DEGRADED = "degraded"
@@ -91,17 +96,9 @@ def render_openmetrics(metrics: MetricsRegistry) -> str:
 class ContinuousExporter:
     """JSONL metric snapshots on a sim-clock cadence, bounded per run."""
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        path: Optional[str] = None,
-        interval_s: float = 5.0,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
+    def __init__(self, metrics: MetricsRegistry, path: Optional[str] = None) -> None:
         self.metrics = metrics
         self.path = path
-        self.interval_s = interval_s
         self.snapshots = 0
         # In-memory ring of recent snapshot lines (the CLI/bench artifact
         # when no path is configured).
@@ -123,39 +120,17 @@ class ContinuousExporter:
                 pass  # export is best-effort; the in-memory ring holds it
         return line
 
-    def schedule_ticks(self, sim, until: Optional[float]) -> int:
-        """Pre-schedule snapshot events on the simulator up to ``until``.
-
-        Bounded: with no horizon there is nothing to schedule against (the
-        caller takes a final snapshot after the run instead). Returns the
-        number of ticks scheduled.
-        """
-        if until is None:
-            return 0
-        count = 0
-        t = sim.now + self.interval_s
-        while t <= until:
-            sim.schedule_at(t, self.snapshot_once, name="slo.export")
-            t += self.interval_s
-            count += 1
-        return count
-
 
 class HealthScoreboard:
     """Up/degraded/down per component from probes and heartbeat gauges."""
 
     def __init__(
-        self,
-        metrics: MetricsRegistry,
-        clock: Optional[Callable[[], float]] = None,
-        stale_after_s: float = 5.0,
+        self, metrics: MetricsRegistry, clock: Optional[Callable[[], float]] = None
     ) -> None:
         self.metrics = metrics
         self.clock = clock or metrics.clock
-        self.stale_after_s = stale_after_s
         # component -> probe() returning {"up": bool}.
         self._probes: Dict[str, Callable[[], dict]] = {}
-        self._heartbeats: Dict[str, object] = {}
 
     # -- sources -----------------------------------------------------------
 
@@ -172,17 +147,6 @@ class HealthScoreboard:
 
             self.register_probe(f"sdl.{shard_name}", probe)
 
-    def heartbeat(self, component: str) -> None:
-        """Record a liveness beat for a component (sim-clock stamped)."""
-        gauge = self._heartbeats.get(component)
-        if gauge is None:
-            gauge = self._heartbeats[component] = self.metrics.gauge(
-                "health.heartbeat_ts",
-                labels={"component": component},
-                help="sim time of the component's last heartbeat",
-            )
-        gauge.set(self.clock())
-
     # -- evaluation --------------------------------------------------------
 
     def statuses(self) -> Dict[str, str]:
@@ -190,18 +154,16 @@ class HealthScoreboard:
         out: Dict[str, str] = {}
         for component, probe in self._probes.items():
             out[component] = HEALTH_UP if probe().get("up", True) else HEALTH_DOWN
-        # Heartbeats set directly on the shared registry (components never
-        # need a scoreboard reference) join the explicitly registered ones.
-        heartbeats = dict(self._heartbeats)
+        # Components stamp their heartbeat on the shared registry; they
+        # never need a scoreboard reference.
         for labels, gauge in self.metrics.family_series("health.heartbeat_ts"):
             component = labels.get("component", "")
-            if component and component not in heartbeats:
-                heartbeats[component] = gauge
-        for component, gauge in heartbeats.items():
+            if not component:
+                continue
             age = now - gauge.value
-            if age >= self.stale_after_s:
+            if age >= HEARTBEAT_STALE_S:
                 status = HEALTH_DOWN
-            elif age >= self.stale_after_s / 2:
+            elif age >= HEARTBEAT_STALE_S / 2:
                 status = HEALTH_DEGRADED
             else:
                 status = HEALTH_UP
@@ -216,9 +178,6 @@ class HealthScoreboard:
                 help="2=up 1=degraded 0=down",
             ).set(_HEALTH_SCORE[status])
         return out
-
-    def down_components(self) -> list:
-        return sorted(c for c, s in self.statuses().items() if s == HEALTH_DOWN)
 
     def render(self) -> str:
         statuses = self.statuses()

@@ -17,7 +17,6 @@ serializable for the JSONL export and the benchmark artifacts.
 
 from __future__ import annotations
 
-import json
 import time
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Optional
@@ -308,11 +307,6 @@ class MetricsRegistry:
     def names(self) -> list[str]:
         return sorted(self._families)
 
-    def family_kind(self, name: str) -> Optional[str]:
-        """The family's instrument kind, or ``None`` if it doesn't exist."""
-        family = self._families.get(name)
-        return family.kind if family is not None else None
-
     def family_series(self, name: str) -> list:
         """``(labels dict, instrument)`` pairs of a family (empty if absent).
 
@@ -357,26 +351,6 @@ class MetricsRegistry:
             "wall_time_s": time.perf_counter(),
             "metrics": families,
         }
-
-    def to_jsonl(self) -> str:
-        """One JSON object per series — the machine-readable export."""
-        snap = self.snapshot()
-        lines = []
-        for name, family in snap["metrics"].items():
-            for series in family["series"]:
-                lines.append(
-                    json.dumps(
-                        {
-                            "name": name,
-                            "type": family["type"],
-                            "sim_time_s": snap["sim_time_s"],
-                            "wall_time_s": snap["wall_time_s"],
-                            **series,
-                        },
-                        sort_keys=True,
-                    )
-                )
-        return "\n".join(lines)
 
     def render(self) -> str:
         """Human-readable dump, grouped by family."""

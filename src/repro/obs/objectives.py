@@ -19,15 +19,17 @@ the deltas it derives, per objective:
   spends exactly the error budget, 14.4 over a 5s window is the classic
   fast-page signal (SRE multi-window multi-burn-rate alerting);
 - an **alert state machine** — ``inactive -> pending`` on breach,
-  ``pending -> firing`` once the breach persists ``pending_for_s``,
+  ``pending -> firing`` once the breach persists ``PENDING_FOR_S``,
   ``firing -> inactive`` (resolved) once recovery persists
-  ``resolve_after_s``. A recovery shorter than the resolve dwell keeps the
+  ``RESOLVE_AFTER_S``. A recovery shorter than the resolve dwell keeps the
   alert firing and is counted as a suppressed flap.
 
-Breach condition: the fast-window burn exceeding ``fast_burn_threshold``
-*or* the slow-window burn exceeding ``slow_burn_threshold`` — the fast
+Breach condition: the fast-window burn exceeding ``FAST_BURN_THRESHOLD``
+*or* the slow-window burn exceeding ``SLOW_BURN_THRESHOLD`` — the fast
 window catches sudden budget exhaustion, the slow window a sustained slow
-bleed that never trips the fast threshold.
+bleed that never trips the fast threshold. The cadence, windows,
+thresholds and dwells are the module constants below; no deployment has
+ever run other values.
 
 Every transition is counted (``slo.alert_transitions_total``) and kept in
 an event log for the ``slo alerts`` CLI; attainment and burn are exported
@@ -42,7 +44,24 @@ from typing import Callable, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
-from repro.slo.settings import SloSettings
+# How often (sim seconds) the engine samples its objectives.
+EVAL_INTERVAL_S = 1.0
+# Sliding windows for multi-window burn-rate alerting (SRE-style: the fast
+# window catches sudden budget exhaustion, the slow window a sustained
+# slow bleed).
+FAST_WINDOW_S = 5.0
+SLOW_WINDOW_S = 60.0
+# Burn-rate thresholds per window (burn 1.0 = spending exactly the error
+# budget; 14.4 over a fast window = the canonical page signal).
+FAST_BURN_THRESHOLD = 14.4
+SLOW_BURN_THRESHOLD = 6.0
+# Alert dwell times: a breach must persist this long before pending ->
+# firing, and recovery this long before firing -> resolved (brief
+# recoveries are suppressed as flaps).
+PENDING_FOR_S = 2.0
+RESOLVE_AFTER_S = 5.0
+# Samples kept per objective: enough to span the slow window.
+_RING_CAPACITY = int(SLOW_WINDOW_S / EVAL_INTERVAL_S) + 2
 
 _KINDS = ("latency", "ratio")
 
@@ -142,7 +161,7 @@ class AlertState:
         self.clear_since: Optional[float] = None
         self.flaps = 0
 
-    def update(self, now: float, breach: bool, settings: SloSettings) -> Optional[str]:
+    def update(self, now: float, breach: bool) -> Optional[str]:
         """Advance the machine; returns the new state on a transition."""
         if breach:
             if self.state == ALERT_INACTIVE:
@@ -152,7 +171,7 @@ class AlertState:
                 return ALERT_PENDING
             if self.state == ALERT_PENDING:
                 since = self.breach_since if self.breach_since is not None else now
-                if now - since >= settings.pending_for_s:
+                if now - since >= PENDING_FOR_S:
                     self.state = ALERT_FIRING
                     return ALERT_FIRING
                 return None
@@ -170,7 +189,7 @@ class AlertState:
             if self.clear_since is None:
                 self.clear_since = now
                 return None
-            if now - self.clear_since >= settings.resolve_after_s:
+            if now - self.clear_since >= RESOLVE_AFTER_S:
                 self.state = ALERT_INACTIVE
                 self.breach_since = None
                 self.clear_since = None
@@ -194,10 +213,10 @@ class _Track:
 
     __slots__ = ("objective", "samples", "alert")
 
-    def __init__(self, objective: SloObjective, capacity: int) -> None:
+    def __init__(self, objective: SloObjective) -> None:
         self.objective = objective
         # (t, cumulative good, cumulative total), oldest first.
-        self.samples: deque = deque(maxlen=capacity)
+        self.samples: deque = deque(maxlen=_RING_CAPACITY)
         self.alert = AlertState()
 
 
@@ -207,18 +226,13 @@ class SloEngine:
     def __init__(
         self,
         metrics: MetricsRegistry,
-        settings: Optional[SloSettings] = None,
         objectives: Optional[List[SloObjective]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.metrics = metrics
-        self.settings = settings or SloSettings(enabled=True)
         self.clock = clock or metrics.clock
-        capacity = (
-            int(self.settings.slow_window_s / self.settings.eval_interval_s) + 2
-        )
         self._tracks = {
-            obj.name: _Track(obj, capacity)
+            obj.name: _Track(obj)
             for obj in (objectives if objectives is not None else default_objectives())
         }
         self.events: List[AlertEvent] = []
@@ -228,12 +242,6 @@ class SloEngine:
     @property
     def objectives(self) -> List[SloObjective]:
         return [track.objective for track in self._tracks.values()]
-
-    def add_objective(self, objective: SloObjective) -> None:
-        capacity = (
-            int(self.settings.slow_window_s / self.settings.eval_interval_s) + 2
-        )
-        self._tracks[objective.name] = _Track(objective, capacity)
 
     # -- SLI sampling ------------------------------------------------------
 
@@ -282,12 +290,11 @@ class SloEngine:
         """Sample every objective and advance the alert machines."""
         now = self.clock() if now is None else now
         self.ticks += 1
-        s = self.settings
         for track in self._tracks.values():
             good, total = self._cumulative(track.objective)
             track.samples.append((now, good, total))
-            fast_att, fast_burn = self._window(track, now, s.fast_window_s)
-            slow_att, slow_burn = self._window(track, now, s.slow_window_s)
+            _, fast_burn = self._window(track, now, FAST_WINDOW_S)
+            slow_att, slow_burn = self._window(track, now, SLOW_WINDOW_S)
             labels = {"objective": track.objective.name}
             self.metrics.gauge("slo.attainment", labels=labels).set(slow_att)
             self.metrics.gauge(
@@ -297,10 +304,9 @@ class SloEngine:
                 "slo.burn_rate", labels={**labels, "window": "slow"}
             ).set(slow_burn)
             breach = (
-                fast_burn >= s.fast_burn_threshold
-                or slow_burn >= s.slow_burn_threshold
+                fast_burn >= FAST_BURN_THRESHOLD or slow_burn >= SLOW_BURN_THRESHOLD
             )
-            transition = track.alert.update(now, breach, s)
+            transition = track.alert.update(now, breach)
             if transition is not None:
                 self._record_transition(
                     now, track.objective.name, transition, fast_burn, slow_burn
@@ -328,14 +334,13 @@ class SloEngine:
     def report(self) -> List[dict]:
         """Per-objective attainment/burn/alert rows for the CLI."""
         now = self.clock()
-        s = self.settings
         rows = []
         for track in self._tracks.values():
             good, total = (
                 track.samples[-1][1:] if track.samples else self._cumulative(track.objective)
             )
-            fast_att, fast_burn = self._window(track, now, s.fast_window_s)
-            slow_att, slow_burn = self._window(track, now, s.slow_window_s)
+            _, fast_burn = self._window(track, now, FAST_WINDOW_S)
+            _, slow_burn = self._window(track, now, SLOW_WINDOW_S)
             rows.append(
                 {
                     "objective": track.objective.name,

@@ -1,7 +1,7 @@
 """Verdict provenance: why did this alarm / verdict / action happen?
 
 Every :class:`~repro.core.mobiwatch.AnomalyEvent` minted while
-``XsecConfig.slo.enabled`` carries a ``provenance_id`` resolving, through
+``XsecConfig.slo_enabled`` carries a ``provenance_id`` resolving, through
 the :class:`ProvenanceStore`, to the full evidence chain:
 
 - **capture digest** — SHA-256 of the fast TLV encoding of exactly the

@@ -6,10 +6,9 @@ ordered :class:`Span`\\ s (named stages with sim-time start/end and optional
 wall-clock cost) so per-stage latency and the critical path are first-class
 artifacts rather than scattered timestamps.
 
-Spans can be opened live (``span = trace.begin("detection"); span.finish()``)
-or reconstructed from timestamps recorded along the way
-(``trace.span("verdict", start, end)``) — the closed-loop pipeline uses the
-latter because a window's stages execute in different entities.
+Spans are reconstructed from timestamps recorded along the way
+(``trace.span("verdict", start, end)``), because a window's stages execute
+in different entities.
 
 The :class:`Tracer` aggregates traces into a per-stage breakdown (count /
 mean / p50 / max per stage name, in first-seen stage order) and a
@@ -20,9 +19,8 @@ dominates end-to-end latency.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.obs.metrics import Histogram
 
@@ -67,7 +65,6 @@ class Trace:
     name: str
     attrs: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)
-    _clock: Optional[Callable[[], float]] = None
 
     def span(
         self,
@@ -81,12 +78,6 @@ class Trace:
         created = Span(name=name, start=start, end=end, wall_cost_s=wall_cost_s, attrs=attrs)
         self.spans.append(created)
         return created
-
-    def begin(self, name: str, **attrs) -> Span:
-        """Open a live span at the current clock time."""
-        if self._clock is None:
-            raise RuntimeError("trace has no clock; use span(start, end) instead")
-        return self.span(name, start=self._clock(), **attrs)
 
     @property
     def start_s(self) -> Optional[float]:
@@ -124,13 +115,12 @@ class Trace:
 class Tracer:
     """Collects traces and reports per-stage latency over all of them."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.clock = clock
+    def __init__(self) -> None:
         self.traces: list[Trace] = []
         self._ids = itertools.count(1)
 
     def trace(self, name: str, **attrs) -> Trace:
-        created = Trace(trace_id=next(self._ids), name=name, attrs=attrs, _clock=self.clock)
+        created = Trace(trace_id=next(self._ids), name=name, attrs=attrs)
         self.traces.append(created)
         return created
 
@@ -206,23 +196,3 @@ class Tracer:
     def to_dict(self) -> dict:
         return {"traces": [t.to_dict() for t in self.traces]}
 
-
-class SimWallSpan:
-    """Context manager: a live span that also records its wall-clock cost."""
-
-    __slots__ = ("trace", "name", "clock", "attrs", "span", "_wall_start")
-
-    def __init__(self, trace: Trace, name: str, **attrs) -> None:
-        self.trace = trace
-        self.name = name
-        self.attrs = attrs
-
-    def __enter__(self) -> Span:
-        self.span = self.trace.begin(self.name, **self.attrs)
-        self._wall_start = time.perf_counter()
-        return self.span
-
-    def __exit__(self, *exc) -> None:
-        self.span.wall_cost_s = time.perf_counter() - self._wall_start
-        if self.span.end is None and self.trace._clock is not None:
-            self.span.end = self.trace._clock()

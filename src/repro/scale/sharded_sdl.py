@@ -30,9 +30,9 @@ import time
 from typing import Any, Callable, Iterator, List, Optional
 
 from repro import wire
+from repro.obs import profiler as _profiler
 from repro.obs.metrics import MetricsRegistry
 from repro.scale.hashring import ConsistentHashRing
-from repro.slo import profiler as _profiler
 
 WatchCallback = Callable[[str, str, Any], None]  # (namespace, key, value)
 

@@ -27,7 +27,6 @@ from repro.core.config import XsecConfig
 from repro.core.pipeline import ClosedLoopPipeline
 from repro.llm.cache import LlmfastSettings
 from repro.runtime.settings import RuntimeSettings
-from repro.slo.settings import SloSettings
 
 SRC = Path(repro.__file__).parent
 
@@ -39,15 +38,16 @@ FAMILIES = {
 }
 
 # The families dissolved into XsecConfig.scoring (itself deleted since) /
-# evict_on_release / evict_idle_s, and ``scale``, folded into ``runtime``: their flags stay
+# evict_on_release / evict_idle_s, ``scale``, folded into ``runtime``, and
+# ``slo``, become ``slo_enabled`` / ``slo_export_path``: their flags stay
 # deleted because the family does. A deleted family is named by its class
 # name, a string derived from its XsecConfig field (``scale`` -> "Scale"
 # + "Settings").
 DISSOLVED = {
     f"{family.capitalize()}Settings": family
-    for family in ("hotpath", "megabatch", "trainfast", "scale")
+    for family in ("hotpath", "megabatch", "trainfast", "scale", "slo")
 }
-HOTPATH, MEGABATCH, TRAINFAST, SCALE = DISSOLVED
+HOTPATH, MEGABATCH, TRAINFAST, SCALE, SLO = DISSOLVED
 
 DELETED = [
     (HOTPATH, "compiled"),
@@ -126,11 +126,27 @@ DELETED = [
     (RuntimeSettings, "crash_loop_window_s"),
     (RuntimeSettings, "heartbeat_interval_s"),
     (RuntimeSettings, "heartbeat_timeout_s"),
-    (SloSettings, "backlog_degraded"),
+    (SLO, "backlog_degraded"),
     # The background stack sampler: off by default, turned on by no preset
     # and no caller but its own tests; the profile_block() hooks remain.
-    (SloSettings, "sampling_profiler"),
-    (SloSettings, "sampling_interval_s"),
+    (SLO, "sampling_profiler"),
+    (SLO, "sampling_interval_s"),
+    # One observability package: the plane is all on or all off
+    # (slo_enabled), the export file a top-level deployment setting
+    # (slo_export_path), and the cadence, windows, thresholds and dwells
+    # constants of repro.obs.objectives / repro.obs.exporter.
+    (SLO, "enabled"),
+    (SLO, "eval_interval_s"),
+    (SLO, "fast_window_s"),
+    (SLO, "slow_window_s"),
+    (SLO, "fast_burn_threshold"),
+    (SLO, "slow_burn_threshold"),
+    (SLO, "pending_for_s"),
+    (SLO, "resolve_after_s"),
+    (SLO, "heartbeat_stale_s"),
+    (SLO, "profiler"),
+    (SLO, "export_interval_s"),
+    (SLO, "export_path"),
 ]
 
 
@@ -148,7 +164,7 @@ def _program_sources(declared_in: Path) -> str:
 
 
 def test_settings_families():
-    assert sorted(FAMILIES) == ["llmfast", "runtime", "slo"]
+    assert sorted(FAMILIES) == ["llmfast", "runtime"]
 
 
 def test_frozen_benchmark_flag_names():
@@ -168,12 +184,11 @@ def test_frozen_benchmark_flag_names():
 def _names_carrying(cls, field: str) -> list:
     """The field itself plus the derived members of its settings class that
     read it (``fast_submit_enabled`` for ``verdict_cache``).
-    Validation and ``any_enabled`` are no readers: they name every flag of
-    a family."""
+    Validation is no reader: it names every flag of a family."""
     names = [field]
     for name, member in vars(cls).items():
         function = member.fget if isinstance(member, property) else member
-        if name.startswith("__") or name == "any_enabled" or not inspect.isfunction(function):
+        if name.startswith("__") or not inspect.isfunction(function):
             continue
         if re.search(rf"self\.{field}\b", inspect.getsource(function)):
             names.append(name)
@@ -270,8 +285,9 @@ def test_settings_field_total():
     went from the top level; 52 before ``scoring`` and its four non-exact
     tiers were deleted; 51 before the scoring worker pool's eight
     ``runtime`` fields (11 -> 3) and ``slo.backlog_degraded`` went with
-    it; 42 before the sampling profiler's two ``slo`` fields were deleted:
-    40 = 18 family + 22 top-level."""
+    it; 42 before the sampling profiler's two ``slo`` fields were deleted;
+    40 before the twelve-field ``slo`` family became the top-level
+    ``slo_enabled`` and ``slo_export_path``: 30 = 6 family + 24 top-level."""
     family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
     top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 40
+    assert family_fields + top_level <= 30

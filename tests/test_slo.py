@@ -1,6 +1,7 @@
-"""Tests for repro.slo: objectives, alerts, profilers, export, provenance.
+"""Tests for the SLO plane of repro.obs: objectives, alerts, profiler,
+export, provenance.
 
-Covers the observability plane's contracts: burn-rate math over sliding
+Covers the plane's contracts: burn-rate math over the engine's sliding
 windows, the alert state machine's dwell times and flap suppression,
 OpenMetrics exposition shape, profiler self-time attribution, the
 provenance evidence chain's SDL round trip, and the obs bench's gating
@@ -15,18 +16,18 @@ import pytest
 from repro.bench import driver
 from repro.bench import obs as obs_bench
 from repro.bench.obs import ObsBenchResult
+from repro.core.config import XsecConfig
+from repro.core.framework import SixGXSec
 from repro.ml.compiled import PROFILE_SAMPLE
 from repro.ml.detector import LstmDetector
-from repro.obs.metrics import MetricsRegistry
-from repro.oran.sdl import SharedDataLayer
-from repro.scale import ShardedSdl
-from repro.slo import profiler as profiler_mod
-from repro.slo.exporter import (
+from repro.obs import profiler as profiler_mod
+from repro.obs.exporter import (
     ContinuousExporter,
     HealthScoreboard,
     render_openmetrics,
 )
-from repro.slo.objectives import (
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.objectives import (
     ALERT_FIRING,
     ALERT_INACTIVE,
     ALERT_PENDING,
@@ -35,15 +36,15 @@ from repro.slo.objectives import (
     SloObjective,
     default_objectives,
 )
-from repro.slo.profiler import Profiler
-from repro.slo.provenance import (
+from repro.obs.profiler import Profiler
+from repro.obs.provenance import (
     ProvenanceStore,
     SDL_PROVENANCE_NS,
     capture_digest,
     model_snapshot_id,
 )
-from repro.slo.runtime import SloRuntime
-from repro.slo.settings import SloSettings
+from repro.oran.sdl import SharedDataLayer
+from repro.scale import ShardedSdl
 from repro.telemetry.mobiflow import MobiFlowRecord
 
 
@@ -63,27 +64,6 @@ def _records(n, start_ts=1.0, session_id=7):
 
 def _detector():
     return LstmDetector(window=3, feature_dim=4, hidden_dim=4, seed=0)
-
-
-class TestSloSettings:
-    def test_defaults_are_all_off(self):
-        s = SloSettings()
-        assert not s.enabled and not s.profiler
-        assert s.export_interval_s == 0.0
-        assert not s.any_enabled
-
-    def test_full_turns_the_plane_on(self):
-        s = SloSettings.full(export_path="/tmp/x.jsonl")
-        assert s.enabled and s.profiler and s.export_interval_s > 0
-        assert s.any_enabled and s.export_path == "/tmp/x.jsonl"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SloSettings(eval_interval_s=0.0)
-        with pytest.raises(ValueError):
-            SloSettings(fast_window_s=10.0, slow_window_s=5.0)
-        with pytest.raises(ValueError):
-            SloSettings(export_interval_s=-1.0)
 
 
 class TestSloObjective:
@@ -114,55 +94,50 @@ class TestSloObjective:
 
 
 class TestAlertState:
-    SETTINGS = SloSettings(enabled=True, pending_for_s=2.0, resolve_after_s=5.0)
+    """The engine's dwells: pending -> firing after 2 s of breach, firing ->
+    resolved after 5 s of recovery."""
 
     def test_pending_then_firing_then_resolved(self):
         a = AlertState()
-        assert a.update(0.0, True, self.SETTINGS) == ALERT_PENDING
-        assert a.update(1.0, True, self.SETTINGS) is None  # dwell not met
-        assert a.update(2.0, True, self.SETTINGS) == ALERT_FIRING
-        assert a.update(3.0, False, self.SETTINGS) is None  # recovery starts
-        assert a.update(7.0, False, self.SETTINGS) is None  # dwell not met
-        assert a.update(8.0, False, self.SETTINGS) == "resolved"
+        assert a.update(0.0, True) == ALERT_PENDING
+        assert a.update(1.0, True) is None  # dwell not met
+        assert a.update(2.0, True) == ALERT_FIRING
+        assert a.update(3.0, False) is None  # recovery starts
+        assert a.update(7.0, False) is None  # dwell not met
+        assert a.update(8.0, False) == "resolved"
         assert a.state == ALERT_INACTIVE
 
     def test_immature_breach_returns_to_inactive_silently(self):
         a = AlertState()
-        assert a.update(0.0, True, self.SETTINGS) == ALERT_PENDING
-        assert a.update(1.0, False, self.SETTINGS) is None
+        assert a.update(0.0, True) == ALERT_PENDING
+        assert a.update(1.0, False) is None
         assert a.state == ALERT_INACTIVE and a.flaps == 0
 
     def test_flap_suppressed_while_firing(self):
         a = AlertState()
-        a.update(0.0, True, self.SETTINGS)
-        a.update(2.0, True, self.SETTINGS)
+        a.update(0.0, True)
+        a.update(2.0, True)
         assert a.state == ALERT_FIRING
-        a.update(3.0, False, self.SETTINGS)  # brief recovery...
-        assert a.update(4.0, True, self.SETTINGS) is None  # ...re-breach
+        a.update(3.0, False)  # brief recovery...
+        assert a.update(4.0, True) is None  # ...re-breach
         assert a.state == ALERT_FIRING and a.flaps == 1
         # The suppressed flap restarts the recovery dwell.
-        a.update(5.0, False, self.SETTINGS)
-        assert a.update(10.0, False, self.SETTINGS) == "resolved"
+        a.update(5.0, False)
+        assert a.update(9.0, False) is None
+        assert a.update(10.0, False) == "resolved"
 
 
 class TestSloEngine:
-    def _engine(self, metrics, clock, **overrides):
-        settings = SloSettings(
-            enabled=True,
-            eval_interval_s=1.0,
-            fast_window_s=3.0,
-            slow_window_s=10.0,
-            fast_burn_threshold=2.0,
-            slow_burn_threshold=999.0,  # isolate the fast window
-            pending_for_s=2.0,
-            resolve_after_s=3.0,
-            **overrides,
-        )
+    """The deployed engine: 5 s / 60 s windows, burn thresholds 14.4 / 6.0,
+    ticked once per simulated second by a fake clock."""
+
+    def _engine(self, metrics, clock):
+        # Target 0.99: a 1 % error budget, so an all-bad second burns 100x.
         objective = SloObjective(
-            name="drops", kind="ratio", target=0.5, bad_metric="t.bad",
+            name="drops", kind="ratio", target=0.99, bad_metric="t.bad",
             total_metric="t.total",
         )
-        return SloEngine(metrics, settings=settings, objectives=[objective], clock=clock)
+        return SloEngine(metrics, objectives=[objective], clock=clock)
 
     def test_ratio_attainment_and_burn(self):
         metrics = MetricsRegistry()
@@ -174,36 +149,42 @@ class TestSloEngine:
         engine.tick()
         wall[0] = 1.0
         total.inc(100)
-        bad.inc(50)  # attainment 0.5 over the window -> burn 1.0
+        bad.inc(1)  # attainment 0.99 over both windows -> burn 1.0
         engine.tick()
         row = engine.report()[0]
-        assert row["attainment"] == pytest.approx(0.75)  # cumulative
+        assert row["attainment"] == pytest.approx(0.995)  # cumulative
         assert row["fast_burn"] == pytest.approx(1.0)
+        assert row["slow_burn"] == pytest.approx(1.0)
         assert row["alert"] == ALERT_INACTIVE
 
     def test_alert_lifecycle_and_transition_events(self):
+        """Three all-bad seconds in steady traffic page at once (fast burn
+        100 >= 14.4). The fast window forgets them 5 s later, but the slow
+        one keeps the alert firing until good traffic dilutes them below
+        burn 6.0 (t=51); resolved after the 5 s recovery dwell."""
         metrics = MetricsRegistry()
         bad = metrics.counter("t.bad")
         total = metrics.counter("t.total")
         wall = [0.0]
         engine = self._engine(metrics, lambda: wall[0])
         engine.tick()
-        # Burn the whole budget: attainment 0 -> burn 2.0 >= fast threshold.
-        for t in (1.0, 2.0, 3.0):
-            wall[0] = t
-            total.inc(10)
-            bad.inc(10)
+        for t in range(1, 61):
+            wall[0] = float(t)
+            total.inc(100)
+            if t <= 3:
+                bad.inc(100)
             engine.tick()
-        assert engine.alert_state("drops") == ALERT_FIRING
-        # Full recovery, held past resolve_after_s. The fast window must
-        # slide past the bad samples for the burn to clear.
-        for t in (4.0, 5.0, 6.0, 7.0, 8.0):
-            wall[0] = t
-            total.inc(10)
-            engine.tick()
+            row = engine.report()[0]
+            if t == 10:
+                assert row["fast_burn"] == 0.0
+                assert row["slow_burn"] >= 6.0
+                assert row["alert"] == ALERT_FIRING
         assert engine.alert_state("drops") == ALERT_INACTIVE
-        states = [e.to_state for e in engine.events]
-        assert states == [ALERT_PENDING, ALERT_FIRING, "resolved"]
+        assert [(e.time_s, e.to_state) for e in engine.events] == [
+            (1.0, ALERT_PENDING),
+            (3.0, ALERT_FIRING),
+            (56.0, "resolved"),
+        ]
         fired = metrics.counter(
             "slo.alert_transitions_total", labels={"objective": "drops", "to": "firing"}
         )
@@ -213,13 +194,10 @@ class TestSloEngine:
         metrics = MetricsRegistry()
         hist = metrics.histogram("t.lat", buckets=(0.01, 0.1, 1.0))
         wall = [0.0]
-        settings = SloSettings(enabled=True, eval_interval_s=1.0)
         objective = SloObjective(
             name="lat", kind="latency", target=0.9, metric="t.lat", threshold=0.1
         )
-        engine = SloEngine(
-            metrics, settings=settings, objectives=[objective], clock=lambda: wall[0]
-        )
+        engine = SloEngine(metrics, objectives=[objective], clock=lambda: wall[0])
         engine.tick()  # t=0 baseline sample: windows are delta-based
         for value in (0.005, 0.05, 0.5):  # 2 of 3 within the 0.1s threshold
             hist.observe(value)
@@ -233,7 +211,7 @@ class TestSloEngine:
 
     def test_render_is_tabular(self):
         metrics = MetricsRegistry()
-        engine = SloEngine(metrics, settings=SloSettings(enabled=True))
+        engine = SloEngine(metrics)
         text = engine.render()
         assert "objective" in text and "burn(fast)" in text
         assert engine.render_alerts() == "no alert transitions recorded"
@@ -312,7 +290,7 @@ class TestContinuousExporter:
         metrics = MetricsRegistry()
         metrics.counter("e.count").inc(2)
         out = tmp_path / "snap.jsonl"
-        exporter = ContinuousExporter(metrics, path=str(out), interval_s=5.0)
+        exporter = ContinuousExporter(metrics, path=str(out))
         exporter.snapshot_once()
         metrics.counter("e.count").inc()
         exporter.snapshot_once()
@@ -321,7 +299,7 @@ class TestContinuousExporter:
         assert all(json.loads(line) for line in lines)
 
     def test_ring_is_bounded(self):
-        exporter = ContinuousExporter(MetricsRegistry(), interval_s=1.0)
+        exporter = ContinuousExporter(MetricsRegistry())
         exporter.max_lines = 4
         for _ in range(10):
             exporter.snapshot_once()
@@ -329,22 +307,27 @@ class TestContinuousExporter:
 
 
 class TestHealthScoreboard:
+    """Components stamp ``health.heartbeat_ts`` on the shared registry; a
+    beat 2.5 s old reads degraded, 5 s old down."""
+
     def _board(self, wall):
         metrics = MetricsRegistry()
-        return metrics, HealthScoreboard(
-            metrics, clock=lambda: wall[0], stale_after_s=4.0
-        )
+        return metrics, HealthScoreboard(metrics, clock=lambda: wall[0])
+
+    def _beat(self, metrics, component, now):
+        metrics.gauge("health.heartbeat_ts", labels={"component": component}).set(now)
 
     def test_heartbeat_fresh_degraded_down(self):
         wall = [0.0]
-        _, board = self._board(wall)
-        board.heartbeat("mobiwatch")
+        metrics, board = self._board(wall)
+        self._beat(metrics, "mobiwatch", 0.0)
         assert board.statuses()["mobiwatch"] == "up"
-        wall[0] = 2.5  # past half the stale window
+        wall[0] = 2.5  # half the stale window
         assert board.statuses()["mobiwatch"] == "degraded"
-        wall[0] = 4.5
+        wall[0] = 5.0
         assert board.statuses()["mobiwatch"] == "down"
-        assert board.down_components() == ["mobiwatch"]
+        self._beat(metrics, "mobiwatch", 5.0)
+        assert board.statuses()["mobiwatch"] == "up"
 
     def test_registry_heartbeats_discovered(self):
         wall = [1.0]
@@ -369,9 +352,9 @@ class TestHealthScoreboard:
 
     def test_render_lists_components(self):
         wall = [0.0]
-        _, board = self._board(wall)
+        metrics, board = self._board(wall)
         assert "no components" in board.render()
-        board.heartbeat("x")
+        self._beat(metrics, "x", 0.0)
         assert "x" in board.render()
 
 
@@ -488,32 +471,76 @@ class TestProvenance:
 
 
 class TestSloRuntime:
+    """The SLO plane as a deployment runs it: ``XsecConfig.slo_enabled``
+    fills ``xsec.obs``; ``close()`` releases the global profiler."""
+
     def test_disabled_settings_build_nothing(self):
-        runtime = SloRuntime(SloSettings(), MetricsRegistry())
-        assert runtime.engine is None and runtime.scoreboard is None
-        assert runtime.profiler is None and runtime.exporter is None
-        runtime.shutdown()
+        xsec = SixGXSec(XsecConfig())
+        obs = xsec.obs
+        assert obs.engine is None and obs.scoreboard is None
+        assert obs.profiler is None and obs.exporter is None
+        assert xsec.mobiwatch.provenance is None
+        assert obs.schedule_ticks(xsec.net.sim, 30.0) == 0
+        xsec.close()
+        assert profiler_mod.CURRENT is None
 
     def test_full_settings_build_the_plane(self):
-        runtime = SloRuntime(SloSettings.full(), MetricsRegistry())
+        xsec = SixGXSec(XsecConfig(slo_enabled=True))
+        obs = xsec.obs
         try:
-            assert runtime.engine is not None and runtime.scoreboard is not None
-            assert profiler_mod.CURRENT is runtime.profiler
-            runtime.finalize()
-            assert runtime.engine.ticks == 1
-            assert runtime.exporter.snapshots == 1
+            assert obs.engine is not None and obs.scoreboard is not None
+            assert profiler_mod.CURRENT is obs.profiler
+            # One evidence store: MobiWatch's. The context holds no second one.
+            assert isinstance(xsec.mobiwatch.provenance, ProvenanceStore)
+            assert not [v for v in vars(obs).values() if isinstance(v, ProvenanceStore)]
+            # 1 s engine ticks and 5 s snapshots up to the horizon.
+            assert obs.schedule_ticks(xsec.net.sim, 30.0) == 30 + 6
+            obs.finalize()
+            assert obs.engine.ticks == 1
+            assert obs.exporter.snapshots == 1
         finally:
-            runtime.shutdown()
+            xsec.close()
         assert profiler_mod.CURRENT is None
 
     def test_collapsed_stacks_concatenates_sources(self):
-        runtime = SloRuntime(SloSettings.full(), MetricsRegistry())
+        xsec = SixGXSec(XsecConfig(slo_enabled=True))
         try:
             with profiler_mod.profile_block("stage.a"):
                 pass
-            assert "stage.a" in runtime.collapsed_stacks()
+            assert "stage.a" in xsec.obs.profiler.collapsed_stacks()
         finally:
-            runtime.shutdown()
+            xsec.close()
+
+    def test_close_is_idempotent_and_releases_only_its_own_profiler(self):
+        first = SixGXSec(XsecConfig(slo_enabled=True))
+        second = SixGXSec(XsecConfig(slo_enabled=True))
+        assert profiler_mod.CURRENT is second.obs.profiler
+        first.close()
+        assert profiler_mod.CURRENT is second.obs.profiler
+        second.close()
+        second.close()
+        assert profiler_mod.CURRENT is None
+
+    def test_leaving_a_with_block_on_an_error_releases_the_profiler(self):
+        with pytest.raises(RuntimeError):
+            with SixGXSec(XsecConfig(slo_enabled=True)):
+                assert profiler_mod.CURRENT is not None
+                raise RuntimeError("run failed")
+        assert profiler_mod.CURRENT is None
+
+    def test_a_testbed_run_that_raises_releases_the_profiler(self, monkeypatch):
+        from repro.experiments import testbed
+
+        xsec = SixGXSec(XsecConfig(slo_enabled=True))
+
+        def fail(until=None, max_events=None):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(xsec, "run", fail)
+        monkeypatch.setattr(testbed, "build_trained_framework", lambda config: xsec)
+        with pytest.raises(RuntimeError):
+            testbed.run_live_testbed()
+        assert profiler_mod.CURRENT is None
 
 
 class TestHotpathInstrumentation:
