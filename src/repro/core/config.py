@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.llm.cache import LlmfastSettings
-from repro.runtime.settings import RuntimeSettings
 from repro.telemetry.features import FeatureSpec
 
 
@@ -65,11 +64,6 @@ class XsecConfig:
     # docs/OBSERVABILITY.md).
     slo_enabled: bool = False
     slo_export_path: Optional[str] = None
-
-    # Deployment topology (repro.runtime, repro.scale): a sharded SDL and
-    # an ingest batcher. Defaults keep everything single-node and
-    # bit-identical to the seed (see docs/SCALING.md).
-    runtime: RuntimeSettings = field(default_factory=RuntimeSettings)
 
     # Verdict-plane fast path (repro.llm.cache): content-addressed verdict
     # cache + in-flight coalescing. Defaults send one provider request per

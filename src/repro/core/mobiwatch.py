@@ -37,7 +37,6 @@ from repro.oran.e2sm_kpm import (
     MobiFlowReportStyle,
 )
 from repro.oran.xapp import XApp
-from repro.scale.sharded_sdl import ShardedSdl
 from repro.sim.engine import Event
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
 
@@ -144,8 +143,6 @@ class MobiWatchXApp(XApp):
                 "mobiwatch.sessions_evicted_total",
                 help="sessions whose per-session state was dropped",
             )
-        # repro.scale: UE-sharded SDL placement (default off).
-        self._sharded_sdl = isinstance(self.sdl, ShardedSdl)
         # SLO plane: provenance minting + liveness heartbeat. Both gated on
         # slo_enabled so the disabled path creates no new metric series.
         self.provenance: Optional[ProvenanceStore] = None
@@ -243,12 +240,12 @@ class MobiWatchXApp(XApp):
         series = self.series
         session_records = self._session_records
         # Telemetry is persisted after the ingest loop as one acked SDL
-        # write per indication (per shard key under ShardedSdl). A record
-        # is stored as the bytes it arrived in — its span of the indication
-        # payload, which the decoder has checked to be exactly its own
-        # encoding — unless there is none (non-canonical batch) or it no
-        # longer describes the record (clamped timestamp).
-        pending_writes: list[tuple[int, MobiFlowRecord, object]] = []
+        # write per indication. A record is stored as the bytes it arrived
+        # in — its span of the indication payload, which the decoder has
+        # checked to be exactly its own encoding — unless there is none
+        # (non-canonical batch) or it no longer describes the record
+        # (clamped timestamp).
+        pending_writes: list[tuple[str, object]] = []
         delays: list[float] = []
         payload = records.payload
         index = len(series)
@@ -264,7 +261,7 @@ class MobiWatchXApp(XApp):
             series.append(record)
             row = push(record)
             value = record.to_wire_dict() if span is None else wire.Encoded(payload, *span)
-            pending_writes.append((index, record, value))
+            pending_writes.append((f"{index:09d}", value))
             delays.append(now - newest_ts)
             session_id = record.session_id
             if session_id:
@@ -284,21 +281,7 @@ class MobiWatchXApp(XApp):
         self._records_counter.inc(len(delays))
         self._capture_to_ingest.observe_many(delays)
         if pending_writes:
-            if self._sharded_sdl:
-                # Place telemetry by UE session so one session's records
-                # stay on one shard (and its replicas).
-                groups: dict[str, list[tuple[str, object]]] = {}
-                for index, record, value in pending_writes:
-                    groups.setdefault(str(record.session_id or index), []).append(
-                        (f"{index:09d}", value)
-                    )
-                for shard_key, pairs in groups.items():
-                    self.sdl.set_many(SDL_TELEMETRY_NS, pairs, shard_key=shard_key)
-            else:
-                self.sdl.set_many(
-                    SDL_TELEMETRY_NS,
-                    [(f"{index:09d}", value) for index, _, value in pending_writes],
-                )
+            self.sdl.set_many(SDL_TELEMETRY_NS, pending_writes)
         if self._batch_scores is not None:
             self._tick(list(touched))
         if released:

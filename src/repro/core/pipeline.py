@@ -191,31 +191,6 @@ class ClosedLoopPipeline:
             "response_s": stats(response),
         }
 
-    def scale_report(self) -> dict:
-        """Horizontal-scaling health: shards, ingest batcher, verdict ledger.
-
-        Empty sections mean the corresponding repro.scale feature is off
-        (the seed's single-node path).
-        """
-        report: dict = {}
-        sdl = self.mobiwatch.sdl
-        if hasattr(sdl, "health"):
-            report["sdl"] = sdl.health()
-        batcher = getattr(self.mobiwatch.ric.e2term, "ingest_batcher", None)
-        if batcher is not None:
-            report["ingest"] = batcher.stats()
-        llmfast = self.config.llmfast
-        if llmfast.fast_submit_enabled:
-            # The verdict-plane ledger (the invariant
-            # offered == analyzed + coalesced + cache_hits + pending holds
-            # at every instant) plus cache internals.
-            analyzer = self.analyzer
-            report["llmfast"] = {
-                "ledger": analyzer.ledger(),
-                "cache": analyzer.analyst.cache_stats,
-            }
-        return report
-
     # -- loop tracing (repro.obs) ---------------------------------------------------
 
     def loop_tracer(self) -> Tracer:

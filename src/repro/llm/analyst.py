@@ -80,7 +80,7 @@ class ExpertAnalyst:
         self._interner = None
         self._engine = None
         settings = self.llmfast
-        if settings is not None and (settings.verdict_cache or settings.coalesce):
+        if settings is not None and settings.fast_submit_enabled:
             self._cache = (
                 VerdictCache(settings.cache_capacity)
                 if settings.verdict_cache

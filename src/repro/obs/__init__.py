@@ -23,7 +23,7 @@ The SLO plane, built when ``XsecConfig.slo_enabled`` is set:
   verdict / action, rendered by ``python -m repro slo explain``.
 
 Everything here is stdlib-only (plus :mod:`repro.telemetry`'s codec inside
-one function) so any layer (sim, oran, telemetry, ml, core, scale) can
+one function) so any layer (sim, oran, telemetry, ml, core) can
 import it without cycles. The conventional entry point is the simulator's
 context: ``sim.obs.metrics`` / ``sim.obs.logger``, and with the SLO plane
 on ``sim.obs.engine`` / ``.scoreboard`` / ``.profiler`` / ``.exporter``.

@@ -45,16 +45,13 @@ class ObsContext:
 
     # -- the SLO plane ----------------------------------------------------
 
-    def enable_slo(self, export_path: Optional[str] = None, sdl=None) -> None:
+    def enable_slo(self, export_path: Optional[str] = None) -> None:
         """Build the engine, scoreboard, profiler and exporter.
 
         Activates the profiler process-wide; :meth:`shutdown` releases it.
-        A sharded ``sdl`` gets one scoreboard probe per shard.
         """
         self.engine = SloEngine(self.metrics)
         self.scoreboard = HealthScoreboard(self.metrics)
-        if hasattr(sdl, "shard_names"):
-            self.scoreboard.watch_sharded_sdl(sdl)
         self.profiler = profiler_mod.activate(Profiler())
         self.exporter = ContinuousExporter(self.metrics, path=export_path)
 

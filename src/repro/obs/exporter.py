@@ -10,11 +10,9 @@ Three consumers of the shared :class:`~repro.obs.metrics.MetricsRegistry`:
   every :data:`EXPORT_INTERVAL_S` sim seconds (the obs context schedules
   its ticks against each run's horizon);
 - :class:`HealthScoreboard` — per-component up/degraded/down from
-  registered liveness probes (SDL shards: up or down) and the
-  ``health.heartbeat_ts`` gauges components set on the registry (older
-  than :data:`HEARTBEAT_STALE_S` means down). The board reads the same
-  liveness the sharded SDL's failover acts on, so "down" here and "failed
-  over" there always agree.
+  registered liveness probes and the ``health.heartbeat_ts`` gauges
+  components set on the registry (older than :data:`HEARTBEAT_STALE_S`
+  means down).
 """
 
 from __future__ import annotations
@@ -136,16 +134,6 @@ class HealthScoreboard:
 
     def register_probe(self, component: str, probe: Callable[[], dict]) -> None:
         self._probes[component] = probe
-
-    def watch_sharded_sdl(self, sdl) -> None:
-        """One probe per shard, reading the liveness failover acts on."""
-        for name in sdl.shard_names:
-            shard_name = name
-
-            def probe(n=shard_name):
-                return {"up": sdl._shards[n].alive}
-
-            self.register_probe(f"sdl.{shard_name}", probe)
 
     # -- evaluation --------------------------------------------------------
 

@@ -112,7 +112,7 @@ def default_objectives(config=None) -> List[SloObjective]:
     """The deployment's stock objectives over metrics the stack emits.
 
     ``config`` (an ``XsecConfig``) only tunes thresholds; the families are
-    the ones MobiWatch, the batcher and the analyzer register.
+    the ones MobiWatch and the analyzer register.
     """
     return [
         SloObjective(
@@ -122,14 +122,6 @@ def default_objectives(config=None) -> List[SloObjective]:
             metric="mobiwatch.detection_latency_s",
             threshold=1.0,
             description="newest flagged telemetry -> alarm within the 1s near-RT budget",
-        ),
-        SloObjective(
-            name="ingest-drop-rate",
-            kind="ratio",
-            target=0.999,
-            bad_metric="batcher.dropped_total",
-            total_metric="batcher.offered_total",
-            description="telemetry records dropped by the bounded ingest queue",
         ),
         SloObjective(
             name="inference-wall",

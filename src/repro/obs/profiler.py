@@ -1,7 +1,7 @@
 """Continuous profiler: explicit hot-spot hooks (stdlib-only).
 
 Instrumented call sites (MobiWatch's ingest and score stages, the
-compiled kernels, sharded-SDL ops) report wall-clock durations under
+compiled kernels, the analyzer) report wall-clock durations under
 stable stage names. Coarse call sites use the :func:`profile_block`
 context manager; per-call-microsecond sites use the inline pattern below
 so an *inactive* profiler costs one module-attribute load and an

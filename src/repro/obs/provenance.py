@@ -287,10 +287,10 @@ class ProvenanceStore:
         value = {k: v for k, v in record.to_dict().items() if v is not None}
         try:
             self.sdl.set(SDL_PROVENANCE_NS, f"{record.provenance_id:06d}", value)
-        except (ValueError, RuntimeError):
+        except ValueError:
             # What a well-formed set can raise: repro.wire.WireError (a
-            # ValueError) or repro.scale.ShardUnavailableError (a
-            # RuntimeError), caught through their bases so this package
-            # imports nothing past repro.obs. Memory still holds the record.
+            # value the codec refuses), caught through its base so this
+            # package imports nothing past repro.obs. Memory still holds
+            # the record; any other error is a bug and propagates.
             if self._persist_failures is not None:
                 self._persist_failures.inc()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.oran.e2ap import (
     ActionType,
@@ -26,14 +25,8 @@ from repro.oran.e2ap import (
 from repro.oran.e2agent import _pdu_envelope, _pdu_from_envelope
 from repro.oran.rmr import RIC_CONTROL_ACK, RIC_INDICATION, RIC_SUB_RESP, RmrRouter
 from repro.ran.links import InterfaceLink
-from repro.scale.batcher import DROP_OLDEST, BoundedBatcher
 from repro.sim.entity import Entity
 from repro.sim.engine import Simulator
-
-# The ingest batcher's fixed shape: a bounded queue that sheds its oldest
-# indication when full, flushed on size and every 10 ms of sim time.
-INGEST_CAPACITY = 8192
-INGEST_FLUSH_INTERVAL_S = 0.01
 
 
 @dataclass
@@ -56,7 +49,6 @@ class E2Termination(Entity):
         ric_id: str,
         e2: InterfaceLink,
         rmr: RmrRouter,
-        ingest_flush_records: int = 0,
     ) -> None:
         super().__init__(sim, f"e2term.{ric_id}")
         self.ric_id = ric_id
@@ -81,24 +73,6 @@ class E2Termination(Entity):
             labels={"direction": "ric_to_node"},
             help="encoded E2AP PDU bytes sent over E2 (whole PDUs)",
         )
-        # Optional bounded ingest batching between this termination and the
-        # xApps (repro.scale). Disabled (inline fan-out, the seed path)
-        # unless runtime.ingest_flush_records asks for it.
-        self.ingest_batcher: Optional[BoundedBatcher] = None
-        if ingest_flush_records > 0:
-            self.ingest_batcher = BoundedBatcher(
-                self._deliver_indications,
-                capacity=INGEST_CAPACITY,
-                flush_records=ingest_flush_records,
-                flush_interval_s=INGEST_FLUSH_INTERVAL_S,
-                drop_policy=DROP_OLDEST,
-                scheduler=lambda delay, cb: sim.schedule(
-                    delay, cb, name=f"{self.name}.ingest"
-                ),
-                clock=lambda: sim.now,
-                metrics=metrics,
-                name=f"{self.name}.ingest",
-            )
 
     # -- toward the E2 node -----------------------------------------------------
 
@@ -192,10 +166,7 @@ class E2Termination(Entity):
             self.indications_received += 1
             self._pdu_counters["indication"].inc()
             self._indication_bytes.observe(len(pdu.indication_message))
-            if self.ingest_batcher is not None:
-                self.ingest_batcher.offer(pdu)
-            else:
-                self.rmr.send(RIC_INDICATION, pdu.ric_request_id, pdu)
+            self.rmr.send(RIC_INDICATION, pdu.ric_request_id, pdu)
         elif isinstance(pdu, RicControlAck):
             self._pdu_counters["control_ack"].inc()
             self.rmr.send(RIC_CONTROL_ACK, pdu.ric_request_id, pdu)
@@ -203,7 +174,3 @@ class E2Termination(Entity):
             self._pdu_counters["other"].inc()
             self.log(f"unhandled E2AP PDU {pdu.pdu_name}")
 
-    def _deliver_indications(self, batch: list) -> None:
-        """Batched RMR fan-out (the ingest batcher's flush target)."""
-        for pdu in batch:
-            self.rmr.send(RIC_INDICATION, pdu.ric_request_id, pdu)

@@ -10,14 +10,12 @@ the xApps, as in the real system.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.oran.e2term import E2Termination
 from repro.oran.rmr import RmrRouter
 from repro.oran.sdl import SharedDataLayer
 from repro.ran.links import InterfaceLink
-from repro.runtime.settings import RuntimeSettings
-from repro.scale.sharded_sdl import ShardedSdl
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,24 +30,12 @@ class NearRtRic:
         sim: Simulator,
         e2: InterfaceLink,
         ric_id: str = "nrt-ric-0",
-        runtime: Optional[RuntimeSettings] = None,
     ) -> None:
         self.sim = sim
         self.ric_id = ric_id
-        runtime = runtime or RuntimeSettings()
-        if runtime.sdl_shards > 1:
-            # The clustered-Redis SDL topology of the production OSC RIC.
-            self.sdl = ShardedSdl(
-                shards=runtime.sdl_shards,
-                replication=runtime.sdl_replication,
-                metrics=sim.obs.metrics,
-            )
-        else:
-            self.sdl = SharedDataLayer(metrics=sim.obs.metrics)
+        self.sdl = SharedDataLayer(metrics=sim.obs.metrics)
         self.rmr = RmrRouter(sim)
-        self.e2term = E2Termination(
-            sim, ric_id, e2, self.rmr, ingest_flush_records=runtime.ingest_flush_records
-        )
+        self.e2term = E2Termination(sim, ric_id, e2, self.rmr)
         self.xapps: dict[str, "XApp"] = {}
 
     def register_xapp(self, xapp: "XApp") -> None:

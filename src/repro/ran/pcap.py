@@ -20,6 +20,7 @@ parses to the same events, because the spelled-out form keeps decoding.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import Iterator, Union
 
@@ -145,6 +146,10 @@ class PcapStream:
             iface = _IFACE_NAMES.get(iface_code)
             if iface is None:
                 raise PcapError(f"unknown interface code {iface_code}")
+            # NaN would pass every timestamp-order check downstream (each
+            # comparison is false); an infinity breaks the order after it.
+            if not math.isfinite(timestamp):
+                raise PcapError(f"non-finite timestamp {timestamp!r} at offset {offset}")
             offset += header.size
             end = offset + length
             if end > len(data):

@@ -1,34 +1,22 @@
-"""repro.scale — horizontal-scaling substrate for the detection pipeline.
+"""repro.scale — a consistent-hash sharded SDL that nothing deploys.
 
-The near-RT RIC of the seed stores all MobiFlow telemetry in a single
-Shared Data Layer and fans every indication out inline. This package
-supplies the pieces that remove those ceilings, mirroring how the OSC RIC
-scales its own platform services:
+The near-RT RIC has one plain :class:`~repro.oran.sdl.SharedDataLayer`
+and no module under ``src/repro`` outside this package imports it. It
+stays only because the composed benchmark's tracer
+(``benchmarks/e2e/trace.py``) still wraps :class:`ShardedSdl` by name;
+it goes with that import (see ``docs/SCALING.md``).
 
-- :mod:`.hashring` — consistent-hash ring (virtual nodes, deterministic)
-  keyed on RNTI/UE/session ids;
+- :mod:`.hashring` — consistent-hash ring (virtual nodes, deterministic);
 - :mod:`.sharded_sdl` — the ``SharedDataLayer`` contract over N shard
   instances with per-shard replication, failover + read repair, and a
-  fault-injection hook (the Redis-cluster SDL topology);
-- :mod:`.batcher` — bounded-queue telemetry ingest batching with counted,
-  never-silent drops.
-
-Both are switched on by the topology family
-:class:`~repro.runtime.settings.RuntimeSettings` (``sdl_shards``,
-``sdl_replication``, ``ingest_flush_records``) on
-:class:`~repro.core.config.XsecConfig`; its defaults preserve the seed's
-single-node behaviour bit-for-bit — see ``docs/SCALING.md``.
+  fault-injection hook.
 """
 
-from repro.scale.batcher import DROP_NEWEST, DROP_OLDEST, BoundedBatcher
 from repro.scale.hashring import ConsistentHashRing, HashRingError, stable_hash
 from repro.scale.sharded_sdl import ShardedSdl, ShardUnavailableError
 
 __all__ = [
-    "BoundedBatcher",
     "ConsistentHashRing",
-    "DROP_NEWEST",
-    "DROP_OLDEST",
     "HashRingError",
     "ShardedSdl",
     "ShardUnavailableError",

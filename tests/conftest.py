@@ -5,8 +5,9 @@ was written with, or Hypothesis's 100 where it names none. Two larger
 budgets for CI's deep runs, selected with ``--hypothesis-profile=<name>``
 without slowing tier-1:
 
-- ``wire-fuzz``: the codec's properties in tests/test_wire.py and the
-  per-class plans and symbol table held to it;
+- ``wire-fuzz``: the codec's properties in tests/test_wire.py, the
+  per-class plans and symbol table held to it, and the capture framing
+  (tests/test_pcap.py);
 - ``kernel-fuzz``: the row-exact scoring kernels' bytes against single-row
   calls and the layer-walking reference
   (tests/test_hotpath.py::TestRowExactKernels) and the score memo's

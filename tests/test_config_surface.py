@@ -24,9 +24,7 @@ import pytest
 
 import repro
 from repro.core.config import XsecConfig
-from repro.core.pipeline import ClosedLoopPipeline
 from repro.llm.cache import LlmfastSettings
-from repro.runtime.settings import RuntimeSettings
 
 SRC = Path(repro.__file__).parent
 
@@ -38,16 +36,17 @@ FAMILIES = {
 }
 
 # The families dissolved into XsecConfig.scoring (itself deleted since) /
-# evict_on_release / evict_idle_s, ``scale``, folded into ``runtime``, and
-# ``slo``, become ``slo_enabled`` / ``slo_export_path``: their flags stay
+# evict_on_release / evict_idle_s, ``scale``, folded into ``runtime``,
+# ``slo``, become ``slo_enabled`` / ``slo_export_path``, and ``runtime``,
+# deleted with the one SDL and the one ingest path: their flags stay
 # deleted because the family does. A deleted family is named by its class
 # name, a string derived from its XsecConfig field (``scale`` -> "Scale"
 # + "Settings").
 DISSOLVED = {
     f"{family.capitalize()}Settings": family
-    for family in ("hotpath", "megabatch", "trainfast", "scale", "slo")
+    for family in ("hotpath", "megabatch", "trainfast", "scale", "slo", "runtime")
 }
-HOTPATH, MEGABATCH, TRAINFAST, SCALE, SLO = DISSOLVED
+HOTPATH, MEGABATCH, TRAINFAST, SCALE, SLO, RUNTIME = DISSOLVED
 
 DELETED = [
     (HOTPATH, "compiled"),
@@ -106,26 +105,26 @@ DELETED = [
     (SCALE, "ingest_flush_interval_s"),
     (SCALE, "ingest_capacity"),
     (SCALE, "ingest_drop_policy"),
-    (RuntimeSettings, "analyzer"),
-    (RuntimeSettings, "queue_capacity"),
-    (RuntimeSettings, "dispatch_records"),
-    (RuntimeSettings, "dispatch_interval_s"),
-    (RuntimeSettings, "drop_policy"),
-    (RuntimeSettings, "drain_timeout_s"),
-    (RuntimeSettings, "start_method"),
+    (RUNTIME, "analyzer"),
+    (RUNTIME, "queue_capacity"),
+    (RUNTIME, "dispatch_records"),
+    (RUNTIME, "dispatch_interval_s"),
+    (RUNTIME, "drop_policy"),
+    (RUNTIME, "drain_timeout_s"),
+    (RUNTIME, "start_method"),
     # One scoring tier: float64 "exact" is the only way a window is scored.
     (XsecConfig, "scoring"),
     # One process: MobiWatch scores in its own process, so the worker pool's
     # switch, size, restart policy and heartbeats are gone, and so is the
     # backlog threshold only the pool's supervisor ever reported against.
-    (RuntimeSettings, "score_in_processes"),
-    (RuntimeSettings, "workers"),
-    (RuntimeSettings, "max_restarts"),
-    (RuntimeSettings, "backoff_base_s"),
-    (RuntimeSettings, "backoff_max_s"),
-    (RuntimeSettings, "crash_loop_window_s"),
-    (RuntimeSettings, "heartbeat_interval_s"),
-    (RuntimeSettings, "heartbeat_timeout_s"),
+    (RUNTIME, "score_in_processes"),
+    (RUNTIME, "workers"),
+    (RUNTIME, "max_restarts"),
+    (RUNTIME, "backoff_base_s"),
+    (RUNTIME, "backoff_max_s"),
+    (RUNTIME, "crash_loop_window_s"),
+    (RUNTIME, "heartbeat_interval_s"),
+    (RUNTIME, "heartbeat_timeout_s"),
     (SLO, "backlog_degraded"),
     # The background stack sampler: off by default, turned on by no preset
     # and no caller but its own tests; the profile_block() hooks remain.
@@ -147,24 +146,46 @@ DELETED = [
     (SLO, "profiler"),
     (SLO, "export_interval_s"),
     (SLO, "export_path"),
+    # One SDL and one ingest path: the RIC always runs the plain
+    # SharedDataLayer and fans each indication out inline, so the topology
+    # family that could pick a sharded SDL or an ingest batcher is gone.
+    (XsecConfig, "runtime"),
+    (RUNTIME, "sdl_shards"),
+    (RUNTIME, "sdl_replication"),
+    (RUNTIME, "ingest_flush_records"),
 ]
 
 
 def _program_sources(declared_in: Path) -> str:
     """Everything under src/repro that can *use* a knob declared in
-    ``declared_in``: not that module, not the benches (repro/bench/), not
-    scale_report()'s echo."""
-    echo = inspect.getsource(ClosedLoopPipeline.scale_report)
+    ``declared_in``: not that module, not the benches (repro/bench/)."""
     chunks = []
     for path in sorted(SRC.rglob("*.py")):
         if SRC / "bench" in path.parents or path == declared_in:
             continue
-        chunks.append(path.read_text(encoding="utf-8").replace(echo, ""))
+        chunks.append(path.read_text(encoding="utf-8"))
     return "\n".join(chunks)
 
 
 def test_settings_families():
-    assert sorted(FAMILIES) == ["llmfast", "runtime"]
+    assert sorted(FAMILIES) == ["llmfast"]
+
+
+def test_nothing_outside_the_scale_package_imports_it():
+    """The RIC has one SDL: ``repro.scale`` survives only for the composed
+    benchmark's tracer, which still wraps ``ShardedSdl`` by name, and no
+    module of the program may start deploying it again."""
+    importers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if SRC / "scale" not in path.parents
+        and re.search(
+            r"^\s*(from\s+repro\.scale\b|import\s+repro\.scale\b)",
+            path.read_text(encoding="utf-8"),
+            re.MULTILINE,
+        )
+    ]
+    assert importers == []
 
 
 def test_frozen_benchmark_flag_names():
@@ -287,7 +308,10 @@ def test_settings_field_total():
     ``runtime`` fields (11 -> 3) and ``slo.backlog_degraded`` went with
     it; 42 before the sampling profiler's two ``slo`` fields were deleted;
     40 before the twelve-field ``slo`` family became the top-level
-    ``slo_enabled`` and ``slo_export_path``: 30 = 6 family + 24 top-level."""
+    ``slo_enabled`` and ``slo_export_path``; 30 before the ``runtime``
+    family (``sdl_shards``, ``sdl_replication``, ``ingest_flush_records``)
+    was deleted with the sharded SDL and the ingest batcher it selected:
+    27 = 3 family + 24 top-level."""
     family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
     top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 30
+    assert family_fields + top_level <= 27

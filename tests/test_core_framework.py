@@ -1,14 +1,20 @@
 """End-to-end tests for the assembled 6G-XSec framework (Figure 3)."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.attacks import BtsDosAttack, NullCipherAttack
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
+from repro.llm.cache import LlmfastSettings
 from repro.oran.a1 import DETECTION_POLICY_TYPE
 from repro.oran.smo import JobState
 from repro.ran.network import NetworkConfig
+
+from tests.test_megabatch import ATTACK_SCENARIOS
 
 
 def small_config(**overrides):
@@ -134,3 +140,132 @@ class TestBenignOnlyRun:
         assert len(xsec.mobiwatch.anomalies) <= max(
             2, int(0.1 * xsec.mobiwatch.windows_scored)
         )
+
+
+# ---------------------------------------------------------------------------
+# a pre-trained LSTM deployed into live attack scenarios
+
+
+@pytest.fixture(scope="module")
+def trained_lstm():
+    config = XsecConfig(detector="lstm", train_epochs=6)
+    capture = generate_benign_dataset(
+        BenignDatasetConfig(duration_s=90.0, ue_mix=(("pixel5", 1), ("oai_ue", 1)))
+    )
+    windows = capture.labeled(config.spec, config.window, "benign").windowed.windows
+    detector = build_detector(config)
+    detector.fit(np.asarray(windows), epochs=6, lr=config.train_lr)
+    return detector
+
+
+def run_deployed(
+    detector, attack=None, net_kwargs=None, percentile=None, observe=None, **settings
+):
+    """One live pipeline run with a pre-trained detector copy deployed.
+
+    ``settings`` are further ``XsecConfig`` fields (``evict_on_release=``,
+    ``llmfast=``); ``observe(xsec)`` runs after the deploy and before the
+    first event.
+    """
+    config = XsecConfig(detector=detector.name, train_epochs=6, **settings)
+    xsec = SixGXSec(config, network_config=NetworkConfig(seed=77, **(net_kwargs or {})))
+    xsec.deploy_detector(copy.deepcopy(detector))
+    if percentile is not None:
+        # Lower the operating threshold so the scenario provably emits
+        # events: empty-vs-empty would not prove anything.
+        xsec.mobiwatch.on_policy(1, {"threshold_percentile": percentile})
+    if observe is not None:
+        observe(xsec)
+    for profile in ("pixel5", "oai_ue"):
+        ue = xsec.net.add_ue(profile)
+        xsec.net.sim.schedule(0.5, ue.start_session)
+    if attack is not None:
+        attack(xsec.net).arm()
+    xsec.run(until=20.0)
+    return xsec
+
+
+class TestFlagCombination:
+    """Release eviction x verdict cache + coalescing: each has its own
+    suite, here they run together."""
+
+    SETTINGS = dict(
+        evict_on_release=True,
+        llmfast=LlmfastSettings(verdict_cache=True, coalesce=True),
+    )
+
+    @pytest.mark.parametrize("scenario", ["bts_dos", "null_cipher"])
+    def test_eviction_and_verdict_cache_compose(self, trained_lstm, scenario):
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        run = run_deployed(
+            trained_lstm,
+            attack=factory,
+            net_kwargs=net_kwargs,
+            percentile=80.0,
+            **self.SETTINGS,
+        )
+        assert len(run.mobiwatch.anomalies) > 0
+        assert len(run.analyzer.verdicts) > 0
+        ledger = run.analyzer.ledger()
+        assert ledger["offered"] == (
+            ledger["analyzed"]
+            + ledger["coalesced"]
+            + ledger["cache_hits"]
+            + ledger["shed"]
+            + ledger["pending"]
+        ), ledger
+        assert run.mobiwatch.sessions_evicted > 0
+
+
+class TestOneOperatingClock:
+    """The score provider models no completion time: an alarm carries the
+    sim clock of the event that emitted it, and the scoring wall-time
+    histogram gets one observation per provider call — at most one per
+    tick."""
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(ATTACK_SCENARIOS), ids=sorted(ATTACK_SCENARIOS)
+    )
+    def test_alarms_stamped_at_emission(self, trained_lstm, scenario):
+        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
+        stamps, provider_calls, walks = [], [], []
+
+        def observe(xsec):
+            watch = xsec.mobiwatch
+            alert, provider = watch._maybe_alert, watch._batch_scores
+            tick, score_one = watch._tick, watch._score_one
+
+            def stamped_alert(*args):
+                emitted = len(watch.anomalies)
+                alert(*args)
+                stamps.extend(
+                    (event.detected_at, watch.sim.now) for event in watch.anomalies[emitted:]
+                )
+
+            def counted_provider(ready):
+                provider_calls.append(len(ready))
+                return provider(ready)
+
+            def counted(walk):
+                def wrapper(arg):
+                    walks.append(walk.__name__)
+                    walk(arg)
+
+                return wrapper
+
+            watch._maybe_alert, watch._batch_scores = stamped_alert, counted_provider
+            watch._tick, watch._score_one = counted(tick), counted(score_one)
+
+        xsec = run_deployed(
+            trained_lstm,
+            attack=factory,
+            net_kwargs=net_kwargs,
+            percentile=80.0,
+            observe=observe,
+        )
+        watch = xsec.mobiwatch
+        assert len(stamps) == len(watch.anomalies) > 0
+        assert all(detected_at == now for detected_at, now in stamps)
+        wall = xsec.obs.metrics.histogram("mobiwatch.inference_wall_s")
+        assert wall.count == len(provider_calls) <= len(walks)
+        assert sum(provider_calls) == watch.windows_scored > 0

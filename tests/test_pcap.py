@@ -1,6 +1,11 @@
 """Tests for the F1AP/NGAP capture stream."""
 
+import math
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ran.pcap import CaptureRecord, PcapError, PcapStream
 from repro.ran.rrc import RrcSetup, RrcSetupRequest
@@ -68,3 +73,60 @@ class TestSerialization:
         data[0] ^= 0xFF
         with pytest.raises(PcapError):
             PcapStream.from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, timestamp):
+        """A NaN passes every timestamp-order check downstream and an
+        infinity breaks the order later; both are refused at the load,
+        naming the record."""
+        data = bytearray(self._sample().to_bytes())
+        header = struct.calcsize(">HBdI")
+        offset = header + struct.unpack_from(">I", data, header - 4)[0]
+        struct.pack_into(">d", data, offset + 3, timestamp)
+        with pytest.raises(PcapError, match=f"at offset {offset}$"):
+            PcapStream.from_bytes(bytes(data))
+
+
+# A well-formed framed record whose timestamp is any double, with NaN and
+# the infinities drawn often.
+_framed_record = st.builds(
+    lambda iface, timestamp, payload: struct.pack(
+        ">HBdI", 0x6F5C, iface, timestamp, len(payload)
+    )
+    + payload,
+    st.sampled_from([1, 2]),
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.binary(max_size=24),
+)
+
+
+def _edited(data: bytes, edit) -> bytes:
+    """``data`` as is (None), cut short (a negative int), or with one byte
+    overwritten (``(position, byte)``)."""
+    if edit is None:
+        return data
+    if isinstance(edit, int):
+        return data[:edit]
+    position, byte = edit
+    out = bytearray(data)
+    out[position % len(out)] = byte
+    return bytes(out)
+
+
+@given(
+    st.binary()
+    | st.builds(
+        _edited,
+        st.lists(_framed_record, min_size=1, max_size=4).map(b"".join),
+        st.none() | st.integers(-8, -1) | st.tuples(st.integers(0), st.integers(0, 255)),
+    )
+)
+def test_from_bytes_round_trips_or_raises_pcap_error(data):
+    """Any input either loads into finite-timestamp records that serialise
+    back to exactly the input, or is refused with ``PcapError``."""
+    try:
+        stream = PcapStream.from_bytes(data)
+    except PcapError:
+        return
+    assert all(math.isfinite(record.timestamp) for record in stream)
+    assert stream.to_bytes() == data

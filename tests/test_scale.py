@@ -1,8 +1,10 @@
-"""Tests for repro.scale: hash ring, batcher, sharded SDL.
+"""Tests for repro.scale: hash ring and sharded SDL, plus the plain SDL's
+watch isolation and batched writes.
 
-Covers the invariants the scaling substrate is built on: consistent-hash
-relocation bounds, bounded-queue accounting (``offered == ingested +
-dropped + pending``) and acknowledged-write durability across shard kills.
+Covers the invariants the sharded SDL is built on: consistent-hash
+relocation bounds and acknowledged-write durability across shard kills.
+Nothing in the deployment builds a ``ShardedSdl``; these go with the
+package.
 """
 
 import pytest
@@ -10,19 +12,12 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.oran.sdl import SdlError, SharedDataLayer
 from repro.scale import (
-    BoundedBatcher,
     ConsistentHashRing,
-    DROP_NEWEST,
-    DROP_OLDEST,
     HashRingError,
     ShardedSdl,
     ShardUnavailableError,
     stable_hash,
 )
-from repro.oran.ric import NearRtRic
-from repro.ran.links import InterfaceLink
-from repro.runtime.settings import RuntimeSettings
-from repro.sim import Simulator
 
 
 class TestStableHash:
@@ -97,96 +92,6 @@ class TestHashRing:
         assert sum(counts.values()) == len(keys)
         for count in counts.values():
             assert 0.5 * 1000 < count < 2.0 * 1000
-
-
-class TestBatcher:
-    def collector(self):
-        batches = []
-        return batches, batches.append
-
-    def test_flushes_on_size(self):
-        batches, sink = self.collector()
-        batcher = BoundedBatcher(sink, flush_records=4)
-        for i in range(10):
-            batcher.offer(i)
-        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
-        assert batcher.pending == 2
-        assert batcher.close() == 2
-        assert batches[-1] == [8, 9]
-
-    def test_queue_never_exceeds_capacity(self):
-        batches, sink = self.collector()
-        batcher = BoundedBatcher(sink, capacity=8, flush_records=100)
-        peak = 0
-        for i in range(50):
-            batcher.offer(i)
-            peak = max(peak, batcher.pending)
-        assert peak <= 8
-        assert batcher.dropped == 42
-
-    def test_accounting_invariant_drop_oldest(self):
-        batches, sink = self.collector()
-        batcher = BoundedBatcher(
-            sink, capacity=8, flush_records=100, drop_policy=DROP_OLDEST
-        )
-        for i in range(50):
-            batcher.offer(i)
-        assert batcher.offered == batcher.ingested + batcher.dropped + batcher.pending
-        batcher.close()
-        # Oldest were shed: the survivors are the newest 8 offers.
-        assert batches == [[42, 43, 44, 45, 46, 47, 48, 49]]
-        assert batcher.offered == batcher.ingested + batcher.dropped
-
-    def test_accounting_invariant_drop_newest(self):
-        batches, sink = self.collector()
-        batcher = BoundedBatcher(
-            sink, capacity=8, flush_records=100, drop_policy=DROP_NEWEST
-        )
-        accepted = [batcher.offer(i) for i in range(50)]
-        assert accepted[:8] == [True] * 8 and not any(accepted[8:])
-        assert batcher.offered == batcher.ingested + batcher.dropped + batcher.pending
-        batcher.close()
-        # Newest were shed: the survivors are the first 8 offers.
-        assert batches == [[0, 1, 2, 3, 4, 5, 6, 7]]
-
-    def test_drops_match_offered_minus_ingested(self):
-        batches, sink = self.collector()
-        batcher = BoundedBatcher(sink, capacity=16, flush_records=5)
-        offered = 137
-        for i in range(offered):
-            batcher.offer(i)
-        batcher.close()
-        assert batcher.offered == offered
-        assert batcher.dropped == offered - batcher.ingested
-        assert sum(len(b) for b in batches) == batcher.ingested
-
-    def test_interval_flush_via_simulator(self):
-        sim = Simulator()
-        batches, sink = self.collector()
-        batcher = BoundedBatcher(
-            sink,
-            flush_records=100,
-            flush_interval_s=0.05,
-            scheduler=sim.schedule,
-            clock=lambda: sim.now,
-        )
-        sim.schedule_at(0.0, lambda: [batcher.offer(i) for i in range(3)])
-        sim.run()
-        assert batches == [[0, 1, 2]]
-
-    def test_closed_batcher_rejects_offers(self):
-        batcher = BoundedBatcher(lambda batch: None)
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.offer(1)
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedBatcher(lambda b: None, capacity=0)
-        with pytest.raises(ValueError):
-            BoundedBatcher(lambda b: None, flush_records=0)
-        with pytest.raises(ValueError):
-            BoundedBatcher(lambda b: None, drop_policy="random")
 
 
 class TestShardedSdl:
@@ -315,27 +220,6 @@ class TestSdlWatchIsolation:
         assert metrics.histogram("sdl.write_wall_s").count == before + 1
 
 
-def _ric(runtime=None):
-    sim = Simulator(seed=0)
-    e2 = InterfaceLink(sim, "E2")
-    e2.connect(a_handler=lambda m: None, b_handler=lambda m: None)
-    return NearRtRic(sim, e2, runtime=runtime)
-
-
-class TestTopologySettings:
-    def test_defaults_keep_seed_paths_off(self):
-        ric = _ric(RuntimeSettings())
-        assert type(ric.sdl) is SharedDataLayer
-        assert ric.e2term.ingest_batcher is None
-
-    def test_flags_flip_with_knobs(self):
-        ric = _ric(RuntimeSettings(sdl_shards=4, sdl_replication=2, ingest_flush_records=64))
-        assert isinstance(ric.sdl, ShardedSdl)
-        assert ric.sdl.num_shards == 4 and ric.sdl.replication == 2
-        batcher = ric.e2term.ingest_batcher
-        assert batcher is not None and batcher.flush_records == 64
-
-
 class TestSdlSetMany:
     def test_matches_sequential_sets(self):
         a, b = SharedDataLayer(), SharedDataLayer()
@@ -374,25 +258,3 @@ class TestSdlSetMany:
             assert b.get("ns", key, shard_key="session-7") == value
         assert b.writes == 1
         assert a.keys("ns") == b.keys("ns")
-
-
-class TestBatcherOfferMany:
-    def test_matches_repeated_offer(self):
-        flushed_a, flushed_b = [], []
-        a = BoundedBatcher(flushed_a.append, flush_records=16)
-        b = BoundedBatcher(flushed_b.append, flush_records=16)
-        items = list(range(40))
-        for item in items:
-            a.offer(item)
-        assert b.offer_many(items) == 40
-        assert flushed_a == flushed_b
-        assert a.pending == b.pending
-
-    def test_drop_policy_applied_per_item(self):
-        flushed = []
-        batcher = BoundedBatcher(
-            flushed.append, capacity=4, flush_records=100, drop_policy="newest"
-        )
-        assert batcher.offer_many(list(range(10))) == 4
-        assert batcher.dropped == 6
-        assert batcher.pending == 4

@@ -44,8 +44,8 @@ from repro.obs.provenance import (
     model_snapshot_id,
 )
 from repro.oran.sdl import SharedDataLayer
-from repro.scale import ShardedSdl
 from repro.telemetry.mobiflow import MobiFlowRecord
+from repro.wire import WireError
 
 
 def _records(n, start_ts=1.0, session_id=7):
@@ -89,8 +89,13 @@ class TestSloObjective:
         assert ratio.sli_text() == "b / t"
 
     def test_default_objectives_reference_emitted_families(self):
-        names = {o.name for o in default_objectives()}
-        assert "detection-latency" in names and "ingest-drop-rate" in names
+        """MobiWatch's and the analyzer's; the ingest queue whose drops
+        ``ingest-drop-rate`` read is gone, and the objective with it."""
+        assert [o.name for o in default_objectives()] == [
+            "detection-latency",
+            "inference-wall",
+            "verdict-latency",
+        ]
 
 
 class TestAlertState:
@@ -452,21 +457,26 @@ class TestProvenance:
         )
 
     def test_refused_write_is_counted_and_kept_in_memory(self):
+        class RefusingSdl:
+            def set(self, namespace, key, value):
+                raise WireError(f"cannot encode {namespace}/{key}")
+
         metrics = MetricsRegistry()
-        sdl = ShardedSdl(shards=2)
-        for shard in sdl.shard_names:
-            sdl.kill_shard(shard)
-        store = ProvenanceStore(metrics=metrics, sdl=sdl)
+        store = ProvenanceStore(metrics=metrics, sdl=RefusingSdl())
         record = self._mint(store)
         assert metrics.counter("slo.provenance_persist_failures_total").value == 1
         assert store.get(record.provenance_id) is record
 
-    def test_other_write_errors_propagate(self):
+    @pytest.mark.parametrize("error", [KeyError, RuntimeError])
+    def test_other_write_errors_propagate(self, error):
+        """Only a value the codec refuses is a refused write; a bug in the
+        SDL or one of its watchers is not swallowed."""
+
         class BrokenSdl:
             def set(self, namespace, key, value):
-                raise KeyError(key)
+                raise error(key)
 
-        with pytest.raises(KeyError):
+        with pytest.raises(error):
             self._mint(ProvenanceStore(metrics=MetricsRegistry(), sdl=BrokenSdl()))
 
 

@@ -18,8 +18,6 @@ from repro.experiments.colosseum import ColosseumScenario, run_scenario
 from repro.oran.e2sm_kpm import MobiFlowKpmModel
 from repro.ran.network import NetworkConfig
 from repro.ran.pcap import PcapStream
-from repro.runtime.settings import RuntimeSettings
-from repro.scale import ShardedSdl
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.mobiflow import MobiFlowRecord
 from tests.test_core_units import indication, make_ric, record
@@ -166,36 +164,6 @@ class TestRegressingTimestamps:
         watch.on_indication(batch)
         assert watch.records_seen == 1
         assert ric.sdl._data[SDL_TELEMETRY_NS] == {"000000000": wire.encode(fields)}
-
-
-class TestShardedSdlWithAKilledReplica:
-    def test_spans_replicate_and_survive_a_kill(self):
-        config = XsecConfig(runtime=RuntimeSettings(sdl_shards=3, sdl_replication=2))
-
-        def kill_later(xsec):
-            xsec.net.sim.schedule_at(6.0, lambda: xsec.ric.sdl.kill_shard(0))
-
-        run = LiveRun("bts_dos", config=config, before_run=kill_later)
-        sdl, series = run.xsec.ric.sdl, run.xsec.mobiwatch.series
-        assert isinstance(sdl, ShardedSdl) and sdl.shards_alive() == 2
-        assert run.flattened == 0
-        expected = run.expected_telemetry()
-        # Every acknowledged record is readable, and every replica that holds
-        # a key holds the same bytes: the span's.
-        assert sdl.keys(SDL_TELEMETRY_NS) == sorted(expected)
-        copies = 0
-        for shard in sdl._shards.values():
-            for key, stored in shard.data.get(SDL_TELEMETRY_NS, {}).items():
-                assert stored == expected[key]
-                copies += 1
-        assert len(expected) < copies <= 2 * len(expected)
-        for index, entry in enumerate(series):
-            shard_key = str(entry.session_id or index)
-            assert (
-                sdl.get(SDL_TELEMETRY_NS, f"{index:09d}", shard_key=shard_key)
-                == entry.to_wire_dict()
-            )
-        assert sdl.health()["failovers"] > 0
 
 
 class TestLazyCapture:
