@@ -9,10 +9,9 @@ Three consumers of the shared :class:`~repro.obs.metrics.MetricsRegistry`:
 - :class:`ContinuousExporter` — appends one JSON snapshot line to a file
   every :data:`EXPORT_INTERVAL_S` sim seconds (the obs context schedules
   its ticks against each run's horizon);
-- :class:`HealthScoreboard` — per-component up/degraded/down from
-  registered liveness probes and the ``health.heartbeat_ts`` gauges
-  components set on the registry (older than :data:`HEARTBEAT_STALE_S`
-  means down).
+- :class:`HealthScoreboard` — per-component up/degraded/down from the
+  ``health.heartbeat_ts`` gauges components set on the registry (older
+  than :data:`HEARTBEAT_STALE_S` means down).
 """
 
 from __future__ import annotations
@@ -120,28 +119,17 @@ class ContinuousExporter:
 
 
 class HealthScoreboard:
-    """Up/degraded/down per component from probes and heartbeat gauges."""
+    """Up/degraded/down per component from its heartbeat gauge."""
 
     def __init__(
         self, metrics: MetricsRegistry, clock: Optional[Callable[[], float]] = None
     ) -> None:
         self.metrics = metrics
         self.clock = clock or metrics.clock
-        # component -> probe() returning {"up": bool}.
-        self._probes: Dict[str, Callable[[], dict]] = {}
-
-    # -- sources -----------------------------------------------------------
-
-    def register_probe(self, component: str, probe: Callable[[], dict]) -> None:
-        self._probes[component] = probe
-
-    # -- evaluation --------------------------------------------------------
 
     def statuses(self) -> Dict[str, str]:
         now = self.clock()
         out: Dict[str, str] = {}
-        for component, probe in self._probes.items():
-            out[component] = HEALTH_UP if probe().get("up", True) else HEALTH_DOWN
         # Components stamp their heartbeat on the shared registry; they
         # never need a scoreboard reference.
         for labels, gauge in self.metrics.family_series("health.heartbeat_ts"):
@@ -155,10 +143,7 @@ class HealthScoreboard:
                 status = HEALTH_DEGRADED
             else:
                 status = HEALTH_UP
-            # A probe for the same component wins only if it is worse.
-            existing = out.get(component)
-            if existing is None or _HEALTH_SCORE[status] < _HEALTH_SCORE[existing]:
-                out[component] = status
+            out[component] = status
         for component, status in out.items():
             self.metrics.gauge(
                 "health.status",

@@ -87,6 +87,9 @@ class PcapStream:
     ``to_bytes``/``from_bytes`` round-trip through a pcap-like binary
     framing (magic, interface code, timestamp, length, payload) so datasets
     can be persisted to disk exactly like the paper's 2.5 MB of pcap files.
+    Timestamps never go backwards: ``capture``, ``extend`` and
+    ``from_bytes`` refuse a record earlier than the one before it with
+    :class:`PcapError`.
     """
 
     def __init__(self) -> None:
@@ -102,15 +105,32 @@ class PcapStream:
     def records(self) -> list[CaptureRecord]:
         return list(self._records)
 
+    def _check_order(self, timestamp: float, kind: str, position: int) -> None:
+        # The collector turns a capture into telemetry that must be in time
+        # order; a record that goes back in time would fail half-ingested.
+        # An equal timestamp is fine.
+        records = self._records
+        if records and timestamp < records[-1].timestamp:
+            raise PcapError(
+                f"capture timestamp {timestamp!r} at {kind} {position} is earlier "
+                f"than the stream's last one ({records[-1].timestamp!r})"
+            )
+
     def capture(self, timestamp: float, interface: str, message: Message) -> CaptureRecord:
-        """Record ``message`` crossing ``interface`` at ``timestamp``."""
+        """Record ``message`` crossing ``interface`` at ``timestamp``, which
+        may not be earlier than the last capture's."""
         if interface not in _IFACE_CODES:
             raise PcapError(f"unknown interface {interface!r}")
+        self._check_order(timestamp, "index", len(self._records))
         record = CaptureRecord(timestamp, interface, message)
         self._records.append(record)
         return record
 
     def extend(self, other: "PcapStream") -> None:
+        """Append ``other``'s records, which may not start earlier than this
+        stream's last; nothing is appended when one does."""
+        if other._records:
+            self._check_order(other._records[0].timestamp, "index", len(self._records))
         self._records.extend(other._records)
 
     def byte_size(self) -> int:
@@ -150,6 +170,7 @@ class PcapStream:
             # comparison is false); an infinity breaks the order after it.
             if not math.isfinite(timestamp):
                 raise PcapError(f"non-finite timestamp {timestamp!r} at offset {offset}")
+            stream._check_order(timestamp, "offset", offset)
             offset += header.size
             end = offset + length
             if end > len(data):

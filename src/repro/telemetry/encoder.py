@@ -1,8 +1,12 @@
 """Key-value wire encoding of MobiFlow records for E2 reporting.
 
 Paper §3.1: *"the telemetry can be encoded as (key, value) data"* inside the
-extended E2SM-KPM report. Only non-null fields are encoded, keeping the
-indication payload compact.
+extended E2SM-KPM report. Only what the service model cannot derive is
+encoded, keeping the indication payload compact: null fields are left out,
+and so — since wire format revision 3 — are a record's ``protocol`` and
+``direction`` when they are the :data:`CATALOGUE` entry of its ``msg``. The
+decoder fills them back in. Bytes written before revision 3 (both fields
+spelled out) still decode, to the same records.
 """
 
 from __future__ import annotations
@@ -51,16 +55,141 @@ _FIELD_RULES: dict[str, tuple] = {
     "establishment_cause": ((str, _NONE), None),
 }
 
-_PLAN = wire.ClassPlan(
-    MobiFlowRecord,
-    FIELD_NAMES,
-    types={name: types for name, (types, _) in _FIELD_RULES.items()},
-    converters={name: check for name, (_, check) in _FIELD_RULES.items()},
-)
+# The (protocol, direction) of every message name a record can carry, as
+# the E2SM knows them: a record leaves either field off the wire when it
+# equals its entry here. Append-only, like ``wire.SYMBOLS``: stored bytes
+# that left a field off mean this entry (tests/fixtures/mobiflow_catalogue.json
+# pins the table). A name added to the tree is appended; a record whose
+# name is missing, or whose pair differs, is written in full.
+CATALOGUE: dict[str, tuple[str, str]] = {
+    "AuthenticationFailure": ("NAS", "UL"),
+    "AuthenticationReject": ("NAS", "DL"),
+    "AuthenticationRequest": ("NAS", "DL"),
+    "AuthenticationResponse": ("NAS", "UL"),
+    "ConfigurationUpdateCommand": ("NAS", "DL"),
+    "DLInformationTransfer": ("RRC", "DL"),
+    "DeregistrationAccept": ("NAS", "DL"),
+    "DeregistrationRequest": ("NAS", "UL"),
+    "F1DLRRCMessageTransfer": ("RRC", "DL"),
+    "F1InitialULRRCMessageTransfer": ("RRC", "UL"),
+    "F1Paging": ("RRC", "DL"),
+    "F1UEContextReleaseCommand": ("RRC", "DL"),
+    "F1UEContextReleaseComplete": ("RRC", "UL"),
+    "F1UEContextSetupRequest": ("RRC", "DL"),
+    "F1UEContextSetupResponse": ("RRC", "UL"),
+    "F1ULRRCMessageTransfer": ("RRC", "UL"),
+    "IdentityRequest": ("NAS", "DL"),
+    "IdentityResponse": ("NAS", "UL"),
+    "MeasurementReport": ("RRC", "UL"),
+    "NASSecurityModeCommand": ("NAS", "DL"),
+    "NASSecurityModeComplete": ("NAS", "UL"),
+    "NASSecurityModeReject": ("NAS", "UL"),
+    "NGDownlinkNASTransport": ("NAS", "DL"),
+    "NGInitialContextSetupRequest": ("NAS", "DL"),
+    "NGInitialContextSetupResponse": ("NAS", "UL"),
+    "NGInitialUEMessage": ("NAS", "UL"),
+    "NGPaging": ("NAS", "DL"),
+    "NGUEContextReleaseCommand": ("NAS", "DL"),
+    "NGUEContextReleaseComplete": ("NAS", "UL"),
+    "NGUEContextReleaseRequest": ("NAS", "UL"),
+    "NGUplinkNASTransport": ("NAS", "UL"),
+    "Paging": ("RRC", "DL"),
+    "RRCReconfiguration": ("RRC", "DL"),
+    "RRCReconfigurationComplete": ("RRC", "UL"),
+    "RRCReestablishmentRequest": ("RRC", "UL"),
+    "RRCReject": ("RRC", "DL"),
+    "RRCRelease": ("RRC", "DL"),
+    "RRCSecurityModeCommand": ("RRC", "DL"),
+    "RRCSecurityModeComplete": ("RRC", "UL"),
+    "RRCSecurityModeFailure": ("RRC", "UL"),
+    "RRCSetup": ("RRC", "DL"),
+    "RRCSetupComplete": ("RRC", "UL"),
+    "RRCSetupRequest": ("RRC", "UL"),
+    "RegistrationAccept": ("NAS", "DL"),
+    "RegistrationComplete": ("NAS", "UL"),
+    "RegistrationReject": ("NAS", "DL"),
+    "RegistrationRequest": ("NAS", "UL"),
+    "ServiceAccept": ("NAS", "DL"),
+    "ServiceReject": ("NAS", "DL"),
+    "ServiceRequest": ("NAS", "UL"),
+    "ULInformationTransfer": ("RRC", "UL"),
+}
+
+
+def wire_values(record: MobiFlowRecord) -> tuple:
+    """The record's field values as the E2SM writes them, field by field:
+    None for a field that is left off — a null one, or ``protocol`` /
+    ``direction`` where the catalogue entry of ``msg`` gives it."""
+    try:
+        derived = CATALOGUE.get(record[1])
+    except TypeError:  # an unhashable msg, which decoding refuses anyway
+        return record
+    if derived is None:
+        return record
+    protocol, direction = derived
+    return (
+        record[0],
+        record[1],
+        None if record[2] == protocol else record[2],
+        None if record[3] == direction else record[3],
+        *record[4:],
+    )
+
+
+class _RecordPlan(wire.ClassPlan):
+    """The compact record plan, with ``protocol`` and ``direction`` left
+    off where the catalogue gives them. A field that is written although
+    it equals its entry is not what the encoder writes, so the planned
+    decoder steps aside and the generic one answers."""
+
+    def __init__(self) -> None:
+        types = {name: types for name, (types, _) in _FIELD_RULES.items()}
+        # May be absent on the wire; the decoded record always has both.
+        types["protocol"] = types["direction"] = (str, _NONE)
+        super().__init__(
+            MobiFlowRecord,
+            FIELD_NAMES,
+            types=types,
+            converters={name: check for name, (_, check) in _FIELD_RULES.items()},
+        )
+        # What the plan writes per field, in place of the record's own
+        # values: a compact plan leaves a None off the wire.
+        self._values = wire_values
+
+    def _decode_fields(self, data: bytes, offset: int, stop: int, depth: int) -> Optional[list]:
+        values = super()._decode_fields(data, offset, stop, depth)
+        if values is None:
+            return None
+        derived = CATALOGUE.get(values[1])
+        if derived is None:
+            return values if values[2] is not None and values[3] is not None else None
+        protocol, direction = derived
+        if values[2] is None:
+            values[2] = protocol
+        elif values[2] == protocol:
+            return None
+        if values[3] is None:
+            values[3] = direction
+        elif values[3] == direction:
+            return None
+        return values
+
+
+_PLAN = _RecordPlan()
 
 
 def _record_from_value(item: Any) -> MobiFlowRecord:
     """A generically decoded record dict, held to the same rules."""
+    if type(item) is dict and ("protocol" not in item or "direction" not in item):
+        msg = item.get("msg")
+        derived = CATALOGUE.get(msg) if type(msg) is str else None
+        if derived is None:
+            raise ValueError(
+                f"MobiFlow record of msg {msg!r} leaves protocol or direction "
+                "off, and the catalogue has no entry for it"
+            )
+        item.setdefault("protocol", derived[0])
+        item.setdefault("direction", derived[1])
     record = MobiFlowRecord.from_dict(item)
     for name, (types, check) in _FIELD_RULES.items():
         value = getattr(record, name)

@@ -44,8 +44,16 @@ class MobiFlowRecord(NamedTuple):
         return self._asdict()
 
     def to_wire_dict(self) -> dict[str, Any]:
-        """Non-null fields only — the compact E2 (key, value) payload."""
-        return {name: value for name, value in zip(FIELD_NAMES, self) if value is not None}
+        """The compact E2 (key, value) payload: the fields the record
+        encoder writes (non-null ones, less what the E2SM catalogue
+        derives from ``msg``), in field order."""
+        from repro.telemetry.encoder import wire_values  # imports this module
+
+        return {
+            name: value
+            for name, value in zip(FIELD_NAMES, wire_values(self))
+            if value is not None
+        }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "MobiFlowRecord":

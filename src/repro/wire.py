@@ -17,7 +17,10 @@ message and PDU names of the tree and its few fixed words — is written as
 the tag ``0x09`` and one index byte, as a dict key or as a value, on every
 interface; any other string is written out. The spelled-out form of a table
 string still decodes, to the same value, so bytes written before the table
-existed stay readable; no encoder produces it any more.
+existed stay readable; no encoder produces it any more. Revision 3 appended
+the E2SM control vocabulary (the ``action`` key, the action names and their
+parameter keys), and left off the MobiFlow fields the service model derives
+(see :mod:`repro.telemetry.encoder`); bytes of revision 2 still decode.
 
 Three kinds of object cross the interfaces by the thousand per simulated
 second — F1/NG/RRC/NAS messages, E2AP PDUs and MobiFlow records — and each
@@ -98,6 +101,9 @@ SYMBOLS: tuple[str, ...] = (
     "ran_function_id", "event_trigger", "action_type", "admitted",
     "sequence_number", "indication_header", "indication_message", "control_header",
     "control_message", "ack_requested", "success", "outcome",
+    # 134 (revision 3): E2SM control header key, actions and parameter keys
+    "action", "release_ue", "blocklist_tmsi", "unblock_tmsi", "rate_limit_access",
+    "clear_rate_limit", "tmsi", "max_setups", "window_s",
 )
 # Indexed by the byte after the tag; None past the end of the table.
 _SYMBOL_AT: tuple = SYMBOLS + (None,) * (256 - len(SYMBOLS))

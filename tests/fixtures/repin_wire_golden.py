@@ -1,16 +1,21 @@
-"""Re-pin the wire codec's golden bytes after wire format revision 2.
+"""Re-pin the wire codec's golden bytes after wire format revisions 2 and 3.
 
 Revision 2 writes a string that is an entry of ``wire.SYMBOLS`` as the tag
-``0x09`` plus its index; nothing else about the format moved. This script
-derives the new canonical bytes of every golden vector *from the old bytes
-and the pinned table* (``wire_symbols.json``) with a TLV walker of its own —
-it never calls ``repro.wire`` — so the pins it writes are a second opinion
-on the encoder, not a copy of its output:
+``0x09`` plus its index; nothing else about the format moved. Revision 3
+leaves a MobiFlow record's ``protocol`` and ``direction`` off when they are
+the catalogue entry of its ``msg`` (the record codec's rule; the generic
+codec is unchanged). This script derives the new bytes of every golden
+vector *from the old bytes and the pinned tables* (``wire_symbols.json``,
+``mobiflow_catalogue.json``) with a TLV walker of its own — it never calls
+``repro.wire`` — so the pins it writes are a second opinion on the encoder,
+not a copy of its output:
 
 - ``wire_decode_golden.json``: every ``hex``/``decoded`` row stays as it is
   (the old bytes must keep decoding); a row whose canonical bytes changed
   gains ``hex_v2``. A row without a table string gets none, which is the
-  proof that only names moved.
+  proof that only names moved. A row that is a batch of MobiFlow records
+  (:data:`RECORD_BATCHES`) also gains ``hex_v3``, what the record codec
+  writes for those records.
 - the inline hex literals of ``tests/test_wire.py::GOLDEN_VECTORS`` (which
   ``tests/test_wire_plans.py::TestGoldenBytes`` reads) and of
   ``tests/test_hotpath.py::_TRICKY_VALUES`` are rewritten in place from the
@@ -37,6 +42,15 @@ SYMBOL_INDEX = {
     name.encode("utf-8"): index
     for index, name in enumerate(json.loads((FIXTURES / "wire_symbols.json").read_text()))
 }
+SYMBOL_TEXT = {index: name.decode("utf-8") for name, index in SYMBOL_INDEX.items()}
+CATALOGUE = {
+    name: (protocol, direction)
+    for name, protocol, direction in json.loads(
+        (FIXTURES / "mobiflow_catalogue.json").read_text()
+    )
+}
+# Golden rows whose value is a list of MobiFlow record dicts.
+RECORD_BATCHES = ("wire:mobiflow_batch",)
 
 
 def _varint(length: int) -> bytes:
@@ -89,8 +103,53 @@ def canonical(data: bytes) -> bytes:
     return new
 
 
+def _text(tlv: bytes):
+    """The string a revision-2 TLV holds, or None when it holds none."""
+    if tlv[0] == TAG_SYMBOL:
+        return SYMBOL_TEXT[tlv[1]]
+    if tlv[0] == TAG_STR:
+        _, body = _read_varint(tlv, 1)
+        return tlv[body:].decode("utf-8")
+    return None
+
+
+def _children(data: bytes, offset: int) -> tuple[list[bytes], int]:
+    """The child TLVs of the container at ``offset``, and where it ends."""
+    length, body = _read_varint(data, offset + 1)
+    stop = body + length
+    children = []
+    while body < stop:
+        _, end = _rewrite_at(data, body)
+        children.append(data[body:end])
+        body = end
+    return children, stop
+
+
+def revision_3_batch(data: bytes) -> bytes:
+    """A revision-2 MobiFlow batch with every ``protocol`` / ``direction``
+    that equals the catalogue entry of its record's ``msg`` left off."""
+    assert data[0] == TAG_LIST
+    records, stop = _children(data, 0)
+    assert stop == len(data)
+    out = b""
+    for record in records:
+        assert record[0] == TAG_DICT
+        items, _ = _children(record, 0)
+        pairs = [(_text(key), value) for key, value in zip(items[::2], items[1::2])]
+        msg = next(_text(value) for key, value in pairs if key == "msg")
+        derived = dict(zip(("protocol", "direction"), CATALOGUE.get(msg, ())))
+        kept = b"".join(
+            key_tlv + value
+            for key_tlv, (key, value) in zip(items[::2], pairs)
+            if key not in derived or _text(value) != derived[key]
+        )
+        out += bytes((TAG_DICT,)) + _varint(len(kept)) + kept
+    return bytes((TAG_LIST,)) + _varint(len(out)) + out
+
+
 def repin_fixture() -> dict[str, str]:
-    """Refresh ``hex_v2``; returns old hex -> new hex of the rows that moved."""
+    """Refresh ``hex_v2`` and ``hex_v3``; returns old hex -> new hex of the
+    rows whose canonical bytes moved."""
     rows = json.loads(GOLDEN.read_text())
     moved: dict[str, str] = {}
     out = []
@@ -99,6 +158,8 @@ def repin_fixture() -> dict[str, str]:
         pinned = {"id": row["id"], "hex": row["hex"]}
         if new != row["hex"]:
             pinned["hex_v2"] = moved[row["hex"]] = new
+        if row["id"] in RECORD_BATCHES:
+            pinned["hex_v3"] = revision_3_batch(bytes.fromhex(new)).hex()
         pinned["decoded"] = row["decoded"]
         out.append(pinned)
     GOLDEN.write_text(json.dumps(out, indent=1))
@@ -146,7 +207,7 @@ def repin_inline(path: Path, moved: dict[str, str]) -> int:
 
 def main() -> None:
     moved = repin_fixture()
-    print(f"{GOLDEN.name}: {len(moved)} rows carry hex_v2")
+    print(f"{GOLDEN.name}: {len(moved)} rows carry hex_v2, {len(RECORD_BATCHES)} hex_v3")
     for path in INLINE:
         print(f"{path.name}: {repin_inline(path, moved)} literals re-pinned")
 

@@ -336,10 +336,11 @@ class TestEncoder:
         assert decode_batch(encode_batch(records)) == records
 
     # (records in the batch, payload bytes) over prefixes of a registration
-    # flow cycled across twelve sessions: with names as symbols (wire format
-    # revision 2) a record costs 40-46 B at any batch size — the figure a
+    # flow cycled across twelve sessions: with names as symbols and protocol
+    # and direction left to the catalogue (wire format revision 3) a record
+    # costs 32-38 B at any batch size, 8 B under revision 2 — the figure a
     # second E2 format has to beat (docs/PERFORMANCE.md, "Flag verdicts").
-    PAYLOAD_BYTES = [(6, 243), (12, 483), (64, 2735), (300, 13671)]
+    PAYLOAD_BYTES = [(6, 195), (12, 387), (64, 2223), (300, 11271)]
 
     def test_payload_bytes_per_batch_size(self):
         records = [MobiFlowRecord(**fields) for fields in field_stream(300, 12)]

@@ -138,6 +138,14 @@ class TestMobiWatchUnit:
                 lambda h, m: (h, b"\x07\x03\x08\x01\x09"), id="symbol_truncated"
             ),
             pytest.param(lambda h, m: (h, wire.encode([{"msg": "x"}])), id="missing_field"),
+            # protocol left off a name the catalogue has no entry for.
+            pytest.param(
+                lambda h, m: (
+                    h,
+                    wire.encode([{"timestamp": 0.1, "msg": "VendorMessage", "direction": "UL"}]),
+                ),
+                id="uncatalogued_msg_without_protocol",
+            ),
             pytest.param(lambda h, m: (h, wire.encode([])), id="count_mismatch"),
             # The retired columnar encoding: its header on a per-record
             # message must not fall through to the row decoder, nor a whole
@@ -203,6 +211,34 @@ class TestMobiWatchUnit:
         assert len(watch._arrival_ts) == 2
         assert any("indication rejected" in line for _, line in watch.logs)
         assert watch.anomalies == []
+
+    def test_catalogued_record_without_protocol_is_accepted(self):
+        """The E2SM derives protocol and direction from a catalogued msg:
+        a record may leave either off, and is ingested with its entry."""
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, XsecConfig())
+        rows = [
+            {"timestamp": 0.1, "msg": "RRCSetupRequest", "direction": "UL", "session_id": 1},
+            {"timestamp": 0.2, "msg": "RRCSetup", "session_id": 1},
+            {"timestamp": 0.3, "msg": "RRCSetupComplete", "protocol": "NAS", "session_id": 1},
+        ]
+        for seq, row in enumerate(rows, start=1):
+            header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 1})
+            watch.on_indication(
+                RicIndication(
+                    ric_request_id=1,
+                    ran_function_id=MOBIFLOW_RAN_FUNCTION_ID,
+                    sequence_number=seq,
+                    indication_header=header,
+                    indication_message=wire.encode([row]),
+                )
+            )
+        assert sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value == 0
+        assert [(r.msg, r.protocol, r.direction) for r in watch.series] == [
+            ("RRCSetupRequest", "RRC", "UL"),
+            ("RRCSetup", "RRC", "DL"),
+            ("RRCSetupComplete", "NAS", "UL"),
+        ]
 
     @examples(150)
     @given(

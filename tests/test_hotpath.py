@@ -37,6 +37,7 @@ from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
 from repro.telemetry import encoder
 from repro.telemetry.mobiflow import MobiFlowRecord
+from tests.test_wire_plans import wire_dict
 
 # ---------------------------------------------------------------------------
 # arena
@@ -420,17 +421,13 @@ class TestTelemetryEncoderFastPath:
 
     def test_record_bytes_match_reference_encoder(self):
         for record in self._records():
-            reference = wire.encode(
-                {k: v for k, v in record.to_dict().items() if v is not None}
-            )
+            reference = wire.encode(wire_dict(record))
             assert encoder.encode_record(record) == reference
             assert encoder.decode_record(encoder.encode_record(record)) == record
 
     def test_batch_bytes_match_reference_encoder(self):
         records = self._records()
-        reference = wire.encode(
-            [{k: v for k, v in r.to_dict().items() if v is not None} for r in records]
-        )
+        reference = wire.encode([wire_dict(r) for r in records])
         payload = encoder.encode_batch(records)
         assert payload == reference
         assert encoder.decode_batch(payload) == records

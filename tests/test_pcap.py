@@ -39,6 +39,31 @@ class TestCapture:
         a.extend(b)
         assert [r.interface for r in a] == ["F1AP", "NGAP"]
 
+    def test_equal_timestamps_are_in_order(self):
+        stream = PcapStream()
+        stream.capture(1.0, "F1AP", RrcSetup())
+        stream.capture(1.0, "NGAP", RrcSetup())
+        other = PcapStream()
+        other.capture(1.0, "F1AP", RrcSetup())
+        stream.extend(other)
+        assert [r.timestamp for r in PcapStream.from_bytes(stream.to_bytes())] == [1.0] * 3
+
+    def test_capture_earlier_than_the_last_is_refused(self):
+        stream = PcapStream()
+        stream.capture(2.0, "F1AP", RrcSetup())
+        with pytest.raises(PcapError, match=r"1\.5 at index 1 .*\(2\.0\)"):
+            stream.capture(1.5, "NGAP", RrcSetup())
+        assert len(stream) == 1
+
+    def test_extend_starting_earlier_than_the_last_is_refused(self):
+        a, b = PcapStream(), PcapStream()
+        a.capture(2.0, "F1AP", RrcSetup())
+        b.capture(1.0, "NGAP", RrcSetup())
+        b.capture(3.0, "NGAP", RrcSetup())
+        with pytest.raises(PcapError, match=r"1\.0 at index 1 .*\(2\.0\)"):
+            a.extend(b)
+        assert len(a) == 1
+
 
 class TestSerialization:
     def _sample(self):
@@ -87,6 +112,34 @@ class TestSerialization:
             PcapStream.from_bytes(bytes(data))
 
 
+class TestBackwardsCapture:
+    """A benign capture (seed 3, 8 sim-s) with its last record moved to the
+    front. It frames and serialises fine; before the load refused it, the
+    collector emitted a record from it and then raised a bare ValueError
+    out of ``TelemetrySeries.append``, its session state already moved."""
+
+    def test_load_names_the_record_and_both_timestamps(self):
+        from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
+
+        dataset = generate_benign_dataset(BenignDatasetConfig(seed=3, duration_s=8.0))
+        records = dataset.net.pcap.records
+        moved = [records[-1]] + records[:-1]
+        code = {"F1AP": 1, "NGAP": 2}
+        data = b"".join(
+            struct.pack(">HBdI", 0x6F5C, code[r.interface], r.timestamp, len(r.payload))
+            + r.payload
+            for r in moved
+        )
+        offset = struct.calcsize(">HBdI") + len(moved[0].payload)
+        expected = (
+            f"capture timestamp {moved[1].timestamp!r} at offset {offset} is earlier "
+            f"than the stream's last one ({moved[0].timestamp!r})"
+        )
+        with pytest.raises(PcapError) as refused:
+            PcapStream.from_bytes(data)
+        assert str(refused.value) == expected
+
+
 # A well-formed framed record whose timestamp is any double, with NaN and
 # the infinities drawn often.
 _framed_record = st.builds(
@@ -122,11 +175,13 @@ def _edited(data: bytes, edit) -> bytes:
     )
 )
 def test_from_bytes_round_trips_or_raises_pcap_error(data):
-    """Any input either loads into finite-timestamp records that serialise
-    back to exactly the input, or is refused with ``PcapError``."""
+    """Any input either loads into finite, non-decreasing timestamps that
+    serialise back to exactly the input, or is refused with ``PcapError``."""
     try:
         stream = PcapStream.from_bytes(data)
     except PcapError:
         return
-    assert all(math.isfinite(record.timestamp) for record in stream)
+    timestamps = [record.timestamp for record in stream]
+    assert all(math.isfinite(timestamp) for timestamp in timestamps)
+    assert timestamps == sorted(timestamps)
     assert stream.to_bytes() == data

@@ -334,6 +334,16 @@ class TestHealthScoreboard:
         self._beat(metrics, "mobiwatch", 5.0)
         assert board.statuses()["mobiwatch"] == "up"
 
+    def test_status_is_exported_as_a_gauge(self):
+        wall = [0.0]
+        metrics, board = self._board(wall)
+        self._beat(metrics, "analyzer", 0.0)
+        self._beat(metrics, "mobiwatch", -5.0)
+        assert board.statuses() == {"analyzer": "up", "mobiwatch": "down"}
+        score = metrics.gauge("health.status", labels={"component": "mobiwatch"})
+        assert score.value == 0.0
+        assert metrics.gauge("health.status", labels={"component": "analyzer"}).value == 2.0
+
     def test_registry_heartbeats_discovered(self):
         wall = [1.0]
         metrics, board = self._board(wall)
@@ -342,18 +352,6 @@ class TestHealthScoreboard:
             "health.heartbeat_ts", labels={"component": "analyzer"}
         ).set(1.0)
         assert board.statuses()["analyzer"] == "up"
-
-    def test_probe_reports_up_or_down(self):
-        wall = [0.0]
-        metrics, board = self._board(wall)
-        board.register_probe("pool.w0", lambda: {"up": True})
-        assert board.statuses()["pool.w0"] == "up"
-        board.register_probe("pool.w1", lambda: {"up": False})
-        statuses = board.statuses()
-        assert statuses["pool.w1"] == "down"
-        # Health is exported as a gauge family too.
-        score = metrics.gauge("health.status", labels={"component": "pool.w1"})
-        assert score.value == 0.0
 
     def test_render_lists_components(self):
         wall = [0.0]

@@ -7,14 +7,21 @@ decoders must return — or refuse, with the same exception type — what the
 generic decode followed by the old construction did. The oracles below are
 those old code paths, kept here; the golden bytes are the ones in
 tests/test_wire.py (``GOLDEN_VECTORS`` / fixtures/wire_decode_golden.json).
+
+Since wire format revision 3 a record leaves ``protocol`` and ``direction``
+off where the catalogue entry of its ``msg`` gives them; the record oracles
+apply that rule from the pinned table (fixtures/mobiflow_catalogue.json),
+not from the codec's own.
 """
 
 import copy
 import dataclasses
 import enum
+import json
 import pickle
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -36,12 +43,22 @@ from repro.telemetry.encoder import (
     encode_record,
 )
 from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
-from tests.test_wire import FIRST_PINNED, GOLDEN_VECTORS, examples, nested_lists
+from tests.test_wire import DECODE_GOLDEN, FIRST_PINNED, GOLDEN_VECTORS, examples, nested_lists
 
 GOLDEN = {name: bytes.fromhex(golden) for name, _, golden in GOLDEN_VECTORS}
 # The same vectors as every encoder wrote them before revision 2 (names
 # spelled out): no longer produced, still decoded.
 REVISION_1 = {name: bytes.fromhex(FIRST_PINNED[f"wire:{name}"]) for name in GOLDEN}
+# The golden batch as the record codec writes it since revision 3.
+REVISION_3_BATCH = bytes.fromhex(
+    next(row["hex_v3"] for row in DECODE_GOLDEN if row["id"] == "wire:mobiflow_batch")
+)
+CATALOGUE = {
+    name: (protocol, direction)
+    for name, protocol, direction in json.loads(
+        (Path(__file__).parent / "fixtures" / "mobiflow_catalogue.json").read_text()
+    )
+}
 
 # The program's own classes (other test modules register throwaway ones).
 MESSAGE_CLASSES = [
@@ -114,8 +131,32 @@ def generic_pdu(data: bytes) -> E2apPdu:
     return cls(**kwargs)
 
 
+def derived_fields(msg) -> dict:
+    """What the pinned catalogue says ``protocol`` / ``direction`` are."""
+    entry = CATALOGUE.get(msg) if isinstance(msg, str) else None
+    return {} if entry is None else dict(zip(("protocol", "direction"), entry))
+
+
+def wire_dict(record: MobiFlowRecord) -> dict:
+    """The record's (key, value) dict as revision 3 writes it: non-null
+    fields, less a protocol / direction equal to its catalogue entry."""
+    derived = derived_fields(record.msg)
+    return {
+        name: value
+        for name, value in zip(FIELD_NAMES, record)
+        if value is not None and not (name in derived and value == derived[name])
+    }
+
+
+def revision_2_bytes(records) -> bytes:
+    """The batch as the parent format wrote it: every non-null field."""
+    return wire.encode(
+        [{name: value for name, value in zip(FIELD_NAMES, r) if value is not None} for r in records]
+    )
+
+
 def generic_batch_bytes(records) -> bytes:
-    return wire.encode([record.to_wire_dict() for record in records])
+    return wire.encode([wire_dict(record) for record in records])
 
 
 _INTS = ("session_id", "rnti", "s_tmsi", "cipher_alg", "integrity_alg")
@@ -147,6 +188,11 @@ def generic_batch(data: bytes) -> list:
         raise wire.WireError("MobiFlow batch payload is not a list")
     records = []
     for item in payload:
+        if isinstance(item, dict) and not {"protocol", "direction"} <= item.keys():
+            derived = derived_fields(item.get("msg"))
+            if not derived:
+                raise ValueError("protocol or direction left off an uncatalogued msg")
+            item = {**derived, **item}
         records.append(MobiFlowRecord.from_dict(item))
         check_field_rules(records[-1])
     return records
@@ -269,6 +315,7 @@ def assert_batch_contract(records: list) -> None:
         return
     encoded = encode_batch(records)
     assert encoded == expected
+    assert [record.to_wire_dict() for record in records] == [wire_dict(r) for r in records]
     assert outcome(decode_batch, encoded) == outcome(generic_batch, encoded)
 
 
@@ -478,9 +525,51 @@ class TestAnyFieldValues:
             assert decode_record(encoded[start:stop]) == record
 
 
+catalogue_records = st.builds(
+    MobiFlowRecord,
+    timestamp=st.floats(0, 1e6) | st.integers(0, 10**6),
+    msg=st.sampled_from(sorted(CATALOGUE)) | st.text(max_size=12) | st.sampled_from(wire.SYMBOLS),
+    protocol=st.sampled_from(["RRC", "NAS"]) | st.text(max_size=4),
+    direction=st.sampled_from(["UL", "DL"]) | st.text(max_size=4),
+    session_id=st.integers(0, 2**40),
+    rnti=st.none() | st.integers(0, 0xFFFF),
+    s_tmsi=st.none() | st.integers(0, 2**40),
+    suci=st.none() | st.text(max_size=8),
+    supi=st.none(),
+    cipher_alg=st.none() | st.integers(0, 3),
+    integrity_alg=st.none() | st.integers(0, 3),
+    establishment_cause=st.none() | st.sampled_from(["mo-Data", "emergency"]),
+)
+
+
+class TestCatalogueFieldsLeftOff:
+    """Revision 3: a record's ``protocol`` / ``direction`` cross the wire
+    only where they differ from the catalogue entry of its ``msg``."""
+
+    @examples(300)
+    @given(st.lists(catalogue_records, max_size=6))
+    def test_round_trip_spans_and_what_is_written(self, records):
+        encoded = encode_batch(records)
+        decoded = decode_batch(encoded)
+        assert list(decoded) == records
+        assert [encoded[start:stop] for start, stop in decoded.spans] == [
+            encode_record(record) for record in records
+        ]
+        for record, written in zip(records, wire.decode(encoded)):
+            assert written == wire_dict(record)
+            for name, value in derived_fields(record.msg).items():
+                assert written.get(name) != value
+        # The same records with both fields written out, as revision 2 did.
+        old = revision_2_bytes(records)
+        decoded = decode_batch(old)
+        assert list(decoded) == records
+        assert (decoded.spans is None) == (old != encoded)
+
+
 class TestGoldenBytes:
     """The planned codecs against the bytes the generic codec of PR 16 wrote,
-    re-pinned for revision 2 from those bytes and the symbol table."""
+    re-pinned for revision 2 from those bytes and the symbol table, and the
+    record batch for revision 3 from those and the catalogue."""
 
     OBJECTS = {
         "message_enum_wide_int_bool": rrc.RrcSetupRequest(
@@ -554,14 +643,20 @@ class TestGoldenBytes:
         assert repr(decoded) == repr(obj)  # -0.0 stays -0.0, True stays True
 
     def test_batch(self):
-        golden = GOLDEN["mobiflow_batch"]
+        golden = REVISION_3_BATCH
         assert encode_batch(self.BATCH) == golden
+        assert len(golden) == len(GOLDEN["mobiflow_batch"]) - 3 * 8
         decoded = decode_batch(golden)
         assert list(decoded) == self.BATCH
         assert type(decoded[2].timestamp) is int
         assert [golden[a:b] for a, b in decoded.spans] == [
             wire.encode(record.to_wire_dict()) for record in self.BATCH
         ]
+
+    def test_revision_2_batch_still_decodes_without_spans(self):
+        decoded = decode_batch(GOLDEN["mobiflow_batch"])
+        assert list(decoded) == self.BATCH and decoded.spans is None
+        assert encode_batch(decoded) == REVISION_3_BATCH
 
     @pytest.mark.parametrize("name", sorted(OBJECTS))
     def test_revision_1_object_still_decodes(self, name):
@@ -574,12 +669,14 @@ class TestGoldenBytes:
     def test_revision_1_batch_still_decodes_without_spans(self):
         decoded = decode_batch(REVISION_1["mobiflow_batch"])
         assert list(decoded) == self.BATCH and decoded.spans is None
-        assert encode_batch(decoded) == GOLDEN["mobiflow_batch"]
+        assert encode_batch(decoded) == REVISION_3_BATCH
 
     @pytest.mark.parametrize("name", sorted(OBJECTS) + ["mobiflow_batch"])
     def test_every_strict_prefix_is_rejected(self, name):
-        golden = GOLDEN[name]
-        decode = decode_batch if name == "mobiflow_batch" else self._decoder(name)
+        if name == "mobiflow_batch":
+            golden, decode = REVISION_3_BATCH, decode_batch
+        else:
+            golden, decode = GOLDEN[name], self._decoder(name)
         for cut in range(len(golden)):
             with pytest.raises(ValueError):
                 decode(golden[:cut])
@@ -589,6 +686,51 @@ class TestGoldenBytes:
     @staticmethod
     def _decoder(name):
         return Message.from_wire if name.startswith("message") else E2apPdu.from_wire
+
+
+class TestRevision2Bytes:
+    """Bytes the revision-2 encoder wrote (protocol and direction on every
+    record), pinned from it: an E2 indication of eight records and a
+    ``.mfl`` file of twenty, two of them outside the catalogue (a foreign
+    pair, an unknown name). They load to the same records; re-encoded, each
+    catalogued field they spelled out is gone."""
+
+    PINNED = json.loads((Path(__file__).parent / "fixtures" / "revision_2_e2.json").read_text())
+    RECORDS = [MobiFlowRecord(*fields) for fields in PINNED["records"]]
+    MFL = Path(__file__).parent / "fixtures" / "revision_2_series.mfl"
+
+    def test_indication_decodes_to_the_same_records(self):
+        from repro.core import XsecConfig
+        from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
+        from repro.oran.e2sm_kpm import MobiFlowKpmModel
+        from tests.test_core_units import make_ric
+
+        pdu = E2apPdu.from_wire(bytes.fromhex(self.PINNED["indication_hex"]))
+        records = MobiFlowKpmModel.decode_indication(pdu.indication_header, pdu.indication_message)
+        assert list(records) == self.RECORDS[:8] and records.spans is None
+        assert len(encode_batch(records)) == len(pdu.indication_message) - 8 * 8
+
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, XsecConfig())
+        watch.on_indication(pdu)
+        assert list(watch.series) == self.RECORDS[:8]
+        assert ric.sdl._data[SDL_TELEMETRY_NS] == {
+            f"{index:09d}": encode_record(record) for index, record in enumerate(self.RECORDS[:8])
+        }
+
+    def test_mfl_file_loads_to_the_same_records(self, tmp_path):
+        from repro.telemetry.persist import load_series, save_series
+
+        assert load_series(self.MFL).records == self.RECORDS
+        assert [(r.msg, r.protocol) for r in self.RECORDS[-2:]] == [
+            ("Paging", "NAS"),
+            ("VendorReport", "RRC"),
+        ]
+        size = save_series(load_series(self.MFL), tmp_path / "again.mfl")
+        # 18 catalogued records lose 8 B each; the foreign pair keeps its
+        # protocol and drops its direction (4 B); the unknown name keeps both.
+        assert size == self.MFL.stat().st_size - 18 * 8 - 4
+        assert load_series(tmp_path / "again.mfl").records == self.RECORDS
 
 
 # -- valid bytes the planned encoders would not have written ----------------------
@@ -712,9 +854,11 @@ NON_CANONICAL_MESSAGES = {
 READ_BY_THE_PLAN = ("long_form", "non_minimal_int", "spelled_out_value")
 
 RECORD = base_record(rnti=0x4601)
+# An RRCSetup is RRC DL, its catalogue entry: protocol and direction are
+# left off.
 RECORD_ITEMS = (
-    "timestamp", wire.encode(1.5), "msg", text("RRCSetup"), "protocol", text("RRC"),
-    "direction", text("DL"), "session_id", wire.encode(3), "rnti", wire.encode(0x4601),
+    "timestamp", wire.encode(1.5), "msg", text("RRCSetup"),
+    "session_id", wire.encode(3), "rnti", wire.encode(0x4601),
 )  # fmt: skip
 
 
@@ -736,7 +880,7 @@ NON_CANONICAL_BATCHES = {
     "duplicate_key_last_wins": batch_of(
         pairs("timestamp", wire.encode(9.0), *RECORD_ITEMS)
     ),
-    "session_id_left_to_default": batch_of(pairs(*RECORD_ITEMS[:8], *RECORD_ITEMS[10:])),
+    "session_id_left_to_default": batch_of(pairs(*RECORD_ITEMS[:4], *RECORD_ITEMS[6:])),
     "canonical_then_reordered": batch_of(
         pairs(*RECORD_ITEMS), pairs(*RECORD_ITEMS[2:], *RECORD_ITEMS[:2])
     ),
@@ -752,6 +896,16 @@ NON_CANONICAL_BATCHES = {
             spelled("protocol"), spelled("RRC"), spelled("direction"), spelled("DL"),
             spelled("session_id"), wire.encode(3), spelled("rnti"), wire.encode(0x4601),
         )
+    ),
+    # What the catalogue gives, written anyway (revision 2 wrote both).
+    "revision_2_bytes": batch_of(
+        pairs(*RECORD_ITEMS[:4], "protocol", text("RRC"), "direction", text("DL"), *RECORD_ITEMS[4:])
+    ),
+    "catalogue_protocol_written": batch_of(
+        pairs(*RECORD_ITEMS[:4], "protocol", text("RRC"), *RECORD_ITEMS[4:])
+    ),
+    "catalogue_direction_written": batch_of(
+        pairs(*RECORD_ITEMS[:4], "direction", text("DL"), *RECORD_ITEMS[4:])
     ),
 }
 
@@ -815,8 +969,26 @@ class TestNonCanonicalInput:
             (batch_of(pairs(*RECORD_ITEMS[2:])), TypeError),  # no timestamp
             (batch_of(wire.encode(7)), TypeError),
             (pairs(*RECORD_ITEMS), wire.WireError),  # a record, not a batch
+            # Nothing to derive them from: a name the catalogue does not hold.
+            (
+                batch_of(pairs("timestamp", wire.encode(1.5), "msg", text("Vendor"))),
+                ValueError,
+            ),
+            (
+                batch_of(
+                    pairs("timestamp", wire.encode(1.5), "msg", text("Vendor"), "protocol", text("RRC"))
+                ),
+                ValueError,
+            ),
         ],
-        ids=["unknown_key", "missing_required", "record_not_a_dict", "not_a_list"],
+        ids=[
+            "unknown_key",
+            "missing_required",
+            "record_not_a_dict",
+            "not_a_list",
+            "uncatalogued_without_either",
+            "uncatalogued_without_direction",
+        ],
     )
     def test_batch_rejections_are_the_generic_path_s(self, data, error):
         with pytest.raises(error):

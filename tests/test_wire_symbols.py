@@ -23,10 +23,10 @@ from repro import wire
 from repro.core import XsecConfig
 from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
 from repro.oran import e2ap
-from repro.oran.e2sm_kpm import MobiFlowKpmModel
+from repro.oran.e2sm_kpm import KNOWN_ACTIONS, MobiFlowKpmModel
 from repro.ran import f1ap, nas, ngap, rrc  # noqa: F401  (register every class)
 from repro.ran.messages import Direction, Message, Protocol
-from repro.telemetry.encoder import decode_batch, encode_batch, encode_record
+from repro.telemetry.encoder import CATALOGUE, decode_batch, encode_batch, encode_record
 from repro.telemetry.features import DEFAULT_CAUSE_VOCAB
 from repro.telemetry.mobiflow import FIELD_NAMES
 from tests.fixtures.repin_wire_golden import canonical
@@ -34,6 +34,12 @@ from tests.test_core_units import indication, make_ric, record
 from tests.test_wire import examples
 
 PINNED = json.loads((Path(__file__).parent / "fixtures" / "wire_symbols.json").read_text())
+PINNED_CATALOGUE = [
+    (name, (protocol, direction))
+    for name, protocol, direction in json.loads(
+        (Path(__file__).parent / "fixtures" / "mobiflow_catalogue.json").read_text()
+    )
+]
 SYMBOL = 0x09
 
 
@@ -83,6 +89,8 @@ class TestTheTable:
 
     def test_covers_every_name_the_tree_puts_on_the_wire(self):
         needed = {"msg", "ie", "pdu", "sm", "count", MobiFlowKpmModel.NAME}
+        # The E2SM control vocabulary: header key, actions, parameter keys.
+        needed.update(("action", *KNOWN_ACTIONS, "rnti", "tmsi", "max_setups", "window_s"))
         needed.update(FIELD_NAMES)
         needed.update(DEFAULT_CAUSE_VOCAB)
         needed.update(member.value for member in (*Protocol, *Direction))
@@ -104,6 +112,41 @@ class TestTheTable:
         # more, but an index is part of the format, so the entry keeps its
         # place and both of its forms still decode (TestBothFormsOneValue).
         assert "columnar" not in needed and wire.SYMBOLS[20] == "columnar"
+
+
+class TestTheCatalogue:
+    """The record codec's msg -> (protocol, direction) table is part of the
+    format too: stored bytes that left a field off mean its entry."""
+
+    def test_is_append_only(self):
+        assert list(CATALOGUE.items())[: len(PINNED_CATALOGUE)] == PINNED_CATALOGUE, (
+            "telemetry.encoder.CATALOGUE no longer starts with "
+            "tests/fixtures/mobiflow_catalogue.json: entries may only be appended "
+            "(then append them to the fixture too)"
+        )
+        assert len(PINNED_CATALOGUE) >= 51
+
+    def test_fixture_is_not_behind(self):
+        assert len(PINNED_CATALOGUE) == len(CATALOGUE), (
+            "append the new CATALOGUE entries to tests/fixtures/mobiflow_catalogue.json"
+        )
+
+    def test_every_message_class_is_in_it(self):
+        pinned = dict(PINNED_CATALOGUE)
+        for name in Message.registered_names():
+            cls = Message.lookup(name)
+            if not cls.__module__.startswith("repro."):  # tests register throwaway ones
+                continue
+            pair = (cls.PROTOCOL.value, cls.DIRECTION.value)
+            assert pinned.get(name) == pair, (
+                f"{name} is {pair}: append it to telemetry.encoder.CATALOGUE and "
+                "tests/fixtures/mobiflow_catalogue.json (an entry never changes)"
+            )
+            assert CATALOGUE[name] == pair
+
+    def test_every_entry_is_a_table_name(self):
+        assert set(CATALOGUE) <= set(wire.SYMBOLS)
+        assert {value for pair in CATALOGUE.values() for value in pair} <= {"RRC", "NAS", "UL", "DL"}
 
 
 class TestBothFormsOneValue:
@@ -142,11 +185,36 @@ class TestBothFormsOneValue:
         assert b"released" in pdu.to_wire()  # not a table string
         entry = record(1.5, "RRCSetupComplete", rnti=0x4601, s_tmsi=0x12345678)
         assert encode_record(entry) == wire.encode(entry.to_wire_dict())
-        assert len(encode_record(entry)) == 44  # 114 with every name spelled out
+        # 44 with protocol and direction written (revision 2), 114 with
+        # every name spelled out as well (revision 1).
+        assert len(encode_record(entry)) == 36
         header, _ = MobiFlowKpmModel.encode_indication([entry])
         assert header == b"\x08\x09" + symbol("sm") + symbol(MobiFlowKpmModel.NAME) + symbol(
             "count"
         ) + wire.encode(1)  # 11 B; 40 B spelled out
+
+    @pytest.mark.parametrize(
+        "action,params",
+        [
+            ("release_ue", {"rnti": 0x4601}),
+            ("blocklist_tmsi", {"tmsi": 0xBEEF}),
+            ("unblock_tmsi", {"tmsi": 0xBEEF}),
+            ("rate_limit_access", {"max_setups": 3, "window_s": 1.0}),
+            ("clear_rate_limit", {}),
+        ],
+    )
+    def test_control_names_its_action_and_parameters_by_symbol(self, action, params):
+        header, message = MobiFlowKpmModel.encode_control(action, **params)
+        assert header == b"\x08\x08" + symbol("sm") + symbol(MobiFlowKpmModel.NAME) + symbol(
+            "action"
+        ) + symbol(action)  # 10 B; 26-33 B with the action spelled out
+        assert all(symbol(key) in message for key in params)
+        assert canonical(header) == header and canonical(message) == message
+        assert MobiFlowKpmModel.decode_control(header, message) == (action, params)
+        # Written out, as before revision 3: still the same action.
+        body = symbol("sm") + symbol(MobiFlowKpmModel.NAME) + spelled("action") + spelled(action)
+        old_header = bytes([0x08, len(body)]) + body
+        assert MobiFlowKpmModel.decode_control(old_header, spell_out(message)) == (action, params)
 
     def test_a_message_outside_the_table_still_round_trips(self):
         @dataclass
