@@ -8,13 +8,13 @@ A bench module ``repro.bench.<name>`` supplies only what is its own:
 - ``floor_violations(result) -> list[str]`` — broken equality contracts
   and hard floors;
 - ``baseline_checks(result, baseline) -> [(path, current)]`` — the
-  figures compared with the committed baseline, each at ``path`` in it;
-- ``BASELINE_SLACK`` — a fresh ratio may fall to this fraction of the
-  committed one — or ``BASELINE_CREEP``, for a lower-is-better figure
-  that may rise this much above it.
+  lower-is-better figures compared with the committed baseline, each at
+  ``path`` in it;
+- ``BASELINE_CREEP`` — how far a fresh figure may rise above the
+  committed one.
 
 The driver owns the rest: BLAS pinning, best-of-N timing, loading and
-saving the baseline, the slack walk, the ``--quick`` / ``--json`` /
+saving the baseline, the creep walk, the ``--quick`` / ``--json`` /
 ``--baseline`` / ``--update`` flags and the exit code (0 green, 1 red).
 It imports no numpy, so the CLI can pin the BLAS pool before a bench
 loads it.
@@ -102,24 +102,17 @@ def violations(bench, result, baseline: Optional[dict] = None) -> list:
     out = list(bench.floor_violations(result))
     if not baseline:
         return out
-    creep = getattr(bench, "BASELINE_CREEP", None)
+    creep = bench.BASELINE_CREEP
     for path, current in bench.baseline_checks(result, baseline):
         committed = baseline
         for part in path:
             committed = committed.get(part) if isinstance(committed, dict) else None
         if not isinstance(committed, (int, float)):
             continue
-        name = ".".join(path)
-        if creep is not None:
-            if current > committed + creep:
-                out.append(
-                    f"{name} {current:+.2f} crept more than {creep:.1f} points above "
-                    f"the committed baseline {committed:+.2f}"
-                )
-        elif current < committed * bench.BASELINE_SLACK:
+        if current > committed + creep:
             out.append(
-                f"{name} {current:.2f}x regressed below {bench.BASELINE_SLACK:.0%} "
-                f"of committed baseline {committed:.2f}x"
+                f"{'.'.join(path)} {current:+.2f} crept more than {creep:.1f} points "
+                f"above the committed baseline {committed:+.2f}"
             )
     return out
 

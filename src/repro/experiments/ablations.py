@@ -10,10 +10,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from repro.experiments.datasets import (
     AttackDatasetConfig,
@@ -22,7 +20,6 @@ from repro.experiments.datasets import (
     generate_benign_dataset,
 )
 from repro.experiments.reporting import render_table
-from repro.experiments.sweep import sweep_tools
 from repro.ml.detector import AutoencoderDetector
 from repro.ml.metrics import DetectionMetrics
 from repro.telemetry.features import FeatureSpec
@@ -81,11 +78,10 @@ def _evaluate(
     label: str,
     mode: str = "session",
     captures=None,
-    cache=None,
 ) -> AblationRow:
     benign_capture, attack_capture = captures
-    benign = benign_capture.labeled(spec, window, "benign", mode=mode, cache=cache)
-    attack = attack_capture.labeled(spec, window, "attack", mode=mode, cache=cache)
+    benign = benign_capture.labeled(spec, window, "benign", mode=mode)
+    attack = attack_capture.labeled(spec, window, "attack", mode=mode)
     windows = benign.windowed.windows
     split = int(len(windows) * 0.7)
     detector = AutoencoderDetector(
@@ -112,71 +108,33 @@ def _captures(config: AblationConfig):
     )
 
 
-def _prewarm(cache, captures, specs) -> None:
-    """Encode per-record matrices in the parent before the sweep forks.
-
-    Forked workers inherit the warm cache copy-on-write, so no worker
-    re-runs the Python-level feature encoder on a capture the parent has
-    already encoded.
-    """
-    if cache is None:
-        return
-    for spec in specs:
-        for capture in captures:
-            cache.record_matrix(capture.series, spec)
-
-
 def run_window_ablation(
     config: Optional[AblationConfig] = None,
     windows: tuple = (4, 6, 8, 10),
-    *,
-    sweep_workers: int = 0,
-    cache: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> AblationResult:
-    """A1: sliding-window size sweep.
-
-    Every sweep entry point takes the same keywords: ``sweep_workers``
-    fans configurations across forked workers (rows merged in submission
-    order, identical to the serial sweep), ``cache`` / ``cache_dir``
-    memoize encoded telemetry (:mod:`repro.experiments.cache`).
-    """
+    """A1: sliding-window size sweep."""
     config = config or AblationConfig()
     captures = _captures(config)
     spec = FeatureSpec()
-    runner, cache = sweep_tools(sweep_workers, cache, cache_dir)
-    _prewarm(cache, captures, [spec])
-    rows = runner.map(
-        lambda w: _evaluate(
-            spec,
-            w,
-            config.percentile,
-            config,
-            label=f"N={w}",
-            captures=captures,
-            cache=cache,
-        ),
-        windows,
-    )
+    rows = [
+        _evaluate(
+            spec, w, config.percentile, config, label=f"N={w}", captures=captures
+        )
+        for w in windows
+    ]
     return AblationResult(title="Ablation A1 — window size", rows=rows)
 
 
 def run_threshold_ablation(
     config: Optional[AblationConfig] = None,
     percentiles: tuple = (90.0, 95.0, 97.5, 99.0, 99.9),
-    *,
-    sweep_workers: int = 0,
-    cache: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> AblationResult:
-    """A2: threshold percentile sweep (one training, many thresholds;
-    ``sweep_workers`` has nothing to fan out)."""
+    """A2: threshold percentile sweep (one training, many thresholds)."""
     config = config or AblationConfig()
     captures = _captures(config)
     spec = FeatureSpec()
-    _, cache = sweep_tools(sweep_workers, cache, cache_dir)
-    benign = captures[0].labeled(spec, config.window, "benign", cache=cache)
-    attack = captures[1].labeled(spec, config.window, "attack", cache=cache)
+    benign = captures[0].labeled(spec, config.window, "benign")
+    attack = captures[1].labeled(spec, config.window, "attack")
     windows = benign.windowed.windows
     split = int(len(windows) * 0.7)
     detector = AutoencoderDetector(
@@ -205,17 +163,10 @@ def run_threshold_ablation(
     return AblationResult(title="Ablation A2 — threshold percentile", rows=rows)
 
 
-def run_feature_ablation(
-    config: Optional[AblationConfig] = None,
-    *,
-    sweep_workers: int = 0,
-    cache: bool = False,
-    cache_dir: Optional[str] = None,
-) -> AblationResult:
+def run_feature_ablation(config: Optional[AblationConfig] = None) -> AblationResult:
     """A3: feature-group and encoding-choice sweep."""
     config = config or AblationConfig()
     captures = _captures(config)
-    runner, cache = sweep_tools(sweep_workers, cache, cache_dir)
     variants: list[tuple[str, FeatureSpec, str]] = [
         ("full", FeatureSpec(), "session"),
         ("no-identifiers", FeatureSpec(include_identifiers=False), "session"),
@@ -229,18 +180,16 @@ def run_feature_ablation(
         ),
         ("global-windows", FeatureSpec(), "global"),
     ]
-    _prewarm(cache, captures, {spec for _, spec, _ in variants})
-    rows = runner.map(
-        lambda variant: _evaluate(
-            variant[1],
+    rows = [
+        _evaluate(
+            spec,
             config.window,
             config.percentile,
             config,
-            label=variant[0],
-            mode=variant[2],
+            label=label,
+            mode=mode,
             captures=captures,
-            cache=cache,
-        ),
-        variants,
-    )
+        )
+        for label, spec, mode in variants
+    ]
     return AblationResult(title="Ablation A3 — feature sets and encoding", rows=rows)

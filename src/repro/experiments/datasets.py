@@ -83,10 +83,9 @@ class CollectedDataset:
         window: int,
         name: str,
         mode: str = "session",
-        cache=None,
     ) -> LabeledDataset:
         return LabeledDataset.build(
-            name, self.series, spec, window, attacks=self.attacks, mode=mode, cache=cache
+            name, self.series, spec, window, attacks=self.attacks, mode=mode
         )
 
 

@@ -78,7 +78,3 @@ def render_score_series(
             )
     out.append(f"threshold = {threshold:.4f} (row of '-')")
     return "\n".join(out)
-
-
-def checkmark(value: bool) -> str:
-    return "Y" if value else "x"

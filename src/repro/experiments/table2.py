@@ -29,7 +29,6 @@ from repro.experiments.datasets import (
     generate_benign_dataset,
 )
 from repro.experiments.reporting import render_table
-from repro.experiments.sweep import sweep_tools
 from repro.ml.detector import AutoencoderDetector, LstmDetector
 from repro.ml.metrics import DetectionMetrics
 from repro.telemetry.dataset import LabeledDataset
@@ -197,25 +196,13 @@ def _attack_eval(
     )
 
 
-def run_table2(
-    config: Optional[Table2Config] = None,
-    *,
-    sweep_workers: int = 0,
-    cache: bool = False,
-    cache_dir: Optional[str] = None,
-) -> Table2Result:
-    """Run the full Table 2 experiment.
-
-    ``sweep_workers`` fans the four independent (model, dataset)
-    evaluations across forked workers, ``cache`` / ``cache_dir`` memoize
-    the capture encodes. Results are merged in the seed's row order.
-    """
+def run_table2(config: Optional[Table2Config] = None) -> Table2Result:
+    """Run the full Table 2 experiment."""
     config = config or Table2Config()
     benign_capture = generate_benign_dataset(config.benign)
     attack_capture = generate_attack_dataset(config.attack)
-    runner, cache = sweep_tools(sweep_workers, cache, cache_dir)
-    benign = benign_capture.labeled(config.spec, config.window, "benign", cache=cache)
-    attack = attack_capture.labeled(config.spec, config.window, "attack", cache=cache)
+    benign = benign_capture.labeled(config.spec, config.window, "benign")
+    attack = attack_capture.labeled(config.spec, config.window, "attack")
 
     def run_cell(task) -> ModelResult:
         model, dataset = task
@@ -232,5 +219,5 @@ def run_table2(
         for model in ("autoencoder", "lstm")
         for dataset in ("benign", "attack")
     ]
-    results = runner.map(run_cell, tasks)
+    results = [run_cell(task) for task in tasks]
     return Table2Result(results=results, config=config)

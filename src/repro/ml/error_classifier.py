@@ -12,7 +12,6 @@ nearest-centroid classifier recognizes the attack type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -85,6 +84,3 @@ class ErrorPatternClassifier:
             if distance < best_distance:
                 best_label, best_distance = label, distance
         return best_label
-
-    def predict_many(self, bursts: list[np.ndarray]) -> list[str]:
-        return [self.predict(burst) for burst in bursts]

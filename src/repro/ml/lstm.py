@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.layers import Dense, Parameter, glorot_init
-from repro.ml.losses import per_sample_mse
 from repro.ml.training import TrainConfig, TrainHistory, train_minibatch
 
 
@@ -162,16 +161,6 @@ class LstmPredictor:
         """
         config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr)
         return train_minibatch(self, sequences, targets, config, rng=self._shuffle_rng)
-
-    def prediction_errors(self, sequences: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Per-sample anomaly scores: MSE averaged over steps and features."""
-        sequences = np.asarray(sequences, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if len(sequences) == 0:
-            return np.zeros(0)
-        pred = self.forward(sequences)
-        self.reset()  # inference only: drop BPTT state
-        return per_sample_mse(pred, targets)
 
     def per_step_errors(self, sequences: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-step anomaly scores [B, T]: MSE of each next-entry prediction.

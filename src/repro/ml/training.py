@@ -11,7 +11,7 @@ updated. It also offers a tail validation split with early stopping
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import math
 
@@ -57,13 +57,6 @@ class TrainHistory:
 # optional reset() drops forward state kept only for the backward pass (the
 # loop calls it, when present, after inference-only forwards such as the
 # validation pass).
-class TrainableProtocol:  # pragma: no cover - documentation only
-    def forward(self, x: np.ndarray) -> np.ndarray: ...
-    def backward(self, grad: np.ndarray) -> None: ...
-    def params(self) -> list: ...
-    def reset(self) -> None: ...
-
-
 def train_minibatch(
     trainable,
     inputs: np.ndarray,

@@ -1,14 +1,11 @@
 """SLO engine: declarative objectives, sliding windows, burn-rate alerts.
 
-An :class:`SloObjective` declares a service-level indicator over metric
-families that the stack already emits:
-
-- ``latency`` — fraction of histogram observations at or under a
-  threshold (e.g. ``mobiwatch.detection_latency_s <= 1.0``), read from the
-  Prometheus-style cumulative ``le`` buckets
-  (:meth:`~repro.obs.metrics.Histogram.count_under`);
-- ``ratio`` — 1 minus a bad/total counter ratio (e.g. ingest drops over
-  offered records), summed across every labeled series of each family.
+An :class:`SloObjective` declares a latency indicator over a histogram
+family that the stack already emits: the fraction of observations at or
+under a threshold (e.g. ``mobiwatch.detection_latency_s <= 1.0``), read
+from the Prometheus-style cumulative ``le`` buckets
+(:meth:`~repro.obs.metrics.Histogram.count_under`) and summed across every
+labeled series of the family.
 
 The :class:`SloEngine` samples each objective's cumulative (good, total)
 event counts on a fixed cadence and keeps a bounded ring of samples. From
@@ -63,8 +60,6 @@ RESOLVE_AFTER_S = 5.0
 # Samples kept per objective: enough to span the slow window.
 _RING_CAPACITY = int(SLOW_WINDOW_S / EVAL_INTERVAL_S) + 2
 
-_KINDS = ("latency", "ratio")
-
 ALERT_INACTIVE = "inactive"
 ALERT_PENDING = "pending"
 ALERT_FIRING = "firing"
@@ -72,30 +67,19 @@ ALERT_FIRING = "firing"
 
 @dataclass(frozen=True)
 class SloObjective:
-    """One declarative objective over existing metric families."""
+    """One declarative latency objective over an existing histogram family."""
 
     name: str
-    kind: str  # "latency" | "ratio"
     target: float  # attainment target in (0, 1), e.g. 0.99
-    # latency kind: histogram family + threshold (seconds).
-    metric: str = ""
-    threshold: float = 0.0
-    # ratio kind: bad / total counter families.
-    bad_metric: str = ""
-    total_metric: str = ""
+    metric: str  # histogram family
+    threshold: float  # seconds
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
-        if self.kind == "latency" and not self.metric:
-            raise ValueError(f"objective {self.name!r}: latency kind needs a metric")
-        if self.kind == "ratio" and not (self.bad_metric and self.total_metric):
-            raise ValueError(
-                f"objective {self.name!r}: ratio kind needs bad_metric and total_metric"
-            )
+        if not self.metric:
+            raise ValueError(f"objective {self.name!r} needs a metric")
 
     @property
     def budget(self) -> float:
@@ -103,9 +87,7 @@ class SloObjective:
         return 1.0 - self.target
 
     def sli_text(self) -> str:
-        if self.kind == "latency":
-            return f"{self.metric} <= {self.threshold:g}s"
-        return f"{self.bad_metric} / {self.total_metric}"
+        return f"{self.metric} <= {self.threshold:g}s"
 
 
 def default_objectives(config=None) -> List[SloObjective]:
@@ -117,7 +99,6 @@ def default_objectives(config=None) -> List[SloObjective]:
     return [
         SloObjective(
             name="detection-latency",
-            kind="latency",
             target=0.99,
             metric="mobiwatch.detection_latency_s",
             threshold=1.0,
@@ -125,7 +106,6 @@ def default_objectives(config=None) -> List[SloObjective]:
         ),
         SloObjective(
             name="inference-wall",
-            kind="latency",
             target=0.99,
             metric="mobiwatch.inference_wall_s",
             threshold=0.01,
@@ -133,7 +113,6 @@ def default_objectives(config=None) -> List[SloObjective]:
         ),
         SloObjective(
             name="verdict-latency",
-            kind="latency",
             target=0.95,
             metric="llm.response_latency_s",
             threshold=10.0,
@@ -239,20 +218,11 @@ class SloEngine:
 
     def _cumulative(self, objective: SloObjective) -> tuple:
         """Cumulative (good, total) event counts across labeled series."""
-        if objective.kind == "latency":
-            good = total = 0
-            for _, hist in self.metrics.family_series(objective.metric):
-                good += hist.count_under(objective.threshold)
-                total += hist.count
-            return good, total
-        bad = sum(
-            series.value for _, series in self.metrics.family_series(objective.bad_metric)
-        )
-        total = sum(
-            series.value
-            for _, series in self.metrics.family_series(objective.total_metric)
-        )
-        return total - bad, total
+        good = total = 0
+        for _, hist in self.metrics.family_series(objective.metric):
+            good += hist.count_under(objective.threshold)
+            total += hist.count
+        return good, total
 
     def _window(self, track: _Track, now: float, window_s: float) -> tuple:
         """(attainment, burn) over the trailing ``window_s`` of samples."""

@@ -5,8 +5,7 @@ Every :class:`~repro.core.mobiwatch.AnomalyEvent` minted while
 the :class:`ProvenanceStore`, to the full evidence chain:
 
 - **capture digest** — SHA-256 of the fast TLV encoding of exactly the
-  telemetry records in the flagged window (the same content addressing as
-  :func:`repro.experiments.cache.series_digest`): the bytes that produced the
+  telemetry records in the flagged window: the bytes that produced the
   alarm, re-hashable by anyone holding the capture;
 - **window span** — record indices plus first/newest capture timestamps;
 - **model / threshold snapshot ids** — SHA-256 over the deployed
@@ -174,8 +173,9 @@ class ProvenanceStore:
                 "slo.provenance_persist_failures_total",
                 help="provenance writes the SDL refused (the record stays in memory)",
             )
-        # Model identity is stable between deployments: memoize per object.
-        self._model_ids: Dict[int, tuple] = {}
+        # (compiled snapshot, its model id): the detector scores with that
+        # snapshot, and every fit / deploy_detector replaces it (recompile).
+        self._model_memo: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -185,15 +185,12 @@ class ProvenanceStore:
             return None
         return self._records.get(provenance_id)
 
-    def _snapshot_ids(self, detector) -> tuple:
-        key = id(detector)
-        cached = self._model_ids.get(key)
-        if cached is None:
-            cached = self._model_ids[key] = (
-                model_snapshot_id(detector),
-                threshold_snapshot_id(detector),
-            )
-        return cached
+    def _model_id(self, detector) -> str:
+        compiled = detector.compiled
+        memo = self._model_memo
+        if memo is None or memo[0] is not compiled:
+            memo = self._model_memo = (compiled, model_snapshot_id(detector))
+        return memo[1]
 
     def mint(
         self,
@@ -210,7 +207,9 @@ class ProvenanceStore:
         """Create the record at alarm time, with the detection chain filled."""
         provenance_id = self._next_id
         self._next_id += 1
-        model_id, threshold_id = self._snapshot_ids(detector)
+        model_id = self._model_id(detector)
+        # An A1 policy re-fits the threshold in place: hash it every time.
+        threshold_id = threshold_snapshot_id(detector)
         records = list(records)
         first_ts = records[0].timestamp if records else 0.0
         newest_ts = records[-1].timestamp if records else 0.0

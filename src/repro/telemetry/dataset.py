@@ -12,12 +12,12 @@ Rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.telemetry.features import FeatureSpec, WindowedDataset
-from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
+from repro.telemetry.mobiflow import TelemetrySeries
 
 
 def label_records(
@@ -63,7 +63,6 @@ class LabeledDataset:
         window: int,
         attacks: Iterable = (),
         mode: str = "session",
-        cache=None,
     ) -> "LabeledDataset":
         attacks = list(attacks)
         record_labels = label_records(series, attacks)
@@ -73,7 +72,7 @@ class LabeledDataset:
                 (attack.name for attack in attacks if attack.is_malicious(record)), None
             )
             record_attack.append(owner)
-        windowed = WindowedDataset.from_series(series, spec, window, mode=mode, cache=cache)
+        windowed = WindowedDataset.from_series(series, spec, window, mode=mode)
         window_labels = np.zeros(windowed.num_windows, dtype=bool)
         for i, indices in enumerate(windowed.window_records):
             window_labels[i] = bool(record_labels[list(indices)].any())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -414,21 +414,10 @@ class WindowedDataset:
         spec: FeatureSpec,
         window: int,
         mode: str = "session",
-        *,
-        cache=None,
     ) -> "WindowedDataset":
-        """Encode and window a series.
-
-        ``cache`` (optional) is a :class:`repro.experiments.cache.DatasetCache`
-        (or any object with the same ``windowed`` method): datasets are then
-        memoized on the series' *content* digest, so repeated encodes of the
-        same capture — e.g. across ablation-sweep configurations — are free.
-        Cached arrays are read-only; copy before mutating.
-        """
+        """Encode and window a series."""
         if mode not in ("session", "global"):
             raise ValueError(f"mode must be 'session' or 'global', got {mode!r}")
-        if cache is not None:
-            return cache.windowed(series, spec, window, mode, builder=cls._assemble)
         return cls._assemble(series, spec, window, mode, spec.encode_series(series))
 
     @classmethod

@@ -83,8 +83,10 @@ DELETED = [
     (SCALE, "pool_service_time_s"),
     (SCALE, "sdl_service_time_s"),
     # Shell families: one scoring choice, the eviction and training knobs
-    # top level, the sweep knobs keyword arguments of the sweep entry
-    # points (run_table2, the ablations), the sweep period evict_idle_s / 2.
+    # top level, the sweep period evict_idle_s / 2. The sweep knobs became
+    # keyword arguments of run_table2 and the ablations, and were later
+    # deleted there too, with the fork pool and the dataset cache they
+    # selected (test_experiments_have_one_serial_uncached_path).
     (XsecConfig, "hotpath"),
     (XsecConfig, "megabatch"),
     (XsecConfig, "trainfast"),
@@ -293,6 +295,57 @@ def test_deleted_command_is_a_usage_error(argv, refused):
     )
     assert run.returncode == 2
     assert f"invalid choice: '{refused}'" in run.stderr
+
+
+def test_no_module_starts_processes():
+    """One process: the scoring worker pool went first, then the experiment
+    sweep's fork pool. No module of the program may start a process or a
+    pool again."""
+    pattern = re.compile(
+        r"^\s*(import|from)\s+(multiprocessing|concurrent\.futures|subprocess)\b"
+        r"|^\s*from\s+concurrent\s+import\s+futures\b"
+        r"|\bos\.fork\b",
+        re.MULTILINE,
+    )
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def _experiment_builders():
+    from repro.experiments.ablations import (
+        run_feature_ablation,
+        run_threshold_ablation,
+        run_window_ablation,
+    )
+    from repro.experiments.datasets import CollectedDataset
+    from repro.experiments.table2 import run_table2
+    from repro.telemetry.dataset import LabeledDataset
+    from repro.telemetry.features import WindowedDataset
+
+    return [
+        run_table2,
+        run_window_ablation,
+        run_threshold_ablation,
+        run_feature_ablation,
+        WindowedDataset.from_series,
+        LabeledDataset.build,
+        CollectedDataset.labeled,
+    ]
+
+
+@pytest.mark.parametrize(
+    "builder", _experiment_builders(), ids=lambda builder: builder.__qualname__
+)
+def test_experiments_have_one_serial_uncached_path(builder):
+    """The sweep pool and the dataset cache are deleted with the keywords
+    that selected them: every experiment runs serially and encodes its
+    captures afresh."""
+    parameters = inspect.signature(builder).parameters
+    assert {"sweep_workers", "cache", "cache_dir"} & set(parameters) == set()
 
 
 def test_settings_field_total():

@@ -42,6 +42,7 @@ from repro.obs.provenance import (
     SDL_PROVENANCE_NS,
     capture_digest,
     model_snapshot_id,
+    threshold_snapshot_id,
 )
 from repro.oran.sdl import SharedDataLayer
 from repro.telemetry.mobiflow import MobiFlowRecord
@@ -69,24 +70,20 @@ def _detector():
 class TestSloObjective:
     def test_kind_and_target_validated(self):
         with pytest.raises(ValueError):
-            SloObjective(name="x", kind="weird", target=0.9)
+            SloObjective(name="x", target=1.0, metric="m", threshold=0.1)
         with pytest.raises(ValueError):
-            SloObjective(name="x", kind="latency", target=1.0, metric="m")
-        with pytest.raises(ValueError):
-            SloObjective(name="x", kind="latency", target=0.9)  # no metric
-        with pytest.raises(ValueError):
-            SloObjective(name="x", kind="ratio", target=0.9, bad_metric="b")
+            SloObjective(name="x", target=0.9, metric="", threshold=0.1)
+        # Every objective is a latency objective: the counter-ratio kind,
+        # which no deployment declared, is gone.
+        with pytest.raises(TypeError):
+            SloObjective(
+                name="x", kind="ratio", target=0.9, bad_metric="b", total_metric="t"
+            )
 
     def test_budget_and_sli_text(self):
-        latency = SloObjective(
-            name="lat", kind="latency", target=0.99, metric="m", threshold=0.5
-        )
+        latency = SloObjective(name="lat", target=0.99, metric="m", threshold=0.5)
         assert latency.budget == pytest.approx(0.01)
         assert "m <= 0.5s" == latency.sli_text()
-        ratio = SloObjective(
-            name="r", kind="ratio", target=0.9, bad_metric="b", total_metric="t"
-        )
-        assert ratio.sli_text() == "b / t"
 
     def test_default_objectives_reference_emitted_families(self):
         """MobiWatch's and the analyzer's; the ingest queue whose drops
@@ -137,24 +134,29 @@ class TestSloEngine:
     ticked once per simulated second by a fake clock."""
 
     def _engine(self, metrics, clock):
-        # Target 0.99: a 1 % error budget, so an all-bad second burns 100x.
-        objective = SloObjective(
-            name="drops", kind="ratio", target=0.99, bad_metric="t.bad",
-            total_metric="t.total",
-        )
+        # Target 0.99: a 1 % error budget, so an all-slow second burns 100x.
+        objective = SloObjective(name="lat", target=0.99, metric="t.lat", threshold=0.1)
         return SloEngine(metrics, objectives=[objective], clock=clock)
 
+    @staticmethod
+    def _observe(hist, fast, slow):
+        """``fast`` observations within the 0.1 s threshold, ``slow`` over it."""
+        for _ in range(fast):
+            hist.observe(0.05)
+        for _ in range(slow):
+            hist.observe(0.5)
+
     def test_ratio_attainment_and_burn(self):
+        """Attainment is the good / total ratio of observations; burn is its
+        shortfall measured in error budgets."""
         metrics = MetricsRegistry()
-        bad = metrics.counter("t.bad")
-        total = metrics.counter("t.total")
+        hist = metrics.histogram("t.lat", buckets=(0.1, 1.0))
         wall = [0.0]
         engine = self._engine(metrics, lambda: wall[0])
-        total.inc(100)
+        self._observe(hist, 100, 0)
         engine.tick()
         wall[0] = 1.0
-        total.inc(100)
-        bad.inc(1)  # attainment 0.99 over both windows -> burn 1.0
+        self._observe(hist, 99, 1)  # attainment 0.99 over both windows -> burn 1.0
         engine.tick()
         row = engine.report()[0]
         assert row["attainment"] == pytest.approx(0.995)  # cumulative
@@ -163,35 +165,33 @@ class TestSloEngine:
         assert row["alert"] == ALERT_INACTIVE
 
     def test_alert_lifecycle_and_transition_events(self):
-        """Three all-bad seconds in steady traffic page at once (fast burn
+        """Three all-slow seconds in steady traffic page at once (fast burn
         100 >= 14.4). The fast window forgets them 5 s later, but the slow
         one keeps the alert firing until good traffic dilutes them below
         burn 6.0 (t=51); resolved after the 5 s recovery dwell."""
         metrics = MetricsRegistry()
-        bad = metrics.counter("t.bad")
-        total = metrics.counter("t.total")
+        hist = metrics.histogram("t.lat", buckets=(0.1, 1.0))
         wall = [0.0]
         engine = self._engine(metrics, lambda: wall[0])
         engine.tick()
         for t in range(1, 61):
             wall[0] = float(t)
-            total.inc(100)
-            if t <= 3:
-                bad.inc(100)
+            slow = 100 if t <= 3 else 0
+            self._observe(hist, 100 - slow, slow)
             engine.tick()
             row = engine.report()[0]
             if t == 10:
                 assert row["fast_burn"] == 0.0
                 assert row["slow_burn"] >= 6.0
                 assert row["alert"] == ALERT_FIRING
-        assert engine.alert_state("drops") == ALERT_INACTIVE
+        assert engine.alert_state("lat") == ALERT_INACTIVE
         assert [(e.time_s, e.to_state) for e in engine.events] == [
             (1.0, ALERT_PENDING),
             (3.0, ALERT_FIRING),
             (56.0, "resolved"),
         ]
         fired = metrics.counter(
-            "slo.alert_transitions_total", labels={"objective": "drops", "to": "firing"}
+            "slo.alert_transitions_total", labels={"objective": "lat", "to": "firing"}
         )
         assert fired.value == 1
 
@@ -199,9 +199,7 @@ class TestSloEngine:
         metrics = MetricsRegistry()
         hist = metrics.histogram("t.lat", buckets=(0.01, 0.1, 1.0))
         wall = [0.0]
-        objective = SloObjective(
-            name="lat", kind="latency", target=0.9, metric="t.lat", threshold=0.1
-        )
+        objective = SloObjective(name="lat", target=0.9, metric="t.lat", threshold=0.1)
         engine = SloEngine(metrics, objectives=[objective], clock=lambda: wall[0])
         engine.tick()  # t=0 baseline sample: windows are delta-based
         for value in (0.005, 0.05, 0.5):  # 2 of 3 within the 0.1s threshold
@@ -428,6 +426,43 @@ class TestProvenance:
         assert model_snapshot_id(a) != model_snapshot_id(b)
         assert capture_digest(_records(2)) == capture_digest(_records(2))
         assert capture_digest(_records(2)) != capture_digest(_records(3))
+
+    @staticmethod
+    def _fitted(seed=0):
+        detector = _detector()
+        windows = np.random.default_rng(seed).random((24, 12))
+        detector.fit(windows, epochs=1)
+        return detector
+
+    def _mint_with(self, store, detector):
+        return store.mint(
+            session_id=1,
+            detected_at=1.0,
+            score=1.0,
+            threshold=0.5,
+            record_indices=(0,),
+            records=_records(1),
+            detector=detector,
+        )
+
+    def test_threshold_id_follows_a_policy_refit(self):
+        """An A1 policy re-fits the threshold in place (MobiWatchXApp.on_policy):
+        the next alarm names the new operating point, not the old one."""
+        store, detector = ProvenanceStore(), self._fitted()
+        before = self._mint_with(store, detector).threshold_snapshot_id
+        detector.threshold.percentile = 90.0
+        detector.threshold.fit(detector.training_scores)
+        after = self._mint_with(store, detector).threshold_snapshot_id
+        assert after == threshold_snapshot_id(detector)
+        assert after != before
+
+    def test_model_id_follows_a_retrain_of_the_same_object(self):
+        store, detector = ProvenanceStore(), self._fitted()
+        before = self._mint_with(store, detector).model_snapshot_id
+        detector.fit(np.random.default_rng(1).random((24, 12)), epochs=1)
+        after = self._mint_with(store, detector).model_snapshot_id
+        assert after == model_snapshot_id(detector)
+        assert after != before
 
     def test_minted_counter(self):
         metrics = MetricsRegistry()

@@ -1,17 +1,13 @@
-"""Training: the one loop against its oracle, sweep determinism, cache.
+"""Training: the one loop against its oracle.
 
-Almost every test here is an equality test:
+Every test here is an equality test:
 
-- defaults keep the sweeps serial with no dataset cache;
 - ``AnomalyDetector.fit`` — the one mini-batch loop of
   ``repro.ml.training`` — reproduces the seed loops kept in
   ``tests/reference_training.py`` bit-for-bit (per-epoch loss
   trajectories *and* final weights) for both models, on captures from
   each of the five attacks' scenarios, and so does the early-stopping
-  path of ``train_minibatch``;
-- a parallel float64 sweep returns exactly the serial seed sweep's rows;
-- the dataset cache is content-addressed: identical telemetry hits,
-  different telemetry/spec/window never alias.
+  path of ``train_minibatch``.
 """
 
 import numpy as np
@@ -26,12 +22,7 @@ from repro.attacks import (
 )
 from repro.core import XsecConfig
 from repro.core.framework import build_detector
-from repro.experiments.ablations import AblationConfig, run_window_ablation
-from repro.experiments.datasets import (
-    AttackDatasetConfig,
-    BenignDatasetConfig,
-    generate_benign_dataset,
-)
+from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.detector import AutoencoderDetector, LstmDetector
 from repro.ml.lstm import LstmPredictor
@@ -40,28 +31,8 @@ from repro.ran.core_network import AmfConfig
 from repro.ran.network import FiveGNetwork, NetworkConfig
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.features import FeatureSpec, WindowedDataset
-from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
-from repro.experiments.cache import DatasetCache, series_digest, spec_key
-from repro.experiments.sweep import SweepRunner, derive_seed, sweep_tools
 
 from tests import reference_training
-
-
-# ---------------------------------------------------------------------------
-# settings
-
-
-class TestTrainfastSettings:
-    """The sweep knobs are keyword arguments of the sweep entry points
-    (``sweep_tools`` turns them into a runner and a cache)."""
-
-    def test_defaults_all_off(self):
-        runner, cache = sweep_tools()
-        assert runner.workers == 0 and cache is None
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_tools(sweep_workers=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,154 +190,3 @@ class TestDetectorRouting:
         reference = detector.reference_scores(benign_windows)
         assert np.array_equal(detector.training_scores, reference)
         assert detector.scores(benign_windows).tobytes() == reference.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# sweep runner
-
-
-class TestSweepRunner:
-    def test_derive_seed_deterministic_and_distinct(self):
-        seeds = [derive_seed(7, i) for i in range(32)]
-        assert seeds == [derive_seed(7, i) for i in range(32)]
-        assert len(set(seeds)) == len(seeds)
-        assert derive_seed(8, 0) != derive_seed(7, 0)
-
-    def test_serial_map_preserves_order(self):
-        runner = SweepRunner(workers=0)
-        assert not runner.parallel_available
-        assert runner.map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
-
-    def test_parallel_map_matches_serial(self):
-        parallel = SweepRunner(workers=2)
-        if not parallel.parallel_available:  # pragma: no cover - fork-less host
-            pytest.skip("fork start method unavailable")
-        items = list(range(8))
-        assert parallel.map(lambda x: x * 3 + 1, items) == [x * 3 + 1 for x in items]
-
-    def test_from_settings(self, tmp_path):
-        runner, cache = sweep_tools(sweep_workers=3, cache=True, cache_dir=str(tmp_path))
-        assert runner.workers == 3
-        assert cache.cache_dir == tmp_path
-
-
-class TestParallelSweepEqualsSerial:
-    def test_window_ablation_rows_identical(self):
-        config = AblationConfig(
-            epochs=3,
-            seed=9,
-            benign=BenignDatasetConfig(seed=11, duration_s=25.0),
-            attack=AttackDatasetConfig(
-                seed=12,
-                duration_s=20.0,
-                bts_dos_instances=1,
-                blind_dos_instances=1,
-                uplink_id_instances=1,
-                downlink_id_instances=1,
-                null_cipher_instances=1,
-            ),
-        )
-        windows = (4, 6)
-        serial = run_window_ablation(config, windows)
-        fast = run_window_ablation(config, windows, sweep_workers=2, cache=True)
-        assert serial.rows == fast.rows
-
-
-# ---------------------------------------------------------------------------
-# dataset cache
-
-
-def _record(t, msg, session=1, **kwargs):
-    defaults = dict(protocol="RRC", direction="UL")
-    defaults.update(kwargs)
-    return MobiFlowRecord(timestamp=t, msg=msg, session_id=session, **defaults)
-
-
-def _series(extra_msg="RRCSetupComplete"):
-    return TelemetrySeries(
-        [
-            _record(0.00, "RRCSetupRequest", establishment_cause="mo-Data"),
-            _record(0.01, "RRCSetup", direction="DL"),
-            _record(0.02, extra_msg),
-            _record(0.03, "RegistrationRequest", protocol="NAS", suci="suci-001-01-x"),
-            _record(0.04, "AuthenticationRequest", protocol="NAS", direction="DL"),
-        ]
-    )
-
-
-class TestDatasetCache:
-    def test_identical_content_hits_even_across_objects(self):
-        cache = DatasetCache()
-        spec = FeatureSpec()
-        first = WindowedDataset.from_series(_series(), spec, window=3, cache=cache)
-        assert cache.misses > 0 and cache.hits == 0
-        # A different series object with byte-identical records is the
-        # same content-address: pure hit, same dataset object.
-        again = WindowedDataset.from_series(_series(), spec, window=3, cache=cache)
-        assert again is first
-        assert cache.hits > 0
-
-    def test_different_window_is_a_miss_but_shares_the_encode(self):
-        cache = DatasetCache()
-        spec = FeatureSpec()
-        three = WindowedDataset.from_series(_series(), spec, window=3, cache=cache)
-        misses_before, hits_before = cache.misses, cache.hits
-        two = WindowedDataset.from_series(_series(), spec, window=2, cache=cache)
-        assert two is not three
-        # New window = a fresh dataset, but the per-record encode (the
-        # expensive level) is shared: level-1 hit, no new encode.
-        assert cache.misses == misses_before
-        assert cache.hits == hits_before + 1
-        assert two.per_record is three.per_record
-
-    def test_different_content_never_aliases(self):
-        cache = DatasetCache()
-        spec = FeatureSpec()
-        a = WindowedDataset.from_series(_series(), spec, window=3, cache=cache)
-        b = WindowedDataset.from_series(
-            _series(extra_msg="RRCReject"), spec, window=3, cache=cache
-        )
-        assert a is not b
-        assert series_digest(_series()) != series_digest(_series(extra_msg="RRCReject"))
-
-    def test_digest_memoized_per_object(self):
-        series = _series()
-        assert series_digest(series) == series_digest(series)
-        assert series_digest(series) == series_digest(_series())
-
-    def test_spec_key_tracks_spec(self):
-        assert spec_key(FeatureSpec()) == spec_key(FeatureSpec())
-
-    def test_cached_arrays_are_read_only(self):
-        cache = DatasetCache()
-        dataset = WindowedDataset.from_series(_series(), FeatureSpec(), 3, cache=cache)
-        with pytest.raises(ValueError):
-            dataset.windows[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            dataset.per_record[0, 0] = 1.0
-
-    def test_cache_matches_uncached_build(self):
-        cached = WindowedDataset.from_series(
-            _series(), FeatureSpec(), 3, cache=DatasetCache()
-        )
-        plain = WindowedDataset.from_series(_series(), FeatureSpec(), 3)
-        assert np.array_equal(cached.windows, plain.windows)
-        assert np.array_equal(cached.per_record, plain.per_record)
-        assert cached.window_records == plain.window_records
-
-    def test_disk_layer_roundtrip(self, tmp_path):
-        spec = FeatureSpec()
-        writer = DatasetCache(cache_dir=str(tmp_path))
-        matrix = writer.record_matrix(_series(), spec)
-        reader = DatasetCache(cache_dir=str(tmp_path))
-        loaded = reader.record_matrix(_series(), spec)
-        assert reader.hits == 1 and reader.misses == 0
-        assert np.array_equal(loaded, matrix)
-        assert not loaded.flags.writeable
-
-    def test_clear_resets_storage(self):
-        cache = DatasetCache()
-        WindowedDataset.from_series(_series(), FeatureSpec(), 3, cache=cache)
-        cache.clear()
-        assert cache.stats["matrices"] == 0
-        assert cache.stats["datasets"] == 0
