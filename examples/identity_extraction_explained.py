@@ -69,7 +69,7 @@ def main() -> None:
         )
         verdict = rag.analyze(trace, detector_flagged=True)
         print("\n  RAG prompt snippets retrieved for chatgpt-4o:")
-        for snippet in rag.knowledge.retrieve(trace):
+        for snippet in rag.retrieve_snippets(trace):
             print(f"   - {snippet[:90]}...")
         print(f"\n  chatgpt-4o explanation:\n   {verdict.response.explanation[:320]}")
         print()

@@ -28,9 +28,6 @@ from repro.ran.network import FiveGNetwork
 from repro.ran.rrc import RrcDlInformationTransfer
 from repro.ran.ue import UserEquipment
 
-if False:  # pragma: no cover - typing only
-    from repro.telemetry.mobiflow import MobiFlowRecord
-
 
 class DownlinkMessageDropAttack(Attack):
     """Silently drop downlink NAS-bearing messages toward the victim.

@@ -18,10 +18,7 @@ Gives operators the paper's workflow without writing code:
   (SLO engine, profiler, exporter, provenance) and render per-objective
   attainment/burn (``report``), the alert transition log (``alerts``),
   the per-stage self-time profile (``profile``), or one verdict's full
-  evidence chain (``explain``) — see docs/OBSERVABILITY.md;
-- ``bench <name>`` — run one component bench (``obs``), verify its
-  equality contracts, and gate it against its floors and the committed
-  ``BENCH_<name>.json`` baseline (see docs/PERFORMANCE.md, "Benchmarks").
+  evidence chain (``explain``) — see docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -325,8 +322,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.bench import driver  # numpy-free: benches pin BLAS before it loads
-
     parser = argparse.ArgumentParser(
         prog="repro", description="6G-XSec reproduction command line"
     )
@@ -410,15 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--json", help="write the machine-readable snapshot here")
     slo.set_defaults(func=_cmd_slo)
-
-    bench = commands.add_parser(
-        "bench",
-        help=f"run one component bench ({', '.join(driver.BENCHES)}); verify its "
-        "equality contracts; gate it vs its floors and BENCH_<name>.json "
-        "(exit 1 when red)",
-    )
-    driver.add_arguments(bench)
-    bench.set_defaults(func=driver.run_args)
     return parser
 
 

@@ -9,7 +9,7 @@ human-supervision queue for detector/LLM contradictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import XsecConfig

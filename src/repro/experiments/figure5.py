@@ -13,7 +13,7 @@ from typing import Optional
 from repro.experiments.datasets import AttackDatasetConfig, generate_attack_dataset
 from repro.experiments.table3 import build_traces
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.prompt import PromptTemplate
+from repro.llm.prompt import CompiledPromptBuilder
 from repro.llm.response import AnalysisResponse, parse_response
 
 
@@ -58,7 +58,7 @@ def run_figure5(config: Optional[Figure5Config] = None) -> Figure5Result:
     cases = build_traces(capture)
     case = next(c for c in cases if c.name == config.trace_name)
     records = case.records[: config.max_records]
-    prompt = PromptTemplate().render(records)
+    prompt = CompiledPromptBuilder().render(records)
     server = SimulatedLlmServer()
     client = LlmClient(server=server, model=config.model)
     text = client.complete(prompt)

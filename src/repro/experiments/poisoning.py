@@ -23,14 +23,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.core.config import XsecConfig
 from repro.core.mobiwatch import MobiWatchXApp
 from repro.experiments.colosseum import ColosseumScenario, run_scenario
 from repro.experiments.datasets import AttackDatasetConfig, generate_attack_dataset
 from repro.ml.detector import AutoencoderDetector
-from repro.ml.metrics import DetectionMetrics
 from repro.oran.e2agent import RicAgent, _pdu_envelope
 from repro.oran.e2ap import RicIndication
 from repro.oran.e2sm_kpm import MOBIFLOW_RAN_FUNCTION_ID, MobiFlowKpmModel

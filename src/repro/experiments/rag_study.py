@@ -21,7 +21,7 @@ from typing import Optional
 
 from repro.experiments.datasets import AttackDatasetConfig, generate_attack_dataset
 from repro.experiments.reporting import render_table
-from repro.experiments.table3 import MODEL_ORDER, Table3Config, build_traces, _is_correct
+from repro.experiments.table3 import MODEL_ORDER, build_traces, _is_correct
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
 

@@ -18,7 +18,6 @@ from repro.core.framework import SixGXSec
 from repro.experiments.colosseum import ColosseumScenario, run_scenario
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
 from repro.experiments.reporting import render_table
-from repro.ml.serialize import load_detector, save_detector
 from repro.ran.network import NetworkConfig
 
 BASE_MIX = (("pixel5", 1), ("pixel6", 1), ("galaxy_a53", 1), ("oai_ue", 2))

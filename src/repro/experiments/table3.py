@@ -22,8 +22,6 @@ from repro.experiments.datasets import (
 from repro.experiments.reporting import render_table
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.profiles import MODEL_PROFILES
-from repro.telemetry.mobiflow import MobiFlowRecord
 
 # Attack display order and the paper's expected ✓/✗ grid (Table 3).
 ATTACK_ROWS = (

@@ -19,7 +19,7 @@ from repro.llm.knowledge import (
     CellularKnowledgeBase,
     SignatureMatch,
 )
-from repro.llm.prompt import PromptTemplate, format_records, parse_data_section
+from repro.llm.prompt import parse_data_section
 from repro.llm.response import AnalysisResponse, parse_response
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
 from repro.llm.backends import SimulatedLlmBackend, build_default_backends
@@ -30,8 +30,6 @@ __all__ = [
     "AnalysisEngine",
     "CellularKnowledgeBase",
     "SignatureMatch",
-    "PromptTemplate",
-    "format_records",
     "parse_data_section",
     "AnalysisResponse",
     "parse_response",

@@ -94,13 +94,13 @@ class ExpertAnalyst:
     # -- round primitives ----------------------------------------------------
 
     def retrieve_snippets(self, records: list[MobiFlowRecord]) -> list[str]:
-        """RAG retrieval (ranking of ``CellularKnowledgeBase.retrieve``)."""
+        """RAG retrieval: the ``top_k=2`` snippets most relevant to the trace."""
         return self._retriever.retrieve(records)
 
     def build_prompt(
         self, records: list[MobiFlowRecord], snippets: Optional[list] = None
     ) -> str:
-        """Render the Figure 5 prompt (bytes of ``PromptTemplate.render``)."""
+        """Render the Figure 5 prompt, RAG snippets appended when given."""
         return self._prompt_builder.render(records, snippets or None)
 
     def signature_for(self, records: list[MobiFlowRecord]):

@@ -11,7 +11,7 @@ realistic end-to-end explanation times.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Protocol
 
 from repro.llm.backends import SimulatedLlmBackend, build_default_backends

@@ -7,15 +7,15 @@ share this single engine; per-model capability profiles then decide which
 matched signatures each model actually *perceives* (Table 3 calibration).
 
 The same knowledge base powers the retrieval augmentation (§5, Specialized
-LLM for 6G): :meth:`CellularKnowledgeBase.retrieve` returns the procedure
+LLM for 6G): :meth:`VectorizedRetriever.retrieve` returns the procedure
 snippets most relevant to a trace, which the prompt template can append.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -248,30 +248,13 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
 
 
 class CellularKnowledgeBase:
-    """Article store with naive keyword retrieval (RAG support)."""
+    """Article store (attack articles and their RAG snippets)."""
 
     def __init__(self, articles: Optional[dict[str, AttackArticle]] = None) -> None:
         self.articles = dict(articles or KNOWLEDGE_ARTICLES)
 
     def article(self, signature: str) -> AttackArticle:
         return self.articles[signature]
-
-    def retrieve(self, records: list[MobiFlowRecord], top_k: int = 2) -> list[str]:
-        """Return the 3GPP snippets most relevant to the trace.
-
-        Relevance is keyword overlap between an article's vocabulary and
-        the message names/attributes present in the trace. This substring
-        loop is the reference :class:`VectorizedRetriever` (what
-        ``ExpertAnalyst`` runs) must rank identically to.
-        """
-        terms = trace_terms(records)
-        scored = []
-        for article in self.articles.values():
-            text = (article.procedure_snippet + " " + article.explanation).lower()
-            score = sum(1 for term in terms if term in text)
-            scored.append((score, article.signature, article.procedure_snippet))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [snippet for score, _, snippet in scored[:top_k] if score > 0]
 
 
 # Marker terms derived from record state (not message names).
@@ -293,12 +276,13 @@ def trace_terms(records: Iterable[MobiFlowRecord]) -> frozenset:
 
 
 class VectorizedRetriever:
-    """Term-indexed article scoring, ranking-identical to
-    :meth:`CellularKnowledgeBase.retrieve`.
+    """Term-indexed article scoring: the RAG retrieval ``ExpertAnalyst`` runs.
 
-    The reference scores a trace against every article with a Python
-    double loop: O(terms x articles) substring searches per query, paid
-    again for every anomaly in a burst. This class precomputes a term
+    A trace's relevance to an article is the number of the trace's terms
+    (:func:`trace_terms`) found in the article's snippet and explanation.
+    Scoring that with a Python double loop is O(terms x articles)
+    substring searches per query, paid again for every anomaly in a
+    burst. This class precomputes a term
     index at construction: for every term in the known vocabulary (all
     registered RRC/NAS message names plus the state marker terms), a
     per-article membership row. Scoring a trace is then one indexed
@@ -307,10 +291,9 @@ class VectorizedRetriever:
     test once and memoized, and traces with the same derived term set (the
     common case for duplicate bursts) reuse the finished ranking.
 
-    The contract — enforced in ``tests/test_llmfast.py`` and re-verified
-    by the bench — is *exact ranking equality* with the reference loop,
-    including the ``(-score, signature)`` tie-break and the ``score > 0``
-    cutoff.
+    The contract — enforced in ``tests/test_llmfast.py`` against the loop
+    in ``tests/reference_llm.py`` — is *exact ranking equality*, including
+    the ``(-score, signature)`` tie-break and the ``score > 0`` cutoff.
     """
 
     def __init__(
@@ -320,8 +303,8 @@ class VectorizedRetriever:
     ) -> None:
         self.knowledge = knowledge or CellularKnowledgeBase()
         articles = list(self.knowledge.articles.values())
-        # Reference iteration order (dict order) feeds the same sort key,
-        # so ranking ties resolve identically.
+        # Article (dict) order feeds the sort key, so ranking ties resolve
+        # by signature alone.
         self._signatures = [article.signature for article in articles]
         self._snippets = [article.procedure_snippet for article in articles]
         self._texts = [
@@ -353,7 +336,7 @@ class VectorizedRetriever:
         return row
 
     def retrieve(self, records: list[MobiFlowRecord], top_k: int = 2) -> list[str]:
-        """Reference-identical ranking through the precomputed term index."""
+        """The ``top_k`` snippets of nonzero score, by (-score, signature)."""
         self.queries += 1
         terms = trace_terms(records)
         memo_key = (terms, top_k)

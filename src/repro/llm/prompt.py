@@ -16,13 +16,17 @@ The template is reproduced verbatim from the paper::
 :func:`parse_data_section` is the inverse used by the simulated backends —
 they read the records back out of the prompt text, exactly as a real model
 reads them.
+
+String fields come off the air, so a value is rendered with every
+character outside a conservative set percent-escaped (:func:`_escape`): no
+value can end its entry's line, add a field, or forge an entry of its own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
+from urllib.parse import quote, unquote
 
 from repro.ran.messages import Message, MessageError
 from repro.ran.security import CipherAlg, IntegrityAlg
@@ -61,32 +65,53 @@ def _alg_name(kind: str, value: Optional[int]) -> str:
     return f"{prefix}{value}"
 
 
+# A string field's characters outside alphanumerics and ``-._:+/`` render
+# as the %XX of their UTF-8 bytes.
+_UNSAFE = re.compile(r"[^A-Za-z0-9\-._:+/]")
+
+
+def _escape(value: str) -> str:
+    """A string field as it appears on its line: values inside the safe
+    set as they are, except ``-``, which would read back as None."""
+    if value == "-":
+        return "%2D"
+    if _UNSAFE.search(value) is None:
+        return value
+    # quote() leaves "~" as it is; nothing else outside the set.
+    return quote(value, safe="-._:+/", errors="surrogatepass").replace("~", "%7E")
+
+
+def _unescape(value: str) -> str:
+    return unquote(value, errors="surrogatepass") if "%" in value else value
+
+
+def _optional(value: Optional[str]) -> str:
+    return "-" if value is None else _escape(value)
+
+
 def format_record(record: MobiFlowRecord) -> str:
     """Render one telemetry entry as a prompt line."""
     parts = [
         f"t={record.timestamp:.3f}",
         f"session={record.session_id}",
-        f"msg={record.msg}",
-        f"dir={record.direction}",
+        f"msg={_escape(record.msg)}",
+        f"dir={_escape(record.direction)}",
         f"rnti={'0x%04x' % record.rnti if record.rnti is not None else '-'}",
         f"s_tmsi={'0x%08x' % record.s_tmsi if record.s_tmsi is not None else '-'}",
-        f"suci={record.suci or '-'}",
-        f"supi={record.supi or '-'}",
+        f"suci={_optional(record.suci)}",
+        f"supi={_optional(record.supi)}",
         f"cipher={_alg_name('cipher', record.cipher_alg)}",
         f"integrity={_alg_name('integrity', record.integrity_alg)}",
-        f"cause={record.establishment_cause or '-'}",
+        f"cause={_optional(record.establishment_cause)}",
     ]
     return " ".join(parts)
 
 
-def format_records(records: Iterable[MobiFlowRecord]) -> str:
-    return "\n".join(format_record(record) for record in records)
-
-
+# String fields are \S* (an empty string renders as nothing); the rest \S+.
 _LINE_RE = re.compile(
-    r"t=(?P<t>[\d.]+) session=(?P<session>\d+) msg=(?P<msg>\S+) dir=(?P<dir>UL|DL) "
-    r"rnti=(?P<rnti>\S+) s_tmsi=(?P<tmsi>\S+) suci=(?P<suci>\S+) supi=(?P<supi>\S+) "
-    r"cipher=(?P<cipher>\S+) integrity=(?P<integrity>\S+) cause=(?P<cause>\S+)"
+    r"t=(?P<t>[\d.]+) session=(?P<session>\d+) msg=(?P<msg>\S*) dir=(?P<dir>\S*) "
+    r"rnti=(?P<rnti>\S+) s_tmsi=(?P<tmsi>\S+) suci=(?P<suci>\S*) supi=(?P<supi>\S*) "
+    r"cipher=(?P<cipher>\S+) integrity=(?P<integrity>\S+) cause=(?P<cause>\S*)"
 )
 
 
@@ -95,26 +120,31 @@ _LINE_RE = re.compile(
 _PARSED_LINES_CAPACITY = 65536
 
 
+def _read_optional(value: str) -> Optional[str]:
+    return None if value == "-" else _unescape(value)
+
+
 def _record_from_match(match: re.Match) -> MobiFlowRecord:
+    msg = _unescape(match["msg"])
     try:
-        protocol = Message.lookup(match["msg"]).PROTOCOL.value
+        protocol = Message.lookup(msg).PROTOCOL.value
     except MessageError:
         protocol = "RRC"
     cipher = match["cipher"]
     integrity = match["integrity"]
     return MobiFlowRecord(
         timestamp=float(match["t"]),
-        msg=match["msg"],
+        msg=msg,
         protocol=protocol,
-        direction=match["dir"],
+        direction=_unescape(match["dir"]),
         session_id=int(match["session"]),
         rnti=None if match["rnti"] == "-" else int(match["rnti"], 16),
         s_tmsi=None if match["tmsi"] == "-" else int(match["tmsi"], 16),
-        suci=None if match["suci"] == "-" else match["suci"],
-        supi=None if match["supi"] == "-" else match["supi"],
+        suci=_read_optional(match["suci"]),
+        supi=_read_optional(match["supi"]),
         cipher_alg=None if cipher == "-" else int(CipherAlg[cipher]),
         integrity_alg=None if integrity == "-" else int(IntegrityAlg[integrity]),
-        establishment_cause=None if match["cause"] == "-" else match["cause"],
+        establishment_cause=_read_optional(match["cause"]),
     )
 
 
@@ -149,49 +179,27 @@ def parse_data_section(
     return records
 
 
-@dataclass
-class PromptTemplate:
-    """Zero-shot prompt builder, optionally retrieval-augmented (§5)."""
-
-    data_descriptions: str = DATA_DESCRIPTIONS
-    # Retrieved 3GPP-knowledge snippets appended to the prompt (RAG).
-    retrieved_snippets: list = field(default_factory=list)
-
-    def render(self, records: Iterable[MobiFlowRecord]) -> str:
-        extra = ""
-        if self.retrieved_snippets:
-            bullet_list = "\n".join(f"- {snippet}" for snippet in self.retrieved_snippets)
-            extra = (
-                "\n\nRelevant 3GPP protocol knowledge for reference:\n" + bullet_list
-            )
-        return TEMPLATE.format(
-            data_descriptions=self.data_descriptions,
-            data=format_records(records),
-            extra=extra,
-        )
-
-
 _RAG_HEADER = "\n\nRelevant 3GPP protocol knowledge for reference:\n"
 
 
 class CompiledPromptBuilder:
-    """Byte-identical :meth:`PromptTemplate.render` with interned segments
-    (what ``ExpertAnalyst.build_prompt`` runs).
+    """The Figure 5 prompt, assembled from interned segments (what
+    ``ExpertAnalyst.build_prompt`` runs).
 
-    ``PromptTemplate.render`` re-pays three costs on every query: the
-    ``str.format`` pass over the full template (re-copying the static
-    Figure 5 preamble and data descriptions), per-record line formatting
-    (eleven field formats and a join per telemetry entry), and the RAG
-    bullet-list rendering.  In the live analyzer the same records appear
-    in many consecutive prompts — ``context_for`` returns sliding windows
-    over the shared history — so most of that work is recomputation.
+    A plain ``TEMPLATE.format`` re-pays three costs on every query: the
+    pass over the full template (re-copying the static Figure 5 preamble
+    and data descriptions), per-record line formatting (eleven field
+    formats and a join per telemetry entry), and the RAG bullet-list
+    rendering.  In the live analyzer the same records appear in many
+    consecutive prompts — ``context_for`` returns sliding windows over the
+    shared history — so most of that work is recomputation.
 
     This builder splits the template once at construction into static
     segments (so assembly is a single ``str.join``), interns rendered
     record lines keyed on the (frozen, hashable) record itself, and
     memoizes the rendered RAG block per snippet tuple.  The contract —
-    enforced in ``tests/test_llmfast.py`` and re-verified by the bench —
-    is byte-identical output to ``PromptTemplate.render`` for every input.
+    enforced in ``tests/test_llmfast.py`` against the plain template in
+    ``tests/reference_llm.py`` — is byte-identical output for every input.
     """
 
     def __init__(

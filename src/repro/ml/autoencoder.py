@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.layers import Dense, ReLU, Sequential
-from repro.ml.losses import per_sample_mse
 from repro.ml.training import TrainConfig, TrainHistory, train_minibatch
 
 
@@ -51,9 +50,6 @@ class Autoencoder:
         """Project inputs to the latent space."""
         return self.encoder.forward(np.asarray(x, dtype=np.float64))
 
-    def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        return self.model.forward(np.asarray(x, dtype=np.float64))
-
     # -- the trainable protocol of repro.ml.training ------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -88,10 +84,3 @@ class Autoencoder:
             raise ValueError(f"expected [n, {self.input_dim}] inputs, got {x.shape}")
         config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr)
         return train_minibatch(self, x, x, config, rng=self._shuffle_rng)
-
-    def reconstruction_errors(self, x: np.ndarray) -> np.ndarray:
-        """Per-window anomaly scores (row-wise MSE)."""
-        x = np.asarray(x, dtype=np.float64)
-        if len(x) == 0:
-            return np.zeros(0)
-        return per_sample_mse(self.reconstruct(x), x)

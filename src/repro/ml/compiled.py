@@ -8,19 +8,19 @@ scoring through preallocated-buffer kernels (``np.dot(..., out=...)`` and
 in-place ufuncs).
 
 This is what ``AnomalyDetector.scores`` runs. Equality contract (enforced
-by tests/test_hotpath.py): the kernels mirror the reference op sequence
-exactly — same GEMM shapes, same association, same clip/exp/tanh calls —
-so scores are bit-identical to the layer-walking
-``AnomalyDetector.reference_scores``.
+by tests/test_hotpath.py): the kernels mirror the model objects' op
+sequence exactly — same GEMM shapes, same association, same clip/exp/tanh
+calls — so scores are bit-identical to the layer-walking test oracle in
+tests/reference_scoring.py.
 
 Two batch modes. By default a batch goes through full-height GEMMs —
 offline scoring: training thresholds, the paper's tables. With
-``per_row=True`` (the live path: MobiWatch's tick gather, the scoring
-workers) the kernels are **row-exact**: every GEMM is issued as a
-stack of the products the single-window call makes (:func:`_gemv_stack`)
-while the gate, ReLU and error element-wise ops run once over the whole
-batch, so ``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]``
-bit for bit at any batch height. The LSTM has its own kernel for it,
+``per_row=True`` (the live path: MobiWatch's tick gather) the kernels
+are **row-exact**: every GEMM is issued as a stack of the products the
+single-window call makes (:func:`_gemv_stack`) while the gate, ReLU and
+error element-wise ops run once over the whole batch, so
+``scores(m, per_row=True)[i]`` equals ``scores(m[i:i+1])[0]`` bit for bit
+at any batch height. The LSTM has its own kernel for it,
 :meth:`CompiledLstm.row_scores`, at every height including 1: its input
 projections for all steps are one such stack into a step-major buffer,
 so each step's gates are one contiguous block, its head is one
@@ -477,7 +477,7 @@ class CompiledModel:
             if skip == 0:
                 self._prof_skip = PROFILE_SAMPLE
                 start = time.perf_counter()
-                result = self._scores(windows, per_row)
+                result = self._kernel_scores(windows, per_row)
                 prof.record(
                     "ml.compiled.scores",
                     (time.perf_counter() - start) * PROFILE_SAMPLE,
@@ -485,7 +485,7 @@ class CompiledModel:
                 )
                 return result
             self._prof_skip = skip
-        return self._scores(windows, per_row)
+        return self._kernel_scores(windows, per_row)
 
     def memo_scores(self, windows: np.ndarray) -> np.ndarray:
         """``scores(windows, per_row=True)``, each distinct row through the
@@ -519,7 +519,7 @@ class CompiledModel:
             self._memo_size.set(len(memo))
         return np.array(found)
 
-    def _scores(self, windows: np.ndarray, per_row: bool) -> np.ndarray:
+    def _kernel_scores(self, windows: np.ndarray, per_row: bool) -> np.ndarray:
         if self._kind == "autoencoder":
             return self._impl.scores(windows, per_row)
         if per_row:

@@ -63,8 +63,8 @@ class AnomalyDetector(abc.ABC):
         self.training_scores: Optional[np.ndarray] = None
         self.metrics: Optional[MetricsRegistry] = None
         # Fused float64 inference kernels over a weight snapshot
-        # (repro.ml.compiled), bit-identical to reference_scores(): built by
-        # the first scores() after a fit/load, dropped by fit().
+        # (repro.ml.compiled): built by the first scores() after a
+        # fit/load, dropped by fit().
         self._compiled: Optional[CompiledModel] = None
 
     def attach_metrics(self, metrics: MetricsRegistry) -> None:
@@ -146,22 +146,9 @@ class AnomalyDetector(abc.ABC):
             return compiled.memo_scores(windows)
         return compiled.scores(windows)
 
-    def reference_scores(self, windows: np.ndarray, per_row: bool = False) -> np.ndarray:
-        """:meth:`scores` by walking the model's layer objects in float64 —
-        the reference the float64 kernels must equal bit for bit
-        (``per_row``: one walk per ``[1, window*dim]`` row)."""
-        windows = self._check(windows)
-        if per_row:
-            return np.array([self._scores(windows[i : i + 1])[0] for i in range(len(windows))])
-        return self._scores(windows)
-
     @abc.abstractmethod
     def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainHistory:
         """Train the model (its ``fit``: repro.ml.training's one loop)."""
-
-    @abc.abstractmethod
-    def _scores(self, windows: np.ndarray) -> np.ndarray:
-        """Reference scoring path on checked ``[n, window*dim]`` windows."""
 
 
 class AutoencoderDetector(AnomalyDetector):
@@ -199,20 +186,6 @@ class AutoencoderDetector(AnomalyDetector):
     def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainHistory:
         return self.model.fit(windows, **train_kwargs)
 
-    def _scores(self, windows: np.ndarray) -> np.ndarray:
-        if self.aggregate == "mean":
-            return self.model.reconstruction_errors(windows)
-        return self.per_slot_errors(windows).max(axis=1)
-
-    def per_slot_errors(self, windows: np.ndarray) -> np.ndarray:
-        """Reconstruction MSE per entry slot: [n, window]."""
-        windows = self._check(windows)
-        if len(windows) == 0:
-            return np.zeros((0, self.window))
-        reconstruction = self.model.reconstruct(windows)
-        diff = (reconstruction - windows).reshape(-1, self.window, self.feature_dim)
-        return np.mean(diff**2, axis=2)
-
 
 class LstmDetector(AnomalyDetector):
     """Next-step prediction-error detector."""
@@ -247,11 +220,6 @@ class LstmDetector(AnomalyDetector):
 
     def _fit_model(self, windows: np.ndarray, **train_kwargs) -> TrainHistory:
         return self.model.fit(*self._split(windows), **train_kwargs)
-
-    def _scores(self, windows: np.ndarray) -> np.ndarray:
-        """Window score: worst next-step prediction error within the window."""
-        sequences, targets = self._split(windows)
-        return self.model.per_step_errors(sequences, targets).max(axis=1)
 
     # -- session-context scoring -------------------------------------------------
 

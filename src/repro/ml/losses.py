@@ -14,9 +14,3 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     grad = 2.0 * diff / diff.size
     return loss, grad
 
-
-def per_sample_mse(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Row-wise mean squared error (the anomaly score)."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return np.mean((pred - target) ** 2, axis=tuple(range(1, pred.ndim)))

@@ -9,7 +9,7 @@ thresholds and response policies down to MobiWatch at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.oran.ric import NearRtRic

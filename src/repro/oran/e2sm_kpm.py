@@ -14,7 +14,7 @@ Responses): releasing a UE and blocklisting a temporary identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro import wire
 from repro.oran.e2sm import E2smError, ServiceModel

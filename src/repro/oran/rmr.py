@@ -10,7 +10,7 @@ an endpoint, and sends are delivered asynchronously through the simulator
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 

@@ -11,7 +11,7 @@ RIC.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.oran.a1 import (

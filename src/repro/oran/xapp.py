@@ -8,7 +8,7 @@ are built on this class.
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from repro.oran.e2ap import (
     ActionType,

@@ -10,7 +10,7 @@ the E2 RIC agent (the F1/NG link taps feed the telemetry pipeline).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ran.channel import RadioChannel

@@ -11,11 +11,11 @@ has realistic diversity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.ran.channel import RadioChannel
-from repro.ran.identifiers import Guti, Supi, conceal_supi
+from repro.ran.identifiers import Supi, conceal_supi
 from repro.ran.messages import Message
 from repro.ran.nas import (
     AuthenticationFailure,

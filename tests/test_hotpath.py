@@ -37,6 +37,7 @@ from repro.ran.core_network import AmfConfig
 from repro.ran.network import NetworkConfig
 from repro.telemetry import encoder
 from repro.telemetry.mobiflow import MobiFlowRecord
+from tests.reference_scoring import reference_scores
 from tests.test_wire_plans import wire_dict
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ class TestCompiledKernels:
             window=4, feature_dim=9, hidden_dim=12, latent_dim=5, seed=3, aggregate=aggregate
         )
         windows = _windows(17, 4, 9, seed=11)
-        reference = detector.reference_scores(windows)
+        reference = reference_scores(detector, windows)
         fast = detector.scores(windows)
         assert fast.dtype == np.float64
         assert np.array_equal(reference, fast)
@@ -132,7 +133,7 @@ class TestCompiledKernels:
     def test_lstm_float64_bit_identical(self):
         detector = LstmDetector(window=5, feature_dim=7, hidden_dim=10, seed=4)
         windows = _windows(13, 5, 7, seed=12)
-        reference = detector.reference_scores(windows)
+        reference = reference_scores(detector, windows)
         fast = detector.scores(windows)
         assert np.array_equal(reference, fast)
 
@@ -142,7 +143,7 @@ class TestCompiledKernels:
         stale = detector.compiled
         detector.fit(windows, epochs=1)
         assert detector.compiled is not stale
-        assert np.array_equal(detector.scores(windows), detector.reference_scores(windows))
+        assert np.array_equal(detector.scores(windows), reference_scores(detector, windows))
 
     def test_compiled_path_still_validates_shape(self):
         detector = LstmDetector(window=3, feature_dim=4, hidden_dim=6, seed=7)
@@ -237,10 +238,10 @@ class TestRowExactKernels:
         got = kernel(matrix, per_row=True)
         assert got.dtype == np.float64 and got.shape == (n,)
         singles = _single_row_calls(detector.scores, matrix)
-        reference = _single_row_calls(detector.reference_scores, matrix)
+        reference = _single_row_calls(lambda rows: reference_scores(detector, rows), matrix)
         assert got.tobytes() == singles.tobytes()
         assert singles.tobytes() == reference.tobytes()
-        assert detector.reference_scores(matrix, per_row=True).tobytes() == got.tobytes()
+        assert reference_scores(detector, matrix, per_row=True).tobytes() == got.tobytes()
         # A row's score does not depend on its neighbours or its position.
         order = np.random.default_rng(seed).permutation(n)
         permuted = kernel(matrix[order], per_row=True)
@@ -511,7 +512,7 @@ def run_live_reference(detector, **kwargs):
     """``run_live`` with every ``scores()`` call swapped for the layer-walking
     ``reference_scores()`` — the reference the default path must equal."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
+        patch.setattr(AnomalyDetector, "scores", reference_scores)
         return run_live(detector, **kwargs)
 
 
@@ -563,4 +564,4 @@ class TestLiveSeedEquivalence:
             stacked = np.stack([rows[i] for i in event.record_indices])
             padded = np.zeros((config.window, config.spec.dim), dtype=stacked.dtype)
             padded[config.window - len(stacked) :] = stacked
-            assert detector.reference_scores(padded.reshape(1, -1))[0] == event.score
+            assert reference_scores(detector, padded.reshape(1, -1))[0] == event.score

@@ -3,7 +3,7 @@
 
 Unit coverage for the settings, the vectorized retriever and the compiled
 prompt builder every analyst runs (ranking- / byte-identical to their
-references in ``repro.llm``), the verdict cache and trace signatures, and
+references in ``tests/reference_llm.py``), the verdict cache and trace signatures, and
 the analyzer xApp's cache/coalesce ledger — plus the five-scenario live
 decision-identity contract against the default analyzer path.
 """
@@ -23,7 +23,7 @@ from repro.experiments.datasets import BenignDatasetConfig, generate_benign_data
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
 from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
-from repro.llm.prompt import CompiledPromptBuilder, PromptTemplate, parse_data_section
+from repro.llm.prompt import CompiledPromptBuilder, parse_data_section
 from repro.llm.cache import CachedVerdict, LlmfastSettings, VerdictCache, trace_signature
 from repro.oran.ric import NearRtRic
 from repro.ran.links import InterfaceLink
@@ -39,6 +39,7 @@ from tests.llm_traces import (
     null_cipher_trace,
     storm_trace,
 )
+from tests.reference_llm import PromptTemplate, retrieve
 from tests.test_llm import reference_parse_data_section
 from tests.test_megabatch import ATTACK_SCENARIOS, NonzeroCountDetector
 
@@ -115,20 +116,20 @@ class TestVectorizedRetrieval:
         retriever = VectorizedRetriever(knowledge)
         for records in distinct_traces(16):
             for top_k in (1, 2, 4, 10):
-                assert retriever.retrieve(records, top_k=top_k) == knowledge.retrieve(
-                    records, top_k=top_k
+                assert retriever.retrieve(records, top_k=top_k) == retrieve(
+                    knowledge, records, top_k=top_k
                 )
 
     def test_empty_and_unknown_traces(self):
         knowledge = CellularKnowledgeBase()
         retriever = VectorizedRetriever(knowledge)
-        assert retriever.retrieve([]) == knowledge.retrieve([])
+        assert retriever.retrieve([]) == retrieve(knowledge, [])
         unknown = [
             MobiFlowRecord(
                 timestamp=0.0, msg="TotallyUnknownMessage", protocol="RRC", direction="UL"
             )
         ]
-        assert retriever.retrieve(unknown) == knowledge.retrieve(unknown)
+        assert retriever.retrieve(unknown) == retrieve(knowledge, unknown)
 
     def test_result_memo_hits_on_duplicates(self):
         retriever = VectorizedRetriever(CellularKnowledgeBase())
@@ -154,7 +155,7 @@ class TestCompiledPrompts:
         knowledge = CellularKnowledgeBase()
         builder = CompiledPromptBuilder()
         for records in distinct_traces(16):
-            snippets = knowledge.retrieve(records)
+            snippets = retrieve(knowledge, records)
             if not snippets:
                 continue
             template = PromptTemplate()
@@ -185,7 +186,7 @@ def _signature(records, model="chatgpt-4o", use_rag=False):
     engine = AnalysisEngine(CellularKnowledgeBase())
     snippets = ()
     if use_rag:
-        snippets = tuple(CellularKnowledgeBase().retrieve(records))
+        snippets = tuple(retrieve(CellularKnowledgeBase(), records))
     return trace_signature(
         records, engine.analyze(records), model=model, use_rag=use_rag, snippets=snippets
     )
@@ -260,12 +261,13 @@ class TestAnalystFastPath:
 
     def test_default_analyst_equals_reference_retrieval_and_prompt(self):
         """What every analyst runs vs the references it replaced as defaults:
-        ``CellularKnowledgeBase.retrieve`` and ``PromptTemplate.render``."""
+        the retrieval loop and ``PromptTemplate.render`` of
+        ``tests/reference_llm.py``."""
         analyst, _ = self._analysts()
         knowledge = CellularKnowledgeBase()
         for records in distinct_traces(16):
             snippets = analyst.retrieve_snippets(records)
-            assert snippets == knowledge.retrieve(records)
+            assert snippets == retrieve(knowledge, records)
             assert analyst.build_prompt(records) == PromptTemplate().render(records)
             assert analyst.build_prompt(records, snippets) == PromptTemplate(
                 retrieved_snippets=list(snippets)
@@ -550,7 +552,7 @@ class TestLiveScenarioDecisionIdentity:
             records = seed_run.mobiwatch.context_for(
                 event.anomaly, seed_run.config.llm_context_records
             )
-            reference = PromptTemplate(retrieved_snippets=knowledge.retrieve(records))
+            reference = PromptTemplate(retrieved_snippets=retrieve(knowledge, records))
             assert event.verdict.prompt == reference.render(records)
             # ... and read back by a provider that remembers lines as by one
             # that parses every prompt from scratch.

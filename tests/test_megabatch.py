@@ -42,6 +42,7 @@ from repro.ran.links import InterfaceLink
 from repro.ran.network import NetworkConfig
 from repro.sim import Simulator
 from repro.telemetry.mobiflow import MobiFlowRecord
+from tests.reference_scoring import reference_scores
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def run_live(
     """
     if reference_scorer:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(AnomalyDetector, "scores", AnomalyDetector.reference_scores)
+            patch.setattr(AnomalyDetector, "scores", reference_scores)
             return run_live(
                 detector, attack, seed, until, net_kwargs, deploy_copy=deploy_copy, fleet=fleet
             )

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ml.layers import Dense, Parameter, ReLU, Sequential, Sigmoid, Tanh
-from repro.ml.losses import mse_loss, per_sample_mse
+from repro.ml.losses import mse_loss
 from repro.ml.optim import Adam, Sgd
+from tests.reference_scoring import per_sample_mse
 
 
 def numeric_gradient(f, x, eps=1e-6):

@@ -15,6 +15,7 @@ from repro.ml import (
     confusion_matrix,
 )
 from repro.ml.losses import mse_loss
+from tests.reference_scoring import per_slot_errors, reconstruction_errors
 
 
 def synthetic_patterns(n, dim, rng, anomaly=False):
@@ -48,8 +49,8 @@ class TestAutoencoder:
         anomalous = synthetic_patterns(50, 40, rng, anomaly=True)
         model = Autoencoder(input_dim=40, hidden_dim=32, latent_dim=8, seed=1)
         model.fit(benign, epochs=30, lr=3e-3)
-        benign_scores = model.reconstruction_errors(benign)
-        anomaly_scores = model.reconstruction_errors(anomalous)
+        benign_scores = reconstruction_errors(model, benign)
+        anomaly_scores = reconstruction_errors(model, anomalous)
         assert anomaly_scores.mean() > 3 * benign_scores.mean()
 
     def test_empty_training_rejected(self):
@@ -69,7 +70,7 @@ class TestAutoencoder:
         def run():
             model = Autoencoder(input_dim=20, hidden_dim=16, latent_dim=4, seed=5)
             model.fit(data, epochs=5)
-            return model.reconstruction_errors(data)
+            return reconstruction_errors(model, data)
 
         assert np.array_equal(run(), run())
 
@@ -236,7 +237,7 @@ class TestDetectors:
         benign = self._window_data(rng, 30)
         detector = AutoencoderDetector(window=4, feature_dim=10, seed=1)
         detector.fit(benign, epochs=2)
-        slots = detector.per_slot_errors(benign)
+        slots = per_slot_errors(detector, benign)
         assert slots.shape == (30, 4)
         assert np.allclose(slots.max(axis=1), detector.scores(benign))
 

@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.prompt import format_records, parse_data_section
+from repro.llm.prompt import parse_data_section
 from repro.oran.zerotrust import E2Authenticator
 from repro.telemetry.encoder import decode_batch, decode_record, encode_batch, encode_record
 from repro.telemetry.features import FeatureSpec, WindowedDataset
 from repro.telemetry.mobiflow import MobiFlowRecord, TelemetrySeries
+from tests.reference_llm import format_records
 
 MESSAGE_NAMES = st.sampled_from(
     [

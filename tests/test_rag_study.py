@@ -6,6 +6,7 @@ from repro.experiments.datasets import AttackDatasetConfig
 from repro.experiments.rag_study import RagStudyConfig, run_rag_study
 from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
 from repro.llm.profiles import FINETUNED_PROFILE, MODEL_PROFILES
+from tests.reference_llm import retrieve
 
 SMALL_ATTACK = AttackDatasetConfig(
     bts_dos_instances=1,
@@ -64,8 +65,8 @@ class TestRagStudy:
         knowledge = CellularKnowledgeBase()
         retriever = VectorizedRetriever(knowledge)
         for case in result.cases:
-            assert retriever.retrieve(case.records) == knowledge.retrieve(
-                case.records
+            assert retriever.retrieve(case.records) == retrieve(
+                knowledge, case.records
             ), case.name
 
 

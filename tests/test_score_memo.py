@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.ml import compiled as compiled_module
 from repro.ml.compiled import SCORE_MEMO_CAPACITY
 from repro.obs.metrics import MetricsRegistry
+from tests.reference_scoring import reference_scores
 from tests.test_hotpath import (
     _ROW_DETECTORS,
     _ROW_DIM,
@@ -83,7 +84,7 @@ class TestMemoNeverChangesAScore:
         rng = np.random.default_rng(seed)
         scored = 0
         for matrix in batches:
-            want = detector.reference_scores(matrix, per_row=True)
+            want = reference_scores(detector, matrix, per_row=True)
             order = rng.permutation(len(matrix))
             # Cold or warm, repeated, permuted, widened without a value change.
             variants = [(matrix, want), (matrix, want), (matrix[order], want[order])]
@@ -116,7 +117,7 @@ class TestMemoNeverChangesAScore:
         ints = (_row_batch(4, "one-hot", 2) * 3).astype(np.int32)
         aliased = ints.view(np.float32)
         for matrix in (aliased, ints, aliased):
-            want = detector.reference_scores(np.asarray(matrix, dtype=np.float64), per_row=True)
+            want = reference_scores(detector, np.asarray(matrix, dtype=np.float64), per_row=True)
             assert detector.scores(matrix, per_row=True).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", _KINDS)
@@ -129,7 +130,7 @@ class TestMemoNeverChangesAScore:
         nan[0, 7] = np.nan
         matrix = np.concatenate([row, signed, nan, row, nan])
         got = detector.scores(matrix, per_row=True)
-        assert got.tobytes() == detector.reference_scores(matrix, per_row=True).tobytes()
+        assert got.tobytes() == reference_scores(detector, matrix, per_row=True).tobytes()
         assert np.isnan(got[[2, 4]]).all() and not np.isnan(got[[0, 1, 3]]).any()
         assert _memo_counts(registry, detector)[:3] == (2, 3, 3)
 
@@ -150,7 +151,7 @@ class TestMemoIsBounded:
             for step, n in enumerate(heights):
                 matrix = _row_batch(n, "one-hot", seed + step % 2)
                 got = detector.scores(matrix, per_row=True)
-                assert got.tobytes() == detector.reference_scores(matrix, per_row=True).tobytes()
+                assert got.tobytes() == reference_scores(detector, matrix, per_row=True).tobytes()
                 assert _memo_counts(registry, detector)[2] <= 8
 
     def test_capacity_is_at_most_seven_mib_of_keys_at_the_deployed_geometry(self):
@@ -187,7 +188,7 @@ class TestMemoLifetime:
         assert _memo_counts(registry, detector)[2] == 0
         # New weights, new scores: nothing of the old snapshot answers.
         got = detector.scores(matrix, per_row=True)
-        assert got.tobytes() == detector.reference_scores(matrix, per_row=True).tobytes()
+        assert got.tobytes() == reference_scores(detector, matrix, per_row=True).tobytes()
         assert _memo_counts(registry, detector)[:2] == (0, 21)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -201,7 +202,7 @@ class TestMemoLifetime:
         detector.fit(rng.normal(size=(48, _WIDTH)) * (rng.random((48, _WIDTH)) < 0.2), epochs=1)
         for n in (1, 3):
             matrix = _row_batch(n, "dense", 40 + n)
-            want = detector.reference_scores(matrix, per_row=True)
+            want = reference_scores(detector, matrix, per_row=True)
             assert detector.scores(matrix, per_row=True).tobytes() == want.tobytes()
         # With finite weights that product is all zeros whatever they are; an
         # infinite recurrent weight makes a stale one visible (NaN vs finite).
@@ -209,7 +210,7 @@ class TestMemoLifetime:
         detector.recompile()
         for n in (1, 3):
             matrix = _row_batch(n, "dense", 50 + n)
-            want = detector.reference_scores(matrix, per_row=True)
+            want = reference_scores(detector, matrix, per_row=True)
             assert np.isnan(want).all()
             assert detector.scores(matrix, per_row=True).tobytes() == want.tobytes()
 

@@ -3,9 +3,9 @@ export, provenance.
 
 Covers the plane's contracts: burn-rate math over the engine's sliding
 windows, the alert state machine's dwell times and flap suppression,
-OpenMetrics exposition shape, profiler self-time attribution, the
-provenance evidence chain's SDL round trip, and the obs bench's gating
-logic. Everything runs on explicit fake clocks — no wall-clock sleeps.
+OpenMetrics exposition shape, profiler self-time attribution and the
+provenance evidence chain's SDL round trip. Everything runs on explicit
+fake clocks — no wall-clock sleeps.
 """
 
 import json
@@ -13,9 +13,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench import driver
-from repro.bench import obs as obs_bench
-from repro.bench.obs import ObsBenchResult
 from repro.core.config import XsecConfig
 from repro.core.framework import SixGXSec
 from repro.ml.compiled import PROFILE_SAMPLE
@@ -645,30 +642,3 @@ class TestHotpathInstrumentation:
         assert row["calls"] == PROFILE_SAMPLE
         assert row["total_s"] > 0
 
-
-def violations(result, baseline=None):
-    return driver.violations(obs_bench, result, baseline)
-
-
-class TestObsBenchGating:
-    def _result(self, overhead_pct):
-        result = ObsBenchResult()
-        result.per_tick = {"overhead_pct": overhead_pct}
-        result.equality = {"observed_scores_exact": True}
-        return result
-
-    def test_ceiling(self):
-        assert violations(self._result(2.9)) == []
-        failures = violations(self._result(3.1))
-        assert any("ceiling" in f for f in failures)
-
-    def test_equality_breaks_gate(self):
-        result = self._result(0.5)
-        result.equality["observed_scores_exact"] = False
-        assert any("equality" in f for f in violations(result))
-
-    def test_baseline_creep_is_additive(self):
-        baseline = {"per_tick": {"overhead_pct": 0.5}}
-        assert violations(self._result(2.4), baseline) == []
-        failures = violations(self._result(2.6), baseline)
-        assert any("crept" in f for f in failures)

@@ -33,6 +33,7 @@ from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.features import FeatureSpec, WindowedDataset
 
 from tests import reference_training
+from tests.reference_scoring import reference_scores
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def _reference_fit(detector, windows, **train_kwargs) -> None:
         reference_training.lstm_fit(detector.model, *detector._split(windows), **train_kwargs)
     else:
         reference_training.autoencoder_fit(detector.model, windows, **train_kwargs)
-    detector.training_scores = detector.reference_scores(windows)
+    detector.training_scores = reference_scores(detector, windows)
     detector.threshold.fit(detector.training_scores)
 
 
@@ -187,6 +188,6 @@ class TestDetectorRouting:
         stale = detector.compiled
         detector.fit(benign_windows, epochs=2)
         assert detector.compiled is not stale
-        reference = detector.reference_scores(benign_windows)
+        reference = reference_scores(detector, benign_windows)
         assert np.array_equal(detector.training_scores, reference)
         assert detector.scores(benign_windows).tobytes() == reference.tobytes()

@@ -13,6 +13,7 @@ from repro.ml.training import (
     train_lstm,
     train_minibatch,
 )
+from tests.reference_scoring import reconstruction_errors
 
 
 class LinearTrainable:
@@ -93,8 +94,8 @@ class TestModelAdapters:
         # The trained model reconstructs better than an untrained clone.
         fresh = Autoencoder(input_dim=20, hidden_dim=16, latent_dim=4, seed=99)
         assert (
-            model.reconstruction_errors(data).mean()
-            < fresh.reconstruction_errors(data).mean()
+            reconstruction_errors(model, data).mean()
+            < reconstruction_errors(fresh, data).mean()
         )
 
     def test_train_autoencoder_shape_check(self):
