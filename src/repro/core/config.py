@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.llm.cache import LlmfastSettings
 from repro.telemetry.features import FeatureSpec
 
 
@@ -64,11 +63,6 @@ class XsecConfig:
     # docs/OBSERVABILITY.md).
     slo_enabled: bool = False
     slo_export_path: Optional[str] = None
-
-    # Verdict-plane fast path (repro.llm.cache): content-addressed verdict
-    # cache + in-flight coalescing. Defaults send one provider request per
-    # query (see docs/PERFORMANCE.md, "Verdict plane").
-    llmfast: LlmfastSettings = field(default_factory=LlmfastSettings)
 
     def __post_init__(self) -> None:
         if self.train_epochs < 1:

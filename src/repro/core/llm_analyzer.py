@@ -8,17 +8,15 @@ latency), parses the text into classification / explanation / attribution
 escalate to human supervision), and publishes verdict events for the
 closed-loop responder.
 
-Every query takes one submit path.  With ``XsecConfig.llmfast`` flags on
-(defaults off) anomalies whose canonical trace signature already has a
-cached analysis resolve without a provider round trip, and concurrent
-identical queries coalesce onto one pending request whose verdict fans out
-to every waiter.  The ledger invariant ``offered == analyzed + coalesced +
-cache_hits + pending`` holds at every instant.
+Every query that survives the per-session cooldown is one provider round
+trip over its own context records, and its verdict is delivered for its
+own anomaly only.  The ledger invariant ``offered == analyzed + pending``
+holds at every instant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.config import XsecConfig
@@ -52,17 +50,6 @@ class VerdictEvent:
         return self.verdict.needs_human_review
 
 
-@dataclass
-class _PendingQuery:
-    """One in-flight provider request."""
-
-    event: AnomalyEvent
-    records: list
-    signature: object = None
-    # Coalesced anomalies waiting on this request's verdict.
-    waiters: list = field(default_factory=list)
-
-
 class LlmAnalyzerXApp(XApp):
     """Expert-referencing xApp chained behind MobiWatch."""
 
@@ -78,33 +65,25 @@ class LlmAnalyzerXApp(XApp):
         self.config = config or XsecConfig()
         self.mobiwatch = mobiwatch
         self.server = server or SimulatedLlmServer()
-        llmfast = self.config.llmfast
         self.analyst = ExpertAnalyst(
             client=LlmClient(server=self.server, model=self.config.llm_model),
             use_rag=self.config.llm_use_rag,
-            llmfast=llmfast,
         )
         self.verdicts: list[VerdictEvent] = []
         self.human_review_queue: list[VerdictEvent] = []
         self._callbacks: list[VerdictCallback] = []
         self._session_last_query: dict[int, float] = {}
+        # The ledger: every query that survived the cooldown was sent, and
+        # is either analyzed or still pending on the provider.
         self.queries_sent = 0
+        self.analyzed = 0
+        self.pending = 0
         self.queries_suppressed = 0
         # Explicit monotonic verdict-key counter: SDL keys must not be
         # coupled to len(self.verdicts) (list length wraps key identity
         # past the pad width and breaks if the list is ever pruned).
         self._verdict_seq = 0
-        # The ledger.  Terminal outcomes for every offered anomaly (one
-        # that survived the cooldown): a full provider round trip
-        # (analyzed), joining an in-flight request (coalesced), or a
-        # verdict-cache hit (cache_hits); pending covers the rest.
-        self.offered = 0
-        self.analyzed = 0
-        self.coalesced = 0
-        self.cache_hits = 0
-        self.pending = 0
         self.sessions_evicted = 0
-        self._inflight: dict = {}
         metrics = self.sim.obs.metrics
         self._queries_counter = metrics.counter(
             "llm.queries_total", help="LLM queries issued"
@@ -127,18 +106,6 @@ class LlmAnalyzerXApp(XApp):
         self._review_counter = metrics.counter(
             "llm.human_review_total", help="contradictions escalated to humans"
         )
-        # Verdict-plane counters (gated: a flag that is off creates no
-        # metric series).
-        self._cache_hits_counter = None
-        self._coalesced_counter = None
-        if llmfast.verdict_cache:
-            self._cache_hits_counter = metrics.counter(
-                "llm.cache_hits_total", help="verdicts served from the cache"
-            )
-        if llmfast.coalesce:
-            self._coalesced_counter = metrics.counter(
-                "llm.coalesced_total", help="queries joined to an in-flight request"
-            )
         # Bugfix: _session_last_query grew without bound — MobiWatch's
         # session eviction never reached analyzer state.  Prune the
         # cooldown ledger whenever MobiWatch evicts the session
@@ -187,12 +154,12 @@ class LlmAnalyzerXApp(XApp):
     def ledger(self) -> dict:
         """The query accounting; the invariant must always hold."""
         return {
-            "offered": self.offered,
+            "offered": self.queries_sent,
             "analyzed": self.analyzed,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            # Nothing sheds a query; the frozen benchmarks/e2e harness sums
-            # this term.
+            # Always 0: no query is joined to another, answered from a
+            # cache or shed. The frozen benchmarks/e2e harness sums these.
+            "coalesced": 0,
+            "cache_hits": 0,
             "shed": 0,
             "pending": self.pending,
         }
@@ -272,31 +239,6 @@ class LlmAnalyzerXApp(XApp):
     # -- the submit path -----------------------------------------------------
 
     def _submit(self, event: AnomalyEvent, records) -> None:
-        llmfast = self.config.llmfast
-        self.offered += 1
-        # Both None by default: a signature needs the verdict cache or
-        # coalescing on, a cached verdict the cache on and holding it.
-        signature = self.analyst.signature_for(records)
-        verdict = self.analyst.cached_verdict(signature, detector_flagged=True)
-        if verdict is not None:
-            self.cache_hits += 1
-            self._cache_hits_counter.inc()
-            # The verdict is already resolved; deliver it on the next sim
-            # step (no provider round trip, no WAN latency).
-            self.schedule(
-                0.0,
-                lambda: self._deliver(event, verdict),
-                name=f"{self.name}.llm-cached",
-            )
-            return
-        if llmfast.coalesce and signature is not None:
-            inflight = self._inflight.get(signature)
-            if inflight is not None:
-                inflight.waiters.append(event)
-                self.coalesced += 1
-                self._coalesced_counter.inc()
-                return
-        request = _PendingQuery(event=event, records=records, signature=signature)
         self.pending += 1
         self.queries_sent += 1
         self._queries_counter.inc()
@@ -305,22 +247,15 @@ class LlmAnalyzerXApp(XApp):
         prompt_probe = "".join(r.msg for r in records)
         latency = self.server.latency_for(self.config.llm_model, prompt_probe)
         self._latency_hist.observe(latency)
-        if llmfast.coalesce and signature is not None:
-            self._inflight[signature] = request
         self.schedule(
-            latency, lambda: self._on_response(request), name=f"{self.name}.llm"
+            latency,
+            lambda: self._on_response(event, records),
+            name=f"{self.name}.llm",
         )
 
-    def _on_response(self, request: _PendingQuery) -> None:
-        self._inflight.pop(request.signature, None)
+    def _on_response(self, event: AnomalyEvent, records) -> None:
         with _profiler.profile_block("llm.analyze"), WallTimer(self._analyze_wall):
-            verdict = self.analyst.analyze(
-                request.records, detector_flagged=True, signature=request.signature
-            )
+            verdict = self.analyst.analyze(records, detector_flagged=True)
         self.pending -= 1
         self.analyzed += 1
-        # The verdict fans out to the primary anomaly and every coalesced
-        # waiter.
-        self._deliver(request.event, verdict)
-        for waiter in request.waiters:
-            self._deliver(waiter, verdict)
+        self._deliver(event, verdict)

@@ -291,7 +291,7 @@ class VectorizedRetriever:
     test once and memoized, and traces with the same derived term set (the
     common case for duplicate bursts) reuse the finished ranking.
 
-    The contract — enforced in ``tests/test_llmfast.py`` against the loop
+    The contract — enforced in ``tests/test_llm_analyzer.py`` against the loop
     in ``tests/reference_llm.py`` — is *exact ranking equality*, including
     the ``(-score, signature)`` tie-break and the ``score > 0`` cutoff.
     """

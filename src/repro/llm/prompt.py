@@ -198,7 +198,7 @@ class CompiledPromptBuilder:
     segments (so assembly is a single ``str.join``), interns rendered
     record lines keyed on the (frozen, hashable) record itself, and
     memoizes the rendered RAG block per snippet tuple.  The contract —
-    enforced in ``tests/test_llmfast.py`` against the plain template in
+    enforced in ``tests/test_llm_analyzer.py`` against the plain template in
     ``tests/reference_llm.py`` — is byte-identical output for every input.
     """
 

@@ -46,10 +46,6 @@ class Autoencoder:
         self.model = Sequential(*self.encoder.layers, *self.decoder.layers)
         self._shuffle_rng = np.random.default_rng(seed + 1)
 
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Project inputs to the latent space."""
-        return self.encoder.forward(np.asarray(x, dtype=np.float64))
-
     # -- the trainable protocol of repro.ml.training ------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:

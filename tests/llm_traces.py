@@ -1,16 +1,9 @@
-"""Telemetry traces for the verdict-plane tests.
+"""Telemetry traces for the LLM analyzer tests.
 
 :func:`distinct_traces` builds a deterministic set of structurally
 distinct telemetry sequences (benign, signaling storm, null cipher,
-identity exposure, replay — plus length-varied benigns);
-:func:`duplicate_heavy` tiles them into a workload where each distinct
-shape recurs many times in a deterministic shuffle, the way an incident
-flood re-raises the same handful of trace shapes. :func:`decision_tuple`
-is the part of a verdict a cached answer must keep identical.
+identity exposure, replay — plus length-varied benigns).
 """
-
-import random
-from typing import Optional
 
 from repro.telemetry.mobiflow import MobiFlowRecord
 
@@ -23,8 +16,7 @@ def _rec(t: float, msg: str, session: int = 1, **kwargs) -> MobiFlowRecord:
 
 def benign_trace(session: int = 1, t0: float = 0.0, pad: int = 0) -> list:
     """A clean registration; ``pad`` extra identity round trips vary the
-    msg sequence (and therefore the trace signature) without tripping any
-    attack signature."""
+    msg sequence without tripping any attack signature."""
     seq: list = [
         ("RRCSetupRequest", dict(establishment_cause="mo-Signalling")),
         ("RRCSetup", dict(direction="DL")),
@@ -83,17 +75,13 @@ def null_cipher_trace(session: int = 3, t0: float = 0.0) -> list:
     ]
 
 
-def identity_exposure_trace(session: int = 4, t0: float = 0.0) -> list:
-    records = benign_trace(session=session, t0=t0)
-    out = []
-    for r in records:
-        if r.msg == "RegistrationRequest":
-            fields = r.to_dict()
-            fields["supi"] = "imsi-001010123456789"
-            out.append(MobiFlowRecord(**fields))
-        else:
-            out.append(r)
-    return out
+def identity_exposure_trace(
+    session: int = 4, t0: float = 0.0, supi: str = "imsi-001010123456789"
+) -> list:
+    return [
+        r._replace(supi=supi) if r.msg == "RegistrationRequest" else r
+        for r in benign_trace(session=session, t0=t0)
+    ]
 
 
 def replay_trace(session: int = 5, t0: float = 0.0, replays: int = 4) -> list:
@@ -133,27 +121,3 @@ def distinct_traces(count: int = 16) -> list:
         pad += 1
     return out
 
-
-def duplicate_heavy(
-    traces: list, total: int, seed: int = 11, rng: Optional[random.Random] = None
-) -> list:
-    """Tile ``traces`` to ``total`` queries in a deterministic shuffle."""
-    rng = rng or random.Random(seed)
-    workload = [traces[i % len(traces)] for i in range(total)]
-    rng.shuffle(workload)
-    return workload
-
-
-def decision_tuple(response) -> tuple:
-    """The verdict *decision* — the part the fast path must keep identical.
-
-    Free text (explanation style, evidence timestamps) may differ between
-    a cached and a fresh response; the classification, ranked attacks,
-    attribution, and remediation set may not.
-    """
-    return (
-        response.is_anomalous,
-        tuple(name for name, _ in response.top_attacks),
-        response.attribution,
-        tuple(response.remediations),
-    )

@@ -4,7 +4,7 @@
 and renders through ``CompiledPromptBuilder`` (interned segments and record
 lines). These are the plain versions they replaced: one substring loop per
 article, and one ``str.format`` of the Figure 5 template per prompt.
-``tests/test_llmfast.py`` holds the two to ranking and byte identity. Not
+``tests/test_llm_analyzer.py`` holds the two to ranking and byte identity. Not
 imported by ``src``.
 """
 

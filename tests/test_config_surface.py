@@ -8,8 +8,9 @@ for no behaviour at all (``genfast.sim_fastlane`` was read by nothing;
 ``XsecConfig.history_cap`` by nothing, for as long as only the
 ``*Settings`` families were held to this).
 
-The surface is held whole: settings families and top-level fields count
-alike, and both must be read by the program.
+The surface is held whole: every field is a top-level ``XsecConfig``
+field (the last ``*Settings`` family, ``llmfast``, went with the verdict
+cache), and each must be read by the program.
 """
 
 import ast
@@ -25,46 +26,39 @@ import pytest
 
 import repro
 from repro.core.config import XsecConfig
-from repro.llm.cache import LlmfastSettings
 
 SRC = Path(repro.__file__).parent
 
-# family name on XsecConfig -> its *Settings dataclass
-FAMILIES = {
-    f.name: type(getattr(XsecConfig(), f.name))
-    for f in dataclasses.fields(XsecConfig)
-    if type(getattr(XsecConfig(), f.name)).__name__.endswith("Settings")
-}
-
 # The families dissolved into XsecConfig.scoring (itself deleted since) /
 # evict_on_release / evict_idle_s, ``scale``, folded into ``runtime``,
-# ``slo``, become ``slo_enabled`` / ``slo_export_path``, and ``runtime``,
-# deleted with the one SDL and the one ingest path: their flags stay
+# ``slo``, become ``slo_enabled`` / ``slo_export_path``, ``runtime``,
+# deleted with the one SDL and the one ingest path, and ``llmfast``,
+# deleted with the verdict cache and in-flight coalescing: their flags stay
 # deleted because the family does. A deleted family is named by its class
 # name, a string derived from its XsecConfig field (``scale`` -> "Scale"
 # + "Settings").
 DISSOLVED = {
     f"{family.capitalize()}Settings": family
-    for family in ("hotpath", "megabatch", "trainfast", "scale", "slo", "runtime")
+    for family in ("hotpath", "megabatch", "trainfast", "scale", "slo", "runtime", "llmfast")
 }
-HOTPATH, MEGABATCH, TRAINFAST, SCALE, SLO, RUNTIME = DISSOLVED
+HOTPATH, MEGABATCH, TRAINFAST, SCALE, SLO, RUNTIME, LLMFAST = DISSOLVED
 
 DELETED = [
     (HOTPATH, "compiled"),
     (HOTPATH, "arena"),
     (TRAINFAST, "compiled_trainer"),
     (TRAINFAST, "compiled_scoring"),
-    (LlmfastSettings, "vectorized_rag"),
-    (LlmfastSettings, "compiled_prompts"),
-    (LlmfastSettings, "prompt_cache_capacity"),
+    (LLMFAST, "vectorized_rag"),
+    (LLMFAST, "compiled_prompts"),
+    (LLMFAST, "prompt_cache_capacity"),
     (MEGABATCH, "enabled"),
     # The columnar E2 lane and its whole family (docs/PERFORMANCE.md,
     # "Flag verdicts").
     (XsecConfig, "genfast"),
     # The storm dispatcher.
-    (LlmfastSettings, "dispatch"),
-    (LlmfastSettings, "max_inflight"),
-    (LlmfastSettings, "queue_capacity"),
+    (LLMFAST, "dispatch"),
+    (LLMFAST, "max_inflight"),
+    (LLMFAST, "queue_capacity"),
     # Verification modes: the replay is the tests' oracle, the tolerances
     # their constants.
     (HOTPATH, "incremental_mode"),
@@ -156,6 +150,12 @@ DELETED = [
     (RUNTIME, "sdl_shards"),
     (RUNTIME, "sdl_replication"),
     (RUNTIME, "ingest_flush_records"),
+    # One verdict path: every query is one provider round trip over its own
+    # records. The cache and the coalescing handed one UE's prompt and
+    # verdict to another UE's anomaly.
+    (LLMFAST, "verdict_cache"),
+    (LLMFAST, "coalesce"),
+    (LLMFAST, "cache_capacity"),
 ]
 
 
@@ -170,7 +170,33 @@ def _program_sources(declared_in: Path) -> str:
 
 
 def test_settings_families():
-    assert sorted(FAMILIES) == ["llmfast"]
+    """No field of the surface is a ``*Settings`` family any more."""
+    assert [
+        f.name
+        for f in dataclasses.fields(XsecConfig)
+        if type(getattr(XsecConfig(), f.name)).__name__.endswith("Settings")
+    ] == []
+
+
+def test_field_names_are_unique_across_the_surface():
+    """A name on two settings (a family and the top level, or two families)
+    is one knob described twice, and it blinds the read test below: a field
+    counts as read when ``.name`` appears anywhere in the program, so one
+    copy's reader vouches for the other. No family is left, so this holds
+    the top level against any family that comes back."""
+    defaults = XsecConfig()
+    families = {
+        f.name: type(getattr(defaults, f.name))
+        for f in dataclasses.fields(XsecConfig)
+        if dataclasses.is_dataclass(getattr(defaults, f.name))
+    }
+    names = [
+        field.name
+        for cls in (*families.values(), XsecConfig)
+        for field in dataclasses.fields(cls)
+        if cls is not XsecConfig or field.name not in families
+    ]
+    assert names and sorted({name for name in names if names.count(name) > 1}) == []
 
 
 def test_nothing_outside_the_scale_package_imports_it():
@@ -190,71 +216,14 @@ def test_nothing_outside_the_scale_package_imports_it():
     assert importers == []
 
 
-def test_frozen_benchmark_flag_names():
-    """benchmarks/e2e/workloads.py::FAST_LANES sets these *by name* and skips
-    what it does not find: a rename would silently turn ``replay_storm_fast``
-    into ``replay_storm``. They move only in a benchmark-only PR.
-
-    FAST_LANES also names ``hotpath.dtype``, set to ``"float64"``: with the
-    family gone it is skipped, which changes nothing (float64 is the one
-    precision MobiWatch scores in)."""
-    config = XsecConfig()
-    assert {"verdict_cache", "coalesce"} <= {
-        f.name for f in dataclasses.fields(config.llmfast)
-    }
-
-
-def _names_carrying(cls, field: str) -> list:
-    """The field itself plus the derived members of its settings class that
-    read it (``fast_submit_enabled`` for ``verdict_cache``).
-    Validation is no reader: it names every flag of a family."""
-    names = [field]
-    for name, member in vars(cls).items():
-        function = member.fget if isinstance(member, property) else member
-        if name.startswith("__") or not inspect.isfunction(function):
-            continue
-        if re.search(rf"self\.{field}\b", inspect.getsource(function)):
-            names.append(name)
-    return names
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_every_field_is_read_by_the_program(family):
-    sources = _program_sources(SRC / family / "settings.py")
-    cls = FAMILIES[family]
-    unread = [
-        field.name
-        for field in dataclasses.fields(cls)
-        if not any(
-            re.search(rf"\.{name}\b", sources)
-            for name in _names_carrying(cls, field.name)
-        )
-    ]
-    assert unread == []
-
-
 def test_every_top_level_field_is_read_by_the_program():
     sources = _program_sources(SRC / "core" / "config.py")
     unread = [
         field.name
         for field in dataclasses.fields(XsecConfig)
-        if field.name not in FAMILIES and not re.search(rf"\.{field.name}\b", sources)
+        if not re.search(rf"\.{field.name}\b", sources)
     ]
     assert unread == []
-
-
-def test_field_names_are_unique_across_the_surface():
-    """A name on two settings (a family and the top level, or two families)
-    is one knob described twice, and it blinds the test above: a field
-    counts as read when ``.name`` appears anywhere in the program, so one
-    copy's reader vouches for the other."""
-    names = [
-        field.name
-        for cls in (*FAMILIES.values(), XsecConfig)
-        for field in dataclasses.fields(cls)
-        if cls is not XsecConfig or field.name not in FAMILIES
-    ]
-    assert sorted({name for name in names if names.count(name) > 1}) == []
 
 
 def _owner_name(owner) -> str:
@@ -415,8 +384,8 @@ def test_settings_field_total():
     40 before the twelve-field ``slo`` family became the top-level
     ``slo_enabled`` and ``slo_export_path``; 30 before the ``runtime``
     family (``sdl_shards``, ``sdl_replication``, ``ingest_flush_records``)
-    was deleted with the sharded SDL and the ingest batcher it selected:
-    27 = 3 family + 24 top-level."""
-    family_fields = sum(len(dataclasses.fields(cls)) for cls in FAMILIES.values())
-    top_level = len(dataclasses.fields(XsecConfig)) - len(FAMILIES)
-    assert family_fields + top_level <= 27
+    was deleted with the sharded SDL and the ingest batcher it selected;
+    27 = 3 family + 24 top-level before ``llmfast`` (``verdict_cache``,
+    ``coalesce``, ``cache_capacity``) was deleted with the verdict cache and
+    the in-flight coalescing: 24, all top-level."""
+    assert len(dataclasses.fields(XsecConfig)) <= 24

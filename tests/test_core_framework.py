@@ -9,7 +9,6 @@ from repro.attacks import BtsDosAttack, NullCipherAttack
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
-from repro.llm.cache import LlmfastSettings
 from repro.oran.a1 import DETECTION_POLICY_TYPE
 from repro.oran.smo import JobState
 from repro.ran.network import NetworkConfig
@@ -158,16 +157,12 @@ def trained_lstm():
     return detector
 
 
-def run_deployed(
-    detector, attack=None, net_kwargs=None, percentile=None, observe=None, **settings
-):
+def run_deployed(detector, attack=None, net_kwargs=None, percentile=None, observe=None):
     """One live pipeline run with a pre-trained detector copy deployed.
 
-    ``settings`` are further ``XsecConfig`` fields (``evict_on_release=``,
-    ``llmfast=``); ``observe(xsec)`` runs after the deploy and before the
-    first event.
+    ``observe(xsec)`` runs after the deploy and before the first event.
     """
-    config = XsecConfig(detector=detector.name, train_epochs=6, **settings)
+    config = XsecConfig(detector=detector.name, train_epochs=6)
     xsec = SixGXSec(config, network_config=NetworkConfig(seed=77, **(net_kwargs or {})))
     xsec.deploy_detector(copy.deepcopy(detector))
     if percentile is not None:
@@ -183,38 +178,6 @@ def run_deployed(
         attack(xsec.net).arm()
     xsec.run(until=20.0)
     return xsec
-
-
-class TestFlagCombination:
-    """Release eviction x verdict cache + coalescing: each has its own
-    suite, here they run together."""
-
-    SETTINGS = dict(
-        evict_on_release=True,
-        llmfast=LlmfastSettings(verdict_cache=True, coalesce=True),
-    )
-
-    @pytest.mark.parametrize("scenario", ["bts_dos", "null_cipher"])
-    def test_eviction_and_verdict_cache_compose(self, trained_lstm, scenario):
-        factory, net_kwargs = ATTACK_SCENARIOS[scenario]
-        run = run_deployed(
-            trained_lstm,
-            attack=factory,
-            net_kwargs=net_kwargs,
-            percentile=80.0,
-            **self.SETTINGS,
-        )
-        assert len(run.mobiwatch.anomalies) > 0
-        assert len(run.analyzer.verdicts) > 0
-        ledger = run.analyzer.ledger()
-        assert ledger["offered"] == (
-            ledger["analyzed"]
-            + ledger["coalesced"]
-            + ledger["cache_hits"]
-            + ledger["shed"]
-            + ledger["pending"]
-        ), ledger
-        assert run.mobiwatch.sessions_evicted > 0
 
 
 class TestOneOperatingClock:

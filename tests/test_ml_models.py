@@ -74,11 +74,6 @@ class TestAutoencoder:
 
         assert np.array_equal(run(), run())
 
-    def test_encode_dims(self):
-        model = Autoencoder(input_dim=20, hidden_dim=16, latent_dim=4)
-        latent = model.encode(np.zeros((3, 20)))
-        assert latent.shape == (3, 4)
-
 
 class TestLstmBptt:
     def test_gradient_check_full_bptt(self):
