@@ -12,8 +12,8 @@ Gives operators the paper's workflow without writing code:
   file and print the analysis;
 - ``report``   — regenerate one of the paper's tables/figures;
 - ``obs``      — run the live testbed and dump the observability artifacts:
-  the per-stage closed-loop latency breakdown (capture -> indication -> SDL
-  -> detection -> verdict -> action) and the metrics registry;
+  the per-stage closed-loop latency breakdown (capture -> indication ->
+  detection -> verdict -> action) and the metrics registry;
 - ``slo``      — run the live testbed with the full observability plane on
   (SLO engine, profiler, exporter, provenance) and render per-objective
   attainment/burn (``report``), the alert transition log (``alerts``),
@@ -117,6 +117,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.llm.analyst import ExpertAnalyst
     from repro.llm.client import LlmClient, SimulatedLlmServer
+    from repro.obs.provenance import printable
     from repro.telemetry.persist import load_series
 
     series = load_series(args.data)
@@ -130,7 +131,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     verdict = analyst.analyze(records, detector_flagged=True)
     print(f"model: {args.model} (rag={'on' if args.rag else 'off'})")
-    print(verdict.response.raw_text)
+    print(printable(verdict.response.raw_text))
     if verdict.needs_human_review:
         print("\n!! contradicts the detector verdict: escalate to human review")
     return 0
@@ -253,36 +254,20 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         elif args.action == "profile":
             print(obs.profiler.render())
         else:  # explain
-            provenance_id = args.verdict
-            if provenance_id is None:
-                # Default to the newest incident whose provenance chain is
-                # complete (a cooldown-suppressed anomaly never receives a
-                # verdict, so its chain legitimately ends "(pending)").
-                candidates = [
-                    i.anomaly.provenance_id
+            chain = xsec.pipeline.explain(args.verdict)
+            if chain is None:
+                known = ", ".join(
+                    str(i.anomaly.provenance_id)
                     for i in incidents
                     if i.anomaly.provenance_id is not None
-                ]
-                complete = [
-                    pid
-                    for pid in candidates
-                    if store.get(pid) is not None
-                    and store.get(pid).verdict_completed_at is not None
-                ]
-                if complete:
-                    provenance_id = complete[-1]
-                elif candidates:
-                    provenance_id = candidates[-1]
-            record = store.get(provenance_id)
-            if record is None:
-                known = ", ".join(str(p) for p in sorted(store._records)) or "none"
+                )
                 print(
-                    f"no provenance record {provenance_id!r} (known ids: {known})",
+                    f"no provenance record {args.verdict!r} (known ids: {known or 'none'})",
                     file=sys.stderr,
                 )
                 status = 1
             else:
-                print(record.render())
+                print(chain)
         if args.openmetrics:
             with open(args.openmetrics, "w", encoding="utf-8") as fh:
                 fh.write(render_openmetrics(obs.metrics))

@@ -49,6 +49,12 @@ class VerdictEvent:
     def needs_human_review(self) -> bool:
         return self.verdict.needs_human_review
 
+    @property
+    def top_attack(self) -> str:
+        """The provider's most likely attack name ("" when it named none)."""
+        top_attacks = self.verdict.response.top_attacks
+        return top_attacks[0][0] if top_attacks else ""
+
 
 class LlmAnalyzerXApp(XApp):
     """Expert-referencing xApp chained behind MobiWatch."""
@@ -193,11 +199,7 @@ class LlmAnalyzerXApp(XApp):
                 "session": event.session_id,
                 "model": verdict.model,
                 "verdict": verdict.response.verdict,
-                "top_attack": (
-                    verdict.response.top_attacks[0][0]
-                    if verdict.response.top_attacks
-                    else ""
-                ),
+                "top_attack": result.top_attack,
                 "needs_human_review": verdict.needs_human_review,
                 "completed_at": result.completed_at,
             },
@@ -215,20 +217,6 @@ class LlmAnalyzerXApp(XApp):
             needs_human_review=result.needs_human_review,
         )
         self.sdl.set(SDL_VERDICT_NS, *self._verdict_row(event, result))
-        store = getattr(self.mobiwatch, "provenance", None)
-        if store is not None:
-            store.attach_verdict(
-                event.provenance_id,
-                model=verdict.model,
-                verdict_text=verdict.response.verdict,
-                top_attack=(
-                    verdict.response.top_attacks[0][0]
-                    if verdict.response.top_attacks
-                    else ""
-                ),
-                confirmed=result.confirmed,
-                completed_at=result.completed_at,
-            )
         if result.needs_human_review:
             # Contradictory results require human supervision (§3.3).
             self.human_review_queue.append(result)

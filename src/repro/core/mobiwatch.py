@@ -64,6 +64,10 @@ class AnomalyEvent:
     record_indices: tuple
     # Timestamp of the newest telemetry entry in the window.
     newest_record_ts: float = 0.0
+    # Capture time of the window's first entry, and the sim time the newest
+    # one reached MobiWatch (the loop's capture and indication stages).
+    first_record_ts: Optional[float] = None
+    arrival_ts: Optional[float] = None
     # Evidence chain id (repro.obs provenance); None when slo is disabled.
     provenance_id: Optional[int] = None
 
@@ -77,7 +81,7 @@ class MobiWatchXApp(XApp):
         self.detector: Optional[AnomalyDetector] = None
         self.series = TelemetrySeries()
         self._encoder = self.config.spec.streaming_encoder()
-        # Arrival (ingest) sim-time per record index — feeds the loop traces.
+        # Arrival (ingest) sim-time per record index — stamped on each alarm.
         self._arrival_ts: list[float] = []
         self._session_records: dict[int, list[int]] = {}
         self._alerted_counts: dict[int, int] = {}
@@ -92,6 +96,9 @@ class MobiWatchXApp(XApp):
         # analyzer prunes its per-session cooldown ledger through this).
         self._evict_callbacks: list = []
         self.anomalies: list[AnomalyEvent] = []
+        # Observers notified of each alarm as it is raised (the pipeline
+        # persists its evidence chain through this).
+        self._anomaly_callbacks: list = []
         metrics = self.sim.obs.metrics
         self._records_counter = metrics.counter(
             "mobiwatch.records_total", help="telemetry records ingested"
@@ -452,6 +459,11 @@ class MobiWatchXApp(XApp):
         session id after every successful :meth:`_evict_session`)."""
         self._evict_callbacks.append(callback)
 
+    def on_anomaly(self, callback) -> None:
+        """Register an observer called with each :class:`AnomalyEvent` as
+        it is raised."""
+        self._anomaly_callbacks.append(callback)
+
     def _maybe_alert(
         self,
         session_id: int,
@@ -469,17 +481,11 @@ class MobiWatchXApp(XApp):
         self._detection_latency.observe(max(0.0, detected_at - newest.timestamp))
         provenance_id = None
         if self.provenance is not None:
-            prov = self.provenance.mint(
+            provenance_id = self.provenance.mint(
                 session_id=session_id,
-                detected_at=detected_at,
-                score=score,
-                threshold=threshold,
-                record_indices=tuple(chosen),
                 records=[self.series[i] for i in chosen],
                 detector=self.detector,
-                arrival_ts=self.arrival_time(chosen[-1]),
-            )
-            provenance_id = prov.provenance_id
+            ).provenance_id
         event = AnomalyEvent(
             detected_at=detected_at,
             session_id=session_id,
@@ -489,9 +495,13 @@ class MobiWatchXApp(XApp):
             threshold=threshold,
             record_indices=tuple(chosen),
             newest_record_ts=newest.timestamp,
+            first_record_ts=self.series[chosen[0]].timestamp,
+            arrival_ts=self.arrival_time(chosen[-1]),
             provenance_id=provenance_id,
         )
         self.anomalies.append(event)
+        for callback in self._anomaly_callbacks:
+            callback(event)
         self._anomaly_counter.inc()
         self.log(
             "anomaly detected",
@@ -514,7 +524,7 @@ class MobiWatchXApp(XApp):
     # -- context access (for the analyzer) ---------------------------------------------
 
     def arrival_time(self, record_index: int) -> Optional[float]:
-        """Sim time when the record reached this xApp (loop-trace input)."""
+        """Sim time when the record reached this xApp."""
         if 0 <= record_index < len(self._arrival_ts):
             return self._arrival_ts[record_index]
         return None

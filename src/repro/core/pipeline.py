@@ -1,14 +1,16 @@
 """Closed-loop pipeline: detect -> explain -> respond (Figure 3).
 
-Tracks each incident end-to-end with timestamps (telemetry capture ->
-MobiWatch detection -> LLM verdict -> control action), implements the
-automated-response policy (§5, Automated Network Responses) mapping
-confirmed attack classes to E2 control actions, and keeps the
+Keeps one :class:`IncidentRecord` per alarm, the one record of its journey
+(telemetry capture -> MobiWatch detection -> LLM verdict -> control action)
+that the stage breakdown, the latency report and ``slo explain`` all read;
+implements the automated-response policy (§5, Automated Network Responses)
+mapping confirmed attack classes to E2 control actions, and keeps the
 human-supervision queue for detector/LLM contradictions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,12 +18,13 @@ from repro.core.config import XsecConfig
 from repro.core.llm_analyzer import LlmAnalyzerXApp, VerdictEvent
 from repro.core.mobiwatch import AnomalyEvent, MobiWatchXApp
 from repro.obs import LOOP_STAGES
-from repro.obs.tracing import Tracer
+from repro.obs.metrics import Histogram
+from repro.obs.provenance import render_chain
 
 
 @dataclass
 class IncidentRecord:
-    """One anomaly's journey through the loop."""
+    """One anomaly's journey through the loop: its alarm, verdict and action."""
 
     anomaly: AnomalyEvent
     verdict: Optional[VerdictEvent] = None
@@ -47,6 +50,73 @@ class IncidentRecord:
             return None
         return self.action_at - self.anomaly.detected_at
 
+    def _stage_spans(self) -> list:
+        """``(stage, start, end)`` in sim seconds, in loop order:
+
+        - ``capture``    — oldest -> newest telemetry entry of the window;
+        - ``indication`` — newest capture -> xApp ingest (report batching +
+          E2 transport + RMR hops);
+        - ``detection``  — ingest -> MobiWatch alarm (windowing + inference +
+          short-session maturity);
+        - ``verdict``    — alarm -> parsed LLM verdict;
+        - ``action``     — verdict -> E2 control action issued.
+        """
+        anomaly = self.anomaly
+        spans = []
+        if anomaly.first_record_ts is not None:
+            spans.append(("capture", anomaly.first_record_ts, anomaly.newest_record_ts))
+        start = anomaly.newest_record_ts
+        if anomaly.arrival_ts is not None:
+            spans.append(("indication", start, anomaly.arrival_ts))
+            start = anomaly.arrival_ts
+        spans.append(("detection", start, anomaly.detected_at))
+        start = anomaly.detected_at
+        if self.verdict is not None:
+            spans.append(("verdict", start, self.verdict.completed_at))
+            start = self.verdict.completed_at
+        if self.action_at is not None:
+            spans.append(("action", start, self.action_at))
+        return spans
+
+    def stage_timings_s(self) -> dict:
+        """Per-stage sim-second durations, keyed by :data:`LOOP_STAGES`."""
+        return {stage: max(0.0, end - start) for stage, start, end in self._stage_spans()}
+
+    @property
+    def end_to_end_s(self) -> float:
+        """First stage's start -> last stage's end."""
+        spans = self._stage_spans()
+        return max(end for _, _, end in spans) - min(start for _, start, _ in spans)
+
+    def provenance(self, evidence) -> dict:
+        """The incident's evidence chain, as persisted to ``xsec.provenance``.
+
+        ``evidence`` is the alarm-time :class:`~repro.obs.provenance.ProvenanceRecord`.
+        """
+        anomaly, verdict = self.anomaly, self.verdict
+        return {
+            "provenance_id": evidence.provenance_id,
+            "trace_id": evidence.trace_id,
+            "session_id": anomaly.session_id,
+            "detected_at": anomaly.detected_at,
+            "score": anomaly.score,
+            "threshold": anomaly.threshold,
+            "record_indices": list(anomaly.record_indices),
+            "first_record_ts": anomaly.first_record_ts,
+            "newest_record_ts": anomaly.newest_record_ts,
+            "capture_digest": evidence.capture_digest,
+            "model_snapshot_id": evidence.model_snapshot_id,
+            "threshold_snapshot_id": evidence.threshold_snapshot_id,
+            "stage_timings_s": self.stage_timings_s(),
+            "verdict_model": verdict.verdict.model if verdict else "",
+            "verdict_text": verdict.verdict.response.verdict if verdict else "",
+            "verdict_top_attack": verdict.top_attack if verdict else "",
+            "verdict_confirmed": verdict.confirmed if verdict else None,
+            "verdict_completed_at": verdict.completed_at if verdict else None,
+            "action": self.action,
+            "action_at": self.action_at,
+        }
+
 
 class ClosedLoopPipeline:
     """Wires MobiWatch -> LLM analyzer -> automated responses."""
@@ -67,6 +137,11 @@ class ClosedLoopPipeline:
         # Observe anomalies as MobiWatch emits them (shared list reference).
         self._seen_anomalies = 0
         self._action_counters: dict[str, object] = {}
+        # The alarm-time evidence store (slo_enabled only): each incident's
+        # chain is persisted when it is raised, decided and acted on.
+        self._provenance = mobiwatch.provenance
+        if self._provenance is not None:
+            mobiwatch.on_anomaly(lambda _event: self.poll_anomalies())
 
     def _count_action(self, action: str) -> None:
         counter = self._action_counters.get(action)
@@ -82,10 +157,22 @@ class ClosedLoopPipeline:
         """Fold newly emitted MobiWatch anomalies into incident records."""
         while self._seen_anomalies < len(self.mobiwatch.anomalies):
             anomaly = self.mobiwatch.anomalies[self._seen_anomalies]
-            incident = IncidentRecord(anomaly=anomaly)
-            self.incidents.append(incident)
-            self._by_anomaly[id(anomaly)] = incident
             self._seen_anomalies += 1
+            self._persist(self._add_incident(anomaly))
+
+    def _add_incident(self, anomaly: AnomalyEvent) -> IncidentRecord:
+        incident = IncidentRecord(anomaly=anomaly)
+        self.incidents.append(incident)
+        self._by_anomaly[id(anomaly)] = incident
+        return incident
+
+    def _persist(self, incident: IncidentRecord) -> None:
+        store = self._provenance
+        if store is None:
+            return
+        evidence = store.get(incident.anomaly.provenance_id)
+        if evidence is not None:
+            store.persist(incident.provenance(evidence))
 
     # -- verdict handling -------------------------------------------------------
 
@@ -93,20 +180,15 @@ class ClosedLoopPipeline:
         self.poll_anomalies()
         incident = self._by_anomaly.get(id(event.anomaly))
         if incident is None:
-            incident = IncidentRecord(anomaly=event.anomaly)
-            self.incidents.append(incident)
-            self._by_anomaly[id(event.anomaly)] = incident
+            incident = self._add_incident(event.anomaly)
         incident.verdict = event
+        self._persist(incident)
         if event.confirmed:
             self._respond(incident, event)
 
     def _respond(self, incident: IncidentRecord, event: VerdictEvent) -> None:
         """Map the confirmed attack class to an E2 control action."""
-        top = (
-            event.verdict.response.top_attacks[0][0].lower()
-            if event.verdict.response.top_attacks
-            else ""
-        )
+        top = event.top_attack.lower()
         anomaly = event.anomaly
         if self.config.auto_blocklist and "tmsi" in top and anomaly.s_tmsi is not None:
             self.mobiwatch.blocklist_tmsi(anomaly.s_tmsi)
@@ -131,13 +213,7 @@ class ClosedLoopPipeline:
             self.actions_taken.append(("release_ue", {"rnti": anomaly.rnti}))
             self._count_action("release_ue")
         if incident.action:
-            store = getattr(self.mobiwatch, "provenance", None)
-            if store is not None:
-                store.attach_action(
-                    anomaly.provenance_id,
-                    action=incident.action,
-                    action_at=incident.action_at,
-                )
+            self._persist(incident)
 
     # -- reporting ------------------------------------------------------------------
 
@@ -191,80 +267,64 @@ class ClosedLoopPipeline:
             "response_s": stats(response),
         }
 
-    # -- loop tracing (repro.obs) ---------------------------------------------------
-
-    def loop_tracer(self) -> Tracer:
-        """One trace per incident, reconstructed from the loop's timestamps.
-
-        Stage spans (sim seconds), in loop order:
-
-        - ``capture``    — oldest -> newest telemetry entry of the flagged window;
-        - ``indication`` — newest capture -> xApp ingest (report batching +
-          E2 transport + RMR hops);
-        - ``sdl_write``  — zero-width marker at ingest (its cost is wall-clock,
-          see the ``sdl.write_wall_s`` histogram);
-        - ``detection``  — ingest -> MobiWatch alarm (windowing + inference +
-          short-session maturity);
-        - ``verdict``    — alarm -> parsed LLM verdict;
-        - ``action``     — verdict -> E2 control action issued.
-        """
-        self.poll_anomalies()
-        mobiwatch = self.mobiwatch
-        tracer = Tracer()
-        for incident in self.incidents:
-            anomaly = incident.anomaly
-            trace = tracer.trace("mobiflow-incident", session=anomaly.session_id)
-            indices = anomaly.record_indices
-            newest_ts = anomaly.newest_record_ts
-            if indices:
-                first_ts = mobiwatch.series[indices[0]].timestamp
-                trace.span("capture", start=first_ts, end=newest_ts, records=len(indices))
-                arrival = mobiwatch.arrival_time(indices[-1])
-            else:
-                arrival = None
-            if arrival is not None:
-                trace.span("indication", start=newest_ts, end=arrival)
-                trace.span("sdl_write", start=arrival, end=arrival)
-                detection_start = arrival
-            else:
-                detection_start = newest_ts
-            trace.span(
-                "detection",
-                start=detection_start,
-                end=anomaly.detected_at,
-                score=anomaly.score,
-            )
-            if incident.verdict is not None:
-                trace.span(
-                    "verdict",
-                    start=anomaly.detected_at,
-                    end=incident.verdict.completed_at,
-                    confirmed=incident.verdict.confirmed,
-                )
-            if incident.action_at is not None:
-                action_start = (
-                    incident.verdict.completed_at
-                    if incident.verdict is not None
-                    else anomaly.detected_at
-                )
-                trace.span(
-                    "action",
-                    start=action_start,
-                    end=incident.action_at,
-                    action=incident.action,
-                )
-        return tracer
+    # -- the loop's stages, read from the incidents ---------------------------------
 
     def stage_breakdown(self) -> dict:
-        """Per-stage latency stats over every incident's loop trace."""
-        return self.loop_tracer().stage_breakdown(list(LOOP_STAGES))
+        """Per-stage latency stats over every incident, in loop order."""
+        self.poll_anomalies()
+        stages = {stage: Histogram() for stage in LOOP_STAGES}
+        for incident in self.incidents:
+            for stage, value in incident.stage_timings_s().items():
+                stages[stage].observe(value)
+        return {stage: h.stats() for stage, h in stages.items() if h.count}
 
     def render_stage_breakdown(self) -> str:
-        tracer = self.loop_tracer()
-        return tracer.render_breakdown(
-            list(LOOP_STAGES),
-            title=(
-                f"closed-loop stage latency over {len(tracer.traces)} incidents "
-                "(sim seconds; near-RT budget: capture->alarm within 1s)"
-            ),
-        )
+        breakdown = self.stage_breakdown()
+        lines = [
+            f"closed-loop stage latency over {len(self.incidents)} incidents "
+            "(sim seconds; near-RT budget: capture->alarm within 1s)",
+            f"  {'stage':<12} {'n':>6} {'mean':>10} {'p50':>10} {'p99':>10} {'max':>10}",
+        ]
+        for stage, stats in breakdown.items():
+            lines.append(
+                f"  {stage:<12} {stats['n']:>6} {stats['mean']:>10.4f} "
+                f"{stats['p50']:>10.4f} {stats['p99']:>10.4f} {stats['max']:>10.4f}"
+            )
+        if self.incidents:
+            # The critical path: each incident's longest stage (the first, on a tie).
+            dominant: Counter = Counter()
+            end_to_end = Histogram()
+            for incident in self.incidents:
+                timings = incident.stage_timings_s()
+                dominant[max(timings, key=timings.get)] += 1
+                end_to_end.observe(incident.end_to_end_s)
+            counts = ", ".join(f"{stage} ({n})" for stage, n in dominant.most_common())
+            e2e = end_to_end.stats()
+            lines += [
+                f"  critical path dominated by: {counts}",
+                f"  end-to-end: mean={e2e['mean']:.4f}s p50={e2e['p50']:.4f}s "
+                f"max={e2e['max']:.4f}s",
+            ]
+        return "\n".join(lines)
+
+    def explain(self, provenance_id: Optional[int] = None) -> Optional[str]:
+        """Render one incident's evidence chain (``slo explain``).
+
+        The default is the newest incident with a verdict (a cooldown-
+        suppressed alarm never receives one, so its chain legitimately ends
+        "(pending)"), else the newest. None when the SLO plane is off or no
+        incident has that id.
+        """
+        self.poll_anomalies()
+        store = self._provenance
+        if store is None:
+            return None
+        chained = [i for i in self.incidents if store.get(i.anomaly.provenance_id)]
+        if provenance_id is None:
+            chained = [i for i in chained if i.verdict is not None] or chained
+        else:
+            chained = [i for i in chained if i.anomaly.provenance_id == provenance_id]
+        if not chained:
+            return None
+        incident = chained[-1]
+        return render_chain(incident.provenance(store.get(incident.anomaly.provenance_id)))

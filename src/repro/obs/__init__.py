@@ -6,9 +6,11 @@ docstrings for details):
 - :mod:`repro.obs.metrics` — counters / gauges / histograms with labeled
   series, snapshot/reset and text export;
 - :mod:`repro.obs.logging` — leveled structured events with a ring buffer
-  and pluggable sinks (library code never ``print()``\\ s);
-- :mod:`repro.obs.tracing` — spans reconstructed over the closed control
-  loop, with a per-stage latency breakdown and critical-path report.
+  and pluggable sinks (library code never ``print()``\\ s).
+
+The closed loop's per-stage latency comes from the incidents: each
+``repro.core.pipeline.IncidentRecord`` computes its own timings over
+:data:`LOOP_STAGES`, and the pipeline's breakdown aggregates them.
 
 The SLO plane, built when ``XsecConfig.slo_enabled`` is set:
 
@@ -19,8 +21,9 @@ The SLO plane, built when ``XsecConfig.slo_enabled`` is set:
   per-stage self time and collapsed (flamegraph) stacks;
 - :mod:`repro.obs.exporter` — OpenMetrics text exposition, JSONL
   snapshots on the sim clock, and the component health scoreboard;
-- :mod:`repro.obs.provenance` — the evidence chain behind every anomaly /
-  verdict / action, rendered by ``python -m repro slo explain``.
+- :mod:`repro.obs.provenance` — the alarm-time evidence (window digest,
+  model and threshold snapshots) behind every incident, whose chain
+  ``python -m repro slo explain`` renders.
 
 Everything here is stdlib-only (plus :mod:`repro.telemetry`'s codec inside
 one function) so any layer (sim, oran, telemetry, ml, core) can
@@ -47,14 +50,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     WallTimer,
 )
-from repro.obs.tracing import Span, Trace, Tracer
 
-# Canonical stage names of the closed loop, in loop order — used by the
-# pipeline's trace builder, the CLI renderer, and the benchmark artifacts.
+# Canonical stage names of the closed loop, in loop order — the keys of an
+# incident's stage timings, its evidence chain and the pipeline's breakdown.
 LOOP_STAGES = (
     "capture",
     "indication",
-    "sdl_write",
     "detection",
     "verdict",
     "action",
@@ -70,9 +71,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "WallTimer",
-    "Tracer",
-    "Trace",
-    "Span",
     "LOOP_STAGES",
     "DEBUG",
     "INFO",

@@ -1,8 +1,8 @@
-"""Tests for the ``repro.obs`` observability package and loop tracing.
+"""Tests for the ``repro.obs`` observability package and the loop's stages.
 
-Covers the always-on pillars (metrics registry, structured logger, tracer),
-their integration with the simulation engine, and the closed-loop
-pipeline's incident latency edge cases + trace reconstruction.
+Covers the always-on pillars (metrics registry, structured logger), their
+integration with the simulation engine, and the closed-loop pipeline's
+incident latency edge cases + per-incident stage timings.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     WallTimer,
 )
-from repro.obs.tracing import Tracer
 from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
 
@@ -207,60 +206,6 @@ class TestLogging:
 
 
 # ---------------------------------------------------------------------------
-# tracing
-# ---------------------------------------------------------------------------
-
-
-class TestTracing:
-    def test_reconstructed_spans_and_durations(self):
-        tracer = Tracer()
-        trace = tracer.trace("t", session=1)
-        trace.span("capture", start=1.0, end=3.0)
-        trace.span("detection", start=3.0, end=3.5, score=0.9)
-        open_span = trace.span("verdict", start=3.5)
-        assert open_span.duration_s is None
-        open_span.finish(6.0, confirmed=True)
-        assert open_span.duration_s == 2.5
-        assert trace.start_s == 1.0
-        assert trace.end_s == 6.0
-        assert trace.duration_s == 5.0
-        assert trace.critical_span().name == "verdict"
-
-    def test_stage_breakdown_respects_order(self):
-        tracer = Tracer()
-        for i in range(3):
-            trace = tracer.trace("t")
-            trace.span("b", start=0.0, end=0.1 * (i + 1))
-            trace.span("a", start=0.0, end=0.2)
-        breakdown = tracer.stage_breakdown(["a", "b"])
-        assert list(breakdown) == ["a", "b"]
-        assert breakdown["b"]["n"] == 3
-        assert breakdown["b"]["max"] == pytest.approx(0.3)
-        # Unknown requested stages are dropped, extra stages appended.
-        assert "c" not in tracer.stage_breakdown(["c", "a", "b"])
-
-    def test_critical_path_report(self):
-        tracer = Tracer()
-        for _ in range(2):
-            trace = tracer.trace("t")
-            trace.span("fast", start=0.0, end=0.1)
-            trace.span("slow", start=0.1, end=1.0)
-        report = tracer.critical_path_report()
-        assert report["traces"] == 2
-        assert report["dominant_stage_counts"] == {"slow": 2}
-        assert report["end_to_end_s"]["max"] == pytest.approx(1.0)
-        text = tracer.render_breakdown(["fast", "slow"])
-        assert "slow" in text and "critical path dominated by: slow (2)" in text
-
-    def test_to_dict_round_trips_json(self):
-        tracer = Tracer()
-        trace = tracer.trace("t", session=9)
-        trace.span("s", start=0.0, end=1.0, records=4)
-        dumped = json.loads(json.dumps(tracer.to_dict()))
-        assert dumped["traces"][0]["spans"][0]["attrs"] == {"records": 4}
-
-
-# ---------------------------------------------------------------------------
 # context + engine integration
 # ---------------------------------------------------------------------------
 
@@ -298,11 +243,11 @@ class TestObsContext:
 
 
 # ---------------------------------------------------------------------------
-# incident latency edge cases + loop tracing
+# incident latency edge cases + the loop's stages
 # ---------------------------------------------------------------------------
 
 
-def _anomaly(detected_at=5.0, newest_ts=4.6, indices=(0, 1)):
+def _anomaly(detected_at=5.0, newest_ts=4.6, indices=(0, 1), first_ts=4.0, arrival_ts=4.7):
     return AnomalyEvent(
         detected_at=detected_at,
         session_id=1,
@@ -312,6 +257,8 @@ def _anomaly(detected_at=5.0, newest_ts=4.6, indices=(0, 1)):
         threshold=0.5,
         record_indices=tuple(indices),
         newest_record_ts=newest_ts,
+        first_record_ts=first_ts,
+        arrival_ts=arrival_ts,
     )
 
 
@@ -324,22 +271,13 @@ class _FakeVerdict:
         self.confirmed = confirmed
 
 
-class _StubRecord:
-    def __init__(self, timestamp):
-        self.timestamp = timestamp
-
-
 class _StubMobiWatch:
-    """Just enough MobiWatch surface for the pipeline."""
+    """Just enough MobiWatch surface for the pipeline (SLO plane off)."""
 
     def __init__(self):
         self.anomalies = []
-        self.series = [_StubRecord(4.0), _StubRecord(4.6)]
-        self._arrivals = {1: 4.7}
+        self.provenance = None
         self.now = 0.0
-
-    def arrival_time(self, index):
-        return self._arrivals.get(index)
 
 
 class _StubAnalyzer:
@@ -427,33 +365,30 @@ class TestPipelineIncidents:
 
 
 class TestLoopTracing:
-    def test_loop_tracer_reconstructs_all_stages(self):
+    def test_stage_timings_cover_every_stage(self):
         pipeline, mobiwatch, analyzer = _stub_pipeline()
-        anomaly = _anomaly(detected_at=5.0, newest_ts=4.6, indices=(0, 1))
+        anomaly = _anomaly(detected_at=5.0, newest_ts=4.6, first_ts=4.0, arrival_ts=4.7)
         mobiwatch.anomalies.append(anomaly)
         analyzer.emit(_FakeVerdict(anomaly, completed_at=8.0))
         incident = pipeline.incidents[0]
         incident.action = "release_ue"
         incident.action_at = 8.2
 
-        tracer = pipeline.loop_tracer()
-        assert len(tracer.traces) == 1
-        spans = {s.name: s for s in tracer.traces[0].spans}
-        assert set(spans) == set(LOOP_STAGES)
-        assert spans["capture"].duration_s == pytest.approx(0.6)  # 4.0 -> 4.6
-        assert spans["indication"].duration_s == pytest.approx(0.1)  # 4.6 -> 4.7
-        assert spans["sdl_write"].duration_s == 0.0
-        assert spans["detection"].duration_s == pytest.approx(0.3)  # 4.7 -> 5.0
-        assert spans["verdict"].duration_s == pytest.approx(3.0)
-        assert spans["action"].duration_s == pytest.approx(0.2)
+        timings = incident.stage_timings_s()
+        assert list(timings) == list(LOOP_STAGES)
+        assert timings["capture"] == pytest.approx(0.6)  # 4.0 -> 4.6
+        assert timings["indication"] == pytest.approx(0.1)  # 4.6 -> 4.7
+        assert timings["detection"] == pytest.approx(0.3)  # 4.7 -> 5.0
+        assert timings["verdict"] == pytest.approx(3.0)
+        assert timings["action"] == pytest.approx(0.2)
+        assert incident.end_to_end_s == pytest.approx(4.2)  # 4.0 -> 8.2
 
-    def test_loop_tracer_without_arrival_falls_back(self):
-        pipeline, mobiwatch, _ = _stub_pipeline()
-        mobiwatch._arrivals = {}  # e.g. records ingested before instrumentation
-        mobiwatch.anomalies.append(_anomaly(detected_at=5.0, newest_ts=4.6))
-        spans = {s.name: s for s in pipeline.loop_tracer().traces[0].spans}
-        assert "indication" not in spans
-        assert spans["detection"].start == 4.6  # falls back to newest capture
+    def test_stage_timings_without_arrival_fall_back(self):
+        # e.g. an alarm on records ingested before instrumentation
+        incident = IncidentRecord(anomaly=_anomaly(detected_at=5.0, newest_ts=4.6, arrival_ts=None))
+        timings = incident.stage_timings_s()
+        assert "indication" not in timings
+        assert timings["detection"] == pytest.approx(0.4)  # from the newest capture
 
     def test_stage_breakdown_orders_by_loop(self):
         pipeline, mobiwatch, analyzer = _stub_pipeline()
@@ -467,6 +402,17 @@ class TestLoopTracing:
         assert breakdown["detection"]["max"] < 1.0
         text = pipeline.render_stage_breakdown()
         assert "detection" in text and "verdict" in text
+
+    def test_breakdown_names_the_critical_path(self):
+        pipeline, mobiwatch, analyzer = _stub_pipeline()
+        for detected_at in (5.0, 6.0):
+            anomaly = _anomaly(detected_at=detected_at, newest_ts=4.6)
+            mobiwatch.anomalies.append(anomaly)
+            analyzer.emit(_FakeVerdict(anomaly, completed_at=detected_at + 3.0))
+        text = pipeline.render_stage_breakdown()
+        assert text.startswith("closed-loop stage latency over 2 incidents")
+        assert "critical path dominated by: verdict (2)" in text
+        assert "end-to-end: mean=4.5000s" in text and "max=5.0000s" in text  # 4.0 -> 8, 9
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,16 @@ fake clocks — no wall-clock sleeps.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.config import XsecConfig
 from repro.core.framework import SixGXSec
+from repro.core.llm_analyzer import VerdictEvent
+from repro.core.mobiwatch import AnomalyEvent
+from repro.core.pipeline import IncidentRecord
 from repro.ml.compiled import PROFILE_SAMPLE
 from repro.ml.detector import LstmDetector
 from repro.obs import profiler as profiler_mod
@@ -39,6 +43,8 @@ from repro.obs.provenance import (
     SDL_PROVENANCE_NS,
     capture_digest,
     model_snapshot_id,
+    printable,
+    render_chain,
     threshold_snapshot_id,
 )
 from repro.oran.sdl import SharedDataLayer
@@ -356,65 +362,85 @@ class TestHealthScoreboard:
         assert "x" in board.render()
 
 
+def _alarm(evidence):
+    """The anomaly a store's evidence was minted for (three records from t=1.0)."""
+    return AnomalyEvent(
+        detected_at=2.0,
+        session_id=3,
+        rnti=17,
+        s_tmsi=None,
+        score=0.9,
+        threshold=0.5,
+        record_indices=(0, 1, 2),
+        newest_record_ts=1.02,
+        first_record_ts=1.0,
+        arrival_ts=1.5,
+        provenance_id=evidence.provenance_id,
+    )
+
+
+def _verdict(anomaly, completed_at, top_attack="Blind DoS"):
+    """A confirmed verdict carrying only the fields the chain reads."""
+    response = SimpleNamespace(
+        verdict="anomalous", top_attacks=[(top_attack, 0.9)], is_anomalous=True
+    )
+    return VerdictEvent(
+        anomaly=anomaly,
+        verdict=SimpleNamespace(model="chatgpt-4o", response=response),
+        completed_at=completed_at,
+    )
+
+
 class TestProvenance:
     def test_mint_fills_detection_chain(self):
         store = ProvenanceStore()
         records = _records(3)
-        record = store.mint(
-            session_id=7,
-            detected_at=2.0,
-            score=0.9,
-            threshold=0.5,
-            record_indices=(4, 5, 6),
-            records=records,
-            detector=_detector(),
-            arrival_ts=1.5,
-        )
+        detector = _detector()
+        record = store.mint(session_id=7, records=records, detector=detector)
         assert record.provenance_id == 1 and len(store) == 1
+        assert store.get(record.provenance_id) is record
         assert record.capture_digest == capture_digest(records)
         assert record.trace_id == "7-000001"
-        assert record.stage_timings_s["capture"] == pytest.approx(0.02)
-        assert record.stage_timings_s["indication"] == pytest.approx(0.48)
-        assert record.stage_timings_s["detection"] == pytest.approx(0.5)
-        assert "(pending)" in record.render()
+        assert record.model_snapshot_id == model_snapshot_id(detector)
+        assert record.threshold_snapshot_id == threshold_snapshot_id(detector)
 
     def test_sdl_round_trip_grows_with_the_chain(self):
         sdl = SharedDataLayer()
         store = ProvenanceStore(sdl=sdl)
-        record = store.mint(
-            session_id=3,
-            detected_at=2.0,
-            score=0.9,
-            threshold=0.5,
-            record_indices=(0, 1, 2),
-            records=_records(3),
-            detector=_detector(),
-        )
+        evidence = store.mint(session_id=3, records=_records(3), detector=_detector())
+        incident = IncidentRecord(anomaly=_alarm(evidence))
+        store.persist(incident.provenance(evidence))
         persisted = sdl.get(SDL_PROVENANCE_NS, "000001")
-        assert persisted["capture_digest"] == record.capture_digest
+        assert persisted["capture_digest"] == evidence.capture_digest
         assert "verdict_completed_at" not in persisted  # None values dropped
-        store.attach_verdict(
-            record.provenance_id,
-            model="chatgpt-4o",
-            verdict_text="anomalous",
-            top_attack="Blind DoS",
-            confirmed=True,
-            completed_at=4.5,
+        assert persisted["stage_timings_s"] == pytest.approx(
+            {"capture": 0.02, "indication": 0.48, "detection": 0.5}
         )
-        store.attach_action(record.provenance_id, action="release_ue", action_at=4.6)
+        assert "(pending)" in render_chain(incident.provenance(evidence))
+        incident.verdict = _verdict(incident.anomaly, completed_at=4.5)
+        incident.action, incident.action_at = "release_ue", 4.6
+        store.persist(incident.provenance(evidence))
         persisted = sdl.get(SDL_PROVENANCE_NS, "000001")
         assert persisted["verdict_model"] == "chatgpt-4o"
         assert persisted["verdict_completed_at"] == 4.5
         assert persisted["action"] == "release_ue"
         assert persisted["stage_timings_s"]["verdict"] == pytest.approx(2.5)
         assert persisted["stage_timings_s"]["action"] == pytest.approx(0.1)
-        rendered = store.get(record.provenance_id).render()
+        rendered = render_chain(incident.provenance(evidence))
         assert "Blind DoS" in rendered and "release_ue" in rendered
 
-    def test_attach_to_unknown_id_is_a_noop(self):
-        store = ProvenanceStore()
-        assert store.attach_action(None, action="x", action_at=1.0) is None
-        assert store.attach_action(99, action="x", action_at=1.0) is None
+    def test_provider_text_renders_escaped(self):
+        """The attribution is provider text: a terminal control sequence, a
+        carriage return or a Unicode line separator in it reaches the
+        operator escaped, never as a control character."""
+        evidence = ProvenanceStore().mint(session_id=3, records=_records(3), detector=_detector())
+        incident = IncidentRecord(anomaly=_alarm(evidence))
+        hostile = "Blind DoS\x1b[2J\rforged\u2028line"
+        incident.verdict = _verdict(incident.anomaly, completed_at=4.5, top_attack=hostile)
+        rendered = render_chain(incident.provenance(evidence))
+        assert all(ch.isprintable() for line in rendered.split("\n") for ch in line)
+        assert "  attribution  Blind DoS\\x1b[2J\\rforged\\u2028line" in rendered
+        assert printable("two\nlines, é") == "two\nlines, é"  # printable text as is
 
     def test_snapshot_ids_track_identity(self):
         a, b = _detector(), _detector()
@@ -432,15 +458,7 @@ class TestProvenance:
         return detector
 
     def _mint_with(self, store, detector):
-        return store.mint(
-            session_id=1,
-            detected_at=1.0,
-            score=1.0,
-            threshold=0.5,
-            record_indices=(0,),
-            records=_records(1),
-            detector=detector,
-        )
+        return store.mint(session_id=1, records=_records(1), detector=detector)
 
     def test_threshold_id_follows_a_policy_refit(self):
         """An A1 policy re-fits the threshold in place (MobiWatchXApp.on_policy):
@@ -464,27 +482,13 @@ class TestProvenance:
     def test_minted_counter(self):
         metrics = MetricsRegistry()
         store = ProvenanceStore(metrics=metrics)
-        store.mint(
-            session_id=1,
-            detected_at=1.0,
-            score=1.0,
-            threshold=0.5,
-            record_indices=(0,),
-            records=_records(1),
-            detector=_detector(),
-        )
+        self._mint_with(store, _detector())
         assert metrics.counter("slo.provenance_records_total").value == 1
 
-    def _mint(self, store):
-        return store.mint(
-            session_id=1,
-            detected_at=1.0,
-            score=1.0,
-            threshold=0.5,
-            record_indices=(0,),
-            records=_records(1),
-            detector=_detector(),
-        )
+    def _mint_and_persist(self, store):
+        record = self._mint_with(store, _detector())
+        store.persist({"provenance_id": record.provenance_id, "trace_id": record.trace_id})
+        return record
 
     def test_refused_write_is_counted_and_kept_in_memory(self):
         class RefusingSdl:
@@ -493,7 +497,7 @@ class TestProvenance:
 
         metrics = MetricsRegistry()
         store = ProvenanceStore(metrics=metrics, sdl=RefusingSdl())
-        record = self._mint(store)
+        record = self._mint_and_persist(store)
         assert metrics.counter("slo.provenance_persist_failures_total").value == 1
         assert store.get(record.provenance_id) is record
 
@@ -507,7 +511,7 @@ class TestProvenance:
                 raise error(key)
 
         with pytest.raises(error):
-            self._mint(ProvenanceStore(metrics=MetricsRegistry(), sdl=BrokenSdl()))
+            self._mint_and_persist(ProvenanceStore(metrics=MetricsRegistry(), sdl=BrokenSdl()))
 
 
 class TestSloRuntime:
