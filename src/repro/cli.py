@@ -86,6 +86,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     from repro.core.config import XsecConfig
     from repro.ml.serialize import load_detector
+    from repro.obs.provenance import printable
     from repro.telemetry.features import WindowedDataset
     from repro.telemetry.persist import load_series
 
@@ -109,7 +110,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     )
     for session, peak in sorted(flagged_sessions.items()):
         records = [r for r in series if r.session_id == session]
-        messages = ", ".join(r.msg for r in records[:6])
+        # Record text is untrusted: escaped, line breaks too (one line each).
+        messages = ", ".join(printable(r.msg).replace("\n", "\\n") for r in records[:6])
         print(f"  session {session}: peak score {peak:.4f} [{messages} ...]")
     return 0 if not args.fail_on_alarm or alarms == 0 else 2
 
@@ -243,9 +245,11 @@ def _cmd_slo(args: argparse.Namespace) -> int:
                     print(f"  {name:<28} {state}")
             else:
                 print("  (no components registered)")
+            closed = sum(1 for incident in incidents if incident.verdict is not None)
             print(
                 f"\n{len(store)} provenance records minted, "
-                f"{len(incidents)} incidents closed, "
+                f"{len(incidents)} incidents ({closed} closed with a verdict, "
+                f"{len(incidents) - closed} pending), "
                 f"{len(obs.engine.events)} alert transitions "
                 f"(see `slo alerts`)"
             )

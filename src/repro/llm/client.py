@@ -52,10 +52,6 @@ class SimulatedLlmServer:
             "choices": [
                 {"index": 0, "message": {"role": "assistant", "content": text}}
             ],
-            "usage": {
-                "prompt_tokens": len(last["content"].split()),
-                "completion_tokens": len(text.split()),
-            },
         }
 
     def latency_for(self, model: str, prompt: str) -> float:

@@ -14,11 +14,14 @@ arbitrarily.
 ASN.1 PER never spells a field name; neither does this codec for the names
 it knows. A string whose content is an entry of :data:`SYMBOLS` — the field,
 message and PDU names of the tree and its few fixed words — is written as
-the tag ``0x09`` and one index byte, as a dict key or as a value, on every
-interface; any other string is written out. The spelled-out form of a table
-string still decodes, to the same value, so bytes written before the table
-existed stay readable; no encoder produces it any more. Revision 3 appended
-the E2SM control vocabulary (the ``action`` key, the action names and their
+a symbol, as a dict key or as a value, on every interface; any other string
+is written out. Since revision 4 a symbol whose index is below 240 is the
+single tag byte ``0x10 + index``; an index of 240-255 is the tag ``0x09``
+and one index byte. Tags ``0x0A``-``0x0F`` are reserved. The older forms of
+a table string still decode, to the same value: the two-byte ``0x09`` form
+of any index (revisions 2 and 3) and the spelled-out string (revision 1).
+No encoder writes either for an index below 240. Revision 3 appended the
+E2SM control vocabulary (the ``action`` key, the action names and their
 parameter keys), and left off the MobiFlow fields the service model derives
 (see :mod:`repro.telemetry.encoder`); bytes of revision 2 still decode.
 
@@ -47,9 +50,12 @@ _TAG_STR = 0x05
 _TAG_BYTES = 0x06
 _TAG_LIST = 0x07
 _TAG_DICT = 0x08
-_TAG_SYMBOL = 0x09
+_TAG_SYMBOL = 0x09  # + one index byte: indices 240-255, and revisions 2-3
+# 0x0A-0x0F are reserved for future value types.
+_TAG_SHORT_SYMBOL = 0x10  # + index, in one byte: indices 0-239
+_SHORT_SYMBOLS = 0x100 - _TAG_SHORT_SYMBOL
 
-# The strings that cross the wire as ``_TAG_SYMBOL`` + their index here.
+# The strings that cross the wire as symbols of their index here.
 # Append-only and at most 256 long: an index is part of the format, so an
 # entry is never moved, changed or removed (tests/fixtures/wire_symbols.json
 # pins the order), and a message, PDU or record field added to the tree
@@ -105,12 +111,16 @@ SYMBOLS: tuple[str, ...] = (
     "action", "release_ue", "blocklist_tmsi", "unblock_tmsi", "rate_limit_access",
     "clear_rate_limit", "tmsi", "max_setups", "window_s",
 )
-# Indexed by the byte after the tag; None past the end of the table.
+# Indexed by symbol index; None past the end of the table.
 _SYMBOL_AT: tuple = SYMBOLS + (None,) * (256 - len(SYMBOLS))
 # Keyed by UTF-8 content, so a str subclass finds its entry whatever its
 # own __hash__/__eq__ say.
 _SYMBOL_TLV: dict[bytes, bytes] = {
-    symbol.encode("utf-8"): bytes((_TAG_SYMBOL, index))
+    symbol.encode("utf-8"): (
+        bytes((_TAG_SHORT_SYMBOL + index,))
+        if index < _SHORT_SYMBOLS
+        else bytes((_TAG_SYMBOL, index))
+    )
     for index, symbol in enumerate(SYMBOLS)
 }
 
@@ -375,6 +385,11 @@ def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int
             raise WireError("truncated float")
         return _unpack_float_from(data, offset)[0], offset + 8
     if tag > _TAG_DICT:
+        if tag >= _TAG_SHORT_SYMBOL:
+            symbol = _SYMBOL_AT[tag - _TAG_SHORT_SYMBOL]
+            if symbol is None:
+                raise WireError(f"unknown symbol {tag - _TAG_SHORT_SYMBOL}")
+            return symbol, offset
         if tag != _TAG_SYMBOL:
             raise WireError(f"unknown tag 0x{tag:02x}")
         if offset >= end:
@@ -408,7 +423,12 @@ def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int
             if keyed:
                 tag = data[offset]
                 body = offset + 2
-                if tag == _TAG_SYMBOL and body <= stop:
+                if tag >= _TAG_SHORT_SYMBOL:
+                    key = _SYMBOL_AT[tag - _TAG_SHORT_SYMBOL]
+                    if key is None:
+                        raise WireError(f"unknown symbol {tag - _TAG_SHORT_SYMBOL}")
+                    offset += 1
+                elif tag == _TAG_SYMBOL and body <= stop:
                     key = _SYMBOL_AT[data[offset + 1]]
                     if key is None:
                         raise WireError(f"unknown symbol {data[offset + 1]}")
@@ -431,7 +451,12 @@ def _decode_at(data: bytes, offset: int, end: int, depth: int) -> tuple[Any, int
                     raise WireError("dict key without value")
             tag = data[offset]
             body = offset + 2
-            if (
+            if tag >= _TAG_SHORT_SYMBOL:
+                item = _SYMBOL_AT[tag - _TAG_SHORT_SYMBOL]
+                if item is None:
+                    raise WireError(f"unknown symbol {tag - _TAG_SHORT_SYMBOL}")
+                offset += 1
+            elif (
                 (tag == _TAG_STR or tag == _TAG_INT or tag == _TAG_BYTES)
                 and body <= stop
                 and (length := data[offset + 1]) < 0x80
@@ -495,13 +520,16 @@ def decode_prefix(data: bytes) -> tuple[Any, bytes]:
 # decoders return None and the caller runs the generic decode, which accepts
 # or rejects them with its own messages.
 
-_ANY_TAG = (1 << (_TAG_SYMBOL + 1)) - 1
+# A field's allowed tags as a bit mask; bit ``_TAG_SHORT_SYMBOL`` stands for
+# every one-byte symbol tag.
+_SHORT_SYMBOL_BIT = 1 << _TAG_SHORT_SYMBOL
+_ANY_TAG = (_SHORT_SYMBOL_BIT << 1) - 1
 _TAGS_OF_TYPE = {
     type(None): 1 << _TAG_NONE,
     bool: 1 << _TAG_FALSE | 1 << _TAG_TRUE,
     int: 1 << _TAG_INT,
     float: 1 << _TAG_FLOAT,
-    str: 1 << _TAG_STR | 1 << _TAG_SYMBOL,
+    str: 1 << _TAG_STR | 1 << _TAG_SYMBOL | _SHORT_SYMBOL_BIT,
     bytes: 1 << _TAG_BYTES,
     list: 1 << _TAG_LIST,
     dict: 1 << _TAG_DICT,
@@ -675,6 +703,13 @@ class ClassPlan:
                 if offset >= stop:
                     return None
                 tag = data[offset]
+                if tag >= _TAG_SHORT_SYMBOL:
+                    value = _SYMBOL_AT[tag - _TAG_SHORT_SYMBOL]
+                    if value is None or not mask & _SHORT_SYMBOL_BIT:
+                        return None
+                    offset += 1
+                    append(value)
+                    continue
                 if not mask >> tag & 1:
                     return None
                 body = offset + 2
@@ -699,7 +734,10 @@ class ClassPlan:
                     else:
                         value = data[body:offset]
                 elif tag == _TAG_SYMBOL and body <= stop:
-                    value = _SYMBOL_AT[data[offset + 1]]
+                    # The two-byte form of an index the encoder writes in
+                    # one byte is not what it writes.
+                    index = data[offset + 1]
+                    value = _SYMBOL_AT[index] if index >= _SHORT_SYMBOLS else None
                     if value is None:
                         return None
                     offset = body
@@ -827,12 +865,16 @@ class EnvelopePlans:
                 length, offset = _decode_length(data, 1, end)
             if offset + length != end:
                 return None
-            # kind key, then the name — a symbol, or a string with a
-            # one-byte length — then the "ie" key.
+            # kind key, then the name — a one- or two-byte symbol, or a
+            # string with a one-byte length — then the "ie" key.
             name_at = offset + self._kind_length
-            dict_at = name_at + 2 + _IE_KEY_LENGTH
-            if data[name_at] != _TAG_SYMBOL:
-                dict_at += data[name_at + 1]
+            tag = data[name_at]
+            if tag >= _TAG_SHORT_SYMBOL:
+                dict_at = name_at + 1 + _IE_KEY_LENGTH
+            elif tag == _TAG_SYMBOL:
+                dict_at = name_at + 2 + _IE_KEY_LENGTH
+            else:
+                dict_at = name_at + 2 + data[name_at + 1] + _IE_KEY_LENGTH
             plan = self._by_head.get(data[offset:dict_at])
             if plan is None or data[dict_at] != _TAG_DICT:
                 return None

@@ -1,25 +1,28 @@
-"""Re-pin the wire codec's golden bytes after wire format revisions 2 and 3.
+"""Re-pin the wire codec's golden bytes after wire format revisions 2, 3 and 4.
 
 Revision 2 writes a string that is an entry of ``wire.SYMBOLS`` as the tag
 ``0x09`` plus its index; nothing else about the format moved. Revision 3
 leaves a MobiFlow record's ``protocol`` and ``direction`` off when they are
 the catalogue entry of its ``msg`` (the record codec's rule; the generic
-codec is unchanged). This script derives the new bytes of every golden
-vector *from the old bytes and the pinned tables* (``wire_symbols.json``,
-``mobiflow_catalogue.json``) with a TLV walker of its own — it never calls
-``repro.wire`` — so the pins it writes are a second opinion on the encoder,
-not a copy of its output:
+codec is unchanged). Revision 4 writes a symbol whose index is below 240 as
+the one tag byte ``0x10 + index``. This script derives the new bytes of
+every golden vector *from the old bytes and the pinned tables*
+(``wire_symbols.json``, ``mobiflow_catalogue.json``) with a TLV walker of
+its own — it never calls ``repro.wire`` — so the pins it writes are a second
+opinion on the encoder, not a copy of its output:
 
 - ``wire_decode_golden.json``: every ``hex``/``decoded`` row stays as it is
   (the old bytes must keep decoding); a row whose canonical bytes changed
-  gains ``hex_v2``. A row without a table string gets none, which is the
-  proof that only names moved. A row that is a batch of MobiFlow records
-  (:data:`RECORD_BATCHES`) also gains ``hex_v3``, what the record codec
-  writes for those records.
+  gains ``hex_v2`` (two-byte symbols) and ``hex_v4`` (one-byte symbols, what
+  the generic encoder writes today). A row without a table string gets
+  neither, which is the proof that only names moved. A row that is a batch
+  of MobiFlow records (:data:`RECORD_BATCHES`) also gains ``hex_v3`` and
+  ``hex_v4_records``: what the record codec wrote for those records at
+  revision 3, and writes at revision 4.
 - the inline hex literals of ``tests/test_wire.py::GOLDEN_VECTORS`` (which
   ``tests/test_wire_plans.py::TestGoldenBytes`` reads) and of
   ``tests/test_hotpath.py::_TRICKY_VALUES`` are rewritten in place from the
-  same old -> new map.
+  same old -> new map (revision 1 or 2 bytes -> revision 4 bytes).
 
 Idempotent: ``python tests/fixtures/repin_wire_golden.py`` from anywhere.
 Run it again after appending to the table only if a golden vector holds
@@ -38,6 +41,8 @@ GOLDEN = FIXTURES / "wire_decode_golden.json"
 INLINE = (TESTS / "test_wire.py", TESTS / "test_hotpath.py")
 
 TAG_FLOAT, TAG_STR, TAG_LIST, TAG_DICT, TAG_SYMBOL = 0x04, 0x05, 0x07, 0x08, 0x09
+# Revision 4: tag 0x10 + index for an index below SHORT_SYMBOLS.
+TAG_SHORT_SYMBOL, SHORT_SYMBOLS = 0x10, 240
 SYMBOL_INDEX = {
     name.encode("utf-8"): index
     for index, name in enumerate(json.loads((FIXTURES / "wire_symbols.json").read_text()))
@@ -73,38 +78,52 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
             return length, offset
 
 
-def _rewrite_at(data: bytes, offset: int) -> tuple[bytes, int]:
-    """The revision-2 bytes of the value at ``offset``, of either revision."""
+def symbol(index: int, revision: int = 4) -> bytes:
+    """The symbol TLV of table entry ``index`` as ``revision`` writes it."""
+    if revision >= 4 and index < SHORT_SYMBOLS:
+        return bytes((TAG_SHORT_SYMBOL + index,))
+    return bytes((TAG_SYMBOL, index))
+
+
+def _rewrite_at(data: bytes, offset: int, revision: int) -> tuple[bytes, int]:
+    """The ``revision`` (2 or 4) bytes of the value at ``offset``, of any
+    revision."""
     tag = data[offset]
+    if tag >= TAG_SHORT_SYMBOL:
+        return symbol(tag - TAG_SHORT_SYMBOL, revision), offset + 1
     if tag < 0x03:
         return data[offset : offset + 1], offset + 1
     if tag == TAG_FLOAT:
         return data[offset : offset + 9], offset + 9
     if tag == TAG_SYMBOL:
-        return data[offset : offset + 2], offset + 2
+        return symbol(data[offset + 1], revision), offset + 2
     length, body = _read_varint(data, offset + 1)
     stop = body + length
     if tag == TAG_STR and data[body:stop] in SYMBOL_INDEX:
-        return bytes((TAG_SYMBOL, SYMBOL_INDEX[data[body:stop]])), stop
+        return symbol(SYMBOL_INDEX[data[body:stop]], revision), stop
     if tag not in (TAG_LIST, TAG_DICT):
         return data[offset:stop], stop
     children = bytearray()
     while body < stop:
-        child, body = _rewrite_at(data, body)
+        child, body = _rewrite_at(data, body, revision)
         children += child
     assert body == stop
     return bytes((tag,)) + _varint(len(children)) + bytes(children), stop
 
 
-def canonical(data: bytes) -> bytes:
-    """``data`` with every spelled-out table string replaced by its symbol."""
-    new, offset = _rewrite_at(data, 0)
+def canonical(data: bytes, revision: int = 4) -> bytes:
+    """``data`` with every table string, spelled out or a symbol of either
+    width, written as ``revision`` writes it (by default what the encoder
+    writes today)."""
+    new, offset = _rewrite_at(data, 0, revision)
     assert offset == len(data)
     return new
 
 
 def _text(tlv: bytes):
-    """The string a revision-2 TLV holds, or None when it holds none."""
+    """The string a TLV of any revision holds, or None when it holds none."""
+    if tlv[0] >= TAG_SHORT_SYMBOL:
+        return SYMBOL_TEXT[tlv[0] - TAG_SHORT_SYMBOL]
     if tlv[0] == TAG_SYMBOL:
         return SYMBOL_TEXT[tlv[1]]
     if tlv[0] == TAG_STR:
@@ -119,7 +138,7 @@ def _children(data: bytes, offset: int) -> tuple[list[bytes], int]:
     stop = body + length
     children = []
     while body < stop:
-        _, end = _rewrite_at(data, body)
+        _, end = _rewrite_at(data, body, 4)
         children.append(data[body:end])
         body = end
     return children, stop
@@ -148,18 +167,24 @@ def revision_3_batch(data: bytes) -> bytes:
 
 
 def repin_fixture() -> dict[str, str]:
-    """Refresh ``hex_v2`` and ``hex_v3``; returns old hex -> new hex of the
-    rows whose canonical bytes moved."""
+    """Refresh ``hex_v2``, ``hex_v3``, ``hex_v4`` and ``hex_v4_records``;
+    returns old hex (revision 1 or 2) -> revision-4 hex of the rows whose
+    canonical bytes moved."""
     rows = json.loads(GOLDEN.read_text())
     moved: dict[str, str] = {}
     out = []
     for row in rows:
-        new = canonical(bytes.fromhex(row["hex"])).hex()
+        first = bytes.fromhex(row["hex"])
         pinned = {"id": row["id"], "hex": row["hex"]}
-        if new != row["hex"]:
-            pinned["hex_v2"] = moved[row["hex"]] = new
+        v2, v4 = canonical(first, 2).hex(), canonical(first, 4).hex()
+        if v2 != row["hex"]:
+            pinned["hex_v2"] = v2
         if row["id"] in RECORD_BATCHES:
-            pinned["hex_v3"] = revision_3_batch(bytes.fromhex(new)).hex()
+            pinned["hex_v3"] = revision_3_batch(bytes.fromhex(v2)).hex()
+        if v4 != row["hex"]:
+            pinned["hex_v4"] = moved[row["hex"]] = moved[v2] = v4
+        if row["id"] in RECORD_BATCHES:
+            pinned["hex_v4_records"] = canonical(bytes.fromhex(pinned["hex_v3"])).hex()
         pinned["decoded"] = row["decoded"]
         out.append(pinned)
     GOLDEN.write_text(json.dumps(out, indent=1))
@@ -207,7 +232,8 @@ def repin_inline(path: Path, moved: dict[str, str]) -> int:
 
 def main() -> None:
     moved = repin_fixture()
-    print(f"{GOLDEN.name}: {len(moved)} rows carry hex_v2, {len(RECORD_BATCHES)} hex_v3")
+    rows = len(set(moved.values()))
+    print(f"{GOLDEN.name}: {rows} rows carry hex_v2 and hex_v4, {len(RECORD_BATCHES)} hex_v3")
     for path in INLINE:
         print(f"{path.name}: {repin_inline(path, moved)} literals re-pinned")
 

@@ -18,6 +18,7 @@ from repro.ran.core_network import AmfConfig
 from repro.ran.messages import Message
 from repro.ran.pcap import CaptureRecord, PcapStream
 from repro.telemetry import MobiFlowCollector
+from tests.fixtures.repin_wire_golden import canonical
 from tests.test_wire_symbols import spell_out
 
 
@@ -46,14 +47,26 @@ def contents(message):
     return message.name, fields
 
 
-def revision_1_bytes(message):
-    """The envelope as every encoder wrote it before wire format revision 2:
-    every name spelled out, in the messages it carries too."""
+def rewritten(message, rewrite):
+    """The envelope's bytes passed through ``rewrite``, and the bytes of the
+    messages it carries too."""
     fields = message.fields()
     for container in CONTAINERS:
         if fields.get(container):
-            fields[container] = revision_1_bytes(Message.from_wire(fields[container]))
-    return spell_out(wire.encode({"msg": message.name, "ie": fields}))
+            fields[container] = rewritten(Message.from_wire(fields[container]), rewrite)
+    return rewrite(wire.encode({"msg": message.name, "ie": fields}))
+
+
+def revision_1_bytes(message):
+    """The envelope as every encoder wrote it before wire format revision 2:
+    every name spelled out, in the messages it carries too."""
+    return rewritten(message, spell_out)
+
+
+def revision_2_bytes(message):
+    """The envelope as wire format revisions 2 and 3 wrote it: every table
+    name a two-byte symbol, in the messages it carries too."""
+    return rewritten(message, lambda data: canonical(data, 2))
 
 
 class TestBtsDos:
@@ -129,11 +142,14 @@ class TestBtsDos:
         fix: with ``duplicate_prob=0`` nothing moves."""
         net, attack = self._flood(seed=1, duplicate_prob=0.0)
         digest, sent, before = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+        two_byte = hashlib.sha256()
         old_capture = PcapStream()
         for record in net.pcap:
             where = repr((record.timestamp, record.interface)).encode()
             digest.update(where)
             digest.update(record.decode().to_wire())
+            two_byte.update(where)
+            two_byte.update(revision_2_bytes(record.decode()))
             sent.update(
                 repr((record.timestamp, record.interface, contents(record.decode()))).encode()
             )
@@ -147,8 +163,13 @@ class TestBtsDos:
         assert sent.hexdigest() == (
             "0ed4b031d1b0440a885d0b00347c859a94d64bdf9881b38d3f65137271d47237"
         )
-        # ... and the bytes it was sent in (re-pinned for revision 2).
+        # ... and the bytes it was sent in (re-pinned for revision 4) ...
         assert digest.hexdigest() == (
+            "173b555d592bb1ad8f9b02948664b9f00802190926e457ced7e56bf959904ae6"
+        )
+        # ... which, with every symbol in its two-byte form, are the bytes
+        # this test pinned for revisions 2 and 3.
+        assert two_byte.hexdigest() == (
             "a4b244ef6847412374ce56aed6144037dc74c8e11a4f708cf170be8a25dc5eeb"
         )
         # The same capture with every name spelled out is, byte for byte,

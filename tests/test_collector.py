@@ -80,7 +80,8 @@ class TestUndecodableCaptures:
     and, live, out of the link tap into InterfaceLink._send."""
 
     GARBAGE = b"\x08\x05garbage"
-    MO_SIGNALLING = wire.encode("mo-Signalling")  # a table name: tag 0x09 + index
+    # A table name: the one tag byte 0x10 + index.
+    CAUSE = wire.encode("establishment_cause") + wire.encode("mo-Signalling")
 
     def _setup(self, du_id, container):
         return f1ap.F1InitialUlRrcMessageTransfer(
@@ -114,14 +115,19 @@ class TestUndecodableCaptures:
                     "ie": {**rrc.RrcSetupRequest().fields(), "establishment_cause": "mo-Xignalling"},
                 }
             ),
-            # The cause as a symbol past the end of wire.SYMBOLS.
-            rrc.RrcSetupRequest().to_wire().replace(MO_SIGNALLING, b"\x09\xff"),
+            # The cause as a symbol past the end of wire.SYMBOLS, two-byte
+            # and one-byte, and as a reserved tag.
+            rrc.RrcSetupRequest().to_wire().replace(CAUSE, CAUSE[:1] + b"\x09\xff"),
+            rrc.RrcSetupRequest().to_wire().replace(
+                CAUSE, CAUSE[:1] + bytes([0x10 + len(wire.SYMBOLS)])
+            ),
+            rrc.RrcSetupRequest().to_wire().replace(CAUSE, CAUSE[:1] + b"\x0f"),
             None,
             "not bytes",
         ],
         ids=[
             "garbage", "empty", "truncated", "enum_out_of_range", "symbol_out_of_range",
-            "none", "str",
+            "one_byte_symbol_out_of_range", "reserved_tag", "none", "str",
         ],
     )  # fmt: skip
     def test_every_kind_of_bad_container_and_pdu(self, container):
@@ -335,18 +341,22 @@ class TestEncoder:
         records = [self._record(), self._record()]
         assert decode_batch(encode_batch(records)) == records
 
-    # (records in the batch, payload bytes) over prefixes of a registration
-    # flow cycled across twelve sessions: with names as symbols and protocol
-    # and direction left to the catalogue (wire format revision 3) a record
-    # costs 32-38 B at any batch size, 8 B under revision 2 — the figure a
-    # second E2 format has to beat (docs/PERFORMANCE.md, "Flag verdicts").
-    PAYLOAD_BYTES = [(6, 195), (12, 387), (64, 2223), (300, 11271)]
+    # (records in the batch, payload bytes at revision 4, at revision 3)
+    # over prefixes of a registration flow cycled across twelve sessions:
+    # with names as one-byte symbols and protocol and direction left to the
+    # catalogue (wire format revision 4) a record costs 25-31 B at any batch
+    # size, 6-7 B under revision 3's two-byte symbols — the figure a second
+    # E2 format has to beat (docs/PERFORMANCE.md, "Flag verdicts").
+    PAYLOAD_BYTES = [(6, 153, 195), (12, 303, 387), (64, 1837, 2223), (300, 9321, 11271)]
 
     def test_payload_bytes_per_batch_size(self):
+        from tests.fixtures.repin_wire_golden import canonical
+
         records = [MobiFlowRecord(**fields) for fields in field_stream(300, 12)]
-        measured = [
-            (count, len(encode_batch(records[:count]))) for count, _ in self.PAYLOAD_BYTES
-        ]
+        measured = []
+        for count, _, _ in self.PAYLOAD_BYTES:
+            payload = encode_batch(records[:count])
+            measured.append((count, len(payload), len(canonical(payload, 2))))
         assert measured == self.PAYLOAD_BYTES
 
     def test_from_dict_rejects_unknown_fields(self):

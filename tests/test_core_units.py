@@ -102,6 +102,8 @@ def trained_detector(config, seed=0):
 
 
 DETECTOR = trained_detector(XsecConfig())
+MSG = wire.encode("msg")
+MSG_RRC_SETUP = MSG + wire.encode("RRCSetup")
 
 
 class TestMobiWatchUnit:
@@ -124,15 +126,27 @@ class TestMobiWatchUnit:
                 lambda h, m: (h, wire.encode([{"no_such_field": 1}])), id="unknown_field"
             ),
             pytest.param(lambda h, m: (h, wire.encode([7])), id="record_not_a_dict"),
-            # A name as a symbol past the end of wire.SYMBOLS, in the batch
-            # and in the header; and a batch cut right after a symbol tag.
+            # A name as a symbol past the end of wire.SYMBOLS (two-byte and
+            # one-byte forms) or as a reserved tag, in the batch and in the
+            # header; and a batch cut right after a two-byte symbol's tag.
             pytest.param(
-                lambda h, m: (h, m.replace(wire.encode("RRCSetup"), b"\x09\xff")),
+                lambda h, m: (h, m.replace(MSG_RRC_SETUP, MSG + b"\x09\xff")),
                 id="symbol_out_of_range",
+            ),
+            pytest.param(
+                lambda h, m: (h, m.replace(MSG_RRC_SETUP, MSG + bytes([0x10 + len(wire.SYMBOLS)]))),
+                id="one_byte_symbol_out_of_range",
+            ),
+            pytest.param(
+                lambda h, m: (h, m.replace(MSG_RRC_SETUP, MSG + b"\x0a")), id="reserved_tag"
             ),
             pytest.param(
                 lambda h, m: (h.replace(wire.encode("count"), b"\x09\xf0"), m),
                 id="header_symbol_out_of_range",
+            ),
+            pytest.param(
+                lambda h, m: (h.replace(wire.encode("count"), b"\xff"), m),
+                id="header_one_byte_symbol_out_of_range",
             ),
             pytest.param(
                 lambda h, m: (h, b"\x07\x03\x08\x01\x09"), id="symbol_truncated"

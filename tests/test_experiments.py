@@ -50,16 +50,21 @@ class TestColosseum:
         assert len(stats.ues) == sum(count for _, count in ColosseumScenario().ue_mix)
 
     def test_paper_scale_benign_dataset(self):
+        from tests.test_attacks import revision_2_bytes
+
         capture = generate_benign_dataset()
         # The paper collected "over 100 UE sessions" and ~2.5 MB of pcap.
         # Scale is what was captured — the same 16 032 envelopes and 8 742
-        # telemetry records before and after wire format revision 2 — not
-        # the bytes the codec spends on it: 2 446 854 B with every name
-        # spelled out, a third of that with names as symbols.
+        # telemetry records before and after wire format revisions 2 and 4
+        # — not the bytes the codec spends on it: 2 446 854 B with every
+        # name spelled out, 847 966 B with two-byte symbols (revisions 2
+        # and 3), 681 517 B with one-byte symbols (revision 4).
         assert capture.stats.sessions_completed > 100
         assert len(capture.net.pcap) == 16_032
         assert len(capture.series) == 8_742
-        assert capture.net.pcap.byte_size() == 847_966
+        assert capture.net.pcap.byte_size() == 681_517
+        two_byte = sum(len(revision_2_bytes(record.decode())) for record in capture.net.pcap)
+        assert two_byte == 847_966
 
 
 class TestAttackDataset:

@@ -339,7 +339,7 @@ _TRICKY_VALUES = [
         "00"
     )),
     ([{"msg": "RRCSetupRequest"} for _ in range(5)], (
-        "071e080409010948080409010948080409010948080409010948080409010948"
+        "07140802115808021158080211580802115808021158"
     )),
     (("tu", "ple"), "0709050274750503706c65"),
 ]

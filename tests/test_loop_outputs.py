@@ -11,7 +11,10 @@ before its stage arithmetic and evidence chain were kept in one place:
 - the final ``xsec.provenance`` SDL dicts.
 
 tests/fixtures/loop_outputs.json was recorded at the commit before that
-change (with its always-zero ``sdl_write`` stage row taken out).
+change (with its always-zero ``sdl_write`` stage row taken out). A capture
+digest hashes the window's records as the E2SM encodes them, so wire format
+revision 4 re-pinned the 31 digests (30 SDL dicts, one ``slo explain``
+line) and nothing else.
 Regenerate it only from a commit whose outputs you trust:
 ``PYTHONPATH=<that checkout>/src python -c "import sys, json;
 sys.path.insert(0, 'tests'); import test_loop_outputs as t;

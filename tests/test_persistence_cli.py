@@ -148,6 +148,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "windows scored" in out
 
+    def test_detect_escapes_record_text(self, workspace, tmp_path, capsys):
+        """A message name is telemetry, not trusted text: its control bytes
+        and line breaks reach the terminal escaped, one line per session."""
+        from repro.ml.serialize import load_detector, save_detector
+        from repro.telemetry.mobiflow import TelemetrySeries
+        from repro.telemetry.persist import load_series, save_series
+
+        benign, attack, model = workspace
+        detector = load_detector(model)
+        detector.threshold.threshold = 1e-12  # flag every session
+        save_detector(detector, tmp_path / "eager.npz")
+        hostile = "RRCSetup\x1b[2J\n  session 0: peak score 0.0000 [forged"
+        series = load_series(attack)
+        save_series(
+            TelemetrySeries([r._replace(msg=hostile) for r in series]), tmp_path / "hostile.mfl"
+        )
+        data, eager = str(tmp_path / "hostile.mfl"), str(tmp_path / "eager.npz")
+        code = main(["detect", "--data", data, "--model", eager])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert not any((ch < " " and ch != "\n") or ch == "\x7f" for ch in out)
+        summary, *sessions = out.splitlines()
+        assert "windows scored" in summary and sessions
+        assert all(line.startswith("  session ") and line.endswith(" ...]") for line in sessions)
+        assert "RRCSetup\\x1b[2J\\n  session 0" in sessions[0]
+
     def test_detect_attack_fail_on_alarm(self, workspace):
         benign, attack, model = workspace
         code = main(
@@ -191,6 +217,16 @@ class TestCli:
             == 0
         )
         assert pcap.stat().st_size > 0
+
+    def test_slo_report_counts_closed_and_pending_incidents(self, capsys):
+        """An incident is closed once its verdict is in; on the default 30 s
+        run 13 of the 30 alarms are still waiting for one at sim end."""
+        main(["slo", "report", "--duration", "30"])
+        out = capsys.readouterr().out
+        assert (
+            "30 provenance records minted, 30 incidents (17 closed with a verdict, 13 pending)"
+            in out
+        )
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

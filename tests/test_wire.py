@@ -83,7 +83,8 @@ class TestRoundtrip:
 # tag, nesting, lengths on both sides of the one-byte varint and of the
 # intern caches, and the subclasses the encoder must treat as their base.
 # Wire format revision 2 (names in ``wire.SYMBOLS`` cross as 0x09 + index)
-# moved the vectors that hold such a name and no other;
+# moved the vectors that hold such a name and no other, and revision 4
+# (0x10 + index, one byte, for an index below 240) moved them again;
 # tests/fixtures/repin_wire_golden.py rewrote those literals from the old
 # bytes and the pinned table, without calling the encoder.
 
@@ -163,7 +164,7 @@ GOLDEN_VECTORS = [
     (
         "record",
         {"timestamp": 1.25, "msg": "RRCSetupRequest", "session_id": 7, "s_tmsi": None},
-        "08170900043ff4000000000000090109480904030107090600",
+        "081210043ff40000000000001158140301071600",
     ),
     ("int_enum", _Color.RED, "030103"),
     ("int_enum_wide", _Color.BIG, "0303011170"),
@@ -186,7 +187,7 @@ GOLDEN_VECTORS = [
                 "identity_is_tmsi": True,
             },
         },
-        "081909010948090c0811090b091a09680306009abcdef012096902",
+        "081211581c080d1b2a780306009abcdef0127902",
     ),
     (
         "message_long_container",
@@ -194,14 +195,13 @@ GOLDEN_VECTORS = [
             "msg": "F1ULRRCMessageTransfer",
             "ie": {"gnb_du_ue_id": 3, "gnb_cu_ue_id": 1025, "rrc_container": bytes(range(200))},
         },
-        "08e1010901092d090c08d8010959030103095a03020401095b06c80100010203"
-        "0405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223"
-        "2425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243"
-        "4445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f60616263"
-        "6465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f80818283"
-        "8485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3"
-        "a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3"
-        "c4c5c6c7",
+        "08db01113d1c08d501690301036a030204016b06c80100010203040506070809"
+        "0a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223242526272829"
+        "2a2b2c2d2e2f303132333435363738393a3b3c3d3e3f40414243444546474849"
+        "4a4b4c4d4e4f505152535455565758595a5b5c5d5e5f60616263646566676869"
+        "6a6b6c6d6e6f707172737475767778797a7b7c7d7e7f80818283848586878889"
+        "8a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9"
+        "aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7",
     ),
     (
         "message_int_enums_nested_list",
@@ -213,18 +213,18 @@ GOLDEN_VECTORS = [
                 "replayed_capabilities": ["NEA0", ["NIA1", 2]],
             },
         },
-        "082709010931090c081f0909030100090a0301020961071105044e4541300709"
-        "05044e494131030102",
+        "082111411c081c190301001a03010271071105044e454130070905044e494131"
+        "030102",
     ),
     (
         "message_no_fields",
         {"msg": "RRCSecurityModeComplete", "ie": {}},
-        "080809010944090c0800",
+        "080511541c0800",
     ),
     (
         "message_floats",
         {"msg": "MeasurementReport", "ie": {"rsrp_dbm": -101.5, "rsrq_db": -0.0}},
-        "081e09010930090c0816095f04c0596000000000000960048000000000000000",
+        "081911401c08146f04c05960000000000070048000000000000000",
     ),
     (
         "e2ap_indication",
@@ -238,12 +238,12 @@ GOLDEN_VECTORS = [
                 "indication_message": bytes(130),
             },
         },
-        "08a901090d0971090c08a0010979030107097a0302008e097e03030493e0097f"
-        "0603686472098006820100000000000000000000000000000000000000000000"
+        "08a1011d811c089b01890301078a0302008e8e03030493e08f06036864729006"
+        "8201000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000000000000000000000"
-        "000000000000000000000000",
+        "00000000",
     ),
     (
         "e2ap_subscription_policy",
@@ -256,8 +256,7 @@ GOLDEN_VECTORS = [
                 "action_type": "policy",
             },
         },
-        "0823090d096e090c081b0979030102097a0302008e097b06020800097c050670"
-        "6f6c696379",
+        "081c1d7e1c0817890301028a0302008e8b060208008c0506706f6c696379",
     ),
     (
         "e2ap_setup_dict_field",
@@ -265,8 +264,7 @@ GOLDEN_VECTORS = [
             "pdu": "E2SetupRequest",
             "ie": {"e2_node_id": "gnb-cu-0", "ran_functions": {"142": "ORAN-E2SM-KPM-MobiFlow"}},
         },
-        "081f090d096c090c081709750508676e622d63752d3009760807050331343209"
-        "15",
+        "08191d7c1c0814850508676e622d63752d30860806050331343225",
     ),
     (
         "e2ap_control_ack_bools",
@@ -279,8 +277,8 @@ GOLDEN_VECTORS = [
                 "outcome": "no active context",
             },
         },
-        "082b090d0973090c08230979030109097a0302008e098401098505116e6f2061"
-        "637469766520636f6e74657874",
+        "08241d831c081f890301098a0302008e94019505116e6f206163746976652063"
+        "6f6e74657874",
     ),
     (
         "mobiflow_batch",
@@ -310,12 +308,11 @@ GOLDEN_VECTORS = [
             },
             {"timestamp": 13, "msg": "Paging", "protocol": "RRC", "direction": "DL", "session_id": 0},
         ],
-        "07bb01082f0900044029400000000000090109480902090e0903091009040301"
-        "070905030246010906030500deadbeef090b091a087009000440298000000000"
-        "00090109310902090f0903091109040301070905030246010906030500deadbe"
-        "ef0907051f737563692d3030312d30312d303030302d302d302d313233343536"
-        "3738393009080514696d73692d30303130313132333435363738393009090301"
-        "00090a0301020816090003010d0901093d0902090e090309110904030100",
+        "0799010823100440294000000000001158121e13201403010715030246011603"
+        "0500deadbeef1b2a0862100440298000000000001141121f1321140301071503"
+        "02460116030500deadbeef17051f737563692d3030312d30312d303030302d30"
+        "2d302d31323334353637383930180514696d73692d3030313031313233343536"
+        "37383930190301001a030102080e1003010d114d121e132114030100",
     ),
 ]
 
@@ -343,12 +340,14 @@ class TestGoldenVectors:
 # what ``==`` would blur: NaN, -0.0, bool vs int, list vs tuple, key order.
 # ``hex`` and ``decoded`` are as that commit wrote them and must keep decoding;
 # a row whose value holds a ``wire.SYMBOLS`` name also has ``hex_v2``, what the
-# encoder writes for it since revision 2 (a row without one did not move).
+# encoder wrote for it at revisions 2 and 3 (two-byte symbols, still read),
+# and ``hex_v4``, what it writes since revision 4 (a row without them did not
+# move).
 
 DECODE_GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "wire_decode_golden.json").read_text()
 )
-CANONICAL_GOLDEN = {row.get("hex_v2", row["hex"]) for row in DECODE_GOLDEN}
+CANONICAL_GOLDEN = {row.get("hex_v4", row["hex"]) for row in DECODE_GOLDEN}
 FIRST_PINNED = {row["id"]: row["hex"] for row in DECODE_GOLDEN}
 
 
@@ -362,17 +361,22 @@ class TestDecodeOracle:
         assert {golden for _, _, golden in GOLDEN_VECTORS} <= CANONICAL_GOLDEN
 
     @pytest.mark.parametrize(
-        "golden,decoded,canonical",
-        [(row["hex"], row["decoded"], row.get("hex_v2")) for row in DECODE_GOLDEN],
+        "golden,decoded,two_byte,canonical",
+        [
+            (row["hex"], row["decoded"], row.get("hex_v2"), row.get("hex_v4"))
+            for row in DECODE_GOLDEN
+        ],
         ids=[row["id"] for row in DECODE_GOLDEN],
     )
-    def test_decode_matches_parent_decoder(self, golden, decoded, canonical):
+    def test_decode_matches_parent_decoder(self, golden, decoded, two_byte, canonical):
         value = wire.decode(bytes.fromhex(golden))
         assert repr(value) == decoded
         assert wire.encode(value).hex() == (canonical or golden)
+        assert (two_byte is None) == (canonical is None)
         if canonical is not None:
+            assert repr(wire.decode(bytes.fromhex(two_byte))) == decoded
             assert repr(wire.decode(bytes.fromhex(canonical))) == decoded
-            assert len(canonical) < len(golden)
+            assert len(canonical) < len(two_byte) < len(golden)
 
     def test_only_vectors_holding_a_table_name_moved(self):
         def strings(value):
@@ -390,7 +394,7 @@ class TestDecodeOracle:
             named = any(
                 text in wire.SYMBOLS for text in strings(wire.decode(bytes.fromhex(row["hex"])))
             )
-            assert ("hex_v2" in row) == named, row["id"]
+            assert ("hex_v2" in row) == ("hex_v4" in row) == named, row["id"]
 
     @pytest.mark.parametrize(
         "value,golden",
@@ -408,7 +412,7 @@ class TestDecodeOracle:
 
     @pytest.mark.parametrize("row", DECODE_GOLDEN, ids=[row["id"] for row in DECODE_GOLDEN])
     def test_every_strict_prefix_is_rejected(self, row):
-        for column in ("hex", "hex_v2"):
+        for column in ("hex", "hex_v2", "hex_v3", "hex_v4", "hex_v4_records"):
             data = bytes.fromhex(row.get(column, ""))
             for cut in range(len(data)):
                 with pytest.raises(wire.WireError):
@@ -544,8 +548,13 @@ class TestErrors:
             wire.decode(b"")
 
     def test_unknown_tag(self):
-        with pytest.raises(wire.WireError):
-            wire.decode(b"\x7f")
+        # 0x0A-0x0F are reserved; every tag from 0x10 up is a one-byte
+        # symbol (revision 4), unknown only past the table's end.
+        for tag in range(0x0A, 0x10):
+            with pytest.raises(wire.WireError, match="unknown tag"):
+                wire.decode(bytes([tag]))
+        with pytest.raises(wire.WireError, match="unknown symbol"):
+            wire.decode(b"\xff")
 
     def test_truncated_float(self):
         with pytest.raises(wire.WireError):

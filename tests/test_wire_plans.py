@@ -43,16 +43,23 @@ from repro.telemetry.encoder import (
     encode_record,
 )
 from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
+from tests.fixtures.repin_wire_golden import canonical
 from tests.test_wire import DECODE_GOLDEN, FIRST_PINNED, GOLDEN_VECTORS, examples, nested_lists
 
 GOLDEN = {name: bytes.fromhex(golden) for name, _, golden in GOLDEN_VECTORS}
 # The same vectors as every encoder wrote them before revision 2 (names
-# spelled out): no longer produced, still decoded.
+# spelled out) and at revisions 2 and 3 (two-byte symbols): no longer
+# produced, still decoded.
 REVISION_1 = {name: bytes.fromhex(FIRST_PINNED[f"wire:{name}"]) for name in GOLDEN}
-# The golden batch as the record codec writes it since revision 3.
-REVISION_3_BATCH = bytes.fromhex(
-    next(row["hex_v3"] for row in DECODE_GOLDEN if row["id"] == "wire:mobiflow_batch")
-)
+_ROWS = {row["id"]: row for row in DECODE_GOLDEN}
+REVISION_2 = {
+    name: bytes.fromhex(_ROWS[f"wire:{name}"].get("hex_v2", _ROWS[f"wire:{name}"]["hex"]))
+    for name in GOLDEN
+}
+# The golden batch as the record codec wrote it at revision 3, and as it
+# writes it since revision 4.
+REVISION_3_BATCH = bytes.fromhex(_ROWS["wire:mobiflow_batch"]["hex_v3"])
+REVISION_4_BATCH = bytes.fromhex(_ROWS["wire:mobiflow_batch"]["hex_v4_records"])
 CATALOGUE = {
     name: (protocol, direction)
     for name, protocol, direction in json.loads(
@@ -149,10 +156,12 @@ def wire_dict(record: MobiFlowRecord) -> dict:
 
 
 def revision_2_bytes(records) -> bytes:
-    """The batch as the parent format wrote it: every non-null field."""
-    return wire.encode(
-        [{name: value for name, value in zip(FIELD_NAMES, r) if value is not None} for r in records]
-    )
+    """The batch as revision 2 wrote it: every non-null field, names as
+    two-byte symbols."""
+    dicts = [
+        {name: value for name, value in zip(FIELD_NAMES, r) if value is not None} for r in records
+    ]
+    return canonical(wire.encode(dicts), 2)
 
 
 def generic_batch_bytes(records) -> bytes:
@@ -559,17 +568,19 @@ class TestCatalogueFieldsLeftOff:
             assert written == wire_dict(record)
             for name, value in derived_fields(record.msg).items():
                 assert written.get(name) != value
-        # The same records with both fields written out, as revision 2 did.
-        old = revision_2_bytes(records)
-        decoded = decode_batch(old)
-        assert list(decoded) == records
-        assert (decoded.spans is None) == (old != encoded)
+        # The same records with both fields written out, as revision 2 did,
+        # and as revision 3 wrote them: the same records, no spans.
+        for old in (revision_2_bytes(records), canonical(encoded, 2)):
+            decoded = decode_batch(old)
+            assert list(decoded) == records
+            assert (decoded.spans is None) == (old != encoded)
 
 
 class TestGoldenBytes:
     """The planned codecs against the bytes the generic codec of PR 16 wrote,
-    re-pinned for revision 2 from those bytes and the symbol table, and the
-    record batch for revision 3 from those and the catalogue."""
+    re-pinned for revisions 2 and 4 from those bytes and the symbol table,
+    and the record batch for revisions 3 and 4 from those and the
+    catalogue."""
 
     OBJECTS = {
         "message_enum_wide_int_bool": rrc.RrcSetupRequest(
@@ -643,9 +654,11 @@ class TestGoldenBytes:
         assert repr(decoded) == repr(obj)  # -0.0 stays -0.0, True stays True
 
     def test_batch(self):
-        golden = REVISION_3_BATCH
+        golden = REVISION_4_BATCH
         assert encode_batch(self.BATCH) == golden
-        assert len(golden) == len(GOLDEN["mobiflow_batch"]) - 3 * 8
+        # protocol and direction, one-byte keys and values, on each record
+        assert len(golden) == len(GOLDEN["mobiflow_batch"]) - 3 * 4
+        assert len(REVISION_3_BATCH) == len(REVISION_2["mobiflow_batch"]) - 3 * 8
         decoded = decode_batch(golden)
         assert list(decoded) == self.BATCH
         assert type(decoded[2].timestamp) is int
@@ -654,9 +667,15 @@ class TestGoldenBytes:
         ]
 
     def test_revision_2_batch_still_decodes_without_spans(self):
-        decoded = decode_batch(GOLDEN["mobiflow_batch"])
+        for old in (REVISION_2["mobiflow_batch"], GOLDEN["mobiflow_batch"]):
+            decoded = decode_batch(old)
+            assert list(decoded) == self.BATCH and decoded.spans is None
+            assert encode_batch(decoded) == REVISION_4_BATCH
+
+    def test_revision_3_batch_still_decodes_without_spans(self):
+        decoded = decode_batch(REVISION_3_BATCH)
         assert list(decoded) == self.BATCH and decoded.spans is None
-        assert encode_batch(decoded) == REVISION_3_BATCH
+        assert encode_batch(decoded) == REVISION_4_BATCH
 
     @pytest.mark.parametrize("name", sorted(OBJECTS))
     def test_revision_1_object_still_decodes(self, name):
@@ -666,15 +685,27 @@ class TestGoldenBytes:
         assert type(decoded) is type(obj) and repr(decoded) == repr(obj)
         assert decoded.to_wire() == GOLDEN[name]
 
+    @pytest.mark.parametrize("name", sorted(OBJECTS))
+    def test_revision_2_object_still_decodes(self, name):
+        """Two-byte symbols: the planned decoder steps aside, the generic
+        path answers."""
+        obj, old = self.OBJECTS[name], REVISION_2[name]
+        assert old != GOLDEN[name] and len(old) > len(GOLDEN[name])
+        plans = messages._PLANS if name.startswith("message") else e2ap._PLANS
+        assert plans.decode(old) is None
+        decoded = type(obj).from_wire(old)
+        assert type(decoded) is type(obj) and repr(decoded) == repr(obj)
+        assert decoded.to_wire() == GOLDEN[name]
+
     def test_revision_1_batch_still_decodes_without_spans(self):
         decoded = decode_batch(REVISION_1["mobiflow_batch"])
         assert list(decoded) == self.BATCH and decoded.spans is None
-        assert encode_batch(decoded) == REVISION_3_BATCH
+        assert encode_batch(decoded) == REVISION_4_BATCH
 
     @pytest.mark.parametrize("name", sorted(OBJECTS) + ["mobiflow_batch"])
     def test_every_strict_prefix_is_rejected(self, name):
         if name == "mobiflow_batch":
-            golden, decode = REVISION_3_BATCH, decode_batch
+            golden, decode = REVISION_4_BATCH, decode_batch
         else:
             golden, decode = GOLDEN[name], self._decoder(name)
         for cut in range(len(golden)):
@@ -693,7 +724,8 @@ class TestRevision2Bytes:
     record), pinned from it: an E2 indication of eight records and a
     ``.mfl`` file of twenty, two of them outside the catalogue (a foreign
     pair, an unknown name). They load to the same records; re-encoded, each
-    catalogued field they spelled out is gone."""
+    catalogued field they spelled out is gone, and every symbol is one byte
+    shorter."""
 
     PINNED = json.loads((Path(__file__).parent / "fixtures" / "revision_2_e2.json").read_text())
     RECORDS = [MobiFlowRecord(*fields) for fields in PINNED["records"]]
@@ -708,7 +740,9 @@ class TestRevision2Bytes:
         pdu = E2apPdu.from_wire(bytes.fromhex(self.PINNED["indication_hex"]))
         records = MobiFlowKpmModel.decode_indication(pdu.indication_header, pdu.indication_message)
         assert list(records) == self.RECORDS[:8] and records.spans is None
-        assert len(encode_batch(records)) == len(pdu.indication_message) - 8 * 8
+        assert len(canonical(encode_batch(records), 2)) == len(pdu.indication_message) - 8 * 8
+        # 45 symbols (keys and names) over the 8 records, each 1 B shorter
+        assert len(encode_batch(records)) == len(pdu.indication_message) - 8 * 8 - 45
 
         sim, ric = make_ric()
         watch = MobiWatchXApp(ric, XsecConfig())
@@ -729,8 +763,59 @@ class TestRevision2Bytes:
         size = save_series(load_series(self.MFL), tmp_path / "again.mfl")
         # 18 catalogued records lose 8 B each; the foreign pair keeps its
         # protocol and drops its direction (4 B); the unknown name keeps both.
-        assert size == self.MFL.stat().st_size - 18 * 8 - 4
+        again = (tmp_path / "again.mfl").read_bytes()
+        two_byte = again[:4] + canonical(again[4:], 2)
+        assert len(two_byte) == self.MFL.stat().st_size - 18 * 8 - 4
+        # Each of the 121 symbols left (keys and names) is one byte shorter.
+        assert size == len(two_byte) - 121
         assert load_series(tmp_path / "again.mfl").records == self.RECORDS
+
+
+class TestRevision3Bytes:
+    """Bytes the revision-3 encoder wrote (two-byte symbols, catalogued
+    fields left off), pinned from it: the first eight records of
+    fixtures/revision_2_e2.json as one E2 indication, and the twenty of
+    fixtures/revision_2_series.mfl re-saved. They load to the same records
+    as the revision-2 fixtures; re-encoded, every symbol is one byte."""
+
+    PINNED = json.loads((Path(__file__).parent / "fixtures" / "revision_3_e2.json").read_text())
+    MFL = Path(__file__).parent / "fixtures" / "revision_3_series.mfl"
+
+    def test_indication_decodes_to_the_same_records(self):
+        from repro.core import XsecConfig
+        from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
+        from repro.oran.e2sm_kpm import MobiFlowKpmModel
+        from tests.test_core_units import make_ric
+
+        expected = TestRevision2Bytes.RECORDS[:8]
+        assert [MobiFlowRecord(*fields) for fields in self.PINNED["records"]] == expected
+        pdu = E2apPdu.from_wire(bytes.fromhex(self.PINNED["indication_hex"]))
+        records = MobiFlowKpmModel.decode_indication(pdu.indication_header, pdu.indication_message)
+        assert list(records) == expected and records.spans is None
+        # The same bytes as the revision-4 encoder's, every symbol widened.
+        header, message = MobiFlowKpmModel.encode_indication(records)
+        assert canonical(message, 2) == pdu.indication_message
+        assert canonical(header, 2) == pdu.indication_header
+        assert len(message) == len(pdu.indication_message) - 45
+
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, XsecConfig())
+        watch.on_indication(pdu)
+        assert list(watch.series) == expected
+        assert ric.sdl._data[SDL_TELEMETRY_NS] == {
+            f"{index:09d}": encode_record(record) for index, record in enumerate(expected)
+        }
+
+    def test_mfl_file_loads_to_the_same_records(self, tmp_path):
+        from repro.telemetry.persist import load_series, save_series
+
+        assert load_series(self.MFL).records == TestRevision2Bytes.RECORDS
+        size = save_series(load_series(self.MFL), tmp_path / "again.mfl")
+        again = (tmp_path / "again.mfl").read_bytes()
+        assert again[:4] + canonical(again[4:], 2) == self.MFL.read_bytes()
+        assert size == self.MFL.stat().st_size - 121
+        save_series(load_series(TestRevision2Bytes.MFL), tmp_path / "from_revision_2.mfl")
+        assert (tmp_path / "from_revision_2.mfl").read_bytes() == again
 
 
 # -- valid bytes the planned encoders would not have written ----------------------
@@ -750,10 +835,16 @@ def spelled(value: str, long_form: bool = False) -> bytes:
 
 
 def text(value: str) -> bytes:
-    """A string as the encoder writes it: a table name as its symbol."""
+    """A string as the encoder writes it: a table name as its one-byte
+    symbol (revision 4)."""
     if value in wire.SYMBOLS:
-        return bytes([0x09, wire.SYMBOLS.index(value)])
+        return bytes([0x10 + wire.SYMBOLS.index(value)])
     return spelled(value)
+
+
+def two_byte(value: str) -> bytes:
+    """A table name as revisions 2 and 3 wrote it."""
+    return bytes([0x09, wire.SYMBOLS.index(value)])
 
 
 def pairs(*items, long_form: bool = False) -> bytes:
@@ -841,6 +932,30 @@ NON_CANONICAL_MESSAGES = {
     "spelled_out_value": pairs("msg", NAME, "ie", SPELLED_CAUSE_IE),
     "spelled_out_name": pairs("msg", spelled("RRCSetupRequest"), "ie", CANONICAL_IE),
     "spelled_out_envelope_keys": pairs(spelled("msg"), NAME, spelled("ie"), CANONICAL_IE),
+    # Table names as two-byte symbols, as revisions 2 and 3 wrote them.
+    "two_byte_key": pairs(
+        "msg", NAME, "ie",
+        pairs(
+            two_byte("establishment_cause"), CAUSE,
+            "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI,
+        ),
+    ),
+    "two_byte_value": pairs(
+        "msg", NAME, "ie",
+        pairs(
+            "establishment_cause", two_byte("mo-Data"),
+            "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI,
+        ),
+    ),
+    "two_byte_name": pairs("msg", two_byte("RRCSetupRequest"), "ie", CANONICAL_IE),
+    "two_byte_envelope_keys": pairs(two_byte("msg"), NAME, two_byte("ie"), CANONICAL_IE),
+    "revision_3_bytes": pairs(
+        two_byte("msg"), two_byte("RRCSetupRequest"), two_byte("ie"),
+        pairs(
+            two_byte("establishment_cause"), two_byte("mo-Data"),
+            two_byte("ue_identity"), IDENTITY, two_byte("identity_is_tmsi"), IS_TMSI,
+        ),
+    ),
     "revision_1_bytes": pairs(
         spelled("msg"), spelled("RRCSetupRequest"), spelled("ie"),
         pairs(
@@ -895,6 +1010,17 @@ NON_CANONICAL_BATCHES = {
             spelled("timestamp"), wire.encode(1.5), spelled("msg"), spelled("RRCSetup"),
             spelled("protocol"), spelled("RRC"), spelled("direction"), spelled("DL"),
             spelled("session_id"), wire.encode(3), spelled("rnti"), wire.encode(0x4601),
+        )
+    ),
+    # A two-byte symbol is enough too (revisions 2 and 3 wrote them).
+    "two_byte_key": batch_of(pairs(two_byte("timestamp"), *RECORD_ITEMS[1:])),
+    "two_byte_value": batch_of(
+        pairs(*RECORD_ITEMS[:3], two_byte("RRCSetup"), *RECORD_ITEMS[4:])
+    ),
+    "revision_3_bytes": batch_of(
+        pairs(
+            two_byte("timestamp"), wire.encode(1.5), two_byte("msg"), two_byte("RRCSetup"),
+            two_byte("session_id"), wire.encode(3), two_byte("rnti"), wire.encode(0x4601),
         )
     ),
     # What the catalogue gives, written anyway (revision 2 wrote both).

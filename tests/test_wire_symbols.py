@@ -1,11 +1,14 @@
-"""Wire format revision 2: the static symbol table and its contract.
+"""Wire format revisions 2 and 4: the static symbol table and its contract.
 
 A string whose content is an entry of ``wire.SYMBOLS`` crosses every
-interface as the tag ``0x09`` and one index byte. The table is part of the
-format: append-only (tests/fixtures/wire_symbols.json pins the order), at
-most 256 long, and it must hold every name the tree puts on the wire by the
-thousand. Both forms decode to the same value; no encoder writes a table
-string spelled out; an index past the table is a ``WireError`` that the E2
+interface as a symbol: since revision 4 the one tag byte ``0x10 + index``
+for an index below 240, before it (revisions 2 and 3) the tag ``0x09`` and
+one index byte. The table is part of the format: append-only
+(tests/fixtures/wire_symbols.json pins the order), at most 256 long, and it
+must hold every name the tree puts on the wire by the thousand. All three
+forms — one byte, two bytes, spelled out — decode to the same value; no
+encoder writes a table string in any but the first; an index past the
+table, or a reserved tag (``0x0A``-``0x0F``), is a ``WireError`` that the E2
 edge and the collector count and drop.
 """
 
@@ -40,7 +43,9 @@ PINNED_CATALOGUE = [
         (Path(__file__).parent / "fixtures" / "mobiflow_catalogue.json").read_text()
     )
 ]
-SYMBOL = 0x09
+TWO_BYTE = 0x09  # + index: revisions 2 and 3, and indices 240-255
+SHORT = 0x10  # + index, one byte: indices below 240 since revision 4
+RESERVED = range(0x0A, 0x10)
 
 
 def spelled(name: str) -> bytes:
@@ -50,7 +55,15 @@ def spelled(name: str) -> bytes:
 
 
 def symbol(name: str) -> bytes:
-    return bytes([SYMBOL, wire.SYMBOLS.index(name)])
+    """A table name as the encoder writes it since revision 4."""
+    index = wire.SYMBOLS.index(name)
+    assert index < 240
+    return bytes([SHORT + index])
+
+
+def two_byte(name: str) -> bytes:
+    """A table name as revisions 2 and 3 wrote it."""
+    return bytes([TWO_BYTE, wire.SYMBOLS.index(name)])
 
 
 class _Label(str):
@@ -154,20 +167,27 @@ class TestBothFormsOneValue:
     def test_entry(self, name):
         assert wire.encode(name) == symbol(name)
         assert wire.decode(symbol(name)) is name  # the table's own object
+        assert wire.decode(two_byte(name)) is name
         assert wire.decode(spelled(name)) == name
         for outer in ([name], {name: name}, {"other": [{name: [name]}]}):
             encoded = wire.encode(outer)
             assert spelled(name) not in encoded and canonical(encoded) == encoded
-            assert wire.decode(encoded) == outer == wire.decode(spell_out(encoded))
+            assert two_byte(name) not in encoded
+            assert (
+                wire.decode(encoded)
+                == outer
+                == wire.decode(spell_out(encoded))
+                == wire.decode(canonical(encoded, 2))
+            )
 
     @pytest.mark.parametrize("value", [_Label("RRC"), _Word.RRC, _Word.UPLINK, "RRC"])
     def test_subclasses_and_enum_members_are_looked_up_by_content(self, value):
         content = value.value if isinstance(value, enum.Enum) else str.__str__(value)
         assert wire.encode(value) == symbol(content)
-        assert wire.encode([value]) == b"\x07\x02" + symbol(content)
-        assert wire.encode({"k": {"n": value}})[-2:] == symbol(content)
-        assert wire.encode({value: 1}) == b"\x08\x05" + symbol(content) + wire.encode(1)
-        assert wire.encode([{value: [value]}])[4:] == symbol(content) + b"\x07\x02" + symbol(content)
+        assert wire.encode([value]) == b"\x07\x01" + symbol(content)
+        assert wire.encode({"k": {"n": value}})[-1:] == symbol(content)
+        assert wire.encode({value: 1}) == b"\x08\x04" + symbol(content) + wire.encode(1)
+        assert wire.encode([{value: [value]}])[4:] == symbol(content) + b"\x07\x01" + symbol(content)
 
     def test_other_strings_are_written_as_before(self):
         for text in ("", "rrc", "Rrc", "msg ", "timestamps", "ünïcode", "x" * 200):
@@ -178,20 +198,23 @@ class TestBothFormsOneValue:
         request = rrc.RrcSetupRequest(establishment_cause=rrc.EstablishmentCause.MO_DATA)
         encoded = request.to_wire()
         assert encoded == wire.encode({"msg": request.NAME, "ie": request.fields()})
-        assert encoded[2:8] == symbol("msg") + symbol("RRCSetupRequest") + symbol("ie")
-        assert symbol("mo-Data") in encoded and b"mo-Data" not in encoded
+        assert encoded[2:5] == symbol("msg") + symbol("RRCSetupRequest") + symbol("ie")
+        assert symbol("establishment_cause") + symbol("mo-Data") in encoded
+        assert b"mo-Data" not in encoded
         pdu = e2ap.RicControlAck(ric_request_id=1, outcome="released")
-        assert pdu.to_wire()[2:8] == symbol("pdu") + symbol("RICControlAck") + symbol("ie")
+        assert pdu.to_wire()[2:5] == symbol("pdu") + symbol("RICControlAck") + symbol("ie")
         assert b"released" in pdu.to_wire()  # not a table string
         entry = record(1.5, "RRCSetupComplete", rnti=0x4601, s_tmsi=0x12345678)
         assert encode_record(entry) == wire.encode(entry.to_wire_dict())
-        # 44 with protocol and direction written (revision 2), 114 with
-        # every name spelled out as well (revision 1).
-        assert len(encode_record(entry)) == 36
+        # 36 with two-byte symbols (revision 3), 44 with protocol and
+        # direction written as well (revision 2), 114 with every name
+        # spelled out (revision 1).
+        assert len(encode_record(entry)) == 30
+        assert len(canonical(encode_record(entry), 2)) == 36
         header, _ = MobiFlowKpmModel.encode_indication([entry])
-        assert header == b"\x08\x09" + symbol("sm") + symbol(MobiFlowKpmModel.NAME) + symbol(
+        assert header == b"\x08\x06" + symbol("sm") + symbol(MobiFlowKpmModel.NAME) + symbol(
             "count"
-        ) + wire.encode(1)  # 11 B; 40 B spelled out
+        ) + wire.encode(1)  # 8 B; 11 B with two-byte symbols, 40 B spelled out
 
     @pytest.mark.parametrize(
         "action,params",
@@ -205,9 +228,9 @@ class TestBothFormsOneValue:
     )
     def test_control_names_its_action_and_parameters_by_symbol(self, action, params):
         header, message = MobiFlowKpmModel.encode_control(action, **params)
-        assert header == b"\x08\x08" + symbol("sm") + symbol(MobiFlowKpmModel.NAME) + symbol(
+        assert header == b"\x08\x04" + symbol("sm") + symbol(MobiFlowKpmModel.NAME) + symbol(
             "action"
-        ) + symbol(action)  # 10 B; 26-33 B with the action spelled out
+        ) + symbol(action)  # 6 B; 10 B in two-byte symbols, 26-33 B spelled out
         assert all(symbol(key) in message for key in params)
         assert canonical(header) == header and canonical(message) == message
         assert MobiFlowKpmModel.decode_control(header, message) == (action, params)
@@ -215,6 +238,9 @@ class TestBothFormsOneValue:
         body = symbol("sm") + symbol(MobiFlowKpmModel.NAME) + spelled("action") + spelled(action)
         old_header = bytes([0x08, len(body)]) + body
         assert MobiFlowKpmModel.decode_control(old_header, spell_out(message)) == (action, params)
+        assert MobiFlowKpmModel.decode_control(
+            canonical(header, 2), canonical(message, 2)
+        ) == (action, params)
 
     def test_a_message_outside_the_table_still_round_trips(self):
         @dataclass
@@ -228,6 +254,7 @@ class TestBothFormsOneValue:
         assert symbol("cause") + symbol("mo-Data") in encoded
         assert Message.from_wire(encoded) == Vendor(vendor_field=5, cause="mo-Data")
         assert Message.from_wire(canonical(encoded)) == Vendor(vendor_field=5, cause="mo-Data")
+        assert Message.from_wire(canonical(encoded, 2)) == Vendor(vendor_field=5, cause="mo-Data")
 
     @examples(100)
     @given(st.lists(st.sampled_from(wire.SYMBOLS) | st.text(max_size=8), max_size=6))
@@ -241,72 +268,115 @@ class TestBothFormsOneValue:
         assert canonical(old) == encoded
 
 
-def spell_out(data: bytes) -> bytes:
-    """Revision-2 bytes as every encoder wrote them before (test-side walker)."""
+def rewrite_symbols(data: bytes, rewrite) -> bytes:
+    """``data`` rebuilt with every symbol, of either width, replaced by
+    ``rewrite(index, offset, depth)`` and every container length recomputed
+    (test-side walker; ``depth`` counts the containers around the symbol)."""
 
-    def at(offset):
+    def at(offset, depth):
         tag = data[offset]
+        if tag >= SHORT:
+            return rewrite(tag - SHORT, offset, depth), offset + 1
+        if tag == TWO_BYTE:
+            return rewrite(data[offset + 1], offset, depth), offset + 2
         if tag < 0x03:
             return data[offset : offset + 1], offset + 1
         if tag == 0x04:
             return data[offset : offset + 9], offset + 9
-        if tag == SYMBOL:
-            return spelled(wire.SYMBOLS[data[offset + 1]]), offset + 2
         length, body = wire._decode_length(data, offset + 1, len(data))
         stop = body + length
         if tag < 0x07:
             return data[offset:stop], stop
         children = b""
         while body < stop:
-            child, body = at(body)
+            child, body = at(body, depth + 1)
             children += child
         return bytes([tag]) + wire._encode_length(len(children)) + children, stop
 
-    out, end = at(0)
+    out, end = at(0, 0)
     assert end == len(data)
     return out
 
 
+def spell_out(data: bytes) -> bytes:
+    """Bytes with every symbol of either width written out, as every
+    encoder wrote them before revision 2."""
+    return rewrite_symbols(data, lambda index, offset, depth: spelled(wire.SYMBOLS[index]))
+
+
+def symbol_sites(data: bytes) -> list[tuple[int, int, int]]:
+    """``(offset, index, depth)`` of every symbol in revision-4 bytes."""
+    sites = []
+
+    def note(index, offset, depth):
+        sites.append((offset, index, depth))
+        return bytes([SHORT + index])
+
+    assert rewrite_symbols(data, note) == data
+    return sites
+
+
 class TestHostileSymbols:
+    @staticmethod
+    def _placements(hostile: bytes):
+        return (
+            hostile,  # top level
+            bytes([0x07, len(hostile)]) + hostile,  # list item
+            bytes([0x08, len(hostile) + 1]) + hostile + b"\x00",  # dict key
+            bytes([0x08, len(hostile) + 1]) + symbol("msg") + hostile,  # dict value
+        )
+
     def test_every_index_past_the_table(self):
         for index in range(len(wire.SYMBOLS), 256):
-            hostile = bytes([SYMBOL, index])
-            for data in (
-                hostile,  # top level
-                b"\x07\x02" + hostile,  # list item
-                b"\x08\x03" + hostile + b"\x00",  # dict key
-                b"\x08\x04" + symbol("msg") + hostile,  # dict value
-            ):
-                with pytest.raises(wire.WireError, match=f"unknown symbol {index}"):
-                    wire.decode(data)
+            forms = [bytes([TWO_BYTE, index])]
+            if index < 240:
+                forms.append(bytes([SHORT + index]))
+            for hostile in forms:
+                for data in self._placements(hostile):
+                    with pytest.raises(wire.WireError, match=f"unknown symbol {index}"):
+                        wire.decode(data)
+
+    @pytest.mark.parametrize("tag", RESERVED)
+    def test_reserved_tags(self, tag):
+        for data in self._placements(bytes([tag, 0])):
+            with pytest.raises(wire.WireError, match=f"unknown tag 0x{tag:02x}"):
+                wire.decode(data)
 
     def test_truncated_symbol(self):
         for data in (
-            bytes([SYMBOL]),
-            b"\x07\x01" + bytes([SYMBOL]),
-            b"\x08\x01" + bytes([SYMBOL]),
-            b"\x08\x03" + symbol("msg") + bytes([SYMBOL]),
-            b"\x07\x01" + symbol("msg"),  # the index byte lies past the parent's end
+            bytes([TWO_BYTE]),
+            b"\x07\x01" + bytes([TWO_BYTE]),
+            b"\x08\x01" + bytes([TWO_BYTE]),
+            b"\x08\x02" + symbol("msg") + bytes([TWO_BYTE]),
+            b"\x07\x01" + two_byte("msg"),  # the index byte lies past the parent's end
+            b"\x08\x01" + symbol("msg"),  # a key without a value
         ):
             with pytest.raises(wire.WireError):
                 wire.decode(data)
 
     def test_planned_decoders_answer_as_the_generic_one(self):
+        past_end = bytes([SHORT + len(wire.SYMBOLS)])
         good = rrc.RrcSetupRequest().to_wire()
-        at = good.index(symbol("mo-Signalling")) + 1
-        hostile = good[:at] + b"\xff" + good[at + 1 :]
-        with pytest.raises(ValueError, match="unknown symbol"):
-            Message.from_wire(hostile)
+        at = good.index(symbol("establishment_cause") + symbol("mo-Signalling")) + 1
+        for hostile in (past_end, b"\xff", two_byte("mo-Signalling")[:1] + b"\xff"):
+            with pytest.raises(ValueError, match="unknown symbol"):
+                Message.from_wire(good[:at] + hostile + good[at + 1 :])
         with pytest.raises(ValueError):
             Message.from_wire(good[: at + 1])  # cut right after the symbol
+        with pytest.raises(ValueError, match="unknown tag"):
+            Message.from_wire(good[:at] + b"\x0a" + good[at + 1 :])
         batch = encode_batch([record(0.1, "RRCSetup")])
-        at = batch.index(symbol("RRCSetup")) + 1
+        at = batch.index(symbol("msg") + symbol("RRCSetup")) + 1
         with pytest.raises(wire.WireError, match="unknown symbol"):
-            decode_batch(batch[:at] + bytes([len(wire.SYMBOLS)]) + batch[at + 1 :])
+            decode_batch(batch[:at] + past_end + batch[at + 1 :])
+        with pytest.raises(wire.WireError, match="unknown tag"):
+            decode_batch(batch[:at] + b"\x0f" + batch[at + 1 :])
         pdu = e2ap.RicControlAck().to_wire()
-        at = pdu.index(symbol("RICControlAck")) + 1
+        at = pdu.index(symbol("pdu") + symbol("RICControlAck")) + 1
         with pytest.raises(e2ap.E2apError, match="unknown symbol"):
             e2ap.E2apPdu.from_wire(pdu[:at] + b"\xfe" + pdu[at + 1 :])
+        with pytest.raises(e2ap.E2apError, match="unknown symbol"):
+            e2ap.E2apPdu.from_wire(pdu[:at] + two_byte("pdu")[:1] + b"\xfe" + pdu[at + 1 :])
 
 
 class TestSpelledOutRecordIsStoredCanonically:
@@ -324,7 +394,12 @@ class TestSpelledOutRecordIsStoredCanonically:
         assert batch_bytes() == encode_batch(records)
         assert decode_batch(batch_bytes()).spans is not None
         one = batch_bytes("RRCSetup")
-        for data in (one, batch_bytes("rnti"), spell_out(encode_batch(records))):
+        for data in (
+            one,
+            batch_bytes("rnti"),
+            spell_out(encode_batch(records)),
+            canonical(encode_batch(records), 2),  # revision-3 bytes
+        ):
             decoded = decode_batch(data)
             assert list(decoded) == records and decoded.spans is None
 
@@ -388,3 +463,183 @@ def _bytes_leaves(value):
     elif isinstance(value, list):
         for item in value:
             yield from _bytes_leaves(item)
+
+
+# -- revision 4: one-byte symbols ----------------------------------------------------
+
+FORMS = {
+    "one_byte": lambda index: bytes([SHORT + index]),
+    "two_byte": lambda index: bytes([TWO_BYTE, index]),
+    "spelled": lambda index: spelled(wire.SYMBOLS[index]),
+}
+# A byte no revision-4 value starts with: a reserved tag, or a one-byte
+# symbol past the table's end.
+HOSTILE_TAGS = [*RESERVED, *range(SHORT + len(wire.SYMBOLS), 0x100)]
+names = st.sampled_from(wire.SYMBOLS) | st.text(max_size=6)
+values = st.recursive(
+    names | st.integers(-300, 300) | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(names, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _planned_cases() -> list:
+    """(decoder family, object): every message and PDU class of the tree,
+    and two record batches."""
+    from tests.test_wire_plans import MESSAGE_CLASSES, PDU_CLASSES
+
+    batches = [
+        [record(0.1, "RRCSetupRequest", establishment_cause="mo-Data")],
+        [
+            record(0.2, "RRCSetup", direction="DL", s_tmsi=0xBEEF),
+            record(0.3, "RegistrationRequest", protocol="NAS", suci="suci-0-001-01-0-0-0-1"),
+            record(0.4, "VendorReport"),
+        ],
+    ]
+    return (
+        [("message", cls()) for cls in MESSAGE_CLASSES]
+        + [("pdu", cls()) for cls in PDU_CLASSES]
+        + [("batch", batch) for batch in batches]
+    )
+
+
+PLANNED_CASES = _planned_cases()
+
+
+def _planned(kind: str):
+    """(encode, planned decode, public decode) of one decoder family."""
+    from repro.ran import messages
+    from repro.telemetry import encoder
+
+    if kind == "message":
+        return (lambda obj: obj.to_wire()), messages._PLANS.decode, Message.from_wire
+    if kind == "pdu":
+        return (lambda obj: obj.to_wire()), e2ap._PLANS.decode, e2ap.E2apPdu.from_wire
+    return encode_batch, encoder._PLAN.decode_list, (lambda data: list(decode_batch(data)))
+
+
+class TestRevision4OneByteSymbols:
+    """Revision 4's contract as properties (CI's ``wire-fuzz`` profile runs
+    them at 5 000 examples)."""
+
+    @examples(100)
+    @given(st.sampled_from(range(min(len(wire.SYMBOLS), 240))))
+    def test_every_index_below_240_encodes_to_one_byte(self, index):
+        name = wire.SYMBOLS[index]
+        one = bytes([SHORT + index])
+        assert wire.encode(name) == wire.encode(_Label(name)) == one
+        assert wire.encode([name]) == b"\x07\x01" + one
+        assert wire.encode({name: name}) == b"\x08\x02" + one + one
+
+    @examples(300)
+    @given(values, st.data())
+    def test_all_three_forms_decode_to_the_same_str(self, value, data):
+        encoded = wire.encode(value)
+        assert canonical(encoded) == encoded
+        mixed = rewrite_symbols(
+            encoded,
+            lambda index, offset, depth: FORMS[data.draw(st.sampled_from(sorted(FORMS)))](index),
+        )
+        decoded = wire.decode(mixed)
+        assert decoded == value == wire.decode(encoded)
+        assert canonical(mixed) == encoded and wire.encode(decoded) == encoded
+
+    @examples(300)
+    @given(st.sampled_from(PLANNED_CASES), st.data())
+    def test_planned_decoders_fall_back_on_a_two_byte_form(self, case, data):
+        kind, obj = case
+        encode, planned, decode = _planned(kind)
+        encoded = encode(obj)
+        # The symbols the plan itself reads: envelope keys and name, field
+        # keys and scalar values (deeper ones are the generic decoder's).
+        sites = [offset for offset, _, depth in symbol_sites(encoded) if depth <= 2]
+        widen = data.draw(st.sampled_from(sites))
+        widened = rewrite_symbols(
+            encoded,
+            lambda index, offset, depth: FORMS["two_byte" if offset == widen else "one_byte"](
+                index
+            ),
+        )
+        assert len(widened) > len(encoded)
+        assert planned(widened) is None
+        assert decode(widened) == obj
+        if kind == "batch":
+            assert decode_batch(widened).spans is None
+        assert planned(encoded) is not None
+
+    @examples(300)
+    @given(st.sampled_from(PLANNED_CASES), st.sampled_from(HOSTILE_TAGS), st.data())
+    def test_a_hostile_symbol_byte_is_a_wire_error_everywhere(self, case, hostile, data):
+        kind, obj = case
+        encode, planned, decode = _planned(kind)
+        encoded = encode(obj)
+        at = data.draw(st.sampled_from([offset for offset, _, _ in symbol_sites(encoded)]))
+        bad = encoded[:at] + bytes([hostile]) + encoded[at + 1 :]
+        match = "unknown tag" if hostile in RESERVED else "unknown symbol"
+        with pytest.raises(wire.WireError, match=match):
+            wire.decode(bad)
+        assert planned(bad) is None
+        # Message and E2AP errors wrap the WireError (both are ValueErrors).
+        with pytest.raises(ValueError, match=match):
+            decode(bad)
+
+    @examples(50)
+    @given(st.sampled_from(HOSTILE_TAGS), st.booleans(), st.data())
+    def test_e2_counts_and_drops_it(self, hostile, in_header, data):
+        sim, ric = make_ric()
+        watch = MobiWatchXApp(ric, XsecConfig())
+        bad = indication([record(0.1, "RRCSetup", direction="DL")], seq=2)
+        part = bad.indication_header if in_header else bad.indication_message
+        at = data.draw(st.sampled_from([offset for offset, _, _ in symbol_sites(part)]))
+        part = part[:at] + bytes([hostile]) + part[at + 1 :]
+        if in_header:
+            bad.indication_header = part
+        else:
+            bad.indication_message = part
+        batches = [
+            indication([record(0.0, "RRCSetupRequest")]),
+            bad,
+            indication([record(0.2, "RRCSetupComplete")], seq=3),
+        ]
+        for delay, batch in enumerate(batches, start=1):
+            sim.schedule(0.1 * delay, lambda batch=batch: watch.on_indication(batch))
+        sim.run(until=1.0)
+        rejected = sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value
+        assert (rejected, watch.records_seen) == (1, 2)
+
+    @examples(50)
+    @given(st.sampled_from(HOSTILE_TAGS), st.booleans(), st.data())
+    def test_f1_and_ng_count_and_skip_it(self, hostile, in_container, data):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.ran.pcap import CaptureRecord, PcapStream
+        from repro.telemetry import MobiFlowCollector
+
+        def corrupt(encoded: bytes) -> bytes:
+            at = data.draw(st.sampled_from([offset for offset, _, _ in symbol_sites(encoded)]))
+            return encoded[:at] + bytes([hostile]) + encoded[at + 1 :]
+
+        container = rrc.RrcSetupRequest(ue_identity=7).to_wire()
+        nas_pdu = nas.RegistrationRequest().to_wire()
+        if in_container:
+            container, nas_pdu = corrupt(container), corrupt(nas_pdu)
+        setup = f1ap.F1InitialUlRrcMessageTransfer(
+            gnb_du_ue_id=1, c_rnti=0x4601, rrc_container=container
+        )
+        captures = [
+            ("F1AP", setup.to_wire()),
+            ("NGAP", ngap.NgInitialUeMessage(ran_ue_id=1, nas_pdu=nas_pdu).to_wire()),
+        ]
+        if not in_container:
+            captures = [(interface, corrupt(payload)) for interface, payload in captures]
+        stream = PcapStream()
+        for index, (interface, payload) in enumerate(captures):
+            stream._records.append(CaptureRecord(0.1 * (index + 1), interface, payload))
+        metrics = MetricsRegistry()
+        assert len(MobiFlowCollector(metrics).parse_stream(stream)) == 0
+        counted = {
+            interface: metrics.counter(
+                "collector.undecodable_total", labels={"interface": interface}
+            ).value
+            for interface in ("F1AP", "NGAP")
+        }
+        assert counted == {"F1AP": 1, "NGAP": 1}
