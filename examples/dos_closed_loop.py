@@ -5,9 +5,10 @@ Scenario: a private 5G cell is serving a handful of subscribers when two
 denial-of-service campaigns hit it — a BTS DoS signaling storm, then a
 Blind DoS that keeps kicking one victim offline by replaying its S-TMSI.
 6G-XSec is deployed with the automated-response policy enabled (paper §5,
-Automated Network Responses): confirmed signaling-storm incidents release
-the offending radio contexts, and confirmed TMSI-replay incidents bar the
-replayed identity at the CU.
+Automated Network Responses): each confirmed incident gets the first
+response its attack class's catalogue entry lists that is switched on
+(``repro.llm.knowledge``), so a signaling storm caps the setup-request rate
+at the DU and a TMSI replay bars the replayed identity at the CU.
 
 Run:  python examples/dos_closed_loop.py
 """
@@ -20,7 +21,9 @@ from repro.experiments.datasets import BenignDatasetConfig
 from repro.ran.network import NetworkConfig
 
 
-def main() -> None:
+def run_closed_loop():
+    """Train MobiWatch, arm both campaigns and run the cell for 80 sim-s;
+    returns the deployment and the two attacks."""
     config = XsecConfig(
         train_epochs=25, auto_release=True, auto_blocklist=True, auto_rate_limit=True
     )
@@ -53,7 +56,11 @@ def main() -> None:
     storm.arm()
     replay.arm()
     xsec.run(until=80.0)
+    return xsec, storm, replay
 
+
+def main() -> None:
+    xsec, storm, replay = run_closed_loop()
     print("\nIncident timeline:")
     for incident in xsec.pipeline.incidents:
         anomaly = incident.anomaly
@@ -72,7 +79,8 @@ def main() -> None:
 
     print("\nAutomated responses taken:")
     for action, params in xsec.pipeline.actions_taken:
-        pretty = {k: hex(v) if isinstance(v, int) else v for k, v in params.items()}
+        # Identifiers in hex, as the RAN logs them; a rate limit as is.
+        pretty = {k: hex(v) if k in ("rnti", "tmsi") else v for k, v in params.items()}
         print(f"  {action}: {pretty}")
 
     print("\nEffect on the RAN:")

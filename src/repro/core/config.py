@@ -51,10 +51,9 @@ class XsecConfig:
     auto_release: bool = False
     auto_blocklist: bool = False
     # dApp-style radio control: cap the setup-request rate at the DU when a
-    # signaling storm is confirmed (effective against RNTI-hopping floods).
+    # signaling storm is confirmed (effective against RNTI-hopping floods),
+    # at AccessRatePolicy's default rate.
     auto_rate_limit: bool = False
-    rate_limit_max_setups: int = 3
-    rate_limit_window_s: float = 1.0
 
     # SLO plane (repro.obs): burn-rate alerting over declarative
     # objectives, the health scoreboard, profiler hooks, verdict provenance

@@ -17,12 +17,14 @@ holds at every instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.core.config import XsecConfig
 from repro.core.mobiwatch import XSEC_ANOMALY_MTYPE, AnomalyEvent, MobiWatchXApp
 from repro.llm.analyst import ExpertAnalyst, ExpertVerdict
 from repro.llm.client import LlmClient, SimulatedLlmServer
+from repro.llm.knowledge import AttackArticle, classify
 from repro.obs import profiler as _profiler
 from repro.obs.metrics import WallTimer
 from repro.oran.xapp import XApp
@@ -47,13 +49,20 @@ class VerdictEvent:
 
     @property
     def needs_human_review(self) -> bool:
-        return self.verdict.needs_human_review
+        """The LLM contradicts MobiWatch, or confirms a class the catalogue
+        does not know (which no automated response may act on)."""
+        return self.verdict.needs_human_review or (self.confirmed and self.article is None)
 
     @property
     def top_attack(self) -> str:
         """The provider's most likely attack name ("" when it named none)."""
         top_attacks = self.verdict.response.top_attacks
         return top_attacks[0][0] if top_attacks else ""
+
+    @cached_property
+    def article(self) -> Optional[AttackArticle]:
+        """The catalogue entry of :attr:`top_attack`, or None."""
+        return classify(self.top_attack)
 
 
 class LlmAnalyzerXApp(XApp):

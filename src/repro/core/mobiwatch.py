@@ -27,6 +27,7 @@ from repro.ml.detector import AnomalyDetector
 from repro.obs import profiler as _profiler
 from repro.obs.metrics import WallTimer
 from repro.obs.provenance import ProvenanceStore
+from repro.oran.a1 import RESPONSE_POLICY_TYPE
 from repro.oran.e2ap import ActionType, RicIndication
 from repro.oran.e2sm_kpm import (
     ACTION_BLOCKLIST_TMSI,
@@ -196,7 +197,14 @@ class MobiWatchXApp(XApp):
     # -- policy (A1) -----------------------------------------------------------
 
     def on_policy(self, policy_type_id: int, policy: dict) -> None:
-        """Detection-policy updates: re-fit the operating threshold."""
+        """A response policy switches the automated responses on the shared
+        config the closed-loop responder reads; a detection policy re-fits
+        the operating threshold."""
+        if policy_type_id == RESPONSE_POLICY_TYPE.policy_type_id:
+            self.config.auto_release = policy["auto_release"]
+            self.config.auto_blocklist = policy["auto_blocklist"]
+            self.log("response policy applied", **policy)
+            return
         percentile = policy.get("threshold_percentile")
         detector = self.detector
         if percentile is not None and detector is not None:

@@ -4,14 +4,15 @@ Keeps one :class:`IncidentRecord` per alarm, the one record of its journey
 (telemetry capture -> MobiWatch detection -> LLM verdict -> control action)
 that the stage breakdown, the latency report and ``slo explain`` all read;
 implements the automated-response policy (§5, Automated Network Responses)
-mapping confirmed attack classes to E2 control actions, and keeps the
-human-supervision queue for detector/LLM contradictions.
+mapping confirmed attack classes, through the attack catalogue
+(``repro.llm.knowledge``), to E2 control actions; a class outside it waits
+in the human-supervision queue with the detector/LLM contradictions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.core.config import XsecConfig
@@ -20,6 +21,12 @@ from repro.core.mobiwatch import AnomalyEvent, MobiWatchXApp
 from repro.obs import LOOP_STAGES
 from repro.obs.metrics import Histogram
 from repro.obs.provenance import render_chain
+from repro.oran.e2sm_kpm import (
+    ACTION_BLOCKLIST_TMSI,
+    ACTION_RATE_LIMIT_ACCESS,
+    ACTION_RELEASE_UE,
+    AccessRatePolicy,
+)
 
 
 @dataclass
@@ -136,22 +143,11 @@ class ClosedLoopPipeline:
         analyzer.on_verdict(self._on_verdict)
         # Observe anomalies as MobiWatch emits them (shared list reference).
         self._seen_anomalies = 0
-        self._action_counters: dict[str, object] = {}
         # The alarm-time evidence store (slo_enabled only): each incident's
         # chain is persisted when it is raised, decided and acted on.
         self._provenance = mobiwatch.provenance
         if self._provenance is not None:
             mobiwatch.on_anomaly(lambda _event: self.poll_anomalies())
-
-    def _count_action(self, action: str) -> None:
-        counter = self._action_counters.get(action)
-        if counter is None:
-            counter = self._action_counters[action] = (
-                self.mobiwatch.sim.obs.metrics.counter(
-                    "pipeline.actions_total", labels={"action": action}
-                )
-            )
-        counter.inc()
 
     def poll_anomalies(self) -> None:
         """Fold newly emitted MobiWatch anomalies into incident records."""
@@ -187,33 +183,29 @@ class ClosedLoopPipeline:
             self._respond(incident, event)
 
     def _respond(self, incident: IncidentRecord, event: VerdictEvent) -> None:
-        """Map the confirmed attack class to an E2 control action."""
-        top = event.top_attack.lower()
-        anomaly = event.anomaly
-        if self.config.auto_blocklist and "tmsi" in top and anomaly.s_tmsi is not None:
-            self.mobiwatch.blocklist_tmsi(anomaly.s_tmsi)
-            incident.action = "blocklist_tmsi"
-            incident.action_at = self.mobiwatch.now
-            self.actions_taken.append(("blocklist_tmsi", {"tmsi": anomaly.s_tmsi}))
-            self._count_action("blocklist_tmsi")
-        elif self.config.auto_rate_limit and "signaling storm" in top:
-            params = {
-                "max_setups": self.config.rate_limit_max_setups,
-                "window_s": self.config.rate_limit_window_s,
-            }
-            self.mobiwatch.rate_limit_access(**params)
-            incident.action = "rate_limit_access"
-            incident.action_at = self.mobiwatch.now
-            self.actions_taken.append(("rate_limit_access", params))
-            self._count_action("rate_limit_access")
-        elif self.config.auto_release and anomaly.rnti is not None:
-            self.mobiwatch.release_ue(anomaly.rnti)
-            incident.action = "release_ue"
-            incident.action_at = self.mobiwatch.now
-            self.actions_taken.append(("release_ue", {"rnti": anomaly.rnti}))
-            self._count_action("release_ue")
-        if incident.action:
-            self._persist(incident)
+        """Take the first action of the class's catalogue entry that is
+        switched on and whose target the anomaly carries (MobiWatch's method
+        of the action's name sends it)."""
+        if event.article is None:
+            return  # an unknown class acts on nothing: it awaits human review
+        config, anomaly = self.config, event.anomaly
+        options = {  # action -> (switched on, parameters); a None target is absent
+            ACTION_RATE_LIMIT_ACCESS: (config.auto_rate_limit, asdict(AccessRatePolicy())),
+            ACTION_BLOCKLIST_TMSI: (config.auto_blocklist, {"tmsi": anomaly.s_tmsi}),
+            ACTION_RELEASE_UE: (config.auto_release, {"rnti": anomaly.rnti}),
+        }
+        for action in event.article.response:
+            enabled, params = options[action]
+            if enabled and None not in params.values():
+                getattr(self.mobiwatch, action)(**params)
+                incident.action = action
+                incident.action_at = self.mobiwatch.now
+                self.actions_taken.append((action, params))
+                self.mobiwatch.sim.obs.metrics.counter(
+                    "pipeline.actions_total", labels={"action": action}
+                ).inc()
+                self._persist(incident)
+                return
 
     # -- reporting ------------------------------------------------------------------
 

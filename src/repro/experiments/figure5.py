@@ -13,6 +13,7 @@ from typing import Optional
 from repro.experiments.datasets import AttackDatasetConfig, generate_attack_dataset
 from repro.experiments.table3 import build_traces
 from repro.llm.client import LlmClient, SimulatedLlmServer
+from repro.llm.knowledge import KNOWLEDGE_ARTICLES, SIG_SIGNALING_STORM, classify
 from repro.llm.prompt import CompiledPromptBuilder
 from repro.llm.response import AnalysisResponse, parse_response
 
@@ -48,8 +49,9 @@ class Figure5Result:
 
     @property
     def identifies_signaling_storm(self) -> bool:
-        """The paper's headline: the response names the signaling storm."""
-        return "signaling storm" in self.response_text.lower()
+        """The paper's headline: the top attack is the signaling storm."""
+        top = self.response.top_attacks
+        return bool(top) and classify(top[0][0]) is KNOWLEDGE_ARTICLES[SIG_SIGNALING_STORM]
 
 
 def run_figure5(config: Optional[Figure5Config] = None) -> Figure5Result:

@@ -58,8 +58,9 @@ class Table2Config:
     # point than the AE's (see EXPERIMENTS.md); the paper does not pin
     # per-model thresholds.
     lstm_percentile: float = 97.5
-    # Score LSTM windows with full session context (the deployed MobiWatch
-    # semantics: every record's prediction uses its whole session prefix).
+    # Score LSTM windows with full session context (every record's prediction
+    # uses its whole session prefix). The deployed MobiWatch does not: it
+    # scores each session's last ``window`` rows (EXPERIMENTS.md, E1).
     lstm_session_context: bool = True
     benign: BenignDatasetConfig = field(default_factory=BenignDatasetConfig)
     attack: AttackDatasetConfig = field(default_factory=AttackDatasetConfig)

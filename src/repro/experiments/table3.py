@@ -6,7 +6,8 @@ parse the response, and score correctness exactly as the paper does: ✓ if
 the model classified the trace correctly (attack traces -> anomalous,
 benign traces -> benign) with a correct explanation; ✗ otherwise.
 Explanation correctness for attack traces requires the named top attack to
-match the ground-truth attack class.
+be the catalogue entry (``repro.llm.knowledge.classify``) of the trace's
+ground-truth attack.
 """
 
 from __future__ import annotations
@@ -22,17 +23,11 @@ from repro.experiments.datasets import (
 from repro.experiments.reporting import render_table
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
+from repro.llm.knowledge import classify
 
-# Attack display order and the paper's expected ✓/✗ grid (Table 3).
-ATTACK_ROWS = (
-    "bts_dos",
-    "blind_dos",
-    "uplink_id_extraction",
-    "downlink_id_extraction",
-    "null_cipher",
-)
 MODEL_ORDER = ("chatgpt-4o", "gemini", "copilot", "llama3", "claude-3-sonnet")
 
+# The paper's expected ✓/✗ grid (Table 3), rows in its display order.
 PAPER_TABLE3 = {
     "bts_dos": (True, True, True, False, False),
     "blind_dos": (True, False, False, True, False),
@@ -42,16 +37,7 @@ PAPER_TABLE3 = {
     "benign_1": (True, True, True, True, True),
     "benign_2": (True, True, True, True, True),
 }
-
-# Ground-truth attack class -> keyword that must appear in the model's top
-# attack name for the explanation to count as correct.
-_ATTACK_KEYWORDS = {
-    "bts_dos": "signaling storm",
-    "blind_dos": "tmsi",
-    "uplink_id_extraction": "uplink identity",
-    "downlink_id_extraction": "downlink identity",
-    "null_cipher": "null cipher",
-}
+ATTACK_ROWS = tuple(name for name in PAPER_TABLE3 if not name.startswith("benign_"))
 
 
 @dataclass
@@ -152,11 +138,10 @@ def build_traces(capture: CollectedDataset) -> list[TraceCase]:
 def _is_correct(case: TraceCase, response) -> bool:
     if not case.is_attack:
         return not response.is_anomalous
-    if not response.is_anomalous:
+    if not response.is_anomalous or not response.top_attacks:
         return False
-    keyword = _ATTACK_KEYWORDS[case.name]
-    top = response.top_attacks[0][0].lower() if response.top_attacks else ""
-    return keyword in top
+    article = classify(response.top_attacks[0][0])
+    return article is not None and article.ground_truth == case.name
 
 
 def run_table3(

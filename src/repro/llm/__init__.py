@@ -16,7 +16,6 @@ system code a drop-in production API key would drive unchanged.
 
 from repro.llm.knowledge import (
     AnalysisEngine,
-    CellularKnowledgeBase,
     SignatureMatch,
 )
 from repro.llm.prompt import parse_data_section
@@ -28,7 +27,6 @@ from repro.llm.analyst import ExpertAnalyst
 
 __all__ = [
     "AnalysisEngine",
-    "CellularKnowledgeBase",
     "SignatureMatch",
     "parse_data_section",
     "AnalysisResponse",

@@ -15,11 +15,11 @@ explains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.llm.client import LlmClient
-from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
+from repro.llm.knowledge import VectorizedRetriever
 from repro.llm.prompt import CompiledPromptBuilder
 from repro.llm.response import AnalysisResponse, parse_response
 from repro.telemetry.mobiflow import MobiFlowRecord
@@ -51,12 +51,11 @@ class ExpertAnalyst:
 
     client: LlmClient
     use_rag: bool = False
-    knowledge: CellularKnowledgeBase = field(default_factory=CellularKnowledgeBase)
     analyses_run: int = 0
     escalations: int = 0
 
     def __post_init__(self) -> None:
-        self._retriever = VectorizedRetriever(self.knowledge)
+        self._retriever = VectorizedRetriever()
         self._prompt_builder = CompiledPromptBuilder()
 
     # -- round primitives ----------------------------------------------------

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.llm.knowledge import AnalysisEngine, CellularKnowledgeBase, SignatureMatch
+from repro.llm.knowledge import KNOWLEDGE_ARTICLES, AnalysisEngine, SignatureMatch
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
 from repro.llm.prompt import parse_data_section
 
@@ -65,7 +64,7 @@ class SimulatedLlmBackend:
         """
         unlocked = set()
         for signature in self.profile.rag_boost:
-            snippet = self.engine.knowledge.article(signature).procedure_snippet
+            snippet = KNOWLEDGE_ARTICLES[signature].procedure_snippet
             if snippet[:60] in prompt:
                 unlocked.add(signature)
         return frozenset(unlocked)
@@ -102,13 +101,12 @@ class SimulatedLlmBackend:
 
     def _anomalous_text(self, prompt: str, perceived: list[SignatureMatch]) -> str:
         seed = self._style_seed(prompt)
-        knowledge = self.engine.knowledge
         primary = perceived[0]
-        article = knowledge.article(primary.signature)
+        article = KNOWLEDGE_ARTICLES[primary.signature]
         evidence = "; ".join(primary.evidence)
         explanation = f"{self._hedge(seed)}{article.explanation} Evidence: {evidence}."
         if self.profile.verbosity >= 3 and len(perceived) > 1:
-            extra = knowledge.article(perceived[1].signature)
+            extra = KNOWLEDGE_ARTICLES[perceived[1].signature]
             explanation += (
                 f" The trace additionally shows indicators of "
                 f"{extra.attack_name.lower()}."
@@ -116,11 +114,11 @@ class SimulatedLlmBackend:
 
         # Top-3 most possible attacks: perceived signatures first, padded
         # with that model's nearest alternates from the knowledge base.
-        candidates = [knowledge.article(m.signature) for m in perceived]
+        candidates = [KNOWLEDGE_ARTICLES[m.signature] for m in perceived]
         for signature in sorted(self.profile.perceives):
             if len(candidates) >= 3:
                 break
-            alternate = knowledge.article(signature)
+            alternate = KNOWLEDGE_ARTICLES[signature]
             if alternate not in candidates:
                 candidates.append(alternate)
         attack_lines = [
@@ -137,11 +135,9 @@ class SimulatedLlmBackend:
         )
 
 
-def build_default_backends(
-    knowledge: Optional[CellularKnowledgeBase] = None,
-) -> dict[str, SimulatedLlmBackend]:
+def build_default_backends() -> dict[str, SimulatedLlmBackend]:
     """The five evaluated models, sharing one analysis engine."""
-    engine = AnalysisEngine(knowledge)
+    engine = AnalysisEngine()
     return {
         name: SimulatedLlmBackend(profile=profile, engine=engine)
         for name, profile in MODEL_PROFILES.items()

@@ -9,6 +9,9 @@ matched signatures each model actually *perceives* (Table 3 calibration).
 The same knowledge base powers the retrieval augmentation (§5, Specialized
 LLM for 6G): :meth:`VectorizedRetriever.retrieve` returns the procedure
 snippets most relevant to a trace, which the prompt template can append.
+
+Its articles are the one attack catalogue: :func:`classify` maps a top
+attack to its article, which names the ground truth and the response.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.oran.e2sm_kpm import (
+    ACTION_BLOCKLIST_TMSI,
+    ACTION_RATE_LIMIT_ACCESS,
+    ACTION_RELEASE_UE,
+)
 from repro.telemetry.mobiflow import MobiFlowRecord
 
 # Signature identifiers (stable keys used by the model profiles).
@@ -35,12 +43,8 @@ class SignatureMatch:
     """One attack signature detected in a trace."""
 
     signature: str
-    attack_name: str
     confidence: float  # 0..1
     evidence: tuple  # human-readable evidence strings
-
-    def __str__(self) -> str:
-        return f"{self.attack_name} ({self.signature}, confidence {self.confidence:.2f})"
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class AttackArticle:
     signature: str
     attack_name: str
     aliases: tuple
+    ground_truth: str  # the Attack.name of the class
+    response: tuple  # E2 control actions answering it, preferred first
     explanation: str
     attribution: str
     implications: str
@@ -62,6 +68,8 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
         signature=SIG_SIGNALING_STORM,
         attack_name="BTS resource depletion DoS (signaling storm)",
         aliases=("BTS DoS", "RRC flooding", "signaling storm"),
+        ground_truth="bts_dos",
+        response=(ACTION_RATE_LIMIT_ACCESS, ACTION_RELEASE_UE),
         explanation=(
             "The trace shows a rapid succession of RRC connection setups that "
             "progress to the authentication challenge and are then abandoned. "
@@ -94,6 +102,8 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
         signature=SIG_TMSI_REPLAY,
         attack_name="Blind DoS via 5G-S-TMSI replay",
         aliases=("Blind DoS", "TMSI hijack", "detach attack"),
+        ground_truth="blind_dos",
+        response=(ACTION_BLOCKLIST_TMSI, ACTION_RELEASE_UE),
         explanation=(
             "The same 5G-S-TMSI is presented by several distinct RRC "
             "connections in a short span. A network receiving a connection "
@@ -125,6 +135,8 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
         signature=SIG_PLAINTEXT_SUCI,
         attack_name="Uplink identity extraction (SUCI concealment downgrade)",
         aliases=("AdaptOver", "uplink IMSI extraction", "null-scheme SUCI"),
+        ground_truth="uplink_id_extraction",
+        response=(ACTION_RELEASE_UE,),
         explanation=(
             "A registration carries a null-scheme SUCI: the subscriber's "
             "permanent identifier is transmitted in plaintext. The message "
@@ -156,6 +168,8 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
         signature=SIG_OUT_OF_ORDER_IDENTITY,
         attack_name="Downlink identity extraction (injected Identity Request)",
         aliases=("LTrack", "downlink IMSI extraction", "identity request injection"),
+        ground_truth="downlink_id_extraction",
+        response=(ACTION_RELEASE_UE,),
         explanation=(
             "The network issued an AuthenticationRequest but received an "
             "IdentityResponse exposing the permanent identifier instead of "
@@ -188,6 +202,8 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
         signature=SIG_NULL_CIPHER,
         attack_name="Null cipher & integrity downgrade",
         aliases=("null security", "NEA0/NIA0 bidding down"),
+        ground_truth="null_cipher",
+        response=(ACTION_RELEASE_UE,),
         explanation=(
             "The security mode procedure selected NEA0/NIA0 — no ciphering "
             "and no integrity protection. All subsequent NAS/AS traffic for "
@@ -217,6 +233,8 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
         signature=SIG_AUTH_FORGERY,
         attack_name="Rogue-network challenge forgery (impersonation probe)",
         aliases=("challenge forgery", "network impersonation", "fake AMF"),
+        ground_truth="challenge_forgery",
+        response=(ACTION_RELEASE_UE,),
         explanation=(
             "Devices answered authentication challenges with MAC failures: "
             "the challenges were not generated with the subscribers' keys. "
@@ -247,14 +265,18 @@ KNOWLEDGE_ARTICLES: dict[str, AttackArticle] = {
 }
 
 
-class CellularKnowledgeBase:
-    """Article store (attack articles and their RAG snippets)."""
+_BY_NAME: dict[str, AttackArticle] = {
+    name.lower(): article
+    for article in KNOWLEDGE_ARTICLES.values()
+    for name in (article.attack_name, *article.aliases)
+}
 
-    def __init__(self, articles: Optional[dict[str, AttackArticle]] = None) -> None:
-        self.articles = dict(articles or KNOWLEDGE_ARTICLES)
 
-    def article(self, signature: str) -> AttackArticle:
-        return self.articles[signature]
+def classify(name: str) -> Optional[AttackArticle]:
+    """The article whose attack name or alias is ``name`` (compared
+    case-insensitively, otherwise exactly); None for a class outside the
+    catalogue."""
+    return _BY_NAME.get(name.lower())
 
 
 # Marker terms derived from record state (not message names).
@@ -296,13 +318,8 @@ class VectorizedRetriever:
     the ``(-score, signature)`` tie-break and the ``score > 0`` cutoff.
     """
 
-    def __init__(
-        self,
-        knowledge: Optional[CellularKnowledgeBase] = None,
-        result_memo_capacity: int = 4096,
-    ) -> None:
-        self.knowledge = knowledge or CellularKnowledgeBase()
-        articles = list(self.knowledge.articles.values())
+    def __init__(self, result_memo_capacity: int = 4096) -> None:
+        articles = list(KNOWLEDGE_ARTICLES.values())
         # Article (dict) order feeds the sort key, so ranking ties resolve
         # by signature alone.
         self._signatures = [article.signature for article in articles]
@@ -369,8 +386,7 @@ class AnalysisEngine:
     # Authentication MAC failures across this many entries indicate forgery.
     FORGERY_MIN_FAILURES = 2
 
-    def __init__(self, knowledge: Optional[CellularKnowledgeBase] = None) -> None:
-        self.knowledge = knowledge or CellularKnowledgeBase()
+    def __init__(self) -> None:
         # Prompt lines already read, for llm.prompt.parse_data_section: the
         # backends of one simulated provider share this engine, so each
         # deployment starts cold and every model behind it reads a line once.
@@ -413,7 +429,6 @@ class AnalysisEngine:
         confidence = min(1.0, 0.5 + 0.1 * len(setups))
         return SignatureMatch(
             signature=SIG_SIGNALING_STORM,
-            attack_name=self.knowledge.article(SIG_SIGNALING_STORM).attack_name,
             confidence=confidence,
             evidence=(
                 f"{len(setups)} connection setups within "
@@ -439,7 +454,6 @@ class AnalysisEngine:
         tmsi, sessions = max(replayed.items(), key=lambda item: len(item[1]))
         return SignatureMatch(
             signature=SIG_TMSI_REPLAY,
-            attack_name=self.knowledge.article(SIG_TMSI_REPLAY).attack_name,
             confidence=min(1.0, 0.4 + 0.15 * len(sessions)),
             evidence=(
                 f"S-TMSI 0x{tmsi:08x} presented by {len(sessions)} distinct connections",
@@ -460,7 +474,6 @@ class AnalysisEngine:
             return None
         return SignatureMatch(
             signature=SIG_PLAINTEXT_SUCI,
-            attack_name=self.knowledge.article(SIG_PLAINTEXT_SUCI).attack_name,
             confidence=0.55,  # standard compliant: inherently low confidence
             evidence=(
                 f"null-scheme SUCI {exposing[0].suci!r} exposes the permanent identifier",
@@ -481,9 +494,6 @@ class AnalysisEngine:
                 ):
                     return SignatureMatch(
                         signature=SIG_OUT_OF_ORDER_IDENTITY,
-                        attack_name=self.knowledge.article(
-                            SIG_OUT_OF_ORDER_IDENTITY
-                        ).attack_name,
                         confidence=0.9,
                         evidence=(
                             "IdentityResponse followed AuthenticationRequest "
@@ -500,7 +510,6 @@ class AnalysisEngine:
         sessions = {r.session_id for r in failures}
         return SignatureMatch(
             signature=SIG_AUTH_FORGERY,
-            attack_name=self.knowledge.article(SIG_AUTH_FORGERY).attack_name,
             confidence=min(1.0, 0.5 + 0.15 * len(failures)),
             evidence=(
                 f"{len(failures)} authentication MAC failures across "
@@ -520,7 +529,6 @@ class AnalysisEngine:
             return None
         return SignatureMatch(
             signature=SIG_NULL_CIPHER,
-            attack_name=self.knowledge.article(SIG_NULL_CIPHER).attack_name,
             confidence=0.95,
             evidence=(
                 "security mode command selected null algorithms "

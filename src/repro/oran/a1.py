@@ -46,7 +46,7 @@ class A1PolicyType:
 DETECTION_POLICY_TYPE = A1PolicyType(
     policy_type_id=20008,
     name="xsec-detection-policy",
-    schema={"threshold_percentile": float, "window_size": int},
+    schema={"threshold_percentile": float},
 )
 
 RESPONSE_POLICY_TYPE = A1PolicyType(

@@ -27,7 +27,6 @@ from repro.oran.e2ap import (
     RicSubscriptionRequest,
     RicSubscriptionResponse,
 )
-from repro.oran.e2sm import E2smError
 from repro.oran.e2sm_kpm import (
     ACTION_BLOCKLIST_TMSI,
     AccessRatePolicy,
@@ -43,6 +42,11 @@ from repro.ran.network import FiveGNetwork
 from repro.sim.entity import Entity
 from repro.telemetry.collector import MobiFlowCollector
 from repro.telemetry.mobiflow import MobiFlowRecord
+
+# What a hostile E2AP PDU can raise on its way through an endpoint: the
+# codecs' WireError / E2apError / E2smError are ValueErrors, and IEs or
+# control parameters of the wrong type or range raise the others.
+MALFORMED = (ValueError, TypeError, LookupError, ArithmeticError)
 
 
 class RicAgent(Entity):
@@ -85,6 +89,9 @@ class RicAgent(Entity):
             labels={"direction": "node_to_ric"},
             help="encoded E2AP PDU bytes sent over E2 (whole PDUs)",
         )
+        self._rejected_counter = metrics.counter(
+            "e2agent.pdus_rejected_total", help="malformed E2AP PDUs from the RIC, dropped"
+        )
         # Tap the data-plane interfaces exactly where the paper instruments.
         net.f1.add_tap(self.collector.on_capture)
         net.ng.add_tap(self.collector.on_capture)
@@ -108,15 +115,20 @@ class RicAgent(Entity):
         )
 
     def on_e2(self, envelope) -> None:
-        """Handle an E2AP PDU arriving from the RIC."""
-        pdu = _pdu_from_envelope(envelope)
-        if isinstance(pdu, RicSubscriptionRequest):
-            self._on_subscription(pdu)
-        elif isinstance(pdu, RicSubscriptionDeleteRequest):
-            self._on_subscription_delete(pdu)
-        elif isinstance(pdu, RicControlRequest):
-            self._on_control(pdu)
-        # Setup responses and acks need no action on the agent side.
+        """Handle an E2AP PDU arriving from the RIC. Bytes from the E2 edge
+        must not stop the run: a malformed PDU is counted and dropped."""
+        try:
+            pdu = _pdu_from_envelope(envelope)
+            if isinstance(pdu, RicSubscriptionRequest):
+                self._on_subscription(pdu)
+            elif isinstance(pdu, RicSubscriptionDeleteRequest):
+                self._on_subscription_delete(pdu)
+            elif isinstance(pdu, RicControlRequest):
+                self._on_control(pdu)
+            # Setup responses and acks need no action on the agent side.
+        except MALFORMED as exc:
+            self._rejected_counter.inc()
+            self.log("E2AP PDU rejected", error=str(exc))
 
     # -- reporting ------------------------------------------------------------------
 
@@ -124,13 +136,7 @@ class RicAgent(Entity):
         admitted = False
         if request.ran_function_id == MobiFlowKpmModel.RAN_FUNCTION_ID:
             if request.action_type is ActionType.REPORT:
-                trigger = MobiFlowKpmModel.decode_event_trigger(request.event_trigger)
-                style = MobiFlowReportStyle.from_trigger(trigger)
-                first_subscription = self._subscription is None
-                self._subscription = (request.ric_request_id, style)
-                if first_subscription:
-                    self.schedule(style.report_period_s, self._report_tick)
-                admitted = True
+                admitted = self._start_report(request)
             elif request.action_type is ActionType.POLICY:
                 admitted = self._install_policy(request)
         self._send(
@@ -141,6 +147,18 @@ class RicAgent(Entity):
             )
         )
 
+    def _start_report(self, request: RicSubscriptionRequest) -> bool:
+        try:
+            trigger = MobiFlowKpmModel.decode_event_trigger(request.event_trigger)
+            style = MobiFlowReportStyle.from_trigger(trigger)
+        except MALFORMED:
+            return False
+        first_subscription = self._subscription is None
+        self._subscription = (request.ric_request_id, style)
+        if first_subscription:
+            self.schedule(style.report_period_s, self._report_tick)
+        return True
+
     # -- policy (fast-path rules installed at the node, §2.1) ------------------------
 
     def _install_policy(self, request: RicSubscriptionRequest) -> bool:
@@ -148,7 +166,7 @@ class RicAgent(Entity):
             trigger = MobiFlowKpmModel.decode_event_trigger(request.event_trigger)
             policy = AccessRatePolicy.from_trigger(trigger)
             self.net.du.set_rate_limit(policy.max_setups, policy.window_s)
-        except (E2smError, ValueError, KeyError):
+        except MALFORMED:
             return False
         self.policies[request.ric_request_id] = policy
         return True
@@ -195,10 +213,14 @@ class RicAgent(Entity):
     # -- control ------------------------------------------------------------------------
 
     def _on_control(self, request: RicControlRequest) -> None:
-        action, params = MobiFlowKpmModel.decode_control(
-            request.control_header, request.control_message
-        )
-        success, outcome = self._execute(action, params)
+        try:
+            action, params = MobiFlowKpmModel.decode_control(
+                request.control_header, request.control_message
+            )
+            success, outcome = self._execute(action, params)
+        except MALFORMED as exc:
+            # A control the agent cannot read or carry out is refused.
+            success, outcome = False, f"malformed control: {exc}"
         if success:
             self.controls_executed += 1
             counter = self._controls_counters.get(action)

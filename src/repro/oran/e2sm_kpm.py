@@ -13,6 +13,7 @@ Responses): releasing a UE and blocklisting a temporary identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -60,8 +61,12 @@ class MobiFlowReportStyle:
     def from_trigger(cls, trigger: dict) -> "MobiFlowReportStyle":
         if trigger.get("style") != "mobiflow-report":
             raise E2smError(f"unexpected trigger style {trigger.get('style')!r}")
+        period_s = float(trigger["period_s"])
+        if not 0 < period_s < math.inf:
+            # A period of zero would tick forever at one instant.
+            raise E2smError(f"report period must be positive and finite, got {period_s}")
         return cls(
-            report_period_s=float(trigger["period_s"]),
+            report_period_s=period_s,
             max_records_per_indication=int(trigger.get("max_records", 0)),
         )
 

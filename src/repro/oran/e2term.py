@@ -22,7 +22,7 @@ from repro.oran.e2ap import (
     RicSubscriptionRequest,
     RicSubscriptionResponse,
 )
-from repro.oran.e2agent import _pdu_envelope, _pdu_from_envelope
+from repro.oran.e2agent import MALFORMED, _pdu_envelope, _pdu_from_envelope
 from repro.oran.rmr import RIC_CONTROL_ACK, RIC_INDICATION, RIC_SUB_RESP, RmrRouter
 from repro.ran.links import InterfaceLink
 from repro.sim.entity import Entity
@@ -72,6 +72,9 @@ class E2Termination(Entity):
             "e2.pdu_bytes_total",
             labels={"direction": "ric_to_node"},
             help="encoded E2AP PDU bytes sent over E2 (whole PDUs)",
+        )
+        self._rejected_counter = metrics.counter(
+            "e2term.pdus_rejected_total", help="malformed E2AP PDUs from the node, dropped"
         )
 
     # -- toward the E2 node -----------------------------------------------------
@@ -146,7 +149,15 @@ class E2Termination(Entity):
     # -- from the E2 node ------------------------------------------------------------
 
     def on_e2(self, envelope) -> None:
-        pdu = _pdu_from_envelope(envelope)
+        """Handle an E2AP PDU arriving from the node. Bytes from the E2 edge
+        must not stop the run: a malformed PDU is counted and dropped."""
+        try:
+            self._on_pdu(_pdu_from_envelope(envelope))
+        except MALFORMED as exc:
+            self._rejected_counter.inc()
+            self.log("E2AP PDU rejected", error=str(exc))
+
+    def _on_pdu(self, pdu: E2apPdu) -> None:
         if isinstance(pdu, E2SetupRequest):
             self._pdu_counters["setup"].inc()
             self.connected_nodes[pdu.e2_node_id] = pdu.ran_functions

@@ -10,6 +10,7 @@ the E2 RIC agent (the F1/NG link taps feed the telemetry pipeline).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,8 +80,9 @@ class GnbDu(Entity):
 
     def set_rate_limit(self, max_setups: int, window_s: float) -> None:
         """Cap the admitted RRCSetupRequest rate (RIC/dApp control)."""
-        if max_setups < 1 or window_s <= 0:
-            raise ValueError("rate limit must admit at least one setup")
+        if max_setups < 1 or not 0 < window_s < math.inf:
+            # An infinite window would bar every setup after the first for good.
+            raise ValueError("rate limit must admit at least one setup per finite window")
         self._rate_limit = (max_setups, window_s)
 
     def clear_rate_limit(self) -> None:

@@ -11,20 +11,18 @@ imported by ``src``.
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.llm.knowledge import CellularKnowledgeBase, trace_terms
+from repro.llm.knowledge import KNOWLEDGE_ARTICLES, trace_terms
 from repro.llm.prompt import DATA_DESCRIPTIONS, TEMPLATE, format_record
 from repro.telemetry.mobiflow import MobiFlowRecord
 
 
-def retrieve(
-    knowledge: CellularKnowledgeBase, records: list[MobiFlowRecord], top_k: int = 2
-) -> list[str]:
+def retrieve(records: list[MobiFlowRecord], top_k: int = 2) -> list[str]:
     """The 3GPP snippets most relevant to the trace: keyword overlap between
     an article's vocabulary and the trace's terms, ties broken by
     signature, zero-overlap articles dropped."""
     terms = trace_terms(records)
     scored = []
-    for article in knowledge.articles.values():
+    for article in KNOWLEDGE_ARTICLES.values():
         text = (article.procedure_snippet + " " + article.explanation).lower()
         score = sum(1 for term in terms if term in text)
         scored.append((score, article.signature, article.procedure_snippet))

@@ -156,6 +156,10 @@ DELETED = [
     (LLMFAST, "verdict_cache"),
     (LLMFAST, "coalesce"),
     (LLMFAST, "cache_capacity"),
+    # One value ever in use: a confirmed signaling storm caps setup requests
+    # at AccessRatePolicy's default rate.
+    (XsecConfig, "rate_limit_max_setups"),
+    (XsecConfig, "rate_limit_window_s"),
 ]
 
 
@@ -387,5 +391,6 @@ def test_settings_field_total():
     was deleted with the sharded SDL and the ingest batcher it selected;
     27 = 3 family + 24 top-level before ``llmfast`` (``verdict_cache``,
     ``coalesce``, ``cache_capacity``) was deleted with the verdict cache and
-    the in-flight coalescing: 24, all top-level."""
-    assert len(dataclasses.fields(XsecConfig)) <= 24
+    the in-flight coalescing: 24, all top-level; 24 before the two
+    one-value rate-limit knobs became ``AccessRatePolicy``'s defaults: 22."""
+    assert len(dataclasses.fields(XsecConfig)) <= 22

@@ -9,7 +9,11 @@ from repro.attacks import BtsDosAttack, NullCipherAttack
 from repro.core import SixGXSec, XsecConfig
 from repro.core.framework import build_detector
 from repro.experiments.datasets import BenignDatasetConfig, generate_benign_dataset
-from repro.oran.a1 import DETECTION_POLICY_TYPE
+from repro.core.mobiwatch import AnomalyEvent
+from repro.llm.analyst import ExpertVerdict
+from repro.llm.knowledge import KNOWLEDGE_ARTICLES, SIG_SIGNALING_STORM, SIG_TMSI_REPLAY
+from repro.llm.response import AnalysisResponse
+from repro.oran.a1 import A1Error, DETECTION_POLICY_TYPE, RESPONSE_POLICY_TYPE
 from repro.oran.smo import JobState
 from repro.ran.network import NetworkConfig
 
@@ -119,11 +123,108 @@ class TestA1Policies:
         xsec.smo.a1.put_policy(
             DETECTION_POLICY_TYPE.policy_type_id,
             "tighter",
-            {"threshold_percentile": 90.0, "window_size": 6},
+            {"threshold_percentile": 90.0},
             target_xapp="mobiwatch",
         )
         after = xsec.mobiwatch.detector.threshold.threshold
         assert after < before
+
+
+    def test_detection_policy_has_no_window_size(self):
+        """The arena width is fixed at construction: no policy may claim to move it."""
+        xsec = SixGXSec(small_config(), network_config=NetworkConfig(seed=2))
+        with pytest.raises(A1Error):
+            xsec.smo.a1.put_policy(
+                DETECTION_POLICY_TYPE.policy_type_id,
+                "wider",
+                {"threshold_percentile": 90.0, "window_size": 8},
+                target_xapp="mobiwatch",
+            )
+
+    def test_response_policy_disabling_both_stops_the_next_action(self, benign_windows):
+        xsec = SixGXSec(small_config(), network_config=NetworkConfig(seed=42))
+        xsec.train_from_benign(benign_windows)
+        xsec.smo.a1.put_policy(
+            RESPONSE_POLICY_TYPE.policy_type_id,
+            "observe-only",
+            {"auto_release": False, "auto_blocklist": False},
+            target_xapp="mobiwatch",
+        )
+        assert not xsec.config.auto_release and not xsec.config.auto_blocklist
+        BtsDosAttack(xsec.net, start_time=3.0, connections=8, interval_s=0.08).arm()
+        NullCipherAttack(xsec.net, start_time=10.0).arm()
+        xsec.run(until=45.0)
+        assert any(v.confirmed for v in xsec.analyzer.verdicts)
+        assert xsec.pipeline.actions_taken == []
+        assert xsec.agent.controls_executed == 0
+
+
+def _confirmed(top_attack: str, rnti=0x4601, s_tmsi=0xC0FFEE) -> tuple:
+    anomaly = AnomalyEvent(
+        detected_at=1.0,
+        session_id=5,
+        rnti=rnti,
+        s_tmsi=s_tmsi,
+        score=0.9,
+        threshold=0.5,
+        record_indices=(0,),
+    )
+    response = AnalysisResponse(
+        verdict="anomalous", explanation="", top_attacks=[(top_attack, "")]
+    )
+    return anomaly, ExpertVerdict(response=response, prompt="", model="chatgpt-4o")
+
+
+STORM = KNOWLEDGE_ARTICLES[SIG_SIGNALING_STORM].attack_name
+REPLAY = KNOWLEDGE_ARTICLES[SIG_TMSI_REPLAY].attack_name
+
+
+class TestCatalogueResponder:
+    """The responder walks the verdict's catalogue entry: the first action
+    switched on whose target the anomaly carries is the one taken."""
+
+    @pytest.mark.parametrize(
+        "top,switches,targets,expected",
+        [
+            (STORM, dict(auto_rate_limit=True), {}, ("rate_limit_access", {"max_setups": 3, "window_s": 1.0})),
+            (STORM, {}, {}, ("release_ue", {"rnti": 0x4601})),
+            (STORM, {}, dict(rnti=None), None),
+            (REPLAY, {}, {}, ("blocklist_tmsi", {"tmsi": 0xC0FFEE})),
+            (REPLAY, {}, dict(s_tmsi=None), ("release_ue", {"rnti": 0x4601})),
+            (REPLAY, dict(auto_blocklist=False), {}, ("release_ue", {"rnti": 0x4601})),
+            ("blind dos", {}, {}, ("blocklist_tmsi", {"tmsi": 0xC0FFEE})),
+            ("NEA0/NIA0 bidding down", {}, {}, ("release_ue", {"rnti": 0x4601})),
+            ("NEA0/NIA0 bidding down", dict(auto_release=False), {}, None),
+        ],
+        ids=[
+            "storm-rate-limited",
+            "storm-released-without-rate-limit",
+            "storm-without-rnti-untouched",
+            "replay-blocklisted",
+            "replay-without-tmsi-released",
+            "replay-released-without-blocklist",
+            "alias-any-case",
+            "null-cipher-released",
+            "null-cipher-without-release-untouched",
+        ],
+    )
+    def test_first_enabled_action_with_its_target(self, top, switches, targets, expected):
+        xsec = SixGXSec(small_config(**switches))
+        anomaly, verdict = _confirmed(top, **targets)
+        xsec.analyzer._deliver(anomaly, verdict)
+        assert xsec.pipeline.actions_taken == ([expected] if expected else [])
+        assert xsec.analyzer.human_review_queue == []
+
+    def test_unknown_class_acts_on_nothing_and_goes_to_human_review(self):
+        xsec = SixGXSec(small_config(auto_rate_limit=True))
+        anomaly, verdict = _confirmed("Quantum jamming")
+        xsec.analyzer._deliver(anomaly, verdict)
+        event = xsec.analyzer.verdicts[-1]
+        assert event.confirmed and event.article is None and event.needs_human_review
+        assert xsec.analyzer.human_review_queue == [event]
+        assert xsec.pipeline.actions_taken == []
+        assert xsec.pipeline.incidents[-1].action == ""
+        assert xsec.pipeline.summary()["needs_human_review"] == 1
 
 
 class TestBenignOnlyRun:

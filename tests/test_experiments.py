@@ -1,8 +1,11 @@
 """Tests for the experiment harness (small-scale configurations)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.experiments.ablations import (
     AblationConfig,
     run_feature_ablation,
@@ -196,6 +199,24 @@ class TestFigure5:
         assert result.response.is_anomalous
         assert result.identifies_signaling_storm
         assert "Figure 5" in result.render()
+
+
+class TestPaperArtifactsArePinned:
+    """``python -m repro report table3|figure5|rag`` stdout, byte for byte:
+    a change that moves a grade, a prompt or a response shows here."""
+
+    @pytest.mark.parametrize(
+        "artifact,digest",
+        [
+            ("table3", "7b7b5a224ff8244defa703b2869f64931e6a2d9a7ec899ee1e4cee09970615ad"),
+            ("figure5", "f60d4172f379c4aa5e0499de30bb2c62c78df7c955174a9f82e7d0bf29d109cb"),
+            ("rag", "5a76c6d7878927fd48349eb03a8c8dc15ee90c860d0e2dc69960211e2ae99ced"),
+        ],
+    )
+    def test_report_stdout_digest(self, artifact, digest, capsys):
+        assert cli.main(["report", artifact]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestAblations:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.llm import (
     AnalysisEngine,
-    CellularKnowledgeBase,
     ExpertAnalyst,
     LlmClient,
     LlmServerError,
@@ -17,11 +16,13 @@ from repro.llm import (
     parse_response,
 )
 from repro.llm.knowledge import (
+    KNOWLEDGE_ARTICLES,
     SIG_NULL_CIPHER,
     SIG_OUT_OF_ORDER_IDENTITY,
     SIG_PLAINTEXT_SUCI,
     SIG_SIGNALING_STORM,
     SIG_TMSI_REPLAY,
+    classify,
 )
 from repro.llm.prompt import CompiledPromptBuilder, format_record
 from repro.llm.response import ResponseParseError, _split_sections
@@ -412,13 +413,101 @@ class TestAnalysisEngine:
 
 class TestKnowledgeRetrieval:
     def test_retrieves_relevant_snippets(self):
-        kb = CellularKnowledgeBase()
-        snippets = retrieve(kb, null_cipher_trace(), top_k=2)
+        snippets = retrieve(null_cipher_trace(), top_k=2)
         assert any("null" in s.lower() for s in snippets)
 
     def test_top_k_respected(self):
-        kb = CellularKnowledgeBase()
-        assert len(retrieve(kb, storm_trace(), top_k=1)) <= 1
+        assert len(retrieve(storm_trace(), top_k=1)) <= 1
+
+
+def forgery_trace():
+    records = []
+    for session in (60, 61):
+        t0 = (session - 60) * 1.0
+        records += [
+            rec(t0, "RRCSetupRequest", session=session),
+            rec(t0 + 0.01, "RRCSetup", session=session, direction="DL"),
+            rec(t0 + 0.03, "RRCSetupComplete", session=session),
+            rec(t0 + 0.04, "RegistrationRequest", session=session, suci="suci-001-01-abcdef"),
+            rec(t0 + 0.06, "AuthenticationRequest", session=session, direction="DL"),
+            rec(t0 + 0.08, "AuthenticationFailure", session=session, protocol="NAS"),
+        ]
+    return records
+
+
+def _attack_classes(cls=None):
+    from repro.attacks import Attack
+
+    cls = cls or Attack
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _attack_classes(sub)
+
+
+class TestAttackCatalogue:
+    """The knowledge articles are the one attack catalogue."""
+
+    def test_every_ground_truth_is_an_attack_name(self):
+        names = {cls.name for cls in _attack_classes()}
+        assert {a.ground_truth for a in KNOWLEDGE_ARTICLES.values()} <= names
+
+    def test_each_evaluated_attack_has_exactly_one_article(self):
+        from repro.experiments.table3 import ATTACK_ROWS
+
+        truths = [a.ground_truth for a in KNOWLEDGE_ARTICLES.values()]
+        for name in (*ATTACK_ROWS, "challenge_forgery"):
+            assert truths.count(name) == 1, name
+
+    def test_every_name_and_alias_classifies_to_its_own_article(self):
+        for article in KNOWLEDGE_ARTICLES.values():
+            for name in (article.attack_name, *article.aliases):
+                for spelling in (name, name.lower(), name.upper()):
+                    assert classify(spelling) is article, spelling
+
+    def test_anything_else_is_unknown(self):
+        storm = KNOWLEDGE_ARTICLES[SIG_SIGNALING_STORM].attack_name
+        for name in ("", "Quantum jamming", "signaling", storm + ".", " " + storm, "tmsi"):
+            assert classify(name) is None, name
+
+    def test_responses_are_control_actions(self):
+        from repro.oran.e2sm_kpm import KNOWN_ACTIONS
+
+        for article in KNOWLEDGE_ARTICLES.values():
+            assert article.response and set(article.response) <= set(KNOWN_ACTIONS)
+
+    @pytest.mark.parametrize("use_rag", [False, True], ids=["zero-shot", "rag"])
+    def test_every_anomalous_answer_classifies_to_the_perceived_article(self, use_rag):
+        traces = (
+            storm_trace(),
+            replay_trace(),
+            null_cipher_trace(),
+            downlink_extraction_trace(),
+            uplink_extraction_trace(),
+            forgery_trace(),
+        )
+        seen = set()
+        for name, backend in build_default_backends().items():
+            analyst = ExpertAnalyst(
+                client=LlmClient(server=SimulatedLlmServer(), model=name), use_rag=use_rag
+            )
+            for records in traces:
+                prompt = analyst.build_prompt(
+                    records, analyst.retrieve_snippets(records) if use_rag else None
+                )
+                response = parse_response(backend.complete(prompt))
+                if not response.is_anomalous:
+                    continue
+                effective = backend.profile.perceives | backend._rag_unlocked(prompt)
+                perceived = [
+                    match.signature
+                    for match in backend.engine.analyze(records)
+                    if match.signature in effective
+                ]
+                top = [classify(attack) for attack, _ in response.top_attacks]
+                assert top[0] is KNOWLEDGE_ARTICLES[perceived[0]], (name, perceived)
+                assert None not in top, (name, response.top_attacks)
+                seen.add(top[0].signature)
+        assert seen == set(KNOWLEDGE_ARTICLES)
 
 
 class TestBackends:

@@ -19,7 +19,7 @@ from repro.core.llm_analyzer import SDL_VERDICT_NS, LlmAnalyzerXApp
 from repro.core.mobiwatch import AnomalyEvent, MobiWatchXApp
 from repro.llm.analyst import ExpertAnalyst
 from repro.llm.client import LlmClient, SimulatedLlmServer
-from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
+from repro.llm.knowledge import VectorizedRetriever
 from repro.llm.prompt import CompiledPromptBuilder, format_record, parse_data_section
 from repro.oran.ric import NearRtRic
 from repro.ran.links import InterfaceLink
@@ -45,27 +45,25 @@ from tests.test_megabatch import ATTACK_SCENARIOS, NonzeroCountDetector
 
 class TestVectorizedRetrieval:
     def test_rankings_identical_to_seed(self):
-        knowledge = CellularKnowledgeBase()
-        retriever = VectorizedRetriever(knowledge)
+        retriever = VectorizedRetriever()
         for records in distinct_traces(16):
             for top_k in (1, 2, 4, 10):
                 assert retriever.retrieve(records, top_k=top_k) == retrieve(
-                    knowledge, records, top_k=top_k
+                    records, top_k=top_k
                 )
 
     def test_empty_and_unknown_traces(self):
-        knowledge = CellularKnowledgeBase()
-        retriever = VectorizedRetriever(knowledge)
-        assert retriever.retrieve([]) == retrieve(knowledge, [])
+        retriever = VectorizedRetriever()
+        assert retriever.retrieve([]) == retrieve([])
         unknown = [
             MobiFlowRecord(
                 timestamp=0.0, msg="TotallyUnknownMessage", protocol="RRC", direction="UL"
             )
         ]
-        assert retriever.retrieve(unknown) == retrieve(knowledge, unknown)
+        assert retriever.retrieve(unknown) == retrieve(unknown)
 
     def test_result_memo_hits_on_duplicates(self):
-        retriever = VectorizedRetriever(CellularKnowledgeBase())
+        retriever = VectorizedRetriever()
         trace = storm_trace()
         first = retriever.retrieve(trace)
         again = retriever.retrieve(list(trace))  # same content, new list
@@ -85,10 +83,9 @@ class TestCompiledPrompts:
             assert builder.render(records) == PromptTemplate().render(records)
 
     def test_byte_identical_with_snippets(self):
-        knowledge = CellularKnowledgeBase()
         builder = CompiledPromptBuilder()
         for records in distinct_traces(16):
-            snippets = retrieve(knowledge, records)
+            snippets = retrieve(records)
             if not snippets:
                 continue
             template = PromptTemplate()
@@ -122,10 +119,9 @@ class TestAnalyst:
             client=LlmClient(server=SimulatedLlmServer(), model="chatgpt-4o"),
             use_rag=True,
         )
-        knowledge = CellularKnowledgeBase()
         for records in distinct_traces(16):
             snippets = analyst.retrieve_snippets(records)
-            assert snippets == retrieve(knowledge, records)
+            assert snippets == retrieve(records)
             assert analyst.build_prompt(records) == PromptTemplate().render(records)
             assert analyst.build_prompt(records, snippets) == PromptTemplate(
                 retrieved_snippets=list(snippets)
@@ -382,14 +378,13 @@ class TestParentDefaultRuns:
         """Every live prompt, byte for byte, from the references, and read
         back by a provider that remembers lines as by one that parses every
         prompt from scratch."""
-        knowledge = CellularKnowledgeBase()
         parsed_lines: dict = {}
         for xsec in default_runs[1].values():
             for event in xsec.analyzer.verdicts:
                 records = xsec.mobiwatch.context_for(
                     event.anomaly, xsec.config.llm_context_records
                 )
-                reference = PromptTemplate(retrieved_snippets=retrieve(knowledge, records))
+                reference = PromptTemplate(retrieved_snippets=retrieve(records))
                 assert event.verdict.prompt == reference.render(records)
                 assert parse_data_section(
                     event.verdict.prompt, parsed_lines

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.datasets import AttackDatasetConfig
 from repro.experiments.rag_study import RagStudyConfig, run_rag_study
-from repro.llm.knowledge import CellularKnowledgeBase, VectorizedRetriever
+from repro.llm.knowledge import VectorizedRetriever
 from repro.llm.profiles import FINETUNED_PROFILE, MODEL_PROFILES
 from tests.reference_llm import retrieve
 
@@ -62,11 +62,10 @@ class TestRagStudy:
     def test_retrieval_ranks_like_the_reference_on_the_study_traces(self, result):
         # The analysts retrieve through VectorizedRetriever; on every trace
         # the study shows a model it must rank like the reference loop.
-        knowledge = CellularKnowledgeBase()
-        retriever = VectorizedRetriever(knowledge)
+        retriever = VectorizedRetriever()
         for case in result.cases:
             assert retriever.retrieve(case.records) == retrieve(
-                knowledge, case.records
+                case.records
             ), case.name
 
 

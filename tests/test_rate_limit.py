@@ -1,5 +1,8 @@
 """Tests for the DU access rate limiter (dApp-style control, §5)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.attacks import BtsDosAttack
@@ -53,6 +56,15 @@ class TestDuRateLimiter:
             net.du.set_rate_limit(0, 1.0)
         with pytest.raises(ValueError):
             net.du.set_rate_limit(3, 0.0)
+
+    @pytest.mark.parametrize("window_s", [float("inf"), float("nan")])
+    def test_non_finite_window_rejected(self, window_s):
+        """An infinite window bars every setup after the first for good; a
+        NaN one bars nothing."""
+        net = FiveGNetwork(NetworkConfig(seed=34))
+        with pytest.raises(ValueError):
+            net.du.set_rate_limit(1, window_s)
+        assert net.du._rate_limit is None
 
 
 class TestRateLimitViaE2:
@@ -129,3 +141,36 @@ class TestClosedLoopRateLimit:
         assert "rate_limit_access" in actions
         # The limiter bit: part of the flood was barred at the radio.
         assert xsec.net.du.setup_requests_rate_limited > 0
+
+
+@pytest.fixture(scope="module")
+def dos_closed_loop():
+    """examples/dos_closed_loop.py, loaded, and the result of its one run."""
+    path = Path(__file__).parent.parent / "examples" / "dos_closed_loop.py"
+    spec = importlib.util.spec_from_file_location("dos_closed_loop", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    return example, example.run_closed_loop()
+
+
+class TestDosClosedLoopExample:
+    """examples/dos_closed_loop.py is the one end-to-end run with
+    ``auto_rate_limit`` on: the storm is rate-limited at each confirmed
+    verdict, then the replayed S-TMSI is blocklisted."""
+
+    def test_actions_taken(self, dos_closed_loop):
+        _, (xsec, storm, replay) = dos_closed_loop
+        rate_limit = ("rate_limit_access", {"max_setups": 3, "window_s": 1.0})
+        blocklist = ("blocklist_tmsi", {"tmsi": 0x7E0E2827})
+        assert xsec.pipeline.actions_taken == [rate_limit] * 13 + [blocklist]
+        assert replay.rogue.victim_s_tmsi == 0x7E0E2827
+
+    def test_prints_identifiers_in_hex_and_the_rate_as_is(
+        self, dos_closed_loop, capsys, monkeypatch
+    ):
+        example, result = dos_closed_loop
+        monkeypatch.setattr(example, "run_closed_loop", lambda: result)
+        example.main()
+        out = capsys.readouterr().out
+        assert "rate_limit_access: {'max_setups': 3, 'window_s': 1.0}" in out
+        assert "blocklist_tmsi: {'tmsi': '0x7e0e2827'}" in out
