@@ -14,7 +14,6 @@ accumulates telemetry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -257,15 +256,14 @@ class MobiWatchXApp(XApp):
         # Telemetry is persisted after the ingest loop as one acked SDL
         # write per indication. A record is stored as the bytes it arrived
         # in — its span of the indication payload, which the decoder has
-        # checked to be exactly its own encoding — unless there is none
-        # (non-canonical batch) or it no longer describes the record
-        # (clamped timestamp).
+        # checked to be exactly its own encoding — unless that no longer
+        # describes the record (clamped timestamp).
         pending_writes: list[tuple[str, object]] = []
         delays: list[float] = []
         payload = records.payload
         index = len(series)
         newest_ts = series[index - 1].timestamp if index else float("-inf")
-        for record, span in zip(records, records.spans or itertools.repeat(None)):
+        for record, span in zip(records, records.spans):
             if record.timestamp < newest_ts:
                 # Batches from different report intervals can interleave
                 # slightly; process in arrival order, clamping the clock.

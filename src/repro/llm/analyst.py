@@ -6,7 +6,7 @@ retrieval-augmented), query the model through the REST-style client, parse
 the text into the structured classification / explanation / attribution /
 remediation outputs, and cross-compare with MobiWatch's verdict.
 
-Retrieval runs through the term-indexed :class:`VectorizedRetriever` and
+Retrieval runs through the memoized :class:`VectorizedRetriever` and
 prompt assembly through :class:`CompiledPromptBuilder`. Every round is one
 provider request over the sequence's own records: a verdict is never
 reused for another sequence, so its prompt is always the evidence it

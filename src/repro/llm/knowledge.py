@@ -20,8 +20,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.oran.e2sm_kpm import (
     ACTION_BLOCKLIST_TMSI,
     ACTION_RATE_LIMIT_ACCESS,
@@ -279,10 +277,6 @@ def classify(name: str) -> Optional[AttackArticle]:
     return _BY_NAME.get(name.lower())
 
 
-# Marker terms derived from record state (not message names).
-_STATE_TERMS = ("nea0", "nia0", "null", "suci", "supi", "plaintext", "s-tmsi")
-
-
 def trace_terms(records: Iterable[MobiFlowRecord]) -> frozenset:
     """The retrieval terms of a trace: message names plus state markers."""
     terms = set()
@@ -298,20 +292,14 @@ def trace_terms(records: Iterable[MobiFlowRecord]) -> frozenset:
 
 
 class VectorizedRetriever:
-    """Term-indexed article scoring: the RAG retrieval ``ExpertAnalyst`` runs.
+    """The RAG retrieval ``ExpertAnalyst`` runs.
 
     A trace's relevance to an article is the number of the trace's terms
-    (:func:`trace_terms`) found in the article's snippet and explanation.
-    Scoring that with a Python double loop is O(terms x articles)
-    substring searches per query, paid again for every anomaly in a
-    burst. This class precomputes a term
-    index at construction: for every term in the known vocabulary (all
-    registered RRC/NAS message names plus the state marker terms), a
-    per-article membership row. Scoring a trace is then one indexed
-    accumulation over the rows of the terms actually present. Terms
-    outside the precomputed vocabulary are resolved with the substring
-    test once and memoized, and traces with the same derived term set (the
-    common case for duplicate bursts) reuse the finished ranking.
+    (:func:`trace_terms`) found in the article's snippet and explanation;
+    the ``top_k`` articles of nonzero score are returned by ``(-score,
+    signature)``. Traces with the same term set (the common case in a
+    burst) reuse the finished ranking from a bounded memo; a miss scores
+    the six articles with one substring test per term.
 
     The contract — enforced in ``tests/test_llm_analyzer.py`` against the loop
     in ``tests/reference_llm.py`` — is *exact ranking equality*, including
@@ -319,38 +307,18 @@ class VectorizedRetriever:
     """
 
     def __init__(self, result_memo_capacity: int = 4096) -> None:
-        articles = list(KNOWLEDGE_ARTICLES.values())
-        # Article (dict) order feeds the sort key, so ranking ties resolve
-        # by signature alone.
-        self._signatures = [article.signature for article in articles]
-        self._snippets = [article.procedure_snippet for article in articles]
-        self._texts = [
-            (article.procedure_snippet + " " + article.explanation).lower()
-            for article in articles
+        self._articles = [
+            (
+                (article.procedure_snippet + " " + article.explanation).lower(),
+                article.signature,
+                article.procedure_snippet,
+            )
+            for article in KNOWLEDGE_ARTICLES.values()
         ]
-        self._n = len(articles)
-        self._term_rows: dict[str, np.ndarray] = {}
         self._result_memo: dict[tuple, list[str]] = {}
         self._result_memo_capacity = result_memo_capacity
         self.queries = 0
         self.memo_hits = 0
-        # Precompute the vocabulary: every registered message name (what
-        # record.msg.lower() can produce for real traffic) + state terms.
-        from repro.ran.messages import Message
-
-        for name in Message.registered_names():
-            self._row(name.lower())
-        for term in _STATE_TERMS:
-            self._row(term)
-
-    def _row(self, term: str) -> np.ndarray:
-        row = self._term_rows.get(term)
-        if row is None:
-            row = np.fromiter(
-                (term in text for text in self._texts), dtype=np.int32, count=self._n
-            )
-            self._term_rows[term] = row
-        return row
 
     def retrieve(self, records: list[MobiFlowRecord], top_k: int = 2) -> list[str]:
         """The ``top_k`` snippets of nonzero score, by (-score, signature)."""
@@ -361,11 +329,11 @@ class VectorizedRetriever:
         if cached is not None:
             self.memo_hits += 1
             return list(cached)
-        scores = np.zeros(self._n, dtype=np.int32)
-        for term in terms:
-            scores += self._row(term)
         ranked = sorted(
-            zip(scores.tolist(), self._signatures, self._snippets),
+            (
+                (sum(term in text for term in terms), signature, snippet)
+                for text, signature, snippet in self._articles
+            ),
             key=lambda item: (-item[0], item[1]),
         )
         result = [snippet for score, _, snippet in ranked[:top_k] if score > 0]

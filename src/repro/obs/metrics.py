@@ -102,6 +102,11 @@ class Gauge:
         return {"value": self.value}
 
 
+def _ranked(ordered: list[float], p: float) -> float:
+    """The ``p``-th percentile of a sorted, non-empty sample."""
+    return ordered[min(len(ordered) - 1, int(p / 100.0 * len(ordered)))]
+
+
 class Histogram:
     """Distribution summary: bucket counts plus a bounded reservoir.
 
@@ -201,20 +206,20 @@ class Histogram:
         """Approximate percentile (exact until the reservoir wraps)."""
         if not self._reservoir:
             return None
-        ordered = sorted(self._reservoir)
-        rank = min(len(ordered) - 1, int(p / 100.0 * len(ordered)))
-        return ordered[rank]
+        return _ranked(sorted(self._reservoir), p)
 
     def stats(self) -> dict:
         if not self.count:
             return {"n": 0}
+        # One sort serves the three quantiles.
+        ordered = sorted(self._reservoir)
         return {
             "n": self.count,
             "mean": self.mean,
             "min": self.min,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": _ranked(ordered, 50),
+            "p90": _ranked(ordered, 90),
+            "p99": _ranked(ordered, 99),
             "max": self.max,
             "sum": self.total,
         }

@@ -36,6 +36,7 @@ def _to_action_type(value: Any) -> Any:
 
 _PLANS = wire.EnvelopePlans(
     "pdu",
+    "E2AP PDU",
     lambda cls: cls.PDU,
     _PDU_REGISTRY,
     lambda annotation: _to_action_type if annotation == "ActionType" else None,
@@ -61,30 +62,12 @@ class E2apPdu:
 
     @staticmethod
     def from_wire(data: bytes) -> "E2apPdu":
-        data = bytes(data)
-        pdu = _PLANS.decode(data)
-        if pdu is not None:
-            return pdu
+        """Decode a PDU. Only the bytes :meth:`to_wire` writes are accepted;
+        any other is an :class:`E2apError`."""
         try:
-            blob = wire.decode(data)
+            return _PLANS.decode(bytes(data))
         except wire.WireError as exc:
-            raise E2apError(f"undecodable E2AP PDU: {exc}") from exc
-        if not isinstance(blob, dict) or "pdu" not in blob:
-            raise E2apError("not an E2AP PDU envelope")
-        cls = _PDU_REGISTRY.get(blob["pdu"])
-        if cls is None:
-            raise E2apError(f"unknown E2AP PDU {blob['pdu']!r}")
-        ies = blob.get("ie", {})
-        if not isinstance(ies, dict):
-            raise E2apError("E2AP IEs are not a dict")
-        kwargs: Dict[str, Any] = {}
-        plan = _PLANS.plan(cls)
-        for name, convert in zip(plan.names, plan.converters):
-            if name not in ies:
-                raise E2apError(f"{blob['pdu']}: missing IE {name!r}")
-            value = ies[name]
-            kwargs[name] = value if convert is None else convert(value)
-        return cls(**kwargs)
+            raise E2apError(str(exc)) from exc
 
     @property
     def pdu_name(self) -> str:

@@ -104,30 +104,25 @@ class MobiFlowKpmModel(ServiceModel):
     NAME = "ORAN-E2SM-KPM-MobiFlow"
 
     @classmethod
+    def _indication_header(cls, count: int) -> bytes:
+        return wire.encode({"sm": cls.NAME, "count": count})
+
+    @classmethod
     def encode_indication(cls, payload: list[MobiFlowRecord]) -> tuple[bytes, bytes]:
         """Encode a record list into header + message bytes: one
         (key, value) dict per record."""
         records = list(payload)
-        header = wire.encode({"sm": cls.NAME, "count": len(records)})
-        message = encode_batch(records)
-        return header, message
+        return cls._indication_header(len(records)), encode_batch(records)
 
     @classmethod
     def decode_indication(cls, header: bytes, message: bytes) -> RecordBatch:
         """The indication's records, each with its span of ``message``
-        (see :class:`RecordBatch`)."""
-        meta = wire.decode(header)
-        if not isinstance(meta, dict) or meta.get("sm") != cls.NAME:
-            raise E2smError("indication header is not MobiFlow-KPM")
-        if meta.get("columnar"):
-            # The struct-of-arrays form an older agent could send: its
-            # message must not be read as if it were rows.
-            raise E2smError("indication is columnar: encoding not spoken")
+        (see :class:`RecordBatch`). The header must be, byte for byte, the
+        one :meth:`encode_indication` writes for that many records."""
         records = decode_batch(message)
-        if meta.get("count") != len(records):
+        if header != cls._indication_header(len(records)):
             raise E2smError(
-                f"indication count mismatch: header says {meta.get('count')}, "
-                f"payload has {len(records)}"
+                f"indication header is not MobiFlow-KPM's for {len(records)} records"
             )
         return records
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.ran.identifiers import Guti, GutiAllocator, Supi, conceal_supi
+from repro.ran.identifiers import Guti, GutiAllocator, Supi, conceal_supi, tmsi_of_guti
 from repro.ran.links import InterfaceLink
 from repro.ran.messages import Message
 from repro.ran.nas import (
@@ -252,7 +252,7 @@ class Amf(Entity):
         ctx.state = "registering"
         supi: Optional[str] = None
         if request.guti:
-            tmsi = self._tmsi_from_guti_string(request.guti)
+            tmsi = tmsi_of_guti(request.guti)
             if tmsi is not None:
                 supi = self._tmsi_to_supi.get(tmsi)
                 if supi is not None:
@@ -273,12 +273,6 @@ class Amf(Entity):
             return
         ctx.supi = supi
         self._start_authentication(ctx)
-
-    def _tmsi_from_guti_string(self, guti: str) -> Optional[int]:
-        try:
-            return int(guti.rsplit("-", 1)[1], 16)
-        except (IndexError, ValueError):
-            return None
 
     def _release_stale_context(self, supi: str, new_ctx: AmfUeContext) -> None:
         """A UE re-appeared on a new connection: drop its old context.

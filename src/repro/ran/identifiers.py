@@ -95,6 +95,24 @@ class Guti:
         )
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def tmsi_of_guti(guti: str) -> Optional[int]:
+    """The 5G-TMSI a GUTI string carries, or None when it carries none.
+
+    The strict inverse of :meth:`Guti.__str__` on the TMSI: the text after
+    the last ``-`` must be exactly eight lowercase hex digits (``int(., 16)``
+    would also take ``+ff``, ``0x1f``, `` 1f`` or ``1_f``).
+    """
+    if type(guti) is not str:
+        return None
+    _, dash, tail = guti.rpartition("-")
+    if not dash or len(tail) != 8 or not _HEX_DIGITS.issuperset(tail):
+        return None
+    return int(tail, 16)
+
+
 class RntiAllocator:
     """Allocates C-RNTIs the way a DU does: random free value per connection."""
 

@@ -39,22 +39,41 @@ _REGISTRY: Dict[str, Type["Message"]] = {}
 M = TypeVar("M", bound="Message")
 
 
+def _member_of(enum_cls: Type[enum.Enum], optional: bool) -> Callable[[Any], Any]:
+    """The member a wire value names (None for None, when ``optional``).
+    The value must be of the member's own type: ``CipherAlg(True)`` is
+    NEA1, which is written as 1, not as True."""
+    members = {(type(member.value), member.value): member for member in enum_cls}
+    if optional:
+        members[type(None), None] = None
+
+    def convert(value: Any) -> Any:
+        try:
+            return members[type(value), value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueError(f"{value!r} is not a {enum_cls.__name__} value") from None
+
+    return convert
+
+
 def _enum_converter(annotation: Any) -> Optional[Callable[[Any], Any]]:
     """What rehydrates a field's raw wire value, or None for plain fields."""
     if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
-        return annotation
+        return _member_of(annotation, optional=False)
     # Annotations are strings under ``from __future__ import annotations``;
     # the registered names cover ``Optional[...]``, so None passes through.
     enum_cls = _ENUM_FIELD_TYPES.get(annotation) if isinstance(annotation, str) else None
     if enum_cls is None:
         return None
-    return lambda value: None if value is None else enum_cls(value)
+    return _member_of(enum_cls, optional=True)
 
 
 # Per-class codec plans (key TLVs, envelope prefix, enum converters):
-# ``to_wire`` writes straight from attributes, ``from_wire`` reads canonical
-# bytes straight into constructor arguments.
-_PLANS = wire.EnvelopePlans("msg", lambda cls: cls.NAME, _REGISTRY, _enum_converter)
+# ``to_wire`` writes straight from attributes, ``from_wire`` reads back
+# exactly those bytes straight into constructor arguments.
+_PLANS = wire.EnvelopePlans(
+    "msg", "message", lambda cls: cls.NAME, _REGISTRY, _enum_converter
+)
 
 
 @dataclass
@@ -106,36 +125,13 @@ class Message:
 
     @staticmethod
     def from_wire(data: bytes) -> "Message":
-        """Decode bytes back into the registered message class."""
-        data = bytes(data)
-        message = _PLANS.decode(data)
-        if message is not None:
-            return message
-        # Not a known class's canonical layout (or its plan is not built
-        # yet): the generic decode accepts or rejects it.
+        """Decode bytes back into the registered message class. Only the
+        bytes :meth:`to_wire` writes are accepted; any other is a
+        :class:`MessageError`."""
         try:
-            blob = wire.decode(data)
+            return _PLANS.decode(bytes(data))
         except wire.WireError as exc:
-            raise MessageError(f"undecodable message: {exc}") from exc
-        if not isinstance(blob, dict) or "msg" not in blob:
-            raise MessageError("wire blob is not a message envelope")
-        name = blob["msg"]
-        cls = _REGISTRY.get(name)
-        if cls is None:
-            raise MessageError(f"unknown message name {name!r}")
-        ie = blob.get("ie", {})
-        if not isinstance(ie, dict):
-            raise MessageError("message IEs are not a dict")
-        kwargs: Dict[str, Any] = {}
-        plan = _PLANS.plan(cls)
-        for field_name, to_enum in zip(plan.names, plan.converters):
-            if field_name not in ie:
-                raise MessageError(f"{name}: missing IE {field_name!r}")
-            value = ie[field_name]
-            if to_enum is not None:
-                value = to_enum(value)
-            kwargs[field_name] = value
-        return cls(**kwargs)
+            raise MessageError(str(exc)) from exc
 
     @staticmethod
     def registered_names() -> list[str]:

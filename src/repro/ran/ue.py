@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.ran.channel import RadioChannel
-from repro.ran.identifiers import Supi, conceal_supi
+from repro.ran.identifiers import Supi, conceal_supi, tmsi_of_guti
 from repro.ran.messages import Message
 from repro.ran.nas import (
     AuthenticationFailure,
@@ -451,10 +451,7 @@ class UserEquipment(Entity):
     def _on_nas_RegistrationAccept(self, nas: RegistrationAccept) -> None:
         self.guti = nas.guti
         # The S-TMSI is the tail of the GUTI string (hex TMSI).
-        try:
-            self.s_tmsi = int(nas.guti.rsplit("-", 1)[1], 16)
-        except (IndexError, ValueError):
-            self.s_tmsi = None
+        self.s_tmsi = tmsi_of_guti(nas.guti)
         self.fivegmm_state = FiveGmmState.REGISTERED
         self.schedule(
             self._proc_delay(),
@@ -474,10 +471,7 @@ class UserEquipment(Entity):
     def _on_nas_ConfigurationUpdateCommand(self, nas) -> None:
         # GUTI reallocation after use (TS 33.501 refresh recommendation).
         self.guti = nas.guti
-        try:
-            self.s_tmsi = int(nas.guti.rsplit("-", 1)[1], 16)
-        except (IndexError, ValueError):
-            self.s_tmsi = None
+        self.s_tmsi = tmsi_of_guti(nas.guti)
 
     def _on_nas_DeregistrationAccept(self, nas: DeregistrationAccept) -> None:
         self.fivegmm_state = FiveGmmState.DEREGISTERED

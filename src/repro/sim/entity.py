@@ -17,8 +17,7 @@ class Entity:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._log: list[tuple[float, str]] = []
-        # Structured view of this entity's diagnostics (repro.obs).
+        # This entity's diagnostics, in the simulation's structured log.
         self.obs_log = sim.obs.logger.scoped(name)
 
     @property
@@ -30,17 +29,19 @@ class Entity:
         return self.sim.schedule(delay, callback, name=label)
 
     def log(self, message: str, **fields) -> None:
-        """Record a timestamped diagnostic line (kept in memory, not printed).
-
-        Also routed to the simulation's structured logger so component
-        diagnostics are queryable/exportable via ``sim.obs.logger``.
-        """
-        self._log.append((self.sim.now, message))
+        """Record a timestamped diagnostic line (not printed) in the
+        simulation's structured logger, ``sim.obs.logger``, whose bounded
+        ring keeps the latest records of every component."""
         self.obs_log.info(message, **fields)
 
     @property
     def logs(self) -> list[tuple[float, str]]:
-        return list(self._log)
+        """``(sim_time, message)`` of this entity's records still in the
+        structured logger's ring."""
+        return [
+            (record.sim_time, record.message)
+            for record in self.obs_log.logger.records_for(self.name)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

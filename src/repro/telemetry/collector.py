@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.ran import f1ap, ngap
+from repro.ran.identifiers import tmsi_of_guti
 from repro.ran.messages import Message
 from repro.ran import nas as nas_messages
 from repro.ran import rrc as rrc_messages
@@ -37,13 +38,6 @@ _RRC_WRAPPERS = {
     rrc_messages.RrcUlInformationTransfer,
     rrc_messages.RrcDlInformationTransfer,
 }
-
-
-def _tmsi_from_guti(guti: str) -> Optional[int]:
-    try:
-        return int(guti.rsplit("-", 1)[1], 16)
-    except (IndexError, ValueError):
-        return None
 
 
 class MobiFlowCollector:
@@ -227,7 +221,7 @@ class MobiFlowCollector:
         return tmsi, None, None, int(message.cipher_alg), int(message.integrity_alg)
 
     def _guti_tmsi(self, session: int, guti: str) -> Optional[int]:
-        tmsi = _tmsi_from_guti(guti)
+        tmsi = tmsi_of_guti(guti)
         if tmsi is None:
             self._guti_errors.inc()
             return self._session_tmsi.get(session)

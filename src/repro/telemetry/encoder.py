@@ -5,8 +5,9 @@ extended E2SM-KPM report. Only what the service model cannot derive is
 encoded, keeping the indication payload compact: null fields are left out,
 and so — since wire format revision 3 — are a record's ``protocol`` and
 ``direction`` when they are the :data:`CATALOGUE` entry of its ``msg``. The
-decoder fills them back in. Bytes written before revision 3 (both fields
-spelled out) still decode, to the same records.
+decoder fills them back in. It accepts only the bytes the encoder writes, so
+bytes of an older revision (both fields written out, or two-byte symbols)
+are refused with :class:`~repro.wire.WireError`.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ _FIELD_RULES: dict[str, tuple] = {
 # The (protocol, direction) of every message name a record can carry, as
 # the E2SM knows them: a record leaves either field off the wire when it
 # equals its entry here. Append-only, like ``wire.SYMBOLS``: stored bytes
-# that left a field off mean this entry (tests/fixtures/mobiflow_catalogue.json
-# pins the table). A name added to the tree is appended; a record whose
-# name is missing, or whose pair differs, is written in full.
+# that left a field off mean this entry, and bytes that write a field equal
+# to it are refused (tests/fixtures/mobiflow_catalogue.json pins the
+# table). A name added to the tree is appended; a record whose name is
+# missing, or whose pair differs, is written in full.
 CATALOGUE: dict[str, tuple[str, str]] = {
     "AuthenticationFailure": ("NAS", "UL"),
     "AuthenticationReject": ("NAS", "DL"),
@@ -138,9 +140,9 @@ def wire_values(record: MobiFlowRecord) -> tuple:
 
 class _RecordPlan(wire.ClassPlan):
     """The compact record plan, with ``protocol`` and ``direction`` left
-    off where the catalogue gives them. A field that is written although
-    it equals its entry is not what the encoder writes, so the planned
-    decoder steps aside and the generic one answers."""
+    off where the catalogue gives them. A record that writes either although
+    it equals its entry, or leaves either off although ``msg`` has no entry,
+    is not what the encoder writes: it is refused."""
 
     def __init__(self) -> None:
         types = {name: types for name, (types, _) in _FIELD_RULES.items()}
@@ -156,63 +158,42 @@ class _RecordPlan(wire.ClassPlan):
         # values: a compact plan leaves a None off the wire.
         self._values = wire_values
 
-    def _decode_fields(self, data: bytes, offset: int, stop: int, depth: int) -> Optional[list]:
+    def _decode_fields(self, data: bytes, offset: int, stop: int, depth: int) -> list:
         values = super()._decode_fields(data, offset, stop, depth)
-        if values is None:
-            return None
         derived = CATALOGUE.get(values[1])
         if derived is None:
-            return values if values[2] is not None and values[3] is not None else None
+            if values[2] is None or values[3] is None:
+                raise wire.WireError(
+                    f"MobiFlow record of msg {values[1]!r} leaves protocol or "
+                    "direction off, and the catalogue has no entry for it"
+                )
+            return values
         protocol, direction = derived
+        if values[2] == protocol or values[3] == direction:
+            raise wire.WireError(
+                f"MobiFlow record of msg {values[1]!r} writes the protocol or "
+                "direction its catalogue entry gives"
+            )
         if values[2] is None:
             values[2] = protocol
-        elif values[2] == protocol:
-            return None
         if values[3] is None:
             values[3] = direction
-        elif values[3] == direction:
-            return None
         return values
 
 
 _PLAN = _RecordPlan()
 
 
-def _record_from_value(item: Any) -> MobiFlowRecord:
-    """A generically decoded record dict, held to the same rules."""
-    if type(item) is dict and ("protocol" not in item or "direction" not in item):
-        msg = item.get("msg")
-        derived = CATALOGUE.get(msg) if type(msg) is str else None
-        if derived is None:
-            raise ValueError(
-                f"MobiFlow record of msg {msg!r} leaves protocol or direction "
-                "off, and the catalogue has no entry for it"
-            )
-        item.setdefault("protocol", derived[0])
-        item.setdefault("direction", derived[1])
-    record = MobiFlowRecord.from_dict(item)
-    for name, (types, check) in _FIELD_RULES.items():
-        value = getattr(record, name)
-        if type(value) not in types:
-            raise ValueError(
-                f"MobiFlow field {name!r} holds a {type(value).__name__}"
-            )
-        if check is not None:
-            check(value)
-    return record
-
-
 class RecordBatch(list):
     """The records of one decoded batch, plus where each was found.
 
     ``spans[i]`` is the ``(start, stop)`` of record ``i``'s TLV in
-    ``payload``, byte for byte what :func:`encode_record` would produce for
-    it, so a consumer that stores the record can store the bytes it arrived
-    in. ``spans`` is None when there are none to keep: the payload was valid
-    but not laid out the way :func:`encode_batch` lays it out.
+    ``payload``, byte for byte what :func:`encode_record` produces for it
+    (the decoder accepts nothing else), so a consumer that stores the record
+    can store the bytes it arrived in.
     """
 
-    def __init__(self, records: list, payload: bytes, spans: Optional[list]) -> None:
+    def __init__(self, records: list, payload: bytes, spans: list) -> None:
         super().__init__(records)
         self.payload = payload
         self.spans = spans
@@ -224,11 +205,9 @@ def encode_record(record: MobiFlowRecord) -> bytes:
 
 
 def decode_record(data: bytes) -> MobiFlowRecord:
-    """Inverse of :func:`encode_record`."""
-    payload = wire.decode(data)
-    if not isinstance(payload, dict):
-        raise wire.WireError("MobiFlow KV payload is not a dict")
-    return _record_from_value(payload)
+    """Inverse of :func:`encode_record`: any bytes it would not have
+    written are a :class:`~repro.wire.WireError`."""
+    return _PLAN.decode(bytes(data))
 
 
 def encode_batch(records: list[MobiFlowRecord]) -> bytes:
@@ -237,12 +216,8 @@ def encode_batch(records: list[MobiFlowRecord]) -> bytes:
 
 
 def decode_batch(data: bytes) -> RecordBatch:
-    """Inverse of :func:`encode_batch`."""
+    """Inverse of :func:`encode_batch`: any bytes it would not have
+    written are a :class:`~repro.wire.WireError`."""
     data = bytes(data)
-    planned = _PLAN.decode_list(data)
-    if planned is not None:
-        return RecordBatch(planned[0], data, planned[1])
-    payload = wire.decode(data)
-    if not isinstance(payload, list):
-        raise wire.WireError("MobiFlow batch payload is not a list")
-    return RecordBatch([_record_from_value(item) for item in payload], data, None)
+    records, spans = _PLAN.decode_list(data)
+    return RecordBatch(records, data, spans)

@@ -17,20 +17,20 @@ message and PDU names of the tree and its few fixed words — is written as
 a symbol, as a dict key or as a value, on every interface; any other string
 is written out. Since revision 4 a symbol whose index is below 240 is the
 single tag byte ``0x10 + index``; an index of 240-255 is the tag ``0x09``
-and one index byte. Tags ``0x0A``-``0x0F`` are reserved. The older forms of
-a table string still decode, to the same value: the two-byte ``0x09`` form
-of any index (revisions 2 and 3) and the spelled-out string (revision 1).
-No encoder writes either for an index below 240. Revision 3 appended the
-E2SM control vocabulary (the ``action`` key, the action names and their
-parameter keys), and left off the MobiFlow fields the service model derives
-(see :mod:`repro.telemetry.encoder`); bytes of revision 2 still decode.
+and one index byte. Tags ``0x0A``-``0x0F`` are reserved. Revision 3
+appended the E2SM control vocabulary (the ``action`` key, the action names
+and their parameter keys), and left off the MobiFlow fields the service
+model derives (see :mod:`repro.telemetry.encoder`).
 
 Three kinds of object cross the interfaces by the thousand per simulated
 second — F1/NG/RRC/NAS messages, E2AP PDUs and MobiFlow records — and each
-is a fixed set of named fields. :class:`ClassPlan` encodes and decodes
-those straight from and to attributes, with the same bytes and the same
-errors as ``encode``/``decode`` of the equivalent dict, which stay the
-codec for every other value.
+is a fixed set of named fields. :class:`ClassPlan` encodes those straight
+from attributes, with the bytes ``encode`` writes for the equivalent dict,
+and is their only decoder: it accepts exactly the bytes it writes and
+raises :class:`WireError` on any other, older revisions included.
+``encode``/``decode`` stay the codec of every other value (event triggers,
+control parameters, SDL values); ``decode`` also reads the two-byte and
+spelled-out forms of a table string, as the same value.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _TAG_STR = 0x05
 _TAG_BYTES = 0x06
 _TAG_LIST = 0x07
 _TAG_DICT = 0x08
-_TAG_SYMBOL = 0x09  # + one index byte: indices 240-255, and revisions 2-3
+_TAG_SYMBOL = 0x09  # + one index byte: indices 240-255 (revisions 2-3: any index)
 # 0x0A-0x0F are reserved for future value types.
 _TAG_SHORT_SYMBOL = 0x10  # + index, in one byte: indices 0-239
 _SHORT_SYMBOLS = 0x100 - _TAG_SHORT_SYMBOL
@@ -67,7 +67,7 @@ SYMBOLS: tuple[str, ...] = (
     "suci", "supi", "cipher_alg", "integrity_alg", "establishment_cause",
     # 12: envelope keys, protocol and direction values
     "ie", "pdu", "RRC", "NAS", "UL", "DL",
-    # 18: E2SM-KPM indication header ("columnar" is retired: read, never written)
+    # 18: E2SM-KPM indication header ("columnar" is retired: never written)
     "sm", "count", "columnar", "ORAN-E2SM-KPM-MobiFlow",
     # 22: RRC establishment causes
     "emergency", "highPriorityAccess", "mt-Access", "mo-Signalling", "mo-Data",
@@ -513,12 +513,13 @@ def decode_prefix(data: bytes) -> tuple[Any, bytes]:
 # dict of the same field names in the same order. A ClassPlan builds each
 # key's TLV (and, for an enveloped class, everything up to the IE dict) once
 # per class, appends str/int/float/None/short-bytes field values inline and
-# hands anything else to _encode_into; on the way in it matches the keys it
-# expects at the offsets it expects them and decodes short scalars inline,
-# leaving the rest to _decode_at. Bytes that are not laid out exactly as the
-# plan's own encoder would lay them out are not an error here: the planned
-# decoders return None and the caller runs the generic decode, which accepts
-# or rejects them with its own messages.
+# hands anything else to _encode_into. Its decoder is the only decoder of the
+# class, and it accepts exactly the bytes its encoder writes: the keys in
+# field order, each field's value as its own TLV (a table string as its
+# one-byte symbol, never spelled out or in the two-byte form; an int and
+# every length in their shortest form) and nothing after the last field.
+# Anything else raises WireError. Only a list or dict field value is read by
+# the generic _decode_at, with the generic accept set.
 
 # A field's allowed tags as a bit mask; bit ``_TAG_SHORT_SYMBOL`` stands for
 # every one-byte symbol tag.
@@ -549,25 +550,47 @@ def _patch_length(out: bytearray, mark: int) -> None:
         out[mark : mark + 1] = _encode_length(length)
 
 
+def _minimal_length(data: bytes, offset: int, end: int) -> tuple[int, int]:
+    """The length field at ``offset``, which must be the one
+    ``_encode_length`` writes: no high group of zero bits."""
+    length, after = _decode_length(data, offset, end)
+    if after - offset > 1 and not data[after - 1]:
+        raise WireError("length field is not in its shortest form")
+    return length, after
+
+
+def _body_at(data: bytes, offset: int, end: int, what: str) -> int:
+    """Where the body of the container whose length field is at ``offset``
+    starts; the container must run exactly to ``end``."""
+    if offset < end and (length := data[offset]) < 0x80:
+        offset += 1
+    else:
+        length, offset = _minimal_length(data, offset, end)
+    if offset + length > end:
+        raise WireError(f"truncated {what}")
+    if offset + length < end:
+        raise WireError(f"{end - offset - length} trailing bytes after {what}")
+    return offset
+
+
 class ClassPlan:
     """How instances of ``cls`` cross the wire as a dict of their fields.
 
     ``envelope=(kind, name)`` wraps the field dict as ``{kind: name, "ie":
     {...}}`` (messages, E2AP PDUs); without it the value is the bare dict.
     ``converters`` maps a field name to what turns its decoded value (None
-    for an absent field) into the attribute: an enum class, a range check
-    that raises ValueError. They run in field order once the whole value
-    has been decoded, as they would over a generically decoded dict.
+    for an absent field) into the attribute: an enum class, a range check.
+    They run in field order once the whole value has been decoded; one that
+    raises ValueError or TypeError refuses the bytes (WireError).
 
     ``types`` (field name -> allowed Python types) makes the plan *compact*,
-    the MobiFlow (key, value) form: None-valued fields are left out, and
-    the decoder accepts only the bytes the encoder would produce for the
-    decoded object — keys in order, fields of the stated types (a field
-    whose types include ``type(None)`` may be absent), minimal lengths and
-    ints — so every decoded object's span can be stored as it was received.
-    An uncompact plan writes None like any value and enum members as their
-    ``.value``, and decodes any valid encoding of a field value.
+    the MobiFlow (key, value) form: None-valued fields are left out, and a
+    field holds only a value of its stated types (a field whose types
+    include ``type(None)`` may be absent). An uncompact plan writes None like
+    any value and enum members as their ``.value``.
 
+    The decoder accepts only what the encoder writes (see the comment
+    above), so a decoded object's span can be stored as it was received.
     Instances are built as ``cls(*values)`` in field order.
     """
 
@@ -583,12 +606,14 @@ class ClassPlan:
         self.cls = cls
         self.names = tuple(names)
         self.compact = types is not None
+        # How errors name the object and its members.
+        self.label = cls.__name__ if envelope is None else envelope[1]
+        self._member = "field" if envelope is None else "IE"
         converters = converters or {}
-        self.converters = tuple(converters.get(name) for name in self.names)
         self._converting = tuple(
-            (index, convert)
-            for index, convert in enumerate(self.converters)
-            if convert is not None
+            (index, converters[name])
+            for index, name in enumerate(self.names)
+            if converters.get(name) is not None
         )
         self._keys = tuple(_str_tlv(name) for name in self.names)
         if issubclass(cls, tuple):
@@ -600,17 +625,17 @@ class ClassPlan:
             self._values = lambda obj: (only(obj),)
         else:
             self._values = lambda obj: ()
-        # (key TLV, its length, allowed tags, may be absent)
+        # (name, key TLV, its length, allowed tags, may be absent)
         fields = []
         for name, key in zip(self.names, self._keys):
             if types is None:
-                fields.append((key, len(key), _ANY_TAG, False))
+                fields.append((name, key, len(key), _ANY_TAG, False))
                 continue
             mask = 0
             for kind in types[name]:
                 mask |= _TAGS_OF_TYPE[kind]
             optional = bool(mask & 1 << _TAG_NONE)
-            fields.append((key, len(key), mask & ~(1 << _TAG_NONE), optional))
+            fields.append((name, key, len(key), mask & ~(1 << _TAG_NONE), optional))
         self._fields = tuple(fields)
         # Everything before the first field: dict tag and a length byte to
         # patch, preceded for an enveloped class by the outer dict's tag,
@@ -686,151 +711,169 @@ class ClassPlan:
 
     # -- decoding ----------------------------------------------------------------
 
-    def _decode_fields(self, data: bytes, offset: int, stop: int, depth: int) -> Optional[list]:
-        """Field values from the dict body ``data[offset:stop]``, or None
-        when it is not laid out as this plan's encoder lays it out."""
+    def _decode_fields(self, data: bytes, offset: int, stop: int, depth: int) -> list:
+        """Field values from the dict body ``data[offset:stop]``, which must
+        be laid out exactly as this plan's encoder lays it out."""
         values: list = []
         append = values.append
-        compact = self.compact
-        try:
-            for key, key_length, mask, optional in self._fields:
-                if not data.startswith(key, offset):
-                    if optional:
-                        append(None)
-                        continue
-                    return None
-                offset += key_length
-                if offset >= stop:
-                    return None
-                tag = data[offset]
-                if tag >= _TAG_SHORT_SYMBOL:
-                    value = _SYMBOL_AT[tag - _TAG_SHORT_SYMBOL]
-                    if value is None or not mask & _SHORT_SYMBOL_BIT:
-                        return None
-                    offset += 1
-                    append(value)
+        # A key is looked for at ``stop`` too when the last fields are
+        # absent; the byte there is the parent's (the next record's dict
+        # tag) or past the end, which no key TLV starts with.
+        for name, key, key_length, mask, optional in self._fields:
+            if not data.startswith(key, offset):
+                if optional:
+                    append(None)
                     continue
-                if not mask >> tag & 1:
-                    return None
-                body = offset + 2
-                if (
-                    (tag == _TAG_STR or tag == _TAG_INT or tag == _TAG_BYTES)
-                    and body <= stop
-                    and (length := data[offset + 1]) < 0x80
-                    and body + length <= stop
-                ):
-                    offset = body + length
-                    if tag == _TAG_STR:
-                        raw = data[body:offset]
-                        # A table string spelled out is not what the encoder
-                        # writes: the span could not be stored as received.
-                        if compact and raw in _SYMBOL_TLV:
-                            return None
-                        value = str(raw, "utf-8")
-                    elif tag == _TAG_INT:
-                        value = int.from_bytes(data[body:offset], "big", signed=True)
-                        if compact and length != (value.bit_length() + 8) // 8:
-                            return None
-                    else:
-                        value = data[body:offset]
-                elif tag == _TAG_SYMBOL and body <= stop:
-                    # The two-byte form of an index the encoder writes in
-                    # one byte is not what it writes.
-                    index = data[offset + 1]
-                    value = _SYMBOL_AT[index] if index >= _SHORT_SYMBOLS else None
-                    if value is None:
-                        return None
-                    offset = body
-                elif tag == _TAG_FLOAT and offset + 9 <= stop:
-                    value = _unpack_float_from(data, offset + 1)[0]
-                    offset += 9
-                elif tag < _TAG_INT:
-                    value = _SINGLETONS[tag]
-                    offset += 1
-                elif compact:
-                    return None
+                raise WireError(
+                    f"{self.label}: missing {self._member} {name!r} where its encoder writes it"
+                )
+            offset += key_length
+            if offset >= stop:
+                raise WireError(f"{self.label}: {self._member} {name!r} has no value")
+            tag = data[offset]
+            if tag >= _TAG_SHORT_SYMBOL:
+                value = _SYMBOL_AT[tag - _TAG_SHORT_SYMBOL]
+                if value is None:
+                    raise WireError(f"unknown symbol {tag - _TAG_SHORT_SYMBOL}")
+                if not mask & _SHORT_SYMBOL_BIT:
+                    raise WireError(f"{self.label}: {self._member} {name!r} holds a string")
+                offset += 1
+            elif not mask >> tag & 1:
+                if tag > _TAG_SYMBOL:
+                    raise WireError(f"unknown tag 0x{tag:02x}")
+                raise WireError(f"{self.label}: {self._member} {name!r} holds tag 0x{tag:02x}")
+            elif tag == _TAG_INT or tag == _TAG_BYTES or tag == _TAG_STR:
+                body = offset + 1
+                if body < stop and (length := data[body]) < 0x80:
+                    body += 1
                 else:
-                    value, offset = _decode_at(data, offset, stop, depth)
-                append(value)
-        except UnicodeDecodeError:
-            return None
-        return values if offset == stop else None
+                    length, body = _minimal_length(data, body, stop)
+                offset = body + length
+                if offset > stop:
+                    raise WireError("truncated payload")
+                raw = data[body:offset]
+                if tag == _TAG_INT:
+                    value = int.from_bytes(raw, "big", signed=True)
+                    if length != (value.bit_length() + 8) // 8:
+                        raise WireError(f"{self.label}: int {name!r} is not in its shortest form")
+                elif tag == _TAG_STR:
+                    if raw in _SYMBOL_TLV:
+                        raise WireError(f"{self.label}: table string {name!r} is spelled out")
+                    try:
+                        value = str(raw, "utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise WireError(f"string payload is not UTF-8: {exc}") from None
+                else:
+                    value = raw
+            elif tag == _TAG_FLOAT:
+                if offset + 9 > stop:
+                    raise WireError("truncated float")
+                value = _unpack_float_from(data, offset + 1)[0]
+                offset += 9
+            elif tag < _TAG_INT:
+                value = _SINGLETONS[tag]
+                offset += 1
+            elif tag <= _TAG_DICT:
+                value, offset = _decode_at(data, offset, stop, depth)
+            elif tag == _TAG_SYMBOL and offset + 2 <= stop:
+                index = data[offset + 1]
+                if index < _SHORT_SYMBOLS:
+                    raise WireError(f"{self.label}: symbol {index} in its two-byte form")
+                value = _SYMBOL_AT[index]
+                if value is None:
+                    raise WireError(f"unknown symbol {index}")
+                offset += 2
+            else:
+                raise WireError(f"unknown tag 0x{tag:02x}" if tag > _TAG_SYMBOL else "truncated symbol")
+            append(value)
+        if offset != stop:
+            raise WireError(
+                f"{self.label}: {stop - offset} bytes after the last {self._member} "
+                "(a key unknown, repeated or out of order)"
+            )
+        return values
 
     def _build(self, values: list) -> Any:
-        for index, convert in self._converting:
-            values[index] = convert(values[index])
+        try:
+            for index, convert in self._converting:
+                values[index] = convert(values[index])
+        except (ValueError, TypeError) as exc:
+            raise WireError(f"{self.label}: {exc}") from None
         return self.cls(*values)
 
-    def decode_list(self, data: bytes) -> Optional[tuple[list, list]]:
-        """Instances and the ``(start, stop)`` span of each in ``data``, when
-        ``data`` is what :meth:`encode_list` of a plan without envelope
-        writes; None when it is anything else."""
-        try:
-            if data[0] != _TAG_LIST:
-                return None
-            end = len(data)
-            length, offset = _decode_length(data, 1, end)
-            if offset + length != end:
-                return None
-            decoded: list = []
-            spans: list = []
-            while offset < end:
-                start = offset
-                if data[offset] != _TAG_DICT:
-                    return None
-                # The one- and two-byte minimal length forms (< 16 KiB).
-                if (length := data[offset + 1]) < 0x80:
-                    offset += 2
-                else:
-                    high = data[offset + 2]
-                    if not 0 < high < 0x80:
-                        return None
-                    length = length & 0x7F | high << 7
-                    offset += 3
-                stop = offset + length
-                if stop > end:
-                    return None
-                values = self._decode_fields(data, offset, stop, 2)
-                if values is None:
-                    return None
-                decoded.append(values)
-                spans.append((start, stop))
-                offset = stop
-        except (IndexError, WireError):
-            return None
+    def decode(self, data: bytes) -> Any:
+        """The instance that :meth:`encode` of a plan without envelope
+        wrote as ``data``."""
+        if not data or data[0] != _TAG_DICT:
+            raise WireError(f"{self.label} is not a dict")
+        end = len(data)
+        return self._build(self._decode_fields(data, _body_at(data, 1, end, self.label), end, 1))
+
+    def decode_list(self, data: bytes) -> tuple[list, list]:
+        """The instances that :meth:`encode_list` of a plan without envelope
+        wrote as ``data``, and the ``(start, stop)`` span of each."""
+        if not data or data[0] != _TAG_LIST:
+            raise WireError(f"not a list of {self.label}")
+        end = len(data)
+        offset = _body_at(data, 1, end, "list")
+        decoded: list = []
+        spans: list = []
+        while offset < end:
+            start = offset
+            if data[offset] != _TAG_DICT:
+                raise WireError(f"{self.label} is not a dict")
+            offset += 1
+            if offset < end and (length := data[offset]) < 0x80:
+                offset += 1
+            else:
+                length, offset = _minimal_length(data, offset, end)
+            stop = offset + length
+            if stop > end:
+                raise WireError(f"truncated {self.label}")
+            decoded.append(self._decode_fields(data, offset, stop, 2))
+            spans.append((start, stop))
+            offset = stop
         build = self._build
         return [build(values) for values in decoded], spans
 
 
 class EnvelopePlans:
     """The plans of one family of enveloped dataclasses (every ``Message``,
-    every ``E2apPdu``), built on first use and found again by envelope head.
+    every ``E2apPdu``), found by class to encode and by envelope head to
+    decode.
 
     A plan cannot be built in ``__init_subclass__`` — ``@dataclass`` wraps
     the class *after* that hook runs — so it is built the first time the
-    class is encoded, or decoded through the generic path. Plans are keyed
-    by the exact class: a subclass defined later gets its own.
+    class is encoded, or the first time a head is not found (then every
+    registered class gets its plan). Plans are keyed by the exact class: a
+    subclass gets its own.
 
-    ``name_of(cls)`` is the class's wire name, ``registry`` the family's
-    name -> class table (only a class it holds can be decoded by name) and
-    ``converter_of(annotation)`` what rehydrates a field so annotated, or
-    None.
+    ``noun`` names the family in errors, ``name_of(cls)`` is the class's
+    wire name, ``registry`` the family's name -> class table (only a class
+    it holds can be decoded) and ``converter_of(annotation)`` what
+    rehydrates a field so annotated, or None.
     """
 
     def __init__(
         self,
         kind: str,
+        noun: str,
         name_of: Callable[[type], str],
         registry: Mapping[str, type],
         converter_of: Callable[[Any], Optional[Callable[[Any], Any]]],
     ) -> None:
+        self._kind_key = _str_tlv(kind)
+        self._kind_length = len(self._kind_key)
         self._kind = kind
+        self._noun = noun
+        self._a_noun = ("an " if noun[0] in "AEIOU" else "a ") + noun
         self._name_of = name_of
         self._registry = registry
         self._converter_of = converter_of
-        self._kind_length = len(_str_tlv(kind))
         self._by_class: dict[type, ClassPlan] = {}
         self._by_head: dict[bytes, ClassPlan] = {}
+        # How many registered classes had their plan built by the last miss.
+        self._built = 0
 
     def plan(self, cls: type) -> ClassPlan:
         plan = self._by_class.get(cls)
@@ -851,41 +894,55 @@ class EnvelopePlans:
         """Forget every plan (what ``converter_of`` answers has changed)."""
         self._by_class.clear()
         self._by_head.clear()
+        self._built = 0
+
+    def _missed(self, data: bytes, offset: int, dict_at: int, end: int) -> ClassPlan:
+        """The plan of the head ``data[offset:dict_at]`` that was not found:
+        one of a class never encoded yet, or none."""
+        head = data[offset:dict_at]
+        if self._built != len(self._registry):
+            for cls in list(self._registry.values()):
+                self.plan(cls)
+            self._built = len(self._registry)
+            plan = self._by_head.get(head)
+            if plan is not None:
+                return plan
+        if not data.startswith(self._kind_key, offset, end):
+            raise WireError(f"not {self._a_noun} envelope")
+        name = _decode_at(data, offset + self._kind_length, end, 1)[0]
+        if type(name) is str and name in self._registry:
+            raise WireError(f"{self._noun} {name!r}: envelope not laid out as its encoder writes it")
+        raise WireError(f"unknown {self._noun} name {name!r}")
 
     def decode(self, data: bytes) -> Any:
-        """The instance ``data`` encodes, when it is laid out as the encoder
-        of a plan built so far lays it out; else None."""
+        """The instance ``data`` encodes, which must be laid out exactly as
+        the encoder of its class lays it out."""
+        end = len(data)
         try:
             if data[0] != _TAG_DICT:
-                return None
-            end = len(data)
-            if (length := data[1]) < 0x80:
+                raise WireError(f"not {self._a_noun} envelope")
+            if data[1] < 0x80 and data[1] + 2 == end:
                 offset = 2
             else:
-                length, offset = _decode_length(data, 1, end)
-            if offset + length != end:
-                return None
-            # kind key, then the name — a one- or two-byte symbol, or a
-            # string with a one-byte length — then the "ie" key.
+                offset = _body_at(data, 1, end, self._noun)
+            # The head: kind key, the name — a one-byte symbol, or a string
+            # with a one-byte length — and the "ie" key.
             name_at = offset + self._kind_length
             tag = data[name_at]
             if tag >= _TAG_SHORT_SYMBOL:
                 dict_at = name_at + 1 + _IE_KEY_LENGTH
-            elif tag == _TAG_SYMBOL:
-                dict_at = name_at + 2 + _IE_KEY_LENGTH
-            else:
+            elif tag == _TAG_STR and data[name_at + 1] < 0x80:
                 dict_at = name_at + 2 + data[name_at + 1] + _IE_KEY_LENGTH
-            plan = self._by_head.get(data[offset:dict_at])
-            if plan is None or data[dict_at] != _TAG_DICT:
-                return None
-            if (length := data[dict_at + 1]) < 0x80:
-                offset = dict_at + 2
             else:
-                length, offset = _decode_length(data, dict_at + 1, end)
-            if offset + length != end:
-                return None
-            values = plan._decode_fields(data, offset, end, 2)
-        except (IndexError, WireError):
-            return None
-        return None if values is None else plan._build(values)
-
+                dict_at = _decode_at(data, name_at, end, 1)[1] + _IE_KEY_LENGTH
+            plan = self._by_head.get(data[offset:dict_at]) or self._missed(
+                data, offset, dict_at, end
+            )
+            if data[dict_at] != _TAG_DICT:
+                raise WireError(f"{self._noun} IEs are not a dict")
+            offset = dict_at + 2
+            if data[dict_at + 1] >= 0x80 or data[dict_at + 1] + offset != end:
+                offset = _body_at(data, dict_at + 1, end, self._noun)
+        except IndexError:
+            raise WireError(f"truncated {self._noun}") from None
+        return plan._build(plan._decode_fields(data, offset, end, 2))

@@ -1,6 +1,6 @@
 """The seed retrieval loop and prompt template, kept as test oracles.
 
-``ExpertAnalyst`` retrieves through ``VectorizedRetriever`` (a term index)
+``ExpertAnalyst`` retrieves through ``VectorizedRetriever`` (a term-set memo)
 and renders through ``CompiledPromptBuilder`` (interned segments and record
 lines). These are the plain versions they replaced: one substring loop per
 article, and one ``str.format`` of the Figure 5 template per prompt.

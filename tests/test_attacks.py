@@ -12,6 +12,7 @@ from repro.attacks import (
     UplinkIdExtractionAttack,
 )
 from repro import wire
+from repro.obs.metrics import MetricsRegistry
 from repro.ran import FiveGNetwork, NetworkConfig
 from repro.ran.channel import ChannelConfig
 from repro.ran.core_network import AmfConfig
@@ -174,12 +175,17 @@ class TestBtsDos:
         )
         # The same capture with every name spelled out is, byte for byte,
         # what this test pinned before revision 2 — and a capture stored
-        # then still parses to the same telemetry.
+        # then no longer parses: every envelope is counted undecodable.
         assert before.hexdigest() == (
             "f6ad3c21ad1838e55074c9cda1649464eb70355029f331f2552baafb8c7ccad6"
         )
         assert old_capture.byte_size() > 2.5 * net.pcap.byte_size()
-        assert MobiFlowCollector().parse_stream(old_capture).records == collect(net).records
+        metrics = MetricsRegistry()
+        assert MobiFlowCollector(metrics).parse_stream(old_capture).records == []
+        assert sum(
+            metrics.counter("collector.undecodable_total", labels={"interface": name}).value
+            for name in ("F1AP", "NGAP")
+        ) == len(old_capture) > 0
         assert net.sim.events_processed == 411
         assert net.sim.rng.stream("channel").random() == 0.7995638674119381
         assert attack.rogue.rng.random() == 0.057608794667628915

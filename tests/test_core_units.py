@@ -228,13 +228,16 @@ class TestMobiWatchUnit:
 
     def test_catalogued_record_without_protocol_is_accepted(self):
         """The E2SM derives protocol and direction from a catalogued msg:
-        a record may leave either off, and is ingested with its entry."""
+        a record leaves off each that equals its entry, and is ingested
+        with it. One that writes its entry's value anyway is not what the
+        encoder writes: refused and counted."""
         sim, ric = make_ric()
         watch = MobiWatchXApp(ric, XsecConfig())
         rows = [
-            {"timestamp": 0.1, "msg": "RRCSetupRequest", "direction": "UL", "session_id": 1},
+            {"timestamp": 0.1, "msg": "RRCSetupRequest", "direction": "DL", "session_id": 1},
             {"timestamp": 0.2, "msg": "RRCSetup", "session_id": 1},
             {"timestamp": 0.3, "msg": "RRCSetupComplete", "protocol": "NAS", "session_id": 1},
+            {"timestamp": 0.4, "msg": "RRCSetupComplete", "direction": "UL", "session_id": 1},
         ]
         for seq, row in enumerate(rows, start=1):
             header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 1})
@@ -247,9 +250,9 @@ class TestMobiWatchUnit:
                     indication_message=wire.encode([row]),
                 )
             )
-        assert sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value == 0
+        assert sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value == 1
         assert [(r.msg, r.protocol, r.direction) for r in watch.series] == [
-            ("RRCSetupRequest", "RRC", "UL"),
+            ("RRCSetupRequest", "RRC", "DL"),
             ("RRCSetup", "RRC", "DL"),
             ("RRCSetupComplete", "NAS", "UL"),
         ]

@@ -15,6 +15,7 @@ from repro.ran.identifiers import (
     Supi,
     TmsiAllocator,
     conceal_supi,
+    tmsi_of_guti,
 )
 
 
@@ -116,6 +117,55 @@ class TestGuti:
     def test_release_accepts_none(self):
         alloc = GutiAllocator(random.Random(2))
         alloc.release(None)  # must not raise
+
+
+gutis = st.builds(
+    Guti,
+    plmn=st.sampled_from(["00101", "310260", "999-70"]),
+    amf_region=st.integers(0, 0xFF),
+    amf_set=st.integers(0, 0x3FF),
+    amf_pointer=st.integers(0, 0x3F),
+    tmsi=st.integers(0, 2**32 - 1),
+)
+
+
+class TestTmsiOfGuti:
+    """One GUTI parser, the strict inverse of ``Guti.__str__``."""
+
+    @given(gutis)
+    def test_inverse_of_str(self, guti):
+        assert tmsi_of_guti(str(guti)) == guti.tmsi
+
+    @given(gutis, st.sampled_from(["{}", "+{}", "0x{}", " {}", "{} ", "{}_0"]), st.integers(1, 7))
+    def test_non_canonical_tails_are_refused(self, guti, form, cut):
+        """Tails ``int(tail, 16)`` reads that ``Guti.__str__`` never writes."""
+        bad = form.format(f"{guti.tmsi:08x}"[cut:])
+        assert int(bad, 16) >= 0
+        assert tmsi_of_guti(str(guti)[:-8] + bad) is None
+
+    @pytest.mark.parametrize(
+        "text", ["", "0000beef", "guti-00101-", "guti-00101-1f", "guti-00101-0000BEEF", "guti-x-1_f0000ff"]
+    )
+    def test_malformed_gutis(self, text):
+        assert tmsi_of_guti(text) is None
+
+    @pytest.mark.parametrize("value", [None, 0x0000BEEF, b"guti-00101-0000beef"])
+    def test_non_strings(self, value):
+        assert tmsi_of_guti(value) is None
+
+    def test_the_callers_share_it(self):
+        """Every GUTI parse in the tree goes through tmsi_of_guti."""
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if 'rsplit("-", 1)' in path.read_text()
+        ]
+        assert offenders == []
 
 
 class TestPropertyBased:

@@ -156,7 +156,12 @@ class TestWirePlans:
             Message.from_wire(wire.encode(["msg"]))
 
     def test_deep_nesting_is_a_message_error(self):
+        # A nesting bomb where a list IE is read by the generic decoder ...
+        bomb = nas.NasSecurityModeCommand(replayed_capabilities=wire.Encoded(nested_lists(2000)))
         with pytest.raises(MessageError, match="nesting too deep"):
+            Message.from_wire(bomb.to_wire())
+        # ... and a bare one, which is not an envelope at all.
+        with pytest.raises(MessageError):
             Message.from_wire(nested_lists(2000))
 
     def test_subclass_defined_after_first_use_gets_its_own_plan(self):

@@ -108,6 +108,23 @@ class TestMetrics:
         assert min(h._reservoir) == 100.0
         assert h.max == float(n - 1)
 
+    @pytest.mark.parametrize("n", [1, 7, 100, RESERVOIR_CAP + 357])
+    def test_stats_quantiles_equal_one_sort_per_percentile(self, n):
+        """``stats()`` sorts the reservoir once; its quantiles are what a
+        sort per percentile gives, a wrapped ring included."""
+        h = MetricsRegistry().histogram("q")
+        for i in range(n):
+            h.observe(float((i * 7919) % 1013) - 500.0)
+        assert (len(h._reservoir), h._ring) == (min(n, RESERVOIR_CAP), max(0, n - RESERVOIR_CAP))
+
+        def three_sorts(p):
+            ordered = sorted(h._reservoir)
+            return ordered[min(len(ordered) - 1, int(p / 100.0 * len(ordered)))]
+
+        stats = h.stats()
+        assert [stats["p50"], stats["p90"], stats["p99"]] == [three_sorts(p) for p in (50, 90, 99)]
+        assert [h.percentile(p) for p in (50, 90, 99)] == [three_sorts(p) for p in (50, 90, 99)]
+
     def test_registry_kind_conflict(self):
         registry = MetricsRegistry()
         registry.counter("metric")

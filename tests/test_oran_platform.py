@@ -10,6 +10,7 @@ from repro.oran.e2ap import (
     E2apError,
     E2apPdu,
     E2SetupRequest,
+    E2SetupResponse,
     RicIndication,
     RicSubscriptionRequest,
 )
@@ -157,7 +158,12 @@ class TestE2apPdus:
             E2apPdu.from_wire(wire.encode({"pdu": "RICIndication", "ie": {}}))
 
     def test_deep_nesting_is_an_e2ap_error(self):
+        # A nesting bomb where a list IE is read by the generic decoder ...
+        bomb = E2SetupResponse(accepted_functions=wire.Encoded(nested_lists(2000)))
         with pytest.raises(E2apError, match="nesting too deep"):
+            E2apPdu.from_wire(bomb.to_wire())
+        # ... and a bare one, which is not an envelope at all.
+        with pytest.raises(E2apError):
             E2apPdu.from_wire(nested_lists(2000))
 
     def test_unknown_pdu_rejected(self):
@@ -195,10 +201,10 @@ class TestMobiFlowKpm:
 
     def test_columnar_header_is_not_spoken(self):
         """One MobiFlow format on E2: a header that announces the retired
-        struct-of-arrays encoding is refused before its message is read."""
+        struct-of-arrays encoding is not the header the model writes."""
         _, message = MobiFlowKpmModel.encode_indication(self._records())
         header = wire.encode({"sm": MobiFlowKpmModel.NAME, "count": 2, "columnar": True})
-        with pytest.raises(E2smError, match="not spoken"):
+        with pytest.raises(E2smError, match="header is not MobiFlow-KPM's for 2 records"):
             MobiFlowKpmModel.decode_indication(header, message)
 
     def test_event_trigger_roundtrip(self):

@@ -43,14 +43,13 @@ class KpiMonitorXApp(XApp):
                 self._setups_per_tmsi[record.s_tmsi] = count
                 if count == self.SETUPS_BEFORE_BARRING:
                     self._bar(record.s_tmsi)
-        if records.spans is not None:
-            self.sdl.set_many(
-                "kpi.raw",
-                [
-                    (f"{indication.sequence_number}.{i}", wire.Encoded(records.payload, *span))
-                    for i, span in enumerate(records.spans)
-                ],
-            )
+        self.sdl.set_many(
+            "kpi.raw",
+            [
+                (f"{indication.sequence_number}.{i}", wire.Encoded(records.payload, *span))
+                for i, span in enumerate(records.spans)
+            ],
+        )
         self.seen.extend(records)
 
     def _bar(self, tmsi):

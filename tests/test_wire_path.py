@@ -152,9 +152,9 @@ class TestRegressingTimestamps:
         assert 10 < run.clamped == run.flattened < len(run.xsec.mobiwatch.series) - 10
         assert run.xsec.ric.sdl._data[SDL_TELEMETRY_NS] == run.expected_telemetry()
 
-    def test_non_canonical_batch_is_stored_re_encoded(self):
-        """Valid bytes the agent would not have written (keys reordered):
-        ingested like any batch, stored in canonical form."""
+    def test_non_canonical_batch_is_refused_and_counted(self):
+        """Valid TLV the agent would not have written (keys reordered):
+        refused, counted, and nothing stored."""
         sim, ric = make_ric()
         watch = MobiWatchXApp(ric, XsecConfig())
         fields = record(1.0, "RRCSetup").to_wire_dict()
@@ -162,8 +162,9 @@ class TestRegressingTimestamps:
         batch = indication([record(1.0, "RRCSetup")])
         batch.indication_message = wire.encode([scrambled])
         watch.on_indication(batch)
-        assert watch.records_seen == 1
-        assert ric.sdl._data[SDL_TELEMETRY_NS] == {"000000000": wire.encode(fields)}
+        assert watch.records_seen == 0
+        assert sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value == 1
+        assert SDL_TELEMETRY_NS not in ric.sdl._data
 
 
 class TestLazyCapture:

@@ -1,17 +1,22 @@
 """The codec contract of the per-class plans (``wire.ClassPlan``).
 
 ``Message``, ``E2apPdu`` and the MobiFlow batch no longer pass through a
-dict on their way to and from bytes. Their planned encoders must write the
-bytes ``wire.encode`` writes for the dict they replaced, and their planned
-decoders must return — or refuse, with the same exception type — what the
-generic decode followed by the old construction did. The oracles below are
-those old code paths, kept here; the golden bytes are the ones in
-tests/test_wire.py (``GOLDEN_VECTORS`` / fixtures/wire_decode_golden.json).
+dict on their way to and from bytes, and each has one decoder: its plan's.
+The planned encoders must write the bytes ``wire.encode`` writes for the
+dict they replaced. The planned decoders accept exactly those bytes: on
+them they return what the generic decode followed by the old construction
+returned, when that object encodes back to the same bytes, and they refuse
+everything else with the family's error type (``MessageError``,
+``E2apError``, ``WireError``). The oracles below are those old code paths,
+kept here; the golden bytes are the ones in tests/test_wire.py
+(``GOLDEN_VECTORS`` / fixtures/wire_decode_golden.json).
 
 Since wire format revision 3 a record leaves ``protocol`` and ``direction``
 off where the catalogue entry of its ``msg`` gives them; the record oracles
 apply that rule from the pinned table (fixtures/mobiflow_catalogue.json),
-not from the codec's own.
+not from the codec's own. Bytes of older revisions are still valid TLV
+values, which the generic ``wire.decode`` reads; the class decoders refuse
+them, and the edges count them.
 """
 
 import copy
@@ -44,12 +49,13 @@ from repro.telemetry.encoder import (
 )
 from repro.telemetry.mobiflow import FIELD_NAMES, MobiFlowRecord
 from tests.fixtures.repin_wire_golden import canonical
+from tests.test_core_units import indication, make_ric
 from tests.test_wire import DECODE_GOLDEN, FIRST_PINNED, GOLDEN_VECTORS, examples, nested_lists
 
 GOLDEN = {name: bytes.fromhex(golden) for name, _, golden in GOLDEN_VECTORS}
 # The same vectors as every encoder wrote them before revision 2 (names
 # spelled out) and at revisions 2 and 3 (two-byte symbols): no longer
-# produced, still decoded.
+# produced, and refused by the class decoders.
 REVISION_1 = {name: bytes.fromhex(FIRST_PINNED[f"wire:{name}"]) for name in GOLDEN}
 _ROWS = {row["id"]: row for row in DECODE_GOLDEN}
 REVISION_2 = {
@@ -220,6 +226,21 @@ def outcome(function, *args):
     return "ok", repr(list(result) if isinstance(result, list) else result)
 
 
+def assert_one_decoder(decode, oracle, encode, error, data: bytes) -> None:
+    """``decode`` on ``data``: what the old generic path returned, when that
+    encodes back to ``data``; refused with ``error`` otherwise."""
+    try:
+        expected = oracle(data)
+        canonical_bytes = encode(expected) == data
+    except (ValueError, TypeError):
+        canonical_bytes = False
+    if canonical_bytes:
+        assert outcome(decode, data) == outcome(oracle, data)
+    else:
+        with pytest.raises(error):
+            decode(data)
+
+
 # -- values ----------------------------------------------------------------------
 
 
@@ -300,7 +321,9 @@ def assert_message_contract(message: Message) -> None:
         return
     encoded = message.to_wire()
     assert encoded == expected
-    assert outcome(Message.from_wire, encoded) == outcome(generic_message, encoded)
+    assert_one_decoder(
+        Message.from_wire, generic_message, Message.to_wire, MessageError, encoded
+    )
 
 
 def assert_pdu_contract(pdu: E2apPdu) -> None:
@@ -312,7 +335,7 @@ def assert_pdu_contract(pdu: E2apPdu) -> None:
         return
     encoded = pdu.to_wire()
     assert encoded == expected
-    assert outcome(E2apPdu.from_wire, encoded) == outcome(generic_pdu, encoded)
+    assert_one_decoder(E2apPdu.from_wire, generic_pdu, E2apPdu.to_wire, E2apError, encoded)
 
 
 def assert_batch_contract(records: list) -> None:
@@ -325,7 +348,7 @@ def assert_batch_contract(records: list) -> None:
     encoded = encode_batch(records)
     assert encoded == expected
     assert [record.to_wire_dict() for record in records] == [wire_dict(r) for r in records]
-    assert outcome(decode_batch, encoded) == outcome(generic_batch, encoded)
+    assert_one_decoder(decode_batch, generic_batch, encode_batch, wire.WireError, encoded)
 
 
 def base_record(**overrides) -> MobiFlowRecord:
@@ -569,11 +592,13 @@ class TestCatalogueFieldsLeftOff:
             for name, value in derived_fields(record.msg).items():
                 assert written.get(name) != value
         # The same records with both fields written out, as revision 2 did,
-        # and as revision 3 wrote them: the same records, no spans.
+        # and as revision 3 wrote them: the same dicts to the generic
+        # codec, refused by the record decoder.
         for old in (revision_2_bytes(records), canonical(encoded, 2)):
-            decoded = decode_batch(old)
-            assert list(decoded) == records
-            assert (decoded.spans is None) == (old != encoded)
+            assert generic_batch(old) == records
+            if old != encoded:
+                with pytest.raises(wire.WireError):
+                    decode_batch(old)
 
 
 class TestGoldenBytes:
@@ -666,41 +691,46 @@ class TestGoldenBytes:
             wire.encode(record.to_wire_dict()) for record in self.BATCH
         ]
 
+    # Bytes of an older revision are still one valid TLV value, which the
+    # generic codec reads as it reads today's; the class decoders refuse
+    # them.
+
     def test_revision_2_batch_still_decodes_without_spans(self):
         for old in (REVISION_2["mobiflow_batch"], GOLDEN["mobiflow_batch"]):
-            decoded = decode_batch(old)
-            assert list(decoded) == self.BATCH and decoded.spans is None
-            assert encode_batch(decoded) == REVISION_4_BATCH
+            assert generic_batch(old) == self.BATCH
+            with pytest.raises(wire.WireError):
+                decode_batch(old)
 
     def test_revision_3_batch_still_decodes_without_spans(self):
-        decoded = decode_batch(REVISION_3_BATCH)
-        assert list(decoded) == self.BATCH and decoded.spans is None
-        assert encode_batch(decoded) == REVISION_4_BATCH
+        assert generic_batch(REVISION_3_BATCH) == self.BATCH
+        with pytest.raises(wire.WireError):
+            decode_batch(REVISION_3_BATCH)
 
     @pytest.mark.parametrize("name", sorted(OBJECTS))
     def test_revision_1_object_still_decodes(self, name):
         obj, old = self.OBJECTS[name], REVISION_1[name]
         assert old != GOLDEN[name]
-        decoded = type(obj).from_wire(old)
-        assert type(decoded) is type(obj) and repr(decoded) == repr(obj)
-        assert decoded.to_wire() == GOLDEN[name]
+        assert wire.decode(old) == wire.decode(GOLDEN[name])
+        with pytest.raises(self._error(name)):
+            type(obj).from_wire(old)
 
     @pytest.mark.parametrize("name", sorted(OBJECTS))
     def test_revision_2_object_still_decodes(self, name):
-        """Two-byte symbols: the planned decoder steps aside, the generic
-        path answers."""
+        """Two-byte symbols: the generic codec reads them, the class
+        decoder refuses them."""
         obj, old = self.OBJECTS[name], REVISION_2[name]
         assert old != GOLDEN[name] and len(old) > len(GOLDEN[name])
+        assert wire.decode(old) == wire.decode(GOLDEN[name])
         plans = messages._PLANS if name.startswith("message") else e2ap._PLANS
-        assert plans.decode(old) is None
-        decoded = type(obj).from_wire(old)
-        assert type(decoded) is type(obj) and repr(decoded) == repr(obj)
-        assert decoded.to_wire() == GOLDEN[name]
+        with pytest.raises(wire.WireError):
+            plans.decode(old)
+        with pytest.raises(self._error(name)):
+            type(obj).from_wire(old)
 
     def test_revision_1_batch_still_decodes_without_spans(self):
-        decoded = decode_batch(REVISION_1["mobiflow_batch"])
-        assert list(decoded) == self.BATCH and decoded.spans is None
-        assert encode_batch(decoded) == REVISION_4_BATCH
+        assert generic_batch(REVISION_1["mobiflow_batch"]) == self.BATCH
+        with pytest.raises(wire.WireError):
+            decode_batch(REVISION_1["mobiflow_batch"])
 
     @pytest.mark.parametrize("name", sorted(OBJECTS) + ["mobiflow_batch"])
     def test_every_strict_prefix_is_rejected(self, name):
@@ -718,107 +748,59 @@ class TestGoldenBytes:
     def _decoder(name):
         return Message.from_wire if name.startswith("message") else E2apPdu.from_wire
 
+    @staticmethod
+    def _error(name):
+        return MessageError if name.startswith("message") else E2apError
 
-class TestRevision2Bytes:
-    """Bytes the revision-2 encoder wrote (protocol and direction on every
-    record), pinned from it: an E2 indication of eight records and a
-    ``.mfl`` file of twenty, two of them outside the catalogue (a foreign
-    pair, an unknown name). They load to the same records; re-encoded, each
-    catalogued field they spelled out is gone, and every symbol is one byte
-    shorter."""
 
-    PINNED = json.loads((Path(__file__).parent / "fixtures" / "revision_2_e2.json").read_text())
-    RECORDS = [MobiFlowRecord(*fields) for fields in PINNED["records"]]
-    MFL = Path(__file__).parent / "fixtures" / "revision_2_series.mfl"
+FIXTURES = Path(__file__).parent / "fixtures"
 
-    def test_indication_decodes_to_the_same_records(self):
-        from repro.core import XsecConfig
-        from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
+
+class TestOlderRevisionsAreRefused:
+    """Bytes the revision-2 and revision-3 encoders wrote, pinned from them:
+    an E2 indication of eight records (fixtures/revision_{2,3}_e2.json) and
+    a ``.mfl`` series of twenty (fixtures/revision_{2,3}_series.mfl), two of
+    them outside the catalogue. They are still valid TLV values holding the
+    pinned records, and nothing in the tree reads them any more: the E2
+    termination counts and drops the indication, and the file does not
+    load."""
+
+    RECORDS = [
+        MobiFlowRecord(*fields)
+        for fields in json.loads((FIXTURES / "revision_2_e2.json").read_text())["records"]
+    ]
+
+    @pytest.mark.parametrize("revision", [2, 3])
+    def test_indication_is_counted_and_dropped(self, revision):
+        from repro.oran.e2agent import _E2Envelope
         from repro.oran.e2sm_kpm import MobiFlowKpmModel
-        from tests.test_core_units import make_ric
+        from tests.test_e2_pipeline import _endpoints, rejected
 
-        pdu = E2apPdu.from_wire(bytes.fromhex(self.PINNED["indication_hex"]))
-        records = MobiFlowKpmModel.decode_indication(pdu.indication_header, pdu.indication_message)
-        assert list(records) == self.RECORDS[:8] and records.spans is None
-        assert len(canonical(encode_batch(records), 2)) == len(pdu.indication_message) - 8 * 8
-        # 45 symbols (keys and names) over the 8 records, each 1 B shorter
-        assert len(encode_batch(records)) == len(pdu.indication_message) - 8 * 8 - 45
+        pinned = json.loads((FIXTURES / f"revision_{revision}_e2.json").read_text())
+        data = bytes.fromhex(pinned["indication_hex"])
+        ies = wire.decode(data)["ie"]
+        assert generic_batch(ies["indication_message"]) == self.RECORDS[:8]
+        net, agent, e2term, sent = _endpoints()
+        e2term.on_e2(_E2Envelope(data))
+        assert rejected(net.sim, "e2term") == 1 and sent == []
+        with pytest.raises(wire.WireError):
+            MobiFlowKpmModel.decode_indication(ies["indication_header"], ies["indication_message"])
 
-        sim, ric = make_ric()
-        watch = MobiWatchXApp(ric, XsecConfig())
-        watch.on_indication(pdu)
-        assert list(watch.series) == self.RECORDS[:8]
-        assert ric.sdl._data[SDL_TELEMETRY_NS] == {
-            f"{index:09d}": encode_record(record) for index, record in enumerate(self.RECORDS[:8])
-        }
+    @pytest.mark.parametrize("revision", [2, 3])
+    def test_mfl_file_does_not_load(self, revision):
+        from repro.telemetry.persist import load_series
 
-    def test_mfl_file_loads_to_the_same_records(self, tmp_path):
-        from repro.telemetry.persist import load_series, save_series
-
-        assert load_series(self.MFL).records == self.RECORDS
+        mfl = FIXTURES / f"revision_{revision}_series.mfl"
+        assert generic_batch(mfl.read_bytes()[4:]) == self.RECORDS
         assert [(r.msg, r.protocol) for r in self.RECORDS[-2:]] == [
             ("Paging", "NAS"),
             ("VendorReport", "RRC"),
         ]
-        size = save_series(load_series(self.MFL), tmp_path / "again.mfl")
-        # 18 catalogued records lose 8 B each; the foreign pair keeps its
-        # protocol and drops its direction (4 B); the unknown name keeps both.
-        again = (tmp_path / "again.mfl").read_bytes()
-        two_byte = again[:4] + canonical(again[4:], 2)
-        assert len(two_byte) == self.MFL.stat().st_size - 18 * 8 - 4
-        # Each of the 121 symbols left (keys and names) is one byte shorter.
-        assert size == len(two_byte) - 121
-        assert load_series(tmp_path / "again.mfl").records == self.RECORDS
+        with pytest.raises(wire.WireError):
+            load_series(mfl)
 
 
-class TestRevision3Bytes:
-    """Bytes the revision-3 encoder wrote (two-byte symbols, catalogued
-    fields left off), pinned from it: the first eight records of
-    fixtures/revision_2_e2.json as one E2 indication, and the twenty of
-    fixtures/revision_2_series.mfl re-saved. They load to the same records
-    as the revision-2 fixtures; re-encoded, every symbol is one byte."""
-
-    PINNED = json.loads((Path(__file__).parent / "fixtures" / "revision_3_e2.json").read_text())
-    MFL = Path(__file__).parent / "fixtures" / "revision_3_series.mfl"
-
-    def test_indication_decodes_to_the_same_records(self):
-        from repro.core import XsecConfig
-        from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
-        from repro.oran.e2sm_kpm import MobiFlowKpmModel
-        from tests.test_core_units import make_ric
-
-        expected = TestRevision2Bytes.RECORDS[:8]
-        assert [MobiFlowRecord(*fields) for fields in self.PINNED["records"]] == expected
-        pdu = E2apPdu.from_wire(bytes.fromhex(self.PINNED["indication_hex"]))
-        records = MobiFlowKpmModel.decode_indication(pdu.indication_header, pdu.indication_message)
-        assert list(records) == expected and records.spans is None
-        # The same bytes as the revision-4 encoder's, every symbol widened.
-        header, message = MobiFlowKpmModel.encode_indication(records)
-        assert canonical(message, 2) == pdu.indication_message
-        assert canonical(header, 2) == pdu.indication_header
-        assert len(message) == len(pdu.indication_message) - 45
-
-        sim, ric = make_ric()
-        watch = MobiWatchXApp(ric, XsecConfig())
-        watch.on_indication(pdu)
-        assert list(watch.series) == expected
-        assert ric.sdl._data[SDL_TELEMETRY_NS] == {
-            f"{index:09d}": encode_record(record) for index, record in enumerate(expected)
-        }
-
-    def test_mfl_file_loads_to_the_same_records(self, tmp_path):
-        from repro.telemetry.persist import load_series, save_series
-
-        assert load_series(self.MFL).records == TestRevision2Bytes.RECORDS
-        size = save_series(load_series(self.MFL), tmp_path / "again.mfl")
-        again = (tmp_path / "again.mfl").read_bytes()
-        assert again[:4] + canonical(again[4:], 2) == self.MFL.read_bytes()
-        assert size == self.MFL.stat().st_size - 121
-        save_series(load_series(TestRevision2Bytes.MFL), tmp_path / "from_revision_2.mfl")
-        assert (tmp_path / "from_revision_2.mfl").read_bytes() == again
-
-
-# -- valid bytes the planned encoders would not have written ----------------------
+# -- valid TLV the encoders would not have written: refused and counted ------------
 
 
 def tlv(tag: int, body: bytes, long_form: bool = False) -> bytes:
@@ -863,8 +845,8 @@ CANONICAL_IE = pairs(
     "establishment_cause", CAUSE, "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI
 )
 NAME = text("RRCSetupRequest")
-# The same IEs with the cause written out: valid, read by the plan, and
-# the only string in them with a length byte to tamper with.
+# The same IEs with the cause written out: valid TLV, and the only string
+# in them with a length byte to tamper with.
 SPELLED_CAUSE_IE = pairs(
     "establishment_cause", spelled("mo-Data"), "ue_identity", IDENTITY, "identity_is_tmsi", IS_TMSI
 )
@@ -964,9 +946,6 @@ NON_CANONICAL_MESSAGES = {
         ),
     ),
 }  # fmt: skip
-# Odd lengths, ints or value spellings under the right keys: the planned
-# message decoder reads any valid encoding of a value (it keeps no spans).
-READ_BY_THE_PLAN = ("long_form", "non_minimal_int", "spelled_out_value")
 
 RECORD = base_record(rnti=0x4601)
 # An RRCSetup is RRC DL, its catalogue entry: protocol and direction are
@@ -1036,24 +1015,58 @@ NON_CANONICAL_BATCHES = {
 }
 
 
+def collector_reads(container: bytes) -> tuple:
+    """(records, captures counted undecodable) when an F1 setup carries
+    ``container`` to a collector."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.ran.pcap import PcapStream
+    from repro.telemetry import MobiFlowCollector
+
+    stream = PcapStream()
+    setup = f1ap.F1InitialUlRrcMessageTransfer(gnb_du_ue_id=1, c_rnti=0x4601, rrc_container=container)
+    stream.capture(0.1, "F1AP", setup)
+    metrics = MetricsRegistry()
+    records = len(MobiFlowCollector(metrics).parse_stream(stream))
+    undecodable = metrics.counter("collector.undecodable_total", labels={"interface": "F1AP"})
+    return records, undecodable.value
+
+
+def mobiwatch_reads(message: bytes, count: int = 1) -> tuple:
+    """(records seen, indications rejected) when an indication whose header
+    announces ``count`` records carries ``message`` to MobiWatch."""
+    from repro.core import XsecConfig
+    from repro.core.mobiwatch import MobiWatchXApp
+
+    sim, ric = make_ric()
+    watch = MobiWatchXApp(ric, XsecConfig())
+    pdu = indication([RECORD] * count)
+    pdu.indication_message = message
+    watch.on_indication(pdu)
+    rejected = sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value
+    return watch.records_seen, rejected
+
+
 class TestNonCanonicalInput:
-    """The planned decoders step aside; the generic path answers as before."""
+    """Bytes the generic codec reads but no encoder writes: the class
+    decoders refuse them, and the collector and MobiWatch count and drop
+    them. The ids name what the generic decode made of them."""
 
     def test_the_canonical_form_is_what_the_encoder_writes(self):
         assert pairs("msg", NAME, "ie", CANONICAL_IE) == SETUP_REQUEST.to_wire()
         assert batch_of(pairs(*RECORD_ITEMS)) == encode_batch([RECORD])
+        assert collector_reads(SETUP_REQUEST.to_wire()) == (1, 0)
+        assert mobiwatch_reads(encode_batch([RECORD])) == (1, 0)
 
     @pytest.mark.parametrize("name", sorted(NON_CANONICAL_MESSAGES))
     def test_message(self, name):
         data = NON_CANONICAL_MESSAGES[name]
         assert data != SETUP_REQUEST.to_wire()
-        if not any(part in name for part in READ_BY_THE_PLAN):
-            # Keys out of place or not as written: only the generic decode
-            # can answer.
-            assert messages._PLANS.decode(data) is None
-        decoded = Message.from_wire(data)
-        assert decoded == generic_message(data)
-        assert decoded == SETUP_REQUEST
+        assert generic_message(data) == SETUP_REQUEST
+        with pytest.raises(wire.WireError):
+            messages._PLANS.decode(data)
+        with pytest.raises(MessageError):
+            Message.from_wire(data)
+        assert collector_reads(data) == (0, 1)
 
     def test_pdu_reordered_and_unknown_ies(self):
         pdu = e2ap.RicSubscriptionDeleteRequest(ric_request_id=4, ran_function_id=142)
@@ -1063,7 +1076,9 @@ class TestNonCanonicalInput:
             "pdu",
             text(pdu.PDU),
         )
-        assert E2apPdu.from_wire(data) == generic_pdu(data) == pdu
+        assert generic_pdu(data) == pdu
+        with pytest.raises(E2apError):
+            E2apPdu.from_wire(data)
 
     def test_pdu_ies_that_are_not_a_dict_are_an_e2ap_error(self):
         with pytest.raises(E2apError, match="not a dict"):
@@ -1072,21 +1087,17 @@ class TestNonCanonicalInput:
     @pytest.mark.parametrize("name", sorted(NON_CANONICAL_BATCHES))
     def test_batch(self, name):
         data = NON_CANONICAL_BATCHES[name]
-        decoded = decode_batch(data)
-        assert list(decoded) == generic_batch(data)
-        if name == "long_form_list_length":
-            # Only the list header is odd; the record's own bytes are canonical.
-            ((start, stop),) = decoded.spans
-            assert data[start:stop] == encode_record(RECORD)
-        else:
-            # No span: these bytes are not what re-encoding the record gives.
-            assert decoded.spans is None
+        records = generic_batch(data)
+        assert encode_batch(records) != data
         if name == "empty_int_is_zero":
-            assert decoded[0] == base_record(rnti=0)
+            assert records[0] == base_record(rnti=0)
         elif name == "session_id_left_to_default":
-            assert decoded[0] == base_record(rnti=0x4601, session_id=0)
+            assert records[0] == base_record(rnti=0x4601, session_id=0)
         else:
-            assert decoded[0] == RECORD
+            assert records[0] == RECORD
+        with pytest.raises(wire.WireError):
+            decode_batch(data)
+        assert mobiwatch_reads(data, len(records)) == (0, 1)
 
     @pytest.mark.parametrize(
         "data,error",
@@ -1117,7 +1128,9 @@ class TestNonCanonicalInput:
         ],
     )
     def test_batch_rejections_are_the_generic_path_s(self, data, error):
-        with pytest.raises(error):
+        """What the generic path refused (with ``error``), the record
+        decoder refuses too, with its family's error."""
+        with pytest.raises(wire.WireError):
             decode_batch(data)
         with pytest.raises(error):
             generic_batch(data)
@@ -1166,11 +1179,110 @@ class TestDepthBound:
             Message.from_wire(hostile)
 
     def test_nesting_bomb_in_a_batch_is_a_wire_error(self):
-        with pytest.raises(wire.WireError, match="nesting too deep"):
+        # No record field holds a list: the bomb is refused at its first
+        # level, as a batch and as a field value.
+        with pytest.raises(wire.WireError):
             decode_batch(nested_lists(2000))
+        with pytest.raises(wire.WireError, match="'rnti' holds tag 0x07"):
+            decode_batch(batch_of(pairs(*RECORD_ITEMS[:-1], nested_lists(2000))))
 
 
-# -- mutation fuzz: PR 14's strategy on planned encodings ---------------------------
+# -- mutation fuzz: one decoder, refusal or the same bytes back ---------------------
+#
+# A canonical encoding is mutated either at the byte level (a bit flipped, a
+# byte inserted or deleted) or in its structure, with every container
+# length recomputed: a one-byte symbol in its two-byte or spelled-out form,
+# an int or a length field one byte longer than needed, two keys of a dict
+# swapped. The decoder must refuse the result with its family's error, or
+# return an object whose encoding is the result itself.
+
+
+def parse_tlv(data: bytes, offset: int = 0, end=None):
+    """``(node, next offset)``: a node is ``[tag, children or None, raw]``
+    (test-side walker, independent of the codec's decoders)."""
+    end = len(data) if end is None else end
+    tag = data[offset]
+    if tag >= 0x10 or tag < 0x03:
+        stop = offset + 1
+    elif tag == 0x09:
+        stop = offset + 2
+    elif tag == 0x04:
+        stop = offset + 9
+    else:
+        length, body = wire._decode_length(data, offset + 1, end)
+        stop = body + length
+        if tag >= 0x07:
+            children = []
+            while body < stop:
+                child, body = parse_tlv(data, body, stop)
+                children.append(child)
+            return [tag, children, data[offset:stop]], stop
+    return [tag, None, data[offset:stop]], stop
+
+
+def build_tlv(node) -> bytes:
+    tag, children, raw = node
+    if children is None:
+        return raw
+    body = b"".join(build_tlv(child) for child in children)
+    return bytes([tag]) + wire._encode_length(len(body)) + body
+
+
+def tlv_nodes(node, depth: int = 0):
+    """``(node, depth)`` of every node, in encoding order."""
+    yield node, depth
+    for child in node[1] or ():
+        yield from tlv_nodes(child, depth + 1)
+
+
+def _long_length(raw: bytes) -> bytes:
+    """``raw`` with its length field spelled with one high zero group."""
+    length, body = wire._decode_length(raw, 1, len(raw))
+    return raw[:1] + wire._encode_length(length)[:-1] + bytes([raw[body - 1] | 0x80, 0]) + raw[body:]
+
+
+def structural_mutations(node, depth: int, plan_layer: int) -> list:
+    """The structural mutations of ``node`` (a function of the node) that
+    the plan itself must refuse; ``plan_layer`` is the depth of the field
+    values the plan reads (the values of the IE or record dict)."""
+    tag, children, raw = node
+    options = []
+    # A nested list or dict value, and all below it, is the generic
+    # decoder's: its accept set is not the plan's.
+    if depth > plan_layer or (depth == plan_layer and children is not None):
+        return options
+    if tag >= 0x10:
+        index = tag - 0x10
+        options.append(("two_byte", bytes([0x09, index])))
+        name = wire.SYMBOLS[index].encode()
+        options.append(("spelled", bytes([0x05, len(name)]) + name))
+    if tag == 0x03:
+        value = int.from_bytes(raw[2:], "big", signed=True)
+        pad = b"\xff" if value < 0 else b"\x00"
+        options.append(("long_int", bytes([0x03, len(raw) - 1]) + pad + raw[2:]))
+    if 0x03 <= tag <= 0x08 and tag != 0x04:
+        options.append(("long_length", _long_length(raw)))
+    if tag == 0x08 and len(children) >= 4:
+        options.append(("swap_keys", None))
+    return options
+
+
+def mutate_structure(encoded: bytes, plan_layer: int, data) -> bytes:
+    root, _ = parse_tlv(encoded)
+    sites = [
+        (node, kind, raw)
+        for node, depth in tlv_nodes(root)
+        for kind, raw in structural_mutations(node, depth, plan_layer)
+    ]
+    node, kind, raw = data.draw(st.sampled_from(sites), label="site")
+    if kind == "swap_keys":
+        pairs_ = [node[1][i : i + 2] for i in range(0, len(node[1]), 2)]
+        first = data.draw(st.integers(0, len(pairs_) - 2), label="pair")
+        pairs_[first], pairs_[first + 1] = pairs_[first + 1], pairs_[first]
+        node[1] = [child for pair in pairs_ for child in pair]
+    else:
+        node[0], node[1], node[2] = raw[0], None, raw
+    return build_tlv(root)
 
 
 def mutate(encoded: bytes, data) -> bytes:
@@ -1186,6 +1298,29 @@ def mutate(encoded: bytes, data) -> bytes:
     return bytes(mutated)
 
 
+def generic_below(data: bytes, plan_layer: int) -> bytes:
+    """``data`` with every list or dict value the plan hands the generic
+    decoder re-encoded by the generic codec."""
+    root, _ = parse_tlv(data)
+    for node, depth in tlv_nodes(root):
+        if depth == plan_layer and node[1] is not None:
+            node[:] = parse_tlv(wire.encode(wire.decode(node[2])))[0]
+    return build_tlv(root)
+
+
+def assert_refused_or_exact(decode, encode, error, mutated: bytes, plan_layer: int) -> None:
+    """Refused with ``error``, or decoded to an object that encodes back to
+    ``mutated`` — at the plan layer: a list or dict value below it is read
+    by the generic decoder, which also accepts other spellings of it."""
+    try:
+        decoded = decode(mutated)
+    except error:
+        return
+    again = encode(decoded)
+    if again != mutated:
+        assert again == generic_below(mutated, plan_layer)
+
+
 message_instances = st.sampled_from(
     [cls() for cls in MESSAGE_CLASSES] + list(TestGoldenBytes.OBJECTS.values())[:5]
 )
@@ -1195,38 +1330,63 @@ pdu_instances = st.sampled_from(
 
 
 class TestMutatedEncodings:
-    """One byte flipped, inserted or deleted in a planned encoding: the
-    planned decoder and the generic path raise the same exception type or
-    return the same value — never IndexError, never a different answer."""
+    """A mutated canonical encoding is refused with the family's error, or
+    decodes to an object whose encoding is the mutated bytes: never
+    IndexError, never another object."""
 
     @examples(300)
     @given(message_instances, st.data())
     def test_message(self, message, data):
-        mutated = mutate(message.to_wire(), data)
-        got = outcome(Message.from_wire, mutated)
-        assert got == outcome(generic_message, mutated)
-        assert got[0] == "ok" or issubclass(got[1], (ValueError, TypeError))
+        encoded = message.to_wire()
+        for mutated in (mutate(encoded, data), mutate_structure(encoded, 2, data)):
+            assert_refused_or_exact(Message.from_wire, Message.to_wire, MessageError, mutated, 2)
+        with pytest.raises(MessageError):
+            Message.from_wire(mutated)
 
     @examples(200)
     @given(pdu_instances, st.data())
     def test_pdu(self, pdu, data):
-        mutated = mutate(pdu.to_wire(), data)
-        got = outcome(E2apPdu.from_wire, mutated)
-        assert got == outcome(generic_pdu, mutated)
-        assert got[0] == "ok" or issubclass(got[1], (ValueError, TypeError))
+        encoded = pdu.to_wire()
+        for mutated in (mutate(encoded, data), mutate_structure(encoded, 2, data)):
+            assert_refused_or_exact(E2apPdu.from_wire, E2apPdu.to_wire, E2apError, mutated, 2)
+        with pytest.raises(E2apError):
+            E2apPdu.from_wire(mutated)
 
     @examples(300)
     @given(st.integers(1, 3), st.data())
     def test_batch(self, count, data):
-        mutated = mutate(encode_batch(TestGoldenBytes.BATCH[:count]), data)
-        got = outcome(decode_batch, mutated)
-        assert got == outcome(generic_batch, mutated)
-        assert got[0] == "ok" or issubclass(got[1], (ValueError, TypeError))
-        if got[0] == "ok":
-            # A span survives only where the bytes are still canonical.
-            decoded = decode_batch(mutated)
-            for record, (start, stop) in zip(decoded, decoded.spans or ()):
-                assert mutated[start:stop] == wire.encode(record.to_wire_dict())
+        encoded = encode_batch(TestGoldenBytes.BATCH[:count])
+        for mutated in (mutate(encoded, data), mutate_structure(encoded, 2, data)):
+            assert_refused_or_exact(decode_batch, encode_batch, wire.WireError, mutated, 2)
+        with pytest.raises(wire.WireError):
+            decode_batch(mutated)
+        # Every record a batch yields is stored as its span: its own bytes.
+        decoded = decode_batch(encoded)
+        assert [encoded[a:b] for a, b in decoded.spans] == [encode_record(r) for r in decoded]
+
+    @examples(100)
+    @given(st.integers(1, 3), st.booleans(), st.data())
+    def test_refusals_are_counted_at_the_edges(self, count, structural, data):
+        """A mutated indication at MobiWatch, and a mutated container at
+        the collector: counted and dropped when refused, never raised."""
+        batch = encode_batch(TestGoldenBytes.BATCH[:count])
+        container = SETUP_REQUEST.to_wire()
+        if structural:
+            batch, container = mutate_structure(batch, 2, data), mutate_structure(container, 2, data)
+        else:
+            batch, container = mutate(batch, data), mutate(container, data)
+        try:
+            records = len(decode_batch(batch))
+        except wire.WireError:
+            assert mobiwatch_reads(batch, count) == (0, 1)
+        else:
+            assert mobiwatch_reads(batch, records) == (records, 0)
+        try:
+            Message.from_wire(container)
+        except MessageError:
+            assert collector_reads(container) == (0, 1)
+        else:
+            assert collector_reads(container)[1] == 0
 
 
 # -- plans are per class and follow the enum registry --------------------------------
@@ -1238,7 +1398,7 @@ class _LateEnum(enum.Enum):
 
 
 class TestPlanLifetime:
-    def test_canonical_bytes_take_the_planned_path_once_the_plan_exists(self):
+    def test_a_class_decodes_before_it_is_ever_encoded(self):
         @dataclass
         class Fresh(Message):
             NAME = "TestWirePlansFresh"
@@ -1247,10 +1407,12 @@ class TestPlanLifetime:
         encoded = Fresh(number=5).to_wire()  # builds the plan
         assert messages._PLANS.decode(encoded) == Fresh(number=5)
         messages._PLANS.clear()
-        # No plan yet: the generic path decodes it and leaves a plan behind.
-        assert messages._PLANS.decode(encoded) is None
+        # No plan yet: the head is not found, so every registered class
+        # gets its plan, and the bytes decode.
         assert Message.from_wire(encoded) == Fresh(number=5)
-        assert messages._PLANS.decode(encoded) == Fresh(number=5)
+        assert messages._PLANS._by_class.keys() >= set(map(Message.lookup, Message.registered_names()))
+        with pytest.raises(MessageError, match="unknown message name 'TestWirePlansNever'"):
+            Message.from_wire(encoded.replace(b"Fresh", b"Never"))
 
     def test_register_enum_field_type_invalidates_built_plans(self):
         @dataclass
@@ -1263,7 +1425,7 @@ class TestPlanLifetime:
         assert encoded == wire.encode({"msg": Late.NAME, "ie": {"choice": "b", "maybe": None}})
         assert Message.from_wire(encoded).choice == "b"  # not a known enum yet
         register_enum_field_type(_LateEnum)
-        assert messages._PLANS.decode(encoded) is None  # every plan was dropped
+        assert not messages._PLANS._by_class  # every plan was dropped
         decoded = Message.from_wire(encoded)
         assert decoded.choice is _LateEnum.B and decoded.maybe is None
         assert Message.from_wire(Late(maybe=_LateEnum.A).to_wire()).maybe is _LateEnum.A

@@ -6,10 +6,12 @@ for an index below 240, before it (revisions 2 and 3) the tag ``0x09`` and
 one index byte. The table is part of the format: append-only
 (tests/fixtures/wire_symbols.json pins the order), at most 256 long, and it
 must hold every name the tree puts on the wire by the thousand. All three
-forms — one byte, two bytes, spelled out — decode to the same value; no
-encoder writes a table string in any but the first; an index past the
-table, or a reserved tag (``0x0A``-``0x0F``), is a ``WireError`` that the E2
-edge and the collector count and drop.
+forms — one byte, two bytes, spelled out — are read by the generic
+``wire.decode`` as the same value; no encoder writes a table string in any
+but the first, and the class decoders (messages, E2AP PDUs, MobiFlow
+batches) accept no other. An index past the table, or a reserved tag
+(``0x0A``-``0x0F``), is a ``WireError`` that the E2 edge and the collector
+count and drop.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from repro.core.mobiwatch import SDL_TELEMETRY_NS, MobiWatchXApp
 from repro.oran import e2ap
 from repro.oran.e2sm_kpm import KNOWN_ACTIONS, MobiFlowKpmModel
 from repro.ran import f1ap, nas, ngap, rrc  # noqa: F401  (register every class)
-from repro.ran.messages import Direction, Message, Protocol
+from repro.ran.messages import Direction, Message, MessageError, Protocol
 from repro.telemetry.encoder import CATALOGUE, decode_batch, encode_batch, encode_record
 from repro.telemetry.features import DEFAULT_CAUSE_VOCAB
 from repro.telemetry.mobiflow import FIELD_NAMES
@@ -254,7 +256,8 @@ class TestBothFormsOneValue:
         assert symbol("cause") + symbol("mo-Data") in encoded
         assert Message.from_wire(encoded) == Vendor(vendor_field=5, cause="mo-Data")
         assert Message.from_wire(canonical(encoded)) == Vendor(vendor_field=5, cause="mo-Data")
-        assert Message.from_wire(canonical(encoded, 2)) == Vendor(vendor_field=5, cause="mo-Data")
+        with pytest.raises(MessageError):  # revision-3 bytes
+            Message.from_wire(canonical(encoded, 2))
 
     @examples(100)
     @given(st.lists(st.sampled_from(wire.SYMBOLS) | st.text(max_size=8), max_size=6))
@@ -355,12 +358,17 @@ class TestHostileSymbols:
                 wire.decode(data)
 
     def test_planned_decoders_answer_as_the_generic_one(self):
+        """Where the generic decoder finds a bad symbol or tag, so do the
+        class decoders, under their own error types."""
         past_end = bytes([SHORT + len(wire.SYMBOLS)])
         good = rrc.RrcSetupRequest().to_wire()
         at = good.index(symbol("establishment_cause") + symbol("mo-Signalling")) + 1
-        for hostile in (past_end, b"\xff", two_byte("mo-Signalling")[:1] + b"\xff"):
-            with pytest.raises(ValueError, match="unknown symbol"):
+        for hostile in (past_end, b"\xff"):
+            with pytest.raises(MessageError, match="unknown symbol"):
                 Message.from_wire(good[:at] + hostile + good[at + 1 :])
+        # One byte longer: the envelope's length no longer matches first.
+        with pytest.raises(MessageError):
+            Message.from_wire(good[:at] + two_byte("mo-Signalling")[:1] + b"\xff" + good[at + 1 :])
         with pytest.raises(ValueError):
             Message.from_wire(good[: at + 1])  # cut right after the symbol
         with pytest.raises(ValueError, match="unknown tag"):
@@ -375,12 +383,12 @@ class TestHostileSymbols:
         at = pdu.index(symbol("pdu") + symbol("RICControlAck")) + 1
         with pytest.raises(e2ap.E2apError, match="unknown symbol"):
             e2ap.E2apPdu.from_wire(pdu[:at] + b"\xfe" + pdu[at + 1 :])
-        with pytest.raises(e2ap.E2apError, match="unknown symbol"):
+        with pytest.raises(e2ap.E2apError):
             e2ap.E2apPdu.from_wire(pdu[:at] + two_byte("pdu")[:1] + b"\xfe" + pdu[at + 1 :])
 
 
-class TestSpelledOutRecordIsStoredCanonically:
-    def test_one_spelled_out_name_loses_the_span_not_the_record(self):
+class TestSpelledOutRecordIsRefused:
+    def test_one_spelled_out_name_refuses_it(self):
         records = [record(1.0, "RRCSetup"), record(1.1, "RRCSetupComplete", s_tmsi=7)]
 
         def batch_bytes(*spelled_out):
@@ -392,7 +400,7 @@ class TestSpelledOutRecordIsStoredCanonically:
             return bytes([0x07, len(body)]) + body
 
         assert batch_bytes() == encode_batch(records)
-        assert decode_batch(batch_bytes()).spans is not None
+        assert list(decode_batch(batch_bytes())) == records
         one = batch_bytes("RRCSetup")
         for data in (
             one,
@@ -400,18 +408,20 @@ class TestSpelledOutRecordIsStoredCanonically:
             spell_out(encode_batch(records)),
             canonical(encode_batch(records), 2),  # revision-3 bytes
         ):
-            decoded = decode_batch(data)
-            assert list(decoded) == records and decoded.spans is None
+            assert [dict(item) for item in wire.decode(data)] == [
+                entry.to_wire_dict() for entry in records
+            ]
+            with pytest.raises(wire.WireError):
+                decode_batch(data)
 
         sim, ric = make_ric()
         watch = MobiWatchXApp(ric, XsecConfig())
         batch = indication(records)
         batch.indication_message = one
         watch.on_indication(batch)
-        assert watch.records_seen == 2
-        assert ric.sdl._data[SDL_TELEMETRY_NS] == {
-            f"{index:09d}": encode_record(entry) for index, entry in enumerate(records)
-        }
+        assert watch.records_seen == 0
+        assert sim.obs.metrics.counter("mobiwatch.indications_rejected_total").value == 1
+        assert SDL_TELEMETRY_NS not in ric.sdl._data
 
 
 class TestNoEncoderSpellsATableStringOut:
@@ -507,15 +517,25 @@ PLANNED_CASES = _planned_cases()
 
 
 def _planned(kind: str):
-    """(encode, planned decode, public decode) of one decoder family."""
+    """(encode, planned decode, public decode, its error) of one decoder
+    family."""
     from repro.ran import messages
     from repro.telemetry import encoder
 
     if kind == "message":
-        return (lambda obj: obj.to_wire()), messages._PLANS.decode, Message.from_wire
+        return (
+            (lambda obj: obj.to_wire()), messages._PLANS.decode, Message.from_wire, MessageError
+        )
     if kind == "pdu":
-        return (lambda obj: obj.to_wire()), e2ap._PLANS.decode, e2ap.E2apPdu.from_wire
-    return encode_batch, encoder._PLAN.decode_list, (lambda data: list(decode_batch(data)))
+        return (
+            (lambda obj: obj.to_wire()), e2ap._PLANS.decode, e2ap.E2apPdu.from_wire, e2ap.E2apError
+        )
+    return (
+        encode_batch,
+        encoder._PLAN.decode_list,
+        (lambda data: list(decode_batch(data))),
+        wire.WireError,
+    )
 
 
 class TestRevision4OneByteSymbols:
@@ -546,9 +566,9 @@ class TestRevision4OneByteSymbols:
 
     @examples(300)
     @given(st.sampled_from(PLANNED_CASES), st.data())
-    def test_planned_decoders_fall_back_on_a_two_byte_form(self, case, data):
+    def test_class_decoders_refuse_a_two_byte_form(self, case, data):
         kind, obj = case
-        encode, planned, decode = _planned(kind)
+        encode, planned, decode, error = _planned(kind)
         encoded = encode(obj)
         # The symbols the plan itself reads: envelope keys and name, field
         # keys and scalar values (deeper ones are the generic decoder's).
@@ -561,26 +581,29 @@ class TestRevision4OneByteSymbols:
             ),
         )
         assert len(widened) > len(encoded)
-        assert planned(widened) is None
-        assert decode(widened) == obj
-        if kind == "batch":
-            assert decode_batch(widened).spans is None
-        assert planned(encoded) is not None
+        assert wire.decode(widened) == wire.decode(encoded)
+        with pytest.raises(wire.WireError):
+            planned(widened)
+        with pytest.raises(error):
+            decode(widened)
+        assert decode(encoded) == obj
 
     @examples(300)
     @given(st.sampled_from(PLANNED_CASES), st.sampled_from(HOSTILE_TAGS), st.data())
     def test_a_hostile_symbol_byte_is_a_wire_error_everywhere(self, case, hostile, data):
         kind, obj = case
-        encode, planned, decode = _planned(kind)
+        encode, planned, decode, error = _planned(kind)
         encoded = encode(obj)
         at = data.draw(st.sampled_from([offset for offset, _, _ in symbol_sites(encoded)]))
         bad = encoded[:at] + bytes([hostile]) + encoded[at + 1 :]
         match = "unknown tag" if hostile in RESERVED else "unknown symbol"
         with pytest.raises(wire.WireError, match=match):
             wire.decode(bad)
-        assert planned(bad) is None
-        # Message and E2AP errors wrap the WireError (both are ValueErrors).
-        with pytest.raises(ValueError, match=match):
+        # A bad name or key is not looked for: the class decoder refuses
+        # the bytes where it finds them out of place.
+        with pytest.raises(wire.WireError):
+            planned(bad)
+        with pytest.raises(error):
             decode(bad)
 
     @examples(50)
